@@ -287,7 +287,7 @@ fn verify_writes(
             owners.len()
         );
         let versions: Vec<u64> =
-            owners.iter().map(|&s| data.replica(p, s).map(|st| st.version).unwrap_or(0)).collect();
+            owners.iter().map(|&s| data.replica(p, s).map(|st| st.version()).unwrap_or(0)).collect();
         assert!(
             versions.windows(2).all(|w| w[0] == w[1]),
             "partition {p} replicas diverged after recovery: versions {versions:?}"

@@ -23,7 +23,7 @@
 use ic_common::agg::{Accumulator, AggFunc};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{BinOp, ColumnBatch, ColumnData, Datum, Expr, Row};
-use ic_exec::eval::eval_filter_sel;
+use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::{gather_join_output, sort_permutation, ColGroupTable, ColJoinTable};
 use ic_exec::row_kernels::{GroupTable, JoinHashTable};
 use ic_plan::ops::{AggCall, SortKey};

@@ -17,8 +17,9 @@
 //! genuinely reorders or combines rows (join output, sort) or at the wire.
 //!
 //! **Row boundaries.** [`ColumnBatch::from_rows`] / [`ColumnBatch::to_rows`]
-//! are the only row↔column conversion points, used at the storage scan
-//! boundary and the final client rowset. Type sniffing is per column: the
+//! are the only row↔column conversion points: rows are packed once, when
+//! they enter the store, and unpacked at the final client rowset (and the
+//! inputs of the row-internal nested-loop join and sort aggregate). Type sniffing is per column: the
 //! first non-NULL value fixes the typed representation, later mismatches
 //! degrade that column to `Any`. Int is *not* promoted to Double — the two
 //! display differently (`2` vs `2.0000`) and results must round-trip.
@@ -654,7 +655,7 @@ impl ColumnBatch {
         ColumnBatch { columns: vec![col; width], nrows: 0, sel: None }
     }
 
-    /// Convert row-major input (the storage scan / operator-input shim).
+    /// Convert row-major input (the storage write / operator-output shim).
     pub fn from_rows(rows: &[Row]) -> ColumnBatch {
         let width = rows.first().map_or(0, |r| r.arity());
         let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
@@ -690,24 +691,6 @@ impl ColumnBatch {
             cols.push(Arc::new(b.finish()));
         }
         ColumnBatch { columns: cols, nrows, sel: None }
-    }
-
-    /// Pack borrowed rows — the storage-boundary shim when the rows still
-    /// live in a partition snapshot, so nothing is cloned row-wise first.
-    pub fn from_row_refs(rows: &[&Row]) -> ColumnBatch {
-        let width = rows.first().map_or(0, |r| r.arity());
-        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
-        for r in rows {
-            debug_assert_eq!(r.arity(), width, "ragged batch");
-            for (b, d) in builders.iter_mut().zip(&r.0) {
-                b.push_datum_ref(d);
-            }
-        }
-        ColumnBatch {
-            columns: builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
-            nrows: rows.len(),
-            sel: None,
-        }
     }
 
     /// Materialize as rows, honouring the selection (the client-rowset shim).
@@ -845,6 +828,102 @@ impl ColumnBatch {
             self.columns[c].hash_into(sel, &mut hashers);
         }
         hashers.iter().map(|h| h.finish()).collect()
+    }
+
+    /// Sort permutation of a dense batch: the indices of its rows ordered by
+    /// `keys` — `(column, descending)` pairs — with NULLs first per
+    /// `Datum`'s total order and the original index as the final tie-break,
+    /// so the permutation is stable and deterministic.
+    ///
+    /// Numeric/date/bool key columns are first encoded into order-preserving
+    /// `u128` words (validity in the high half, bitwise-NOT for `DESC`), so
+    /// the sort compares machine integers instead of dispatching on the
+    /// column enum per comparison. String, mixed-type, and NaN-bearing keys
+    /// fall back to the [`Column::cmp_at`] comparator with identical
+    /// ordering.
+    pub fn sort_permutation(&self, keys: &[(usize, bool)]) -> Vec<u32> {
+        debug_assert!(self.sel.is_none(), "sort_permutation needs a dense batch");
+        let n = self.nrows;
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        if let Some(keybuf) = self.encode_sort_keys(keys) {
+            let klen = keys.len();
+            if klen == 1 {
+                let mut dec: Vec<(u128, u32)> = keybuf.into_iter().zip(0..n as u32).collect();
+                dec.sort_unstable();
+                return dec.into_iter().map(|(_, i)| i).collect();
+            }
+            idx.sort_unstable_by(|&a, &b| {
+                let (ab, bb) = (a as usize * klen, b as usize * klen);
+                keybuf[ab..ab + klen].cmp(&keybuf[bb..bb + klen]).then(a.cmp(&b))
+            });
+            return idx;
+        }
+        idx.sort_unstable_by(|&a, &b| {
+            for &(c, desc) in keys {
+                let col = &self.columns[c];
+                let mut ord = col.cmp_at(a as usize, col, b as usize);
+                if desc {
+                    ord = ord.reverse();
+                }
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            a.cmp(&b)
+        });
+        idx
+    }
+
+    /// Row-major order-preserving key words for [`Self::sort_permutation`],
+    /// or `None` when some key column has no integer encoding (strings,
+    /// mixed `Any` columns, NaN doubles) and the comparator fallback must
+    /// run.
+    fn encode_sort_keys(&self, keys: &[(usize, bool)]) -> Option<Vec<u128>> {
+        const SIGN: u64 = 1 << 63;
+        let n = self.nrows;
+        let klen = keys.len();
+        let mut buf = vec![0u128; n * klen];
+        let mut put = |i: usize, k: usize, desc: bool, valid: bool, word: u64| {
+            let enc = ((valid as u128) << 64) | word as u128;
+            // Bitwise NOT reverses the unsigned order wholesale, which also
+            // moves NULLs last — exactly `cmp_at(..).reverse()`.
+            buf[i * klen + k] = if desc { !enc } else { enc };
+        };
+        for (k, &(c, desc)) in keys.iter().enumerate() {
+            let col = &self.columns[c];
+            match &col.data {
+                ColumnData::Int(v) => {
+                    for (i, &x) in v.iter().enumerate().take(n) {
+                        put(i, k, desc, col.is_valid(i), (x as u64) ^ SIGN);
+                    }
+                }
+                ColumnData::Double(v) => {
+                    for (i, &x) in v.iter().enumerate().take(n) {
+                        if x.is_nan() && col.is_valid(i) {
+                            // `cmp_at` treats NaN as equal-to-anything; no
+                            // integer encoding reproduces that, so punt.
+                            return None;
+                        }
+                        // Normalize -0.0: cmp_at orders it equal to +0.0.
+                        let bits = (if x == 0.0 { 0.0f64 } else { x }).to_bits();
+                        let word = if bits & SIGN != 0 { !bits } else { bits | SIGN };
+                        put(i, k, desc, col.is_valid(i), word);
+                    }
+                }
+                ColumnData::Date(v) => {
+                    for (i, &x) in v.iter().enumerate().take(n) {
+                        put(i, k, desc, col.is_valid(i), (x as i64 as u64) ^ SIGN);
+                    }
+                }
+                ColumnData::Bool(v) => {
+                    for (i, &x) in v.iter().enumerate().take(n) {
+                        put(i, k, desc, col.is_valid(i), x as u64);
+                    }
+                }
+                ColumnData::Str { .. } | ColumnData::Any(_) => return None,
+            }
+        }
+        Some(buf)
     }
 
     /// Memory-accounting cells: `width.max(1) × logical rows` (matches the

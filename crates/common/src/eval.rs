@@ -21,8 +21,8 @@
 //! same `apply_binary` / `Expr::eval` the row plane uses, so the two
 //! planes cannot drift.
 
-use ic_common::expr::apply_binary;
-use ic_common::{
+use crate::expr::apply_binary;
+use crate::{
     BinOp, Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, Datum, Expr, IcError, IcResult,
     Row,
 };
@@ -647,7 +647,7 @@ mod tests {
 
     #[test]
     fn vectorized_matches_row_interpreter() {
-        use ic_common::BinOp::*;
+        use crate::BinOp::*;
         let cases = vec![
             Expr::binary(Gt, Expr::col(0), Expr::lit(2i64)),
             Expr::binary(Le, Expr::col(0), Expr::lit(3.0)),

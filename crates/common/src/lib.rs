@@ -2,7 +2,8 @@
 //!
 //! This crate defines the row/value model ([`Datum`], [`Row`]), schemas
 //! ([`Schema`], [`Field`], [`DataType`]), scalar expressions and their
-//! evaluator ([`expr::Expr`]), aggregate functions ([`agg`]), date helpers
+//! row evaluator ([`expr::Expr`]), its vectorized twin over column batches
+//! ([`eval`]), aggregate functions ([`agg`]), date helpers
 //! ([`dates`]) and the common error type ([`IcError`]).
 //!
 //! Everything above this crate — storage, SQL frontend, planner, executor —
@@ -16,6 +17,7 @@ pub mod col;
 pub mod datum;
 pub mod dates;
 pub mod error;
+pub mod eval;
 pub mod expr;
 pub mod hash;
 pub mod lease;

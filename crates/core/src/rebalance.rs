@@ -9,10 +9,11 @@
 //! hash-partitioned table (in table-id order, so multi-guard acquisition is
 //! cycle-free) before promoting, flipping owner lists, or installing the
 //! final catch-up copy of a migration. Bulk data movement happens *outside*
-//! the guards — a migration ships the frozen snapshot in `chunk_rows`-sized
-//! chunks through the fault-injectable replication path while writes keep
-//! flowing, then catches up on whatever committed in the meantime during the
-//! brief guarded flip.
+//! the guards — a migration ships the frozen snapshot chunk by stored chunk
+//! (one column frame each) through the fault-injectable replication path
+//! while writes keep flowing, then catches up during the brief guarded flip
+//! on exactly the chunks that writes committed in the meantime replaced or
+//! added.
 //!
 //! Promotion picks the live owner with the **highest replica version**: a
 //! backup that confirmed every acknowledged write is at the primary's
@@ -20,6 +21,7 @@
 //! is what makes "kill a site mid-stream" lose zero acknowledged writes.
 
 use ic_common::obs::{Counter, MetricsRegistry};
+use ic_common::ColumnBatch;
 use ic_net::wire::WireSize;
 use ic_net::{NetError, Network, SiteId};
 use ic_storage::{Catalog, TableData, TableDistribution};
@@ -72,19 +74,11 @@ fn metrics() -> &'static RebalanceMetrics {
 pub struct RebalanceController {
     catalog: Arc<Catalog>,
     network: Arc<Network>,
-    /// Rows shipped per simulated migration chunk.
-    chunk_rows: usize,
 }
 
 impl RebalanceController {
     pub fn new(catalog: Arc<Catalog>, network: Arc<Network>) -> RebalanceController {
-        RebalanceController { catalog, network, chunk_rows: 256 }
-    }
-
-    /// Override the migration chunk size (rows per simulated transfer).
-    pub fn with_chunk_rows(mut self, rows: usize) -> RebalanceController {
-        self.chunk_rows = rows.max(1);
-        self
+        RebalanceController { catalog, network }
     }
 
     /// Every hash-partitioned table's data handle, ascending by table id —
@@ -108,24 +102,25 @@ impl RebalanceController {
             .collect()
     }
 
-    /// Ship `store`'s rows from `src` to `dst` in chunks through the
-    /// fault-injectable replication path. An empty store still costs one
-    /// control frame. Any link/site fault aborts the transfer.
-    fn ship_chunks(
+    /// Ship stored chunks from `src` to `dst`, one column frame
+    /// (`encode_columns` size) per chunk, through the fault-injectable
+    /// replication path. Shipping nothing still costs one control frame.
+    /// Any link/site fault aborts the transfer.
+    fn ship_chunks<'a>(
         &self,
         src: SiteId,
         dst: SiteId,
-        rows: &[ic_common::Row],
+        chunks: impl Iterator<Item = &'a Arc<ColumnBatch>>,
     ) -> Result<(), NetError> {
         let m = metrics();
-        if rows.is_empty() {
-            self.network.replicate(src, dst, 64)?;
+        let mut shipped = false;
+        for chunk in chunks {
+            self.network.replicate(src, dst, chunk.wire_size())?;
             m.chunks.inc();
-            return Ok(());
+            shipped = true;
         }
-        for chunk in rows.chunks(self.chunk_rows) {
-            let bytes: usize = chunk.iter().map(|r| r.wire_size()).sum();
-            self.network.replicate(src, dst, bytes)?;
+        if !shipped {
+            self.network.replicate(src, dst, 64)?;
             m.chunks.inc();
         }
         Ok(())
@@ -139,16 +134,19 @@ impl RebalanceController {
         for data in tables {
             // Phase A — bulk ship the current frozen snapshot, unguarded.
             let bulk = data.replica(p, src).unwrap_or_default();
-            self.ship_chunks(src, dst, &bulk.rows)?;
-            // Phase B — brief guarded catch-up: whatever committed since the
-            // snapshot is shipped as one delta frame, then the exact current
-            // store is installed.
+            self.ship_chunks(src, dst, bulk.chunks().iter())?;
+            // Phase B — brief guarded catch-up: writes are copy-on-write per
+            // chunk, so what committed since the snapshot is exactly the
+            // chunks of the current store that the bulk copy did not hold.
+            // Ship those, then install the exact current store.
             let _g = data.write_guard(p);
             let current = data.replica(p, src).unwrap_or_default();
-            if current.version != bulk.version {
-                let delta = current.rows.len().saturating_sub(bulk.rows.len()).max(1);
-                let tail = &current.rows[current.rows.len() - delta.min(current.rows.len())..];
-                self.ship_chunks(src, dst, tail)?;
+            if current.version() != bulk.version() {
+                let delta = current
+                    .chunks()
+                    .iter()
+                    .filter(|c| !bulk.chunks().iter().any(|b| Arc::ptr_eq(b, c)));
+                self.ship_chunks(src, dst, delta)?;
             }
             data.install_replica(p, dst, current);
         }
@@ -207,8 +205,8 @@ impl RebalanceController {
                     continue;
                 }
                 let stale = tables.iter().any(|d| {
-                    let pv = d.replica(p, src).map(|r| r.version).unwrap_or(0);
-                    let sv = d.replica(p, s).map(|r| r.version).unwrap_or(0);
+                    let pv = d.replica(p, src).map(|r| r.version()).unwrap_or(0);
+                    let sv = d.replica(p, s).map(|r| r.version()).unwrap_or(0);
                     sv < pv
                 });
                 if !stale {
@@ -281,7 +279,7 @@ impl RebalanceController {
     /// Sum of `site`'s replica versions at partition `p` across all tables —
     /// the promotion fitness (higher = saw more acknowledged writes).
     fn version_sum(&self, tables: &[Arc<TableData>], p: usize, site: SiteId) -> u64 {
-        tables.iter().map(|d| d.replica(p, site).map(|r| r.version).unwrap_or(0)).sum()
+        tables.iter().map(|d| d.replica(p, site).map(|r| r.version()).unwrap_or(0)).sum()
     }
 
     /// The live member hosting the fewest replicas that does not already own

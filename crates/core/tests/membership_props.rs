@@ -135,8 +135,8 @@ proptest! {
                 .collect();
             prop_assert_eq!(stores.len(), owners.len());
             for s in &stores[1..] {
-                prop_assert_eq!(s.version, stores[0].version, "partition {} version skew", p);
-                prop_assert_eq!(s.rows.len(), stores[0].rows.len());
+                prop_assert_eq!(s.version(), stores[0].version(), "partition {} version skew", p);
+                prop_assert_eq!(s.num_rows(), stores[0].num_rows());
             }
         }
         // Zero acknowledged-write loss.

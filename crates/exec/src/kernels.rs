@@ -25,7 +25,6 @@ use ic_common::agg::Accumulator;
 use ic_common::hash::FlatMap;
 use ic_common::{Column, ColumnBatch, ColumnBuilder, ColumnData, Datum, IcResult};
 use ic_plan::ops::{AggCall, SortKey};
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Sentinel index: end of a hash chain, or "no build match" in a probe
@@ -411,103 +410,12 @@ impl ColGroupTable {
     }
 }
 
-/// Sort permutation over a dense batch: the indices of `batch`'s rows in
-/// `keys` order (NULLs first per `Datum`'s total order, original index as
-/// the final tie-break, so the permutation is stable and deterministic).
-///
-/// Numeric/date/bool key columns are first encoded into order-preserving
-/// `u128` words (validity in the high half, bitwise-NOT for `DESC`), so the
-/// sort compares machine integers instead of dispatching on the column enum
-/// per comparison. String, mixed-type, and NaN-bearing keys fall back to
-/// the [`Column::cmp_at`] comparator with identical ordering.
+/// Sort permutation over a dense batch in `keys` order — the plan-level
+/// [`SortKey`] face of [`ColumnBatch::sort_permutation`], which owns the
+/// encoding and the ordering contract.
 pub fn sort_permutation(batch: &ColumnBatch, keys: &[SortKey]) -> Vec<u32> {
-    debug_assert!(batch.selection().is_none(), "sort_permutation needs a dense batch");
-    let n = batch.num_rows();
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    if let Some(keybuf) = encode_sort_keys(batch, keys) {
-        let klen = keys.len();
-        if klen == 1 {
-            let mut dec: Vec<(u128, u32)> =
-                keybuf.into_iter().zip(0..n as u32).collect();
-            dec.sort_unstable();
-            return dec.into_iter().map(|(_, i)| i).collect();
-        }
-        idx.sort_unstable_by(|&a, &b| {
-            let (ab, bb) = (a as usize * klen, b as usize * klen);
-            keybuf[ab..ab + klen].cmp(&keybuf[bb..bb + klen]).then(a.cmp(&b))
-        });
-        return idx;
-    }
-    idx.sort_unstable_by(|&a, &b| {
-        for k in keys {
-            let col = batch.col(k.col);
-            let mut ord = col.cmp_at(a as usize, col, b as usize);
-            if k.desc {
-                ord = ord.reverse();
-            }
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(&b)
-    });
-    idx
-}
-
-#[inline]
-fn put_sort_word(buf: &mut [u128], i: usize, klen: usize, k: usize, desc: bool, valid: bool, word: u64) {
-    let mut enc = ((valid as u128) << 64) | word as u128;
-    if desc {
-        // Bitwise NOT reverses the unsigned order wholesale, which also
-        // moves NULLs last — exactly `cmp_at(..).reverse()`.
-        enc = !enc;
-    }
-    buf[i * klen + k] = enc;
-}
-
-/// Row-major order-preserving key words for [`sort_permutation`], or `None`
-/// when some key column has no integer encoding (strings, mixed `Any`
-/// columns, NaN doubles) and the comparator fallback must run.
-fn encode_sort_keys(batch: &ColumnBatch, keys: &[SortKey]) -> Option<Vec<u128>> {
-    const SIGN: u64 = 1 << 63;
-    let n = batch.num_rows();
-    let klen = keys.len();
-    let mut buf = vec![0u128; n * klen];
-    for (k, key) in keys.iter().enumerate() {
-        let col = batch.col(key.col);
-        match &col.data {
-            ColumnData::Int(v) => {
-                for (i, &x) in v.iter().enumerate().take(n) {
-                    put_sort_word(&mut buf, i, klen, k, key.desc, col.is_valid(i), (x as u64) ^ SIGN);
-                }
-            }
-            ColumnData::Double(v) => {
-                for (i, &x) in v.iter().enumerate().take(n) {
-                    if x.is_nan() && col.is_valid(i) {
-                        // `cmp_at` treats NaN as equal-to-anything; no
-                        // integer encoding reproduces that, so punt.
-                        return None;
-                    }
-                    // Normalize -0.0: cmp_at orders it equal to +0.0.
-                    let bits = (if x == 0.0 { 0.0f64 } else { x }).to_bits();
-                    let word = if bits & SIGN != 0 { !bits } else { bits | SIGN };
-                    put_sort_word(&mut buf, i, klen, k, key.desc, col.is_valid(i), word);
-                }
-            }
-            ColumnData::Date(v) => {
-                for (i, &x) in v.iter().enumerate().take(n) {
-                    put_sort_word(&mut buf, i, klen, k, key.desc, col.is_valid(i), (x as i64 as u64) ^ SIGN);
-                }
-            }
-            ColumnData::Bool(v) => {
-                for (i, &x) in v.iter().enumerate().take(n) {
-                    put_sort_word(&mut buf, i, klen, k, key.desc, col.is_valid(i), x as u64);
-                }
-            }
-            ColumnData::Str { .. } | ColumnData::Any(_) => return None,
-        }
-    }
-    Some(buf)
+    let keys: Vec<(usize, bool)> = keys.iter().map(|k| (k.col, k.desc)).collect();
+    batch.sort_permutation(&keys)
 }
 
 #[cfg(test)]
@@ -515,6 +423,7 @@ mod tests {
     use super::*;
     use ic_common::agg::AggFunc;
     use ic_common::{Expr, Row};
+    use std::cmp::Ordering;
 
     fn batch(rows: &[&[i64]]) -> ColumnBatch {
         let rows: Vec<Row> =

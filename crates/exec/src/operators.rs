@@ -5,14 +5,16 @@
 //! typed column vectors with validity bitmaps and an optional selection
 //! vector — so filters shrink the selection instead of materializing
 //! output, projections share column `Arc`s, and the join/agg/sort kernels
-//! in [`crate::kernels`] run tight per-column loops. Rows exist only at
-//! the storage scan boundary ([`ScanSource`]/[`MergingIndexScan`] convert
-//! partition snapshots) and inside the row-internal operators
-//! ([`NestedLoopJoinExec`], [`MergeJoinExec`], [`SortAggExec`]) whose
-//! per-row predicates and streaming group logic gain nothing from columns.
+//! in [`crate::kernels`] run tight per-column loops. Storage is columnar
+//! too: [`ScanSource`] hands out the partition's (or index run's) stored
+//! chunks by `Arc` clone. Rows exist only inside the row-internal operators
+//! ([`NestedLoopJoinExec`], [`SortAggExec`]), whose per-row predicates and
+//! streaming group logic gain nothing from columns, and at the client
+//! rowset.
 
-use crate::eval::{eval_expr, eval_filter_sel};
 use crate::kernels::{gather_join_output, ColGroupTable, ColJoinTable, NIL};
+use crate::pool::{Morsel, MorselSupply};
+use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::agg::Accumulator;
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
@@ -21,8 +23,9 @@ use ic_common::{
     MemoryPool, Row,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use ic_storage::Chunks;
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -351,13 +354,10 @@ pub trait RowSource: Send {
     /// The next batch, or `None` at end of stream.
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>>;
 
-    /// The next batch in row format. Row-native sources (partition scans,
-    /// index merges) and row-internal operators (merge join, nested-loop
-    /// join, sort aggregate) override this so chains of row operators hand
-    /// rows across directly instead of round-tripping every batch through
-    /// columns; the default converts at the boundary. Consumers pick the
-    /// format they compute in, so a plan pays for at most one conversion
-    /// per format change, never one per operator edge.
+    /// The next batch in row format. Row-internal operators (nested-loop
+    /// join, sort aggregate) and `Values` override this so chains of row
+    /// operators hand rows across directly instead of round-tripping every
+    /// batch through columns; the default converts at the boundary.
     fn next_rows(&mut self) -> IcResult<Option<Batch>> {
         Ok(self.next_batch()?.map(|b| b.to_rows()))
     }
@@ -418,175 +418,215 @@ impl RowSource for VecSource {
     }
 }
 
-/// Scan over partition snapshots with §5.3.2 variant splitting: a splitter
-/// reads the whole partition but passes only every `n`-th tuple. This is
-/// the storage-boundary shim: rows from the partition snapshot are packed
-/// into a [`ColumnBatch`] here and stay columnar downstream.
+/// Where a [`ScanSource`] gets its morsels from.
+enum MorselFeed {
+    /// The fragment's driver scans everything itself: one morsel per
+    /// partition, in partition order. `base` is the absolute row index of
+    /// the next partition's first row.
+    Sequential { next_part: usize, base: usize },
+    /// A pipeline lane pulling from the pipeline's shared supply.
+    Shared { supply: Arc<MorselSupply>, lane: usize },
+}
+
+/// Scan over stored chunk runs — partition snapshots or an index's sorted
+/// run — morsel by morsel. Nothing is copied: a whole stored chunk is
+/// emitted by `Arc` clone, a sliced one (tiny morsels) as a selection view,
+/// and §5.3.2 variant splitting — a splitter reads everything but passes
+/// only every `n`-th tuple — as a stride selection vector, which keeps a
+/// sorted run sorted. `ControlBlock::check` runs per chunk: the chunk
+/// boundary is the revocation point, never mid-kernel.
 pub struct ScanSource {
-    partitions: Vec<Arc<Vec<Row>>>,
-    part: usize,
-    idx: usize,
+    partitions: Arc<Vec<Chunks>>,
+    feed: MorselFeed,
+    /// The morsel being emitted, its next chunk, and that chunk's first
+    /// row's absolute index.
+    cur: Option<(Morsel, usize, usize)>,
     /// (variant_id, total_variants); `None` passes everything.
     split: Option<(usize, usize)>,
-    counter: usize,
-    predicate: Option<Expr>,
     ctrl: Arc<ControlBlock>,
 }
 
 impl ScanSource {
+    /// Scan all of `partitions` in order on the calling thread.
     pub fn new(
-        partitions: Vec<Arc<Vec<Row>>>,
+        partitions: Vec<Chunks>,
         split: Option<(usize, usize)>,
         ctrl: Arc<ControlBlock>,
     ) -> ScanSource {
-        ScanSource { partitions, part: 0, idx: 0, split, counter: 0, predicate: None, ctrl }
-    }
-}
-
-impl ScanSource {
-    /// Locate the next batch's rows (split + pushed-down predicate applied)
-    /// as `(partition, index)` pairs — the caller then packs them columnar
-    /// or clones them, so the dropped rows are never copied at all.
-    fn locate(&mut self) -> IcResult<Vec<(usize, usize)>> {
-        self.ctrl.check()?;
-        let mut picked = Vec::with_capacity(BATCH_SIZE);
-        while picked.len() < BATCH_SIZE {
-            if self.part >= self.partitions.len() {
-                break;
-            }
-            let rows = &self.partitions[self.part];
-            if self.idx >= rows.len() {
-                self.part += 1;
-                self.idx = 0;
-                continue;
-            }
-            let at = (self.part, self.idx);
-            let row = &rows[self.idx];
-            self.idx += 1;
-            let keep = match self.split {
-                Some((vid, n)) => {
-                    let keep = self.counter % n == vid;
-                    self.counter += 1;
-                    keep
-                }
-                None => true,
-            };
-            if keep {
-                if let Some(p) = &self.predicate {
-                    if !p.eval_filter(row)? {
-                        continue;
-                    }
-                }
-                picked.push(at);
-            }
+        ScanSource {
+            partitions: Arc::new(partitions),
+            feed: MorselFeed::Sequential { next_part: 0, base: 0 },
+            cur: None,
+            split,
+            ctrl,
         }
-        Ok(picked)
+    }
+
+    /// One lane of a morsel-parallel scan of `partitions`.
+    pub(crate) fn over_supply(
+        partitions: Arc<Vec<Chunks>>,
+        supply: Arc<MorselSupply>,
+        lane: usize,
+        split: Option<(usize, usize)>,
+        ctrl: Arc<ControlBlock>,
+    ) -> ScanSource {
+        ScanSource { partitions, feed: MorselFeed::Shared { supply, lane }, cur: None, split, ctrl }
+    }
+
+    fn next_morsel(&mut self) -> Option<Morsel> {
+        match &mut self.feed {
+            MorselFeed::Shared { supply, lane } => supply.pull(*lane),
+            MorselFeed::Sequential { next_part, base } => loop {
+                let part = *next_part;
+                let chunks = self.partitions.get(part)?;
+                *next_part += 1;
+                if let Some(last) = chunks.last() {
+                    let rows: usize = chunks.iter().map(|c| c.num_rows()).sum();
+                    let m = Morsel {
+                        part,
+                        start: 0,
+                        end: chunks.len(),
+                        lo: 0,
+                        hi: last.num_rows(),
+                        base: *base,
+                        rows,
+                        assigned: 0,
+                    };
+                    *base += rows;
+                    return Some(m);
+                }
+            },
+        }
     }
 }
 
 impl RowSource for ScanSource {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        let picked = self.locate()?;
-        if picked.is_empty() {
-            return Ok(None);
+        loop {
+            self.ctrl.check()?;
+            let (m, c, abs) = match self.cur {
+                Some(cur) if cur.1 < cur.0.end => cur,
+                _ => match self.next_morsel() {
+                    Some(m) => (m, m.start, m.base),
+                    None => return Ok(None),
+                },
+            };
+            let chunk = &self.partitions[m.part][c];
+            let lo = if c == m.start { m.lo } else { 0 };
+            let hi = if c + 1 == m.end { m.hi } else { chunk.num_rows() };
+            self.cur = Some((m, c + 1, abs + (hi - lo)));
+            return Ok(Some(match self.split {
+                None if hi - lo == chunk.num_rows() => (**chunk).clone(),
+                None => chunk.slice_logical(lo, hi - lo),
+                Some((vid, n)) => {
+                    // Absolute row index ≡ the sequential scan's tuple
+                    // counter, so the splitter keeps exactly the same
+                    // tuples no matter which lane processes the morsel, or
+                    // when.
+                    let first = lo + (vid + n - abs % n) % n;
+                    let sel: Vec<u32> = (first..hi).step_by(n).map(|r| r as u32).collect();
+                    if sel.is_empty() {
+                        continue;
+                    }
+                    chunk.with_sel(sel)
+                }
+            }));
         }
-        let refs: Vec<&Row> =
-            picked.iter().map(|&(p, i)| &self.partitions[p][i]).collect();
-        Ok(Some(ColumnBatch::from_row_refs(&refs)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let picked = self.locate()?;
-        if picked.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(picked.iter().map(|&(p, i)| self.partitions[p][i].clone()).collect()))
     }
 }
 
-/// K-way merge over sorted partition snapshots (index scans at sites
-/// holding several partitions). Variant splitting preserves order (a
-/// subsequence of a sorted run is sorted).
-pub struct MergingIndexScan {
-    runs: Vec<(Arc<Vec<Row>>, usize)>,
-    key_cols: Vec<usize>,
-    /// Min-heap over (projected key of each run's current row, run index).
-    /// The run-index tie-break reproduces the previous linear scan's
-    /// "earliest run wins on equal keys" order; popping and re-pushing one
-    /// entry is O(log runs) instead of O(runs) key projections per row.
-    heap: BinaryHeap<Reverse<(Row, usize)>>,
+/// Order-preserving k-way merge of sorted runs, each a list of batches:
+/// the per-lane runs of a parallel sort, or the per-partition runs of an
+/// index scan at a site serving several partitions. The comparator matches
+/// `sort_permutation`'s total order — `cmp_at` NULLs-first semantics,
+/// `DESC` reversal per key — with the run index as the tie-break, so merged
+/// output is deterministic given the runs. Variant splitting (`split`)
+/// passes every `n`-th merged tuple, which preserves the order.
+pub struct MergeRunsSource {
+    runs: Vec<Vec<ColumnBatch>>,
+    /// Per run, the (batch, logical row) of its next row; a batch index
+    /// past the run's end means the run is exhausted.
+    cursors: Vec<(usize, usize)>,
+    keys: Vec<SortKey>,
     split: Option<(usize, usize)>,
-    counter: usize,
+    merged: usize,
     ctrl: Arc<ControlBlock>,
 }
 
-impl MergingIndexScan {
+impl MergeRunsSource {
     pub fn new(
-        runs: Vec<Arc<Vec<Row>>>,
-        key_cols: Vec<usize>,
+        mut runs: Vec<Vec<ColumnBatch>>,
+        keys: Vec<SortKey>,
         split: Option<(usize, usize)>,
         ctrl: Arc<ControlBlock>,
-    ) -> MergingIndexScan {
-        let runs: Vec<(Arc<Vec<Row>>, usize)> =
-            runs.into_iter().map(|r| (r, 0)).collect();
-        let mut heap = BinaryHeap::with_capacity(runs.len());
-        for (i, (run, _)) in runs.iter().enumerate() {
-            if let Some(row) = run.first() {
-                heap.push(Reverse((row.project(&key_cols), i)));
-            }
+    ) -> MergeRunsSource {
+        for run in &mut runs {
+            run.retain(|b| b.num_rows() > 0);
         }
-        MergingIndexScan { runs, key_cols, heap, split, counter: 0, ctrl }
+        let cursors = vec![(0, 0); runs.len()];
+        MergeRunsSource { runs, cursors, keys, split, merged: 0, ctrl }
     }
 
-    fn pop_min(&mut self) -> Option<(usize, usize)> {
-        let Reverse((_, i)) = self.heap.pop()?;
-        let (run, pos) = &mut self.runs[i];
-        let at = (i, *pos);
-        *pos += 1;
-        if let Some(next) = run.get(*pos) {
-            self.heap.push(Reverse((next.project(&self.key_cols), i)));
-        }
-        Some(at)
+    /// Run `r`'s next row as (batch, physical row), if any.
+    fn head(&self, r: usize) -> Option<(&ColumnBatch, usize)> {
+        let (b, k) = self.cursors[r];
+        self.runs[r].get(b).map(|batch| (batch, batch.phys_index(k)))
     }
 
-    /// Locate the next batch's rows in merge order as `(run, index)` pairs.
-    fn locate(&mut self) -> IcResult<Vec<(usize, usize)>> {
-        self.ctrl.check()?;
-        let mut picked = Vec::with_capacity(BATCH_SIZE);
-        while picked.len() < BATCH_SIZE {
-            let Some(at) = self.pop_min() else { break };
-            let keep = match self.split {
-                Some((vid, n)) => {
-                    let keep = self.counter % n == vid;
-                    self.counter += 1;
-                    keep
-                }
-                None => true,
-            };
-            if keep {
-                picked.push(at);
+    fn advance(&mut self, r: usize) {
+        let (b, k) = &mut self.cursors[r];
+        *k += 1;
+        if *k >= self.runs[r][*b].num_rows() {
+            (*b, *k) = (*b + 1, 0);
+        }
+    }
+
+    fn head_cmp(&self, a: (&ColumnBatch, usize), b: (&ColumnBatch, usize)) -> CmpOrdering {
+        for k in &self.keys {
+            let mut ord = a.0.col(k.col).cmp_at(a.1, b.0.col(k.col), b.1);
+            if k.desc {
+                ord = ord.reverse();
+            }
+            if ord != CmpOrdering::Equal {
+                return ord;
             }
         }
-        Ok(picked)
+        CmpOrdering::Equal
     }
 }
 
-impl RowSource for MergingIndexScan {
+impl RowSource for MergeRunsSource {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        let picked = self.locate()?;
-        if picked.is_empty() {
+        self.ctrl.check()?;
+        let width = self.runs.iter().flatten().next().map_or(0, ColumnBatch::width);
+        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
+        let mut n = 0usize;
+        while n < BATCH_SIZE {
+            // Linear min-scan: k = lanes or partitions per site, single
+            // digits. Strict `Less` keeps the earliest run on ties.
+            let mut best: Option<(usize, (&ColumnBatch, usize))> = None;
+            for r in 0..self.runs.len() {
+                let Some(head) = self.head(r) else { continue };
+                if best.is_none_or(|(_, b)| self.head_cmp(head, b) == CmpOrdering::Less) {
+                    best = Some((r, head));
+                }
+            }
+            let Some((r, (batch, i))) = best else { break };
+            let keep = self.split.is_none_or(|(vid, of)| self.merged % of == vid);
+            if keep {
+                for (c, bld) in builders.iter_mut().enumerate() {
+                    bld.push_from_column(batch.col(c), i);
+                }
+                n += 1;
+            }
+            self.merged += 1;
+            self.advance(r);
+        }
+        if n == 0 {
             return Ok(None);
         }
-        let refs: Vec<&Row> = picked.iter().map(|&(r, i)| &self.runs[r].0[i]).collect();
-        Ok(Some(ColumnBatch::from_row_refs(&refs)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let picked = self.locate()?;
-        if picked.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(picked.iter().map(|&(r, i)| self.runs[r].0[i].clone()).collect()))
+        let cols = builders.into_iter().map(|b| Arc::new(b.finish())).collect();
+        Ok(Some(ColumnBatch::new(cols, n)))
     }
 }
 
@@ -694,54 +734,6 @@ impl RowSource for ProjectExec {
 }
 
 // ----------------------------------------------------------------- joins
-
-/// Shared join emission logic for one probe row against its matches
-/// (row-internal joins: nested-loop and merge).
-fn emit_matches(
-    kind: JoinKind,
-    left_row: &Row,
-    matches: &mut dyn Iterator<Item = &Row>,
-    residual: Option<&Expr>,
-    right_arity: usize,
-    out: &mut Batch,
-) -> IcResult<()> {
-    match kind {
-        JoinKind::Inner | JoinKind::Left => {
-            let mut any = false;
-            for r in matches {
-                let joined = left_row.concat(r);
-                if let Some(res) = residual {
-                    if !res.eval_filter(&joined)? {
-                        continue;
-                    }
-                }
-                any = true;
-                out.push(joined);
-            }
-            if !any && kind == JoinKind::Left {
-                let nulls = Row(vec![Datum::Null; right_arity]);
-                out.push(left_row.concat(&nulls));
-            }
-        }
-        JoinKind::Semi | JoinKind::Anti => {
-            let mut any = false;
-            for r in matches {
-                let joined = left_row.concat(r);
-                match residual {
-                    Some(res) if !res.eval_filter(&joined)? => continue,
-                    _ => {
-                        any = true;
-                        break;
-                    }
-                }
-            }
-            if any == (kind == JoinKind::Semi) {
-                out.push(left_row.clone());
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Nested-loop join: buffers the right side, streams the left. Output is
 /// produced in bounded batches — the loop state (left batch position,
@@ -1010,37 +1002,21 @@ fn probe_batch(
                 JoinKind::Inner | JoinKind::Left => {
                     let mut out_pks = Vec::with_capacity(sel.len());
                     let mut out_bis = Vec::with_capacity(sel.len());
-                    let mut i = 0;
-                    for k in 0..batch.num_rows() as u32 {
-                        let mut any = false;
-                        while i < pks.len() && pks[i] == k {
-                            if pass[i] {
-                                out_pks.push(k);
-                                out_bis.push(bis[i]);
-                                any = true;
-                            }
-                            i += 1;
+                    fold_verdicts(batch.num_rows(), &pks, &pass, |k, hit| match hit {
+                        Some(i) => {
+                            out_pks.push(k);
+                            out_bis.push(bis[i]);
                         }
-                        if !any && kind == JoinKind::Left {
+                        None if kind == JoinKind::Left => {
                             out_pks.push(k);
                             out_bis.push(NIL);
                         }
-                    }
+                        None => {}
+                    });
                     emit_pair_segments(batch, &out_pks, table.arena(), &out_bis, out);
                 }
                 JoinKind::Semi | JoinKind::Anti => {
-                    let mut keep = Vec::new();
-                    let mut i = 0;
-                    for k in 0..batch.num_rows() as u32 {
-                        let mut any = false;
-                        while i < pks.len() && pks[i] == k {
-                            any |= pass[i];
-                            i += 1;
-                        }
-                        if any == (kind == JoinKind::Semi) {
-                            keep.push(k);
-                        }
-                    }
+                    let keep = verdict_selection(kind, batch.num_rows(), &pks, &pass);
                     if !keep.is_empty() {
                         out.push_back(batch.select_logical(&keep));
                     }
@@ -1049,6 +1025,41 @@ fn probe_batch(
         }
     }
     Ok(())
+}
+
+/// Regroup per-pair residual verdicts by probe row. `pks` holds the probe
+/// row of every candidate pair, in probe order; `visit(k, Some(i))` is
+/// called for each passing pair `i` of probe row `k`, `visit(k, None)` for
+/// each of the `n` probe rows left without a passing pair — all in probe
+/// order.
+fn fold_verdicts(n: usize, pks: &[u32], pass: &[bool], mut visit: impl FnMut(u32, Option<usize>)) {
+    let mut i = 0;
+    for k in 0..n as u32 {
+        let mut any = false;
+        while i < pks.len() && pks[i] == k {
+            if pass[i] {
+                visit(k, Some(i));
+                any = true;
+            }
+            i += 1;
+        }
+        if !any {
+            visit(k, None);
+        }
+    }
+}
+
+/// SEMI/ANTI result of residual-checked candidate pairs: the probe rows
+/// with (SEMI) or without (ANTI) a passing pair.
+fn verdict_selection(kind: JoinKind, n: usize, pks: &[u32], pass: &[bool]) -> Vec<u32> {
+    let want_match = kind == JoinKind::Semi;
+    let mut keep: Vec<u32> = Vec::new();
+    fold_verdicts(n, pks, pass, |k, hit| {
+        if hit.is_some() == want_match && keep.last() != Some(&k) {
+            keep.push(k);
+        }
+    });
+    keep
 }
 
 impl RowSource for HashJoinExec {
@@ -1156,22 +1167,92 @@ impl RowSource for SharedProbeExec {
     }
 }
 
-/// Merge join: inputs sorted on the keys; buffers both sides and merges
-/// key groups. Row-internal (the key-group walk is inherently sequential);
-/// batches convert at the buffering edge.
+/// Lexicographic key comparison between row `ai` of `a` and row `bi` of `b`
+/// (physical indices), in `Datum`'s total order.
+fn cmp_keys(
+    a: &ColumnBatch,
+    a_keys: &[usize],
+    ai: usize,
+    b: &ColumnBatch,
+    b_keys: &[usize],
+    bi: usize,
+) -> CmpOrdering {
+    for (&ac, &bc) in a_keys.iter().zip(b_keys) {
+        let ord = a.col(ac).cmp_at(ai, b.col(bc), bi);
+        if ord != CmpOrdering::Equal {
+            return ord;
+        }
+    }
+    CmpOrdering::Equal
+}
+
+/// The candidate pairs of one left batch against the buffered right side,
+/// in left-row order with each row's matches in right order: left logical
+/// row, right physical row (`NIL` = null-extended), and the right batch the
+/// row lives in.
+#[derive(Default)]
+struct MergePairs {
+    pks: Vec<u32>,
+    bis: Vec<u32>,
+    rbs: Vec<u32>,
+}
+
+impl MergePairs {
+    fn push(&mut self, pk: u32, bi: u32, rb: usize) {
+        self.pks.push(pk);
+        self.bis.push(bi);
+        self.rbs.push(rb as u32);
+    }
+
+    /// Maximal runs of pairs whose right rows live in one right batch, as
+    /// (pair range, that batch); null-extended pairs ride with their
+    /// neighbours (`None`: the run has no right row at all).
+    fn runs(&self) -> Vec<(std::ops::Range<usize>, Option<usize>)> {
+        let mut runs = Vec::new();
+        let mut start = 0;
+        while start < self.pks.len() {
+            let mut arena = None;
+            let mut end = start;
+            while end < self.pks.len() {
+                if self.bis[end] != NIL {
+                    match arena {
+                        None => arena = Some(self.rbs[end] as usize),
+                        Some(a) if a != self.rbs[end] as usize => break,
+                        Some(_) => {}
+                    }
+                }
+                end += 1;
+            }
+            runs.push((start..end, arena));
+            start = end;
+        }
+        runs
+    }
+}
+
+/// Merge join: inputs sorted ascending on the keys. Column-native: the
+/// right side is buffered as the batches it arrived in, the left streams
+/// through, and both are walked in place with (batch, row) cursors and
+/// typed `cmp_at` key comparisons — no input row is ever materialized,
+/// copied or concatenated. Matches become index pairs and go through the
+/// hash join's output path ([`gather_join_output`], vectorized residual,
+/// [`emit_pair_segments`]), one (left batch, right batch) run at a time.
 pub struct MergeJoinExec {
-    pub left: BoxedSource,
-    pub right: BoxedSource,
-    pub kind: JoinKind,
-    pub left_keys: Vec<usize>,
-    pub right_keys: Vec<usize>,
-    pub residual: Expr,
-    pub right_arity: usize,
-    pub ctrl: Arc<ControlBlock>,
-    done: bool,
-    /// Merged output buffered in row format; conversion happens only if the
-    /// consumer pulls batches.
-    output: VecDeque<Batch>,
+    left: BoxedSource,
+    right: BoxedSource,
+    kind: JoinKind,
+    left_keys: Vec<usize>,
+    right_keys: Vec<usize>,
+    residual: Option<Expr>,
+    /// Stand-in right batch for runs made of null-extended pairs only.
+    no_right: ColumnBatch,
+    ctrl: Arc<ControlBlock>,
+    /// The buffered right side; `None` until the first pull.
+    right_batches: Option<Arc<Vec<ColumnBatch>>>,
+    /// (batch, logical row) of the first right row not yet known to sort
+    /// before the current left key. Only ever moves forward.
+    right_pos: (usize, usize),
+    output: VecDeque<ColumnBatch>,
 }
 
 impl MergeJoinExec {
@@ -1192,67 +1273,114 @@ impl MergeJoinExec {
             kind,
             left_keys,
             right_keys,
-            residual,
-            right_arity,
+            residual: if residual.is_true_literal() { None } else { Some(residual) },
+            no_right: ColumnBatch::empty(right_arity),
             ctrl,
-            done: false,
-            output: Default::default(),
+            right_batches: None,
+            right_pos: (0, 0),
+            output: VecDeque::new(),
         }
     }
 
-    fn run_merge(&mut self) -> IcResult<()> {
-        let mut lrows = Vec::new();
-        while let Some(mut b) = self.left.next_rows()? {
-            self.ctrl.check()?;
-            reserve_rows(&self.ctrl, &b)?;
-            lrows.append(&mut b);
+    /// Candidate pairs of `lb` against the right side, advancing the right
+    /// cursor past every key smaller than `lb`'s last. With `pad`, a left
+    /// row without a key match contributes one null-extended pair.
+    fn match_batch(&mut self, lb: &ColumnBatch, right: &[ColumnBatch], pad: bool) -> MergePairs {
+        let step = |(b, k): (usize, usize)| {
+            if k + 1 < right[b].num_rows() {
+                (b, k + 1)
+            } else {
+                (b + 1, 0)
+            }
+        };
+        let mut pairs = MergePairs::default();
+        let mut pos = self.right_pos;
+        for k in 0..lb.num_rows() {
+            let li = lb.phys_index(k);
+            let before = pairs.pks.len();
+            // NULL keys match nothing.
+            if self.left_keys.iter().all(|&c| lb.col(c).is_valid(li)) {
+                let cmp_right = |(b, rk): (usize, usize)| {
+                    let rb = &right[b];
+                    cmp_keys(rb, &self.right_keys, rb.phys_index(rk), lb, &self.left_keys, li)
+                };
+                while pos.0 < right.len() && cmp_right(pos) == CmpOrdering::Less {
+                    pos = step(pos);
+                }
+                // Walk the equal-key group from the cursor without moving
+                // it: the next left row may carry the same key.
+                let mut group = pos;
+                while group.0 < right.len() && cmp_right(group) == CmpOrdering::Equal {
+                    let bi = right[group.0].phys_index(group.1);
+                    pairs.push(k as u32, bi as u32, group.0);
+                    group = step(group);
+                }
+            }
+            if pad && pairs.pks.len() == before {
+                pairs.push(k as u32, NIL, pos.0);
+            }
         }
-        let mut rrows = Vec::new();
-        while let Some(mut b) = self.right.next_rows()? {
-            self.ctrl.check()?;
-            reserve_rows(&self.ctrl, &b)?;
-            rrows.append(&mut b);
+        self.right_pos = pos;
+        pairs
+    }
+
+    /// Gather `pairs` into output batches, one run at a time.
+    fn emit(&mut self, lb: &ColumnBatch, right: &[ColumnBatch], pairs: &MergePairs) {
+        for (range, arena) in pairs.runs() {
+            let arena = arena.map_or(&self.no_right, |a| &right[a]);
+            emit_pair_segments(lb, &pairs.pks[range.clone()], arena, &pairs.bis[range], &mut self.output);
         }
-        let lkey = |r: &Row| r.project(&self.left_keys);
-        let rkey = |r: &Row| r.project(&self.right_keys);
-        let residual = if self.residual.is_true_literal() { None } else { Some(self.residual.clone()) };
-        let mut out = Batch::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lrows.len() {
-            self.ctrl.check()?;
-            let k = lkey(&lrows[i]);
-            if k.0.iter().any(Datum::is_null) {
-                // NULL keys match nothing.
-                emit_matches(self.kind, &lrows[i], &mut std::iter::empty(), None, self.right_arity, &mut out)?;
-                i += 1;
-                continue;
+    }
+
+    /// Join one left batch, queueing its output.
+    fn join_batch(&mut self, lb: &ColumnBatch, right: &[ColumnBatch]) -> IcResult<()> {
+        let n = lb.num_rows();
+        let Some(residual) = self.residual.clone() else {
+            let pairs = self.match_batch(lb, right, self.kind == JoinKind::Left);
+            match self.kind {
+                JoinKind::Inner | JoinKind::Left => self.emit(lb, right, &pairs),
+                JoinKind::Semi | JoinKind::Anti => {
+                    let pass = vec![true; pairs.pks.len()];
+                    let keep = verdict_selection(self.kind, n, &pairs.pks, &pass);
+                    if !keep.is_empty() {
+                        self.output.push_back(lb.select_logical(&keep));
+                    }
+                }
             }
-            // Advance right to the first key >= k.
-            while j < rrows.len() && rkey(&rrows[j]) < k {
-                j += 1;
+            return Ok(());
+        };
+        // Run the residual vectorized over each run's joined batch, then
+        // regroup pass/fail per left row across the runs.
+        let pairs = self.match_batch(lb, right, false);
+        let mut pass = vec![false; pairs.pks.len()];
+        for (range, arena) in pairs.runs() {
+            let Some(arena) = arena else { continue };
+            let joined = gather_join_output(
+                lb,
+                &pairs.pks[range.clone()],
+                &right[arena],
+                &pairs.bis[range.clone()],
+            );
+            for j in eval_filter_sel(&residual, &joined)? {
+                pass[range.start + j as usize] = true;
             }
-            // Right group equal to k.
-            let mut j2 = j;
-            while j2 < rrows.len() && rkey(&rrows[j2]) == k {
-                j2 += 1;
-            }
-            let group = &rrows[j..j2];
-            emit_matches(
-                self.kind,
-                &lrows[i],
-                &mut group.iter(),
-                residual.as_ref(),
-                self.right_arity,
-                &mut out,
-            )?;
-            if out.len() >= BATCH_SIZE {
-                reserve_rows(&self.ctrl, &out)?;
-                self.output.push_back(std::mem::take(&mut out));
-            }
-            i += 1;
         }
-        if !out.is_empty() {
-            self.output.push_back(out);
+        match self.kind {
+            JoinKind::Inner | JoinKind::Left => {
+                let mut kept = MergePairs::default();
+                fold_verdicts(n, &pairs.pks, &pass, |k, hit| match hit {
+                    Some(i) => kept.push(k, pairs.bis[i], pairs.rbs[i] as usize),
+                    None if self.kind == JoinKind::Left => kept.push(k, NIL, 0),
+                    None => {}
+                });
+                self.emit(lb, right, &kept);
+            }
+            JoinKind::Semi | JoinKind::Anti => {
+                let keep = verdict_selection(self.kind, n, &pairs.pks, &pass);
+                if !keep.is_empty() {
+                    self.output.push_back(lb.select_logical(&keep));
+                }
+            }
         }
         Ok(())
     }
@@ -1260,15 +1388,26 @@ impl MergeJoinExec {
 
 impl RowSource for MergeJoinExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        Ok(self.next_rows()?.map(|b| ColumnBatch::from_rows(&b)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        if !self.done {
-            self.run_merge()?;
-            self.done = true;
+        if self.right_batches.is_none() {
+            let mut batches = Vec::new();
+            while let Some(b) = self.right.next_batch()? {
+                self.ctrl.check()?;
+                if b.num_rows() > 0 {
+                    self.ctrl.reserve_batch(&b)?;
+                    batches.push(b);
+                }
+            }
+            self.right_batches = Some(Arc::new(batches));
         }
-        Ok(self.output.pop_front())
+        let right = self.right_batches.clone().unwrap_or_default();
+        loop {
+            self.ctrl.check()?;
+            if let Some(b) = self.output.pop_front() {
+                return Ok(Some(b));
+            }
+            let Some(lb) = self.left.next_batch()? else { return Ok(None) };
+            self.join_batch(&lb, &right)?;
+        }
     }
 }
 
@@ -1840,34 +1979,54 @@ mod tests {
         assert_eq!(drain(Box::new(l)).unwrap(), rows(&[&[2], &[1]]));
     }
 
-    #[test]
-    fn scan_variant_splitting_partitions_rows() {
-        let data = Arc::new((0..10i64).map(|i| Row(vec![Datum::Int(i)])).collect::<Vec<_>>());
-        let v0 = ScanSource::new(vec![data.clone()], Some((0, 2)), ctrl());
-        let v1 = ScanSource::new(vec![data.clone()], Some((1, 2)), ctrl());
-        let r0 = drain(Box::new(v0)).unwrap();
-        let r1 = drain(Box::new(v1)).unwrap();
-        assert_eq!(r0.len(), 5);
-        assert_eq!(r1.len(), 5);
-        let mut all: Vec<Row> = r0.into_iter().chain(r1).collect();
-        all.sort();
-        assert_eq!(all, *data);
+    /// Store `rows` the way a partition does: dense chunks of `per_chunk`.
+    fn chunked(rows: &[Row], per_chunk: usize) -> Chunks {
+        Arc::new(rows.chunks(per_chunk).map(|c| Arc::new(ColumnBatch::from_rows(c))).collect())
     }
 
     #[test]
-    fn merging_index_scan_merges_runs() {
-        let a = Arc::new(rows(&[&[1], &[4], &[7]]));
-        let b = Arc::new(rows(&[&[2], &[3], &[9]]));
-        let m = MergingIndexScan::new(vec![a, b], vec![0], None, ctrl());
-        let out = drain(Box::new(m)).unwrap();
-        let vals: Vec<i64> = out.iter().map(|r| r.0[0].as_int().unwrap()).collect();
-        assert_eq!(vals, vec![1, 2, 3, 4, 7, 9]);
+    fn scan_emits_stored_chunks_without_copying() {
+        let data: Vec<Row> = (0..10i64).map(|i| Row(vec![Datum::Int(i)])).collect();
+        let stored = chunked(&data, 4);
+        let mut scan = ScanSource::new(vec![stored.clone()], None, ctrl());
+        for chunk in stored.iter() {
+            let b = scan.next_batch().unwrap().unwrap();
+            assert!(b.selection().is_none());
+            assert!(Arc::ptr_eq(b.col(0), chunk.col(0)), "scan must share the stored column");
+        }
+        assert!(scan.next_batch().unwrap().is_none());
+    }
+
+    #[test]
+    fn scan_variant_splitting_partitions_rows() {
+        let data: Vec<Row> = (0..10i64).map(|i| Row(vec![Datum::Int(i)])).collect();
+        // Two partitions, odd chunk sizes: the stride must carry across
+        // chunk and partition boundaries.
+        let parts = vec![chunked(&data[..7], 3), chunked(&data[7..], 3)];
+        let v0 = ScanSource::new(parts.clone(), Some((0, 2)), ctrl());
+        let v1 = ScanSource::new(parts, Some((1, 2)), ctrl());
+        let r0 = drain(Box::new(v0)).unwrap();
+        let r1 = drain(Box::new(v1)).unwrap();
+        assert_eq!(r0, rows(&[&[0], &[2], &[4], &[6], &[8]]));
+        assert_eq!(r1, rows(&[&[1], &[3], &[5], &[7], &[9]]));
+    }
+
+    #[test]
+    fn merge_runs_source_merges_chunked_runs() {
+        let a = vec![ColumnBatch::from_rows(&rows(&[&[1], &[4]])), ColumnBatch::from_rows(&rows(&[&[7]]))];
+        // A run may carry selection views (a sorted lane's output does).
+        let b = vec![ColumnBatch::from_rows(&rows(&[&[9], &[2], &[3]])).with_sel(vec![1, 2, 0])];
+        let m = MergeRunsSource::new(vec![a.clone(), b.clone()], vec![SortKey::asc(0)], None, ctrl());
+        assert_eq!(drain(Box::new(m)).unwrap(), rows(&[&[1], &[2], &[3], &[4], &[7], &[9]]));
+        // The splitter passes every n-th merged tuple.
+        let m = MergeRunsSource::new(vec![a, b], vec![SortKey::asc(0)], Some((1, 2)), ctrl());
+        assert_eq!(drain(Box::new(m)).unwrap(), rows(&[&[2], &[4], &[9]]));
     }
 
     #[test]
     fn timeout_aborts() {
         let ctrl = ControlBlock::new(Some(Instant::now() - std::time::Duration::from_secs(1)), 5);
-        let mut s = ScanSource::new(vec![Arc::new(rows(&[&[1]]))], None, ctrl);
+        let mut s = ScanSource::new(vec![chunked(&rows(&[&[1]]), 1)], None, ctrl);
         assert!(matches!(s.next_batch(), Err(IcError::ExecTimeout { .. })));
     }
 
@@ -1875,7 +2034,7 @@ mod tests {
     fn cancellation_aborts() {
         let c = ctrl();
         c.cancel();
-        let mut s = ScanSource::new(vec![Arc::new(rows(&[&[1]]))], None, c);
+        let mut s = ScanSource::new(vec![chunked(&rows(&[&[1]]), 1)], None, c);
         assert!(s.next_batch().is_err());
     }
 

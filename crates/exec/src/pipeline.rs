@@ -19,7 +19,8 @@
 //!   with a `Final` aggregate at the drain barrier; unsplittable ones
 //!   (COUNT DISTINCT) aggregate the lanes' raw output on the driver.
 //! * **Sorts**: each lane sorts its own share, the driver k-way merges
-//!   the sorted runs order-preservingly ([`MergeRunsSource`]).
+//!   the sorted runs order-preservingly ([`MergeRunsSource`]), reading the
+//!   lanes' batches in place.
 //! * **No post chain**: lanes stream straight into the shared instance
 //!   sink — the exchange stage coalesces sub-batch outputs *across*
 //!   lanes exactly as the sequential sender coalesces across batches.
@@ -36,17 +37,16 @@
 use crate::analyze::OpIndex;
 use crate::kernels::ColJoinTable;
 use crate::operators::{
-    ControlBlock, FilterExec, HashAggExec, LimitExec, ProjectExec, RowSource, SharedProbeExec,
-    SortExec, TracedSource,
+    ControlBlock, FilterExec, HashAggExec, LimitExec, MergeRunsSource, ProjectExec, RowSource,
+    ScanSource, SharedProbeExec, SortExec, TracedSource,
 };
-use crate::pool::{Latch, LatchGuard, Morsel, MorselSupply, SitePools, WorkerPool};
+use crate::pool::{Latch, LatchGuard, MorselSupply, SitePools, WorkerPool};
 use crate::runtime::{BuildCtx, InstanceSink};
 use ic_common::hash::FxHashMap;
 use ic_common::obs::SpanId;
-use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, ColumnBuilder, IcError, IcResult, Row};
+use ic_common::{ColumnBatch, IcError, IcResult};
 use ic_plan::ops::{AggPhase, PhysOp, PhysPlan, SortKey};
-use std::cmp::Ordering;
+use ic_storage::Chunks;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -170,7 +170,7 @@ struct LaneShared {
     region: Arc<PhysPlan>,
     partial_of: Option<Arc<PhysPlan>>,
     presort: Option<Vec<SortKey>>,
-    partitions: Arc<Vec<Arc<Vec<Row>>>>,
+    partitions: Arc<Vec<Chunks>>,
     supply: Arc<MorselSupply>,
     split: Option<(usize, usize)>,
     /// Shared build tables, keyed by `HashJoin` node identity.
@@ -199,7 +199,7 @@ fn build_lane(
     worker_lane: u32,
 ) -> IcResult<BoxedSource> {
     let src: BoxedSource = match &node.op {
-        PhysOp::TableScan { .. } => Box::new(MorselScanSource::new(
+        PhysOp::TableScan { .. } => Box::new(ScanSource::over_supply(
             sh.partitions.clone(),
             sh.supply.clone(),
             lane_idx,
@@ -380,9 +380,12 @@ fn run_lanes(
 
 /// Lane count for a morsel supply: never more lanes than morsels, never
 /// more than workers.
-fn lane_count(partitions: &[Arc<Vec<Row>>], morsel_rows: usize, threads: usize) -> usize {
-    let rows: usize = partitions.iter().map(|p| p.len()).sum();
-    rows.div_ceil(morsel_rows.max(64)).min(threads)
+fn lane_count(partitions: &[Chunks], morsel_rows: usize, threads: usize) -> usize {
+    scan_rows(partitions).div_ceil(morsel_rows.max(64)).min(threads)
+}
+
+fn scan_rows(partitions: &[Chunks]) -> usize {
+    partitions.iter().flat_map(|p| p.iter()).map(|c| c.num_rows()).sum()
 }
 
 /// Resolve the build side of every region hash join into a shared
@@ -472,8 +475,7 @@ pub(crate) fn run_instance(
                 return Err(IcError::Internal("pipeline: region leaf not a scan".into()));
             };
             let partitions = Arc::new(ctx.table_partitions(*table)?);
-            let rows: usize = partitions.iter().map(|p| p.len()).sum();
-            if rows.div_ceil(morsel_rows.max(64)) >= 2 {
+            if scan_rows(&partitions).div_ceil(morsel_rows.max(64)) >= 2 {
                 let pool = pools.for_site(ctx.site);
                 let lanes = lane_count(&partitions, morsel_rows, pool.threads()).max(1);
                 return run_parallel(ctx, spec, &pool, lanes, partitions, morsel_rows, sink);
@@ -490,7 +492,7 @@ fn run_parallel(
     spec: PipelineSpec,
     pool: &Arc<WorkerPool>,
     lanes: usize,
-    partitions: Arc<Vec<Arc<Vec<Row>>>>,
+    partitions: Arc<Vec<Chunks>>,
     morsel_rows: usize,
     sink: &InstanceSink,
 ) -> IcResult<()> {
@@ -523,15 +525,10 @@ fn run_parallel(
             let PhysOp::Sort { keys, .. } = &node.op else {
                 return Err(IcError::Internal("pipeline: merge-sorted over non-sort".into()));
             };
-            let sorted: Vec<ColumnBatch> = runs
-                .iter()
-                .filter(|r| !r.is_empty())
-                .map(|r| ColumnBatch::concat(r))
-                .collect();
             wrap_traced(
                 ctx,
                 node,
-                Box::new(MergeRunsSource::new(sorted, keys.clone(), ctx.ctrl.clone())),
+                Box::new(MergeRunsSource::new(runs, keys.clone(), None, ctx.ctrl.clone())),
             )
         }
         _ => Box::new(RunsSource::new(runs, ctx.ctrl.clone())),
@@ -624,76 +621,6 @@ fn wrap_traced(ctx: &BuildCtx<'_>, node: &Arc<PhysPlan>, src: BoxedSource) -> Bo
 
 // --------------------------------------------------------------- sources
 
-/// Scan source over the shared morsel supply: pulls a morsel, emits it in
-/// `BATCH_SIZE` chunks, pulls the next. `ControlBlock::check` runs at
-/// every chunk boundary — the morsel/batch boundary is the revocation
-/// point, never mid-kernel.
-struct MorselScanSource {
-    partitions: Arc<Vec<Arc<Vec<Row>>>>,
-    supply: Arc<MorselSupply>,
-    lane: usize,
-    cur: Option<(Morsel, usize)>,
-    split: Option<(usize, usize)>,
-    ctrl: Arc<ControlBlock>,
-}
-
-impl MorselScanSource {
-    fn new(
-        partitions: Arc<Vec<Arc<Vec<Row>>>>,
-        supply: Arc<MorselSupply>,
-        lane: usize,
-        split: Option<(usize, usize)>,
-        ctrl: Arc<ControlBlock>,
-    ) -> MorselScanSource {
-        MorselScanSource { partitions, supply, lane, cur: None, split, ctrl }
-    }
-}
-
-impl RowSource for MorselScanSource {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        loop {
-            self.ctrl.check()?;
-            let (m, offset) = match &mut self.cur {
-                Some(cur) => (cur.0, &mut cur.1),
-                None => match self.supply.pull(self.lane) {
-                    Some(m) => {
-                        let start = m.start;
-                        let cur = self.cur.insert((m, start));
-                        (cur.0, &mut cur.1)
-                    }
-                    None => return Ok(None),
-                },
-            };
-            if *offset >= m.end {
-                self.cur = None;
-                continue;
-            }
-            let end = (*offset + BATCH_SIZE).min(m.end);
-            let from = *offset;
-            *offset = end;
-            let rows = &self.partitions[m.part];
-            let mut refs: Vec<&Row> = Vec::with_capacity(end - from);
-            match self.split {
-                None => refs.extend(rows[from..end].iter()),
-                Some((vid, n)) => {
-                    // Absolute row index ≡ the sequential scan's counter,
-                    // so the splitter keeps exactly the same tuples no
-                    // matter which lane processes the morsel, or when.
-                    for i in from..end {
-                        if (m.base + (i - m.start)) % n == vid {
-                            refs.push(&rows[i]);
-                        }
-                    }
-                }
-            }
-            if refs.is_empty() {
-                continue;
-            }
-            return Ok(Some(ColumnBatch::from_row_refs(&refs)));
-        }
-    }
-}
-
 /// Replays the lanes' collected batch runs to the driver's post chain.
 struct RunsSource {
     batches: VecDeque<ColumnBatch>,
@@ -710,72 +637,5 @@ impl RowSource for RunsSource {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
         self.ctrl.check()?;
         Ok(self.batches.pop_front())
-    }
-}
-
-/// Order-preserving k-way merge of per-lane sorted runs (each dense).
-/// The comparator matches `sort_permutation`'s total order — `cmp_at`
-/// NULLs-first semantics, `DESC` reversal per key — with the run index as
-/// the tie-break, so merged output is deterministic given the runs.
-struct MergeRunsSource {
-    runs: Vec<ColumnBatch>,
-    cursors: Vec<usize>,
-    keys: Vec<SortKey>,
-    ctrl: Arc<ControlBlock>,
-}
-
-impl MergeRunsSource {
-    fn new(runs: Vec<ColumnBatch>, keys: Vec<SortKey>, ctrl: Arc<ControlBlock>) -> MergeRunsSource {
-        let cursors = vec![0; runs.len()];
-        MergeRunsSource { runs, cursors, keys, ctrl }
-    }
-
-    fn run_cmp(&self, a: usize, b: usize) -> Ordering {
-        let (ra, rb) = (&self.runs[a], &self.runs[b]);
-        let (ia, ib) = (self.cursors[a], self.cursors[b]);
-        for k in &self.keys {
-            let mut ord = ra.col(k.col).cmp_at(ia, rb.col(k.col), ib);
-            if k.desc {
-                ord = ord.reverse();
-            }
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(&b)
-    }
-}
-
-impl RowSource for MergeRunsSource {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        self.ctrl.check()?;
-        let width = self.runs.first().map_or(0, ColumnBatch::width);
-        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
-        let mut n = 0usize;
-        while n < BATCH_SIZE {
-            // Linear min-scan: k = lane count, single digits.
-            let mut best: Option<usize> = None;
-            for r in 0..self.runs.len() {
-                if self.cursors[r] >= self.runs[r].num_rows() {
-                    continue;
-                }
-                best = Some(match best {
-                    Some(b) if self.run_cmp(r, b) != Ordering::Less => b,
-                    _ => r,
-                });
-            }
-            let Some(r) = best else { break };
-            let i = self.cursors[r];
-            for (c, bld) in builders.iter_mut().enumerate() {
-                bld.push_from_column(self.runs[r].col(c), i);
-            }
-            self.cursors[r] = i + 1;
-            n += 1;
-        }
-        if n == 0 {
-            return Ok(None);
-        }
-        let cols = builders.into_iter().map(|b| Arc::new(b.finish())).collect();
-        Ok(Some(ColumnBatch::new(cols, n)))
     }
 }

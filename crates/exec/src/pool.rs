@@ -5,8 +5,8 @@
 //! (created lazily through [`SitePools`]), mirroring the deployment model
 //! where every site is a machine with its own cores. A fragment instance
 //! whose operator chain compiles into a pipeline (see [`crate::pipeline`])
-//! splits its scan input into [`Morsel`]s — contiguous chunks of a
-//! partition snapshot, `ExecOptions::morsel_rows` rows each — and submits
+//! splits its scan input into [`Morsel`]s — runs of a partition snapshot's
+//! stored chunks, about `ExecOptions::morsel_rows` rows each — and submits
 //! one *lane* task per available worker. Lanes pull morsels from the
 //! pipeline's shared [`MorselSupply`]; morsels are pre-assigned to lanes
 //! round-robin, and a lane that outruns its own share pulls (steals) a
@@ -21,8 +21,8 @@
 //! a revoked query's lanes notice at the next morsel boundary and unwind.
 
 use ic_common::obs::{Counter, Histogram, MetricsRegistry, Trace};
-use ic_common::Row;
 use ic_net::SiteId;
+use ic_storage::Chunks;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -35,9 +35,12 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One contiguous chunk of a scan partition, the unit of work a lane
-/// claims. `base` is the absolute row index of `start` across the whole
-/// scan (all partitions in scan order), so §5.3 splitter filtering
+/// A run of one scan partition's stored chunks, the unit of work a lane
+/// claims: chunks `start..end`, from row `lo` of the first to row `hi`
+/// (exclusive) of the last. A morsel is whole chunks unless a single chunk
+/// outsizes the morsel size, in which case the chunk is sliced. `base` is
+/// the absolute row index of the morsel's first row across the whole scan
+/// (all partitions in scan order), so §5.3 splitter filtering
 /// (`absolute_index % n == vid`) is independent of which lane processes
 /// the morsel and in what order.
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +48,10 @@ pub struct Morsel {
     pub part: usize,
     pub start: usize,
     pub end: usize,
+    pub lo: usize,
+    pub hi: usize,
     pub base: usize,
+    pub rows: usize,
     /// Lane this morsel was pre-assigned to (round-robin); a different
     /// lane pulling it counts as a steal.
     pub assigned: usize,
@@ -82,27 +88,39 @@ pub struct MorselSupply {
 }
 
 impl MorselSupply {
-    /// Morselize partition snapshots: `morsel_rows`-row chunks, walked in
-    /// the same partition/row order as the sequential `ScanSource`, with
-    /// absolute row indices threaded through for splitter equivalence.
-    pub fn new(partitions: &[Arc<Vec<Row>>], morsel_rows: usize, lanes: usize) -> MorselSupply {
+    /// Morselize partition snapshots, walked in the same partition/row
+    /// order as a sequential scan, with absolute row indices threaded
+    /// through for splitter equivalence: whole chunks are grouped up to
+    /// `morsel_rows` rows, a chunk larger than that is sliced.
+    pub fn new(partitions: &[Chunks], morsel_rows: usize, lanes: usize) -> MorselSupply {
         let step = morsel_rows.max(64);
         let mut queue = VecDeque::new();
         let mut base = 0usize;
-        for (part, rows) in partitions.iter().enumerate() {
-            let mut start = 0usize;
-            while start < rows.len() {
-                let end = (start + step).min(rows.len());
-                queue.push_back(Morsel {
-                    part,
-                    start,
-                    end,
-                    base: base + start,
-                    assigned: queue.len() % lanes.max(1),
-                });
-                start = end;
+        let mut push = |part, start, end, lo, hi, base, rows| {
+            let assigned = queue.len() % lanes.max(1);
+            queue.push_back(Morsel { part, start, end, lo, hi, base, rows, assigned });
+        };
+        for (part, chunks) in partitions.iter().enumerate() {
+            let mut c = 0usize;
+            while c < chunks.len() {
+                let n = chunks[c].num_rows();
+                if n > step {
+                    for lo in (0..n).step_by(step) {
+                        let hi = (lo + step).min(n);
+                        push(part, c, c + 1, lo, hi, base + lo, hi - lo);
+                    }
+                    base += n;
+                    c += 1;
+                    continue;
+                }
+                let (first, mut rows) = (c, 0usize);
+                while c < chunks.len() && rows + chunks[c].num_rows() <= step {
+                    rows += chunks[c].num_rows();
+                    c += 1;
+                }
+                push(part, first, c, 0, chunks[c - 1].num_rows(), base, rows);
+                base += rows;
             }
-            base += rows.len();
         }
         let total = queue.len();
         MorselSupply { queue: Mutex::new(queue), total, metrics: MorselMetrics::resolve() }
@@ -122,7 +140,7 @@ impl MorselSupply {
         match m {
             Some(m) => {
                 self.metrics.dispatched.add(1);
-                self.metrics.rows.record((m.end - m.start) as u64);
+                self.metrics.rows.record(m.rows as u64);
                 if m.assigned != lane {
                     self.metrics.steal_attempts.add(1);
                     self.metrics.stolen.add(1);

@@ -33,7 +33,7 @@ use ic_net::{
 };
 use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
-use ic_storage::{Catalog, TableDistribution};
+use ic_storage::{Catalog, Chunks, PartStore, TableDistribution};
 use ic_common::hash::FxHashMap;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -545,10 +545,9 @@ impl BuildCtx<'_> {
         }
     }
 
-    pub(crate) fn table_partitions(
-        &self,
-        table: ic_storage::TableId,
-    ) -> IcResult<Vec<Arc<Vec<Row>>>> {
+    /// The store snapshots this instance reads of `table`, as (partition,
+    /// store) pairs in partition order.
+    fn table_stores(&self, table: ic_storage::TableId) -> IcResult<Vec<(usize, PartStore)>> {
         let def = self
             .catalog
             .table_def(table)
@@ -558,24 +557,30 @@ impl BuildCtx<'_> {
             .table_data(table)
             .ok_or_else(|| IcError::Exec(format!("no data handle for table {table}")))?;
         Ok(match def.distribution {
-            TableDistribution::Replicated => vec![data.partition(0)],
+            TableDistribution::Replicated => vec![(0, data.store(0))],
             TableDistribution::HashPartitioned { .. } => {
                 // Read this site's own replica of each partition it serves:
-                // a per-partition version snapshot (Arc of a frozen store),
-                // so concurrent DML batches are observed all-or-nothing. A
+                // a per-partition version snapshot (a frozen store), so
+                // concurrent DML batches are observed all-or-nothing. A
                 // missing replica means ownership moved between planning
                 // and execution — surface retryably and replan.
                 let parts = self.assignment.partitions_of(self.site);
                 let mut out = Vec::with_capacity(parts.len());
                 for p in parts {
                     match data.replica(p, self.site) {
-                        Some(store) => out.push(store.rows),
+                        Some(store) => out.push((p, store)),
                         None => return Err(IcError::RebalanceInProgress { partition: p }),
                     }
                 }
                 out
             }
         })
+    }
+
+    /// The stored chunks a `TableScan` of `table` reads at this instance,
+    /// one entry per partition.
+    pub(crate) fn table_partitions(&self, table: ic_storage::TableId) -> IcResult<Vec<Chunks>> {
+        Ok(self.table_stores(table)?.into_iter().map(|(_, s)| s.chunks().clone()).collect())
     }
 
     pub(crate) fn build(&mut self, node: &Arc<PhysPlan>) -> IcResult<BoxedSource> {
@@ -589,29 +594,29 @@ impl BuildCtx<'_> {
                 ))
             }
             PhysOp::IndexScan { table, index, sort, .. } => {
-                let mode = self.vplan.scan_mode(node);
+                let split = self.split_for(self.vplan.scan_mode(node));
                 let ix = self
                     .catalog
                     .index(*index)
                     .ok_or_else(|| IcError::Exec("unknown index".into()))?;
-                let def = self
-                    .catalog
-                    .table_def(*table)
-                    .ok_or_else(|| IcError::Exec(format!("unknown table {table}")))?;
-                let parts: Vec<usize> = match def.distribution {
-                    TableDistribution::Replicated => vec![0],
-                    TableDistribution::HashPartitioned { .. } => {
-                        self.assignment.partitions_of(self.site)
-                    }
-                };
-                let runs: Vec<Arc<Vec<Row>>> =
-                    parts.iter().map(|&p| ix.partition_sorted(p)).collect();
-                Box::new(MergingIndexScan::new(
-                    runs,
-                    sort.iter().map(|k| k.col).collect(),
-                    self.split_for(mode),
-                    self.ctrl.clone(),
-                ))
+                // Each partition's sorted run, as of the very snapshot a
+                // table scan would read here (re-sorted on demand when a
+                // write moved the partition past the cached run).
+                let mut runs: Vec<Chunks> = self
+                    .table_stores(*table)?
+                    .iter()
+                    .map(|(p, store)| ix.run_for(*p, store))
+                    .collect();
+                if runs.len() <= 1 {
+                    Box::new(ScanSource::new(runs, split, self.ctrl.clone()))
+                } else {
+                    // Several partitions at this site: merge their runs.
+                    let runs = runs
+                        .drain(..)
+                        .map(|run| run.iter().map(|c| (**c).clone()).collect())
+                        .collect();
+                    Box::new(MergeRunsSource::new(runs, sort.clone(), split, self.ctrl.clone()))
+                }
             }
             PhysOp::Values { rows, .. } => Box::new(VecSource::new(rows.clone())),
             PhysOp::Filter { input, predicate } => Box::new(FilterExec::new(

@@ -9,7 +9,7 @@
 
 use ic_common::agg::{Accumulator, AggFunc};
 use ic_common::{BinOp, ColumnBatch, Datum, Expr, Row};
-use ic_exec::eval::eval_filter_sel;
+use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::ColGroupTable;
 use ic_exec::operators::{
     drain, BoxedSource, ControlBlock, HashAggExec, HashJoinExec, NestedLoopJoinExec,

@@ -168,11 +168,50 @@ fn fresh_cluster(sites: usize) -> Cluster {
     });
     // ic-lint: allow(L001) because the fuzz DDL is a compile-time constant; failure is a harness bug
     cluster.run("CREATE TABLE fz (k BIGINT, v BIGINT, PRIMARY KEY (k))").expect("fuzz DDL");
+    // ic-lint: allow(L001) because the fuzz DDL is a compile-time constant; failure is a harness bug
+    cluster.run(&format!("CREATE INDEX {FUZZ_INDEX} ON fz (k)")).expect("fuzz index DDL");
     cluster
 }
 
-/// Read the table and compare against the shadow. Returns the sorted rows
-/// on success so the caller can fold them into the digest.
+const FUZZ_INDEX: &str = "fz_k";
+
+/// The table as an `IndexScan` would serve it right now: per partition, the
+/// index's sorted run for the replica a query reads (the first live owner).
+/// The planner only picks index scans for tables far larger than the fuzz
+/// table, so the oracle reads the runs directly. `Ok(None)` when some
+/// partition has no live replica; `Err` when a run is not in key order.
+fn index_read(cluster: &Cluster) -> Result<Option<Vec<(i64, i64)>>, String> {
+    let catalog = cluster.catalog();
+    let handles = || {
+        let table = catalog.table_by_name("fz")?;
+        let index = catalog.indexes_of(table).into_iter().find(|d| d.name == FUZZ_INDEX)?;
+        Some((catalog.table_data(table)?, catalog.index(index.id)?))
+    };
+    let (data, index) = handles().ok_or("fuzz table or index missing from the catalog")?;
+    let down = cluster.network().liveness().down_sites();
+    let mut rows = Vec::new();
+    for p in 0..data.num_partitions() {
+        let Some(store) = catalog.live_owner(p, &down).and_then(|s| data.replica(p, s)) else {
+            return Ok(None);
+        };
+        let before = rows.len();
+        for r in index.run_for(p, &store).iter().flat_map(|chunk| chunk.to_rows()) {
+            match (r.0[0].as_int(), r.0[1].as_int()) {
+                (Some(k), Some(v)) => rows.push((k, v)),
+                _ => return Err(format!("non-integer index row {r:?}")),
+            }
+        }
+        if !rows[before..].is_sorted() {
+            return Err(format!("index run of partition {p} is not in key order"));
+        }
+    }
+    rows.sort_unstable();
+    Ok(Some(rows))
+}
+
+/// Read the table — through SQL and through the index — and compare against
+/// the shadow. Returns the sorted rows on success so the caller can fold
+/// them into the digest.
 fn check_read(
     cluster: &Cluster,
     shadow: &Shadow,
@@ -220,7 +259,18 @@ fn check_read(
             ));
         }
     }
-    Ok(Some(found.into_iter().collect()))
+    let found: Vec<(i64, i64)> = found.into_iter().collect();
+    // The index must serve exactly what the table scan just did: a run left
+    // over from before a write (or from another replica's history) would
+    // differ here.
+    if let Some(via_index) = index_read(cluster).map_err(|e| format!("{ctx}: {e}"))? {
+        if via_index != found {
+            return Err(format!(
+                "{ctx}: index serves {via_index:?}, table scan serves {found:?} (stale index run)"
+            ));
+        }
+    }
+    Ok(Some(found))
 }
 
 /// Drive one scenario against a fresh cluster. Deterministic: the same
@@ -516,6 +566,15 @@ mod tests {
             assert_eq!(a.sites, b.sites);
         }
         assert_ne!(DmlScenario::from_seed(1).spec(), DmlScenario::from_seed(2).spec());
+    }
+
+    #[test]
+    fn index_read_follows_writes() {
+        let cluster = fresh_cluster(3);
+        cluster.dml("INSERT INTO fz (k, v) VALUES (3, 30), (1, 10), (2, 20)").unwrap();
+        assert_eq!(index_read(&cluster), Ok(Some(vec![(1, 10), (2, 20), (3, 30)])));
+        cluster.dml("DELETE FROM fz WHERE k = 2").unwrap();
+        assert_eq!(index_read(&cluster), Ok(Some(vec![(1, 10), (3, 30)])));
     }
 
     #[test]

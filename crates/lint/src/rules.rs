@@ -19,7 +19,7 @@
 //! file into items ([`crate::parser`]), builds a workspace symbol table
 //! ([`crate::symbols`]) and call graph ([`crate::callgraph`]), and marks as
 //! hot everything reachable from the kernel entry points
-//! (`crates/exec/src/kernels.rs`, `crates/exec/src/eval.rs`) and the operator
+//! (`crates/exec/src/kernels.rs`, `crates/common/src/eval.rs`) and the operator
 //! entry points (`next_batch`/`next_rows` in `operators.rs`). A helper in any
 //! crate called from a kernel is policed like the kernel itself.
 //!
@@ -280,7 +280,7 @@ fn is_kernel_file(path: &str) -> bool {
 }
 
 fn is_eval_file(path: &str) -> bool {
-    path.replace('\\', "/").ends_with("crates/exec/src/eval.rs")
+    path.replace('\\', "/").ends_with("crates/common/src/eval.rs")
 }
 
 fn is_operators_file(path: &str) -> bool {
@@ -1129,14 +1129,14 @@ mod tests {
     #[test]
     fn l010_validity_required_in_kernel_plane() {
         let bad = "fn f(c: &Column) { if let ColumnData::Int(v) = &c.data { out.push(v[0]); } }";
-        let r = lint_one("crates/exec/src/eval.rs", bad);
+        let r = lint_one("crates/common/src/eval.rs", bad);
         assert!(
             r.violations.iter().any(|v| v.rule == "L010" && v.message.contains("validity")),
             "{:?}",
             r.violations
         );
         let ok = "fn f(c: &Column) { if let ColumnData::Int(v) = &c.data { if c.is_valid(0) { out.push(v[0]); } } }";
-        assert!(lint_one("crates/exec/src/eval.rs", ok).violations.is_empty());
+        assert!(lint_one("crates/common/src/eval.rs", ok).violations.is_empty());
     }
 
     #[test]

@@ -161,7 +161,7 @@ fn fixture_l010_indexing_fails_red_then_green() {
 
     // The same raw reads inside the kernel plane are legal per se but must
     // consult validity — which `leak` never does.
-    let r = lint_as("crates/exec/src/eval.rs", "l010_indexing.rs");
+    let r = lint_as("crates/common/src/eval.rs", "l010_indexing.rs");
     assert!(
         r.violations.iter().any(|v| v.rule == "L010" && v.message.contains("validity")),
         "{:?}",

@@ -167,16 +167,18 @@ impl Catalog {
         }
         let mut indexes = self.indexes.write();
         let id = IndexId(indexes.len());
-        let def = IndexDef { id, name: name.to_string(), table, columns: columns.clone() };
-        let index = Index::build(&def, &entry.data);
+        let def = IndexDef { id, name: name.to_string(), table, columns };
+        let index = Index::new(&def, entry.data.num_partitions());
         indexes.push(IndexEntry { def, index: Arc::new(index) });
         entry.indexes.push(id);
         Ok(id)
     }
 
-    /// Insert rows, routing each to its partition by hashing the
+    /// Bulk-load rows, routing each to its partition by hashing the
     /// distribution key (replicated tables keep one logical copy).
-    /// Invalidates statistics and rebuilds any existing indexes.
+    /// Statistics are left as they are until the next `analyze`; indexes
+    /// need no upkeep here — their runs are keyed to the store version and
+    /// re-sort on the next index scan (or `analyze`).
     pub fn insert(&self, table: TableId, rows: Vec<Row>) -> IcResult<usize> {
         let tables = self.tables.read();
         let entry = tables
@@ -202,8 +204,9 @@ impl Catalog {
         Ok(n)
     }
 
-    /// ANALYZE: recompute statistics and rebuild indexes for a table. Run
-    /// after bulk load, mirroring Ignite's `statistics enabled` setting.
+    /// ANALYZE: recompute statistics and bring the table's index runs up to
+    /// date. Run after bulk load, mirroring Ignite's `statistics enabled`
+    /// setting.
     pub fn analyze(&self, table: TableId) -> IcResult<()> {
         let mut tables = self.tables.write();
         let entry = tables
@@ -213,10 +216,10 @@ impl Catalog {
         let index_ids = entry.indexes.clone();
         let data = entry.data.clone();
         drop(tables);
-        let mut indexes = self.indexes.write();
         for id in index_ids {
-            let def = indexes[id.0].def.clone();
-            indexes[id.0].index = Arc::new(Index::build(&def, &data));
+            if let Some(index) = self.index(id) {
+                index.refresh(&data);
+            }
         }
         Ok(())
     }
@@ -340,7 +343,7 @@ mod tests {
         assert_eq!(data.total_rows(), 1000);
         // Hash partitioning should spread rows over all 4 partitions.
         for p in 0..4 {
-            let n = data.partition(p).len();
+            let n = data.store(p).num_rows();
             assert!(n > 150 && n < 350, "partition {p} has {n} rows");
         }
     }
@@ -392,8 +395,11 @@ mod tests {
         let idx = cat.create_index("t_id", id, vec![0]).unwrap();
         cat.insert(id, rows(50)).unwrap();
         cat.analyze(id).unwrap();
-        let index = cat.index(idx).unwrap();
-        assert_eq!(index.total_entries(), 50);
+        let (index, data) = (cat.index(idx).unwrap(), cat.table_data(id).unwrap());
+        let entries: usize = (0..index.num_partitions())
+            .map(|p| index.run_for(p, &data.store(p)).iter().map(|c| c.num_rows()).sum::<usize>())
+            .sum();
+        assert_eq!(entries, 50);
         assert_eq!(cat.indexes_of(id).len(), 1);
         assert!(cat.create_index("bad", id, vec![99]).is_err());
     }

@@ -1,21 +1,36 @@
 //! Sorted secondary indexes.
 //!
-//! Each index keeps, per partition, the partition's rows sorted by the index
-//! key. A scan through the index therefore delivers rows with a *collation*
-//! trait the planner can use to elide sorts (the paper's Q14 improvement) or
-//! feed merge joins. Point/range lookups binary-search the sorted run.
+//! Each index keeps, per partition, a *run*: the partition's rows sorted by
+//! the index key, stored as dense column chunks exactly like the partition
+//! itself. A scan through the index therefore hands out stored chunks and
+//! delivers rows with a *collation* trait the planner can use to elide
+//! sorts (the paper's Q14 improvement) or feed merge joins. Point/range
+//! lookups binary-search the sorted run.
+//!
+//! A run is keyed to the [`PartStore`] version it was built from and is
+//! rebuilt lazily: whoever asks for the run of a store at another version
+//! (the first `IndexScan` after a write, `ANALYZE`) sorts that store and
+//! caches the result, so writes themselves never pay for index upkeep and
+//! an index scan never returns pre-write data.
 
 use crate::catalog::IndexDef;
-use crate::table::TableData;
-use ic_common::{Datum, Row};
+use crate::table::{Chunks, PartStore, TableData};
+use ic_common::row::BATCH_SIZE;
+use ic_common::{ColumnBatch, Datum, Row};
+use parking_lot::Mutex;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// A built index: per-partition arrays of row references sorted by key.
+/// A partition's key-sorted run and the store version it reflects.
+struct IndexRun {
+    version: u64,
+    chunks: Chunks,
+}
+
+/// A sorted index: per partition, the cached key-sorted run.
 pub struct Index {
     pub columns: Vec<usize>,
-    /// For each partition: rows sorted by the key columns.
-    partitions: Vec<Arc<Vec<Row>>>,
+    runs: Vec<Mutex<Option<IndexRun>>>,
 }
 
 /// A half-open/closed range over index key prefixes.
@@ -35,71 +50,119 @@ impl KeyRange {
     }
 }
 
-fn key_of(row: &Row, cols: &[usize]) -> Vec<Datum> {
-    cols.iter().map(|&c| row.0[c].clone()).collect()
-}
-
-/// Compare a row's key against a bound prefix (shorter prefixes compare on
-/// their length only).
-fn cmp_prefix(key: &[Datum], bound: &[Datum]) -> std::cmp::Ordering {
-    let n = bound.len().min(key.len());
-    for i in 0..n {
-        let ord = key[i].cmp(&bound[i]);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
+/// Sort a store's rows by `columns` (stable: ties keep partition order)
+/// into chunks of `BATCH_SIZE` rows.
+fn sorted_run(columns: &[usize], store: &PartStore) -> Chunks {
+    if store.chunks().is_empty() {
+        return Chunks::default();
     }
-    std::cmp::Ordering::Equal
+    // Sort the key columns alone; the other columns are only copied if the
+    // rows actually have to move.
+    let key_parts: Vec<ColumnBatch> =
+        store.chunks().iter().map(|c| c.project_cols(columns)).collect();
+    let keys: Vec<(usize, bool)> = (0..columns.len()).map(|k| (k, false)).collect();
+    let order = ColumnBatch::concat(&key_parts).sort_permutation(&keys);
+    if order.iter().enumerate().all(|(i, &o)| i == o as usize) {
+        // Already in key order (a primary-key index over rows loaded in key
+        // order): the partition's own chunks are the run.
+        return store.chunks().clone();
+    }
+    let parts: Vec<ColumnBatch> = store.chunks().iter().map(|c| (**c).clone()).collect();
+    let dense = ColumnBatch::concat(&parts);
+    Arc::new(
+        order
+            .chunks(BATCH_SIZE)
+            .map(|sel| Arc::new(dense.with_sel(sel.to_vec()).gather()))
+            .collect(),
+    )
 }
 
 impl Index {
-    /// Build (or rebuild) the index over the current table contents.
-    pub fn build(def: &IndexDef, data: &TableData) -> Index {
-        let mut partitions = Vec::with_capacity(data.num_partitions());
-        for p in 0..data.num_partitions() {
-            let mut rows: Vec<Row> = data.partition(p).iter().cloned().collect();
-            rows.sort_by_key(|a| key_of(a, &def.columns));
-            partitions.push(Arc::new(rows));
+    /// An index over `num_partitions` partitions with no run built yet.
+    pub fn new(def: &IndexDef, num_partitions: usize) -> Index {
+        Index {
+            columns: def.columns.clone(),
+            runs: (0..num_partitions).map(|_| Mutex::named(None, "index.run")).collect(),
         }
-        Index { columns: def.columns.clone(), partitions }
     }
 
     pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
+        self.runs.len()
     }
 
-    pub fn total_entries(&self) -> usize {
-        self.partitions.iter().map(|p| p.len()).sum()
+    /// The key-sorted run of `store` (a snapshot of `partition`), rebuilt
+    /// and cached if the cached run reflects another version.
+    pub fn run_for(&self, partition: usize, store: &PartStore) -> Chunks {
+        let mut cached = self.runs[partition].lock();
+        match &*cached {
+            Some(run) if run.version == store.version() => run.chunks.clone(),
+            _ => {
+                let chunks = sorted_run(&self.columns, store);
+                *cached = Some(IndexRun { version: store.version(), chunks: chunks.clone() });
+                chunks
+            }
+        }
     }
 
-    /// The fully sorted rows of one partition (full index scan).
-    pub fn partition_sorted(&self, partition: usize) -> Arc<Vec<Row>> {
-        self.partitions[partition].clone()
+    /// Bring every partition's run up to `data`'s authoritative stores.
+    pub fn refresh(&self, data: &TableData) {
+        for p in 0..self.runs.len() {
+            self.run_for(p, &data.store(p));
+        }
     }
 
-    /// Range scan within one partition: binary-search the bounds, return the
-    /// matching slice as a fresh vector (bounds compare on key prefixes).
-    pub fn range_scan(&self, partition: usize, range: &KeyRange) -> Vec<Row> {
-        let rows = &self.partitions[partition];
+    /// Range scan within one partition snapshot: binary-search the bounds in
+    /// the sorted run, return the matching rows (bounds compare on key
+    /// prefixes).
+    pub fn range_scan(&self, partition: usize, store: &PartStore, range: &KeyRange) -> Vec<Row> {
+        let run = self.run_for(partition, store);
+        // Chunk c covers run positions starts[c]..starts[c + 1].
+        let mut starts = vec![0usize];
+        for chunk in run.iter() {
+            starts.push(starts[starts.len() - 1] + chunk.num_rows());
+        }
+        let total = starts[run.len()];
+        let locate = |pos: usize| {
+            let c = starts.partition_point(|&s| s <= pos) - 1;
+            (&run[c], pos - starts[c])
+        };
+        // First position whose key does not satisfy `before(key cmp bound)`.
+        let first_not = |bound: &[Datum], before: fn(std::cmp::Ordering) -> bool| {
+            let (mut lo, mut hi) = (0, total);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                let (chunk, i) = locate(mid);
+                let ord = self
+                    .columns
+                    .iter()
+                    .zip(bound)
+                    .map(|(&c, b)| chunk.col(c).datum_at(i).cmp(b))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal);
+                if before(ord) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
         let lo = match &range.lower {
             Bound::Unbounded => 0,
-            Bound::Included(b) => {
-                rows.partition_point(|r| cmp_prefix(&key_of(r, &self.columns), b).is_lt())
-            }
-            Bound::Excluded(b) => {
-                rows.partition_point(|r| cmp_prefix(&key_of(r, &self.columns), b).is_le())
-            }
+            Bound::Included(b) => first_not(b, std::cmp::Ordering::is_lt),
+            Bound::Excluded(b) => first_not(b, std::cmp::Ordering::is_le),
         };
         let hi = match &range.upper {
-            Bound::Unbounded => rows.len(),
-            Bound::Included(b) => {
-                rows.partition_point(|r| cmp_prefix(&key_of(r, &self.columns), b).is_le())
-            }
-            Bound::Excluded(b) => {
-                rows.partition_point(|r| cmp_prefix(&key_of(r, &self.columns), b).is_lt())
-            }
+            Bound::Unbounded => total,
+            Bound::Included(b) => first_not(b, std::cmp::Ordering::is_le),
+            Bound::Excluded(b) => first_not(b, std::cmp::Ordering::is_lt),
         };
-        rows[lo..hi.max(lo)].to_vec()
+        (lo..hi.max(lo))
+            .map(|pos| {
+                let (chunk, i) = locate(pos);
+                chunk.row_at(i)
+            })
+            .collect()
     }
 }
 
@@ -130,49 +193,75 @@ mod tests {
             ],
         );
         let def = IndexDef { id: IndexId(0), name: "ix".into(), table: TableId(0), columns: vec![0] };
-        let ix = Index::build(&def, &data);
-        (ix, data)
+        (Index::new(&def, data.num_partitions()), data)
+    }
+
+    fn keys(run: &Chunks) -> Vec<i64> {
+        run.iter().flat_map(|c| c.to_rows()).map(|r| r.0[0].as_int().unwrap()).collect()
     }
 
     #[test]
-    fn partitions_sorted() {
-        let (ix, _) = setup();
-        for p in 0..2 {
-            let rows = ix.partition_sorted(p);
-            for w in rows.windows(2) {
-                assert!(w[0].0[0] <= w[1].0[0]);
-            }
-        }
-        assert_eq!(ix.total_entries(), 6);
+    fn runs_are_sorted_and_stable() {
+        let (ix, data) = setup();
+        assert_eq!(keys(&ix.run_for(0, &data.store(0))), vec![1, 3, 5]);
+        let run = ix.run_for(1, &data.store(1));
+        assert_eq!(keys(&run), vec![2, 2, 4]);
+        // Equal keys keep partition order.
+        let vs: Vec<Row> = run.iter().flat_map(|c| c.to_rows()).collect();
+        assert_eq!((vs[0].0[1].clone(), vs[1].0[1].clone()), (Datum::Int(20), Datum::Int(21)));
+    }
+
+    #[test]
+    fn run_is_cached_per_version_and_rebuilt_after_a_write() {
+        let (ix, data) = setup();
+        let before = data.store(0);
+        let run = ix.run_for(0, &before);
+        assert!(Arc::ptr_eq(&run, &ix.run_for(0, &before)), "same version: cached run");
+        assert!(!Arc::ptr_eq(&run, before.chunks()), "an unsorted partition is re-sorted");
+        data.insert_into_partition(0, vec![Row(vec![Datum::Int(2), Datum::Int(0)])]);
+        assert_eq!(keys(&ix.run_for(0, &data.store(0))), vec![1, 2, 3, 5]);
+        // An older snapshot still gets its own rows, never the newer run.
+        assert_eq!(keys(&ix.run_for(0, &before)), vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn sorted_partition_is_its_own_run() {
+        let (ix, data) = setup();
+        let rows = (10..20).map(|k| Row(vec![Datum::Int(k), Datum::Int(0)])).collect();
+        let sorted = TableData::new(1, data.schema().clone());
+        sorted.insert_into_partition(0, rows);
+        let store = sorted.store(0);
+        assert!(Arc::ptr_eq(&ix.run_for(0, &store), store.chunks()));
     }
 
     #[test]
     fn point_lookup() {
-        let (ix, _) = setup();
-        let hits = ix.range_scan(1, &KeyRange::point(vec![Datum::Int(2)]));
+        let (ix, data) = setup();
+        let hits = ix.range_scan(1, &data.store(1), &KeyRange::point(vec![Datum::Int(2)]));
         assert_eq!(hits.len(), 2);
-        let miss = ix.range_scan(0, &KeyRange::point(vec![Datum::Int(99)]));
+        let miss = ix.range_scan(0, &data.store(0), &KeyRange::point(vec![Datum::Int(99)]));
         assert!(miss.is_empty());
     }
 
     #[test]
     fn range_bounds() {
-        let (ix, _) = setup();
+        let (ix, data) = setup();
+        let store = data.store(0);
         // keys in partition 0 are [1,3,5]
         let r = KeyRange {
             lower: Bound::Included(vec![Datum::Int(2)]),
             upper: Bound::Excluded(vec![Datum::Int(5)]),
         };
-        let hits = ix.range_scan(0, &r);
+        let hits = ix.range_scan(0, &store, &r);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0[0], Datum::Int(3));
         let r = KeyRange { lower: Bound::Excluded(vec![Datum::Int(1)]), upper: Bound::Unbounded };
-        assert_eq!(ix.range_scan(0, &r).len(), 2);
+        assert_eq!(ix.range_scan(0, &store, &r).len(), 2);
     }
 
     #[test]
     fn full_scan_range() {
-        let (ix, _) = setup();
-        assert_eq!(ix.range_scan(0, &KeyRange::all()).len(), 3);
+        let (ix, data) = setup();
+        assert_eq!(ix.range_scan(0, &data.store(0), &KeyRange::all()).len(), 3);
     }
 }

@@ -3,8 +3,9 @@
 //! Ignite stores each table ("cache") as hash-partitioned rows spread over
 //! the cluster's sites, or fully replicated on every site. This crate
 //! provides that store for the simulated cluster: a [`Catalog`] of table and
-//! index definitions, per-partition row storage ([`table::TableData`]),
-//! sorted secondary indexes ([`index::Index`]) and the per-table /
+//! index definitions, per-partition columnar chunk storage
+//! ([`table::TableData`]), sorted secondary indexes ([`index::Index`]) held
+//! as chunk runs of the same form, and the per-table /
 //! per-column [`stats::TableStats`] that Ignite serves to Calcite through
 //! its metadata provider hooks (§3.2 of the paper).
 
@@ -17,5 +18,5 @@ pub mod write;
 pub use catalog::{Catalog, IndexDef, IndexId, TableDef, TableDistribution, TableId};
 pub use index::Index;
 pub use stats::{ColumnStats, TableStats};
-pub use table::{PartStore, TableData};
+pub use table::{Chunks, PartStore, TableData};
 pub use write::{execute_dml, WriteOp, WriteOutcome};

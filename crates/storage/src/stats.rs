@@ -4,7 +4,7 @@
 //! fractions (used by selectivity estimation).
 
 use crate::table::TableData;
-use ic_common::hash::FxHashSet;
+use ic_common::hash::FlatMap;
 use ic_common::{Datum, Row};
 
 /// Statistics for one column.
@@ -30,42 +30,54 @@ impl TableStats {
         TableStats { row_count: 0, columns: Vec::new() }
     }
 
-    /// Exact single-pass computation over all partitions. At the simulated
-    /// scale exact NDV is cheap; Ignite uses sketches but serves the same
-    /// quantities.
+    /// Exact single-pass computation over all partitions, column by
+    /// column over the stored chunks: each column keeps one hash table of
+    /// its distinct values (a value is materialized once, at first sight),
+    /// so NDV is the table's size and min/max fall out of the distinct
+    /// values. At the simulated scale exact NDV is cheap; Ignite uses
+    /// sketches but serves the same quantities.
     pub fn compute(data: &TableData) -> TableStats {
-        let arity = data.schema().arity();
-        let mut distinct: Vec<FxHashSet<Datum>> = (0..arity).map(|_| FxHashSet::default()).collect();
-        let mut nulls = vec![0u64; arity];
-        let mut mins: Vec<Option<Datum>> = vec![None; arity];
-        let mut maxs: Vec<Option<Datum>> = vec![None; arity];
+        struct ColumnAcc {
+            slots: FlatMap,
+            distinct: Vec<Datum>,
+            nulls: u64,
+        }
+        let mut accs: Vec<ColumnAcc> = (0..data.schema().arity())
+            .map(|_| ColumnAcc { slots: FlatMap::with_capacity(64), distinct: Vec::new(), nulls: 0 })
+            .collect();
         let mut rows = 0u64;
         for p in 0..data.num_partitions() {
-            for row in data.partition(p).iter() {
-                rows += 1;
-                for (c, v) in row.0.iter().enumerate() {
-                    if v.is_null() {
-                        nulls[c] += 1;
-                        continue;
-                    }
-                    distinct[c].insert(v.clone());
-                    if mins[c].as_ref().is_none_or(|m| v < m) {
-                        mins[c] = Some(v.clone());
-                    }
-                    if maxs[c].as_ref().is_none_or(|m| v > m) {
-                        maxs[c] = Some(v.clone());
+            for chunk in data.store(p).chunks().iter() {
+                rows += chunk.num_rows() as u64;
+                for (c, (acc, col)) in accs.iter_mut().zip(chunk.columns()).enumerate() {
+                    for (i, hash) in chunk.hash_keys(&[c]).into_iter().enumerate() {
+                        if !col.is_valid(i) {
+                            acc.nulls += 1;
+                            continue;
+                        }
+                        let next = acc.distinct.len() as u32;
+                        let distinct = &acc.distinct;
+                        let (_, fresh) = acc.slots.get_or_insert(
+                            hash,
+                            |slot| col.eq_datum(i, &distinct[slot as usize]),
+                            || next,
+                        );
+                        if fresh {
+                            acc.distinct.push(col.datum_at(i));
+                        }
                     }
                 }
             }
         }
         TableStats {
             row_count: rows,
-            columns: (0..arity)
-                .map(|c| ColumnStats {
-                    ndv: distinct[c].len() as u64,
-                    null_count: nulls[c],
-                    min: mins[c].clone(),
-                    max: maxs[c].clone(),
+            columns: accs
+                .into_iter()
+                .map(|acc| ColumnStats {
+                    ndv: acc.distinct.len() as u64,
+                    null_count: acc.nulls,
+                    min: acc.distinct.iter().min().cloned(),
+                    max: acc.distinct.iter().max().cloned(),
                 })
                 .collect(),
         }

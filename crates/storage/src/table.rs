@@ -1,37 +1,96 @@
-//! Per-partition, per-replica row storage.
+//! Per-partition, per-replica columnar storage.
 //!
-//! PR-1..8 stored one physical copy per partition and treated backups as a
-//! plan-time fiction. With online DML each partition now keeps one
-//! [`PartStore`] *per owner site* (primary + backups), so a backup really
-//! holds the data it may be promoted to serve. A store is an immutable
-//! snapshot: rows plus a parallel per-row version column, stamped with the
-//! partition version that produced it. Writers build a new store and swap it
-//! in under the partition's write mutex; readers clone the `Arc` and scan a
-//! frozen snapshot, so a multi-row DML batch is visible all-or-nothing
-//! (no torn reads) and scans never block writes.
+//! Each partition keeps one [`PartStore`] *per owner site* (primary +
+//! backups), so a backup really holds the data it may be promoted to serve.
+//! A store is an immutable snapshot: a list of dense column chunks stamped
+//! with the partition version that produced it. Writers build a successor
+//! store — copy-on-write at chunk granularity, every untouched chunk shared
+//! by `Arc` — and swap it in under the partition's write mutex; readers
+//! clone the store and scan a frozen snapshot, so a multi-row DML batch is
+//! visible all-or-nothing (no torn reads) and scans never block writes.
+//!
+//! **Chunk invariants.** Every chunk is a dense [`ColumnBatch`] (no
+//! selection vector) of `1..=BATCH_SIZE` rows; a partition's rows are its
+//! chunks' rows in order. Scans hand the chunks out as they are, so these
+//! are also the invariants of every batch a scan emits.
 
 use ic_common::hash::FxHashMap;
-use ic_common::{Row, Schema};
+use ic_common::row::BATCH_SIZE;
+use ic_common::{ColumnBatch, Row, Schema};
 use ic_net::SiteId;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::sync::Arc;
 
-/// One replica's frozen snapshot of a partition: the rows, a parallel
-/// per-row version column (the partition version that last wrote each row),
-/// and the partition version counter itself.
+/// The stored form of a run of rows: dense chunks of at most `BATCH_SIZE`
+/// rows each, shared by `Arc` between snapshots, replicas and scans.
+pub type Chunks = Arc<Vec<Arc<ColumnBatch>>>;
+
+/// One replica's frozen snapshot of a partition: its column chunks and the
+/// partition version counter that produced them.
 #[derive(Debug, Clone, Default)]
 pub struct PartStore {
-    /// Partition version: bumps once per committed write batch.
-    pub version: u64,
-    pub rows: Arc<Vec<Row>>,
-    /// Per-row: the partition version that inserted/last-updated the row.
-    pub row_versions: Arc<Vec<u64>>,
+    version: u64,
+    chunks: Chunks,
 }
 
 impl PartStore {
-    fn empty() -> PartStore {
-        PartStore::default()
+    /// Partition version: bumps once per committed write batch.
+    pub fn version(&self) -> u64 {
+        self.version
     }
+
+    /// The snapshot's chunks, in row order.
+    pub fn chunks(&self) -> &Chunks {
+        &self.chunks
+    }
+
+    pub fn num_rows(&self) -> usize {
+        self.chunks.iter().map(|c| c.num_rows()).sum()
+    }
+
+    /// Materialize the snapshot as rows (tests, the fuzz reference
+    /// evaluator; production reads stay columnar).
+    pub fn to_rows(&self) -> Vec<Row> {
+        self.chunks.iter().flat_map(|c| c.to_rows()).collect()
+    }
+
+    /// Do both stores hold the very same snapshot (not merely equal rows)?
+    fn same_snapshot(&self, other: &PartStore) -> bool {
+        self.version == other.version && Arc::ptr_eq(&self.chunks, &other.chunks)
+    }
+
+    /// The successor snapshot (version + 1) holding `chunks`.
+    pub(crate) fn succeed(&self, chunks: Vec<Arc<ColumnBatch>>) -> PartStore {
+        debug_assert!(chunks
+            .iter()
+            .all(|c| c.selection().is_none() && (1..=BATCH_SIZE).contains(&c.num_rows())));
+        PartStore { version: self.version + 1, chunks: Arc::new(chunks) }
+    }
+
+    /// The successor snapshot with `rows` appended: the tail chunk is
+    /// topped up to `BATCH_SIZE`, the rest packs into fresh chunks, and
+    /// every other chunk is shared with `self`.
+    pub(crate) fn appending(&self, rows: &[Row]) -> PartStore {
+        let mut chunks = (*self.chunks).clone();
+        append_rows(&mut chunks, rows);
+        self.succeed(chunks)
+    }
+}
+
+/// Append `rows` to a chunk list, keeping every chunk but the last full.
+pub(crate) fn append_rows(chunks: &mut Vec<Arc<ColumnBatch>>, mut rows: &[Row]) {
+    if rows.is_empty() {
+        return;
+    }
+    if let Some(tail) = chunks.last_mut().filter(|t| t.num_rows() < BATCH_SIZE) {
+        let take = (BATCH_SIZE - tail.num_rows()).min(rows.len());
+        *tail = Arc::new(ColumnBatch::concat(&[
+            (**tail).clone(),
+            ColumnBatch::from_rows(&rows[..take]),
+        ]));
+        rows = &rows[take..];
+    }
+    chunks.extend(rows.chunks(BATCH_SIZE).map(|piece| Arc::new(ColumnBatch::from_rows(piece))));
 }
 
 /// One partition: its replica stores keyed by hosting site, plus the write
@@ -43,10 +102,10 @@ struct Partition {
 
 impl Partition {
     fn hosted_on(sites: &[SiteId]) -> Partition {
-        let mut replicas = FxHashMap::default();
-        for s in sites {
-            replicas.insert(s.0, PartStore::empty());
-        }
+        // One empty snapshot shared by every replica, so the first bulk
+        // load finds them identical and packs once.
+        let empty = PartStore::default();
+        let replicas = sites.iter().map(|s| (s.0, empty.clone())).collect();
         Partition {
             replicas: RwLock::named(replicas, "table.replicas"),
             write_lock: Mutex::named((), "table.write"),
@@ -90,29 +149,31 @@ impl TableData {
     }
 
     /// Append rows to every replica of a partition (bulk load: all copies
-    /// advance together, no replication traffic is simulated).
+    /// advance together, no replication traffic is simulated). The rows are
+    /// packed into chunks once; replicas holding the same snapshot share
+    /// the result.
     pub fn insert_into_partition(&self, partition: usize, rows: Vec<Row>) {
         let part = &self.partitions[partition];
         let _w = part.write_lock.lock();
         let mut replicas = part.replicas.write();
+        let mut packed: Vec<(PartStore, PartStore)> = Vec::new();
         for store in replicas.values_mut() {
-            let version = store.version + 1;
-            let mut new_rows = (*store.rows).clone();
-            let mut new_versions = (*store.row_versions).clone();
-            new_rows.extend(rows.iter().cloned());
-            new_versions.resize(new_rows.len(), version);
-            *store = PartStore {
-                version,
-                rows: Arc::new(new_rows),
-                row_versions: Arc::new(new_versions),
+            let next = match packed.iter().find(|(from, _)| from.same_snapshot(store)) {
+                Some((_, to)) => to.clone(),
+                None => {
+                    let to = store.appending(&rows);
+                    packed.push((store.clone(), to.clone()));
+                    to
+                }
             };
+            *store = next;
         }
     }
 
     /// The authoritative store of a partition: the highest-version replica
     /// (all replicas agree when the partition is healthy). Used by stats,
-    /// index builds, and tests; the execution path reads a specific site's
-    /// replica via [`replica`](Self::replica).
+    /// ANALYZE's index refresh, and tests; the execution path reads a
+    /// specific site's replica via [`replica`](Self::replica).
     pub fn store(&self, partition: usize) -> PartStore {
         let replicas = self.partitions[partition].replicas.read();
         replicas
@@ -120,17 +181,6 @@ impl TableData {
             .max_by_key(|s| s.version)
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// Snapshot of one partition's rows (cheap Arc clone; scans iterate the
-    /// shared vector without copying rows).
-    pub fn partition(&self, partition: usize) -> Arc<Vec<Row>> {
-        self.store(partition).rows
-    }
-
-    /// Snapshot of several partitions.
-    pub fn partitions(&self, parts: &[usize]) -> Vec<Arc<Vec<Row>>> {
-        parts.iter().map(|&p| self.partition(p)).collect()
     }
 
     /// The replica of `partition` hosted on `site`, if that site holds one.
@@ -196,17 +246,13 @@ impl TableData {
 
     /// Total rows across all partitions (authoritative replicas).
     pub fn total_rows(&self) -> usize {
-        (0..self.partitions.len()).map(|p| self.partition(p).len()).sum()
+        (0..self.partitions.len()).map(|p| self.store(p).num_rows()).sum()
     }
 
-    /// Iterate all rows (test/stats helper; production scans go
-    /// per-partition).
+    /// Materialize all rows (test / fuzz-reference helper; production
+    /// scans read chunks per partition).
     pub fn all_rows(&self) -> Vec<Row> {
-        let mut out = Vec::with_capacity(self.total_rows());
-        for p in 0..self.partitions.len() {
-            out.extend(self.partition(p).iter().cloned());
-        }
-        out
+        (0..self.partitions.len()).flat_map(|p| self.store(p).to_rows()).collect()
     }
 }
 
@@ -225,8 +271,8 @@ mod tests {
         t.insert_into_partition(0, vec![Row(vec![Datum::Int(1)])]);
         t.insert_into_partition(1, vec![Row(vec![Datum::Int(2)]), Row(vec![Datum::Int(3)])]);
         assert_eq!(t.total_rows(), 3);
-        assert_eq!(t.partition(0).len(), 1);
-        assert_eq!(t.partitions(&[0, 1]).iter().map(|p| p.len()).sum::<usize>(), 3);
+        assert_eq!(t.store(0).num_rows(), 1);
+        assert_eq!(t.store(1).to_rows(), vec![Row(vec![Datum::Int(2)]), Row(vec![Datum::Int(3)])]);
         assert_eq!(t.all_rows().len(), 3);
     }
 
@@ -234,10 +280,26 @@ mod tests {
     fn snapshot_isolated_from_later_inserts() {
         let t = TableData::new(1, schema());
         t.insert_into_partition(0, vec![Row(vec![Datum::Int(1)])]);
-        let snap = t.partition(0);
+        let snap = t.store(0);
         t.insert_into_partition(0, vec![Row(vec![Datum::Int(2)])]);
-        assert_eq!(snap.len(), 1);
-        assert_eq!(t.partition(0).len(), 2);
+        assert_eq!(snap.num_rows(), 1);
+        assert_eq!(t.store(0).num_rows(), 2);
+    }
+
+    #[test]
+    fn bulk_load_packs_full_chunks_and_tops_up_the_tail() {
+        let t = TableData::new(1, schema());
+        let ints = |r: std::ops::Range<i64>| r.map(|i| Row(vec![Datum::Int(i)])).collect();
+        t.insert_into_partition(0, ints(0..BATCH_SIZE as i64 + 10));
+        let first = t.store(0);
+        t.insert_into_partition(0, ints(0..2 * BATCH_SIZE as i64));
+        let second = t.store(0);
+        let sizes: Vec<usize> = second.chunks().iter().map(|c| c.num_rows()).collect();
+        assert_eq!(sizes, vec![BATCH_SIZE, BATCH_SIZE, BATCH_SIZE, 10]);
+        // The full head chunk is shared; only the tail was rebuilt.
+        assert!(Arc::ptr_eq(&first.chunks()[0], &second.chunks()[0]));
+        assert!(!Arc::ptr_eq(&first.chunks()[1], &second.chunks()[1]));
+        assert_eq!(first.num_rows(), BATCH_SIZE + 10, "the old snapshot is untouched");
     }
 
     #[test]
@@ -249,7 +311,7 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let t = t.clone();
-                std::thread::spawn(move || t.partition(i % 4).len())
+                std::thread::spawn(move || t.store(i % 4).num_rows())
             })
             .collect();
         for h in handles {
@@ -263,11 +325,11 @@ mod tests {
         t.insert_into_partition(0, vec![Row(vec![Datum::Int(7)])]);
         let primary = t.replica(0, SiteId(0)).unwrap();
         let backup = t.replica(0, SiteId(1)).unwrap();
-        assert_eq!(primary.version, 1);
-        assert_eq!(backup.version, 1);
-        assert_eq!(primary.rows.len(), 1);
-        assert_eq!(backup.rows.len(), 1);
-        assert_eq!(*primary.row_versions, vec![1]);
+        assert_eq!(primary.version(), 1);
+        assert_eq!(backup.version(), 1);
+        assert_eq!(primary.num_rows(), 1);
+        // Packed once: both replicas hold the same chunks, not copies.
+        assert!(Arc::ptr_eq(primary.chunks(), backup.chunks()));
         assert!(t.replica(0, SiteId(2)).is_none());
         assert_eq!(t.replica_sites(0), vec![SiteId(0), SiteId(1)]);
     }
@@ -277,17 +339,13 @@ mod tests {
         let t = TableData::new_with_owners(schema(), &[vec![SiteId(0), SiteId(1)]]);
         t.insert_into_partition(0, vec![Row(vec![Datum::Int(1)])]);
         let base = t.replica(0, SiteId(0)).unwrap();
-        let next = PartStore {
-            version: base.version + 1,
-            rows: Arc::new(vec![Row(vec![Datum::Int(1)]), Row(vec![Datum::Int(2)])]),
-            row_versions: Arc::new(vec![base.version, base.version + 1]),
-        };
+        let next = base.appending(&[Row(vec![Datum::Int(2)])]);
         let sites = [SiteId(0), SiteId(1)];
         let _g = t.write_guard(0);
-        assert_eq!(t.commit(0, &sites, base.version, next.clone()), Ok(()));
-        assert_eq!(t.replica(0, SiteId(1)).unwrap().version, base.version + 1);
+        assert_eq!(t.commit(0, &sites, base.version(), next.clone()), Ok(()));
+        assert_eq!(t.replica(0, SiteId(1)).unwrap().version(), base.version() + 1);
         // Committing against the stale base version is refused.
-        assert_eq!(t.commit(0, &sites, base.version, next.clone()), Err(base.version + 1));
+        assert_eq!(t.commit(0, &sites, base.version(), next.clone()), Err(base.version() + 1));
     }
 
     #[test]
@@ -297,10 +355,10 @@ mod tests {
         let copy = t.replica(0, SiteId(0)).unwrap();
         t.install_replica(0, SiteId(3), copy);
         assert_eq!(t.replica_sites(0), vec![SiteId(0), SiteId(3)]);
-        assert_eq!(t.replica(0, SiteId(3)).unwrap().rows.len(), 1);
+        assert_eq!(t.replica(0, SiteId(3)).unwrap().num_rows(), 1);
         t.drop_replica(0, SiteId(0));
         assert_eq!(t.replica_sites(0), vec![SiteId(3)]);
         // The surviving replica is now the authoritative store.
-        assert_eq!(t.partition(0).len(), 1);
+        assert_eq!(t.store(0).num_rows(), 1);
     }
 }

@@ -27,11 +27,14 @@
 //! all-or-nothing.
 
 use crate::catalog::{Catalog, TableDistribution, TableId};
-use crate::table::{PartStore, TableData};
+use crate::table::{append_rows, PartStore, TableData};
+use ic_common::eval::eval_filter_sel;
 use ic_common::obs::{Counter, MetricsRegistry};
-use ic_common::{Expr, IcError, IcResult, Row};
+use ic_common::row::BATCH_SIZE;
+use ic_common::{ColumnBatch, Expr, IcError, IcResult, Row};
 use ic_net::wire::WireSize;
 use ic_net::{NetError, Network, SiteId};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// A bound, fully-typed DML operation, ready to apply to partition stores.
@@ -95,78 +98,154 @@ fn metrics() -> &'static WriteMetrics {
     })
 }
 
+/// Builds a successor chunk list for predicate ops: untouched chunks are
+/// shared with the predecessor snapshot, rewritten rows coalesce — across
+/// consecutive touched chunks — into fresh dense chunks at the same place
+/// in the row order.
+#[derive(Default)]
+struct ChunkWriter {
+    out: Vec<Arc<ColumnBatch>>,
+    pending: Vec<ColumnBatch>,
+}
+
+impl ChunkWriter {
+    fn share(&mut self, chunk: &Arc<ColumnBatch>) {
+        self.flush();
+        self.out.push(chunk.clone());
+    }
+
+    /// Queue the (selected) rows of `rows` for repacking.
+    fn rewrite(&mut self, rows: ColumnBatch) {
+        if rows.num_rows() > 0 {
+            self.pending.push(rows);
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let dense = ColumnBatch::concat(&self.pending);
+        self.pending.clear();
+        let n = dense.num_rows();
+        if n <= BATCH_SIZE {
+            self.out.push(Arc::new(dense));
+            return;
+        }
+        for start in (0..n).step_by(BATCH_SIZE) {
+            let len = BATCH_SIZE.min(n - start);
+            self.out.push(Arc::new(dense.slice_logical(start, len).gather()));
+        }
+    }
+
+    fn finish(mut self) -> Vec<Arc<ColumnBatch>> {
+        self.flush();
+        self.out
+    }
+}
+
+/// Rows of a stored chunk matching `predicate` (`None` = all rows).
+fn matching(predicate: &Option<Expr>, chunk: &ColumnBatch) -> IcResult<Vec<u32>> {
+    match predicate {
+        Some(p) => eval_filter_sel(p, chunk),
+        None => Ok((0..chunk.num_rows() as u32).collect()),
+    }
+}
+
+/// Position of the first stored row whose primary key equals `row`'s.
+fn find_pk(chunks: &[Arc<ColumnBatch>], pk: &[usize], row: &Row) -> Option<(usize, usize)> {
+    chunks.iter().enumerate().find_map(|(c, chunk)| {
+        (0..chunk.num_rows())
+            .find(|&i| {
+                pk.iter().all(|&k| row.0.get(k).is_some_and(|d| chunk.col(k).eq_datum(i, d)))
+            })
+            .map(|i| (c, i))
+    })
+}
+
 /// Apply `op` to a frozen store snapshot, producing the successor snapshot
-/// (version + 1) and the number of rows affected. Pure and deterministic:
-/// the same op against the same snapshot yields the same store on every
-/// replica, which is what lets backups confirm delivery before any state
-/// changes.
+/// (version + 1) and the number of rows affected. Copy-on-write at chunk
+/// granularity: only chunks holding an affected row are rebuilt (inserts
+/// also top up the tail chunk); every other chunk is shared with `store`.
+/// Pure and deterministic: the same op against the same snapshot yields the
+/// same store on every replica, which is what lets backups confirm delivery
+/// before any state changes.
 pub fn apply_op(store: &PartStore, op: &WriteOp, primary_key: &[usize]) -> IcResult<(PartStore, usize)> {
-    let version = store.version + 1;
-    let mut rows: Vec<Row> = (*store.rows).clone();
-    let mut row_versions: Vec<u64> = (*store.row_versions).clone();
-    let affected = match op {
+    let (chunks, affected) = match op {
         WriteOp::Insert { rows: new_rows } => {
+            // Each new row replaces the stored row with its key, else the
+            // row an earlier statement row appended under that key, else
+            // it is appended.
+            let mut replaced: BTreeMap<usize, Vec<(usize, &Row)>> = BTreeMap::new();
+            let mut appended: Vec<Row> = Vec::new();
             for nr in new_rows {
-                let existing = (!primary_key.is_empty()).then(|| {
-                    rows.iter().position(|r| {
-                        primary_key.iter().all(|&k| r.0.get(k) == nr.0.get(k))
-                    })
-                });
-                match existing.flatten() {
-                    Some(i) => {
-                        rows[i] = nr.clone();
-                        row_versions[i] = version;
+                if !primary_key.is_empty() {
+                    if let Some((c, i)) = find_pk(store.chunks(), primary_key, nr) {
+                        replaced.entry(c).or_default().push((i, nr));
+                        continue;
                     }
-                    None => {
-                        rows.push(nr.clone());
-                        row_versions.push(version);
+                    let same_key =
+                        |r: &Row| primary_key.iter().all(|&k| r.0.get(k) == nr.0.get(k));
+                    if let Some(slot) = appended.iter_mut().find(|r| same_key(r)) {
+                        *slot = nr.clone();
+                        continue;
                     }
                 }
+                appended.push(nr.clone());
             }
-            new_rows.len()
+            let mut chunks = (**store.chunks()).clone();
+            for (c, edits) in replaced {
+                let mut rows = chunks[c].to_rows();
+                for (i, nr) in edits {
+                    rows[i] = nr.clone();
+                }
+                chunks[c] = Arc::new(ColumnBatch::from_rows(&rows));
+            }
+            append_rows(&mut chunks, &appended);
+            (chunks, new_rows.len())
         }
         WriteOp::Update { assignments, predicate } => {
+            let mut w = ChunkWriter::default();
             let mut n = 0;
-            for (i, row) in rows.iter_mut().enumerate() {
-                let matched = match predicate {
-                    Some(p) => p.eval_filter(row)?,
-                    None => true,
-                };
-                if !matched {
+            for chunk in store.chunks().iter() {
+                let hit = matching(predicate, chunk)?;
+                if hit.is_empty() {
+                    w.share(chunk);
                     continue;
                 }
-                let pre_image = row.clone();
-                for (col, expr) in assignments {
-                    row.0[*col] = expr.eval(&pre_image)?;
+                let mut rows = chunk.to_rows();
+                for &i in &hit {
+                    let row = &mut rows[i as usize];
+                    let pre_image = row.clone();
+                    for (col, expr) in assignments {
+                        row.0[*col] = expr.eval(&pre_image)?;
+                    }
                 }
-                row_versions[i] = version;
-                n += 1;
+                n += hit.len();
+                w.rewrite(ColumnBatch::from_rows(&rows));
             }
-            n
+            (w.finish(), n)
         }
         WriteOp::Delete { predicate } => {
-            let before = rows.len();
-            let mut keep = Vec::with_capacity(rows.len());
-            for row in &rows {
-                let matched = match predicate {
-                    Some(p) => p.eval_filter(row)?,
-                    None => true,
-                };
-                keep.push(!matched);
+            let mut w = ChunkWriter::default();
+            let mut n = 0;
+            for chunk in store.chunks().iter() {
+                let hit = matching(predicate, chunk)?;
+                if hit.is_empty() {
+                    w.share(chunk);
+                    continue;
+                }
+                n += hit.len();
+                let mut doomed = hit.iter().copied().peekable();
+                let keep: Vec<u32> = (0..chunk.num_rows() as u32)
+                    .filter(|i| doomed.next_if_eq(i).is_none())
+                    .collect();
+                w.rewrite(chunk.with_sel(keep));
             }
-            let mut it = keep.iter();
-            // ic-lint: allow(L001) because keep has exactly one entry per row by construction
-            rows.retain(|_| *it.next().expect("keep mask length"));
-            let mut it = keep.iter();
-            // ic-lint: allow(L001) because keep has exactly one entry per row by construction
-            row_versions.retain(|_| *it.next().expect("keep mask length"));
-            before - rows.len()
+            (w.finish(), n)
         }
     };
-    Ok((
-        PartStore { version, rows: Arc::new(rows), row_versions: Arc::new(row_versions) },
-        affected,
-    ))
+    Ok((store.succeed(chunks), affected))
 }
 
 /// Execute a DML op against `table`, routing to partitions by the
@@ -354,11 +433,11 @@ fn write_partition(
     }
     // Phase 2: version-checked commit to the primary and every confirming
     // backup in one swap.
-    data.commit(partition, &ack_sites, store.version, new_store).map_err(|found| {
+    data.commit(partition, &ack_sites, store.version(), new_store).map_err(|found| {
         metrics().conflicts.inc();
         IcError::WriteConflict {
             partition,
-            expected_version: store.version,
+            expected_version: store.version(),
             found_version: found,
         }
     })?;
@@ -409,11 +488,11 @@ fn write_replicated(
         }
     }
     let sites = data.replica_sites(0);
-    data.commit(0, &sites, store.version, new_store).map_err(|found| {
+    data.commit(0, &sites, store.version(), new_store).map_err(|found| {
         metrics().conflicts.inc();
         IcError::WriteConflict {
             partition: 0,
-            expected_version: store.version,
+            expected_version: store.version(),
             found_version: found,
         }
     })?;
@@ -473,8 +552,8 @@ mod tests {
             assert_eq!(sites.len(), 2, "partition {p} should have 2 replicas");
             let stores: Vec<PartStore> =
                 sites.iter().map(|&s| data.replica(p, s).unwrap()).collect();
-            assert_eq!(stores[0].version, stores[1].version);
-            assert_eq!(stores[0].rows.len(), stores[1].rows.len());
+            assert_eq!(stores[0].version(), stores[1].version());
+            assert_eq!(stores[0].to_rows(), stores[1].to_rows());
         }
     }
 
@@ -546,8 +625,8 @@ mod tests {
         assert!(err.is_failover_retryable(), "got {err}");
         let primary = data.replica(2, SiteId(2)).unwrap();
         let backup = data.replica(2, SiteId(3)).unwrap();
-        assert_eq!(primary.rows.len(), 0, "a refused write must commit nothing");
-        assert_eq!(backup.rows.len(), 0, "dead backup must not silently receive the write");
+        assert_eq!(primary.num_rows(), 0, "a refused write must commit nothing");
+        assert_eq!(backup.num_rows(), 0, "dead backup must not silently receive the write");
     }
 
     #[test]

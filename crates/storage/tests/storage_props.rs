@@ -1,11 +1,15 @@
 //! Property tests for the storage substrate: partition routing, statistics
-//! vs brute force, and index range scans vs filter scans.
+//! vs brute force, index range scans vs filter scans, and the chunked
+//! copy-on-write store vs a `Vec<Row>` model.
 
-use ic_common::{DataType, Datum, Field, Row, Schema};
+use ic_common::row::BATCH_SIZE;
+use ic_common::{BinOp, DataType, Datum, Expr, Field, Row, Schema};
 use ic_net::Topology;
-use ic_storage::{Catalog, TableDistribution};
+use ic_storage::write::apply_op;
+use ic_storage::{Catalog, PartStore, TableDistribution, WriteOp};
 use proptest::prelude::*;
 use std::ops::Bound;
+use std::sync::Arc;
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -36,7 +40,7 @@ proptest! {
         prop_assert_eq!(table.total_rows(), data.len());
         // Same key -> same partition.
         for p in 0..table.num_partitions() {
-            for row in table.partition(p).iter() {
+            for row in table.store(p).to_rows() {
                 let h = row.hash_key(&[0]);
                 prop_assert_eq!(cat.topology().partition_of_hash(h), p);
             }
@@ -84,11 +88,11 @@ proptest! {
             lower: Bound::Included(vec![Datum::Int(lo - 30)]),
             upper: Bound::Excluded(vec![Datum::Int(hi - 30)]),
         };
+        let table = cat.table_data(t).unwrap();
         let mut via_index: Vec<Row> = (0..index.num_partitions())
-            .flat_map(|p| index.range_scan(p, &range))
+            .flat_map(|p| index.range_scan(p, &table.store(p), &range))
             .collect();
         via_index.sort();
-        let table = cat.table_data(t).unwrap();
         let mut via_filter: Vec<Row> = table
             .all_rows()
             .into_iter()
@@ -111,12 +115,201 @@ proptest! {
         let ix = cat.create_index("ix", t, vec![1, 0]).unwrap();
         cat.insert(t, rows(&data)).unwrap();
         cat.analyze(t).unwrap();
-        let index = cat.index(ix).unwrap();
+        let (index, table) = (cat.index(ix).unwrap(), cat.table_data(t).unwrap());
         for p in 0..index.num_partitions() {
-            let sorted = index.partition_sorted(p);
+            let sorted: Vec<Row> =
+                index.run_for(p, &table.store(p)).iter().flat_map(|c| c.to_rows()).collect();
+            prop_assert_eq!(sorted.len(), table.store(p).num_rows());
             for w in sorted.windows(2) {
                 prop_assert!(w[0].project(&[1, 0]) <= w[1].project(&[1, 0]));
             }
+        }
+    }
+}
+
+// ------------------------------------------------- chunked store vs model
+
+/// One write of the model test, over rows `(k, v, s)` with primary key `k`.
+#[derive(Debug, Clone)]
+enum ModelOp {
+    /// Upsert `(k, v)` pairs (duplicates within the batch allowed).
+    Upsert(Vec<(i64, i64)>),
+    /// `SET v = v + delta, s = 'u' WHERE lo <= k < hi`.
+    UpdateRange { lo: i64, hi: i64, delta: i64 },
+    /// `SET v = 0 WHERE v IS NOT NULL AND k % 7 = r` (rows scattered over
+    /// every chunk).
+    UpdateScattered { r: i64 },
+    /// `DELETE WHERE lo <= k < hi`.
+    DeleteRange { lo: i64, hi: i64 },
+}
+
+const KEYS: i64 = 3 * BATCH_SIZE as i64;
+
+fn model_row(k: i64, v: i64) -> Row {
+    // NULLs and strings ride along so validity bitmaps and string arenas
+    // are rebuilt too.
+    let v = if v % 5 == 0 { Datum::Null } else { Datum::Int(v) };
+    Row(vec![Datum::Int(k), v, Datum::str(format!("s{}", k % 3))])
+}
+
+fn in_range(lo: i64, hi: i64) -> Expr {
+    Expr::and(
+        Expr::binary(BinOp::Ge, Expr::col(0), Expr::lit(lo)),
+        Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(hi)),
+    )
+}
+
+fn model_op() -> impl Strategy<Value = ModelOp> {
+    prop_oneof![
+        proptest::collection::vec((0i64..KEYS, -50i64..50), 1..8).prop_map(ModelOp::Upsert),
+        // A long upsert run: appends across a chunk boundary.
+        (0i64..KEYS, 1i64..(2 * BATCH_SIZE as i64)).prop_map(|(from, n)| {
+            ModelOp::Upsert((from..from + n).map(|k| (k, k)).collect())
+        }),
+        (0i64..KEYS, 0i64..600, 1i64..9)
+            .prop_map(|(lo, len, delta)| ModelOp::UpdateRange { lo, hi: lo + len, delta }),
+        (0i64..7).prop_map(|r| ModelOp::UpdateScattered { r }),
+        (0i64..KEYS, 0i64..1500).prop_map(|(lo, len)| ModelOp::DeleteRange { lo, hi: lo + len }),
+    ]
+}
+
+fn to_write_op(op: &ModelOp) -> WriteOp {
+    match op {
+        ModelOp::Upsert(kvs) => {
+            WriteOp::Insert { rows: kvs.iter().map(|&(k, v)| model_row(k, v)).collect() }
+        }
+        ModelOp::UpdateRange { lo, hi, delta } => WriteOp::Update {
+            assignments: vec![
+                (1, Expr::binary(BinOp::Add, Expr::col(1), Expr::lit(*delta))),
+                (2, Expr::lit(Datum::str("u"))),
+            ],
+            predicate: Some(in_range(*lo, *hi)),
+        },
+        ModelOp::UpdateScattered { r } => WriteOp::Update {
+            assignments: vec![(1, Expr::lit(0i64))],
+            predicate: Some(Expr::and(
+                Expr::binary(BinOp::Ge, Expr::col(1), Expr::lit(i64::MIN)),
+                Expr::eq(
+                    Expr::binary(
+                        BinOp::Sub,
+                        Expr::col(0),
+                        Expr::binary(
+                            BinOp::Mul,
+                            Expr::binary(BinOp::Div, Expr::col(0), Expr::lit(7i64)),
+                            Expr::lit(7i64),
+                        ),
+                    ),
+                    Expr::lit(*r),
+                ),
+            )),
+        },
+        ModelOp::DeleteRange { lo, hi } => WriteOp::Delete { predicate: Some(in_range(*lo, *hi)) },
+    }
+}
+
+/// The row-vector reference: what the op does to a `Vec<Row>`, plus the
+/// positions (in the pre-image) of every row it touched and whether it
+/// appended.
+fn apply_to_model(rows: &mut Vec<Row>, op: &WriteOp) -> (Vec<usize>, bool) {
+    let mut touched = Vec::new();
+    let mut appended = false;
+    match op {
+        WriteOp::Insert { rows: new_rows } => {
+            let pre_len = rows.len();
+            for nr in new_rows {
+                match rows.iter().position(|r| r.0[0] == nr.0[0]) {
+                    Some(i) => {
+                        rows[i] = nr.clone();
+                        if i < pre_len {
+                            touched.push(i);
+                        }
+                    }
+                    None => {
+                        rows.push(nr.clone());
+                        appended = true;
+                    }
+                }
+            }
+        }
+        WriteOp::Update { assignments, predicate } => {
+            for (i, row) in rows.iter_mut().enumerate() {
+                if predicate.as_ref().is_none_or(|p| p.eval_filter(row).unwrap()) {
+                    let pre = row.clone();
+                    for (col, e) in assignments {
+                        row.0[*col] = e.eval(&pre).unwrap();
+                    }
+                    touched.push(i);
+                }
+            }
+        }
+        WriteOp::Delete { predicate } => {
+            let mut i = 0;
+            rows.retain(|row| {
+                let hit = predicate.as_ref().is_none_or(|p| p.eval_filter(row).unwrap());
+                if hit {
+                    touched.push(i);
+                }
+                i += 1;
+                !hit
+            });
+        }
+    }
+    (touched, appended)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// Random insert / upsert / update / delete sequences against the
+    /// chunked store and a `Vec<Row>` model: same rows in the same order,
+    /// every chunk dense and 1..=BATCH_SIZE rows, chunks no write touched
+    /// pointer-shared with the predecessor snapshot, and a snapshot taken
+    /// before a write reads identically after it.
+    #[test]
+    fn chunked_store_matches_row_model(ops in proptest::collection::vec(model_op(), 1..14)) {
+        // Start from ~2.5 chunks so range ops span chunk boundaries.
+        let seed_rows: Vec<Row> = (0..(5 * BATCH_SIZE as i64 / 2)).map(|k| model_row(k, k)).collect();
+        let (mut store, n) =
+            apply_op(&PartStore::default(), &WriteOp::Insert { rows: seed_rows.clone() }, &[0]).unwrap();
+        prop_assert_eq!(n, seed_rows.len());
+        let mut model = seed_rows;
+        for op in &ops {
+            let write = to_write_op(op);
+            let before = store.clone();
+            let before_rows = before.to_rows();
+            prop_assert_eq!(&before_rows, &model);
+            let (touched, appended) = apply_to_model(&mut model, &write);
+            let (after, affected) = apply_op(&before, &write, &[0]).unwrap();
+            let expect_affected = match &write {
+                WriteOp::Insert { rows } => rows.len(),
+                _ => touched.len(),
+            };
+            prop_assert_eq!(affected, expect_affected, "{:?}", op);
+            prop_assert_eq!(after.version(), before.version() + 1);
+            prop_assert_eq!(after.to_rows(), model.clone(), "{:?}", op);
+            for chunk in after.chunks().iter() {
+                prop_assert!(chunk.selection().is_none(), "chunk carries a selection");
+                prop_assert!((1..=BATCH_SIZE).contains(&chunk.num_rows()), "chunk of {} rows", chunk.num_rows());
+                prop_assert_eq!(chunk.phys_rows(), chunk.num_rows());
+            }
+            // Torn-read guarantee: the old snapshot is frozen.
+            prop_assert_eq!(before.to_rows(), before_rows);
+            // Untouched chunks are shared, not copied.
+            let mut start = 0usize;
+            let last = before.chunks().len().saturating_sub(1);
+            for (c, chunk) in before.chunks().iter().enumerate() {
+                let end = start + chunk.num_rows();
+                let hit = touched.iter().any(|&i| (start..end).contains(&i));
+                let topped_up = appended && c == last && chunk.num_rows() < BATCH_SIZE;
+                if !hit && !topped_up {
+                    prop_assert!(
+                        after.chunks().iter().any(|a| Arc::ptr_eq(a, chunk)),
+                        "untouched chunk {} was copied by {:?}", c, op
+                    );
+                }
+                start = end;
+            }
+            store = after;
         }
     }
 }

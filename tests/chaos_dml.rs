@@ -12,7 +12,7 @@
 //! and the whole scenario replays identically from the same seed.
 
 use ignite_calcite_rs::{
-    Cluster, ClusterConfig, Datum, FaultPlan, NetworkConfig, SiteId, SystemVariant,
+    Cluster, ClusterConfig, Datum, FaultPlan, NetworkConfig, Row, SiteId, SystemVariant,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -120,8 +120,8 @@ fn run_scenario() -> ScenarioOutcome {
         // Every live replica converged to the same store.
         let stores: Vec<_> = live.iter().map(|&s| data.replica(p, s).unwrap()).collect();
         for s in &stores[1..] {
-            assert_eq!(s.version, stores[0].version, "partition {p} replica version skew");
-            assert_eq!(s.rows.len(), stores[0].rows.len(), "partition {p} replica row skew");
+            assert_eq!(s.version(), stores[0].version(), "partition {p} replica version skew");
+            assert_eq!(s.num_rows(), stores[0].num_rows(), "partition {p} replica row skew");
         }
     }
     (acked, rows, retries)
@@ -150,47 +150,82 @@ fn chaos_write_scenario_is_deterministic() {
 }
 
 /// Concurrent snapshot readers during a live write stream never see a torn
-/// batch inside one partition: a scan pinned to a single partition's store
-/// observes whole committed versions only.
+/// batch inside one partition: a store snapshot holds, of every multi-row
+/// statement, either all the rows that route to its partition or none of
+/// them — including the commits that top up the tail chunk *and* open a new
+/// one. The reader runs flat out while the writer streams; a hand-shake per
+/// statement guarantees reader passes between (and overlapping) the writes
+/// without depending on how the threads happen to be scheduled.
 #[test]
 fn readers_see_whole_batches_only() {
+    // Large enough that every partition receives several rows per statement
+    // and outgrows its first chunk mid-stream.
+    const ROWS_PER_STMT: i64 = 60;
+    const STMTS: i64 = 80;
     let cluster = dml_cluster();
     let catalog = cluster.catalog().clone();
     let id = catalog.table_by_name("kv").unwrap();
     let data = catalog.table_data(id).unwrap();
+    // expected[p][stmt]: how many of the statement's rows land in partition p.
+    let map = catalog.membership().snapshot();
+    let mut expected = vec![vec![0usize; STMTS as usize]; data.num_partitions()];
+    for stmt in 0..STMTS {
+        for j in 0..ROWS_PER_STMT {
+            let key = Row(vec![Datum::Int(stmt * ROWS_PER_STMT + j)]);
+            expected[map.partition_of_hash(key.hash_key(&[0]))][stmt as usize] += 1;
+        }
+    }
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (pass_done, passes) = std::sync::mpsc::channel::<()>();
     let reader = {
         let data = data.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
             let mut observed = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                for p in 0..data.num_partitions() {
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                for (p, expected) in expected.iter().enumerate() {
                     let store = data.store(p);
-                    // Parallel columns always agree, and no row carries a
-                    // version newer than its store: the snapshot is a
-                    // committed prefix, never a torn write.
-                    assert_eq!(store.rows.len(), store.row_versions.len());
-                    assert!(store.row_versions.iter().all(|&v| v <= store.version));
+                    let mut seen = vec![0usize; STMTS as usize];
+                    for row in store.to_rows() {
+                        seen[row.0[2].as_int().unwrap() as usize] += 1;
+                    }
+                    for (stmt, &n) in seen.iter().enumerate() {
+                        assert!(
+                            n == 0 || n == expected[stmt],
+                            "partition {p} v{} holds {n} of statement {stmt}'s {} rows: torn read",
+                            store.version(),
+                            expected[stmt]
+                        );
+                    }
+                    assert!(store.chunks().iter().all(|c| c.selection().is_none()));
                     observed += 1;
                 }
+                // The writer may already be gone; that is not an error.
+                let _ = pass_done.send(());
             }
             observed
         })
     };
-    for batch in 0..40i64 {
-        let values: Vec<String> = (0..BATCH)
-            .map(|j| format!("({}, {j}, {batch})", batch * BATCH + j))
+    for stmt in 0..STMTS {
+        let values: Vec<String> = (0..ROWS_PER_STMT)
+            .map(|j| format!("({}, {j}, {stmt})", stmt * ROWS_PER_STMT + j))
             .collect();
         cluster
             .dml(&format!("INSERT INTO kv (k, v, grp) VALUES {}", values.join(", ")))
             .unwrap();
+        // Two fresh pass completions: the second pass began after this
+        // statement committed, so every statement is read back at least
+        // once before the next one lands.
+        while passes.try_recv().is_ok() {}
+        for _ in 0..2 {
+            passes.recv().expect("reader thread died: a snapshot was torn");
+        }
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
     let observed = reader.join().unwrap();
-    assert!(observed > 0);
+    assert!(observed >= 2 * STMTS as u64);
     assert_eq!(
         cluster.query("SELECT count(*) FROM kv").unwrap().rows[0].0[0],
-        Datum::Int(40 * BATCH)
+        Datum::Int(STMTS * ROWS_PER_STMT)
     );
 }

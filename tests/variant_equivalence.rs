@@ -53,6 +53,24 @@ fn fixture() -> &'static Fixture {
         ic.insert("a", a).unwrap();
         ic.insert("b", b).unwrap();
         ic.insert("c", c).unwrap();
+        // Co-partitioned, primary-key-indexed pair: every variant joins it
+        // as MergeJoin over two IndexScans, so IC+M's splitter strides over
+        // stored index runs.
+        ic.run("CREATE TABLE t (t1 BIGINT, t2 BIGINT, t3 DOUBLE, PRIMARY KEY (t1))").unwrap();
+        ic.run("CREATE TABLE u (u1 BIGINT, u2 BIGINT, u3 VARCHAR, PRIMARY KEY (u1))").unwrap();
+        ic.run("CREATE INDEX ix_t1 ON t (t1)").unwrap();
+        ic.run("CREATE INDEX ix_u1 ON u (u1)").unwrap();
+        let t: Vec<Row> = (0..1500)
+            .rev()
+            .map(|i| Row(vec![Datum::Int(i), Datum::Int(i % 37), Datum::Double((i % 97) as f64 / 3.0)]))
+            .collect();
+        let u: Vec<Row> = (0..1500)
+            .rev()
+            .filter(|i| i % 3 != 0)
+            .map(|i| Row(vec![Datum::Int(i), Datum::Int(i % 11), Datum::str(format!("tag{}", i % 5))]))
+            .collect();
+        ic.insert("t", t).unwrap();
+        ic.insert("u", u).unwrap();
         ic.analyze_all().unwrap();
         let plus = ic.with_variant(SystemVariant::ICPlus);
         let plus_m = ic.with_variant(SystemVariant::ICPlusM);
@@ -149,6 +167,35 @@ proptest! {
              (SELECT 1 FROM b WHERE b.b2 = a.a2 AND b.b1 > {v})"
         );
         let f = fixture();
+        let r_ic = f.ic.query(&sql).unwrap();
+        let r_plus = f.plus.query(&sql).unwrap();
+        let r_m = f.plus_m.query(&sql).unwrap();
+        prop_assert_eq!(canon(&r_ic.rows), canon(&r_plus.rows), "IC vs IC+: {}", sql);
+        prop_assert_eq!(canon(&r_plus.rows), canon(&r_m.rows), "IC+ vs IC+M: {}", sql);
+    }
+
+    /// Index-backed merge joins agree across variants (IC+M runs them in
+    /// variant fragments: the splitter side is a stride over the index run).
+    #[test]
+    fn equivalence_index_merge_join(lo in 0i64..37, hi in 0i64..11, grouped in proptest::bool::ANY) {
+        let sql = if grouped {
+            format!(
+                "SELECT u.u3, count(*), sum(t.t3) FROM t, u \
+                 WHERE t.t1 = u.u1 AND t.t2 > {lo} AND u.u2 <= {hi} GROUP BY u.u3"
+            )
+        } else {
+            format!(
+                "SELECT t.t1, u.u3 FROM t, u WHERE t.t1 = u.u1 AND t.t2 > {lo} AND u.u2 <= {hi}"
+            )
+        };
+        let f = fixture();
+        for c in [&f.ic, &f.plus, &f.plus_m] {
+            let plan = c.explain(&sql).unwrap();
+            prop_assert!(
+                plan.contains("MergeJoin") && plan.matches("IndexScan(").count() == 2,
+                "not index-backed:\n{}", plan
+            );
+        }
         let r_ic = f.ic.query(&sql).unwrap();
         let r_plus = f.plus.query(&sql).unwrap();
         let r_m = f.plus_m.query(&sql).unwrap();
