@@ -1,52 +1,59 @@
-//! Operator-kernel microbenchmarks: the batch-at-a-time hash join, hash
-//! aggregation, and sort kernels against the row-at-a-time implementations
-//! they replaced (`HashMap<Vec<Datum>, _>` keyed by materialized key
-//! vectors under SipHash; per-comparison key evaluation in sort).
+//! Operator-kernel microbenchmarks: absolute throughput of the columnar
+//! kernels the engine runs — filter+project through selection vectors,
+//! `ColGroupTable` hash aggregation, `ColJoinTable` build and probe+gather,
+//! and the column-permutation sort — plus the per-batch tracing overhead.
 //!
-//! The "baseline" side reimplements the pre-kernel operator bodies
-//! verbatim so one run yields an apples-to-apples before/after. Each
-//! benchmark also cross-checks a checksum between the two sides, so a
-//! reported speedup over a wrong answer is impossible.
+//! Each kernel's result is checked against a checksum computed from the
+//! generated rows by a plain scalar loop outside the timed section, so a
+//! reported throughput over a wrong answer is impossible. (The row-engine
+//! A/B these kernels were adopted on is frozen history: EXPERIMENTS.md
+//! "Kernel A/B" names the commit to check out to rerun it.)
 //!
-//! A second section (`row_vs_column` in the JSON) A/Bs the columnar data
-//! plane against the row kernels it replaced: filter+project via selection
-//! vectors vs per-row `Datum` eval, `ColGroupTable` vs `GroupTable`,
-//! `ColJoinTable` probe+gather vs `JoinHashTable` probe+concat, and the
-//! column-permutation sort vs decorate-sort-undecorate. With
-//! `IC_BENCH_ASSERT=1` (the CI smoke) the run fails unless columnar ≥ row
-//! on every shape, ≥ 1.5× on filter+project and hash agg, and the tracing
+//! With `IC_BENCH_ASSERT=1` (the CI smoke) the run fails unless the tracing
 //! overhead stays ≤ 5%.
 //!
 //! Env: `IC_BENCH_KERNEL_ROWS` (default 200000), `IC_BENCH_KERNEL_REPS`
-//! (default 3). Writes `BENCH_kernels.json` to the working directory.
+//! (default 3). A default-size run writes `BENCH_kernels.json` to the
+//! working directory, a smaller one to `target/bench/`.
 
-use ic_common::agg::{Accumulator, AggFunc};
+use ic_common::agg::AggFunc;
+use ic_common::eval::eval_filter_sel;
 use ic_common::row::BATCH_SIZE;
 use ic_common::{BinOp, ColumnBatch, ColumnData, Datum, Expr, Row};
-use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::{gather_join_output, sort_permutation, ColGroupTable, ColJoinTable};
-use ic_exec::row_kernels::{GroupTable, JoinHashTable};
 use ic_plan::ops::{AggCall, SortKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
+
+const DEFAULT_ROWS: usize = 200_000;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-/// Run `f` `reps` times; `f` returns (measured duration, checksum).
-/// Reports the best rep (least interference) and the last checksum.
-fn bench(reps: usize, mut f: impl FnMut() -> (Duration, u64)) -> (f64, u64) {
+/// Run `f` `reps` times; `f` returns (measured duration, checksum). Asserts
+/// every rep's checksum and reports `n` rows over the best rep (least
+/// interference).
+fn bench(
+    name: &'static str,
+    n: usize,
+    reps: usize,
+    expect: u64,
+    mut f: impl FnMut() -> (Duration, u64),
+) -> Outcome {
     let mut best = f64::INFINITY;
-    let mut sum = 0u64;
     for _ in 0..reps {
-        let (dt, s) = f();
-        sum = s;
+        let (dt, sum) = f();
+        assert_eq!(sum, expect, "{name}: checksum differs from the scalar reference");
         best = best.min(dt.as_secs_f64());
     }
-    (best, sum)
+    Outcome { name, rows_per_sec: n as f64 / best }
+}
+
+struct Outcome {
+    name: &'static str,
+    rows_per_sec: f64,
 }
 
 /// Two-column rows: `[Int(key), Int(i)]` with keys drawn from `nkeys`
@@ -58,343 +65,12 @@ fn make_rows(n: usize, nkeys: i64, seed: u64) -> Vec<Row> {
         .collect()
 }
 
-struct Outcome {
-    name: &'static str,
-    baseline_rows_per_sec: f64,
-    kernel_rows_per_sec: f64,
-}
-
-impl Outcome {
-    fn speedup(&self) -> f64 {
-        self.kernel_rows_per_sec / self.baseline_rows_per_sec
-    }
-}
-
-fn bench_join(n: usize, reps: usize) -> Vec<Outcome> {
-    // PK-FK shape, as in TPC-H: the build side is a dimension-sized table
-    // with (mostly) unique keys, the probe side a fact table referencing it.
-    let build_n = (n / 8).max(1024);
-    let nkeys = build_n as i64;
-    let build = make_rows(build_n, nkeys, 1);
-    let probe = make_rows(n, nkeys, 2);
-
-    // --- Build phase ---
-    let (base_build, base_build_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut table: HashMap<Vec<Datum>, Vec<Row>> = HashMap::new();
-        for row in build.iter().cloned() {
-            let key: Vec<Datum> = vec![row.0[0].clone()];
-            table.entry(key).or_default().push(row);
-        }
-        (t.elapsed(), table.values().map(Vec::len).sum::<usize>() as u64)
-    });
-    let (kern_build, kern_build_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut table = JoinHashTable::new(vec![0]);
-        for row in build.iter().cloned() {
-            table.insert(row);
-        }
-        (t.elapsed(), table.len() as u64)
-    });
-    assert_eq!(base_build_sum, kern_build_sum, "join build: table sizes differ");
-
-    // --- Probe phase (prebuilt tables, matches counted + payload-summed) ---
-    let mut base_table: HashMap<Vec<Datum>, Vec<Row>> = HashMap::new();
-    for row in build.iter().cloned() {
-        base_table.entry(vec![row.0[0].clone()]).or_default().push(row);
-    }
-    let mut kern_table = JoinHashTable::new(vec![0]);
-    for row in build.iter().cloned() {
-        kern_table.insert(row);
-    }
-    let (base_probe, base_probe_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut sum = 0u64;
-        for row in &probe {
-            let key: Vec<Datum> = vec![row.0[0].clone()];
-            if let Some(matches) = base_table.get(&key) {
-                for m in matches {
-                    sum = sum.wrapping_add(m.0[1].as_int().unwrap() as u64);
-                }
-            }
-        }
-        (t.elapsed(), sum)
-    });
-    let (kern_probe, kern_probe_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut sum = 0u64;
-        for row in &probe {
-            for m in kern_table.probe(row, &[0]) {
-                sum = sum.wrapping_add(m.0[1].as_int().unwrap() as u64);
-            }
-        }
-        (t.elapsed(), sum)
-    });
-    assert_eq!(base_probe_sum, kern_probe_sum, "join probe: match payloads differ");
-
-    vec![
-        Outcome {
-            name: "hash_join_build",
-            baseline_rows_per_sec: build_n as f64 / base_build,
-            kernel_rows_per_sec: build_n as f64 / kern_build,
-        },
-        Outcome {
-            name: "hash_join_probe",
-            baseline_rows_per_sec: n as f64 / base_probe,
-            kernel_rows_per_sec: n as f64 / kern_probe,
-        },
-    ]
-}
-
-/// One hash-aggregation shape: baseline (materialized key vector into a
-/// SipHash `HashMap`, as the old operator) vs the `GroupTable` kernel.
-fn bench_agg_shape(
-    name: &'static str,
-    rows: &[Row],
-    group: &[usize],
-    val_col: usize,
-    reps: usize,
-) -> Outcome {
-    let n = rows.len();
-    let aggs =
-        vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(val_col)), name: "s".into() }];
-
-    let (base, base_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut groups: HashMap<Vec<Datum>, Vec<Accumulator>> = HashMap::new();
-        for row in rows {
-            let key: Vec<Datum> = group.iter().map(|&c| row.0[c].clone()).collect();
-            let accs = groups
-                .entry(key)
-                .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-            for (acc, call) in accs.iter_mut().zip(&aggs) {
-                acc.update(call.arg.as_ref().unwrap().eval(row).unwrap()).unwrap();
-            }
-        }
-        // Order-independent checksum over finished groups.
-        let mut sum = groups.len() as u64;
-        for accs in groups.values() {
-            sum = sum.wrapping_add(accs[0].finish().as_int().unwrap() as u64);
-        }
-        (t.elapsed(), sum)
-    });
-    let (kern, kern_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut table = GroupTable::new(group.to_vec(), aggs.len());
-        for row in rows {
-            let slot = table.lookup_or_insert(row, &aggs);
-            // Mirrors the operator's plain-column fast path (`apply_row`):
-            // `Expr::Col` args read the datum directly instead of walking
-            // the expression tree.
-            for (acc, call) in table.accs_mut(slot).iter_mut().zip(&aggs) {
-                let v = match &call.arg {
-                    Some(Expr::Col(c)) => row.0[*c].clone(),
-                    Some(e) => e.eval(row).unwrap(),
-                    None => Datum::Int(1),
-                };
-                acc.update(v).unwrap();
-            }
-        }
-        let mut sum = table.len() as u64;
-        for slot in 0..table.len() {
-            let (_, accs) = table.take_group(slot);
-            sum = sum.wrapping_add(accs[0].finish().as_int().unwrap() as u64);
-        }
-        (t.elapsed(), sum)
-    });
-    assert_eq!(base_sum, kern_sum, "hash agg ({name}): group sums differ");
-
-    Outcome {
-        name,
-        baseline_rows_per_sec: n as f64 / base,
-        kernel_rows_per_sec: n as f64 / kern,
-    }
-}
-
-fn bench_agg(n: usize, reps: usize) -> Vec<Outcome> {
-    // Shape 1 — integer group keys at moderate cardinality, the common
-    // TPC-H case (GROUP BY o_orderkey / c_custkey / suppkey...): the old
-    // operator allocated and SipHashed an owned `Vec<Datum>` key per input
-    // row; the kernel hashes the column in place.
-    let int_rows = make_rows(n, (n / 16).max(8) as i64, 3);
-    let int_shape = bench_agg_shape("hash_agg", &int_rows, &[0], 1, reps);
-
-    // Shape 2 — TPC-H Q1: group by (returnflag, linestatus), two CHAR
-    // columns, eight groups. Both sides chase an `Arc<str>` per key column
-    // per row, so this shape is memory-bound on the shared string reads and
-    // the kernel's advantage is structurally smaller.
-    let flags = ["A", "F", "N", "O"];
-    let status = ["F", "O"];
-    let mut rng = StdRng::seed_from_u64(5);
-    let q1_rows: Vec<Row> = (0..n)
-        .map(|i| {
-            Row(vec![
-                Datum::str(flags[rng.gen_range(0..flags.len())]),
-                Datum::str(status[rng.gen_range(0..status.len())]),
-                Datum::Int(i as i64),
-            ])
-        })
-        .collect();
-    let q1_shape = bench_agg_shape("hash_agg_q1_strings", &q1_rows, &[0, 1], 2, reps);
-
-    vec![int_shape, q1_shape]
-}
-
-fn bench_sort(n: usize, reps: usize) -> Outcome {
-    // Wide rows (lineitem-like): per-comparison key re-indexing drags whole
-    // scattered rows through the cache, while the decorated key buffer is
-    // compact and contiguous.
-    let nkeys = (n / 4).max(1) as i64;
-    let mut rng = StdRng::seed_from_u64(4);
-    let rows: Vec<Row> = (0..n)
-        .map(|i| {
-            let mut cols = vec![Datum::Int(rng.gen_range(0..nkeys)), Datum::Int(i as i64)];
-            cols.extend((0..10).map(Datum::Int));
-            Row(cols)
-        })
-        .collect();
-    let order_sum = |sorted: &[Row]| {
-        sorted.iter().enumerate().fold(0u64, |s, (i, r)| {
-            s.wrapping_add((i as u64).wrapping_mul(r.0[1].as_int().unwrap() as u64))
-        })
-    };
-
-    // Baseline: the old SortExec body — stable sort, key columns compared
-    // by re-indexing the rows on every comparison.
-    let keys = [0usize, 1usize];
-    let (base, base_sum) = bench(reps, || {
-        let mut v = rows.clone();
-        let t = Instant::now();
-        v.sort_by(|a, b| {
-            for &k in &keys {
-                let ord = a.0[k].cmp(&b.0[k]);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        (t.elapsed(), order_sum(&v))
-    });
-
-    // Kernel: decorate-sort-undecorate over a flat key buffer with an
-    // index sort, as SortExec now does.
-    let (kern, kern_sum) = bench(reps, || {
-        let mut v = rows.clone();
-        let t = Instant::now();
-        let klen = keys.len();
-        let mut keybuf: Vec<Datum> = Vec::with_capacity(v.len() * klen);
-        for row in &v {
-            for &k in &keys {
-                keybuf.push(row.0[k].clone());
-            }
-        }
-        let mut idx: Vec<u32> = (0..v.len() as u32).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            let (abase, bbase) = (a as usize * klen, b as usize * klen);
-            keybuf[abase..abase + klen]
-                .cmp(&keybuf[bbase..bbase + klen])
-                .then(a.cmp(&b))
-        });
-        let sorted: Vec<Row> =
-            idx.iter().map(|&i| std::mem::take(&mut v[i as usize])).collect();
-        (t.elapsed(), order_sum(&sorted))
-    });
-    assert_eq!(base_sum, kern_sum, "sort: output orders differ");
-
-    Outcome {
-        name: "sort",
-        baseline_rows_per_sec: n as f64 / base,
-        kernel_rows_per_sec: n as f64 / kern,
-    }
-}
-
-/// Tracing-overhead microbenchmark: layer the exact per-batch
-/// instrumentation a traced query adds in the executor — two
-/// [`Trace::now_ns`] reads plus one [`AttemptStats::record_next`] per
-/// `BATCH_SIZE` rows — over the hash-aggregation kernel, and report the
-/// percent slowdown vs the uninstrumented loop. OBSERVABILITY.md quotes
-/// this number; the acceptance bar is ≤ 5%.
-///
-/// [`Trace::now_ns`]: ic_common::obs::Trace::now_ns
-/// [`AttemptStats::record_next`]: ic_common::obs::AttemptStats::record_next
-fn bench_trace_overhead(n: usize, reps: usize) -> (f64, f64) {
-    use ic_common::obs::{OpMeta, Trace};
-
-    // The effect being measured is sub-1%, far below run-to-run scheduler
-    // noise: floor the input so each rep runs ~10 ms (millisecond reps are
-    // all jitter) and take best-of more draws than the throughput benches.
-    let n = n.max(200_000);
-    let reps = reps.max(7);
-
-    let rows = make_rows(n, (n / 16).max(8) as i64, 7);
-    let aggs =
-        vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }];
-    let agg_chunk = |table: &mut GroupTable, chunk: &[Row]| {
-        for row in chunk {
-            let slot = table.lookup_or_insert(row, &aggs);
-            for (acc, call) in table.accs_mut(slot).iter_mut().zip(&aggs) {
-                let v = match &call.arg {
-                    Some(Expr::Col(c)) => row.0[*c].clone(),
-                    Some(e) => e.eval(row).unwrap(),
-                    None => Datum::Int(1),
-                };
-                acc.update(v).unwrap();
-            }
-        }
-    };
-
-    let run_plain = || {
-        let t = Instant::now();
-        let mut table = GroupTable::new(vec![0], aggs.len());
-        for chunk in rows.chunks(BATCH_SIZE) {
-            agg_chunk(&mut table, chunk);
-        }
-        (t.elapsed(), table.len() as u64)
-    };
-    let run_traced = || {
-        let trace = Trace::new();
-        let attempt = trace.register_attempt(vec![OpMeta {
-            label: "HashAggregate".into(),
-            detail: String::new(),
-            parent: None,
-            depth: 0,
-            est_rows: n as f64,
-        }]);
-        let t = Instant::now();
-        let mut table = GroupTable::new(vec![0], aggs.len());
-        for chunk in rows.chunks(BATCH_SIZE) {
-            let t0 = trace.now_ns();
-            agg_chunk(&mut table, chunk);
-            attempt.record_next(0, chunk.len() as u64, trace.now_ns() - t0, true);
-        }
-        (t.elapsed(), table.len() as u64)
-    };
-
-    // Run the two sides back to back and compare within each pair: a load
-    // burst or CPU-quota throttle slows both halves of a pair about
-    // equally, so the per-pair ratio stays meaningful where comparing a
-    // quiet plain window against a loud traced one would not. Tracing is a
-    // fixed multiplicative cost and interference can only inflate a pair's
-    // ratio, so the quietest pair is the bound the CI gate asserts on; the
-    // median pair is the less-biased number to report and commit.
-    let mut ratios: Vec<f64> = (0..reps)
-        .map(|_| {
-            let (dt_p, plain_sum) = run_plain();
-            let (dt_t, traced_sum) = run_traced();
-            assert_eq!(plain_sum, traced_sum, "trace overhead: group counts differ");
-            dt_t.as_secs_f64() / dt_p.as_secs_f64()
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-
-    let min_pct = (ratios[0] - 1.0) * 100.0;
-    let median_pct = (ratios[ratios.len() / 2] - 1.0) * 100.0;
-    (min_pct, median_pct)
-}
-
 fn to_batches(rows: &[Row]) -> Vec<ColumnBatch> {
     rows.chunks(BATCH_SIZE).map(ColumnBatch::from_rows).collect()
+}
+
+fn int_at(row: &Row, c: usize) -> i64 {
+    row.0[c].as_int().expect("generated columns are non-null ints")
 }
 
 /// Checksum helper: sum an Int column over a batch's logical rows.
@@ -413,170 +89,121 @@ fn sum_int_col(batch: &ColumnBatch, c: usize) -> u64 {
     sum
 }
 
-/// Filter+project, row engine vs columnar: a ~50%-selective predicate over
-/// the key column, projecting the payload — the scan→σ→π spine of every
-/// TPC-H query. The row side evaluates the predicate per row and
-/// materializes each surviving row; the columnar side shrinks a selection
-/// vector and bumps a column pointer, touching no values until the
-/// checksum reads the survivors.
-fn bench_rvc_filter_project(n: usize, reps: usize) -> Outcome {
+/// Filter+project: a ~50%-selective predicate over the key column,
+/// projecting the payload — the scan→σ→π spine of every TPC-H query. The
+/// filter shrinks a selection vector and the projection bumps a column
+/// pointer; no value is touched until the checksum reads the survivors.
+fn bench_filter_project(n: usize, reps: usize) -> Outcome {
     let nkeys = (n as i64).max(1);
     let rows = make_rows(n, nkeys, 6);
     let pred = Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(Datum::Int(nkeys / 2)));
     let batches = to_batches(&rows);
-
-    let (row_t, row_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut sum = 0u64;
-        let mut out: Vec<Row> = Vec::new();
-        for chunk in rows.chunks(BATCH_SIZE) {
-            out.clear();
-            for row in chunk {
-                if pred.eval_filter(row).unwrap() {
-                    out.push(Row(vec![row.0[1].clone()]));
-                }
-            }
-            for r in &out {
-                sum = sum.wrapping_add(r.0[0].as_int().unwrap() as u64);
-            }
-        }
-        (t.elapsed(), sum)
-    });
-    let (col_t, col_sum) = bench(reps, || {
+    let expect = rows
+        .iter()
+        .filter(|r| int_at(r, 0) < nkeys / 2)
+        .fold(0u64, |s, r| s.wrapping_add(int_at(r, 1) as u64));
+    bench("filter_project", n, reps, expect, || {
         let t = Instant::now();
         let mut sum = 0u64;
         for b in &batches {
-            let sel = eval_filter_sel(&pred, b).unwrap();
+            let sel = eval_filter_sel(&pred, b).expect("well-typed predicate");
             let projected = b.select_logical(&sel).project_cols(&[1]);
             sum = sum.wrapping_add(sum_int_col(&projected, 0));
         }
         (t.elapsed(), sum)
-    });
-    assert_eq!(row_sum, col_sum, "filter_project: checksums differ");
-    Outcome {
-        name: "filter_project",
-        baseline_rows_per_sec: n as f64 / row_t,
-        kernel_rows_per_sec: n as f64 / col_t,
+    })
+}
+
+fn sum_agg() -> Vec<AggCall> {
+    vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }]
+}
+
+/// Fold `batches` into `table` (`SUM(col 1) GROUP BY col 0`).
+fn agg_batches(table: &mut ColGroupTable, aggs: &[AggCall], batches: &[ColumnBatch]) {
+    let mut slots = Vec::new();
+    for b in batches {
+        table.slots_for_batch(b, aggs, &mut slots);
+        table.accumulate(0, b.col(1), b.selection(), &slots).expect("int sum");
     }
 }
 
-/// Hash aggregation, row engine vs columnar: `GroupTable` boxes a `Datum`
-/// per input row to feed each accumulator; `ColGroupTable` resolves group
-/// slots per batch and folds the argument column in a typed loop.
-fn bench_rvc_hash_agg(n: usize, reps: usize) -> Outcome {
-    let rows = make_rows(n, (n / 16).max(8) as i64, 8);
-    let aggs =
-        vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }];
+/// Hash aggregation: integer group keys at moderate cardinality, the common
+/// TPC-H case (GROUP BY o_orderkey / c_custkey / suppkey...). Group slots
+/// are resolved per batch and the argument column folds in a typed loop.
+fn bench_hash_agg(n: usize, reps: usize) -> Outcome {
+    let nkeys = (n / 16).max(8);
+    let rows = make_rows(n, nkeys as i64, 8);
+    let aggs = sum_agg();
     let batches = to_batches(&rows);
-
-    let (row_t, row_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut table = GroupTable::new(vec![0], aggs.len());
-        for row in &rows {
-            let slot = table.lookup_or_insert(row, &aggs);
-            for (acc, call) in table.accs_mut(slot).iter_mut().zip(&aggs) {
-                let v = match &call.arg {
-                    Some(Expr::Col(c)) => row.0[*c].clone(),
-                    Some(e) => e.eval(row).unwrap(),
-                    None => Datum::Int(1),
-                };
-                acc.update(v).unwrap();
-            }
-        }
-        let mut sum = table.len() as u64;
-        for slot in 0..table.len() {
-            let (_, accs) = table.take_group(slot);
-            sum = sum.wrapping_add(accs[0].finish().as_int().unwrap() as u64);
-        }
-        (t.elapsed(), sum)
+    // Groups seen + the sum of every group's sum (= the sum of the column).
+    let mut seen = vec![false; nkeys];
+    rows.iter().for_each(|r| seen[int_at(r, 0) as usize] = true);
+    let expect = rows.iter().fold(seen.iter().filter(|&&s| s).count() as u64, |s, r| {
+        s.wrapping_add(int_at(r, 1) as u64)
     });
-    let (col_t, col_sum) = bench(reps, || {
+    bench("hash_agg", n, reps, expect, || {
         let t = Instant::now();
         let mut table = ColGroupTable::new(vec![0], aggs.len());
-        let mut slots = Vec::new();
-        for b in &batches {
-            table.slots_for_batch(b, &aggs, &mut slots);
-            table.accumulate(0, b.col(1), b.selection(), &slots).unwrap();
-        }
+        agg_batches(&mut table, &aggs, &batches);
         let mut sum = table.len() as u64;
         for slot in 0..table.len() {
             let (_, accs) = table.take_group(slot);
-            sum = sum.wrapping_add(accs[0].finish().as_int().unwrap() as u64);
+            sum = sum.wrapping_add(accs[0].finish().as_int().expect("int sum") as u64);
         }
         (t.elapsed(), sum)
-    });
-    assert_eq!(row_sum, col_sum, "hash_agg row_vs_column: group sums differ");
-    Outcome {
-        name: "hash_agg",
-        baseline_rows_per_sec: n as f64 / row_t,
-        kernel_rows_per_sec: n as f64 / col_t,
-    }
+    })
 }
 
-/// Join probe, row engine vs columnar, PK-FK shape with materialized
-/// output: the row side probes per row and concatenates owned `Datum`
-/// vectors per match; the columnar side resolves (probe, build) index
-/// pairs per batch and gathers the joined batch column by column.
-fn bench_rvc_join_probe(n: usize, reps: usize) -> Outcome {
+/// Join build and probe, PK-FK shape as in TPC-H: the build side is a
+/// dimension-sized table with (mostly) unique keys, the probe side a fact
+/// table referencing it. The probe resolves (probe, build) index pairs per
+/// batch and gathers the joined batch column by column.
+fn bench_join(n: usize, reps: usize) -> Vec<Outcome> {
     let build_n = (n / 8).max(1024);
-    let nkeys = build_n as i64;
-    let build = make_rows(build_n, nkeys, 9);
-    let probe = make_rows(n, nkeys, 10);
-    let probe_batches = to_batches(&probe);
-
-    let mut row_table = JoinHashTable::new(vec![0]);
-    for row in build.iter().cloned() {
-        row_table.insert(row);
-    }
-    let mut col_table = ColJoinTable::new(vec![0], 2);
-    for b in to_batches(&build) {
-        col_table.insert_batch(&b);
-    }
-    col_table.finish_build();
-
-    let (row_t, row_sum) = bench(reps, || {
-        let t = Instant::now();
-        let mut sum = 0u64;
-        let mut out: Vec<Row> = Vec::new();
-        for chunk in probe.chunks(BATCH_SIZE) {
-            out.clear();
-            for row in chunk {
-                for m in row_table.probe(row, &[0]) {
-                    let mut joined = row.0.clone();
-                    joined.extend(m.0.iter().cloned());
-                    out.push(Row(joined));
-                }
-            }
-            for r in &out {
-                sum = sum.wrapping_add(r.0[3].as_int().unwrap() as u64);
-            }
+    let build = make_rows(build_n, build_n as i64, 9);
+    let probe = make_rows(n, build_n as i64, 10);
+    let (build_batches, probe_batches) = (to_batches(&build), to_batches(&probe));
+    let build_table = || {
+        let mut table = ColJoinTable::new(vec![0], 2);
+        for b in &build_batches {
+            table.insert_batch(b);
         }
-        (t.elapsed(), sum)
+        table.finish_build();
+        table
+    };
+    let built = bench("hash_join_build", build_n, reps, build_n as u64, || {
+        let t = Instant::now();
+        let table = build_table();
+        (t.elapsed(), table.len() as u64)
     });
-    let (col_t, col_sum) = bench(reps, || {
+
+    // Per key, the sum of the build payloads carrying it: a probe row
+    // contributes its key's entry.
+    let mut payload_of_key = vec![0u64; build_n];
+    for r in &build {
+        let k = int_at(r, 0) as usize;
+        payload_of_key[k] = payload_of_key[k].wrapping_add(int_at(r, 1) as u64);
+    }
+    let expect =
+        probe.iter().fold(0u64, |s, r| s.wrapping_add(payload_of_key[int_at(r, 0) as usize]));
+    let table = build_table();
+    let probed = bench("hash_join_probe", n, reps, expect, || {
         let t = Instant::now();
         let mut sum = 0u64;
         for b in &probe_batches {
-            let (pks, bis) = col_table.probe_pairs(b, &[0], false);
-            let joined = gather_join_output(b, &pks, col_table.arena(), &bis);
+            let (pks, bis) = table.probe_pairs(b, &[0], false);
+            let joined = gather_join_output(b, &pks, table.arena(), &bis);
             sum = sum.wrapping_add(sum_int_col(&joined, 3));
         }
         (t.elapsed(), sum)
     });
-    assert_eq!(row_sum, col_sum, "join_probe row_vs_column: payloads differ");
-    Outcome {
-        name: "join_probe",
-        baseline_rows_per_sec: n as f64 / row_t,
-        kernel_rows_per_sec: n as f64 / col_t,
-    }
+    vec![built, probed]
 }
 
-/// Sort, row engine vs columnar, wide lineitem-like rows: the row side
-/// decorates a flat key buffer and rebuilds the row vector in sorted
-/// order; the columnar side computes a permutation over the key columns
-/// and applies it as a selection view — the 12 payload columns never move.
-// ic-lint: allow(L010) because the row-vs-column sort benchmark hand-rolls both loops on purpose; keys are generated non-null
-fn bench_rvc_sort(n: usize, reps: usize) -> Outcome {
+/// Sort, wide lineitem-like rows: a permutation over the two key columns,
+/// applied as a selection view — the payload columns never move.
+// ic-lint: allow(L010) because the sort benchmark hand-rolls the checksum loop on purpose; keys are generated non-null
+fn bench_sort(n: usize, reps: usize) -> Outcome {
     let nkeys = (n / 4).max(1) as i64;
     let mut rng = StdRng::seed_from_u64(11);
     let rows: Vec<Row> = (0..n)
@@ -586,163 +213,132 @@ fn bench_rvc_sort(n: usize, reps: usize) -> Outcome {
             Row(cols)
         })
         .collect();
-    // Col 1 is unique, so the (0, 1) key is a total order: both sides must
-    // produce the identical permutation and the checksum is well-defined.
-    let row_keys = [0usize, 1usize];
-
-    let (row_t, row_sum) = bench(reps, || {
-        let mut v = rows.clone();
-        let t = Instant::now();
-        let klen = row_keys.len();
-        let mut keybuf: Vec<Datum> = Vec::with_capacity(v.len() * klen);
-        for row in &v {
-            for &k in &row_keys {
-                keybuf.push(row.0[k].clone());
-            }
-        }
-        let mut idx: Vec<u32> = (0..v.len() as u32).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            let (abase, bbase) = (a as usize * klen, b as usize * klen);
-            keybuf[abase..abase + klen]
-                .cmp(&keybuf[bbase..bbase + klen])
-                .then(a.cmp(&b))
-        });
-        let sorted: Vec<Row> =
-            idx.iter().map(|&i| std::mem::take(&mut v[i as usize])).collect();
-        let sum = sorted.iter().enumerate().fold(0u64, |s, (i, r)| {
-            s.wrapping_add((i as u64).wrapping_mul(r.0[1].as_int().unwrap() as u64))
-        });
-        (t.elapsed(), sum)
-    });
-
+    // Col 1 is unique, so the (0, 1) key is a total order and the
+    // position-weighted checksum is well-defined.
+    let mut sorted: Vec<(i64, i64)> = rows.iter().map(|r| (int_at(r, 0), int_at(r, 1))).collect();
+    sorted.sort_unstable();
+    let expect = sorted
+        .iter()
+        .enumerate()
+        .fold(0u64, |s, (i, &(_, v))| s.wrapping_add((i as u64).wrapping_mul(v as u64)));
     let dense = ColumnBatch::from_rows(&rows);
-    let col_keys = [SortKey::asc(0), SortKey::asc(1)];
-    let (col_t, col_sum) = bench(reps, || {
+    let keys = [SortKey::asc(0), SortKey::asc(1)];
+    bench("sort", n, reps, expect, || {
         let t = Instant::now();
-        let perm = sort_permutation(&dense, &col_keys);
-        let sorted = dense.with_sel(perm);
+        let sorted = dense.with_sel(sort_permutation(&dense, &keys));
         let mut sum = 0u64;
         if let ColumnData::Int(v) = &sorted.col(1).data {
             for k in 0..sorted.num_rows() {
-                sum = sum
-                    .wrapping_add((k as u64).wrapping_mul(v[sorted.phys_index(k)] as u64));
+                sum = sum.wrapping_add((k as u64).wrapping_mul(v[sorted.phys_index(k)] as u64));
             }
         }
         (t.elapsed(), sum)
-    });
-    assert_eq!(row_sum, col_sum, "sort row_vs_column: output orders differ");
-    Outcome {
-        name: "sort",
-        baseline_rows_per_sec: n as f64 / row_t,
-        kernel_rows_per_sec: n as f64 / col_t,
-    }
+    })
 }
 
-fn bench_row_vs_column(n: usize, reps: usize) -> Vec<Outcome> {
-    vec![
-        bench_rvc_filter_project(n, reps),
-        bench_rvc_hash_agg(n, reps),
-        bench_rvc_join_probe(n, reps),
-        bench_rvc_sort(n, reps),
-    ]
+/// Tracing-overhead microbenchmark: layer the exact per-batch
+/// instrumentation a traced query adds in the executor — two
+/// [`Trace::now_ns`] reads plus one [`AttemptStats::record_next`] per
+/// `BATCH_SIZE` rows — over the hash-aggregation kernel, and report the
+/// percent slowdown vs the uninstrumented loop as (quietest pair, median
+/// pair). OBSERVABILITY.md quotes this number; the acceptance bar is ≤ 5%.
+///
+/// [`Trace::now_ns`]: ic_common::obs::Trace::now_ns
+/// [`AttemptStats::record_next`]: ic_common::obs::AttemptStats::record_next
+fn bench_trace_overhead(n: usize, reps: usize) -> (f64, f64) {
+    use ic_common::obs::{OpMeta, Trace};
+
+    // The effect being measured is sub-1%, far below run-to-run scheduler
+    // noise: floor the input so each rep runs for milliseconds (shorter
+    // reps are all jitter) and take more draws than the throughput benches.
+    let n = n.max(DEFAULT_ROWS);
+    let reps = reps.max(7);
+
+    let aggs = sum_agg();
+    let batches = to_batches(&make_rows(n, (n / 16).max(8) as i64, 7));
+    let run_plain = || {
+        let t = Instant::now();
+        let mut table = ColGroupTable::new(vec![0], aggs.len());
+        for b in &batches {
+            agg_batches(&mut table, &aggs, std::slice::from_ref(b));
+        }
+        (t.elapsed(), table.len())
+    };
+    let run_traced = || {
+        let trace = Trace::new();
+        let attempt = trace.register_attempt(vec![OpMeta {
+            label: "HashAggregate".into(),
+            detail: String::new(),
+            parent: None,
+            depth: 0,
+            est_rows: n as f64,
+        }]);
+        let t = Instant::now();
+        let mut table = ColGroupTable::new(vec![0], aggs.len());
+        for b in &batches {
+            let t0 = trace.now_ns();
+            agg_batches(&mut table, &aggs, std::slice::from_ref(b));
+            attempt.record_next(0, b.num_rows() as u64, trace.now_ns() - t0, true);
+        }
+        (t.elapsed(), table.len())
+    };
+
+    // Run the two sides back to back and compare within each pair: a load
+    // burst or CPU-quota throttle slows both halves of a pair about
+    // equally, so the per-pair ratio stays meaningful where comparing a
+    // quiet plain window against a loud traced one would not. Tracing is a
+    // fixed multiplicative cost and interference can only inflate a pair's
+    // ratio, so the quietest pair is the bound the CI gate asserts on; the
+    // median pair is the less-biased number to report and commit.
+    let mut ratios: Vec<f64> = (0..reps)
+        .map(|_| {
+            let (dt_p, plain_groups) = run_plain();
+            let (dt_t, traced_groups) = run_traced();
+            assert_eq!(plain_groups, traced_groups, "trace overhead: group counts differ");
+            dt_t.as_secs_f64() / dt_p.as_secs_f64()
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ((ratios[0] - 1.0) * 100.0, (ratios[ratios.len() / 2] - 1.0) * 100.0)
 }
 
 fn main() {
-    let n = env_usize("IC_BENCH_KERNEL_ROWS", 200_000);
+    let n = env_usize("IC_BENCH_KERNEL_ROWS", DEFAULT_ROWS);
     let reps = env_usize("IC_BENCH_KERNEL_REPS", 3);
     println!("kernel microbenchmarks: {n} rows, best of {reps} reps\n");
-    println!(
-        "{:<20} {:>16} {:>16} {:>9}",
-        "bench", "baseline rows/s", "kernel rows/s", "speedup"
-    );
 
-    let mut outcomes = bench_join(n, reps);
-    outcomes.extend(bench_agg(n, reps));
+    let mut outcomes = vec![bench_filter_project(n, reps), bench_hash_agg(n, reps)];
+    outcomes.extend(bench_join(n, reps));
     outcomes.push(bench_sort(n, reps));
-    let rvc = bench_row_vs_column(n, reps);
     let (overhead_min_pct, overhead_pct) = bench_trace_overhead(n, reps);
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"rows\": {n},\n  \"reps\": {reps},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"benches\": [\n"
-    ));
-    for (i, o) in outcomes.iter().enumerate() {
-        println!(
-            "{:<20} {:>16.0} {:>16.0} {:>8.2}x",
-            o.name,
-            o.baseline_rows_per_sec,
-            o.kernel_rows_per_sec,
-            o.speedup()
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"baseline_rows_per_sec\": {:.0}, \"kernel_rows_per_sec\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            o.name,
-            o.baseline_rows_per_sec,
-            o.kernel_rows_per_sec,
-            o.speedup(),
-            if i + 1 < outcomes.len() { "," } else { "" }
+    println!("{:<20} {:>16}", "kernel", "rows/s");
+    let mut kernels = Vec::new();
+    for o in &outcomes {
+        println!("{:<20} {:>16.0}", o.name, o.rows_per_sec);
+        kernels.push(format!(
+            "    {{\"name\": \"{}\", \"rows_per_sec\": {:.0}}}",
+            o.name, o.rows_per_sec
         ));
     }
-    json.push_str("  ],\n  \"row_vs_column\": [\n");
     println!(
-        "\n{:<20} {:>16} {:>16} {:>9}",
-        "row vs column", "row rows/s", "columnar rows/s", "speedup"
+        "\ntracing overhead (2 clock reads + record_next per {BATCH_SIZE}-row batch): {overhead_pct:+.2}%"
     );
-    for (i, o) in rvc.iter().enumerate() {
-        println!(
-            "{:<20} {:>16.0} {:>16.0} {:>8.2}x",
-            o.name,
-            o.baseline_rows_per_sec,
-            o.kernel_rows_per_sec,
-            o.speedup()
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"row_rows_per_sec\": {:.0}, \"column_rows_per_sec\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            o.name,
-            o.baseline_rows_per_sec,
-            o.kernel_rows_per_sec,
-            o.speedup(),
-            if i + 1 < rvc.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    println!(
-        "\ntracing overhead (2 clock reads + record_next per {}-row batch): {overhead_pct:+.2}%",
-        BATCH_SIZE
+    let fields = format!(
+        "  \"rows\": {n},\n  \"reps\": {reps},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"kernels\": [\n{}\n  ]\n",
+        kernels.join(",\n")
     );
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    println!("wrote BENCH_kernels.json");
+    let path = ic_bench::harness::write_bench_json("kernels", n < DEFAULT_ROWS, &fields)
+        .expect("write BENCH_kernels.json");
+    println!("wrote {path}");
 
-    // CI gate (`IC_BENCH_ASSERT=1`): the columnar data plane must not lose
-    // to the row engine on any shape, must clear 1.5× on filter+project and
-    // hash agg, and the per-batch tracing overhead must stay within the
-    // ≤ 5% budget OBSERVABILITY.md quotes.
+    // CI gate (`IC_BENCH_ASSERT=1`): the per-batch tracing overhead must
+    // stay within the ≤ 5% budget OBSERVABILITY.md quotes.
     if std::env::var("IC_BENCH_ASSERT").is_ok_and(|v| v == "1") {
-        for o in &rvc {
-            assert!(
-                o.speedup() >= 1.0,
-                "columnar {} regressed below the row engine: {:.2}x",
-                o.name,
-                o.speedup()
-            );
-        }
-        // The 1.5x bar is the acceptance A/B at representative size; CI's
-        // 20k-row smoke only checks columnar never loses (above) — tiny
-        // inputs leave table setup dominant and the margin meaningless.
-        if n >= 100_000 {
-            for name in ["filter_project", "hash_agg"] {
-                let o = rvc.iter().find(|o| o.name == name).expect("bench present");
-                assert!(
-                    o.speedup() >= 1.5,
-                    "columnar {name} below the 1.5x acceptance bar: {:.2}x",
-                    o.speedup()
-                );
-            }
-        }
         assert!(
             overhead_min_pct <= 5.0,
             "tracing overhead {overhead_min_pct:.2}% (quietest pair) exceeds the 5% budget"
         );
-        println!("IC_BENCH_ASSERT: columnar >= row on all shapes, >=1.5x on filter_project/hash_agg, trace overhead <= 5%");
+        println!("IC_BENCH_ASSERT: trace overhead <= 5%");
     }
 }

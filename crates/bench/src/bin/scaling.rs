@@ -1,10 +1,9 @@
 //! Intra-fragment scaling curve: one fixed 4-site cluster, worker pool
-//! width swept 0 → N threads per site, wall time per query shape.
+//! width swept 1 → N threads per site, wall time per query shape.
 //!
-//! `worker_threads = 0` is the pre-morsel sequential runtime (one thread
-//! drains each fragment instance); `1` runs the morsel pipeline with a
-//! single lane per site; `2+` adds lanes that pull from the shared morsel
-//! supply and steal across pre-assignments. Two query shapes bracket the
+//! `1` runs the morsel pipeline with a single lane per site; `2+` adds
+//! lanes that pull from the shared morsel supply and steal across
+//! pre-assignments. Two query shapes bracket the
 //! paper's Figures 9/10 finding that multithreading helps
 //! distributed-computation-heavy queries and does nothing (or slightly
 //! hurts) root-fragment-bound ones:
@@ -18,9 +17,9 @@
 //!   is CPU-bound, so on a host with few cores extra lanes buy little;
 //!   the point of measuring it is that it must not *regress*.
 //!
-//! Writes `BENCH_scaling.json`. `--smoke` runs a reduced-size sweep and
-//! asserts the acceptance floor: ship speedup ≥ 1.8× at 4 threads vs 1,
-//! and the single-lane pipeline within 15% of the sequential runtime.
+//! Asserts the acceptance floor: ship speedup ≥ 1.8× at 4 threads vs 1.
+//! Writes `BENCH_scaling.json` to the working directory; `--smoke` runs a
+//! reduced-size sweep and writes to `target/bench/` instead.
 //! Knobs: `IC_BENCH_SCALING_ROWS`, `IC_BENCH_SCALING_REPS`.
 
 use ic_core::{Cluster, ClusterConfig, Datum, NetworkConfig, Row, SystemVariant};
@@ -31,7 +30,7 @@ const SITES: usize = 4;
 /// into ~dozens of morsels (work to steal), large enough that per-morsel
 /// overhead stays invisible.
 const MORSEL_ROWS: usize = 4096;
-const THREADS: [usize; 4] = [0, 1, 2, 4];
+const THREADS: [usize; 3] = [1, 2, 4];
 
 const SHIP_SQL: &str = "SELECT id, grp, val FROM fact WHERE val >= 0";
 const AGG_SQL: &str = "SELECT name, count(*) AS n, sum(val) AS s \
@@ -55,7 +54,6 @@ fn base_cluster(rows: i64) -> Cluster {
         network: calibrated_network(),
         exec_timeout: Some(Duration::from_secs(120)),
         memory_limit_rows: 60_000_000,
-        worker_threads: 0,
         ..ClusterConfig::test_default()
     });
     cluster
@@ -111,9 +109,8 @@ fn run_sweep(rows: i64, reps: usize) -> Vec<Point> {
     let mut base_ship = None;
     let mut base_agg = None;
     for &threads in &THREADS {
-        // threads = 0 keeps the pre-morsel sequential runtime; ≥ 1 swaps
-        // in the per-site pool with that many lanes. Same catalog, same
-        // loaded data, fresh network either way.
+        // Same catalog, same loaded data, fresh network; only the
+        // per-site pool width changes.
         let cluster = base.with_worker_threads(threads, MORSEL_ROWS);
         let ship = measure(&cluster, SHIP_SQL, reps, ship_rows);
         let agg = measure(&cluster, AGG_SQL, reps, agg_rows);
@@ -135,36 +132,35 @@ fn point_for(points: &[Point], threads: usize) -> &Point {
     points.iter().find(|p| p.threads == threads).expect("sweep point")
 }
 
-fn write_json(rows: i64, reps: usize, points: &[Point]) {
+fn write_json(rows: i64, reps: usize, reduced: bool, points: &[Point]) {
     let one = point_for(points, 1);
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"sites\": {SITES}, \"rows\": {rows}, \"morsel_rows\": {MORSEL_ROWS}, \"reps\": {reps},\n"
-    ));
-    json.push_str(&format!(
-        "  \"ship_sql\": {SHIP_SQL:?},\n  \"agg_sql\": {AGG_SQL:?},\n  \"points\": [\n"
-    ));
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"worker_threads\": {}, \"ship_ms\": {:.3}, \"agg_ms\": {:.3}, \
-\"ship_speedup_vs_1\": {:.3}, \"agg_speedup_vs_1\": {:.3}}}{}\n",
-            p.threads,
-            p.ship.as_secs_f64() * 1e3,
-            p.agg.as_secs_f64() * 1e3,
-            one.ship.as_secs_f64() / p.ship.as_secs_f64().max(1e-9),
-            one.agg.as_secs_f64() / p.agg.as_secs_f64().max(1e-9),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
-    println!("\nwrote BENCH_scaling.json");
+    let points: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"worker_threads\": {}, \"ship_ms\": {:.3}, \"agg_ms\": {:.3}, \
+\"ship_speedup_vs_1\": {:.3}, \"agg_speedup_vs_1\": {:.3}}}",
+                p.threads,
+                p.ship.as_secs_f64() * 1e3,
+                p.agg.as_secs_f64() * 1e3,
+                one.ship.as_secs_f64() / p.ship.as_secs_f64().max(1e-9),
+                one.agg.as_secs_f64() / p.agg.as_secs_f64().max(1e-9),
+            )
+        })
+        .collect();
+    let fields = format!(
+        "  \"sites\": {SITES}, \"rows\": {rows}, \"morsel_rows\": {MORSEL_ROWS}, \"reps\": {reps},\n  \
+\"ship_sql\": {SHIP_SQL:?},\n  \"agg_sql\": {AGG_SQL:?},\n  \"points\": [\n{}\n  ]\n",
+        points.join(",\n")
+    );
+    let path = ic_bench::harness::write_bench_json("scaling", reduced, &fields)
+        .expect("write BENCH_scaling.json");
+    println!("\nwrote {path}");
 }
 
-/// The acceptance floor the CI smoke asserts: wire-bound work must scale,
-/// and the single-lane pipeline must not tax what it doesn't parallelize.
+/// The acceptance floor the CI smoke asserts: wire-bound work must scale.
 fn assert_floor(points: &[Point]) {
-    let (p0, p1, p4) = (point_for(points, 0), point_for(points, 1), point_for(points, 4));
+    let (p1, p4) = (point_for(points, 1), point_for(points, 4));
     let speedup = p1.ship.as_secs_f64() / p4.ship.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 1.8,
@@ -173,22 +169,15 @@ fn assert_floor(points: &[Point]) {
         p1.ship.as_secs_f64() * 1e3,
         p4.ship.as_secs_f64() * 1e3
     );
-    let tax = p1.ship.as_secs_f64() / p0.ship.as_secs_f64().max(1e-9);
-    assert!(
-        tax <= 1.15,
-        "single-lane pipeline regressed {tax:.2}x vs the sequential runtime: \
-         {:.1} ms vs {:.1} ms",
-        p1.ship.as_secs_f64() * 1e3,
-        p0.ship.as_secs_f64() * 1e3
-    );
-    println!("floor OK: ship 4-thread speedup {speedup:.2}x (>= 1.8x), 1-thread tax {tax:.2}x (<= 1.15x)");
+    println!("floor OK: ship 4-thread speedup {speedup:.2}x (>= 1.8x)");
 }
 
 fn main() {
+    const DEFAULT_ROWS: u64 = 240_000;
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let rows = env_u64("IC_BENCH_SCALING_ROWS", if smoke { 120_000 } else { 240_000 }) as i64;
+    let rows = env_u64("IC_BENCH_SCALING_ROWS", if smoke { DEFAULT_ROWS / 2 } else { DEFAULT_ROWS });
     let reps = env_u64("IC_BENCH_SCALING_REPS", if smoke { 3 } else { 5 }) as usize;
-    let points = run_sweep(rows, reps);
+    let points = run_sweep(rows as i64, reps);
     assert_floor(&points);
-    write_json(rows, reps, &points);
+    write_json(rows as i64, reps, rows < DEFAULT_ROWS, &points);
 }

@@ -31,6 +31,29 @@ pub fn repetitions() -> usize {
         .unwrap_or(3)
 }
 
+/// Record a bench bin's result as `BENCH_<name>.json`: `fields` are the
+/// bin's own JSON members, written after the header every record shares —
+/// host cores and git revision, without which a number cannot be compared
+/// with the next run's. A default-size run writes the committed record in
+/// the working directory; a `reduced` one (`--smoke`, shrunk env knobs)
+/// goes to `target/bench/`, so CI smoke runs never overwrite it. Returns
+/// the path written.
+pub fn write_bench_json(name: &str, reduced: bool, fields: &str) -> std::io::Result<String> {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or("unknown".into(), |o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+    let dir = if reduced { "target/bench" } else { "." };
+    let path = format!("{dir}/BENCH_{name}.json");
+    let json = format!("{{\n  \"host_cores\": {cores}, \"git_rev\": \"{rev}\",\n{fields}}}\n");
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
+
 /// Outcome of measuring one query on one system.
 #[derive(Debug, Clone)]
 pub enum MeasureOutcome {

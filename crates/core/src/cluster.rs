@@ -78,7 +78,7 @@ pub struct ClusterConfig {
     /// the shared memory-pool budget all queries lease from.
     pub governor: GovernorConfig,
     /// Morsel-pool workers per site (intra-fragment parallelism degree);
-    /// 0 disables pooled execution (pre-morsel sequential runtime).
+    /// clamped to ≥1.
     pub worker_threads: usize,
     /// Rows per morsel (work-stealing granule).
     pub morsel_rows: usize,

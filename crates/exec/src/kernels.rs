@@ -1,6 +1,5 @@
 //! Columnar execution kernels: tight per-column loops over contiguous
-//! [`ColumnBatch`] buffers, behind `HashJoinExec`, `HashAggExec` and
-//! `SortExec`.
+//! [`ColumnBatch`] buffers, behind the joins, `AggExec` and `SortExec`.
 //!
 //! This module is the hot core of the columnar data plane and is lint-gated
 //! by rule L008: no per-row `Datum` materialization inside kernel loops —
@@ -13,8 +12,8 @@
 //! [`ColumnBuilder`] arena and frozen into a dense [`ColumnBatch`] once the
 //! build side is exhausted, so probes resolve key equality with typed
 //! column-vs-column comparisons (`eq_at`) instead of datum clones. Chains
-//! preserve build insertion order, which keeps join output bit-identical to
-//! the row plane in [`crate::row_kernels`]. [`ColGroupTable`] stores group
+//! preserve build insertion order, so a probe row's matches come out in the
+//! order the build side arrived. [`ColGroupTable`] stores group
 //! keys flattened into one `Vec<Datum>` (materialized once per distinct
 //! group) and accumulators flattened into one `Vec<Accumulator>`; per-batch
 //! accumulation runs one typed loop per aggregate over the argument column,
@@ -264,6 +263,18 @@ impl ColGroupTable {
         self.ngroups == 0
     }
 
+    /// Append a group keyed by physical row `phys` of `batch`, with fresh
+    /// accumulators from `aggs`; returns its slot.
+    fn push_group(&mut self, batch: &ColumnBatch, phys: usize, aggs: &[AggCall]) -> u32 {
+        for &c in &self.group_cols {
+            // ic-lint: allow(L008) because group keys materialize once per distinct group, not per row
+            self.keys.push(batch.col(c).datum_at(phys));
+        }
+        self.accs.extend(aggs.iter().map(|a| Accumulator::new(a.func)));
+        self.ngroups += 1;
+        self.ngroups as u32 - 1
+    }
+
     /// Resolve every logical row of `batch` to its group slot (creating
     /// groups with fresh accumulators from `aggs` on first sight), writing
     /// slots into the reused `slots` buffer.
@@ -296,15 +307,46 @@ impl ColGroupTable {
                 )
             };
             if inserted {
-                for &c in &self.group_cols {
-                    // ic-lint: allow(L008) because group keys materialize once per distinct group, not per row
-                    self.keys.push(batch.col(c).datum_at(phys));
-                }
-                self.accs.extend(aggs.iter().map(|a| Accumulator::new(a.func)));
-                self.ngroups += 1;
+                self.push_group(batch, phys, aggs);
             }
             slots.push(slot);
         }
+    }
+
+    /// [`ColGroupTable::slots_for_batch`] for input sorted on the group
+    /// columns: a row belongs to the newest group when its key equals that
+    /// group's stored key and opens a new group otherwise — no hashing, no
+    /// map. Every group but the newest is closed once the batch is done.
+    pub fn slots_for_sorted_batch(
+        &mut self,
+        batch: &ColumnBatch,
+        aggs: &[AggCall],
+        slots: &mut Vec<u32>,
+    ) {
+        slots.clear();
+        let klen = self.group_cols.len();
+        if klen == 0 {
+            self.ensure_scalar_group(aggs);
+            slots.resize(batch.num_rows(), 0);
+            return;
+        }
+        for k in 0..batch.num_rows() {
+            let phys = batch.phys_index(k);
+            let same = self.ngroups > 0 && {
+                let last = &self.keys[(self.ngroups - 1) * klen..];
+                self.group_cols.iter().zip(last).all(|(&c, d)| batch.col(c).eq_datum(phys, d))
+            };
+            let slot = if same { self.ngroups as u32 - 1 } else { self.push_group(batch, phys, aggs) };
+            slots.push(slot);
+        }
+    }
+
+    /// Forget the first `n` groups (a streaming aggregate's emitted, closed
+    /// groups); the remaining groups move down to slot 0.
+    pub fn discard_front(&mut self, n: usize) {
+        self.keys.drain(..n * self.group_cols.len());
+        self.accs.drain(..n * self.naggs);
+        self.ngroups -= n;
     }
 
     /// Fold one argument column into aggregate `agg_idx` of each row's
@@ -485,10 +527,9 @@ mod tests {
         let probe = batch(&[&[1], &[2]]);
         let (pks, bis) = t.probe_pairs(&probe, &[0], true);
         let out = gather_join_output(&probe, &pks, t.arena(), &bis);
-        let rows = out.to_rows();
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].0[1].is_null() && rows[0].0[2].is_null());
-        assert_eq!(rows[1], Row(vec![Datum::Int(2), Datum::Int(2), Datum::Int(20)]));
+        assert_eq!(out.num_rows(), 2);
+        assert!(out.datum_at(1, 0).is_null() && out.datum_at(2, 0).is_null());
+        assert_eq!(out.row_at(1), Row(vec![Datum::Int(2), Datum::Int(2), Datum::Int(20)]));
     }
 
     #[test]
@@ -528,6 +569,28 @@ mod tests {
         assert!(key[0].is_null());
         // COUNT skips the NULL argument row.
         assert_eq!(accs[0].finish(), Datum::Int(1));
+    }
+
+    #[test]
+    fn group_table_sorted_slots_continue_across_batches() {
+        let aggs =
+            vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }];
+        let mut g = ColGroupTable::new(vec![0], 1);
+        let mut slots = Vec::new();
+        let b = batch(&[&[1, 10], &[1, 20], &[2, 5]]);
+        g.slots_for_sorted_batch(&b, &aggs, &mut slots);
+        assert_eq!(slots, vec![0, 0, 1]);
+        g.accumulate(0, b.col(1), b.selection(), &slots).unwrap();
+        // Group 1 is closed; group 2 stays open and moves to slot 0, where
+        // the next batch's leading rows find it.
+        assert_eq!(g.take_group(0).1[0].finish(), Datum::Int(30));
+        g.discard_front(1);
+        let b = batch(&[&[2, 6], &[3, 7]]);
+        g.slots_for_sorted_batch(&b, &aggs, &mut slots);
+        assert_eq!(slots, vec![0, 1]);
+        g.accumulate(0, b.col(1), b.selection(), &slots).unwrap();
+        let (key, accs) = g.take_group(0);
+        assert_eq!((key, accs[0].finish()), (vec![Datum::Int(2)], Datum::Int(11)));
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub mod kernels;
 pub mod operators;
 pub mod pipeline;
 pub mod pool;
-pub mod row_kernels;
 pub mod runtime;
 pub mod variant;
 

@@ -7,10 +7,9 @@
 //! output, projections share column `Arc`s, and the join/agg/sort kernels
 //! in [`crate::kernels`] run tight per-column loops. Storage is columnar
 //! too: [`ScanSource`] hands out the partition's (or index run's) stored
-//! chunks by `Arc` clone. Rows exist only inside the row-internal operators
-//! ([`NestedLoopJoinExec`], [`SortAggExec`]), whose per-row predicates and
-//! streaming group logic gain nothing from columns, and at the client
-//! rowset.
+//! chunks by `Arc` clone. Rows exist only at the edges: `Values` input
+//! ([`VecSource`]), an aggregate's group emission and `Final` state merge
+//! (one short row per *group*), and the client rowset ([`drain`]).
 
 use crate::kernels::{gather_join_output, ColGroupTable, ColJoinTable, NIL};
 use crate::pool::{Morsel, MorselSupply};
@@ -19,7 +18,7 @@ use ic_common::agg::Accumulator;
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{
-    Batch, Column, ColumnBatch, ColumnBuilder, Datum, Expr, IcError, IcResult, MemoryLease,
+    Batch, Column, ColumnBatch, ColumnBuilder, Expr, IcError, IcResult, MemoryLease,
     MemoryPool, Row,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
@@ -306,25 +305,6 @@ impl RowSource for TracedSource {
         self.ctrl.op_next(self.node, rows, dt, produced);
         result
     }
-
-    // Forward the row-format path so tracing a query doesn't force
-    // column↔row conversions the untraced plan wouldn't pay. A row batch
-    // has no selection vector, so physical == logical rows.
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let t0 = self.ctrl.op_now_ns();
-        let result = self.inner.next_rows();
-        let dt = self.ctrl.op_now_ns().saturating_sub(t0);
-        self.busy_ns += dt;
-        let (rows, produced) = match &result {
-            Ok(Some(b)) => (b.len() as u64, true),
-            _ => (0, false),
-        };
-        self.rows += rows;
-        self.phys_rows += rows;
-        self.batches += u64::from(produced);
-        self.ctrl.op_next(self.node, rows, dt, produced);
-        result
-    }
 }
 
 impl Drop for TracedSource {
@@ -353,14 +333,6 @@ impl Drop for TracedSource {
 pub trait RowSource: Send {
     /// The next batch, or `None` at end of stream.
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>>;
-
-    /// The next batch in row format. Row-internal operators (nested-loop
-    /// join, sort aggregate) and `Values` override this so chains of row
-    /// operators hand rows across directly instead of round-tripping every
-    /// batch through columns; the default converts at the boundary.
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        Ok(self.next_batch()?.map(|b| b.to_rows()))
-    }
 }
 
 pub type BoxedSource = Box<dyn RowSource>;
@@ -368,17 +340,10 @@ pub type BoxedSource = Box<dyn RowSource>;
 /// Drain a source into a row vector (the final client rowset shim).
 pub fn drain(mut src: BoxedSource) -> IcResult<Vec<Row>> {
     let mut out = Vec::new();
-    while let Some(mut b) = src.next_rows()? {
-        out.append(&mut b);
+    while let Some(b) = src.next_batch()? {
+        out.append(&mut b.to_rows());
     }
     Ok(out)
-}
-
-/// Account for a row-format buffer against the query lease (the
-/// row-internal operators' edges; cells = rows × width).
-fn reserve_rows(ctrl: &ControlBlock, rows: &[Row]) -> IcResult<()> {
-    let cells = rows.first().map_or(0, |r| r.arity().max(1)) * rows.len();
-    ctrl.reserve(cells)
 }
 
 // ----------------------------------------------------------------- sources
@@ -405,16 +370,6 @@ impl RowSource for VecSource {
         let batch = ColumnBatch::from_rows(&self.rows[self.pos..end]);
         self.pos = end;
         Ok(Some(batch))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + BATCH_SIZE).min(self.rows.len());
-        let out = self.rows[self.pos..end].to_vec();
-        self.pos = end;
-        Ok(Some(out))
     }
 }
 
@@ -661,25 +616,6 @@ impl RowSource for FilterExec {
             }
         }
     }
-
-    /// Row-format consumers (merge join, NLJ) get row-at-a-time filtering
-    /// over the input's row stream — the two paths agree by the
-    /// `eval_filter_sel` ≡ per-row `eval_filter` property (kernel_props).
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        loop {
-            self.ctrl.check()?;
-            let Some(rows) = self.input.next_rows()? else { return Ok(None) };
-            let mut out = Batch::with_capacity(rows.len());
-            for row in rows {
-                if self.predicate.eval_filter(&row)? {
-                    out.push(row);
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-        }
-    }
 }
 
 /// Projection: bare column references share the input column `Arc`s (and
@@ -719,489 +655,39 @@ impl RowSource for ProjectExec {
             self.exprs.iter().map(|e| eval_expr(e, &batch)).collect::<IcResult<_>>()?;
         Ok(Some(ColumnBatch::new(out, batch.num_rows())))
     }
-
-    /// Bare-column projections stay in row format for row consumers;
-    /// computed expressions fall back to the vectorized evaluator and
-    /// convert at this edge.
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let Some(cols) = self.cols.clone() else {
-            return Ok(self.next_batch()?.map(|b| b.to_rows()));
-        };
-        self.ctrl.check()?;
-        let Some(rows) = self.input.next_rows()? else { return Ok(None) };
-        Ok(Some(rows.iter().map(|r| r.project(&cols)).collect()))
-    }
 }
 
 // ----------------------------------------------------------------- joins
+//
+// One relational operator, three physical implementations (Calcite's
+// model): hash, merge and nested-loop join differ only in how they find
+// *candidate pairs* — a hash chain walk, a sorted merge, or every left ×
+// right combination. Everything after that — residual evaluation, the
+// per-`JoinKind` verdict fold, output materialization — is [`JoinEmitter`].
 
-/// Nested-loop join: buffers the right side, streams the left. Output is
-/// produced in bounded batches — the loop state (left batch position,
-/// right position) persists across `next_batch` calls so a high-fan-out
-/// join never materializes more than one batch of output. Row-internal:
-/// the arbitrary `on` predicate is evaluated per joined row.
-pub struct NestedLoopJoinExec {
-    pub left: BoxedSource,
-    pub right: BoxedSource,
-    pub kind: JoinKind,
-    pub on: Expr,
-    pub right_arity: usize,
-    right_rows: Option<Vec<Row>>,
-    current: Option<Vec<Row>>,
-    li: usize,
-    ri: usize,
-    matched: bool,
-    pub ctrl: Arc<ControlBlock>,
-}
-
-impl NestedLoopJoinExec {
-    pub fn new(
-        left: BoxedSource,
-        right: BoxedSource,
-        kind: JoinKind,
-        on: Expr,
-        right_arity: usize,
-        ctrl: Arc<ControlBlock>,
-    ) -> Self {
-        NestedLoopJoinExec {
-            left,
-            right,
-            kind,
-            on,
-            right_arity,
-            right_rows: None,
-            current: None,
-            li: 0,
-            ri: 0,
-            matched: false,
-            ctrl,
-        }
-    }
-}
-
-impl NestedLoopJoinExec {
-    fn produce(&mut self) -> IcResult<Option<Batch>> {
-        if self.right_rows.is_none() {
-            let mut rows = Vec::new();
-            while let Some(mut b) = self.right.next_rows()? {
-                self.ctrl.check()?;
-                reserve_rows(&self.ctrl, &b)?;
-                rows.append(&mut b);
-            }
-            self.right_rows = Some(rows);
-        }
-        let Some(right) = self.right_rows.as_ref() else {
-            return Err(IcError::Internal("nested-loop join: build side missing after build phase".into()));
-        };
-        let mut out = Batch::new();
-        loop {
-            if self.current.is_none() {
-                match self.left.next_rows()? {
-                    Some(b) => {
-                        self.current = Some(b);
-                        self.li = 0;
-                        self.ri = 0;
-                        self.matched = false;
-                    }
-                    None => {
-                        return Ok(if out.is_empty() { None } else { Some(out) });
-                    }
-                }
-            }
-            let Some(batch) = self.current.as_ref() else {
-                return Err(IcError::Internal("nested-loop join: probe batch missing".into()));
-            };
-            while self.li < batch.len() {
-                let left_row = &batch[self.li];
-                self.ctrl.check()?;
-                while self.ri < right.len() {
-                    let r = &right[self.ri];
-                    self.ri += 1;
-                    let joined = left_row.concat(r);
-                    if !self.on.eval_filter(&joined)? {
-                        continue;
-                    }
-                    match self.kind {
-                        JoinKind::Inner | JoinKind::Left => {
-                            self.matched = true;
-                            out.push(joined);
-                            if out.len() >= BATCH_SIZE {
-                                return Ok(Some(out));
-                            }
-                        }
-                        JoinKind::Semi => {
-                            out.push(left_row.clone());
-                            self.matched = true;
-                            self.ri = right.len(); // short-circuit
-                        }
-                        JoinKind::Anti => {
-                            self.matched = true;
-                            self.ri = right.len();
-                        }
-                    }
-                }
-                // End of the right side for this left row.
-                match self.kind {
-                    JoinKind::Left if !self.matched => {
-                        let nulls = Row(vec![Datum::Null; self.right_arity]);
-                        out.push(left_row.concat(&nulls));
-                    }
-                    JoinKind::Anti if !self.matched => out.push(left_row.clone()),
-                    _ => {}
-                }
-                self.li += 1;
-                self.ri = 0;
-                self.matched = false;
-                if out.len() >= BATCH_SIZE {
-                    return Ok(Some(out));
-                }
-            }
-            self.current = None;
-        }
-    }
-}
-
-impl RowSource for NestedLoopJoinExec {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        Ok(self.produce()?.map(|b| ColumnBatch::from_rows(&b)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        self.produce()
-    }
-}
-
-/// Hash join (§5.1.2): builds on the right input, probes with the left —
-/// fully columnar on both sides.
-///
-/// The build side goes into a [`ColJoinTable`]: batches are appended
-/// column-wise into a contiguous arena and chained by 64-bit key hash, so
-/// the build loop never clones a key datum. Probes hash the key columns
-/// vectorized, walk each chain with typed column-vs-column equality, and
-/// produce `(probe row, arena row)` index pairs; output is materialized by
-/// [`gather_join_output`] one column at a time (`NIL` pairs drive LEFT
-/// null-extension). SEMI/ANTI joins skip materialization entirely — the
-/// result is a selection over the probe batch. Chains preserve build
-/// insertion order, keeping output bit-identical to the row plane.
-pub struct HashJoinExec {
-    pub left: BoxedSource,
-    pub right: BoxedSource,
-    pub kind: JoinKind,
-    pub left_keys: Vec<usize>,
-    pub right_keys: Vec<usize>,
-    pub residual: Expr,
-    pub right_arity: usize,
-    table: Option<ColJoinTable>,
-    /// Output batches for the probe batch being processed (pairs are
-    /// segmented at batch-size boundaries without splitting a probe row's
-    /// match run).
-    output: VecDeque<ColumnBatch>,
-    /// Probe rows consumed so far; flushed to `exec.join.probe_rows` once
-    /// on drop so the hot loop only bumps a local integer.
-    probed: u64,
-    pub ctrl: Arc<ControlBlock>,
-}
-
-impl HashJoinExec {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        left: BoxedSource,
-        right: BoxedSource,
-        kind: JoinKind,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        residual: Expr,
-        right_arity: usize,
-        ctrl: Arc<ControlBlock>,
-    ) -> Self {
-        HashJoinExec {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            right_arity,
-            table: None,
-            output: VecDeque::new(),
-            probed: 0,
-            ctrl,
-        }
-    }
-}
-
-impl Drop for HashJoinExec {
-    fn drop(&mut self) {
-        if self.probed > 0 {
-            ic_common::obs::MetricsRegistry::global()
-                .counter("exec.join.probe_rows")
-                .add(self.probed);
-        }
-    }
-}
-
-/// Push `pairs[start..]` through [`gather_join_output`] in batch-sized
-/// segments, cutting only at probe-row boundaries so one probe row's match
-/// run is never split across output batches.
-fn emit_pair_segments(
-    probe: &ColumnBatch,
-    pks: &[u32],
-    arena: &ColumnBatch,
-    bis: &[u32],
-    out: &mut VecDeque<ColumnBatch>,
-) {
-    let mut start = 0;
-    while start < pks.len() {
-        let mut end = (start + BATCH_SIZE).min(pks.len());
-        while end < pks.len() && pks[end] == pks[end - 1] {
-            end += 1;
-        }
-        out.push_back(gather_join_output(probe, &pks[start..end], arena, &bis[start..end]));
-        start = end;
-    }
-}
-
-/// Probe one batch against the build table, appending output batches.
-fn probe_batch(
-    table: &ColJoinTable,
-    kind: JoinKind,
-    left_keys: &[usize],
-    residual: Option<&Expr>,
-    batch: &ColumnBatch,
-    out: &mut VecDeque<ColumnBatch>,
-) -> IcResult<()> {
-    match (kind, residual) {
-        (JoinKind::Semi | JoinKind::Anti, None) => {
-            // Selection-only path: no output materialization at all.
-            let matched = table.probe_matched(batch, left_keys);
-            let want = kind == JoinKind::Semi;
-            let keep: Vec<u32> = matched
-                .iter()
-                .enumerate()
-                .filter_map(|(k, &m)| (m == want).then_some(k as u32))
-                .collect();
-            if !keep.is_empty() {
-                out.push_back(batch.select_logical(&keep));
-            }
-        }
-        (JoinKind::Inner | JoinKind::Left, None) => {
-            let (pks, bis) = table.probe_pairs(batch, left_keys, kind == JoinKind::Left);
-            emit_pair_segments(batch, &pks, table.arena(), &bis, out);
-        }
-        (_, Some(res)) => {
-            // Gather real pairs, run the residual vectorized over the
-            // joined batch, then regroup pass/fail per probe row.
-            let (pks, bis) = table.probe_pairs(batch, left_keys, false);
-            let joined = gather_join_output(batch, &pks, table.arena(), &bis);
-            let sel = eval_filter_sel(res, &joined)?;
-            let mut pass = vec![false; pks.len()];
-            for &j in &sel {
-                pass[j as usize] = true;
-            }
-            match kind {
-                JoinKind::Inner | JoinKind::Left => {
-                    let mut out_pks = Vec::with_capacity(sel.len());
-                    let mut out_bis = Vec::with_capacity(sel.len());
-                    fold_verdicts(batch.num_rows(), &pks, &pass, |k, hit| match hit {
-                        Some(i) => {
-                            out_pks.push(k);
-                            out_bis.push(bis[i]);
-                        }
-                        None if kind == JoinKind::Left => {
-                            out_pks.push(k);
-                            out_bis.push(NIL);
-                        }
-                        None => {}
-                    });
-                    emit_pair_segments(batch, &out_pks, table.arena(), &out_bis, out);
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let keep = verdict_selection(kind, batch.num_rows(), &pks, &pass);
-                    if !keep.is_empty() {
-                        out.push_back(batch.select_logical(&keep));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Regroup per-pair residual verdicts by probe row. `pks` holds the probe
-/// row of every candidate pair, in probe order; `visit(k, Some(i))` is
-/// called for each passing pair `i` of probe row `k`, `visit(k, None)` for
-/// each of the `n` probe rows left without a passing pair — all in probe
-/// order.
-fn fold_verdicts(n: usize, pks: &[u32], pass: &[bool], mut visit: impl FnMut(u32, Option<usize>)) {
-    let mut i = 0;
-    for k in 0..n as u32 {
-        let mut any = false;
-        while i < pks.len() && pks[i] == k {
-            if pass[i] {
-                visit(k, Some(i));
-                any = true;
-            }
-            i += 1;
-        }
-        if !any {
-            visit(k, None);
-        }
-    }
-}
-
-/// SEMI/ANTI result of residual-checked candidate pairs: the probe rows
-/// with (SEMI) or without (ANTI) a passing pair.
-fn verdict_selection(kind: JoinKind, n: usize, pks: &[u32], pass: &[bool]) -> Vec<u32> {
-    let want_match = kind == JoinKind::Semi;
-    let mut keep: Vec<u32> = Vec::new();
-    fold_verdicts(n, pks, pass, |k, hit| {
-        if hit.is_some() == want_match && keep.last() != Some(&k) {
-            keep.push(k);
-        }
-    });
-    keep
-}
-
-impl RowSource for HashJoinExec {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        if self.table.is_none() {
-            // Build phase: batches append column-wise into the arena; rows
-            // with NULL key columns are skipped (they never match).
-            let mut table = ColJoinTable::new(self.right_keys.clone(), self.right_arity);
-            while let Some(b) = self.right.next_batch()? {
-                self.ctrl.check()?;
-                self.ctrl.reserve_batch(&b)?;
-                table.insert_batch(&b);
-            }
-            table.finish_build();
-            ic_common::obs::MetricsRegistry::global()
-                .counter("exec.join.build_rows")
-                .add(table.len() as u64);
-            self.table = Some(table);
-        }
-        let residual =
-            if self.residual.is_true_literal() { None } else { Some(self.residual.clone()) };
-        loop {
-            self.ctrl.check()?;
-            if let Some(b) = self.output.pop_front() {
-                return Ok(Some(b));
-            }
-            let Some(batch) = self.left.next_batch()? else { return Ok(None) };
-            self.probed += batch.num_rows() as u64;
-            let Some(table) = self.table.as_ref() else {
-                return Err(IcError::Internal("hash join: hash table missing after build phase".into()));
-            };
-            probe_batch(table, self.kind, &self.left_keys, residual.as_ref(), &batch, &mut self.output)?;
-        }
-    }
-}
-
-/// Probe side of a hash join whose build table is shared, read-only,
-/// across pipeline lanes (morsel-parallel execution): the driver resolves
-/// the build once behind the build barrier, every lane probes the same
-/// [`ColJoinTable`] through the same vectorized [`probe_batch`] path as
-/// [`HashJoinExec`].
-pub struct SharedProbeExec {
-    input: BoxedSource,
-    table: Arc<ColJoinTable>,
-    kind: JoinKind,
-    left_keys: Vec<usize>,
-    residual: Option<Expr>,
-    output: VecDeque<ColumnBatch>,
-    /// Probe rows consumed; flushed to `exec.join.probe_rows` on drop.
-    probed: u64,
-    ctrl: Arc<ControlBlock>,
-}
-
-impl SharedProbeExec {
-    pub fn new(
-        input: BoxedSource,
-        table: Arc<ColJoinTable>,
-        kind: JoinKind,
-        left_keys: Vec<usize>,
-        residual: Expr,
-        ctrl: Arc<ControlBlock>,
-    ) -> SharedProbeExec {
-        let residual = if residual.is_true_literal() { None } else { Some(residual) };
-        SharedProbeExec {
-            input,
-            table,
-            kind,
-            left_keys,
-            residual,
-            output: VecDeque::new(),
-            probed: 0,
-            ctrl,
-        }
-    }
-}
-
-impl Drop for SharedProbeExec {
-    fn drop(&mut self) {
-        if self.probed > 0 {
-            ic_common::obs::MetricsRegistry::global()
-                .counter("exec.join.probe_rows")
-                .add(self.probed);
-        }
-    }
-}
-
-impl RowSource for SharedProbeExec {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        loop {
-            self.ctrl.check()?;
-            if let Some(b) = self.output.pop_front() {
-                return Ok(Some(b));
-            }
-            let Some(batch) = self.input.next_batch()? else { return Ok(None) };
-            self.probed += batch.num_rows() as u64;
-            probe_batch(
-                &self.table,
-                self.kind,
-                &self.left_keys,
-                self.residual.as_ref(),
-                &batch,
-                &mut self.output,
-            )?;
-        }
-    }
-}
-
-/// Lexicographic key comparison between row `ai` of `a` and row `bi` of `b`
-/// (physical indices), in `Datum`'s total order.
-fn cmp_keys(
-    a: &ColumnBatch,
-    a_keys: &[usize],
-    ai: usize,
-    b: &ColumnBatch,
-    b_keys: &[usize],
-    bi: usize,
-) -> CmpOrdering {
-    for (&ac, &bc) in a_keys.iter().zip(b_keys) {
-        let ord = a.col(ac).cmp_at(ai, b.col(bc), bi);
-        if ord != CmpOrdering::Equal {
-            return ord;
-        }
-    }
-    CmpOrdering::Equal
-}
-
-/// The candidate pairs of one left batch against the buffered right side,
-/// in left-row order with each row's matches in right order: left logical
-/// row, right physical row (`NIL` = null-extended), and the right batch the
-/// row lives in.
+/// Candidate or output pairs of one left batch against the buffered right
+/// side, in left-row order with each row's matches in right order: left
+/// logical row, right physical row (`NIL` = null-extended), and the right
+/// batch the row lives in.
 #[derive(Default)]
-struct MergePairs {
+struct JoinPairs {
     pks: Vec<u32>,
     bis: Vec<u32>,
     rbs: Vec<u32>,
 }
 
-impl MergePairs {
-    fn push(&mut self, pk: u32, bi: u32, rb: usize) {
+impl JoinPairs {
+    /// Pairs whose right rows all live in one batch (a hash join's arena, a
+    /// nested-loop join's right side).
+    fn in_one_batch(pks: Vec<u32>, bis: Vec<u32>) -> JoinPairs {
+        let rbs = vec![0; pks.len()];
+        JoinPairs { pks, bis, rbs }
+    }
+
+    fn push(&mut self, pk: u32, bi: u32, rb: u32) {
         self.pks.push(pk);
         self.bis.push(bi);
-        self.rbs.push(rb as u32);
+        self.rbs.push(rb);
     }
 
     /// Maximal runs of pairs whose right rows live in one right batch, as
@@ -1230,22 +716,482 @@ impl MergePairs {
     }
 }
 
+/// Push pairs through [`gather_join_output`] in batch-sized segments,
+/// cutting only at probe-row boundaries so one probe row's match run is
+/// never split across output batches.
+fn emit_pair_segments(
+    probe: &ColumnBatch,
+    pks: &[u32],
+    arena: &ColumnBatch,
+    bis: &[u32],
+    out: &mut VecDeque<ColumnBatch>,
+) {
+    let mut start = 0;
+    while start < pks.len() {
+        let mut end = (start + BATCH_SIZE).min(pks.len());
+        while end < pks.len() && pks[end] == pks[end - 1] {
+            end += 1;
+        }
+        out.push_back(gather_join_output(probe, &pks[start..end], arena, &bis[start..end]));
+        start = end;
+    }
+}
+
+/// Regroup per-pair residual verdicts by probe row. `pks` holds the probe
+/// row of every candidate pair, in probe order; `visit(k, Some(i))` is
+/// called for each passing pair `i` of probe row `k`, `visit(k, None)` for
+/// each of the `n` probe rows left without a passing pair — all in probe
+/// order.
+fn fold_verdicts(n: usize, pks: &[u32], pass: &[bool], mut visit: impl FnMut(u32, Option<usize>)) {
+    let mut i = 0;
+    for k in 0..n as u32 {
+        let mut any = false;
+        while i < pks.len() && pks[i] == k {
+            if pass[i] {
+                visit(k, Some(i));
+                any = true;
+            }
+            i += 1;
+        }
+        if !any {
+            visit(k, None);
+        }
+    }
+}
+
+/// A join predicate rewritten over just the joined-row columns it reads, so
+/// that checking candidates gathers those columns and no others.
+struct Residual {
+    /// The joined-row columns read, ascending — left columns first.
+    cols: Vec<usize>,
+    /// The predicate over a row made of `cols`, in that order.
+    expr: Expr,
+}
+
+/// The output path the three joins share: candidate pairs in, joined
+/// batches out.
+struct JoinEmitter {
+    kind: JoinKind,
+    /// The predicate candidates must still pass (`None`: all do) — a hash
+    /// or merge join's residual, a nested-loop join's whole `ON`.
+    residual: Option<Residual>,
+    /// Stand-in right batch for runs made of null-extended pairs only.
+    no_right: ColumnBatch,
+}
+
+impl JoinEmitter {
+    fn new(kind: JoinKind, residual: Expr, right_arity: usize) -> JoinEmitter {
+        let residual = (!residual.is_true_literal()).then(|| {
+            let cols: Vec<usize> = residual.columns().into_iter().collect();
+            let expr = residual.map_cols(&|c| cols.partition_point(|&seen| seen < c));
+            Residual { cols, expr }
+        });
+        JoinEmitter { kind, residual, no_right: ColumnBatch::empty(right_arity) }
+    }
+
+    /// Join left batch `lb` given its candidate `pairs` (no `NIL`s) into
+    /// `right`: run the residual vectorized over each run's candidates
+    /// (gathering only the columns it reads), fold the verdicts per left row
+    /// as the join kind demands
+    /// — INNER keeps the passing pairs, LEFT null-extends rows left without
+    /// one, SEMI/ANTI select the left rows with/without one — and queue the
+    /// output.
+    fn emit(
+        &self,
+        lb: &ColumnBatch,
+        right: &[ColumnBatch],
+        pairs: JoinPairs,
+        out: &mut VecDeque<ColumnBatch>,
+    ) -> IcResult<()> {
+        let n = lb.num_rows();
+        let arena = |rb: Option<usize>| rb.map_or(&self.no_right, |a| &right[a]);
+        let mut pass = vec![self.residual.is_none(); pairs.pks.len()];
+        if let Some(residual) = &self.residual {
+            let (left_cols, right_cols) =
+                residual.cols.split_at(residual.cols.partition_point(|&c| c < lb.width()));
+            let left = lb.project_cols(left_cols);
+            let right_cols: Vec<usize> = right_cols.iter().map(|c| c - lb.width()).collect();
+            for (range, rb) in pairs.runs() {
+                let joined = gather_join_output(
+                    &left,
+                    &pairs.pks[range.clone()],
+                    &arena(rb).project_cols(&right_cols),
+                    &pairs.bis[range.clone()],
+                );
+                for j in eval_filter_sel(&residual.expr, &joined)? {
+                    pass[range.start + j as usize] = true;
+                }
+            }
+        }
+        let kept = match self.kind {
+            JoinKind::Semi | JoinKind::Anti => {
+                let want_match = self.kind == JoinKind::Semi;
+                let mut keep: Vec<u32> = Vec::new();
+                fold_verdicts(n, &pairs.pks, &pass, |k, hit| {
+                    if hit.is_some() == want_match && keep.last() != Some(&k) {
+                        keep.push(k);
+                    }
+                });
+                if !keep.is_empty() {
+                    out.push_back(lb.select_logical(&keep));
+                }
+                return Ok(());
+            }
+            JoinKind::Inner if self.residual.is_none() => pairs,
+            JoinKind::Inner | JoinKind::Left => {
+                let mut kept = JoinPairs::default();
+                fold_verdicts(n, &pairs.pks, &pass, |k, hit| match hit {
+                    Some(i) => kept.push(k, pairs.bis[i], pairs.rbs[i]),
+                    None if self.kind == JoinKind::Left => kept.push(k, NIL, 0),
+                    None => {}
+                });
+                kept
+            }
+        };
+        for (range, rb) in kept.runs() {
+            emit_pair_segments(lb, &kept.pks[range.clone()], arena(rb), &kept.bis[range], out);
+        }
+        Ok(())
+    }
+}
+
+/// Pull a join's build side dry, accounting every batch kept against the
+/// query lease.
+fn buffer_input(src: &mut BoxedSource, ctrl: &ControlBlock) -> IcResult<Vec<ColumnBatch>> {
+    let mut batches = Vec::new();
+    while let Some(b) = src.next_batch()? {
+        ctrl.check()?;
+        if b.num_rows() > 0 {
+            ctrl.reserve_batch(&b)?;
+            batches.push(b);
+        }
+    }
+    Ok(batches)
+}
+
+/// Candidate pairs a nested-loop join generates per step. A step covers
+/// whole left rows (at least one), so a row's candidates never straddle two
+/// steps; the budget bounds the pair vectors and the gathered candidate
+/// batch, and is the interval of the revocation/deadline check.
+pub const NLJ_PAIR_BUDGET: usize = 8 * BATCH_SIZE;
+
+/// Nested-loop join: buffers the right side as one dense batch, streams the
+/// left. The candidate pairs of a left row are *all* right rows, in right
+/// order; the `ON` predicate is the emitter's residual, evaluated
+/// vectorized over a budget's worth of candidates at a time. Output keeps
+/// left order.
+pub struct NestedLoopJoinExec {
+    left: BoxedSource,
+    right: BoxedSource,
+    emitter: JoinEmitter,
+    ctrl: Arc<ControlBlock>,
+    /// The buffered right side; `None` until the first pull.
+    right_batch: Option<ColumnBatch>,
+    /// The left batch in progress and its first row not yet joined.
+    current: Option<(ColumnBatch, usize)>,
+    output: VecDeque<ColumnBatch>,
+}
+
+impl NestedLoopJoinExec {
+    pub fn new(
+        left: BoxedSource,
+        right: BoxedSource,
+        kind: JoinKind,
+        on: Expr,
+        right_arity: usize,
+        ctrl: Arc<ControlBlock>,
+    ) -> Self {
+        NestedLoopJoinExec {
+            left,
+            right,
+            emitter: JoinEmitter::new(kind, on, right_arity),
+            ctrl,
+            right_batch: None,
+            current: None,
+            output: VecDeque::new(),
+        }
+    }
+}
+
+impl RowSource for NestedLoopJoinExec {
+    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
+        let right = match &self.right_batch {
+            Some(right) => right.clone(),
+            None => {
+                let batches = buffer_input(&mut self.right, &self.ctrl)?;
+                // One dense batch: a step's candidates are then one run,
+                // one gather and one residual evaluation, however the
+                // right side was cut on arrival.
+                let right = if batches.is_empty() {
+                    self.emitter.no_right.clone()
+                } else {
+                    ColumnBatch::concat(&batches)
+                };
+                self.right_batch.insert(right).clone()
+            }
+        };
+        let per_step = (NLJ_PAIR_BUDGET / right.num_rows().max(1)).max(1);
+        loop {
+            self.ctrl.check()?;
+            if let Some(b) = self.output.pop_front() {
+                return Ok(Some(b));
+            }
+            let (lb, lo) = match self.current.take() {
+                Some(cur) => cur,
+                None => match self.left.next_batch()? {
+                    Some(lb) => (lb, 0),
+                    None => return Ok(None),
+                },
+            };
+            let hi = (lo + per_step).min(lb.num_rows());
+            let rows =
+                if hi - lo == lb.num_rows() { lb.clone() } else { lb.slice_logical(lo, hi - lo) };
+            let mut pks = Vec::with_capacity(rows.num_rows() * right.num_rows());
+            let mut bis = Vec::with_capacity(pks.capacity());
+            for k in 0..rows.num_rows() as u32 {
+                pks.extend(std::iter::repeat_n(k, right.num_rows()));
+                match right.selection() {
+                    Some(sel) => bis.extend_from_slice(sel),
+                    None => bis.extend(0..right.num_rows() as u32),
+                }
+            }
+            let pairs = JoinPairs::in_one_batch(pks, bis);
+            self.emitter.emit(&rows, std::slice::from_ref(&right), pairs, &mut self.output)?;
+            if hi < lb.num_rows() {
+                self.current = Some((lb, hi));
+            }
+        }
+    }
+}
+
+/// Hash join (§5.1.2): builds on the right input, probes with the left —
+/// fully columnar on both sides.
+///
+/// The build side goes into a [`ColJoinTable`]: batches are appended
+/// column-wise into a contiguous arena and chained by 64-bit key hash, so
+/// the build loop never clones a key datum. Probes hash the key columns
+/// vectorized, walk each chain with typed column-vs-column equality, and
+/// produce `(probe row, arena row)` index pairs; output is materialized by
+/// [`gather_join_output`] one column at a time (`NIL` pairs drive LEFT
+/// null-extension). SEMI/ANTI joins skip materialization entirely — the
+/// result is a selection over the probe batch. Chains preserve build
+/// insertion order, so a probe row's matches come out in build order.
+pub struct HashJoinExec {
+    left: BoxedSource,
+    right: BoxedSource,
+    emitter: JoinEmitter,
+    left_keys: Vec<usize>,
+    right_keys: Vec<usize>,
+    table: Option<ColJoinTable>,
+    /// Output batches for the probe batch being processed (pairs are
+    /// segmented at batch-size boundaries without splitting a probe row's
+    /// match run).
+    output: VecDeque<ColumnBatch>,
+    /// Probe rows consumed so far; flushed to `exec.join.probe_rows` once
+    /// on drop so the hot loop only bumps a local integer.
+    probed: u64,
+    ctrl: Arc<ControlBlock>,
+}
+
+impl HashJoinExec {
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        left: BoxedSource,
+        right: BoxedSource,
+        kind: JoinKind,
+        left_keys: Vec<usize>,
+        right_keys: Vec<usize>,
+        residual: Expr,
+        right_arity: usize,
+        ctrl: Arc<ControlBlock>,
+    ) -> Self {
+        HashJoinExec {
+            left,
+            right,
+            emitter: JoinEmitter::new(kind, residual, right_arity),
+            left_keys,
+            right_keys,
+            table: None,
+            output: VecDeque::new(),
+            probed: 0,
+            ctrl,
+        }
+    }
+}
+
+impl Drop for HashJoinExec {
+    fn drop(&mut self) {
+        if self.probed > 0 {
+            ic_common::obs::MetricsRegistry::global()
+                .counter("exec.join.probe_rows")
+                .add(self.probed);
+        }
+    }
+}
+
+/// Probe one batch against the build table, appending output batches.
+/// Without a residual the key match *is* the verdict, so the fast paths
+/// skip the emitter: SEMI/ANTI never materialize a pair, INNER/LEFT gather
+/// the probed pairs as they are.
+fn probe_batch(
+    table: &ColJoinTable,
+    emitter: &JoinEmitter,
+    left_keys: &[usize],
+    batch: &ColumnBatch,
+    out: &mut VecDeque<ColumnBatch>,
+) -> IcResult<()> {
+    match (emitter.kind, &emitter.residual) {
+        (JoinKind::Semi | JoinKind::Anti, None) => {
+            let matched = table.probe_matched(batch, left_keys);
+            let want = emitter.kind == JoinKind::Semi;
+            let keep: Vec<u32> = matched
+                .iter()
+                .enumerate()
+                .filter_map(|(k, &m)| (m == want).then_some(k as u32))
+                .collect();
+            if !keep.is_empty() {
+                out.push_back(batch.select_logical(&keep));
+            }
+        }
+        (JoinKind::Inner | JoinKind::Left, None) => {
+            let (pks, bis) = table.probe_pairs(batch, left_keys, emitter.kind == JoinKind::Left);
+            emit_pair_segments(batch, &pks, table.arena(), &bis, out);
+        }
+        (_, Some(_)) => {
+            let (pks, bis) = table.probe_pairs(batch, left_keys, false);
+            let arena = std::slice::from_ref(table.arena());
+            emitter.emit(batch, arena, JoinPairs::in_one_batch(pks, bis), out)?;
+        }
+    }
+    Ok(())
+}
+
+impl RowSource for HashJoinExec {
+    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
+        if self.table.is_none() {
+            // Build phase: batches append column-wise into the arena; rows
+            // with NULL key columns are skipped (they never match).
+            let mut table =
+                ColJoinTable::new(self.right_keys.clone(), self.emitter.no_right.width());
+            while let Some(b) = self.right.next_batch()? {
+                self.ctrl.check()?;
+                self.ctrl.reserve_batch(&b)?;
+                table.insert_batch(&b);
+            }
+            table.finish_build();
+            ic_common::obs::MetricsRegistry::global()
+                .counter("exec.join.build_rows")
+                .add(table.len() as u64);
+            self.table = Some(table);
+        }
+        loop {
+            self.ctrl.check()?;
+            if let Some(b) = self.output.pop_front() {
+                return Ok(Some(b));
+            }
+            let Some(batch) = self.left.next_batch()? else { return Ok(None) };
+            self.probed += batch.num_rows() as u64;
+            let Some(table) = self.table.as_ref() else {
+                return Err(IcError::Internal("hash join: hash table missing after build phase".into()));
+            };
+            probe_batch(table, &self.emitter, &self.left_keys, &batch, &mut self.output)?;
+        }
+    }
+}
+
+/// Probe side of a hash join whose build table is shared, read-only,
+/// across pipeline lanes (morsel-parallel execution): the driver resolves
+/// the build once behind the build barrier, every lane probes the same
+/// [`ColJoinTable`] through the same vectorized [`probe_batch`] path as
+/// [`HashJoinExec`].
+pub struct SharedProbeExec {
+    input: BoxedSource,
+    table: Arc<ColJoinTable>,
+    emitter: JoinEmitter,
+    left_keys: Vec<usize>,
+    output: VecDeque<ColumnBatch>,
+    /// Probe rows consumed; flushed to `exec.join.probe_rows` on drop.
+    probed: u64,
+    ctrl: Arc<ControlBlock>,
+}
+
+impl SharedProbeExec {
+    pub fn new(
+        input: BoxedSource,
+        table: Arc<ColJoinTable>,
+        kind: JoinKind,
+        left_keys: Vec<usize>,
+        residual: Expr,
+        ctrl: Arc<ControlBlock>,
+    ) -> SharedProbeExec {
+        let emitter = JoinEmitter::new(kind, residual, table.arena().width());
+        SharedProbeExec {
+            input,
+            table,
+            emitter,
+            left_keys,
+            output: VecDeque::new(),
+            probed: 0,
+            ctrl,
+        }
+    }
+}
+
+impl Drop for SharedProbeExec {
+    fn drop(&mut self) {
+        if self.probed > 0 {
+            ic_common::obs::MetricsRegistry::global()
+                .counter("exec.join.probe_rows")
+                .add(self.probed);
+        }
+    }
+}
+
+impl RowSource for SharedProbeExec {
+    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
+        loop {
+            self.ctrl.check()?;
+            if let Some(b) = self.output.pop_front() {
+                return Ok(Some(b));
+            }
+            let Some(batch) = self.input.next_batch()? else { return Ok(None) };
+            self.probed += batch.num_rows() as u64;
+            probe_batch(&self.table, &self.emitter, &self.left_keys, &batch, &mut self.output)?;
+        }
+    }
+}
+
+/// Lexicographic key comparison between row `ai` of `a` and row `bi` of `b`
+/// (physical indices), in `Datum`'s total order.
+fn cmp_keys(
+    a: &ColumnBatch,
+    a_keys: &[usize],
+    ai: usize,
+    b: &ColumnBatch,
+    b_keys: &[usize],
+    bi: usize,
+) -> CmpOrdering {
+    for (&ac, &bc) in a_keys.iter().zip(b_keys) {
+        let ord = a.col(ac).cmp_at(ai, b.col(bc), bi);
+        if ord != CmpOrdering::Equal {
+            return ord;
+        }
+    }
+    CmpOrdering::Equal
+}
+
 /// Merge join: inputs sorted ascending on the keys. Column-native: the
 /// right side is buffered as the batches it arrived in, the left streams
 /// through, and both are walked in place with (batch, row) cursors and
 /// typed `cmp_at` key comparisons — no input row is ever materialized,
-/// copied or concatenated. Matches become index pairs and go through the
-/// hash join's output path ([`gather_join_output`], vectorized residual,
-/// [`emit_pair_segments`]), one (left batch, right batch) run at a time.
+/// copied or concatenated. Key matches become candidate pairs for the
+/// shared [`JoinEmitter`], one (left batch, right batch) run at a time.
 pub struct MergeJoinExec {
     left: BoxedSource,
     right: BoxedSource,
-    kind: JoinKind,
+    emitter: JoinEmitter,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
-    residual: Option<Expr>,
-    /// Stand-in right batch for runs made of null-extended pairs only.
-    no_right: ColumnBatch,
     ctrl: Arc<ControlBlock>,
     /// The buffered right side; `None` until the first pull.
     right_batches: Option<Arc<Vec<ColumnBatch>>>,
@@ -1270,11 +1216,9 @@ impl MergeJoinExec {
         MergeJoinExec {
             left,
             right,
-            kind,
+            emitter: JoinEmitter::new(kind, residual, right_arity),
             left_keys,
             right_keys,
-            residual: if residual.is_true_literal() { None } else { Some(residual) },
-            no_right: ColumnBatch::empty(right_arity),
             ctrl,
             right_batches: None,
             right_pos: (0, 0),
@@ -1283,9 +1227,8 @@ impl MergeJoinExec {
     }
 
     /// Candidate pairs of `lb` against the right side, advancing the right
-    /// cursor past every key smaller than `lb`'s last. With `pad`, a left
-    /// row without a key match contributes one null-extended pair.
-    fn match_batch(&mut self, lb: &ColumnBatch, right: &[ColumnBatch], pad: bool) -> MergePairs {
+    /// cursor past every key smaller than `lb`'s last.
+    fn match_batch(&mut self, lb: &ColumnBatch, right: &[ColumnBatch]) -> JoinPairs {
         let step = |(b, k): (usize, usize)| {
             if k + 1 < right[b].num_rows() {
                 (b, k + 1)
@@ -1293,111 +1236,39 @@ impl MergeJoinExec {
                 (b + 1, 0)
             }
         };
-        let mut pairs = MergePairs::default();
+        let mut pairs = JoinPairs::default();
         let mut pos = self.right_pos;
         for k in 0..lb.num_rows() {
             let li = lb.phys_index(k);
-            let before = pairs.pks.len();
             // NULL keys match nothing.
-            if self.left_keys.iter().all(|&c| lb.col(c).is_valid(li)) {
-                let cmp_right = |(b, rk): (usize, usize)| {
-                    let rb = &right[b];
-                    cmp_keys(rb, &self.right_keys, rb.phys_index(rk), lb, &self.left_keys, li)
-                };
-                while pos.0 < right.len() && cmp_right(pos) == CmpOrdering::Less {
-                    pos = step(pos);
-                }
-                // Walk the equal-key group from the cursor without moving
-                // it: the next left row may carry the same key.
-                let mut group = pos;
-                while group.0 < right.len() && cmp_right(group) == CmpOrdering::Equal {
-                    let bi = right[group.0].phys_index(group.1);
-                    pairs.push(k as u32, bi as u32, group.0);
-                    group = step(group);
-                }
+            if !self.left_keys.iter().all(|&c| lb.col(c).is_valid(li)) {
+                continue;
             }
-            if pad && pairs.pks.len() == before {
-                pairs.push(k as u32, NIL, pos.0);
+            let cmp_right = |(b, rk): (usize, usize)| {
+                let rb = &right[b];
+                cmp_keys(rb, &self.right_keys, rb.phys_index(rk), lb, &self.left_keys, li)
+            };
+            while pos.0 < right.len() && cmp_right(pos) == CmpOrdering::Less {
+                pos = step(pos);
+            }
+            // Walk the equal-key group from the cursor without moving
+            // it: the next left row may carry the same key.
+            let mut group = pos;
+            while group.0 < right.len() && cmp_right(group) == CmpOrdering::Equal {
+                let bi = right[group.0].phys_index(group.1);
+                pairs.push(k as u32, bi as u32, group.0 as u32);
+                group = step(group);
             }
         }
         self.right_pos = pos;
         pairs
-    }
-
-    /// Gather `pairs` into output batches, one run at a time.
-    fn emit(&mut self, lb: &ColumnBatch, right: &[ColumnBatch], pairs: &MergePairs) {
-        for (range, arena) in pairs.runs() {
-            let arena = arena.map_or(&self.no_right, |a| &right[a]);
-            emit_pair_segments(lb, &pairs.pks[range.clone()], arena, &pairs.bis[range], &mut self.output);
-        }
-    }
-
-    /// Join one left batch, queueing its output.
-    fn join_batch(&mut self, lb: &ColumnBatch, right: &[ColumnBatch]) -> IcResult<()> {
-        let n = lb.num_rows();
-        let Some(residual) = self.residual.clone() else {
-            let pairs = self.match_batch(lb, right, self.kind == JoinKind::Left);
-            match self.kind {
-                JoinKind::Inner | JoinKind::Left => self.emit(lb, right, &pairs),
-                JoinKind::Semi | JoinKind::Anti => {
-                    let pass = vec![true; pairs.pks.len()];
-                    let keep = verdict_selection(self.kind, n, &pairs.pks, &pass);
-                    if !keep.is_empty() {
-                        self.output.push_back(lb.select_logical(&keep));
-                    }
-                }
-            }
-            return Ok(());
-        };
-        // Run the residual vectorized over each run's joined batch, then
-        // regroup pass/fail per left row across the runs.
-        let pairs = self.match_batch(lb, right, false);
-        let mut pass = vec![false; pairs.pks.len()];
-        for (range, arena) in pairs.runs() {
-            let Some(arena) = arena else { continue };
-            let joined = gather_join_output(
-                lb,
-                &pairs.pks[range.clone()],
-                &right[arena],
-                &pairs.bis[range.clone()],
-            );
-            for j in eval_filter_sel(&residual, &joined)? {
-                pass[range.start + j as usize] = true;
-            }
-        }
-        match self.kind {
-            JoinKind::Inner | JoinKind::Left => {
-                let mut kept = MergePairs::default();
-                fold_verdicts(n, &pairs.pks, &pass, |k, hit| match hit {
-                    Some(i) => kept.push(k, pairs.bis[i], pairs.rbs[i] as usize),
-                    None if self.kind == JoinKind::Left => kept.push(k, NIL, 0),
-                    None => {}
-                });
-                self.emit(lb, right, &kept);
-            }
-            JoinKind::Semi | JoinKind::Anti => {
-                let keep = verdict_selection(self.kind, n, &pairs.pks, &pass);
-                if !keep.is_empty() {
-                    self.output.push_back(lb.select_logical(&keep));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
 impl RowSource for MergeJoinExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
         if self.right_batches.is_none() {
-            let mut batches = Vec::new();
-            while let Some(b) = self.right.next_batch()? {
-                self.ctrl.check()?;
-                if b.num_rows() > 0 {
-                    self.ctrl.reserve_batch(&b)?;
-                    batches.push(b);
-                }
-            }
-            self.right_batches = Some(Arc::new(batches));
+            self.right_batches = Some(Arc::new(buffer_input(&mut self.right, &self.ctrl)?));
         }
         let right = self.right_batches.clone().unwrap_or_default();
         loop {
@@ -1406,264 +1277,208 @@ impl RowSource for MergeJoinExec {
                 return Ok(Some(b));
             }
             let Some(lb) = self.left.next_batch()? else { return Ok(None) };
-            self.join_batch(&lb, &right)?;
+            let pairs = self.match_batch(&lb, &right);
+            self.emitter.emit(&lb, &right, pairs, &mut self.output)?;
         }
     }
 }
 
 // ------------------------------------------------------------- aggregates
 
-/// Hash aggregate in any phase (§3.2's map-reduce split) — columnar build.
+/// Aggregate in any phase (§3.2's map-reduce split) over a
+/// [`ColGroupTable`], with one of two slot strategies:
 ///
-/// Groups live in a [`ColGroupTable`]: each input batch is resolved to
-/// group slots in one vectorized-hash pass (key datums are cloned exactly
-/// once, at first sight of each group), then each aggregate folds its
-/// argument column in one typed loop that skips validity-masked rows. The
-/// Final phase merges accumulator states row-wise (state rows are short and
-/// heterogeneous). Output is emitted lazily in batch-sized chunks, one per
-/// `next_batch` call, so buffered state stays at the (already reserved)
-/// group table instead of doubling into an output queue.
-pub struct HashAggExec {
-    pub input: BoxedSource,
-    pub group: Vec<usize>,
-    pub aggs: Vec<AggCall>,
-    pub phase: AggPhase,
-    pub ctrl: Arc<ControlBlock>,
-    done: bool,
-    groups: Option<ColGroupTable>,
+/// * **hash** ([`AggExec::hash`]): each input batch is resolved to group
+///   slots in one vectorized-hash pass; every group stays open until the
+///   input ends, then output is emitted lazily in batch-sized chunks, so
+///   buffered state stays at the (reserved) group table instead of
+///   doubling into an output queue.
+/// * **sorted** ([`AggExec::sorted`], the paper's "sort-based aggregation
+///   on an already sorted input", §6.2.1 / Q14): input arrives sorted on
+///   the group keys, so a row either continues the newest group or opens
+///   the next one. Groups close in input order and are emitted — and
+///   forgotten — after every input batch: state is one open group plus
+///   one batch's worth of closed ones.
+///
+/// Either way key datums are cloned once per group, each aggregate folds
+/// its argument column in one typed loop that skips validity-masked rows,
+/// and the Final phase merges accumulator states row-wise (state rows are
+/// short and heterogeneous).
+pub struct AggExec {
+    input: BoxedSource,
+    group: Vec<usize>,
+    aggs: Vec<AggCall>,
+    phase: AggPhase,
+    ctrl: Arc<ControlBlock>,
+    sorted: bool,
+    groups: ColGroupTable,
+    slots: Vec<u32>,
+    input_done: bool,
     emit_pos: usize,
+    /// Groups emitted; flushed to `exec.agg.groups` on drop.
+    emitted: u64,
 }
 
-impl HashAggExec {
-    pub fn new(
+impl AggExec {
+    /// Hash aggregate: input in any order.
+    pub fn hash(
         input: BoxedSource,
         group: Vec<usize>,
         aggs: Vec<AggCall>,
         phase: AggPhase,
         ctrl: Arc<ControlBlock>,
-    ) -> Self {
-        HashAggExec { input, group, aggs, phase, ctrl, done: false, groups: None, emit_pos: 0 }
+    ) -> AggExec {
+        AggExec::new(input, group, aggs, phase, ctrl, false)
     }
 
-    fn update_group(&self, accs: &mut [Accumulator], row: &Row) -> IcResult<()> {
-        apply_row(self.phase, &self.group, &self.aggs, accs, row)
+    /// Streaming aggregate: input sorted on `group`.
+    pub fn sorted(
+        input: BoxedSource,
+        group: Vec<usize>,
+        aggs: Vec<AggCall>,
+        phase: AggPhase,
+        ctrl: Arc<ControlBlock>,
+    ) -> AggExec {
+        AggExec::new(input, group, aggs, phase, ctrl, true)
     }
 
-    fn finish_group(&self, key: Vec<Datum>, accs: &[Accumulator], out: &mut Batch) {
-        finish_group_row(self.phase, key, accs, out)
+    fn new(
+        input: BoxedSource,
+        group: Vec<usize>,
+        aggs: Vec<AggCall>,
+        phase: AggPhase,
+        ctrl: Arc<ControlBlock>,
+        sorted: bool,
+    ) -> AggExec {
+        let groups = ColGroupTable::new(group.clone(), aggs.len());
+        AggExec {
+            input,
+            group,
+            aggs,
+            phase,
+            ctrl,
+            sorted,
+            groups,
+            slots: Vec::new(),
+            input_done: false,
+            emit_pos: 0,
+            emitted: 0,
+        }
     }
 
-    fn build(&mut self) -> IcResult<()> {
-        let mut groups = ColGroupTable::new(self.group.clone(), self.aggs.len());
-        let mut slots: Vec<u32> = Vec::new();
-        while let Some(batch) = self.input.next_batch()? {
-            self.ctrl.check()?;
-            let before = groups.len();
-            groups.slots_for_batch(&batch, &self.aggs, &mut slots);
-            match self.phase {
-                AggPhase::Complete | AggPhase::Partial => {
-                    for (j, call) in self.aggs.iter().enumerate() {
-                        match &call.arg {
-                            // Physical input columns fold directly through
-                            // the batch's selection vector.
-                            Some(Expr::Col(c)) => {
-                                groups.accumulate(j, batch.col(*c), batch.selection(), &slots)?;
-                            }
-                            // Computed arguments evaluate vectorized into a
-                            // logically dense column first.
-                            Some(e) => {
-                                let col = eval_expr(e, &batch)?;
-                                groups.accumulate(j, &col, None, &slots)?;
-                            }
-                            None => groups.accumulate_count_star(j, &slots)?,
+    /// Fold one input batch into the group table.
+    fn fold(&mut self, batch: &ColumnBatch) -> IcResult<()> {
+        let groups = &mut self.groups;
+        let before = groups.len();
+        if self.sorted {
+            groups.slots_for_sorted_batch(batch, &self.aggs, &mut self.slots);
+        } else {
+            groups.slots_for_batch(batch, &self.aggs, &mut self.slots);
+        }
+        match self.phase {
+            AggPhase::Complete | AggPhase::Partial => {
+                for (j, call) in self.aggs.iter().enumerate() {
+                    match &call.arg {
+                        // Physical input columns fold directly through
+                        // the batch's selection vector.
+                        Some(Expr::Col(c)) => {
+                            groups.accumulate(j, batch.col(*c), batch.selection(), &self.slots)?;
                         }
-                    }
-                }
-                AggPhase::Final => {
-                    // State rows are short (group keys + a few state
-                    // datums); merge them row-wise.
-                    for (k, &slot) in slots.iter().enumerate() {
-                        let row = batch.row_at(k);
-                        apply_row(self.phase, &self.group, &self.aggs, groups.accs_mut(slot as usize), &row)?;
+                        // Computed arguments evaluate vectorized into a
+                        // logically dense column first.
+                        Some(e) => {
+                            let col = eval_expr(e, batch)?;
+                            groups.accumulate(j, &col, None, &self.slots)?;
+                        }
+                        None => groups.accumulate_count_star(j, &self.slots)?,
                     }
                 }
             }
+            AggPhase::Final => {
+                // State rows are short (group keys + a few state datums);
+                // merge them row-wise. Layout: group keys, then each
+                // aggregate's state.
+                for (k, &slot) in self.slots.iter().enumerate() {
+                    let row = batch.row_at(k);
+                    let mut pos = self.group.len();
+                    for (acc, call) in groups.accs_mut(slot as usize).iter_mut().zip(&self.aggs) {
+                        let w = Accumulator::state_width(call.func);
+                        acc.merge(Accumulator::from_state(call.func, &row.0[pos..pos + w])?)?;
+                        pos += w;
+                    }
+                }
+            }
+        }
+        // A hash table holds every group until the end; the streaming one
+        // forgets closed groups batch by batch and holds nothing to charge.
+        if !self.sorted {
             let width = self.group.len() + self.aggs.len() * 2 + 1;
             self.ctrl.reserve((groups.len() - before) * width)?;
         }
-        // Scalar aggregates emit one row even on empty input.
-        if self.group.is_empty() {
-            groups.ensure_scalar_group(&self.aggs);
-        }
-        ic_common::obs::MetricsRegistry::global()
-            .counter("exec.agg.groups")
-            .add(groups.len() as u64);
-        self.groups = Some(groups);
         Ok(())
     }
 }
 
-impl RowSource for HashAggExec {
+impl Drop for AggExec {
+    fn drop(&mut self) {
+        if self.emitted > 0 {
+            ic_common::obs::MetricsRegistry::global()
+                .counter("exec.agg.groups")
+                .add(self.emitted);
+        }
+    }
+}
+
+impl RowSource for AggExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        if !self.done {
-            self.build()?;
-            self.done = true;
-        }
-        self.ctrl.check()?;
-        let Some(groups) = self.groups.as_mut() else {
-            return Err(IcError::Internal("hash agg: group table missing after build phase".into()));
-        };
-        if self.emit_pos >= groups.len() {
-            return Ok(None);
-        }
-        let end = (self.emit_pos + BATCH_SIZE).min(groups.len());
-        let mut out = Batch::with_capacity(end - self.emit_pos);
-        for slot in self.emit_pos..end {
-            let (key, accs) = groups.take_group(slot);
-            finish_group_row(self.phase, key, accs, &mut out);
-        }
-        self.emit_pos = end;
-        Ok(Some(ColumnBatch::from_rows(&out)))
-    }
-}
-
-/// Apply one input row to a group's accumulators (phase-dependent).
-fn apply_row(
-    phase: AggPhase,
-    group: &[usize],
-    aggs: &[AggCall],
-    accs: &mut [Accumulator],
-    row: &Row,
-) -> IcResult<()> {
-    match phase {
-        AggPhase::Complete | AggPhase::Partial => {
-            for (acc, call) in accs.iter_mut().zip(aggs) {
-                let v = match &call.arg {
-                    // Plain column refs skip the expression walk.
-                    Some(Expr::Col(c)) => row.0[*c].clone(),
-                    Some(e) => e.eval(row)?,
-                    None => Datum::Int(1), // COUNT(*)
-                };
-                acc.update(v)?;
-            }
-        }
-        AggPhase::Final => {
-            // Row layout: group keys then accumulator states.
-            let mut pos = group.len();
-            for (acc, call) in accs.iter_mut().zip(aggs) {
-                let w = Accumulator::state_width(call.func);
-                let state = &row.0[pos..pos + w];
-                acc.merge(Accumulator::from_state(call.func, state)?)?;
-                pos += w;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Emit one finished group as an output row (phase-dependent shape).
-fn finish_group_row(phase: AggPhase, key: Vec<Datum>, accs: &[Accumulator], out: &mut Batch) {
-    let mut vals = key;
-    match phase {
-        AggPhase::Complete | AggPhase::Final => {
-            vals.extend(accs.iter().map(Accumulator::finish));
-        }
-        AggPhase::Partial => {
-            for acc in accs {
-                vals.extend(acc.to_state());
-            }
-        }
-    }
-    out.push(Row(vals));
-}
-
-/// Streaming aggregate over input sorted on the group keys (the paper's
-/// "sort-based aggregation on an already sorted input", §6.2.1 / Q14).
-/// Row-internal: group boundaries are detected row by row.
-pub struct SortAggExec {
-    inner: HashAggExec,
-    current_key: Option<Vec<Datum>>,
-    current_accs: Vec<Accumulator>,
-    pending: Option<Batch>,
-    exhausted: bool,
-}
-
-impl SortAggExec {
-    pub fn new(
-        input: BoxedSource,
-        group: Vec<usize>,
-        aggs: Vec<AggCall>,
-        phase: AggPhase,
-        ctrl: Arc<ControlBlock>,
-    ) -> Self {
-        SortAggExec {
-            inner: HashAggExec::new(input, group, aggs, phase, ctrl),
-            current_key: None,
-            current_accs: vec![],
-            pending: None,
-            exhausted: false,
-        }
-    }
-}
-
-impl SortAggExec {
-    fn produce(&mut self) -> IcResult<Option<Batch>> {
-        if self.exhausted {
-            return Ok(self.pending.take());
-        }
-        let mut out = Batch::new();
         loop {
-            self.inner.ctrl.check()?;
-            match self.inner.input.next_rows()? {
-                Some(rows) => {
-                    for row in rows {
-                        let key: Vec<Datum> =
-                            self.inner.group.iter().map(|&c| row.0[c].clone()).collect();
-                        if self.current_key.as_ref() != Some(&key) {
-                            if let Some(k) = self.current_key.take() {
-                                self.inner.finish_group(k, &self.current_accs, &mut out);
-                            }
-                            self.current_key = Some(key);
-                            self.current_accs = self
-                                .inner
-                                .aggs
-                                .iter()
-                                .map(|a| Accumulator::new(a.func))
-                                .collect();
+            self.ctrl.check()?;
+            // Closed groups: all of them once the input has ended, all but
+            // the newest while sorted input streams, none while hashing.
+            let closed = match (self.input_done, self.sorted) {
+                (true, _) => self.groups.len(),
+                (false, true) => self.groups.len().saturating_sub(1),
+                (false, false) => 0,
+            };
+            if self.emit_pos < closed {
+                let end = (self.emit_pos + BATCH_SIZE).min(closed);
+                let mut out = Batch::with_capacity(end - self.emit_pos);
+                for slot in self.emit_pos..end {
+                    let (mut row, accs) = self.groups.take_group(slot);
+                    match self.phase {
+                        AggPhase::Complete | AggPhase::Final => {
+                            row.extend(accs.iter().map(Accumulator::finish));
                         }
-                        self.inner.update_group(&mut self.current_accs, &row)?;
+                        AggPhase::Partial => {
+                            for acc in accs {
+                                row.extend(acc.to_state());
+                            }
+                        }
                     }
-                    if out.len() >= BATCH_SIZE {
-                        return Ok(Some(out));
-                    }
+                    out.push(Row(row));
                 }
+                self.emitted += (end - self.emit_pos) as u64;
+                self.emit_pos = end;
+                return Ok(Some(ColumnBatch::from_rows(&out)));
+            }
+            if self.input_done {
+                return Ok(None);
+            }
+            if self.sorted {
+                self.groups.discard_front(self.emit_pos);
+                self.emit_pos = 0;
+            }
+            match self.input.next_batch()? {
+                Some(batch) => self.fold(&batch)?,
                 None => {
-                    self.exhausted = true;
-                    if let Some(k) = self.current_key.take() {
-                        self.inner.finish_group(k, &self.current_accs, &mut out);
-                    } else if self.inner.group.is_empty() {
-                        let accs: Vec<Accumulator> = self
-                            .inner
-                            .aggs
-                            .iter()
-                            .map(|a| Accumulator::new(a.func))
-                            .collect();
-                        self.inner.finish_group(vec![], &accs, &mut out);
+                    self.input_done = true;
+                    // Scalar aggregates emit one row even on empty input.
+                    if self.group.is_empty() {
+                        self.groups.ensure_scalar_group(&self.aggs);
                     }
-                    return Ok(if out.is_empty() { None } else { Some(out) });
                 }
             }
         }
-    }
-}
-
-impl RowSource for SortAggExec {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        Ok(self.produce()?.map(|b| ColumnBatch::from_rows(&b)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        self.produce()
     }
 }
 
@@ -1763,6 +1578,7 @@ impl RowSource for LimitExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_common::Datum;
 
     fn ctrl() -> Arc<ControlBlock> {
         ControlBlock::new(None, 0)
@@ -1842,17 +1658,45 @@ mod tests {
     }
 
     #[test]
-    fn nlj_matches_hash_join() {
-        let on = Expr::eq(Expr::col(0), Expr::col(1));
+    fn nlj_kinds_keep_left_order() {
+        // ON l.c0 < r.c0 (cols: l0 r0 r1): a non-equi predicate no other
+        // join can run. Matches come out in left order, right order within.
+        let mk = |kind| {
+            NestedLoopJoinExec::new(
+                src(&[&[3], &[1], &[2]]),
+                src(&[&[2, 20], &[3, 30]]),
+                kind,
+                Expr::binary(ic_common::BinOp::Lt, Expr::col(0), Expr::col(1)),
+                2,
+                ctrl(),
+            )
+        };
+        assert_eq!(
+            drain(Box::new(mk(JoinKind::Inner))).unwrap(),
+            rows(&[&[1, 2, 20], &[1, 3, 30], &[2, 3, 30]])
+        );
+        let left = drain(Box::new(mk(JoinKind::Left))).unwrap();
+        assert_eq!(left.len(), 4);
+        assert!(left[0].0[1].is_null() && left[0].0[2].is_null()); // 3 null-extended
+        assert_eq!(drain(Box::new(mk(JoinKind::Semi))).unwrap(), rows(&[&[1], &[2]]));
+        assert_eq!(drain(Box::new(mk(JoinKind::Anti))).unwrap(), rows(&[&[3]]));
+    }
+
+    #[test]
+    fn nlj_steps_cover_whole_left_rows() {
+        // A right side of more than half the pair budget: every step joins
+        // exactly one left row, mid-batch.
+        let n = NLJ_PAIR_BUDGET as i64 / 2 + 1;
+        let right: Vec<Row> = (0..n).map(|i| Row(vec![Datum::Int(i)])).collect();
         let nlj = NestedLoopJoinExec::new(
-            src(&[&[1], &[2], &[3]]),
-            src(&[&[2], &[3]]),
+            src(&[&[0], &[n - 1], &[n]]),
+            Box::new(VecSource::new(right)),
             JoinKind::Inner,
-            on,
+            Expr::eq(Expr::col(0), Expr::col(1)),
             1,
             ctrl(),
         );
-        assert_eq!(drain(Box::new(nlj)).unwrap(), rows(&[&[2, 2], &[3, 3]]));
+        assert_eq!(drain(Box::new(nlj)).unwrap(), rows(&[&[0, 0], &[n - 1, n - 1]]));
     }
 
     #[test]
@@ -1888,7 +1732,7 @@ mod tests {
     #[test]
     fn hash_agg_complete() {
         use ic_common::agg::AggFunc;
-        let agg = HashAggExec::new(
+        let agg = AggExec::hash(
             src(&[&[1, 10], &[1, 20], &[2, 5]]),
             vec![0],
             vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }],
@@ -1908,14 +1752,14 @@ mod tests {
             AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() },
         ];
         // Two partials over disjoint halves.
-        let p1 = HashAggExec::new(
+        let p1 = AggExec::hash(
             src(&[&[1, 10], &[2, 8]]),
             vec![0],
             aggs.clone(),
             AggPhase::Partial,
             ctrl(),
         );
-        let p2 = HashAggExec::new(
+        let p2 = AggExec::hash(
             src(&[&[1, 30]]),
             vec![0],
             aggs.clone(),
@@ -1924,7 +1768,7 @@ mod tests {
         );
         let mut partial_rows = drain(Box::new(p1)).unwrap();
         partial_rows.extend(drain(Box::new(p2)).unwrap());
-        let fin = HashAggExec::new(
+        let fin = AggExec::hash(
             Box::new(VecSource::new(partial_rows)),
             vec![0],
             aggs,
@@ -1945,7 +1789,7 @@ mod tests {
     #[test]
     fn scalar_agg_empty_input() {
         use ic_common::agg::AggFunc;
-        let agg = HashAggExec::new(
+        let agg = AggExec::hash(
             src(&[]),
             vec![],
             vec![AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() }],
@@ -1958,7 +1802,7 @@ mod tests {
     #[test]
     fn sort_agg_streams_groups() {
         use ic_common::agg::AggFunc;
-        let agg = SortAggExec::new(
+        let agg = AggExec::sorted(
             src(&[&[1, 10], &[1, 20], &[2, 5], &[3, 1]]),
             vec![0],
             vec![AggCall { func: AggFunc::Max, arg: Some(Expr::col(1)), name: "m".into() }],
@@ -2055,7 +1899,8 @@ mod tests {
         let b = f2.next_batch().unwrap().unwrap();
         assert_eq!(b.num_rows(), 4);
         assert_eq!(b.phys_rows(), 6, "filter must shrink the selection, not copy columns");
-        assert_eq!(b.to_rows(), rows(&[&[2], &[3], &[4], &[5]]));
+        let vals: Vec<Datum> = (0..4).map(|k| b.datum_at(0, k)).collect();
+        assert_eq!(vals, [2, 3, 4, 5].map(Datum::Int));
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!   sink — the exchange stage coalesces sub-batch outputs *across*
 //!   lanes exactly as the sequential sender coalesces across batches.
 //!
-//! Fragments that don't fit this shape (row-internal joins/aggregates,
-//! index scans, receiver-fed spines, a bare LIMIT that profits from
-//! sequential early-exit, fewer than two morsels) fall back to the
-//! sequential single-thread path unchanged. Receivers never run inside
+//! Fragments that don't fit this shape (nested-loop and merge joins,
+//! streaming aggregates, index scans, receiver-fed spines, a bare LIMIT
+//! that profits from sequential early-exit, fewer than two morsels) run
+//! as one sequential chain on the driver. Receivers never run inside
 //! lanes: every exchange consumed by a fragment is drained either on the
 //! driver (sequential spine) or before the lanes start (join build
 //! sides), so the producer-drains-consumer liveness argument of the
@@ -37,7 +37,7 @@
 use crate::analyze::OpIndex;
 use crate::kernels::ColJoinTable;
 use crate::operators::{
-    ControlBlock, FilterExec, HashAggExec, LimitExec, MergeRunsSource, ProjectExec, RowSource,
+    AggExec, ControlBlock, FilterExec, LimitExec, MergeRunsSource, ProjectExec, RowSource,
     ScanSource, SharedProbeExec, SortExec, TracedSource,
 };
 use crate::pool::{Latch, LatchGuard, MorselSupply, SitePools, WorkerPool};
@@ -217,7 +217,7 @@ fn build_lane(
             sh.ctrl.clone(),
         )),
         PhysOp::HashAggregate { input, group, aggs, phase: AggPhase::Partial } => {
-            Box::new(HashAggExec::new(
+            Box::new(AggExec::hash(
                 build_lane(sh, input, lane_idx, worker_lane)?,
                 group.clone(),
                 aggs.clone(),
@@ -267,7 +267,7 @@ fn build_full_lane(sh: &LaneShared, lane_idx: usize, worker_lane: u32) -> IcResu
         let PhysOp::HashAggregate { group, aggs, .. } = &node.op else {
             return Err(IcError::Internal("pipeline: partial_of is not an aggregate".into()));
         };
-        src = Box::new(HashAggExec::new(
+        src = Box::new(AggExec::hash(
             src,
             group.clone(),
             aggs.clone(),
@@ -392,7 +392,7 @@ fn scan_rows(partitions: &[Chunks]) -> usize {
 /// [`ColJoinTable`] before the lanes start. Scan-chain build subtrees are
 /// built in parallel: lanes collect partial batch runs, the build barrier
 /// fires, and the driver merges the runs into one table. Anything else
-/// (receivers, row-internal operators) builds sequentially through the
+/// (receivers, other joins) builds sequentially through the
 /// instance's own `BuildCtx` — which also keeps every receiver drain on
 /// the driver thread.
 fn resolve_builds(
@@ -458,33 +458,37 @@ fn resolve_builds(
     Ok(Arc::new(tables))
 }
 
-/// Run one fragment instance: pipeline-parallel when the plan shape, the
-/// pool, and the input size allow it, else the classic sequential chain.
+/// Run one fragment instance: pipeline-parallel when the plan shape and
+/// the input size allow it, else as one sequential chain on the driver.
 /// All output goes through `sink`; exchange staging/EOF handling stays
 /// with the caller.
 pub(crate) fn run_instance(
     ctx: &mut BuildCtx<'_>,
     root: &Arc<PhysPlan>,
-    pools: Option<&SitePools>,
+    pools: &SitePools,
     morsel_rows: usize,
     sink: &InstanceSink,
 ) -> IcResult<()> {
-    if let Some(pools) = pools.filter(|p| p.threads() >= 1) {
-        if let Some(spec) = compile(root) {
-            let PhysOp::TableScan { table, .. } = &spec.region.scan.op else {
-                return Err(IcError::Internal("pipeline: region leaf not a scan".into()));
-            };
-            let partitions = Arc::new(ctx.table_partitions(*table)?);
-            if scan_rows(&partitions).div_ceil(morsel_rows.max(64)) >= 2 {
-                let pool = pools.for_site(ctx.site);
-                let lanes = lane_count(&partitions, morsel_rows, pool.threads()).max(1);
-                return run_parallel(ctx, spec, &pool, lanes, partitions, morsel_rows, sink);
-            }
+    if let Some(spec) = compile(root) {
+        let PhysOp::TableScan { table, .. } = &spec.region.scan.op else {
+            return Err(IcError::Internal("pipeline: region leaf not a scan".into()));
+        };
+        let partitions = Arc::new(ctx.table_partitions(*table)?);
+        if scan_rows(&partitions).div_ceil(morsel_rows.max(64)) >= 2 {
+            let pool = pools.for_site(ctx.site);
+            let lanes = lane_count(&partitions, morsel_rows, pool.threads()).max(1);
+            return run_parallel(ctx, spec, &pool, lanes, partitions, morsel_rows, sink);
         }
     }
-    // Sequential fallback: the pre-pool execution model, unchanged.
-    let src = ctx.build(root)?;
-    sink.drain_from(src)
+    drain_into(ctx.build(root)?, sink)
+}
+
+/// Pull `src` dry into the instance sink.
+fn drain_into(mut src: BoxedSource, sink: &InstanceSink) -> IcResult<()> {
+    while let Some(b) = src.next_batch()? {
+        sink.push(b)?;
+    }
+    Ok(())
 }
 
 fn run_parallel(
@@ -568,7 +572,7 @@ fn run_parallel(
                 wrap_traced(
                     ctx,
                     node,
-                    Box::new(HashAggExec::new(
+                    Box::new(AggExec::hash(
                         src,
                         (0..group.len()).collect(),
                         aggs.clone(),
@@ -584,7 +588,7 @@ fn run_parallel(
                 wrap_traced(
                     ctx,
                     node,
-                    Box::new(HashAggExec::new(
+                    Box::new(AggExec::hash(
                         src,
                         group.clone(),
                         aggs.clone(),
@@ -595,10 +599,7 @@ fn run_parallel(
             }
         };
     }
-    while let Some(b) = src.next_batch()? {
-        sink.push(b)?;
-    }
-    Ok(())
+    drain_into(src, sink)
 }
 
 /// Trace-wrap a driver-side post operator under the fragment span (same

@@ -259,8 +259,7 @@ pub struct SitePools {
 }
 
 impl SitePools {
-    /// `threads` = workers per site (0 disables pooled execution entirely,
-    /// in which case callers never construct `SitePools`).
+    /// `threads` = workers per site (≥1).
     pub fn new(threads: usize, trace: Option<Arc<Trace>>) -> SitePools {
         SitePools { threads, trace, pools: Mutex::new(Vec::new()), spawned: AtomicUsize::new(0) }
     }

@@ -10,13 +10,14 @@
 //! (`ExecOptions::worker_threads` workers per site), keeping for itself
 //! the sequential work — exchange receivers, join build barriers, and the
 //! order-sensitive merge/sort/final-aggregate steps above the parallel
-//! region. Chains that don't fit (row-internal operators, receiver-fed
-//! spines, early-exit limits) run sequentially on the driver exactly as
-//! before; `worker_threads = 0` disables pools entirely and restores the
-//! pre-morsel runtime. Lanes stream into a shared [`InstanceSink`] — the
-//! staging half of [`ExchangeCore`] coalesces sub-batch outputs across
-//! workers the same way the sequential sender coalesced across batches —
-//! and the driver alone sends the exchange EOFs after the drain barrier.
+//! region. Chains that don't fit (nested-loop/merge joins, streaming
+//! aggregates, receiver-fed spines, early-exit limits, a scan of less than
+//! two morsels) run as one sequential chain on the driver — the general
+//! path, of which a pipeline is the parallel special case. Either way the
+//! output streams into a shared [`InstanceSink`] — the staging half of
+//! [`ExchangeCore`] coalesces sub-batch outputs across lanes and batches
+//! alike — and the driver alone sends the exchange EOFs after the drain
+//! barrier.
 
 use crate::analyze::{enumerate_ops, OpIndex};
 use crate::fragment::{fragment_plan, ExchangeId, ExchangeRegistry, Sink};
@@ -64,8 +65,8 @@ pub struct ExecOptions {
     pub trace_parent: Option<SpanId>,
     /// Morsel-pool workers **per site**: fragment instances whose chains
     /// compile into pipelines fan out over this many lanes at their site.
-    /// `0` disables pooled execution entirely (the pre-morsel sequential
-    /// runtime); `1` keeps the pool active with deterministic lane order.
+    /// Clamped to ≥1; `1` runs every pipeline on a single lane, in
+    /// deterministic morsel order.
     pub worker_threads: usize,
     /// Rows per morsel (the work-stealing granule and the revocation/
     /// cancellation check interval). Clamped to ≥64.
@@ -426,26 +427,6 @@ impl InstanceSink {
             }
         }
     }
-
-    /// Drain a sequential source into the sink. The rowset side pulls in
-    /// row format (`next_rows`) so row-native chains skip the column
-    /// round-trip, exactly as the pre-pool root driver did.
-    pub(crate) fn drain_from(&self, mut src: BoxedSource) -> IcResult<()> {
-        match self {
-            InstanceSink::Exchange(core) => {
-                while let Some(b) = src.next_batch()? {
-                    core.send_batch(b)?;
-                }
-                Ok(())
-            }
-            InstanceSink::Rows(rows) => {
-                while let Some(mut b) = src.next_rows()? {
-                    rows.lock().append(&mut b);
-                }
-                Ok(())
-            }
-        }
-    }
 }
 
 /// The receiving end of an exchange inside a fragment instance.
@@ -666,14 +647,14 @@ impl BuildCtx<'_> {
                     self.ctrl.clone(),
                 ))
             }
-            PhysOp::HashAggregate { input, group, aggs, phase } => Box::new(HashAggExec::new(
+            PhysOp::HashAggregate { input, group, aggs, phase } => Box::new(AggExec::hash(
                 self.build(input)?,
                 group.clone(),
                 aggs.clone(),
                 *phase,
                 self.ctrl.clone(),
             )),
-            PhysOp::SortAggregate { input, group, aggs, phase } => Box::new(SortAggExec::new(
+            PhysOp::SortAggregate { input, group, aggs, phase } => Box::new(AggExec::sorted(
                 self.build(input)?,
                 group.clone(),
                 aggs.clone(),
@@ -818,10 +799,8 @@ pub fn execute_plan(
     }
 
     // --- spawn non-root fragment instances ------------------------------
-    // One lazily-populated worker pool per site for this execution; `None`
-    // (worker_threads = 0) keeps every fragment on the sequential path.
-    let pools: Option<Arc<SitePools>> = (opts.worker_threads > 0)
-        .then(|| Arc::new(SitePools::new(opts.worker_threads, opts.trace.clone())));
+    // One lazily-populated worker pool per site for this execution.
+    let pools = Arc::new(SitePools::new(opts.worker_threads.max(1), opts.trace.clone()));
     let morsel_rows = opts.morsel_rows;
     let error_slot: Arc<Mutex<Option<IcError>>> = Arc::new(Mutex::named(None, "exec.error_slot"));
     let mut handles: Vec<(usize, SiteId, usize, std::thread::JoinHandle<()>)> = Vec::new();
@@ -916,7 +895,7 @@ pub fn execute_plan(
                         pipeline::run_instance(
                             &mut ctx,
                             &root,
-                            pools2.as_deref(),
+                            &pools2,
                             morsel_rows,
                             &sink,
                         )?;
@@ -993,7 +972,7 @@ pub fn execute_plan(
         let collected: Arc<Mutex<Vec<Row>>> =
             Arc::new(Mutex::named(Vec::new(), "exec.root_rows"));
         let sink = InstanceSink::Rows(collected.clone());
-        pipeline::run_instance(&mut ctx, &root.root, pools.as_deref(), morsel_rows, &sink)?;
+        pipeline::run_instance(&mut ctx, &root.root, &pools, morsel_rows, &sink)?;
         let rows = std::mem::take(&mut *collected.lock());
         Ok(rows)
     })();
@@ -1078,7 +1057,7 @@ pub fn execute_plan(
     }
     // Pool workers joined before stats: spawned() is final, and worker
     // trace lanes are quiesced before the trace is read.
-    let pool_threads = pools.as_ref().map_or(0, |p| p.spawned());
+    let pool_threads = pools.spawned();
     drop(pools);
     let peak_buffered_rows = ctrl.lease().peak_used();
     if let Some(g) = &mut exec_span {

@@ -1,28 +1,24 @@
-//! Property tests for the batch-at-a-time kernels: hash join against the
-//! nested-loop reference and hash aggregation against streaming sort
-//! aggregation under NULL-heavy, duplicate-heavy keys — the inputs most
-//! likely to expose differences between the arena/chain hash table and the
-//! operators it replaced — plus the cross-layer hash contract: planner
+//! Property tests for the batch-at-a-time kernels: hash and nested-loop
+//! join, hash and streaming aggregation, each against a brute-force oracle
+//! under NULL-heavy, duplicate-heavy keys — the inputs most likely to expose
+//! a bug in the arena/chain hash table, the shared join emitter or the
+//! group table — plus the cross-layer hash contract: planner
 //! routing, storage partitioning and executor probing all hash through
 //! `Row::hash_key`, and its values are pinned so an accidental divergence
 //! (or hasher change on one side only) fails loudly.
 
+mod common;
+
+use common::{agg_oracle, chunked_src, join_oracle};
 use ic_common::agg::{Accumulator, AggFunc};
 use ic_common::{BinOp, ColumnBatch, Datum, Expr, Row};
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::ColGroupTable;
-use ic_exec::operators::{
-    drain, BoxedSource, ControlBlock, HashAggExec, HashJoinExec, NestedLoopJoinExec,
-    SortAggExec, VecSource,
-};
+use ic_exec::operators::{drain, AggExec, ControlBlock, HashJoinExec, NestedLoopJoinExec};
 use ic_net::topology::Topology;
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
 use ic_common::hash::FxHashSet;
-
-fn src(data: Vec<Row>) -> BoxedSource {
-    Box::new(VecSource::new(data))
-}
 
 fn canon(mut v: Vec<Row>) -> Vec<Row> {
     v.sort();
@@ -61,51 +57,81 @@ fn arb_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
 }
 
 proptest! {
-    /// HashJoinExec (arena + chained hash table) ≡ NestedLoopJoinExec for
-    /// every join kind, under NULL-heavy duplicate-heavy keys. NULL keys
-    /// must match nothing (SQL equi-join semantics) and Int/Double/Date
-    /// keys that compare equal must join.
+    /// HashJoinExec (arena + chained hash table) ≡ NestedLoopJoinExec ≡ the
+    /// oracle, in order, for every join kind, under NULL-heavy
+    /// duplicate-heavy keys. NULL keys must match nothing (SQL equi-join
+    /// semantics) and Int/Double keys that compare equal must join.
     #[test]
     fn hash_join_matches_nested_loop((l, r) in (arb_rows(32), arb_rows(32))) {
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
             let on = Expr::eq(Expr::col(0), Expr::col(2));
+            let expect = join_oracle(&l, &r, kind, &on, 2);
             let nlj = NestedLoopJoinExec::new(
-                src(l.clone()), src(r.clone()), kind, on, 2, ControlBlock::new(None, 0));
+                chunked_src(&l, &[3, 5]), chunked_src(&r, &[4]), kind, on, 2,
+                ControlBlock::new(None, 0));
             let hj = HashJoinExec::new(
-                src(l.clone()), src(r.clone()), kind, vec![0], vec![0],
+                chunked_src(&l, &[3, 5]), chunked_src(&r, &[4]), kind, vec![0], vec![0],
                 Expr::lit(true), 2, ControlBlock::new(None, 0));
-            prop_assert_eq!(
-                canon(drain(Box::new(nlj)).unwrap()),
-                canon(drain(Box::new(hj)).unwrap()),
-                "{:?}", kind
-            );
+            prop_assert_eq!(&drain(Box::new(nlj)).unwrap(), &expect, "nlj {:?}", kind);
+            prop_assert_eq!(&drain(Box::new(hj)).unwrap(), &expect, "hash {:?}", kind);
         }
     }
 
-    /// HashAggExec (GroupTable) ≡ SortAggExec (streaming over sorted input)
-    /// with NULL group keys and duplicate-heavy groups, including the
-    /// partial phase whose output rows carry accumulator states.
+    /// Hash aggregation ≡ streaming aggregation over the sorted input ≡ the
+    /// oracle, group for group in first-seen order, with NULL group keys,
+    /// duplicate-heavy groups that span the tiny input batches, and empty
+    /// input — grouped (no rows out) and scalar (one row out). `Partial`
+    /// output carries accumulator states, and a `Final` over it — through
+    /// either strategy — lands back on the oracle's `Complete`.
     #[test]
-    fn hash_agg_matches_sort_agg(data in arb_rows(64)) {
+    fn hash_agg_matches_sort_agg(
+        data in arb_rows(64),
+        sizes in collection::vec(1usize..6, 1..4),
+        grouped in any::<bool>(),
+    ) {
         let aggs = vec![
             AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() },
             AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() },
             AggCall { func: AggFunc::Min, arg: Some(Expr::col(1)), name: "m".into() },
+            AggCall { func: AggFunc::Avg, arg: Some(Expr::col(1)), name: "a".into() },
         ];
+        let group = if grouped { vec![0] } else { vec![] };
+        let ctrl = || ControlBlock::new(None, 0);
+        let mut sorted = data.clone();
+        sorted.sort();
         for phase in [AggPhase::Complete, AggPhase::Partial] {
-            let hash = HashAggExec::new(
-                src(data.clone()), vec![0], aggs.clone(), phase,
-                ControlBlock::new(None, 0));
-            let mut sorted = data.clone();
-            sorted.sort();
-            let sort = SortAggExec::new(
-                src(sorted), vec![0], aggs.clone(), phase, ControlBlock::new(None, 0));
+            let hash = AggExec::hash(
+                chunked_src(&data, &sizes), group.clone(), aggs.clone(), phase, ctrl());
             prop_assert_eq!(
-                canon(drain(Box::new(hash)).unwrap()),
-                canon(drain(Box::new(sort)).unwrap()),
-                "{:?}", phase
+                drain(Box::new(hash)).unwrap(),
+                agg_oracle(&data, &group, &aggs, phase),
+                "hash {:?}", phase
+            );
+            let sort = AggExec::sorted(
+                chunked_src(&sorted, &sizes), group.clone(), aggs.clone(), phase, ctrl());
+            prop_assert_eq!(
+                drain(Box::new(sort)).unwrap(),
+                agg_oracle(&sorted, &group, &aggs, phase),
+                "sorted {:?}", phase
             );
         }
+        // Partial → Final: state rows are (keys.., states..), grouped on the
+        // leading key positions; sorted input gives sorted partial output.
+        let partial = agg_oracle(&sorted, &group, &aggs, AggPhase::Partial);
+        let complete = agg_oracle(&sorted, &group, &aggs, AggPhase::Complete);
+        let final_group: Vec<usize> = (0..group.len()).collect();
+        // Two sites' worth of states, so Final has something to merge.
+        let two_sites: Vec<Row> = partial.iter().chain(&partial).cloned().collect();
+        let doubled: Vec<Row> = sorted.iter().chain(&sorted).cloned().collect();
+        let twice = agg_oracle(&doubled, &group, &aggs, AggPhase::Complete);
+        for (states, expect) in [(&partial, &complete), (&two_sites, &twice)] {
+            let hash = AggExec::hash(
+                chunked_src(states, &sizes), final_group.clone(), aggs.clone(), AggPhase::Final, ctrl());
+            prop_assert_eq!(&canon(drain(Box::new(hash)).unwrap()), &canon(expect.clone()));
+        }
+        let sort = AggExec::sorted(
+            chunked_src(&partial, &sizes), final_group, aggs.clone(), AggPhase::Final, ctrl());
+        prop_assert_eq!(drain(Box::new(sort)).unwrap(), complete);
     }
 
     /// Datums that compare equal hash equal — the invariant that lets the

@@ -1,15 +1,22 @@
 //! Property tests for the physical operators: the three join algorithms
-//! agree with each other on every join kind, distributed aggregation
-//! equals single-site aggregation, and sort/limit obey their contracts.
+//! agree with a brute-force oracle on every join kind — row for row, in
+//! order — distributed aggregation equals single-site aggregation, and
+//! sort/limit obey their contracts.
 
+mod common;
+
+use common::{chunked_src, join_oracle};
 use ic_common::agg::AggFunc;
-use ic_common::{BinOp, ColumnBatch, Datum, Expr, IcResult, Row};
+use ic_common::row::BATCH_SIZE;
+use ic_common::{BinOp, Datum, Expr, Row};
 use ic_exec::operators::{
-    drain, BoxedSource, ControlBlock, HashAggExec, HashJoinExec, LimitExec, MergeJoinExec,
-    NestedLoopJoinExec, RowSource, SortExec, VecSource,
+    drain, AggExec, BoxedSource, ControlBlock, HashJoinExec, LimitExec, MergeJoinExec,
+    NestedLoopJoinExec, SortExec, VecSource, NLJ_PAIR_BUDGET,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use proptest::prelude::*;
+
+const KINDS: [JoinKind; 4] = [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti];
 
 fn rows(keys: &[(i64, i64)]) -> Vec<Row> {
     keys.iter().map(|&(k, v)| Row(vec![Datum::Int(k), Datum::Int(v)])).collect()
@@ -32,76 +39,61 @@ fn join_inputs() -> impl Strategy<Value = (Vec<(i64, i64)>, Vec<(i64, i64)>)> {
     )
 }
 
-fn run_nlj(l: &[(i64, i64)], r: &[(i64, i64)], kind: JoinKind) -> Vec<Row> {
-    let on = Expr::eq(Expr::col(0), Expr::col(2));
-    let j = NestedLoopJoinExec::new(src(rows(l)), src(rows(r)), kind, on, 2, ControlBlock::new(None, 0));
-    canon(drain(Box::new(j)).unwrap())
+/// One equi-join — the first `nkeys` columns of each side, plus `residual`
+/// over the joined row — through an engine join, inputs cut into batches of
+/// the given sizes.
+struct Case<'a> {
+    l: &'a [Row],
+    r: &'a [Row],
+    sizes: (&'a [usize], &'a [usize]),
+    nkeys: usize,
+    residual: &'a Expr,
+    kind: JoinKind,
 }
 
-fn run_hash(l: &[(i64, i64)], r: &[(i64, i64)], kind: JoinKind) -> Vec<Row> {
-    let j = HashJoinExec::new(
-        src(rows(l)),
-        src(rows(r)),
-        kind,
-        vec![0],
-        vec![0],
-        Expr::lit(true),
-        2,
-        ControlBlock::new(None, 0),
-    );
-    canon(drain(Box::new(j)).unwrap())
-}
-
-fn run_merge(l: &[(i64, i64)], r: &[(i64, i64)], kind: JoinKind) -> Vec<Row> {
-    let mut ls = rows(l);
-    let mut rs = rows(r);
-    ls.sort_by_key(|r| r.0[0].as_int().unwrap());
-    rs.sort_by_key(|r| r.0[0].as_int().unwrap());
-    let j = MergeJoinExec::new(
-        src(ls),
-        src(rs),
-        kind,
-        vec![0],
-        vec![0],
-        Expr::lit(true),
-        2,
-        ControlBlock::new(None, 0),
-    );
-    canon(drain(Box::new(j)).unwrap())
-}
-
-/// A source replaying pre-cut batches, so inputs reach an operator in
-/// chunks far smaller than `BATCH_SIZE`.
-struct BatchesSource(std::collections::VecDeque<ColumnBatch>);
-
-impl RowSource for BatchesSource {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        Ok(self.0.pop_front())
+impl Case<'_> {
+    fn width(&self) -> usize {
+        self.l.first().or(self.r.first()).map_or(self.nkeys, Row::arity)
     }
-}
 
-/// Cut sorted `rows` into batches of the given sizes (cycled). Every other
-/// batch is a selection view over a physically larger batch, so cursors
-/// must resolve logical rows through the selection.
-fn chunked_src(rows: &[Row], sizes: &[usize]) -> BoxedSource {
-    let mut batches = std::collections::VecDeque::new();
-    let (mut at, mut i) = (0, 0);
-    while at < rows.len() {
-        let n = sizes[i % sizes.len()].min(rows.len() - at);
-        let piece = &rows[at..at + n];
-        if i % 2 == 0 {
-            batches.push_back(ColumnBatch::from_rows(piece));
-        } else {
-            // Physical layout: a decoy row before each real row.
-            let decoy = Row(vec![Datum::Int(-1), Datum::Int(-1), Datum::Int(-1)]);
-            let padded: Vec<Row> = piece.iter().flat_map(|r| [decoy.clone(), r.clone()]).collect();
-            let sel = (0..n as u32).map(|k| 2 * k + 1).collect();
-            batches.push_back(ColumnBatch::from_rows(&padded).with_sel(sel));
-        }
-        at += n;
-        i += 1;
+    /// `l.k = r.k AND ... AND residual`, as a nested-loop join's `ON`.
+    fn on(&self) -> Expr {
+        let mut conj: Vec<Expr> =
+            (0..self.nkeys).map(|k| Expr::eq(Expr::col(k), Expr::col(self.width() + k))).collect();
+        conj.push(self.residual.clone());
+        Expr::conjunction(conj)
     }
-    Box::new(BatchesSource(batches))
+
+    fn oracle(&self) -> Vec<Row> {
+        join_oracle(self.l, self.r, self.kind, &self.on(), self.width())
+    }
+
+    fn inputs(&self) -> (BoxedSource, BoxedSource, std::sync::Arc<ControlBlock>) {
+        (chunked_src(self.l, self.sizes.0), chunked_src(self.r, self.sizes.1), ControlBlock::new(None, 0))
+    }
+
+    fn nlj(&self) -> Vec<Row> {
+        let (l, r, ctrl) = self.inputs();
+        drain(Box::new(NestedLoopJoinExec::new(l, r, self.kind, self.on(), self.width(), ctrl)))
+            .unwrap()
+    }
+
+    fn hash(&self) -> Vec<Row> {
+        let (l, r, ctrl) = self.inputs();
+        let keys: Vec<usize> = (0..self.nkeys).collect();
+        drain(Box::new(HashJoinExec::new(
+            l, r, self.kind, keys.clone(), keys, self.residual.clone(), self.width(), ctrl)))
+        .unwrap()
+    }
+
+    /// Inputs must be sorted on the keys.
+    fn merge(&self) -> Vec<Row> {
+        let (l, r, ctrl) = self.inputs();
+        let keys: Vec<usize> = (0..self.nkeys).collect();
+        drain(Box::new(MergeJoinExec::new(
+            l, r, self.kind, keys.clone(), keys, self.residual.clone(), self.width(), ctrl)))
+        .unwrap()
+    }
 }
 
 /// Rows `(k1, k2, v)` sorted on the composite key, NULL keys included
@@ -116,72 +108,65 @@ fn sorted_side() -> impl Strategy<Value = Vec<Row>> {
     })
 }
 
+/// `(k, v)` rows joined on `k`: nested-loop and hash join on the inputs as
+/// given, merge join on their key-sorted copies, each against the oracle.
+fn check_single_key_joins(l: &[Row], r: &[Row], residual: &Expr) -> Result<(), String> {
+    let (mut ls, mut rs) = (l.to_vec(), r.to_vec());
+    ls.sort_by_key(|r| r.0[0].as_int().unwrap());
+    rs.sort_by_key(|r| r.0[0].as_int().unwrap());
+    for kind in KINDS {
+        let case = Case { l, r, sizes: (&[7], &[5]), nkeys: 1, residual, kind };
+        let expect = case.oracle();
+        prop_assert_eq!(&case.nlj(), &expect, "nlj {:?}", kind);
+        prop_assert_eq!(&case.hash(), &expect, "hash {:?}", kind);
+        let sorted = Case { l: &ls, r: &rs, ..case };
+        prop_assert_eq!(sorted.merge(), sorted.oracle(), "merge {:?}", kind);
+    }
+    Ok(())
+}
+
 proptest! {
-    /// The column-native merge join emits exactly what the hash join does,
-    /// row for row and in the same order, on sorted inputs cut into tiny
-    /// batches: duplicate-key runs span batch boundaries on both sides,
-    /// keys are composite with NULLs, sides may be empty, for all four join
-    /// kinds, with and without a residual.
+    /// All three joins emit exactly what the oracle does, row for row and
+    /// in the same order, on sorted inputs cut into tiny batches (every
+    /// other one a selection view): duplicate-key runs span batch
+    /// boundaries on both sides, keys are composite with NULLs, sides may
+    /// be empty, for all four join kinds — without a residual, with one,
+    /// and with one that rejects every candidate.
     #[test]
-    fn merge_join_equals_hash_join_across_chunk_boundaries(
+    fn joins_match_oracle_across_chunk_boundaries(
         l in sorted_side(),
         r in sorted_side(),
         lsizes in proptest::collection::vec(1usize..6, 1..4),
         rsizes in proptest::collection::vec(1usize..6, 1..4),
-        with_residual in proptest::bool::ANY,
+        residual in 0u8..3,
     ) {
         // l.v > r.v over the joined row (l.k1 l.k2 l.v r.k1 r.k2 r.v).
-        let residual = if with_residual {
-            Expr::binary(BinOp::Gt, Expr::col(2), Expr::col(5))
-        } else {
-            Expr::lit(true)
+        let residual = match residual {
+            0 => Expr::lit(true),
+            1 => Expr::binary(BinOp::Gt, Expr::col(2), Expr::col(5)),
+            _ => Expr::lit(false),
         };
-        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
-            let mj = MergeJoinExec::new(
-                chunked_src(&l, &lsizes), chunked_src(&r, &rsizes), kind,
-                vec![0, 1], vec![0, 1], residual.clone(), 3, ControlBlock::new(None, 0));
-            let hj = HashJoinExec::new(
-                src(l.clone()), src(r.clone()), kind,
-                vec![0, 1], vec![0, 1], residual.clone(), 3, ControlBlock::new(None, 0));
-            prop_assert_eq!(
-                drain(Box::new(mj)).unwrap(),
-                drain(Box::new(hj)).unwrap(),
-                "{:?}, residual: {}", kind, with_residual
-            );
+        for kind in KINDS {
+            let case = Case { l: &l, r: &r, sizes: (&lsizes, &rsizes), nkeys: 2, residual: &residual, kind };
+            let expect = case.oracle();
+            prop_assert_eq!(&case.nlj(), &expect, "nlj {:?} residual {:?}", kind, residual);
+            prop_assert_eq!(&case.hash(), &expect, "hash {:?} residual {:?}", kind, residual);
+            prop_assert_eq!(&case.merge(), &expect, "merge {:?} residual {:?}", kind, residual);
         }
     }
-}
 
-proptest! {
-    /// Hash join ≡ nested-loop join ≡ merge join, for every join kind.
+    /// Hash join ≡ nested-loop join ≡ oracle on unsorted inputs, merge join
+    /// ≡ oracle on their sorted copies — for every join kind, in order.
     #[test]
     fn join_algorithms_agree((l, r) in join_inputs()) {
-        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
-            let nlj = run_nlj(&l, &r, kind);
-            let hj = run_hash(&l, &r, kind);
-            let mj = run_merge(&l, &r, kind);
-            prop_assert_eq!(&nlj, &hj, "hash vs nlj, {:?}", kind);
-            prop_assert_eq!(&nlj, &mj, "merge vs nlj, {:?}", kind);
-        }
+        check_single_key_joins(&rows(&l), &rows(&r), &Expr::lit(true))?;
     }
 
-    /// Joins with a residual predicate agree between hash and nested-loop.
+    /// The same with a residual predicate (`l.v > r.v`).
     #[test]
     fn residual_joins_agree((l, r) in join_inputs()) {
         let residual = Expr::binary(BinOp::Gt, Expr::col(1), Expr::col(3));
-        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
-            let on = Expr::and(Expr::eq(Expr::col(0), Expr::col(2)), residual.clone());
-            let nlj = NestedLoopJoinExec::new(
-                src(rows(&l)), src(rows(&r)), kind, on, 2, ControlBlock::new(None, 0));
-            let hj = HashJoinExec::new(
-                src(rows(&l)), src(rows(&r)), kind, vec![0], vec![0],
-                residual.clone(), 2, ControlBlock::new(None, 0));
-            prop_assert_eq!(
-                canon(drain(Box::new(nlj)).unwrap()),
-                canon(drain(Box::new(hj)).unwrap()),
-                "{:?}", kind
-            );
-        }
+        check_single_key_joins(&rows(&l), &rows(&r), &residual)?;
     }
 
     /// Partial-per-partition + final ≡ complete, for any partitioning of
@@ -197,7 +182,7 @@ proptest! {
             AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() },
             AggCall { func: AggFunc::Min, arg: Some(Expr::col(1)), name: "m".into() },
         ];
-        let complete = HashAggExec::new(
+        let complete = AggExec::hash(
             src(rows(&data)), vec![0], aggs.clone(), AggPhase::Complete,
             ControlBlock::new(None, 0));
         let expected = canon(drain(Box::new(complete)).unwrap());
@@ -210,12 +195,12 @@ proptest! {
                 .filter(|(i, _)| i % parts == p)
                 .map(|(_, kv)| *kv)
                 .collect();
-            let partial = HashAggExec::new(
+            let partial = AggExec::hash(
                 src(rows(&slice)), vec![0], aggs.clone(), AggPhase::Partial,
                 ControlBlock::new(None, 0));
             partial_rows.extend(drain(Box::new(partial)).unwrap());
         }
-        let fin = HashAggExec::new(
+        let fin = AggExec::hash(
             src(partial_rows), vec![0], aggs.clone(), AggPhase::Final,
             ControlBlock::new(None, 0));
         let got = canon(drain(Box::new(fin)).unwrap());
@@ -256,5 +241,39 @@ proptest! {
             .take(fetch as usize)
             .collect();
         prop_assert_eq!(got, expected);
+    }
+}
+
+/// The nested-loop join walks a left batch in steps of whole rows under a
+/// fixed pair budget. Two right sides bracket it — one larger than the
+/// whole budget (every step is a single left row, its candidates one
+/// oversized chunk) and one a bit over a third of it (steps of two rows, so
+/// 7-row left batches split 2+2+2+1) — with a non-equi `ON` no other join
+/// can run, against the oracle, for all four kinds.
+#[test]
+fn nlj_pair_budget_steps_match_oracle() {
+    let left: Vec<Row> = (0..16i64).map(|i| Row(vec![Datum::Int(i * 701), Datum::Int(i)])).collect();
+    for right_rows in [NLJ_PAIR_BUDGET + 3, NLJ_PAIR_BUDGET / 3 + 1] {
+        let right: Vec<Row> =
+            (0..right_rows as i64).map(|i| Row(vec![Datum::Int(i), Datum::Int(i % 5)])).collect();
+        // r.a < l.a AND l.b = r.b + 11 — false for the first eleven left
+        // rows, true for a fifth of the right rows below `l.a` after that.
+        let on = Expr::and(
+            Expr::binary(BinOp::Lt, Expr::col(2), Expr::col(0)),
+            Expr::eq(Expr::col(1), Expr::binary(BinOp::Add, Expr::col(3), Expr::lit(11i64))),
+        );
+        for kind in KINDS {
+            let nlj = NestedLoopJoinExec::new(
+                chunked_src(&left, &[7]),
+                chunked_src(&right, &[BATCH_SIZE, 100]),
+                kind,
+                on.clone(),
+                2,
+                ControlBlock::new(None, 0),
+            );
+            let got = drain(Box::new(nlj)).unwrap();
+            assert!(kind != JoinKind::Inner || !got.is_empty(), "predicate must select something");
+            assert_eq!(got, join_oracle(&left, &right, kind, &on, 2), "{kind:?}, right {right_rows}");
+        }
     }
 }

@@ -375,7 +375,7 @@ mod tests {
             }
             trait RowSource {
                 fn next_batch(&mut self) -> Option<u32>;
-                fn next_rows(&mut self) -> u32 { 0 }
+                fn size_hint(&self) -> u32 { 0 }
             }
         "#;
         let p = parse_file("x.rs", src);
@@ -389,7 +389,7 @@ mod tests {
                 ("helper".into(), Some("ColumnBatch".into())),
                 ("fmt".into(), Some("IcError".into())),
                 ("next_batch".into(), Some("RowSource".into())),
-                ("next_rows".into(), Some("RowSource".into())),
+                ("size_hint".into(), Some("RowSource".into())),
             ]
         );
         // Trait decl without body.

@@ -20,7 +20,7 @@
 //! ([`crate::symbols`]) and call graph ([`crate::callgraph`]), and marks as
 //! hot everything reachable from the kernel entry points
 //! (`crates/exec/src/kernels.rs`, `crates/common/src/eval.rs`) and the operator
-//! entry points (`next_batch`/`next_rows` in `operators.rs`). A helper in any
+//! entry points (`next_batch` in `operators.rs`). A helper in any
 //! crate called from a kernel is policed like the kernel itself.
 //!
 //! Any rule except L005 can be suppressed per-site with a pragma that must
@@ -346,8 +346,7 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
             kernel_roots.push(id);
             entry_roots.push(id);
         } else if is_eval_file(&sym.path)
-            || (is_operators_file(&sym.path)
-                && matches!(sym.name.as_str(), "next_batch" | "next_rows"))
+            || (is_operators_file(&sym.path) && sym.name == "next_batch")
         {
             entry_roots.push(id);
         }

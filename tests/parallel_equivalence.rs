@@ -1,15 +1,17 @@
 //! Property-based morsel-parallel vs single-thread equivalence: randomized
 //! SQL over a synthetic NULL-heavy schema must produce identical result
-//! multisets with the worker pool disabled (`worker_threads = 0`, the
-//! pre-morsel sequential runtime) and with multi-lane pools over tiny
-//! morsels (`worker_threads = 3`, `morsel_rows = 128` — every scan splits
+//! multisets when every fragment runs as one sequential chain on its
+//! driver (`worker_threads = 1`, `morsel_rows = usize::MAX`: a scan that
+//! is a single morsel never goes parallel) and with multi-lane pools over
+//! tiny morsels (`worker_threads = 3`, `morsel_rows = 128` — every scan splits
 //! into several morsels per site, so lanes, work stealing, shared-table
 //! probes, per-lane partial aggregates and the sorted-run merge all
 //! actually engage). Filters run ahead of joins/aggregates in these plans,
 //! so the parallel operators see batches carrying selection vectors, not
 //! just dense inputs. A pair of primary-key-indexed tables adds the
-//! index-backed shape — `IndexScan → MergeJoin` over stored sorted chunk
-//! runs — to both runtimes.
+//! index-backed shapes — `IndexScan → MergeJoin` and `IndexScan →
+//! SortAggregate` over stored sorted chunk runs — to both, and non-equi
+//! and scalar-subquery joins the ones only `NestedLoopJoin` can run.
 
 use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, Row, SystemVariant};
 use proptest::prelude::*;
@@ -30,7 +32,8 @@ fn fixture() -> &'static Fixture {
             network: ignite_calcite_rs::NetworkConfig::instant(),
             exec_timeout: Some(Duration::from_secs(30)),
             memory_limit_rows: 20_000_000,
-            worker_threads: 0,
+            worker_threads: 1,
+            morsel_rows: usize::MAX,
             ..ClusterConfig::test_default()
         });
         sequential
@@ -214,6 +217,32 @@ proptest! {
             _ => "SELECT t.t1 FROM t WHERE NOT EXISTS (SELECT 1 FROM u WHERE u.u1 = t.t1 AND u.u2 > 4)".into(),
         };
         assert_same(fixture(), &sql);
+    }
+
+    /// The operators that never run inside a lane: `NestedLoopJoin` — a
+    /// non-equi `ON`, inner and left, and the cross join against a scalar
+    /// subquery (TPC-H Q11/Q22's shape) — and `SortAggregate`, grouping an
+    /// index scan on its key prefix (Q18's). Their inputs do go parallel.
+    #[test]
+    fn nested_loop_join_and_sort_aggregate(lo in 50i64..900, hi in 1i64..60, shape in 0usize..4) {
+        let (sql, op) = match shape {
+            0 => (format!(
+                "SELECT a.a1, b.b1 FROM a INNER JOIN b ON a.a2 < b.b2 WHERE a.a1 < {lo} AND b.b1 < {hi}"
+            ), "NestedLoopJoin[inner]"),
+            1 => (format!(
+                "SELECT a.a1, b.b1 FROM a LEFT JOIN b ON a.a2 < b.b2 AND b.b1 < {hi} WHERE a.a1 < {lo}"
+            ), "NestedLoopJoin[left]"),
+            2 => (format!(
+                "SELECT a.a1, a.a3 FROM a WHERE a.a1 < {lo} AND a.a3 > (SELECT avg(a3) FROM a)"
+            ), "NestedLoopJoin[inner]"),
+            _ => (format!(
+                "SELECT t1, count(*), sum(t3), min(t2) FROM t WHERE t2 > {hi} GROUP BY t1 HAVING sum(t3) > 5"
+            ), "SortAggregate[Complete]"),
+        };
+        let f = fixture();
+        let plan = f.parallel.explain(&sql).unwrap();
+        prop_assert!(plan.contains(op), "no {} in the plan of {}:\n{}", op, sql, plan);
+        assert_same(f, &sql);
     }
 
     /// Scan → filter → project fragments (the streaming-lane path: no post

@@ -174,6 +174,37 @@ proptest! {
         prop_assert_eq!(canon(&r_plus.rows), canon(&r_m.rows), "IC+ vs IC+M: {}", sql);
     }
 
+    /// `NestedLoopJoin` — a non-equi `ON`, and the cross join against a
+    /// scalar subquery (TPC-H Q11/Q22's shape) — and `SortAggregate` over
+    /// an index scan's key prefix (Q18's) agree across variants; every
+    /// variant must really plan the operator.
+    #[test]
+    fn equivalence_nested_loop_join_and_sort_aggregate(
+        lo in 50i64..600, hi in 1i64..60, shape in 0usize..3,
+    ) {
+        let (sql, op) = match shape {
+            0 => (format!(
+                "SELECT a.a1, b.b1 FROM a LEFT JOIN b ON a.a2 < b.b2 AND b.b1 < {hi} WHERE a.a1 < {lo}"
+            ), "NestedLoopJoin[left]"),
+            1 => (format!(
+                "SELECT a.a1, a.a3 FROM a WHERE a.a1 < {lo} AND a.a3 > (SELECT avg(a3) FROM a)"
+            ), "NestedLoopJoin[inner]"),
+            _ => (format!(
+                "SELECT t1, count(*), sum(t3) FROM t WHERE t2 > {hi} GROUP BY t1 HAVING sum(t3) > 5"
+            ), "SortAggregate[Complete]"),
+        };
+        let f = fixture();
+        for c in [&f.ic, &f.plus, &f.plus_m] {
+            let plan = c.explain(&sql).unwrap();
+            prop_assert!(plan.contains(op), "no {} in the plan of {}:\n{}", op, sql, plan);
+        }
+        let r_ic = f.ic.query(&sql).unwrap();
+        let r_plus = f.plus.query(&sql).unwrap();
+        let r_m = f.plus_m.query(&sql).unwrap();
+        prop_assert_eq!(canon(&r_ic.rows), canon(&r_plus.rows), "IC vs IC+: {}", sql);
+        prop_assert_eq!(canon(&r_plus.rows), canon(&r_m.rows), "IC+ vs IC+M: {}", sql);
+    }
+
     /// Index-backed merge joins agree across variants (IC+M runs them in
     /// variant fragments: the splitter side is a stride over the index run).
     #[test]
