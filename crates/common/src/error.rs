@@ -156,6 +156,18 @@ impl fmt::Display for IcError {
 
 impl std::error::Error for IcError {}
 
+/// The message of a caught panic (`catch_unwind` / `JoinHandle::join`),
+/// for attributing it in an error or a fuzz report.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 impl IcError {
     /// True when the error represents a planner failure rather than a user
     /// error — the class the paper counts as "failed to generate execution

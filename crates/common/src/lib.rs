@@ -27,7 +27,7 @@ pub mod schema;
 
 pub use col::{Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData};
 pub use datum::{DataType, Datum};
-pub use error::{IcError, IcResult};
+pub use error::{panic_message, IcError, IcResult};
 pub use expr::{BinOp, Expr, FuncKind};
 pub use hash::{FlatMap, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use lease::{MemoryLease, MemoryPool, LEASE_CHUNK_CELLS};

@@ -140,61 +140,44 @@ pub struct Cluster {
 
 impl Cluster {
     pub fn new(config: ClusterConfig) -> Cluster {
+        let catalog = Catalog::new(Topology::with_backups(config.sites, config.backups));
+        let governor = Governor::new(config.governor.clone());
+        Cluster::assemble(config, catalog, governor)
+    }
+
+    /// A cluster running `config` over the given data and governor: planner
+    /// flags derived from the variant, a *fresh* network (fault schedules
+    /// and liveness state belong to one cluster) and its rebalancer.
+    fn assemble(config: ClusterConfig, catalog: Arc<Catalog>, governor: Arc<Governor>) -> Cluster {
         let mut flags = config.variant.flags();
         if let Some(b) = config.planner_budget {
             flags.planner_budget = b;
         }
-        let catalog = Catalog::new(Topology::with_backups(config.sites, config.backups));
         let network = Network::new(config.network.clone());
-        let governor = Governor::new(config.governor.clone());
         let controller = Arc::new(RebalanceController::new(catalog.clone(), network.clone()));
         Cluster { config, flags, catalog, network, governor, controller }
     }
 
-    /// A cluster sharing this one's data but running as a different system
-    /// variant — how the harness compares IC / IC+ / IC+M on identical
-    /// data without reloading. The new cluster gets a *fresh* network:
-    /// fault schedules and liveness state do not carry over. The resource
-    /// governor *is* shared: all variants are sessions against the same
-    /// simulated hardware, so they contend for the same slots and pool.
-    pub fn with_variant(&self, variant: SystemVariant) -> Cluster {
-        let mut config = self.config.clone();
-        config.variant = variant;
-        let mut flags = variant.flags();
-        if let Some(b) = config.planner_budget {
-            flags.planner_budget = b;
-        }
-        let network = Network::new(self.config.network.clone());
-        let controller =
-            Arc::new(RebalanceController::new(self.catalog.clone(), network.clone()));
-        Cluster {
-            config,
-            flags,
-            catalog: self.catalog.clone(),
-            network,
-            governor: self.governor.clone(),
-            controller,
-        }
+    /// A cluster sharing this one's catalog (and loaded data) under another
+    /// configuration. The resource governor *is* shared: all derived
+    /// clusters are sessions against the same simulated hardware, so they
+    /// contend for the same slots and pool.
+    fn reconfigured(&self, config: ClusterConfig) -> Cluster {
+        Cluster::assemble(config, self.catalog.clone(), self.governor.clone())
     }
 
-    /// A cluster sharing this one's catalog (and loaded data) but with a
-    /// different morsel-pool sizing — the scaling sweep's axis: same data,
-    /// same plans, only the intra-fragment parallelism degree changes.
+    /// A cluster sharing this one's data but running as a different system
+    /// variant — how the harness compares IC / IC+ / IC+M on identical
+    /// data without reloading.
+    pub fn with_variant(&self, variant: SystemVariant) -> Cluster {
+        self.reconfigured(ClusterConfig { variant, ..self.config.clone() })
+    }
+
+    /// A cluster sharing this one's data but with a different morsel-pool
+    /// sizing — the scaling sweep's axis: same data, same plans, only the
+    /// intra-fragment parallelism degree changes.
     pub fn with_worker_threads(&self, worker_threads: usize, morsel_rows: usize) -> Cluster {
-        let mut config = self.config.clone();
-        config.worker_threads = worker_threads;
-        config.morsel_rows = morsel_rows;
-        let network = Network::new(self.config.network.clone());
-        let controller =
-            Arc::new(RebalanceController::new(self.catalog.clone(), network.clone()));
-        Cluster {
-            config,
-            flags: self.flags.clone(),
-            catalog: self.catalog.clone(),
-            network,
-            governor: self.governor.clone(),
-            controller,
-        }
+        self.reconfigured(ClusterConfig { worker_threads, morsel_rows, ..self.config.clone() })
     }
 
     /// The cluster's resource governor (admission control + memory pool).

@@ -70,6 +70,8 @@ impl ExecObs {
     }
 }
 
+const CANCELLED: &str = "query cancelled";
+
 /// Shared per-query control: wall-clock deadline (the paper's runtime
 /// limit), a cancellation flag set when any fragment fails, and the
 /// query's [`MemoryLease`] on the cluster's shared pool. All buffered
@@ -154,7 +156,7 @@ impl ControlBlock {
             return Err(self.lease.revoked_error());
         }
         if self.cancelled.load(Ordering::Relaxed) {
-            return Err(IcError::Exec("query cancelled".into()));
+            return Err(Self::cancelled_error());
         }
         if let Some(d) = self.deadline {
             // ic-lint: allow(L007) because the deadline check reads the wall clock that defines the runtime cap, not a span timestamp
@@ -163,6 +165,17 @@ impl ControlBlock {
             }
         }
         Ok(())
+    }
+
+    /// What [`ControlBlock::check`] returns once the query is cancelled.
+    pub fn cancelled_error() -> IcError {
+        IcError::Exec(CANCELLED.into())
+    }
+
+    /// Is `e` merely the observation of a cancellation — teardown noise
+    /// whose real cause was recorded by whoever called `cancel`?
+    pub fn is_cancellation(e: &IcError) -> bool {
+        matches!(e, IcError::Exec(m) if m == CANCELLED)
     }
 
     /// The query's memory lease (for telemetry and final error mapping).
@@ -964,6 +977,41 @@ impl RowSource for NestedLoopJoinExec {
     }
 }
 
+/// A hash join's build side: a source the join drains into its own table
+/// on the first pull, or a table built once behind a pipeline's build
+/// barrier and probed read-only by every lane.
+pub enum JoinBuild {
+    Source(BoxedSource),
+    Table(Arc<ColJoinTable>),
+}
+
+/// Seal a filled build table — the one place `exec.join.build_rows` counts.
+pub(crate) fn finish_join_table(mut table: ColJoinTable) -> Arc<ColJoinTable> {
+    table.finish_build();
+    ic_common::obs::MetricsRegistry::global()
+        .counter("exec.join.build_rows")
+        .add(table.len() as u64);
+    Arc::new(table)
+}
+
+/// Drain `src` into a build table keyed on `keys`, accounting every batch
+/// against the query lease. Batches append column-wise into the arena; rows
+/// with NULL key columns are skipped (they never match).
+pub(crate) fn drain_join_table(
+    src: &mut BoxedSource,
+    keys: Vec<usize>,
+    arity: usize,
+    ctrl: &ControlBlock,
+) -> IcResult<Arc<ColJoinTable>> {
+    let mut table = ColJoinTable::new(keys, arity);
+    while let Some(b) = src.next_batch()? {
+        ctrl.check()?;
+        ctrl.reserve_batch(&b)?;
+        table.insert_batch(&b);
+    }
+    Ok(finish_join_table(table))
+}
+
 /// Hash join (§5.1.2): builds on the right input, probes with the left —
 /// fully columnar on both sides.
 ///
@@ -978,11 +1026,11 @@ impl RowSource for NestedLoopJoinExec {
 /// insertion order, so a probe row's matches come out in build order.
 pub struct HashJoinExec {
     left: BoxedSource,
-    right: BoxedSource,
+    /// `Source` until the first pull drains it, `Table` from then on.
+    build: JoinBuild,
     emitter: JoinEmitter,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
-    table: Option<ColJoinTable>,
     /// Output batches for the probe batch being processed (pairs are
     /// segmented at batch-size boundaries without splitting a probe row's
     /// match run).
@@ -997,7 +1045,7 @@ impl HashJoinExec {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         left: BoxedSource,
-        right: BoxedSource,
+        build: JoinBuild,
         kind: JoinKind,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
@@ -1007,11 +1055,10 @@ impl HashJoinExec {
     ) -> Self {
         HashJoinExec {
             left,
-            right,
+            build,
             emitter: JoinEmitter::new(kind, residual, right_arity),
             left_keys,
             right_keys,
-            table: None,
             output: VecDeque::new(),
             probed: 0,
             ctrl,
@@ -1068,22 +1115,14 @@ fn probe_batch(
 
 impl RowSource for HashJoinExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        if self.table.is_none() {
-            // Build phase: batches append column-wise into the arena; rows
-            // with NULL key columns are skipped (they never match).
-            let mut table =
-                ColJoinTable::new(self.right_keys.clone(), self.emitter.no_right.width());
-            while let Some(b) = self.right.next_batch()? {
-                self.ctrl.check()?;
-                self.ctrl.reserve_batch(&b)?;
-                table.insert_batch(&b);
-            }
-            table.finish_build();
-            ic_common::obs::MetricsRegistry::global()
-                .counter("exec.join.build_rows")
-                .add(table.len() as u64);
-            self.table = Some(table);
+        if let JoinBuild::Source(right) = &mut self.build {
+            let arity = self.emitter.no_right.width();
+            let table = drain_join_table(right, self.right_keys.clone(), arity, &self.ctrl)?;
+            self.build = JoinBuild::Table(table);
         }
+        let JoinBuild::Table(table) = &self.build else {
+            return Err(IcError::Internal("hash join: hash table missing after build phase".into()));
+        };
         loop {
             self.ctrl.check()?;
             if let Some(b) = self.output.pop_front() {
@@ -1091,72 +1130,7 @@ impl RowSource for HashJoinExec {
             }
             let Some(batch) = self.left.next_batch()? else { return Ok(None) };
             self.probed += batch.num_rows() as u64;
-            let Some(table) = self.table.as_ref() else {
-                return Err(IcError::Internal("hash join: hash table missing after build phase".into()));
-            };
             probe_batch(table, &self.emitter, &self.left_keys, &batch, &mut self.output)?;
-        }
-    }
-}
-
-/// Probe side of a hash join whose build table is shared, read-only,
-/// across pipeline lanes (morsel-parallel execution): the driver resolves
-/// the build once behind the build barrier, every lane probes the same
-/// [`ColJoinTable`] through the same vectorized [`probe_batch`] path as
-/// [`HashJoinExec`].
-pub struct SharedProbeExec {
-    input: BoxedSource,
-    table: Arc<ColJoinTable>,
-    emitter: JoinEmitter,
-    left_keys: Vec<usize>,
-    output: VecDeque<ColumnBatch>,
-    /// Probe rows consumed; flushed to `exec.join.probe_rows` on drop.
-    probed: u64,
-    ctrl: Arc<ControlBlock>,
-}
-
-impl SharedProbeExec {
-    pub fn new(
-        input: BoxedSource,
-        table: Arc<ColJoinTable>,
-        kind: JoinKind,
-        left_keys: Vec<usize>,
-        residual: Expr,
-        ctrl: Arc<ControlBlock>,
-    ) -> SharedProbeExec {
-        let emitter = JoinEmitter::new(kind, residual, table.arena().width());
-        SharedProbeExec {
-            input,
-            table,
-            emitter,
-            left_keys,
-            output: VecDeque::new(),
-            probed: 0,
-            ctrl,
-        }
-    }
-}
-
-impl Drop for SharedProbeExec {
-    fn drop(&mut self) {
-        if self.probed > 0 {
-            ic_common::obs::MetricsRegistry::global()
-                .counter("exec.join.probe_rows")
-                .add(self.probed);
-        }
-    }
-}
-
-impl RowSource for SharedProbeExec {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        loop {
-            self.ctrl.check()?;
-            if let Some(b) = self.output.pop_front() {
-                return Ok(Some(b));
-            }
-            let Some(batch) = self.input.next_batch()? else { return Ok(None) };
-            self.probed += batch.num_rows() as u64;
-            probe_batch(&self.table, &self.emitter, &self.left_keys, &batch, &mut self.output)?;
         }
     }
 }
@@ -1621,7 +1595,7 @@ mod tests {
         let mk = |kind| {
             HashJoinExec::new(
                 src(&[&[1], &[2], &[3]]),
-                src(&[&[2, 20], &[3, 30], &[3, 31]]),
+                JoinBuild::Source(src(&[&[2, 20], &[3, 30], &[3, 31]])),
                 kind,
                 vec![0],
                 vec![0],
@@ -1645,7 +1619,7 @@ mod tests {
     fn hash_join_residual() {
         let hj = HashJoinExec::new(
             src(&[&[1, 5]]),
-            src(&[&[1, 3], &[1, 9]]),
+            JoinBuild::Source(src(&[&[1, 3], &[1, 9]])),
             JoinKind::Inner,
             vec![0],
             vec![0],
@@ -1878,8 +1852,14 @@ mod tests {
     fn cancellation_aborts() {
         let c = ctrl();
         c.cancel();
-        let mut s = ScanSource::new(vec![chunked(&rows(&[&[1]]), 1)], None, c);
-        assert!(s.next_batch().is_err());
+        let mut s = ScanSource::new(vec![chunked(&rows(&[&[1]]), 1)], None, c.clone());
+        // What `check` produces is what the teardown-noise predicate
+        // recognises — and nothing else is.
+        let e = s.next_batch().unwrap_err();
+        assert!(ControlBlock::is_cancellation(&e), "{e}");
+        assert!(ControlBlock::is_cancellation(&c.check().unwrap_err()));
+        assert!(!ControlBlock::is_cancellation(&IcError::Exec("exchange link disconnected".into())));
+        assert!(!ControlBlock::is_cancellation(&IcError::ExecTimeout { limit_ms: 5 }));
     }
 
     #[test]

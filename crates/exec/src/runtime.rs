@@ -3,17 +3,21 @@
 //! fragment's rows.
 //!
 //! Each fragment instance has a *driver* thread (§3.2.3's one-thread-per-
-//! fragment model is the degenerate case), but the driver no longer
-//! executes the operator chain by itself: when the chain compiles into a
-//! pipeline ([`crate::pipeline`]) the driver splits its scan input into
-//! morsels and fans lanes out over the site's [`crate::pool::WorkerPool`]
+//! fragment model is the degenerate case), launched by one
+//! `launch_instance` — on the calling thread for the root, on a spawned
+//! thread for every other instance. The driver no longer executes the
+//! operator chain by itself: when the chain has a parallel region
+//! ([`crate::pipeline`]) it splits the region's scan into morsels and fans
+//! lanes out over the site's [`crate::pool::WorkerPool`]
 //! (`ExecOptions::worker_threads` workers per site), keeping for itself
 //! the sequential work — exchange receivers, join build barriers, and the
-//! order-sensitive merge/sort/final-aggregate steps above the parallel
-//! region. Chains that don't fit (nested-loop/merge joins, streaming
+//! order-sensitive merge/sort/final-aggregate steps above the region.
+//! Lanes and driver alike build their operators with [`BuildCtx::build`],
+//! the only plan → operator mapping there is; a lane differs from the
+//! sequential chain in what stands in for a few plan nodes ([`Sub`]), not
+//! in code. Chains without a region (nested-loop/merge joins, streaming
 //! aggregates, receiver-fed spines, early-exit limits, a scan of less than
-//! two morsels) run as one sequential chain on the driver — the general
-//! path, of which a pipeline is the parallel special case. Either way the
+//! two morsels) are that build with nothing substituted. Either way the
 //! output streams into a shared [`InstanceSink`] — the staging half of
 //! [`ExchangeCore`] coalesces sub-batch outputs across lanes and batches
 //! alike — and the driver alone sends the exchange EOFs after the drain
@@ -21,18 +25,19 @@
 
 use crate::analyze::{enumerate_ops, OpIndex};
 use crate::fragment::{fragment_plan, ExchangeId, ExchangeRegistry, Sink};
+use crate::kernels::ColJoinTable;
 use crate::operators::*;
-use crate::pipeline;
-use crate::pool::SitePools;
+use crate::pipeline::{self, RunsSource};
+use crate::pool::{MorselSupply, SitePools};
 use crate::variant::{plan_variants, SourceMode, VariantPlan};
 use ic_common::obs::{AttemptStats, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, IcError, IcResult, Row};
+use ic_common::{panic_message, ColumnBatch, IcError, IcResult, Row};
 use ic_net::{
     net_channel, AbortFn, Assignment, FailoverError, NetError, NetObs, NetReceiver, NetSender,
     Network, SiteId, SiteState, WireSize,
 };
-use ic_plan::ops::{PhysOp, PhysPlan};
+use ic_plan::ops::{AggPhase, PhysOp, PhysPlan};
 use ic_plan::Distribution;
 use ic_storage::{Catalog, Chunks, PartStore, TableDistribution};
 use ic_common::hash::FxHashMap;
@@ -495,32 +500,54 @@ impl RowSource for ReceiverSource {
     }
 }
 
-/// Per-instance build context. Shared with [`crate::pipeline`], which
-/// borrows it on the driver thread to resolve build sides, split scans
-/// into morsels, and construct per-lane operator chains.
-pub(crate) struct BuildCtx<'a> {
+pub(crate) fn node_key(n: &Arc<PhysPlan>) -> usize {
+    Arc::as_ptr(n) as usize
+}
+
+/// What stands in for a plan node while a fragment's chain is built for one
+/// side of a parallel region ([`crate::pipeline`]). Kept in
+/// [`BuildCtx::subs`] by node identity and consumed by the one `build` that
+/// reaches the node; with no entries, `build` yields the sequential chain.
+#[derive(Clone)]
+pub(crate) enum Sub {
+    /// Scan leaf, in a lane: this lane's share of the region's morsels.
+    Morsels {
+        partitions: Arc<Vec<Chunks>>,
+        supply: Arc<MorselSupply>,
+        lane: usize,
+        split: Option<(usize, usize)>,
+    },
+    /// Hash join, in a lane: probe the table built behind the build barrier.
+    Table(Arc<ColJoinTable>),
+    /// Region root, on the driver: replay the runs the lanes collected. The
+    /// lanes traced the node; the replay is not an operator of the plan.
+    Runs(Vec<Vec<ColumnBatch>>),
+    /// The node directly above the region, when its work splits in two — a
+    /// splittable `Complete` aggregate (`Partial` in each lane, `Final` over
+    /// their state rows on the driver) or a sort (each lane sorts its share,
+    /// the driver merges the sorted runs). The lane half is synthetic and
+    /// untraced: the driver half owns the plan node's spans and row counts.
+    LaneHalf,
+    DriverHalf,
+}
+
+/// The half of a fragment instance's build context that only its driver
+/// thread has: stored data, variant splitting and exchange receivers.
+pub(crate) struct InstanceCtx<'a> {
     pub(crate) catalog: &'a Catalog,
     /// The surviving-site partition map this query attempt executes under.
     pub(crate) assignment: &'a Assignment,
     pub(crate) site: SiteId,
     pub(crate) vid: usize,
-    pub(crate) nvariants: usize,
     pub(crate) vplan: &'a VariantPlan,
     pub(crate) registry: &'a ExchangeRegistry,
     pub(crate) receivers: FxHashMap<ExchangeId, ReceiverSource>,
-    pub(crate) ctrl: Arc<ControlBlock>,
-    /// Plan-node index for tracing; `None` when the query is untraced.
-    pub(crate) obs_index: Option<Arc<OpIndex>>,
-    /// Trace lane of this fragment instance's driver thread.
-    pub(crate) lane: u32,
-    /// The fragment-instance span every operator span parents to.
-    pub(crate) parent_span: Option<SpanId>,
 }
 
-impl BuildCtx<'_> {
+impl InstanceCtx<'_> {
     pub(crate) fn split_for(&self, mode: SourceMode) -> Option<(usize, usize)> {
-        if self.nvariants > 1 && mode == SourceMode::Splitter {
-            Some((self.vid, self.nvariants))
+        if self.vplan.variants > 1 && mode == SourceMode::Splitter {
+            Some((self.vid, self.vplan.variants))
         } else {
             None
         }
@@ -563,118 +590,163 @@ impl BuildCtx<'_> {
     pub(crate) fn table_partitions(&self, table: ic_storage::TableId) -> IcResult<Vec<Chunks>> {
         Ok(self.table_stores(table)?.into_iter().map(|(_, s)| s.chunks().clone()).collect())
     }
+}
 
-    pub(crate) fn build(&mut self, node: &Arc<PhysPlan>) -> IcResult<BoxedSource> {
+/// A leaf only the driver can resolve was reached without its instance
+/// context — [`crate::pipeline`] put a non-region node into a lane.
+fn driver_only<'b, 'a>(inst: Option<&'b mut InstanceCtx<'a>>) -> IcResult<&'b mut InstanceCtx<'a>> {
+    inst.ok_or_else(|| IcError::Internal("pipeline: driver-only operator in lane".into()))
+}
+
+/// The plan → operator builder, and the `Send + Clone` half of a fragment
+/// instance's build context. The driver builds with its [`InstanceCtx`]; a
+/// pipeline lane is a clone of this — its own trace lane, the region's
+/// leaves and joins in `subs` — building with `None`.
+#[derive(Clone)]
+pub(crate) struct BuildCtx {
+    pub(crate) ctrl: Arc<ControlBlock>,
+    /// Plan-node index for tracing; `None` when the query is untraced.
+    pub(crate) obs_index: Option<Arc<OpIndex>>,
+    /// Trace lane of the building thread: the instance's driver, or the
+    /// pool worker running the lane.
+    pub(crate) lane: u32,
+    /// The fragment-instance span every operator span parents to — from
+    /// lanes too, stolen morsels included, never to anything on the worker's
+    /// own lane, so `Trace::validate` sees one consistent tree no matter
+    /// which worker ran which morsel.
+    pub(crate) parent_span: Option<SpanId>,
+    pub(crate) subs: FxHashMap<usize, Sub>,
+}
+
+impl BuildCtx {
+    pub(crate) fn build(
+        &mut self,
+        node: &Arc<PhysPlan>,
+        mut inst: Option<&mut InstanceCtx<'_>>,
+    ) -> IcResult<BoxedSource> {
+        let ctrl = self.ctrl.clone();
+        let sub = match self.subs.remove(&node_key(node)) {
+            Some(Sub::Runs(runs)) => return Ok(Box::new(RunsSource::new(runs, ctrl))),
+            sub => sub,
+        };
+        let traced = !matches!(sub, Some(Sub::LaneHalf));
         let src: BoxedSource = match &node.op {
-            PhysOp::TableScan { table, .. } => {
-                let mode = self.vplan.scan_mode(node);
-                Box::new(ScanSource::new(
-                    self.table_partitions(*table)?,
-                    self.split_for(mode),
-                    self.ctrl.clone(),
-                ))
-            }
+            PhysOp::TableScan { table, .. } => match sub {
+                Some(Sub::Morsels { partitions, supply, lane, split }) => {
+                    Box::new(ScanSource::over_supply(partitions, supply, lane, split, ctrl))
+                }
+                _ => {
+                    let inst = driver_only(inst)?;
+                    let split = inst.split_for(inst.vplan.scan_mode(node));
+                    Box::new(ScanSource::new(inst.table_partitions(*table)?, split, ctrl))
+                }
+            },
             PhysOp::IndexScan { table, index, sort, .. } => {
-                let split = self.split_for(self.vplan.scan_mode(node));
-                let ix = self
+                let inst = driver_only(inst)?;
+                let split = inst.split_for(inst.vplan.scan_mode(node));
+                let ix = inst
                     .catalog
                     .index(*index)
                     .ok_or_else(|| IcError::Exec("unknown index".into()))?;
                 // Each partition's sorted run, as of the very snapshot a
                 // table scan would read here (re-sorted on demand when a
                 // write moved the partition past the cached run).
-                let mut runs: Vec<Chunks> = self
+                let mut runs: Vec<Chunks> = inst
                     .table_stores(*table)?
                     .iter()
                     .map(|(p, store)| ix.run_for(*p, store))
                     .collect();
                 if runs.len() <= 1 {
-                    Box::new(ScanSource::new(runs, split, self.ctrl.clone()))
+                    Box::new(ScanSource::new(runs, split, ctrl))
                 } else {
                     // Several partitions at this site: merge their runs.
                     let runs = runs
                         .drain(..)
                         .map(|run| run.iter().map(|c| (**c).clone()).collect())
                         .collect();
-                    Box::new(MergeRunsSource::new(runs, sort.clone(), split, self.ctrl.clone()))
+                    Box::new(MergeRunsSource::new(runs, sort.clone(), split, ctrl))
                 }
             }
             PhysOp::Values { rows, .. } => Box::new(VecSource::new(rows.clone())),
-            PhysOp::Filter { input, predicate } => Box::new(FilterExec::new(
-                self.build(input)?,
-                predicate.clone(),
-                self.ctrl.clone(),
-            )),
-            PhysOp::Project { input, exprs, .. } => Box::new(ProjectExec::new(
-                self.build(input)?,
-                exprs.clone(),
-                self.ctrl.clone(),
-            )),
-            PhysOp::NestedLoopJoin { left, right, kind, on } => {
-                let right_arity = right.schema.arity();
-                Box::new(NestedLoopJoinExec::new(
-                    self.build(left)?,
-                    self.build(right)?,
-                    *kind,
-                    on.clone(),
-                    right_arity,
-                    self.ctrl.clone(),
-                ))
+            PhysOp::Filter { input, predicate } => {
+                Box::new(FilterExec::new(self.build(input, inst)?, predicate.clone(), ctrl))
             }
+            PhysOp::Project { input, exprs, .. } => {
+                Box::new(ProjectExec::new(self.build(input, inst)?, exprs.clone(), ctrl))
+            }
+            PhysOp::NestedLoopJoin { left, right, kind, on } => Box::new(NestedLoopJoinExec::new(
+                self.build(left, inst.as_deref_mut())?,
+                self.build(right, inst)?,
+                *kind,
+                on.clone(),
+                right.schema.arity(),
+                ctrl,
+            )),
             PhysOp::HashJoin { left, right, kind, left_keys, right_keys, residual } => {
-                let right_arity = right.schema.arity();
+                let left_src = self.build(left, inst.as_deref_mut())?;
+                let build = match sub {
+                    Some(Sub::Table(table)) => JoinBuild::Table(table),
+                    _ => JoinBuild::Source(self.build(right, inst)?),
+                };
                 Box::new(HashJoinExec::new(
-                    self.build(left)?,
-                    self.build(right)?,
+                    left_src,
+                    build,
                     *kind,
                     left_keys.clone(),
                     right_keys.clone(),
                     residual.clone(),
-                    right_arity,
-                    self.ctrl.clone(),
+                    right.schema.arity(),
+                    ctrl,
                 ))
             }
             PhysOp::MergeJoin { left, right, kind, left_keys, right_keys, residual } => {
-                let right_arity = right.schema.arity();
                 Box::new(MergeJoinExec::new(
-                    self.build(left)?,
-                    self.build(right)?,
+                    self.build(left, inst.as_deref_mut())?,
+                    self.build(right, inst)?,
                     *kind,
                     left_keys.clone(),
                     right_keys.clone(),
                     residual.clone(),
-                    right_arity,
-                    self.ctrl.clone(),
+                    right.schema.arity(),
+                    ctrl,
                 ))
             }
-            PhysOp::HashAggregate { input, group, aggs, phase } => Box::new(AggExec::hash(
-                self.build(input)?,
-                group.clone(),
-                aggs.clone(),
-                *phase,
-                self.ctrl.clone(),
-            )),
-            PhysOp::SortAggregate { input, group, aggs, phase } => Box::new(AggExec::sorted(
-                self.build(input)?,
-                group.clone(),
-                aggs.clone(),
-                *phase,
-                self.ctrl.clone(),
-            )),
-            PhysOp::Sort { input, keys } => {
-                Box::new(SortExec::new(self.build(input)?, keys.clone(), self.ctrl.clone()))
+            PhysOp::HashAggregate { input, group, aggs, phase } => {
+                // The halves of a split aggregate: lanes emit (keys..,
+                // states..) rows, which the driver groups on the leading key
+                // positions to merge the states.
+                let (group, phase) = match sub {
+                    Some(Sub::LaneHalf) => (group.clone(), AggPhase::Partial),
+                    Some(Sub::DriverHalf) => ((0..group.len()).collect(), AggPhase::Final),
+                    _ => (group.clone(), *phase),
+                };
+                Box::new(AggExec::hash(self.build(input, inst)?, group, aggs.clone(), phase, ctrl))
             }
-            PhysOp::Limit { input, fetch, offset } => Box::new(LimitExec::new(
-                self.build(input)?,
-                *fetch,
-                *offset,
-                self.ctrl.clone(),
+            PhysOp::SortAggregate { input, group, aggs, phase } => Box::new(AggExec::sorted(
+                self.build(input, inst)?,
+                group.clone(),
+                aggs.clone(),
+                *phase,
+                ctrl,
             )),
+            PhysOp::Sort { input, keys } => match sub {
+                Some(Sub::DriverHalf) => {
+                    let Some(Sub::Runs(runs)) = self.subs.remove(&node_key(input)) else {
+                        return Err(IcError::Internal("pipeline: merge half without runs".into()));
+                    };
+                    Box::new(MergeRunsSource::new(runs, keys.clone(), None, ctrl))
+                }
+                _ => Box::new(SortExec::new(self.build(input, inst)?, keys.clone(), ctrl)),
+            },
+            PhysOp::Limit { input, fetch, offset } => {
+                Box::new(LimitExec::new(self.build(input, inst)?, *fetch, *offset, ctrl))
+            }
             PhysOp::Exchange { .. } => {
-                let id = self.registry.id_of(node).ok_or_else(|| {
+                let inst = driver_only(inst)?;
+                let id = inst.registry.id_of(node).ok_or_else(|| {
                     IcError::Internal("exchange node not registered".into())
                 })?;
-                let rx = self.receivers.remove(&id).ok_or_else(|| {
+                let rx = inst.receivers.remove(&id).ok_or_else(|| {
                     IcError::Exec(format!("missing receiver for exchange {id:?}"))
                 })?;
                 Box::new(rx)
@@ -682,20 +754,120 @@ impl BuildCtx<'_> {
         };
         // Traced queries wrap every operator in the open/next/close hooks;
         // untraced queries return the bare operator (zero overhead).
-        if let Some(index) = &self.obs_index {
-            if let Some(idx) = index.of(node) {
-                return Ok(Box::new(TracedSource::new(
-                    src,
-                    self.ctrl.clone(),
-                    idx,
-                    node.label(),
-                    self.lane,
-                    self.parent_span,
-                )));
-            }
+        match self.obs_index.as_ref().and_then(|index| index.of(node)) {
+            Some(idx) if traced => Ok(Box::new(TracedSource::new(
+                src,
+                self.ctrl.clone(),
+                idx,
+                node.label(),
+                self.lane,
+                self.parent_span,
+            ))),
+            _ => Ok(src),
         }
-        Ok(src)
     }
+}
+
+/// What every fragment instance of one execution shares.
+#[derive(Clone)]
+struct ExecEnv {
+    catalog: Arc<Catalog>,
+    assignment: Arc<Assignment>,
+    registry: Arc<ExchangeRegistry>,
+    ctrl: Arc<ControlBlock>,
+    obs: Option<(ExecObs, Arc<OpIndex>)>,
+    exec_span: Option<SpanId>,
+    pools: Arc<SitePools>,
+    morsel_rows: usize,
+}
+
+/// One fragment instance, owned so that it can move to its driver thread.
+struct Instance {
+    fi: usize,
+    site: SiteId,
+    vid: usize,
+    root: Arc<PhysPlan>,
+    vplan: VariantPlan,
+    receivers: FxHashMap<ExchangeId, ReceiverSource>,
+    /// Where the output ships to; `None` for the root instance, whose rows
+    /// are the client's.
+    exchange: Option<ExchangeCore>,
+}
+
+/// Record the first error of a group of workers and cancel the query. A
+/// worker that merely observed cancellation is teardown noise: the real
+/// cause lives elsewhere (another worker's slot entry — always recorded
+/// before its `cancel()` — the root's own error, or a root that already
+/// finished its answer).
+pub(crate) fn record_first_error(slot: &Mutex<Option<IcError>>, ctrl: &ControlBlock, e: IcError) {
+    if !ControlBlock::is_cancellation(&e) {
+        let mut slot = slot.lock();
+        if slot.is_none() {
+            *slot = Some(e);
+        }
+    }
+    ctrl.cancel();
+}
+
+/// Run one fragment instance to completion on the calling thread — the
+/// coordinator's for the root, a driver thread's for every other — and
+/// return the rows it produced for the client (none unless it is the root).
+fn launch_instance(env: &ExecEnv, inst: Instance) -> IcResult<Vec<Row>> {
+    let Instance { fi, site, vid, root, vplan, receivers, exchange } = inst;
+    // One trace lane + fragment span per instance, declared before the
+    // build context so the span closes after every operator (and its span)
+    // has been dropped. The root shares the coordinator's lane.
+    let (lane, frag_span) = match &env.obs {
+        Some((o, _)) => {
+            let (lane, name) = match exchange {
+                Some(_) => {
+                    let name = format!("f{fi} @{site} v{vid}");
+                    (o.trace.lane(name.clone()), name)
+                }
+                None => (Trace::COORD_LANE, format!("f{fi} @{site} (root)")),
+            };
+            let span = o.trace.span(format!("fragment {name}"), "fragment", env.exec_span, lane);
+            (lane, Some(span))
+        }
+        None => (Trace::COORD_LANE, None),
+    };
+    let parent_span = frag_span.as_ref().map(|g| g.id());
+    let core = exchange.map(|mut core| {
+        if let Some((o, _)) = &env.obs {
+            core.set_obs(NetObs { trace: o.trace.clone(), lane, parent: parent_span });
+        }
+        Arc::new(core)
+    });
+    let rows = Arc::new(Mutex::named(Vec::new(), "exec.root_rows"));
+    let sink = match &core {
+        Some(core) => InstanceSink::Exchange(core.clone()),
+        None => InstanceSink::Rows(rows.clone()),
+    };
+    let mut inst = InstanceCtx {
+        catalog: &env.catalog,
+        assignment: &env.assignment,
+        site,
+        vid,
+        vplan: &vplan,
+        registry: &env.registry,
+        receivers,
+    };
+    let mut ctx = BuildCtx {
+        ctrl: env.ctrl.clone(),
+        obs_index: env.obs.as_ref().map(|(_, ix)| ix.clone()),
+        lane,
+        parent_span,
+        subs: FxHashMap::default(),
+    };
+    pipeline::run_instance(&mut ctx, &mut inst, &root, &env.pools, env.morsel_rows, &sink)?;
+    // The driver alone flushes the stage and signals EOF, after the drain
+    // barrier.
+    if let Some(core) = core {
+        core.flush()?;
+        core.finish();
+    }
+    let rows = std::mem::take(&mut *rows.lock());
+    Ok(rows)
 }
 
 /// Execute an optimized physical plan on the simulated cluster, returning
@@ -736,7 +908,6 @@ pub fn execute_plan(
         .trace
         .as_ref()
         .map(|t| t.span("execute", "exec", opts.trace_parent, Trace::COORD_LANE));
-    let exec_span_id = exec_span.as_ref().map(|g| g.id());
 
     let deadline = opts.timeout.map(|t| start + t);
     let limit_ms = opts.timeout.map(|t| t.as_millis() as u64).unwrap_or(0);
@@ -798,149 +969,25 @@ pub fn execute_plan(
         eof_count.insert(ex, fragments[pi].sites.len() * vplans[pi].variants);
     }
 
-    // --- spawn non-root fragment instances ------------------------------
-    // One lazily-populated worker pool per site for this execution.
-    let pools = Arc::new(SitePools::new(opts.worker_threads.max(1), opts.trace.clone()));
-    let morsel_rows = opts.morsel_rows;
-    let error_slot: Arc<Mutex<Option<IcError>>> = Arc::new(Mutex::named(None, "exec.error_slot"));
-    let mut handles: Vec<(usize, SiteId, usize, std::thread::JoinHandle<()>)> = Vec::new();
-    let mut threads = 0usize;
-    for (fi, fragment) in fragments.iter().enumerate() {
-        if fragment.is_root() {
-            continue;
-        }
-        let Sink::Exchange { id: sink_id, to } = fragment.sink.clone() else { unreachable!() };
-        let consumer_fi = consumer_of[&sink_id];
-        let consumer_mode = vplans[consumer_fi].receiver_mode(sink_id);
-        for &site in &fragment.sites {
-            for vid in 0..vplans[fi].variants {
-                threads += 1;
-                // Collect this instance's receivers.
-                let mut receivers = FxHashMap::default();
-                for ex in fragment.receiver_exchanges(&registry) {
-                    let rx = rx_map
-                        .remove(&(ex, site, vid))
-                        .ok_or_else(|| IcError::Exec("receiver endpoint missing".into()))?;
-                    receivers.insert(
-                        ex,
-                        ReceiverSource {
-                            rx,
-                            remaining_eofs: eof_count[&ex],
-                            ctrl: ctrl.clone(),
-                            producers: fragments[producer_of[&ex]].sites.clone(),
-                            network: network.clone(),
-                            obs: obs_ctx.as_ref().and_then(|(o, ix)| {
-                                ix.of_exchange(ex).map(|n| (o.attempt.clone(), n))
-                            }),
-                        },
-                    );
-                }
-                let endpoints: Vec<(SiteId, usize, NetSender<Msg>)> = tx_protos[&sink_id]
-                    .iter()
-                    .map(|(s, v, tx)| (*s, *v, tx.with_src(site).with_abort(abort.clone())))
-                    .collect();
-                let mut core =
-                    ExchangeCore::new(to.clone(), assignment.clone(), endpoints, consumer_mode);
-                let root = fragment.root.clone();
-                let catalog = catalog.clone();
-                let registry = registry.clone();
-                let ctrl2 = ctrl.clone();
-                let vplan = vplans[fi].clone();
-                let nvariants = vplans[fi].variants;
-                let error_slot = error_slot.clone();
-                let assignment2 = assignment.clone();
-                let obs_thread = obs_ctx.clone();
-                let pools2 = pools.clone();
-                handles.push((fi, site, vid, std::thread::spawn(move || {
-                    // One trace lane + fragment span per instance thread;
-                    // declared before `run` so it closes after every
-                    // operator (and its span) has been dropped.
-                    let (lane, frag_span) = match &obs_thread {
-                        Some((o, _)) => {
-                            let lane = o.trace.lane(format!("f{fi} @{site} v{vid}"));
-                            let span = o.trace.span(
-                                format!("fragment f{fi} @{site} v{vid}"),
-                                "fragment",
-                                exec_span_id,
-                                lane,
-                            );
-                            (lane, Some(span))
-                        }
-                        None => (Trace::COORD_LANE, None),
-                    };
-                    if let Some((o, _)) = &obs_thread {
-                        core.set_obs(NetObs {
-                            trace: o.trace.clone(),
-                            lane,
-                            parent: frag_span.as_ref().map(|g| g.id()),
-                        });
-                    }
-                    let core = Arc::new(core);
-                    let sink = InstanceSink::Exchange(core.clone());
-                    let run = || -> IcResult<()> {
-                        let mut ctx = BuildCtx {
-                            catalog: &catalog,
-                            assignment: &assignment2,
-                            site,
-                            vid,
-                            nvariants,
-                            vplan: &vplan,
-                            registry: &registry,
-                            receivers,
-                            ctrl: ctrl2.clone(),
-                            obs_index: obs_thread.as_ref().map(|(_, ix)| ix.clone()),
-                            lane,
-                            parent_span: frag_span.as_ref().map(|g| g.id()),
-                        };
-                        pipeline::run_instance(
-                            &mut ctx,
-                            &root,
-                            &pools2,
-                            morsel_rows,
-                            &sink,
-                        )?;
-                        core.flush()
-                    };
-                    match run() {
-                        Ok(()) => core.finish(),
-                        // ic-lint: allow(L009) because the enclosing loop spawns one worker per fragment lane; this arm records the first error and cancels the query, it never re-runs the failed work
-                        Err(e) => {
-                            // A worker that merely observed cancellation is
-                            // teardown noise: the real cause lives elsewhere
-                            // (the root's own error, another worker's slot
-                            // entry — always recorded before its cancel() —
-                            // or a root that already finished its answer).
-                            if !matches!(&e, IcError::Exec(m) if m == "query cancelled") {
-                                let mut slot = error_slot.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                            }
-                            ctrl2.cancel();
-                        }
-                    }
-                })));
-            }
-        }
-    }
-
-    // --- run the root fragment on this thread ---------------------------
-    let root = &fragments[0];
-    debug_assert!(root.is_root());
-    let root_span = obs_ctx.as_ref().map(|(o, _)| {
-        o.trace.span(
-            format!("fragment f0 @{} (root)", assignment.coordinator()),
-            "fragment",
-            exec_span_id,
-            Trace::COORD_LANE,
-        )
-    });
-    let mut receivers = FxHashMap::default();
-    let mut root_result: IcResult<Vec<Row>> = (|| {
-        for ex in root.receiver_exchanges(&registry) {
+    // --- launch the fragment instances ------------------------------------
+    let env = ExecEnv {
+        catalog: catalog.clone(),
+        assignment: assignment.clone(),
+        registry: registry.clone(),
+        ctrl: ctrl.clone(),
+        obs: obs_ctx.clone(),
+        exec_span: exec_span.as_ref().map(|g| g.id()),
+        // One lazily-populated worker pool per site for this execution.
+        pools: Arc::new(SitePools::new(opts.worker_threads.max(1), opts.trace.clone())),
+        morsel_rows: opts.morsel_rows,
+    };
+    // One instance of fragment `fi`, its receiver endpoints claimed.
+    let mut instance = |fi: usize, site, vid, exchange| -> IcResult<Instance> {
+        let mut receivers = FxHashMap::default();
+        for ex in fragments[fi].receiver_exchanges(&registry) {
             let rx = rx_map
-                .remove(&(ex, assignment.coordinator(), 0))
-                .ok_or_else(|| IcError::Exec("root receiver missing".into()))?;
+                .remove(&(ex, site, vid))
+                .ok_or_else(|| IcError::Exec("receiver endpoint missing".into()))?;
             receivers.insert(
                 ex,
                 ReceiverSource {
@@ -949,34 +996,45 @@ pub fn execute_plan(
                     ctrl: ctrl.clone(),
                     producers: fragments[producer_of[&ex]].sites.clone(),
                     network: network.clone(),
-                    obs: obs_ctx.as_ref().and_then(|(o, ix)| {
-                        ix.of_exchange(ex).map(|n| (o.attempt.clone(), n))
-                    }),
+                    obs: obs_ctx
+                        .as_ref()
+                        .and_then(|(o, ix)| ix.of_exchange(ex).map(|n| (o.attempt.clone(), n))),
                 },
             );
         }
-        let mut ctx = BuildCtx {
-            catalog,
-            assignment: &assignment,
-            site: assignment.coordinator(),
-            vid: 0,
-            nvariants: 1,
-            vplan: &VariantPlan::single(),
-            registry: &registry,
-            receivers,
-            ctrl: ctrl.clone(),
-            obs_index: obs_ctx.as_ref().map(|(_, ix)| ix.clone()),
-            lane: Trace::COORD_LANE,
-            parent_span: root_span.as_ref().map(|g| g.id()),
-        };
-        let collected: Arc<Mutex<Vec<Row>>> =
-            Arc::new(Mutex::named(Vec::new(), "exec.root_rows"));
-        let sink = InstanceSink::Rows(collected.clone());
-        pipeline::run_instance(&mut ctx, &root.root, &pools, morsel_rows, &sink)?;
-        let rows = std::mem::take(&mut *collected.lock());
-        Ok(rows)
-    })();
-    drop(root_span);
+        let (root, vplan) = (fragments[fi].root.clone(), vplans[fi].clone());
+        Ok(Instance { fi, site, vid, root, vplan, receivers, exchange })
+    };
+    // Every non-root instance gets a driver thread of its own.
+    let error_slot: Arc<Mutex<Option<IcError>>> = Arc::new(Mutex::named(None, "exec.error_slot"));
+    let mut handles: Vec<(usize, SiteId, usize, std::thread::JoinHandle<()>)> = Vec::new();
+    for (fi, fragment) in fragments.iter().enumerate() {
+        let Sink::Exchange { id: sink_id, to } = &fragment.sink else { continue };
+        let consumer_mode = vplans[consumer_of[sink_id]].receiver_mode(*sink_id);
+        for &site in &fragment.sites {
+            for vid in 0..vplans[fi].variants {
+                let endpoints: Vec<(SiteId, usize, NetSender<Msg>)> = tx_protos[sink_id]
+                    .iter()
+                    .map(|(s, v, tx)| (*s, *v, tx.with_src(site).with_abort(abort.clone())))
+                    .collect();
+                let core =
+                    ExchangeCore::new(to.clone(), assignment.clone(), endpoints, consumer_mode);
+                let inst = instance(fi, site, vid, Some(core))?;
+                let (env, error_slot) = (env.clone(), error_slot.clone());
+                handles.push((fi, site, vid, std::thread::spawn(move || {
+                    if let Err(e) = launch_instance(&env, inst) {
+                        record_first_error(&error_slot, &env.ctrl, e);
+                    }
+                })));
+            }
+        }
+    }
+    let threads = handles.len();
+
+    // The root fragment runs on this thread.
+    debug_assert!(fragments[0].is_root());
+    let mut root_result = instance(0, assignment.coordinator(), 0, None)
+        .and_then(|inst| launch_instance(&env, inst));
 
     // Stop the workers either way: on error the query is unwinding; on
     // success the root may have finished without draining its producers
@@ -985,19 +1043,12 @@ pub fn execute_plan(
     ctrl.cancel();
     for (fi, site, vid, h) in handles {
         if let Err(payload) = h.join() {
-            // Downcast the panic payload so chaos failures are attributable
-            // to a specific fragment instance.
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
+            // Attribute the panic to its fragment instance (chaos runs).
             let mut slot = error_slot.lock();
             if slot.is_none() {
                 *slot = Some(IcError::Exec(format!(
-                    "fragment {fi} at {site} (variant {vid}) panicked: {msg}"
+                    "fragment {fi} at {site} (variant {vid}) panicked: {}",
+                    panic_message(&*payload)
                 )));
             }
         }
@@ -1057,8 +1108,8 @@ pub fn execute_plan(
     }
     // Pool workers joined before stats: spawned() is final, and worker
     // trace lanes are quiesced before the trace is read.
-    let pool_threads = pools.spawned();
-    drop(pools);
+    let pool_threads = env.pools.spawned();
+    drop(env);
     let peak_buffered_rows = ctrl.lease().peak_used();
     if let Some(g) = &mut exec_span {
         g.arg("fragments", fragments.len() as u64);

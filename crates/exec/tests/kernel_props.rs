@@ -14,7 +14,9 @@ use ic_common::agg::{Accumulator, AggFunc};
 use ic_common::{BinOp, ColumnBatch, Datum, Expr, Row};
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::ColGroupTable;
-use ic_exec::operators::{drain, AggExec, ControlBlock, HashJoinExec, NestedLoopJoinExec};
+use ic_exec::operators::{
+    drain, AggExec, ControlBlock, HashJoinExec, JoinBuild, NestedLoopJoinExec,
+};
 use ic_net::topology::Topology;
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
@@ -70,7 +72,7 @@ proptest! {
                 chunked_src(&l, &[3, 5]), chunked_src(&r, &[4]), kind, on, 2,
                 ControlBlock::new(None, 0));
             let hj = HashJoinExec::new(
-                chunked_src(&l, &[3, 5]), chunked_src(&r, &[4]), kind, vec![0], vec![0],
+                chunked_src(&l, &[3, 5]), JoinBuild::Source(chunked_src(&r, &[4])), kind, vec![0], vec![0],
                 Expr::lit(true), 2, ControlBlock::new(None, 0));
             prop_assert_eq!(&drain(Box::new(nlj)).unwrap(), &expect, "nlj {:?}", kind);
             prop_assert_eq!(&drain(Box::new(hj)).unwrap(), &expect, "hash {:?}", kind);

@@ -286,12 +286,7 @@ pub fn run_dml_scenario(scenario: &DmlScenario) -> DmlOutcome {
         Ok(Ok(())) => DmlOutcome { digest, disagreement: None },
         Ok(Err(msg)) => fail(&digest, msg),
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            fail(&digest, format!("panicked: {msg}"))
+            fail(&digest, format!("panicked: {}", ic_common::panic_message(&*payload)))
         }
     }
 }

@@ -224,14 +224,7 @@ fn run_engine(cluster: &Cluster, client: u64, sql: &str) -> EngineOutcome {
     match res {
         Ok(Ok(qr)) => EngineOutcome::Rows(qr.rows),
         Ok(Err(e)) => EngineOutcome::Error(e),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            EngineOutcome::Panic(msg)
-        }
+        Err(payload) => EngineOutcome::Panic(ic_common::panic_message(&*payload)),
     }
 }
 

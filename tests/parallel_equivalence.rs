@@ -12,7 +12,17 @@
 //! index-backed shapes — `IndexScan → MergeJoin` and `IndexScan →
 //! SortAggregate` over stored sorted chunk runs — to both, and non-equi
 //! and scalar-subquery joins the ones only `NestedLoopJoin` can run.
+//!
+//! Both sides are built by the one plan → operator builder; what differs is
+//! what stands in for the scan leaf, the joins' build sides and the region
+//! root. So besides the result multiset, every LIMIT-free shape must show
+//! the same actual row count on every plan node (the table `EXPLAIN ANALYZE`
+//! prints): a lane's synthetic partial aggregate or pre-sort is invisible,
+//! the driver's half owns the plan node. (A satisfied LIMIT cancels
+//! producers early, so counts below it depend on timing; the plan's own
+//! `Partial` aggregates are the one exception, see `op_rows`.)
 
+use ic_common::obs::Trace;
 use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, Row, SystemVariant};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -45,6 +55,12 @@ fn fixture() -> &'static Fixture {
         sequential
             .run("CREATE TABLE c (c1 BIGINT, c2 VARCHAR, PRIMARY KEY (c1)) REPLICATED")
             .unwrap();
+        // Replicated and several morsels long: its fragments are whole
+        // queries, so a sort or an aggregate sits directly above the region
+        // and splits into a lane half and a driver half.
+        sequential
+            .run("CREATE TABLE d (d1 BIGINT, d2 BIGINT, d3 DOUBLE, PRIMARY KEY (d1)) REPLICATED")
+            .unwrap();
         let a: Vec<Row> = (0..900)
             .map(|i| {
                 Row(vec![
@@ -65,6 +81,7 @@ fn fixture() -> &'static Fixture {
             .collect();
         let c: Vec<Row> =
             (0..37).map(|i| Row(vec![Datum::Int(i), Datum::str(format!("c{}", i % 3))])).collect();
+        sequential.insert("d", a[..600].to_vec()).unwrap();
         sequential.insert("a", a).unwrap();
         sequential.insert("b", b).unwrap();
         sequential.insert("c", c).unwrap();
@@ -126,10 +143,37 @@ fn canon(rows: &[Row]) -> Vec<String> {
     out
 }
 
+/// (label, actual rows) of every plan node, in pre-order. `None` where the
+/// count is a number of partial-aggregate *state rows*: a `Partial`
+/// aggregate of the plan itself runs once per lane inside a region, so it —
+/// and whatever carries its output up to the `Final` that merges it — emits
+/// a row per group per lane, legitimately more than the sequential chain.
+fn op_rows(trace: &Trace) -> Vec<(String, Option<u64>)> {
+    let attempts = trace.attempts();
+    let attempt = attempts.last().expect("a traced query registers an attempt");
+    let ops = attempt.ops();
+    let mut state_rows = vec![false; ops.len()];
+    for (i, op) in ops.iter().enumerate() {
+        let mut up = Some(i).filter(|_| op.label == "HashAggregate[Partial]");
+        while let Some(k) = up.filter(|&k| ops[k].label != "HashAggregate[Final]") {
+            state_rows[k] = true;
+            up = ops[k].parent.map(|p| p as usize);
+        }
+    }
+    (0..ops.len())
+        .map(|i| (ops[i].label.clone(), (!state_rows[i]).then(|| attempt.rows(i as u32))))
+        .collect()
+}
+
 fn assert_same(f: &Fixture, sql: &str) {
-    let seq = f.sequential.query(sql).unwrap();
-    let par = f.parallel.query(sql).unwrap();
-    assert_eq!(canon(&seq.rows), canon(&par.rows), "sequential vs parallel: {sql}");
+    let (seq, seq_trace) = f.sequential.query_traced(0, sql);
+    let (par, par_trace) = f.parallel.query_traced(0, sql);
+    assert_eq!(
+        canon(&seq.unwrap().rows),
+        canon(&par.unwrap().rows),
+        "sequential vs parallel: {sql}"
+    );
+    assert_eq!(op_rows(&seq_trace), op_rows(&par_trace), "per-operator actual rows: {sql}");
 }
 
 fn predicate() -> impl Strategy<Value = String> {
@@ -223,9 +267,24 @@ proptest! {
     /// non-equi `ON`, inner and left, and the cross join against a scalar
     /// subquery (TPC-H Q11/Q22's shape) — and `SortAggregate`, grouping an
     /// index scan on its key prefix (Q18's). Their inputs do go parallel.
+    /// And the sequential build inside a parallel region: LEFT/SEMI/ANTI
+    /// hash joins with a residual, whose build side is itself a join — the
+    /// driver drains it behind the build barrier, the lanes over `a` probe.
     #[test]
-    fn nested_loop_join_and_sort_aggregate(lo in 50i64..900, hi in 1i64..60, shape in 0usize..4) {
+    fn nested_loop_join_and_sort_aggregate(lo in 50i64..900, hi in 1i64..60, shape in 0usize..7) {
         let (sql, op) = match shape {
+            4 => (format!(
+                "SELECT a.a1, z.c2 FROM a LEFT JOIN (SELECT x.c1, y.c2 FROM c x, c y WHERE x.c1 = y.c1) z \
+                 ON a.a2 = z.c1 AND z.c1 < a.a1 - {hi} WHERE a.a1 < {lo}"
+            ), "HashJoin[left]"),
+            5 => (format!(
+                "SELECT a.a1 FROM a WHERE a.a1 < {lo} AND EXISTS \
+                 (SELECT 1 FROM c x, c y WHERE x.c1 = y.c1 AND x.c1 = a.a2 AND y.c1 < a.a1 - {hi})"
+            ), "HashJoin[semi]"),
+            6 => (format!(
+                "SELECT a.a1 FROM a WHERE a.a1 < {lo} AND NOT EXISTS \
+                 (SELECT 1 FROM c x, c y WHERE x.c1 = y.c1 AND x.c1 = a.a2 AND y.c1 < a.a1 - {hi})"
+            ), "HashJoin[anti]"),
             0 => (format!(
                 "SELECT a.a1, b.b1 FROM a INNER JOIN b ON a.a2 < b.b2 WHERE a.a1 < {lo} AND b.b1 < {hi}"
             ), "NestedLoopJoin[inner]"),
@@ -245,28 +304,44 @@ proptest! {
         assert_same(f, &sql);
     }
 
-    /// Scan → filter → project fragments (the streaming-lane path: no post
-    /// chain, lanes push straight into the exchange/rowset sink).
+    /// Scan → filter → project fragments (the streaming-lane path: nothing
+    /// above the region, lanes push straight into the exchange/rowset sink)
+    /// — and, LIMIT-free so that the per-operator counts are checked, the
+    /// two nodes that split when they sit directly above the region: a sort
+    /// (per-lane sort, merged on the driver) and a splittable `Complete`
+    /// aggregate (per-lane `Partial`, `Final` on the driver).
     #[test]
-    fn scan_filter_project(lo in 0i64..500, hi in 500i64..900) {
-        let sql = format!(
-            "SELECT a.a1, a.a3 FROM a WHERE a.a1 >= {lo} AND a.a1 < {hi} AND a.a3 IS NOT NULL"
-        );
+    fn scan_filter_project(lo in 0i64..500, hi in 500i64..900, shape in 0usize..3) {
+        let sql = match shape {
+            0 => format!(
+                "SELECT a.a1, a.a3 FROM a WHERE a.a1 >= {lo} AND a.a1 < {hi} AND a.a3 IS NOT NULL"
+            ),
+            1 => format!(
+                "SELECT * FROM d WHERE d.d1 >= {lo} AND d.d1 < {hi} AND d.d3 IS NOT NULL ORDER BY d.d2, d.d1"
+            ),
+            _ => format!("SELECT DISTINCT d.d2 FROM d WHERE d.d1 >= {lo} AND d.d1 < {hi}"),
+        };
         assert_same(fixture(), &sql);
     }
 
     /// Grouped aggregates over joins: shared-table parallel probe feeding
     /// per-lane partial aggregates, merged at the drain barrier (and the
-    /// unsplittable COUNT DISTINCT path when the generator picks it).
+    /// unsplittable COUNT DISTINCT path when the generator picks it) — bare,
+    /// or under an ORDER BY next to a COUNT DISTINCT that keeps the
+    /// aggregate whole: a blocking sort above an unsplit aggregate.
     #[test]
     fn join_group_aggregate(preds in proptest::collection::vec(predicate(), 0..3),
-                            a in agg()) {
+                            a in agg(), ordered in proptest::bool::ANY) {
+        let distinct = if ordered { ", count(distinct b.b3)" } else { "" };
         let mut sql =
-            format!("SELECT c.c2, {a} FROM a, b, c WHERE a.a2 = b.b2 AND a.a2 = c.c1");
+            format!("SELECT c.c2, {a}{distinct} FROM a, b, c WHERE a.a2 = b.b2 AND a.a2 = c.c1");
         for p in &preds {
             sql += &format!(" AND {p}");
         }
         sql += " GROUP BY c.c2";
+        if ordered {
+            sql += " ORDER BY c.c2";
+        }
         assert_same(fixture(), &sql);
     }
 
@@ -280,16 +355,20 @@ proptest! {
         assert_same(fixture(), &sql);
     }
 
-    /// ORDER BY + LIMIT above a parallel region: lanes pre-sort their
-    /// share, the driver k-way merges the runs, and the limit cuts the
-    /// merged stream — result must match the sequential sort exactly
-    /// (ORDER BY a1 is a total order, so even row order is deterministic).
+    /// ORDER BY + LIMIT: over the partitioned table the sort runs above
+    /// the gathering exchange; over the replicated one it sits directly
+    /// above a parallel region — lanes pre-sort their share, the driver
+    /// k-way merges the runs, and the limit cuts the merged stream. Either
+    /// way the result must match the sequential sort exactly (the keys are
+    /// a total order, so even row order is deterministic).
     #[test]
-    fn sort_limit(lim in 1usize..40, desc in proptest::bool::ANY) {
+    fn sort_limit(lim in 1usize..40, desc in proptest::bool::ANY, replicated in proptest::bool::ANY) {
         let dir = if desc { "DESC" } else { "ASC" };
-        let sql = format!(
-            "SELECT a.a1, a.a2 FROM a WHERE a.a3 IS NOT NULL ORDER BY a.a1 {dir} LIMIT {lim}"
-        );
+        let sql = if replicated {
+            format!("SELECT * FROM d WHERE d.d3 IS NOT NULL ORDER BY d.d1 {dir} LIMIT {lim}")
+        } else {
+            format!("SELECT a.a1, a.a2 FROM a WHERE a.a3 IS NOT NULL ORDER BY a.a1 {dir} LIMIT {lim}")
+        };
         let f = fixture();
         let seq = f.sequential.query(&sql).unwrap();
         let par = f.parallel.query(&sql).unwrap();
