@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// Each line reads:
 ///
 /// ```text
-/// HashJoin (dist=hash[0], rows est=1000 act=998, batches=2, self=0.412 ms)
+/// HashJoin (dist=hash[0], width=5, rows est=1000 act=998, batches=2, self=0.412 ms)
 /// ```
 ///
 /// with `shipped=<bytes> B` appended on Exchange consumers. `act` sums all

@@ -53,7 +53,7 @@ fn walk(
     let idx = metas.len() as u32;
     metas.push(OpMeta {
         label: node.label(),
-        detail: format!("dist={}", node.dist),
+        detail: format!("dist={}, width={}", node.dist, node.schema.arity()),
         parent,
         depth,
         est_rows: node.rows,

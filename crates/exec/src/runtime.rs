@@ -140,69 +140,7 @@ impl WireSize for Msg {
 /// optimizer's memo can share subtrees (e.g. self-joins), but each
 /// occurrence must become its own fragment/exchange at runtime.
 fn uniquify(plan: &Arc<PhysPlan>) -> Arc<PhysPlan> {
-    let op = match &plan.op {
-        PhysOp::TableScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => {
-            plan.op.clone()
-        }
-        PhysOp::Filter { input, predicate } => PhysOp::Filter {
-            input: uniquify(input),
-            predicate: predicate.clone(),
-        },
-        PhysOp::Project { input, exprs, names } => PhysOp::Project {
-            input: uniquify(input),
-            exprs: exprs.clone(),
-            names: names.clone(),
-        },
-        PhysOp::NestedLoopJoin { left, right, kind, on } => PhysOp::NestedLoopJoin {
-            left: uniquify(left),
-            right: uniquify(right),
-            kind: *kind,
-            on: on.clone(),
-        },
-        PhysOp::HashJoin { left, right, kind, left_keys, right_keys, residual } => {
-            PhysOp::HashJoin {
-                left: uniquify(left),
-                right: uniquify(right),
-                kind: *kind,
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                residual: residual.clone(),
-            }
-        }
-        PhysOp::MergeJoin { left, right, kind, left_keys, right_keys, residual } => {
-            PhysOp::MergeJoin {
-                left: uniquify(left),
-                right: uniquify(right),
-                kind: *kind,
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                residual: residual.clone(),
-            }
-        }
-        PhysOp::HashAggregate { input, group, aggs, phase } => PhysOp::HashAggregate {
-            input: uniquify(input),
-            group: group.clone(),
-            aggs: aggs.clone(),
-            phase: *phase,
-        },
-        PhysOp::SortAggregate { input, group, aggs, phase } => PhysOp::SortAggregate {
-            input: uniquify(input),
-            group: group.clone(),
-            aggs: aggs.clone(),
-            phase: *phase,
-        },
-        PhysOp::Sort { input, keys } => PhysOp::Sort { input: uniquify(input), keys: keys.clone() },
-        PhysOp::Limit { input, fetch, offset } => PhysOp::Limit {
-            input: uniquify(input),
-            fetch: *fetch,
-            offset: *offset,
-        },
-        PhysOp::Exchange { input, to } => PhysOp::Exchange {
-            input: uniquify(input),
-            to: to.clone(),
-        },
-    };
-    Arc::new(PhysPlan { op, ..(**plan).clone() })
+    plan.with_children(plan.children().into_iter().map(uniquify).collect())
 }
 
 /// Classify a network failure: dead sites and lost exchange messages are
@@ -417,15 +355,19 @@ impl ExchangeCore {
 pub(crate) enum InstanceSink {
     /// Non-root instances: into the exchange's shared coalescing stage.
     Exchange(Arc<ExchangeCore>),
-    /// The root instance: straight into the client rowset.
-    Rows(Arc<Mutex<Vec<Row>>>),
+    /// The root instance: straight into the client rowset — buffered state
+    /// like any other, so it is leased before it grows. (A runaway result
+    /// ends in `MemoryLimit`, not in however many rows fit before the
+    /// deadline.)
+    Rows(Arc<Mutex<Vec<Row>>>, Arc<ControlBlock>),
 }
 
 impl InstanceSink {
     pub(crate) fn push(&self, batch: ColumnBatch) -> IcResult<()> {
         match self {
             InstanceSink::Exchange(core) => core.send_batch(batch),
-            InstanceSink::Rows(rows) => {
+            InstanceSink::Rows(rows, ctrl) => {
+                ctrl.reserve_batch(&batch)?;
                 let mut b = batch.to_rows();
                 rows.lock().append(&mut b);
                 Ok(())
@@ -841,7 +783,7 @@ fn launch_instance(env: &ExecEnv, inst: Instance) -> IcResult<Vec<Row>> {
     let rows = Arc::new(Mutex::named(Vec::new(), "exec.root_rows"));
     let sink = match &core {
         Some(core) => InstanceSink::Exchange(core.clone()),
-        None => InstanceSink::Rows(rows.clone()),
+        None => InstanceSink::Rows(rows.clone(), env.ctrl.clone()),
     };
     let mut inst = InstanceCtx {
         catalog: &env.catalog,

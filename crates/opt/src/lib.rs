@@ -13,6 +13,8 @@
 //!   implementation rules, trait-driven enforcer insertion (exchanges and
 //!   sorts), and an exploration budget whose exhaustion reproduces the
 //!   paper's planning failures.
+//! * [`trim`] — field trimming: the required-columns pass over the plan
+//!   the Volcano stage chose, so no operator carries a column nothing reads.
 //! * [`pipeline`] — ties the stages together: the baseline single-phase
 //!   pipeline vs. the improved two-phase pipeline with conditional
 //!   disabling of the join-reordering rules (§4.3).
@@ -21,6 +23,7 @@ pub mod dml;
 pub mod hep;
 pub mod pipeline;
 pub mod rules;
+pub mod trim;
 pub mod volcano;
 
 pub use dml::plan_dml;

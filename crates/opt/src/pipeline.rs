@@ -15,6 +15,8 @@
 //!      joins or more than [`MAX_NESTED_REORDER`] nested joins, in which
 //!      case the conditional second physical phase without those rules is
 //!      used (§4.3).
+//!    * Either way the planner's last step trims the chosen plan to the
+//!      columns the query reads ([`crate::trim`]).
 
 use crate::hep::hep_stage;
 use crate::volcano::VolcanoPlanner;
@@ -70,6 +72,7 @@ pub fn optimize_query(
     let mut volcano = VolcanoPlanner::new(catalog.clone(), flags.clone(), reorder, factor);
     let plan = volcano.optimize(&logical)?;
     if cfg!(debug_assertions) {
+        // After the field trim that ends `optimize`: what runs is checked.
         ic_plan::validate::debug_validate(&plan, "volcano stage");
     }
     Ok(Optimized {

@@ -110,12 +110,15 @@ impl VolcanoPlanner {
     }
 
     /// Optimize a logical plan into the cheapest physical plan delivering
-    /// all rows at the coordinator (the root fragment's requirement).
+    /// all rows at the coordinator (the root fragment's requirement), then
+    /// trim it to the columns the query reads ([`crate::trim`]).
     pub fn optimize(&mut self, plan: &Arc<LogicalPlan>) -> IcResult<Arc<PhysPlan>> {
         let root = self.insert_tree(plan)?;
         self.explore()?;
-        self.best(root, &ReqKey::single())
-            .ok_or_else(|| IcError::Plan("no physical plan found for query".into()))
+        let best = self
+            .best(root, &ReqKey::single())
+            .ok_or_else(|| IcError::Plan("no physical plan found for query".into()))?;
+        Ok(self.trim_plan(&best))
     }
 
     // ---------------------------------------------------------------- memo
@@ -350,7 +353,7 @@ impl VolcanoPlanner {
     }
 
     /// Build a costed physical node from an op whose children are final.
-    fn node(
+    pub(crate) fn node(
         &self,
         op: PhysOp<Arc<PhysPlan>>,
         dist: Distribution,

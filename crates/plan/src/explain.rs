@@ -33,7 +33,8 @@ pub fn explain_logical(plan: &LogicalPlan) -> String {
     out
 }
 
-/// Render a physical plan tree with traits, cardinalities and costs.
+/// Render a physical plan tree with traits, output arity (`width`),
+/// cardinalities and costs.
 pub fn explain_physical(plan: &PhysPlan) -> String {
     let mut out = String::new();
     fn walk(node: &PhysPlan, depth: usize, out: &mut String) {
@@ -52,10 +53,11 @@ pub fn explain_physical(plan: &PhysPlan) -> String {
         };
         let _ = writeln!(
             out,
-            "{pad}{} (dist={}{}, rows={:.0}, cost={:.0})",
+            "{pad}{} (dist={}{}, width={}, rows={:.0}, cost={:.0})",
             node.label(),
             node.dist,
             collation,
+            node.schema.arity(),
             node.rows,
             node.cost.sum(),
         );

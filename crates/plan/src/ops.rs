@@ -8,6 +8,7 @@ use crate::dist::Distribution;
 use ic_common::agg::AggFunc;
 use ic_common::{DataType, Datum, Expr, Field, IcError, IcResult, Row, Schema};
 use ic_storage::{IndexId, TableId};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Join types. `Semi`/`Anti` are produced by subquery decorrelation
@@ -402,6 +403,139 @@ impl PhysPlan {
         }
     }
 
+    /// This node's operator over `children`, with every reference to column
+    /// `c` of input `i` rewritten to `col(i, c)`. The one per-variant rebuild:
+    /// [`PhysPlan::with_children`] is this with the identity map, the field
+    /// trimmer passes the positions its narrowed inputs kept.
+    pub fn remap_op(
+        &self,
+        children: Vec<Arc<PhysPlan>>,
+        col: &dyn Fn(usize, usize) -> usize,
+    ) -> PhysOp<Arc<PhysPlan>> {
+        let mut children = children.into_iter();
+        let mut next = || children.next().expect("one new child per input");
+        let in0 = |c: usize| col(0, c);
+        let keys = |keys: &[usize], i: usize| keys.iter().map(|&k| col(i, k)).collect();
+        // A join condition addresses the concatenated (left ++ right) row.
+        let concat = |e: &Expr, old_left: &PhysPlan, new_left: &PhysPlan| {
+            let (old, new) = (old_left.schema.arity(), new_left.schema.arity());
+            e.map_cols(&|c| if c < old { col(0, c) } else { new + col(1, c - old) })
+        };
+        match &self.op {
+            PhysOp::TableScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => {
+                self.op.clone()
+            }
+            PhysOp::Filter { predicate, .. } => {
+                PhysOp::Filter { input: next(), predicate: predicate.map_cols(&in0) }
+            }
+            PhysOp::Project { exprs, names, .. } => PhysOp::Project {
+                input: next(),
+                exprs: exprs.iter().map(|e| e.map_cols(&in0)).collect(),
+                names: names.clone(),
+            },
+            PhysOp::NestedLoopJoin { left: old_left, kind, on, .. } => {
+                let (left, right) = (next(), next());
+                let on = concat(on, old_left, &left);
+                PhysOp::NestedLoopJoin { left, right, kind: *kind, on }
+            }
+            PhysOp::HashJoin { left: old_left, kind, left_keys, right_keys, residual, .. } => {
+                let (left, right) = (next(), next());
+                let residual = concat(residual, old_left, &left);
+                let (left_keys, right_keys) = (keys(left_keys, 0), keys(right_keys, 1));
+                PhysOp::HashJoin { left, right, kind: *kind, left_keys, right_keys, residual }
+            }
+            PhysOp::MergeJoin { left: old_left, kind, left_keys, right_keys, residual, .. } => {
+                let (left, right) = (next(), next());
+                let residual = concat(residual, old_left, &left);
+                let (left_keys, right_keys) = (keys(left_keys, 0), keys(right_keys, 1));
+                PhysOp::MergeJoin { left, right, kind: *kind, left_keys, right_keys, residual }
+            }
+            PhysOp::HashAggregate { group, aggs, phase, .. } => {
+                let (group, aggs) = remap_agg(group, aggs, *phase, &in0);
+                PhysOp::HashAggregate { input: next(), group, aggs, phase: *phase }
+            }
+            PhysOp::SortAggregate { group, aggs, phase, .. } => {
+                let (group, aggs) = remap_agg(group, aggs, *phase, &in0);
+                PhysOp::SortAggregate { input: next(), group, aggs, phase: *phase }
+            }
+            PhysOp::Sort { keys, .. } => PhysOp::Sort {
+                input: next(),
+                keys: keys.iter().map(|k| SortKey { col: in0(k.col), desc: k.desc }).collect(),
+            },
+            PhysOp::Limit { fetch, offset, .. } => {
+                PhysOp::Limit { input: next(), fetch: *fetch, offset: *offset }
+            }
+            PhysOp::Exchange { to, .. } => {
+                PhysOp::Exchange { input: next(), to: to.remap(&|c| Some(in0(c))) }
+            }
+        }
+    }
+
+    /// A fresh node running the same operator over `children`, every other
+    /// field carried over — new identity, nothing re-derived.
+    pub fn with_children(&self, children: Vec<Arc<PhysPlan>>) -> Arc<PhysPlan> {
+        Arc::new(PhysPlan {
+            op: self.remap_op(children, &|_, c| c),
+            schema: self.schema.clone(),
+            dist: self.dist.clone(),
+            collation: self.collation.clone(),
+            ..*self
+        })
+    }
+
+    /// The columns of each input this operator needs when `required` (sorted)
+    /// of its own output columns are needed above it: what it reads itself
+    /// plus what it passes through, sorted. An input edge never carries zero
+    /// columns — there is no zero-width batch — so an empty set becomes the
+    /// input's first fixed-width column.
+    pub fn input_requirements(&self, required: &[usize]) -> Vec<Vec<usize>> {
+        let above = || required.iter().copied();
+        // Split columns of the concatenated join row between the inputs.
+        let split = |left: &PhysPlan, cols: BTreeSet<usize>| {
+            let l = left.schema.arity();
+            let (lc, rc): (Vec<usize>, Vec<usize>) = cols.into_iter().partition(|&c| c < l);
+            vec![lc, rc.into_iter().map(|c| c - l).collect()]
+        };
+        let mut sets: Vec<Vec<usize>> = match &self.op {
+            PhysOp::TableScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => vec![],
+            PhysOp::Filter { predicate, .. } => vec![sorted(above().chain(predicate.columns()))],
+            PhysOp::Project { exprs, .. } => {
+                vec![sorted(above().flat_map(|i| exprs[i].columns()))]
+            }
+            PhysOp::NestedLoopJoin { left, on, .. } => {
+                split(left, above().chain(on.columns()).collect())
+            }
+            PhysOp::HashJoin { left, left_keys, right_keys, residual, .. }
+            | PhysOp::MergeJoin { left, left_keys, right_keys, residual, .. } => {
+                let l = left.schema.arity();
+                let own = left_keys.iter().copied().chain(right_keys.iter().map(|k| k + l));
+                split(left, above().chain(own).chain(residual.columns()).collect())
+            }
+            PhysOp::HashAggregate { input, group, aggs, phase }
+            | PhysOp::SortAggregate { input, group, aggs, phase } => match phase {
+                // The partial state layout is positional: all of it.
+                AggPhase::Final => vec![(0..input.schema.arity()).collect()],
+                AggPhase::Complete | AggPhase::Partial => {
+                    let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                    vec![sorted(group.iter().copied().chain(args.flat_map(Expr::columns)))]
+                }
+            },
+            PhysOp::Sort { keys, .. } => vec![sorted(above().chain(keys.iter().map(|k| k.col)))],
+            PhysOp::Limit { .. } => vec![required.to_vec()],
+            PhysOp::Exchange { to, .. } => {
+                let keys: &[usize] = if let Distribution::Hash(k) = to { k } else { &[] };
+                vec![sorted(above().chain(keys.iter().copied()))]
+            }
+        };
+        for (set, child) in sets.iter_mut().zip(self.children()) {
+            if set.is_empty() && child.schema.arity() > 0 {
+                let fields = child.schema.fields();
+                set.push(fields.iter().position(|f| f.dtype != DataType::Str).unwrap_or(0));
+            }
+        }
+        sets
+    }
+
     /// Operator label for EXPLAIN output.
     pub fn label(&self) -> String {
         match &self.op {
@@ -426,6 +560,33 @@ impl PhysPlan {
         usize::from(pred(&self.op))
             + self.children().iter().map(|c| c.count_ops(pred)).sum::<usize>()
     }
+}
+
+fn sorted(cols: impl Iterator<Item = usize>) -> Vec<usize> {
+    cols.collect::<BTreeSet<usize>>().into_iter().collect()
+}
+
+/// An aggregate's input references through `col`. A `Final` phase reads
+/// the partial state positionally and its call arguments still name the
+/// partial phase's input, so neither moves.
+fn remap_agg(
+    group: &[usize],
+    aggs: &[AggCall],
+    phase: AggPhase,
+    col: &impl Fn(usize) -> usize,
+) -> (Vec<usize>, Vec<AggCall>) {
+    if phase == AggPhase::Final {
+        return (group.to_vec(), aggs.to_vec());
+    }
+    let aggs = aggs
+        .iter()
+        .map(|a| AggCall {
+            func: a.func,
+            arg: a.arg.as_ref().map(|e| e.map_cols(col)),
+            name: a.name.clone(),
+        })
+        .collect();
+    (group.iter().map(|&g| col(g)).collect(), aggs)
 }
 
 /// Derive the output schema of a physical operator.

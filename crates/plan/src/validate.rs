@@ -17,8 +17,12 @@
 //!   group-key count plus the partial phase's accumulator state widths.
 //!
 //! The optimizer pipeline calls this after the Hep and Volcano phases in
-//! debug/test builds, so a broken rewrite fails at plan time with a plan
-//! path instead of corrupting rows mid-query.
+//! debug/test builds — the latter ends with the field trimmer, so every
+//! trimmed plan is checked — and a broken rewrite fails at plan time with a
+//! plan path instead of corrupting rows mid-query.
+//!
+//! [`PhysPlan::carried_dead_columns`] is a count, not a check: the columns a
+//! join, sort or exchange is handed that nothing reads.
 
 use crate::dist::{join_sources_valid, Distribution};
 use crate::ops::{
@@ -52,6 +56,35 @@ impl PhysPlan {
         } else {
             Err(errors)
         }
+    }
+}
+
+impl PhysPlan {
+    /// Columns carried for nothing: over every input edge of a materializing
+    /// operator (both inputs of the three joins, `Exchange`, `Sort`), the
+    /// number of columns that neither that operator reads nor anything above
+    /// it requires. Not a [`PhysPlan::validate`] error — hand-built plans
+    /// carry dead columns legitimately — but 0 on every plan the optimizer's
+    /// field trimmer produced.
+    pub fn carried_dead_columns(&self) -> usize {
+        fn walk(node: &PhysPlan, required: &[usize]) -> usize {
+            let materializes = matches!(
+                node.op,
+                PhysOp::NestedLoopJoin { .. }
+                    | PhysOp::HashJoin { .. }
+                    | PhysOp::MergeJoin { .. }
+                    | PhysOp::Exchange { .. }
+                    | PhysOp::Sort { .. }
+            );
+            let edges = node.children().into_iter().zip(node.input_requirements(required));
+            edges
+                .map(|(child, needed)| {
+                    let dead = if materializes { child.schema.arity() - needed.len() } else { 0 };
+                    dead + walk(child, &needed)
+                })
+                .sum()
+        }
+        walk(self, &(0..self.schema.arity()).collect::<Vec<_>>())
     }
 }
 

@@ -2,13 +2,17 @@
 //! three system variants and produces identical results; selected queries
 //! are verified against brute-force computations over the generated rows.
 
-use ignite_calcite_rs::benchdata::tpch;
-use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, Row, SystemVariant};
+use ignite_calcite_rs::benchdata::{ssb, tpch, TableData};
+use ignite_calcite_rs::plan::explain::explain_physical;
+use ignite_calcite_rs::plan::ops::{JoinKind, PhysOp, PhysPlan};
+use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, IcError, Row, SystemVariant};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SF: f64 = 0.002;
 
-fn clusters() -> (Cluster, Cluster, Cluster) {
+/// An IC cluster over the given schema and data, analyzed.
+fn loaded(ddl: &[&[&str]], tables: Vec<TableData>) -> Cluster {
     let base = Cluster::new(ClusterConfig {
         sites: 4,
         variant: SystemVariant::IC,
@@ -18,13 +22,18 @@ fn clusters() -> (Cluster, Cluster, Cluster) {
         memory_limit_rows: 20_000_000,
         ..ClusterConfig::default()
     });
-    for ddl in tpch::DDL.iter().chain(tpch::INDEX_DDL) {
-        base.run(ddl).unwrap();
+    for stmt in ddl.iter().copied().flatten() {
+        base.run(stmt).unwrap();
     }
-    for t in tpch::generate(SF, 42) {
+    for t in tables {
         base.insert(t.name, t.rows).unwrap();
     }
     base.analyze_all().unwrap();
+    base
+}
+
+fn clusters() -> (Cluster, Cluster, Cluster) {
+    let base = loaded(&[tpch::DDL, tpch::INDEX_DDL], tpch::generate(SF, 42));
     let plus = base.with_variant(SystemVariant::ICPlus);
     let plus_m = base.with_variant(SystemVariant::ICPlusM);
     (base, plus, plus_m)
@@ -198,4 +207,95 @@ fn multithreading_uses_more_threads() {
         b.stats.threads,
         a.stats.threads
     );
+}
+
+/// The plan `cluster` would execute for `sql` with the binder's output
+/// names, or `None` when the variant's planner budget runs out (the IC
+/// failures of the paper).
+fn plan_of(cluster: &Cluster, sql: &str) -> Option<(Arc<PhysPlan>, Vec<String>)> {
+    let ic_sql::ast::Statement::Query(ast) = ic_sql::parse_sql(sql).unwrap() else {
+        panic!("not a query: {sql}")
+    };
+    let bound = ic_sql::bind_statement(&ast, cluster.catalog()).unwrap();
+    let flags = cluster.variant().flags();
+    match ic_opt::optimize_query(bound.plan, cluster.catalog(), &flags) {
+        Ok(optimized) => Some((optimized.plan, bound.output_names)),
+        Err(IcError::PlannerBudgetExceeded { .. }) => None,
+        Err(e) => panic!("{sql}: {e}"),
+    }
+}
+
+fn collect<'a>(
+    plan: &'a PhysPlan,
+    pred: &impl Fn(&PhysPlan) -> bool,
+    out: &mut Vec<&'a PhysPlan>,
+) {
+    if pred(plan) {
+        out.push(plan);
+    }
+    for child in plan.children() {
+        collect(child, pred, out);
+    }
+}
+
+/// Field trimming over the whole suite: every TPC-H and SSB query that
+/// plans, on every variant, yields a valid plan in which no join, sort or
+/// exchange input carries a column nothing reads, with the binder's output
+/// columns. On IC+ the two widest offenders are pinned by arity.
+#[test]
+fn optimized_plans_carry_no_dead_columns() {
+    const PLAN_SF: f64 = 0.01;
+    let tpch_base = loaded(&[tpch::DDL, tpch::INDEX_DDL], tpch::generate(PLAN_SF, 42));
+    let ssb_base = loaded(&[ssb::DDL, ssb::INDEX_DDL], ssb::generate(PLAN_SF, 42));
+    let tpch_queries: Vec<(String, String)> = (1..=22)
+        .filter(|q| !tpch::EXCLUDED_UNSUPPORTED.contains(q))
+        .map(|q| (format!("Q{q}"), tpch::query(q)))
+        .collect();
+    let ssb_queries: Vec<(String, String)> =
+        ssb::QUERIES.iter().map(|(id, sql)| (format!("SSB {id}"), sql.to_string())).collect();
+    for (base, queries) in [(&tpch_base, &tpch_queries), (&ssb_base, &ssb_queries)] {
+        for variant in SystemVariant::all() {
+            let cluster = base.with_variant(variant);
+            let mut planned = 0;
+            for (id, sql) in queries {
+                let Some((plan, names)) = plan_of(&cluster, sql) else { continue };
+                planned += 1;
+                let label = format!("{id} on {}", variant.label());
+                let explain = explain_physical(&plan);
+                assert_eq!(plan.validate(), Ok(()), "{label}\n{explain}");
+                assert_eq!(plan.carried_dead_columns(), 0, "{label}\n{explain}");
+                let out: Vec<&str> = plan.schema.fields().iter().map(|f| f.name.as_str()).collect();
+                assert_eq!(out, names, "{label}\n{explain}");
+            }
+            if variant != SystemVariant::IC {
+                assert_eq!(planned, queries.len(), "{} plans everything", variant.label());
+            }
+        }
+    }
+
+    // Q9 broadcasts `partsupp` for three of its five columns.
+    let plus = tpch_base.with_variant(SystemVariant::ICPlus);
+    let (q9, _) = plan_of(&plus, &tpch::query(9)).unwrap();
+    let over_partsupp = |node: &PhysPlan| {
+        let mut scans = Vec::new();
+        collect(node, &|n| n.children().is_empty(), &mut scans);
+        matches!(node.op, PhysOp::Exchange { .. })
+            && scans.len() == 1
+            && scans[0].label().contains("partsupp")
+    };
+    let mut shipped = Vec::new();
+    collect(&q9, &over_partsupp, &mut shipped);
+    let widths: Vec<usize> = shipped.iter().map(|ex| ex.schema.arity()).collect();
+    assert_eq!(widths, [3], "{}", explain_physical(&q9));
+
+    // Q21's EXISTS and NOT EXISTS build on `l_orderkey` and the residual's
+    // `l_suppkey`, not on all sixteen `lineitem` columns.
+    let (q21, _) = plan_of(&plus, &tpch::query(21)).unwrap();
+    let mut builds = Vec::new();
+    let filtering = |n: &PhysPlan| {
+        matches!(n.op, PhysOp::HashJoin { kind: JoinKind::Semi | JoinKind::Anti, .. })
+    };
+    collect(&q21, &filtering, &mut builds);
+    let widths: Vec<usize> = builds.iter().map(|j| j.children()[1].schema.arity()).collect();
+    assert_eq!(widths, [2, 2], "{}", explain_physical(&q21));
 }

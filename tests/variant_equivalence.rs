@@ -234,3 +234,54 @@ proptest! {
         prop_assert_eq!(canon(&r_plus.rows), canon(&r_m.rows), "IC+ vs IC+M: {}", sql);
     }
 }
+
+/// The fuzzer's statement generator over the TPC-H and SSB schemas, for a
+/// fixed seed range: on every variant that plans the statement, the plan
+/// validates, no join, sort or exchange input carries a column nothing
+/// reads, and the rows are the reference evaluator's.
+#[test]
+fn generated_statements_plan_trimmed_and_match_the_reference() {
+    use ic_fuzz::oracle::{classify, compare_limited, ErrorClass};
+    use ignite_calcite_rs::IcError;
+    let mut env = ic_fuzz::Env::new();
+    let mut executed = 0;
+    for seed in 0..40 {
+        let scenario = ic_fuzz::Scenario::from_seed(seed, &mut env);
+        let sql = scenario.sql();
+        for variant in SystemVariant::all() {
+            let cluster = env.cluster(scenario.schema, scenario.sites, variant);
+            let bound = ic_sql::bind_statement(&scenario.query, cluster.catalog())
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{sql}"));
+            let flags = variant.flags();
+            let plan = match ic_opt::optimize_query(bound.plan.clone(), cluster.catalog(), &flags) {
+                Ok(optimized) => optimized.plan,
+                Err(IcError::PlannerBudgetExceeded { .. }) => continue,
+                Err(e) => panic!("seed {seed} on {}: {e}\n{sql}", variant.label()),
+            };
+            let context = || {
+                let explain = ignite_calcite_rs::plan::explain::explain_physical(&plan);
+                format!("seed {seed} on {}\n{sql}\n{explain}", variant.label())
+            };
+            assert_eq!(plan.validate(), Ok(()), "{}", context());
+            assert_eq!(plan.carried_dead_columns(), 0, "{}", context());
+            let reference = match ic_fuzz::reference::eval_plan(&bound.plan, cluster.catalog()) {
+                Ok(rows) => rows,
+                // A cross product past the reference's row budget.
+                Err(IcError::MemoryLimit { .. }) => continue,
+                Err(e) => panic!("reference: {e}\n{}", context()),
+            };
+            match cluster.query(&sql) {
+                Ok(result) => {
+                    executed += 1;
+                    if let Err(diff) = compare_limited(&reference, &result.rows, scenario.query.limit) {
+                        panic!("{diff}\n{}", context());
+                    }
+                }
+                // IC's plans can blow the memory or time budget legitimately.
+                Err(e) if classify(&e) == ErrorClass::Resource => {}
+                Err(e) => panic!("{e}\n{}", context()),
+            }
+        }
+    }
+    assert!(executed >= 100, "only {executed} statement × variant pairs were checked");
+}
