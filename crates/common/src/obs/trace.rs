@@ -396,6 +396,16 @@ impl SpanGuard {
         self.id
     }
 
+    /// The trace this span records into.
+    pub fn trace(&self) -> &Arc<Trace> {
+        &self.trace
+    }
+
+    /// Open a span nested under this one, on the same lane.
+    pub fn child(&self, name: impl Into<String>, cat: &'static str) -> SpanGuard {
+        self.trace.span(name, cat, Some(self.id), self.lane)
+    }
+
     /// Attach a named counter to the span (rendered in Chrome-trace args).
     pub fn arg(&mut self, key: &'static str, value: u64) {
         self.args.push((key, value));

@@ -1,17 +1,19 @@
 //! The cluster facade: configuration, DDL, data loading and SQL execution
 //! (Figure 6's end-to-end flow).
 
-use crate::governor::{Governor, GovernorConfig};
+use crate::governor::{Admission, Governor, GovernorConfig};
 use crate::rebalance::{RebalanceController, RepairReport};
 use crate::result::{DmlResult, QueryResult};
-use ic_common::obs::{MetricsRegistry, SpanId, Trace, TraceSink};
+use ic_common::obs::{MetricsRegistry, SpanGuard, Trace, TraceSink};
 use ic_common::{IcError, IcResult, Row, Schema};
-use ic_exec::{execute_plan, ExecOptions};
+use ic_exec::{execute_plan, ExecOptions, QueryStats};
 use ic_net::{FaultInjector, FaultPlan, Network, NetworkConfig, SiteId, Topology};
-use ic_opt::optimize_query;
+use ic_opt::hep::hep_stage;
+use ic_opt::pipeline::{volcano_stage, Optimized};
+use ic_plan::dml::BoundDml;
 use ic_plan::PlannerFlags;
-use ic_sql::ast::Statement;
-use ic_sql::{bind_statement, data_type_of, parse_sql};
+use ic_sql::ast::{self, Statement};
+use ic_sql::{bind_statement, data_type_of, parse_sql, Bound};
 use ic_storage::{Catalog, TableDistribution, TableId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -232,9 +234,10 @@ impl Cluster {
         self.controller.repair();
     }
 
-    /// Execute a DDL statement (CREATE TABLE / CREATE INDEX).
+    /// Execute a DDL statement (CREATE TABLE / CREATE INDEX); DML is
+    /// accepted too, its [`DmlResult`] dropped.
     pub fn run(&self, sql: &str) -> IcResult<()> {
-        match parse_sql(sql)? {
+        match self.parse(sql, None)? {
             Statement::CreateTable(ct) => {
                 let fields: Vec<ic_common::Field> = ct
                     .columns
@@ -242,18 +245,12 @@ impl Cluster {
                     .map(|(n, t)| Ok(ic_common::Field::new(n.clone(), data_type_of(t)?)))
                     .collect::<IcResult<_>>()?;
                 let schema = Schema::new(fields);
-                let col_pos = |name: &str| {
-                    schema.index_of(name).ok_or_else(|| {
-                        IcError::Catalog(format!("unknown column '{name}' in '{}'", ct.name))
-                    })
-                };
-                let pk: Vec<usize> =
-                    ct.primary_key.iter().map(|c| col_pos(c)).collect::<IcResult<_>>()?;
+                let pk = col_positions(&schema, &ct.name, &ct.primary_key)?;
                 let distribution = if ct.replicated {
                     TableDistribution::Replicated
                 } else {
                     let key_cols = match &ct.partition_by {
-                        Some(cols) => cols.iter().map(|c| col_pos(c)).collect::<IcResult<_>>()?,
+                        Some(cols) => col_positions(&schema, &ct.name, cols)?,
                         // Ignite's default affinity: partition by primary key.
                         None => pk.clone(),
                     };
@@ -265,36 +262,20 @@ impl Cluster {
                     }
                     TableDistribution::HashPartitioned { key_cols }
                 };
-                self.catalog.create_table(&ct.name, schema, pk, distribution)?;
-                Ok(())
+                self.catalog.create_table(&ct.name, schema, pk, distribution).map(drop)
             }
             Statement::CreateIndex(ci) => {
-                let table = self
-                    .catalog
-                    .table_by_name(&ci.table)
-                    .ok_or_else(|| IcError::Catalog(format!("unknown table '{}'", ci.table)))?;
+                let table = self.table_id(&ci.table)?;
                 let def = self.catalog.table_def(table).ok_or_else(|| {
                     IcError::Internal(format!("table '{}' resolved but has no definition", ci.table))
                 })?;
-                let cols: Vec<usize> = ci
-                    .columns
-                    .iter()
-                    .map(|c| {
-                        def.schema.index_of(c).ok_or_else(|| {
-                            IcError::Catalog(format!("unknown column '{c}' in '{}'", ci.table))
-                        })
-                    })
-                    .collect::<IcResult<_>>()?;
-                self.catalog.create_index(&ci.name, table, cols)?;
-                Ok(())
-            }
-            stmt @ (Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)) => {
-                self.dml_stmt(&stmt)?;
-                Ok(())
+                let cols = col_positions(&def.schema, &ci.table, &ci.columns)?;
+                self.catalog.create_index(&ci.name, table, cols).map(drop)
             }
             Statement::Query(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => Err(
                 IcError::Exec("use query() for SELECT statements".into()),
             ),
+            dml => self.write(0, &dml, None).map(drop),
         }
     }
 
@@ -302,13 +283,10 @@ impl Cluster {
     /// route by the table's partitioning trait, and commit with synchronous
     /// primary→backup replication. An acknowledged statement is applied on
     /// the primary *and* every live backup of each touched partition, so no
-    /// single site death can lose it.
-    ///
-    /// Failover-retryable failures (dead primary, ownership moved mid-write,
-    /// version conflict) trigger a [`RebalanceController::repair`] pass —
-    /// promoting live backups over dead primaries — and the statement is
-    /// re-routed against the fresh replica map, up to `max_retries` times
-    /// with the same seeded backoff the query path uses.
+    /// single site death can lose it. Failover-retryable failures (dead
+    /// primary, ownership moved mid-write, version conflict) are retried
+    /// like a query's ([`Cluster::query`]), re-routing against the replica
+    /// map the repair pass between attempts leaves.
     ///
     /// Atomicity is per partition batch: a multi-partition statement that
     /// fails mid-way has committed some partitions and not others (each
@@ -316,66 +294,66 @@ impl Cluster {
     /// re-applies the op, which is idempotent for upserts and predicate
     /// ops, and `rows_affected` reports the final attempt's count.
     pub fn dml(&self, sql: &str) -> IcResult<DmlResult> {
-        let stmt = parse_sql(sql)?;
-        match stmt {
-            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
-                self.dml_stmt(&stmt)
-            }
-            _ => Err(IcError::Exec("use query()/run() for non-DML statements".into())),
-        }
+        self.dml_inner(0, sql, None)
     }
 
-    fn dml_stmt(&self, stmt: &Statement) -> IcResult<DmlResult> {
-        let bound = ic_sql::bind_dml(stmt, &self.catalog)?;
-        let mut chain: Vec<String> = Vec::new();
-        let mut attempt: u32 = 0;
-        loop {
-            // Replan every attempt: partition pinning and routing must see
-            // the replica map as repaired after the previous failure.
-            let result = ic_opt::plan_dml(&self.catalog, bound.clone()).and_then(|plan| {
-                ic_storage::execute_dml(
-                    &self.catalog,
-                    &self.network,
-                    plan.table,
-                    &plan.op,
-                    plan.pinned_partition(),
-                )
-            });
-            match result {
-                Ok(out) => {
-                    if attempt > 0 {
-                        MetricsRegistry::global().counter("core.query.retries").add(attempt.into());
-                    }
-                    if out.degraded {
-                        // The ack skipped a dead backup: re-replicate now so
-                        // one more failure cannot make the surviving copies
-                        // of this write the last ones.
-                        self.controller.repair();
-                    }
-                    return Ok(DmlResult {
-                        rows_affected: out.rows_affected,
-                        batches: out.batches,
-                        retries: attempt,
-                    });
-                }
-                Err(e) if e.is_failover_retryable() => {
-                    chain.push(e.to_string());
-                    if attempt >= self.config.max_retries {
-                        return Err(IcError::RetriesExhausted { attempts: attempt + 1, chain });
-                    }
-                    attempt += 1;
-                    let backoff = self.retry_backoff(0, attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    self.network.refresh_liveness();
-                    // Promote live backups over whatever just died so the
-                    // retry has a live primary to write to.
-                    self.controller.repair();
-                }
-                Err(e) => return Err(e),
-            }
+    /// [`Cluster::dml`] with a per-statement [`Trace`], returned even when
+    /// the write fails; `client` seeds the backoff jitter.
+    pub fn dml_traced(&self, client: u64, sql: &str) -> (IcResult<DmlResult>, Arc<Trace>) {
+        let trace = Trace::new();
+        let result = self.dml_inner(client, sql, Some(&trace));
+        (result, trace)
+    }
+
+    fn dml_inner(&self, client: u64, sql: &str, trace: Option<&Arc<Trace>>) -> IcResult<DmlResult> {
+        let root = trace.map(|t| t.span("query", "query", None, Trace::COORD_LANE));
+        self.write(client, &self.parse(sql, root.as_ref())?, root.as_ref())
+    }
+
+    /// Refuse anything but DML, bind it once, then run [`Cluster::dml_stmt`]
+    /// through the attempt loop. Writes take no admission slot.
+    fn write(&self, client: u64, stmt: &Statement, under: Under<'_>) -> IcResult<DmlResult> {
+        if !matches!(stmt, Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)) {
+            return Err(IcError::Exec("use query()/run() for non-DML statements".into()));
         }
+        let bound = {
+            let _span = under.map(|s| s.child("sql.bind", "plan"));
+            ic_sql::bind_dml(stmt, &self.catalog)?
+        };
+        let (mut result, retries) =
+            self.attempts(client, under, |attempt| self.dml_stmt(&bound, attempt))?;
+        result.retries = retries;
+        Ok(result)
+    }
+
+    /// One routing + commit attempt of a bound write (no failover). Routed
+    /// every attempt: partition pinning must see the replica map as
+    /// repaired after the previous failure.
+    fn dml_stmt(&self, bound: &BoundDml, under: Under<'_>) -> IcResult<DmlResult> {
+        let plan = {
+            let _span = under.map(|s| s.child("opt.dml_plan", "plan"));
+            ic_opt::plan_dml(&self.catalog, bound.clone())?
+        };
+        let mut span = under.map(|s| s.child("storage.execute_dml", "exec"));
+        let out = ic_storage::execute_dml(
+            &self.catalog,
+            &self.network,
+            plan.table,
+            &plan.op,
+            plan.pinned_partition(),
+        )?;
+        if let Some(span) = &mut span {
+            span.arg("rows_affected", out.rows_affected as u64);
+            span.arg("batches", out.batches as u64);
+        }
+        drop(span);
+        if out.degraded {
+            // The ack skipped a dead backup: re-replicate now so one more
+            // failure cannot make the surviving copies of this write the
+            // last ones.
+            self.controller.repair();
+        }
+        Ok(DmlResult { rows_affected: out.rows_affected, batches: out.batches, retries: 0 })
     }
 
     /// The membership/rebalance controller (promotion, re-replication,
@@ -444,10 +422,10 @@ impl Cluster {
     /// Execute a SELECT query end-to-end. `EXPLAIN SELECT …` returns the
     /// optimized physical plan as a single-column result.
     ///
-    /// The query first passes admission control (see [`Cluster::query_as`]
-    /// for the per-client form); it may be shed with the client-retryable
-    /// [`IcError::Overloaded`], and its memory lease may be revoked under
-    /// pool pressure ([`IcError::ResourcesRevoked`]).
+    /// Once parsed and bound, the query passes admission control (see
+    /// [`Cluster::query_as`] for the per-client form); it may be shed with
+    /// the client-retryable [`IcError::Overloaded`], and its memory lease
+    /// may be revoked under pool pressure ([`IcError::ResourcesRevoked`]).
     ///
     /// Failover-retryable failures ([`IcError::SiteUnavailable`]: a site
     /// crashed or a link dropped an exchange message mid-run) are retried
@@ -467,9 +445,9 @@ impl Cluster {
     }
 
     /// [`Cluster::query_as`] with a per-query [`Trace`]: every phase
-    /// (admission, plan, per-attempt execution down to individual
-    /// operators and transfers) is recorded as spans, and governor
-    /// shed/revoke decisions and network faults as instant events.
+    /// (parse, bind, admission, per-attempt planning stages and execution
+    /// down to individual operators and transfers) is recorded as spans, and
+    /// governor shed/revoke decisions and network faults as instant events.
     ///
     /// The trace is returned even when the query fails, so failed and
     /// failed-over attempts stay inspectable (render it with
@@ -486,66 +464,91 @@ impl Cluster {
         sql: &str,
         trace: Option<&Arc<Trace>>,
     ) -> IcResult<QueryResult> {
-        let query_span = trace.map(|t| t.span("query", "query", None, Trace::COORD_LANE));
-        let qid = query_span.as_ref().map(|g| g.id());
-        // Admission deadline = this query's wall-clock budget; a query
-        // whose budget would elapse in the queue is shed, not started.
-        let deadline = self.config.exec_timeout.map(|t| Instant::now() + t);
-        // The admission slot is held across the *whole* failover loop:
-        // replans are the same query, not new work, so they never
-        // re-enter the queue — and each attempt opens a fresh pool lease,
-        // so buffer budget is never double-counted across replans.
-        let adm_start = trace.map(|t| t.now_ns());
-        let admission = match self.governor.admit(client, deadline) {
-            Ok(a) => {
-                if let (Some(t), Some(t0)) = (trace, adm_start) {
-                    t.record_span(
-                        "admission",
-                        "query",
-                        qid,
-                        Trace::COORD_LANE,
-                        t0,
-                        t.now_ns(),
-                        vec![("queue_wait_us", a.queue_wait().as_micros() as u64)],
-                    );
-                }
-                a
-            }
-            Err(e) => {
-                if let Some(t) = trace {
-                    t.event("governor.shed", "query", Trace::COORD_LANE, e.to_string());
-                }
-                return Err(e);
-            }
+        let root = trace.map(|t| t.span("query", "query", None, Trace::COORD_LANE));
+        let under = root.as_ref();
+        let front = Instant::now();
+        let (query, mode) = match self.parse(sql, under)? {
+            Statement::Query(q) => (q, Mode::Rows),
+            Statement::Explain(q) => (q, Mode::Explain),
+            Statement::ExplainAnalyze(q) => (q, Mode::Analyze),
+            _ => return Err(IcError::Exec("use run() for DDL statements".into())),
         };
+        let bound = self.bind(&query, under)?;
+        let front = front.elapsed();
+        // The admission slot is held across the *whole* attempt loop:
+        // replans are the same query, not new work, so they never re-enter
+        // the queue — and each attempt opens a fresh pool lease, so buffer
+        // budget is never double-counted across replans.
+        let admission = self.admit(client, under)?;
+        let (mut result, retries) =
+            self.attempts(client, under, |attempt| self.query_attempt(&bound, mode, attempt))?;
+        result.plan_time += front;
+        result.retries = retries;
+        result.stats.retries = retries;
+        result.stats.queue_wait = admission.queue_wait();
+        Ok(result)
+    }
+
+    /// The one parse of a statement call.
+    fn parse(&self, sql: &str, under: Under<'_>) -> IcResult<Statement> {
+        let _span = under.map(|s| s.child("sql.parse", "plan"));
+        parse_sql(sql)
+    }
+
+    /// The one bind of a SELECT: names and types do not depend on which
+    /// sites are alive, so every attempt shares it.
+    fn bind(&self, query: &ast::Query, under: Under<'_>) -> IcResult<Bound> {
+        let _span = under.map(|s| s.child("sql.bind", "plan"));
+        bind_statement(query, &self.catalog)
+    }
+
+    /// Admission control for a read. The deadline is the query's wall-clock
+    /// budget: a query whose budget would elapse in the queue is shed, not
+    /// started.
+    fn admit(&self, client: u64, under: Under<'_>) -> IcResult<Admission> {
+        let deadline = self.config.exec_timeout.map(|t| Instant::now() + t);
+        let mut span = under.map(|s| s.child("admission", "query"));
+        let admitted = self.governor.admit(client, deadline);
+        match (&admitted, &mut span) {
+            (Ok(a), Some(span)) => span.arg("queue_wait_us", a.queue_wait().as_micros() as u64),
+            (Err(e), Some(span)) => {
+                span.trace().event("governor.shed", "query", Trace::COORD_LANE, e.to_string())
+            }
+            _ => {}
+        }
+        admitted
+    }
+
+    /// The attempt loop of every retryable statement, read or write: `body`
+    /// under an `attempt N` span; on a failover-retryable error back off,
+    /// let recovered sites rejoin, repair replicas (resync stale ones before
+    /// a replanned read can route to one, promote live backups so a retried
+    /// write has a primary) and go again. Returns the answer and its retries.
+    fn attempts<T>(
+        &self,
+        client: u64,
+        under: Under<'_>,
+        body: impl Fn(Under<'_>) -> IcResult<T>,
+    ) -> IcResult<(T, u32)> {
         let mut chain: Vec<String> = Vec::new();
         let mut attempt: u32 = 0;
         loop {
-            let attempt_span = trace.map(|t| {
-                t.span(format!("attempt {attempt}"), "attempt", qid, Trace::COORD_LANE)
-            });
-            let tctx = match (trace, &attempt_span) {
-                (Some(t), Some(g)) => Some((t, g.id())),
-                _ => None,
-            };
-            match self.query_attempt(sql, tctx) {
-                Ok(mut result) => {
+            let span = under.map(|s| s.child(format!("attempt {attempt}"), "attempt"));
+            match body(span.as_ref()) {
+                Ok(out) => {
                     if attempt > 0 {
                         MetricsRegistry::global().counter("core.query.retries").add(attempt.into());
                     }
-                    result.retries = attempt;
-                    result.stats.retries = attempt;
-                    result.stats.queue_wait = admission.queue_wait();
-                    return Ok(result);
+                    return Ok((out, attempt));
                 }
                 // Only site faults re-enter the loop. Shed/revoked queries
                 // must exit immediately and release their slot — retrying
                 // them here would defeat the governor's back-pressure.
                 Err(e) if e.is_failover_retryable() => {
-                    if let Some(t) = trace {
-                        t.event("attempt.failed", "attempt", Trace::COORD_LANE, e.to_string());
+                    if let Some(s) = &span {
+                        s.trace().event("attempt.failed", "attempt", Trace::COORD_LANE, e.to_string());
                     }
-                    drop(attempt_span);
+                    drop(span);
                     chain.push(e.to_string());
                     if attempt >= self.config.max_retries {
                         return Err(IcError::RetriesExhausted { attempts: attempt + 1, chain });
@@ -555,18 +558,12 @@ impl Cluster {
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
-                    // Let transiently-crashed sites whose windows have
-                    // closed rejoin before replanning — and resync their
-                    // stale replicas before the replanned read can route
-                    // to one.
                     self.network.refresh_liveness();
                     self.controller.repair();
                 }
                 Err(e) => {
-                    if let Some(t) = trace {
-                        if matches!(e, IcError::ResourcesRevoked { .. }) {
-                            t.event("governor.revoked", "query", Trace::COORD_LANE, e.to_string());
-                        }
+                    if let (Some(s), IcError::ResourcesRevoked { .. }) = (&span, &e) {
+                        s.trace().event("governor.revoked", "query", Trace::COORD_LANE, e.to_string());
                     }
                     return Err(e);
                 }
@@ -598,104 +595,101 @@ impl Cluster {
         base.mul_f64(0.5 + rng.next_f64())
     }
 
-    /// One planning + execution attempt (no failover). `tctx` carries the
-    /// query's trace plus the enclosing attempt span, when tracing.
-    fn query_attempt(
-        &self,
-        sql: &str,
-        tctx: Option<(&Arc<Trace>, SpanId)>,
-    ) -> IcResult<QueryResult> {
-        let plan_start = Instant::now();
-        let (ast, analyze) = match parse_sql(sql)? {
-            Statement::Query(q) => (q, false),
-            // EXPLAIN ANALYZE executes the query (traced) and renders the
-            // annotated plan instead of the result rows.
-            Statement::ExplainAnalyze(q) => (q, true),
-            Statement::Explain(q) => {
-                let bound = bind_statement(&q, &self.catalog)?;
-                let optimized = optimize_query(bound.plan, &self.catalog, &self.flags)?;
-                let text = ic_plan::explain::explain_physical(&optimized.plan);
-                return Ok(QueryResult {
-                    columns: vec!["plan".into()],
-                    rows: text
-                        .lines()
-                        .map(|l| Row(vec![ic_common::Datum::str(l)]))
-                        .collect(),
-                    stats: Default::default(),
-                    plan_time: plan_start.elapsed(),
-                    rule_firings: optimized.rule_firings,
-                    reorder_disabled: optimized.reorder_disabled,
-                    retries: 0,
-                });
-            }
-            _ => return Err(IcError::Exec("use run() for DDL statements".into())),
+    /// The one place a bound query is optimized: `ic_opt::optimize_query`'s
+    /// two stages, a span each. Runs every attempt — the plan depends on
+    /// statistics and, through placement, on which sites are alive.
+    fn plan_query(&self, bound: &Bound, under: Under<'_>) -> IcResult<Optimized> {
+        let plan_span = under.map(|s| s.child("plan", "plan"));
+        let under = plan_span.as_ref();
+        let logical = {
+            let _span = under.map(|s| s.child("opt.hep", "plan"));
+            hep_stage(bound.plan.clone(), &self.flags)?
         };
-        let plan_span =
-            tctx.map(|(t, parent)| t.span("plan", "plan", Some(parent), Trace::COORD_LANE));
-        let bound = bind_statement(&ast, &self.catalog)?;
-        let optimized = optimize_query(bound.plan, &self.catalog, &self.flags)?;
-        drop(plan_span);
-        let plan_time = plan_start.elapsed();
-        // EXPLAIN ANALYZE needs a trace even when the caller didn't ask for
-        // one; it then reads the actuals back out of the attempt table.
-        let exec_trace: Option<Arc<Trace>> = match (&tctx, analyze) {
-            (Some((t, _)), _) => Some(Arc::clone(t)),
-            (None, true) => Some(Trace::new()),
-            (None, false) => None,
-        };
-        let opts = ExecOptions {
-            variant_fragments: self.flags.variant_fragments,
-            timeout: self.config.exec_timeout,
-            memory_limit_rows: self.config.memory_limit_rows,
-            pool: Some(self.governor.pool().clone()),
-            trace: exec_trace.clone(),
-            trace_parent: tctx.map(|(_, s)| s),
-            worker_threads: self.config.worker_threads,
-            morsel_rows: self.config.morsel_rows,
-            ..ExecOptions::default()
-        };
-        let (rows, stats) = execute_plan(&optimized.plan, &self.catalog, &self.network, &opts)?;
-        if analyze {
-            let trace = exec_trace.ok_or_else(|| {
-                IcError::Internal("EXPLAIN ANALYZE executed without a trace".into())
-            })?;
-            let text = TraceSink::new(trace).explain_analyze().ok_or_else(|| {
-                IcError::Internal("EXPLAIN ANALYZE executed without registering an attempt".into())
-            })?;
-            return Ok(QueryResult {
-                columns: vec!["plan".into()],
-                rows: text
-                    .lines()
-                    .map(|l| Row(vec![ic_common::Datum::str(l)]))
-                    .collect(),
-                stats,
-                plan_time,
-                rule_firings: optimized.rule_firings,
-                reorder_disabled: optimized.reorder_disabled,
-                retries: 0,
-            });
+        let mut span = under.map(|s| s.child("opt.volcano", "plan"));
+        let optimized = volcano_stage(logical, &self.catalog, &self.flags)?;
+        if let Some(span) = &mut span {
+            span.arg("rule_firings", optimized.rule_firings);
         }
-        Ok(QueryResult {
-            columns: bound.output_names,
+        Ok(optimized)
+    }
+
+    /// One planning + execution attempt of a bound query (no failover).
+    fn query_attempt(&self, bound: &Bound, mode: Mode, under: Under<'_>) -> IcResult<QueryResult> {
+        let plan_start = Instant::now();
+        let optimized = self.plan_query(bound, under)?;
+        let plan_time = plan_start.elapsed();
+        let result = |columns, rows, stats| QueryResult {
+            columns,
             rows,
             stats,
             plan_time,
             rule_firings: optimized.rule_firings,
             reorder_disabled: optimized.reorder_disabled,
             retries: 0,
-        })
+        };
+        // A rendered plan as the statement's answer: one row per line.
+        let plan_text = |text: String, stats| {
+            let rows = text.lines().map(|l| Row(vec![ic_common::Datum::str(l)])).collect();
+            result(vec!["plan".into()], rows, stats)
+        };
+        if mode == Mode::Explain {
+            let text = ic_plan::explain::explain_physical(&optimized.plan);
+            return Ok(plan_text(text, QueryStats::default()));
+        }
+        // EXPLAIN ANALYZE executes traced even when the caller didn't ask
+        // for a trace, then renders the attempt table's actuals, not rows.
+        let trace = under
+            .map(|s| Arc::clone(s.trace()))
+            .or_else(|| (mode == Mode::Analyze).then(Trace::new));
+        let opts = ExecOptions {
+            variant_fragments: self.flags.variant_fragments,
+            timeout: self.config.exec_timeout,
+            memory_limit_rows: self.config.memory_limit_rows,
+            pool: Some(self.governor.pool().clone()),
+            trace: trace.clone(),
+            trace_parent: under.map(SpanGuard::id),
+            worker_threads: self.config.worker_threads,
+            morsel_rows: self.config.morsel_rows,
+            ..ExecOptions::default()
+        };
+        let (rows, stats) = execute_plan(&optimized.plan, &self.catalog, &self.network, &opts)?;
+        if mode == Mode::Analyze {
+            let text = trace.and_then(|t| TraceSink::new(t).explain_analyze()).ok_or_else(|| {
+                IcError::Internal("EXPLAIN ANALYZE executed without registering an attempt".into())
+            })?;
+            return Ok(plan_text(text, stats));
+        }
+        Ok(result(bound.output_names.clone(), rows, stats))
     }
 
     /// EXPLAIN: the optimized physical plan as text.
     pub fn explain(&self, sql: &str) -> IcResult<String> {
-        let ast = match parse_sql(sql)? {
-            Statement::Query(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            _ => return Err(IcError::Exec("EXPLAIN requires a SELECT".into())),
+        let (Statement::Query(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q)) =
+            self.parse(sql, None)?
+        else {
+            return Err(IcError::Exec("EXPLAIN requires a SELECT".into()));
         };
-        let bound = bind_statement(&ast, &self.catalog)?;
-        let optimized = optimize_query(bound.plan, &self.catalog, &self.flags)?;
-        Ok(ic_plan::explain::explain_physical(&optimized.plan))
+        let plan = self.query_attempt(&self.bind(&q, None)?, Mode::Explain, None)?;
+        Ok(plan.rows.iter().map(|line| format!("{}\n", line.0[0])).collect())
     }
+}
+
+/// The span a traced call records under; `None` when it is not traced.
+type Under<'a> = Option<&'a SpanGuard>;
+
+/// What a SELECT answers with: rows, its plan (`EXPLAIN`, not executed),
+/// or the plan annotated with the execution's actuals (`EXPLAIN ANALYZE`).
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Rows,
+    Explain,
+    Analyze,
+}
+
+/// Positions of the columns named `cols` in `table`'s schema.
+fn col_positions(schema: &Schema, table: &str, cols: &[String]) -> IcResult<Vec<usize>> {
+    let unknown = |c: &String| IcError::Catalog(format!("unknown column '{c}' in '{table}'"));
+    cols.iter().map(|c| schema.index_of(c).ok_or_else(|| unknown(c))).collect()
 }
 
 #[cfg(test)]
@@ -780,6 +774,30 @@ mod tests {
         assert!(cluster.run("CREATE INDEX ix ON missing (x)").is_err());
         assert!(cluster.run("SELECT 1 FROM employee").is_err());
         assert!(cluster.query("CREATE TABLE t (id BIGINT, PRIMARY KEY (id))").is_err());
+        // The wrong door refuses before anything executes.
+        assert!(cluster.query("DELETE FROM employee").is_err());
+        assert_eq!(cluster.table_rows("employee").unwrap(), 100);
+        assert!(cluster.dml("CREATE TABLE t (id BIGINT, PRIMARY KEY (id))").is_err());
+        assert!(cluster.catalog().table_by_name("t").is_none());
+    }
+
+    /// A statement that fails to parse, to bind, or at the door's kind check
+    /// never takes an admission slot, and its trace is still well-formed.
+    #[test]
+    fn front_end_errors_precede_admission() {
+        let cluster = sample_cluster(SystemVariant::ICPlus);
+        let admitted = cluster.governor().stats().admitted;
+        for sql in ["SELEC id FROM employee", "SELECT nope FROM employee", "DELETE FROM employee"] {
+            let (result, trace) = cluster.query_traced(0, sql);
+            assert!(result.is_err(), "{sql}");
+            trace.validate().expect("well-formed span tree");
+            let spans = trace.spans();
+            assert!(spans.iter().any(|s| s.name == "sql.parse"), "{sql}");
+            assert!(!spans.iter().any(|s| s.name == "admission" || s.cat == "attempt"), "{sql}");
+        }
+        assert_eq!(cluster.governor().stats().admitted, admitted);
+        cluster.query("SELECT id FROM employee").unwrap();
+        assert_eq!(cluster.governor().stats().admitted, admitted + 1);
     }
 
     #[test]
@@ -831,6 +849,39 @@ mod tests {
         }
     }
 
+    /// `QueryStats::net_*` are the query's own cross-site traffic: with a
+    /// second join shipping on the same network the whole time, every reply
+    /// still reports its solo numbers.
+    #[test]
+    fn concurrent_queries_count_their_own_traffic() {
+        let cluster = sample_cluster(SystemVariant::ICPlus);
+        let a = "SELECT count(*) FROM employee INNER JOIN sales ON employee.id = sales.emp_id";
+        let b = "SELECT dept, sum(amount) FROM sales INNER JOIN employee ON emp_id = id \
+                 WHERE amount > 20 GROUP BY dept";
+        let traffic = |sql: &str| {
+            let stats = cluster.query(sql).unwrap().stats;
+            (stats.net_messages, stats.net_bytes)
+        };
+        let (solo_a, solo_b) = (traffic(a), traffic(b));
+        assert!(solo_a.1 > 0 && solo_b.1 > 0 && solo_a != solo_b, "{solo_a:?} {solo_b:?}");
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (a_runs, b_runs) = std::thread::scope(|scope| {
+            // `a` back to back until every `b` below has run against it.
+            let background = scope.spawn(|| {
+                let mut seen = Vec::new();
+                while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                    seen.push(traffic(a));
+                }
+                seen
+            });
+            let b_runs: Vec<_> = (0..50).map(|_| traffic(b)).collect();
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            (background.join().unwrap(), b_runs)
+        });
+        assert!(a_runs.iter().all(|t| *t == solo_a), "a beside b: {a_runs:?} vs {solo_a:?}");
+        assert!(b_runs.iter().all(|t| *t == solo_b), "b beside a: {b_runs:?} vs {solo_b:?}");
+    }
+
     #[test]
     fn explain_statement_via_query() {
         let cluster = sample_cluster(SystemVariant::ICPlus);
@@ -875,10 +926,18 @@ mod tests {
         );
         let result = result.unwrap();
         trace.validate().expect("well-formed span tree");
+        assert_eq!(trace.open_spans(), 0, "spans left open after the query finished");
         let spans = trace.spans();
         for cat in ["query", "plan", "exec", "fragment", "operator"] {
             assert!(spans.iter().any(|s| s.cat == cat), "missing {cat} span");
         }
+        // The stages of the statement path, each exactly once on a query
+        // that needed one attempt.
+        for stage in ["sql.parse", "sql.bind", "admission", "plan", "opt.hep", "opt.volcano"] {
+            assert_eq!(spans.iter().filter(|s| s.name == stage).count(), 1, "{stage}");
+        }
+        let volcano = spans.iter().find(|s| s.name == "opt.volcano").unwrap();
+        assert_eq!(volcano.args, vec![("rule_firings", result.rule_firings)]);
         // The root operator's traced rows equal the rows the client got.
         let attempts = trace.attempts();
         let attempt = attempts.last().expect("one attempt");
@@ -886,6 +945,11 @@ mod tests {
         // Chrome export stays structurally sound on a real query.
         let json = ic_common::obs::chrome_trace_json(&trace);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        // A traced distributed join feeds the process-wide registry.
+        let metrics = MetricsRegistry::global().render_text();
+        for name in ["exec.op.rows", "exec.op.batches", "net.transfer.bytes"] {
+            assert!(metrics.contains(name), "metrics registry missing {name}:\n{metrics}");
+        }
     }
 
     #[test]
@@ -997,9 +1061,32 @@ mod tests {
         // committed by the first attempt report zero matches on the retry,
         // so rows_affected counts the final attempt only — the end state is
         // what the assertions below pin.
-        let r = cluster.dml("DELETE FROM t WHERE a < 100").unwrap();
+        let (r, trace) = cluster.dml_traced(0, "DELETE FROM t WHERE a < 100");
+        let r = r.unwrap();
         assert!(r.rows_affected <= 100);
         assert!(r.retries >= 1, "expected a failover retry, got {}", r.retries);
+        // The write's trace has the read's skeleton: one parse, one bind,
+        // a span per attempt with the lost one's event, and the routing and
+        // commit stages under the attempt that answered.
+        trace.validate().expect("well-formed span tree despite the dead primary");
+        let spans = trace.spans();
+        for stage in ["sql.parse", "sql.bind"] {
+            assert_eq!(spans.iter().filter(|s| s.name == stage).count(), 1, "{stage}");
+        }
+        let attempts: Vec<_> = spans.iter().filter(|s| s.cat == "attempt").collect();
+        assert_eq!(attempts.len() as u32, r.retries + 1);
+        assert!(trace.events().iter().any(|e| e.name == "attempt.failed"));
+        let answered = attempts.iter().max_by_key(|s| s.id.0).unwrap().id;
+        let under_answered = |name: &str| {
+            spans.iter().find(|s| s.name == name && s.parent == Some(answered)).cloned()
+        };
+        assert!(under_answered("opt.dml_plan").is_some());
+        let commit = under_answered("storage.execute_dml").expect("commit stage");
+        assert_eq!(
+            commit.args,
+            vec![("rows_affected", r.rows_affected as u64), ("batches", r.batches as u64)]
+        );
+        assert!(!spans.iter().any(|s| s.name == "admission"), "writes are not admitted");
         let q = cluster.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(q.rows[0].0[0].as_int(), Some(1900));
         // The repair promoted a live owner: writes now ack on first try.

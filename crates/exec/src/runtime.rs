@@ -35,7 +35,7 @@ use ic_common::row::BATCH_SIZE;
 use ic_common::{panic_message, ColumnBatch, IcError, IcResult, Row};
 use ic_net::{
     net_channel, AbortFn, Assignment, FailoverError, NetError, NetObs, NetReceiver, NetSender,
-    Network, SiteId, SiteState, WireSize,
+    NetStats, Network, SiteId, SiteState, WireSize,
 };
 use ic_plan::ops::{AggPhase, PhysOp, PhysPlan};
 use ic_plan::Distribution;
@@ -822,7 +822,9 @@ pub fn execute_plan(
 ) -> IcResult<(Vec<Row>, QueryStats)> {
     // ic-lint: allow(L004) because the exec timeout is the paper's wall-clock runtime cap, not simulated time
     let start = Instant::now();
-    let (msgs0, bytes0, _) = network.stats.snapshot();
+    // This execution's own cross-site traffic, whatever else the cluster
+    // ships meanwhile; every sender below counts into it.
+    let traffic = Arc::new(NetStats::default());
     // Plan placement against the *surviving* topology: dead/suspect sites
     // are excluded and their partitions served by backup owners. Fails
     // retryably when a partition has no live copy.
@@ -900,7 +902,7 @@ pub fn execute_plan(
                 let (tx, rx) =
                     net_channel::<Msg>(network.clone(), SiteId(usize::MAX), site, opts.channel_window);
                 rx_map.insert((ex, site, v), rx);
-                protos.push((site, v, tx));
+                protos.push((site, v, tx.with_tally(traffic.clone())));
             }
         }
         tx_protos.insert(ex, protos);
@@ -1060,14 +1062,14 @@ pub fn execute_plan(
     }
     drop(exec_span);
     let rows = root_result?;
-    let (msgs1, bytes1, _) = network.stats.snapshot();
+    let (net_messages, net_bytes, _) = traffic.snapshot();
     Ok((
         rows,
         QueryStats {
             fragments: fragments.len(),
             threads: threads + pool_threads + 1,
-            net_messages: msgs1 - msgs0,
-            net_bytes: bytes1 - bytes0,
+            net_messages,
+            net_bytes,
             elapsed: start.elapsed(),
             retries: 0,
             queue_wait: Duration::ZERO,

@@ -593,10 +593,11 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
     report
 }
 
-/// String literals passed as the first argument of a metric/event call:
-/// `.counter("a.b", ...)`, `.gauge(`, `.histogram(`, `.event(`.
+/// String literals passed as the first argument of a metric/event/span
+/// call: `.counter("a.b", ...)`, `.gauge(`, `.histogram(`, `.event(`,
+/// `.span(`, `.child(`.
 fn metric_name_literals(toks: &[Tok]) -> Vec<(String, u32)> {
-    const SINKS: [&str; 4] = ["counter", "gauge", "histogram", "event"];
+    const SINKS: [&str; 6] = ["counter", "gauge", "histogram", "event", "span", "child"];
     let mut out = Vec::new();
     for i in 0..toks.len() {
         if toks[i].is_punct('.')
@@ -1142,7 +1143,7 @@ mod tests {
     fn l011_names_must_match_registry() {
         let doc = ObsDoc::parse("OBSERVABILITY.md", "Metrics: `exec.op.rows` and `net.fault`.");
         let opts = LintOptions { obs_doc: Some(doc.clone()), check_obs_unused: false };
-        let src = "fn f(m: &Metrics) { m.counter(\"exec.op.rows\", 1); m.counter(\"exec.op.bogus\", 1); }";
+        let src = "fn f(m: &Metrics, s: &SpanGuard) { m.counter(\"exec.op.rows\", 1); s.child(\"exec.op.bogus\", \"plan\"); }";
         let r = lint_files_with(
             &[FileInput { path: "crates/exec/src/operators.rs".into(), source: src.into() }],
             &opts,

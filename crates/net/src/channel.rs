@@ -9,7 +9,7 @@
 
 use crate::topology::SiteId;
 use crate::wire::WireSize;
-use crate::{AbortFn, Network};
+use crate::{AbortFn, NetStats, Network};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use ic_common::obs::{SpanId, Trace};
 use std::sync::Arc;
@@ -35,6 +35,7 @@ pub struct NetSender<T> {
     dst: SiteId,
     abort: Option<Arc<AbortFn>>,
     obs: Option<NetObs>,
+    tally: Option<Arc<NetStats>>,
 }
 
 /// Receiving half of a simulated network link.
@@ -69,7 +70,7 @@ pub fn net_channel<T: WireSize>(
 ) -> (NetSender<T>, NetReceiver<T>) {
     let (tx, rx) = bounded(window);
     (
-        NetSender { tx, net, src, dst, abort: None, obs: None },
+        NetSender { tx, net, src, dst, abort: None, obs: None, tally: None },
         NetReceiver { rx, src, dst },
     )
 }
@@ -83,8 +84,13 @@ impl<T: WireSize> NetSender<T> {
     pub fn send(&self, payload: T) -> Result<(), NetError> {
         let bytes = payload.wire_size();
         let t0 = self.obs.as_ref().map(|o| o.trace.now_ns());
-        let charged =
-            self.net.transfer_cancellable(self.src, self.dst, bytes, self.abort.as_deref());
+        let charged = self.net.transfer_cancellable(
+            self.src,
+            self.dst,
+            bytes,
+            self.abort.as_deref(),
+            self.tally.as_deref(),
+        );
         if let (Some(o), Some(t0)) = (&self.obs, t0) {
             match &charged {
                 Ok(()) => o.trace.record_span(
@@ -113,20 +119,22 @@ impl<T> NetSender<T> {
     /// A clone of this sender attributed to a different source site —
     /// used when several fragment instances share one receiver endpoint.
     pub fn with_src(&self, src: SiteId) -> NetSender<T> {
-        NetSender {
-            tx: self.tx.clone(),
-            net: self.net.clone(),
-            src,
-            dst: self.dst,
-            abort: self.abort.clone(),
-            obs: self.obs.clone(),
-        }
+        NetSender { src, ..self.clone() }
     }
 
     /// Attach an abort hook polled during long bandwidth sleeps so
     /// in-flight sends stop at the query deadline instead of overshooting.
     pub fn with_abort(mut self, abort: Arc<AbortFn>) -> NetSender<T> {
         self.abort = Some(abort);
+        self
+    }
+
+    /// Count every cross-site message this endpoint (and its clones) is
+    /// charged for into `tally` — one shared tally per execution gives a
+    /// query its own `net_messages` / `net_bytes`, whatever else the
+    /// cluster is shipping meanwhile.
+    pub fn with_tally(mut self, tally: Arc<NetStats>) -> NetSender<T> {
+        self.tally = Some(tally);
         self
     }
 
@@ -145,6 +153,7 @@ impl<T> Clone for NetSender<T> {
             dst: self.dst,
             abort: self.abort.clone(),
             obs: self.obs.clone(),
+            tally: self.tally.clone(),
         }
     }
 }

@@ -28,7 +28,7 @@ pub use fault::{
 };
 pub use membership::{Membership, ReplicaMap};
 pub use topology::{Assignment, FailoverError, SiteId, Topology};
-pub use wire::{BatchEncoder, WireSize};
+pub use wire::WireSize;
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +74,9 @@ impl NetworkConfig {
     }
 }
 
-/// Cumulative traffic counters, shared by all channels of one query/cluster.
+/// Cumulative cross-site traffic counters: one per cluster ([`Network::stats`])
+/// and one per execution, shared by all of that execution's channels
+/// ([`NetSender::with_tally`]).
 #[derive(Debug, Default)]
 pub struct NetStats {
     pub messages: AtomicU64,
@@ -166,18 +168,22 @@ impl Network {
 
     /// Record (and simulate) a transfer of `bytes` from `src` to `dst`.
     pub fn transfer(&self, src: SiteId, dst: SiteId, bytes: usize) -> Result<(), NetError> {
-        self.transfer_cancellable(src, dst, bytes, None)
+        self.transfer_cancellable(src, dst, bytes, None, None)
     }
 
     /// [`Network::transfer`], but the bandwidth sleep is chunked and polls
     /// `abort` between chunks so an in-flight transfer stops as soon as the
     /// query's deadline/cancellation fires rather than overshooting it.
+    /// A message counted into [`Network::stats`] is counted into `tally` as
+    /// well — how one execution's senders keep that execution's own traffic
+    /// apart from the cluster totals.
     pub fn transfer_cancellable(
         &self,
         src: SiteId,
         dst: SiteId,
         bytes: usize,
         abort: Option<&AbortFn>,
+        tally: Option<&NetStats>,
     ) -> Result<(), NetError> {
         if src == dst {
             self.stats.local_messages.fetch_add(1, Ordering::Relaxed);
@@ -199,8 +205,10 @@ impl Network {
                 }
             }
         }
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        for stats in [Some(&self.stats), tally].into_iter().flatten() {
+            stats.messages.fetch_add(1, Ordering::Relaxed);
+            stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
         self.m_messages.inc();
         self.m_bytes.add(bytes as u64);
         let delay = self.config.transfer_delay(bytes) * delay_factor;
@@ -336,7 +344,7 @@ mod tests {
         let fired = AtomicBool::new(true);
         let abort = move || fired.load(Ordering::Relaxed);
         let start = std::time::Instant::now();
-        let r = net.transfer_cancellable(SiteId(0), SiteId(1), 10_000, Some(&abort));
+        let r = net.transfer_cancellable(SiteId(0), SiteId(1), 10_000, Some(&abort), None);
         assert_eq!(r, Err(NetError::Aborted));
         assert!(start.elapsed() < Duration::from_secs(2));
     }

@@ -4,12 +4,12 @@
 //! header plus one typed value run per column (validity words, then the
 //! values back to back), so same-typed data stays adjacent on the wire and
 //! a selection vector is resolved at encode time — only the selected rows
-//! are framed and charged to `net.transfer.bytes`. The legacy row encoding
-//! remains for the client-boundary rowset and the serialization round-trip
-//! tests that stand in for Ignite's binary marshaller.
+//! are framed and charged to `net.transfer.bytes`. Rows have a size model
+//! only ([`WireSize`] for `Row` / `Vec<T>`): write replication and
+//! rebalance price the rows they ship with it.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use ic_common::{Batch, Bitmap, Column, ColumnBatch, ColumnData, Datum, Row};
+use ic_common::{Bitmap, Column, ColumnBatch, ColumnData, Datum, Row};
 use std::sync::Arc;
 
 /// Types that can report their serialized size, used by the network
@@ -31,32 +31,7 @@ impl<T: WireSize> WireSize for Vec<T> {
     }
 }
 
-/// Encode a batch into a byte buffer. The executor ships decoded rows for
-/// speed (everything is in-process), but this encoding exists to (a) verify
-/// the wire-size model and (b) support the serialization round-trip tests
-/// that stand in for Ignite's binary marshaller.
-pub fn encode_batch(batch: &Batch) -> Bytes {
-    let mut buf = BytesMut::with_capacity(batch.wire_size());
-    encode_batch_into(batch, &mut buf);
-    buf.freeze()
-}
-
-/// [`encode_batch`], but appending into a caller-owned buffer so repeated
-/// encoders (one per exchange sender) reuse one allocation across batches:
-/// `clear()` between batches keeps the capacity. See [`BatchEncoder`].
-pub fn encode_batch_into(batch: &Batch, buf: &mut BytesMut) {
-    buf.reserve(batch.wire_size());
-    buf.put_u32_le(batch.len() as u32);
-    for row in batch {
-        buf.put_u32_le(row.arity() as u32);
-        for d in &row.0 {
-            put_datum(buf, d);
-        }
-    }
-}
-
-/// Tagged single-datum encoding, shared by the row framing and the `Any`
-/// (mixed-type) column runs of the columnar framing.
+/// Tagged single-datum encoding of the `Any` (mixed-type) column runs.
 fn put_datum(buf: &mut BytesMut, d: &Datum) {
     match d {
         Datum::Null => buf.put_u8(0),
@@ -95,28 +70,6 @@ fn datum_wire_size(d: &Datum) -> usize {
     }
 }
 
-/// Reusable batch encoder: one growable buffer, cleared (capacity kept)
-/// before each encode, so per-batch encoding on an exchange's hot path
-/// allocates only when a batch outgrows every previous one.
-#[derive(Debug, Default)]
-pub struct BatchEncoder {
-    buf: BytesMut,
-}
-
-impl BatchEncoder {
-    pub fn new() -> BatchEncoder {
-        BatchEncoder::default()
-    }
-
-    /// Encode `batch`, returning the encoded bytes. The slice borrows the
-    /// internal buffer and is valid until the next call.
-    pub fn encode<'a>(&'a mut self, batch: &Batch) -> &'a [u8] {
-        self.buf.clear();
-        encode_batch_into(batch, &mut self.buf);
-        &self.buf
-    }
-}
-
 fn take<'a>(data: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
     if data.len() < n {
         return None;
@@ -145,21 +98,6 @@ fn take_datum(data: &mut &[u8]) -> Option<Datum> {
         5 => Datum::Date(i32::from_le_bytes(take(data, 4)?.try_into().ok()?)),
         _ => return None,
     })
-}
-
-/// Decode a batch previously produced by [`encode_batch`].
-pub fn decode_batch(mut data: &[u8]) -> Option<Batch> {
-    let n = take_u32(&mut data)? as usize;
-    let mut batch = Vec::with_capacity(n);
-    for _ in 0..n {
-        let arity = take_u32(&mut data)? as usize;
-        let mut row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            row.push(take_datum(&mut data)?);
-        }
-        batch.push(Row(row));
-    }
-    Some(batch)
 }
 
 // ------------------------------------------------- column-contiguous frame
@@ -400,50 +338,6 @@ pub fn decode_columns(mut data: &[u8]) -> Option<ColumnBatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_batch() -> Batch {
-        vec![
-            Row(vec![Datum::Int(42), Datum::str("hello"), Datum::Null]),
-            Row(vec![Datum::Double(1.5), Datum::Bool(true), Datum::Date(9000)]),
-        ]
-    }
-
-    #[test]
-    fn roundtrip() {
-        let b = sample_batch();
-        let enc = encode_batch(&b);
-        let dec = decode_batch(&enc).unwrap();
-        assert_eq!(b, dec);
-    }
-
-    #[test]
-    fn encoder_reuses_buffer_and_matches_one_shot() {
-        let b = sample_batch();
-        let mut enc = BatchEncoder::new();
-        let first = enc.encode(&b).to_vec();
-        assert_eq!(first, encode_batch(&b).to_vec());
-        // Second encode reuses the buffer and yields identical bytes.
-        let second = enc.encode(&b).to_vec();
-        assert_eq!(first, second);
-        assert_eq!(decode_batch(enc.encode(&b)).unwrap(), b);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(decode_batch(&[1, 2, 3]).is_none());
-        let mut enc = encode_batch(&sample_batch()).to_vec();
-        enc.truncate(enc.len() - 2);
-        assert!(decode_batch(&enc).is_none());
-    }
-
-    #[test]
-    fn wire_size_close_to_encoding() {
-        let b = sample_batch();
-        let declared = b.wire_size();
-        let actual = encode_batch(&b).len();
-        // The declared size is an estimate; keep it within 2x of reality.
-        assert!(declared * 2 >= actual && actual * 2 >= declared, "{declared} vs {actual}");
-    }
 
     fn sample_columns() -> ColumnBatch {
         ColumnBatch::from_rows(&[

@@ -89,6 +89,9 @@ pub fn hep_stage(
         let mut planner = HepPlanner::new(&rules);
         current = planner.optimize(current)?;
     }
+    if cfg!(debug_assertions) {
+        ic_plan::validate::debug_validate_logical(&current, "hep stage");
+    }
     Ok(current)
 }
 

@@ -1,9 +1,12 @@
-//! The end-to-end optimization pipeline (Figure 6):
+//! The end-to-end optimization pipeline (Figure 6) — two stages, each a
+//! public function so the engine (`Cluster::plan_query`) and the benchmark
+//! time the very calls [`optimize_query`] composes:
 //!
-//! 1. **Stage 1** — the Hep stage: up to three HepPlanners run the logical
+//! 1. **Stage 1** — [`hep_stage`]: up to three HepPlanners run the logical
 //!    rewrite lists (§3.2.1), including the IC+-only FILTER_CORRELATE and
 //!    §5.2 condition-simplification rules.
-//! 2. **Stage 2** — the Volcano stage:
+//! 2. **Stage 2** — [`volcano_stage`], the single home of the §4.3 reorder
+//!    decision:
 //!    * Baseline (single-phase, §4.3): one VolcanoPlanner with everything
 //!      enabled. The logical×physical cartesian regeneration is modelled
 //!      by weighting each transformation firing by
@@ -49,19 +52,23 @@ pub struct Optimized {
     pub reorder_disabled: bool,
 }
 
-/// Run the full two-stage optimization pipeline on a bound logical plan.
+/// Run the full two-stage optimization pipeline on a bound logical plan:
+/// [`hep_stage`], then [`volcano_stage`].
 pub fn optimize_query(
     plan: Arc<LogicalPlan>,
     catalog: &Arc<Catalog>,
     flags: &PlannerFlags,
 ) -> IcResult<Optimized> {
-    // Stage 1: Hep rewrites (both variants; rule lists differ by flags).
-    let logical = hep_stage(plan, flags)?;
-    if cfg!(debug_assertions) {
-        ic_plan::validate::debug_validate_logical(&logical, "hep stage");
-    }
+    volcano_stage(hep_stage(plan, flags)?, catalog, flags)
+}
 
-    // Stage 2: Volcano.
+/// Stage 2 on a Hep-rewritten logical plan: decide reordering (§4.3), run
+/// the VolcanoPlanner, report its telemetry.
+pub fn volcano_stage(
+    logical: Arc<LogicalPlan>,
+    catalog: &Arc<Catalog>,
+    flags: &PlannerFlags,
+) -> IcResult<Optimized> {
     let (reorder, factor) = if flags.two_phase {
         let too_big = logical.count_joins() > MAX_JOINS_REORDER
             || logical.max_join_nesting() > MAX_NESTED_REORDER;

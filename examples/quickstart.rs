@@ -1,12 +1,29 @@
 //! Quickstart: create a cluster, define a schema, load rows, and run the
 //! paper's running example (Figure 1, Query A) on all three system
-//! variants.
+//! variants — then, on IC+, let the query and a write explain themselves
+//! (`EXPLAIN ANALYZE`, `query_traced`, `dml_traced`).
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
+use ignite_calcite_rs::common::obs::Trace;
 use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, Row, SystemVariant};
+
+/// The coordinator's spans of a traced statement, indented by nesting.
+fn print_stages(trace: &Trace) {
+    let mut spans = trace.spans();
+    spans.sort_by_key(|s| s.id.0); // a parent's id precedes its children's
+    let mut depth = std::collections::HashMap::new();
+    for s in &spans {
+        let d: usize = s.parent.map_or(0, |p| depth[&p] + 1);
+        depth.insert(s.id, d);
+        if s.lane == Trace::COORD_LANE && s.cat != "operator" {
+            let us = (s.end_ns - s.start_ns) / 1000;
+            println!("  {}{} {us} µs {:?}", "  ".repeat(d), s.name, s.args);
+        }
+    }
+}
 
 fn main() {
     for variant in SystemVariant::all() {
@@ -55,5 +72,19 @@ fn main() {
 
         // And its physical plan — compare how the variants differ.
         println!("{}", cluster.explain(sql).unwrap());
+
+        if variant == SystemVariant::ICPlus {
+            // The same plan with what each operator actually did…
+            println!("{}", cluster.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap().to_table());
+            // …and where a read's and a write's time went, stage by stage.
+            let (read, trace) = cluster.query_traced(0, sql);
+            println!("traced read: {} rows", read.expect("traced read").rows.len());
+            print_stages(&trace);
+            let (write, trace) =
+                cluster.dml_traced(0, "UPDATE sales SET amount = amount + 1 WHERE emp_id = 10");
+            println!("traced write: {} rows", write.expect("traced write").rows_affected);
+            print_stages(&trace);
+            println!();
+        }
     }
 }

@@ -190,6 +190,10 @@ fn failed_over_query_trace_records_both_attempts() {
         trace.events().iter().any(|e| e.name == "attempt.failed"),
         "the lost attempt must leave an attempt.failed event"
     );
+    // Parsed and bound once for the whole call, planned once per attempt.
+    let named = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert_eq!((named("sql.parse"), named("sql.bind")), (1, 1));
+    assert_eq!(named("plan"), attempt_spans, "one plan span per attempt");
     // One per-operator stats table per attempt, and the last (successful)
     // attempt's root operator emitted the single count(*) row.
     let attempts = trace.attempts();

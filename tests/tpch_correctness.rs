@@ -209,6 +209,35 @@ fn multithreading_uses_more_threads() {
     );
 }
 
+/// `EXPLAIN` and `EXPLAIN ANALYZE` through `query()` and `Cluster::explain`
+/// share one planner call and one renderer: the same text from the two
+/// EXPLAINs, and the same operators, line for line, under ANALYZE's actuals.
+#[test]
+fn explain_paths_agree_on_plan_shape() {
+    let (_, plus, _) = clusters();
+    let sql = tpch::query(3); // customer ⋈ orders ⋈ lineitem
+    let plan_lines = |statement: String| -> Vec<String> {
+        let reply = plus.query(&statement).unwrap();
+        assert_eq!(reply.columns, ["plan"]);
+        reply.rows.iter().map(|r| r.0[0].as_str().unwrap().to_string()).collect()
+    };
+    let explained = plan_lines(format!("EXPLAIN {sql}"));
+    let analyzed = plan_lines(format!("EXPLAIN ANALYZE {sql}"));
+    assert_eq!(plus.explain(&sql).unwrap().lines().collect::<Vec<_>>(), explained);
+    // Indentation + operator, distribution, width.
+    let shape = |line: &String| {
+        let (head, rest) = line.split_once(" (dist=").expect("a plan line");
+        let dist = rest.split(", sort=").next().unwrap().split(", width=").next().unwrap();
+        let width = rest.split_once("width=").unwrap().1.split(',').next().unwrap();
+        (head.to_string(), dist.to_string(), width.to_string())
+    };
+    assert!(explained.iter().filter(|l| l.contains("Join")).count() >= 2, "{explained:?}");
+    assert_eq!(
+        explained.iter().map(shape).collect::<Vec<_>>(),
+        analyzed.iter().map(shape).collect::<Vec<_>>()
+    );
+}
+
 /// The plan `cluster` would execute for `sql` with the binder's output
 /// names, or `None` when the variant's planner budget runs out (the IC
 /// failures of the paper).
