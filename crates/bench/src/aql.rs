@@ -3,26 +3,12 @@
 //! time budget elapses; AQL is the arithmetic mean latency of all
 //! completed requests.
 
-use crate::harness::MeasureOutcome;
 use ic_core::Cluster;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// AQL run configuration.
-#[derive(Debug, Clone)]
-pub struct AqlConfig {
-    /// Number of concurrent client terminals (paper: 2/4/8).
-    pub clients: usize,
-    /// Run duration (paper: 300 s; scaled down by default).
-    pub duration: Duration,
-    /// Queries to draw from (the paper disables the baseline-failing set
-    /// for a fair comparison).
-    pub queries: Vec<usize>,
-    pub seed: u64,
-}
 
 /// AQL run result.
 #[derive(Debug, Clone)]
@@ -32,15 +18,17 @@ pub struct AqlResult {
     pub mean_latency: Duration,
 }
 
-/// Run the AQL protocol against a cluster.
-pub fn run_aql(cluster: &Arc<Cluster>, config: &AqlConfig) -> AqlResult {
+/// Run the AQL protocol against a cluster: `clients` terminals (paper:
+/// 2/4/8) for `duration` (paper: 300 s), drawing from [`aql_query_set`]
+/// with a fixed seed per terminal.
+pub fn run_aql(cluster: &Arc<Cluster>, clients: usize, duration: Duration) -> AqlResult {
     let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
-    for client in 0..config.clients {
+    for client in 0..clients {
         let cluster = cluster.clone();
         let stop = stop.clone();
-        let queries = config.queries.clone();
-        let seed = config.seed.wrapping_add(client as u64 * 7919);
+        let queries = aql_query_set();
+        let seed = 42 + client as u64 * 7919;
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut latencies: Vec<Duration> = Vec::new();
@@ -57,7 +45,7 @@ pub fn run_aql(cluster: &Arc<Cluster>, config: &AqlConfig) -> AqlResult {
             (latencies, failed)
         }));
     }
-    std::thread::sleep(config.duration);
+    std::thread::sleep(duration);
     stop.store(true, Ordering::Relaxed);
     let mut all = Vec::new();
     let mut failed = 0;
@@ -79,18 +67,9 @@ pub fn run_aql(cluster: &Arc<Cluster>, config: &AqlConfig) -> AqlResult {
 /// ones and minus the queries that fail on the baseline (§6.3: "disabled
 /// for this test suite to ensure a fair comparison").
 pub fn aql_query_set() -> Vec<usize> {
-    (1..=22)
-        .filter(|q| {
-            !ic_benchdata::tpch::EXCLUDED_UNSUPPORTED.contains(q)
-                && !ic_benchdata::tpch::EXCLUDED_BASELINE_FAILING.contains(q)
-        })
-        .collect()
-}
-
-/// Helper: outcome shorthand used by harness binaries when an AQL run is
-/// summarized next to per-query results.
-pub fn as_outcome(result: &AqlResult) -> MeasureOutcome {
-    MeasureOutcome::Ok(result.mean_latency)
+    let mut set = crate::runner::tpch_query_set();
+    set.retain(|q| !ic_benchdata::tpch::EXCLUDED_BASELINE_FAILING.contains(q));
+    set
 }
 
 #[cfg(test)]

@@ -2,14 +2,14 @@
 //! report per-query recovery behaviour plus aggregate success rate and
 //! recovery latency. The same seed replays the identical fault sequence,
 //! so a chaos run is a reproducible experiment, not a dice roll:
-//! `cargo run --release -p ic-bench --bin chaos [sf] [seed] [backups] [sites] [horizon]`
+//! `cargo run --release -p ic-bench --bin chaos [seed] [backups]`
 //!
-//! Knobs: `sf` scale factor (default 0.005), `seed` for the generated
-//! fault schedule (default 42), `backups` per partition (default 1),
-//! `sites` (default 4), `horizon` fault-schedule span in logical ticks
-//! (default 2000). Network/timeout knobs come from the usual
-//! `IC_BENCH_NET_MBPS` / `IC_BENCH_NET_LAT_US` / `IC_BENCH_TIMEOUT_SECS`
-//! environment variables.
+//! `seed` (default 42) picks the generated fault schedule; `backups` per
+//! partition (default 1) picks between the two documented behaviours —
+//! with 0 a crashed site loses partitions and queries fail with
+//! `RetriesExhausted`, with ≥ 1 they fail over. Everything else is fixed:
+//! TPC-H SF 0.005 on 4 sites, a 2000-tick schedule, the calibrated network
+//! and the paper sweep's runtime limit.
 //!
 //! `--writes` switches to the DML chaos experiment: a deterministic
 //! interleaved INSERT/UPDATE/DELETE stream runs across a scripted
@@ -21,10 +21,9 @@
 //! and the cluster must be back at full replication factor — the run
 //! *asserts* both, so it is a correctness gate as much as a benchmark.
 //! Writes `BENCH_dml.json`; `--writes --smoke` runs a scaled-down
-//! asserting pass for CI without touching the JSON.
+//! asserting pass for CI and writes under `target/bench/`.
 
-use ic_bench::load_tpch;
-use ic_bench::runner::{calibrated_network, sweep_timeout};
+use ic_bench::{calibrated_network, load_tpch, FULL};
 use ic_common::obs::MetricsRegistry;
 use ic_core::{Cluster, ClusterConfig, FaultPlan, SystemVariant};
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,27 +35,24 @@ fn main() {
         writes_mode(argv.iter().any(|a| a == "--smoke"));
         return;
     }
-    let args: Vec<String> = std::env::args().collect();
-    let sf: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.005);
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(42);
-    let backups: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let sites: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let horizon: u64 = args.get(5).and_then(|s| s.parse().ok()).unwrap_or(2000);
+    const SF: f64 = 0.005;
+    const SITES: usize = 4;
+    const HORIZON: u64 = 2000;
+    let seed: u64 = argv.get(1).and_then(|s| s.parse().ok()).unwrap_or(42);
+    let backups: usize = argv.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
 
     let cluster = Cluster::new(ClusterConfig {
-        sites,
+        sites: SITES,
         backups,
         variant: SystemVariant::ICPlus,
         network: calibrated_network(),
-        exec_timeout: Some(sweep_timeout()),
+        exec_timeout: Some(FULL.timeout),
         ..ClusterConfig::default()
     });
-    println!("== chaos: TPC-H sf={sf} seed={seed} backups={backups} sites={sites} ==");
-    load_tpch(&cluster, sf, 42).expect("load tpch");
+    println!("== chaos: TPC-H sf={SF} seed={seed} backups={backups} sites={SITES} ==");
+    load_tpch(&cluster, SF, 42).expect("load tpch");
 
-    let queries: Vec<usize> = (1..=22)
-        .filter(|q| !ic_benchdata::tpch::EXCLUDED_UNSUPPORTED.contains(q))
-        .collect();
+    let queries = ic_bench::runner::tpch_query_set();
 
     // Healthy baseline: which queries pass, and how fast, without faults.
     let mut baseline: Vec<(usize, usize, Duration)> = Vec::new();
@@ -72,7 +68,7 @@ fn main() {
 
     // Install the seeded schedule and print it; the timeline is the full
     // reproducibility contract — rerunning with the same seed replays it.
-    let plan = FaultPlan::random(seed, sites, horizon);
+    let plan = FaultPlan::random(seed, SITES, HORIZON);
     println!("-- fault schedule (logical ticks = cross-site messages) --");
     for line in plan.timeline().lines() {
         println!("  {line}");
@@ -138,6 +134,7 @@ fn main() {
 // --writes: DML availability under a scripted topology storyline
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct PhaseStats {
     name: &'static str,
     attempted: usize,
@@ -174,16 +171,7 @@ fn run_write_phase(
     shadow: &mut BTreeMap<i64, i64>,
     tainted: &mut BTreeSet<i64>,
 ) -> PhaseStats {
-    let mut stats = PhaseStats {
-        name,
-        attempted: 0,
-        acked: 0,
-        failed: 0,
-        retried_writes: 0,
-        retries_total: 0,
-        wall: Duration::ZERO,
-        first_failover_ms: None,
-    };
+    let mut stats = PhaseStats { name, ..PhaseStats::default() };
     let t0 = Instant::now();
     for _ in 0..ops {
         let k = keys[(*seq as usize) % keys.len()];
@@ -310,7 +298,7 @@ fn writes_mode(smoke: bool) {
         backups,
         variant: SystemVariant::ICPlus,
         network: calibrated_network(),
-        exec_timeout: Some(sweep_timeout()),
+        exec_timeout: Some(FULL.timeout),
         ..ClusterConfig::default()
     });
     println!(
@@ -337,7 +325,7 @@ fn writes_mode(smoke: bool) {
     let promotions0 = reg.counter("core.rebalance.promotions").get();
     let migrations0 = reg.counter("core.rebalance.migrations").get();
     let mut phases: Vec<PhaseStats> = Vec::new();
-    let mut events: Vec<(String, f64)> = Vec::new();
+    let mut events: Vec<(&str, f64)> = Vec::new();
 
     phases.push(run_write_phase(
         &cluster, "healthy", &keys, phase_ops, &mut seq, &mut shadow, &mut tainted,
@@ -353,7 +341,7 @@ fn writes_mode(smoke: bool) {
         &cluster, "post-kill", &keys, phase_ops, &mut seq, &mut shadow, &mut tainted,
     ));
     if let Some(ms) = phases.last().and_then(|p| p.first_failover_ms) {
-        events.push(("promotion_latency_ms".into(), ms));
+        events.push(("promotion_latency_ms", ms));
     }
 
     // Admit a fresh site: chunked migration runs to completion, then the
@@ -363,7 +351,7 @@ fn writes_mode(smoke: bool) {
     let migrated = cluster.join_site(newcomer);
     let join_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("joined site {newcomer}: {migrated} replicas migrated in {join_ms:.2} ms");
-    events.push(("join_migration_ms".into(), join_ms));
+    events.push(("join_migration_ms", join_ms));
     phases.push(run_write_phase(
         &cluster, "post-join", &keys, phase_ops, &mut seq, &mut shadow, &mut tainted,
     ));
@@ -374,7 +362,7 @@ fn writes_mode(smoke: bool) {
     cluster.revive_site(victim);
     let revive_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("revived site {victim}: resynced in {revive_ms:.2} ms");
-    events.push(("revive_resync_ms".into(), revive_ms));
+    events.push(("revive_resync_ms", revive_ms));
     phases.push(run_write_phase(
         &cluster, "post-revive", &keys, phase_ops, &mut seq, &mut shadow, &mut tainted,
     ));
@@ -385,7 +373,7 @@ fn writes_mode(smoke: bool) {
     let moved = cluster.leave_site(newcomer);
     let leave_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("site {newcomer} left: {moved} replicas moved in {leave_ms:.2} ms");
-    events.push(("leave_handoff_ms".into(), leave_ms));
+    events.push(("leave_handoff_ms", leave_ms));
     phases.push(run_write_phase(
         &cluster, "post-leave", &keys, phase_ops, &mut seq, &mut shadow, &mut tainted,
     ));
@@ -420,68 +408,62 @@ fn writes_mode(smoke: bool) {
         "post-kill phase never failed over — the kill did not exercise promotion"
     );
 
-    if !smoke {
-        write_dml_json(&phases, &events, n_keys, phase_ops, sites, backups);
-    }
+    write_dml_json(smoke, &phases, &events, n_keys, phase_ops, sites, backups);
     println!("dml chaos OK: zero acked-write loss, full replication factor restored");
 }
 
 fn write_dml_json(
+    reduced: bool,
     phases: &[PhaseStats],
-    events: &[(String, f64)],
+    events: &[(&str, f64)],
     n_keys: i64,
     phase_ops: usize,
     sites: usize,
     backups: usize,
 ) {
-    let reg = MetricsRegistry::global();
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"keys\": {n_keys}, \"writes_per_phase\": {phase_ops}, \"sites\": {sites}, \"backups\": {backups},\n"
-    ));
-    json.push_str("  \"phases\": [\n");
-    for (i, p) in phases.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"attempted\": {}, \"acked\": {}, \"failed\": {}, \
-\"availability_pct\": {:.2}, \"failover_writes\": {}, \"retries\": {}, \"wall_ms\": {:.2}{}}}{}\n",
-            p.name,
-            p.attempted,
-            p.acked,
-            p.failed,
-            p.availability(),
-            p.retried_writes,
-            p.retries_total,
-            p.wall.as_secs_f64() * 1e3,
-            p.first_failover_ms
-                .map(|ms| format!(", \"first_failover_ms\": {ms:.3}"))
-                .unwrap_or_default(),
-            if i + 1 < phases.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"events\": {");
-    json.push_str(
-        &events
-            .iter()
-            .map(|(name, ms)| format!("\"{name}\": {ms:.3}"))
-            .collect::<Vec<_>>()
-            .join(", "),
+    let phases: Vec<String> = phases
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"name\": \"{}\", \"attempted\": {}, \"acked\": {}, \"failed\": {}, \
+\"availability_pct\": {:.2}, \"failover_writes\": {}, \"retries\": {}, \"wall_ms\": {:.2}{}}}",
+                p.name,
+                p.attempted,
+                p.acked,
+                p.failed,
+                p.availability(),
+                p.retried_writes,
+                p.retries_total,
+                p.wall.as_secs_f64() * 1e3,
+                p.first_failover_ms
+                    .map(|ms| format!(", \"first_failover_ms\": {ms:.3}"))
+                    .unwrap_or_default(),
+            )
+        })
+        .collect();
+    let events: Vec<String> = events.iter().map(|(name, ms)| format!("\"{name}\": {ms:.3}")).collect();
+    let counters: Vec<String> = [
+        ("promotions", "core.rebalance.promotions"),
+        ("migrations", "core.rebalance.migrations"),
+        ("migration_chunks", "core.rebalance.chunks"),
+        ("replicate_messages", "net.replicate.messages"),
+        ("replicate_bytes", "net.replicate.bytes"),
+        ("replicate_failures", "net.replicate.failures"),
+        ("write_rows", "storage.write.rows"),
+        ("write_batches", "storage.write.batches"),
+        ("write_conflicts", "storage.write.conflicts"),
+    ]
+    .iter()
+    .map(|(key, metric)| format!("\"{key}\": {}", MetricsRegistry::global().counter(metric).get()))
+    .collect();
+    let fields = format!(
+        "  \"keys\": {n_keys}, \"writes_per_phase\": {phase_ops}, \"sites\": {sites}, \"backups\": {backups},\n  \
+\"phases\": [\n{}\n  ],\n  \"events\": {{{}}},\n  \"counters\": {{{}}}\n",
+        phases.join(",\n"),
+        events.join(", "),
+        counters.join(", "),
     );
-    json.push_str("},\n");
-    json.push_str(&format!(
-        "  \"counters\": {{\"promotions\": {}, \"migrations\": {}, \"migration_chunks\": {}, \
-\"replicate_messages\": {}, \"replicate_bytes\": {}, \"replicate_failures\": {}, \
-\"write_rows\": {}, \"write_batches\": {}, \"write_conflicts\": {}}}\n",
-        reg.counter("core.rebalance.promotions").get(),
-        reg.counter("core.rebalance.migrations").get(),
-        reg.counter("core.rebalance.chunks").get(),
-        reg.counter("net.replicate.messages").get(),
-        reg.counter("net.replicate.bytes").get(),
-        reg.counter("net.replicate.failures").get(),
-        reg.counter("storage.write.rows").get(),
-        reg.counter("storage.write.batches").get(),
-        reg.counter("storage.write.conflicts").get(),
-    ));
-    json.push_str("}\n");
-    std::fs::write("BENCH_dml.json", &json).expect("write BENCH_dml.json");
-    println!("wrote BENCH_dml.json");
+    let path =
+        ic_bench::harness::write_bench_json("dml", reduced, &fields).expect("write BENCH_dml.json");
+    println!("wrote {path}");
 }

@@ -11,15 +11,10 @@
 //! ([`IcError::Overloaded`] — the client backs off by the returned hint,
 //! capped), revoked ([`IcError::ResourcesRevoked`]), or failed otherwise.
 //!
-//! Knobs: `IC_BENCH_OVERLOAD_SECS` (per-point seconds, default 2),
-//! `IC_BENCH_OVERLOAD_ROWS` (table rows, default 2000),
-//! `IC_BENCH_OVERLOAD_SLOTS` (admission slots, default 8),
-//! `IC_BENCH_OVERLOAD_CLIENTS` (comma list, default scales to 4× slots),
-//! `IC_BENCH_STRICT=1` additionally asserts saturated goodput lands
-//! within 10% of the admission ceiling projected from the governor's own
-//! EWMA service time. `--smoke` runs one small shedding-heavy point and
+//! The full run sweeps clients = ¼× … 4× the 8 admission slots and writes
+//! `BENCH_overload.json`; `--smoke` runs one small shedding-heavy point,
 //! asserts the governor invariants (nonzero shed, zero pool balance,
-//! bounded concurrency). Writes `BENCH_overload.json`.
+//! bounded concurrency) and writes under `target/bench/`.
 
 use ic_common::LEASE_CHUNK_CELLS;
 use ic_core::{Cluster, ClusterConfig, Datum, GovernorConfig, IcError, Row, SystemVariant};
@@ -33,10 +28,6 @@ const GROUPS: i64 = 50;
 /// Cap on how long a shed client honours the governor's retry hint, so a
 /// hard-overloaded point still probes admission often enough to measure.
 const MAX_BACKOFF: Duration = Duration::from_millis(10);
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 #[derive(Debug, Clone)]
 struct SweepConfig {
@@ -195,42 +186,42 @@ fn run_point(cfg: &SweepConfig, clients: usize) -> Point {
     }
 }
 
-fn write_json(cfg: &SweepConfig, points: &[Point]) {
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"rows\": {}, \"slots\": {}, \"secs_per_point\": {:.3}, \"pool_chunks\": {},\n  \"points\": [\n",
+fn write_json(cfg: &SweepConfig, reduced: bool, points: &[Point]) {
+    let points: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"clients\": {}, \"completed\": {}, \"shed\": {}, \"revoked\": {}, \"failed\": {}, \
+\"goodput_qps\": {:.2}, \"ceiling_qps\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
+\"mean_queue_wait_ms\": {:.3}, \"mean_shed_wait_ms\": {:.3}, \"queue_wait_hist\": {:?}, \
+\"peak_concurrent\": {}}}",
+                p.clients,
+                p.completed,
+                p.shed,
+                p.revoked,
+                p.failed,
+                p.goodput_qps,
+                p.ceiling_qps,
+                p.p50_ms,
+                p.p99_ms,
+                p.mean_queue_wait_ms,
+                p.mean_shed_wait_ms,
+                p.queue_wait_hist,
+                p.peak_concurrent,
+            )
+        })
+        .collect();
+    let fields = format!(
+        "  \"rows\": {}, \"slots\": {}, \"secs_per_point\": {:.3}, \"pool_chunks\": {},\n  \"points\": [\n{}\n  ]\n",
         cfg.rows,
         cfg.slots,
         cfg.duration.as_secs_f64(),
-        cfg.pool_chunks
-    ));
-    for (i, p) in points.iter().enumerate() {
-        let hist =
-            p.queue_wait_hist.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(", ");
-        json.push_str(&format!(
-            "    {{\"clients\": {}, \"completed\": {}, \"shed\": {}, \"revoked\": {}, \"failed\": {}, \
-\"goodput_qps\": {:.2}, \"ceiling_qps\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-\"mean_queue_wait_ms\": {:.3}, \"mean_shed_wait_ms\": {:.3}, \"queue_wait_hist\": [{}], \
-\"peak_concurrent\": {}}}{}\n",
-            p.clients,
-            p.completed,
-            p.shed,
-            p.revoked,
-            p.failed,
-            p.goodput_qps,
-            p.ceiling_qps,
-            p.p50_ms,
-            p.p99_ms,
-            p.mean_queue_wait_ms,
-            p.mean_shed_wait_ms,
-            hist,
-            p.peak_concurrent,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
-    println!("\nwrote BENCH_overload.json");
+        cfg.pool_chunks,
+        points.join(",\n")
+    );
+    let path = ic_bench::harness::write_bench_json("overload", reduced, &fields)
+        .expect("write BENCH_overload.json");
+    println!("\nwrote {path}");
 }
 
 /// Invariants every point must satisfy regardless of load: admission
@@ -256,54 +247,24 @@ fn assert_invariants(p: &Point, slots: usize) {
     assert_eq!(p.failed, 0, "non-governor failures at {} clients", p.clients);
 }
 
-fn smoke() {
-    // One deliberately under-provisioned point: 2 slots, a 1-deep queue,
-    // 8 clients — most submissions must be shed, and the pool must still
-    // balance to zero.
-    let cfg = SweepConfig {
-        rows: 500,
-        slots: 2,
-        duration: Duration::from_millis(1500),
-        pool_chunks: 8,
-    };
-    println!("== overload --smoke: 8 clients vs {} slots ==", cfg.slots);
-    let p = run_point(&cfg, 8);
-    println!(
-        "completed {} shed {} revoked {} failed {} goodput {:.1} qps peak_concurrent {}",
-        p.completed, p.shed, p.revoked, p.failed, p.goodput_qps, p.peak_concurrent
-    );
-    println!(
-        "queue wait: completed {:.2} ms, shed {:.2} ms; governor hist {:?}",
-        p.mean_queue_wait_ms, p.mean_shed_wait_ms, p.queue_wait_hist
-    );
-    assert_invariants(&p, cfg.slots);
-    assert!(p.completed > 0, "smoke completed no queries");
-    assert!(p.shed > 0, "8 clients vs 2 slots shed nothing — admission control inert");
-    println!("smoke OK: shedding active, zero pool leak, concurrency bounded");
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    let slots = env_u64("IC_BENCH_OVERLOAD_SLOTS", 8) as usize;
-    let cfg = SweepConfig {
-        rows: env_u64("IC_BENCH_OVERLOAD_ROWS", 2000) as i64,
-        slots,
-        duration: Duration::from_secs_f64(env_u64("IC_BENCH_OVERLOAD_SECS", 2) as f64),
-        pool_chunks: env_u64("IC_BENCH_OVERLOAD_POOL_CHUNKS", 4 * 8),
+    // `--smoke` is one deliberately under-provisioned point — 8 clients on
+    // 2 slots, most submissions shed — and the full run the paper-style
+    // doubling sweep, ¼× … 4× the admission ceiling.
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let (cfg, clients) = if smoke {
+        let cfg = SweepConfig {
+            rows: 500,
+            slots: 2,
+            duration: Duration::from_millis(1500),
+            pool_chunks: 8,
+        };
+        (cfg, vec![8])
+    } else {
+        let cfg =
+            SweepConfig { rows: 2000, slots: 8, duration: Duration::from_secs(2), pool_chunks: 32 };
+        (cfg, vec![2, 4, 8, 16, 32])
     };
-    let clients: Vec<usize> = std::env::var("IC_BENCH_OVERLOAD_CLIENTS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .unwrap_or_else(|| {
-            // 1× … 4× the admission ceiling, the paper-style doubling sweep.
-            vec![slots / 4, slots / 2, slots, 2 * slots, 4 * slots]
-                .into_iter()
-                .filter(|&c| c >= 1)
-                .collect()
-        });
 
     println!(
         "== overload sweep: {} rows, {} slots, {:?}/point, clients {:?} ==\n",
@@ -324,7 +285,7 @@ fn main() {
         "shedq ms"
     );
     let mut points = Vec::new();
-    for &c in &clients {
+    for c in clients {
         let p = run_point(&cfg, c);
         println!(
             "{:>7} {:>9} {:>6} {:>7} {:>6} {:>12.1} {:>12.1} {:>8.2} {:>8.2} {:>9.2} {:>9.2}",
@@ -341,33 +302,20 @@ fn main() {
             p.mean_shed_wait_ms
         );
         assert_invariants(&p, cfg.slots);
+        assert!(p.completed > 0, "the {c}-client point completed no queries");
         points.push(p);
     }
 
-    // Overload-specific checks at the deepest point of the sweep: shedding
-    // must be active, and goodput should hold near the admission ceiling
-    // rather than collapsing (the whole reason to shed).
-    if let Some(last) = points.last() {
-        if last.clients >= 2 * cfg.slots {
-            assert!(
-                last.shed > 0,
-                "{}x overload shed nothing — admission control inert",
-                last.clients / cfg.slots
-            );
-            let ratio = if last.ceiling_qps > 0.0 { last.goodput_qps / last.ceiling_qps } else { 1.0 };
-            println!(
-                "\nsaturated goodput is {:.0}% of the projected admission ceiling",
-                ratio * 100.0
-            );
-            if env_u64("IC_BENCH_STRICT", 0) == 1 {
-                assert!(
-                    ratio >= 0.9,
-                    "goodput {:.1} qps fell more than 10% below the admission ceiling {:.1} qps",
-                    last.goodput_qps,
-                    last.ceiling_qps
-                );
-            }
-        }
-    }
-    write_json(&cfg, &points);
+    // At the deepest point of the sweep shedding must be active, and
+    // goodput should hold near the admission ceiling rather than collapsing
+    // (the whole reason to shed). The ceiling is projected from the
+    // governor's EWMA service time, which is too noisy on a small host to
+    // assert on; it is printed and both numbers are in the record.
+    let last = points.last().expect("the sweep has points");
+    assert!(last.shed > 0, "4x overload shed nothing — admission control inert");
+    println!(
+        "\nsaturated goodput is {:.0}% of the projected admission ceiling",
+        100.0 * last.goodput_qps / last.ceiling_qps.max(1e-9)
+    );
+    write_json(&cfg, smoke, &points);
 }

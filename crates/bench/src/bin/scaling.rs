@@ -19,8 +19,8 @@
 //!
 //! Asserts the acceptance floor: ship speedup ≥ 1.8× at 4 threads vs 1.
 //! Writes `BENCH_scaling.json` to the working directory; `--smoke` runs a
-//! reduced-size sweep and writes to `target/bench/` instead.
-//! Knobs: `IC_BENCH_SCALING_ROWS`, `IC_BENCH_SCALING_REPS`.
+//! reduced-size sweep (half the rows, 3 reps) and writes to `target/bench/`
+//! instead.
 
 use ic_core::{Cluster, ClusterConfig, Datum, NetworkConfig, Row, SystemVariant};
 use std::time::{Duration, Instant};
@@ -35,10 +35,6 @@ const THREADS: [usize; 3] = [1, 2, 4];
 const SHIP_SQL: &str = "SELECT id, grp, val FROM fact WHERE val >= 0";
 const AGG_SQL: &str = "SELECT name, count(*) AS n, sum(val) AS s \
                        FROM fact INNER JOIN dim ON fact.grp = dim.grp GROUP BY name";
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Paper-style interconnect: per-message latency plus a bandwidth charge
 /// slow enough that shipping the ship-query's output is the dominant cost
@@ -173,11 +169,9 @@ fn assert_floor(points: &[Point]) {
 }
 
 fn main() {
-    const DEFAULT_ROWS: u64 = 240_000;
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let rows = env_u64("IC_BENCH_SCALING_ROWS", if smoke { DEFAULT_ROWS / 2 } else { DEFAULT_ROWS });
-    let reps = env_u64("IC_BENCH_SCALING_REPS", if smoke { 3 } else { 5 }) as usize;
-    let points = run_sweep(rows as i64, reps);
+    let (rows, reps) = if smoke { (120_000, 3) } else { (240_000, 5) };
+    let points = run_sweep(rows, reps);
     assert_floor(&points);
-    write_json(rows as i64, reps, rows < DEFAULT_ROWS, &points);
+    write_json(rows, reps, smoke, &points);
 }

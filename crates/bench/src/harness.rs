@@ -7,37 +7,50 @@
 use ic_core::{Cluster, IcError};
 use std::time::Duration;
 
-/// Scale factors swept by the paper (0.5–3); the harness defaults scale
-/// these down ~50× so a full sweep runs on one machine. Override with the
-/// `IC_BENCH_SF` environment variable (comma-separated).
-pub const DEFAULT_SCALE_FACTORS: &[f64] = &[0.01, 0.02];
-
-/// Scale factors to use, honoring `IC_BENCH_SF`.
-pub fn scale_factors() -> Vec<f64> {
-    match std::env::var("IC_BENCH_SF") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse::<f64>().ok())
-            .collect(),
-        Err(_) => DEFAULT_SCALE_FACTORS.to_vec(),
-    }
+/// The §6.1 protocol sizes of one `--bin paper` run. There are exactly two:
+/// [`FULL`], whose record is committed, and [`SMOKE`], selected by `--smoke`.
+#[derive(Debug)]
+pub struct Protocol {
+    /// Scale factors swept and averaged over (paper: 0.5–3, ~50× these).
+    pub scale_factors: &'static [f64],
+    /// Measured repetitions after the one warm-up (paper: 3).
+    pub reps: usize,
+    /// Per-query runtime limit (paper: 4 h).
+    pub timeout: Duration,
+    /// Length of one AQL cell (paper: 300 s); run at `scale_factors[0]`.
+    pub aql_cell: Duration,
 }
 
-/// Number of measured repetitions per test (paper: 3).
-pub fn repetitions() -> usize {
-    std::env::var("IC_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-}
+/// The largest doubling pair of scale factors whose sweep finishes inside
+/// 15 minutes on the 2-core host (10–11.5 min; 0.01 + 0.02 takes 9, and at
+/// 0.04 + 0.08 the sweep is estimated at 15–16 min — EXPERIMENTS.md). The time
+/// goes to the IC queries that run to the limit — about seven per cluster —
+/// and to IC's Q5/Q7/Q22, which finish in seconds, four executions each.
+pub const FULL: Protocol = Protocol {
+    scale_factors: &[0.02, 0.04],
+    reps: 3,
+    timeout: Duration::from_secs(15),
+    aql_cell: Duration::from_secs(5),
+};
+
+/// CI size: every code path of [`FULL`] in under a minute.
+pub const SMOKE: Protocol = Protocol {
+    scale_factors: &[0.001, 0.002],
+    reps: 1,
+    timeout: Duration::from_secs(1),
+    aql_cell: Duration::from_millis(250),
+};
+
+/// Site counts of every figure and table (paper: 4 and 8 machines).
+pub const SITES: [usize; 2] = [4, 8];
 
 /// Record a bench bin's result as `BENCH_<name>.json`: `fields` are the
 /// bin's own JSON members, written after the header every record shares —
 /// host cores and git revision, without which a number cannot be compared
-/// with the next run's. A default-size run writes the committed record in
-/// the working directory; a `reduced` one (`--smoke`, shrunk env knobs)
-/// goes to `target/bench/`, so CI smoke runs never overwrite it. Returns
-/// the path written.
+/// with the next run's. A full-size run writes the committed record in
+/// the working directory; a `reduced` one (`--smoke`) goes to
+/// `target/bench/`, so CI smoke runs never overwrite it. Returns the path
+/// written.
 pub fn write_bench_json(name: &str, reduced: bool, fields: &str) -> std::io::Result<String> {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let rev = std::process::Command::new("git")
@@ -52,6 +65,11 @@ pub fn write_bench_json(name: &str, reduced: bool, fields: &str) -> std::io::Res
     std::fs::create_dir_all(dir)?;
     std::fs::write(&path, json)?;
     Ok(path)
+}
+
+/// Milliseconds, the unit of every printed and recorded time.
+pub fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1000.0
 }
 
 /// Outcome of measuring one query on one system.
@@ -88,7 +106,7 @@ impl MeasureOutcome {
 
     pub fn label(&self) -> String {
         match self {
-            MeasureOutcome::Ok(d) => format!("{:.1} ms", d.as_secs_f64() * 1000.0),
+            MeasureOutcome::Ok(d) => format!("{:.1} ms", ms(*d)),
             MeasureOutcome::PlanFailure(_) => "PLAN-FAIL".into(),
             MeasureOutcome::Timeout => "TIMEOUT".into(),
             MeasureOutcome::MemoryLimit => "MEM-LIMIT".into(),
@@ -100,59 +118,18 @@ impl MeasureOutcome {
     }
 }
 
-/// One (query, system, configuration) measurement.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    pub query: String,
-    pub system: String,
-    pub outcome: MeasureOutcome,
-    pub rows: usize,
-}
-
 /// §6.2 protocol: one warm-up + `reps` measured executions; mean response
 /// time. Classifies failures instead of panicking.
-pub fn measure_query(cluster: &Cluster, sql: &str, reps: usize) -> (MeasureOutcome, usize) {
-    let (outcome, rows, _) = measure_query_waits(cluster, sql, reps);
-    (outcome, rows)
-}
-
-/// [`measure_query`], additionally reporting the mean admission queue wait
-/// over the measured repetitions. `QueryStats::queue_wait` was always
-/// measured but the harness dropped it, so summary lines could not show
-/// when a "slow" query was actually a *queued* query.
-pub fn measure_query_waits(
-    cluster: &Cluster,
-    sql: &str,
-    reps: usize,
-) -> (MeasureOutcome, usize, Duration) {
-    // Warm-up execution.
-    let rows = match cluster.query(sql) {
-        Ok(r) => r.rows.len(),
-        Err(e) => return (classify(e), 0, Duration::ZERO),
-    };
+pub fn measure_query(cluster: &Cluster, sql: &str, reps: usize) -> MeasureOutcome {
     let mut total = Duration::ZERO;
-    let mut queue_wait = Duration::ZERO;
-    for _ in 0..reps {
+    for rep in 0..=reps {
         match cluster.query(sql) {
-            Ok(r) => {
-                total += r.total_time();
-                queue_wait += r.stats.queue_wait;
-            }
-            Err(e) => return (classify(e), rows, Duration::ZERO),
+            Ok(_) if rep == 0 => {}
+            Ok(r) => total += r.total_time(),
+            Err(e) => return classify(e),
         }
     }
-    let n = reps.max(1) as u32;
-    (MeasureOutcome::Ok(total / n), rows, queue_wait / n)
-}
-
-/// Suffix for harness summary lines: the mean queue wait when it is
-/// nonzero, empty otherwise (the common uncontended case stays clean).
-pub fn queue_wait_suffix(queue_wait: Duration) -> String {
-    if queue_wait.is_zero() {
-        String::new()
-    } else {
-        format!(" (queued {:.1} ms)", queue_wait.as_secs_f64() * 1000.0)
-    }
+    MeasureOutcome::Ok(total / reps.max(1) as u32)
 }
 
 fn classify(e: IcError) -> MeasureOutcome {

@@ -1,16 +1,15 @@
-//! Benchmark harness: data loading, measurement protocol (§6.1) and the
-//! multi-client AQL driver (§6.3). The binaries in `src/bin/` use these to
-//! regenerate each of the paper's tables and figures.
+//! The paper reproduction: data loading, the §6.1 measurement protocol, the
+//! multi-client AQL driver (§6.3) and the one sweep `--bin paper` runs and
+//! derives every table and figure from. The other bins (`scaling`,
+//! `overload`, `chaos`, `trace_overhead`) go beyond the paper and share the
+//! record emitter.
 
 pub mod aql;
-pub mod runner;
 pub mod harness;
 pub mod load;
+pub mod runner;
 
-pub use aql::{run_aql, AqlConfig, AqlResult};
-pub use harness::{
-    repetitions, scale_factors,
-    geo_mean, measure_query, mean, MeasureOutcome, Measurement, DEFAULT_SCALE_FACTORS,
-};
-pub use load::{load_ssb, load_tpch};
-pub use runner::{calibrated_network, mean_times, print_speedup_figure, sweep_ssb, sweep_tpch, RunPoint};
+pub use aql::run_aql;
+pub use harness::{ms, MeasureOutcome, FULL, SITES, SMOKE};
+pub use load::load_tpch;
+pub use runner::{calibrated_network, overall, run_sweep, Figure, Sweep};

@@ -1,34 +1,28 @@
 //! Load the TPC-H / SSB schemas, data and indexes into a cluster.
 
+use ic_benchdata::{ssb, tpch, TableData};
 use ic_core::{Cluster, IcResult};
 
-/// Create the TPC-H schema and indexes, generate and load data at `sf`,
-/// and analyze (statistics enabled, like the paper's configuration).
-pub fn load_tpch(cluster: &Cluster, sf: f64, seed: u64) -> IcResult<()> {
-    for ddl in ic_benchdata::tpch::DDL {
-        cluster.run(ddl)?;
+/// Create the schema and indexes, load the generated tables, and analyze
+/// (statistics enabled, like the paper's configuration).
+fn load(cluster: &Cluster, ddl: &[&str], tables: Vec<TableData>) -> IcResult<()> {
+    for stmt in ddl {
+        cluster.run(stmt)?;
     }
-    for ddl in ic_benchdata::tpch::INDEX_DDL {
-        cluster.run(ddl)?;
-    }
-    for table in ic_benchdata::tpch::generate(sf, seed) {
+    for table in tables {
         cluster.insert(table.name, table.rows)?;
     }
     cluster.analyze_all()
 }
 
-/// Create the SSB schema and indexes, generate and load data at `sf`.
+/// Load TPC-H at scale factor `sf`.
+pub fn load_tpch(cluster: &Cluster, sf: f64, seed: u64) -> IcResult<()> {
+    load(cluster, &[tpch::DDL, tpch::INDEX_DDL].concat(), tpch::generate(sf, seed))
+}
+
+/// Load SSB at scale factor `sf`.
 pub fn load_ssb(cluster: &Cluster, sf: f64, seed: u64) -> IcResult<()> {
-    for ddl in ic_benchdata::ssb::DDL {
-        cluster.run(ddl)?;
-    }
-    for ddl in ic_benchdata::ssb::INDEX_DDL {
-        cluster.run(ddl)?;
-    }
-    for table in ic_benchdata::ssb::generate(sf, seed) {
-        cluster.insert(table.name, table.rows)?;
-    }
-    cluster.analyze_all()
+    load(cluster, &[ssb::DDL, ssb::INDEX_DDL].concat(), ssb::generate(sf, seed))
 }
 
 #[cfg(test)]

@@ -1,246 +1,351 @@
-//! Shared sweep logic for the figure/table binaries: load each (scale
-//! factor, site count) cluster once, run every system variant against the
-//! same data (the clusters share the catalog), and collect per-query
-//! outcomes following the §6.1/§6.2 methodology.
+//! The one paper-reproduction sweep (§6.1/§6.2) and what is derived from
+//! it: load each (scale factor, site count) cluster once, measure every
+//! system variant against the same data (the clusters share the catalog)
+//! over TPC-H, the fig11 SSB set and the AQL driver, and read Figures 7–11,
+//! the failure inventory and `BENCH_paper.json` off those same points.
 
-use crate::harness::{measure_query_waits, queue_wait_suffix, repetitions, scale_factors, MeasureOutcome};
+use crate::aql::{run_aql, AqlResult};
+use crate::harness::{
+    geo_mean, mean, measure_query, ms, write_bench_json, MeasureOutcome, Protocol, SITES,
+};
 use crate::load::{load_ssb, load_tpch};
 use ic_core::{Cluster, ClusterConfig, NetworkConfig, SystemVariant};
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// One measured point of a sweep.
+/// One measured (query, system, cluster) point of the sweep.
 #[derive(Debug, Clone)]
 pub struct RunPoint {
     pub sf: f64,
     pub sites: usize,
     pub variant: SystemVariant,
-    /// TPC-H query number (1–22) or SSB index into `QUERY_IDS`.
-    pub query: usize,
+    /// `Q01`…`Q22` for TPC-H, the SSB id (`Q3.1`) for SSB.
+    pub query: String,
     pub outcome: MeasureOutcome,
 }
 
-/// Per-query execution timeout for sweeps (`IC_BENCH_TIMEOUT_SECS`).
-pub fn sweep_timeout() -> Duration {
-    let secs = std::env::var("IC_BENCH_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15u64);
-    Duration::from_secs(secs)
+/// One Table 3 cell: `clients` terminals against one system.
+#[derive(Debug, Clone)]
+pub struct AqlPoint {
+    pub sites: usize,
+    pub clients: usize,
+    pub variant: SystemVariant,
+    pub result: AqlResult,
 }
 
-/// The harness network model. The paper's testbed pairs a JIT-compiled
-/// row engine with 10 GbE; this reproduction pairs an interpreted row
-/// engine (roughly two orders of magnitude more CPU per row) with a
-/// simulated network, so the network is slowed by the same factor
-/// (100 MB/s, 200 µs/message) to preserve the testbed's
-/// compute-to-network cost ratio. Override with IC_BENCH_NET_MBPS /
-/// IC_BENCH_NET_LAT_US.
-pub fn calibrated_network() -> NetworkConfig {
-    let mbps: u64 = std::env::var("IC_BENCH_NET_MBPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
-    let lat_us: u64 = std::env::var("IC_BENCH_NET_LAT_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    NetworkConfig {
-        latency: Duration::from_micros(lat_us),
-        bandwidth_bytes_per_sec: mbps * 1_000_000,
+/// Everything one `--bin paper` run measures.
+#[derive(Debug, Default)]
+pub struct Sweep {
+    pub tpch: Vec<RunPoint>,
+    pub ssb: Vec<RunPoint>,
+    pub aql: Vec<AqlPoint>,
+}
+
+impl Sweep {
+    /// The paper's four comparisons, by record name: Figure 7 (planner and
+    /// join changes), Figure 8 (everything), Figures 9/10 (what
+    /// multithreading adds on top) and Figure 11 (SSB).
+    pub fn figures(&self) -> [(&'static str, Figure); 4] {
+        use SystemVariant::{ICPlus, ICPlusM, IC};
+        [
+            ("fig7", figure(&self.tpch, IC, ICPlus)),
+            ("fig8", figure(&self.tpch, IC, ICPlusM)),
+            ("fig9_10", figure(&self.tpch, ICPlus, ICPlusM)),
+            ("fig11", figure(&self.ssb, IC, ICPlusM)),
+        ]
     }
 }
 
-/// Whether sweep binaries should emit per-query Chrome traces: pass
-/// `--trace` to any figure/table binary (or set `IC_BENCH_TRACE`).
-fn trace_enabled() -> bool {
-    std::env::args().any(|a| a == "--trace") || std::env::var_os("IC_BENCH_TRACE").is_some()
+/// Seed of the generated TPC-H and SSB data.
+const DATA_SEED: u64 = 42;
+
+/// Terminal counts of Table 3 (paper: 2/4/8).
+pub const AQL_CLIENTS: [usize; 3] = [2, 4, 8];
+
+/// §6.4 runs SSB query sets 1 and 3 only: the paper excludes QS2 and QS4
+/// because planning them exhausts the search space on its systems. (Here
+/// QS2 plans and runs and QS4 fails at execution — EXPERIMENTS.md
+/// deviations 6 and 7 — but the figure keeps the paper's set.)
+pub const SSB_QUERY_SETS: [&str; 2] = ["Q1", "Q3"];
+
+/// TPC-H queries of the sweep: all 22 minus the two the paper's systems do
+/// not support.
+pub fn tpch_query_set() -> Vec<usize> {
+    (1..=22).filter(|q| !ic_benchdata::tpch::EXCLUDED_UNSUPPORTED.contains(q)).collect()
+}
+
+/// The harness network model. The paper's testbed pairs a JIT-compiled
+/// row engine with 10 GbE; this reproduction pairs an interpreted engine
+/// (roughly two orders of magnitude more CPU per row) with a simulated
+/// network, so the network is slowed by the same factor (100 MB/s,
+/// 200 µs/message) to preserve the testbed's compute-to-network cost
+/// ratio. `perf/` pins the same pair.
+pub fn calibrated_network() -> NetworkConfig {
+    NetworkConfig { latency: Duration::from_micros(200), bandwidth_bytes_per_sec: 100_000_000 }
 }
 
 /// Re-run `sql` once with tracing and write the Chrome-trace JSON under
-/// `results/traces/<name>.json`. Failed queries still produce a trace —
-/// that is the point of tracing them.
+/// `target/bench/traces/<name>.json`. Failed queries still produce a trace
+/// — that is the point of tracing them.
 fn write_trace(cluster: &Cluster, sql: &str, name: &str) {
     let (_, trace) = cluster.query_traced(0, sql);
-    let file: String = name
-        .replace('+', "plus")
-        .chars()
-        .map(|c| match c {
-            '.' => 'p',
-            ' ' | '/' => '_',
-            c => c.to_ascii_lowercase(),
-        })
-        .collect();
-    let path = std::path::PathBuf::from("results/traces").join(format!("{file}.json"));
+    let path = std::path::PathBuf::from("target/bench/traces").join(format!("{name}.json"));
     match ic_common::obs::TraceSink::new(trace).write_chrome(&path) {
         Ok(()) => eprintln!("#     trace -> {}", path.display()),
         Err(e) => eprintln!("#     trace write failed for {name}: {e}"),
     }
 }
 
-fn cluster_for(sites: usize, variant: SystemVariant) -> Cluster {
-    Cluster::new(ClusterConfig {
-        sites,
-        variant,
-        exec_timeout: Some(sweep_timeout()),
-        network: calibrated_network(),
-        ..ClusterConfig::default()
-    })
+/// Measure `queries` on every variant of `base`, one pass each.
+fn measure_all(
+    base: &Cluster,
+    sf: f64,
+    bench: &str,
+    queries: &[(String, String)],
+    protocol: &Protocol,
+    trace: bool,
+) -> Vec<RunPoint> {
+    let sites = base.config().sites;
+    let mut out = Vec::new();
+    for variant in SystemVariant::all() {
+        let cluster = base.with_variant(variant);
+        for (query, sql) in queries {
+            let outcome = measure_query(&cluster, sql, protocol.reps);
+            eprintln!("#   {} {query}: {}", variant.label(), outcome.label());
+            if trace {
+                let name = format!("{bench}_sf{sf}_s{sites}_{}_{query}", variant.label());
+                write_trace(&cluster, sql, &name);
+            }
+            out.push(RunPoint { sf, sites, variant, query: query.clone(), outcome });
+        }
+    }
+    out
 }
 
-/// Sweep TPC-H: every (scale factor × site count × variant × query).
-pub fn sweep_tpch(
-    sites_list: &[usize],
-    variants: &[SystemVariant],
-    queries: &[usize],
-) -> Vec<RunPoint> {
-    let reps = repetitions();
-    let mut out = Vec::new();
-    for &sf in &scale_factors() {
-        for &sites in sites_list {
+/// The sweep: per (scale factor, site count) one TPC-H cluster and one SSB
+/// cluster, each loaded once and measured once per variant; the Table 3
+/// AQL cells run on the first scale factor's TPC-H clusters. `trace` also
+/// writes a Chrome trace per measured query.
+pub fn run_sweep(protocol: &Protocol, trace: bool) -> Sweep {
+    let cluster_for = |sites| {
+        Cluster::new(ClusterConfig {
+            sites,
+            variant: SystemVariant::IC,
+            exec_timeout: Some(protocol.timeout),
+            network: calibrated_network(),
+            ..ClusterConfig::default()
+        })
+    };
+    let tpch: Vec<(String, String)> = tpch_query_set()
+        .into_iter()
+        .map(|q| (format!("Q{q:02}"), ic_benchdata::tpch::query(q)))
+        .collect();
+    let ssb: Vec<(String, String)> = ic_benchdata::ssb::QUERIES
+        .iter()
+        .filter(|(id, _)| SSB_QUERY_SETS.iter().any(|set| id.starts_with(set)))
+        .map(|(id, sql)| (id.to_string(), sql.to_string()))
+        .collect();
+    let mut sweep = Sweep::default();
+    for (i, &sf) in protocol.scale_factors.iter().enumerate() {
+        for sites in SITES {
             eprintln!("# loading TPC-H sf={sf} sites={sites}");
-            let base = cluster_for(sites, variants[0]);
+            let base = cluster_for(sites);
             // ic-lint: allow(L001) because the TPC-H generator is deterministic; a load failure is a harness bug worth a loud abort
-            load_tpch(&base, sf, 42).expect("load TPC-H");
-            for &variant in variants {
-                let cluster = base.with_variant(variant);
-                for &q in queries {
-                    let sql = ic_benchdata::tpch::query(q);
-                    let (outcome, _, queue_wait) = measure_query_waits(&cluster, &sql, reps);
-                    eprintln!(
-                        "#   {} Q{q:02}: {}{}",
-                        variant.label(),
-                        outcome.label(),
-                        queue_wait_suffix(queue_wait)
-                    );
-                    if trace_enabled() {
-                        let name =
-                            format!("tpch_sf{sf}_s{sites}_{}_q{q:02}", variant.label());
-                        write_trace(&cluster, &sql, &name);
-                    }
-                    out.push(RunPoint { sf, sites, variant, query: q, outcome });
-                }
+            load_tpch(&base, sf, DATA_SEED).expect("load TPC-H");
+            sweep.tpch.extend(measure_all(&base, sf, "tpch", &tpch, protocol, trace));
+            if i == 0 {
+                sweep.aql.extend(aql_cells(&base, protocol));
             }
-        }
-    }
-    out
-}
-
-/// Sweep SSB over the given query ids.
-pub fn sweep_ssb(
-    sites_list: &[usize],
-    variants: &[SystemVariant],
-    query_ids: &[&str],
-) -> Vec<RunPoint> {
-    let reps = repetitions();
-    let mut out = Vec::new();
-    for &sf in &scale_factors() {
-        for &sites in sites_list {
+            drop(base);
             eprintln!("# loading SSB sf={sf} sites={sites}");
-            let base = cluster_for(sites, variants[0]);
+            let base = cluster_for(sites);
             // ic-lint: allow(L001) because the SSB generator is deterministic; a load failure is a harness bug worth a loud abort
-            load_ssb(&base, sf, 42).expect("load SSB");
-            for &variant in variants {
-                let cluster = base.with_variant(variant);
-                for (qi, id) in query_ids.iter().enumerate() {
-                    // ic-lint: allow(L001) because the query id list is the compile-time SSB catalogue; an unknown id is a harness bug
-                    let sql = ic_benchdata::ssb::query(id).expect("known SSB query");
-                    let (outcome, _, queue_wait) = measure_query_waits(&cluster, sql, reps);
-                    eprintln!(
-                        "#   {} {id}: {}{}",
-                        variant.label(),
-                        outcome.label(),
-                        queue_wait_suffix(queue_wait)
-                    );
-                    if trace_enabled() {
-                        let name = format!("ssb_sf{sf}_s{sites}_{}_{id}", variant.label());
-                        write_trace(&cluster, sql, &name);
-                    }
-                    out.push(RunPoint { sf, sites, variant, query: qi, outcome });
-                }
-            }
+            load_ssb(&base, sf, DATA_SEED).expect("load SSB");
+            sweep.ssb.extend(measure_all(&base, sf, "ssb", &ssb, protocol, trace));
+        }
+    }
+    sweep
+}
+
+/// Table 3's cells on one loaded TPC-H cluster (§6.3).
+fn aql_cells(base: &Cluster, protocol: &Protocol) -> Vec<AqlPoint> {
+    let sites = base.config().sites;
+    let mut out = Vec::new();
+    for clients in AQL_CLIENTS {
+        for variant in SystemVariant::all() {
+            let cluster = std::sync::Arc::new(base.with_variant(variant));
+            let result = run_aql(&cluster, clients, protocol.aql_cell);
+            eprintln!(
+                "#   AQL {} {clients}c {sites}s: {} ok / {} failed, {:?}",
+                variant.label(),
+                result.completed,
+                result.failed,
+                result.mean_latency
+            );
+            out.push(AqlPoint { sites, clients, variant, result });
         }
     }
     out
 }
 
-/// Mean time per (query, variant, sites) across scale factors ("the
-/// average performance gain across all scale factors was used", §6.1).
-pub fn mean_times(
+/// A query's outcome on one system and site count over the whole sweep:
+/// the mean time across scale factors ("the average performance gain across
+/// all scale factors was used", §6.1), or — a query that failed at any scale
+/// factor is failed overall — the first failure as `LABEL@sf`.
+pub fn overall(
     points: &[RunPoint],
-) -> HashMap<(usize, SystemVariant, usize), Option<Duration>> {
-    let mut acc: HashMap<(usize, SystemVariant, usize), Vec<Option<Duration>>> = HashMap::new();
+) -> HashMap<(String, SystemVariant, usize), Result<Duration, String>> {
+    let mut acc: HashMap<_, Result<Vec<Duration>, String>> = HashMap::new();
     for p in points {
-        acc.entry((p.query, p.variant, p.sites)).or_default().push(p.outcome.ok_time());
+        let so_far = acc.entry((p.query.clone(), p.variant, p.sites)).or_insert(Ok(Vec::new()));
+        match (so_far.as_mut(), p.outcome.ok_time()) {
+            (Ok(times), Some(d)) => times.push(d),
+            (Ok(_), None) => *so_far = Err(format!("{}@{}", p.outcome.label(), p.sf)),
+            (Err(_), _) => {}
+        }
     }
     acc.into_iter()
-        .map(|(k, v)| {
-            // A query that failed at any scale factor is failed overall.
-            let times: Option<Vec<Duration>> = v.into_iter().collect();
-            let mean = times.and_then(|t| crate::harness::mean(&t));
-            (k, mean)
-        })
+        .map(|(k, times)| (k, times.and_then(|t| mean(&t).ok_or("-".into()))))
         .collect()
 }
 
-/// Print a speedup figure: `new` vs `base` per query for each site count.
-pub fn print_speedup_figure(
-    title: &str,
-    points: &[RunPoint],
-    queries: &[usize],
-    qname: &dyn Fn(usize) -> String,
-    base: SystemVariant,
-    new: SystemVariant,
-    sites_list: &[usize],
-) {
-    let means = mean_times(points);
-    println!("\n=== {title} ===");
-    println!(
-        "{:<6} {}",
-        "query",
-        sites_list
-            .iter()
-            .map(|s| format!("{:>10} {:>10} {:>8}", format!("{}({s})", base.label()), format!("{}({s})", new.label()), "speedup"))
-            .collect::<Vec<_>>()
-            .join("  ")
+/// One (query, site count) cell of a figure: both systems' mean times,
+/// `None` = DNF.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cell {
+    pub base: Option<Duration>,
+    pub new: Option<Duration>,
+}
+
+impl Cell {
+    /// `base / new`; a DNF on either side yields no ratio.
+    pub fn speedup(&self) -> Option<f64> {
+        Some(self.base?.as_secs_f64() / self.new?.as_secs_f64().max(1e-9))
+    }
+}
+
+/// The per-site-count line under a figure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FigureSummary {
+    pub sites: usize,
+    /// Geometric mean of the speedups of the queries both systems finish.
+    pub geo_mean: Option<f64>,
+    /// Queries with a speedup, out of the queries in the figure.
+    pub completed: usize,
+    pub attempted: usize,
+}
+
+/// `new` against `base`, per query (sweep order) and per site count of
+/// [`SITES`] — Figures 7, 8, 9/10 and 11 are this with different arguments.
+#[derive(Debug, Clone)]
+pub struct Figure {
+    pub base: SystemVariant,
+    pub new: SystemVariant,
+    pub rows: Vec<(String, [Cell; SITES.len()])>,
+    pub summary: [FigureSummary; SITES.len()],
+}
+
+pub fn figure(points: &[RunPoint], base: SystemVariant, new: SystemVariant) -> Figure {
+    let outcomes = overall(points);
+    let mut queries: Vec<&str> = Vec::new();
+    for p in points {
+        if !queries.contains(&p.query.as_str()) {
+            queries.push(&p.query);
+        }
+    }
+    let time = |q: &str, v, sites| outcomes.get(&(q.to_string(), v, sites))?.clone().ok();
+    let rows: Vec<(String, [Cell; SITES.len()])> = queries
+        .iter()
+        .map(|q| {
+            (q.to_string(), SITES.map(|s| Cell { base: time(q, base, s), new: time(q, new, s) }))
+        })
+        .collect();
+    let summary = std::array::from_fn(|i| {
+        let ratios: Vec<f64> = rows.iter().filter_map(|(_, cells)| cells[i].speedup()).collect();
+        FigureSummary {
+            sites: SITES[i],
+            geo_mean: geo_mean(&ratios),
+            completed: ratios.len(),
+            attempted: rows.len(),
+        }
+    });
+    Figure { base, new, rows, summary }
+}
+
+/// Write the sweep as `BENCH_paper.json` (see [`write_bench_json`] for
+/// where): the protocol it ran under, one summary per figure and site
+/// count, the AQL cells, and every measured point with its outcome label.
+pub fn write_paper_record(
+    reduced: bool,
+    protocol: &Protocol,
+    sweep: &Sweep,
+) -> std::io::Result<String> {
+    let net = calibrated_network();
+    let protocol = format!(
+        "{{\"scale_factors\": {:?}, \"sites\": {SITES:?}, \"warmups\": 1, \"reps\": {}, \
+\"timeout_s\": {}, \"aql_cell_s\": {}, \"aql_clients\": {AQL_CLIENTS:?}, \
+\"ssb_query_sets\": {SSB_QUERY_SETS:?}, \"net_mbps\": {}, \"net_latency_us\": {}, \"data_seed\": {DATA_SEED}}}",
+        protocol.scale_factors,
+        protocol.reps,
+        protocol.timeout.as_secs_f64(),
+        protocol.aql_cell.as_secs_f64(),
+        net.bandwidth_bytes_per_sec / 1_000_000,
+        net.latency.as_micros(),
     );
-    let mut ratios: HashMap<usize, Vec<f64>> = HashMap::new();
-    for &q in queries {
-        let mut line = format!("{:<6}", qname(q));
-        for &sites in sites_list {
-            let b = means.get(&(q, base, sites)).copied().flatten();
-            let n = means.get(&(q, new, sites)).copied().flatten();
-            match (b, n) {
-                (Some(b), Some(n)) => {
-                    let ratio = b.as_secs_f64() / n.as_secs_f64().max(1e-9);
-                    ratios.entry(sites).or_default().push(ratio);
-                    line += &format!(
-                        " {:>10.1} {:>10.1} {:>7.2}x",
-                        b.as_secs_f64() * 1000.0,
-                        n.as_secs_f64() * 1000.0,
-                        ratio
-                    );
-                }
-                (b, n) => {
-                    line += &format!(
-                        " {:>10} {:>10} {:>8}",
-                        b.map(|d| format!("{:.1}", d.as_secs_f64() * 1000.0))
-                            .unwrap_or_else(|| "DNF".into()),
-                        n.map(|d| format!("{:.1}", d.as_secs_f64() * 1000.0))
-                            .unwrap_or_else(|| "DNF".into()),
-                        "-"
-                    );
-                }
-            }
-        }
-        println!("{line}");
-    }
-    for &sites in sites_list {
-        if let Some(r) = ratios.get(&sites) {
-            if let Some(g) = crate::harness::geo_mean(r) {
-                println!("geometric-mean speedup @{sites} sites: {g:.2}x over {} queries", r.len());
-            }
+    let mut figures = Vec::new();
+    for (name, fig) in sweep.figures() {
+        for s in &fig.summary {
+            figures.push(format!(
+                "    {{\"figure\": \"{name}\", \"base\": \"{}\", \"new\": \"{}\", \"sites\": {}, \
+\"geomean_speedup\": {}, \"completed\": {}, \"attempted\": {}}}",
+                fig.base.label(),
+                fig.new.label(),
+                s.sites,
+                s.geo_mean.map_or("null".into(), |g| format!("{g:.3}")),
+                s.completed,
+                s.attempted
+            ));
         }
     }
-    println!("(times in ms; DNF = did not finish: plan failure, timeout or unsupported)");
+    let aql: Vec<String> = sweep
+        .aql
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"sites\": {}, \"clients\": {}, \"system\": \"{}\", \"completed\": {}, \
+\"failed\": {}, \"aql_ms\": {:.3}}}",
+                p.sites,
+                p.clients,
+                p.variant.label(),
+                p.result.completed,
+                p.result.failed,
+                ms(p.result.mean_latency)
+            )
+        })
+        .collect();
+    let point = |bench: &str, p: &RunPoint| {
+        let outcome = match p.outcome.ok_time() {
+            Some(d) => format!("\"OK\", \"ms\": {:.3}", ms(d)),
+            None => format!("{:?}", p.outcome.label()),
+        };
+        format!(
+            "    {{\"bench\": \"{bench}\", \"sf\": {}, \"sites\": {}, \"system\": \"{}\", \
+\"query\": \"{}\", \"outcome\": {outcome}}}",
+            p.sf,
+            p.sites,
+            p.variant.label(),
+            p.query
+        )
+    };
+    let points: Vec<String> = (sweep.tpch.iter().map(|p| point("tpch", p)))
+        .chain(sweep.ssb.iter().map(|p| point("ssb", p)))
+        .collect();
+    let fields = format!(
+        "  \"protocol\": {protocol},\n  \"figures\": [\n{}\n  ],\n  \"aql\": [\n{}\n  ],\n  \
+\"points\": [\n{}\n  ]\n",
+        figures.join(",\n"),
+        aql.join(",\n"),
+        points.join(",\n")
+    );
+    write_bench_json("paper", reduced, &fields)
 }

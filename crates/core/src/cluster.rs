@@ -310,8 +310,8 @@ impl Cluster {
         self.write(client, &self.parse(sql, root.as_ref())?, root.as_ref())
     }
 
-    /// Refuse anything but DML, bind it once, then run [`Cluster::dml_stmt`]
-    /// through the attempt loop. Writes take no admission slot.
+    /// Refuse anything but DML, bind it once, take an admission slot like a
+    /// read does, then run [`Cluster::dml_stmt`] through the attempt loop.
     fn write(&self, client: u64, stmt: &Statement, under: Under<'_>) -> IcResult<DmlResult> {
         if !matches!(stmt, Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)) {
             return Err(IcError::Exec("use query()/run() for non-DML statements".into()));
@@ -320,6 +320,7 @@ impl Cluster {
             let _span = under.map(|s| s.child("sql.bind", "plan"));
             ic_sql::bind_dml(stmt, &self.catalog)?
         };
+        let _admission = self.admit(client, under)?;
         let (mut result, retries) =
             self.attempts(client, under, |attempt| self.dml_stmt(&bound, attempt))?;
         result.retries = retries;
@@ -502,9 +503,9 @@ impl Cluster {
         bind_statement(query, &self.catalog)
     }
 
-    /// Admission control for a read. The deadline is the query's wall-clock
-    /// budget: a query whose budget would elapse in the queue is shed, not
-    /// started.
+    /// Admission control for a read or a write. The deadline is the
+    /// statement's wall-clock budget: one whose budget would elapse in the
+    /// queue is shed, not started.
     fn admit(&self, client: u64, under: Under<'_>) -> IcResult<Admission> {
         let deadline = self.config.exec_timeout.map(|t| Instant::now() + t);
         let mut span = under.map(|s| s.child("admission", "query"));
@@ -650,7 +651,6 @@ impl Cluster {
             trace_parent: under.map(SpanGuard::id),
             worker_threads: self.config.worker_threads,
             morsel_rows: self.config.morsel_rows,
-            ..ExecOptions::default()
         };
         let (rows, stats) = execute_plan(&optimized.plan, &self.catalog, &self.network, &opts)?;
         if mode == Mode::Analyze {
@@ -979,11 +979,11 @@ mod tests {
     }
 
     fn failover_cluster(sites: usize, backups: usize) -> Cluster {
-        let cluster = Cluster::new(ClusterConfig {
-            sites,
-            backups,
-            ..ClusterConfig::test_default()
-        });
+        cluster_with_t(ClusterConfig { sites, backups, ..ClusterConfig::test_default() })
+    }
+
+    fn cluster_with_t(config: ClusterConfig) -> Cluster {
+        let cluster = Cluster::new(config);
         cluster
             .run("CREATE TABLE t (a BIGINT, b BIGINT, PRIMARY KEY (a))")
             .unwrap();
@@ -1086,12 +1086,54 @@ mod tests {
             commit.args,
             vec![("rows_affected", r.rows_affected as u64), ("batches", r.batches as u64)]
         );
-        assert!(!spans.iter().any(|s| s.name == "admission"), "writes are not admitted");
+        // One slot for the whole statement, held across both attempts.
+        assert_eq!(spans.iter().filter(|s| s.name == "admission").count(), 1);
         let q = cluster.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(q.rows[0].0[0].as_int(), Some(1900));
         // The repair promoted a live owner: writes now ack on first try.
         let r = cluster.dml("INSERT INTO t (a, b) VALUES (5000, 1)").unwrap();
         assert_eq!((r.rows_affected, r.retries), (1, 0));
+    }
+
+    /// A write is admitted like a read: behind a held slot it is shed, a
+    /// write that fails after admission gives its slot back, and front-end
+    /// errors are reported before any slot is asked for.
+    #[test]
+    fn writes_take_an_admission_slot() {
+        let cluster = cluster_with_t(ClusterConfig {
+            sites: 4,
+            governor: GovernorConfig {
+                max_concurrent: 1,
+                max_queue: 0,
+                ..GovernorConfig::test_default()
+            },
+            ..ClusterConfig::test_default()
+        });
+        let insert = "INSERT INTO t (a, b) VALUES (5000, 1)";
+        let held = cluster.governor().admit(7, None).unwrap();
+        let before = cluster.governor().stats();
+        let (shed, trace) = cluster.dml_traced(0, insert);
+        assert!(matches!(shed, Err(IcError::Overloaded { .. })), "{shed:?}");
+        assert!(trace.events().iter().any(|e| e.name == "governor.shed"));
+        assert_eq!(cluster.table_rows("t").unwrap(), 2000, "a shed write applies nothing");
+        // Parse, bind and wrong-door failures surface as themselves even with
+        // the only slot taken: they never reach the governor.
+        for sql in ["INSER INTO t", "INSERT INTO t (a, nope) VALUES (1, 1)", "SELECT a FROM t"] {
+            let err = cluster.dml(sql).unwrap_err();
+            assert!(!matches!(err, IcError::Overloaded { .. }), "{sql}: {err}");
+        }
+        let after = cluster.governor().stats();
+        assert_eq!((after.admitted, after.shed), (before.admitted, before.shed + 1));
+        drop(held);
+        // No backups and a dead primary: the write fails *after* admission.
+        cluster.kill_site(1);
+        let err = cluster.dml("DELETE FROM t").unwrap_err();
+        assert!(matches!(err, IcError::RetriesExhausted { .. }), "{err}");
+        // With one slot and no queue, a leaked slot would shed this one.
+        cluster.revive_site(1);
+        let r = cluster.dml(insert).unwrap();
+        assert_eq!(r.rows_affected, 1);
+        assert_eq!(cluster.governor().stats().admitted, before.admitted + 2);
     }
 
     #[test]

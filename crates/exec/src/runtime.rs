@@ -53,8 +53,6 @@ pub struct ExecOptions {
     pub variant_fragments: usize,
     /// Wall-clock execution limit (the paper's runtime cap).
     pub timeout: Option<Duration>,
-    /// Exchange backpressure window, in batches.
-    pub channel_window: usize,
     /// Buffered-cell (rows × columns) memory budget per query (Ignite's
     /// resource limit).
     pub memory_limit_rows: u64,
@@ -83,12 +81,14 @@ pub struct ExecOptions {
 /// and revocation checks stay fine-grained.
 pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
 
+/// Exchange backpressure window, in batches.
+const CHANNEL_WINDOW: usize = 16;
+
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             variant_fragments: 1,
             timeout: None,
-            channel_window: 16,
             memory_limit_rows: 60_000_000,
             pool: None,
             trace: None,
@@ -900,7 +900,7 @@ pub fn execute_plan(
         for &site in &consumer.sites {
             for v in 0..cvars {
                 let (tx, rx) =
-                    net_channel::<Msg>(network.clone(), SiteId(usize::MAX), site, opts.channel_window);
+                    net_channel::<Msg>(network.clone(), SiteId(usize::MAX), site, CHANNEL_WINDOW);
                 rx_map.insert((ex, site, v), rx);
                 protos.push((site, v, tx.with_tally(traffic.clone())));
             }

@@ -72,8 +72,9 @@ impl ReplicaMap {
     }
 
     /// Compute the live partition→owner map: each partition is served by its
-    /// first owner that is a member and not in `down`. Mirrors
-    /// [`Topology::assignment`] but reads the elastic owner lists.
+    /// first owner that is a member and not in `down` — the one
+    /// failover-resolution algorithm ([`Topology::assignment`] seeds a map
+    /// from the boot placement and asks it).
     pub fn assignment(&self, down: &FxHashSet<SiteId>) -> Result<Assignment, FailoverError> {
         let live: Vec<SiteId> =
             self.members.iter().copied().filter(|s| !down.contains(s)).collect();

@@ -101,30 +101,7 @@ impl Topology {
     /// order) that is not in `down`. Fails when a partition has no live
     /// copy, or no site at all survives.
     pub fn assignment(&self, down: &FxHashSet<SiteId>) -> Result<Assignment, FailoverError> {
-        let live: Vec<SiteId> = self.sites().filter(|s| !down.contains(s)).collect();
-        if live.is_empty() {
-            // Report the coordinator as the failed site: it is genuinely
-            // down (everything is), and it is the site the client was
-            // talking to — not a fabricated `site 0`.
-            return Err(FailoverError::NoLiveSites { coordinator: self.coordinator() });
-        }
-        let coordinator =
-            if down.contains(&self.coordinator()) { live[0] } else { self.coordinator() };
-        let mut owner_of = Vec::with_capacity(self.num_partitions());
-        for p in 0..self.num_partitions() {
-            let owners = self.owners_of_partition(p);
-            match owners.iter().find(|s| !down.contains(s)) {
-                Some(&s) => owner_of.push(s),
-                None => {
-                    return Err(FailoverError::PartitionLost {
-                        partition: p,
-                        primary: owners[0],
-                        replicas: self.backups,
-                    })
-                }
-            }
-        }
-        Ok(Assignment { live, coordinator, owner_of })
+        crate::membership::Membership::from_topology(self).assignment(down)
     }
 }
 
