@@ -84,6 +84,29 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// `len` bits, all equal to `bit`.
+    pub fn filled(len: usize, bit: bool) -> Bitmap {
+        let mut words = vec![if bit { u64::MAX } else { 0 }; len.div_ceil(64)];
+        if let Some(last) = words.last_mut().filter(|_| bit && !len.is_multiple_of(64)) {
+            *last = (1u64 << (len % 64)) - 1;
+        }
+        Bitmap { words, len }
+    }
+
+    /// Clear bit `i` (mark row `i` NULL).
+    #[inline]
+    pub fn clear(&mut self, i: usize) {
+        self.words[i >> 6] &= !(1u64 << (i & 63));
+    }
+
+    /// Word-wise AND with a bitmap of the same length: a row of the result
+    /// is valid iff it is valid in both.
+    pub fn and(&self, other: &Bitmap) -> Bitmap {
+        debug_assert_eq!(self.len, other.len);
+        let words = self.words.iter().zip(&other.words).map(|(a, b)| a & b).collect();
+        Bitmap { words, len: self.len }
+    }
+
     /// Number of set (valid) bits.
     pub fn count_valid(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -175,18 +198,46 @@ impl Column {
         }
     }
 
+    /// `n` copies of `d` as a typed column (a broadcast literal).
+    pub fn repeat(d: &Datum, n: usize) -> Column {
+        let data = match d {
+            Datum::Null => {
+                let validity = Some(Bitmap::filled(n, false)).filter(|_| n > 0);
+                return Column { data: ColumnData::Int(vec![0; n]), validity };
+            }
+            Datum::Int(x) => ColumnData::Int(vec![*x; n]),
+            Datum::Double(x) => ColumnData::Double(vec![*x; n]),
+            Datum::Bool(x) => ColumnData::Bool(vec![*x; n]),
+            Datum::Date(x) => ColumnData::Date(vec![*x; n]),
+            Datum::Str(s) => ColumnData::Str {
+                offsets: (0..=n as u32).map(|k| k * s.len() as u32).collect(),
+                bytes: s.as_bytes().repeat(n),
+            },
+        };
+        Column { data, validity: None }
+    }
+
+    /// The UTF-8 bytes of the string at physical row `i`; only meaningful
+    /// for [`ColumnData::Str`] columns. String kernels compare and search
+    /// these directly — byte order is `str` order, and a valid UTF-8 needle
+    /// only ever matches at a character boundary — so they skip the
+    /// per-access re-validation [`Column::str_at`] pays.
+    #[inline]
+    pub fn bytes_at(&self, i: usize) -> &[u8] {
+        match &self.data {
+            ColumnData::Str { offsets, bytes } => {
+                &bytes[offsets[i] as usize..offsets[i + 1] as usize]
+            }
+            _ => &[],
+        }
+    }
+
     /// String value at physical row `i`; only meaningful for
     /// [`ColumnData::Str`] columns with a valid row.
     #[inline]
     // ic-lint: allow(L001) because offsets/bytes are only ever written by push_str, which stores validated UTF-8
     pub fn str_at(&self, i: usize) -> &str {
-        match &self.data {
-            ColumnData::Str { offsets, bytes } => {
-                let (s, e) = (offsets[i] as usize, offsets[i + 1] as usize);
-                std::str::from_utf8(&bytes[s..e]).expect("column stores valid UTF-8")
-            }
-            _ => "",
-        }
+        std::str::from_utf8(self.bytes_at(i)).expect("column stores valid UTF-8")
     }
 
     /// Materialize physical row `i` as a [`Datum`] (allocates for strings).
@@ -224,9 +275,13 @@ impl Column {
             (ColumnData::Int(a), ColumnData::Date(b)) => a[i] == b[j] as i64,
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
             (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
-                self.str_at(i) == other.str_at(j)
+                self.bytes_at(i) == other.bytes_at(j)
             }
-            _ => self.datum_at(i) == other.datum_at(j),
+            (ColumnData::Any(_), _) | (_, ColumnData::Any(_)) => {
+                self.datum_at(i) == other.datum_at(j)
+            }
+            // Every other typed pair is incomparable under `Datum::sql_cmp`.
+            _ => false,
         }
     }
 
@@ -247,8 +302,10 @@ impl Column {
             (ColumnData::Date(a), Datum::Date(b)) => a[i] == *b,
             (ColumnData::Date(a), Datum::Int(b)) => a[i] as i64 == *b,
             (ColumnData::Bool(a), Datum::Bool(b)) => a[i] == *b,
-            (ColumnData::Str { .. }, Datum::Str(b)) => self.str_at(i) == b.as_ref(),
-            _ => &self.datum_at(i) == d,
+            (ColumnData::Str { .. }, Datum::Str(b)) => self.bytes_at(i) == b.as_bytes(),
+            (ColumnData::Any(v), _) => &v[i] == d,
+            // Every other typed pair is incomparable under `Datum::sql_cmp`.
+            _ => false,
         }
     }
 
@@ -273,7 +330,7 @@ impl Column {
             (ColumnData::Date(a), ColumnData::Date(b)) => a[i].cmp(&b[j]),
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i].cmp(&b[j]),
             (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
-                self.str_at(i).cmp(other.str_at(j))
+                self.bytes_at(i).cmp(other.bytes_at(j))
             }
             _ => self.datum_at(i).cmp(&other.datum_at(j)),
         }
@@ -1092,5 +1149,31 @@ mod tests {
         assert_eq!(bm.count_valid(), (0..130).filter(|i| i % 3 == 0).count());
         let rebuilt = Bitmap::from_words(bm.words().to_vec(), bm.len());
         assert_eq!(rebuilt, bm);
+        // Bulk constructors keep the bits past `len` zero, like `push`.
+        for len in [0, 1, 64, 130] {
+            assert_eq!(Bitmap::filled(len, true).count_valid(), len);
+            assert_eq!(Bitmap::filled(len, false).count_valid(), 0);
+        }
+        let mut all = Bitmap::filled(130, true);
+        assert_eq!(all.and(&bm), bm);
+        all.clear(129);
+        assert!(!all.get(129) && all.get(128));
+    }
+
+    #[test]
+    fn repeat_and_bytes_at() {
+        let values =
+            [Datum::Int(3), Datum::Double(0.5), Datum::Bool(true), Datum::Date(9), Datum::str("né")];
+        for d in values.into_iter().chain([Datum::Null]) {
+            let col = Column::repeat(&d, 3);
+            assert_eq!(col.len(), 3);
+            for i in 0..3 {
+                assert_eq!(col.datum_at(i), d);
+                assert_eq!(col.datum_at(i).data_type(), d.data_type());
+            }
+        }
+        let col = Column::repeat(&Datum::str("né"), 2);
+        assert_eq!(col.bytes_at(1), "né".as_bytes());
+        assert_eq!(col.str_at(1), "né");
     }
 }

@@ -3,365 +3,823 @@
 //! Two entry points:
 //!
 //! * [`eval_expr`] evaluates a scalar expression to a logically dense
-//!   [`Column`] (one value per *selected* row), with typed per-column loops
-//!   for comparisons, arithmetic, Kleene AND/OR, NOT and IS NULL, and a
-//!   per-row fallback (LIKE, IN, CASE, functions) that materializes only
-//!   the columns the expression references.
+//!   [`Column`] (one value per *selected* row).
 //! * [`eval_filter_sel`] evaluates a predicate directly to a selection:
 //!   the *logical* row indices that pass. Conjunctions shrink the
 //!   selection conjunct by conjunct and `Col ⋈ Lit` / `Col ⋈ Col`
 //!   comparisons never materialize anything — the core of the
 //!   filters-never-copy contract of the columnar plane.
 //!
-//! Semantics are bit-identical to the row interpreter ([`Expr::eval`] /
-//! [`Expr::eval_filter`]): SQL three-valued logic, `Datum::sql_cmp`
-//! comparison coercions (Int↔Double as f64, Date↔Int as i64), wrapping Int
-//! arithmetic, `x / 0 → NULL`, and the same error cases (incomparable
-//! operand types, NOT on non-booleans). The per-row fallbacks call the
-//! same `apply_binary` / `Expr::eval` the row plane uses, so the two
-//! planes cannot drift.
+//! Every [`Expr`] variant has a typed, batch-at-a-time kernel: comparisons
+//! and arithmetic over typed buffers (a literal operand stays one scalar,
+//! it is never spread into a column), Kleene AND/OR, NOT, IS NULL,
+//! IN-lists, LIKE on the column's bytes with the pattern split once, CASE
+//! by narrowing the undecided rows arm by arm, and the built-in functions.
+//! Output validity is the word-wise AND of the input bitmaps (none at all
+//! when no input has one). Comparison loops carry no data-dependent branch
+//! (`Src`, `holds`, `select_where`): real data is not a replayed
+//! batch, and a mispredicted branch per row costs more than the comparison.
+//!
+//! **Contract with the row interpreter** ([`Expr::eval`] /
+//! [`Expr::eval_filter`], the oracle the fuzzers' reference evaluator runs):
+//!
+//! * *Same value on every row*: SQL three-valued logic, `Datum::sql_cmp`
+//!   comparison coercions (Int↔Double as f64, Date↔Int as i64), wrapping
+//!   Int arithmetic, `x / 0 → NULL`, and the same runtime type per row
+//!   (a CASE whose arms differ in type yields a mixed column, as there).
+//! * *Never more rows*: the vectorized plane may evaluate a sub-expression
+//!   on *fewer* rows than the row plane — a filter's AND skips its right
+//!   conjunct where the left is NULL, not only where it is FALSE — but
+//!   never on a row the row plane skips: the right side of AND/OR runs
+//!   over the rows the left does not decide, a CASE arm over the rows that
+//!   reach it, an IN-list item over the rows still unmatched. So it fails
+//!   only if the row plane fails on some selected row, and a batch without
+//!   rows evaluates nothing. Type errors carry the row plane's message.
+//!
+//! Scalar operands and ill-typed ones go through the row plane's own
+//! scalar functions (`apply_binary`, `apply_func`, ...), so the two planes
+//! cannot drift. The only per-row `Datum` loop left is `per_row`, for
+//! operands no typed kernel covers: mixed-type [`ColumnData::Any`] columns
+//! and type errors. It counts its rows in `exec.eval.row_fallback_rows`.
 
-use crate::expr::apply_binary;
-use crate::{
-    BinOp, Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, Datum, Expr, IcError, IcResult,
-    Row,
+use crate::expr::{
+    apply_binary, apply_func, apply_like, apply_not, substring_range, LikePattern,
 };
+use crate::obs::MetricsRegistry;
+use crate::{
+    dates, BinOp, Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, Datum, Expr, FuncKind,
+    IcError, IcResult,
+};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Three-valued read of a boolean column at physical index `i`:
-/// `Some(b)` for a valid boolean, `None` for NULL or a non-boolean value
-/// (mirroring `Datum::as_bool`).
-#[inline]
-fn tri(col: &Column, i: usize) -> Option<bool> {
-    if !col.is_valid(i) {
-        return None;
+/// An evaluated operand: a dense column with one value per selected row,
+/// or one value standing for all of them (a literal, or anything computed
+/// from literals alone).
+#[derive(Clone)]
+enum Val {
+    Col(Arc<Column>),
+    Scalar(Datum),
+}
+
+impl Val {
+    /// A column operand; one without a single valid row is the NULL scalar,
+    /// which every kernel short-circuits (its buffer has no type to trust).
+    fn col(c: Arc<Column>) -> Val {
+        match &c.validity {
+            Some(v) if v.count_valid() == 0 => Val::Scalar(Datum::Null),
+            _ => Val::Col(c),
+        }
     }
-    match &col.data {
-        ColumnData::Bool(v) => Some(v[i]),
-        ColumnData::Any(v) => v[i].as_bool(),
-        _ => None,
+
+    fn is_null(&self) -> bool {
+        matches!(self, Val::Scalar(Datum::Null))
+    }
+
+    fn validity(&self) -> Option<&Bitmap> {
+        match self {
+            Val::Col(c) => c.validity.as_ref(),
+            Val::Scalar(_) => None,
+        }
+    }
+
+    /// Spread to a column of `n` rows.
+    fn into_column(self, n: usize) -> Arc<Column> {
+        match self {
+            Val::Col(c) => c,
+            Val::Scalar(d) => Arc::new(Column::repeat(&d, n)),
+        }
+    }
+
+    /// Row `i` as a datum, for [`per_row`] and error messages.
+    fn scalar_at(&self, i: usize) -> Datum {
+        match self {
+            // ic-lint: allow(L008) because only `per_row` (the `Any`-column / type-error arm) and error messages read a row as a Datum
+            Val::Col(c) => c.datum_at(i),
+            Val::Scalar(d) => d.clone(),
+        }
+    }
+
+    /// Three-valued boolean read of row `i`: `None` for NULL or a
+    /// non-boolean value (mirroring `Datum::as_bool`).
+    #[inline]
+    fn tri(&self, i: usize) -> Option<bool> {
+        match self {
+            Val::Scalar(d) => d.as_bool(),
+            Val::Col(c) if !c.is_valid(i) => None,
+            Val::Col(c) => match &c.data {
+                ColumnData::Bool(v) => Some(v[i]),
+                ColumnData::Any(v) => v[i].as_bool(),
+                _ => None,
+            },
+        }
+    }
+
+    fn view(&self) -> View<'_> {
+        match self {
+            Val::Col(c) => match &c.data {
+                ColumnData::Int(v) => View::Int(Src::buf(v)),
+                ColumnData::Double(v) => View::Double(Src::buf(v)),
+                ColumnData::Date(v) => View::Date(Src::buf(v)),
+                ColumnData::Bool(v) => View::Bool(Src::buf(v)),
+                ColumnData::Str { .. } => View::Str(StrSrc::Col(c)),
+                ColumnData::Any(_) => View::Other,
+            },
+            Val::Scalar(d) => match d {
+                Datum::Int(x) => View::Int(Src::one(x)),
+                Datum::Double(x) => View::Double(Src::one(x)),
+                Datum::Date(x) => View::Date(Src::one(x)),
+                Datum::Bool(x) => View::Bool(Src::one(x)),
+                Datum::Str(s) => View::Str(StrSrc::Const(s)),
+                Datum::Null => View::Other,
+            },
+        }
     }
 }
 
-/// Does `ord` satisfy comparison operator `op`?
-#[inline]
-fn cmp_true(op: BinOp, ord: Ordering) -> bool {
-    match op {
-        BinOp::Eq => ord == Ordering::Equal,
-        BinOp::Ne => ord != Ordering::Equal,
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::Le => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::Ge => ord != Ordering::Less,
-        _ => false,
+/// One typed operand lane: a buffer indexed by row, or one broadcast
+/// value. Row `i` reads `buf[i & mask]` — the mask is all ones for a buffer
+/// and zero for a one-element broadcast — so a kernel's inner loop is the
+/// same branch-free code whichever operand is the literal.
+#[derive(Clone, Copy)]
+struct Src<'a, T> {
+    buf: &'a [T],
+    mask: usize,
+}
+
+impl<'a, T: Copy> Src<'a, T> {
+    fn buf(buf: &'a [T]) -> Self {
+        Src { buf, mask: usize::MAX }
+    }
+
+    fn one(value: &'a T) -> Self {
+        Src { buf: std::slice::from_ref(value), mask: 0 }
+    }
+
+    #[inline(always)]
+    fn at(&self, i: usize) -> T {
+        self.buf[i & self.mask]
     }
 }
 
-/// Numeric view of an Int or Double column for mixed-type f64 loops.
+/// A string operand lane over the column's bytes.
+#[derive(Clone, Copy)]
+enum StrSrc<'a> {
+    Col(&'a Column),
+    Const(&'a str),
+}
+
+impl<'a> StrSrc<'a> {
+    #[inline(always)]
+    fn at(&self, i: usize) -> &'a [u8] {
+        match self {
+            StrSrc::Col(c) => c.bytes_at(i),
+            StrSrc::Const(s) => s.as_bytes(),
+        }
+    }
+}
+
+/// The typed face of a [`Val`]. `Other` is what no typed kernel reads: an
+/// `Any` column or the NULL scalar.
+enum View<'a> {
+    Int(Src<'a, i64>),
+    Double(Src<'a, f64>),
+    Date(Src<'a, i32>),
+    Bool(Src<'a, bool>),
+    Str(StrSrc<'a>),
+    Other,
+}
+
+/// Int or Date read as `i64` (`Datum::as_int`).
+#[derive(Clone, Copy)]
+enum IntLike<'a> {
+    Int(Src<'a, i64>),
+    Date(Src<'a, i32>),
+}
+
+impl IntLike<'_> {
+    #[inline(always)]
+    fn at(&self, i: usize) -> i64 {
+        match self {
+            IntLike::Int(s) => s.at(i),
+            IntLike::Date(s) => s.at(i) as i64,
+        }
+    }
+}
+
+/// Int or Double read as `f64` (`Datum::as_double`).
+#[derive(Clone, Copy)]
 enum Num<'a> {
-    I(&'a [i64]),
-    F(&'a [f64]),
+    Int(Src<'a, i64>),
+    Double(Src<'a, f64>),
 }
 
 impl Num<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
+    #[inline(always)]
+    fn at(&self, i: usize) -> f64 {
         match self {
-            Num::I(v) => v[i] as f64,
-            Num::F(v) => v[i],
+            Num::Int(s) => s.at(i) as f64,
+            Num::Double(s) => s.at(i),
         }
     }
 }
 
-fn num_of(data: &ColumnData) -> Option<Num<'_>> {
-    match data {
-        ColumnData::Int(v) => Some(Num::I(v)),
-        ColumnData::Double(v) => Some(Num::F(v)),
-        _ => None,
-    }
-}
-
-/// Accumulates an output validity bitmap, normalized to `None` when every
-/// row is valid (the `Column` invariant).
-struct Validity {
-    bm: Bitmap,
-    any_null: bool,
-}
-
-impl Validity {
-    fn new() -> Validity {
-        Validity { bm: Bitmap::new(), any_null: false }
-    }
-
-    #[inline]
-    fn push(&mut self, valid: bool) {
-        self.bm.push(valid);
-        self.any_null |= !valid;
-    }
-
-    fn finish(self) -> Option<Bitmap> {
-        if self.any_null {
-            Some(self.bm)
-        } else {
-            None
+impl<'a> View<'a> {
+    fn int_like(&self) -> Option<IntLike<'a>> {
+        match *self {
+            View::Int(s) => Some(IntLike::Int(s)),
+            View::Date(s) => Some(IntLike::Date(s)),
+            _ => None,
         }
     }
+
+    fn num(&self) -> Option<Num<'a>> {
+        match *self {
+            View::Int(s) => Some(Num::Int(s)),
+            View::Double(s) => Some(Num::Double(s)),
+            _ => None,
+        }
+    }
+}
+
+/// Truth table of comparison `op` as a bit mask: bit `ord + 1` is set when
+/// an operand pair ordered `ord` (Less = -1, Equal = 0, Greater = 1)
+/// satisfies it. [`holds`] reads it without a data-dependent branch.
+fn truth_table(op: BinOp) -> u8 {
+    match op {
+        BinOp::Eq => 0b010,
+        BinOp::Ne => 0b101,
+        BinOp::Lt => 0b001,
+        BinOp::Le => 0b011,
+        BinOp::Gt => 0b100,
+        BinOp::Ge => 0b110,
+        _ => 0,
+    }
+}
+
+#[inline(always)]
+fn holds(truth: u8, ord: Ordering) -> bool {
+    (truth >> (ord as i8 + 1)) & 1 == 1
 }
 
 fn col_oob(i: usize, width: usize) -> IcError {
     IcError::Exec(format!("column {i} out of bounds (arity {width})"))
 }
 
-fn incomparable(l: &Datum, r: &Datum) -> IcError {
-    IcError::Exec(format!("cannot compare {l} and {r}"))
+/// The row plane's comparison type error for row `i` of `l ⋈ r`.
+fn incomparable(l: &Val, r: &Val, i: usize) -> IcError {
+    IcError::Exec(format!("cannot compare {} and {}", l.scalar_at(i), r.scalar_at(i)))
+}
+
+/// Validity of a value computed from `a` and `b`: valid where both are.
+fn both_valid(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap> {
+    match (a, b) {
+        (None, None) => None,
+        (Some(v), None) | (None, Some(v)) => Some(v.clone()),
+        (Some(x), Some(y)) => Some(x.and(y)),
+    }
+}
+
+#[inline(always)]
+fn bit(validity: Option<&Bitmap>, i: usize) -> bool {
+    validity.is_none_or(|v| v.get(i))
+}
+
+/// `batch` narrowed to the logical rows `rows` (increasing); the batch
+/// itself when they are all of its rows, so full-batch sub-evaluations keep
+/// sharing column `Arc`s.
+fn narrow<'a>(batch: &'a ColumnBatch, rows: &[u32]) -> Cow<'a, ColumnBatch> {
+    if rows.len() == batch.num_rows() {
+        Cow::Borrowed(batch)
+    } else {
+        Cow::Owned(batch.select_logical(rows))
+    }
+}
+
+/// The rows `k < n` with `pass(k)`, in order. No data-dependent branch:
+/// every row writes its index to the next free slot and only a passing row
+/// advances the slot, so a 50 %-selective predicate costs what a 1 % one does.
+#[inline(always)]
+fn select_where(n: usize, mut pass: impl FnMut(usize) -> bool) -> Vec<u32> {
+    let mut out = vec![0u32; n];
+    let mut len = 0usize;
+    for k in 0..n {
+        out[len] = k as u32;
+        len += pass(k) as usize;
+    }
+    out.truncate(len);
+    out
+}
+
+/// `rows[j]` for each `j` in `picks`: positions within a narrowed batch
+/// back to rows of the batch it was narrowed from.
+fn pick(rows: &[u32], picks: &[u32]) -> Vec<u32> {
+    picks.iter().map(|&j| rows[j as usize]).collect()
+}
+
+/// The logical rows of a batch of `n` not listed in `taken` (increasing).
+fn complement(n: usize, taken: &[u32]) -> Vec<u32> {
+    let mut rest = Vec::with_capacity(n - taken.len());
+    let mut p = 0usize;
+    for k in 0..n as u32 {
+        if taken.get(p) == Some(&k) {
+            p += 1;
+        } else {
+            rest.push(k);
+        }
+    }
+    rest
 }
 
 /// Evaluate `e` over every selected row of `batch`, producing a logically
 /// dense column (`len == batch.num_rows()`).
 pub fn eval_expr(e: &Expr, batch: &ColumnBatch) -> IcResult<Arc<Column>> {
     let n = batch.num_rows();
+    if n == 0 {
+        return Ok(Arc::new(Column::repeat(&Datum::Null, 0)));
+    }
+    Ok(eval_val(e, batch)?.into_column(n))
+}
+
+/// Evaluate `e` over a batch with at least one row.
+fn eval_val(e: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
+    let n = batch.num_rows();
     match e {
         Expr::Col(i) => {
             if *i >= batch.width() {
                 return Err(col_oob(*i, batch.width()));
             }
-            match batch.selection() {
+            Ok(Val::col(match batch.selection() {
                 // Dense batch: a column reference is a free Arc clone.
-                None => Ok(Arc::clone(batch.col(*i))),
+                None => Arc::clone(batch.col(*i)),
                 Some(sel) => {
                     let mut b = ColumnBuilder::new();
                     b.append_column(batch.col(*i), Some(sel));
-                    Ok(Arc::new(b.finish()))
+                    Arc::new(b.finish())
                 }
-            }
+            }))
         }
-        Expr::Lit(d) => {
-            let mut b = ColumnBuilder::new();
-            for _ in 0..n {
-                b.push_datum(d.clone());
-            }
-            Ok(Arc::new(b.finish()))
-        }
+        Expr::Lit(d) => Ok(Val::Scalar(d.clone())),
         Expr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right } => {
-            let l = eval_expr(left, batch)?;
-            // The row interpreter short-circuits AND/OR per row, so a
-            // failing right side is only an error on rows the left side
-            // doesn't decide. Fall back to row-at-a-time evaluation to
-            // preserve those exact semantics.
-            let r = match eval_expr(right, batch) {
-                Ok(c) => c,
-                Err(_) => return eval_fallback(e, batch),
-            };
-            let mut vals = Vec::with_capacity(n);
-            let mut validity = Validity::new();
-            for i in 0..n {
-                let lb = tri(&l, i);
-                let rb = tri(&r, i);
-                let out = match op {
-                    BinOp::And => {
-                        if lb == Some(false) || rb == Some(false) {
-                            Some(false)
-                        } else if lb == Some(true) && rb == Some(true) {
-                            Some(true)
-                        } else {
-                            None
-                        }
-                    }
-                    _ => {
-                        if lb == Some(true) || rb == Some(true) {
-                            Some(true)
-                        } else if lb == Some(false) && rb == Some(false) {
-                            Some(false)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                vals.push(out.unwrap_or(false));
-                validity.push(out.is_some());
-            }
-            Ok(Arc::new(Column { data: ColumnData::Bool(vals), validity: validity.finish() }))
+            logic(*op == BinOp::And, left, right, batch)
         }
         Expr::Binary { op, left, right } => {
-            let l = eval_expr(left, batch)?;
-            let r = eval_expr(right, batch)?;
-            Ok(Arc::new(eval_binary_cols(*op, &l, &r, n)?))
+            let l = eval_val(left, batch)?;
+            let r = eval_val(right, batch)?;
+            binary(*op, &l, &r, n)
         }
         Expr::Not(inner) => {
-            let c = eval_expr(inner, batch)?;
-            match &c.data {
-                ColumnData::Bool(v) => {
-                    let mut vals = Vec::with_capacity(n);
-                    let mut validity = Validity::new();
-                    for (i, &x) in v.iter().enumerate().take(n) {
-                        let valid = c.is_valid(i);
-                        vals.push(valid && !x);
-                        validity.push(valid);
-                    }
-                    Ok(Arc::new(Column {
-                        data: ColumnData::Bool(vals),
-                        validity: validity.finish(),
-                    }))
-                }
-                _ => {
-                    let mut b = ColumnBuilder::new();
-                    for i in 0..n {
-                        if !c.is_valid(i) {
-                            b.push_null();
-                            continue;
-                        }
-                        match c.datum_at(i) {
-                            Datum::Bool(x) => b.push_datum(Datum::Bool(!x)),
-                            other => {
-                                return Err(IcError::Exec(format!("NOT on non-boolean {other}")))
-                            }
-                        }
-                    }
-                    Ok(Arc::new(b.finish()))
-                }
+            let v = eval_val(inner, batch)?;
+            match &v {
+                Val::Scalar(d) => apply_not(d).map(Val::Scalar),
+                Val::Col(c) => match &c.data {
+                    ColumnData::Bool(b) => Ok(Val::Col(Arc::new(Column {
+                        data: ColumnData::Bool(b.iter().map(|x| !x).collect()),
+                        validity: c.validity.clone(),
+                    }))),
+                    _ => per_row(n, |i| apply_not(&v.scalar_at(i))),
+                },
             }
         }
-        Expr::IsNull { expr, negated } => {
-            let c = eval_expr(expr, batch)?;
-            let vals: Vec<bool> = (0..n).map(|i| c.is_valid(i) == *negated).collect();
-            Ok(Arc::new(Column { data: ColumnData::Bool(vals), validity: None }))
+        Expr::IsNull { expr, negated } => Ok(match eval_val(expr, batch)? {
+            Val::Scalar(d) => Val::Scalar(Datum::Bool(d.is_null() != *negated)),
+            Val::Col(c) => Val::Col(Arc::new(Column {
+                data: ColumnData::Bool((0..n).map(|i| c.is_valid(i) == *negated).collect()),
+                validity: None,
+            })),
+        }),
+        Expr::Like { expr, pattern, negated } => {
+            let v = eval_val(expr, batch)?;
+            let p = eval_val(pattern, batch)?;
+            like(&v, &p, *negated, n)
         }
-        // LIKE / IN-list / CASE / functions: per-row fallback over only the
-        // referenced columns.
-        _ => eval_fallback(e, batch),
-    }
-}
-
-/// Row-at-a-time fallback: materialize only the columns `e` references
-/// into a reused template row and run the row interpreter.
-fn eval_fallback(e: &Expr, batch: &ColumnBatch) -> IcResult<Arc<Column>> {
-    let width = batch.width();
-    let cols: Vec<usize> = e.columns().into_iter().filter(|&c| c < width).collect();
-    let mut row = Row(vec![Datum::Null; width]);
-    let mut b = ColumnBuilder::new();
-    for k in 0..batch.num_rows() {
-        for &c in &cols {
-            row.0[c] = batch.datum_at(c, k);
-        }
-        b.push_datum(e.eval(&row)?);
-    }
-    Ok(Arc::new(b.finish()))
-}
-
-/// Apply a comparison or arithmetic operator element-wise over two dense
-/// columns of length `n`.
-fn eval_binary_cols(op: BinOp, l: &Column, r: &Column, n: usize) -> IcResult<Column> {
-    if op.is_comparison() {
-        // Typed comparison loops; exotic type pairs fall through to the
-        // shared scalar `apply_binary` so coercions and error messages
-        // match the row plane exactly.
-        let ord_loop = |cmp: &dyn Fn(usize) -> Ordering| -> Column {
-            let mut vals = Vec::with_capacity(n);
-            let mut validity = Validity::new();
-            for i in 0..n {
-                let valid = l.is_valid(i) && r.is_valid(i);
-                vals.push(valid && cmp_true(op, cmp(i)));
-                validity.push(valid);
-            }
-            Column { data: ColumnData::Bool(vals), validity: validity.finish() }
-        };
-        return match (&l.data, &r.data) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => Ok(ord_loop(&|i| a[i].cmp(&b[i]))),
-            (ColumnData::Date(a), ColumnData::Date(b)) => Ok(ord_loop(&|i| a[i].cmp(&b[i]))),
-            (ColumnData::Date(a), ColumnData::Int(b)) => {
-                Ok(ord_loop(&|i| (a[i] as i64).cmp(&b[i])))
-            }
-            (ColumnData::Int(a), ColumnData::Date(b)) => {
-                Ok(ord_loop(&|i| a[i].cmp(&(b[i] as i64))))
-            }
-            (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
-                Ok(ord_loop(&|i| l.str_at(i).cmp(r.str_at(i))))
-            }
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => Ok(ord_loop(&|i| a[i].cmp(&b[i]))),
-            _ => {
-                if let (Some(a), Some(b)) = (num_of(&l.data), num_of(&r.data)) {
-                    let mut vals = Vec::with_capacity(n);
-                    let mut validity = Validity::new();
-                    for i in 0..n {
-                        let valid = l.is_valid(i) && r.is_valid(i);
-                        if valid {
-                            let ord = a
-                                .get(i)
-                                .partial_cmp(&b.get(i))
-                                .ok_or_else(|| incomparable(&l.datum_at(i), &r.datum_at(i)))?;
-                            vals.push(cmp_true(op, ord));
-                        } else {
-                            vals.push(false);
-                        }
-                        validity.push(valid);
-                    }
-                    Ok(Column { data: ColumnData::Bool(vals), validity: validity.finish() })
-                } else {
-                    binary_datum_fallback(op, l, r, n)
-                }
-            }
-        };
-    }
-    // Arithmetic.
-    match (&l.data, &r.data) {
-        (ColumnData::Int(a), ColumnData::Int(b)) if op != BinOp::Div => {
-            let mut vals = Vec::with_capacity(n);
-            let mut validity = Validity::new();
-            for i in 0..n {
-                vals.push(match op {
-                    BinOp::Add => a[i].wrapping_add(b[i]),
-                    BinOp::Sub => a[i].wrapping_sub(b[i]),
-                    _ => a[i].wrapping_mul(b[i]),
-                });
-                validity.push(l.is_valid(i) && r.is_valid(i));
-            }
-            Ok(Column { data: ColumnData::Int(vals), validity: validity.finish() })
-        }
-        _ => {
-            if let (Some(a), Some(b)) = (num_of(&l.data), num_of(&r.data)) {
-                let mut vals = Vec::with_capacity(n);
-                let mut validity = Validity::new();
-                for i in 0..n {
-                    let (x, y) = (a.get(i), b.get(i));
-                    let mut valid = l.is_valid(i) && r.is_valid(i);
-                    vals.push(match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        _ => {
-                            // x / 0 → NULL, matching `apply_binary`.
-                            valid &= y != 0.0;
-                            if y == 0.0 {
-                                0.0
-                            } else {
-                                x / y
-                            }
-                        }
-                    });
-                    validity.push(valid);
-                }
-                Ok(Column { data: ColumnData::Double(vals), validity: validity.finish() })
-            } else {
-                binary_datum_fallback(op, l, r, n)
-            }
+        Expr::InList { expr, list, negated } => in_list(expr, list, *negated, batch),
+        Expr::Case { whens, else_ } => case(whens, else_, batch),
+        Expr::Func { kind, args } => {
+            let args: Vec<Val> =
+                args.iter().map(|a| eval_val(a, batch)).collect::<IcResult<_>>()?;
+            func(*kind, &args, n)
         }
     }
 }
 
-/// Element-wise scalar fallback through `apply_binary` (exotic type pairs:
-/// mixed Any columns, Str arithmetic errors, Bool comparisons with
-/// non-Bool, ...).
-fn binary_datum_fallback(op: BinOp, l: &Column, r: &Column, n: usize) -> IcResult<Column> {
+/// The one per-row `Datum` loop of the evaluator: `f(i)` is a row-plane
+/// scalar function over row `i` of operands no typed kernel covers — a
+/// mixed-type [`ColumnData::Any`] column, or a type error the function
+/// reports on the first row it reaches. No well-typed plan gets here;
+/// `exec.eval.row_fallback_rows` counts the rows that do.
+fn per_row(n: usize, mut f: impl FnMut(usize) -> IcResult<Datum>) -> IcResult<Val> {
+    MetricsRegistry::global().counter("exec.eval.row_fallback_rows").add(n as u64);
     let mut b = ColumnBuilder::new();
     for i in 0..n {
-        if !l.is_valid(i) || !r.is_valid(i) {
-            b.push_null();
+        // ic-lint: allow(L008) because this is the evaluator's one Datum loop, entered only for `Any` columns and ill-typed operands
+        b.push_datum(f(i)?);
+    }
+    Ok(Val::Col(Arc::new(b.finish())))
+}
+
+/// Where a typed comparison sends its per-row orderings: to a boolean
+/// buffer ([`ToBools`]) or straight to a selection ([`ToSel`]). `ord_at`
+/// yields `None` where the operands do not compare (a NaN); the sink
+/// reports the first such valid row as `Err(row)`.
+trait OrdSink {
+    type Out;
+    fn run(self, ord_at: impl Fn(usize) -> Option<Ordering>) -> Result<Self::Out, usize>;
+}
+
+/// The type dispatch of a comparison, shared by both sinks — `sql_cmp`'s
+/// table: Int/Date pairs compare as `i64`, Int/Double pairs as `f64`,
+/// strings by their bytes. `None` when it has no rule for the pair (or a
+/// side is `Other`).
+fn compare_into<S: OrdSink>(l: &View, r: &View, sink: S) -> Option<Result<S::Out, usize>> {
+    Some(match (l, r) {
+        (View::Int(a), View::Int(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
+        (View::Date(a), View::Date(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
+        (View::Date(a), View::Int(b)) => sink.run(|i| Some((a.at(i) as i64).cmp(&b.at(i)))),
+        (View::Int(a), View::Date(b)) => sink.run(|i| Some(a.at(i).cmp(&(b.at(i) as i64)))),
+        (View::Double(a), View::Double(b)) => sink.run(|i| a.at(i).partial_cmp(&b.at(i))),
+        (View::Int(a), View::Double(b)) => sink.run(|i| (a.at(i) as f64).partial_cmp(&b.at(i))),
+        (View::Double(a), View::Int(b)) => sink.run(|i| a.at(i).partial_cmp(&(b.at(i) as f64))),
+        (View::Str(a), View::Str(b)) => sink.run(|i| Some(a.at(i).cmp(b.at(i)))),
+        (View::Bool(a), View::Bool(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
+        _ => return None,
+    })
+}
+
+/// Comparison results of rows `0..n` as booleans.
+struct ToBools<'a> {
+    n: usize,
+    truth: u8,
+    validity: Option<&'a Bitmap>,
+}
+
+impl OrdSink for ToBools<'_> {
+    type Out = Vec<bool>;
+    fn run(self, ord_at: impl Fn(usize) -> Option<Ordering>) -> Result<Vec<bool>, usize> {
+        let mut bad = None;
+        let vals = (0..self.n)
+            .map(|i| match ord_at(i) {
+                Some(ord) => holds(self.truth, ord),
+                None => {
+                    if bad.is_none() && bit(self.validity, i) {
+                        bad = Some(i);
+                    }
+                    false
+                }
+            })
+            .collect();
+        bad.map_or(Ok(vals), Err)
+    }
+}
+
+/// The logical rows of `batch` whose comparison holds; operands are read at
+/// physical indices through the batch's selection, nothing is gathered.
+struct ToSel<'a> {
+    batch: &'a ColumnBatch,
+    truth: u8,
+    validity: (Option<&'a Bitmap>, Option<&'a Bitmap>),
+}
+
+impl OrdSink for ToSel<'_> {
+    type Out = Vec<u32>;
+    fn run(self, ord_at: impl Fn(usize) -> Option<Ordering>) -> Result<Vec<u32>, usize> {
+        let mut bad = None;
+        let out = select_where(self.batch.num_rows(), |k| {
+            let i = self.batch.phys_index(k);
+            let valid = bit(self.validity.0, i) & bit(self.validity.1, i);
+            match ord_at(i) {
+                Some(ord) => valid & holds(self.truth, ord),
+                None => {
+                    if valid && bad.is_none() {
+                        bad = Some(i);
+                    }
+                    false
+                }
+            }
+        });
+        bad.map_or(Ok(out), Err)
+    }
+}
+
+/// A comparison or arithmetic operator over two evaluated operands.
+fn binary(op: BinOp, l: &Val, r: &Val, n: usize) -> IcResult<Val> {
+    if let (Val::Scalar(a), Val::Scalar(b)) = (l, r) {
+        return apply_binary(op, a, b).map(Val::Scalar);
+    }
+    if l.is_null() || r.is_null() {
+        return Ok(Val::Scalar(Datum::Null));
+    }
+    let mut validity = both_valid(l.validity(), r.validity());
+    let (lv, rv) = (l.view(), r.view());
+    let data = if op.is_comparison() {
+        let sink = ToBools { n, truth: truth_table(op), validity: validity.as_ref() };
+        match compare_into(&lv, &rv, sink) {
+            Some(Ok(vals)) => Some(ColumnData::Bool(vals)),
+            Some(Err(i)) => return Err(incomparable(l, r, i)),
+            None => None,
+        }
+    } else {
+        arithmetic(op, &lv, &rv, n, &mut validity)
+    };
+    match data {
+        Some(data) => Ok(Val::Col(Arc::new(Column { data, validity }))),
+        None => per_row(n, |i| apply_binary(op, &l.scalar_at(i), &r.scalar_at(i))),
+    }
+}
+
+/// Typed arithmetic: Int ∘ Int stays Int (wrapping) except `/`; anything
+/// else numeric computes in `f64`, and `x / 0` clears the row's validity.
+fn arithmetic(
+    op: BinOp,
+    l: &View,
+    r: &View,
+    n: usize,
+    validity: &mut Option<Bitmap>,
+) -> Option<ColumnData> {
+    if let (View::Int(a), View::Int(b), true) = (l, r, op != BinOp::Div) {
+        return Some(ColumnData::Int(match op {
+            BinOp::Add => (0..n).map(|i| a.at(i).wrapping_add(b.at(i))).collect(),
+            BinOp::Sub => (0..n).map(|i| a.at(i).wrapping_sub(b.at(i))).collect(),
+            _ => (0..n).map(|i| a.at(i).wrapping_mul(b.at(i))).collect(),
+        }));
+    }
+    let (a, b) = (l.num()?, r.num()?);
+    Some(ColumnData::Double(match op {
+        BinOp::Add => (0..n).map(|i| a.at(i) + b.at(i)).collect(),
+        BinOp::Sub => (0..n).map(|i| a.at(i) - b.at(i)).collect(),
+        BinOp::Mul => (0..n).map(|i| a.at(i) * b.at(i)).collect(),
+        _ => (0..n)
+            .map(|i| {
+                let y = b.at(i);
+                if y == 0.0 {
+                    validity.get_or_insert_with(|| Bitmap::filled(n, true)).clear(i);
+                    return 0.0;
+                }
+                a.at(i) / y
+            })
+            .collect(),
+    }))
+}
+
+/// Kleene AND/OR. The right side is evaluated over exactly the rows the
+/// left side does not decide (AND: not FALSE, OR: not TRUE) — the rows the
+/// row interpreter's short-circuit reaches.
+fn logic(is_and: bool, left: &Expr, right: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
+    let n = batch.num_rows();
+    let l = eval_val(left, batch)?;
+    // AND is decided by FALSE, OR by TRUE: the deciding value is `!is_and`.
+    let open = select_where(n, |k| l.tri(k) != Some(!is_and));
+    if open.is_empty() {
+        return Ok(Val::Scalar(Datum::Bool(!is_and)));
+    }
+    let r = eval_val(right, &narrow(batch, &open))?;
+    let mut vals = vec![!is_and; n];
+    let mut validity = Bitmap::filled(n, true);
+    let mut any_null = false;
+    for (j, &k) in open.iter().enumerate() {
+        let k = k as usize;
+        // The left side here is the neutral value (`is_and`) or NULL.
+        match (l.tri(k), r.tri(j)) {
+            (_, Some(rb)) if rb != is_and => {}
+            (Some(_), Some(_)) => vals[k] = is_and,
+            _ => {
+                validity.clear(k);
+                any_null = true;
+            }
+        }
+    }
+    let validity = any_null.then_some(validity);
+    Ok(Val::Col(Arc::new(Column { data: ColumnData::Bool(vals), validity })))
+}
+
+/// `v [NOT] LIKE pattern`: a literal pattern is split once for the batch
+/// and matched against the column's bytes.
+fn like(v: &Val, pattern: &Val, negated: bool, n: usize) -> IcResult<Val> {
+    if let (Val::Scalar(a), Val::Scalar(b)) = (v, pattern) {
+        return apply_like(a, b, negated).map(Val::Scalar);
+    }
+    if v.is_null() || pattern.is_null() {
+        return Ok(Val::Scalar(Datum::Null));
+    }
+    let (View::Str(s), View::Str(p)) = (v.view(), pattern.view()) else {
+        return per_row(n, |i| apply_like(&v.scalar_at(i), &pattern.scalar_at(i), negated));
+    };
+    let vals = match p {
+        StrSrc::Const(p) => {
+            let p = LikePattern::new(p);
+            (0..n).map(|i| p.matches(s.at(i)) != negated).collect()
+        }
+        StrSrc::Col(pc) => {
+            (0..n).map(|i| LikePattern::new(pc.str_at(i)).matches(s.at(i)) != negated).collect()
+        }
+    };
+    let validity = both_valid(v.validity(), pattern.validity());
+    Ok(Val::Col(Arc::new(Column { data: ColumnData::Bool(vals), validity })))
+}
+
+/// `expr [NOT] IN (list)` with the row plane's three-valued result: TRUE on
+/// a match, else NULL if the row met a NULL item, else FALSE (negated for
+/// NOT IN). Items are taken in list order: a literal is compared straight
+/// against the whole column, anything else is evaluated over just the rows
+/// still unmatched. Equality is `Datum`'s (`sql_cmp` coercions; values of
+/// different types are unequal, never an error).
+fn in_list(expr: &Expr, list: &[Expr], negated: bool, batch: &ColumnBatch) -> IcResult<Val> {
+    let n = batch.num_rows();
+    let v = eval_val(expr, batch)?;
+    if v.is_null() {
+        return Ok(Val::Scalar(Datum::Null));
+    }
+    let c = v.into_column(n);
+    let mut hit = vec![false; n];
+    // A NULL item makes every row it leaves unmatched NULL: a NULL literal
+    // (or scalar) reaches them all, a computed item's NULLs are per row.
+    let mut null_item = false;
+    let mut null_rows = vec![false; n];
+    for item in list {
+        let (item, open) = match item {
+            Expr::Lit(d) => (Val::Scalar(d.clone()), None),
+            _ => {
+                let open = select_where(n, |k| c.is_valid(k) & !hit[k]);
+                if open.is_empty() {
+                    continue;
+                }
+                (eval_val(item, &narrow(batch, &open))?, Some(open))
+            }
+        };
+        match (item, open) {
+            (Val::Scalar(Datum::Null), _) => null_item = true,
+            // A NULL row of `c` equals no non-NULL datum.
+            (Val::Scalar(d), _) => {
+                hit.iter_mut().enumerate().for_each(|(k, h)| *h |= c.eq_datum(k, &d));
+            }
+            (Val::Col(ic), open) => {
+                for (j, &k) in open.iter().flatten().enumerate() {
+                    let k = k as usize;
+                    if ic.is_valid(j) {
+                        hit[k] = c.eq_at(k, &ic, j);
+                    } else {
+                        null_rows[k] = true;
+                    }
+                }
+            }
+        }
+    }
+    let mut validity = c.validity.clone();
+    let nulls = select_where(n, |k| !hit[k] & (null_item | null_rows[k]));
+    if !nulls.is_empty() {
+        let validity = validity.get_or_insert_with(|| Bitmap::filled(n, true));
+        nulls.iter().for_each(|&k| validity.clear(k as usize));
+    }
+    let vals = hit.iter().map(|&h| h != negated).collect();
+    Ok(Val::Col(Arc::new(Column { data: ColumnData::Bool(vals), validity })))
+}
+
+/// Searched CASE: each WHEN is a selection over the rows no earlier arm
+/// took, each THEN (and the ELSE) is evaluated over its own rows only, and
+/// the arms' values scatter back into row order. Arms of different types
+/// give a mixed column, row for row what the row plane returns.
+fn case(whens: &[(Expr, Expr)], else_: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
+    let n = batch.num_rows();
+    let mut open: Vec<u32> = (0..n as u32).collect();
+    let mut arms: Vec<(Vec<u32>, Val)> = Vec::new();
+    for (cond, then) in whens {
+        if open.is_empty() {
+            break;
+        }
+        let pass = eval_filter_sel(cond, &narrow(batch, &open))?;
+        if pass.is_empty() {
             continue;
         }
-        b.push_datum(apply_binary(op, &l.datum_at(i), &r.datum_at(i))?);
+        let rows = pick(&open, &pass);
+        open = pick(&open, &complement(open.len(), &pass));
+        let val = eval_val(then, &narrow(batch, &rows))?;
+        arms.push((rows, val));
     }
-    Ok(b.finish())
+    if !open.is_empty() {
+        let val = eval_val(else_, &narrow(batch, &open))?;
+        arms.push((open, val));
+    }
+    if let [(_, val)] = &arms[..] {
+        return Ok(val.clone());
+    }
+    // (arm, position within the arm's value) of every row.
+    let mut source = vec![(0u32, 0u32); n];
+    for (a, (rows, _)) in arms.iter().enumerate() {
+        for (j, &k) in rows.iter().enumerate() {
+            source[k as usize] = (a as u32, j as u32);
+        }
+    }
+    let mut b = ColumnBuilder::new();
+    for (a, j) in source {
+        match &arms[a as usize].1 {
+            Val::Col(c) => b.push_from_column(c, j as usize),
+            Val::Scalar(d) => b.push_datum_ref(d),
+        }
+    }
+    Ok(Val::Col(Arc::new(b.finish())))
+}
+
+/// A built-in function over evaluated arguments, as typed loops.
+fn func(kind: FuncKind, args: &[Val], n: usize) -> IcResult<Val> {
+    let scalars: Option<Vec<Datum>> = args
+        .iter()
+        .map(|a| match a {
+            Val::Scalar(d) => Some(d.clone()),
+            Val::Col(_) => None,
+        })
+        .collect();
+    if let Some(argv) = scalars {
+        return apply_func(kind, &argv).map(Val::Scalar);
+    }
+    if args.iter().any(Val::is_null) {
+        return Ok(Val::Scalar(Datum::Null));
+    }
+    let validity =
+        args.iter().fold(None, |acc: Option<Bitmap>, a| both_valid(acc.as_ref(), a.validity()));
+    match func_typed(kind, args, n, validity.as_ref())? {
+        Some(data) => Ok(Val::Col(Arc::new(Column { data, validity }))),
+        None => {
+            let mut argv = Vec::with_capacity(args.len());
+            per_row(n, |i| {
+                argv.clear();
+                argv.extend(args.iter().map(|a| a.scalar_at(i)));
+                apply_func(kind, &argv)
+            })
+        }
+    }
+}
+
+/// The typed loop of `kind` over these argument types, if it has one.
+/// Functions that can fail or overflow on a value skip the NULL rows, whose
+/// buffer contents are arbitrary.
+fn func_typed(
+    kind: FuncKind,
+    args: &[Val],
+    n: usize,
+    validity: Option<&Bitmap>,
+) -> IcResult<Option<ColumnData>> {
+    let views: Vec<View> = args.iter().map(Val::view).collect();
+    Ok(Some(match (kind, &views[..]) {
+        (FuncKind::ExtractYear, [View::Date(d)]) => {
+            ColumnData::Int((0..n).map(|i| dates::year_of(d.at(i)) as i64).collect())
+        }
+        (FuncKind::ExtractMonth, [View::Date(d)]) => {
+            ColumnData::Int((0..n).map(|i| dates::month_of(d.at(i)) as i64).collect())
+        }
+        (FuncKind::CastDouble | FuncKind::Abs, [v]) => {
+            let Some(v) = v.num() else { return Ok(None) };
+            ColumnData::Double(match kind {
+                FuncKind::Abs => (0..n).map(|i| v.at(i).abs()).collect(),
+                _ => (0..n).map(|i| v.at(i)).collect(),
+            })
+        }
+        (FuncKind::CastInt, [View::Int(v)]) => ColumnData::Int((0..n).map(|i| v.at(i)).collect()),
+        (FuncKind::CastInt, [View::Double(v)]) => {
+            ColumnData::Int((0..n).map(|i| v.at(i) as i64).collect())
+        }
+        (FuncKind::CastInt, [View::Str(s)]) => {
+            let mut bad = None;
+            let vals = (0..n)
+                .map(|i| {
+                    let text = std::str::from_utf8(s.at(i)).ok();
+                    let parsed = text.and_then(|t| t.trim().parse().ok());
+                    if parsed.is_none() && bad.is_none() && bit(validity, i) {
+                        bad = Some(i);
+                    }
+                    parsed.unwrap_or(0)
+                })
+                .collect();
+            if let Some(i) = bad {
+                // The row plane's message, from the row plane's function.
+                apply_func(kind, &[args[0].scalar_at(i)])?;
+            }
+            ColumnData::Int(vals)
+        }
+        (FuncKind::AddMonths, [View::Date(d), View::Int(m)]) => ColumnData::Date(
+            (0..n)
+                .map(|i| bit(validity, i).then(|| dates::add_months(d.at(i), m.at(i) as i32)))
+                .map(|date| date.unwrap_or(0))
+                .collect(),
+        ),
+        (FuncKind::Substring, [View::Str(s), start, len]) => {
+            let (Some(start), Some(len)) = (start.int_like(), len.int_like()) else {
+                return Ok(None);
+            };
+            let mut offsets = Vec::with_capacity(n + 1);
+            let mut bytes = Vec::new();
+            offsets.push(0u32);
+            for i in 0..n {
+                if bit(validity, i) {
+                    let src = s.at(i);
+                    bytes.extend_from_slice(&src[substring_range(src, start.at(i), len.at(i))]);
+                }
+                offsets.push(bytes.len() as u32);
+            }
+            ColumnData::Str { offsets, bytes }
+        }
+        _ => return Ok(None),
+    }))
 }
 
 /// Evaluate a filter predicate to the *logical* row indices of `batch`
@@ -370,20 +828,17 @@ fn binary_datum_fallback(op: BinOp, l: &Column, r: &Column, n: usize) -> IcResul
 /// and `Col ⋈ Col` comparisons scan column buffers directly.
 pub fn eval_filter_sel(pred: &Expr, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
     let n = batch.num_rows();
+    if n == 0 {
+        return Ok(Vec::new());
+    }
     match pred {
-        Expr::Lit(d) => Ok(if d.as_bool() == Some(true) {
-            (0..n as u32).collect()
-        } else {
-            Vec::new()
-        }),
         Expr::Binary { op: BinOp::And, left, right } => {
             let lsel = eval_filter_sel(left, batch)?;
             if lsel.is_empty() {
                 return Ok(lsel);
             }
-            let lb = batch.select_logical(&lsel);
-            let rsel = eval_filter_sel(right, &lb)?;
-            Ok(rsel.into_iter().map(|j| lsel[j as usize]).collect())
+            let rsel = eval_filter_sel(right, &narrow(batch, &lsel))?;
+            Ok(pick(&lsel, &rsel))
         }
         Expr::Binary { op: BinOp::Or, left, right } => {
             let lsel = eval_filter_sel(left, batch)?;
@@ -392,61 +847,43 @@ pub fn eval_filter_sel(pred: &Expr, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
             }
             // Evaluate the right side only over rows the left side
             // rejected (it can only add those), then merge in row order.
-            let mut rest = Vec::with_capacity(n - lsel.len());
-            let mut p = 0usize;
-            for k in 0..n as u32 {
-                if p < lsel.len() && lsel[p] == k {
-                    p += 1;
-                } else {
-                    rest.push(k);
-                }
-            }
-            let rb = batch.select_logical(&rest);
-            let rsel = eval_filter_sel(right, &rb)?;
+            let rest = complement(n, &lsel);
+            let rsel = eval_filter_sel(right, &narrow(batch, &rest))?;
             let mut out = Vec::with_capacity(lsel.len() + rsel.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < lsel.len() || j < rsel.len() {
-                let rv = rsel.get(j).map(|&x| rest[x as usize]);
-                match (lsel.get(i), rv) {
-                    (Some(&a), Some(b)) if a < b => {
-                        out.push(a);
-                        i += 1;
-                    }
-                    (Some(_), Some(b)) => {
-                        out.push(b);
-                        j += 1;
-                    }
-                    (Some(&a), None) => {
-                        out.push(a);
-                        i += 1;
-                    }
-                    (None, Some(b)) => {
-                        out.push(b);
-                        j += 1;
-                    }
-                    (None, None) => break,
+            let mut right = rsel.iter().map(|&j| rest[j as usize]).peekable();
+            for a in lsel {
+                while let Some(b) = right.next_if(|&b| b < a) {
+                    out.push(b);
                 }
+                out.push(a);
             }
+            out.extend(right);
             Ok(out)
         }
         Expr::Binary { op, left, right } if op.is_comparison() => {
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Col(c), Expr::Lit(d)) => cmp_col_lit(*op, *c, d, batch),
-                (Expr::Lit(d), Expr::Col(c)) => match op.commute() {
-                    Some(oc) => cmp_col_lit(oc, *c, d, batch),
-                    None => filter_generic(pred, batch),
-                },
-                (Expr::Col(a), Expr::Col(b)) => cmp_col_col(*op, *a, *b, batch),
-                _ => filter_generic(pred, batch),
+            // Column and literal operands are read in place, at physical
+            // indices; anything computed goes through the boolean column.
+            let operand = |e: &Expr| match e {
+                Expr::Col(c) if *c < batch.width() => Some(Val::Col(Arc::clone(batch.col(*c)))),
+                Expr::Lit(d) if !d.is_null() => Some(Val::Scalar(d.clone())),
+                _ => None,
+            };
+            let (Some(l), Some(r)) = (operand(left), operand(right)) else {
+                return filter_generic(pred, batch);
+            };
+            let sink =
+                ToSel { batch, truth: truth_table(*op), validity: (l.validity(), r.validity()) };
+            match compare_into(&l.view(), &r.view(), sink) {
+                Some(Ok(sel)) => Ok(sel),
+                Some(Err(i)) => Err(incomparable(&l, &r, i)),
+                None => filter_generic(pred, batch),
             }
         }
         Expr::IsNull { expr, negated } => {
             if let Expr::Col(c) = expr.as_ref() {
                 if *c < batch.width() {
                     let col = batch.col(*c);
-                    return Ok((0..n as u32)
-                        .filter(|&k| col.is_valid(batch.phys_index(k as usize)) == *negated)
-                        .collect());
+                    return Ok(select_where(n, |k| col.is_valid(batch.phys_index(k)) == *negated));
                 }
             }
             filter_generic(pred, batch)
@@ -457,166 +894,14 @@ pub fn eval_filter_sel(pred: &Expr, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
 
 /// Generic filter: evaluate to a boolean column, keep strictly-TRUE rows.
 fn filter_generic(pred: &Expr, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
-    let c = eval_expr(pred, batch)?;
-    Ok((0..batch.num_rows() as u32).filter(|&k| tri(&c, k as usize) == Some(true)).collect())
-}
-
-/// `Col ⋈ Lit` selection scan: one typed loop over the column buffer.
-fn cmp_col_lit(op: BinOp, c: usize, d: &Datum, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
-    if c >= batch.width() {
-        return Err(col_oob(c, batch.width()));
-    }
-    if d.is_null() {
-        return Ok(Vec::new());
-    }
-    let n = batch.num_rows();
-    let col = batch.col(c);
-    let mut out = Vec::new();
-    // One monomorphized scan loop per (column type, literal type) pair.
-    macro_rules! scan {
-        ($test:expr) => {{
-            for k in 0..n as u32 {
-                let i = batch.phys_index(k as usize);
-                if col.is_valid(i) && $test(i) {
-                    out.push(k);
-                }
-            }
-        }};
-    }
-    match (&col.data, d) {
-        (ColumnData::Int(v), Datum::Int(x)) => scan!(|i: usize| cmp_true(op, v[i].cmp(x))),
-        (ColumnData::Int(v), Datum::Double(x)) => {
-            for k in 0..n as u32 {
-                let i = batch.phys_index(k as usize);
-                if !col.is_valid(i) {
-                    continue;
-                }
-                let ord = (v[i] as f64)
-                    .partial_cmp(x)
-                    .ok_or_else(|| incomparable(&Datum::Int(v[i]), d))?;
-                if cmp_true(op, ord) {
-                    out.push(k);
-                }
-            }
-        }
-        (ColumnData::Double(v), lit @ (Datum::Int(_) | Datum::Double(_))) => {
-            let x = match lit {
-                Datum::Int(x) => *x as f64,
-                Datum::Double(x) => *x,
-                _ => unreachable!(),
-            };
-            for k in 0..n as u32 {
-                let i = batch.phys_index(k as usize);
-                if !col.is_valid(i) {
-                    continue;
-                }
-                let ord = v[i]
-                    .partial_cmp(&x)
-                    .ok_or_else(|| incomparable(&Datum::Double(v[i]), d))?;
-                if cmp_true(op, ord) {
-                    out.push(k);
-                }
-            }
-        }
-        (ColumnData::Date(v), Datum::Date(x)) => scan!(|i: usize| cmp_true(op, v[i].cmp(x))),
-        (ColumnData::Date(v), Datum::Int(x)) => {
-            scan!(|i: usize| cmp_true(op, (v[i] as i64).cmp(x)))
-        }
-        (ColumnData::Int(v), Datum::Date(x)) => {
-            scan!(|i: usize| cmp_true(op, v[i].cmp(&(*x as i64))))
-        }
-        (ColumnData::Str { .. }, Datum::Str(s)) => {
-            scan!(|i: usize| cmp_true(op, col.str_at(i).cmp(&**s)))
-        }
-        (ColumnData::Bool(v), Datum::Bool(x)) => scan!(|i: usize| cmp_true(op, v[i].cmp(x))),
-        _ => {
-            // Mixed/Any columns: scalar compare per row through the shared
-            // row-plane semantics.
-            for k in 0..n as u32 {
-                let i = batch.phys_index(k as usize);
-                if !col.is_valid(i) {
-                    continue;
-                }
-                if apply_binary(op, &col.datum_at(i), d)?.as_bool() == Some(true) {
-                    out.push(k);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// `Col ⋈ Col` selection scan.
-fn cmp_col_col(op: BinOp, a: usize, b: usize, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
-    let width = batch.width();
-    if a >= width || b >= width {
-        return Err(col_oob(a.max(b), width));
-    }
-    let n = batch.num_rows();
-    let (ca, cb) = (batch.col(a), batch.col(b));
-    let mut out = Vec::new();
-    macro_rules! scan {
-        ($test:expr) => {{
-            for k in 0..n as u32 {
-                let i = batch.phys_index(k as usize);
-                if ca.is_valid(i) && cb.is_valid(i) && $test(i) {
-                    out.push(k);
-                }
-            }
-        }};
-    }
-    match (&ca.data, &cb.data) {
-        (ColumnData::Int(x), ColumnData::Int(y)) => scan!(|i: usize| cmp_true(op, x[i].cmp(&y[i]))),
-        (ColumnData::Date(x), ColumnData::Date(y)) => {
-            scan!(|i: usize| cmp_true(op, x[i].cmp(&y[i])))
-        }
-        (ColumnData::Date(x), ColumnData::Int(y)) => {
-            scan!(|i: usize| cmp_true(op, (x[i] as i64).cmp(&y[i])))
-        }
-        (ColumnData::Int(x), ColumnData::Date(y)) => {
-            scan!(|i: usize| cmp_true(op, x[i].cmp(&(y[i] as i64))))
-        }
-        (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
-            scan!(|i: usize| cmp_true(op, ca.str_at(i).cmp(cb.str_at(i))))
-        }
-        (ColumnData::Bool(x), ColumnData::Bool(y)) => {
-            scan!(|i: usize| cmp_true(op, x[i].cmp(&y[i])))
-        }
-        _ => {
-            if let (Some(x), Some(y)) = (num_of(&ca.data), num_of(&cb.data)) {
-                for k in 0..n as u32 {
-                    let i = batch.phys_index(k as usize);
-                    if !(ca.is_valid(i) && cb.is_valid(i)) {
-                        continue;
-                    }
-                    let ord = x
-                        .get(i)
-                        .partial_cmp(&y.get(i))
-                        .ok_or_else(|| incomparable(&ca.datum_at(i), &cb.datum_at(i)))?;
-                    if cmp_true(op, ord) {
-                        out.push(k);
-                    }
-                }
-            } else {
-                for k in 0..n as u32 {
-                    let i = batch.phys_index(k as usize);
-                    if !(ca.is_valid(i) && cb.is_valid(i)) {
-                        continue;
-                    }
-                    if apply_binary(op, &ca.datum_at(i), &cb.datum_at(i))?.as_bool() == Some(true)
-                    {
-                        out.push(k);
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
+    let v = eval_val(pred, batch)?;
+    Ok(select_where(batch.num_rows(), |k| v.tri(k) == Some(true)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Row;
 
     fn rows() -> Vec<Row> {
         vec![
@@ -628,12 +913,13 @@ mod tests {
     }
 
     /// Every eval path must agree with the row interpreter.
-    fn assert_matches_row_eval(e: &Expr) {
-        let rs = rows();
-        let batch = ColumnBatch::from_rows(&rs);
+    fn assert_matches_row_eval(e: &Expr, rs: &[Row]) {
+        let batch = ColumnBatch::from_rows(rs);
         let col = eval_expr(e, &batch).unwrap();
         for (k, r) in rs.iter().enumerate() {
-            assert_eq!(col.datum_at(k), e.eval(r).unwrap(), "expr {e} row {k}");
+            let (got, want) = (col.datum_at(k), e.eval(r).unwrap());
+            assert_eq!(got, want, "expr {e} row {k}");
+            assert_eq!(got.data_type(), want.data_type(), "expr {e} row {k}");
         }
         let sel = eval_filter_sel(e, &batch).unwrap();
         let want: Vec<u32> = rs
@@ -681,9 +967,56 @@ mod tests {
             },
             Expr::lit(Datum::Bool(true)),
             Expr::lit(Datum::Bool(false)),
+            // Literal on the left, literal-only subtrees, NULL literals.
+            Expr::binary(Sub, Expr::lit(1i64), Expr::col(1)),
+            Expr::binary(Lt, Expr::lit(2i64), Expr::col(0)),
+            Expr::binary(Mul, Expr::lit(2i64), Expr::lit(3.5)),
+            Expr::binary(Add, Expr::col(0), Expr::Lit(Datum::Null)),
+            Expr::InList {
+                expr: Box::new(Expr::col(2)),
+                list: vec![Expr::lit("bb"), Expr::Lit(Datum::Null), Expr::lit(7i64)],
+                negated: false,
+            },
+            // A computed item is compared per row.
+            Expr::InList {
+                expr: Box::new(Expr::col(0)),
+                list: vec![Expr::binary(Add, Expr::col(1), Expr::lit(0.5)), Expr::lit(5i64)],
+                negated: false,
+            },
+            Expr::Like {
+                expr: Box::new(Expr::col(2)),
+                pattern: Box::new(Expr::lit("_b")),
+                negated: true,
+            },
+            // Arms of one type stay typed; mixed arms and a missing ELSE.
+            Expr::Case {
+                whens: vec![
+                    (Expr::binary(Gt, Expr::col(0), Expr::lit(4i64)), Expr::lit(1i64)),
+                    (Expr::binary(Gt, Expr::col(1), Expr::lit(1.0)), Expr::col(0)),
+                ],
+                else_: Box::new(Expr::lit(0i64)),
+            },
+            Expr::Case {
+                whens: vec![(Expr::col(3), Expr::col(1))],
+                else_: Box::new(Expr::lit(0i64)),
+            },
+            Expr::Case {
+                whens: vec![(Expr::binary(Lt, Expr::col(0), Expr::lit(4i64)), Expr::col(2))],
+                else_: Box::new(Expr::Lit(Datum::Null)),
+            },
+            Expr::Func {
+                kind: FuncKind::Abs,
+                args: vec![Expr::binary(Sub, Expr::col(0), Expr::lit(4i64))],
+            },
+            Expr::Func { kind: FuncKind::CastInt, args: vec![Expr::col(1)] },
+            Expr::Func { kind: FuncKind::CastDouble, args: vec![Expr::col(0)] },
+            Expr::Func {
+                kind: FuncKind::Substring,
+                args: vec![Expr::col(2), Expr::lit(2i64), Expr::col(0)],
+            },
         ];
         for e in &cases {
-            assert_matches_row_eval(e);
+            assert_matches_row_eval(e, &rows());
         }
     }
 
@@ -713,5 +1046,76 @@ mod tests {
         let col_err = eval_filter_sel(&pred, &batch).unwrap_err();
         let row_err = pred.eval(&rs[0]).unwrap_err();
         assert_eq!(format!("{col_err}"), format!("{row_err}"));
+    }
+
+    #[test]
+    fn date_functions_match_row_plane() {
+        let d = |y, m, dd| Datum::Date(dates::to_epoch_days(y, m, dd));
+        let rs = vec![
+            Row(vec![d(1995, 7, 4), Datum::Int(1)]),
+            Row(vec![Datum::Null, Datum::Int(2)]),
+            Row(vec![d(1996, 1, 31), Datum::Null]),
+            Row(vec![d(1996, 1, 31), Datum::Int(13)]),
+        ];
+        let call = |kind, args| Expr::Func { kind, args };
+        for e in [
+            call(FuncKind::ExtractYear, vec![Expr::col(0)]),
+            call(FuncKind::ExtractMonth, vec![Expr::col(0)]),
+            call(FuncKind::AddMonths, vec![Expr::col(0), Expr::col(1)]),
+            call(FuncKind::AddMonths, vec![Expr::col(0), Expr::lit(1i64)]),
+            Expr::binary(BinOp::Ge, Expr::col(0), Expr::col(1)),
+        ] {
+            assert_matches_row_eval(&e, &rs);
+        }
+    }
+
+    /// AND/OR evaluate their right side only where the row plane does: an
+    /// ill-typed right side fails iff some row reaches it.
+    #[test]
+    fn right_side_of_and_or_runs_on_undecided_rows_only() {
+        let rs = rows();
+        let batch = ColumnBatch::from_rows(&rs);
+        let ill_typed = Expr::binary(BinOp::Lt, Expr::col(2), Expr::lit(1i64));
+        // col0 IS NULL OR col0 >= 1 is TRUE on every row: OR never reaches
+        // the right side, AND of its negation neither.
+        let always = Expr::or(
+            Expr::IsNull { expr: Box::new(Expr::col(0)), negated: false },
+            Expr::binary(BinOp::Ge, Expr::col(0), Expr::lit(1i64)),
+        );
+        let or = Expr::or(always.clone(), ill_typed.clone());
+        let and = Expr::and(Expr::Not(Box::new(always)), ill_typed.clone());
+        for e in [&or, &and] {
+            assert_matches_row_eval(e, &rs);
+        }
+        // Once a row does reach it, both planes fail with the same message.
+        let reached = Expr::or(Expr::binary(BinOp::Gt, Expr::col(0), Expr::lit(1i64)), ill_typed);
+        let err = eval_expr(&reached, &batch).unwrap_err();
+        assert_eq!(err.to_string(), reached.eval(&rs[0]).unwrap_err().to_string());
+        assert_eq!(eval_filter_sel(&reached, &batch).unwrap_err().to_string(), err.to_string());
+    }
+
+    /// A mixed-type column has no typed kernel: it takes the per-row loop,
+    /// which counts its rows (other tests of this process may add theirs).
+    #[test]
+    fn any_columns_take_the_counted_per_row_path() {
+        let rs = vec![Row(vec![Datum::Int(1)]), Row(vec![Datum::Double(1.5)])];
+        let batch = ColumnBatch::from_rows(&rs);
+        assert!(matches!(batch.col(0).data, ColumnData::Any(_)));
+        let counter = MetricsRegistry::global().counter("exec.eval.row_fallback_rows");
+        let before = counter.get();
+        let e = Expr::binary(BinOp::Add, Expr::col(0), Expr::lit(1i64));
+        let col = eval_expr(&e, &batch).unwrap();
+        assert_eq!(col.datum_at(0).data_type(), Some(crate::DataType::Int));
+        assert_eq!(col.datum_at(1), Datum::Double(2.5));
+        assert!(counter.get() >= before + 2);
+    }
+
+    /// Batches without rows evaluate nothing, whatever the expression.
+    #[test]
+    fn empty_batches_never_fail() {
+        let batch = ColumnBatch::from_rows(&rows()).select_logical(&[]);
+        let bad = Expr::Not(Box::new(Expr::binary(BinOp::Add, Expr::col(9), Expr::lit("x"))));
+        assert_eq!(eval_expr(&bad, &batch).unwrap().len(), 0);
+        assert!(eval_filter_sel(&bad, &batch).unwrap().is_empty());
     }
 }

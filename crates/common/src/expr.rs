@@ -397,11 +397,7 @@ impl Expr {
                 .ok_or_else(|| IcError::Exec(format!("column {i} out of bounds (arity {})", row.arity()))),
             Expr::Lit(d) => Ok(d.clone()),
             Expr::Binary { op, left, right } => eval_binary(*op, left, right, row),
-            Expr::Not(e) => Ok(match e.eval(row)? {
-                Datum::Null => Datum::Null,
-                Datum::Bool(b) => Datum::Bool(!b),
-                other => return Err(IcError::Exec(format!("NOT on non-boolean {other}"))),
-            }),
+            Expr::Not(e) => apply_not(&e.eval(row)?),
             Expr::IsNull { expr, negated } => {
                 let isnull = expr.eval(row)?.is_null();
                 Ok(Datum::Bool(isnull != *negated))
@@ -409,13 +405,7 @@ impl Expr {
             Expr::Like { expr, pattern, negated } => {
                 let v = expr.eval(row)?;
                 let p = pattern.eval(row)?;
-                match (&v, &p) {
-                    (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
-                    (Datum::Str(s), Datum::Str(p)) => {
-                        Ok(Datum::Bool(like_match(s, p) != *negated))
-                    }
-                    _ => Err(IcError::Exec("LIKE requires string operands".into())),
-                }
+                apply_like(&v, &p, *negated)
             }
             Expr::InList { expr, list, negated } => {
                 let v = expr.eval(row)?;
@@ -445,7 +435,11 @@ impl Expr {
                 }
                 else_.eval(row)
             }
-            Expr::Func { kind, args } => eval_func(*kind, args, row),
+            Expr::Func { kind, args } => {
+                let argv: Vec<Datum> =
+                    args.iter().map(|a| a.eval(row)).collect::<IcResult<_>>()?;
+                apply_func(*kind, &argv)
+            }
         }
     }
 
@@ -531,9 +525,10 @@ fn eval_binary(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> IcResult<Datu
 
 /// Apply a non-logical binary operator to two already-evaluated operands:
 /// SQL NULL propagation, comparison via [`Datum::sql_cmp`], arithmetic with
-/// Int/Double coercion and `x / 0 → NULL`. Shared by the row interpreter
-/// and the vectorized evaluator's per-row fallback paths so both planes
-/// agree bit-for-bit.
+/// Int/Double coercion and `x / 0 → NULL`. With [`apply_not`], [`apply_like`]
+/// and [`apply_func`] these are the scalar semantics of the row interpreter;
+/// the vectorized evaluator calls the same functions for scalar operands and
+/// ill-typed columns, so the two planes cannot drift.
 pub fn apply_binary(op: BinOp, l: &Datum, r: &Datum) -> IcResult<Datum> {
     if l.is_null() || r.is_null() {
         return Ok(Datum::Null);
@@ -585,8 +580,26 @@ pub fn apply_binary(op: BinOp, l: &Datum, r: &Datum) -> IcResult<Datum> {
     }
 }
 
-fn eval_func(kind: FuncKind, args: &[Expr], row: &Row) -> IcResult<Datum> {
-    let argv: Vec<Datum> = args.iter().map(|a| a.eval(row)).collect::<IcResult<_>>()?;
+/// Three-valued NOT of an evaluated operand.
+pub fn apply_not(d: &Datum) -> IcResult<Datum> {
+    match d {
+        Datum::Null => Ok(Datum::Null),
+        Datum::Bool(b) => Ok(Datum::Bool(!b)),
+        other => Err(IcError::Exec(format!("NOT on non-boolean {other}"))),
+    }
+}
+
+/// `v [NOT] LIKE p` over evaluated operands.
+pub fn apply_like(v: &Datum, p: &Datum, negated: bool) -> IcResult<Datum> {
+    match (v, p) {
+        (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
+        (Datum::Str(s), Datum::Str(p)) => Ok(Datum::Bool(like_match(s, p) != negated)),
+        _ => Err(IcError::Exec("LIKE requires string operands".into())),
+    }
+}
+
+/// Apply a built-in function to evaluated arguments (any NULL → NULL).
+pub fn apply_func(kind: FuncKind, argv: &[Datum]) -> IcResult<Datum> {
     if argv.iter().any(Datum::is_null) {
         return Ok(Datum::Null);
     }
@@ -605,16 +618,11 @@ fn eval_func(kind: FuncKind, args: &[Expr], row: &Row) -> IcResult<Datum> {
                 .ok_or_else(|| IcError::Exec("SUBSTRING on non-string".into()))?;
             let start = argv[1]
                 .as_int()
-                .ok_or_else(|| IcError::Exec("SUBSTRING start not int".into()))?
-                .max(1) as usize;
+                .ok_or_else(|| IcError::Exec("SUBSTRING start not int".into()))?;
             let len = argv[2]
                 .as_int()
-                .ok_or_else(|| IcError::Exec("SUBSTRING length not int".into()))?
-                .max(0) as usize;
-            let chars: Vec<char> = s.chars().collect();
-            let from = (start - 1).min(chars.len());
-            let to = (from + len).min(chars.len());
-            Ok(Datum::str(chars[from..to].iter().collect::<String>()))
+                .ok_or_else(|| IcError::Exec("SUBSTRING length not int".into()))?;
+            Ok(Datum::str(&s[substring_range(s.as_bytes(), start, len)]))
         }
         FuncKind::CastDouble => argv[0]
             .as_double()
@@ -641,35 +649,148 @@ fn eval_func(kind: FuncKind, args: &[Expr], row: &Row) -> IcResult<Datum> {
     }
 }
 
-/// SQL LIKE matcher: `%` matches any run, `_` matches one character.
-/// Iterative two-pointer algorithm, O(len(s) × len(p)) worst case.
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    let (mut si, mut pi) = (0usize, 0usize);
-    let (mut star_p, mut star_s) = (usize::MAX, 0usize);
-    while si < s.len() {
-        // The wildcard test must precede the literal test: a '%' in the
-        // *subject* must not consume a '%' in the pattern as a literal.
-        if pi < p.len() && p[pi] != '%' && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star_p = pi;
-            star_s = si;
-            pi += 1;
-        } else if star_p != usize::MAX {
-            star_s += 1;
-            si = star_s;
-            pi = star_p + 1;
-        } else {
-            return false;
+/// Is `b` the first byte of a UTF-8 character (not a continuation byte)?
+#[inline]
+fn is_char_start(b: u8) -> bool {
+    b & 0xC0 != 0x80
+}
+
+/// Byte range of `SUBSTRING(s, start, len)` in the UTF-8 string `s`:
+/// `len` characters from the 1-based character position `start`, both
+/// clamped to the string (`start < 1` reads as 1, `len < 0` as 0).
+pub fn substring_range(s: &[u8], start: i64, len: i64) -> std::ops::Range<usize> {
+    let (skip, take) = ((start.max(1) - 1) as usize, len.max(0) as usize);
+    if s.is_ascii() {
+        let from = skip.min(s.len());
+        return from..from.saturating_add(take).min(s.len());
+    }
+    let mut starts = (0..s.len()).filter(|&i| is_char_start(s[i]));
+    let from = starts.nth(skip).unwrap_or(s.len());
+    let to = match take {
+        0 => from,
+        _ => starts.nth(take - 1).unwrap_or(s.len()),
+    };
+    from..to
+}
+
+/// A SQL LIKE pattern (`%` matches any run of characters, `_` exactly one;
+/// there is no escape character) split once at its `%`s. Building one
+/// borrows the pattern and matching walks the subject's bytes, so neither
+/// allocates. The one matcher of both evaluation planes.
+///
+/// The forms a pattern can take fall out of the split: no `%` is an exact
+/// match, `lit%` a prefix test, `%lit` a suffix test, `%a%b%` an ordered
+/// substring search; a `_` anywhere switches the runs from byte-wise to
+/// character-wise comparison.
+#[derive(Debug, Clone, Copy)]
+pub struct LikePattern<'p> {
+    /// The run before the first `%` — the whole pattern when it has none.
+    head: &'p [u8],
+    /// With a `%`: the `%`-separated runs between the first and the last
+    /// one, and the run after the last.
+    rest: Option<(&'p [u8], &'p [u8])>,
+    /// Some run contains `_`.
+    wild: bool,
+}
+
+impl<'p> LikePattern<'p> {
+    /// Split `pattern` at its `%`s.
+    pub fn new(pattern: &'p str) -> LikePattern<'p> {
+        let p = pattern.as_bytes();
+        let wild = p.contains(&b'_');
+        let is_pct = |b: &u8| *b == b'%';
+        match (p.iter().position(is_pct), p.iter().rposition(is_pct)) {
+            (Some(first), Some(last)) => {
+                let middle = if last > first { &p[first + 1..last] } else { &p[..0] };
+                LikePattern { head: &p[..first], rest: Some((middle, &p[last + 1..])), wild }
+            }
+            _ => LikePattern { head: p, rest: None, wild },
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
+
+    /// Does the UTF-8 string `s` match?
+    pub fn matches(&self, s: &[u8]) -> bool {
+        let Some(mut pos) = self.run_at(s, 0, self.head) else { return false };
+        let Some((middle, tail)) = self.rest else { return pos == s.len() };
+        // Leftmost match of each middle run leaves the most room for the
+        // runs after it, so one greedy pass decides.
+        for run in middle.split(|&b| b == b'%') {
+            match self.find_run(s, pos, run) {
+                Some(end) => pos = end,
+                None => return false,
+            }
+        }
+        self.run_at_end(s, pos, tail)
     }
-    pi == p.len()
+
+    /// Match `run` (no `%`) at byte `at` of `s`; the end of the match.
+    #[inline]
+    fn run_at(&self, s: &[u8], at: usize, run: &[u8]) -> Option<usize> {
+        if !self.wild {
+            return s[at..].starts_with(run).then_some(at + run.len());
+        }
+        // `at` is a character boundary and literal characters compare byte
+        // for byte, so every `_` meets the first byte of a character.
+        let mut i = at;
+        for &r in run {
+            let &b = s.get(i)?;
+            if r == b'_' {
+                i += 1;
+                while s.get(i).is_some_and(|&c| !is_char_start(c)) {
+                    i += 1;
+                }
+            } else if r == b {
+                i += 1;
+            } else {
+                return None;
+            }
+        }
+        Some(i)
+    }
+
+    /// Leftmost match of `run` starting at or after byte `from`; its end.
+    fn find_run(&self, s: &[u8], from: usize, run: &[u8]) -> Option<usize> {
+        let Some((&first, _)) = run.split_first() else { return Some(from) };
+        let mut at = from;
+        while at < s.len() {
+            if !self.wild {
+                // A valid UTF-8 needle only matches at character boundaries.
+                at += s[at..].iter().position(|&b| b == first)?;
+            }
+            if let Some(end) = self.run_at(s, at, run) {
+                return Some(end);
+            }
+            at += 1;
+            while self.wild && s.get(at).is_some_and(|&c| !is_char_start(c)) {
+                at += 1;
+            }
+        }
+        None
+    }
+
+    /// Does `run` match the end of `s` without reaching back before `from`?
+    fn run_at_end(&self, s: &[u8], from: usize, run: &[u8]) -> bool {
+        if !self.wild {
+            return s.len() - from >= run.len() && s.ends_with(run);
+        }
+        // The run matches a fixed number of characters: step back that many.
+        let mut at = s.len();
+        for _ in run.iter().filter(|&&r| is_char_start(r)) {
+            if at <= from {
+                return false;
+            }
+            at -= 1;
+            while at > from && !is_char_start(s[at]) {
+                at -= 1;
+            }
+        }
+        self.run_at(s, at, run) == Some(s.len())
+    }
+}
+
+/// SQL LIKE of one subject against one pattern; see [`LikePattern`].
+pub fn like_match(s: &str, pattern: &str) -> bool {
+    LikePattern::new(pattern).matches(s.as_bytes())
 }
 
 impl fmt::Display for Expr {

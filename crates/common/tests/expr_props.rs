@@ -1,9 +1,11 @@
 //! Property tests for the expression layer: total evaluation, algebraic
-//! helper round-trips, LIKE against a reference matcher, date arithmetic,
-//! and Datum ordering/hashing laws.
+//! helper round-trips, LIKE against a reference matcher, the vectorized
+//! evaluator against the row interpreter, date arithmetic, and Datum
+//! ordering/hashing laws.
 
 use ic_common::agg::{Accumulator, AggFunc};
-use ic_common::{dates, BinOp, Datum, Expr, Row};
+use ic_common::eval::{eval_expr, eval_filter_sel};
+use ic_common::{dates, BinOp, ColumnBatch, ColumnData, Datum, Expr, FuncKind, Row};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -15,6 +17,8 @@ fn arb_datum() -> impl Strategy<Value = Datum> {
         (-1000i64..1000).prop_map(Datum::Int),
         (-1000i64..1000).prop_map(|v| Datum::Double(v as f64 / 8.0)),
         "[a-z]{0,6}".prop_map(Datum::str),
+        // Wildcard and multi-byte characters, in subjects and patterns alike.
+        "[ab%_é]{0,4}".prop_map(Datum::str),
         (0i32..20000).prop_map(Datum::Date),
     ]
 }
@@ -26,8 +30,25 @@ fn arb_row() -> impl Strategy<Value = Row> {
 /// Random expressions over a 4-column row. Comparisons may be ill-typed
 /// (string vs int); evaluation must return an error, never panic.
 fn arb_expr() -> impl Strategy<Value = Expr> {
+    arb_expr_over(4)
+}
+
+fn arb_func_kind() -> impl Strategy<Value = FuncKind> {
+    prop_oneof![
+        Just(FuncKind::ExtractYear),
+        Just(FuncKind::ExtractMonth),
+        Just(FuncKind::Substring),
+        Just(FuncKind::CastDouble),
+        Just(FuncKind::CastInt),
+        Just(FuncKind::Abs),
+        Just(FuncKind::AddMonths),
+    ]
+}
+
+/// Random, mostly ill-typed expressions over a `width`-column row.
+fn arb_expr_over(width: usize) -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        (0usize..4).prop_map(Expr::col),
+        (0usize..width).prop_map(Expr::col),
         arb_datum().prop_map(Expr::Lit),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
@@ -49,7 +70,226 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
                     list,
                     negated
                 }),
+            (inner.clone(), inner.clone(), any::<bool>()).prop_map(|(e, p, negated)| Expr::Like {
+                expr: Box::new(e),
+                pattern: Box::new(p),
+                negated
+            }),
+            (
+                proptest::collection::vec((inner.clone(), inner.clone()), 1..3),
+                inner.clone(),
+                any::<bool>(),
+            )
+                .prop_map(|(whens, else_, has_else)| Expr::Case {
+                    whens,
+                    // CASE without ELSE binds to a NULL literal.
+                    else_: Box::new(if has_else { else_ } else { Expr::Lit(Datum::Null) }),
+                }),
+            (arb_func_kind(), inner.clone(), inner.clone(), inner.clone()).prop_map(
+                |(kind, a, b, c)| {
+                    let args = match kind {
+                        FuncKind::Substring => vec![a, b, c],
+                        FuncKind::AddMonths => vec![a, b],
+                        _ => vec![a],
+                    };
+                    Expr::Func { kind, args }
+                }
+            ),
         ]
+    })
+}
+
+/// Column layout of [`arb_typed_rows`]: one column per type, then a mixed one.
+const INT: usize = 0;
+const DOUBLE: usize = 1;
+const DATE: usize = 2;
+const STR: usize = 3;
+const BOOL: usize = 4;
+const ANY: usize = 5;
+
+/// Rows whose first five columns each hold NULLs and values of one type
+/// (so they pack into typed column buffers) and whose last mixes types.
+/// Value domains are small, so equalities and IN-lists hit.
+fn arb_typed_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    fn nullable(s: impl Strategy<Value = Datum> + 'static) -> impl Strategy<Value = Datum> {
+        (s, 0u8..4).prop_map(|(d, roll)| if roll == 0 { Datum::Null } else { d })
+    }
+    let row = (
+        nullable((-4i64..5).prop_map(Datum::Int)),
+        nullable((-8i64..9).prop_map(|v| Datum::Double(v as f64 / 4.0))),
+        nullable((9000i32..9100).prop_map(Datum::Date)),
+        nullable("[ab%_é]{0,4}".prop_map(Datum::str)),
+        nullable(any::<bool>().prop_map(Datum::Bool)),
+        arb_datum(),
+    )
+        .prop_map(|(a, b, c, d, e, f)| Row(vec![a, b, c, d, e, f]));
+    proptest::collection::vec(row, 0..max)
+}
+
+/// A well-typed expression over the [`arb_typed_rows`] layout, grown from
+/// `seed` by a splitmix generator: untyped random trees almost always fail
+/// to type-check, and the kernels under test are the well-typed ones.
+struct TypedGen(u64);
+
+impl TypedGen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    fn flip(&mut self) -> bool {
+        self.below(2) == 0
+    }
+
+    fn case(&mut self, depth: u32, arm: fn(&mut TypedGen, u32) -> Expr) -> Expr {
+        let whens = (0..1 + self.below(2)).map(|_| (self.boolean(depth), arm(self, depth))).collect();
+        let else_ = if self.flip() { arm(self, depth) } else { Expr::Lit(Datum::Null) };
+        Expr::Case { whens, else_: Box::new(else_) }
+    }
+
+    fn func(kind: FuncKind, args: Vec<Expr>) -> Expr {
+        Expr::Func { kind, args }
+    }
+
+    fn int(&mut self, depth: u32) -> Expr {
+        match self.below(if depth == 0 { 3 } else { 8 }) {
+            0 | 1 => Expr::col(INT),
+            2 => Expr::lit(self.below(9) as i64 - 4),
+            3 => {
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul][self.below(3) as usize];
+                Expr::binary(op, self.int(depth - 1), self.int(depth - 1))
+            }
+            4 => {
+                let kind = if self.flip() { FuncKind::ExtractYear } else { FuncKind::ExtractMonth };
+                Self::func(kind, vec![self.date(depth - 1)])
+            }
+            5 => Self::func(FuncKind::CastInt, vec![self.number(depth - 1)]),
+            6 => Expr::Lit(Datum::Null),
+            _ => self.case(depth - 1, Self::int),
+        }
+    }
+
+    /// Int or Double.
+    fn number(&mut self, depth: u32) -> Expr {
+        match self.below(if depth == 0 { 3 } else { 8 }) {
+            0 => Expr::col(DOUBLE),
+            1 => Expr::lit((self.below(17) as f64 - 8.0) / 4.0),
+            2 | 3 => self.int(depth),
+            4 => {
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][self.below(4) as usize];
+                Expr::binary(op, self.number(depth - 1), self.number(depth - 1))
+            }
+            5 => {
+                let kind = if self.flip() { FuncKind::Abs } else { FuncKind::CastDouble };
+                Self::func(kind, vec![self.number(depth - 1)])
+            }
+            // Arms of different numeric types: a mixed column.
+            6 => self.case(depth - 1, Self::number),
+            _ => Expr::col(DOUBLE),
+        }
+    }
+
+    fn date(&mut self, depth: u32) -> Expr {
+        match self.below(if depth == 0 { 3 } else { 5 }) {
+            0 | 1 => Expr::col(DATE),
+            2 => Expr::lit(Datum::Date(9000 + self.below(100) as i32)),
+            3 => Self::func(FuncKind::AddMonths, vec![self.date(depth - 1), self.int(depth - 1)]),
+            _ => self.case(depth - 1, Self::date),
+        }
+    }
+
+    fn string_lit(&mut self) -> Expr {
+        let alphabet = ['a', 'b', '%', '_', 'é'];
+        let s: String =
+            (0..self.below(5)).map(|_| alphabet[self.below(5) as usize]).collect();
+        Expr::lit(Datum::str(s))
+    }
+
+    fn string(&mut self, depth: u32) -> Expr {
+        match self.below(if depth == 0 { 3 } else { 5 }) {
+            0 | 1 => Expr::col(STR),
+            2 => self.string_lit(),
+            3 => Self::func(
+                FuncKind::Substring,
+                vec![self.string(depth - 1), self.int(depth - 1), self.int(depth - 1)],
+            ),
+            _ => self.case(depth - 1, Self::string),
+        }
+    }
+
+    /// Two operands `sql_cmp` can compare, and their generator for lists.
+    fn comparable(&mut self, depth: u32) -> (Expr, fn(&mut TypedGen, u32) -> Expr) {
+        match self.below(5) {
+            0 => (self.number(depth), Self::number),
+            1 => (self.date(depth), Self::date),
+            // Date ⋈ Int compares day numbers.
+            2 => (self.date(depth), Self::int),
+            3 => (Expr::col(BOOL), |g, _| Expr::lit(g.flip())),
+            _ => (self.string(depth), Self::string),
+        }
+    }
+
+    fn boolean(&mut self, depth: u32) -> Expr {
+        match self.below(if depth == 0 { 2 } else { 9 }) {
+            0 => Expr::col(BOOL),
+            1 => Expr::lit(self.flip()),
+            2 | 3 => {
+                let ops = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+                let (l, other) = self.comparable(depth - 1);
+                let r = other(self, depth - 1);
+                let (l, r) = if self.flip() { (l, r) } else { (r, l) };
+                Expr::binary(ops[self.below(6) as usize], l, r)
+            }
+            4 => {
+                let op = if self.flip() { BinOp::And } else { BinOp::Or };
+                Expr::binary(op, self.boolean(depth - 1), self.boolean(depth - 1))
+            }
+            5 => match self.below(3) {
+                0 => Expr::Not(Box::new(self.boolean(depth - 1))),
+                1 => self.case(depth - 1, Self::boolean),
+                _ => {
+                    let col = self.below(6) as usize;
+                    Expr::IsNull { expr: Box::new(Expr::col(col)), negated: self.flip() }
+                }
+            },
+            6 => Expr::Like {
+                expr: Box::new(self.string(depth - 1)),
+                pattern: Box::new(if self.below(4) == 0 {
+                    self.string(depth - 1)
+                } else {
+                    self.string_lit()
+                }),
+                negated: self.flip(),
+            },
+            7 => {
+                let (e, item) = self.comparable(depth - 1);
+                let list = (0..self.below(4))
+                    .map(|_| match self.below(6) {
+                        0 => Expr::Lit(Datum::Null),
+                        // A computed item; most are literals or columns.
+                        1 => item(self, depth - 1),
+                        _ => item(self, 0),
+                    })
+                    .collect();
+                Expr::InList { expr: Box::new(e), list, negated: self.flip() }
+            }
+            // The mixed column against a literal: the per-row arm.
+            _ => Expr::binary(BinOp::Eq, Expr::col(ANY), Expr::lit(self.below(9) as i64 - 4)),
+        }
+    }
+}
+
+fn arb_typed_expr() -> impl Strategy<Value = Expr> {
+    (any::<u64>(), any::<bool>()).prop_map(|(seed, boolean)| {
+        let mut g = TypedGen(seed);
+        if boolean {
+            g.boolean(3)
+        } else {
+            g.number(3)
+        }
     })
 }
 
@@ -99,10 +339,62 @@ proptest! {
         prop_assert_eq!(e, shifted);
     }
 
-    /// The iterative LIKE matcher agrees with the DP reference.
+    /// The LIKE matcher agrees with the DP reference, multi-byte
+    /// characters in subject and pattern included.
     #[test]
-    fn like_matches_reference(s in "[ab_%]{0,8}", p in "[ab_%]{0,6}") {
+    fn like_matches_reference(s in "[abé€_%]{0,8}", p in "[abé€_%]{0,6}") {
         prop_assert_eq!(ic_common::expr::like_match(&s, &p), like_reference(&s, &p));
+    }
+
+    /// SUBSTRING counts characters, not bytes (both planes share
+    /// `substring_range`, so the differential test cannot see it drift).
+    #[test]
+    fn substring_counts_characters(s in "[abé€]{0,8}", start in -2i64..11, len in -2i64..11) {
+        let want: String =
+            s.chars().skip((start.max(1) - 1) as usize).take(len.max(0) as usize).collect();
+        let range = ic_common::expr::substring_range(s.as_bytes(), start, len);
+        prop_assert_eq!(&s[range], want.as_str());
+    }
+
+    /// The vectorized evaluator against the row interpreter, over typed
+    /// columns with NULLs, a mixed column and a random selection: whenever
+    /// the row plane succeeds on every selected row, `eval_expr` returns the
+    /// same value of the same type on each and `eval_filter_sel` keeps the
+    /// same rows. (Where the row plane fails, the vectorized plane may fail
+    /// too or — evaluating fewer rows — succeed; it must not panic.)
+    #[test]
+    fn vectorized_matches_row_interpreter(
+        e in prop_oneof![arb_typed_expr(), arb_typed_expr(), arb_expr_over(6)],
+        rows in arb_typed_rows(12),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+        dense in any::<bool>(),
+    ) {
+        let mut batch = ColumnBatch::from_rows(&rows);
+        let mut selected: Vec<u32> = (0..rows.len() as u32).collect();
+        if !dense {
+            selected.retain(|&k| keep[k as usize]);
+            batch = batch.select_logical(&selected);
+        }
+        for (c, col) in batch.columns().iter().enumerate() {
+            prop_assert!(c == ANY || !matches!(col.data, ColumnData::Any(_)), "column {c} is typed");
+        }
+        let got = eval_expr(&e, &batch);
+        let pass = eval_filter_sel(&e, &batch);
+        let want: Result<Vec<Datum>, _> =
+            selected.iter().map(|&k| e.eval(&rows[k as usize])).collect();
+        let Ok(want) = want else { return Ok(()) };
+
+        let got = got.map_err(|err| format!("{e} failed only vectorized: {err}"))?;
+        prop_assert_eq!(got.len(), want.len());
+        for (k, w) in want.iter().enumerate() {
+            let g = got.datum_at(k);
+            prop_assert!(g == *w && g.data_type() == w.data_type(), "{e} row {k}: {g:?} vs {w:?}");
+        }
+        let pass = pass.map_err(|err| format!("filter {e} failed only vectorized: {err}"))?;
+        let want_pass: Vec<u32> = (0..want.len() as u32)
+            .filter(|&k| want[k as usize].as_bool() == Some(true))
+            .collect();
+        prop_assert_eq!(pass, want_pass, "filter {}", e);
     }
 
     /// Epoch-day round trip over ±60 years.

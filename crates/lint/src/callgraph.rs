@@ -124,13 +124,21 @@ impl CallGraph {
     /// Fns whose bodies execute per-element under some kernel root: callees
     /// of in-loop call sites in root fns, closed under *all* outgoing calls
     /// (once a fn runs per element, everything it calls does too).
+    ///
+    /// Roots themselves never join the set: a kernel-plane fn is policed
+    /// loop by loop (L012 flags allocations inside its own loops), and the
+    /// plane has loops that are not per-element — the expression evaluator
+    /// walks CASE arms and IN-list items, re-entering itself once per arm.
+    /// Treating a root called from such a loop as a per-element helper would
+    /// make every set-up allocation of the whole plane a finding.
     pub fn loop_hot(&self, roots: &[usize]) -> HashSet<usize> {
+        let root_set: HashSet<usize> = roots.iter().copied().collect();
         let mut hot: HashSet<usize> = HashSet::new();
         let mut stack: Vec<usize> = Vec::new();
         for &r in roots {
             for &s in &self.out_edges[r] {
                 let site = &self.sites[s];
-                if site.in_loop && hot.insert(site.callee) {
+                if site.in_loop && !root_set.contains(&site.callee) && hot.insert(site.callee) {
                     stack.push(site.callee);
                 }
             }
@@ -138,7 +146,7 @@ impl CallGraph {
         while let Some(f) = stack.pop() {
             for &s in &self.out_edges[f] {
                 let callee = self.sites[s].callee;
-                if hot.insert(callee) {
+                if !root_set.contains(&callee) && hot.insert(callee) {
                     stack.push(callee);
                 }
             }
@@ -180,6 +188,19 @@ mod tests {
         let hot = g.loop_hot(&[root]);
         assert!(hot.contains(&syms.by_name["helper_step"][0]));
         assert!(hot.contains(&syms.by_name["deep"][0]));
+    }
+
+    #[test]
+    fn roots_called_from_loops_are_not_loop_hot() {
+        let (_, syms, g) = build(&[(
+            "crates/common/src/eval.rs",
+            "fn case(arms: &[E]) { for a in arms { eval_val(a); scatter(a); } } \
+             fn eval_val(a: &E) { narrow(a); } fn narrow(a: &E) {} fn scatter(a: &E) { narrow(a); }",
+        )]);
+        let id = |n: &str| syms.by_name[n][0];
+        // `eval_val` and `narrow` are roots; `scatter` is a helper.
+        let hot = g.loop_hot(&[id("case"), id("eval_val"), id("narrow")]);
+        assert_eq!(hot, HashSet::from([id("scatter")]));
     }
 
     #[test]

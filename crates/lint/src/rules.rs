@@ -18,8 +18,9 @@
 //! L001/L008's hot-path classification is *semantic*: the engine parses every
 //! file into items ([`crate::parser`]), builds a workspace symbol table
 //! ([`crate::symbols`]) and call graph ([`crate::callgraph`]), and marks as
-//! hot everything reachable from the kernel entry points
-//! (`crates/exec/src/kernels.rs`, `crates/common/src/eval.rs`) and the operator
+//! hot everything reachable from the kernel plane
+//! (`crates/exec/src/kernels.rs`, `crates/common/src/eval.rs` — both are
+//! L001 entry roots *and* L008/L012 kernel roots) and the operator
 //! entry points (`next_batch` in `operators.rs`). A helper in any
 //! crate called from a kernel is policed like the kernel itself.
 //!
@@ -203,7 +204,7 @@ fn in_scope(rule: &str, ctx: &FileCtx, path: &str) -> bool {
             (ctx.is_src && krate == "common" && norm.contains("src/obs/"))
                 || (ctx.is_src && krate == "exec" && ctx.file == "operators.rs")
         }
-        "L008" => ctx.is_src && krate == "exec" && ctx.file == "kernels.rs",
+        "L008" => ctx.is_src && is_kernel_plane(&norm),
         // Retry-loop soundness applies to all production code; the
         // classifier-exhaustiveness half anchors to the IcError definition.
         "L009" => ctx.is_src,
@@ -275,12 +276,12 @@ impl Pragmas {
     }
 }
 
-fn is_kernel_file(path: &str) -> bool {
-    path.replace('\\', "/").ends_with("crates/exec/src/kernels.rs")
-}
-
-fn is_eval_file(path: &str) -> bool {
-    path.replace('\\', "/").ends_with("crates/common/src/eval.rs")
+/// The vectorized plane: the exec kernels and the expression evaluator every
+/// `Filter`/`Project` batch goes through. Their fns are the kernel roots of
+/// L008/L012 and are themselves held to both rules.
+fn is_kernel_plane(path: &str) -> bool {
+    let p = path.replace('\\', "/");
+    p.ends_with("crates/exec/src/kernels.rs") || p.ends_with("crates/common/src/eval.rs")
 }
 
 fn is_operators_file(path: &str) -> bool {
@@ -300,7 +301,7 @@ fn is_data_layer(path: &str) -> bool {
 /// layer plus the vectorized kernel/eval plane (which instead must prove it
 /// checks validity).
 fn l010_sanctioned(path: &str) -> bool {
-    is_data_layer(path) || is_kernel_file(path) || is_eval_file(path)
+    is_data_layer(path) || is_kernel_plane(path)
 }
 
 /// Lint a set of files; rules are scoped by each file's path.
@@ -342,12 +343,10 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
     let mut kernel_roots: Vec<usize> = Vec::new();
     let mut entry_roots: Vec<usize> = Vec::new();
     for (id, sym) in syms.fns.iter().enumerate() {
-        if is_kernel_file(&sym.path) {
+        if is_kernel_plane(&sym.path) {
             kernel_roots.push(id);
             entry_roots.push(id);
-        } else if is_eval_file(&sym.path)
-            || (is_operators_file(&sym.path) && sym.name == "next_batch")
-        {
+        } else if is_operators_file(&sym.path) && sym.name == "next_batch" {
             entry_roots.push(id);
         }
     }
@@ -424,11 +423,12 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
                     ));
                 }
             }
-            // L008 via reachability: hot fns outside kernels.rs, except the
-            // data layer (defines the shims) and the operator boundary.
+            // L008 via reachability: hot fns outside the kernel plane (scanned
+            // whole above), except the data layer (defines the shims) and
+            // the operator boundary.
             if ctx.is_src
                 && l008_hot.contains(&id)
-                && !is_kernel_file(path)
+                && !is_kernel_plane(path)
                 && !is_data_layer(path)
                 && !is_operators_file(path)
             {
@@ -454,7 +454,7 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
                     // Inside the vectorized plane: raw reads are the point,
                     // but they must be validity-checked. The data layer
                     // (col.rs) defines the accessors and is fully exempt.
-                    if (is_kernel_file(path) || is_eval_file(path))
+                    if is_kernel_plane(path)
                         && !facts.buf_vars.is_empty()
                         && !facts.index_sites.is_empty()
                         && !facts.mentions_validity
@@ -492,7 +492,7 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
             }
             // L012: allocations in kernel loops, and anywhere in loop-hot fns.
             if ctx.is_src {
-                if is_kernel_file(path) {
+                if is_kernel_plane(path) {
                     for lr in dataflow::loop_ranges(toks, body) {
                         for (line, what) in dataflow::alloc_sites(toks, lr) {
                             fn_findings.push((

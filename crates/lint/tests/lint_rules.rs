@@ -106,6 +106,38 @@ fn fixture_l008_per_row_datum_fails() {
 }
 
 #[test]
+fn fixture_evaluator_is_a_kernel_root() {
+    // The old row fallback trips L008 twice (`datum_at`, `push_datum`) and
+    // L012 once (`vec!` per row); the pragma'd `Any`-column arm is
+    // suppressed; `eval_arm`'s set-up `collect`, reached from the loop over
+    // CASE arms, is not a finding — roots are policed loop by loop.
+    let r = lint_as("crates/common/src/eval.rs", "l008_eval_fallback.rs");
+    assert_eq!(r.violations.iter().filter(|v| v.rule == "L008").count(), 2, "{:?}", r.violations);
+    assert_eq!(r.violations.iter().filter(|v| v.rule == "L012").count(), 1, "{:?}", r.violations);
+    assert_eq!(r.violations.len(), 3, "{:?}", r.violations);
+    assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
+    assert!(r.suppressed[0].justification.contains("`Any`-column arm"));
+
+    // Anywhere else in ic-common the same source is out of scope.
+    let r = lint_as("crates/common/src/agg.rs", "l008_eval_fallback.rs");
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+
+    // And a helper the evaluator calls per row is as hot as one a kernel
+    // calls: L008 and L012 follow the call graph out of eval.rs.
+    let r = lint_files(&[
+        FileInput { path: "crates/common/src/eval.rs".into(), source: fixture("reach_kernel.rs") },
+        FileInput { path: "crates/plan/src/helper.rs".into(), source: fixture("reach_helper.rs") },
+    ]);
+    for rule in ["L008", "L012"] {
+        assert!(
+            r.violations.iter().any(|v| v.rule == rule && v.path.contains("helper.rs")),
+            "{rule}: {:?}",
+            r.violations
+        );
+    }
+}
+
+#[test]
 fn fixture_l005_closure_inversion_fails() {
     // The closure's `beta` acquisition replays at the `pool_run` call site
     // (where `alpha` is held), closing the cycle against `direct`.
