@@ -119,7 +119,10 @@ impl MeasureOutcome {
 }
 
 /// §6.2 protocol: one warm-up + `reps` measured executions; mean response
-/// time. Classifies failures instead of panicking.
+/// time. Classifies failures instead of panicking. The warm-up also plans
+/// the statement, so the measured executions bind its cached template — as
+/// Benchbase's warm-up fills Ignite's `QueryPlanCache`; a planner failure is
+/// not cached and fails the warm-up itself.
 pub fn measure_query(cluster: &Cluster, sql: &str, reps: usize) -> MeasureOutcome {
     let mut total = Duration::ZERO;
     for rep in 0..=reps {

@@ -361,6 +361,7 @@ fn eval_val(e: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
             }))
         }
         Expr::Lit(d) => Ok(Val::Scalar(d.clone())),
+        Expr::Param { index, .. } => Err(crate::expr::unbound_param(*index)),
         Expr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right } => {
             logic(*op == BinOp::And, left, right, batch)
         }

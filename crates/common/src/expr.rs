@@ -176,6 +176,17 @@ pub enum Expr {
         /// Arguments in order.
         args: Vec<Expr>,
     },
+    /// A literal lifted out of a statement by the plan cache: slot `index`
+    /// of the statement's parameter list. To the planner it is what the
+    /// literal was — a column-free constant of type `ty`; it exists only
+    /// between the cache's lift and bind steps, and evaluating one is an
+    /// internal error.
+    Param {
+        /// Position in the statement's parameter list.
+        index: usize,
+        /// Type of the literal it stands for.
+        ty: DataType,
+    },
 }
 
 impl Expr {
@@ -290,7 +301,7 @@ impl Expr {
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
-            Expr::Col(_) | Expr::Lit(_) => {}
+            Expr::Col(_) | Expr::Lit(_) | Expr::Param { .. } => {}
             Expr::Binary { left, right, .. } => {
                 left.visit(f);
                 right.visit(f);
@@ -318,6 +329,36 @@ impl Expr {
                     a.visit(f);
                 }
             }
+        }
+    }
+
+    /// [`Expr::visit`] over `&mut` nodes, in the same order: `f` sees a
+    /// node before its operands.
+    pub fn visit_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        match self {
+            Expr::Col(_) | Expr::Lit(_) | Expr::Param { .. } => {}
+            Expr::Binary { left, right, .. } => {
+                left.visit_mut(f);
+                right.visit_mut(f);
+            }
+            Expr::Not(e) | Expr::IsNull { expr: e, .. } => e.visit_mut(f),
+            Expr::Like { expr, pattern, .. } => {
+                expr.visit_mut(f);
+                pattern.visit_mut(f);
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.visit_mut(f);
+                list.iter_mut().for_each(|e| e.visit_mut(f));
+            }
+            Expr::Case { whens, else_ } => {
+                for (c, v) in whens {
+                    c.visit_mut(f);
+                    v.visit_mut(f);
+                }
+                else_.visit_mut(f);
+            }
+            Expr::Func { args, .. } => args.iter_mut().for_each(|a| a.visit_mut(f)),
         }
     }
 
@@ -352,7 +393,7 @@ impl Expr {
             return replaced;
         }
         match self {
-            Expr::Col(_) | Expr::Lit(_) => self.clone(),
+            Expr::Col(_) | Expr::Lit(_) | Expr::Param { .. } => self.clone(),
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
                 left: Box::new(left.transform(f)),
@@ -396,6 +437,7 @@ impl Expr {
                 .cloned()
                 .ok_or_else(|| IcError::Exec(format!("column {i} out of bounds (arity {})", row.arity()))),
             Expr::Lit(d) => Ok(d.clone()),
+            Expr::Param { index, .. } => Err(unbound_param(*index)),
             Expr::Binary { op, left, right } => eval_binary(*op, left, right, row),
             Expr::Not(e) => apply_not(&e.eval(row)?),
             Expr::IsNull { expr, negated } => {
@@ -459,6 +501,7 @@ impl Expr {
                 }
             }
             Expr::Lit(d) => d.data_type().unwrap_or(DataType::Int),
+            Expr::Param { ty, .. } => *ty,
             Expr::Binary { op, left, right } => match op {
                 BinOp::And | BinOp::Or => DataType::Bool,
                 o if o.is_comparison() => DataType::Bool,
@@ -489,6 +532,12 @@ impl Expr {
             },
         }
     }
+}
+
+/// What evaluating an [`Expr::Param`] answers: the plan cache hands the
+/// executor bound plans only, so one that reaches an evaluator is a bug.
+pub(crate) fn unbound_param(index: usize) -> IcError {
+    IcError::Internal(format!("unbound parameter ?{index} reached evaluation"))
 }
 
 fn eval_binary(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> IcResult<Datum> {
@@ -844,6 +893,7 @@ impl fmt::Display for Expr {
                     }
                     write!(f, ")")
                 }
+                Expr::Param { index, .. } => write!(f, "?{index}"),
             }
     }
 }

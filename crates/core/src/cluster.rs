@@ -2,6 +2,7 @@
 //! (Figure 6's end-to-end flow).
 
 use crate::governor::{Admission, Governor, GovernorConfig};
+use crate::plan_cache::{generations_of, Lookup, PlanCache, PlanCacheStats};
 use crate::rebalance::{RebalanceController, RepairReport};
 use crate::result::{DmlResult, QueryResult};
 use ic_common::obs::{MetricsRegistry, SpanGuard, Trace, TraceSink};
@@ -9,8 +10,10 @@ use ic_common::{IcError, IcResult, Row, Schema};
 use ic_exec::{execute_plan, ExecOptions, QueryStats};
 use ic_net::{FaultInjector, FaultPlan, Network, NetworkConfig, SiteId, Topology};
 use ic_opt::hep::hep_stage;
-use ic_opt::pipeline::{volcano_stage, Optimized};
+use ic_opt::params;
+use ic_opt::pipeline::volcano_stage;
 use ic_plan::dml::BoundDml;
+use ic_plan::ops::PhysPlan;
 use ic_plan::PlannerFlags;
 use ic_sql::ast::{self, Statement};
 use ic_sql::{bind_statement, data_type_of, parse_sql, Bound};
@@ -138,6 +141,9 @@ pub struct Cluster {
     network: Arc<Network>,
     governor: Arc<Governor>,
     controller: Arc<RebalanceController>,
+    /// This cluster's plans: its flags are fixed, and a cluster derived
+    /// over the same catalog plans under other flags.
+    plans: PlanCache,
 }
 
 impl Cluster {
@@ -149,7 +155,8 @@ impl Cluster {
 
     /// A cluster running `config` over the given data and governor: planner
     /// flags derived from the variant, a *fresh* network (fault schedules
-    /// and liveness state belong to one cluster) and its rebalancer.
+    /// and liveness state belong to one cluster), its rebalancer and an
+    /// empty plan cache.
     fn assemble(config: ClusterConfig, catalog: Arc<Catalog>, governor: Arc<Governor>) -> Cluster {
         let mut flags = config.variant.flags();
         if let Some(b) = config.planner_budget {
@@ -157,7 +164,7 @@ impl Cluster {
         }
         let network = Network::new(config.network.clone());
         let controller = Arc::new(RebalanceController::new(catalog.clone(), network.clone()));
-        Cluster { config, flags, catalog, network, governor, controller }
+        Cluster { config, flags, catalog, network, governor, controller, plans: PlanCache::new() }
     }
 
     /// A cluster sharing this one's catalog (and loaded data) under another
@@ -201,6 +208,11 @@ impl Cluster {
 
     pub fn variant(&self) -> SystemVariant {
         self.config.variant
+    }
+
+    /// What this cluster's plan cache has answered so far.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plans.stats()
     }
 
     /// Install a seeded, deterministic fault schedule on this cluster's
@@ -596,36 +608,65 @@ impl Cluster {
         base.mul_f64(0.5 + rng.next_f64())
     }
 
-    /// The one place a bound query is optimized: `ic_opt::optimize_query`'s
-    /// two stages, a span each. Runs every attempt — the plan depends on
-    /// statistics and, through placement, on which sites are alive.
-    fn plan_query(&self, bound: &Bound, under: Under<'_>) -> IcResult<Optimized> {
-        let plan_span = under.map(|s| s.child("plan", "plan"));
-        let under = plan_span.as_ref();
-        let logical = {
-            let _span = under.map(|s| s.child("opt.hep", "plan"));
-            hep_stage(bound.plan.clone(), &self.flags)?
+    /// The one place a bound query gets its plan, and the only optimizer
+    /// call: a lookup before it is a planner run. The statement's literals
+    /// are lifted out ([`params::lift`]); its shape either has a current
+    /// template in this cluster's cache or is planned now —
+    /// `ic_opt::optimize_query`'s two stages, a span each, on the *lifted*
+    /// plan — and stored; either way the statement's own literals are bound
+    /// back into a copy, so what executes holds no placeholder.
+    ///
+    /// Runs every attempt, and a failover replan is a hit: nothing in the
+    /// optimizer reads liveness or membership — a plan depends on the
+    /// catalog's definitions, statistics and indexes (the per-table plan
+    /// generations an entry is validated against) and on the site *count*,
+    /// fixed at boot. Placement on the sites alive now is `execute_plan`'s.
+    /// A planner error is returned, never stored: IC's budget exhaustions
+    /// recur on every submission.
+    fn plan_query(&self, bound: &Bound, under: Under<'_>) -> IcResult<Planned> {
+        let mut plan_span = under.map(|s| s.child("plan", "plan"));
+        let params::Lifted { shape, params } = params::lift(&bound.plan);
+        let (cache, template) = match self.plans.lookup(&shape, &self.catalog) {
+            (cache, Some(template)) => (cache, template),
+            (cache, None) => {
+                let generations = generations_of(&shape, &self.catalog);
+                let under = plan_span.as_ref();
+                let logical = {
+                    let _span = under.map(|s| s.child("opt.hep", "plan"));
+                    hep_stage(Arc::clone(&shape), &self.flags)?
+                };
+                let mut span = under.map(|s| s.child("opt.volcano", "plan"));
+                let template = Arc::new(volcano_stage(logical, &self.catalog, &self.flags)?);
+                if let Some(span) = &mut span {
+                    span.arg("rule_firings", template.rule_firings);
+                }
+                self.plans.store(shape, generations, Arc::clone(&template));
+                (cache, template)
+            }
         };
-        let mut span = under.map(|s| s.child("opt.volcano", "plan"));
-        let optimized = volcano_stage(logical, &self.catalog, &self.flags)?;
-        if let Some(span) = &mut span {
-            span.arg("rule_firings", optimized.rule_firings);
+        if let Some(span) = &mut plan_span {
+            span.arg("cache", cache as u64);
         }
-        Ok(optimized)
+        Ok(Planned {
+            plan: params::bind(&template.plan, &params),
+            rule_firings: template.rule_firings,
+            reorder_disabled: template.reorder_disabled,
+            cache,
+        })
     }
 
     /// One planning + execution attempt of a bound query (no failover).
     fn query_attempt(&self, bound: &Bound, mode: Mode, under: Under<'_>) -> IcResult<QueryResult> {
         let plan_start = Instant::now();
-        let optimized = self.plan_query(bound, under)?;
+        let planned = self.plan_query(bound, under)?;
         let plan_time = plan_start.elapsed();
         let result = |columns, rows, stats| QueryResult {
             columns,
             rows,
             stats,
             plan_time,
-            rule_firings: optimized.rule_firings,
-            reorder_disabled: optimized.reorder_disabled,
+            rule_firings: planned.rule_firings,
+            reorder_disabled: planned.reorder_disabled,
             retries: 0,
         };
         // A rendered plan as the statement's answer: one row per line.
@@ -634,7 +675,7 @@ impl Cluster {
             result(vec!["plan".into()], rows, stats)
         };
         if mode == Mode::Explain {
-            let text = ic_plan::explain::explain_physical(&optimized.plan);
+            let text = ic_plan::explain::explain_physical(&planned.plan);
             return Ok(plan_text(text, QueryStats::default()));
         }
         // EXPLAIN ANALYZE executes traced even when the caller didn't ask
@@ -652,12 +693,21 @@ impl Cluster {
             worker_threads: self.config.worker_threads,
             morsel_rows: self.config.morsel_rows,
         };
-        let (rows, stats) = execute_plan(&optimized.plan, &self.catalog, &self.network, &opts)?;
+        let (rows, stats) = execute_plan(&planned.plan, &self.catalog, &self.network, &opts)?;
         if mode == Mode::Analyze {
-            let text = trace.and_then(|t| TraceSink::new(t).explain_analyze()).ok_or_else(|| {
+            let table = trace.and_then(|t| TraceSink::new(t).explain_analyze()).ok_or_else(|| {
                 IcError::Internal("EXPLAIN ANALYZE executed without registering an attempt".into())
             })?;
-            return Ok(plan_text(text, stats));
+            // Where the plan came from, then the plan with its actuals.
+            let header = match planned.cache {
+                Lookup::Hit => "plan: cached".to_string(),
+                Lookup::Miss | Lookup::Stale => format!(
+                    "plan: planned in {:.3} ms, {} firings",
+                    plan_time.as_secs_f64() * 1e3,
+                    planned.rule_firings
+                ),
+            };
+            return Ok(plan_text(format!("{header}\n{table}"), stats));
         }
         Ok(result(bound.output_names.clone(), rows, stats))
     }
@@ -676,6 +726,16 @@ impl Cluster {
 
 /// The span a traced call records under; `None` when it is not traced.
 type Under<'a> = Option<&'a SpanGuard>;
+
+/// What [`Cluster::plan_query`] answers: the statement's own plan — its
+/// literals bound in, nothing left to substitute — with the telemetry of
+/// the planner run that made its template.
+struct Planned {
+    plan: Arc<PhysPlan>,
+    rule_firings: u64,
+    reorder_disabled: bool,
+    cache: Lookup,
+}
 
 /// What a SELECT answers with: rows, its plan (`EXPLAIN`, not executed),
 /// or the plan annotated with the execution's actuals (`EXPLAIN ANALYZE`).
@@ -902,9 +962,22 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.columns, vec!["plan".to_string()]);
-        let text: Vec<String> =
-            r.rows.iter().map(|row| row.0[0].as_str().unwrap().to_string()).collect();
-        // Every line carries est-vs-actual rows, batches and self-time.
+        let lines = |r: &QueryResult| -> Vec<String> {
+            r.rows.iter().map(|row| row.0[0].as_str().unwrap().to_string()).collect()
+        };
+        // One header line says where the plan came from: planned here, the
+        // template bound on the statement's second submission.
+        let header = lines(&r).remove(0);
+        assert!(header.starts_with("plan: planned in ") && header.ends_with(" firings"), "{header}");
+        let again = cluster
+            .query(
+                "EXPLAIN ANALYZE SELECT * FROM employee INNER JOIN sales ON employee.id = sales.emp_id",
+            )
+            .unwrap();
+        assert_eq!(lines(&again)[0], "plan: cached");
+        assert_eq!(again.rule_firings, r.rule_firings, "the template's telemetry");
+        let text = lines(&r).split_off(1);
+        // Every plan line carries est-vs-actual rows, batches and self-time.
         assert!(text.iter().all(|l| l.contains("rows est=") && l.contains(" act=")), "{text:?}");
         assert!(text.iter().all(|l| l.contains("batches=") && l.contains("self=")), "{text:?}");
         // The root's actual row count is the join cardinality (1000 sales
@@ -931,13 +1004,15 @@ mod tests {
         for cat in ["query", "plan", "exec", "fragment", "operator"] {
             assert!(spans.iter().any(|s| s.cat == cat), "missing {cat} span");
         }
-        // The stages of the statement path, each exactly once on a query
-        // that needed one attempt.
+        // The stages of the statement path, each exactly once on the first
+        // execution of a shape that needed one attempt.
         for stage in ["sql.parse", "sql.bind", "admission", "plan", "opt.hep", "opt.volcano"] {
             assert_eq!(spans.iter().filter(|s| s.name == stage).count(), 1, "{stage}");
         }
         let volcano = spans.iter().find(|s| s.name == "opt.volcano").unwrap();
         assert_eq!(volcano.args, vec![("rule_firings", result.rule_firings)]);
+        let plan = spans.iter().find(|s| s.name == "plan").unwrap();
+        assert_eq!(plan.args, vec![("cache", Lookup::Miss as u64)]);
         // The root operator's traced rows equal the rows the client got.
         let attempts = trace.attempts();
         let attempt = attempts.last().expect("one attempt");
@@ -950,6 +1025,24 @@ mod tests {
         for name in ["exec.op.rows", "exec.op.batches", "net.transfer.bytes"] {
             assert!(metrics.contains(name), "metrics registry missing {name}:\n{metrics}");
         }
+        // The second execution of the shape — other literals would do —
+        // binds the template: a `plan` span with no optimizer stage under it.
+        let (again, trace) = cluster.query_traced(
+            0,
+            "SELECT dept, count(*) FROM employee INNER JOIN sales ON employee.id = sales.emp_id GROUP BY dept",
+        );
+        let again = again.unwrap();
+        trace.validate().expect("well-formed span tree on a cache hit");
+        let spans = trace.spans();
+        let plan = spans.iter().find(|s| s.name == "plan").expect("plan span");
+        assert_eq!(plan.args, vec![("cache", Lookup::Hit as u64)]);
+        assert!(!spans.iter().any(|s| s.name.starts_with("opt.")), "planned on a hit");
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(again.rows), sorted(result.rows));
+        assert_eq!(again.rule_firings, result.rule_firings);
     }
 
     #[test]
@@ -1000,10 +1093,14 @@ mod tests {
         let baseline = cluster.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(baseline.rows[0].0[0].as_int(), Some(2000));
         cluster.kill_site(2);
-        // The dead site's partition is served by its backup owner; the
-        // first attempt already plans around it, so no retries are needed.
+        // The dead site's partition is served by its backup owner: the
+        // plan made while every site was alive is the plan still — a cache
+        // hit — and execution places it on the survivors, so no retries.
         let r = cluster.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(r.rows[0].0[0].as_int(), Some(2000));
+        assert_eq!(r.retries, 0);
+        let stats = cluster.plan_cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.stale), (1, 1, 0), "liveness is not in the key");
         cluster.revive_site(2);
         let r = cluster.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(r.rows[0].0[0].as_int(), Some(2000));
@@ -1186,5 +1283,8 @@ mod tests {
         let r = cluster.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(r.rows[0].0[0].as_int(), Some(2000));
         assert!(r.retries >= 1, "expected at least one failover retry");
+        // Every replanned attempt bound the first attempt's template.
+        let stats = cluster.plan_cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.stale), (1, u64::from(r.retries), 0));
     }
 }

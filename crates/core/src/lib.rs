@@ -41,11 +41,13 @@
 
 pub mod cluster;
 pub mod governor;
+mod plan_cache;
 pub mod rebalance;
 pub mod result;
 
 pub use cluster::{Cluster, ClusterConfig, SystemVariant};
 pub use governor::{Admission, Governor, GovernorConfig, GovernorStats};
+pub use plan_cache::PlanCacheStats;
 pub use rebalance::{RebalanceController, RepairReport};
 pub use ic_common::{Datum, IcError, IcResult, MemoryLease, MemoryPool, Row};
 pub use ic_net::{

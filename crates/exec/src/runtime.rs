@@ -820,6 +820,11 @@ pub fn execute_plan(
     network: &Arc<Network>,
     opts: &ExecOptions,
 ) -> IcResult<(Vec<Row>, QueryStats)> {
+    // Only bound plans execute. Release builds skip the walk: there the
+    // evaluator answers the same error when a batch reaches the placeholder.
+    if cfg!(debug_assertions) && plan.has_param() {
+        return Err(IcError::Internal("plan template with an unbound parameter executed".into()));
+    }
     // ic-lint: allow(L004) because the exec timeout is the paper's wall-clock runtime cap, not simulated time
     let start = Instant::now();
     // This execution's own cross-site traffic, whatever else the cluster

@@ -8,7 +8,10 @@
 //! 1. local bind + [`reference`](crate::reference) evaluation (oracle 2),
 //! 2. fault-free runs on a 1-site cluster (oracle 3 baseline) and on the
 //!    N-site cluster under the `IC` (unoptimized), `ICPlus`, and
-//!    (sometimes) `ICPlusM` variants (oracle 1),
+//!    (sometimes) `ICPlusM` variants (oracle 1) — on each cluster the
+//!    statement is submitted twice, so the plan cache answers once with a
+//!    fresh template and once with a stored one, and executed a third time
+//!    from the plan the uncached `ic_opt::optimize_query` makes for it,
 //! 3. a faulted N-site run under the seed-derived [`FaultPlan`] and
 //!    optional governor lease pressure, which must either agree with the
 //!    reference or refuse with a retryable/terminal error.
@@ -219,13 +222,39 @@ enum EngineOutcome {
     Panic(String),
 }
 
-fn run_engine(cluster: &Cluster, client: u64, sql: &str) -> EngineOutcome {
-    let res = catch_unwind(AssertUnwindSafe(|| cluster.query_as(client, sql)));
-    match res {
-        Ok(Ok(qr)) => EngineOutcome::Rows(qr.rows),
+fn outcome_of(run: impl FnOnce() -> ic_core::IcResult<Vec<ic_core::Row>>) -> EngineOutcome {
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(rows)) => EngineOutcome::Rows(rows),
         Ok(Err(e)) => EngineOutcome::Error(e),
         Err(payload) => EngineOutcome::Panic(ic_common::panic_message(&*payload)),
     }
+}
+
+fn run_engine(cluster: &Cluster, client: u64, sql: &str) -> EngineOutcome {
+    outcome_of(|| cluster.query_as(client, sql).map(|qr| qr.rows))
+}
+
+/// The plan cache's oracle: `query` planned with its literals in place by
+/// the public, uncached `optimize_query` under `cluster`'s flags, executed
+/// with `cluster`'s own execution settings.
+fn run_uncached(cluster: &Cluster, query: &Query) -> EngineOutcome {
+    outcome_of(|| {
+        let bound = bind_statement(query, cluster.catalog())?;
+        let flags = cluster.variant().flags();
+        let plan = ic_opt::optimize_query(bound.plan, cluster.catalog(), &flags)?.plan;
+        let config = cluster.config();
+        let opts = ic_exec::ExecOptions {
+            variant_fragments: flags.variant_fragments,
+            timeout: config.exec_timeout,
+            memory_limit_rows: config.memory_limit_rows,
+            pool: Some(Arc::clone(cluster.governor().pool())),
+            worker_threads: config.worker_threads,
+            morsel_rows: config.morsel_rows,
+            ..ic_exec::ExecOptions::default()
+        };
+        let (rows, _) = ic_exec::execute_plan(&plan, cluster.catalog(), cluster.network(), &opts)?;
+        Ok(rows)
+    })
 }
 
 /// The result of one scenario run.
@@ -335,50 +364,57 @@ pub fn run_scenario(env: &mut Env, scenario: &Scenario) -> Outcome {
     let mut baseline: Option<(String, Vec<ic_core::Row>)> =
         reference.as_ref().map(|r| ("reference".to_string(), r.clone()));
 
+    // How a result is held against the baseline.
+    let agrees = |(base_label, base_rows): &(String, Vec<ic_core::Row>), rows: &[ic_core::Row]| {
+        if base_label == "reference" {
+            compare_limited(base_rows, rows, limit)
+        } else if limit.is_none() {
+            compare_rows(base_rows, rows)
+        } else if base_rows.len() == rows.len() {
+            // Engine-vs-engine under LIMIT: counts only.
+            Ok(())
+        } else {
+            Err(format!("row count {} vs {}", base_rows.len(), rows.len()))
+        }
+    };
+
     for (label, cluster) in &variants {
-        match run_engine(cluster, client, &sql) {
-            EngineOutcome::Rows(rows) => {
-                if let Some((base_label, base_rows)) = &baseline {
-                    let cmp = if base_label == "reference" {
-                        compare_limited(base_rows, &rows, limit)
-                    } else if limit.is_some() {
-                        // Engine-vs-engine under LIMIT: counts only.
-                        if base_rows.len() == rows.len() {
-                            Ok(())
-                        } else {
-                            Err(format!(
-                                "row count {} vs {}",
-                                base_rows.len(),
-                                rows.len()
-                            ))
+        // Through the plan cache twice — the second submission binds the
+        // template the first one left (or an earlier seed's, when the shape
+        // recurred) — then around it.
+        let runs = [
+            (label.clone(), run_engine(cluster, client, &sql)),
+            (format!("{label} (resubmitted)"), run_engine(cluster, client, &sql)),
+            (format!("{label} (planned uncached)"), run_uncached(cluster, &scenario.query)),
+        ];
+        for (label, outcome) in runs {
+            match outcome {
+                EngineOutcome::Rows(rows) => match &baseline {
+                    Some(base) => {
+                        if let Err(msg) = agrees(base, &rows) {
+                            return fail(
+                                &digest,
+                                format!("{label} disagrees with {}: {msg}\nsql: {sql}", base.0),
+                            );
                         }
-                    } else {
-                        compare_rows(base_rows, &rows)
-                    };
-                    if let Err(msg) = cmp {
+                    }
+                    None => baseline = Some((label, rows)),
+                },
+                EngineOutcome::Error(e) => match classify(&e) {
+                    // No faults installed: refusing to answer is a bug.
+                    ErrorClass::Retryable | ErrorClass::Rejected | ErrorClass::Bug => {
                         return fail(
                             &digest,
-                            format!("{label} disagrees with {base_label}: {msg}\nsql: {sql}"),
+                            format!("{label} failed on a clean cluster: {e}\nsql: {sql}"),
                         );
                     }
-                } else {
-                    baseline = Some((label.clone(), rows));
+                    // Budget verdicts are per-variant legitimate (IC's plans
+                    // really are worse); skip the comparison.
+                    ErrorClass::Resource => {}
+                },
+                EngineOutcome::Panic(msg) => {
+                    return fail(&digest, format!("{label} panicked: {msg}\nsql: {sql}"));
                 }
-            }
-            EngineOutcome::Error(e) => match classify(&e) {
-                // No faults installed: refusing to answer is a bug.
-                ErrorClass::Retryable | ErrorClass::Rejected | ErrorClass::Bug => {
-                    return fail(
-                        &digest,
-                        format!("{label} failed on a clean cluster: {e}\nsql: {sql}"),
-                    );
-                }
-                // Budget verdicts are per-variant legitimate (IC's plans
-                // really are worse); skip the comparison.
-                ErrorClass::Resource => {}
-            },
-            EngineOutcome::Panic(msg) => {
-                return fail(&digest, format!("{label} panicked: {msg}\nsql: {sql}"));
             }
         }
     }
@@ -403,24 +439,14 @@ pub fn run_scenario(env: &mut Env, scenario: &Scenario) -> Outcome {
         cluster.clear_faults();
         match outcome {
             EngineOutcome::Rows(rows) => {
-                if let Some((base_label, base_rows)) = &baseline {
-                    let cmp = if base_label == "reference" {
-                        compare_limited(base_rows, &rows, limit)
-                    } else if limit.is_some() {
-                        if base_rows.len() == rows.len() {
-                            Ok(())
-                        } else {
-                            Err(format!("row count {} vs {}", base_rows.len(), rows.len()))
-                        }
-                    } else {
-                        compare_rows(base_rows, &rows)
-                    };
-                    if let Err(msg) = cmp {
+                if let Some(base) = &baseline {
+                    if let Err(msg) = agrees(base, &rows) {
                         return fail(
                             &digest,
                             format!(
-                                "faulted run returned wrong rows vs {base_label}: {msg}\n\
+                                "faulted run returned wrong rows vs {}: {msg}\n\
                                  faults: {}\nsql: {sql}",
+                                base.0,
                                 fault_spec.as_deref().unwrap_or("none")
                             ),
                         );

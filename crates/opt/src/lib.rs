@@ -18,9 +18,12 @@
 //! * [`pipeline`] — ties the stages together: the baseline single-phase
 //!   pipeline vs. the improved two-phase pipeline with conditional
 //!   disabling of the join-reordering rules (§4.3).
+//! * [`params`] — lifting a statement's literals out of its plan and
+//!   binding them back, so the engine's plan cache plans a shape once.
 
 pub mod dml;
 pub mod hep;
+pub mod params;
 pub mod pipeline;
 pub mod rules;
 pub mod trim;

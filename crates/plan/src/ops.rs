@@ -231,8 +231,9 @@ pub enum PhysOp<C> {
     },
 }
 
-/// A logical plan tree node with its derived schema.
-#[derive(Debug, Clone, PartialEq)]
+/// A logical plan tree node with its derived schema. `Eq + Hash` are
+/// structural: a whole tree is the plan cache's key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LogicalPlan {
     pub op: RelOp<Arc<LogicalPlan>>,
     pub schema: Schema,
@@ -266,6 +267,32 @@ impl LogicalPlan {
             | RelOp::Sort { input, .. }
             | RelOp::Limit { input, .. } => vec![input],
             RelOp::Join { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// Child links, for rewrites that keep every node's operator and schema.
+    pub fn children_mut(&mut self) -> Vec<&mut Arc<LogicalPlan>> {
+        match &mut self.op {
+            RelOp::Scan { .. } | RelOp::Values { .. } => vec![],
+            RelOp::Filter { input, .. }
+            | RelOp::Project { input, .. }
+            | RelOp::Aggregate { input, .. }
+            | RelOp::Sort { input, .. }
+            | RelOp::Limit { input, .. } => vec![input],
+            RelOp::Join { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// This node's own scalar expressions (not its inputs'), in operator
+    /// order: predicate, projections, join condition, aggregate arguments.
+    pub fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        match &mut self.op {
+            RelOp::Filter { predicate: e, .. } | RelOp::Join { on: e, .. } => vec![e],
+            RelOp::Project { exprs, .. } => exprs.iter_mut().collect(),
+            RelOp::Aggregate { aggs, .. } => agg_args_mut(aggs),
+            RelOp::Scan { .. } | RelOp::Sort { .. } | RelOp::Limit { .. } | RelOp::Values { .. } => {
+                vec![]
+            }
         }
     }
 
@@ -400,6 +427,67 @@ impl PhysPlan {
             PhysOp::NestedLoopJoin { left, right, .. }
             | PhysOp::HashJoin { left, right, .. }
             | PhysOp::MergeJoin { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// Child links, for rewrites that keep every node's operator, schema,
+    /// traits and costs.
+    pub fn children_mut(&mut self) -> Vec<&mut Arc<PhysPlan>> {
+        match &mut self.op {
+            PhysOp::TableScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => vec![],
+            PhysOp::Filter { input, .. }
+            | PhysOp::Project { input, .. }
+            | PhysOp::HashAggregate { input, .. }
+            | PhysOp::SortAggregate { input, .. }
+            | PhysOp::Sort { input, .. }
+            | PhysOp::Limit { input, .. }
+            | PhysOp::Exchange { input, .. } => vec![input],
+            PhysOp::NestedLoopJoin { left, right, .. }
+            | PhysOp::HashJoin { left, right, .. }
+            | PhysOp::MergeJoin { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// Does any expression in the tree still hold an [`Expr::Param`]? True
+    /// of a plan-cache template, never of a plan handed to the executor.
+    pub fn has_param(&self) -> bool {
+        let own: Vec<&Expr> = match &self.op {
+            PhysOp::Filter { predicate: e, .. }
+            | PhysOp::NestedLoopJoin { on: e, .. }
+            | PhysOp::HashJoin { residual: e, .. }
+            | PhysOp::MergeJoin { residual: e, .. } => vec![e],
+            PhysOp::Project { exprs, .. } => exprs.iter().collect(),
+            PhysOp::HashAggregate { aggs, .. } | PhysOp::SortAggregate { aggs, .. } => {
+                aggs.iter().filter_map(|a| a.arg.as_ref()).collect()
+            }
+            _ => vec![],
+        };
+        let mut found = false;
+        for e in own {
+            e.visit(&mut |x| found |= matches!(x, Expr::Param { .. }));
+        }
+        found || self.children().iter().any(|c| c.has_param())
+    }
+
+    /// This node's own scalar expressions (not its inputs'): predicate,
+    /// projections, join condition or residual, aggregate arguments (a
+    /// `Final` phase carries its partial phase's).
+    pub fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        match &mut self.op {
+            PhysOp::Filter { predicate: e, .. }
+            | PhysOp::NestedLoopJoin { on: e, .. }
+            | PhysOp::HashJoin { residual: e, .. }
+            | PhysOp::MergeJoin { residual: e, .. } => vec![e],
+            PhysOp::Project { exprs, .. } => exprs.iter_mut().collect(),
+            PhysOp::HashAggregate { aggs, .. } | PhysOp::SortAggregate { aggs, .. } => {
+                agg_args_mut(aggs)
+            }
+            PhysOp::TableScan { .. }
+            | PhysOp::IndexScan { .. }
+            | PhysOp::Sort { .. }
+            | PhysOp::Limit { .. }
+            | PhysOp::Exchange { .. }
+            | PhysOp::Values { .. } => vec![],
         }
     }
 
@@ -560,6 +648,10 @@ impl PhysPlan {
         usize::from(pred(&self.op))
             + self.children().iter().map(|c| c.count_ops(pred)).sum::<usize>()
     }
+}
+
+fn agg_args_mut(aggs: &mut [AggCall]) -> Vec<&mut Expr> {
+    aggs.iter_mut().filter_map(|a| a.arg.as_mut()).collect()
 }
 
 fn sorted(cols: impl Iterator<Item = usize>) -> Vec<usize> {

@@ -74,6 +74,9 @@ pub fn selectivity(pred: &Expr, input: &LogicalProps) -> f64 {
                 0.0
             }
         }
+        // Stands for a non-boolean literal (booleans are never lifted),
+        // which as a predicate is never TRUE.
+        Expr::Param { .. } => 0.0,
         Expr::Binary { op: BinOp::And, left, right } => {
             selectivity(left, input) * selectivity(right, input)
         }

@@ -62,7 +62,26 @@ struct TableEntry {
     data: Arc<TableData>,
     stats: Arc<TableStats>,
     indexes: Vec<IndexId>,
+    /// See [`Catalog::plan_generation`].
+    plan_generation: u64,
+    /// `stats.row_count` when `plan_generation` last moved.
+    planned_rows: u64,
 }
+
+impl TableEntry {
+    /// Plans made for this table before now may no longer be the ones the
+    /// planner would choose.
+    fn bump_plan_generation(&mut self) {
+        self.plan_generation += 1;
+        self.planned_rows = self.stats.row_count;
+    }
+}
+
+/// `note_write` moves a table's plan generation once its row count has
+/// drifted from the last generation's by more than one part in this many:
+/// far below the factor-of-two size differences that flip a join's build
+/// side or distribution, far above what a stream of point writes adds.
+pub const PLAN_DRIFT_DENOMINATOR: u64 = 8;
 
 struct IndexEntry {
     def: IndexDef,
@@ -146,6 +165,8 @@ impl Catalog {
             data: Arc::new(TableData::new_with_owners(schema, &owners)),
             stats: Arc::new(TableStats::empty()),
             indexes: Vec::new(),
+            plan_generation: 0,
+            planned_rows: 0,
         });
         names.insert(key, id);
         Ok(id)
@@ -171,6 +192,7 @@ impl Catalog {
         let index = Index::new(&def, entry.data.num_partitions());
         indexes.push(IndexEntry { def, index: Arc::new(index) });
         entry.indexes.push(id);
+        entry.bump_plan_generation();
         Ok(id)
     }
 
@@ -213,6 +235,7 @@ impl Catalog {
             .get_mut(table.0)
             .ok_or_else(|| IcError::Catalog(format!("unknown table {table}")))?;
         entry.stats = Arc::new(TableStats::compute(&entry.data));
+        entry.bump_plan_generation();
         let index_ids = entry.indexes.clone();
         let data = entry.data.clone();
         drop(tables);
@@ -291,6 +314,22 @@ impl Catalog {
             return;
         };
         entry.stats = Arc::new(entry.stats.noting_write(inserted, deleted));
+        let drift = entry.stats.row_count.abs_diff(entry.planned_rows);
+        if drift * PLAN_DRIFT_DENOMINATOR > entry.planned_rows {
+            entry.bump_plan_generation();
+        }
+    }
+
+    /// The table's *plan generation*: a counter that moves whenever what the
+    /// planner reads about the table — statistics, indexes — changed enough
+    /// that a plan made earlier may no longer be the one it would choose:
+    /// on [`Catalog::analyze`], on [`Catalog::create_index`], and in
+    /// [`Catalog::note_write`] once the row count drifted past
+    /// [`PLAN_DRIFT_DENOMINATOR`]. A plan cache records the generations it
+    /// planned under and compares them on every lookup; clusters sharing
+    /// this catalog need no invalidation callback.
+    pub fn plan_generation(&self, table: TableId) -> u64 {
+        self.tables.read().get(table.0).map_or(0, |e| e.plan_generation)
     }
 
     /// Resolve `partition` to a live owner, skipping sites in `down`.

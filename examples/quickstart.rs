@@ -74,12 +74,22 @@ fn main() {
         println!("{}", cluster.explain(sql).unwrap());
 
         if variant == SystemVariant::ICPlus {
-            // The same plan with what each operator actually did…
+            // The same plan with what each operator actually did; its header
+            // says the plan was the one cached by the query above.
             println!("{}", cluster.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap().to_table());
-            // …and where a read's and a write's time went, stage by stage.
-            let (read, trace) = cluster.query_traced(0, sql);
-            println!("traced read: {} rows", read.expect("traced read").rows.len());
-            print_stages(&trace);
+            // …and where a read's and a write's time went, stage by stage: a
+            // statement shape is planned the first time it is seen, and its
+            // template bound (`plan [cache = 1]`, no optimizer stage) from
+            // then on, whatever the literals.
+            for id in [10, 11] {
+                let sql = format!(
+                    "SELECT * FROM employee INNER JOIN sales ON employee.id = sales.emp_id \
+                     WHERE employee.id = {id} ORDER BY sale_id"
+                );
+                let (read, trace) = cluster.query_traced(0, &sql);
+                println!("traced read: {} rows", read.expect("traced read").rows.len());
+                print_stages(&trace);
+            }
             let (write, trace) =
                 cluster.dml_traced(0, "UPDATE sales SET amount = amount + 1 WHERE emp_id = 10");
             println!("traced write: {} rows", write.expect("traced write").rows_affected);

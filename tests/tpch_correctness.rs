@@ -211,7 +211,8 @@ fn multithreading_uses_more_threads() {
 
 /// `EXPLAIN` and `EXPLAIN ANALYZE` through `query()` and `Cluster::explain`
 /// share one planner call and one renderer: the same text from the two
-/// EXPLAINs, and the same operators, line for line, under ANALYZE's actuals.
+/// EXPLAINs, and the same operators, line for line, under ANALYZE's actuals
+/// (below its one header line saying where the plan came from).
 #[test]
 fn explain_paths_agree_on_plan_shape() {
     let (_, plus, _) = clusters();
@@ -222,7 +223,8 @@ fn explain_paths_agree_on_plan_shape() {
         reply.rows.iter().map(|r| r.0[0].as_str().unwrap().to_string()).collect()
     };
     let explained = plan_lines(format!("EXPLAIN {sql}"));
-    let analyzed = plan_lines(format!("EXPLAIN ANALYZE {sql}"));
+    let mut analyzed = plan_lines(format!("EXPLAIN ANALYZE {sql}"));
+    assert_eq!(analyzed.remove(0), "plan: cached", "the EXPLAIN above planned this shape");
     assert_eq!(plus.explain(&sql).unwrap().lines().collect::<Vec<_>>(), explained);
     // Indentation + operator, distribution, width.
     let shape = |line: &String| {
