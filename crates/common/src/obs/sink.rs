@@ -14,7 +14,8 @@ use std::sync::Arc;
 /// HashJoin (dist=hash[0], width=5, rows est=1000 act=998, batches=2, self=0.412 ms)
 /// ```
 ///
-/// with `shipped=<bytes> B` appended on Exchange consumers. `act` sums all
+/// with `shipped=<bytes> B in <n> msgs` appended on Exchange nodes — what
+/// their producers were charged for, same-site hand-offs excluded. `act` sums all
 /// parallel instances of the operator; `self` is inclusive busy time minus
 /// the children's inclusive busy time (an Exchange consumer's self-time
 /// therefore includes time blocked on the wire).
@@ -35,9 +36,9 @@ pub fn render_explain_analyze(attempt: &AttemptStats) -> String {
             attempt.batches(node),
             attempt.self_ns(node) as f64 / 1e6,
         );
-        let shipped = attempt.shipped_bytes(node);
-        if shipped > 0 {
-            let _ = write!(out, ", shipped={shipped} B");
+        let msgs = attempt.shipped_msgs(node);
+        if msgs > 0 {
+            let _ = write!(out, ", shipped={} B in {msgs} msgs", attempt.shipped_bytes(node));
         }
         let inst = attempt.instances(node);
         if inst > 1 {
@@ -218,13 +219,14 @@ mod tests {
         ]);
         attempt.record_next(0, 998, 3_000_000, true);
         attempt.record_next(1, 6005, 1_000_000, true);
-        attempt.record_shipped(1, 4096);
+        attempt.record_shipped(1, 4000);
+        attempt.record_shipped(1, 96);
         let text = TraceSink::new(t).explain_analyze().expect("one attempt");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("rows est=1000 act=998"));
         assert!(lines[0].contains("self=2.000 ms"));
         assert!(lines[1].starts_with("  Scan lineitem"));
-        assert!(lines[1].contains("shipped=4096 B"));
+        assert!(lines[1].contains("shipped=4096 B in 2 msgs"));
     }
 }

@@ -77,6 +77,7 @@ struct OpAgg {
     batches: AtomicU64,
     busy_ns: AtomicU64,
     shipped_bytes: AtomicU64,
+    shipped_msgs: AtomicU64,
     instances: AtomicU64,
 }
 
@@ -122,11 +123,14 @@ impl AttemptStats {
         }
     }
 
-    /// Credit `bytes` of network payload received on behalf of node `node`
-    /// (an Exchange consumer).
+    /// Credit one cross-site message of `bytes` to node `node` (an
+    /// Exchange). Recorded by the sending side for exactly the messages the
+    /// network charged, so an attempt's Exchange nodes sum to its
+    /// `net_messages` / `net_bytes`.
     pub fn record_shipped(&self, node: u32, bytes: u64) {
         if let Some(agg) = self.aggs.get(node as usize) {
             agg.shipped_bytes.fetch_add(bytes, Ordering::Relaxed);
+            agg.shipped_msgs.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -153,9 +157,14 @@ impl AttemptStats {
         self.aggs.get(node as usize).map_or(0, |a| a.busy_ns.load(Ordering::Relaxed))
     }
 
-    /// Network bytes received on behalf of node `node`.
+    /// Wire bytes charged for node `node`'s cross-site messages.
     pub fn shipped_bytes(&self, node: u32) -> u64 {
         self.aggs.get(node as usize).map_or(0, |a| a.shipped_bytes.load(Ordering::Relaxed))
+    }
+
+    /// Cross-site messages sent on behalf of node `node`.
+    pub fn shipped_msgs(&self, node: u32) -> u64 {
+        self.aggs.get(node as usize).map_or(0, |a| a.shipped_msgs.load(Ordering::Relaxed))
     }
 
     /// Number of runtime instances of node `node` that were built.
@@ -483,7 +492,7 @@ mod tests {
         a.record_shipped(1, 800);
         assert_eq!(a.rows(1), 100);
         assert_eq!(a.batches(1), 1);
-        assert_eq!(a.shipped_bytes(1), 800);
+        assert_eq!((a.shipped_bytes(1), a.shipped_msgs(1)), (800, 1));
         assert_eq!(a.self_ns(0), 5_000 - 2_050);
         assert_eq!(t.attempts().len(), 1);
     }

@@ -1275,16 +1275,22 @@ mod tests {
     #[test]
     fn mid_run_crash_recovers_via_retry() {
         let cluster = failover_cluster(4, 1);
-        // Crash from tick 1: site3 is alive when the query is planned, but
-        // it sends at least two exchange messages (batch + EOF) of which
-        // at most one can occupy tick 0 — so the first attempt is
-        // guaranteed to hit the crash mid-run and the retry must replan.
+        // Crash from tick 1: site3 is alive when the query is planned. Ticks
+        // are messages and a link's end-of-stream rides its last batch, so a
+        // one-exchange `count(*)` would put site3 on a single transfer, which
+        // may well be tick 0; this self-join repartitions, site3 is on a
+        // transfer to and from every other site, at most one of those is
+        // tick 0 — the first attempt hits the crash mid-run by construction
+        // and the retry must replan.
+        let sql = "SELECT count(*) FROM t x, t y WHERE x.b = y.a";
+        let plan = cluster.explain(sql).unwrap();
+        assert!(plan.contains("Exchange[hash") || plan.contains("Exchange[broadcast]"), "{plan}");
         cluster.install_faults(FaultPlan::new(77).crash(SiteId(3), 1));
-        let r = cluster.query("SELECT count(*) FROM t").unwrap();
+        let r = cluster.query(sql).unwrap();
         assert_eq!(r.rows[0].0[0].as_int(), Some(2000));
         assert!(r.retries >= 1, "expected at least one failover retry");
         // Every replanned attempt bound the first attempt's template.
         let stats = cluster.plan_cache_stats();
-        assert_eq!((stats.misses, stats.hits, stats.stale), (1, u64::from(r.retries), 0));
+        assert_eq!((stats.misses, stats.hits, stats.stale), (1, 1 + u64::from(r.retries), 0));
     }
 }

@@ -17,7 +17,7 @@ pub struct OpIndex {
     /// per-variant copies share structure with it by construction).
     by_ptr: FxHashMap<usize, u32>,
     /// Exchange id → the Exchange node's pre-order index (for crediting
-    /// shipped bytes to the consumer side).
+    /// the messages its producers ship).
     by_exchange: FxHashMap<usize, u32>,
 }
 

@@ -270,7 +270,7 @@ fn resolve_builds(
 /// the plan shape and the input size allow it, and in any case one
 /// sequential chain on the driver — over the lanes' runs where there were
 /// lanes, over the stored data where not. All output goes through `sink`;
-/// exchange staging/EOF handling stays with the caller.
+/// ending the exchange streams (`ExchangeCore::flush`) stays with the caller.
 pub(crate) fn run_instance(
     ctx: &mut BuildCtx,
     inst: &mut InstanceCtx<'_>,

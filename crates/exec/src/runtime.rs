@@ -20,8 +20,12 @@
 //! two morsels) are that build with nothing substituted. Either way the
 //! output streams into a shared [`InstanceSink`] — the staging half of
 //! [`ExchangeCore`] coalesces sub-batch outputs across lanes and batches
-//! alike — and the driver alone sends the exchange EOFs after the drain
-//! barrier.
+//! alike, per destination — and the driver alone ends the stream, after
+//! the drain barrier.
+//!
+//! There is no EOF message ([`Msg`]): a producer instance's final batch on a
+//! link carries a `last` flag, and a link with no rows left at the flush gets
+//! one bare end marker instead (DESIGN.md *Exchange protocol*).
 
 use crate::analyze::{enumerate_ops, OpIndex};
 use crate::fragment::{fragment_plan, ExchangeId, ExchangeRegistry, Sink};
@@ -121,17 +125,22 @@ pub struct QueryStats {
 /// A message on an exchange link. Batches cross the wire in the
 /// column-contiguous framing (`ic_net::wire::encode_columns`), whose exact
 /// size [`WireSize`] reports — selection vectors are resolved by the frame,
-/// so only selected rows are charged to `net.transfer.bytes`.
+/// so only selected rows are charged to `net.transfer.bytes` — plus one
+/// flag byte. A producer instance's final message on a link *is* that
+/// link's end-of-stream.
+#[derive(Clone)]
 pub enum Msg {
-    Batch(ColumnBatch),
-    Eof,
+    /// Rows; `last` marks the sender's final message on this link.
+    Batch { rows: ColumnBatch, last: bool },
+    /// Bare end marker: the final message on a link with no rows left for it.
+    End,
 }
 
 impl WireSize for Msg {
     fn wire_size(&self) -> usize {
         match self {
-            Msg::Batch(b) => b.wire_size(),
-            Msg::Eof => 8,
+            Msg::Batch { rows, .. } => rows.wire_size() + 1,
+            Msg::End => 8,
         }
     }
 }
@@ -178,8 +187,9 @@ fn failover_err(e: FailoverError) -> IcError {
     }
 }
 
-/// Coalescing buffer shared by an instance's lanes: sub-batch outputs
-/// stage here until a batch-size's worth of rows has accumulated.
+/// Coalescing buffer of one route, shared by an instance's lanes: rows wait
+/// here as selection views over the batches they arrived in.
+#[derive(Default)]
 struct Stage {
     pending: Vec<ColumnBatch>,
     rows: usize,
@@ -191,160 +201,157 @@ struct Stage {
 /// are dispatched *outside* it, so concurrent lanes overlap their wire
 /// time (latency + bandwidth sleeps of the simulated network) instead of
 /// serializing behind the stage.
-pub(crate) struct ExchangeCore {
+///
+/// Endpoints are grouped into *routes* — the endpoints that receive the
+/// very same messages — with one stage each: a hash exchange has a route
+/// per destination site, Single and Broadcast one for all their sites, and
+/// a Splitter consumer (each row to exactly one of a site's variants)
+/// multiplies that by its variant count, where a Duplicator's variants
+/// share their site's route. Every endpoint is in exactly one route, so a
+/// route's final message is each of its links' final message.
+pub struct ExchangeCore {
     to: Distribution,
     assignment: Arc<Assignment>,
-    /// (consumer site, consumer variant, sender pre-bound to that endpoint)
-    endpoints: Vec<(SiteId, usize, NetSender<Msg>)>,
-    mode: SourceMode,
-    /// Splitter round-robin cursor (atomic: lanes dispatch concurrently).
+    /// A hash exchange's destination sites, sorted (empty otherwise: one
+    /// destination, all the sites), and the routes per destination — the
+    /// consumer's variant count under a splitter, 1 under a duplicator.
+    /// Route `destination × spread + k` is variant `k` there.
+    sites: Vec<SiteId>,
+    spread: usize,
+    routes: Vec<Vec<(SiteId, NetSender<Msg>)>>,
+    /// Splitter cursor: the variant the next incoming batch goes to
+    /// (batch-level round-robin realizes the splitter's arbitrary disjoint
+    /// partitioning; atomic because lanes push concurrently).
     rr: AtomicUsize,
-    /// Sub-batch-size outputs (selective filters, sparse join matches)
-    /// coalesce here before shipping — the simulated network charges
-    /// latency per message, so many tiny batches would otherwise multiply
-    /// the wire cost regardless of payload size. Coalescing across *lanes*
-    /// is what PR 7's sequential sender did across batches.
-    stage: Mutex<Stage>,
+    /// One stage per route. The simulated network charges latency per
+    /// message, so a route ships when *its* stage holds `BATCH_SIZE` rows,
+    /// never a sliver per incoming batch — and a full stage waits for the
+    /// next rows behind it (or the flush) before it leaves, so that the
+    /// last one out can carry the end-of-stream flag.
+    stages: Mutex<Vec<Stage>>,
+    /// Traced: (attempt table, this exchange's plan node) credited with
+    /// every message the network charged.
+    shipped: Option<(Arc<AttemptStats>, u32)>,
 }
 
 impl ExchangeCore {
-    fn new(
+    /// `endpoints`: (consumer site, consumer variant, sender from this
+    /// producer's site to that endpoint), the same variants at every site.
+    pub fn new(
         to: Distribution,
         assignment: Arc<Assignment>,
         endpoints: Vec<(SiteId, usize, NetSender<Msg>)>,
         mode: SourceMode,
+        shipped: Option<(Arc<AttemptStats>, u32)>,
     ) -> ExchangeCore {
+        let mut sites = Vec::new();
+        if matches!(to, Distribution::Hash(_)) {
+            sites.extend(endpoints.iter().map(|(s, _, _)| *s));
+            sites.sort();
+            sites.dedup();
+        }
+        let spread = match mode {
+            SourceMode::Splitter => endpoints.iter().map(|(_, v, _)| v + 1).max().unwrap_or(1),
+            SourceMode::Duplicator => 1,
+        };
+        let mut routes = vec![Vec::new(); sites.len().max(1) * spread];
+        for (site, v, tx) in endpoints {
+            // Not a hash: `sites` is empty and everything is destination 0.
+            let dest = sites.binary_search(&site).unwrap_or(0);
+            routes[dest * spread + v % spread].push((site, tx));
+        }
+        let stages = routes.iter().map(|_| Stage::default()).collect();
         ExchangeCore {
             to,
             assignment,
-            endpoints,
-            mode,
+            sites,
+            spread,
+            routes,
             rr: AtomicUsize::new(0),
-            stage: Mutex::named(Stage { pending: Vec::new(), rows: 0 }, "exec.exchange.stage"),
+            stages: Mutex::named(stages, "exec.exchange.stage"),
+            shipped,
         }
     }
 
     /// Attach transfer-span recording to every endpoint (traced queries).
     /// Called before the core is shared with any lane.
     fn set_obs(&mut self, obs: NetObs) {
-        for (_, _, tx) in &mut self.endpoints {
+        for (_, tx) in self.routes.iter_mut().flatten() {
             tx.set_obs(obs.clone());
         }
     }
 
-    fn endpoints_at(&self, site: SiteId) -> Vec<&NetSender<Msg>> {
-        self.endpoints
-            .iter()
-            .filter(|(s, _, _)| *s == site)
-            .map(|(_, _, tx)| tx)
-            .collect()
-    }
-
-    /// Ship one batch to a site, honoring the consumer's splitter/
-    /// duplicator mode (batch-level round-robin realizes the splitter's
-    /// arbitrary disjoint partitioning).
-    fn ship_to_site(&self, site: SiteId, batch: ColumnBatch) -> IcResult<()> {
-        let eps = self.endpoints_at(site);
-        if eps.is_empty() {
-            return Err(IcError::Exec(format!("no exchange endpoint at {site}")));
+    /// Stage `batch`'s rows on their routes and ship every route that was
+    /// already full when more rows arrived for it.
+    pub fn send_batch(&self, batch: ColumnBatch) -> IcResult<()> {
+        if batch.num_rows() == 0 {
+            return Ok(());
         }
-        match self.mode {
-            SourceMode::Duplicator => {
-                for tx in eps {
-                    tx.send(Msg::Batch(batch.clone())).map_err(|e| net_err(site, e))?;
+        let variant = self.rr.fetch_add(1, Ordering::Relaxed) % self.spread;
+        let pieces: Vec<(usize, ColumnBatch)> = match &self.to {
+            Distribution::Hash(keys) => {
+                // Vectorized key hashing (bit-identical to `Row::hash_key`),
+                // then one selection view per destination; rows gather at ship.
+                let mut keep: Vec<Vec<u32>> = vec![Vec::new(); self.sites.len()];
+                for (k, &hash) in batch.hash_keys(keys).iter().enumerate() {
+                    let site = self.assignment.site_for_hash(hash);
+                    let Ok(dest) = self.sites.binary_search(&site) else {
+                        return Err(IcError::Exec(format!("no exchange endpoint at {site}")));
+                    };
+                    keep[dest].push(k as u32);
                 }
+                keep.iter()
+                    .enumerate()
+                    .filter(|(_, keep)| !keep.is_empty())
+                    .map(|(dest, keep)| (dest * self.spread + variant, batch.select_logical(keep)))
+                    .collect()
             }
-            SourceMode::Splitter => {
-                let pick = self.rr.fetch_add(1, Ordering::Relaxed) % eps.len();
-                eps[pick].send(Msg::Batch(batch)).map_err(|e| net_err(site, e))?;
+            Distribution::Single | Distribution::Broadcast => vec![(variant, batch)],
+            Distribution::Random => return Err(IcError::Exec("cannot exchange to random".into())),
+        };
+        let mut full = Vec::new();
+        {
+            let mut stages = self.stages.lock();
+            for (route, piece) in pieces {
+                let stage = &mut stages[route];
+                if stage.rows >= BATCH_SIZE {
+                    full.push((route, std::mem::take(stage)));
+                }
+                stage.rows += piece.num_rows();
+                stage.pending.push(piece);
             }
+        }
+        for (route, stage) in full {
+            let rows = ColumnBatch::concat(&stage.pending);
+            self.ship(route, Msg::Batch { rows, last: false })?;
         }
         Ok(())
     }
 
-    pub(crate) fn send_batch(&self, batch: ColumnBatch) -> IcResult<()> {
-        if batch.num_rows() == 0 {
-            return Ok(());
+    /// End the stream on every link: each route ships what it still has
+    /// staged, flagged as last, or a bare end marker when that is nothing.
+    /// Driver-only, after the drain barrier — behind every lane's sends.
+    pub fn flush(&self) -> IcResult<()> {
+        let stages: Vec<Stage> = self.stages.lock().iter_mut().map(std::mem::take).collect();
+        for (route, stage) in stages.into_iter().enumerate() {
+            let msg = match stage.rows {
+                0 => Msg::End,
+                _ => Msg::Batch { rows: ColumnBatch::concat(&stage.pending), last: true },
+            };
+            self.ship(route, msg)?;
         }
-        let ready = {
-            let mut stage = self.stage.lock();
-            stage.rows += batch.num_rows();
-            stage.pending.push(batch);
-            if stage.rows >= BATCH_SIZE {
-                stage.rows = 0;
-                Some(std::mem::take(&mut stage.pending))
-            } else {
-                None
-            }
-        };
-        match ready {
-            Some(pending) => self.dispatch(ColumnBatch::concat(&pending)),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
-    /// Ship everything still staged as one dense batch — once, by the
-    /// driver, after the drain barrier.
-    pub(crate) fn flush(&self) -> IcResult<()> {
-        let pending = {
-            let mut stage = self.stage.lock();
-            stage.rows = 0;
-            std::mem::take(&mut stage.pending)
-        };
-        if pending.is_empty() {
-            return Ok(());
-        }
-        self.dispatch(ColumnBatch::concat(&pending))
-    }
-
-    fn dispatch(&self, batch: ColumnBatch) -> IcResult<()> {
-        match &self.to {
-            Distribution::Single => {
-                let site = self.endpoints[0].0;
-                self.ship_to_site(site, batch)
+    /// One message to every endpoint of `route`.
+    fn ship(&self, route: usize, msg: Msg) -> IcResult<()> {
+        for (site, tx) in &self.routes[route] {
+            let charged = tx.send(msg.clone()).map_err(|e| net_err(*site, e))?;
+            if let Some((attempt, node)) = self.shipped.as_ref().filter(|_| charged > 0) {
+                attempt.record_shipped(*node, charged as u64);
             }
-            Distribution::Broadcast => {
-                let sites: Vec<SiteId> = {
-                    let mut s: Vec<SiteId> = self.endpoints.iter().map(|(s, _, _)| *s).collect();
-                    s.sort();
-                    s.dedup();
-                    s
-                };
-                for site in sites {
-                    self.ship_to_site(site, batch.clone())?;
-                }
-                Ok(())
-            }
-            Distribution::Hash(keys) => {
-                // Vectorized key hashing, then one selection view per
-                // destination site (bit-identical to `Row::hash_key`).
-                // The slots are per-dispatch scratch (a handful of sites,
-                // scanned linearly); each site's rows ship as a selection
-                // view over the batch — no row materialization.
-                let hashes = batch.hash_keys(keys);
-                let mut slots: Vec<(SiteId, Vec<u32>)> = Vec::new();
-                for (k, &hash) in hashes.iter().enumerate().take(batch.num_rows()) {
-                    let site = self.assignment.site_for_hash(hash);
-                    match slots.iter_mut().find(|(s, _)| *s == site) {
-                        Some((_, keep)) => keep.push(k as u32),
-                        None => slots.push((site, vec![k as u32])),
-                    }
-                }
-                for (site, keep) in slots {
-                    self.ship_to_site(site, batch.select_logical(&keep))?;
-                }
-                Ok(())
-            }
-            Distribution::Random => Err(IcError::Exec("cannot exchange to random".into())),
         }
-    }
-
-    /// Every producer instance signals EOF to every endpoint so receivers
-    /// can count down. Driver-only, after `flush`.
-    fn finish(&self) {
-        for (_, _, tx) in &self.endpoints {
-            let _ = tx.send(Msg::Eof);
-        }
+        Ok(())
     }
 }
 
@@ -379,43 +386,36 @@ impl InstanceSink {
 /// The receiving end of an exchange inside a fragment instance.
 pub(crate) struct ReceiverSource {
     rx: NetReceiver<Msg>,
-    remaining_eofs: usize,
+    /// Producer instances that have not sent their final message yet.
+    open_producers: usize,
     ctrl: Arc<ControlBlock>,
     /// Sites hosting this exchange's producer instances, polled between
     /// receive timeouts: a producer that dies mid-run will never deliver
-    /// its EOF, and without the check the receiver would wait out the
-    /// whole query deadline instead of failing over.
+    /// its final message, and without the check the receiver would wait
+    /// out the whole query deadline instead of failing over.
     producers: Vec<SiteId>,
     network: Arc<Network>,
-    /// When traced: (attempt table, Exchange node index) to credit shipped
-    /// bytes to — the consumer side observes exactly what crossed the wire.
-    obs: Option<(Arc<AttemptStats>, u32)>,
 }
 
 impl RowSource for ReceiverSource {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
         loop {
             self.ctrl.check()?;
-            if self.remaining_eofs == 0 {
+            if self.open_producers == 0 {
                 return Ok(None);
             }
             match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Msg::Batch(b)) => {
-                    if let Some((attempt, node)) = &self.obs {
-                        attempt.record_shipped(*node, b.wire_size() as u64);
-                    }
-                    return Ok(Some(b));
+                Ok(Msg::Batch { rows, last }) => {
+                    self.open_producers -= last as usize;
+                    return Ok(Some(rows));
                 }
-                Ok(Msg::Eof) => {
-                    self.remaining_eofs -= 1;
-                }
+                Ok(Msg::End) => self.open_producers -= 1,
                 Err(NetError::Timeout) => {
                     // Crashed (or suspect) producers cannot deliver their
-                    // remaining batches/EOFs — messages from them are
-                    // dropped — so surface the loss retryably now. A
-                    // producer that already finished trips this too, but
-                    // that only costs one replan against the surviving
-                    // topology.
+                    // remaining messages — those are dropped — so surface
+                    // the loss retryably now. A producer that already
+                    // finished trips this too, but that only costs one
+                    // replan against the surviving topology.
                     self.network.refresh_liveness();
                     let liveness = self.network.liveness();
                     if let Some(dead) = self
@@ -434,7 +434,7 @@ impl RowSource for ReceiverSource {
                 }
                 Err(_) => {
                     return Err(IcError::Exec(
-                        "exchange peer disconnected before EOF (upstream failure)".into(),
+                        "exchange peer disconnected mid-stream (upstream failure)".into(),
                     ))
                 }
             }
@@ -802,11 +802,9 @@ fn launch_instance(env: &ExecEnv, inst: Instance) -> IcResult<Vec<Row>> {
         subs: FxHashMap::default(),
     };
     pipeline::run_instance(&mut ctx, &mut inst, &root, &env.pools, env.morsel_rows, &sink)?;
-    // The driver alone flushes the stage and signals EOF, after the drain
-    // barrier.
+    // The driver alone ends the stream, after the drain barrier.
     if let Some(core) = core {
         core.flush()?;
-        core.finish();
     }
     let rows = std::mem::take(&mut *rows.lock());
     Ok(rows)
@@ -897,7 +895,7 @@ pub fn execute_plan(
     let mut rx_map: FxHashMap<(ExchangeId, SiteId, usize), NetReceiver<Msg>> = FxHashMap::default();
     let mut tx_protos: FxHashMap<ExchangeId, Vec<(SiteId, usize, NetSender<Msg>)>> =
         FxHashMap::default();
-    let mut eof_count: FxHashMap<ExchangeId, usize> = FxHashMap::default();
+    let mut producer_count: FxHashMap<ExchangeId, usize> = FxHashMap::default();
     for (&ex, &ci) in &consumer_of {
         let consumer = &fragments[ci];
         let cvars = vplans[ci].variants;
@@ -915,7 +913,7 @@ pub fn execute_plan(
             .get(&ex)
             .copied()
             .ok_or_else(|| IcError::Exec("exchange without producer".into()))?;
-        eof_count.insert(ex, fragments[pi].sites.len() * vplans[pi].variants);
+        producer_count.insert(ex, fragments[pi].sites.len() * vplans[pi].variants);
     }
 
     // --- launch the fragment instances ------------------------------------
@@ -941,18 +939,19 @@ pub fn execute_plan(
                 ex,
                 ReceiverSource {
                     rx,
-                    remaining_eofs: eof_count[&ex],
+                    open_producers: producer_count[&ex],
                     ctrl: ctrl.clone(),
                     producers: fragments[producer_of[&ex]].sites.clone(),
                     network: network.clone(),
-                    obs: obs_ctx
-                        .as_ref()
-                        .and_then(|(o, ix)| ix.of_exchange(ex).map(|n| (o.attempt.clone(), n))),
                 },
             );
         }
         let (root, vplan) = (fragments[fi].root.clone(), vplans[fi].clone());
         Ok(Instance { fi, site, vid, root, vplan, receivers, exchange })
+    };
+    // Traced: where an exchange's producers credit their charged messages.
+    let shipped_to = |ex| {
+        obs_ctx.as_ref().and_then(|(o, ix)| ix.of_exchange(ex).map(|n| (o.attempt.clone(), n)))
     };
     // Every non-root instance gets a driver thread of its own.
     let error_slot: Arc<Mutex<Option<IcError>>> = Arc::new(Mutex::named(None, "exec.error_slot"));
@@ -960,14 +959,15 @@ pub fn execute_plan(
     for (fi, fragment) in fragments.iter().enumerate() {
         let Sink::Exchange { id: sink_id, to } = &fragment.sink else { continue };
         let consumer_mode = vplans[consumer_of[sink_id]].receiver_mode(*sink_id);
+        let shipped = shipped_to(*sink_id);
         for &site in &fragment.sites {
             for vid in 0..vplans[fi].variants {
                 let endpoints: Vec<(SiteId, usize, NetSender<Msg>)> = tx_protos[sink_id]
                     .iter()
                     .map(|(s, v, tx)| (*s, *v, tx.with_src(site).with_abort(abort.clone())))
                     .collect();
-                let core =
-                    ExchangeCore::new(to.clone(), assignment.clone(), endpoints, consumer_mode);
+                let (to, asg, shipped) = (to.clone(), assignment.clone(), shipped.clone());
+                let core = ExchangeCore::new(to, asg, endpoints, consumer_mode, shipped);
                 let inst = instance(fi, site, vid, Some(core))?;
                 let (env, error_slot) = (env.clone(), error_slot.clone());
                 handles.push((fi, site, vid, std::thread::spawn(move || {

@@ -2,12 +2,17 @@
 //! variant-count correctness, fault injection, and telemetry.
 
 use ic_common::agg::AggFunc;
-use ic_common::{DataType, Datum, Expr, Field, IcError, Row, Schema};
-use ic_exec::{execute_plan, ExecOptions};
-use ic_net::{FaultPlan, Network, NetworkConfig, SiteId, Topology, TICK_FOREVER};
+use ic_common::row::BATCH_SIZE;
+use ic_common::{ColumnBatch, DataType, Datum, Expr, Field, IcError, Row, Schema};
+use ic_exec::runtime::{ExchangeCore, Msg};
+use ic_exec::{execute_plan, ExecOptions, SourceMode};
+use ic_net::{
+    net_channel, Assignment, FaultPlan, NetStats, Network, NetworkConfig, SiteId, Topology,
+    WireSize, TICK_FOREVER,
+};
 use ic_opt::optimize_query;
 use ic_plan::ops::{AggCall, JoinKind, LogicalPlan, RelOp};
-use ic_plan::PlannerFlags;
+use ic_plan::{Distribution, PlannerFlags};
 use ic_storage::{Catalog, TableDistribution};
 use std::sync::Arc;
 
@@ -219,4 +224,188 @@ fn telemetry_tracks_traffic() {
     let (_, s8) = execute_plan(&opt8.plan, &cat8, &net8, &ExecOptions::default()).unwrap();
     assert!(s8.net_messages >= s2.net_messages, "{} vs {}", s8.net_messages, s2.net_messages);
     assert!(s8.threads > s2.threads);
+}
+
+// --- the exchange protocol, one producer instance at a time -----------------
+
+const SITES: usize = 4;
+/// Where the producer instance runs: it has a same-site link wherever its
+/// own site consumes, and cross-site links to everyone else.
+const PRODUCER: SiteId = SiteId(1);
+
+/// What one receiver endpoint saw of one producer instance.
+struct Link {
+    site: SiteId,
+    /// The messages in arrival order: (rows carried, final-message flag,
+    /// wire size).
+    msgs: Vec<(Vec<Row>, bool, usize)>,
+}
+
+impl Link {
+    fn rows(&self) -> Vec<Row> {
+        self.msgs.iter().flat_map(|(rows, _, _)| rows.clone()).collect()
+    }
+}
+
+/// Run one producer instance's whole stream — `rows` in chunks of `chunk` —
+/// through an [`ExchangeCore`] over the instant network and return what
+/// every endpoint received, with the run's cross-site tally and same-site
+/// message count.
+fn ship(
+    to: &Distribution,
+    mode: SourceMode,
+    variants: usize,
+    rows: &[Row],
+    chunk: usize,
+) -> (Vec<Link>, (u64, u64), u64) {
+    let net = Network::new(NetworkConfig::instant());
+    let tally = Arc::new(NetStats::default());
+    let consumers = if *to == Distribution::Single { 1 } else { SITES };
+    let (mut endpoints, mut receivers) = (Vec::new(), Vec::new());
+    for site in (0..consumers).map(SiteId) {
+        for v in 0..variants {
+            let (tx, rx) = net_channel::<Msg>(net.clone(), SiteId(usize::MAX), site, 16);
+            endpoints.push((site, v, tx.with_tally(tally.clone()).with_src(PRODUCER)));
+            receivers.push((site, rx));
+        }
+    }
+    let assignment = Arc::new(Assignment::healthy(&Topology::new(SITES)));
+    let core = ExchangeCore::new(to.clone(), assignment, endpoints, mode, None);
+    for piece in rows.chunks(chunk) {
+        core.send_batch(ColumnBatch::from_rows(piece)).unwrap();
+    }
+    core.flush().unwrap();
+    drop(core);
+    let links = receivers
+        .into_iter()
+        .map(|(site, rx)| {
+            let mut msgs = Vec::new();
+            while let Ok(msg) = rx.recv() {
+                let size = msg.wire_size();
+                msgs.push(match msg {
+                    Msg::Batch { rows, last } => (rows.to_rows(), last, size),
+                    Msg::End => (Vec::new(), true, size),
+                });
+            }
+            Link { site, msgs }
+        })
+        .collect();
+    let (messages, bytes, _) = tally.snapshot();
+    (links, (messages, bytes), net.stats.snapshot().2)
+}
+
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort();
+    rows
+}
+
+/// The protocol's invariants for one (distribution, consumer mode, variant
+/// count, stream) cell. The stream arrives in chunks of `BATCH_SIZE / 4`, so
+/// an unhashed stage fills to exactly `BATCH_SIZE` and the message count is
+/// exact; hashed pieces overshoot, which can only make messages fewer and
+/// larger — the callers keep hashed links at aligned or sub-batch row counts.
+fn check_protocol(to: &Distribution, mode: SourceMode, variants: usize, rows: &[Row]) {
+    let label = format!("{to:?} {mode:?} x{variants}, {} rows", rows.len());
+    let (links, (messages, bytes), local) = ship(to, mode, variants, rows, BATCH_SIZE / 4);
+    let assignment = Assignment::healthy(&Topology::new(SITES));
+    let (mut cross_msgs, mut cross_bytes, mut local_msgs) = (0u64, 0u64, 0u64);
+    for link in &links {
+        // Exactly one final message from the producer instance, and nothing
+        // after it.
+        let finals = link.msgs.iter().filter(|(_, last, _)| *last).count();
+        assert_eq!(finals, 1, "{label}: final messages at {}", link.site);
+        let (final_rows, _, final_size) = link.msgs.last().unwrap();
+        assert!(link.msgs.last().unwrap().1, "{label}: a message after the final one");
+        // A link never pays for an empty message except the bare end marker
+        // of a link that carried nothing else in the flush.
+        for (carried, last, _) in &link.msgs {
+            assert!(*last || carried.len() >= BATCH_SIZE, "{label}: a sliver left before the end");
+        }
+        if final_rows.is_empty() {
+            assert_eq!(*final_size, 8, "{label}: bare end marker size");
+        }
+        let on_link = link.rows().len();
+        let expected = on_link.div_ceil(BATCH_SIZE).max(1);
+        assert_eq!(link.msgs.len(), expected, "{label}: msgs for {on_link} rows at {}", link.site);
+        let size: usize = link.msgs.iter().map(|(_, _, size)| size).sum();
+        if link.site == PRODUCER {
+            local_msgs += link.msgs.len() as u64;
+        } else {
+            cross_msgs += link.msgs.len() as u64;
+            cross_bytes += size as u64;
+        }
+    }
+    // Every cross-site message was charged and counted, no same-site one.
+    assert_eq!((messages, bytes), (cross_msgs, cross_bytes), "{label}: tally");
+    assert_eq!(local, local_msgs, "{label}: same-site messages");
+    if rows.is_empty() {
+        let cross_links = links.iter().filter(|l| l.site != PRODUCER).count() as u64;
+        assert_eq!((messages, bytes), (cross_links, 8 * cross_links), "{label}: empty stream");
+    }
+    // Each site received exactly the rows the distribution sends it: all of
+    // them under every duplicator variant, each once across a splitter's.
+    for site in links.iter().map(|l| l.site).collect::<std::collections::BTreeSet<_>>() {
+        let expected: Vec<Row> = rows
+            .iter()
+            .filter(|r| match to {
+                Distribution::Hash(keys) => assignment.site_for_hash(r.hash_key(keys)) == site,
+                _ => true,
+            })
+            .cloned()
+            .collect();
+        let at_site: Vec<&Link> = links.iter().filter(|l| l.site == site).collect();
+        assert_eq!(at_site.len(), variants, "{label}");
+        match mode {
+            SourceMode::Duplicator => {
+                for link in at_site {
+                    assert_eq!(sorted(link.rows()), sorted(expected.clone()), "{label}: at {site}");
+                }
+            }
+            SourceMode::Splitter => {
+                let got = at_site.iter().flat_map(|l| l.rows()).collect();
+                assert_eq!(sorted(got), sorted(expected), "{label}: at {site}");
+            }
+        }
+    }
+}
+
+fn stream(n: usize, key: impl Fn(usize) -> i64) -> Vec<Row> {
+    (0..n).map(|i| Row(vec![Datum::Int(key(i)), Datum::Int(i as i64)])).collect()
+}
+
+/// A link carries `max(1, ceil(rows / BATCH_SIZE))` messages, its last one
+/// flagged, whatever the distribution, the consumer's source mode and its
+/// variant count; an empty stream costs one 8-byte marker per link.
+#[test]
+fn exchange_link_ends_on_its_last_batch() {
+    for to in [Distribution::Single, Distribution::Broadcast, Distribution::Hash(vec![0])] {
+        for mode in [SourceMode::Splitter, SourceMode::Duplicator] {
+            for variants in 1..=3 {
+                for n in [0, 1, BATCH_SIZE - 1, BATCH_SIZE, 3 * BATCH_SIZE + 7] {
+                    check_protocol(&to, mode, variants, &stream(n, |i| i as i64));
+                }
+            }
+        }
+    }
+}
+
+/// A hash exchange fills a batch *per destination*: a stream whose keys all
+/// hash to one site ships `ceil(rows / BATCH_SIZE)` messages there and one
+/// bare end marker to every other site.
+#[test]
+fn hash_exchange_batches_per_destination() {
+    let to = Distribution::Hash(vec![0]);
+    let rows = stream(3 * BATCH_SIZE + 7, |_| 42);
+    check_protocol(&to, SourceMode::Duplicator, 1, &rows);
+    let (links, (messages, _), _) = ship(&to, SourceMode::Duplicator, 1, &rows, BATCH_SIZE / 4);
+    let home = Assignment::healthy(&Topology::new(SITES)).site_for_hash(rows[0].hash_key(&[0]));
+    for link in &links {
+        assert_eq!(link.msgs.len(), if link.site == home { 4 } else { 1 }, "at {}", link.site);
+    }
+    let cross = links.iter().filter(|l| l.site != PRODUCER);
+    assert_eq!(messages, cross.map(|l| l.msgs.len() as u64).sum());
+    // Spread evenly, the same rows fit one message per link.
+    let spread = stream(3 * BATCH_SIZE + 7, |i| i as i64);
+    let (links, _, _) = ship(&to, SourceMode::Duplicator, 1, &spread, 64);
+    assert!(links.iter().all(|l| l.msgs.len() == 1 && l.msgs[0].0.len() > BATCH_SIZE / 2));
 }

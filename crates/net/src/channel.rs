@@ -78,12 +78,16 @@ pub fn net_channel<T: WireSize>(
 impl<T: WireSize> NetSender<T> {
     /// Ship one payload: charges network delay (abortable mid-flight when
     /// an abort hook is attached), then delivers (blocking if the
-    /// receiver's window is full). Traced senders record one span per
+    /// receiver's window is full). Returns the bytes charged to the wire:
+    /// the payload's wire size on a cross-site link, 0 on a same-site one —
+    /// that hand-off is free, so it is counted (`local_messages`) but never
+    /// sized or traced. Traced senders record one span per cross-site
     /// transfer — the span duration is the charged latency, `bytes` the
     /// wire size — and an instant event for every injected fault.
-    pub fn send(&self, payload: T) -> Result<(), NetError> {
-        let bytes = payload.wire_size();
-        let t0 = self.obs.as_ref().map(|o| o.trace.now_ns());
+    pub fn send(&self, payload: T) -> Result<usize, NetError> {
+        let local = self.src == self.dst;
+        let bytes = if local { 0 } else { payload.wire_size() };
+        let traced = self.obs.as_ref().filter(|_| !local).map(|o| (o, o.trace.now_ns()));
         let charged = self.net.transfer_cancellable(
             self.src,
             self.dst,
@@ -91,7 +95,7 @@ impl<T: WireSize> NetSender<T> {
             self.abort.as_deref(),
             self.tally.as_deref(),
         );
-        if let (Some(o), Some(t0)) = (&self.obs, t0) {
+        if let Some((o, t0)) = traced {
             match &charged {
                 Ok(()) => o.trace.record_span(
                     format!("xfer {}->{}", self.src, self.dst),
@@ -111,7 +115,8 @@ impl<T: WireSize> NetSender<T> {
             }
         }
         charged?;
-        self.tx.send(payload).map_err(|_| NetError::Disconnected)
+        self.tx.send(payload).map_err(|_| NetError::Disconnected)?;
+        Ok(bytes)
     }
 }
 
@@ -184,10 +189,29 @@ mod tests {
         let net = Network::new(NetworkConfig::instant());
         let (tx, rx) = net_channel::<Vec<Row>>(net.clone(), SiteId(0), SiteId(1), 4);
         let batch = vec![Row(vec![Datum::Int(1)])];
-        tx.send(batch.clone()).unwrap();
+        assert_eq!(tx.send(batch.clone()), Ok(batch.wire_size()));
         assert_eq!(rx.recv().unwrap(), batch);
         let (msgs, _, _) = net.stats.snapshot();
         assert_eq!(msgs, 1);
+    }
+
+    /// A same-site hand-off is free, so it must not pay for sizing the
+    /// payload either: it is delivered and counted, nothing else.
+    #[test]
+    fn same_site_send_is_never_sized() {
+        struct Unsizable;
+        impl WireSize for Unsizable {
+            fn wire_size(&self) -> usize {
+                panic!("a free link sized its payload")
+            }
+        }
+        let net = Network::new(NetworkConfig::instant());
+        let tally = Arc::new(NetStats::default());
+        let (tx, rx) = net_channel::<Unsizable>(net.clone(), SiteId(2), SiteId(2), 4);
+        assert_eq!(tx.with_tally(tally.clone()).send(Unsizable), Ok(0));
+        assert!(rx.recv().is_ok());
+        assert_eq!(net.stats.snapshot(), (0, 0, 1));
+        assert_eq!(tally.snapshot(), (0, 0, 0));
     }
 
     #[test]

@@ -106,6 +106,11 @@ pub struct Network {
     m_messages: Arc<ic_common::obs::Counter>,
     m_bytes: Arc<ic_common::obs::Counter>,
     m_faults: Arc<ic_common::obs::Counter>,
+    /// The wire charge split into the two terms of
+    /// [`NetworkConfig::transfer_delay`] (each × the fault layer's delay
+    /// factor): what a message costs for existing, and what for its size.
+    m_latency_ns: Arc<ic_common::obs::Counter>,
+    m_bandwidth_ns: Arc<ic_common::obs::Counter>,
     /// Replication traffic class (`net.replicate.*`): primary→backup write
     /// effects and rebalance chunk copies, kept separate from query
     /// exchange traffic so experiments can attribute overhead.
@@ -125,6 +130,8 @@ impl Network {
             m_messages: reg.counter("net.transfer.messages"),
             m_bytes: reg.counter("net.transfer.bytes"),
             m_faults: reg.counter("net.transfer.faults"),
+            m_latency_ns: reg.counter("net.transfer.latency_ns"),
+            m_bandwidth_ns: reg.counter("net.transfer.bandwidth_ns"),
             m_repl_messages: reg.counter("net.replicate.messages"),
             m_repl_bytes: reg.counter("net.replicate.bytes"),
             m_repl_failures: reg.counter("net.replicate.failures"),
@@ -212,6 +219,9 @@ impl Network {
         self.m_messages.inc();
         self.m_bytes.add(bytes as u64);
         let delay = self.config.transfer_delay(bytes) * delay_factor;
+        let latency = self.config.latency * delay_factor;
+        self.m_latency_ns.add(latency.as_nanos() as u64);
+        self.m_bandwidth_ns.add(delay.saturating_sub(latency).as_nanos() as u64);
         if delay.is_zero() {
             return Ok(());
         }

@@ -111,3 +111,25 @@ proptest! {
         }
     }
 }
+
+/// `net.transfer.latency_ns` / `net.transfer.bandwidth_ns` are the two terms
+/// of `NetworkConfig::transfer_delay`, each × the fault layer's delay factor;
+/// a same-site transfer adds to neither. (The counters are process-wide: no
+/// other test in this binary makes a transfer, so the deltas are exact.)
+#[test]
+fn wire_charge_splits_into_latency_and_bandwidth() {
+    use ic_net::{Network, NetworkConfig};
+    let counter = |name| ic_common::obs::MetricsRegistry::global().counter(name);
+    let (latency, bandwidth) =
+        (counter("net.transfer.latency_ns"), counter("net.transfer.bandwidth_ns"));
+    let net = Network::new(NetworkConfig {
+        latency: std::time::Duration::from_micros(300),
+        bandwidth_bytes_per_sec: 1_000_000,
+    });
+    net.install_faults(FaultPlan::new(1).latency_spike(2, 0, TICK_FOREVER));
+    let before = (latency.get(), bandwidth.get());
+    // 500 B at 1 MB/s = 500 µs; the spike doubles both terms.
+    net.transfer(SiteId(0), SiteId(1), 500).unwrap();
+    net.transfer(SiteId(1), SiteId(1), 500).unwrap();
+    assert_eq!((latency.get() - before.0, bandwidth.get() - before.1), (600_000, 1_000_000));
+}

@@ -39,6 +39,26 @@ fn runnable_queries() -> Vec<usize> {
     (1..=22).filter(|q| !tpch::EXCLUDED_UNSUPPORTED.contains(q)).collect()
 }
 
+/// The statement the mid-run-crash tests open with. Fault ticks are
+/// messages, and a link whose end-of-stream rides its only batch carries
+/// exactly one — so under "crash site 3 from tick 1", a statement where
+/// site 3 is on a single transfer (`count(*)` over one table: one message
+/// per site) survives whenever site 3's driver happens to send first. This
+/// one broadcasts `customer`: site 3 is an endpoint of six transfers before
+/// any partial result moves, at most one of them is tick 0, and the crash
+/// lands by construction.
+const BROADCASTING_SQL: &str = "SELECT count(*) FROM orders, customer WHERE o_custkey = c_custkey";
+
+/// The construction [`BROADCASTING_SQL`]'s doc relies on, checked against
+/// the plan: some exchange of `sql` has every site send to every other.
+fn assert_every_site_sends_on_several_links(cluster: &Cluster, sql: &str) {
+    let plan = cluster.explain(sql).unwrap();
+    assert!(
+        plan.contains("Exchange[broadcast]") || plan.contains("Exchange[hash"),
+        "no all-to-all exchange, a crash from tick 1 may miss this statement:\n{plan}"
+    );
+}
+
 /// Sort rows deterministically, then compare pairwise with a relative
 /// tolerance on doubles: a 3-survivor execution accumulates floating-point
 /// sums in a different order than the 4-site baseline.
@@ -100,17 +120,20 @@ fn all_queries_survive_dead_site_with_backups() {
 #[test]
 fn seeded_mid_run_crash_recovers_and_replays() {
     const SEED: u64 = 4242;
-    // Crash from tick 1: site 3 is alive at planning time, so the first
-    // query's exchanges are guaranteed to hit the dead site mid-run.
+    // Crash from tick 1: site 3 is alive at planning time, and the opening
+    // statement's exchanges are guaranteed to hit the dead site mid-run.
     let plan = || FaultPlan::new(SEED).crash(SiteId(3), 1);
     assert_eq!(plan(), plan(), "same seed must build the same plan");
     assert_eq!(plan().timeline(), plan().timeline());
 
     let healthy = chaos_cluster(1);
-    let queries = runnable_queries();
+    assert_every_site_sends_on_several_links(&healthy, BROADCASTING_SQL);
+    let queries: Vec<(String, String)> = std::iter::once(("opener".into(), BROADCASTING_SQL.into()))
+        .chain(runnable_queries().into_iter().map(|q| (format!("Q{q}"), tpch::query(q))))
+        .collect();
     let mut baselines = Vec::new();
-    for q in &queries {
-        baselines.push(healthy.query(&tpch::query(*q)).unwrap().rows);
+    for (_, sql) in &queries {
+        baselines.push(healthy.query(sql).unwrap().rows);
     }
 
     type Run = (Vec<Vec<Row>>, u32, Vec<(SiteId, ignite_calcite_rs::SiteState)>);
@@ -121,15 +144,15 @@ fn seeded_mid_run_crash_recovers_and_replays() {
         let mut rows_per_query = Vec::new();
         let mut total_retries = 0;
         let mut max_peak_buffered = 0u64;
-        for q in &queries {
+        for (q, sql) in &queries {
             let r = cluster
-                .query(&tpch::query(*q))
-                .unwrap_or_else(|e| panic!("Q{q} under seeded crash (fault seed {SEED}): {e}"));
+                .query(sql)
+                .unwrap_or_else(|e| panic!("{q} under seeded crash (fault seed {SEED}): {e}"));
             // QueryStats mirrors the result-level retry count, reports the
             // lease's buffered-cell high-water mark, and shows no queue
             // wait for this uncontended single client.
-            assert_eq!(r.stats.retries, r.retries, "Q{q}: stats.retries out of sync");
-            assert_eq!(r.stats.queue_wait, Duration::ZERO, "Q{q}: unexpected queue wait");
+            assert_eq!(r.stats.retries, r.retries, "{q}: stats.retries out of sync");
+            assert_eq!(r.stats.queue_wait, Duration::ZERO, "{q}: unexpected queue wait");
             max_peak_buffered = max_peak_buffered.max(r.stats.peak_buffered_rows);
             total_retries += r.retries;
             rows_per_query.push(r.rows);
@@ -142,7 +165,8 @@ fn seeded_mid_run_crash_recovers_and_replays() {
     }
 
     for (rows_per_query, total_retries, liveness) in &runs {
-        // The first query runs into the crash and must have failed over.
+        // The opening statement runs into the crash and must have failed
+        // over.
         assert!(*total_retries >= 1, "expected at least one failover retry");
         // Site 3 ends the run permanently dead.
         assert!(
@@ -151,15 +175,15 @@ fn seeded_mid_run_crash_recovers_and_replays() {
                 .any(|(s, st)| *s == SiteId(3) && *st == ignite_calcite_rs::SiteState::Dead),
             "site3 should be dead: {liveness:?}"
         );
-        for ((q, rows), baseline) in queries.iter().zip(rows_per_query).zip(&baselines) {
-            assert_rows_close(baseline, rows, &format!("Q{q} under seeded crash (seed {SEED})"));
+        for (((q, _), rows), baseline) in queries.iter().zip(rows_per_query).zip(&baselines) {
+            assert_rows_close(baseline, rows, &format!("{q} under seeded crash (seed {SEED})"));
         }
     }
     // Replay: the two identically-seeded runs agree exactly.
     assert_eq!(runs[0].1, runs[1].1, "retry counts diverged between replays of seed {SEED}");
     assert_eq!(runs[0].2, runs[1].2, "liveness diverged between replays of seed {SEED}");
-    for ((q, a), b) in queries.iter().zip(&runs[0].0).zip(&runs[1].0) {
-        assert_rows_close(a, b, &format!("Q{q} replay (seed {SEED})"));
+    for (((q, _), a), b) in queries.iter().zip(&runs[0].0).zip(&runs[1].0) {
+        assert_rows_close(a, b, &format!("{q} replay (seed {SEED})"));
     }
 }
 
@@ -171,10 +195,11 @@ fn seeded_mid_run_crash_recovers_and_replays() {
 fn failed_over_query_trace_records_both_attempts() {
     const SEED: u64 = 77;
     let cluster = chaos_cluster(1);
+    assert_every_site_sends_on_several_links(&cluster, BROADCASTING_SQL);
     // Crash from tick 1 so attempt 0 plans against a live site 3 and dies
     // mid-run; attempt 1 replans around the dead site and succeeds.
     cluster.install_faults(FaultPlan::new(SEED).crash(SiteId(3), 1));
-    let (result, trace) = cluster.query_traced(0, "SELECT count(*) FROM lineitem");
+    let (result, trace) = cluster.query_traced(0, BROADCASTING_SQL);
     let result = result
         .unwrap_or_else(|e| panic!("failover should recover the query (fault seed {SEED}): {e}"));
     assert!(result.retries >= 1, "query must have failed over at least once (fault seed {SEED})");
@@ -199,6 +224,35 @@ fn failed_over_query_trace_records_both_attempts() {
     let attempts = trace.attempts();
     assert!(attempts.len() >= 2, "one stats table per attempt, got {}", attempts.len());
     assert_eq!(attempts.last().unwrap().rows(0), result.rows.len() as u64);
+}
+
+/// A link's end-of-stream is its last message, so losing that message must
+/// not leave the receiver waiting for a marker that will never come: with the
+/// site 2 → coordinator link dropping everything, site 2's one message of a
+/// `count(*)` — partial count and end flag at once — is lost, and the
+/// statement surfaces the retryable `SiteUnavailable` chain, never a hang
+/// or a short count.
+#[test]
+fn lost_last_message_is_retryable() {
+    let cluster = chaos_cluster(1);
+    let sql = "SELECT count(*) FROM lineitem";
+    let baseline = cluster.query(sql).unwrap().rows;
+    cluster.install_faults(FaultPlan::new(5).drop_link(
+        SiteId(2),
+        SiteId(0),
+        1.0,
+        0,
+        ignite_calcite_rs::TICK_FOREVER,
+    ));
+    match cluster.query(sql).unwrap_err() {
+        IcError::RetriesExhausted { attempts, chain } => {
+            assert!(attempts >= 2, "the lost message must have been retried: {chain:?}");
+            assert!(chain.iter().all(|c| c.contains("dropped an exchange message")), "{chain:?}");
+        }
+        other => panic!("expected RetriesExhausted over SiteUnavailable, got {other}"),
+    }
+    cluster.clear_faults();
+    assert_eq!(cluster.query(sql).unwrap().rows, baseline);
 }
 
 /// Without backups, a dead site's partitions are lost: the failover loop
@@ -246,7 +300,8 @@ fn governor_sheds_queued_queries_during_site_crash() {
         cluster.insert(t.name, t.rows).unwrap();
     }
     cluster.analyze_all().unwrap();
-    let baseline = cluster.query(&tpch::query(6)).unwrap().rows;
+    assert_every_site_sends_on_several_links(&cluster, BROADCASTING_SQL);
+    let baseline = cluster.query(BROADCASTING_SQL).unwrap().rows;
     // Crash site 3 from tick 1: whichever query runs first hits it mid-run
     // while the other clients are queued or being shed.
     const SEED: u64 = 99;
@@ -260,7 +315,7 @@ fn governor_sheds_queued_queries_during_site_crash() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                cluster.query_as(client as u64, &tpch::query(6))
+                cluster.query_as(client as u64, BROADCASTING_SQL)
             })
         })
         .collect();
@@ -272,7 +327,7 @@ fn governor_sheds_queued_queries_during_site_crash() {
     for h in handles {
         match h.join().expect("client thread panicked") {
             Ok(r) => {
-                assert_rows_close(&baseline, &r.rows, &format!("Q6 under overload + crash (seed {SEED})"));
+                assert_rows_close(&baseline, &r.rows, &format!("overload + crash (seed {SEED})"));
                 assert_eq!(r.stats.retries, r.retries);
                 saw_queue_wait |= r.stats.queue_wait > Duration::ZERO;
                 total_retries += r.retries;
