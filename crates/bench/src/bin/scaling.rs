@@ -1,7 +1,7 @@
-//! Intra-fragment scaling curve: one fixed 4-site cluster, worker pool
-//! width swept 1 → N threads per site, wall time per query shape.
+//! Intra-fragment scaling curve: one fixed 4-site cluster, lanes per
+//! parallel region (`worker_threads`) swept 1 → N, wall time per query shape.
 //!
-//! `1` runs the morsel pipeline with a single lane per site; `2+` adds
+//! `1` runs the morsel pipeline with a single lane per region; `2+` adds
 //! lanes that pull from the shared morsel supply and steal across
 //! pre-assignments. Two query shapes bracket the
 //! paper's Figures 9/10 finding that multithreading helps
@@ -106,7 +106,7 @@ fn run_sweep(rows: i64, reps: usize) -> Vec<Point> {
     let mut base_agg = None;
     for &threads in &THREADS {
         // Same catalog, same loaded data, fresh network; only the
-        // per-site pool width changes.
+        // lane count per parallel region changes.
         let cluster = base.with_worker_threads(threads, MORSEL_ROWS);
         let ship = measure(&cluster, SHIP_SQL, reps, ship_rows);
         let agg = measure(&cluster, AGG_SQL, reps, agg_rows);

@@ -82,7 +82,7 @@ pub struct ClusterConfig {
     /// Resource-governor sizing: admission slots, wait-queue bound, and
     /// the shared memory-pool budget all queries lease from.
     pub governor: GovernorConfig,
-    /// Morsel-pool workers per site (intra-fragment parallelism degree);
+    /// Lanes per parallel region (intra-fragment parallelism degree);
     /// clamped to ≥1.
     pub worker_threads: usize,
     /// Rows per morsel (work-stealing granule).
@@ -110,7 +110,7 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// Fast configuration for unit tests: no simulated network delay. One
-    /// pool worker per site keeps the morsel-parallel code path active
+    /// lane per parallel region keeps the morsel-parallel code path active
     /// while lane order — and therefore unordered result order — stays
     /// deterministic for golden-output comparisons.
     pub fn test_default() -> ClusterConfig {
@@ -182,8 +182,8 @@ impl Cluster {
         self.reconfigured(ClusterConfig { variant, ..self.config.clone() })
     }
 
-    /// A cluster sharing this one's data but with a different morsel-pool
-    /// sizing — the scaling sweep's axis: same data, same plans, only the
+    /// A cluster sharing this one's data but with a different lane count
+    /// and morsel size — the scaling sweep's axis: same data, same plans, only the
     /// intra-fragment parallelism degree changes.
     pub fn with_worker_threads(&self, worker_threads: usize, morsel_rows: usize) -> Cluster {
         self.reconfigured(ClusterConfig { worker_threads, morsel_rows, ..self.config.clone() })

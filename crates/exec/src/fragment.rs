@@ -1,108 +1,100 @@
-//! Execution-plan fragmentation — Algorithm 1 of the paper (§3.2.3).
+//! Placement: one pre-order walk of a physical plan that writes down
+//! everything an execution needs to know about it — its fragments
+//! (Algorithm 1, §3.2.3), its exchanges, and a per-node table.
 //!
-//! Walking the physical plan depth-first, every [`PhysOp::Exchange`]
-//! splits the tree: the exchange's subtree becomes a new fragment whose
-//! *sender* ships rows into the consuming fragment's *receiver* (the
-//! exchange node itself marks the receiver position in the consumer).
+//! Every [`PhysOp::Exchange`] splits the tree: the exchange's subtree becomes
+//! a new fragment whose *sender* ships rows into the consuming fragment's
+//! *receiver* (the exchange node itself marks the receiver position in the
+//! consumer). The same walk carries Algorithm 3's splitter/duplicator mode
+//! down each fragment ([`crate::variant`]), so a fragment's variant count and
+//! its sources' modes come out of it too.
+//!
+//! A node is identified by its **pre-order position** — the index a traced
+//! run reports it under. The optimizer's memo can share a subtree between
+//! two parents (a self-join); visited at two positions it is two nodes, two
+//! exchanges and two fragments, with no copy of the plan made.
 
+use crate::variant::{assign_modes, SourceMode};
+use ic_common::obs::OpMeta;
 use ic_net::{Assignment, SiteId};
 use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
 use std::sync::Arc;
 
-/// Fragment identifier (0 = root fragment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FragmentId(pub usize);
+/// A plan node at its pre-order position.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeRef<'p> {
+    pub plan: &'p Arc<PhysPlan>,
+    pub id: u32,
+}
 
-/// Exchange identifier, shared between the producing fragment's sender and
-/// the consuming fragment's receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ExchangeId(pub usize);
-
-/// Where a fragment's output goes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Sink {
-    /// Root fragment: rows go to the client.
-    Results,
-    /// Ship rows into `exchange` with the given target distribution.
-    Exchange { id: ExchangeId, to: Distribution },
+impl<'p> NodeRef<'p> {
+    /// This node's first (or only) input: the next node in pre-order.
+    pub fn first(self, input: &'p Arc<PhysPlan>) -> NodeRef<'p> {
+        NodeRef { plan: input, id: self.id + 1 }
+    }
 }
 
 /// One fragment: a subtree of the plan executable entirely at one site,
-/// instantiated at `sites`.
-#[derive(Debug, Clone)]
-pub struct Fragment {
-    pub id: FragmentId,
+/// instantiated at `sites` × `variants`. Fragment 0 is the root fragment.
+#[derive(Debug)]
+pub struct Fragment<'p> {
     /// The subtree root. [`PhysOp::Exchange`] nodes *inside* this subtree
     /// are the receivers of this fragment (their own subtrees belong to
     /// other fragments).
-    pub root: Arc<PhysPlan>,
-    pub sink: Sink,
+    pub root: NodeRef<'p>,
     pub sites: Vec<SiteId>,
+    /// Variant fragments per site (§5.3); 1 = not multithreaded.
+    pub variants: usize,
+    /// The exchange this fragment's rows ship into; `None` for the root
+    /// fragment, whose rows go to the client.
+    pub sink: Option<usize>,
+    /// The exchanges whose receivers live in this fragment, in pre-order.
+    pub inputs: Vec<usize>,
 }
 
-impl Fragment {
-    /// Exchange ids whose receivers live in this fragment (in discovery
-    /// order).
-    pub fn receiver_exchanges(&self, registry: &ExchangeRegistry) -> Vec<ExchangeId> {
-        let mut out = Vec::new();
-        collect_exchanges(&self.root, registry, &mut out);
-        out
-    }
-
-    /// Is this the root fragment?
-    pub fn is_root(&self) -> bool {
-        matches!(self.sink, Sink::Results)
-    }
+/// One exchange: the link between a producing fragment's sender and the
+/// consuming fragment's receiver.
+#[derive(Debug)]
+pub struct Exchange {
+    /// The Exchange plan node (where a traced run credits shipped messages).
+    pub node: u32,
+    pub producer: usize,
+    pub consumer: usize,
+    /// Target distribution of the shipped rows.
+    pub to: Distribution,
+    /// How the receiver behaves across the consumer's variants: a splitter
+    /// gets each row at one variant, a duplicator at all of them.
+    pub mode: SourceMode,
 }
 
-fn collect_exchanges(node: &Arc<PhysPlan>, registry: &ExchangeRegistry, out: &mut Vec<ExchangeId>) {
-    if let PhysOp::Exchange { .. } = &node.op {
-        // Registration always precedes collection; an unregistered node
-        // simply contributes no receiver.
-        if let Some(id) = registry.id_of(node) {
-            out.push(id);
-        }
-        return; // below is another fragment
-    }
-    for c in node.children() {
-        collect_exchanges(c, registry, out);
-    }
+/// Per-node facts, indexed by pre-order position.
+#[derive(Debug, Clone, Copy)]
+pub struct Node {
+    /// Nodes in this node's subtree, itself included: the subtree is
+    /// positions `id .. id + size`.
+    pub size: u32,
+    /// Algorithm 3's mode for this node within its fragment (read at the
+    /// fragment's sources, and only when the fragment has variants).
+    pub mode: SourceMode,
 }
 
-/// Maps exchange plan nodes (by pointer identity) to their ids.
-#[derive(Debug, Default)]
-pub struct ExchangeRegistry {
-    entries: Vec<*const PhysPlan>,
+/// Everything placement decides about one plan.
+#[derive(Debug)]
+pub struct Placement<'p> {
+    pub fragments: Vec<Fragment<'p>>,
+    pub exchanges: Vec<Exchange>,
+    pub nodes: Vec<Node>,
+    /// The static per-node table `EXPLAIN ANALYZE` renders (labels, tree
+    /// shape, optimizer estimates); empty unless placed for a traced run.
+    pub metas: Vec<OpMeta>,
 }
 
-// Pointers are only used as identity tokens.
-unsafe impl Send for ExchangeRegistry {}
-unsafe impl Sync for ExchangeRegistry {}
-
-impl ExchangeRegistry {
-    fn register(&mut self, node: &Arc<PhysPlan>) -> ExchangeId {
-        let ptr = Arc::as_ptr(node);
-        if let Some(pos) = self.entries.iter().position(|&p| p == ptr) {
-            return ExchangeId(pos);
-        }
-        self.entries.push(ptr);
-        ExchangeId(self.entries.len() - 1)
-    }
-
-    /// `None` when the node was never registered — the caller turns that
-    /// into an `IcError::Internal` instead of panicking mid-query.
-    pub fn id_of(&self, node: &Arc<PhysPlan>) -> Option<ExchangeId> {
-        let ptr = Arc::as_ptr(node);
-        self.entries.iter().position(|&p| p == ptr).map(ExchangeId)
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+impl Placement<'_> {
+    /// The second input of binary node `at`: past its first input's subtree.
+    pub fn second<'n>(&self, at: NodeRef<'n>, input: &'n Arc<PhysPlan>) -> NodeRef<'n> {
+        let first = at.id + 1;
+        NodeRef { plan: input, id: first + self.nodes[first as usize].size }
     }
 }
 
@@ -118,41 +110,94 @@ fn fragment_sites(root: &PhysPlan, assignment: &Assignment) -> Vec<SiteId> {
     }
 }
 
-/// Algorithm 1: split a physical plan into fragments at its exchanges.
-/// Fragment 0 is the root fragment. Fragments are placed against an
-/// [`Assignment`] — the surviving-site view of the topology — so dead
-/// sites' partitions are served by their backup owners.
-pub fn fragment_plan(
-    plan: &Arc<PhysPlan>,
+/// Place `plan`: split it into fragments at its exchanges (Algorithm 1) and
+/// give each eligible non-root fragment `variants` variant fragments
+/// (Algorithm 3). Fragments are placed against an [`Assignment`] — the
+/// surviving-site view of the topology — so dead sites' partitions are
+/// served by their backup owners; the root fragment runs at the coordinator.
+pub fn place<'p>(
+    plan: &'p Arc<PhysPlan>,
     assignment: &Assignment,
-) -> (Vec<Fragment>, ExchangeRegistry) {
-    let mut registry = ExchangeRegistry::default();
-    let mut fragments = Vec::new();
-    // Pending (subtree root, sink) pairs.
-    let mut queue: Vec<(Arc<PhysPlan>, Sink)> = vec![(plan.clone(), Sink::Results)];
-    while let Some((root, sink)) = queue.pop() {
-        // Find exchanges directly below (not crossing nested exchanges)
-        // and enqueue their subtrees as new fragments. A fragment whose
-        // root is itself an exchange degenerates to a pure receiver.
-        let mut stack: Vec<Arc<PhysPlan>> = vec![root.clone()];
-        while let Some(node) = stack.pop() {
-            if let PhysOp::Exchange { input, to } = &node.op {
-                let id = registry.register(&node);
-                queue.push((input.clone(), Sink::Exchange { id, to: to.clone() }));
-                continue;
-            }
-            for c in node.children() {
-                stack.push(c.clone());
+    variants: usize,
+    traced: bool,
+) -> Placement<'p> {
+    let root = Fragment {
+        root: NodeRef { plan, id: 0 },
+        sites: vec![assignment.coordinator()],
+        variants: 1,
+        sink: None,
+        inputs: Vec::new(),
+    };
+    let placement = Placement {
+        fragments: vec![root],
+        exchanges: Vec::new(),
+        nodes: Vec::new(),
+        metas: Vec::new(),
+    };
+    let mut walk = Walk { placement, assignment, variants: variants.max(1), traced };
+    walk.visit(plan, None, 0, 0, SourceMode::Splitter);
+    walk.placement
+}
+
+struct Walk<'p, 'a> {
+    placement: Placement<'p>,
+    assignment: &'a Assignment,
+    variants: usize,
+    traced: bool,
+}
+
+impl<'p> Walk<'p, '_> {
+    /// Visit `node` as part of fragment `fi`, reached in `mode`.
+    fn visit(
+        &mut self,
+        node: &'p Arc<PhysPlan>,
+        parent: Option<u32>,
+        depth: u32,
+        fi: usize,
+        mode: SourceMode,
+    ) {
+        let p = &mut self.placement;
+        let id = p.nodes.len() as u32;
+        p.nodes.push(Node { size: 0, mode });
+        if self.traced {
+            p.metas.push(OpMeta {
+                label: node.label(),
+                detail: format!("dist={}, width={}", node.dist, node.schema.arity()),
+                parent,
+                depth,
+                est_rows: node.rows,
+            });
+        }
+        if let PhysOp::Exchange { input, to } = &node.op {
+            // A receiver of `fi`; below it starts the producing fragment.
+            let (ex, producer) = (p.exchanges.len(), p.fragments.len());
+            p.exchanges.push(Exchange { node: id, producer, consumer: fi, to: to.clone(), mode });
+            p.fragments[fi].inputs.push(ex);
+            p.fragments.push(Fragment {
+                root: NodeRef { plan: input, id: id + 1 },
+                sites: fragment_sites(input, self.assignment),
+                variants: self.variants,
+                sink: Some(ex),
+                inputs: Vec::new(),
+            });
+            self.visit(input, Some(id), depth + 1, producer, SourceMode::Splitter);
+        } else {
+            let modes = assign_modes(&node.op, mode).unwrap_or_else(|| {
+                // A reduction operator: the fragment is not multithreaded.
+                p.fragments[fi].variants = 1;
+                [mode; 2]
+            });
+            for (child, mode) in node.children().into_iter().zip(modes) {
+                self.visit(child, Some(id), depth + 1, fi, mode);
             }
         }
-        let sites = fragment_sites(&root, assignment);
-        fragments.push(Fragment { id: FragmentId(fragments.len()), root, sink, sites });
+        let p = &mut self.placement;
+        p.nodes[id as usize].size = p.nodes.len() as u32 - id;
     }
-    (fragments, registry)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ic_common::{DataType, Field, Schema};
     use ic_net::Topology;
@@ -160,7 +205,7 @@ mod tests {
     use ic_plan::ops::SortKey;
     use ic_storage::TableId;
 
-    fn node(op: PhysOp<Arc<PhysPlan>>, dist: Distribution) -> Arc<PhysPlan> {
+    pub(crate) fn node(op: PhysOp<Arc<PhysPlan>>, dist: Distribution) -> Arc<PhysPlan> {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
         Arc::new(PhysPlan {
             op,
@@ -174,7 +219,7 @@ mod tests {
         })
     }
 
-    fn scan(dist: Distribution) -> Arc<PhysPlan> {
+    pub(crate) fn scan(dist: Distribution) -> Arc<PhysPlan> {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
         node(
             PhysOp::TableScan { table: TableId(0), name: "t".into(), schema },
@@ -182,20 +227,16 @@ mod tests {
         )
     }
 
+    pub(crate) fn exchange(input: Arc<PhysPlan>, to: Distribution) -> Arc<PhysPlan> {
+        node(PhysOp::Exchange { input, to: to.clone() }, to)
+    }
+
     /// The paper's Figure 5: scan → exchange → join at a single site
     /// yields three fragments (two scan fragments, one root).
     #[test]
     fn figure5_three_fragments() {
-        let left = scan(Distribution::Hash(vec![0]));
-        let right = scan(Distribution::Hash(vec![0]));
-        let exl = node(
-            PhysOp::Exchange { input: left, to: Distribution::Single },
-            Distribution::Single,
-        );
-        let exr = node(
-            PhysOp::Exchange { input: right, to: Distribution::Single },
-            Distribution::Single,
-        );
+        let exl = exchange(scan(Distribution::Hash(vec![0])), Distribution::Single);
+        let exr = exchange(scan(Distribution::Hash(vec![0])), Distribution::Single);
         let join = node(
             PhysOp::NestedLoopJoin {
                 left: exl,
@@ -206,68 +247,85 @@ mod tests {
             Distribution::Single,
         );
         let assignment = Assignment::healthy(&Topology::new(4));
-        let (fragments, registry) = fragment_plan(&join, &assignment);
-        assert_eq!(fragments.len(), 3);
-        assert_eq!(registry.len(), 2);
+        let p = place(&join, &assignment, 1, false);
+        assert_eq!(p.fragments.len(), 3);
+        assert_eq!(p.exchanges.len(), 2);
         // Root fragment at the coordinator; scan fragments at all sites.
-        assert!(fragments[0].is_root());
-        assert_eq!(fragments[0].sites, vec![SiteId(0)]);
-        for f in &fragments[1..] {
+        assert!(p.fragments[0].sink.is_none());
+        assert_eq!(p.fragments[0].sites, vec![SiteId(0)]);
+        for (fi, f) in p.fragments.iter().enumerate().skip(1) {
             assert_eq!(f.sites.len(), 4);
-            assert!(matches!(f.sink, Sink::Exchange { to: Distribution::Single, .. }));
+            let x = &p.exchanges[f.sink.unwrap()];
+            assert_eq!((x.producer, x.consumer, &x.to), (fi, 0, &Distribution::Single));
         }
-        // The root fragment has two receivers.
-        assert_eq!(fragments[0].receiver_exchanges(&registry).len(), 2);
+        // The root fragment has two receivers, at the join's two inputs.
+        assert_eq!(p.fragments[0].inputs, vec![0, 1]);
+        assert_eq!((p.exchanges[0].node, p.exchanges[1].node), (1, 3));
+        assert_eq!(p.nodes.iter().map(|n| n.size).collect::<Vec<_>>(), vec![5, 2, 1, 2, 1]);
+    }
+
+    /// What the deep copy of every plan used to be for: one subtree under two
+    /// parents is two nodes — two exchanges, two fragments.
+    #[test]
+    fn shared_subtree_is_placed_at_each_position() {
+        let shared = exchange(scan(Distribution::Hash(vec![0])), Distribution::Single);
+        let join = node(
+            PhysOp::NestedLoopJoin {
+                left: shared.clone(),
+                right: shared,
+                kind: ic_plan::JoinKind::Inner,
+                on: ic_common::Expr::lit(true),
+            },
+            Distribution::Single,
+        );
+        let assignment = Assignment::healthy(&Topology::new(2));
+        let p = place(&join, &assignment, 1, true);
+        assert_eq!((p.fragments.len(), p.exchanges.len(), p.nodes.len()), (3, 2, 5));
+        assert_eq!((p.fragments[1].root.id, p.fragments[2].root.id), (2, 4));
+        assert!(Arc::ptr_eq(p.fragments[1].root.plan, p.fragments[2].root.plan));
+        let parents: Vec<_> = p.metas.iter().map(|m| m.parent).collect();
+        assert_eq!(parents, vec![None, Some(0), Some(1), Some(0), Some(3)]);
     }
 
     #[test]
     fn no_exchange_single_fragment() {
         let s = scan(Distribution::Single);
         let assignment = Assignment::healthy(&Topology::new(2));
-        let (fragments, registry) = fragment_plan(&s, &assignment);
-        assert_eq!(fragments.len(), 1);
-        assert!(registry.is_empty());
+        let p = place(&s, &assignment, 1, false);
+        assert_eq!(p.fragments.len(), 1);
+        assert!(p.exchanges.is_empty());
+        assert!(p.metas.is_empty());
     }
 
     #[test]
     fn chained_exchanges() {
-        // scan -> exchange(hash) -> sort? no: filter -> exchange(single) -> limit
-        let s = scan(Distribution::Hash(vec![0]));
-        let ex1 = node(
-            PhysOp::Exchange { input: s, to: Distribution::Hash(vec![0]) },
-            Distribution::Hash(vec![0]),
-        );
+        // scan -> exchange(hash) -> filter -> exchange(single) -> sort
+        let ex1 = exchange(scan(Distribution::Hash(vec![0])), Distribution::Hash(vec![0]));
         let f = node(
             PhysOp::Filter { input: ex1, predicate: ic_common::Expr::lit(true) },
             Distribution::Hash(vec![0]),
         );
-        let ex2 = node(
-            PhysOp::Exchange { input: f, to: Distribution::Single },
-            Distribution::Single,
-        );
+        let ex2 = exchange(f, Distribution::Single);
         let sort = node(PhysOp::Sort { input: ex2, keys: vec![SortKey::asc(0)] }, Distribution::Single);
         let assignment = Assignment::healthy(&Topology::new(2));
-        let (fragments, _) = fragment_plan(&sort, &assignment);
-        assert_eq!(fragments.len(), 3);
-        // middle fragment (filter) runs at all sites, sinks into exchange 2
-        let middle = fragments.iter().find(|fr| matches!(&fr.root.op, PhysOp::Filter { .. })).unwrap();
+        let p = place(&sort, &assignment, 1, false);
+        assert_eq!(p.fragments.len(), 3);
+        // middle fragment (filter) runs at all sites, between the two exchanges
+        let middle = &p.fragments[1];
+        assert!(matches!(&middle.root.plan.op, PhysOp::Filter { .. }));
         assert_eq!(middle.sites.len(), 2);
+        assert_eq!((middle.sink, &middle.inputs), (Some(0), &vec![1]));
     }
 
     #[test]
     fn dead_site_excluded_from_fragment_placement() {
-        let s = scan(Distribution::Hash(vec![0]));
-        let ex = node(
-            PhysOp::Exchange { input: s, to: Distribution::Single },
-            Distribution::Single,
-        );
+        let ex = exchange(scan(Distribution::Hash(vec![0])), Distribution::Single);
         let sort = node(PhysOp::Sort { input: ex, keys: vec![SortKey::asc(0)] }, Distribution::Single);
         let topo = Topology::with_backups(4, 1);
         let down = [SiteId(2)].into_iter().collect();
         let assignment = topo.assignment(&down).unwrap();
-        let (fragments, _) = fragment_plan(&sort, &assignment);
-        let scan_frag =
-            fragments.iter().find(|fr| matches!(&fr.root.op, PhysOp::TableScan { .. })).unwrap();
-        assert_eq!(scan_frag.sites, vec![SiteId(0), SiteId(1), SiteId(3)]);
+        let p = place(&sort, &assignment, 1, false);
+        assert!(matches!(&p.fragments[1].root.plan.op, PhysOp::TableScan { .. }));
+        assert_eq!(p.fragments[1].sites, vec![SiteId(0), SiteId(1), SiteId(3)]);
     }
 }

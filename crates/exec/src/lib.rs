@@ -1,16 +1,18 @@
 //! The distributed execution engine — Ignite's execution substrate.
 //!
-//! An optimized physical plan is cut into *fragments* at its exchange
-//! operators (Algorithm 1, §3.2.3); each fragment is instantiated at its
-//! processing sites (one driver thread per instance), exchanges become
-//! sender/receiver pairs over the simulated network, and — in IC+M mode —
-//! eligible fragments are duplicated into *variant fragments* whose
-//! splitter/duplicator sources create runtime sub-partitions
-//! (Algorithm 3, §5.3). Within a fragment instance, chains that compile
-//! into pipelines ([`pipeline`]) run morsel-parallel over a per-site
-//! worker pool with work stealing ([`pool`]).
+//! An optimized physical plan is *placed* once ([`fragment::place`]): cut
+//! into fragments at its exchange operators (Algorithm 1, §3.2.3), each
+//! fragment instantiated at its processing sites and — in IC+M mode —
+//! duplicated into *variant fragments* whose splitter/duplicator sources
+//! create runtime sub-partitions (Algorithm 3, §5.3, [`variant`]), with
+//! exchanges becoming sender/receiver pairs over the simulated network.
+//! [`runtime::execute_plan`] turns that into one `Execution` value and lends
+//! it to every thread of the query, and there is one kind of thread: a
+//! scoped thread borrowing the execution — one *driver* per fragment
+//! instance and, where an instance's chain compiles into a pipeline
+//! ([`pipeline`]), its *lanes*, which share the region's morsels with work
+//! stealing ([`pool`]).
 
-pub mod analyze;
 pub mod fragment;
 pub mod kernels;
 pub mod operators;
@@ -19,7 +21,7 @@ pub mod pool;
 pub mod runtime;
 pub mod variant;
 
-pub use fragment::{fragment_plan, Fragment, FragmentId, Sink};
-pub use pool::{MorselSupply, SitePools, WorkerPool};
+pub use fragment::{place, Exchange, Fragment, Placement};
+pub use pool::MorselSupply;
 pub use runtime::{execute_plan, ExecOptions, QueryStats, DEFAULT_MORSEL_ROWS};
-pub use variant::{plan_variants, SourceMode};
+pub use variant::SourceMode;

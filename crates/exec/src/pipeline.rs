@@ -4,9 +4,10 @@
 //! — a spine of vectorized operators over a single `TableScan` leaf
 //! (filter, project, hash-join probe, partial hash aggregate) — and the
 //! order/merge-sensitive sinks above it (sort, limit, final aggregate
-//! merge). The region is replicated into lanes, one per pool worker, each
-//! pulling morsels from the shared [`MorselSupply`]; the sinks run once on
-//! the fragment's driver thread over the lanes' combined output.
+//! merge). The region is replicated into lanes — scoped threads of the
+//! instance's driver, borrowing the driver's build context and the query's
+//! `Execution` — each pulling morsels from the shared [`MorselSupply`]; the
+//! sinks run once on the driver over the lanes' combined output.
 //!
 //! Lanes and driver build their chains with the one plan → operator
 //! builder, [`BuildCtx::build`]; this module only decides *what stands in
@@ -38,48 +39,53 @@
 //! producer-drains-consumer liveness argument of the thread-per-fragment
 //! model carries over unchanged.
 
+use crate::fragment::NodeRef;
 use crate::kernels::ColJoinTable;
 use crate::operators::{drain_join_table, finish_join_table, ControlBlock, RowSource};
-use crate::pool::{Latch, LatchGuard, MorselSupply, SitePools, WorkerPool};
-use crate::runtime::{node_key, record_first_error, BuildCtx, InstanceCtx, InstanceSink, Sub};
+use crate::pool::MorselSupply;
+use crate::runtime::{record_first_error, BuildCtx, Execution, Instance, InstanceSink, Sub};
 use ic_common::hash::FxHashMap;
 use ic_common::{panic_message, ColumnBatch, IcError, IcResult};
-use ic_plan::ops::{AggPhase, PhysOp, PhysPlan};
+use ic_plan::ops::{AggPhase, PhysOp};
 use ic_storage::Chunks;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The parallel region of a fragment's chain: a spine of lane-replicable
 /// operators over one `TableScan` leaf.
-struct Region {
-    root: Arc<PhysPlan>,
+struct Region<'p> {
+    root: NodeRef<'p>,
     /// The scan leaf (its table feeds the morsel supply).
-    scan: Arc<PhysPlan>,
+    scan: NodeRef<'p>,
     /// `HashJoin` spine nodes whose build sides the driver resolves
     /// before the lanes start.
-    joins: Vec<Arc<PhysPlan>>,
+    joins: Vec<NodeRef<'p>>,
     /// The sort or splittable `Complete` aggregate directly above `root`,
     /// whose work splits into a lane half and a driver half.
-    split: Option<Arc<PhysPlan>>,
+    split: Option<NodeRef<'p>>,
 }
 
 /// Walk a region spine: only vectorized, lane-replicable operators over
 /// exactly one `TableScan` leaf. Build sides of hash joins may be
 /// arbitrary subtrees (the driver resolves them), so only the probe spine
 /// is constrained. Returns the scan leaf.
-fn region_of(node: &Arc<PhysPlan>, joins: &mut Vec<Arc<PhysPlan>>) -> Option<Arc<PhysPlan>> {
-    match &node.op {
-        PhysOp::TableScan { .. } => Some(node.clone()),
-        PhysOp::Filter { input, .. } | PhysOp::Project { input, .. } => region_of(input, joins),
+fn region_of<'p>(at: NodeRef<'p>, joins: &mut Vec<NodeRef<'p>>) -> Option<NodeRef<'p>> {
+    match &at.plan.op {
+        PhysOp::TableScan { .. } => Some(at),
+        PhysOp::Filter { input, .. } | PhysOp::Project { input, .. } => {
+            region_of(at.first(input), joins)
+        }
         PhysOp::HashAggregate { input, phase: AggPhase::Partial, aggs, .. }
             if aggs.iter().all(|a| a.func.splittable()) =>
         {
-            region_of(input, joins)
+            region_of(at.first(input), joins)
         }
         PhysOp::HashJoin { left, .. } => {
-            joins.push(node.clone());
-            region_of(left, joins)
+            joins.push(at);
+            region_of(at.first(left), joins)
         }
         _ => None,
     }
@@ -87,22 +93,22 @@ fn region_of(node: &Arc<PhysPlan>, joins: &mut Vec<Arc<PhysPlan>>) -> Option<Arc
 
 /// Find the parallel region of a fragment's chain, or `None` when the
 /// shape doesn't profit from (or doesn't support) morsel parallelism.
-fn compile(root: &Arc<PhysPlan>) -> Option<Region> {
+fn compile(root: NodeRef<'_>) -> Option<Region<'_>> {
     // Descend through the sinks the driver runs once above the lanes; a
     // blocking aggregate ends the descent (below it lane order is free).
     let (mut node, mut above) = (root, None);
     loop {
-        let (input, blocking) = match &node.op {
+        let (input, blocking) = match &node.plan.op {
             PhysOp::Sort { input, .. } | PhysOp::Limit { input, .. } => (input, false),
             PhysOp::HashAggregate { input, phase: AggPhase::Complete, .. } => (input, true),
             _ => break,
         };
-        (above, node) = (Some(node), input);
+        (above, node) = (Some(node), node.first(input));
         if blocking {
             break;
         }
     }
-    let split = match above.map(|p| &p.op) {
+    let split = match above.map(|p| &p.plan.op) {
         // A bare LIMIT directly over the region early-exits sequentially (it
         // stops pulling after `fetch` rows); parallel lanes would scan
         // everything for nothing.
@@ -115,109 +121,117 @@ fn compile(root: &Arc<PhysPlan>) -> Option<Region> {
     };
     let mut joins = Vec::new();
     let scan = region_of(node, &mut joins)?;
-    Some(Region { root: node.clone(), scan, joins, split: split.cloned() })
+    Some(Region { root: node, scan, joins, split })
 }
 
-/// A region's scan leaf as this instance reads it.
+/// A region's scan leaf as this instance reads it, cut into morsels.
 struct Feed {
-    scan: usize,
+    scan: u32,
     partitions: Arc<Vec<Chunks>>,
+    /// Cut once: going parallel at all ("at least two morsels") and the lane
+    /// count both read what was actually cut.
+    supply: Arc<MorselSupply>,
     split: Option<(usize, usize)>,
 }
 
 impl Feed {
-    fn of(inst: &InstanceCtx<'_>, scan: &Arc<PhysPlan>) -> IcResult<Feed> {
-        let PhysOp::TableScan { table, .. } = &scan.op else {
+    fn of(ex: &Execution<'_>, inst: &Instance, scan: NodeRef<'_>) -> IcResult<Feed> {
+        let PhysOp::TableScan { table, .. } = &scan.plan.op else {
             return Err(IcError::Internal("pipeline: region leaf not a scan".into()));
         };
+        let partitions = ex.table_partitions(inst.site, *table)?;
+        let supply = MorselSupply::new(&partitions, ex.morsel_rows, ex.worker_threads);
         Ok(Feed {
-            scan: node_key(scan),
-            partitions: Arc::new(inst.table_partitions(*table)?),
-            split: inst.split_for(inst.vplan.scan_mode(scan)),
+            scan: scan.id,
+            partitions: Arc::new(partitions),
+            supply: Arc::new(supply),
+            split: ex.split_for(inst, scan.id),
         })
-    }
-
-    fn morsels(&self, morsel_rows: usize) -> usize {
-        let rows: usize = self.partitions.iter().flat_map(|p| p.iter()).map(|c| c.num_rows()).sum();
-        rows.div_ceil(morsel_rows.max(64))
-    }
-
-    /// Lane count: never more lanes than morsels, never more than workers.
-    fn lanes(&self, morsel_rows: usize, threads: usize) -> usize {
-        self.morsels(morsel_rows).min(threads)
     }
 }
 
-/// Fan the chain under `top` out over `lanes` lanes of the pool and wait
-/// at the barrier. Every lane builds the chain through its own copy of
-/// `base`, with its share of the morsel supply standing in for the scan
-/// leaf. Lanes push their output into `stream` when there is one, else
-/// they collect it and the per-lane runs are returned. Fails with the first
-/// lane error. The driver polls its control block while waiting, so a
-/// revoked/cancelled query converges even when lanes are blocked in
-/// backpressured sends (the exchange abort hook unblocks those).
+/// How often a driver waiting for its lanes looks at its control block.
+const DRIVER_TICK: Duration = Duration::from_millis(10);
+
+/// Fan the chain under `top` out over the feed's lanes — scoped threads of
+/// the calling driver, at `site` — and wait for all of them. Every lane
+/// builds the chain through its own copy of `base`, with its share of the
+/// morsel supply standing in for the scan leaf. Lanes push their output into
+/// `stream` when there is one, else they collect it and the per-lane runs
+/// are returned. Fails with the first lane error. The driver ticks its
+/// control block while the lanes are out, so a revoked or timed-out query
+/// converges even when lanes are blocked in backpressured sends (the
+/// exchange abort hook unblocks those).
 fn run_lanes(
-    pool: &WorkerPool,
-    lanes: usize,
-    base: &BuildCtx,
-    top: &Arc<PhysPlan>,
-    feed: &Feed,
-    morsel_rows: usize,
-    stream: Option<&InstanceSink>,
+    base: &BuildCtx<'_>,
+    site: ic_net::SiteId,
+    top: NodeRef<'_>,
+    feed: Feed,
+    stream: Option<&InstanceSink<'_>>,
 ) -> IcResult<Vec<Vec<ColumnBatch>>> {
-    let supply = Arc::new(MorselSupply::new(&feed.partitions, morsel_rows, lanes));
-    let error = Arc::new(Mutex::named(None, "exec.lane_error"));
-    let runs = Arc::new(Mutex::named(vec![Vec::new(); lanes], "exec.lane_runs"));
-    let latch = Latch::new(lanes);
-    for lane in 0..lanes {
+    let ctrl = &base.ex.ctrl;
+    let lanes = feed.supply.lanes();
+    base.ex.lane_threads.fetch_add(lanes, Ordering::Relaxed);
+    let lane_body = |lane: usize| -> IcResult<Vec<ColumnBatch>> {
         let mut ctx = base.clone();
-        let (partitions, supply, split) = (feed.partitions.clone(), supply.clone(), feed.split);
-        ctx.subs.insert(feed.scan, Sub::Morsels { partitions, supply, lane, split });
-        let (top, stream, latch) = (top.clone(), stream.cloned(), latch.clone());
-        let (error, runs) = (error.clone(), runs.clone());
-        pool.submit(Box::new(move |worker_lane| {
-            let _guard = LatchGuard(latch);
-            ctx.lane = worker_lane;
-            let ctrl = ctx.ctrl.clone();
-            let body = || -> IcResult<()> {
-                let mut src = ctx.build(&top, None)?;
-                let mut run: Vec<ColumnBatch> = Vec::new();
-                while let Some(b) = src.next_batch()? {
-                    match &stream {
-                        Some(s) => s.push(b)?,
-                        None => {
-                            // Collected runs are buffered state: account
-                            // them against the query's memory lease
-                            // before holding on to them (L006).
-                            ctrl.reserve_batch(&b)?;
-                            run.push(b);
-                        }
-                    }
-                }
-                runs.lock()[lane] = run;
-                Ok(())
-            };
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => record_first_error(&error, &ctrl, e),
-                Err(payload) => {
-                    let msg = panic_message(&*payload);
-                    let e = IcError::Exec(format!("pipeline lane panicked: {msg}"));
-                    record_first_error(&error, &ctrl, e);
+        if let Some(o) = ctrl.obs() {
+            ctx.lane = o.trace.lane(format!("worker @{site} #{lane}"));
+        }
+        let (partitions, supply) = (feed.partitions.clone(), feed.supply.clone());
+        ctx.subs.insert(feed.scan, Sub::Morsels { partitions, supply, lane, split: feed.split });
+        let mut src = ctx.build(top, None)?;
+        let mut run = Vec::new();
+        while let Some(b) = src.next_batch()? {
+            match stream {
+                Some(s) => s.push(b)?,
+                None => {
+                    // Collected runs are buffered state: account them
+                    // against the query's memory lease before holding on
+                    // to them (L006).
+                    ctrl.reserve_batch(&b)?;
+                    run.push(b);
                 }
             }
-        }));
-    }
-    latch.wait(|| {
-        if base.ctrl.check().is_err() {
-            base.ctrl.cancel();
+        }
+        Ok(run)
+    };
+    let mut runs = vec![Vec::new(); lanes];
+    let mut first_error = None;
+    std::thread::scope(|s| {
+        let (done, results) = mpsc::channel();
+        let threads: Vec<_> = (0..lanes)
+            .map(|lane| {
+                let (done, lane_body) = (done.clone(), &lane_body);
+                // A lane that panics sends nothing; its `join` below tells.
+                s.spawn(move || done.send((lane, lane_body(lane))))
+            })
+            .collect();
+        drop(done);
+        loop {
+            match results.recv_timeout(DRIVER_TICK) {
+                Ok((lane, Ok(run))) => runs[lane] = run,
+                Ok((_, Err(e))) => record_first_error(&mut first_error, ctrl, e),
+                Err(RecvTimeoutError::Timeout) => {
+                    if ctrl.check().is_err() {
+                        ctrl.cancel();
+                    }
+                }
+                // Every lane has reported or died.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        for thread in threads {
+            if let Err(payload) = thread.join() {
+                let msg = panic_message(&*payload);
+                first_error.get_or_insert(IcError::Exec(format!("pipeline lane panicked: {msg}")));
+                ctrl.cancel();
+            }
         }
     });
-    if let Some(e) = error.lock().take() {
+    if let Some(e) = first_error {
         return Err(e);
     }
-    base.ctrl.check()?;
-    let runs = std::mem::take(&mut *runs.lock());
+    ctrl.check()?;
     Ok(runs)
 }
 
@@ -229,27 +243,25 @@ fn run_lanes(
 /// joins) builds sequentially through the instance's own context — which
 /// also keeps every receiver drain on the driver thread.
 fn resolve_builds(
-    ctx: &mut BuildCtx,
-    inst: &mut InstanceCtx<'_>,
-    region: &Region,
-    pool: &WorkerPool,
-    morsel_rows: usize,
-) -> IcResult<FxHashMap<usize, Sub>> {
+    ctx: &mut BuildCtx<'_>,
+    inst: &mut Instance,
+    region: &Region<'_>,
+) -> IcResult<FxHashMap<u32, Sub>> {
     let mut subs = FxHashMap::default();
-    for join in &region.joins {
-        let PhysOp::HashJoin { right, right_keys, .. } = &join.op else {
+    for &join in &region.joins {
+        let PhysOp::HashJoin { right, right_keys, .. } = &join.plan.op else {
             return Err(IcError::Internal("pipeline: join list holds non-join".into()));
         };
-        let arity = right.schema.arity();
+        let right = ctx.ex.placement.second(join, right);
+        let arity = right.plan.schema.arity();
         let mut sub_joins = Vec::new();
         let feed = match region_of(right, &mut sub_joins).filter(|_| sub_joins.is_empty()) {
-            Some(scan) => Some(Feed::of(inst, &scan)?),
+            Some(scan) => Some(Feed::of(ctx.ex, inst, scan)?),
             None => None,
         };
-        let lanes = feed.as_ref().map_or(0, |f| f.lanes(morsel_rows, pool.threads()));
         let table = match feed {
-            Some(feed) if lanes >= 2 => {
-                let runs = run_lanes(pool, lanes, ctx, right, &feed, morsel_rows, None)?;
+            Some(feed) if feed.supply.lanes() >= 2 => {
+                let runs = run_lanes(ctx, inst.site, right, feed, None)?;
                 let mut table = ColJoinTable::new(right_keys.clone(), arity);
                 for b in runs.iter().flatten() {
                     table.insert_batch(b);
@@ -258,10 +270,10 @@ fn resolve_builds(
             }
             _ => {
                 let mut src = ctx.build(right, Some(inst))?;
-                drain_join_table(&mut src, right_keys.clone(), arity, &ctx.ctrl)?
+                drain_join_table(&mut src, right_keys.clone(), arity, &ctx.ex.ctrl)?
             }
         };
-        subs.insert(node_key(join), Sub::Table(table));
+        subs.insert(join.id, Sub::Table(table));
     }
     Ok(subs)
 }
@@ -272,33 +284,29 @@ fn resolve_builds(
 /// lanes, over the stored data where not. All output goes through `sink`;
 /// ending the exchange streams (`ExchangeCore::flush`) stays with the caller.
 pub(crate) fn run_instance(
-    ctx: &mut BuildCtx,
-    inst: &mut InstanceCtx<'_>,
-    root: &Arc<PhysPlan>,
-    pools: &SitePools,
-    morsel_rows: usize,
-    sink: &InstanceSink,
+    ctx: &mut BuildCtx<'_>,
+    inst: &mut Instance,
+    root: NodeRef<'_>,
+    sink: &InstanceSink<'_>,
 ) -> IcResult<()> {
     if let Some(region) = compile(root) {
-        let feed = Feed::of(inst, &region.scan)?;
-        if feed.morsels(morsel_rows) >= 2 {
-            let pool = pools.for_site(inst.site);
-            let lanes = feed.lanes(morsel_rows, pool.threads()).max(1);
+        let feed = Feed::of(ctx.ex, inst, region.scan)?;
+        if feed.supply.total() >= 2 {
             // Build barrier, then the scan/probe lanes.
             let mut lane_ctx = ctx.clone();
-            lane_ctx.subs = resolve_builds(ctx, inst, &region, &pool, morsel_rows)?;
-            let top = region.split.as_ref().unwrap_or(&region.root);
-            if Arc::ptr_eq(&region.root, root) {
-                run_lanes(&pool, lanes, &lane_ctx, top, &feed, morsel_rows, Some(sink))?;
+            lane_ctx.subs = resolve_builds(ctx, inst, &region)?;
+            let top = region.split.unwrap_or(region.root);
+            if region.root.id == root.id {
+                run_lanes(&lane_ctx, inst.site, top, feed, Some(sink))?;
                 return Ok(());
             }
-            if let Some(p) = &region.split {
-                lane_ctx.subs.insert(node_key(p), Sub::LaneHalf);
-                ctx.subs.insert(node_key(p), Sub::DriverHalf);
+            if let Some(p) = region.split {
+                lane_ctx.subs.insert(p.id, Sub::LaneHalf);
+                ctx.subs.insert(p.id, Sub::DriverHalf);
             }
             // Drain barrier: the rest of the chain runs over the lanes' runs.
-            let runs = run_lanes(&pool, lanes, &lane_ctx, top, &feed, morsel_rows, None)?;
-            ctx.subs.insert(node_key(&region.root), Sub::Runs(runs));
+            let runs = run_lanes(&lane_ctx, inst.site, top, feed, None)?;
+            ctx.subs.insert(region.root.id, Sub::Runs(runs));
         }
     }
     let mut src = ctx.build(root, Some(inst))?;

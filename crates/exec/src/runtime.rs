@@ -1,39 +1,45 @@
-//! Query runtime: instantiate fragments at their sites (× variants), wire
-//! exchanges through the simulated network, and collect the root
-//! fragment's rows.
+//! Query runtime: one [`Execution`] per query attempt, and every thread of
+//! the query a scoped thread that borrows it.
 //!
-//! Each fragment instance has a *driver* thread (§3.2.3's one-thread-per-
-//! fragment model is the degenerate case), launched by one
-//! `launch_instance` — on the calling thread for the root, on a spawned
-//! thread for every other instance. The driver no longer executes the
-//! operator chain by itself: when the chain has a parallel region
-//! ([`crate::pipeline`]) it splits the region's scan into morsels and fans
-//! lanes out over the site's [`crate::pool::WorkerPool`]
-//! (`ExecOptions::worker_threads` workers per site), keeping for itself
-//! the sequential work — exchange receivers, join build barriers, and the
-//! order-sensitive merge/sort/final-aggregate steps above the region.
+//! [`execute_plan`] places the plan once ([`crate::fragment::place`]: the
+//! fragments, the exchanges and a per-node table, a node being its pre-order
+//! position), opens one simulated-network link per (exchange, consumer site,
+//! consumer variant), and puts that — with the catalog, the surviving-site
+//! assignment and the query's control block — into the `Execution`. Nothing
+//! about a running query lives anywhere else, and nothing in it is cloned
+//! per thread: it is lent.
+//!
+//! Each fragment instance (fragment × site × variant) has a *driver*
+//! (§3.2.3's one thread per fragment, × §5.3's variants), run by the one
+//! [`launch_instance`] — on the calling thread for the root, on a
+//! `std::thread::scope` thread for every other instance. When the
+//! instance's chain has a parallel region ([`crate::pipeline`]) the driver
+//! splits the region's scan into morsels and fans *lanes* out over a nested
+//! scope (at most `ExecOptions::worker_threads` per region), keeping for
+//! itself the sequential work — exchange receivers, join build barriers, and
+//! the order-sensitive merge/sort/final-aggregate steps above the region.
 //! Lanes and driver alike build their operators with [`BuildCtx::build`],
 //! the only plan → operator mapping there is; a lane differs from the
-//! sequential chain in what stands in for a few plan nodes ([`Sub`]), not
-//! in code. Chains without a region (nested-loop/merge joins, streaming
-//! aggregates, receiver-fed spines, early-exit limits, a scan of less than
-//! two morsels) are that build with nothing substituted. Either way the
-//! output streams into a shared [`InstanceSink`] — the staging half of
-//! [`ExchangeCore`] coalesces sub-batch outputs across lanes and batches
-//! alike, per destination — and the driver alone ends the stream, after
-//! the drain barrier.
+//! sequential chain in what stands in for a few plan nodes ([`Sub`], keyed
+//! by node id), not in code. Chains without a region (nested-loop/merge
+//! joins, streaming aggregates, receiver-fed spines, early-exit limits, a
+//! scan of less than two morsels) are that build with nothing substituted.
+//! Either way the output streams into the instance's [`InstanceSink`] — the
+//! staging half of [`ExchangeCore`] coalesces sub-batch outputs across lanes
+//! and batches alike, per destination — and the driver alone ends the
+//! stream, after the drain barrier.
 //!
 //! There is no EOF message ([`Msg`]): a producer instance's final batch on a
 //! link carries a `last` flag, and a link with no rows left at the flush gets
 //! one bare end marker instead (DESIGN.md *Exchange protocol*).
 
-use crate::analyze::{enumerate_ops, OpIndex};
-use crate::fragment::{fragment_plan, ExchangeId, ExchangeRegistry, Sink};
+use crate::fragment::{place, NodeRef, Placement};
 use crate::kernels::ColJoinTable;
 use crate::operators::*;
 use crate::pipeline::{self, RunsSource};
-use crate::pool::{MorselSupply, SitePools};
-use crate::variant::{plan_variants, SourceMode, VariantPlan};
+use crate::pool::MorselSupply;
+use crate::variant::SourceMode;
+use ic_common::hash::FxHashMap;
 use ic_common::obs::{AttemptStats, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{panic_message, ColumnBatch, IcError, IcResult, Row};
@@ -43,8 +49,7 @@ use ic_net::{
 };
 use ic_plan::ops::{AggPhase, PhysOp, PhysPlan};
 use ic_plan::Distribution;
-use ic_storage::{Catalog, Chunks, PartStore, TableDistribution};
-use ic_common::hash::FxHashMap;
+use ic_storage::{Catalog, Chunks, PartStore, TableDistribution, TableId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -143,13 +148,6 @@ impl WireSize for Msg {
             Msg::End => 8,
         }
     }
-}
-
-/// Deep-copy a plan so that every node has a unique identity — the
-/// optimizer's memo can share subtrees (e.g. self-joins), but each
-/// occurrence must become its own fragment/exchange at runtime.
-fn uniquify(plan: &Arc<PhysPlan>) -> Arc<PhysPlan> {
-    plan.with_children(plan.children().into_iter().map(uniquify).collect())
 }
 
 /// Classify a network failure: dead sites and lost exchange messages are
@@ -355,21 +353,20 @@ impl ExchangeCore {
     }
 }
 
-/// Where a fragment instance's output rows go. Shared by the instance's
-/// driver and all its pipeline lanes; both variants are safe for
-/// concurrent pushes.
-#[derive(Clone)]
-pub(crate) enum InstanceSink {
+/// Where a fragment instance's output rows go. Lent by the instance's
+/// driver to all its pipeline lanes; both variants are safe for concurrent
+/// pushes.
+pub(crate) enum InstanceSink<'a> {
     /// Non-root instances: into the exchange's shared coalescing stage.
-    Exchange(Arc<ExchangeCore>),
+    Exchange(&'a ExchangeCore),
     /// The root instance: straight into the client rowset — buffered state
     /// like any other, so it is leased before it grows. (A runaway result
     /// ends in `MemoryLimit`, not in however many rows fit before the
     /// deadline.)
-    Rows(Arc<Mutex<Vec<Row>>>, Arc<ControlBlock>),
+    Rows(&'a Mutex<Vec<Row>>, &'a ControlBlock),
 }
 
-impl InstanceSink {
+impl InstanceSink<'_> {
     pub(crate) fn push(&self, batch: ColumnBatch) -> IcResult<()> {
         match self {
             InstanceSink::Exchange(core) => core.send_batch(batch),
@@ -442,13 +439,9 @@ impl RowSource for ReceiverSource {
     }
 }
 
-pub(crate) fn node_key(n: &Arc<PhysPlan>) -> usize {
-    Arc::as_ptr(n) as usize
-}
-
 /// What stands in for a plan node while a fragment's chain is built for one
 /// side of a parallel region ([`crate::pipeline`]). Kept in
-/// [`BuildCtx::subs`] by node identity and consumed by the one `build` that
+/// [`BuildCtx::subs`] by node id and consumed by the one `build` that
 /// reaches the node; with no entries, `build` yields the sequential chain.
 #[derive(Clone)]
 pub(crate) enum Sub {
@@ -473,31 +466,71 @@ pub(crate) enum Sub {
     DriverHalf,
 }
 
-/// The half of a fragment instance's build context that only its driver
-/// thread has: stored data, variant splitting and exchange receivers.
-pub(crate) struct InstanceCtx<'a> {
-    pub(crate) catalog: &'a Catalog,
+/// Everything one query execution is, built once by [`execute_plan`] and
+/// lent to every thread of the query — the fragment instances' drivers and
+/// their pipeline lanes are scoped threads that borrow it.
+pub(crate) struct Execution<'a> {
+    catalog: &'a Catalog,
     /// The surviving-site partition map this query attempt executes under.
-    pub(crate) assignment: &'a Assignment,
-    pub(crate) site: SiteId,
-    pub(crate) vid: usize,
-    pub(crate) vplan: &'a VariantPlan,
-    pub(crate) registry: &'a ExchangeRegistry,
-    pub(crate) receivers: FxHashMap<ExchangeId, ReceiverSource>,
+    assignment: Arc<Assignment>,
+    /// The plan's fragments, exchanges and per-node table.
+    pub(crate) placement: Placement<'a>,
+    /// Per exchange, a sender prototype for every consumer endpoint (site,
+    /// variant), in site-major order; a producer instance stamps its own
+    /// site on its copies.
+    senders: Vec<Vec<(SiteId, usize, NetSender<Msg>)>>,
+    /// Polled by in-flight transfers so bandwidth sleeps stop at the
+    /// deadline instead of overshooting it.
+    abort: Arc<AbortFn>,
+    /// Deadline, cancellation flag, memory lease and (traced) the attempt's
+    /// observability context.
+    pub(crate) ctrl: Arc<ControlBlock>,
+    exec_span: Option<SpanId>,
+    /// Lanes per parallel region (`ExecOptions::worker_threads`, ≥ 1).
+    pub(crate) worker_threads: usize,
+    pub(crate) morsel_rows: usize,
+    /// Lane threads spawned so far (for `QueryStats::threads`).
+    pub(crate) lane_threads: AtomicUsize,
+    /// The first error a driver hit; see [`record_first_error`].
+    first_error: Mutex<Option<IcError>>,
 }
 
-impl InstanceCtx<'_> {
-    pub(crate) fn split_for(&self, mode: SourceMode) -> Option<(usize, usize)> {
-        if self.vplan.variants > 1 && mode == SourceMode::Splitter {
-            Some((self.vid, self.vplan.variants))
-        } else {
-            None
-        }
+/// The half of a fragment instance that only its driver thread has: which
+/// instance it is, and its exchange receivers.
+pub(crate) struct Instance {
+    fi: usize,
+    pub(crate) site: SiteId,
+    vid: usize,
+    /// Receiver endpoints by their Exchange plan node, each taken by the
+    /// `build` that reaches the node.
+    receivers: Vec<(u32, ReceiverSource)>,
+}
+
+/// Keep the first error of a group of threads — an instance's lanes, a
+/// query's drivers — and cancel the query. A thread that merely observed
+/// cancellation is teardown noise: the real cause lives elsewhere (another
+/// thread's entry in the slot — always recorded before its `cancel()` — the
+/// root's own error, or a root that already finished its answer).
+pub(crate) fn record_first_error(slot: &mut Option<IcError>, ctrl: &ControlBlock, e: IcError) {
+    if !ControlBlock::is_cancellation(&e) {
+        slot.get_or_insert(e);
+    }
+    ctrl.cancel();
+}
+
+impl Execution<'_> {
+
+    /// How the source at plan node `at` splits across `inst`'s variants:
+    /// `None` passes everything.
+    pub(crate) fn split_for(&self, inst: &Instance, at: u32) -> Option<(usize, usize)> {
+        let variants = self.placement.fragments[inst.fi].variants;
+        let splitter = self.placement.nodes[at as usize].mode == SourceMode::Splitter;
+        (variants > 1 && splitter).then_some((inst.vid, variants))
     }
 
-    /// The store snapshots this instance reads of `table`, as (partition,
-    /// store) pairs in partition order.
-    fn table_stores(&self, table: ic_storage::TableId) -> IcResult<Vec<(usize, PartStore)>> {
+    /// The store snapshots an instance at `site` reads of `table`, as
+    /// (partition, store) pairs in partition order.
+    fn table_stores(&self, site: SiteId, table: TableId) -> IcResult<Vec<(usize, PartStore)>> {
         let def = self
             .catalog
             .table_def(table)
@@ -514,10 +547,10 @@ impl InstanceCtx<'_> {
                 // concurrent DML batches are observed all-or-nothing. A
                 // missing replica means ownership moved between planning
                 // and execution — surface retryably and replan.
-                let parts = self.assignment.partitions_of(self.site);
+                let parts = self.assignment.partitions_of(site);
                 let mut out = Vec::with_capacity(parts.len());
                 for p in parts {
-                    match data.replica(p, self.site) {
+                    match data.replica(p, site) {
                         Some(store) => out.push((p, store)),
                         None => return Err(IcError::RebalanceInProgress { partition: p }),
                     }
@@ -527,74 +560,73 @@ impl InstanceCtx<'_> {
         })
     }
 
-    /// The stored chunks a `TableScan` of `table` reads at this instance,
-    /// one entry per partition.
-    pub(crate) fn table_partitions(&self, table: ic_storage::TableId) -> IcResult<Vec<Chunks>> {
-        Ok(self.table_stores(table)?.into_iter().map(|(_, s)| s.chunks().clone()).collect())
+    /// The stored chunks a `TableScan` of `table` reads at `site`, one entry
+    /// per partition.
+    pub(crate) fn table_partitions(&self, site: SiteId, table: TableId) -> IcResult<Vec<Chunks>> {
+        Ok(self.table_stores(site, table)?.into_iter().map(|(_, s)| s.chunks().clone()).collect())
     }
 }
 
-/// A leaf only the driver can resolve was reached without its instance
-/// context — [`crate::pipeline`] put a non-region node into a lane.
-fn driver_only<'b, 'a>(inst: Option<&'b mut InstanceCtx<'a>>) -> IcResult<&'b mut InstanceCtx<'a>> {
+/// A leaf only the driver can resolve was reached without its instance —
+/// [`crate::pipeline`] put a non-region node into a lane.
+fn driver_only(inst: Option<&mut Instance>) -> IcResult<&mut Instance> {
     inst.ok_or_else(|| IcError::Internal("pipeline: driver-only operator in lane".into()))
 }
 
-/// The plan → operator builder, and the `Send + Clone` half of a fragment
-/// instance's build context. The driver builds with its [`InstanceCtx`]; a
-/// pipeline lane is a clone of this — its own trace lane, the region's
-/// leaves and joins in `subs` — building with `None`.
+/// The plan → operator builder: what one thread of a fragment instance
+/// builds with. The driver builds with its [`Instance`]; a pipeline lane
+/// builds from a clone of the driver's context — its own trace lane, the
+/// region's leaves and joins in `subs` — with `None`.
 #[derive(Clone)]
-pub(crate) struct BuildCtx {
-    pub(crate) ctrl: Arc<ControlBlock>,
-    /// Plan-node index for tracing; `None` when the query is untraced.
-    pub(crate) obs_index: Option<Arc<OpIndex>>,
+pub(crate) struct BuildCtx<'a> {
+    pub(crate) ex: &'a Execution<'a>,
     /// Trace lane of the building thread: the instance's driver, or the
-    /// pool worker running the lane.
+    /// lane's own thread.
     pub(crate) lane: u32,
     /// The fragment-instance span every operator span parents to — from
-    /// lanes too, stolen morsels included, never to anything on the worker's
-    /// own lane, so `Trace::validate` sees one consistent tree no matter
-    /// which worker ran which morsel.
+    /// lanes too, stolen morsels included, never to anything on the lane
+    /// thread's own trace lane, so `Trace::validate` sees one consistent tree
+    /// no matter which lane ran which morsel.
     pub(crate) parent_span: Option<SpanId>,
-    pub(crate) subs: FxHashMap<usize, Sub>,
+    pub(crate) subs: FxHashMap<u32, Sub>,
 }
 
-impl BuildCtx {
+impl BuildCtx<'_> {
     pub(crate) fn build(
         &mut self,
-        node: &Arc<PhysPlan>,
-        mut inst: Option<&mut InstanceCtx<'_>>,
+        at: NodeRef<'_>,
+        mut inst: Option<&mut Instance>,
     ) -> IcResult<BoxedSource> {
-        let ctrl = self.ctrl.clone();
-        let sub = match self.subs.remove(&node_key(node)) {
+        let ex = self.ex;
+        let ctrl = ex.ctrl.clone();
+        let sub = match self.subs.remove(&at.id) {
             Some(Sub::Runs(runs)) => return Ok(Box::new(RunsSource::new(runs, ctrl))),
             sub => sub,
         };
         let traced = !matches!(sub, Some(Sub::LaneHalf));
-        let src: BoxedSource = match &node.op {
+        let src: BoxedSource = match &at.plan.op {
             PhysOp::TableScan { table, .. } => match sub {
                 Some(Sub::Morsels { partitions, supply, lane, split }) => {
                     Box::new(ScanSource::over_supply(partitions, supply, lane, split, ctrl))
                 }
                 _ => {
                     let inst = driver_only(inst)?;
-                    let split = inst.split_for(inst.vplan.scan_mode(node));
-                    Box::new(ScanSource::new(inst.table_partitions(*table)?, split, ctrl))
+                    let split = ex.split_for(inst, at.id);
+                    Box::new(ScanSource::new(ex.table_partitions(inst.site, *table)?, split, ctrl))
                 }
             },
             PhysOp::IndexScan { table, index, sort, .. } => {
                 let inst = driver_only(inst)?;
-                let split = inst.split_for(inst.vplan.scan_mode(node));
-                let ix = inst
+                let split = ex.split_for(inst, at.id);
+                let ix = ex
                     .catalog
                     .index(*index)
                     .ok_or_else(|| IcError::Exec("unknown index".into()))?;
                 // Each partition's sorted run, as of the very snapshot a
                 // table scan would read here (re-sorted on demand when a
                 // write moved the partition past the cached run).
-                let mut runs: Vec<Chunks> = inst
-                    .table_stores(*table)?
+                let mut runs: Vec<Chunks> = ex
+                    .table_stores(inst.site, *table)?
                     .iter()
                     .map(|(p, store)| ix.run_for(*p, store))
                     .collect();
@@ -611,24 +643,25 @@ impl BuildCtx {
             }
             PhysOp::Values { rows, .. } => Box::new(VecSource::new(rows.clone())),
             PhysOp::Filter { input, predicate } => {
-                Box::new(FilterExec::new(self.build(input, inst)?, predicate.clone(), ctrl))
+                let input = self.build(at.first(input), inst)?;
+                Box::new(FilterExec::new(input, predicate.clone(), ctrl))
             }
             PhysOp::Project { input, exprs, .. } => {
-                Box::new(ProjectExec::new(self.build(input, inst)?, exprs.clone(), ctrl))
+                Box::new(ProjectExec::new(self.build(at.first(input), inst)?, exprs.clone(), ctrl))
             }
             PhysOp::NestedLoopJoin { left, right, kind, on } => Box::new(NestedLoopJoinExec::new(
-                self.build(left, inst.as_deref_mut())?,
-                self.build(right, inst)?,
+                self.build(at.first(left), inst.as_deref_mut())?,
+                self.build(ex.placement.second(at, right), inst)?,
                 *kind,
                 on.clone(),
                 right.schema.arity(),
                 ctrl,
             )),
             PhysOp::HashJoin { left, right, kind, left_keys, right_keys, residual } => {
-                let left_src = self.build(left, inst.as_deref_mut())?;
+                let left_src = self.build(at.first(left), inst.as_deref_mut())?;
                 let build = match sub {
                     Some(Sub::Table(table)) => JoinBuild::Table(table),
-                    _ => JoinBuild::Source(self.build(right, inst)?),
+                    _ => JoinBuild::Source(self.build(ex.placement.second(at, right), inst)?),
                 };
                 Box::new(HashJoinExec::new(
                     left_src,
@@ -643,8 +676,8 @@ impl BuildCtx {
             }
             PhysOp::MergeJoin { left, right, kind, left_keys, right_keys, residual } => {
                 Box::new(MergeJoinExec::new(
-                    self.build(left, inst.as_deref_mut())?,
-                    self.build(right, inst)?,
+                    self.build(at.first(left), inst.as_deref_mut())?,
+                    self.build(ex.placement.second(at, right), inst)?,
                     *kind,
                     left_keys.clone(),
                     right_keys.clone(),
@@ -662,10 +695,11 @@ impl BuildCtx {
                     Some(Sub::DriverHalf) => ((0..group.len()).collect(), AggPhase::Final),
                     _ => (group.clone(), *phase),
                 };
-                Box::new(AggExec::hash(self.build(input, inst)?, group, aggs.clone(), phase, ctrl))
+                let input = self.build(at.first(input), inst)?;
+                Box::new(AggExec::hash(input, group, aggs.clone(), phase, ctrl))
             }
             PhysOp::SortAggregate { input, group, aggs, phase } => Box::new(AggExec::sorted(
-                self.build(input, inst)?,
+                self.build(at.first(input), inst)?,
                 group.clone(),
                 aggs.clone(),
                 *phase,
@@ -673,35 +707,36 @@ impl BuildCtx {
             )),
             PhysOp::Sort { input, keys } => match sub {
                 Some(Sub::DriverHalf) => {
-                    let Some(Sub::Runs(runs)) = self.subs.remove(&node_key(input)) else {
+                    let Some(Sub::Runs(runs)) = self.subs.remove(&at.first(input).id) else {
                         return Err(IcError::Internal("pipeline: merge half without runs".into()));
                     };
                     Box::new(MergeRunsSource::new(runs, keys.clone(), None, ctrl))
                 }
-                _ => Box::new(SortExec::new(self.build(input, inst)?, keys.clone(), ctrl)),
+                _ => {
+                    let input = self.build(at.first(input), inst)?;
+                    Box::new(SortExec::new(input, keys.clone(), ctrl))
+                }
             },
             PhysOp::Limit { input, fetch, offset } => {
-                Box::new(LimitExec::new(self.build(input, inst)?, *fetch, *offset, ctrl))
+                Box::new(LimitExec::new(self.build(at.first(input), inst)?, *fetch, *offset, ctrl))
             }
             PhysOp::Exchange { .. } => {
                 let inst = driver_only(inst)?;
-                let id = inst.registry.id_of(node).ok_or_else(|| {
-                    IcError::Internal("exchange node not registered".into())
-                })?;
-                let rx = inst.receivers.remove(&id).ok_or_else(|| {
-                    IcError::Exec(format!("missing receiver for exchange {id:?}"))
-                })?;
-                Box::new(rx)
+                let rx = inst.receivers.iter().position(|(node, _)| *node == at.id).ok_or_else(
+                    || IcError::Exec(format!("missing receiver for exchange node {}", at.id)),
+                )?;
+                Box::new(inst.receivers.swap_remove(rx).1)
             }
         };
-        // Traced queries wrap every operator in the open/next/close hooks;
-        // untraced queries return the bare operator (zero overhead).
-        match self.obs_index.as_ref().and_then(|index| index.of(node)) {
-            Some(idx) if traced => Ok(Box::new(TracedSource::new(
+        // Traced queries wrap every operator in the open/next/close hooks,
+        // under the node's pre-order position; untraced queries return the
+        // bare operator (zero overhead).
+        match ex.ctrl.obs() {
+            Some(_) if traced => Ok(Box::new(TracedSource::new(
                 src,
-                self.ctrl.clone(),
-                idx,
-                node.label(),
+                ex.ctrl.clone(),
+                at.id,
+                at.plan.label(),
                 self.lane,
                 self.parent_span,
             ))),
@@ -710,104 +745,60 @@ impl BuildCtx {
     }
 }
 
-/// What every fragment instance of one execution shares.
-#[derive(Clone)]
-struct ExecEnv {
-    catalog: Arc<Catalog>,
-    assignment: Arc<Assignment>,
-    registry: Arc<ExchangeRegistry>,
-    ctrl: Arc<ControlBlock>,
-    obs: Option<(ExecObs, Arc<OpIndex>)>,
-    exec_span: Option<SpanId>,
-    pools: Arc<SitePools>,
-    morsel_rows: usize,
-}
-
-/// One fragment instance, owned so that it can move to its driver thread.
-struct Instance {
-    fi: usize,
-    site: SiteId,
-    vid: usize,
-    root: Arc<PhysPlan>,
-    vplan: VariantPlan,
-    receivers: FxHashMap<ExchangeId, ReceiverSource>,
-    /// Where the output ships to; `None` for the root instance, whose rows
-    /// are the client's.
-    exchange: Option<ExchangeCore>,
-}
-
-/// Record the first error of a group of workers and cancel the query. A
-/// worker that merely observed cancellation is teardown noise: the real
-/// cause lives elsewhere (another worker's slot entry — always recorded
-/// before its `cancel()` — the root's own error, or a root that already
-/// finished its answer).
-pub(crate) fn record_first_error(slot: &Mutex<Option<IcError>>, ctrl: &ControlBlock, e: IcError) {
-    if !ControlBlock::is_cancellation(&e) {
-        let mut slot = slot.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-    ctrl.cancel();
-}
-
 /// Run one fragment instance to completion on the calling thread — the
 /// coordinator's for the root, a driver thread's for every other — and
 /// return the rows it produced for the client (none unless it is the root).
-fn launch_instance(env: &ExecEnv, inst: Instance) -> IcResult<Vec<Row>> {
-    let Instance { fi, site, vid, root, vplan, receivers, exchange } = inst;
+fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>> {
+    let (fi, site, vid) = (inst.fi, inst.site, inst.vid);
+    let fragment = &ex.placement.fragments[fi];
+    let obs = ex.ctrl.obs();
     // One trace lane + fragment span per instance, declared before the
     // build context so the span closes after every operator (and its span)
     // has been dropped. The root shares the coordinator's lane.
-    let (lane, frag_span) = match &env.obs {
-        Some((o, _)) => {
-            let (lane, name) = match exchange {
+    let (lane, frag_span) = match obs {
+        Some(o) => {
+            let (lane, name) = match fragment.sink {
                 Some(_) => {
                     let name = format!("f{fi} @{site} v{vid}");
                     (o.trace.lane(name.clone()), name)
                 }
                 None => (Trace::COORD_LANE, format!("f{fi} @{site} (root)")),
             };
-            let span = o.trace.span(format!("fragment {name}"), "fragment", env.exec_span, lane);
+            let span = o.trace.span(format!("fragment {name}"), "fragment", ex.exec_span, lane);
             (lane, Some(span))
         }
         None => (Trace::COORD_LANE, None),
     };
     let parent_span = frag_span.as_ref().map(|g| g.id());
-    let core = exchange.map(|mut core| {
-        if let Some((o, _)) = &env.obs {
+    // Where the output ships to; `None` for the root instance, whose rows
+    // are the client's.
+    let core = fragment.sink.map(|sink| {
+        let exchange = &ex.placement.exchanges[sink];
+        let endpoints = ex.senders[sink]
+            .iter()
+            .map(|(s, v, tx)| (*s, *v, tx.with_src(site).with_abort(ex.abort.clone())))
+            .collect();
+        // Traced: the Exchange node is credited with the messages charged.
+        let shipped = obs.map(|o| (o.attempt.clone(), exchange.node));
+        let (to, asg) = (exchange.to.clone(), ex.assignment.clone());
+        let mut core = ExchangeCore::new(to, asg, endpoints, exchange.mode, shipped);
+        if let Some(o) = obs {
             core.set_obs(NetObs { trace: o.trace.clone(), lane, parent: parent_span });
         }
-        Arc::new(core)
+        core
     });
-    let rows = Arc::new(Mutex::named(Vec::new(), "exec.root_rows"));
+    let rows = Mutex::named(Vec::new(), "exec.root_rows");
     let sink = match &core {
-        Some(core) => InstanceSink::Exchange(core.clone()),
-        None => InstanceSink::Rows(rows.clone(), env.ctrl.clone()),
+        Some(core) => InstanceSink::Exchange(core),
+        None => InstanceSink::Rows(&rows, &ex.ctrl),
     };
-    let mut inst = InstanceCtx {
-        catalog: &env.catalog,
-        assignment: &env.assignment,
-        site,
-        vid,
-        vplan: &vplan,
-        registry: &env.registry,
-        receivers,
-    };
-    let mut ctx = BuildCtx {
-        ctrl: env.ctrl.clone(),
-        obs_index: env.obs.as_ref().map(|(_, ix)| ix.clone()),
-        lane,
-        parent_span,
-        subs: FxHashMap::default(),
-    };
-    pipeline::run_instance(&mut ctx, &mut inst, &root, &env.pools, env.morsel_rows, &sink)?;
+    let mut ctx = BuildCtx { ex, lane, parent_span, subs: FxHashMap::default() };
+    pipeline::run_instance(&mut ctx, &mut inst, fragment.root, &sink)?;
     // The driver alone ends the stream, after the drain barrier.
-    if let Some(core) = core {
+    if let Some(core) = &core {
         core.flush()?;
     }
-    let rows = std::mem::take(&mut *rows.lock());
-    Ok(rows)
+    Ok(rows.into_inner())
 }
 
 /// Execute an optimized physical plan on the simulated cluster, returning
@@ -835,21 +826,14 @@ pub fn execute_plan(
     let down = network.liveness().down_sites();
     let assignment =
         Arc::new(catalog.membership().assignment(&down).map_err(failover_err)?);
-    let plan = uniquify(plan);
-    let (fragments, registry) = fragment_plan(&plan, &assignment);
-    let registry = Arc::new(registry);
-    let vplans: Vec<VariantPlan> = fragments
-        .iter()
-        .map(|f| plan_variants(f, &registry, opts.variant_fragments))
-        .collect();
-
-    // Traced queries: enumerate the (uniquified) plan in pre-order, register
-    // this attempt's estimated-vs-actual table, and resolve metric handles
+    // Placement, once: fragments, exchanges and the per-node table, a node
+    // being its pre-order position. A traced run registers that table as
+    // this attempt's estimated-vs-actual table, and resolves metric handles
     // once so operator hot paths never touch the registry lock.
-    let obs_ctx: Option<(ExecObs, Arc<OpIndex>)> = opts.trace.as_ref().map(|trace| {
-        let (metas, index) = enumerate_ops(&plan, &registry);
-        let attempt = trace.register_attempt(metas);
-        (ExecObs::new(trace.clone(), attempt), Arc::new(index))
+    let mut placement = place(plan, &assignment, opts.variant_fragments, opts.trace.is_some());
+    let obs = opts.trace.as_ref().map(|trace| {
+        let attempt = trace.register_attempt(std::mem::take(&mut placement.metas));
+        ExecObs::new(trace.clone(), attempt)
     });
     let mut exec_span = opts
         .trace
@@ -866,158 +850,104 @@ pub fn execute_plan(
         Some(pool) => pool.lease(opts.memory_limit_rows),
         None => ic_common::MemoryPool::unbounded().lease(opts.memory_limit_rows),
     };
-    let ctrl =
-        ControlBlock::with_lease_obs(deadline, limit_ms, lease, obs_ctx.as_ref().map(|(o, _)| o.clone()));
-    // Polled by in-flight transfers so bandwidth sleeps stop at the
-    // deadline instead of overshooting it.
+    let ctrl = ControlBlock::with_lease_obs(deadline, limit_ms, lease, obs);
+
+    // One link per (exchange, consumer site, consumer variant): the receiving
+    // end goes to the consumer instance, the sending end is the prototype
+    // every producer instance copies. Fragment 0's only instance, the root,
+    // comes first.
+    let mut senders: Vec<_> = placement.exchanges.iter().map(|_| Vec::new()).collect();
+    let mut instances = Vec::new();
+    for (fi, fragment) in placement.fragments.iter().enumerate() {
+        for &site in &fragment.sites {
+            for vid in 0..fragment.variants {
+                let receivers = fragment.inputs.iter().map(|&input| {
+                    let exchange = &placement.exchanges[input];
+                    let producer = &placement.fragments[exchange.producer];
+                    let unstamped = SiteId(usize::MAX);
+                    let (tx, rx) =
+                        net_channel::<Msg>(network.clone(), unstamped, site, CHANNEL_WINDOW);
+                    senders[input].push((site, vid, tx.with_tally(traffic.clone())));
+                    let source = ReceiverSource {
+                        rx,
+                        open_producers: producer.sites.len() * producer.variants,
+                        ctrl: ctrl.clone(),
+                        producers: producer.sites.clone(),
+                        network: network.clone(),
+                    };
+                    (exchange.node, source)
+                });
+                instances.push(Instance { fi, site, vid, receivers: receivers.collect() });
+            }
+        }
+    }
+    let fragments = placement.fragments.len();
     let abort: Arc<AbortFn> = {
         let ctrl = ctrl.clone();
         Arc::new(move || ctrl.is_stopped())
     };
-
-    // --- wire exchanges -------------------------------------------------
-    // Producer fragment of each exchange.
-    let mut producer_of: FxHashMap<ExchangeId, usize> = FxHashMap::default();
-    for (fi, f) in fragments.iter().enumerate() {
-        if let Sink::Exchange { id, .. } = &f.sink {
-            producer_of.insert(*id, fi);
-        }
-    }
-    // Consumer fragment of each exchange.
-    let mut consumer_of: FxHashMap<ExchangeId, usize> = FxHashMap::default();
-    for (fi, f) in fragments.iter().enumerate() {
-        for id in f.receiver_exchanges(&registry) {
-            consumer_of.insert(id, fi);
-        }
-    }
-    // Receiver endpoints per (exchange, site, variant) and sender
-    // prototypes per exchange.
-    let mut rx_map: FxHashMap<(ExchangeId, SiteId, usize), NetReceiver<Msg>> = FxHashMap::default();
-    let mut tx_protos: FxHashMap<ExchangeId, Vec<(SiteId, usize, NetSender<Msg>)>> =
-        FxHashMap::default();
-    let mut producer_count: FxHashMap<ExchangeId, usize> = FxHashMap::default();
-    for (&ex, &ci) in &consumer_of {
-        let consumer = &fragments[ci];
-        let cvars = vplans[ci].variants;
-        let mut protos = Vec::new();
-        for &site in &consumer.sites {
-            for v in 0..cvars {
-                let (tx, rx) =
-                    net_channel::<Msg>(network.clone(), SiteId(usize::MAX), site, CHANNEL_WINDOW);
-                rx_map.insert((ex, site, v), rx);
-                protos.push((site, v, tx.with_tally(traffic.clone())));
-            }
-        }
-        tx_protos.insert(ex, protos);
-        let pi = producer_of
-            .get(&ex)
-            .copied()
-            .ok_or_else(|| IcError::Exec("exchange without producer".into()))?;
-        producer_count.insert(ex, fragments[pi].sites.len() * vplans[pi].variants);
-    }
-
-    // --- launch the fragment instances ------------------------------------
-    let env = ExecEnv {
-        catalog: catalog.clone(),
-        assignment: assignment.clone(),
-        registry: registry.clone(),
-        ctrl: ctrl.clone(),
-        obs: obs_ctx.clone(),
+    let ex = Execution {
+        catalog,
+        assignment,
+        placement,
+        senders,
+        abort,
+        ctrl,
         exec_span: exec_span.as_ref().map(|g| g.id()),
-        // One lazily-populated worker pool per site for this execution.
-        pools: Arc::new(SitePools::new(opts.worker_threads.max(1), opts.trace.clone())),
+        worker_threads: opts.worker_threads.max(1),
         morsel_rows: opts.morsel_rows,
+        lane_threads: AtomicUsize::new(0),
+        first_error: Mutex::named(None, "exec.error_slot"),
     };
-    // One instance of fragment `fi`, its receiver endpoints claimed.
-    let mut instance = |fi: usize, site, vid, exchange| -> IcResult<Instance> {
-        let mut receivers = FxHashMap::default();
-        for ex in fragments[fi].receiver_exchanges(&registry) {
-            let rx = rx_map
-                .remove(&(ex, site, vid))
-                .ok_or_else(|| IcError::Exec("receiver endpoint missing".into()))?;
-            receivers.insert(
-                ex,
-                ReceiverSource {
-                    rx,
-                    open_producers: producer_count[&ex],
-                    ctrl: ctrl.clone(),
-                    producers: fragments[producer_of[&ex]].sites.clone(),
-                    network: network.clone(),
-                },
-            );
-        }
-        let (root, vplan) = (fragments[fi].root.clone(), vplans[fi].clone());
-        Ok(Instance { fi, site, vid, root, vplan, receivers, exchange })
-    };
-    // Traced: where an exchange's producers credit their charged messages.
-    let shipped_to = |ex| {
-        obs_ctx.as_ref().and_then(|(o, ix)| ix.of_exchange(ex).map(|n| (o.attempt.clone(), n)))
-    };
-    // Every non-root instance gets a driver thread of its own.
-    let error_slot: Arc<Mutex<Option<IcError>>> = Arc::new(Mutex::named(None, "exec.error_slot"));
-    let mut handles: Vec<(usize, SiteId, usize, std::thread::JoinHandle<()>)> = Vec::new();
-    for (fi, fragment) in fragments.iter().enumerate() {
-        let Sink::Exchange { id: sink_id, to } = &fragment.sink else { continue };
-        let consumer_mode = vplans[consumer_of[sink_id]].receiver_mode(*sink_id);
-        let shipped = shipped_to(*sink_id);
-        for &site in &fragment.sites {
-            for vid in 0..vplans[fi].variants {
-                let endpoints: Vec<(SiteId, usize, NetSender<Msg>)> = tx_protos[sink_id]
-                    .iter()
-                    .map(|(s, v, tx)| (*s, *v, tx.with_src(site).with_abort(abort.clone())))
-                    .collect();
-                let (to, asg, shipped) = (to.clone(), assignment.clone(), shipped.clone());
-                let core = ExchangeCore::new(to, asg, endpoints, consumer_mode, shipped);
-                let inst = instance(fi, site, vid, Some(core))?;
-                let (env, error_slot) = (env.clone(), error_slot.clone());
-                handles.push((fi, site, vid, std::thread::spawn(move || {
-                    if let Err(e) = launch_instance(&env, inst) {
-                        record_first_error(&error_slot, &env.ctrl, e);
+    let ctrl = &ex.ctrl;
+
+    // --- run the fragment instances ----------------------------------------
+    // Every non-root instance gets a driver thread of its own; the root
+    // fragment runs on this thread.
+    let mut instances = instances.into_iter();
+    let root = instances
+        .next()
+        .ok_or_else(|| IcError::Internal("the root fragment has no instance".into()))?;
+    let threads = instances.len();
+    let mut root_result = std::thread::scope(|s| {
+        let drivers: Vec<_> = instances
+            .map(|inst| {
+                let ex = &ex;
+                let name = format!("fragment {} at {} (variant {})", inst.fi, inst.site, inst.vid);
+                let driver = s.spawn(move || {
+                    if let Err(e) = launch_instance(ex, inst) {
+                        record_first_error(&mut ex.first_error.lock(), &ex.ctrl, e);
                     }
-                })));
+                });
+                (name, driver)
+            })
+            .collect();
+        let root_result = launch_instance(&ex, root);
+        // Stop the drivers either way: on error the query is unwinding; on
+        // success the root may have finished without draining its producers
+        // (a bare LIMIT satisfied early), whose receivers are gone — cancel
+        // instead of letting them grind until a send hits the dead channel.
+        ctrl.cancel();
+        for (name, driver) in drivers {
+            if let Err(payload) = driver.join() {
+                // Attribute the panic to its fragment instance (chaos runs).
+                let e = IcError::Exec(format!("{name} panicked: {}", panic_message(&*payload)));
+                ex.first_error.lock().get_or_insert(e);
             }
         }
-    }
-    let threads = handles.len();
-
-    // The root fragment runs on this thread.
-    debug_assert!(fragments[0].is_root());
-    let mut root_result = instance(0, assignment.coordinator(), 0, None)
-        .and_then(|inst| launch_instance(&env, inst));
-
-    // Stop the workers either way: on error the query is unwinding; on
-    // success the root may have finished without draining its producers
-    // (a bare LIMIT satisfied early), whose receivers are gone — cancel
-    // instead of letting them grind until a send hits the dead channel.
-    ctrl.cancel();
-    for (fi, site, vid, h) in handles {
-        if let Err(payload) = h.join() {
-            // Attribute the panic to its fragment instance (chaos runs).
-            let mut slot = error_slot.lock();
-            if slot.is_none() {
-                *slot = Some(IcError::Exec(format!(
-                    "fragment {fi} at {site} (variant {vid}) panicked: {}",
-                    panic_message(&*payload)
-                )));
-            }
-        }
-    }
+        root_result
+    });
+    let first_error = ex.first_error.lock().take();
     // A worker error is the root cause; prefer it over secondary failures.
     // Unless the root already completed its answer: a producer that was
     // still shipping when the root stopped pulling (LIMIT satisfied) dies
     // on a disconnected channel or the cancellation above, and that
     // teardown noise must not fail a finished query.
-    if root_result.is_ok() {
-        error_slot.lock().take();
-    } else if let Some(e) = error_slot.lock().take() {
+    if let (Err(root), Some(e)) = (&root_result, first_error) {
         // ...and never let a non-retryable teardown symptom (a send that
         // died on a channel the unwinding root dropped) mask a retryable
         // root error — that would turn a clean failover into a hard fail.
-        let root_retryable = root_result
-            .as_ref()
-            .err()
-            .is_some_and(|r| r.is_failover_retryable());
-        if !root_retryable || e.is_failover_retryable() {
+        if !root.is_failover_retryable() || e.is_failover_retryable() {
             root_result = Err(e);
         }
     }
@@ -1055,14 +985,13 @@ pub fn execute_plan(
             root_result = Err(IcError::ExecTimeout { limit_ms });
         }
     }
-    // Pool workers joined before stats: spawned() is final, and worker
-    // trace lanes are quiesced before the trace is read.
-    let pool_threads = env.pools.spawned();
-    drop(env);
+    // Every lane thread was joined by its driver: the count is final, and
+    // their trace lanes are quiesced before the trace is read.
+    let threads = threads + ex.lane_threads.load(Ordering::Relaxed) + 1;
     let peak_buffered_rows = ctrl.lease().peak_used();
     if let Some(g) = &mut exec_span {
-        g.arg("fragments", fragments.len() as u64);
-        g.arg("threads", (threads + pool_threads) as u64 + 1);
+        g.arg("fragments", fragments as u64);
+        g.arg("threads", threads as u64);
         g.arg("peak_buffered_cells", peak_buffered_rows);
     }
     drop(exec_span);
@@ -1071,8 +1000,8 @@ pub fn execute_plan(
     Ok((
         rows,
         QueryStats {
-            fragments: fragments.len(),
-            threads: threads + pool_threads + 1,
+            fragments,
+            threads,
             net_messages,
             net_bytes,
             elapsed: start.elapsed(),

@@ -13,8 +13,6 @@
 //! aggregates, sorts, limits) or a semi/anti join are skipped, as are
 //! root fragments.
 
-use crate::fragment::{ExchangeId, ExchangeRegistry, Fragment};
-use ic_common::hash::FxHashMap;
 use ic_plan::ops::{AggPhase, JoinKind, PhysOp, PhysPlan};
 use std::sync::Arc;
 
@@ -27,215 +25,101 @@ pub enum SourceMode {
     Duplicator,
 }
 
-/// The multithreading plan for one fragment.
-#[derive(Debug, Clone)]
-pub struct VariantPlan {
-    /// Number of variant fragments (1 = not multithreaded).
-    pub variants: usize,
-    /// Mode of each scan/index-scan source, keyed by node pointer.
-    pub scan_modes: FxHashMap<usize, SourceMode>,
-    /// Mode of each receiver (exchange) source.
-    pub receiver_modes: FxHashMap<ExchangeId, SourceMode>,
-}
-
-impl VariantPlan {
-    pub fn single() -> VariantPlan {
-        VariantPlan { variants: 1, scan_modes: FxHashMap::default(), receiver_modes: FxHashMap::default() }
-    }
-
-    pub fn scan_mode(&self, node: &Arc<PhysPlan>) -> SourceMode {
-        if self.variants == 1 {
-            return SourceMode::Duplicator; // single variant reads everything
-        }
-        *self
-            .scan_modes
-            .get(&(Arc::as_ptr(node) as usize))
-            .unwrap_or(&SourceMode::Splitter)
-    }
-
-    pub fn receiver_mode(&self, id: ExchangeId) -> SourceMode {
-        if self.variants == 1 {
-            return SourceMode::Duplicator;
-        }
-        *self.receiver_modes.get(&id).unwrap_or(&SourceMode::Splitter)
-    }
-}
-
-/// Operators that make a fragment ineligible for variants: reduction
-/// operators (Algorithm 3 raises on them) plus semi/anti joins, whose
-/// split-side matches cannot be unioned across variants.
-fn is_reduction(op: &PhysOp<Arc<PhysPlan>>) -> bool {
+/// One step of the VFC recursion: the modes the inputs of `op` are reached
+/// in when `op` itself is reached in `mode` (a source keeps `mode` for
+/// itself), or `None` when `op` makes its fragment ineligible for variants —
+/// a reduction operator (Algorithm 3 raises on them) or a semi/anti join,
+/// whose split-side matches cannot be unioned across variants.
+/// [`crate::fragment::place`] carries the modes down its walk.
+pub(crate) fn assign_modes(
+    op: &PhysOp<Arc<PhysPlan>>,
+    mode: SourceMode,
+) -> Option<[SourceMode; 2]> {
     match op {
-        PhysOp::HashAggregate { phase, .. } | PhysOp::SortAggregate { phase, .. } => {
-            matches!(phase, AggPhase::Complete | AggPhase::Final)
+        PhysOp::HashAggregate { phase, .. } | PhysOp::SortAggregate { phase, .. }
+            if matches!(phase, AggPhase::Complete | AggPhase::Final) =>
+        {
+            None
         }
-        PhysOp::Sort { .. } | PhysOp::Limit { .. } => true,
+        PhysOp::Sort { .. } | PhysOp::Limit { .. } => None,
         PhysOp::NestedLoopJoin { kind, .. }
         | PhysOp::HashJoin { kind, .. }
-        | PhysOp::MergeJoin { kind, .. } => matches!(kind, JoinKind::Semi | JoinKind::Anti),
-        _ => false,
-    }
-}
-
-/// Algorithm 3: compute the variant plan for a fragment. Returns a
-/// single-variant plan when the fragment is a root fragment, contains a
-/// reduction operator, or `requested <= 1`.
-pub fn plan_variants(
-    fragment: &Fragment,
-    registry: &ExchangeRegistry,
-    requested: usize,
-) -> VariantPlan {
-    if requested <= 1 || fragment.is_root() {
-        return VariantPlan::single();
-    }
-    let mut plan = VariantPlan {
-        variants: requested,
-        scan_modes: FxHashMap::default(),
-        receiver_modes: FxHashMap::default(),
-    };
-    if !assign_modes(&fragment.root, SourceMode::Splitter, registry, &mut plan) {
-        return VariantPlan::single();
-    }
-    plan
-}
-
-/// The VFC recursion: returns false when a reduction operator is found
-/// (fragment skipped).
-fn assign_modes(
-    node: &Arc<PhysPlan>,
-    mode: SourceMode,
-    registry: &ExchangeRegistry,
-    plan: &mut VariantPlan,
-) -> bool {
-    if is_reduction(&node.op) {
-        return false;
-    }
-    match &node.op {
-        PhysOp::TableScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => {
-            plan.scan_modes.insert(Arc::as_ptr(node) as usize, mode);
-            true
-        }
-        PhysOp::Exchange { .. } => {
-            // A receiver source of this fragment. An unregistered exchange
-            // means the fragment cannot be safely split — fall back to a
-            // single variant.
-            match registry.id_of(node) {
-                Some(id) => {
-                    plan.receiver_modes.insert(id, mode);
-                    true
-                }
-                None => false,
-            }
-        }
-        PhysOp::NestedLoopJoin { left, right, kind, .. }
-        | PhysOp::HashJoin { left, right, kind, .. }
-        | PhysOp::MergeJoin { left, right, kind, .. } => match kind {
+        | PhysOp::MergeJoin { kind, .. } => match kind {
             // Inner: full left side against a right slice (Algorithm 3).
-            JoinKind::Inner => {
-                assign_modes(left, SourceMode::Duplicator, registry, plan)
-                    && assign_modes(right, mode, registry, plan)
-            }
+            JoinKind::Inner => Some([SourceMode::Duplicator, mode]),
             // LEFT outer must flip: against a right *slice* every variant
             // would NULL-pad left rows whose match lives in another
             // variant's slice, duplicating them once per variant. Slice
             // the left instead (each left row settles in exactly one
             // variant) and give every variant the full right side.
-            JoinKind::Left => {
-                assign_modes(left, mode, registry, plan)
-                    && assign_modes(right, SourceMode::Duplicator, registry, plan)
-            }
-            // Unreachable: is_reduction rejects semi/anti before descent.
-            JoinKind::Semi | JoinKind::Anti => false,
+            JoinKind::Left => Some([mode, SourceMode::Duplicator]),
+            JoinKind::Semi | JoinKind::Anti => None,
         },
-        _ => node
-            .children()
-            .iter()
-            .all(|c| assign_modes(c, mode, registry, plan)),
+        _ => Some([mode; 2]),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::{fragment_plan, Sink};
-    use ic_common::{DataType, Expr, Field, Schema};
-    use ic_net::Topology;
-    use ic_plan::cost::Cost;
+    use crate::fragment::tests::{exchange, node, scan as scan_with};
+    use crate::fragment::{place, Placement};
+    use ic_common::Expr;
+    use ic_net::{Assignment, Topology};
     use ic_plan::ops::SortKey;
     use ic_plan::Distribution;
-    use ic_storage::TableId;
-
-    fn node(op: PhysOp<Arc<PhysPlan>>, dist: Distribution) -> Arc<PhysPlan> {
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-        Arc::new(PhysPlan {
-            op,
-            schema,
-            dist,
-            collation: vec![],
-            rows: 1.0,
-            cost: Cost::ZERO,
-            total_cost: 0.0,
-            has_exchange: false,
-        })
-    }
 
     fn scan() -> Arc<PhysPlan> {
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
+        scan_with(Distribution::Hash(vec![0]))
+    }
+
+    /// `plan` placed on two sites with two variants requested.
+    fn placed(plan: &Arc<PhysPlan>) -> Placement<'_> {
+        place(plan, &Assignment::healthy(&Topology::new(2)), 2, false)
+    }
+
+    /// `root` as the root of fragment 1: node 1, below the exchange at node 0.
+    fn below_exchange(root: Arc<PhysPlan>) -> Arc<PhysPlan> {
+        exchange(root, Distribution::Single)
+    }
+
+    fn join(kind: JoinKind) -> Arc<PhysPlan> {
         node(
-            PhysOp::TableScan { table: TableId(0), name: "t".into(), schema },
-            Distribution::Hash(vec![0]),
-        )
-    }
-
-    fn mk_fragment(root: Arc<PhysPlan>, is_root: bool) -> Fragment {
-        Fragment {
-            id: crate::fragment::FragmentId(if is_root { 0 } else { 1 }),
-            root,
-            sink: if is_root {
-                Sink::Results
-            } else {
-                Sink::Exchange { id: ExchangeId(0), to: Distribution::Single }
-            },
-            sites: vec![ic_net::SiteId(0)],
-        }
-    }
-
-    #[test]
-    fn plain_scan_fragment_splits() {
-        let f = mk_fragment(scan(), false);
-        let reg = ExchangeRegistry::default();
-        let plan = plan_variants(&f, &reg, 2);
-        assert_eq!(plan.variants, 2);
-        assert_eq!(plan.scan_mode(&f.root), SourceMode::Splitter);
-    }
-
-    #[test]
-    fn root_fragments_never_multithread() {
-        let f = mk_fragment(scan(), true);
-        let reg = ExchangeRegistry::default();
-        assert_eq!(plan_variants(&f, &reg, 2).variants, 1);
-    }
-
-    #[test]
-    fn join_left_becomes_duplicator() {
-        let l = scan();
-        let r = scan();
-        let join = node(
             PhysOp::HashJoin {
-                left: l.clone(),
-                right: r.clone(),
-                kind: JoinKind::Inner,
+                left: scan(),
+                right: scan(),
+                kind,
                 left_keys: vec![0],
                 right_keys: vec![0],
                 residual: Expr::lit(true),
             },
             Distribution::Hash(vec![0]),
-        );
-        let f = mk_fragment(join, false);
-        let reg = ExchangeRegistry::default();
-        let plan = plan_variants(&f, &reg, 2);
-        assert_eq!(plan.scan_mode(&l), SourceMode::Duplicator);
-        assert_eq!(plan.scan_mode(&r), SourceMode::Splitter);
+        )
+    }
+
+    #[test]
+    fn plain_scan_fragment_splits() {
+        let plan = below_exchange(scan());
+        let p = placed(&plan);
+        assert_eq!(p.fragments[1].variants, 2);
+        assert_eq!(p.nodes[1].mode, SourceMode::Splitter);
+    }
+
+    #[test]
+    fn root_fragments_never_multithread() {
+        let plan = scan();
+        assert_eq!(placed(&plan).fragments[0].variants, 1);
+        let plan = below_exchange(scan());
+        assert_eq!(placed(&plan).fragments[0].variants, 1);
+    }
+
+    #[test]
+    fn join_left_becomes_duplicator() {
+        let plan = below_exchange(join(JoinKind::Inner));
+        let p = placed(&plan);
+        assert_eq!(p.fragments[1].variants, 2);
+        assert_eq!(p.nodes[2].mode, SourceMode::Duplicator);
+        assert_eq!(p.nodes[3].mode, SourceMode::Splitter);
     }
 
     #[test]
@@ -244,83 +128,69 @@ mod tests {
         // (full left × right slice) each variant NULL-pads left rows
         // whose match lives in another variant's slice, so every LEFT
         // JOIN result row came out once per variant.
-        let l = scan();
-        let r = scan();
+        let plan = below_exchange(join(JoinKind::Left));
+        let p = placed(&plan);
+        assert_eq!(p.nodes[2].mode, SourceMode::Splitter);
+        assert_eq!(p.nodes[3].mode, SourceMode::Duplicator);
+    }
+
+    #[test]
+    fn reduction_operators_skip_fragment() {
+        let agg = |phase, dist| {
+            below_exchange(node(
+                PhysOp::HashAggregate { input: scan(), group: vec![0], aggs: vec![], phase },
+                dist,
+            ))
+        };
+        let plan = agg(AggPhase::Complete, Distribution::Single);
+        assert_eq!(placed(&plan).fragments[1].variants, 1);
+        // Partial (map-phase) aggregates are fine.
+        let plan = agg(AggPhase::Partial, Distribution::Hash(vec![0]));
+        assert_eq!(placed(&plan).fragments[1].variants, 2);
+        // Sorts and semi joins are reductions too.
+        let plan = below_exchange(node(
+            PhysOp::Sort { input: scan(), keys: vec![SortKey::asc(0)] },
+            Distribution::Single,
+        ));
+        assert_eq!(placed(&plan).fragments[1].variants, 1);
+        let plan = below_exchange(join(JoinKind::Semi));
+        assert_eq!(placed(&plan).fragments[1].variants, 1);
+    }
+
+    /// A receiver is a source like a scan: it takes the mode the walk reaches
+    /// it in, and a reduction above it does not reach into its producer.
+    #[test]
+    fn receiver_modes_follow_the_walk() {
+        let left = exchange(scan(), Distribution::Hash(vec![0]));
+        let right = exchange(scan(), Distribution::Hash(vec![0]));
         let join = node(
             PhysOp::HashJoin {
-                left: l.clone(),
-                right: r.clone(),
-                kind: JoinKind::Left,
+                left,
+                right,
+                kind: JoinKind::Inner,
                 left_keys: vec![0],
                 right_keys: vec![0],
                 residual: Expr::lit(true),
             },
             Distribution::Hash(vec![0]),
         );
-        let f = mk_fragment(join, false);
-        let reg = ExchangeRegistry::default();
-        let plan = plan_variants(&f, &reg, 2);
-        assert_eq!(plan.scan_mode(&l), SourceMode::Splitter);
-        assert_eq!(plan.scan_mode(&r), SourceMode::Duplicator);
-    }
-
-    #[test]
-    fn reduction_operators_skip_fragment() {
-        let agg = node(
-            PhysOp::HashAggregate {
-                input: scan(),
-                group: vec![0],
-                aggs: vec![],
-                phase: AggPhase::Complete,
-            },
-            Distribution::Single,
-        );
-        let f = mk_fragment(agg, false);
-        let reg = ExchangeRegistry::default();
-        assert_eq!(plan_variants(&f, &reg, 2).variants, 1);
-        // Partial (map-phase) aggregates are fine.
-        let partial = node(
-            PhysOp::HashAggregate {
-                input: scan(),
-                group: vec![0],
-                aggs: vec![],
-                phase: AggPhase::Partial,
-            },
-            Distribution::Hash(vec![0]),
-        );
-        let f = mk_fragment(partial, false);
-        assert_eq!(plan_variants(&f, &reg, 2).variants, 2);
-        // Sorts and semi joins are reductions too.
-        let sort = node(PhysOp::Sort { input: scan(), keys: vec![SortKey::asc(0)] }, Distribution::Single);
-        assert_eq!(plan_variants(&mk_fragment(sort, false), &reg, 2).variants, 1);
-    }
-
-    #[test]
-    fn receiver_modes_via_registry() {
-        let s = scan();
-        let ex = node(
-            PhysOp::Exchange { input: s, to: Distribution::Hash(vec![0]) },
-            Distribution::Hash(vec![0]),
-        );
         let filter = node(
-            PhysOp::Filter { input: ex, predicate: Expr::lit(true) },
+            PhysOp::Filter { input: join, predicate: Expr::lit(true) },
             Distribution::Hash(vec![0]),
         );
-        let ex2 = node(
-            PhysOp::Exchange { input: filter, to: Distribution::Single },
-            Distribution::Single,
-        );
-        let limit = node(PhysOp::Limit { input: ex2, fetch: Some(1), offset: 0 }, Distribution::Single);
-        let assignment = ic_net::Assignment::healthy(&Topology::new(2));
-        let (fragments, registry) = fragment_plan(&limit, &assignment);
-        let middle = fragments
-            .iter()
-            .find(|f| matches!(&f.root.op, PhysOp::Filter { .. }))
-            .unwrap();
-        let plan = plan_variants(middle, &registry, 2);
-        assert_eq!(plan.variants, 2);
-        let rx = middle.receiver_exchanges(&registry);
-        assert_eq!(rx.len(), 1);
-        assert_eq!(plan.receiver_mode(rx[0]), SourceMode::Splitter);
+        let top = exchange(filter, Distribution::Single);
+        let plan =
+            node(PhysOp::Limit { input: top, fetch: Some(1), offset: 0 }, Distribution::Single);
+        let p = placed(&plan);
+        // limit(0) ex(1) filter(2) join(3) ex(4) scan(5) ex(6) scan(7)
+        let variants: Vec<_> = p.fragments.iter().map(|f| f.variants).collect();
+        assert_eq!(variants, vec![1, 2, 2, 2]);
+        let middle = &p.fragments[1];
+        assert_eq!(middle.inputs, vec![1, 2]);
+        assert_eq!((p.exchanges[1].node, p.exchanges[1].mode), (4, SourceMode::Duplicator));
+        assert_eq!((p.exchanges[2].node, p.exchanges[2].mode), (6, SourceMode::Splitter));
+        // Each producer starts over as a splitter.
+        assert_eq!(p.nodes[5].mode, SourceMode::Splitter);
+        assert_eq!(p.nodes[7].mode, SourceMode::Splitter);
     }
 }

@@ -226,6 +226,76 @@ fn telemetry_tracks_traffic() {
     assert!(s8.threads > s2.threads);
 }
 
+/// A memo-shared subtree is one `Arc` under two parents. Placement keys
+/// nodes by pre-order position, so the *same* `Exchange` node as both inputs
+/// of a self-join is two exchanges fed by two fragments: the join sees both
+/// sides, traffic is charged once per occurrence, and a traced run credits
+/// each occurrence's messages to its own plan line.
+#[test]
+fn shared_subtree_behind_two_exchanges() {
+    use ic_plan::ops::{PhysOp, PhysPlan};
+    let (cat, net) = setup(4);
+    let table = cat.table_by_name("r").unwrap();
+    let schema = cat.table_def(table).unwrap().schema;
+    let node = |op, schema: &Schema, dist: Distribution| {
+        Arc::new(PhysPlan {
+            op,
+            schema: schema.clone(),
+            dist,
+            collation: vec![],
+            rows: 13.0,
+            cost: ic_plan::cost::Cost::ZERO,
+            total_cost: 0.0,
+            has_exchange: true,
+        })
+    };
+    let scan = node(
+        PhysOp::TableScan { table, name: "r".into(), schema: schema.clone() },
+        &schema,
+        Distribution::Hash(vec![0]),
+    );
+    let shipped =
+        node(PhysOp::Exchange { input: scan, to: Distribution::Single }, &schema, Distribution::Single);
+    let run = |plan: &Arc<PhysPlan>| {
+        let trace = ic_common::obs::Trace::new();
+        let opts = ExecOptions { trace: Some(trace.clone()), ..ExecOptions::default() };
+        let (mut rows, stats) = execute_plan(plan, &cat, &net, &opts).unwrap();
+        rows.sort();
+        (rows, stats, trace.attempts().pop().unwrap())
+    };
+    // One occurrence: every site but the coordinator ships its share of `r`.
+    let (once, one, _) = run(&shipped);
+    assert_eq!(once.len(), 13);
+    assert_eq!((one.fragments, one.net_messages), (2, 3));
+
+    let joined = Schema::new(schema.fields().iter().chain(schema.fields()).cloned().collect());
+    let join = node(
+        PhysOp::HashJoin {
+            left: shipped.clone(),
+            right: shipped,
+            kind: JoinKind::Inner,
+            left_keys: vec![0],
+            right_keys: vec![0],
+            residual: Expr::lit(true),
+        },
+        &joined,
+        Distribution::Single,
+    );
+    let (rows, stats, attempt) = run(&join);
+    let expected: Vec<Row> =
+        once.iter().map(|r| Row(r.0.iter().chain(&r.0).cloned().collect())).collect();
+    assert_eq!(rows, expected);
+    assert_eq!(stats.fragments, 3);
+    assert_eq!(stats.threads, one.threads * 2 - 1);
+    assert_eq!((stats.net_messages, stats.net_bytes), (2 * one.net_messages, 2 * one.net_bytes));
+    // join(0) exchange(1) scan(2) exchange(3) scan(4)
+    for exchange in [1, 3] {
+        assert_eq!(attempt.shipped_msgs(exchange), one.net_messages, "exchange at node {exchange}");
+        assert_eq!(attempt.rows(exchange), 13);
+    }
+    assert_eq!(attempt.rows(0), 13);
+}
+
 // --- the exchange protocol, one producer instance at a time -----------------
 
 const SITES: usize = 4;

@@ -192,10 +192,39 @@ impl Network {
         abort: Option<&AbortFn>,
         tally: Option<&NetStats>,
     ) -> Result<(), NetError> {
+        self.charge(Traffic::Exchange, src, dst, bytes, abort, tally)
+    }
+
+    /// Ship a replication message (a write's effect ops, or one rebalance
+    /// chunk) from `src` to `dst`. Same fault/delay model as
+    /// [`transfer`](Self::transfer) — link drops and site crashes hit real
+    /// writes — but accounted to the `net.replicate.*` traffic class so the
+    /// synchronous-replication overhead is separable from query exchange.
+    pub fn replicate(&self, src: SiteId, dst: SiteId, bytes: usize) -> Result<(), NetError> {
+        self.charge(Traffic::Replicate, src, dst, bytes, None, None)
+    }
+
+    /// The one charge path: a same-site message is free, a cross-site one
+    /// takes the fault layer's decision (one tick), is counted — into
+    /// `class`'s process-wide counters, [`Network::stats`] and `tally` — and
+    /// then costs its sender the simulated wire time.
+    fn charge(
+        &self,
+        class: Traffic,
+        src: SiteId,
+        dst: SiteId,
+        bytes: usize,
+        abort: Option<&AbortFn>,
+        tally: Option<&NetStats>,
+    ) -> Result<(), NetError> {
         if src == dst {
             self.stats.local_messages.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
+        let (m_messages, m_bytes, m_faults) = match class {
+            Traffic::Exchange => (&self.m_messages, &self.m_bytes, &self.m_faults),
+            Traffic::Replicate => (&self.m_repl_messages, &self.m_repl_bytes, &self.m_repl_failures),
+        };
         // Clone the injector out so the faults lock is never held across a
         // sleep.
         let mut delay_factor: u32 = 1;
@@ -203,11 +232,11 @@ impl Network {
             match injector.decide(src, dst, &self.liveness) {
                 FaultDecision::Deliver { delay_factor: f } => delay_factor = f,
                 FaultDecision::Drop => {
-                    self.m_faults.inc();
+                    m_faults.inc();
                     return Err(NetError::LinkFault);
                 }
                 FaultDecision::SiteDown(site) => {
-                    self.m_faults.inc();
+                    m_faults.inc();
                     return Err(NetError::SiteDead(site));
                 }
             }
@@ -216,12 +245,14 @@ impl Network {
             stats.messages.fetch_add(1, Ordering::Relaxed);
             stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         }
-        self.m_messages.inc();
-        self.m_bytes.add(bytes as u64);
+        m_messages.inc();
+        m_bytes.add(bytes as u64);
         let delay = self.config.transfer_delay(bytes) * delay_factor;
-        let latency = self.config.latency * delay_factor;
-        self.m_latency_ns.add(latency.as_nanos() as u64);
-        self.m_bandwidth_ns.add(delay.saturating_sub(latency).as_nanos() as u64);
+        if let Traffic::Exchange = class {
+            let latency = self.config.latency * delay_factor;
+            self.m_latency_ns.add(latency.as_nanos() as u64);
+            self.m_bandwidth_ns.add(delay.saturating_sub(latency).as_nanos() as u64);
+        }
         if delay.is_zero() {
             return Ok(());
         }
@@ -244,42 +275,16 @@ impl Network {
         }
         Ok(())
     }
+}
 
-    /// Ship a replication message (a write's effect ops, or one rebalance
-    /// chunk) from `src` to `dst`. Same fault/delay model as
-    /// [`transfer`](Self::transfer) — link drops and site crashes hit real
-    /// writes — but accounted to the `net.replicate.*` traffic class so the
-    /// synchronous-replication overhead is separable from query exchange.
-    pub fn replicate(&self, src: SiteId, dst: SiteId, bytes: usize) -> Result<(), NetError> {
-        if src == dst {
-            self.stats.local_messages.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        let mut delay_factor: u32 = 1;
-        if let Some(injector) = self.fault_injector() {
-            match injector.decide(src, dst, &self.liveness) {
-                FaultDecision::Deliver { delay_factor: f } => delay_factor = f,
-                FaultDecision::Drop => {
-                    self.m_repl_failures.inc();
-                    return Err(NetError::LinkFault);
-                }
-                FaultDecision::SiteDown(site) => {
-                    self.m_repl_failures.inc();
-                    return Err(NetError::SiteDead(site));
-                }
-            }
-        }
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.m_repl_messages.inc();
-        self.m_repl_bytes.add(bytes as u64);
-        let delay = self.config.transfer_delay(bytes) * delay_factor;
-        if !delay.is_zero() {
-            // ic-lint: allow(L004) because the delay simulator is the one sanctioned wall-clock boundary
-            std::thread::sleep(delay);
-        }
-        Ok(())
-    }
+/// Which process-wide counters a charged message is accounted to.
+#[derive(Clone, Copy)]
+enum Traffic {
+    /// Query exchange: `net.transfer.*`, with the wire charge split into
+    /// its latency and bandwidth terms.
+    Exchange,
+    /// Write replication and rebalance copies: `net.replicate.*`.
+    Replicate,
 }
 
 impl std::fmt::Debug for Network {

@@ -407,3 +407,105 @@ fn revoked_query_is_retryable_and_leaks_no_budget() {
     assert_eq!(pool.in_use(), 0, "all leases returned their grants");
     assert_eq!(pool.active_leases(), 0);
 }
+
+// --- errors raised while morsel lanes are mid-send ---------------------------
+
+/// A 2-site cluster on the calibrated network under a standing latency
+/// spike, three lanes per parallel region over 128-row morsels.
+/// [`LANES_SHIP_SQL`]'s scan fragments stream straight from their lanes into
+/// the exchange, and only site 1's cross the wire: its first message (tick
+/// 0) takes 50 ms, every later one 200 ms, and the second and third leave on
+/// the other two lanes while the first is in flight. So from a few
+/// milliseconds in until 200 ms, lanes of site 1 sit in transfers — and
+/// whatever stops the query between 10 and 100 ms stops it with lanes
+/// mid-send.
+fn slow_shipping_cluster(config: ClusterConfig) -> Cluster {
+    let cluster = Cluster::new(ClusterConfig {
+        sites: 2,
+        variant: SystemVariant::ICPlus,
+        network: ignite_calcite_rs::NetworkConfig::default(),
+        worker_threads: 3,
+        morsel_rows: 128,
+        ..config
+    });
+    cluster.run("CREATE TABLE t (a BIGINT, b BIGINT, PRIMARY KEY (a))").unwrap();
+    let rows: Vec<Row> = (0..SHIPPED_ROWS).map(|i| Row(vec![Datum::Int(i), Datum::Int(i % 50)])).collect();
+    cluster.insert("t", rows).unwrap();
+    cluster.analyze_all().unwrap();
+    let forever = ignite_calcite_rs::TICK_FOREVER;
+    cluster.install_faults(FaultPlan::new(7).latency_spike(1000, 0, forever).latency_spike(4, 1, forever));
+    cluster
+}
+
+const SHIPPED_ROWS: i64 = 6000;
+const LANES_SHIP_SQL: &str = "SELECT a, b FROM t ORDER BY b";
+
+/// What every error raised under [`slow_shipping_cluster`] must leave behind:
+/// its class on the client, a closed and well-nested span tree with the lane
+/// spans in it, and — once `hog`, if the test holds one, is gone — no budget
+/// held.
+fn assert_clean_failure(
+    cluster: &Cluster,
+    hog: Option<ignite_calcite_rs::common::MemoryLease>,
+    expected: fn(&IcError) -> bool,
+) {
+    let (result, trace) = cluster.query_traced(0, LANES_SHIP_SQL);
+    let err = result.expect_err("the query cannot finish");
+    assert!(expected(&err), "{err}");
+    trace.validate().expect("span tree well-formed");
+    let lanes = trace.lanes();
+    assert!(
+        lanes.iter().any(|l| l.starts_with("worker @")),
+        "the scan fragments never went parallel: {lanes:?}"
+    );
+    drop(hog);
+    assert_eq!(cluster.governor().pool().active_leases(), 0, "a lease outlived its query");
+    assert_eq!(cluster.governor().pool().in_use(), 0, "pool leaked budget");
+}
+
+/// The deadline passes while lanes sleep in transfers that outlast it: the
+/// abort hook stops them, and the client sees the timeout it is.
+#[test]
+fn exec_timeout_with_lanes_mid_send() {
+    let cluster = slow_shipping_cluster(ClusterConfig {
+        exec_timeout: Some(Duration::from_millis(100)),
+        ..ClusterConfig::default()
+    });
+    assert_clean_failure(&cluster, None, |e| matches!(e, IcError::ExecTimeout { limit_ms: 100 }));
+}
+
+/// The root's sort has room for its own site's half of the table, which it
+/// gets for free, and for half a message more: the budget runs out on site
+/// 1's first message, 50 ms in, with the other lanes still shipping.
+#[test]
+fn memory_limit_with_lanes_mid_send() {
+    const LIMIT_CELLS: u64 = 2 * (SHIPPED_ROWS as u64 / 2 + 512);
+    let cluster = slow_shipping_cluster(ClusterConfig {
+        exec_timeout: Some(Duration::from_secs(60)),
+        memory_limit_rows: LIMIT_CELLS,
+        ..ClusterConfig::default()
+    });
+    assert_clean_failure(&cluster, None, |e| matches!(e, IcError::MemoryLimit { limit_rows: LIMIT_CELLS }));
+}
+
+/// The root's first reservation — for the rows its own site hands it at once
+/// — finds the pool drained by a hog that never unwinds: it marks the hog,
+/// waits one 10 ms step, finds nobody left to revoke and revokes itself.
+#[test]
+fn resources_revoked_with_lanes_mid_send() {
+    let cluster = slow_shipping_cluster(ClusterConfig {
+        exec_timeout: Some(Duration::from_secs(60)),
+        governor: GovernorConfig {
+            pool_budget_cells: 64 * ignite_calcite_rs::common::LEASE_CHUNK_CELLS,
+            grant_timeout: Duration::from_millis(50),
+            ..GovernorConfig::test_default()
+        },
+        ..ClusterConfig::default()
+    });
+    let pool = cluster.governor().pool().clone();
+    let hog = pool.lease(u64::MAX);
+    hog.reserve(pool.capacity()).unwrap();
+    assert_clean_failure(&cluster, Some(hog), |e| {
+        matches!(e, IcError::ResourcesRevoked { .. }) && e.is_retryable() && !e.is_failover_retryable()
+    });
+}

@@ -11,13 +11,17 @@ use std::time::Duration;
 
 const SF: f64 = 0.002;
 
-/// An IC cluster over the given schema and data, analyzed.
-fn loaded(ddl: &[&[&str]], tables: Vec<TableData>) -> Cluster {
+/// Execution limit of every cluster whose queries must all complete.
+const GENEROUS: Duration = Duration::from_secs(60);
+
+/// An IC cluster over the given schema and data, analyzed, whose queries
+/// (and those of the variants derived from it) may run for `exec_timeout`.
+fn loaded(ddl: &[&[&str]], tables: Vec<TableData>, exec_timeout: Duration) -> Cluster {
     let base = Cluster::new(ClusterConfig {
         sites: 4,
         variant: SystemVariant::IC,
         network: ignite_calcite_rs::NetworkConfig::instant(),
-        exec_timeout: Some(Duration::from_secs(60)),
+        exec_timeout: Some(exec_timeout),
         planner_budget: None,
         memory_limit_rows: 20_000_000,
         ..ClusterConfig::default()
@@ -33,7 +37,7 @@ fn loaded(ddl: &[&[&str]], tables: Vec<TableData>) -> Cluster {
 }
 
 fn clusters() -> (Cluster, Cluster, Cluster) {
-    let base = loaded(&[tpch::DDL, tpch::INDEX_DDL], tpch::generate(SF, 42));
+    let base = loaded(&[tpch::DDL, tpch::INDEX_DDL], tpch::generate(SF, 42), GENEROUS);
     let plus = base.with_variant(SystemVariant::ICPlus);
     let plus_m = base.with_variant(SystemVariant::ICPlusM);
     (base, plus, plus_m)
@@ -72,11 +76,24 @@ fn assert_rows_close(a: &[Row], b: &[Row], label: &str) {
     }
 }
 
-/// All 20 runnable queries agree between IC+ and IC+M (and IC where it
-/// finishes).
+/// What the baseline cannot finish at this scale, by how it fails. The three
+/// memory-limit failures are the plans' doing — the unoptimized joins buffer
+/// more than the 20 M-cell budget whatever the host — and are asserted; Q2 is
+/// the one query whose baseline plan is merely too slow (it sits out any
+/// limit up to the 60 s the other clusters get), so it is named, and on a
+/// host fast enough to finish it the result is compared like any other.
+const IC_OVER_BUDGET: [usize; 3] = [17, 18, 21];
+const IC_TOO_SLOW: usize = 2;
+/// The baseline leg's execution limit: every IC query that completes does so
+/// within 0.6 s on the 2-core reference host.
+const IC_LIMIT: Duration = Duration::from_secs(5);
+
+/// All 20 runnable queries agree between IC+ and IC+M, and with IC on the 16
+/// its plans can finish.
 #[test]
 fn variants_agree_on_all_queries() {
-    let (ic, plus, plus_m) = clusters();
+    let (_, plus, plus_m) = clusters();
+    let ic = loaded(&[tpch::DDL, tpch::INDEX_DDL], tpch::generate(SF, 42), IC_LIMIT);
     for q in 1..=22 {
         if tpch::EXCLUDED_UNSUPPORTED.contains(&q) {
             continue;
@@ -85,10 +102,16 @@ fn variants_agree_on_all_queries() {
         let a = plus.query(&sql).unwrap_or_else(|e| panic!("IC+ Q{q}: {e}"));
         let b = plus_m.query(&sql).unwrap_or_else(|e| panic!("IC+M Q{q}: {e}"));
         assert_rows_close(&a.rows, &b.rows, &format!("Q{q}: IC+ vs IC+M"));
-        // The baseline is slow on several queries; compare only when it
-        // completes within the (generous) limit.
-        if let Ok(c) = ic.query(&sql) {
-            assert_rows_close(&a.rows, &c.rows, &format!("Q{q}: IC+ vs IC"));
+        match ic.query(&sql) {
+            Err(e) if IC_OVER_BUDGET.contains(&q) => {
+                assert!(matches!(e, IcError::MemoryLimit { .. }), "IC Q{q}: {e}")
+            }
+            Err(e) if q == IC_TOO_SLOW => {
+                assert!(matches!(e, IcError::ExecTimeout { .. }), "IC Q{q}: {e}")
+            }
+            Err(e) => panic!("IC Q{q}: {e}"),
+            Ok(_) if IC_OVER_BUDGET.contains(&q) => panic!("IC Q{q} fit its memory budget"),
+            Ok(c) => assert_rows_close(&a.rows, &c.rows, &format!("Q{q}: IC+ vs IC")),
         }
     }
 }
@@ -276,8 +299,8 @@ fn collect<'a>(
 #[test]
 fn optimized_plans_carry_no_dead_columns() {
     const PLAN_SF: f64 = 0.01;
-    let tpch_base = loaded(&[tpch::DDL, tpch::INDEX_DDL], tpch::generate(PLAN_SF, 42));
-    let ssb_base = loaded(&[ssb::DDL, ssb::INDEX_DDL], ssb::generate(PLAN_SF, 42));
+    let tpch_base = loaded(&[tpch::DDL, tpch::INDEX_DDL], tpch::generate(PLAN_SF, 42), GENEROUS);
+    let ssb_base = loaded(&[ssb::DDL, ssb::INDEX_DDL], ssb::generate(PLAN_SF, 42), GENEROUS);
     let tpch_queries: Vec<(String, String)> = (1..=22)
         .filter(|q| !tpch::EXCLUDED_UNSUPPORTED.contains(q))
         .map(|q| (format!("Q{q}"), tpch::query(q)))
