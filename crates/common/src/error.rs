@@ -105,6 +105,12 @@ pub enum IcError {
     /// as an operator polled before open or an unregistered exchange node).
     /// Not retryable: the bug is in the engine, not the topology.
     Internal(String),
+    /// Not a failure but the sight of one: this thread of a query stopped
+    /// because the query was already over — its control block's stop cell was
+    /// set, a transfer was aborted, or the peer of an exchange link unwound.
+    /// The cause, if there is one, is in the cell, which refuses to store this
+    /// marker; `execute_plan` never returns it.
+    Cancelled,
 }
 
 impl fmt::Display for IcError {
@@ -150,6 +156,7 @@ impl fmt::Display for IcError {
                 write!(f, "partition {partition} is rebalancing; retry against the new owner map")
             }
             IcError::Internal(m) => write!(f, "internal error: {m}"),
+            IcError::Cancelled => write!(f, "stopped: the query ended on another of its threads"),
         }
     }
 }
@@ -212,7 +219,8 @@ impl IcError {
             | IcError::MemoryLimit { .. }
             | IcError::Catalog(_)
             | IcError::RetriesExhausted { .. }
-            | IcError::Internal(_) => false,
+            | IcError::Internal(_)
+            | IcError::Cancelled => false,
         }
     }
 
@@ -247,7 +255,8 @@ impl IcError {
             | IcError::MemoryLimit { .. }
             | IcError::Catalog(_)
             | IcError::RetriesExhausted { .. }
-            | IcError::Internal(_) => false,
+            | IcError::Internal(_)
+            | IcError::Cancelled => false,
         }
     }
 }
@@ -291,6 +300,8 @@ mod tests {
         assert!(!IcError::Internal("bad state".into()).is_retryable());
         assert!(IcError::Internal("bad state".into()).to_string().contains("internal"));
         assert!(!IcError::ExecTimeout { limit_ms: 1 }.is_retryable());
+        // The sight of a stop is nothing to retry: the cause decides that.
+        assert!(!IcError::Cancelled.is_retryable() && !IcError::Cancelled.is_failover_retryable());
         let exhausted = IcError::RetriesExhausted {
             attempts: 3,
             chain: vec!["a".into(), "b".into(), "c".into()],

@@ -13,8 +13,8 @@
 //!    the lowest — oldest — lease id, so the choice is deterministic).
 //! 2. If the victim is another query, its `revoked` flag is raised. The
 //!    victim notices cooperatively at its next batch boundary
-//!    (`ControlBlock::check`), cancels itself, and its lease `Drop`
-//!    returns the grant to the pool.
+//!    (`ControlBlock::check`), fails itself with the revocation as the
+//!    cause, and its lease `Drop` returns the grant to the pool.
 //! 3. The requester blocks on a condvar until budget frees, re-checking
 //!    each wakeup; if its grant timeout expires first it revokes *itself*.
 //! 4. If the requester is itself the largest lease, it self-revokes — or,
@@ -139,7 +139,6 @@ impl MemoryPool {
             used: AtomicU64::new(0),
             granted: AtomicU64::new(0),
             peak: AtomicU64::new(0),
-            limit_hit: AtomicU64::new(0),
         }
     }
 
@@ -228,9 +227,6 @@ pub struct MemoryLease {
     /// Local mirror of the pool-side grant; refreshed under the pool lock.
     granted: AtomicU64,
     peak: AtomicU64,
-    /// Nonzero once the per-query or pool limit was exceeded; records the
-    /// limit that fired so the runtime can surface an exact `MemoryLimit`.
-    limit_hit: AtomicU64,
 }
 
 impl MemoryLease {
@@ -244,7 +240,6 @@ impl MemoryLease {
         let used = self.used.fetch_add(cells, Ordering::Relaxed) + cells;
         self.peak.fetch_max(used, Ordering::Relaxed);
         if used > self.limit {
-            self.limit_hit.store(self.limit, Ordering::Relaxed);
             return Err(IcError::MemoryLimit { limit_rows: self.limit });
         }
         if used > self.granted.load(Ordering::Relaxed) {
@@ -307,7 +302,6 @@ impl MemoryLease {
                     let others: u64 =
                         st.leases.iter().filter(|l| l.id != self.id).map(|l| l.granted).sum();
                     if others == 0 {
-                        self.limit_hit.store(self.pool.capacity, Ordering::Relaxed);
                         return Err(IcError::MemoryLimit { limit_rows: self.pool.capacity });
                     }
                     self.revoked.store(true, Ordering::Relaxed);
@@ -349,14 +343,6 @@ impl MemoryLease {
     /// The error a revoked query surfaces.
     pub fn revoked_error(&self) -> IcError {
         IcError::ResourcesRevoked { lease_cells: self.granted.load(Ordering::Relaxed) }
-    }
-
-    /// Which limit (per-query or pool capacity) was exceeded, if any.
-    pub fn limit_hit(&self) -> Option<u64> {
-        match self.limit_hit.load(Ordering::Relaxed) {
-            0 => None,
-            l => Some(l),
-        }
     }
 
     /// Cells currently accounted against this lease.
@@ -418,7 +404,6 @@ mod tests {
         let lease = pool.lease(500);
         let err = lease.reserve(501).unwrap_err();
         assert_eq!(err, IcError::MemoryLimit { limit_rows: 500 });
-        assert_eq!(lease.limit_hit(), Some(500));
         assert!(!err.is_retryable());
     }
 

@@ -10,6 +10,12 @@
 //! chunks by `Arc` clone. Rows exist only at the edges: `Values` input
 //! ([`VecSource`]), an aggregate's group emission and `Final` state merge
 //! (one short row per *group*), and the client rowset ([`drain`]).
+//!
+//! Every operator loop calls [`ControlBlock::check`] and every buffering one
+//! [`ControlBlock::reserve`]; those two record the limits they enforce as the
+//! query's cause of failure, and once the query is over — for that or any
+//! other reason — `check` returns [`IcError::Cancelled`], so an operator
+//! never has to tell a cause from a symptom: it returns what it got.
 
 use crate::kernels::{gather_join_output, ColGroupTable, ColJoinTable, NIL};
 use crate::pool::{Morsel, MorselSupply};
@@ -25,8 +31,7 @@ use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use ic_storage::Chunks;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Per-query observability context, attached to the [`ControlBlock`] when
@@ -70,63 +75,68 @@ impl ExecObs {
     }
 }
 
-const CANCELLED: &str = "query cancelled";
-
-/// Shared per-query control: wall-clock deadline (the paper's runtime
-/// limit), a cancellation flag set when any fragment fails, and the
-/// query's [`MemoryLease`] on the cluster's shared pool. All buffered
-/// operator state is accounted through the lease — never through a
-/// private counter (ic-lint rule L006).
+/// Shared per-query control: the *stop cell*, the wall-clock deadline (the
+/// paper's runtime limit) and the query's [`MemoryLease`] on the cluster's
+/// shared pool. All buffered operator state is accounted through the lease —
+/// never through a private counter (ic-lint rule L006).
+///
+/// The cell is written once: unset while the query runs, then either
+/// *finished* ([`ControlBlock::finish`], the root has its answer) or *failed*
+/// with the one cause the client will see ([`ControlBlock::fail`]). Whoever
+/// decides a failure records it: [`ControlBlock::reserve`] and
+/// [`ControlBlock::check`] for the limits they enforce, a thread's top level
+/// for whatever else its operators returned, a `join` for a panic. Every
+/// thread that only *notices* the stop — `check` once the cell is set, a send
+/// that was aborted or found its link's peer gone — unwinds with the marker
+/// [`IcError::Cancelled`], which `fail` refuses to store: whatever order the
+/// threads unwind in, a symptom is never the cause.
 #[derive(Debug)]
 pub struct ControlBlock {
-    pub deadline: Option<Instant>,
-    pub cancelled: AtomicBool,
-    pub limit_ms: u64,
+    stop: OnceLock<Option<IcError>>,
+    deadline: Option<Instant>,
+    limit_ms: u64,
     lease: MemoryLease,
     obs: Option<ExecObs>,
 }
 
 impl ControlBlock {
-    pub fn new(deadline: Option<Instant>, limit_ms: u64) -> Arc<ControlBlock> {
-        Self::with_memory_limit(deadline, limit_ms, u64::MAX)
-    }
-
-    /// Standalone form: a private unbounded pool so only the per-query
-    /// limit applies (tests, direct `execute_plan` callers without a
-    /// governor).
-    pub fn with_memory_limit(
-        deadline: Option<Instant>,
-        limit_ms: u64,
-        memory_limit_rows: u64,
-    ) -> Arc<ControlBlock> {
-        Self::with_lease(deadline, limit_ms, MemoryPool::unbounded().lease(memory_limit_rows))
-    }
-
-    /// Governed form: account this query against a shared-pool lease.
-    pub fn with_lease(
-        deadline: Option<Instant>,
-        limit_ms: u64,
-        lease: MemoryLease,
-    ) -> Arc<ControlBlock> {
-        Self::with_lease_obs(deadline, limit_ms, lease, None)
-    }
-
-    /// Governed + traced form: as [`ControlBlock::with_lease`], with an
-    /// optional observability context the operator open/next/close hooks
-    /// report into.
-    pub fn with_lease_obs(
+    /// `deadline`/`limit_ms`: when the runtime cap passes, and the cap to
+    /// report then. `obs`: the attempt's observability context, when traced.
+    pub fn new(
         deadline: Option<Instant>,
         limit_ms: u64,
         lease: MemoryLease,
         obs: Option<ExecObs>,
     ) -> Arc<ControlBlock> {
-        Arc::new(ControlBlock {
-            deadline,
-            cancelled: AtomicBool::new(false),
-            limit_ms,
-            lease,
-            obs,
-        })
+        Arc::new(ControlBlock { stop: OnceLock::new(), deadline, limit_ms, lease, obs })
+    }
+
+    /// Test helper: no deadline, no memory limit, untraced.
+    pub fn unlimited() -> Arc<ControlBlock> {
+        Self::new(None, 0, MemoryPool::unbounded().lease(u64::MAX), None)
+    }
+
+    /// Stop the query with `cause` as its result — unless it is over already
+    /// (the first cause stays) or `cause` is only the [`IcError::Cancelled`]
+    /// marker. Hands `cause` back for the caller to unwind with.
+    pub fn fail(&self, cause: IcError) -> IcError {
+        if cause != IcError::Cancelled && self.stop.set(Some(cause.clone())).is_ok() {
+            if let Some(o) = &self.obs {
+                o.trace.event("exec.stop", "exec", Trace::COORD_LANE, cause.to_string());
+            }
+        }
+        cause
+    }
+
+    /// Stop the query without a cause: the root has its answer, and producers
+    /// still shipping (a `LIMIT` satisfied early) have nobody to ship to.
+    pub fn finish(&self) {
+        let _ = self.stop.set(None);
+    }
+
+    /// Why the query failed, if it did.
+    pub fn cause(&self) -> Option<IcError> {
+        self.stop.get().cloned().flatten()
     }
 
     /// Account for a batch buffered in operator state (cells = rows × width).
@@ -136,128 +146,47 @@ impl ControlBlock {
 
     /// Account for `n` buffered cells against the query's memory lease.
     /// A failed reservation (per-query limit, pool exhaustion, or lease
-    /// revocation) cancels the whole query.
+    /// revocation) fails the whole query.
     pub fn reserve(&self, n: usize) -> IcResult<()> {
-        match self.lease.reserve(n as u64) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.cancel();
-                Err(e)
-            }
-        }
+        self.lease.reserve(n as u64).map_err(|e| self.fail(e))
     }
 
-    /// Check for revocation/timeout/cancellation; call this in every
-    /// operator loop — it is the cooperative batch-boundary point where a
-    /// revoked query notices and unwinds.
+    /// The cooperative stop point, called in every operator loop (and by the
+    /// transfer abort hook and a driver waiting on its lanes): a revoked lease
+    /// or a passed deadline fails the query here, with that as the cause, and
+    /// a query that is over already returns [`IcError::Cancelled`].
     pub fn check(&self) -> IcResult<()> {
+        if self.stop.get().is_some() {
+            return Err(IcError::Cancelled);
+        }
         if self.lease.is_revoked() {
-            self.cancel();
-            return Err(self.lease.revoked_error());
+            return Err(self.fail(self.lease.revoked_error()));
         }
-        if self.cancelled.load(Ordering::Relaxed) {
-            return Err(Self::cancelled_error());
-        }
-        if let Some(d) = self.deadline {
-            // ic-lint: allow(L007) because the deadline check reads the wall clock that defines the runtime cap, not a span timestamp
-            if Instant::now() > d {
-                return Err(IcError::ExecTimeout { limit_ms: self.limit_ms });
-            }
+        // ic-lint: allow(L007) because the deadline check reads the wall clock that defines the runtime cap, not a span timestamp
+        if self.deadline.is_some_and(|d| Instant::now() > d) {
+            return Err(self.fail(IcError::ExecTimeout { limit_ms: self.limit_ms }));
         }
         Ok(())
     }
 
-    /// What [`ControlBlock::check`] returns once the query is cancelled.
-    pub fn cancelled_error() -> IcError {
-        IcError::Exec(CANCELLED.into())
-    }
-
-    /// Is `e` merely the observation of a cancellation — teardown noise
-    /// whose real cause was recorded by whoever called `cancel`?
-    pub fn is_cancellation(e: &IcError) -> bool {
-        matches!(e, IcError::Exec(m) if m == CANCELLED)
-    }
-
-    /// The query's memory lease (for telemetry and final error mapping).
+    /// The query's memory lease (for telemetry).
     pub fn lease(&self) -> &MemoryLease {
         &self.lease
     }
-
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Non-failing form of [`ControlBlock::check`]: has the query been
-    /// cancelled or its deadline passed? Polled by in-flight network
-    /// transfers so a long bandwidth sleep stops at the deadline.
-    pub fn is_stopped(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        // ic-lint: allow(L007) because the deadline check reads the wall clock that defines the runtime cap, not a span timestamp
-        self.deadline.is_some_and(|d| Instant::now() > d)
-    }
-
-    // ------------------------------------------- operator tracing hooks
 
     /// The query's observability context, if tracing is enabled.
     pub fn obs(&self) -> Option<&ExecObs> {
         self.obs.as_ref()
     }
-
-    /// Open hook: the current trace-clock reading in nanoseconds (0 when
-    /// untraced). Operators take this before and after work to attribute
-    /// busy time; the trace clock is the only sanctioned time source here
-    /// (ic-lint rule L007).
-    pub fn op_now_ns(&self) -> u64 {
-        self.obs.as_ref().map_or(0, |o| o.trace.now_ns())
-    }
-
-    /// Next hook: charge one `next_batch` call against plan node `node` —
-    /// `rows` emitted, `busy_ns` inside the subtree, `produced` whether a
-    /// batch came back. No-op when untraced.
-    pub fn op_next(&self, node: u32, rows: u64, busy_ns: u64, produced: bool) {
-        if let Some(o) = &self.obs {
-            o.attempt.record_next(node, rows, busy_ns, produced);
-        }
-    }
-
-    /// Close hook: record the operator instance's lifetime span and flush
-    /// its totals to the global metrics registry. No-op when untraced.
-    #[allow(clippy::too_many_arguments)]
-    pub fn op_close(
-        &self,
-        node: u32,
-        label: &str,
-        lane: u32,
-        parent: Option<SpanId>,
-        open_ns: u64,
-        rows: u64,
-        batches: u64,
-        busy_ns: u64,
-    ) {
-        if let Some(o) = &self.obs {
-            o.op_rows.add(rows);
-            o.op_batches.add(batches);
-            o.trace.record_span(
-                label,
-                "operator",
-                parent,
-                lane,
-                open_ns,
-                o.trace.now_ns(),
-                vec![("node", u64::from(node)), ("rows", rows), ("batches", batches), ("busy_ns", busy_ns)],
-            );
-        }
-    }
 }
 
-/// Transparent tracing wrapper: decorates any [`RowSource`] with the
-/// open/next/close hooks on the shared [`ControlBlock`]. Built only when
-/// the query is traced, so untraced execution pays nothing.
+/// Transparent tracing wrapper: times any [`RowSource`] on the trace clock —
+/// the only sanctioned time source here (ic-lint rule L007) — and reports it
+/// under its plan node. Built only when the query is traced, so untraced
+/// execution pays nothing.
 pub struct TracedSource {
     inner: BoxedSource,
-    ctrl: Arc<ControlBlock>,
+    obs: ExecObs,
     node: u32,
     label: String,
     lane: u32,
@@ -276,19 +205,17 @@ impl TracedSource {
     /// it as one runtime instance and opening its lifetime span.
     pub fn new(
         inner: BoxedSource,
-        ctrl: Arc<ControlBlock>,
+        obs: ExecObs,
         node: u32,
         label: String,
         lane: u32,
         parent: Option<SpanId>,
     ) -> TracedSource {
-        if let Some(o) = ctrl.obs() {
-            o.attempt.record_instance(node);
-        }
-        let open_ns = ctrl.op_now_ns();
+        obs.attempt.record_instance(node);
+        let open_ns = obs.trace.now_ns();
         TracedSource {
             inner,
-            ctrl,
+            obs,
             node,
             label,
             lane,
@@ -304,9 +231,9 @@ impl TracedSource {
 
 impl RowSource for TracedSource {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        let t0 = self.ctrl.op_now_ns();
+        let t0 = self.obs.trace.now_ns();
         let result = self.inner.next_batch();
-        let dt = self.ctrl.op_now_ns().saturating_sub(t0);
+        let dt = self.obs.trace.now_ns().saturating_sub(t0);
         self.busy_ns += dt;
         let (rows, phys, produced) = match &result {
             Ok(Some(b)) => (b.num_rows() as u64, b.phys_rows() as u64, true),
@@ -315,29 +242,31 @@ impl RowSource for TracedSource {
         self.rows += rows;
         self.phys_rows += phys;
         self.batches += u64::from(produced);
-        self.ctrl.op_next(self.node, rows, dt, produced);
+        self.obs.attempt.record_next(self.node, rows, dt, produced);
         result
     }
 }
 
+/// Close: record the operator instance's lifetime span and flush its totals
+/// to the global metrics registry.
 impl Drop for TracedSource {
     fn drop(&mut self) {
-        if let Some(o) = self.ctrl.obs() {
-            if self.batches > 0 {
-                o.batch_batches.add(self.batches);
-                o.batch_rows.add(self.rows);
-                o.batch_phys_rows.add(self.phys_rows);
-            }
+        let o = &self.obs;
+        if self.batches > 0 {
+            o.batch_batches.add(self.batches);
+            o.batch_rows.add(self.rows);
+            o.batch_phys_rows.add(self.phys_rows);
         }
-        self.ctrl.op_close(
-            self.node,
-            &self.label,
-            self.lane,
+        o.op_rows.add(self.rows);
+        o.op_batches.add(self.batches);
+        o.trace.record_span(
+            self.label.as_str(),
+            "operator",
             self.parent,
+            self.lane,
             self.open_ns,
-            self.rows,
-            self.batches,
-            self.busy_ns,
+            o.trace.now_ns(),
+            vec![("node", u64::from(self.node)), ("rows", self.rows), ("batches", self.batches), ("busy_ns", self.busy_ns)],
         );
     }
 }
@@ -1555,7 +1484,7 @@ mod tests {
     use ic_common::Datum;
 
     fn ctrl() -> Arc<ControlBlock> {
-        ControlBlock::new(None, 0)
+        ControlBlock::unlimited()
     }
 
     fn rows(vals: &[&[i64]]) -> Vec<Row> {
@@ -1843,23 +1772,14 @@ mod tests {
 
     #[test]
     fn timeout_aborts() {
-        let ctrl = ControlBlock::new(Some(Instant::now() - std::time::Duration::from_secs(1)), 5);
-        let mut s = ScanSource::new(vec![chunked(&rows(&[&[1]]), 1)], None, ctrl);
-        assert!(matches!(s.next_batch(), Err(IcError::ExecTimeout { .. })));
-    }
-
-    #[test]
-    fn cancellation_aborts() {
-        let c = ctrl();
-        c.cancel();
-        let mut s = ScanSource::new(vec![chunked(&rows(&[&[1]]), 1)], None, c.clone());
-        // What `check` produces is what the teardown-noise predicate
-        // recognises — and nothing else is.
-        let e = s.next_batch().unwrap_err();
-        assert!(ControlBlock::is_cancellation(&e), "{e}");
-        assert!(ControlBlock::is_cancellation(&c.check().unwrap_err()));
-        assert!(!ControlBlock::is_cancellation(&IcError::Exec("exchange link disconnected".into())));
-        assert!(!ControlBlock::is_cancellation(&IcError::ExecTimeout { limit_ms: 5 }));
+        let past = Instant::now() - std::time::Duration::from_secs(1);
+        let ctrl = ControlBlock::new(Some(past), 5, MemoryPool::unbounded().lease(u64::MAX), None);
+        let mut s = ScanSource::new(vec![chunked(&rows(&[&[1]]), 1)], None, ctrl.clone());
+        // Whoever notices the deadline records it; from then on it is a stop
+        // like any other.
+        assert_eq!(s.next_batch().unwrap_err(), IcError::ExecTimeout { limit_ms: 5 });
+        assert_eq!(s.next_batch().unwrap_err(), IcError::Cancelled);
+        assert_eq!(ctrl.cause(), Some(IcError::ExecTimeout { limit_ms: 5 }));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::fragment::NodeRef;
 use crate::kernels::ColJoinTable;
 use crate::operators::{drain_join_table, finish_join_table, ControlBlock, RowSource};
 use crate::pool::MorselSupply;
-use crate::runtime::{record_first_error, BuildCtx, Execution, Instance, InstanceSink, Sub};
+use crate::runtime::{BuildCtx, Execution, Instance, InstanceSink, Sub};
 use ic_common::hash::FxHashMap;
 use ic_common::{panic_message, ColumnBatch, IcError, IcResult};
 use ic_plan::ops::{AggPhase, PhysOp};
@@ -158,10 +158,12 @@ const DRIVER_TICK: Duration = Duration::from_millis(10);
 /// builds the chain through its own copy of `base`, with its share of the
 /// morsel supply standing in for the scan leaf. Lanes push their output into
 /// `stream` when there is one, else they collect it and the per-lane runs
-/// are returned. Fails with the first lane error. The driver ticks its
-/// control block while the lanes are out, so a revoked or timed-out query
-/// converges even when lanes are blocked in backpressured sends (the
-/// exchange abort hook unblocks those).
+/// are returned. A lane records its own failure in the stop cell — it is a
+/// thread of the query like any driver — so which lane's error the region
+/// fails with does not matter. The driver ticks its control block while the
+/// lanes are out, so a revoked or timed-out query converges even when every
+/// lane is blocked in a backpressured send (the consumer unwinding unblocks
+/// those).
 fn run_lanes(
     base: &BuildCtx<'_>,
     site: ic_net::SiteId,
@@ -195,27 +197,28 @@ fn run_lanes(
         }
         Ok(run)
     };
-    let mut runs = vec![Vec::new(); lanes];
-    let mut first_error = None;
+    let mut runs = Ok(vec![Vec::new(); lanes]);
     std::thread::scope(|s| {
         let (done, results) = mpsc::channel();
         let threads: Vec<_> = (0..lanes)
             .map(|lane| {
                 let (done, lane_body) = (done.clone(), &lane_body);
                 // A lane that panics sends nothing; its `join` below tells.
-                s.spawn(move || done.send((lane, lane_body(lane))))
+                s.spawn(move || done.send((lane, lane_body(lane).map_err(|e| ctrl.fail(e)))))
             })
             .collect();
         drop(done);
         loop {
             match results.recv_timeout(DRIVER_TICK) {
-                Ok((lane, Ok(run))) => runs[lane] = run,
-                Ok((_, Err(e))) => record_first_error(&mut first_error, ctrl, e),
-                Err(RecvTimeoutError::Timeout) => {
-                    if ctrl.check().is_err() {
-                        ctrl.cancel();
+                Ok((lane, Ok(run))) => {
+                    if let Ok(runs) = &mut runs {
+                        runs[lane] = run;
                     }
                 }
+                // Any lane's error fails the region: the cell has the cause.
+                Ok((_, Err(e))) => runs = Err(e),
+                // Deadline and revocation are recorded by `check` itself.
+                Err(RecvTimeoutError::Timeout) => drop(ctrl.check()),
                 // Every lane has reported or died.
                 Err(RecvTimeoutError::Disconnected) => break,
             }
@@ -223,16 +226,12 @@ fn run_lanes(
         for thread in threads {
             if let Err(payload) = thread.join() {
                 let msg = panic_message(&*payload);
-                first_error.get_or_insert(IcError::Exec(format!("pipeline lane panicked: {msg}")));
-                ctrl.cancel();
+                ctrl.fail(IcError::Exec(format!("pipeline lane panicked: {msg}")));
             }
         }
     });
-    if let Some(e) = first_error {
-        return Err(e);
-    }
     ctrl.check()?;
-    Ok(runs)
+    runs
 }
 
 /// Resolve the build side of every region hash join into a shared

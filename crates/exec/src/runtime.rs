@@ -32,6 +32,15 @@
 //! There is no EOF message ([`Msg`]): a producer instance's final batch on a
 //! link carries a `last` flag, and a link with no rows left at the flush gets
 //! one bare end marker instead (DESIGN.md *Exchange protocol*).
+//!
+//! How a query ends is one cell in its [`ControlBlock`]. Every thread records
+//! what its operators returned, once, at its top level
+//! ([`ControlBlock::fail`]; the limits record themselves in `reserve` and
+//! `check`, a panic is recorded off its join handle), the first cause stays,
+//! and a thread that only noticed the stop — a `check` after it, a send that
+//! was aborted or whose receiver is gone — unwinds with
+//! [`IcError::Cancelled`], which the cell does not take. [`execute_plan`]
+//! returns the root's rows or the cell's cause, and decides nothing itself.
 
 use crate::fragment::{place, NodeRef, Placement};
 use crate::kernels::ColJoinTable;
@@ -62,8 +71,8 @@ pub struct ExecOptions {
     pub variant_fragments: usize,
     /// Wall-clock execution limit (the paper's runtime cap).
     pub timeout: Option<Duration>,
-    /// Buffered-cell (rows × columns) memory budget per query (Ignite's
-    /// resource limit).
+    /// Memory budget per query, in buffered cells (rows × columns) despite
+    /// the name (Ignite's resource limit).
     pub memory_limit_rows: u64,
     /// Shared cluster memory pool to lease the query's buffer budget from.
     /// `None` (standalone executor use) accounts against a private
@@ -75,13 +84,14 @@ pub struct ExecOptions {
     /// Parent span (e.g. the coordinator's `attempt` span) for everything
     /// this execution records.
     pub trace_parent: Option<SpanId>,
-    /// Morsel-pool workers **per site**: fragment instances whose chains
-    /// compile into pipelines fan out over this many lanes at their site.
-    /// Clamped to ≥1; `1` runs every pipeline on a single lane, in
-    /// deterministic morsel order.
+    /// Lanes **per parallel region**: a fragment instance whose chain has a
+    /// region fans it out over at most this many scoped threads of its
+    /// driver — there is no pool, and nothing caps lanes per site. Clamped
+    /// to ≥1; `1` runs every region on a single lane, in deterministic
+    /// morsel order.
     pub worker_threads: usize,
-    /// Rows per morsel (the work-stealing granule and the revocation/
-    /// cancellation check interval). Clamped to ≥64.
+    /// Rows per morsel (the work-stealing granule and the longest a lane
+    /// goes without looking at the stop cell). Clamped to ≥64.
     pub morsel_rows: usize,
 }
 
@@ -122,8 +132,9 @@ pub struct QueryStats {
     /// Time the query spent queued in the admission controller before its
     /// slot was granted. Filled by `Cluster::query`.
     pub queue_wait: Duration,
-    /// High-water mark of buffered cells (rows × columns) held by this
-    /// query's blocking operators, as accounted by its memory lease.
+    /// High-water mark of buffered cells (rows × columns, despite the name)
+    /// held by this query's blocking operators and client rowset, as
+    /// accounted by its memory lease.
     pub peak_buffered_rows: u64,
 }
 
@@ -150,9 +161,11 @@ impl WireSize for Msg {
     }
 }
 
-/// Classify a network failure: dead sites and lost exchange messages are
-/// *retryable* ([`IcError::SiteUnavailable`]) — the coordinator replans
-/// against the surviving topology — while plumbing failures stay terminal.
+/// Classify a failed send: dead sites and lost exchange messages are
+/// *retryable* causes ([`IcError::SiteUnavailable`]) — the coordinator replans
+/// against the surviving topology. The rest are symptoms of a stop decided
+/// elsewhere: the abort hook saw (or set) the stop cell, or the consumer
+/// unwound and dropped its receiver. (A send does not time out.)
 fn net_err(dst: SiteId, e: NetError) -> IcError {
     match e {
         NetError::SiteDead(s) => IcError::SiteUnavailable {
@@ -163,11 +176,7 @@ fn net_err(dst: SiteId, e: NetError) -> IcError {
             site: dst.0,
             detail: format!("link to {dst} dropped an exchange message"),
         },
-        NetError::Aborted => {
-            IcError::Exec("exchange transfer aborted by deadline/cancellation".into())
-        }
-        NetError::Disconnected => IcError::Exec("exchange link disconnected".into()),
-        NetError::Timeout => IcError::Exec("exchange send timed out".into()),
+        NetError::Aborted | NetError::Disconnected | NetError::Timeout => IcError::Cancelled,
     }
 }
 
@@ -429,11 +438,9 @@ impl RowSource for ReceiverSource {
                     }
                     continue;
                 }
-                Err(_) => {
-                    return Err(IcError::Exec(
-                        "exchange peer disconnected mid-stream (upstream failure)".into(),
-                    ))
-                }
+                // Every sender is gone before its final message: the
+                // producers unwound, for a reason of their own.
+                Err(_) => return Err(IcError::Cancelled),
             }
         }
     }
@@ -479,10 +486,10 @@ pub(crate) struct Execution<'a> {
     /// variant), in site-major order; a producer instance stamps its own
     /// site on its copies.
     senders: Vec<Vec<(SiteId, usize, NetSender<Msg>)>>,
-    /// Polled by in-flight transfers so bandwidth sleeps stop at the
-    /// deadline instead of overshooting it.
+    /// Polled by in-flight transfers — it is `ControlBlock::check` — so
+    /// bandwidth sleeps stop with the query instead of outlasting it.
     abort: Arc<AbortFn>,
-    /// Deadline, cancellation flag, memory lease and (traced) the attempt's
+    /// Stop cell, deadline, memory lease and (traced) the attempt's
     /// observability context.
     pub(crate) ctrl: Arc<ControlBlock>,
     exec_span: Option<SpanId>,
@@ -491,8 +498,6 @@ pub(crate) struct Execution<'a> {
     pub(crate) morsel_rows: usize,
     /// Lane threads spawned so far (for `QueryStats::threads`).
     pub(crate) lane_threads: AtomicUsize,
-    /// The first error a driver hit; see [`record_first_error`].
-    first_error: Mutex<Option<IcError>>,
 }
 
 /// The half of a fragment instance that only its driver thread has: which
@@ -506,20 +511,7 @@ pub(crate) struct Instance {
     receivers: Vec<(u32, ReceiverSource)>,
 }
 
-/// Keep the first error of a group of threads — an instance's lanes, a
-/// query's drivers — and cancel the query. A thread that merely observed
-/// cancellation is teardown noise: the real cause lives elsewhere (another
-/// thread's entry in the slot — always recorded before its `cancel()` — the
-/// root's own error, or a root that already finished its answer).
-pub(crate) fn record_first_error(slot: &mut Option<IcError>, ctrl: &ControlBlock, e: IcError) {
-    if !ControlBlock::is_cancellation(&e) {
-        slot.get_or_insert(e);
-    }
-    ctrl.cancel();
-}
-
 impl Execution<'_> {
-
     /// How the source at plan node `at` splits across `inst`'s variants:
     /// `None` passes everything.
     pub(crate) fn split_for(&self, inst: &Instance, at: u32) -> Option<(usize, usize)> {
@@ -641,7 +633,14 @@ impl BuildCtx<'_> {
                     Box::new(MergeRunsSource::new(runs, sort.clone(), split, ctrl))
                 }
             }
-            PhysOp::Values { rows, .. } => Box::new(VecSource::new(rows.clone())),
+            PhysOp::Values { rows, .. } => {
+                // A splitter passes every n-th tuple, like the scans.
+                let rows = match ex.split_for(driver_only(inst)?, at.id) {
+                    Some((vid, n)) => rows.iter().skip(vid).step_by(n).cloned().collect(),
+                    None => rows.clone(),
+                };
+                Box::new(VecSource::new(rows))
+            }
             PhysOp::Filter { input, predicate } => {
                 let input = self.build(at.first(input), inst)?;
                 Box::new(FilterExec::new(input, predicate.clone(), ctrl))
@@ -728,13 +727,13 @@ impl BuildCtx<'_> {
                 Box::new(inst.receivers.swap_remove(rx).1)
             }
         };
-        // Traced queries wrap every operator in the open/next/close hooks,
-        // under the node's pre-order position; untraced queries return the
-        // bare operator (zero overhead).
+        // Traced queries wrap every operator in a `TracedSource`, under the
+        // node's pre-order position; untraced queries return the bare
+        // operator (zero overhead).
         match ex.ctrl.obs() {
-            Some(_) if traced => Ok(Box::new(TracedSource::new(
+            Some(obs) if traced => Ok(Box::new(TracedSource::new(
                 src,
-                ex.ctrl.clone(),
+                obs.clone(),
                 at.id,
                 at.plan.label(),
                 self.lane,
@@ -850,7 +849,7 @@ pub fn execute_plan(
         Some(pool) => pool.lease(opts.memory_limit_rows),
         None => ic_common::MemoryPool::unbounded().lease(opts.memory_limit_rows),
     };
-    let ctrl = ControlBlock::with_lease_obs(deadline, limit_ms, lease, obs);
+    let ctrl = ControlBlock::new(deadline, limit_ms, lease, obs);
 
     // One link per (exchange, consumer site, consumer variant): the receiving
     // end goes to the consumer instance, the sending end is the prototype
@@ -884,7 +883,7 @@ pub fn execute_plan(
     let fragments = placement.fragments.len();
     let abort: Arc<AbortFn> = {
         let ctrl = ctrl.clone();
-        Arc::new(move || ctrl.is_stopped())
+        Arc::new(move || ctrl.check().is_err())
     };
     let ex = Execution {
         catalog,
@@ -897,7 +896,6 @@ pub fn execute_plan(
         worker_threads: opts.worker_threads.max(1),
         morsel_rows: opts.morsel_rows,
         lane_threads: AtomicUsize::new(0),
-        first_error: Mutex::named(None, "exec.error_slot"),
     };
     let ctrl = &ex.ctrl;
 
@@ -909,82 +907,35 @@ pub fn execute_plan(
         .next()
         .ok_or_else(|| IcError::Internal("the root fragment has no instance".into()))?;
     let threads = instances.len();
-    let mut root_result = std::thread::scope(|s| {
+    // Each thread records what its operators returned; the cell keeps the
+    // first cause and refuses the `Cancelled` of those who only saw the stop.
+    let root_result = std::thread::scope(|s| {
         let drivers: Vec<_> = instances
             .map(|inst| {
                 let ex = &ex;
                 let name = format!("fragment {} at {} (variant {})", inst.fi, inst.site, inst.vid);
                 let driver = s.spawn(move || {
                     if let Err(e) = launch_instance(ex, inst) {
-                        record_first_error(&mut ex.first_error.lock(), &ex.ctrl, e);
+                        ex.ctrl.fail(e);
                     }
                 });
                 (name, driver)
             })
             .collect();
-        let root_result = launch_instance(&ex, root);
-        // Stop the drivers either way: on error the query is unwinding; on
-        // success the root may have finished without draining its producers
-        // (a bare LIMIT satisfied early), whose receivers are gone — cancel
-        // instead of letting them grind until a send hits the dead channel.
-        ctrl.cancel();
+        let root_result = launch_instance(&ex, root).map_err(|e| ctrl.fail(e));
+        // Stop the drivers either way (a no-op after a failure): the root may
+        // have finished without draining its producers (a bare LIMIT satisfied
+        // early), whose receivers are gone — stop them instead of letting them
+        // grind until a send hits the dead channel.
+        ctrl.finish();
         for (name, driver) in drivers {
             if let Err(payload) = driver.join() {
                 // Attribute the panic to its fragment instance (chaos runs).
-                let e = IcError::Exec(format!("{name} panicked: {}", panic_message(&*payload)));
-                ex.first_error.lock().get_or_insert(e);
+                ctrl.fail(IcError::Exec(format!("{name} panicked: {}", panic_message(&*payload))));
             }
         }
         root_result
     });
-    let first_error = ex.first_error.lock().take();
-    // A worker error is the root cause; prefer it over secondary failures.
-    // Unless the root already completed its answer: a producer that was
-    // still shipping when the root stopped pulling (LIMIT satisfied) dies
-    // on a disconnected channel or the cancellation above, and that
-    // teardown noise must not fail a finished query.
-    if let (Err(root), Some(e)) = (&root_result, first_error) {
-        // ...and never let a non-retryable teardown symptom (a send that
-        // died on a channel the unwinding root dropped) mask a retryable
-        // root error — that would turn a clean failover into a hard fail.
-        if !root.is_failover_retryable() || e.is_failover_retryable() {
-            root_result = Err(e);
-        }
-    }
-    // Secondary channel failures caused by cancellation are reported as
-    // the root cause they really are: the memory limit that fired, the
-    // lease revocation that cancelled us, or the deadline that passed.
-    if let Err(err) = &root_result {
-        // ic-lint: allow(L004) because the deadline check measures the same wall-clock runtime cap
-        let deadline_passed = deadline.is_some_and(|d| Instant::now() > d);
-        if let Some(limit) = ctrl.lease().limit_hit() {
-            if !matches!(err, IcError::MemoryLimit { .. }) {
-                root_result = Err(IcError::MemoryLimit { limit_rows: limit });
-            }
-        } else if ctrl.lease().is_revoked()
-            && !matches!(
-                err,
-                IcError::ResourcesRevoked { .. } | IcError::SiteUnavailable { .. }
-            )
-        {
-            // A revoked query unwinds through cancellation; surface the
-            // revocation, not whatever channel error it tripped over.
-            // Site faults still win: failover handles those.
-            root_result = Err(ctrl.lease().revoked_error());
-        } else if deadline_passed
-            && !matches!(
-                err,
-                IcError::ExecTimeout { .. }
-                    | IcError::MemoryLimit { .. }
-                    | IcError::SiteUnavailable { .. }
-                    | IcError::ResourcesRevoked { .. }
-            )
-        {
-            // Site faults keep their identity even when the deadline also
-            // passed: they are retryable, a timeout is not.
-            root_result = Err(IcError::ExecTimeout { limit_ms });
-        }
-    }
     // Every lane thread was joined by its driver: the count is final, and
     // their trace lanes are quiesced before the trace is read.
     let threads = threads + ex.lane_threads.load(Ordering::Relaxed) + 1;
@@ -995,7 +946,11 @@ pub fn execute_plan(
         g.arg("peak_buffered_cells", peak_buffered_rows);
     }
     drop(exec_span);
-    let rows = root_result?;
+    // The root's answer, or the one cause the cell kept — the root's own
+    // error if that came first, what it was stopped for if not.
+    let rows = root_result.map_err(|_| {
+        ctrl.cause().unwrap_or_else(|| IcError::Internal("query stopped without a cause".into()))
+    })?;
     let (net_messages, net_bytes, _) = traffic.snapshot();
     Ok((
         rows,

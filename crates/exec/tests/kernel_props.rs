@@ -70,10 +70,10 @@ proptest! {
             let expect = join_oracle(&l, &r, kind, &on, 2);
             let nlj = NestedLoopJoinExec::new(
                 chunked_src(&l, &[3, 5]), chunked_src(&r, &[4]), kind, on, 2,
-                ControlBlock::new(None, 0));
+                ControlBlock::unlimited());
             let hj = HashJoinExec::new(
                 chunked_src(&l, &[3, 5]), JoinBuild::Source(chunked_src(&r, &[4])), kind, vec![0], vec![0],
-                Expr::lit(true), 2, ControlBlock::new(None, 0));
+                Expr::lit(true), 2, ControlBlock::unlimited());
             prop_assert_eq!(&drain(Box::new(nlj)).unwrap(), &expect, "nlj {:?}", kind);
             prop_assert_eq!(&drain(Box::new(hj)).unwrap(), &expect, "hash {:?}", kind);
         }
@@ -98,7 +98,7 @@ proptest! {
             AggCall { func: AggFunc::Avg, arg: Some(Expr::col(1)), name: "a".into() },
         ];
         let group = if grouped { vec![0] } else { vec![] };
-        let ctrl = || ControlBlock::new(None, 0);
+        let ctrl = || ControlBlock::unlimited();
         let mut sorted = data.clone();
         sorted.sort();
         for phase in [AggPhase::Complete, AggPhase::Partial] {

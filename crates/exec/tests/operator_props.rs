@@ -69,7 +69,7 @@ impl Case<'_> {
     }
 
     fn inputs(&self) -> (BoxedSource, BoxedSource, std::sync::Arc<ControlBlock>) {
-        (chunked_src(self.l, self.sizes.0), chunked_src(self.r, self.sizes.1), ControlBlock::new(None, 0))
+        (chunked_src(self.l, self.sizes.0), chunked_src(self.r, self.sizes.1), ControlBlock::unlimited())
     }
 
     fn nlj(&self) -> Vec<Row> {
@@ -184,7 +184,7 @@ proptest! {
         ];
         let complete = AggExec::hash(
             src(rows(&data)), vec![0], aggs.clone(), AggPhase::Complete,
-            ControlBlock::new(None, 0));
+            ControlBlock::unlimited());
         let expected = canon(drain(Box::new(complete)).unwrap());
 
         let mut partial_rows = Vec::new();
@@ -197,12 +197,12 @@ proptest! {
                 .collect();
             let partial = AggExec::hash(
                 src(rows(&slice)), vec![0], aggs.clone(), AggPhase::Partial,
-                ControlBlock::new(None, 0));
+                ControlBlock::unlimited());
             partial_rows.extend(drain(Box::new(partial)).unwrap());
         }
         let fin = AggExec::hash(
             src(partial_rows), vec![0], aggs.clone(), AggPhase::Final,
-            ControlBlock::new(None, 0));
+            ControlBlock::unlimited());
         let got = canon(drain(Box::new(fin)).unwrap());
         // Scalar groups: partials of empty slices still produce identity
         // rows; grouped aggregation over an empty slice produces nothing —
@@ -215,7 +215,7 @@ proptest! {
     fn sort_matches_std(data in proptest::collection::vec((-50i64..50, -50i64..50), 0..100),
                         desc0 in any::<bool>(), desc1 in any::<bool>()) {
         let keys = vec![SortKey { col: 0, desc: desc0 }, SortKey { col: 1, desc: desc1 }];
-        let s = SortExec::new(src(rows(&data)), keys, ControlBlock::new(None, 0));
+        let s = SortExec::new(src(rows(&data)), keys, ControlBlock::unlimited());
         let got = drain(Box::new(s)).unwrap();
         let mut expected = rows(&data);
         expected.sort_by(|a, b| {
@@ -233,7 +233,7 @@ proptest! {
     #[test]
     fn limit_window(n in 0usize..60, offset in 0u64..30, fetch in 0u64..30) {
         let data: Vec<(i64, i64)> = (0..n as i64).map(|i| (i, i)).collect();
-        let l = LimitExec::new(src(rows(&data)), Some(fetch), offset, ControlBlock::new(None, 0));
+        let l = LimitExec::new(src(rows(&data)), Some(fetch), offset, ControlBlock::unlimited());
         let got = drain(Box::new(l)).unwrap();
         let expected: Vec<Row> = rows(&data)
             .into_iter()
@@ -269,7 +269,7 @@ fn nlj_pair_budget_steps_match_oracle() {
                 kind,
                 on.clone(),
                 2,
-                ControlBlock::new(None, 0),
+                ControlBlock::unlimited(),
             );
             let got = drain(Box::new(nlj)).unwrap();
             assert!(kind != JoinKind::Inner || !got.is_empty(), "predicate must select something");

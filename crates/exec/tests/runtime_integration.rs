@@ -11,7 +11,7 @@ use ic_net::{
     WireSize, TICK_FOREVER,
 };
 use ic_opt::optimize_query;
-use ic_plan::ops::{AggCall, JoinKind, LogicalPlan, RelOp};
+use ic_plan::ops::{AggCall, JoinKind, LogicalPlan, PhysOp, PhysPlan, RelOp};
 use ic_plan::{Distribution, PlannerFlags};
 use ic_storage::{Catalog, TableDistribution};
 use std::sync::Arc;
@@ -226,6 +226,20 @@ fn telemetry_tracks_traffic() {
     assert!(s8.threads > s2.threads);
 }
 
+/// A hand-built physical plan node.
+fn node(op: PhysOp<Arc<PhysPlan>>, schema: &Schema, dist: Distribution) -> Arc<PhysPlan> {
+    Arc::new(PhysPlan {
+        op,
+        schema: schema.clone(),
+        dist,
+        collation: vec![],
+        rows: 13.0,
+        cost: ic_plan::cost::Cost::ZERO,
+        total_cost: 0.0,
+        has_exchange: true,
+    })
+}
+
 /// A memo-shared subtree is one `Arc` under two parents. Placement keys
 /// nodes by pre-order position, so the *same* `Exchange` node as both inputs
 /// of a self-join is two exchanges fed by two fragments: the join sees both
@@ -233,22 +247,9 @@ fn telemetry_tracks_traffic() {
 /// each occurrence's messages to its own plan line.
 #[test]
 fn shared_subtree_behind_two_exchanges() {
-    use ic_plan::ops::{PhysOp, PhysPlan};
     let (cat, net) = setup(4);
     let table = cat.table_by_name("r").unwrap();
     let schema = cat.table_def(table).unwrap().schema;
-    let node = |op, schema: &Schema, dist: Distribution| {
-        Arc::new(PhysPlan {
-            op,
-            schema: schema.clone(),
-            dist,
-            collation: vec![],
-            rows: 13.0,
-            cost: ic_plan::cost::Cost::ZERO,
-            total_cost: 0.0,
-            has_exchange: true,
-        })
-    };
     let scan = node(
         PhysOp::TableScan { table, name: "r".into(), schema: schema.clone() },
         &schema,
@@ -294,6 +295,30 @@ fn shared_subtree_behind_two_exchanges() {
         assert_eq!(attempt.rows(exchange), 13);
     }
     assert_eq!(attempt.rows(0), 13);
+}
+
+/// A `Values` leaf is a source like a scan: below an exchange, in a fragment
+/// that runs as variants, it is a splitter — each variant passes its share,
+/// and every row arrives exactly once however many variants there are.
+#[test]
+fn values_leaf_splits_across_variants() {
+    let (cat, net) = setup(2);
+    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
+    let rows: Vec<Row> = (0..2 * BATCH_SIZE as i64 + 5).map(|i| Row(vec![Datum::Int(i)])).collect();
+    let values = node(
+        PhysOp::Values { schema: schema.clone(), rows: rows.clone() },
+        &schema,
+        Distribution::Single,
+    );
+    let plan =
+        node(PhysOp::Exchange { input: values, to: Distribution::Single }, &schema, Distribution::Single);
+    for variants in [1usize, 2, 3] {
+        let opts = ExecOptions { variant_fragments: variants, ..ExecOptions::default() };
+        let (mut got, stats) = execute_plan(&plan, &cat, &net, &opts).unwrap();
+        got.sort();
+        assert_eq!(got, rows, "{variants} variants");
+        assert_eq!(stats.threads, 1 + variants, "the Values fragment ran as {variants} variants");
+    }
 }
 
 // --- the exchange protocol, one producer instance at a time -----------------

@@ -49,7 +49,8 @@ pub fn classify(err: &IcError) -> ErrorClass {
         | IcError::Plan(_)
         | IcError::Unsupported(_)
         | IcError::Catalog(_) => ErrorClass::Rejected,
-        IcError::Exec(_) | IcError::Internal(_) => ErrorClass::Bug,
+        // `Cancelled` is a thread's sight of a stop, never a query's result.
+        IcError::Exec(_) | IcError::Internal(_) | IcError::Cancelled => ErrorClass::Bug,
     }
 }
 
@@ -178,5 +179,6 @@ mod tests {
         assert_eq!(classify(&IcError::MemoryLimit { limit_rows: 1 }), ErrorClass::Resource);
         assert_eq!(classify(&IcError::Bind("x".into())), ErrorClass::Rejected);
         assert_eq!(classify(&IcError::Internal("x".into())), ErrorClass::Bug);
+        assert_eq!(classify(&IcError::Cancelled), ErrorClass::Bug);
     }
 }

@@ -432,9 +432,15 @@ fn slow_shipping_cluster(config: ClusterConfig) -> Cluster {
     let rows: Vec<Row> = (0..SHIPPED_ROWS).map(|i| Row(vec![Datum::Int(i), Datum::Int(i % 50)])).collect();
     cluster.insert("t", rows).unwrap();
     cluster.analyze_all().unwrap();
-    let forever = ignite_calcite_rs::TICK_FOREVER;
-    cluster.install_faults(FaultPlan::new(7).latency_spike(1000, 0, forever).latency_spike(4, 1, forever));
+    cluster.install_faults(staggered_spike());
     cluster
+}
+
+/// [`slow_shipping_cluster`]'s standing fault plan: the first cross-site
+/// message (tick 0) takes 50 ms, every later one 200 ms.
+fn staggered_spike() -> FaultPlan {
+    let forever = ignite_calcite_rs::TICK_FOREVER;
+    FaultPlan::new(7).latency_spike(1000, 0, forever).latency_spike(4, 1, forever)
 }
 
 const SHIPPED_ROWS: i64 = 6000;
@@ -508,4 +514,116 @@ fn resources_revoked_with_lanes_mid_send() {
     assert_clean_failure(&cluster, Some(hog), |e| {
         matches!(e, IcError::ResourcesRevoked { .. }) && e.is_retryable() && !e.is_failover_retryable()
     });
+}
+
+// --- one cause per query ------------------------------------------------------
+
+/// What `execute_plan` ended with, as `Cluster::query` hands it on under
+/// `max_retries: 0`: a failover-retryable error comes back as the one-entry
+/// chain of `RetriesExhausted`, anything else as itself. The cause's text and
+/// whether the failover loop would have retried it; `None` for an answer.
+fn attempt_outcome(result: &Result<ignite_calcite_rs::QueryResult, IcError>) -> Option<(String, bool)> {
+    match result {
+        Ok(_) => None,
+        Err(IcError::RetriesExhausted { attempts: 1, chain }) => Some((chain[0].clone(), true)),
+        Err(e) => Some((e.to_string(), e.is_failover_retryable())),
+    }
+}
+
+/// ROADMAP 4(c) for the errors `execute_plan` can end with beyond the three
+/// limits above: whichever thread decides the failure, the client sees *that*
+/// error — never the `Cancelled` of a thread that only saw the stop, never a
+/// link symptom — with its retry class intact, the trace says so once
+/// (`exec.stop`), and nothing is left behind. Each row runs on the
+/// slow-shipping cluster, so site 1's producers are in (or about to enter)
+/// 50–200 ms transfers while the failure is decided elsewhere.
+#[test]
+fn every_stop_has_one_cause() {
+    let cluster = slow_shipping_cluster(ClusterConfig {
+        exec_timeout: Some(Duration::from_secs(60)),
+        max_retries: 0,
+        ..ClusterConfig::default()
+    });
+    let one_lane = cluster.with_worker_threads(1, 128);
+    let t = cluster.catalog().table_data(cluster.catalog().table_by_name("t").unwrap()).unwrap();
+    // Site 1's partitions in scan order, and the last row it scans: a filter
+    // that fails on that row alone fails in site 1's fragment, behind
+    // everything that fragment ships.
+    let at_site_1: Vec<usize> =
+        (0..t.num_partitions()).filter(|p| t.replica(*p, SiteId(1)).is_some()).collect();
+    let last = at_site_1.iter().filter_map(|p| t.store(*p).to_rows().pop()).next_back().unwrap();
+    let bad_filter = format!("SELECT a, b FROM t WHERE a <> {} OR b LIKE 'x' ORDER BY b", last.0[0]);
+    let like_error = |cause: &str| cause == "execution error: LIKE requires string operands";
+    let site_1_lost = |cause: &str| cause.starts_with("site1 unavailable: ");
+    let rebalancing = |cause: &str| cause.ends_with("is rebalancing; retry against the new owner map");
+
+    struct Case<'a> {
+        name: &'a str,
+        cluster: &'a Cluster,
+        faults: FaultPlan,
+        /// Take site 1's replica of one of its partitions away meanwhile.
+        drop_replica: bool,
+        sql: &'a str,
+        /// The cause, recognised by its text; `None` for a query that must
+        /// answer.
+        cause: Option<fn(&str) -> bool>,
+        /// Whether the failover loop retries that cause.
+        failover: bool,
+    }
+    let case = |name, cluster, sql, cause, failover| Case {
+        name,
+        cluster,
+        faults: staggered_spike(),
+        drop_replica: false,
+        sql,
+        cause,
+        failover,
+    };
+    let table = [
+        case("expression error in a producer, 3 lanes", &cluster, &bad_filter, Some(like_error), false),
+        case("expression error in a producer, 1 lane", &one_lane, &bad_filter, Some(like_error), false),
+        case("LIMIT satisfied over shipping producers", &cluster, "SELECT a, b FROM t LIMIT 5", None, false),
+        Case {
+            drop_replica: true,
+            ..case("replica dropped after planning", &cluster, LANES_SHIP_SQL, Some(rebalancing), true)
+        },
+        Case {
+            faults: staggered_spike().crash(SiteId(1), 1),
+            ..case("site crashed mid-run", &cluster, LANES_SHIP_SQL, Some(site_1_lost), true)
+        },
+    ];
+    for Case { name, cluster, faults, drop_replica, sql, cause: expected, failover } in table {
+        cluster.install_faults(faults);
+        let moved = drop_replica.then(|| {
+            let store = t.replica(at_site_1[0], SiteId(1)).unwrap();
+            t.drop_replica(at_site_1[0], SiteId(1));
+            store
+        });
+        let (result, trace) = cluster.query_traced(0, sql);
+        if let Some(store) = moved {
+            t.install_replica(at_site_1[0], SiteId(1), store);
+        }
+        let outcome = attempt_outcome(&result);
+        let stops: Vec<String> =
+            trace.events().into_iter().filter(|e| e.name == "exec.stop").map(|e| e.detail).collect();
+        match (&outcome, expected) {
+            (None, None) => {
+                assert_eq!(result.as_ref().unwrap().rows.len(), 5, "{name}");
+                assert_eq!(stops, Vec::<String>::new(), "{name}: a finished query has no cause");
+            }
+            (Some((cause, retryable)), Some(is_expected)) => {
+                assert_ne!(*cause, IcError::Cancelled.to_string(), "{name}: the marker escaped");
+                assert!(is_expected(cause), "{name}: {cause}");
+                assert_eq!(*retryable, failover, "{name}: {cause}");
+                assert_eq!(stops, std::slice::from_ref(cause), "{name}: the trace names the cause, once");
+            }
+            _ => panic!("{name}: {:?}", result.map(|r| r.rows.len())),
+        }
+        trace.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let lanes = trace.lanes();
+        assert!(lanes.iter().any(|l| l.starts_with("worker @")), "{name}: never went parallel: {lanes:?}");
+        assert_eq!(cluster.governor().pool().active_leases(), 0, "{name}: a lease outlived its query");
+        assert_eq!(cluster.governor().pool().in_use(), 0, "{name}: pool leaked budget");
+        cluster.clear_faults();
+    }
 }
