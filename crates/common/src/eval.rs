@@ -353,11 +353,7 @@ fn eval_val(e: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
             Ok(Val::col(match batch.selection() {
                 // Dense batch: a column reference is a free Arc clone.
                 None => Arc::clone(batch.col(*i)),
-                Some(sel) => {
-                    let mut b = ColumnBuilder::new();
-                    b.append_column(batch.col(*i), Some(sel));
-                    Arc::new(b.finish())
-                }
+                Some(sel) => Arc::new(batch.col(*i).take(sel)),
             }))
         }
         Expr::Lit(d) => Ok(Val::Scalar(d.clone())),
@@ -678,8 +674,9 @@ fn in_list(expr: &Expr, list: &[Expr], negated: bool, batch: &ColumnBatch) -> Ic
 
 /// Searched CASE: each WHEN is a selection over the rows no earlier arm
 /// took, each THEN (and the ELSE) is evaluated over its own rows only, and
-/// the arms' values scatter back into row order. Arms of different types
-/// give a mixed column, row for row what the row plane returns.
+/// the arms' values go back into row order by one take over their
+/// concatenation. Arms of different types give a mixed column, row for row
+/// what the row plane returns.
 fn case(whens: &[(Expr, Expr)], else_: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
     let n = batch.num_rows();
     let mut open: Vec<u32> = (0..n as u32).collect();
@@ -704,21 +701,19 @@ fn case(whens: &[(Expr, Expr)], else_: &Expr, batch: &ColumnBatch) -> IcResult<V
     if let [(_, val)] = &arms[..] {
         return Ok(val.clone());
     }
-    // (arm, position within the arm's value) of every row.
-    let mut source = vec![(0u32, 0u32); n];
-    for (a, (rows, _)) in arms.iter().enumerate() {
+    // The arms' values end to end, and where each row's value sits in them;
+    // one take then puts the values back into row order.
+    let values: Vec<Arc<Column>> =
+        arms.iter().map(|(rows, val)| val.clone().into_column(rows.len())).collect();
+    let mut all = ColumnBuilder::new();
+    let mut at = vec![0u32; n];
+    for ((rows, _), col) in arms.iter().zip(&values) {
         for (j, &k) in rows.iter().enumerate() {
-            source[k as usize] = (a as u32, j as u32);
+            at[k as usize] = (all.len() + j) as u32;
         }
+        all.append_column(col, None);
     }
-    let mut b = ColumnBuilder::new();
-    for (a, j) in source {
-        match &arms[a as usize].1 {
-            Val::Col(c) => b.push_from_column(c, j as usize),
-            Val::Scalar(d) => b.push_datum_ref(d),
-        }
-    }
-    Ok(Val::Col(Arc::new(b.finish())))
+    Ok(Val::Col(Arc::new(all.finish().take(&at))))
 }
 
 /// A built-in function over evaluated arguments, as typed loops.

@@ -1,0 +1,191 @@
+//! Property tests for the typed take — `ColumnBuilder::extend_take` and
+//! `append_column` — against the per-cell `push_from_column` they replace,
+//! and for the word-wise `Bitmap` appends against bit-by-bit `push`.
+//!
+//! The take matches a column's kind once and copies values and validity in
+//! bulk; the reference pushes one cell at a time. They must agree on every
+//! value, every validity bit, whether a validity bitmap exists at all, and
+//! the representation the builder ends in (typed, or degraded to `Any`),
+//! for every `ColumnData` kind, with and without NULLs, through a selection
+//! or through indices carrying `NIL`, onto a builder that already holds
+//! leading NULLs or values of another kind.
+
+use ic_common::{Bitmap, Column, ColumnBuilder, Datum, NIL};
+use proptest::prelude::*;
+use std::mem::discriminant;
+
+const WORDS: [&str; 6] = ["", "a", "order", "clerk#7", "línea", "Σφ"];
+
+/// A value of `kind` from `bits`: 0 Int, 1 Double, 2 Bool, 3 Date, 4 Str,
+/// 5 mixed (a per-cell kind, so the column is `Any`), 6 NULL. With
+/// `nullable`, a quarter of the cells are NULL.
+fn cell(kind: u8, nullable: bool, bits: u64) -> Datum {
+    if kind == 6 || (nullable && bits.is_multiple_of(4)) {
+        return Datum::Null;
+    }
+    let v = bits >> 2;
+    match kind {
+        0 => Datum::Int((v % 2000) as i64 - 1000),
+        1 => Datum::Double(((v % 2000) as i64 - 1000) as f64 / 4.0),
+        2 => Datum::Bool(v & 1 == 1),
+        3 => Datum::Date((v % 9999) as i32),
+        4 => Datum::str(WORDS[(v % 6) as usize]),
+        _ => cell((v % 5) as u8, false, v >> 3),
+    }
+}
+
+/// A column of `kind` over `raw`. With `spurious`, a column without NULLs
+/// still carries an all-valid bitmap, as evaluator output may.
+fn column(kind: u8, nullable: bool, spurious: bool, raw: &[u64]) -> Column {
+    let mut col = Column::from_datums(raw.iter().map(|&b| cell(kind, nullable, b)).collect());
+    if spurious && col.validity.is_none() {
+        col.validity = Some(Bitmap::filled(col.len(), true));
+    }
+    col
+}
+
+/// A builder already holding `prefix`.
+fn prefixed(prefix: &[Datum]) -> ColumnBuilder {
+    let mut b = ColumnBuilder::new();
+    for d in prefix {
+        b.push_datum(d.clone());
+    }
+    b
+}
+
+/// The reference: one `push_from_column` (or `push_null` for `NIL`) per index.
+fn per_cell(prefix: &[Datum], col: &Column, idx: &[u32]) -> Column {
+    let mut b = prefixed(prefix);
+    for &i in idx {
+        if i == NIL {
+            b.push_null();
+        } else {
+            b.push_from_column(col, i as usize);
+        }
+    }
+    b.finish()
+}
+
+/// Same rows, same validity, same representation.
+fn same_column(got: &Column, want: &Column) -> Result<(), String> {
+    prop_assert_eq!(got.len(), want.len());
+    prop_assert_eq!(got.validity.is_some(), want.validity.is_some());
+    prop_assert!(
+        discriminant(&got.data) == discriminant(&want.data),
+        "representation: got {:?}, want {:?}",
+        got.data,
+        want.data
+    );
+    for i in 0..got.len() {
+        prop_assert_eq!(got.is_valid(i), want.is_valid(i), "row {}", i);
+        // Debug, not `==`: `Datum` equality coerces Int 2 to Double 2.0.
+        let (g, w) = (format!("{:?}", got.datum_at(i)), format!("{:?}", want.datum_at(i)));
+        prop_assert_eq!(g, w, "row {}", i);
+    }
+    Ok(())
+}
+
+/// Indices into a column of `n` rows: with `from_selection` the rows whose
+/// pick is odd, in order (a selection vector); otherwise one arbitrary row
+/// per pick, repeats allowed, a fifth of them `NIL`.
+fn indices(n: usize, from_selection: bool, picks: &[u64]) -> Vec<u32> {
+    if from_selection {
+        (0..n as u32).filter(|&i| picks.get(i as usize).is_some_and(|p| p & 1 == 1)).collect()
+    } else {
+        let pick =
+            |p: u64| if p.is_multiple_of(5) || n == 0 { NIL } else { ((p >> 3) % n as u64) as u32 };
+        picks.iter().map(|&p| pick(p)).collect()
+    }
+}
+
+/// A bitmap of `bits`, pushed one at a time.
+fn bits_of(bits: &[bool]) -> Bitmap {
+    let mut b = Bitmap::new();
+    for &bit in bits {
+        b.push(bit);
+    }
+    b
+}
+
+proptest! {
+    /// `extend_take` ≡ per-cell pushes, through a selection (increasing
+    /// physical rows) or through arbitrary indices with repeats and `NIL`s.
+    #[test]
+    fn extend_take_matches_per_cell(
+        (kind, nullable, spurious) in (0u8..7, any::<bool>(), any::<bool>()),
+        raw in collection::vec(any::<u64>(), 0..200),
+        (pkind, pnullable, plen) in (0u8..7, any::<bool>(), 0usize..70),
+        praw in collection::vec(any::<u64>(), 70),
+        (from_selection, picks) in (any::<bool>(), collection::vec(any::<u64>(), 0..200)),
+    ) {
+        let col = column(kind, nullable, spurious, &raw);
+        let prefix: Vec<Datum> = praw[..plen].iter().map(|&b| cell(pkind, pnullable, b)).collect();
+        let idx = indices(col.len(), from_selection, &picks);
+        let mut got = prefixed(&prefix);
+        got.extend_take(&col, &idx);
+        same_column(&got.finish(), &per_cell(&prefix, &col, &idx))?;
+        if prefix.is_empty() {
+            same_column(&col.take(&idx), &per_cell(&[], &col, &idx))?;
+        }
+    }
+
+    /// Dense `append_column` (the typed bulk arms, `Bool` and `Str`
+    /// included) ≡ per-cell pushes of every row, onto any prefix, also when
+    /// two columns are appended back to back.
+    #[test]
+    fn dense_append_matches_per_cell(
+        (kind, nullable, spurious) in (0u8..7, any::<bool>(), any::<bool>()),
+        raw in collection::vec(any::<u64>(), 0..200),
+        (kind2, nullable2) in (0u8..7, any::<bool>()),
+        raw2 in collection::vec(any::<u64>(), 0..100),
+        (pkind, pnullable, plen) in (0u8..7, any::<bool>(), 0usize..70),
+        praw in collection::vec(any::<u64>(), 70),
+    ) {
+        let col = column(kind, nullable, spurious, &raw);
+        let col2 = column(kind2, nullable2, false, &raw2);
+        let prefix: Vec<Datum> = praw[..plen].iter().map(|&b| cell(pkind, pnullable, b)).collect();
+        let mut got = prefixed(&prefix);
+        got.append_column(&col, None);
+        got.append_column(&col2, None);
+        let mut want = prefixed(&prefix);
+        for (c, n) in [(&col, col.len()), (&col2, col2.len())] {
+            for i in 0..n {
+                want.push_from_column(c, i);
+            }
+        }
+        same_column(&got.finish(), &want.finish())?;
+    }
+
+    /// The word-wise appends ≡ bit-by-bit `push`, from any starting offset
+    /// within a word: the packed words (bits past the end stay 0), the
+    /// length, and `extend_take`'s count of set bits.
+    #[test]
+    fn bitmap_appends_match_push(
+        prefix in collection::vec(any::<bool>(), 0..140),
+        (bit, n) in (any::<bool>(), 0usize..200),
+        other in collection::vec(any::<bool>(), 0..200),
+        (has_src, from_selection) in (any::<bool>(), any::<bool>()),
+        picks in collection::vec(any::<u64>(), 0..200),
+    ) {
+        let mut got = bits_of(&prefix);
+        got.push_n(bit, n);
+        let mut want = prefix.clone();
+        want.extend(std::iter::repeat_n(bit, n));
+        prop_assert_eq!(&got, &bits_of(&want));
+
+        let mut got = bits_of(&prefix);
+        got.append(&bits_of(&other));
+        let want: Vec<bool> = prefix.iter().chain(&other).copied().collect();
+        prop_assert_eq!(&got, &bits_of(&want));
+
+        let src = bits_of(&other);
+        let idx = indices(other.len(), from_selection, &picks);
+        let taken: Vec<bool> =
+            idx.iter().map(|&i| i != NIL && (!has_src || other[i as usize])).collect();
+        let mut got = bits_of(&prefix);
+        let set = got.extend_take(has_src.then_some(&src), &idx);
+        prop_assert_eq!(set, taken.iter().filter(|&&b| b).count());
+        let want: Vec<bool> = prefix.iter().chain(&taken).copied().collect();
+        prop_assert_eq!(&got, &bits_of(&want));
+    }
+}
