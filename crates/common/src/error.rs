@@ -107,7 +107,7 @@ pub enum IcError {
     Internal(String),
     /// Not a failure but the sight of one: this thread of a query stopped
     /// because the query was already over — its control block's stop cell was
-    /// set, a transfer was aborted, or the peer of an exchange link unwound.
+    /// set, or the peer of an exchange link unwound.
     /// The cause, if there is one, is in the cell, which refuses to store this
     /// marker; `execute_plan` never returns it.
     Cancelled,

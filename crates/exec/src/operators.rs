@@ -87,7 +87,7 @@ impl ExecObs {
 /// [`ControlBlock::check`] for the limits they enforce, a thread's top level
 /// for whatever else its operators returned, a `join` for a panic. Every
 /// thread that only *notices* the stop — `check` once the cell is set, a send
-/// that was aborted or found its link's peer gone — unwinds with the marker
+/// that found its link's peer gone — unwinds with the marker
 /// [`IcError::Cancelled`], which `fail` refuses to store: whatever order the
 /// threads unwind in, a symptom is never the cause.
 #[derive(Debug)]
@@ -151,10 +151,11 @@ impl ControlBlock {
         self.lease.reserve(n as u64).map_err(|e| self.fail(e))
     }
 
-    /// The cooperative stop point, called in every operator loop (and by the
-    /// transfer abort hook and a driver waiting on its lanes): a revoked lease
-    /// or a passed deadline fails the query here, with that as the cause, and
-    /// a query that is over already returns [`IcError::Cancelled`].
+    /// The cooperative stop point, called in every operator loop (and by an
+    /// exchange receiver between waits, and a driver waiting on its lanes): a
+    /// revoked lease or a passed deadline fails the query here, with that as
+    /// the cause, and a query that is over already returns
+    /// [`IcError::Cancelled`].
     pub fn check(&self) -> IcResult<()> {
         if self.stop.get().is_some() {
             return Err(IcError::Cancelled);

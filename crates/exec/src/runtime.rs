@@ -37,10 +37,10 @@
 //! what its operators returned, once, at its top level
 //! ([`ControlBlock::fail`]; the limits record themselves in `reserve` and
 //! `check`, a panic is recorded off its join handle), the first cause stays,
-//! and a thread that only noticed the stop — a `check` after it, a send that
-//! was aborted or whose receiver is gone — unwinds with
-//! [`IcError::Cancelled`], which the cell does not take. [`execute_plan`]
-//! returns the root's rows or the cell's cause, and decides nothing itself.
+//! and a thread that only noticed the stop — a `check` after it, a send whose
+//! receiver is gone — unwinds with [`IcError::Cancelled`], which the cell does
+//! not take. [`execute_plan`] returns the root's rows or the cell's cause, and
+//! decides nothing itself.
 
 use crate::fragment::{place, NodeRef, Placement};
 use crate::kernels::ColJoinTable;
@@ -53,8 +53,8 @@ use ic_common::obs::{AttemptStats, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{panic_message, ColumnBatch, IcError, IcResult, Row};
 use ic_net::{
-    net_channel, AbortFn, Assignment, FailoverError, NetError, NetObs, NetReceiver, NetSender,
-    NetStats, Network, SiteId, SiteState, WireSize,
+    net_channel, Assignment, FailoverError, NetError, NetObs, NetReceiver, NetSender, NetStats,
+    Network, SiteId, SiteState, WireSize,
 };
 use ic_plan::ops::{AggPhase, PhysOp, PhysPlan};
 use ic_plan::Distribution;
@@ -100,7 +100,9 @@ pub struct ExecOptions {
 /// and revocation checks stay fine-grained.
 pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
 
-/// Exchange backpressure window, in batches.
+/// Exchange backpressure window, in batches: how many messages a link holds
+/// in flight or undelivered before its sender blocks (Ignite's window of
+/// unacknowledged batches).
 const CHANNEL_WINDOW: usize = 16;
 
 impl Default for ExecOptions {
@@ -164,8 +166,8 @@ impl WireSize for Msg {
 /// Classify a failed send: dead sites and lost exchange messages are
 /// *retryable* causes ([`IcError::SiteUnavailable`]) — the coordinator replans
 /// against the surviving topology. The rest are symptoms of a stop decided
-/// elsewhere: the abort hook saw (or set) the stop cell, or the consumer
-/// unwound and dropped its receiver. (A send does not time out.)
+/// elsewhere: the consumer unwound and dropped its receiver. (A send does not
+/// time out.)
 fn net_err(dst: SiteId, e: NetError) -> IcError {
     match e {
         NetError::SiteDead(s) => IcError::SiteUnavailable {
@@ -176,7 +178,7 @@ fn net_err(dst: SiteId, e: NetError) -> IcError {
             site: dst.0,
             detail: format!("link to {dst} dropped an exchange message"),
         },
-        NetError::Aborted | NetError::Disconnected | NetError::Timeout => IcError::Cancelled,
+        NetError::Disconnected | NetError::Timeout => IcError::Cancelled,
     }
 }
 
@@ -205,9 +207,10 @@ struct Stage {
 /// The sending side of one fragment instance's sink, shared by every lane
 /// of the instance's pipeline (and used solo by sequential drivers). All
 /// methods take `&self`: staging is guarded by a short lock, but batches
-/// are dispatched *outside* it, so concurrent lanes overlap their wire
-/// time (latency + bandwidth sleeps of the simulated network) instead of
-/// serializing behind the stage.
+/// are gathered and dispatched *outside* it, so concurrent lanes do not
+/// serialize behind the stage. A dispatch does not wait for the wire: it
+/// reserves the site's NIC and enqueues the message, and the receiver waits
+/// for it to land.
 ///
 /// Endpoints are grouped into *routes* — the endpoints that receive the
 /// very same messages — with one stage each: a hash exchange has a route
@@ -389,7 +392,11 @@ impl InstanceSink<'_> {
     }
 }
 
-/// The receiving end of an exchange inside a fragment instance.
+/// The receiving end of an exchange inside a fragment instance — where a
+/// query waits for the wire, since a message is handed out only once it has
+/// landed. It waits in 50 ms steps and checks the stop cell and its
+/// producers' liveness between them, so a stopped query never waits out a
+/// message in flight.
 pub(crate) struct ReceiverSource {
     rx: NetReceiver<Msg>,
     /// Producer instances that have not sent their final message yet.
@@ -486,9 +493,6 @@ pub(crate) struct Execution<'a> {
     /// variant), in site-major order; a producer instance stamps its own
     /// site on its copies.
     senders: Vec<Vec<(SiteId, usize, NetSender<Msg>)>>,
-    /// Polled by in-flight transfers — it is `ControlBlock::check` — so
-    /// bandwidth sleeps stop with the query instead of outlasting it.
-    abort: Arc<AbortFn>,
     /// Stop cell, deadline, memory lease and (traced) the attempt's
     /// observability context.
     pub(crate) ctrl: Arc<ControlBlock>,
@@ -775,14 +779,14 @@ fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>>
         let exchange = &ex.placement.exchanges[sink];
         let endpoints = ex.senders[sink]
             .iter()
-            .map(|(s, v, tx)| (*s, *v, tx.with_src(site).with_abort(ex.abort.clone())))
+            .map(|(s, v, tx)| (*s, *v, tx.with_src(site)))
             .collect();
         // Traced: the Exchange node is credited with the messages charged.
         let shipped = obs.map(|o| (o.attempt.clone(), exchange.node));
         let (to, asg) = (exchange.to.clone(), ex.assignment.clone());
         let mut core = ExchangeCore::new(to, asg, endpoints, exchange.mode, shipped);
         if let Some(o) = obs {
-            core.set_obs(NetObs { trace: o.trace.clone(), lane, parent: parent_span });
+            core.set_obs(NetObs { trace: o.trace.clone(), lane });
         }
         core
     });
@@ -881,16 +885,11 @@ pub fn execute_plan(
         }
     }
     let fragments = placement.fragments.len();
-    let abort: Arc<AbortFn> = {
-        let ctrl = ctrl.clone();
-        Arc::new(move || ctrl.check().is_err())
-    };
     let ex = Execution {
         catalog,
         assignment,
         placement,
         senders,
-        abort,
         ctrl,
         exec_span: exec_span.as_ref().map(|g| g.id()),
         worker_threads: opts.worker_threads.max(1),

@@ -373,7 +373,7 @@ fn ship(
     drop(core);
     let links = receivers
         .into_iter()
-        .map(|(site, rx)| {
+        .map(|(site, mut rx)| {
             let mut msgs = Vec::new();
             while let Ok(msg) = rx.recv() {
                 let size = msg.wire_size();

@@ -1,46 +1,50 @@
-//! Site-to-site channels: crossbeam channels with simulated network delay.
+//! Site-to-site channels: crossbeam channels whose messages land when the
+//! simulated wire says they do.
 //!
 //! These back the executor's sender/receiver operator pairs (the paper's
 //! §3.2.3 exchange splitting). A [`NetSender`] charges the shared
-//! [`Network`] for each batch according to its wire size before it is
-//! delivered; faults injected by the network surface here as typed
-//! [`NetError`]s so the executor can tell a dead site from a dropped
-//! message.
+//! [`Network`] for each batch according to its wire size — a reservation on
+//! its source site's NIC — and enqueues it with its delivery time, without
+//! waiting for the wire; the bounded window is all that can block it. A
+//! [`NetReceiver`] never hands a message out before it is due. Faults
+//! injected by the network surface at the sender as typed [`NetError`]s so
+//! the executor can tell a dead site from a dropped message.
 
 use crate::topology::SiteId;
 use crate::wire::WireSize;
-use crate::{AbortFn, NetStats, Network};
+use crate::{NetStats, Network, Traffic};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use ic_common::obs::{SpanId, Trace};
+use ic_common::obs::Trace;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tracing context for a network endpoint: where to record per-transfer
-/// spans (bytes + charged latency) and fault events.
+/// Tracing context for a network endpoint: where to record per-message
+/// spans (bytes + modelled wire time) and fault events.
 #[derive(Debug, Clone)]
 pub struct NetObs {
     /// The owning query's trace (and clock).
     pub trace: Arc<Trace>,
     /// Lane of the sending fragment-instance thread.
     pub lane: u32,
-    /// Span the transfers nest under (the fragment-instance span).
-    pub parent: Option<SpanId>,
 }
 
 /// Sending half of a simulated network link.
 pub struct NetSender<T> {
-    tx: Sender<T>,
+    tx: Sender<(u64, T)>,
     net: Arc<Network>,
     src: SiteId,
     dst: SiteId,
-    abort: Option<Arc<AbortFn>>,
     obs: Option<NetObs>,
     tally: Option<Arc<NetStats>>,
 }
 
 /// Receiving half of a simulated network link.
 pub struct NetReceiver<T> {
-    rx: Receiver<T>,
+    rx: Receiver<(u64, T)>,
+    net: Arc<Network>,
+    /// A message taken off the link before it was due, with its delivery
+    /// time: the next one handed out.
+    held: Option<(u64, T)>,
     pub src: SiteId,
     pub dst: SiteId,
 }
@@ -56,12 +60,10 @@ pub enum NetError {
     SiteDead(SiteId),
     /// A receive timed out.
     Timeout,
-    /// The transfer was abandoned mid-flight (query deadline/cancellation).
-    Aborted,
 }
 
 /// Create a simulated link from `src` to `dst` with a bounded in-flight
-/// window (backpressure, like Ignite's per-connection message window).
+/// window (backpressure, like Ignite's window of unacknowledged batches).
 pub fn net_channel<T: WireSize>(
     net: Arc<Network>,
     src: SiteId,
@@ -70,41 +72,44 @@ pub fn net_channel<T: WireSize>(
 ) -> (NetSender<T>, NetReceiver<T>) {
     let (tx, rx) = bounded(window);
     (
-        NetSender { tx, net, src, dst, abort: None, obs: None, tally: None },
-        NetReceiver { rx, src, dst },
+        NetSender { tx, net: net.clone(), src, dst, obs: None, tally: None },
+        NetReceiver { rx, net, held: None, src, dst },
     )
 }
 
 impl<T: WireSize> NetSender<T> {
-    /// Ship one payload: charges network delay (abortable mid-flight when
-    /// an abort hook is attached), then delivers (blocking if the
-    /// receiver's window is full). Returns the bytes charged to the wire:
-    /// the payload's wire size on a cross-site link, 0 on a same-site one —
-    /// that hand-off is free, so it is counted (`local_messages`) but never
-    /// sized or traced. Traced senders record one span per cross-site
-    /// transfer — the span duration is the charged latency, `bytes` the
-    /// wire size — and an instant event for every injected fault.
+    /// Ship one payload: reserve its turn on the source site's NIC, then
+    /// enqueue it with its delivery time (blocking only while the window is
+    /// full). Returns the bytes charged to the wire: the payload's wire size
+    /// on a cross-site link, 0 on a same-site one — that hand-off is free,
+    /// so it is counted (`local_messages`) but never sized or traced.
+    /// Traced senders record one span per cross-site message — send to
+    /// delivery on the model's clock, `bytes` the wire size, `queue_ns` the
+    /// wait behind the site's earlier messages — and an instant event for
+    /// every injected fault.
     pub fn send(&self, payload: T) -> Result<usize, NetError> {
         let local = self.src == self.dst;
         let bytes = if local { 0 } else { payload.wire_size() };
         let traced = self.obs.as_ref().filter(|_| !local).map(|o| (o, o.trace.now_ns()));
-        let charged = self.net.transfer_cancellable(
-            self.src,
-            self.dst,
-            bytes,
-            self.abort.as_deref(),
-            self.tally.as_deref(),
-        );
+        let charged =
+            self.net.charge(Traffic::Exchange, self.src, self.dst, bytes, self.tally.as_deref());
         if let Some((o, t0)) = traced {
             match &charged {
-                Ok(()) => o.trace.record_span(
+                // A message can land after the fragment that sent it has
+                // ended, so its span has no parent to nest in.
+                Ok(r) => o.trace.record_span(
                     format!("xfer {}->{}", self.src, self.dst),
                     "net",
-                    o.parent,
+                    None,
                     o.lane,
                     t0,
-                    o.trace.now_ns(),
-                    vec![("bytes", bytes as u64), ("src", self.src.0 as u64), ("dst", self.dst.0 as u64)],
+                    t0 + r.wire_ns(),
+                    vec![
+                        ("bytes", bytes as u64),
+                        ("src", self.src.0 as u64),
+                        ("dst", self.dst.0 as u64),
+                        ("queue_ns", r.queue_ns()),
+                    ],
                 ),
                 Err(e) => o.trace.event(
                     "net.fault",
@@ -114,8 +119,8 @@ impl<T: WireSize> NetSender<T> {
                 ),
             }
         }
-        charged?;
-        self.tx.send(payload).map_err(|_| NetError::Disconnected)?;
+        let due = charged?.deliver_at;
+        self.tx.send((due, payload)).map_err(|_| NetError::Disconnected)?;
         Ok(bytes)
     }
 }
@@ -125,13 +130,6 @@ impl<T> NetSender<T> {
     /// used when several fragment instances share one receiver endpoint.
     pub fn with_src(&self, src: SiteId) -> NetSender<T> {
         NetSender { src, ..self.clone() }
-    }
-
-    /// Attach an abort hook polled during long bandwidth sleeps so
-    /// in-flight sends stop at the query deadline instead of overshooting.
-    pub fn with_abort(mut self, abort: Arc<AbortFn>) -> NetSender<T> {
-        self.abort = Some(abort);
-        self
     }
 
     /// Count every cross-site message this endpoint (and its clones) is
@@ -156,7 +154,6 @@ impl<T> Clone for NetSender<T> {
             net: self.net.clone(),
             src: self.src,
             dst: self.dst,
-            abort: self.abort.clone(),
             obs: self.obs.clone(),
             tally: self.tally.clone(),
         }
@@ -164,17 +161,37 @@ impl<T> Clone for NetSender<T> {
 }
 
 impl<T> NetReceiver<T> {
-    /// Blocking receive; `Err(Disconnected)` when all senders dropped.
-    pub fn recv(&self) -> Result<T, NetError> {
-        self.rx.recv().map_err(|_| NetError::Disconnected)
+    /// Blocking receive, waiting for the message to land; `Err(Disconnected)`
+    /// when all senders dropped and nothing is left.
+    pub fn recv(&mut self) -> Result<T, NetError> {
+        let (due, payload) = match self.held.take() {
+            Some(held) => held,
+            None => self.rx.recv().map_err(|_| NetError::Disconnected)?,
+        };
+        self.net.sleep_until(due);
+        Ok(payload)
     }
 
     /// Receive with a timeout, used by the executor's runtime-limit checks.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
+    /// Never hands a message out before it is due and never waits past
+    /// `timeout`: a message that will not have landed by then is held, and
+    /// handed out by a later call.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, NetError> {
+        let deadline = self.net.now_ns().saturating_add(timeout.as_nanos() as u64);
+        let (due, payload) = match self.held.take() {
+            Some(held) => held,
+            None => self.rx.recv_timeout(timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => NetError::Timeout,
+                RecvTimeoutError::Disconnected => NetError::Disconnected,
+            })?,
+        };
+        if due > deadline {
+            self.held = Some((due, payload));
+            self.net.sleep_until(deadline);
+            return Err(NetError::Timeout);
+        }
+        self.net.sleep_until(due);
+        Ok(payload)
     }
 }
 
@@ -183,11 +200,10 @@ mod tests {
     use super::*;
     use crate::{FaultPlan, NetworkConfig, TICK_FOREVER};
     use ic_common::{Datum, Row};
-
     #[test]
     fn send_recv_roundtrip() {
         let net = Network::new(NetworkConfig::instant());
-        let (tx, rx) = net_channel::<Vec<Row>>(net.clone(), SiteId(0), SiteId(1), 4);
+        let (tx, mut rx) = net_channel::<Vec<Row>>(net.clone(), SiteId(0), SiteId(1), 4);
         let batch = vec![Row(vec![Datum::Int(1)])];
         assert_eq!(tx.send(batch.clone()), Ok(batch.wire_size()));
         assert_eq!(rx.recv().unwrap(), batch);
@@ -207,7 +223,7 @@ mod tests {
         }
         let net = Network::new(NetworkConfig::instant());
         let tally = Arc::new(NetStats::default());
-        let (tx, rx) = net_channel::<Unsizable>(net.clone(), SiteId(2), SiteId(2), 4);
+        let (tx, mut rx) = net_channel::<Unsizable>(net.clone(), SiteId(2), SiteId(2), 4);
         assert_eq!(tx.with_tally(tally.clone()).send(Unsizable), Ok(0));
         assert!(rx.recv().is_ok());
         assert_eq!(net.stats.snapshot(), (0, 0, 1));
@@ -217,7 +233,7 @@ mod tests {
     #[test]
     fn disconnect_detected() {
         let net = Network::new(NetworkConfig::instant());
-        let (tx, rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 4);
+        let (tx, mut rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 4);
         drop(tx);
         assert_eq!(rx.recv().unwrap_err(), NetError::Disconnected);
     }
@@ -243,7 +259,7 @@ mod tests {
     #[test]
     fn timeout_fires() {
         let net = Network::new(NetworkConfig::instant());
-        let (_tx, rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 4);
+        let (_tx, mut rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 4);
         assert_eq!(
             rx.recv_timeout(Duration::from_millis(5)).unwrap_err(),
             NetError::Timeout
@@ -253,7 +269,7 @@ mod tests {
     #[test]
     fn cross_thread_transfer() {
         let net = Network::new(NetworkConfig::instant());
-        let (tx, rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 2);
+        let (tx, mut rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 2);
         let h = std::thread::spawn(move || {
             for i in 0..100i64 {
                 tx.send(vec![Row(vec![Datum::Int(i)])]).unwrap();

@@ -3,9 +3,12 @@
 //! The paper runs Ignite+Calcite on 4 or 8 physical machines joined by
 //! 10 GbE. This crate replaces that testbed with logical [`SiteId`] *sites*
 //! inside one process: fragments execute on real threads, and any data that
-//! crosses a site boundary flows through a [`Network`] that charges a
-//! per-message latency plus a per-byte bandwidth delay and keeps traffic
-//! statistics. Same-site transfers are free, so plans that avoid shipping
+//! crosses a site boundary flows through a [`Network`] that keeps traffic
+//! statistics and models each site's NIC: a message occupies its source
+//! site's egress for bytes ÷ bandwidth, queued behind that site's earlier
+//! messages, and lands one per-message latency later ([`Reservation`]).
+//! Senders do not wait for the wire; whoever receives a message does, until
+//! it is due. Same-site transfers are free, so plans that avoid shipping
 //! large relations (the paper's §5.1.1 fully-distributed joins) are rewarded
 //! exactly as on real hardware.
 //!
@@ -33,11 +36,7 @@ pub use wire::WireSize;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Predicate polled during long bandwidth sleeps; returning `true` aborts
-/// the in-flight transfer (deadline passed / query cancelled).
-pub type AbortFn = dyn Fn() -> bool + Send + Sync;
+use std::time::{Duration, Instant};
 
 /// Network model parameters.
 #[derive(Debug, Clone)]
@@ -45,7 +44,8 @@ pub struct NetworkConfig {
     /// Fixed cost per cross-site message (default 50 µs — LAN round-trip
     /// scale, matching a 10 GbE cluster's per-message overhead).
     pub latency: Duration,
-    /// Payload bandwidth in bytes/second (default 1 GB/s ≈ 10 GbE goodput).
+    /// Payload bandwidth of each site's NIC in bytes/second (default
+    /// 1 GB/s ≈ 10 GbE goodput).
     pub bandwidth_bytes_per_sec: u64,
 }
 
@@ -64,13 +64,68 @@ impl NetworkConfig {
         NetworkConfig { latency: Duration::ZERO, bandwidth_bytes_per_sec: u64::MAX }
     }
 
-    /// Delay charged for shipping `bytes` in one message.
-    pub fn transfer_delay(&self, bytes: usize) -> Duration {
-        if self.bandwidth_bytes_per_sec == u64::MAX {
-            return self.latency;
+    /// What one message of `bytes` costs on the wire, in ns, each term ×
+    /// the fault layer's `delay_factor`: how long it occupies its site's
+    /// NIC (bytes ÷ bandwidth), and the latency after it leaves.
+    pub fn wire_terms(&self, bytes: usize, delay_factor: u32) -> (u64, u64) {
+        let occupancy = bytes as u128 * 1_000_000_000 / self.bandwidth_bytes_per_sec.max(1) as u128;
+        let factor = u128::from(delay_factor);
+        let ns = |t: u128| u64::try_from(t * factor).unwrap_or(u64::MAX);
+        (ns(occupancy), ns(self.latency.as_nanos()))
+    }
+}
+
+/// One message's place on its source site's NIC, in ns since the network's
+/// epoch: handed over at `sent_at`, on the NIC from `start` (once the site's
+/// earlier messages have left) to `end` (the site's new `busy_until`), and
+/// due at its receiver at `deliver_at`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reservation {
+    pub sent_at: u64,
+    pub start: u64,
+    pub end: u64,
+    pub deliver_at: u64,
+}
+
+impl Reservation {
+    /// The whole wire model: a message sent at `now` to a NIC that is busy
+    /// until `busy_until` occupies it for `occupancy` ns from whichever is
+    /// later, then arrives `latency` ns after it leaves.
+    pub fn new(now: u64, busy_until: u64, occupancy: u64, latency: u64) -> Reservation {
+        let start = now.max(busy_until);
+        let end = start.saturating_add(occupancy);
+        Reservation { sent_at: now, start, end, deliver_at: end.saturating_add(latency) }
+    }
+
+    /// Time spent queued behind the site's earlier messages.
+    pub fn queue_ns(&self) -> u64 {
+        self.start - self.sent_at
+    }
+
+    /// Send to delivery: queue + occupancy + latency.
+    pub fn wire_ns(&self) -> u64 {
+        self.deliver_at - self.sent_at
+    }
+}
+
+/// Every site's egress clock, `busy_until`: when its NIC is free again, in
+/// ns since the network's epoch. One port per machine serializes what that
+/// machine sends; distinct machines send in parallel. Sites join at
+/// runtime, so the table grows on demand.
+#[derive(Debug, Default)]
+pub struct Nics(Vec<u64>);
+
+impl Nics {
+    /// Reserve `src`'s NIC for a message sent at `now` ([`Reservation::new`])
+    /// and advance its clock past it.
+    pub fn reserve(&mut self, src: SiteId, now: u64, occupancy: u64, latency: u64) -> Reservation {
+        if self.0.len() <= src.0 {
+            self.0.resize(src.0 + 1, 0);
         }
-        let secs = bytes as f64 / self.bandwidth_bytes_per_sec as f64;
-        self.latency + Duration::from_secs_f64(secs)
+        let busy_until = &mut self.0[src.0];
+        let r = Reservation::new(now, *busy_until, occupancy, latency);
+        *busy_until = r.end;
+        r
     }
 }
 
@@ -94,11 +149,15 @@ impl NetStats {
     }
 }
 
-/// The shared simulated network: config + stats + the deterministic fault
-/// layer (an optional [`FaultInjector`] plus the cluster [`Liveness`] view).
+/// The shared simulated network: config + stats + the sites' NIC clocks +
+/// the deterministic fault layer (an optional [`FaultInjector`] plus the
+/// cluster [`Liveness`] view).
 pub struct Network {
     pub config: NetworkConfig,
     pub stats: NetStats,
+    /// Time zero of every [`Reservation`].
+    epoch: Instant,
+    nics: Mutex<Nics>,
     faults: Mutex<Option<Arc<FaultInjector>>>,
     liveness: Liveness,
     /// Process-wide metric handles (`net.transfer.*`), resolved once at
@@ -106,11 +165,13 @@ pub struct Network {
     m_messages: Arc<ic_common::obs::Counter>,
     m_bytes: Arc<ic_common::obs::Counter>,
     m_faults: Arc<ic_common::obs::Counter>,
-    /// The wire charge split into the two terms of
-    /// [`NetworkConfig::transfer_delay`] (each × the fault layer's delay
-    /// factor): what a message costs for existing, and what for its size.
+    /// The wire charge in the terms of [`NetworkConfig::wire_terms`] (each ×
+    /// the fault layer's delay factor) — what a message costs for existing,
+    /// and what for its size — plus the time it queued behind its site's
+    /// earlier messages.
     m_latency_ns: Arc<ic_common::obs::Counter>,
     m_bandwidth_ns: Arc<ic_common::obs::Counter>,
+    m_queue_ns: Arc<ic_common::obs::Counter>,
     /// Replication traffic class (`net.replicate.*`): primary→backup write
     /// effects and rebalance chunk copies, kept separate from query
     /// exchange traffic so experiments can attribute overhead.
@@ -125,6 +186,9 @@ impl Network {
         Arc::new(Network {
             config,
             stats: NetStats::default(),
+            // ic-lint: allow(L004) because the wire model's clock is anchored here, once; every reservation is an offset from it
+            epoch: Instant::now(),
+            nics: Mutex::named(Nics::default(), "network.nics"),
             faults: Mutex::named(None, "network.faults"),
             liveness: Liveness::default(),
             m_messages: reg.counter("net.transfer.messages"),
@@ -132,6 +196,7 @@ impl Network {
             m_faults: reg.counter("net.transfer.faults"),
             m_latency_ns: reg.counter("net.transfer.latency_ns"),
             m_bandwidth_ns: reg.counter("net.transfer.bandwidth_ns"),
+            m_queue_ns: reg.counter("net.transfer.queue_ns"),
             m_repl_messages: reg.counter("net.replicate.messages"),
             m_repl_bytes: reg.counter("net.replicate.bytes"),
             m_repl_failures: reg.counter("net.replicate.failures"),
@@ -173,60 +238,65 @@ impl Network {
         }
     }
 
-    /// Record (and simulate) a transfer of `bytes` from `src` to `dst`.
-    pub fn transfer(&self, src: SiteId, dst: SiteId, bytes: usize) -> Result<(), NetError> {
-        self.transfer_cancellable(src, dst, bytes, None, None)
+    /// Nanoseconds since the network's epoch: the clock of every
+    /// [`Reservation`].
+    pub(crate) fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// [`Network::transfer`], but the bandwidth sleep is chunked and polls
-    /// `abort` between chunks so an in-flight transfer stops as soon as the
-    /// query's deadline/cancellation fires rather than overshooting it.
-    /// A message counted into [`Network::stats`] is counted into `tally` as
-    /// well — how one execution's senders keep that execution's own traffic
-    /// apart from the cluster totals.
-    pub fn transfer_cancellable(
-        &self,
-        src: SiteId,
-        dst: SiteId,
-        bytes: usize,
-        abort: Option<&AbortFn>,
-        tally: Option<&NetStats>,
-    ) -> Result<(), NetError> {
-        self.charge(Traffic::Exchange, src, dst, bytes, abort, tally)
+    /// Block the calling thread until [`Network::now_ns`] reads `at`: the
+    /// one place simulated wire time is spent on a real thread — a
+    /// receiver's wait for a message to land, or a synchronous transfer's
+    /// for its own.
+    pub(crate) fn sleep_until(&self, at: u64) {
+        let now = self.now_ns();
+        if at > now {
+            // ic-lint: allow(L004) because waiting out a modelled delivery time is the one sanctioned wall-clock boundary
+            std::thread::sleep(Duration::from_nanos(at - now));
+        }
+    }
+
+    /// Ship `bytes` from `src` to `dst` and wait until they have landed.
+    pub fn transfer(&self, src: SiteId, dst: SiteId, bytes: usize) -> Result<(), NetError> {
+        self.charge(Traffic::Exchange, src, dst, bytes, None)
+            .map(|r| self.sleep_until(r.deliver_at))
     }
 
     /// Ship a replication message (a write's effect ops, or one rebalance
-    /// chunk) from `src` to `dst`. Same fault/delay model as
-    /// [`transfer`](Self::transfer) — link drops and site crashes hit real
-    /// writes — but accounted to the `net.replicate.*` traffic class so the
-    /// synchronous-replication overhead is separable from query exchange.
+    /// chunk) from `src` to `dst` and wait for it to land: replication is
+    /// synchronous. Same fault and wire model as [`transfer`](Self::transfer)
+    /// — link drops and site crashes hit real writes, and the message takes
+    /// its turn on `src`'s NIC — but accounted to the `net.replicate.*`
+    /// traffic class so the replication overhead is separable from query
+    /// exchange.
     pub fn replicate(&self, src: SiteId, dst: SiteId, bytes: usize) -> Result<(), NetError> {
-        self.charge(Traffic::Replicate, src, dst, bytes, None, None)
+        self.charge(Traffic::Replicate, src, dst, bytes, None)
+            .map(|r| self.sleep_until(r.deliver_at))
     }
 
-    /// The one charge path: a same-site message is free, a cross-site one
-    /// takes the fault layer's decision (one tick), is counted — into
-    /// `class`'s process-wide counters, [`Network::stats`] and `tally` — and
-    /// then costs its sender the simulated wire time.
+    /// The one charge path: a same-site message is free and due at once; a
+    /// cross-site one takes the fault layer's decision (one tick), is
+    /// counted — into `class`'s process-wide counters, [`Network::stats`]
+    /// and `tally` — and reserves its turn on `src`'s NIC. Nobody waits
+    /// here: the returned [`Reservation`] says when the message is due.
     fn charge(
         &self,
         class: Traffic,
         src: SiteId,
         dst: SiteId,
         bytes: usize,
-        abort: Option<&AbortFn>,
         tally: Option<&NetStats>,
-    ) -> Result<(), NetError> {
+    ) -> Result<Reservation, NetError> {
         if src == dst {
             self.stats.local_messages.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
+            return Ok(Reservation::default());
         }
         let (m_messages, m_bytes, m_faults) = match class {
             Traffic::Exchange => (&self.m_messages, &self.m_bytes, &self.m_faults),
             Traffic::Replicate => (&self.m_repl_messages, &self.m_repl_bytes, &self.m_repl_failures),
         };
-        // Clone the injector out so the faults lock is never held across a
-        // sleep.
+        // Clone the injector out so the faults lock is never held across
+        // the NIC lock.
         let mut delay_factor: u32 = 1;
         if let Some(injector) = self.fault_injector() {
             match injector.decide(src, dst, &self.liveness) {
@@ -247,33 +317,18 @@ impl Network {
         }
         m_messages.inc();
         m_bytes.add(bytes as u64);
-        let delay = self.config.transfer_delay(bytes) * delay_factor;
+        let (occupancy, latency) = self.config.wire_terms(bytes, delay_factor);
+        // An instant network reserves nothing: the message is due at once.
+        let r = match (occupancy, latency) {
+            (0, 0) => Reservation::default(),
+            _ => self.nics.lock().reserve(src, self.now_ns(), occupancy, latency),
+        };
         if let Traffic::Exchange = class {
-            let latency = self.config.latency * delay_factor;
-            self.m_latency_ns.add(latency.as_nanos() as u64);
-            self.m_bandwidth_ns.add(delay.saturating_sub(latency).as_nanos() as u64);
+            self.m_latency_ns.add(latency);
+            self.m_bandwidth_ns.add(occupancy);
+            self.m_queue_ns.add(r.queue_ns());
         }
-        if delay.is_zero() {
-            return Ok(());
-        }
-        match abort {
-            // ic-lint: allow(L004) because the delay simulator is the one sanctioned wall-clock boundary
-            None => std::thread::sleep(delay),
-            Some(abort) => {
-                const CHUNK: Duration = Duration::from_millis(1);
-                let mut remaining = delay;
-                while !remaining.is_zero() {
-                    if abort() {
-                        return Err(NetError::Aborted);
-                    }
-                    let step = remaining.min(CHUNK);
-                    // ic-lint: allow(L004) because chunked sleeping models link bandwidth while staying abortable
-                    std::thread::sleep(step);
-                    remaining = remaining.saturating_sub(step);
-                }
-            }
-        }
-        Ok(())
+        Ok(r)
     }
 }
 
@@ -281,7 +336,7 @@ impl Network {
 #[derive(Clone, Copy)]
 enum Traffic {
     /// Query exchange: `net.transfer.*`, with the wire charge split into
-    /// its latency and bandwidth terms.
+    /// its latency, bandwidth and queueing terms.
     Exchange,
     /// Write replication and rebalance copies: `net.replicate.*`.
     Replicate,
@@ -300,16 +355,13 @@ impl std::fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn delay_model() {
         let cfg = NetworkConfig { latency: Duration::from_micros(100), bandwidth_bytes_per_sec: 1_000_000 };
-        // 1 MB at 1 MB/s = 1 s + latency.
-        let d = cfg.transfer_delay(1_000_000);
-        assert!(d >= Duration::from_secs(1));
-        assert!(d < Duration::from_secs(2));
-        assert_eq!(NetworkConfig::instant().transfer_delay(1_000_000), Duration::ZERO);
+        // 1 MB at 1 MB/s = 1 s on the NIC, then the latency.
+        assert_eq!(cfg.wire_terms(1_000_000, 1), (1_000_000_000, 100_000));
+        assert_eq!(NetworkConfig::instant().wire_terms(1_000_000, 1), (0, 0));
     }
 
     #[test]
@@ -349,19 +401,6 @@ mod tests {
         // marks the site dead before any message flows.
         net.install_faults(FaultPlan::new(1).crash(SiteId(3), 0));
         assert_eq!(net.liveness().state(SiteId(3)), SiteState::Dead);
-    }
-
-    #[test]
-    fn cancellable_sleep_aborts() {
-        let cfg = NetworkConfig { latency: Duration::ZERO, bandwidth_bytes_per_sec: 1_000 };
-        let net = Network::new(cfg);
-        // 10 KB at 1 KB/s = 10 s uncancelled; the abort hook fires at once.
-        let fired = AtomicBool::new(true);
-        let abort = move || fired.load(Ordering::Relaxed);
-        let start = std::time::Instant::now();
-        let r = net.transfer_cancellable(SiteId(0), SiteId(1), 10_000, Some(&abort), None);
-        assert_eq!(r, Err(NetError::Aborted));
-        assert!(start.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

@@ -408,17 +408,19 @@ fn revoked_query_is_retryable_and_leaks_no_budget() {
     assert_eq!(pool.active_leases(), 0);
 }
 
-// --- errors raised while morsel lanes are mid-send ---------------------------
+// --- errors raised while messages are in flight ------------------------------
 
-/// A 2-site cluster on the calibrated network under a standing latency
-/// spike, three lanes per parallel region over 128-row morsels.
+/// A 2-site cluster on the default network under a standing latency spike,
+/// three lanes per parallel region over 128-row morsels.
 /// [`LANES_SHIP_SQL`]'s scan fragments stream straight from their lanes into
-/// the exchange, and only site 1's cross the wire: its first message (tick
-/// 0) takes 50 ms, every later one 200 ms, and the second and third leave on
-/// the other two lanes while the first is in flight. So from a few
-/// milliseconds in until 200 ms, lanes of site 1 sit in transfers — and
-/// whatever stops the query between 10 and 100 ms stops it with lanes
-/// mid-send.
+/// the exchange, and only site 1's cross the wire. Under the spike each of
+/// its ~16 KB messages holds site 1's NIC for 16 µs × the factor and lands
+/// 50 µs × the factor after that: the first (tick 0, ×1000) lands ~66 ms in,
+/// the second (×4000) queues behind it and lands ~280 ms in, the rest later
+/// still. Site 1's lanes hand their messages over and finish at once; it is
+/// the root's receiver that waits for them. So whatever stops the query
+/// between 10 and 250 ms stops it with messages in flight and the root
+/// waiting on the wire.
 fn slow_shipping_cluster(config: ClusterConfig) -> Cluster {
     let cluster = Cluster::new(ClusterConfig {
         sites: 2,
@@ -437,7 +439,8 @@ fn slow_shipping_cluster(config: ClusterConfig) -> Cluster {
 }
 
 /// [`slow_shipping_cluster`]'s standing fault plan: the first cross-site
-/// message (tick 0) takes 50 ms, every later one 200 ms.
+/// message (tick 0) costs 1000× the network's latency and occupancy, every
+/// later one 4000×.
 fn staggered_spike() -> FaultPlan {
     let forever = ignite_calcite_rs::TICK_FOREVER;
     FaultPlan::new(7).latency_spike(1000, 0, forever).latency_spike(4, 1, forever)
@@ -469,10 +472,11 @@ fn assert_clean_failure(
     assert_eq!(cluster.governor().pool().in_use(), 0, "pool leaked budget");
 }
 
-/// The deadline passes while lanes sleep in transfers that outlast it: the
-/// abort hook stops them, and the client sees the timeout it is.
+/// The deadline passes while site 1's messages are still on the wire: the
+/// root's receiver stops waiting for them at its next check, and the client
+/// sees the timeout it is.
 #[test]
-fn exec_timeout_with_lanes_mid_send() {
+fn exec_timeout_with_lanes_mid_flight() {
     let cluster = slow_shipping_cluster(ClusterConfig {
         exec_timeout: Some(Duration::from_millis(100)),
         ..ClusterConfig::default()
@@ -482,9 +486,9 @@ fn exec_timeout_with_lanes_mid_send() {
 
 /// The root's sort has room for its own site's half of the table, which it
 /// gets for free, and for half a message more: the budget runs out on site
-/// 1's first message, 50 ms in, with the other lanes still shipping.
+/// 1's first message, ~66 ms in, with its later messages still in flight.
 #[test]
-fn memory_limit_with_lanes_mid_send() {
+fn memory_limit_with_lanes_mid_flight() {
     const LIMIT_CELLS: u64 = 2 * (SHIPPED_ROWS as u64 / 2 + 512);
     let cluster = slow_shipping_cluster(ClusterConfig {
         exec_timeout: Some(Duration::from_secs(60)),
@@ -496,9 +500,10 @@ fn memory_limit_with_lanes_mid_send() {
 
 /// The root's first reservation — for the rows its own site hands it at once
 /// — finds the pool drained by a hog that never unwinds: it marks the hog,
-/// waits one 10 ms step, finds nobody left to revoke and revokes itself.
+/// waits one 10 ms step, finds nobody left to revoke and revokes itself,
+/// with site 1's messages still in flight.
 #[test]
-fn resources_revoked_with_lanes_mid_send() {
+fn resources_revoked_with_lanes_mid_flight() {
     let cluster = slow_shipping_cluster(ClusterConfig {
         exec_timeout: Some(Duration::from_secs(60)),
         governor: GovernorConfig {
@@ -535,8 +540,8 @@ fn attempt_outcome(result: &Result<ignite_calcite_rs::QueryResult, IcError>) -> 
 /// error — never the `Cancelled` of a thread that only saw the stop, never a
 /// link symptom — with its retry class intact, the trace says so once
 /// (`exec.stop`), and nothing is left behind. Each row runs on the
-/// slow-shipping cluster, so site 1's producers are in (or about to enter)
-/// 50–200 ms transfers while the failure is decided elsewhere.
+/// slow-shipping cluster, so site 1's messages are on the wire for 66 ms and
+/// more while the failure is decided elsewhere.
 #[test]
 fn every_stop_has_one_cause() {
     let cluster = slow_shipping_cluster(ClusterConfig {
