@@ -10,8 +10,8 @@
 //!
 //! The module also provides [`FlatMap`], an open-addressing table keyed by
 //! precomputed 64-bit hashes with `u32` payloads. Execution kernels use it
-//! to map key hashes to arena/group indices without materializing owned
-//! `Vec<Datum>` keys per probe (see `ic-exec`'s kernels).
+//! to map key hashes to group indices without materializing owned
+//! `Vec<Datum>` keys per row (see `ic-exec`'s kernels).
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -157,23 +157,6 @@ impl FlatMap {
         self.len == 0
     }
 
-    /// Look up `hash`, resolving collisions with `eq(payload)` on candidate
-    /// entries whose stored hash matches exactly.
-    #[inline]
-    pub fn get(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        let mut slot = fold_hash(hash, self.mask);
-        loop {
-            let (h, payload) = self.entries[slot];
-            if payload == Self::EMPTY {
-                return None;
-            }
-            if h == hash && eq(payload) {
-                return Some(payload);
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
     /// Find `hash`'s payload or insert the one produced by `make()`.
     /// Returns `(payload, inserted)`.
     #[inline]
@@ -278,24 +261,24 @@ mod tests {
         let keys: Vec<i64> = (0..10_000).map(|i| i * 3 + 1).collect();
         let mut map = FlatMap::with_capacity(4);
         let mut stored: Vec<i64> = Vec::new();
-        for &k in &keys {
-            let h = fxhash(&k);
-            let (payload, inserted) = map.get_or_insert(
-                h,
-                |p| stored[p as usize] == k,
-                || stored.len() as u32,
-            );
+        let mut find_or_insert = |map: &mut FlatMap, k: i64| {
+            let (payload, inserted) =
+                map.get_or_insert(fxhash(&k), |p| stored[p as usize] == k, || stored.len() as u32);
             if inserted {
                 assert_eq!(payload as usize, stored.len());
                 stored.push(k);
             }
+            (payload, inserted)
+        };
+        for &k in &keys {
+            assert!(find_or_insert(&mut map, k).1);
         }
         assert_eq!(map.len(), keys.len());
+        // Every key survives the growth rehashes at its first payload.
         for (i, &k) in keys.iter().enumerate() {
-            let h = fxhash(&k);
-            assert_eq!(map.get(h, |p| stored[p as usize] == k), Some(i as u32));
+            assert_eq!(find_or_insert(&mut map, k), (i as u32, false));
         }
-        assert_eq!(map.get(fxhash(&-7i64), |p| stored[p as usize] == -7), None);
+        assert_eq!(find_or_insert(&mut map, -7), (keys.len() as u32, true));
     }
 
     #[test]

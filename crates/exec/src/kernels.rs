@@ -9,125 +9,110 @@
 //! hasher, and the few unavoidable per-*group* datum touches carry
 //! explicit pragmas.
 //!
-//! [`ColJoinTable`] chains build rows by their 64-bit key hash inside an
-//! `ic_common::hash::FlatMap`; rows are appended column-wise into a
-//! [`ColumnBuilder`] arena and frozen into a dense [`ColumnBatch`] once the
-//! build side is exhausted, so probes resolve key equality with typed
-//! column-vs-column comparisons (`eq_at`) instead of datum clones. Chains
-//! preserve build insertion order, so a probe row's matches come out in the
-//! order the build side arrived. [`ColGroupTable`] stores group
-//! keys flattened into one `Vec<Datum>` (materialized once per distinct
-//! group) and accumulators flattened into one `Vec<Accumulator>`; per-batch
+//! [`ColJoinTable`] is built in one shot once the build side is drained:
+//! the build batches concatenate into one dense [`ColumnBatch`] arena, and
+//! its rows link through a sized `u32` bucket directory, one `next` link
+//! per row, so probes resolve key equality with typed column-vs-column
+//! comparisons (`eq_at`) instead of datum clones. Chains preserve build
+//! insertion order, so a probe row's matches come out in the order the
+//! build side arrived. [`ColGroupTable`] stores group keys flattened into
+//! one `Vec<Datum>` (materialized once per distinct group) and
+//! accumulators flattened into one `Vec<Accumulator>`; per-batch
 //! accumulation runs one typed loop per aggregate over the argument column,
 //! skipping validity-masked rows (NULL updates are no-ops for every
 //! accumulator).
 
 use ic_common::agg::Accumulator;
 use ic_common::hash::FlatMap;
-use ic_common::{Column, ColumnBatch, ColumnBuilder, ColumnData, Datum, IcResult, NIL};
+use ic_common::{Bitmap, Column, ColumnBatch, ColumnData, Datum, IcResult, NIL};
 use ic_plan::ops::{AggCall, SortKey};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Columnar hash table for the build side of a hash join.
-///
-/// All build rows sharing a 64-bit key hash live on one chain; true key
-/// equality is resolved at probe time with typed column comparisons, so
-/// the build loop never clones a key datum.
+/// Columnar hash table for the build side of a hash join: a power-of-two
+/// `u32` bucket directory plus one `next` link per arena row, built in one
+/// shot by [`ColJoinTable::build`]. Key datums are never cloned.
 pub struct ColJoinTable {
-    map: FlatMap,
     key_cols: Vec<usize>,
-    /// Column-wise arena under construction (build phase only).
-    builders: Vec<ColumnBuilder>,
-    /// Frozen arena; empty until [`ColJoinTable::finish_build`].
+    /// Every build row, NULL-key rows included (they stay unlinked).
     arena: ColumnBatch,
-    nrows: usize,
-    /// Per-arena-row link to the next row with the same hash (NIL ends the
-    /// chain). Chains start at the first-inserted row.
+    /// Per-arena-row 64-bit key hash.
+    hashes: Vec<u64>,
+    /// Bucket → first arena row of its chain (NIL: empty bucket).
+    dir: Vec<u32>,
+    /// `64 - log2(dir.len())`: see [`bucket`].
+    shift: u32,
+    /// Per-arena-row link to the next row in the same bucket (NIL ends it).
     next: Vec<u32>,
-    /// Per-chain-head index of the chain's current last row, so appending
-    /// preserves insertion order at O(1).
-    tail: Vec<u32>,
+    /// Linked rows: the arena rows without a NULL key.
+    nrows: usize,
 }
 
 impl ColJoinTable {
-    /// New table keyed on `key_cols` over build rows of `width` columns.
-    pub fn new(key_cols: Vec<usize>, width: usize) -> ColJoinTable {
-        ColJoinTable {
-            map: FlatMap::with_capacity(1024),
-            key_cols,
-            builders: (0..width).map(|_| ColumnBuilder::new()).collect(),
-            arena: ColumnBatch::empty(width),
-            nrows: 0,
-            next: Vec::new(),
-            tail: Vec::new(),
+    /// Build the table keyed on `key_cols` over a drained build side of
+    /// `width` columns, with a directory sized for its rows so nothing ever
+    /// rehashes. Rows are prepended last to first, which leaves every chain
+    /// in insertion order; rows with a NULL key stay unlinked (they never
+    /// match). The one place `exec.join.build_rows` counts.
+    pub fn build(key_cols: Vec<usize>, width: usize, batches: Vec<ColumnBatch>) -> ColJoinTable {
+        let arena = match batches.len() {
+            0 => ColumnBatch::empty(width),
+            _ => ColumnBatch::concat(&batches),
+        };
+        drop(batches); // before the hashes and the directory allocate
+        let n = arena.num_rows();
+        let hashes = arena.hash_keys(&key_cols);
+        let slots = (2 * n).next_power_of_two().max(16);
+        let shift = 64 - slots.trailing_zeros();
+        let mut dir = vec![NIL; slots];
+        let mut next = vec![NIL; n];
+        let nullable: Vec<&Bitmap> =
+            key_cols.iter().filter_map(|&c| arena.col(c).validity.as_ref()).collect();
+        let mut nrows = 0;
+        for i in (0..n).rev() {
+            if nullable.iter().any(|v| !v.get(i)) {
+                continue;
+            }
+            let b = bucket(hashes[i], shift);
+            next[i] = dir[b];
+            dir[b] = i as u32;
+            nrows += 1;
         }
+        ic_common::obs::MetricsRegistry::global().counter("exec.join.build_rows").add(nrows as u64);
+        ColJoinTable { key_cols, arena, hashes, dir, shift, next, nrows }
     }
 
-    /// Number of build rows inserted (NULL-key rows excluded).
+    /// Number of linked build rows (NULL-key rows excluded).
     pub fn len(&self) -> usize {
         self.nrows
     }
 
-    /// True when no build rows were inserted.
+    /// True when no build row can match.
     pub fn is_empty(&self) -> bool {
         self.nrows == 0
     }
 
-    /// The frozen build arena (dense; valid after `finish_build`).
+    /// The build arena (dense).
     pub fn arena(&self) -> &ColumnBatch {
         &self.arena
-    }
-
-    /// Insert one build batch. Rows with a NULL in any key column are
-    /// skipped (NULL keys never match in SQL equi-joins); surviving rows
-    /// are appended column-wise in one pass per column.
-    pub fn insert_batch(&mut self, batch: &ColumnBatch) {
-        let hashes = batch.hash_keys(&self.key_cols);
-        let n = batch.num_rows();
-        let mut keep: Vec<u32> = Vec::with_capacity(n);
-        for (k, &hash) in hashes.iter().enumerate().take(n) {
-            let phys = batch.phys_index(k);
-            if self.key_cols.iter().any(|&c| !batch.col(c).is_valid(phys)) {
-                continue;
-            }
-            let new_idx = self.nrows as u32;
-            let (head, inserted) = self.map.get_or_insert(hash, |_| true, || new_idx);
-            self.next.push(NIL);
-            self.tail.push(new_idx);
-            if !inserted {
-                let old_tail = self.tail[head as usize] as usize;
-                self.next[old_tail] = new_idx;
-                self.tail[head as usize] = new_idx;
-            }
-            self.nrows += 1;
-            keep.push(phys as u32);
-        }
-        for (b, col) in self.builders.iter_mut().zip(batch.columns()) {
-            b.append_column(col, Some(&keep));
-        }
-    }
-
-    /// Freeze the column-wise arena; must run after the last
-    /// `insert_batch` and before the first probe.
-    pub fn finish_build(&mut self) {
-        let cols: Vec<Arc<Column>> =
-            self.builders.drain(..).map(|b| Arc::new(b.finish())).collect();
-        self.arena = ColumnBatch::new(cols, self.nrows);
     }
 
     /// Call `visit(k, arena row)` for every key match of every logical
     /// probe row `k` — probe rows in order, each row's matches in build
     /// insertion order; `visit` returns `false` to leave that row's chain.
-    /// NULL probe keys match nothing; a chain holds every row with the
-    /// probe row's 64-bit hash, and [`Column::eq_at`] on each key column
-    /// resolves collisions.
+    /// NULL probe keys match nothing; a bucket's chain holds every row whose
+    /// hash folds there, so the stored 64-bit hash screens it before
+    /// [`Column::eq_at`] on each key column resolves collisions. An empty
+    /// table returns at once without hashing the batch.
     fn for_each_match(
         &self,
         batch: &ColumnBatch,
         probe_keys: &[usize],
         mut visit: impl FnMut(u32, u32) -> bool,
     ) {
+        if self.is_empty() {
+            return;
+        }
         let hashes = batch.hash_keys(probe_keys);
         let keys = || self.key_cols.iter().zip(probe_keys);
         for (k, &hash) in hashes.iter().enumerate() {
@@ -135,10 +120,11 @@ impl ColJoinTable {
             if !probe_keys.iter().all(|&c| batch.col(c).is_valid(phys)) {
                 continue;
             }
-            let mut cur = self.map.get(hash, |_| true).unwrap_or(NIL);
+            let mut cur = self.dir[bucket(hash, self.shift)];
             while cur != NIL {
                 let b = cur as usize;
-                if keys().all(|(&bc, &pc)| self.arena.col(bc).eq_at(b, batch.col(pc), phys))
+                if self.hashes[b] == hash
+                    && keys().all(|(&bc, &pc)| self.arena.col(bc).eq_at(b, batch.col(pc), phys))
                     && !visit(k as u32, cur)
                 {
                     break;
@@ -194,6 +180,14 @@ impl ColJoinTable {
         });
         out
     }
+}
+
+/// The directory bucket of `hash`: its top bits. Partitions and hash
+/// exchanges route by `hash % n`, so the rows reaching one site share their
+/// low bits, which would leave most of a site's buckets empty.
+#[inline]
+fn bucket(hash: u64, shift: u32) -> usize {
+    (hash >> shift) as usize
 }
 
 /// Materialize hash-join output pairs: probe columns taken at the pairs'
@@ -470,26 +464,28 @@ mod tests {
 
     #[test]
     fn join_table_chains_preserve_insertion_order() {
-        let mut t = ColJoinTable::new(vec![0], 2);
-        t.insert_batch(&batch(&[&[7, 1], &[8, 2], &[7, 3], &[7, 4]]));
-        t.finish_build();
+        let build = vec![
+            batch(&[&[7, 1], &[8, 2]]),
+            batch(&[&[0, 0], &[7, 3], &[0, 0]]).with_sel(vec![1]),
+            batch(&[&[7, 4], &[9, 5], &[7, 6]]),
+        ];
+        let t = ColJoinTable::build(vec![0], 2, build);
         let probe = batch(&[&[7], &[9]]);
         let (pks, bis) = t.probe_pairs(&probe, &[0], false);
-        assert_eq!(pks, vec![0, 0, 0]);
+        assert_eq!(pks, vec![0, 0, 0, 0, 1]);
         let seconds: Vec<Datum> =
             bis.iter().map(|&bi| t.arena().datum_at(1, bi as usize)).collect();
-        assert_eq!(seconds, vec![Datum::Int(1), Datum::Int(3), Datum::Int(4)]);
+        let want = [1, 3, 4, 6, 5].map(Datum::Int);
+        assert_eq!(seconds, want);
     }
 
     #[test]
     fn join_table_null_keys_skipped_both_sides() {
-        let mut t = ColJoinTable::new(vec![0], 2);
         let build = ColumnBatch::from_rows(&[
             Row(vec![Datum::Int(1), Datum::Int(10)]),
             Row(vec![Datum::Null, Datum::Int(99)]),
         ]);
-        t.insert_batch(&build);
-        t.finish_build();
+        let t = ColJoinTable::build(vec![0], 2, vec![build]);
         assert_eq!(t.len(), 1);
         let probe = ColumnBatch::from_rows(&[Row(vec![Datum::Null]), Row(vec![Datum::Int(1)])]);
         let (pks, bis) = t.probe_pairs(&probe, &[0], true);
@@ -499,15 +495,28 @@ mod tests {
         assert_eq!(t.probe_matched(&probe, &[0]), vec![false, true]);
     }
 
+    /// A site's rows share their hashes' low bits (routing takes `hash %
+    /// partitions`); the directory must still spread them over its buckets.
+    #[test]
+    fn join_table_spreads_one_partitions_keys() {
+        let rows: Vec<Row> = (0..)
+            .map(|k| Row(vec![Datum::Int(k)]))
+            .filter(|r| r.hash_key(&[0]) % 4 == 0)
+            .take(4096)
+            .collect();
+        let t = ColJoinTable::build(vec![0], 1, vec![ColumnBatch::from_rows(&rows)]);
+        assert_eq!(t.dir.len(), 8192);
+        // ≈ 1 - e^(-1/2) = 39 % of them by chance; the low bits reach ≤ 25 %.
+        let used = t.dir.iter().filter(|&&head| head != NIL).count();
+        assert!(used > 2_900, "{used} of 8192 buckets used");
+    }
+
     #[test]
     fn join_table_many_keys() {
         let rows: Vec<Row> =
             (0..5_000i64).map(|i| Row(vec![Datum::Int(i % 1000), Datum::Int(i)])).collect();
-        let mut t = ColJoinTable::new(vec![0], 2);
-        for chunk in rows.chunks(1024) {
-            t.insert_batch(&ColumnBatch::from_rows(chunk));
-        }
-        t.finish_build();
+        let build = rows.chunks(1024).map(ColumnBatch::from_rows).collect();
+        let t = ColJoinTable::build(vec![0], 2, build);
         assert_eq!(t.len(), 5_000);
         let probe: Vec<Row> = (0..1000i64).map(|k| Row(vec![Datum::Int(k)])).collect();
         let (pks, _) = t.probe_pairs(&ColumnBatch::from_rows(&probe), &[0], false);
@@ -516,9 +525,7 @@ mod tests {
 
     #[test]
     fn gather_pairs_null_extends() {
-        let mut t = ColJoinTable::new(vec![0], 2);
-        t.insert_batch(&batch(&[&[2, 20]]));
-        t.finish_build();
+        let t = ColJoinTable::build(vec![0], 2, vec![batch(&[&[2, 20]])]);
         let probe = batch(&[&[1], &[2]]);
         let (pks, bis) = t.probe_pairs(&probe, &[0], true);
         let out = gather_join_output(&probe, &pks, t.arena(), &bis);

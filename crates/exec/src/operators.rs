@@ -928,39 +928,31 @@ pub enum JoinBuild {
     Table(Arc<ColJoinTable>),
 }
 
-/// Seal a filled build table — the one place `exec.join.build_rows` counts.
-pub(crate) fn finish_join_table(mut table: ColJoinTable) -> Arc<ColJoinTable> {
-    table.finish_build();
-    ic_common::obs::MetricsRegistry::global()
-        .counter("exec.join.build_rows")
-        .add(table.len() as u64);
-    Arc::new(table)
-}
-
-/// Drain `src` into a build table keyed on `keys`, accounting every batch
-/// against the query lease. Batches append column-wise into the arena; rows
-/// with NULL key columns are skipped (they never match).
+/// Drain `src` and build a table keyed on `keys` from what arrived,
+/// accounting every batch against the query lease as it comes in. Rows
+/// with NULL key columns stay unlinked (they never match).
 pub(crate) fn drain_join_table(
     src: &mut BoxedSource,
     keys: Vec<usize>,
     arity: usize,
     ctrl: &ControlBlock,
 ) -> IcResult<Arc<ColJoinTable>> {
-    let mut table = ColJoinTable::new(keys, arity);
+    let mut batches = Vec::new();
     while let Some(b) = src.next_batch()? {
         ctrl.check()?;
         ctrl.reserve_batch(&b)?;
-        table.insert_batch(&b);
+        batches.push(b);
     }
-    Ok(finish_join_table(table))
+    Ok(Arc::new(ColJoinTable::build(keys, arity, batches)))
 }
 
 /// Hash join (§5.1.2): builds on the right input, probes with the left —
 /// fully columnar on both sides.
 ///
-/// The build side goes into a [`ColJoinTable`]: batches are appended
-/// column-wise into a contiguous arena and chained by 64-bit key hash, so
-/// the build loop never clones a key datum. Probes hash the key columns
+/// The build side goes into a [`ColJoinTable`], built in one shot once the
+/// probe's first pull has drained it: the batches concatenate into one
+/// arena whose rows link through a sized bucket directory, so the build
+/// never rehashes or clones a key datum. Probes hash the key columns
 /// vectorized, walk each chain with typed column-vs-column equality, and
 /// produce `(probe row, arena row)` index pairs; output is materialized by
 /// [`gather_join_output`] one column at a time (`NIL` pairs drive LEFT

@@ -41,7 +41,7 @@
 
 use crate::fragment::NodeRef;
 use crate::kernels::ColJoinTable;
-use crate::operators::{drain_join_table, finish_join_table, ControlBlock, RowSource};
+use crate::operators::{drain_join_table, ControlBlock, RowSource};
 use crate::pool::MorselSupply;
 use crate::runtime::{BuildCtx, Execution, Instance, InstanceSink, Sub};
 use ic_common::hash::FxHashMap;
@@ -238,9 +238,9 @@ fn run_lanes(
 /// [`ColJoinTable`] before the lanes start, returned as the substitution
 /// for its join node. Scan-chain build subtrees are built in parallel:
 /// lanes collect partial batch runs, the build barrier fires, and the
-/// driver merges the runs into one table. Anything else (receivers, other
-/// joins) builds sequentially through the instance's own context — which
-/// also keeps every receiver drain on the driver thread.
+/// driver builds one table over the runs, lane by lane. Anything else
+/// (receivers, other joins) builds sequentially through the instance's own
+/// context — which also keeps every receiver drain on the driver thread.
 fn resolve_builds(
     ctx: &mut BuildCtx<'_>,
     inst: &mut Instance,
@@ -261,11 +261,8 @@ fn resolve_builds(
         let table = match feed {
             Some(feed) if feed.supply.lanes() >= 2 => {
                 let runs = run_lanes(ctx, inst.site, right, feed, None)?;
-                let mut table = ColJoinTable::new(right_keys.clone(), arity);
-                for b in runs.iter().flatten() {
-                    table.insert_batch(b);
-                }
-                finish_join_table(table)
+                let batches = runs.into_iter().flatten().collect();
+                Arc::new(ColJoinTable::build(right_keys.clone(), arity, batches))
             }
             _ => {
                 let mut src = ctx.build(right, Some(inst))?;
