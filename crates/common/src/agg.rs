@@ -58,17 +58,9 @@ impl fmt::Display for AggFunc {
 pub enum Accumulator {
     /// Row/value count (COUNT and COUNT(*)).
     Count(i64),
-    /// Running sum; keeps an exact integer sum while all inputs are Int.
-    Sum {
-        /// Float sum (always maintained).
-        sum: f64,
-        /// Whether any non-NULL value was seen (SUM of nothing is NULL).
-        saw: bool,
-        /// True while every input was an Int, so `isum` stays exact.
-        int_only: bool,
-        /// Exact integer sum, valid while `int_only`.
-        isum: i64,
-    },
+    /// Running sum in the argument's type — Int adds wrapping, as Int
+    /// arithmetic does — NULL until a value is seen (SUM of nothing is NULL).
+    Sum(Datum),
     /// Running sum + count for AVG.
     Avg {
         /// Sum of inputs.
@@ -89,7 +81,7 @@ impl Accumulator {
     pub fn new(func: AggFunc) -> Accumulator {
         match func {
             AggFunc::Count | AggFunc::CountStar => Accumulator::Count(0),
-            AggFunc::Sum => Accumulator::Sum { sum: 0.0, saw: false, int_only: true, isum: 0 },
+            AggFunc::Sum => Accumulator::Sum(Datum::Null),
             AggFunc::Avg => Accumulator::Avg { sum: 0.0, count: 0 },
             AggFunc::Min => Accumulator::Min(None),
             AggFunc::Max => Accumulator::Max(None),
@@ -108,22 +100,8 @@ impl Accumulator {
                     *c += 1;
                 }
             }
-            Accumulator::Sum { sum, saw, int_only, isum } => {
-                match value {
-                    Datum::Null => {}
-                    Datum::Int(i) => {
-                        *sum += i as f64;
-                        *isum += i;
-                        *saw = true;
-                    }
-                    Datum::Double(d) => {
-                        *sum += d;
-                        *int_only = false;
-                        *saw = true;
-                    }
-                    other => return Err(IcError::Exec(format!("SUM on non-numeric {other}"))),
-                }
-            }
+            Accumulator::Sum(sum) => add_to_sum(sum, value)
+                .map_err(|v| IcError::Exec(format!("SUM on non-numeric {v}")))?,
             Accumulator::Avg { sum, count } => match value {
                 Datum::Null => {}
                 other => {
@@ -163,15 +141,8 @@ impl Accumulator {
     pub fn merge(&mut self, other: Accumulator) -> IcResult<()> {
         match (self, other) {
             (Accumulator::Count(a), Accumulator::Count(b)) => *a += b,
-            (
-                Accumulator::Sum { sum: a, saw: sa, int_only: ia, isum: iza },
-                Accumulator::Sum { sum: b, saw: sb, int_only: ib, isum: izb },
-            ) => {
-                *a += b;
-                *sa |= sb;
-                *ia &= ib;
-                *iza += izb;
-            }
+            (Accumulator::Sum(a), Accumulator::Sum(b)) => add_to_sum(a, b)
+                .map_err(|v| IcError::Exec(format!("mismatched SUM state {v}")))?,
             (Accumulator::Avg { sum: a, count: ca }, Accumulator::Avg { sum: b, count: cb }) => {
                 *a += b;
                 *ca += cb;
@@ -203,15 +174,7 @@ impl Accumulator {
     pub fn finish(&self) -> Datum {
         match self {
             Accumulator::Count(c) => Datum::Int(*c),
-            Accumulator::Sum { sum, saw, int_only, isum } => {
-                if !*saw {
-                    Datum::Null
-                } else if *int_only {
-                    Datum::Int(*isum)
-                } else {
-                    Datum::Double(*sum)
-                }
-            }
+            Accumulator::Sum(sum) => sum.clone(),
             Accumulator::Avg { sum, count } => {
                 if *count == 0 {
                     Datum::Null
@@ -229,12 +192,7 @@ impl Accumulator {
     pub fn to_state(&self) -> Vec<Datum> {
         match self {
             Accumulator::Count(c) => vec![Datum::Int(*c)],
-            Accumulator::Sum { sum, saw, int_only, isum } => vec![
-                Datum::Double(*sum),
-                Datum::Bool(*saw),
-                Datum::Bool(*int_only),
-                Datum::Int(*isum),
-            ],
+            Accumulator::Sum(sum) => vec![sum.clone()],
             Accumulator::Avg { sum, count } => vec![Datum::Double(*sum), Datum::Int(*count)],
             Accumulator::Min(b) | Accumulator::Max(b) => vec![b.clone().unwrap_or(Datum::Null)],
             Accumulator::Distinct(_) => {
@@ -246,11 +204,13 @@ impl Accumulator {
     /// Number of state columns `to_state` produces for a function.
     pub fn state_width(func: AggFunc) -> usize {
         match func {
-            AggFunc::Count | AggFunc::CountStar => 1,
-            AggFunc::Sum => 4,
             AggFunc::Avg => 2,
-            AggFunc::Min | AggFunc::Max => 1,
-            AggFunc::CountDistinct => 1,
+            AggFunc::Count
+            | AggFunc::CountStar
+            | AggFunc::Sum
+            | AggFunc::Min
+            | AggFunc::Max
+            | AggFunc::CountDistinct => 1,
         }
     }
 
@@ -261,12 +221,7 @@ impl Accumulator {
             AggFunc::Count | AggFunc::CountStar => {
                 Accumulator::Count(state[0].as_int().ok_or_else(bad)?)
             }
-            AggFunc::Sum => Accumulator::Sum {
-                sum: state[0].as_double().ok_or_else(bad)?,
-                saw: state[1].as_bool().ok_or_else(bad)?,
-                int_only: state[2].as_bool().ok_or_else(bad)?,
-                isum: state[3].as_int().ok_or_else(bad)?,
-            },
+            AggFunc::Sum => Accumulator::Sum(state[0].clone()),
             AggFunc::Avg => Accumulator::Avg {
                 sum: state[0].as_double().ok_or_else(bad)?,
                 count: state[1].as_int().ok_or_else(bad)?,
@@ -286,6 +241,20 @@ impl Accumulator {
     }
 }
 
+/// Add `value` (NULL: nothing) to a running SUM of the same type; a value
+/// of another type comes back as the error.
+#[inline]
+fn add_to_sum(sum: &mut Datum, value: Datum) -> Result<(), Datum> {
+    *sum = match (&*sum, value) {
+        (_, Datum::Null) => return Ok(()),
+        (Datum::Null, v @ (Datum::Int(_) | Datum::Double(_))) => v,
+        (Datum::Int(a), Datum::Int(b)) => Datum::Int(a.wrapping_add(b)),
+        (Datum::Double(a), Datum::Double(b)) => Datum::Double(a + b),
+        (_, other) => return Err(other),
+    };
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,10 +272,15 @@ mod tests {
     fn sum_int_stays_int() {
         let mut a = Accumulator::new(AggFunc::Sum);
         a.update(Datum::Int(2)).unwrap();
+        a.update(Datum::Null).unwrap();
         a.update(Datum::Int(3)).unwrap();
-        assert_eq!(a.finish(), Datum::Int(5));
-        a.update(Datum::Double(0.5)).unwrap();
-        assert_eq!(a.finish(), Datum::Double(5.5));
+        assert!(matches!(a.finish(), Datum::Int(5)));
+        let mut d = Accumulator::new(AggFunc::Sum);
+        d.update(Datum::Double(0.5)).unwrap();
+        assert!(matches!(d.finish(), Datum::Double(x) if x == 0.5));
+        // The partial state is the running sum itself, NULL before a value.
+        assert_eq!(Accumulator::new(AggFunc::Sum).to_state(), vec![Datum::Null]);
+        assert!(d.update(Datum::str("x")).is_err());
     }
 
     #[test]

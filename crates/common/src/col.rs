@@ -5,10 +5,16 @@
 //! stores its values in a contiguous typed vector ([`ColumnData`]) plus an
 //! optional validity [`Bitmap`] (absent ⇔ no NULLs), so kernels run tight
 //! per-column loops over primitive buffers instead of walking `Vec<Row>`
-//! datum-by-datum. Strings are stored as a shared offsets-plus-bytes blob;
-//! columns whose values mix runtime types (legal in this dynamically typed
-//! engine, e.g. an Int column fed a Double by a UNION-less untyped VALUES)
-//! degrade to a boxed [`ColumnData::Any`] vector.
+//! datum-by-datum. Strings are stored as a shared offsets-plus-bytes blob.
+//!
+//! **Static types.** The engine is statically typed: the binder coerces
+//! every expression once (`ic_plan::coerce`), so each plan column has one
+//! [`DataType`] and every column is built for it — [`ColumnBuilder::new`]
+//! takes the type, and no builder looks at a value to choose its
+//! representation. A column without a value (all NULL, or empty) carries no
+//! type: an untyped NULL literal evaluates to one, and it appends to any
+//! builder as NULLs ([`Column::is_all_null`]). Handing a builder another
+//! non-NULL kind is a bug, caught by a `debug_assert` once per column.
 //!
 //! **Selection vectors.** A batch may carry a selection vector — physical
 //! row indices, in order. Filters never materialize survivors; they only
@@ -21,17 +27,13 @@
 //! [`NIL`] standing for a NULL, is copied per column by one typed loop —
 //! the kind matched once per column, validity moved a word at a time. Join
 //! output, build arenas, selection resolution, exchange coalescing, merges
-//! and CASE all move values through it; per-cell
-//! [`ColumnBuilder::push_from_column`] is only its fallback for `Any`
-//! columns and kind mismatches.
+//! and CASE all move values through it.
 //!
-//! **Row boundaries.** [`ColumnBatch::from_rows`] / [`ColumnBatch::to_rows`]
-//! are the only row↔column conversion points: rows are packed once, when
-//! they enter the store, and unpacked at the final client rowset (and the
-//! inputs of the row-internal nested-loop join and sort aggregate). Type sniffing is per column: the
-//! first non-NULL value fixes the typed representation, later mismatches
-//! degrade that column to `Any`. Int is *not* promoted to Double — the two
-//! display differently (`2` vs `2.0000`) and results must round-trip.
+//! **Row boundaries.** [`ColumnBatch::from_typed_rows`] /
+//! [`ColumnBatch::to_rows`] are the only row↔column conversion points: rows
+//! are packed once, by their schema, when they enter the store (or leave an
+//! aggregate), and unpacked at the final client rowset (and the inputs of
+//! the row-internal nested-loop join and sort aggregate).
 //!
 //! **Hash contract.** [`ColumnBatch::hash_keys`] drives one [`FxHasher`]
 //! per row through the exact same `Hash` write sequence as `Datum::hash`,
@@ -41,7 +43,7 @@
 //! without NULLs is hashed by one typed loop; strings feed their bytes as
 //! `str::hash` does, without a UTF-8 re-check.
 
-use crate::datum::Datum;
+use crate::datum::{DataType, Datum};
 use crate::hash::FxHasher;
 use crate::row::Row;
 use std::cmp::Ordering;
@@ -228,8 +230,6 @@ pub enum ColumnData {
         /// Concatenated UTF-8 payload.
         bytes: Vec<u8>,
     },
-    /// Mixed-type fallback: boxed datums.
-    Any(Vec<Datum>),
 }
 
 impl ColumnData {
@@ -241,7 +241,17 @@ impl ColumnData {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Date(v) => v.len(),
             ColumnData::Str { offsets, .. } => offsets.len().saturating_sub(1),
-            ColumnData::Any(v) => v.len(),
+        }
+    }
+
+    /// The type these values hold.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnData::Int(_) => DataType::Int,
+            ColumnData::Double(_) => DataType::Double,
+            ColumnData::Bool(_) => DataType::Bool,
+            ColumnData::Date(_) => DataType::Date,
+            ColumnData::Str { .. } => DataType::Str,
         }
     }
 
@@ -262,15 +272,6 @@ pub struct Column {
 }
 
 impl Column {
-    /// Build a column from owned datums (used by the vectorized evaluator).
-    pub fn from_datums(vals: Vec<Datum>) -> Column {
-        let mut b = ColumnBuilder::new();
-        for d in vals {
-            b.push_datum(d);
-        }
-        b.finish()
-    }
-
     /// Number of physical rows.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -279,6 +280,12 @@ impl Column {
     /// Whether the column holds no rows.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// Does the column hold no value — every row NULL, or no row at all?
+    /// Such a column carries no type (see the module doc).
+    pub fn is_all_null(&self) -> bool {
+        self.validity.as_ref().map_or(self.is_empty(), |v| v.count_valid() == 0)
     }
 
     /// Is physical row `i` non-NULL?
@@ -312,7 +319,7 @@ impl Column {
     /// Rows `idx` of this column, in order, `NIL` giving NULL — a fresh
     /// column through [`ColumnBuilder::extend_take`].
     pub fn take(&self, idx: &[u32]) -> Column {
-        let mut b = ColumnBuilder::new();
+        let mut b = ColumnBuilder::new(self.data.data_type());
         b.extend_take(self, idx);
         b.finish()
     }
@@ -351,13 +358,12 @@ impl Column {
             ColumnData::Bool(v) => Datum::Bool(v[i]),
             ColumnData::Date(v) => Datum::Date(v[i]),
             ColumnData::Str { .. } => Datum::str(self.str_at(i)),
-            ColumnData::Any(v) => v[i].clone(),
         }
     }
 
-    /// SQL value equality between `self[i]` and `other[j]`, matching
-    /// `Datum::eq`: NULL == NULL (group-key semantics), mixed Int/Double
-    /// and Date/Int coerce, everything else compares typed.
+    /// SQL value equality between `self[i]` and `other[j]` of a column of
+    /// the same type, matching `Datum::eq`: NULL == NULL (group-key
+    /// semantics).
     #[inline]
     pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
         match (self.is_valid(i), other.is_valid(j)) {
@@ -368,25 +374,18 @@ impl Column {
         match (&self.data, &other.data) {
             (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
             (ColumnData::Double(a), ColumnData::Double(b)) => a[i] == b[j],
-            (ColumnData::Int(a), ColumnData::Double(b)) => a[i] as f64 == b[j],
-            (ColumnData::Double(a), ColumnData::Int(b)) => a[i] == b[j] as f64,
             (ColumnData::Date(a), ColumnData::Date(b)) => a[i] == b[j],
-            (ColumnData::Date(a), ColumnData::Int(b)) => a[i] as i64 == b[j],
-            (ColumnData::Int(a), ColumnData::Date(b)) => a[i] == b[j] as i64,
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
             (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
                 self.bytes_at(i) == other.bytes_at(j)
             }
-            (ColumnData::Any(_), _) | (_, ColumnData::Any(_)) => {
-                self.datum_at(i) == other.datum_at(j)
-            }
-            // Every other typed pair is incomparable under `Datum::sql_cmp`.
+            // Two values of different kinds: only an ill-typed plan compares them.
             _ => false,
         }
     }
 
-    /// SQL value equality between `self[i]` and a materialized datum,
-    /// matching `Datum::eq` (NULL == NULL).
+    /// SQL value equality between `self[i]` and a materialized datum of the
+    /// column's type, matching `Datum::eq` (NULL == NULL).
     #[inline]
     pub fn eq_datum(&self, i: usize, d: &Datum) -> bool {
         if !self.is_valid(i) {
@@ -395,23 +394,18 @@ impl Column {
         match (&self.data, d) {
             (_, Datum::Null) => false,
             (ColumnData::Int(a), Datum::Int(b)) => a[i] == *b,
-            (ColumnData::Int(a), Datum::Double(b)) => a[i] as f64 == *b,
-            (ColumnData::Int(a), Datum::Date(b)) => a[i] == *b as i64,
             (ColumnData::Double(a), Datum::Double(b)) => a[i] == *b,
-            (ColumnData::Double(a), Datum::Int(b)) => a[i] == *b as f64,
             (ColumnData::Date(a), Datum::Date(b)) => a[i] == *b,
-            (ColumnData::Date(a), Datum::Int(b)) => a[i] as i64 == *b,
             (ColumnData::Bool(a), Datum::Bool(b)) => a[i] == *b,
             (ColumnData::Str { .. }, Datum::Str(b)) => self.bytes_at(i) == b.as_bytes(),
-            (ColumnData::Any(v), _) => &v[i] == d,
-            // Every other typed pair is incomparable under `Datum::sql_cmp`.
+            // A value of another kind: only an ill-typed plan compares it.
             _ => false,
         }
     }
 
-    /// Total order between `self[i]` and `other[j]`, matching `Datum::cmp`
-    /// (NULL first, SQL comparison, type-rank fallback). Used by sort and
-    /// merge kernels.
+    /// Total order between `self[i]` and `other[j]` of a column of the same
+    /// type, matching `Datum::cmp` (NULL first). Used by sort and merge
+    /// kernels.
     #[inline]
     pub fn cmp_at(&self, i: usize, other: &Column, j: usize) -> Ordering {
         match (self.is_valid(i), other.is_valid(j)) {
@@ -432,7 +426,8 @@ impl Column {
             (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
                 self.bytes_at(i).cmp(other.bytes_at(j))
             }
-            _ => self.datum_at(i).cmp(&other.datum_at(j)),
+            // Two values of different kinds: only an ill-typed plan orders them.
+            _ => Ordering::Equal,
         }
     }
 
@@ -453,7 +448,6 @@ impl Column {
                 v[i].hash(h);
             }
             ColumnData::Str { .. } => hash_str(self.bytes_at(i), h),
-            ColumnData::Any(v) => v[i].hash(h),
         }
     }
 
@@ -461,7 +455,7 @@ impl Column {
     /// receives logical row `k` (physical `sel[k]` when a selection is
     /// present). A column without NULLs matches its type once and runs one
     /// typed loop over the same per-type writes as [`Column::hash_at`]; a
-    /// nullable or `Bool`/`Any` column goes cell by cell through `hash_at`.
+    /// nullable or `Bool` column goes cell by cell through `hash_at`.
     fn hash_into(&self, sel: Option<&[u32]>, hashers: &mut [FxHasher]) {
         match (&self.data, &self.validity) {
             (ColumnData::Int(v), None) => {
@@ -488,7 +482,6 @@ impl Column {
             ColumnData::Bool(_) => 1,
             ColumnData::Date(_) => 4,
             ColumnData::Str { offsets, .. } => (offsets[i + 1] - offsets[i]) as usize,
-            ColumnData::Any(v) => v[i].byte_size(),
         }
     }
 }
@@ -534,29 +527,26 @@ fn take_values<T: Copy>(dst: &mut Vec<T>, src: &[T], idx: &[u32], nil: T) {
     dst.extend(idx.iter().map(|&i| if i == NIL { nil } else { src[i as usize] }));
 }
 
-/// Incremental [`Column`] builder with per-value type sniffing.
-///
-/// The first non-NULL value fixes the typed representation; a later value
-/// of a different runtime type degrades the column to [`ColumnData::Any`].
-/// Leading NULLs are backfilled with placeholder values once the type is
-/// known (the validity bitmap masks them).
+/// Incremental [`Column`] builder for one [`DataType`], fixed at
+/// construction.
 #[derive(Debug)]
 pub struct ColumnBuilder {
-    data: Option<ColumnData>,
+    data: ColumnData,
     validity: Bitmap,
     has_null: bool,
 }
 
-impl Default for ColumnBuilder {
-    fn default() -> Self {
-        ColumnBuilder::new()
-    }
-}
-
 impl ColumnBuilder {
-    /// An empty builder.
-    pub fn new() -> ColumnBuilder {
-        ColumnBuilder { data: None, validity: Bitmap::new(), has_null: false }
+    /// An empty builder of `ty` values.
+    pub fn new(ty: DataType) -> ColumnBuilder {
+        let data = match ty {
+            DataType::Int => ColumnData::Int(Vec::new()),
+            DataType::Double => ColumnData::Double(Vec::new()),
+            DataType::Bool => ColumnData::Bool(Vec::new()),
+            DataType::Date => ColumnData::Date(Vec::new()),
+            DataType::Str => ColumnData::Str { offsets: vec![0], bytes: Vec::new() },
+        };
+        ColumnBuilder { data, validity: Bitmap::new(), has_null: false }
     }
 
     /// Rows pushed so far.
@@ -572,134 +562,29 @@ impl ColumnBuilder {
     /// Append a NULL.
     #[inline]
     pub fn push_null(&mut self) {
-        self.validity.push(false);
-        self.has_null = true;
-        match &mut self.data {
-            None => {}
-            Some(ColumnData::Int(v)) => v.push(0),
-            Some(ColumnData::Double(v)) => v.push(0.0),
-            Some(ColumnData::Bool(v)) => v.push(false),
-            Some(ColumnData::Date(v)) => v.push(0),
-            Some(ColumnData::Str { offsets, bytes }) => offsets.push(bytes.len() as u32),
-            Some(ColumnData::Any(v)) => v.push(Datum::Null),
-        }
+        self.push_nulls(1);
     }
 
-    /// Append an owned datum.
-    pub fn push_datum(&mut self, d: Datum) {
-        match d {
-            Datum::Null => self.push_null(),
-            Datum::Int(x) => {
-                self.ensure_kind(Kind::Int);
-                match &mut self.data {
-                    Some(ColumnData::Int(v)) => v.push(x),
-                    Some(ColumnData::Any(v)) => v.push(Datum::Int(x)),
-                    _ => unreachable!("ensure_kind fixed the representation"),
-                }
-                self.validity.push(true);
-            }
-            Datum::Double(x) => {
-                self.ensure_kind(Kind::Double);
-                match &mut self.data {
-                    Some(ColumnData::Double(v)) => v.push(x),
-                    Some(ColumnData::Any(v)) => v.push(Datum::Double(x)),
-                    _ => unreachable!("ensure_kind fixed the representation"),
-                }
-                self.validity.push(true);
-            }
-            Datum::Bool(x) => {
-                self.ensure_kind(Kind::Bool);
-                match &mut self.data {
-                    Some(ColumnData::Bool(v)) => v.push(x),
-                    Some(ColumnData::Any(v)) => v.push(Datum::Bool(x)),
-                    _ => unreachable!("ensure_kind fixed the representation"),
-                }
-                self.validity.push(true);
-            }
-            Datum::Date(x) => {
-                self.ensure_kind(Kind::Date);
-                match &mut self.data {
-                    Some(ColumnData::Date(v)) => v.push(x),
-                    Some(ColumnData::Any(v)) => v.push(Datum::Date(x)),
-                    _ => unreachable!("ensure_kind fixed the representation"),
-                }
-                self.validity.push(true);
-            }
-            Datum::Str(s) => {
-                self.ensure_kind(Kind::Str);
-                match &mut self.data {
-                    Some(ColumnData::Str { offsets, bytes }) => {
-                        bytes.extend_from_slice(s.as_bytes());
-                        offsets.push(bytes.len() as u32);
-                    }
-                    Some(ColumnData::Any(v)) => v.push(Datum::Str(s)),
-                    _ => unreachable!("ensure_kind fixed the representation"),
-                }
-                self.validity.push(true);
-            }
-        }
-    }
-
-    /// Append a datum by reference — string bytes copy straight into the
-    /// arena without an intermediate owned `Datum` (the difference between
-    /// one copy and two at the storage scan boundary).
+    /// Append a datum of the builder's type (or NULL). String bytes copy
+    /// straight into the arena.
     #[inline]
-    pub fn push_datum_ref(&mut self, d: &Datum) {
-        if let Datum::Str(s) = d {
-            self.ensure_kind(Kind::Str);
-            match &mut self.data {
-                Some(ColumnData::Str { offsets, bytes }) => {
-                    bytes.extend_from_slice(s.as_bytes());
-                    offsets.push(bytes.len() as u32);
-                }
-                Some(ColumnData::Any(v)) => v.push(d.clone()),
-                _ => unreachable!("ensure_kind fixed the representation"),
-            }
-            self.validity.push(true);
-        } else {
-            self.push_datum(d.clone()); // scalar clones are plain copies
-        }
-    }
-
-    /// Append `col[i]` without constructing a [`Datum`] when the typed
-    /// representations line up.
-    #[inline]
-    pub fn push_from_column(&mut self, col: &Column, i: usize) {
-        if !col.is_valid(i) {
-            self.push_null();
-            return;
-        }
-        if self.data.is_none() {
-            self.init_from(&col.data);
-        }
-        match (&mut self.data, &col.data) {
-            (Some(ColumnData::Int(v)), ColumnData::Int(s)) => {
-                v.push(s[i]);
-                self.validity.push(true);
-            }
-            (Some(ColumnData::Double(v)), ColumnData::Double(s)) => {
-                v.push(s[i]);
-                self.validity.push(true);
-            }
-            (Some(ColumnData::Bool(v)), ColumnData::Bool(s)) => {
-                v.push(s[i]);
-                self.validity.push(true);
-            }
-            (Some(ColumnData::Date(v)), ColumnData::Date(s)) => {
-                v.push(s[i]);
-                self.validity.push(true);
-            }
-            (
-                Some(ColumnData::Str { offsets, bytes }),
-                ColumnData::Str { offsets: so, bytes: sb },
-            ) => {
-                let (a, b) = (so[i] as usize, so[i + 1] as usize);
-                bytes.extend_from_slice(&sb[a..b]);
+    pub fn push_datum(&mut self, d: &Datum) {
+        match (&mut self.data, d) {
+            (_, Datum::Null) => return self.push_null(),
+            (ColumnData::Int(v), Datum::Int(x)) => v.push(*x),
+            (ColumnData::Double(v), Datum::Double(x)) => v.push(*x),
+            (ColumnData::Bool(v), Datum::Bool(x)) => v.push(*x),
+            (ColumnData::Date(v), Datum::Date(x)) => v.push(*x),
+            (ColumnData::Str { offsets, bytes }, Datum::Str(x)) => {
+                bytes.extend_from_slice(x.as_bytes());
                 offsets.push(bytes.len() as u32);
-                self.validity.push(true);
             }
-            _ => self.push_datum(col.datum_at(i)),
+            (data, _) => {
+                debug_assert!(false, "{d} pushed to a {} column", data.data_type());
+                return self.push_null();
+            }
         }
+        self.validity.push(true);
     }
 
     /// Append `n` NULLs.
@@ -711,39 +596,38 @@ impl ColumnBuilder {
         self.validity.push_n(false, n);
         self.has_null = true;
         match &mut self.data {
-            None => {}
-            Some(ColumnData::Int(v)) => v.resize(len, 0),
-            Some(ColumnData::Double(v)) => v.resize(len, 0.0),
-            Some(ColumnData::Bool(v)) => v.resize(len, false),
-            Some(ColumnData::Date(v)) => v.resize(len, 0),
-            Some(ColumnData::Str { offsets, bytes }) => offsets.resize(len + 1, bytes.len() as u32),
-            Some(ColumnData::Any(v)) => v.resize(len, Datum::Null),
+            ColumnData::Int(v) => v.resize(len, 0),
+            ColumnData::Double(v) => v.resize(len, 0.0),
+            ColumnData::Bool(v) => v.resize(len, false),
+            ColumnData::Date(v) => v.resize(len, 0),
+            ColumnData::Str { offsets, bytes } => offsets.resize(len + 1, bytes.len() as u32),
         }
+    }
+
+    /// `n` cells of `col`, which is not of the builder's kind: fine for a
+    /// column without a value (it carries no type), a bug otherwise.
+    fn push_untyped(&mut self, col: &Column, n: usize) {
+        debug_assert!(
+            col.is_all_null(),
+            "a {} column appended to a {} builder",
+            col.data.data_type(),
+            self.data.data_type()
+        );
+        self.push_nulls(n);
     }
 
     /// Append `col[i]` for every `i` in `idx`, in order, with `NIL` giving a
     /// NULL — the one typed gather behind join output, build-arena appends,
     /// selection resolution and merges. The column's kind is matched once;
     /// then one tight loop copies the values (string bytes in one reserved
-    /// run) and [`Bitmap::extend_take`] the validity a word at a time. An
-    /// `Any` column, or one whose kind differs from what the builder
-    /// already holds, falls back to per-cell [`Self::push_from_column`], so
-    /// type sniffing and degrade-to-`Any` are exactly those of pushing the
-    /// cells one by one.
+    /// run) and [`Bitmap::extend_take`] the validity a word at a time.
     pub fn extend_take(&mut self, col: &Column, idx: &[u32]) {
-        let any_valid = || idx.iter().any(|&i| i != NIL && col.is_valid(i as usize));
-        if !self.typed_for(col, idx.len(), any_valid) {
-            return;
-        }
         match (&mut self.data, &col.data) {
-            (Some(ColumnData::Int(v)), ColumnData::Int(s)) => take_values(v, s, idx, 0),
-            (Some(ColumnData::Double(v)), ColumnData::Double(s)) => take_values(v, s, idx, 0.0),
-            (Some(ColumnData::Bool(v)), ColumnData::Bool(s)) => take_values(v, s, idx, false),
-            (Some(ColumnData::Date(v)), ColumnData::Date(s)) => take_values(v, s, idx, 0),
-            (
-                Some(ColumnData::Str { offsets, bytes }),
-                ColumnData::Str { offsets: so, bytes: sb },
-            ) => {
+            (ColumnData::Int(v), ColumnData::Int(s)) => take_values(v, s, idx, 0),
+            (ColumnData::Double(v), ColumnData::Double(s)) => take_values(v, s, idx, 0.0),
+            (ColumnData::Bool(v), ColumnData::Bool(s)) => take_values(v, s, idx, false),
+            (ColumnData::Date(v), ColumnData::Date(s)) => take_values(v, s, idx, 0),
+            (ColumnData::Str { offsets, bytes }, ColumnData::Str { offsets: so, bytes: sb }) => {
                 // NULL cells copy no bytes, as `push_null` would.
                 let copied = |i: u32| i != NIL && col.is_valid(i as usize);
                 let span = |i: u32| so[i as usize] as usize..so[i as usize + 1] as usize;
@@ -757,16 +641,7 @@ impl ColumnBuilder {
                     offsets.push(bytes.len() as u32);
                 }
             }
-            _ => {
-                for &i in idx {
-                    if i == NIL {
-                        self.push_null();
-                    } else {
-                        self.push_from_column(col, i as usize);
-                    }
-                }
-                return;
-            }
+            _ => return self.push_untyped(col, idx.len()),
         }
         let set = self.validity.extend_take(col.validity.as_ref(), idx);
         self.has_null |= set < idx.len();
@@ -774,38 +649,26 @@ impl ColumnBuilder {
 
     /// Bulk-append a column, optionally through a physical selection:
     /// [`Self::extend_take`] for a selection, typed bulk copies for a dense
-    /// column of the builder's kind.
+    /// column.
     pub fn append_column(&mut self, col: &Column, sel: Option<&[u32]>) {
         if let Some(s) = sel {
             self.extend_take(col, s);
             return;
         }
         let n = col.len();
-        let any_valid = || col.validity.as_ref().is_none_or(|b| b.count_valid() > 0);
-        if n == 0 || !self.typed_for(col, n, any_valid) {
-            return;
-        }
         match (&mut self.data, &col.data) {
-            (Some(ColumnData::Int(v)), ColumnData::Int(s)) => v.extend_from_slice(s),
-            (Some(ColumnData::Double(v)), ColumnData::Double(s)) => v.extend_from_slice(s),
-            (Some(ColumnData::Bool(v)), ColumnData::Bool(s)) => v.extend_from_slice(s),
-            (Some(ColumnData::Date(v)), ColumnData::Date(s)) => v.extend_from_slice(s),
-            (
-                Some(ColumnData::Str { offsets, bytes }),
-                ColumnData::Str { offsets: so, bytes: sb },
-            ) => {
+            (ColumnData::Int(v), ColumnData::Int(s)) => v.extend_from_slice(s),
+            (ColumnData::Double(v), ColumnData::Double(s)) => v.extend_from_slice(s),
+            (ColumnData::Bool(v), ColumnData::Bool(s)) => v.extend_from_slice(s),
+            (ColumnData::Date(v), ColumnData::Date(s)) => v.extend_from_slice(s),
+            (ColumnData::Str { offsets, bytes }, ColumnData::Str { offsets: so, bytes: sb }) => {
                 // One byte run; offsets rebased onto the bytes already held.
                 let (first, last) = (so[0], so[n]);
                 let base = bytes.len() as u32;
                 bytes.extend_from_slice(&sb[first as usize..last as usize]);
                 offsets.extend(so[1..].iter().map(|&o| o - first + base));
             }
-            _ => {
-                for i in 0..n {
-                    self.push_from_column(col, i);
-                }
-                return;
-            }
+            _ => return self.push_untyped(col, n),
         }
         match &col.validity {
             None => self.validity.push_n(true, n),
@@ -816,94 +679,17 @@ impl ColumnBuilder {
         }
     }
 
-    /// Ready an untyped builder for `n` cells of `col`: it takes `col`'s
-    /// kind, unless `any_valid()` says all `n` are NULL — then it appends
-    /// them and stays untyped, as per-cell pushes leave it. Returns whether
-    /// the caller still has to append the cells.
-    fn typed_for(&mut self, col: &Column, n: usize, any_valid: impl FnOnce() -> bool) -> bool {
-        if self.data.is_none() {
-            if !any_valid() {
-                self.push_nulls(n);
-                return false;
-            }
-            self.init_from(&col.data);
-        }
-        true
-    }
-
     /// Finish into an immutable [`Column`].
     pub fn finish(self) -> Column {
-        let len = self.validity.len();
-        let data = self.data.unwrap_or(ColumnData::Int(vec![0; len]));
-        Column { data, validity: if self.has_null { Some(self.validity) } else { None } }
-    }
-
-    // ic-lint: allow(L012) because this runs once per column at the first typed append, not per element
-    fn init_from(&mut self, like: &ColumnData) {
-        debug_assert!(self.data.is_none());
-        let n = self.validity.len();
-        self.data = Some(match like {
-            ColumnData::Int(_) => ColumnData::Int(vec![0; n]),
-            ColumnData::Double(_) => ColumnData::Double(vec![0.0; n]),
-            ColumnData::Bool(_) => ColumnData::Bool(vec![false; n]),
-            ColumnData::Date(_) => ColumnData::Date(vec![0; n]),
-            ColumnData::Str { .. } => {
-                ColumnData::Str { offsets: vec![0; n + 1], bytes: Vec::new() }
-            }
-            ColumnData::Any(_) => ColumnData::Any(vec![Datum::Null; n]),
-        });
-    }
-
-    // ic-lint: allow(L012) because allocation happens only on the None->typed transition, once per column
-    fn ensure_kind(&mut self, kind: Kind) {
-        match &self.data {
-            None => {
-                let n = self.validity.len();
-                self.data = Some(match kind {
-                    Kind::Int => ColumnData::Int(vec![0; n]),
-                    Kind::Double => ColumnData::Double(vec![0.0; n]),
-                    Kind::Bool => ColumnData::Bool(vec![false; n]),
-                    Kind::Date => ColumnData::Date(vec![0; n]),
-                    Kind::Str => ColumnData::Str { offsets: vec![0; n + 1], bytes: Vec::new() },
-                });
-            }
-            Some(d) => {
-                let matches = matches!(
-                    (d, kind),
-                    (ColumnData::Int(_), Kind::Int)
-                        | (ColumnData::Double(_), Kind::Double)
-                        | (ColumnData::Bool(_), Kind::Bool)
-                        | (ColumnData::Date(_), Kind::Date)
-                        | (ColumnData::Str { .. }, Kind::Str)
-                        | (ColumnData::Any(_), _)
-                );
-                if !matches {
-                    self.degrade_to_any();
-                }
-            }
-        }
-    }
-
-    /// Re-materialize the current values as boxed datums (mixed-type column).
-    // ic-lint: allow(L012) because degrading to Any is a one-time fallback when a column first sees mixed types
-    fn degrade_to_any(&mut self) {
-        let n = self.validity.len();
-        let old = Column {
-            data: self.data.take().unwrap_or(ColumnData::Int(vec![0; n])),
-            validity: Some(self.validity.clone()),
-        };
-        let vals: Vec<Datum> = (0..n).map(|i| old.datum_at(i)).collect();
-        self.data = Some(ColumnData::Any(vals));
+        Column { data: self.data, validity: if self.has_null { Some(self.validity) } else { None } }
     }
 }
 
-#[derive(Clone, Copy)]
-enum Kind {
-    Int,
-    Double,
-    Bool,
-    Date,
-    Str,
+/// The type of a run of columns that are to become one: that of the first
+/// column holding a value. Columns without one carry no type (see the
+/// module doc); when none holds a value, any type will do.
+pub fn common_type<'a>(cols: impl IntoIterator<Item = &'a Column>) -> DataType {
+    cols.into_iter().find(|c| !c.is_all_null()).map_or(DataType::Int, |c| c.data.data_type())
 }
 
 /// A batch of rows in columnar form: one [`Column`] per field plus an
@@ -931,14 +717,14 @@ impl ColumnBatch {
         ColumnBatch { columns: vec![col; width], nrows: 0, sel: None }
     }
 
-    /// Convert row-major input (the storage write / operator-output shim).
-    pub fn from_rows(rows: &[Row]) -> ColumnBatch {
-        let width = rows.first().map_or(0, |r| r.arity());
-        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
+    /// Pack row-major input by its field types (the storage write and
+    /// aggregate-output shim).
+    pub fn from_typed_rows(types: &[DataType], rows: &[Row]) -> ColumnBatch {
+        let mut builders: Vec<ColumnBuilder> = types.iter().map(|&t| ColumnBuilder::new(t)).collect();
         for r in rows {
-            debug_assert_eq!(r.arity(), width, "ragged batch");
+            debug_assert_eq!(r.arity(), types.len(), "row arity differs from its schema");
             for (b, d) in builders.iter_mut().zip(&r.0) {
-                b.push_datum_ref(d);
+                b.push_datum(d);
             }
         }
         ColumnBatch {
@@ -946,6 +732,16 @@ impl ColumnBatch {
             nrows: rows.len(),
             sel: None,
         }
+    }
+
+    /// [`Self::from_typed_rows`] for rows without a schema at hand (tests
+    /// and tools): each column takes the type of its first non-NULL value.
+    pub fn from_rows(rows: &[Row]) -> ColumnBatch {
+        let width = rows.first().map_or(0, |r| r.arity());
+        let types: Vec<DataType> = (0..width)
+            .map(|c| rows.iter().find_map(|r| r.0.get(c)?.data_type()).unwrap_or(DataType::Int))
+            .collect();
+        ColumnBatch::from_typed_rows(&types, rows)
     }
 
     /// Concatenate batches into one dense batch, resolving any selection
@@ -960,7 +756,7 @@ impl ColumnBatch {
         let nrows = batches.iter().map(ColumnBatch::num_rows).sum();
         let mut cols = Vec::with_capacity(width);
         for c in 0..width {
-            let mut b = ColumnBuilder::new();
+            let mut b = ColumnBuilder::new(common_type(batches.iter().map(|b| &**b.col(c))));
             for batch in batches {
                 b.append_column(batch.col(c), batch.selection());
             }
@@ -1105,9 +901,8 @@ impl ColumnBatch {
     /// Numeric/date/bool key columns are first encoded into order-preserving
     /// `u128` words (validity in the high half, bitwise-NOT for `DESC`), so
     /// the sort compares machine integers instead of dispatching on the
-    /// column enum per comparison. String, mixed-type, and NaN-bearing keys
-    /// fall back to the [`Column::cmp_at`] comparator with identical
-    /// ordering.
+    /// column enum per comparison. String and NaN-bearing keys fall back to
+    /// the [`Column::cmp_at`] comparator with identical ordering.
     pub fn sort_permutation(&self, keys: &[(usize, bool)]) -> Vec<u32> {
         debug_assert!(self.sel.is_none(), "sort_permutation needs a dense batch");
         let n = self.nrows;
@@ -1142,9 +937,8 @@ impl ColumnBatch {
     }
 
     /// Row-major order-preserving key words for [`Self::sort_permutation`],
-    /// or `None` when some key column has no integer encoding (strings,
-    /// mixed `Any` columns, NaN doubles) and the comparator fallback must
-    /// run.
+    /// or `None` when some key column has no integer encoding (strings, NaN
+    /// doubles) and the comparator fallback must run.
     fn encode_sort_keys(&self, keys: &[(usize, bool)]) -> Option<Vec<u128>> {
         const SIGN: u64 = 1 << 63;
         let n = self.nrows;
@@ -1187,7 +981,7 @@ impl ColumnBatch {
                         put(i, k, desc, col.is_valid(i), x as u64);
                     }
                 }
-                ColumnData::Str { .. } | ColumnData::Any(_) => return None,
+                ColumnData::Str { .. } => return None,
             }
         }
         Some(buf)
@@ -1236,29 +1030,40 @@ mod tests {
     }
 
     #[test]
-    fn mixed_types_degrade_to_any() {
-        let input = rows(&[&[Datum::Int(1)], &[Datum::str("x")], &[Datum::Double(0.5)]]);
-        let b = ColumnBatch::from_rows(&input);
-        assert!(matches!(b.col(0).data, ColumnData::Any(_)));
-        assert_eq!(b.to_rows(), input);
-    }
-
-    #[test]
     fn int_double_mix_not_promoted() {
-        // Display distinguishes Int(2) ("2") from Double(2.0) ("2.0000"),
-        // so conversion must preserve the variants exactly.
-        let input = rows(&[&[Datum::Int(2)], &[Datum::Double(2.0)]]);
-        let b = ColumnBatch::from_rows(&input);
-        assert_eq!(b.to_rows(), input);
+        // Display distinguishes Int(2) ("2") from Double(2.0) ("2.0000"):
+        // each column keeps its schema type exactly.
+        let input = rows(&[&[Datum::Int(2), Datum::Double(2.0)]]);
+        let b = ColumnBatch::from_typed_rows(&[DataType::Int, DataType::Double], &input);
         assert!(matches!(b.datum_at(0, 0), Datum::Int(2)));
-        assert!(matches!(b.datum_at(0, 1), Datum::Double(_)));
+        assert!(matches!(b.datum_at(1, 0), Datum::Double(_)));
     }
 
     #[test]
     fn all_null_column_roundtrips() {
         let input = rows(&[&[Datum::Null], &[Datum::Null]]);
-        let b = ColumnBatch::from_rows(&input);
+        let b = ColumnBatch::from_typed_rows(&[DataType::Str], &input);
+        assert!(matches!(b.col(0).data, ColumnData::Str { .. }));
         assert_eq!(b.to_rows(), input);
+    }
+
+    /// A column without a value carries no type: it appends to a builder of
+    /// any type as NULLs, and `common_type` looks past it.
+    #[test]
+    fn all_null_columns_fit_any_builder() {
+        let untyped = Column::repeat(&Datum::Null, 2);
+        let strs = Column::repeat(&Datum::str("s"), 1);
+        assert_eq!(common_type([&untyped, &strs]), DataType::Str);
+        let mut b = ColumnBuilder::new(DataType::Str);
+        b.append_column(&untyped, None);
+        b.extend_take(&strs, &[0, NIL]);
+        b.extend_take(&untyped, &[1]);
+        let col = b.finish();
+        let got: Vec<Datum> = (0..col.len()).map(|i| col.datum_at(i)).collect();
+        assert_eq!(got, [Datum::Null, Datum::Null, Datum::str("s"), Datum::Null, Datum::Null]);
+        let empty = ColumnBatch::empty(1);
+        let batch = ColumnBatch::concat(&[empty, ColumnBatch::from_rows(&rows(&[&[Datum::str("t")]]))]);
+        assert_eq!(batch.to_rows(), rows(&[&[Datum::str("t")]]));
     }
 
     #[test]
@@ -1306,21 +1111,19 @@ mod tests {
 
     #[test]
     fn eq_and_cmp_match_datum_semantics() {
-        let a = ColumnBatch::from_rows(&rows(&[&[Datum::Int(2)], &[Datum::Null]]));
-        let d = ColumnBatch::from_rows(&rows(&[&[Datum::Double(2.0)], &[Datum::Null]]));
-        assert!(a.col(0).eq_at(0, d.col(0), 0)); // Int(2) == Double(2.0)
-        assert!(a.col(0).eq_at(1, d.col(0), 1)); // NULL == NULL (group keys)
-        assert!(!a.col(0).eq_at(0, d.col(0), 1));
-        assert!(a.col(0).eq_datum(0, &Datum::Double(2.0)));
+        let a = ColumnBatch::from_rows(&rows(&[&[Datum::Int(2)], &[Datum::Null], &[Datum::Int(3)]]));
+        let b = ColumnBatch::from_rows(&rows(&[&[Datum::Int(2)], &[Datum::Null]]));
+        assert!(a.col(0).eq_at(0, b.col(0), 0));
+        assert!(a.col(0).eq_at(1, b.col(0), 1)); // NULL == NULL (group keys)
+        assert!(!a.col(0).eq_at(0, b.col(0), 1));
+        assert!(!a.col(0).eq_at(2, b.col(0), 0));
+        assert!(a.col(0).eq_datum(0, &Datum::Int(2)));
         assert!(a.col(0).eq_datum(1, &Datum::Null));
         assert!(!a.col(0).eq_datum(0, &Datum::Null));
         // NULL sorts first, as in Datum::cmp.
         assert_eq!(a.col(0).cmp_at(1, a.col(0), 0), Ordering::Less);
-        assert_eq!(a.col(0).cmp_at(0, d.col(0), 0), Ordering::Equal);
-        // Date/Int coercion.
-        let dt = ColumnBatch::from_rows(&rows(&[&[Datum::Date(2)]]));
-        assert!(dt.col(0).eq_at(0, a.col(0), 0));
-        assert!(dt.col(0).eq_datum(0, &Datum::Int(2)));
+        assert_eq!(a.col(0).cmp_at(0, b.col(0), 0), Ordering::Equal);
+        assert_eq!(a.col(0).cmp_at(2, b.col(0), 0), Ordering::Greater);
     }
 
     #[test]
@@ -1331,19 +1134,6 @@ mod tests {
         assert_eq!(b.num_rows(), 3);
         assert_eq!(b.cells(), 3);
         assert_eq!(b.to_rows(), input);
-    }
-
-    #[test]
-    fn builder_degrades_after_nulls() {
-        let mut b = ColumnBuilder::new();
-        b.push_null();
-        b.push_datum(Datum::str("s"));
-        b.push_datum(Datum::Int(4));
-        let col = b.finish();
-        assert!(matches!(col.data, ColumnData::Any(_)));
-        assert_eq!(col.datum_at(0), Datum::Null);
-        assert_eq!(col.datum_at(1), Datum::str("s"));
-        assert_eq!(col.datum_at(2), Datum::Int(4));
     }
 
     #[test]

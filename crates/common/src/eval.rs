@@ -23,10 +23,9 @@
 //! **Contract with the row interpreter** ([`Expr::eval`] /
 //! [`Expr::eval_filter`], the oracle the fuzzers' reference evaluator runs):
 //!
-//! * *Same value on every row*: SQL three-valued logic, `Datum::sql_cmp`
-//!   comparison coercions (Int↔Double as f64, Date↔Int as i64), wrapping
-//!   Int arithmetic, `x / 0 → NULL`, and the same runtime type per row
-//!   (a CASE whose arms differ in type yields a mixed column, as there).
+//! * *Same value on every row*: SQL three-valued logic, wrapping Int
+//!   arithmetic, `Date ± Int` day arithmetic, `x / 0 → NULL`, and the same
+//!   type per row.
 //! * *Never more rows*: the vectorized plane may evaluate a sub-expression
 //!   on *fewer* rows than the row plane — a filter's AND skips its right
 //!   conjunct where the left is NULL, not only where it is FALSE — but
@@ -34,21 +33,20 @@
 //!   over the rows the left does not decide, a CASE arm over the rows that
 //!   reach it, an IN-list item over the rows still unmatched. So it fails
 //!   only if the row plane fails on some selected row, and a batch without
-//!   rows evaluates nothing. Type errors carry the row plane's message.
+//!   rows evaluates nothing. Value errors carry the row plane's message.
 //!
-//! Scalar operands and ill-typed ones go through the row plane's own
-//! scalar functions (`apply_binary`, `apply_func`, ...), so the two planes
-//! cannot drift. The only per-row `Datum` loop left is `per_row`, for
-//! operands no typed kernel covers: mixed-type [`ColumnData::Any`] columns
-//! and type errors. It counts its rows in `exec.eval.row_fallback_rows`.
+//! Scalar operands go through the row plane's own scalar functions
+//! (`apply_binary`, `apply_func`, ...), so the two planes cannot drift.
+//! There is no per-row fallback: the binder coerced every expression
+//! (`ic_plan::coerce`), so each operand pair has a typed kernel, and one
+//! without is an ill-typed plan — an [`IcError::Internal`].
 
 use crate::expr::{
     apply_binary, apply_func, apply_like, apply_not, substring_range, LikePattern,
 };
-use crate::obs::MetricsRegistry;
 use crate::{
-    dates, BinOp, Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, Datum, Expr, FuncKind,
-    IcError, IcResult,
+    col, dates, BinOp, Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, DataType, Datum,
+    Expr, FuncKind, IcError, IcResult,
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -92,15 +90,6 @@ impl Val {
         }
     }
 
-    /// Row `i` as a datum, for [`per_row`] and error messages.
-    fn scalar_at(&self, i: usize) -> Datum {
-        match self {
-            // ic-lint: allow(L008) because only `per_row` (the `Any`-column / type-error arm) and error messages read a row as a Datum
-            Val::Col(c) => c.datum_at(i),
-            Val::Scalar(d) => d.clone(),
-        }
-    }
-
     /// Three-valued boolean read of row `i`: `None` for NULL or a
     /// non-boolean value (mirroring `Datum::as_bool`).
     #[inline]
@@ -110,21 +99,21 @@ impl Val {
             Val::Col(c) if !c.is_valid(i) => None,
             Val::Col(c) => match &c.data {
                 ColumnData::Bool(v) => Some(v[i]),
-                ColumnData::Any(v) => v[i].as_bool(),
                 _ => None,
             },
         }
     }
 
-    fn view(&self) -> View<'_> {
-        match self {
+    /// The typed face of the operand; `None` for the NULL scalar, which no
+    /// kernel reads (every operator short-circuits it).
+    fn view(&self) -> Option<View<'_>> {
+        Some(match self {
             Val::Col(c) => match &c.data {
                 ColumnData::Int(v) => View::Int(Src::buf(v)),
                 ColumnData::Double(v) => View::Double(Src::buf(v)),
                 ColumnData::Date(v) => View::Date(Src::buf(v)),
                 ColumnData::Bool(v) => View::Bool(Src::buf(v)),
                 ColumnData::Str { .. } => View::Str(StrSrc::Col(c)),
-                ColumnData::Any(_) => View::Other,
             },
             Val::Scalar(d) => match d {
                 Datum::Int(x) => View::Int(Src::one(x)),
@@ -132,9 +121,9 @@ impl Val {
                 Datum::Date(x) => View::Date(Src::one(x)),
                 Datum::Bool(x) => View::Bool(Src::one(x)),
                 Datum::Str(s) => View::Str(StrSrc::Const(s)),
-                Datum::Null => View::Other,
+                Datum::Null => return None,
             },
-        }
+        })
     }
 }
 
@@ -180,30 +169,24 @@ impl<'a> StrSrc<'a> {
     }
 }
 
-/// The typed face of a [`Val`]. `Other` is what no typed kernel reads: an
-/// `Any` column or the NULL scalar.
+/// The typed face of a non-NULL [`Val`].
+#[derive(Clone, Copy)]
 enum View<'a> {
     Int(Src<'a, i64>),
     Double(Src<'a, f64>),
     Date(Src<'a, i32>),
     Bool(Src<'a, bool>),
     Str(StrSrc<'a>),
-    Other,
 }
 
-/// Int or Date read as `i64` (`Datum::as_int`).
-#[derive(Clone, Copy)]
-enum IntLike<'a> {
-    Int(Src<'a, i64>),
-    Date(Src<'a, i32>),
-}
-
-impl IntLike<'_> {
-    #[inline(always)]
-    fn at(&self, i: usize) -> i64 {
+impl View<'_> {
+    fn data_type(&self) -> DataType {
         match self {
-            IntLike::Int(s) => s.at(i),
-            IntLike::Date(s) => s.at(i) as i64,
+            View::Int(_) => DataType::Int,
+            View::Double(_) => DataType::Double,
+            View::Date(_) => DataType::Date,
+            View::Bool(_) => DataType::Bool,
+            View::Str(_) => DataType::Str,
         }
     }
 }
@@ -226,14 +209,6 @@ impl Num<'_> {
 }
 
 impl<'a> View<'a> {
-    fn int_like(&self) -> Option<IntLike<'a>> {
-        match *self {
-            View::Int(s) => Some(IntLike::Int(s)),
-            View::Date(s) => Some(IntLike::Date(s)),
-            _ => None,
-        }
-    }
-
     fn num(&self) -> Option<Num<'a>> {
         match *self {
             View::Int(s) => Some(Num::Int(s)),
@@ -267,9 +242,21 @@ fn col_oob(i: usize, width: usize) -> IcError {
     IcError::Exec(format!("column {i} out of bounds (arity {width})"))
 }
 
-/// The row plane's comparison type error for row `i` of `l ⋈ r`.
-fn incomparable(l: &Val, r: &Val, i: usize) -> IcError {
-    IcError::Exec(format!("cannot compare {} and {}", l.scalar_at(i), r.scalar_at(i)))
+/// The row plane's error for row `i` of a comparison without an order
+/// (a NaN: only doubles lack one).
+fn unordered(l: &View, r: &View, i: usize) -> IcError {
+    let at = |v: &View| match v {
+        View::Double(s) => Datum::Double(s.at(i)),
+        _ => Datum::Null,
+    };
+    IcError::Exec(format!("cannot compare {} and {}", at(l), at(r)))
+}
+
+/// Operands of kinds no kernel combines: a plan the binder's coercion did
+/// not see.
+fn ill_typed(what: &str, kinds: impl IntoIterator<Item = DataType>) -> IcError {
+    let kinds: Vec<String> = kinds.into_iter().map(|t| t.to_string()).collect();
+    IcError::Internal(format!("ill-typed {what} over {} reached the evaluator", kinds.join(", ")))
 }
 
 /// Validity of a value computed from `a` and `b`: valid where both are.
@@ -366,19 +353,16 @@ fn eval_val(e: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
             let r = eval_val(right, batch)?;
             binary(*op, &l, &r, n)
         }
-        Expr::Not(inner) => {
-            let v = eval_val(inner, batch)?;
-            match &v {
-                Val::Scalar(d) => apply_not(d).map(Val::Scalar),
-                Val::Col(c) => match &c.data {
-                    ColumnData::Bool(b) => Ok(Val::Col(Arc::new(Column {
-                        data: ColumnData::Bool(b.iter().map(|x| !x).collect()),
-                        validity: c.validity.clone(),
-                    }))),
-                    _ => per_row(n, |i| apply_not(&v.scalar_at(i))),
-                },
-            }
-        }
+        Expr::Not(inner) => match eval_val(inner, batch)? {
+            Val::Scalar(d) => apply_not(&d).map(Val::Scalar),
+            Val::Col(c) => match &c.data {
+                ColumnData::Bool(b) => Ok(Val::Col(Arc::new(Column {
+                    data: ColumnData::Bool(b.iter().map(|x| !x).collect()),
+                    validity: c.validity.clone(),
+                }))),
+                other => Err(ill_typed("NOT", [other.data_type()])),
+            },
+        },
         Expr::IsNull { expr, negated } => Ok(match eval_val(expr, batch)? {
             Val::Scalar(d) => Val::Scalar(Datum::Bool(d.is_null() != *negated)),
             Val::Col(c) => Val::Col(Arc::new(Column {
@@ -401,21 +385,6 @@ fn eval_val(e: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
     }
 }
 
-/// The one per-row `Datum` loop of the evaluator: `f(i)` is a row-plane
-/// scalar function over row `i` of operands no typed kernel covers — a
-/// mixed-type [`ColumnData::Any`] column, or a type error the function
-/// reports on the first row it reaches. No well-typed plan gets here;
-/// `exec.eval.row_fallback_rows` counts the rows that do.
-fn per_row(n: usize, mut f: impl FnMut(usize) -> IcResult<Datum>) -> IcResult<Val> {
-    MetricsRegistry::global().counter("exec.eval.row_fallback_rows").add(n as u64);
-    let mut b = ColumnBuilder::new();
-    for i in 0..n {
-        // ic-lint: allow(L008) because this is the evaluator's one Datum loop, entered only for `Any` columns and ill-typed operands
-        b.push_datum(f(i)?);
-    }
-    Ok(Val::Col(Arc::new(b.finish())))
-}
-
 /// Where a typed comparison sends its per-row orderings: to a boolean
 /// buffer ([`ToBools`]) or straight to a selection ([`ToSel`]). `ord_at`
 /// yields `None` where the operands do not compare (a NaN); the sink
@@ -425,19 +394,14 @@ trait OrdSink {
     fn run(self, ord_at: impl Fn(usize) -> Option<Ordering>) -> Result<Self::Out, usize>;
 }
 
-/// The type dispatch of a comparison, shared by both sinks — `sql_cmp`'s
-/// table: Int/Date pairs compare as `i64`, Int/Double pairs as `f64`,
-/// strings by their bytes. `None` when it has no rule for the pair (or a
-/// side is `Other`).
+/// The type dispatch of a comparison, shared by both sinks: both operands
+/// of one type, strings compared by their bytes. `None` for operands of
+/// different types.
 fn compare_into<S: OrdSink>(l: &View, r: &View, sink: S) -> Option<Result<S::Out, usize>> {
     Some(match (l, r) {
         (View::Int(a), View::Int(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
         (View::Date(a), View::Date(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
-        (View::Date(a), View::Int(b)) => sink.run(|i| Some((a.at(i) as i64).cmp(&b.at(i)))),
-        (View::Int(a), View::Date(b)) => sink.run(|i| Some(a.at(i).cmp(&(b.at(i) as i64)))),
         (View::Double(a), View::Double(b)) => sink.run(|i| a.at(i).partial_cmp(&b.at(i))),
-        (View::Int(a), View::Double(b)) => sink.run(|i| (a.at(i) as f64).partial_cmp(&b.at(i))),
-        (View::Double(a), View::Int(b)) => sink.run(|i| a.at(i).partial_cmp(&(b.at(i) as f64))),
         (View::Str(a), View::Str(b)) => sink.run(|i| Some(a.at(i).cmp(b.at(i)))),
         (View::Bool(a), View::Bool(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
         _ => return None,
@@ -504,16 +468,15 @@ fn binary(op: BinOp, l: &Val, r: &Val, n: usize) -> IcResult<Val> {
     if let (Val::Scalar(a), Val::Scalar(b)) = (l, r) {
         return apply_binary(op, a, b).map(Val::Scalar);
     }
-    if l.is_null() || r.is_null() {
+    let (Some(lv), Some(rv)) = (l.view(), r.view()) else {
         return Ok(Val::Scalar(Datum::Null));
-    }
+    };
     let mut validity = both_valid(l.validity(), r.validity());
-    let (lv, rv) = (l.view(), r.view());
     let data = if op.is_comparison() {
         let sink = ToBools { n, truth: truth_table(op), validity: validity.as_ref() };
         match compare_into(&lv, &rv, sink) {
             Some(Ok(vals)) => Some(ColumnData::Bool(vals)),
-            Some(Err(i)) => return Err(incomparable(l, r, i)),
+            Some(Err(i)) => return Err(unordered(&lv, &rv, i)),
             None => None,
         }
     } else {
@@ -521,12 +484,13 @@ fn binary(op: BinOp, l: &Val, r: &Val, n: usize) -> IcResult<Val> {
     };
     match data {
         Some(data) => Ok(Val::Col(Arc::new(Column { data, validity }))),
-        None => per_row(n, |i| apply_binary(op, &l.scalar_at(i), &r.scalar_at(i))),
+        None => Err(ill_typed(&op.to_string(), [lv.data_type(), rv.data_type()])),
     }
 }
 
-/// Typed arithmetic: Int ∘ Int stays Int (wrapping) except `/`; anything
-/// else numeric computes in `f64`, and `x / 0` clears the row's validity.
+/// Typed arithmetic: Int ∘ Int stays Int (wrapping) except `/`, `Date ±
+/// Int` shifts by days; anything else numeric computes in `f64`, and
+/// `x / 0` clears the row's validity.
 fn arithmetic(
     op: BinOp,
     l: &View,
@@ -539,6 +503,12 @@ fn arithmetic(
             BinOp::Add => (0..n).map(|i| a.at(i).wrapping_add(b.at(i))).collect(),
             BinOp::Sub => (0..n).map(|i| a.at(i).wrapping_sub(b.at(i))).collect(),
             _ => (0..n).map(|i| a.at(i).wrapping_mul(b.at(i))).collect(),
+        }));
+    }
+    if let (View::Date(d), View::Int(k), BinOp::Add | BinOp::Sub) = (l, r, op) {
+        return Some(ColumnData::Date(match op {
+            BinOp::Add => (0..n).map(|i| d.at(i).wrapping_add(k.at(i) as i32)).collect(),
+            _ => (0..n).map(|i| d.at(i).wrapping_sub(k.at(i) as i32)).collect(),
         }));
     }
     let (a, b) = (l.num()?, r.num()?);
@@ -596,11 +566,11 @@ fn like(v: &Val, pattern: &Val, negated: bool, n: usize) -> IcResult<Val> {
     if let (Val::Scalar(a), Val::Scalar(b)) = (v, pattern) {
         return apply_like(a, b, negated).map(Val::Scalar);
     }
-    if v.is_null() || pattern.is_null() {
+    let (Some(sv), Some(pv)) = (v.view(), pattern.view()) else {
         return Ok(Val::Scalar(Datum::Null));
-    }
-    let (View::Str(s), View::Str(p)) = (v.view(), pattern.view()) else {
-        return per_row(n, |i| apply_like(&v.scalar_at(i), &pattern.scalar_at(i), negated));
+    };
+    let (View::Str(s), View::Str(p)) = (sv, pv) else {
+        return Err(ill_typed("LIKE", [sv.data_type(), pv.data_type()]));
     };
     let vals = match p {
         StrSrc::Const(p) => {
@@ -675,8 +645,7 @@ fn in_list(expr: &Expr, list: &[Expr], negated: bool, batch: &ColumnBatch) -> Ic
 /// Searched CASE: each WHEN is a selection over the rows no earlier arm
 /// took, each THEN (and the ELSE) is evaluated over its own rows only, and
 /// the arms' values go back into row order by one take over their
-/// concatenation. Arms of different types give a mixed column, row for row
-/// what the row plane returns.
+/// concatenation (the binder gave every arm one type).
 fn case(whens: &[(Expr, Expr)], else_: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
     let n = batch.num_rows();
     let mut open: Vec<u32> = (0..n as u32).collect();
@@ -705,7 +674,7 @@ fn case(whens: &[(Expr, Expr)], else_: &Expr, batch: &ColumnBatch) -> IcResult<V
     // one take then puts the values back into row order.
     let values: Vec<Arc<Column>> =
         arms.iter().map(|(rows, val)| val.clone().into_column(rows.len())).collect();
-    let mut all = ColumnBuilder::new();
+    let mut all = ColumnBuilder::new(col::common_type(values.iter().map(|c| &**c)));
     let mut at = vec![0u32; n];
     for ((rows, _), col) in arms.iter().zip(&values) {
         for (j, &k) in rows.iter().enumerate() {
@@ -728,21 +697,14 @@ fn func(kind: FuncKind, args: &[Val], n: usize) -> IcResult<Val> {
     if let Some(argv) = scalars {
         return apply_func(kind, &argv).map(Val::Scalar);
     }
-    if args.iter().any(Val::is_null) {
+    let Some(views) = args.iter().map(Val::view).collect::<Option<Vec<View>>>() else {
         return Ok(Val::Scalar(Datum::Null));
-    }
+    };
     let validity =
         args.iter().fold(None, |acc: Option<Bitmap>, a| both_valid(acc.as_ref(), a.validity()));
-    match func_typed(kind, args, n, validity.as_ref())? {
+    match func_typed(kind, &views, n, validity.as_ref())? {
         Some(data) => Ok(Val::Col(Arc::new(Column { data, validity }))),
-        None => {
-            let mut argv = Vec::with_capacity(args.len());
-            per_row(n, |i| {
-                argv.clear();
-                argv.extend(args.iter().map(|a| a.scalar_at(i)));
-                apply_func(kind, &argv)
-            })
-        }
+        None => Err(ill_typed(&kind.to_string(), views.iter().map(View::data_type))),
     }
 }
 
@@ -751,12 +713,11 @@ fn func(kind: FuncKind, args: &[Val], n: usize) -> IcResult<Val> {
 /// buffer contents are arbitrary.
 fn func_typed(
     kind: FuncKind,
-    args: &[Val],
+    views: &[View],
     n: usize,
     validity: Option<&Bitmap>,
 ) -> IcResult<Option<ColumnData>> {
-    let views: Vec<View> = args.iter().map(Val::view).collect();
-    Ok(Some(match (kind, &views[..]) {
+    Ok(Some(match (kind, views) {
         (FuncKind::ExtractYear, [View::Date(d)]) => {
             ColumnData::Int((0..n).map(|i| dates::year_of(d.at(i)) as i64).collect())
         }
@@ -788,7 +749,7 @@ fn func_typed(
                 .collect();
             if let Some(i) = bad {
                 // The row plane's message, from the row plane's function.
-                apply_func(kind, &[args[0].scalar_at(i)])?;
+                apply_func(kind, &[Datum::str(String::from_utf8_lossy(s.at(i)))])?;
             }
             ColumnData::Int(vals)
         }
@@ -798,10 +759,7 @@ fn func_typed(
                 .map(|date| date.unwrap_or(0))
                 .collect(),
         ),
-        (FuncKind::Substring, [View::Str(s), start, len]) => {
-            let (Some(start), Some(len)) = (start.int_like(), len.int_like()) else {
-                return Ok(None);
-            };
+        (FuncKind::Substring, [View::Str(s), View::Int(start), View::Int(len)]) => {
             let mut offsets = Vec::with_capacity(n + 1);
             let mut bytes = Vec::new();
             offsets.push(0u32);
@@ -869,9 +827,11 @@ pub fn eval_filter_sel(pred: &Expr, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
             };
             let sink =
                 ToSel { batch, truth: truth_table(*op), validity: (l.validity(), r.validity()) };
-            match compare_into(&l.view(), &r.view(), sink) {
+            let (Some(lv), Some(rv)) = (l.view(), r.view()) else { return Ok(Vec::new()) };
+            match compare_into(&lv, &rv, sink) {
                 Some(Ok(sel)) => Ok(sel),
-                Some(Err(i)) => Err(incomparable(&l, &r, i)),
+                Some(Err(i)) => Err(unordered(&lv, &rv, i)),
+                // A column without a value carries no type (see `col`).
                 None => filter_generic(pred, batch),
             }
         }
@@ -927,14 +887,20 @@ mod tests {
         assert_eq!(sel, want, "filter {e}");
     }
 
+    /// `CAST_DOUBLE(e)`: the binder's widening of an Int operand.
+    fn cast(e: Expr) -> Expr {
+        Expr::Func { kind: FuncKind::CastDouble, args: vec![e] }
+    }
+
+    /// Over coerced expressions, as the binder hands them out.
     #[test]
     fn vectorized_matches_row_interpreter() {
         use crate::BinOp::*;
         let cases = vec![
             Expr::binary(Gt, Expr::col(0), Expr::lit(2i64)),
-            Expr::binary(Le, Expr::col(0), Expr::lit(3.0)),
+            Expr::binary(Le, cast(Expr::col(0)), Expr::lit(3.0)),
             Expr::binary(Eq, Expr::col(2), Expr::lit(Datum::str("bb"))),
-            Expr::binary(Lt, Expr::col(0), Expr::col(1)),
+            Expr::binary(Lt, cast(Expr::col(0)), Expr::col(1)),
             Expr::binary(Ne, Expr::col(3), Expr::lit(Datum::Bool(false))),
             Expr::and(
                 Expr::binary(Ge, Expr::col(0), Expr::lit(1i64)),
@@ -970,13 +936,13 @@ mod tests {
             Expr::binary(Add, Expr::col(0), Expr::Lit(Datum::Null)),
             Expr::InList {
                 expr: Box::new(Expr::col(2)),
-                list: vec![Expr::lit("bb"), Expr::Lit(Datum::Null), Expr::lit(7i64)],
+                list: vec![Expr::lit("bb"), Expr::Lit(Datum::Null), Expr::lit("zz")],
                 negated: false,
             },
             // A computed item is compared per row.
             Expr::InList {
-                expr: Box::new(Expr::col(0)),
-                list: vec![Expr::binary(Add, Expr::col(1), Expr::lit(0.5)), Expr::lit(5i64)],
+                expr: Box::new(cast(Expr::col(0))),
+                list: vec![Expr::binary(Add, Expr::col(1), Expr::lit(0.5)), Expr::lit(5.0)],
                 negated: false,
             },
             Expr::Like {
@@ -984,7 +950,7 @@ mod tests {
                 pattern: Box::new(Expr::lit("_b")),
                 negated: true,
             },
-            // Arms of one type stay typed; mixed arms and a missing ELSE.
+            // Arms of one type, a NULL arm, a missing ELSE.
             Expr::Case {
                 whens: vec![
                     (Expr::binary(Gt, Expr::col(0), Expr::lit(4i64)), Expr::lit(1i64)),
@@ -994,7 +960,11 @@ mod tests {
             },
             Expr::Case {
                 whens: vec![(Expr::col(3), Expr::col(1))],
-                else_: Box::new(Expr::lit(0i64)),
+                else_: Box::new(Expr::lit(0.0)),
+            },
+            Expr::Case {
+                whens: vec![(Expr::col(3), Expr::Lit(Datum::Null))],
+                else_: Box::new(Expr::col(2)),
             },
             Expr::Case {
                 whens: vec![(Expr::binary(Lt, Expr::col(0), Expr::lit(4i64)), Expr::col(2))],
@@ -1034,14 +1004,16 @@ mod tests {
         assert_eq!(out.phys_rows(), 100);
     }
 
+    /// The binder rejects `Int < Str`; a plan that slips past it fails in
+    /// both planes rather than comparing anything.
     #[test]
     fn comparison_type_errors_match_row_plane() {
         let rs = vec![Row(vec![Datum::Int(1), Datum::str("x")])];
         let batch = ColumnBatch::from_rows(&rs);
         let pred = Expr::binary(BinOp::Lt, Expr::col(0), Expr::col(1));
-        let col_err = eval_filter_sel(&pred, &batch).unwrap_err();
-        let row_err = pred.eval(&rs[0]).unwrap_err();
-        assert_eq!(format!("{col_err}"), format!("{row_err}"));
+        assert!(matches!(eval_filter_sel(&pred, &batch), Err(IcError::Internal(_))));
+        assert!(matches!(eval_expr(&pred, &batch), Err(IcError::Internal(_))));
+        assert!(pred.eval(&rs[0]).is_err());
     }
 
     #[test]
@@ -1059,19 +1031,23 @@ mod tests {
             call(FuncKind::ExtractMonth, vec![Expr::col(0)]),
             call(FuncKind::AddMonths, vec![Expr::col(0), Expr::col(1)]),
             call(FuncKind::AddMonths, vec![Expr::col(0), Expr::lit(1i64)]),
-            Expr::binary(BinOp::Ge, Expr::col(0), Expr::col(1)),
+            Expr::binary(BinOp::Ge, Expr::col(0), Expr::lit(Datum::Date(9000))),
+            // `Date ± Int` days.
+            Expr::binary(BinOp::Add, Expr::col(0), Expr::col(1)),
+            Expr::binary(BinOp::Sub, Expr::col(0), Expr::lit(31i64)),
         ] {
             assert_matches_row_eval(&e, &rs);
         }
     }
 
-    /// AND/OR evaluate their right side only where the row plane does: an
-    /// ill-typed right side fails iff some row reaches it.
+    /// AND/OR evaluate their right side only where the row plane does: a
+    /// right side that fails on every value fails iff some row reaches it.
     #[test]
     fn right_side_of_and_or_runs_on_undecided_rows_only() {
         let rs = rows();
         let batch = ColumnBatch::from_rows(&rs);
-        let ill_typed = Expr::binary(BinOp::Lt, Expr::col(2), Expr::lit(1i64));
+        let as_int = Expr::Func { kind: FuncKind::CastInt, args: vec![Expr::col(2)] };
+        let ill_typed = Expr::binary(BinOp::Lt, as_int, Expr::lit(1i64));
         // col0 IS NULL OR col0 >= 1 is TRUE on every row: OR never reaches
         // the right side, AND of its negation neither.
         let always = Expr::or(
@@ -1088,22 +1064,6 @@ mod tests {
         let err = eval_expr(&reached, &batch).unwrap_err();
         assert_eq!(err.to_string(), reached.eval(&rs[0]).unwrap_err().to_string());
         assert_eq!(eval_filter_sel(&reached, &batch).unwrap_err().to_string(), err.to_string());
-    }
-
-    /// A mixed-type column has no typed kernel: it takes the per-row loop,
-    /// which counts its rows (other tests of this process may add theirs).
-    #[test]
-    fn any_columns_take_the_counted_per_row_path() {
-        let rs = vec![Row(vec![Datum::Int(1)]), Row(vec![Datum::Double(1.5)])];
-        let batch = ColumnBatch::from_rows(&rs);
-        assert!(matches!(batch.col(0).data, ColumnData::Any(_)));
-        let counter = MetricsRegistry::global().counter("exec.eval.row_fallback_rows");
-        let before = counter.get();
-        let e = Expr::binary(BinOp::Add, Expr::col(0), Expr::lit(1i64));
-        let col = eval_expr(&e, &batch).unwrap();
-        assert_eq!(col.datum_at(0).data_type(), Some(crate::DataType::Int));
-        assert_eq!(col.datum_at(1), Datum::Double(2.5));
-        assert!(counter.get() >= before + 2);
     }
 
     /// Batches without rows evaluate nothing, whatever the expression.

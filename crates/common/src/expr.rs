@@ -490,7 +490,8 @@ impl Expr {
         Ok(self.eval(row)?.as_bool() == Some(true))
     }
 
-    /// Best-effort static output type given the input schema field types.
+    /// The static output type over the input schema — exact for a coerced
+    /// expression (`ic_plan::coerce`), with a NULL literal reading as Int.
     pub fn output_type(&self, input: &crate::schema::Schema) -> DataType {
         match self {
             Expr::Col(i) => {
@@ -511,6 +512,7 @@ impl Expr {
                     if lt == DataType::Double || rt == DataType::Double {
                         DataType::Double
                     } else if lt == DataType::Date || rt == DataType::Date {
+                        // `Date ± Int`, or a NULL beside a Date.
                         DataType::Date
                     } else {
                         DataType::Int
@@ -520,10 +522,13 @@ impl Expr {
             Expr::Not(_) | Expr::IsNull { .. } | Expr::Like { .. } | Expr::InList { .. } => {
                 DataType::Bool
             }
+            // Every arm has one type; a NULL arm has none to give.
             Expr::Case { whens, else_ } => whens
-                .first()
-                .map(|(_, v)| v.output_type(input))
-                .unwrap_or_else(|| else_.output_type(input)),
+                .iter()
+                .map(|(_, v)| v)
+                .chain([&**else_])
+                .find(|v| !matches!(v, Expr::Lit(Datum::Null)))
+                .map_or(DataType::Int, |v| v.output_type(input)),
             Expr::Func { kind, .. } => match kind {
                 FuncKind::ExtractYear | FuncKind::ExtractMonth | FuncKind::CastInt => DataType::Int,
                 FuncKind::Substring => DataType::Str,
@@ -573,11 +578,11 @@ fn eval_binary(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> IcResult<Datu
 }
 
 /// Apply a non-logical binary operator to two already-evaluated operands:
-/// SQL NULL propagation, comparison via [`Datum::sql_cmp`], arithmetic with
-/// Int/Double coercion and `x / 0 → NULL`. With [`apply_not`], [`apply_like`]
-/// and [`apply_func`] these are the scalar semantics of the row interpreter;
-/// the vectorized evaluator calls the same functions for scalar operands and
-/// ill-typed columns, so the two planes cannot drift.
+/// SQL NULL propagation, comparison via [`Datum::sql_cmp`], wrapping Int
+/// arithmetic, `Date ± Int` day arithmetic and `x / 0 → NULL`. With
+/// [`apply_not`], [`apply_like`] and [`apply_func`] these are the scalar
+/// semantics of the row interpreter; the vectorized evaluator calls the same
+/// functions for scalar operands, so the two planes cannot drift.
 pub fn apply_binary(op: BinOp, l: &Datum, r: &Datum) -> IcResult<Datum> {
     if l.is_null() || r.is_null() {
         return Ok(Datum::Null);
@@ -605,6 +610,8 @@ pub fn apply_binary(op: BinOp, l: &Datum, r: &Datum) -> IcResult<Datum> {
             BinOp::Mul => a.wrapping_mul(*b),
             _ => unreachable!(),
         })),
+        (Datum::Date(d), Datum::Int(k)) if op == BinOp::Add => Ok(Datum::Date(d.wrapping_add(*k as i32))),
+        (Datum::Date(d), Datum::Int(k)) if op == BinOp::Sub => Ok(Datum::Date(d.wrapping_sub(*k as i32))),
         _ => {
             let a = l
                 .as_double()

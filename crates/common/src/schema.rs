@@ -53,6 +53,11 @@ impl Schema {
         &self.fields[i]
     }
 
+    /// The field types in order.
+    pub fn types(&self) -> Vec<DataType> {
+        self.fields.iter().map(|f| f.dtype).collect()
+    }
+
     /// Case-insensitive column lookup, as SQL identifiers are folded.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name.eq_ignore_ascii_case(name))

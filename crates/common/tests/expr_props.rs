@@ -5,7 +5,7 @@
 
 use ic_common::agg::{Accumulator, AggFunc};
 use ic_common::eval::{eval_expr, eval_filter_sel};
-use ic_common::{dates, BinOp, ColumnBatch, ColumnData, Datum, Expr, FuncKind, Row};
+use ic_common::{dates, BinOp, ColumnBatch, Datum, Expr, FuncKind, Row};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -99,17 +99,15 @@ fn arb_expr_over(width: usize) -> impl Strategy<Value = Expr> {
     })
 }
 
-/// Column layout of [`arb_typed_rows`]: one column per type, then a mixed one.
+/// Column layout of [`arb_typed_rows`]: one column per type.
 const INT: usize = 0;
 const DOUBLE: usize = 1;
 const DATE: usize = 2;
 const STR: usize = 3;
 const BOOL: usize = 4;
-const ANY: usize = 5;
 
-/// Rows whose first five columns each hold NULLs and values of one type
-/// (so they pack into typed column buffers) and whose last mixes types.
-/// Value domains are small, so equalities and IN-lists hit.
+/// Rows whose five columns each hold NULLs and values of one type. Value
+/// domains are small, so equalities and IN-lists hit.
 fn arb_typed_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
     fn nullable(s: impl Strategy<Value = Datum> + 'static) -> impl Strategy<Value = Datum> {
         (s, 0u8..4).prop_map(|(d, roll)| if roll == 0 { Datum::Null } else { d })
@@ -120,15 +118,15 @@ fn arb_typed_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
         nullable((9000i32..9100).prop_map(Datum::Date)),
         nullable("[ab%_é]{0,4}".prop_map(Datum::str)),
         nullable(any::<bool>().prop_map(Datum::Bool)),
-        arb_datum(),
     )
-        .prop_map(|(a, b, c, d, e, f)| Row(vec![a, b, c, d, e, f]));
+        .prop_map(|(a, b, c, d, e)| Row(vec![a, b, c, d, e]));
     proptest::collection::vec(row, 0..max)
 }
 
-/// A well-typed expression over the [`arb_typed_rows`] layout, grown from
-/// `seed` by a splitmix generator: untyped random trees almost always fail
-/// to type-check, and the kernels under test are the well-typed ones.
+/// A coerced expression over the [`arb_typed_rows`] layout — well-typed,
+/// with Int operands of Double ones cast as the binder casts them — grown
+/// from `seed` by a splitmix generator: untyped random trees almost always
+/// fail to type-check, and the kernels under test are the well-typed ones.
 struct TypedGen(u64);
 
 impl TypedGen {
@@ -166,37 +164,47 @@ impl TypedGen {
                 let kind = if self.flip() { FuncKind::ExtractYear } else { FuncKind::ExtractMonth };
                 Self::func(kind, vec![self.date(depth - 1)])
             }
-            5 => Self::func(FuncKind::CastInt, vec![self.number(depth - 1)]),
+            5 => {
+                let arg = if self.flip() { self.int(depth - 1) } else { self.double(depth - 1) };
+                Self::func(FuncKind::CastInt, vec![arg])
+            }
             6 => Expr::Lit(Datum::Null),
             _ => self.case(depth - 1, Self::int),
         }
     }
 
-    /// Int or Double.
-    fn number(&mut self, depth: u32) -> Expr {
-        match self.below(if depth == 0 { 3 } else { 8 }) {
+    /// Double: Int operands come cast, and `Int / Int` is a Double.
+    fn double(&mut self, depth: u32) -> Expr {
+        match self.below(if depth == 0 { 3 } else { 9 }) {
             0 => Expr::col(DOUBLE),
             1 => Expr::lit((self.below(17) as f64 - 8.0) / 4.0),
-            2 | 3 => self.int(depth),
-            4 => {
+            2 => Self::func(FuncKind::CastDouble, vec![self.int(depth)]),
+            3 => {
                 let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][self.below(4) as usize];
-                Expr::binary(op, self.number(depth - 1), self.number(depth - 1))
+                Expr::binary(op, self.double(depth - 1), self.double(depth - 1))
             }
+            4 => Expr::binary(BinOp::Div, self.int(depth - 1), self.int(depth - 1)),
             5 => {
                 let kind = if self.flip() { FuncKind::Abs } else { FuncKind::CastDouble };
-                Self::func(kind, vec![self.number(depth - 1)])
+                let arg = if self.flip() { self.int(depth - 1) } else { self.double(depth - 1) };
+                Self::func(kind, vec![arg])
             }
-            // Arms of different numeric types: a mixed column.
-            6 => self.case(depth - 1, Self::number),
+            6 => self.case(depth - 1, Self::double),
+            7 => Expr::Lit(Datum::Null),
             _ => Expr::col(DOUBLE),
         }
     }
 
     fn date(&mut self, depth: u32) -> Expr {
-        match self.below(if depth == 0 { 3 } else { 5 }) {
+        match self.below(if depth == 0 { 3 } else { 6 }) {
             0 | 1 => Expr::col(DATE),
             2 => Expr::lit(Datum::Date(9000 + self.below(100) as i32)),
             3 => Self::func(FuncKind::AddMonths, vec![self.date(depth - 1), self.int(depth - 1)]),
+            // `Date ± Int` days.
+            4 => {
+                let op = if self.flip() { BinOp::Add } else { BinOp::Sub };
+                Expr::binary(op, self.date(depth - 1), self.int(depth - 1))
+            }
             _ => self.case(depth - 1, Self::date),
         }
     }
@@ -220,20 +228,19 @@ impl TypedGen {
         }
     }
 
-    /// Two operands `sql_cmp` can compare, and their generator for lists.
+    /// An operand, and the generator of others of its type for lists.
     fn comparable(&mut self, depth: u32) -> (Expr, fn(&mut TypedGen, u32) -> Expr) {
         match self.below(5) {
-            0 => (self.number(depth), Self::number),
+            0 => (self.int(depth), Self::int),
             1 => (self.date(depth), Self::date),
-            // Date ⋈ Int compares day numbers.
-            2 => (self.date(depth), Self::int),
+            2 => (self.double(depth), Self::double),
             3 => (Expr::col(BOOL), |g, _| Expr::lit(g.flip())),
             _ => (self.string(depth), Self::string),
         }
     }
 
     fn boolean(&mut self, depth: u32) -> Expr {
-        match self.below(if depth == 0 { 2 } else { 9 }) {
+        match self.below(if depth == 0 { 2 } else { 8 }) {
             0 => Expr::col(BOOL),
             1 => Expr::lit(self.flip()),
             2 | 3 => {
@@ -251,7 +258,7 @@ impl TypedGen {
                 0 => Expr::Not(Box::new(self.boolean(depth - 1))),
                 1 => self.case(depth - 1, Self::boolean),
                 _ => {
-                    let col = self.below(6) as usize;
+                    let col = self.below(5) as usize;
                     Expr::IsNull { expr: Box::new(Expr::col(col)), negated: self.flip() }
                 }
             },
@@ -264,7 +271,7 @@ impl TypedGen {
                 }),
                 negated: self.flip(),
             },
-            7 => {
+            _ => {
                 let (e, item) = self.comparable(depth - 1);
                 let list = (0..self.below(4))
                     .map(|_| match self.below(6) {
@@ -276,8 +283,6 @@ impl TypedGen {
                     .collect();
                 Expr::InList { expr: Box::new(e), list, negated: self.flip() }
             }
-            // The mixed column against a literal: the per-row arm.
-            _ => Expr::binary(BinOp::Eq, Expr::col(ANY), Expr::lit(self.below(9) as i64 - 4)),
         }
     }
 }
@@ -285,10 +290,10 @@ impl TypedGen {
 fn arb_typed_expr() -> impl Strategy<Value = Expr> {
     (any::<u64>(), any::<bool>()).prop_map(|(seed, boolean)| {
         let mut g = TypedGen(seed);
-        if boolean {
-            g.boolean(3)
-        } else {
-            g.number(3)
+        match (boolean, g.flip()) {
+            (true, _) => g.boolean(3),
+            (false, true) => g.int(3),
+            (false, false) => g.double(3),
         }
     })
 }
@@ -356,15 +361,16 @@ proptest! {
         prop_assert_eq!(&s[range], want.as_str());
     }
 
-    /// The vectorized evaluator against the row interpreter, over typed
-    /// columns with NULLs, a mixed column and a random selection: whenever
-    /// the row plane succeeds on every selected row, `eval_expr` returns the
-    /// same value of the same type on each and `eval_filter_sel` keeps the
-    /// same rows. (Where the row plane fails, the vectorized plane may fail
-    /// too or — evaluating fewer rows — succeed; it must not panic.)
+    /// The vectorized evaluator against the row interpreter, over coerced
+    /// expressions on typed columns with NULLs and a random selection:
+    /// whenever the row plane succeeds on every selected row, `eval_expr`
+    /// returns the same value of the same type on each and
+    /// `eval_filter_sel` keeps the same rows. (Where the row plane fails,
+    /// the vectorized plane may fail too or — evaluating fewer rows —
+    /// succeed; it must not panic.)
     #[test]
     fn vectorized_matches_row_interpreter(
-        e in prop_oneof![arb_typed_expr(), arb_typed_expr(), arb_expr_over(6)],
+        e in arb_typed_expr(),
         rows in arb_typed_rows(12),
         keep in proptest::collection::vec(any::<bool>(), 12),
         dense in any::<bool>(),
@@ -374,9 +380,6 @@ proptest! {
         if !dense {
             selected.retain(|&k| keep[k as usize]);
             batch = batch.select_logical(&selected);
-        }
-        for (c, col) in batch.columns().iter().enumerate() {
-            prop_assert!(c == ANY || !matches!(col.data, ColumnData::Any(_)), "column {c} is typed");
         }
         let got = eval_expr(&e, &batch);
         let pass = eval_filter_sel(&e, &batch);

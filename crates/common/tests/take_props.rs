@@ -1,26 +1,28 @@
 //! Property tests for the typed take — `ColumnBuilder::extend_take` and
-//! `append_column` — against the per-cell `push_from_column` they replace,
-//! and for the word-wise `Bitmap` appends against bit-by-bit `push`.
+//! `append_column` — against per-cell pushes of the same values, and for
+//! the word-wise `Bitmap` appends against bit-by-bit `push`.
 //!
 //! The take matches a column's kind once and copies values and validity in
 //! bulk; the reference pushes one cell at a time. They must agree on every
 //! value, every validity bit, whether a validity bitmap exists at all, and
-//! the representation the builder ends in (typed, or degraded to `Any`),
-//! for every `ColumnData` kind, with and without NULLs, through a selection
-//! or through indices carrying `NIL`, onto a builder that already holds
-//! leading NULLs or values of another kind.
+//! the representation the builder ends in, for every `ColumnData` kind,
+//! with and without NULLs, through a selection or through indices carrying
+//! `NIL`, onto a builder that already holds leading NULLs or values — and
+//! for a column without a value (an untyped NULL literal's), which appends
+//! to a builder of any type as NULLs.
 
-use ic_common::{Bitmap, Column, ColumnBuilder, Datum, NIL};
+use ic_common::{Bitmap, Column, ColumnBuilder, DataType, Datum, NIL};
 use proptest::prelude::*;
 use std::mem::discriminant;
 
 const WORDS: [&str; 6] = ["", "a", "order", "clerk#7", "línea", "Σφ"];
+const TYPES: [DataType; 5] =
+    [DataType::Int, DataType::Double, DataType::Bool, DataType::Date, DataType::Str];
 
-/// A value of `kind` from `bits`: 0 Int, 1 Double, 2 Bool, 3 Date, 4 Str,
-/// 5 mixed (a per-cell kind, so the column is `Any`), 6 NULL. With
-/// `nullable`, a quarter of the cells are NULL.
+/// A value of `TYPES[kind]` from `bits`. With `nullable`, a quarter of the
+/// cells are NULL.
 fn cell(kind: u8, nullable: bool, bits: u64) -> Datum {
-    if kind == 6 || (nullable && bits.is_multiple_of(4)) {
+    if nullable && bits.is_multiple_of(4) {
         return Datum::Null;
     }
     let v = bits >> 2;
@@ -29,38 +31,42 @@ fn cell(kind: u8, nullable: bool, bits: u64) -> Datum {
         1 => Datum::Double(((v % 2000) as i64 - 1000) as f64 / 4.0),
         2 => Datum::Bool(v & 1 == 1),
         3 => Datum::Date((v % 9999) as i32),
-        4 => Datum::str(WORDS[(v % 6) as usize]),
-        _ => cell((v % 5) as u8, false, v >> 3),
+        _ => Datum::str(WORDS[(v % 6) as usize]),
     }
 }
 
-/// A column of `kind` over `raw`. With `spurious`, a column without NULLs
+/// A builder of `TYPES[kind]` already holding `prefix`.
+fn prefixed(kind: u8, prefix: &[Datum]) -> ColumnBuilder {
+    let mut b = ColumnBuilder::new(TYPES[kind as usize]);
+    for d in prefix {
+        b.push_datum(d);
+    }
+    b
+}
+
+/// A column of `kind` over `raw` — or, `untyped`, one without a value, as
+/// a NULL literal evaluates to. With `spurious`, a column without NULLs
 /// still carries an all-valid bitmap, as evaluator output may.
-fn column(kind: u8, nullable: bool, spurious: bool, raw: &[u64]) -> Column {
-    let mut col = Column::from_datums(raw.iter().map(|&b| cell(kind, nullable, b)).collect());
+fn column(kind: u8, nullable: bool, untyped: bool, spurious: bool, raw: &[u64]) -> Column {
+    if untyped {
+        return Column::repeat(&Datum::Null, raw.len());
+    }
+    let cells: Vec<Datum> = raw.iter().map(|&b| cell(kind, nullable, b)).collect();
+    let mut col = prefixed(kind, &cells).finish();
     if spurious && col.validity.is_none() {
         col.validity = Some(Bitmap::filled(col.len(), true));
     }
     col
 }
 
-/// A builder already holding `prefix`.
-fn prefixed(prefix: &[Datum]) -> ColumnBuilder {
-    let mut b = ColumnBuilder::new();
-    for d in prefix {
-        b.push_datum(d.clone());
-    }
-    b
-}
-
-/// The reference: one `push_from_column` (or `push_null` for `NIL`) per index.
-fn per_cell(prefix: &[Datum], col: &Column, idx: &[u32]) -> Column {
-    let mut b = prefixed(prefix);
+/// The reference: one `push_datum` (or `push_null` for `NIL`) per index.
+fn per_cell(kind: u8, prefix: &[Datum], col: &Column, idx: &[u32]) -> Column {
+    let mut b = prefixed(kind, prefix);
     for &i in idx {
         if i == NIL {
             b.push_null();
         } else {
-            b.push_from_column(col, i as usize);
+            b.push_datum(&col.datum_at(i as usize));
         }
     }
     b.finish()
@@ -112,20 +118,20 @@ proptest! {
     /// physical rows) or through arbitrary indices with repeats and `NIL`s.
     #[test]
     fn extend_take_matches_per_cell(
-        (kind, nullable, spurious) in (0u8..7, any::<bool>(), any::<bool>()),
+        (kind, nullable, untyped, spurious) in (0u8..5, any::<bool>(), any::<bool>(), any::<bool>()),
         raw in collection::vec(any::<u64>(), 0..200),
-        (pkind, pnullable, plen) in (0u8..7, any::<bool>(), 0usize..70),
+        (pnullable, plen) in (any::<bool>(), 0usize..70),
         praw in collection::vec(any::<u64>(), 70),
         (from_selection, picks) in (any::<bool>(), collection::vec(any::<u64>(), 0..200)),
     ) {
-        let col = column(kind, nullable, spurious, &raw);
-        let prefix: Vec<Datum> = praw[..plen].iter().map(|&b| cell(pkind, pnullable, b)).collect();
+        let col = column(kind, nullable, untyped, spurious, &raw);
+        let prefix: Vec<Datum> = praw[..plen].iter().map(|&b| cell(kind, pnullable, b)).collect();
         let idx = indices(col.len(), from_selection, &picks);
-        let mut got = prefixed(&prefix);
+        let mut got = prefixed(kind, &prefix);
         got.extend_take(&col, &idx);
-        same_column(&got.finish(), &per_cell(&prefix, &col, &idx))?;
-        if prefix.is_empty() {
-            same_column(&col.take(&idx), &per_cell(&[], &col, &idx))?;
+        same_column(&got.finish(), &per_cell(kind, &prefix, &col, &idx))?;
+        if !untyped {
+            same_column(&col.take(&idx), &per_cell(kind, &[], &col, &idx))?;
         }
     }
 
@@ -134,23 +140,23 @@ proptest! {
     /// two columns are appended back to back.
     #[test]
     fn dense_append_matches_per_cell(
-        (kind, nullable, spurious) in (0u8..7, any::<bool>(), any::<bool>()),
+        (kind, nullable, untyped, spurious) in (0u8..5, any::<bool>(), any::<bool>(), any::<bool>()),
         raw in collection::vec(any::<u64>(), 0..200),
-        (kind2, nullable2) in (0u8..7, any::<bool>()),
+        (nullable2, untyped2) in (any::<bool>(), any::<bool>()),
         raw2 in collection::vec(any::<u64>(), 0..100),
-        (pkind, pnullable, plen) in (0u8..7, any::<bool>(), 0usize..70),
+        (pnullable, plen) in (any::<bool>(), 0usize..70),
         praw in collection::vec(any::<u64>(), 70),
     ) {
-        let col = column(kind, nullable, spurious, &raw);
-        let col2 = column(kind2, nullable2, false, &raw2);
-        let prefix: Vec<Datum> = praw[..plen].iter().map(|&b| cell(pkind, pnullable, b)).collect();
-        let mut got = prefixed(&prefix);
+        let col = column(kind, nullable, untyped, spurious, &raw);
+        let col2 = column(kind, nullable2, untyped2, false, &raw2);
+        let prefix: Vec<Datum> = praw[..plen].iter().map(|&b| cell(kind, pnullable, b)).collect();
+        let mut got = prefixed(kind, &prefix);
         got.append_column(&col, None);
         got.append_column(&col2, None);
-        let mut want = prefixed(&prefix);
+        let mut want = prefixed(kind, &prefix);
         for (c, n) in [(&col, col.len()), (&col2, col2.len())] {
             for i in 0..n {
-                want.push_from_column(c, i);
+                want.push_datum(&c.datum_at(i));
             }
         }
         same_column(&got.finish(), &want.finish())?;

@@ -847,9 +847,23 @@ mod tests {
     fn front_end_errors_precede_admission() {
         let cluster = sample_cluster(SystemVariant::ICPlus);
         let admitted = cluster.governor().stats().admitted;
-        for sql in ["SELEC id FROM employee", "SELECT nope FROM employee", "DELETE FROM employee"] {
+        // Type errors are bind errors too: the binder's coercion pass
+        // rejects them before any slot is taken.
+        let type_errors = [
+            "SELECT id FROM employee WHERE id = 'a'",
+            "SELECT id + 'a' FROM employee",
+            "SELECT id FROM employee WHERE id LIKE 'a%'",
+            "SELECT sum(name) FROM employee",
+        ];
+        for sql in ["SELEC id FROM employee", "SELECT nope FROM employee", "DELETE FROM employee"]
+            .into_iter()
+            .chain(type_errors)
+        {
             let (result, trace) = cluster.query_traced(0, sql);
             assert!(result.is_err(), "{sql}");
+            if type_errors.contains(&sql) {
+                assert!(matches!(result, Err(IcError::Bind(_))), "{sql}: {result:?}");
+            }
             trace.validate().expect("well-formed span tree");
             let spans = trace.spans();
             assert!(spans.iter().any(|s| s.name == "sql.parse"), "{sql}");

@@ -385,13 +385,13 @@ impl ColGroupTable {
                     }
                 }
             }
-            // String and mixed-type columns have no scalar fast path: MIN/MAX
-            // and COUNT DISTINCT over strings need an owned datum anyway.
-            ColumnData::Str { .. } | ColumnData::Any(_) => {
+            // Strings have no scalar fast path: MIN/MAX and COUNT DISTINCT
+            // over strings need an owned datum anyway.
+            ColumnData::Str { .. } => {
                 for (k, &slot) in slots.iter().enumerate() {
                     let i = phys(k);
                     if col.is_valid(i) {
-                        // ic-lint: allow(L008) because string/any aggregates need owned datums (Arc bump, no byte copy)
+                        // ic-lint: allow(L008) because string aggregates need an owned datum per value (MIN/MAX keep it, COUNT DISTINCT hashes it)
                         self.accs[slot as usize * naggs + agg_idx].update(col.datum_at(i))?;
                     }
                 }

@@ -24,8 +24,8 @@ use ic_common::agg::Accumulator;
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{
-    Batch, Column, ColumnBatch, ColumnBuilder, Expr, IcError, IcResult, MemoryLease,
-    MemoryPool, Row, NIL,
+    col, Batch, Column, ColumnBatch, ColumnBuilder, DataType, Expr, IcError, IcResult,
+    MemoryLease, MemoryPool, Row, NIL,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use ic_storage::Chunks;
@@ -291,16 +291,17 @@ pub fn drain(mut src: BoxedSource) -> IcResult<Vec<Row>> {
 
 // ----------------------------------------------------------------- sources
 
-/// In-memory source (tests, Values): converts rows to columns at the
-/// boundary, one batch per `BATCH_SIZE` chunk.
+/// In-memory source (tests, Values): packs rows by their field types at
+/// the boundary, one batch per `BATCH_SIZE` chunk.
 pub struct VecSource {
+    types: Vec<DataType>,
     rows: Vec<Row>,
     pos: usize,
 }
 
 impl VecSource {
-    pub fn new(rows: Vec<Row>) -> VecSource {
-        VecSource { rows, pos: 0 }
+    pub fn new(types: Vec<DataType>, rows: Vec<Row>) -> VecSource {
+        VecSource { types, rows, pos: 0 }
     }
 }
 
@@ -310,7 +311,7 @@ impl RowSource for VecSource {
             return Ok(None);
         }
         let end = (self.pos + BATCH_SIZE).min(self.rows.len());
-        let batch = ColumnBatch::from_rows(&self.rows[self.pos..end]);
+        let batch = ColumnBatch::from_typed_rows(&self.types, &self.rows[self.pos..end]);
         self.pos = end;
         Ok(Some(batch))
     }
@@ -528,7 +529,8 @@ impl RowSource for MergeRunsSource {
         let width = self.runs.iter().flatten().next().map_or(0, ColumnBatch::width);
         let cols = (0..width)
             .map(|c| {
-                let mut bld = ColumnBuilder::new();
+                let ty = col::common_type(self.runs.iter().flatten().map(|b| &**b.col(c)));
+                let mut bld = ColumnBuilder::new(ty);
                 let mut start = 0;
                 for &(r, b, end) in &segments {
                     bld.extend_take(self.runs[r][b].col(c), &rows[start..end]);
@@ -1218,6 +1220,9 @@ pub struct AggExec {
     group: Vec<usize>,
     aggs: Vec<AggCall>,
     phase: AggPhase,
+    /// Output field types: the group keys', then each aggregate's value
+    /// (or state columns, in the `Partial` phase).
+    types: Vec<DataType>,
     ctrl: Arc<ControlBlock>,
     sorted: bool,
     groups: ColGroupTable,
@@ -1235,9 +1240,10 @@ impl AggExec {
         group: Vec<usize>,
         aggs: Vec<AggCall>,
         phase: AggPhase,
+        types: Vec<DataType>,
         ctrl: Arc<ControlBlock>,
     ) -> AggExec {
-        AggExec::new(input, group, aggs, phase, ctrl, false)
+        AggExec::new(input, group, aggs, phase, types, ctrl, false)
     }
 
     /// Streaming aggregate: input sorted on `group`.
@@ -1246,9 +1252,10 @@ impl AggExec {
         group: Vec<usize>,
         aggs: Vec<AggCall>,
         phase: AggPhase,
+        types: Vec<DataType>,
         ctrl: Arc<ControlBlock>,
     ) -> AggExec {
-        AggExec::new(input, group, aggs, phase, ctrl, true)
+        AggExec::new(input, group, aggs, phase, types, ctrl, true)
     }
 
     fn new(
@@ -1256,6 +1263,7 @@ impl AggExec {
         group: Vec<usize>,
         aggs: Vec<AggCall>,
         phase: AggPhase,
+        types: Vec<DataType>,
         ctrl: Arc<ControlBlock>,
         sorted: bool,
     ) -> AggExec {
@@ -1265,6 +1273,7 @@ impl AggExec {
             group,
             aggs,
             phase,
+            types,
             ctrl,
             sorted,
             groups,
@@ -1368,7 +1377,7 @@ impl RowSource for AggExec {
                 }
                 self.emitted += (end - self.emit_pos) as u64;
                 self.emit_pos = end;
-                return Ok(Some(ColumnBatch::from_rows(&out)));
+                return Ok(Some(ColumnBatch::from_typed_rows(&self.types, &out)));
             }
             if self.input_done {
                 return Ok(None);
@@ -1393,7 +1402,7 @@ impl RowSource for AggExec {
 
 // ------------------------------------------------------- sort/limit/values
 
-/// Sort: concatenates input batches column-wise into one dense batch,
+/// Sort: concatenates input batches into one dense batch,
 /// computes a sort permutation over the key columns (typed `cmp_at`
 /// comparisons, no key decoration buffer), and emits batch-sized selection
 /// views over the dense batch — output batches share the sorted data via
@@ -1415,22 +1424,10 @@ impl SortExec {
 impl RowSource for SortExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
         if !self.done {
-            let mut builders: Option<Vec<ColumnBuilder>> = None;
-            let mut total = 0usize;
-            while let Some(b) = self.input.next_batch()? {
-                self.ctrl.check()?;
-                self.ctrl.reserve_batch(&b)?;
-                let bs = builders
-                    .get_or_insert_with(|| (0..b.width()).map(|_| ColumnBuilder::new()).collect());
-                for (bld, col) in bs.iter_mut().zip(b.columns()) {
-                    bld.append_column(col, b.selection());
-                }
-                total += b.num_rows();
-            }
-            if let Some(bs) = builders {
-                let cols: Vec<Arc<Column>> =
-                    bs.into_iter().map(|b| Arc::new(b.finish())).collect();
-                let dense = ColumnBatch::new(cols, total);
+            let batches = buffer_input(&mut self.input, &self.ctrl)?;
+            if !batches.is_empty() {
+                let dense = ColumnBatch::concat(&batches);
+                drop(batches);
                 let order = crate::kernels::sort_permutation(&dense, &self.keys);
                 for chunk in order.chunks(BATCH_SIZE) {
                     self.output.push_back(dense.with_sel(chunk.to_vec()));
@@ -1499,8 +1496,13 @@ mod tests {
             .collect()
     }
 
+    fn ints(n: usize) -> Vec<DataType> {
+        vec![DataType::Int; n]
+    }
+
+    /// An Int-typed source of `vals`.
     fn src(vals: &[&[i64]]) -> BoxedSource {
-        Box::new(VecSource::new(rows(vals)))
+        Box::new(VecSource::new(ints(vals.first().map_or(0, |r| r.len())), rows(vals)))
     }
 
     #[test]
@@ -1599,7 +1601,7 @@ mod tests {
         let right: Vec<Row> = (0..n).map(|i| Row(vec![Datum::Int(i)])).collect();
         let nlj = NestedLoopJoinExec::new(
             src(&[&[0], &[n - 1], &[n]]),
-            Box::new(VecSource::new(right)),
+            Box::new(VecSource::new(ints(1), right)),
             JoinKind::Inner,
             Expr::eq(Expr::col(0), Expr::col(1)),
             1,
@@ -1646,6 +1648,7 @@ mod tests {
             vec![0],
             vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }],
             AggPhase::Complete,
+            ints(2),
             ctrl(),
         );
         let mut out = drain(Box::new(agg)).unwrap();
@@ -1660,12 +1663,14 @@ mod tests {
             AggCall { func: AggFunc::Avg, arg: Some(Expr::col(1)), name: "a".into() },
             AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() },
         ];
-        // Two partials over disjoint halves.
+        // Two partials over disjoint halves: key, AVG's sum and count, COUNT(*).
+        let partial = vec![DataType::Int, DataType::Double, DataType::Int, DataType::Int];
         let p1 = AggExec::hash(
             src(&[&[1, 10], &[2, 8]]),
             vec![0],
             aggs.clone(),
             AggPhase::Partial,
+            partial.clone(),
             ctrl(),
         );
         let p2 = AggExec::hash(
@@ -1673,15 +1678,17 @@ mod tests {
             vec![0],
             aggs.clone(),
             AggPhase::Partial,
+            partial.clone(),
             ctrl(),
         );
         let mut partial_rows = drain(Box::new(p1)).unwrap();
         partial_rows.extend(drain(Box::new(p2)).unwrap());
         let fin = AggExec::hash(
-            Box::new(VecSource::new(partial_rows)),
+            Box::new(VecSource::new(partial, partial_rows)),
             vec![0],
             aggs,
             AggPhase::Final,
+            vec![DataType::Int, DataType::Double, DataType::Int],
             ctrl(),
         );
         let mut out = drain(Box::new(fin)).unwrap();
@@ -1703,6 +1710,7 @@ mod tests {
             vec![],
             vec![AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() }],
             AggPhase::Complete,
+            ints(1),
             ctrl(),
         );
         assert_eq!(drain(Box::new(agg)).unwrap(), rows(&[&[0]]));
@@ -1716,6 +1724,7 @@ mod tests {
             vec![0],
             vec![AggCall { func: AggFunc::Max, arg: Some(Expr::col(1)), name: "m".into() }],
             AggPhase::Complete,
+            ints(2),
             ctrl(),
         );
         assert_eq!(drain(Box::new(agg)).unwrap(), rows(&[&[1, 20], &[2, 5], &[3, 1]]));
@@ -1812,7 +1821,7 @@ mod tests {
     #[test]
     fn limit_slices_across_batches() {
         let many: Vec<Row> = (0..3000i64).map(|i| Row(vec![Datum::Int(i)])).collect();
-        let l = LimitExec::new(Box::new(VecSource::new(many)), Some(10), 1500, ctrl());
+        let l = LimitExec::new(Box::new(VecSource::new(ints(1), many)), Some(10), 1500, ctrl());
         let out = drain(Box::new(l)).unwrap();
         let vals: Vec<i64> = out.iter().map(|r| r.0[0].as_int().unwrap()).collect();
         assert_eq!(vals, (1500..1510).collect::<Vec<i64>>());

@@ -56,7 +56,7 @@ use ic_net::{
     net_channel, Assignment, FailoverError, NetError, NetObs, NetReceiver, NetSender, NetStats,
     Network, SiteId, SiteState, WireSize,
 };
-use ic_plan::ops::{AggPhase, PhysOp, PhysPlan};
+use ic_plan::ops::{agg_schema, AggPhase, PhysOp, PhysPlan};
 use ic_plan::Distribution;
 use ic_storage::{Catalog, Chunks, PartStore, TableDistribution, TableId};
 use parking_lot::Mutex;
@@ -637,13 +637,13 @@ impl BuildCtx<'_> {
                     Box::new(MergeRunsSource::new(runs, sort.clone(), split, ctrl))
                 }
             }
-            PhysOp::Values { rows, .. } => {
+            PhysOp::Values { schema, rows } => {
                 // A splitter passes every n-th tuple, like the scans.
                 let rows = match ex.split_for(driver_only(inst)?, at.id) {
                     Some((vid, n)) => rows.iter().skip(vid).step_by(n).cloned().collect(),
                     None => rows.clone(),
                 };
-                Box::new(VecSource::new(rows))
+                Box::new(VecSource::new(schema.types(), rows))
             }
             PhysOp::Filter { input, predicate } => {
                 let input = self.build(at.first(input), inst)?;
@@ -693,19 +693,25 @@ impl BuildCtx<'_> {
                 // The halves of a split aggregate: lanes emit (keys..,
                 // states..) rows, which the driver groups on the leading key
                 // positions to merge the states.
-                let (group, phase) = match sub {
-                    Some(Sub::LaneHalf) => (group.clone(), AggPhase::Partial),
-                    Some(Sub::DriverHalf) => ((0..group.len()).collect(), AggPhase::Final),
-                    _ => (group.clone(), *phase),
+                let (group, phase, out) = match sub {
+                    Some(Sub::LaneHalf) => {
+                        let out = agg_schema(&input.schema, group, aggs, AggPhase::Partial);
+                        (group.clone(), AggPhase::Partial, out)
+                    }
+                    Some(Sub::DriverHalf) => {
+                        ((0..group.len()).collect(), AggPhase::Final, at.plan.schema.clone())
+                    }
+                    _ => (group.clone(), *phase, at.plan.schema.clone()),
                 };
                 let input = self.build(at.first(input), inst)?;
-                Box::new(AggExec::hash(input, group, aggs.clone(), phase, ctrl))
+                Box::new(AggExec::hash(input, group, aggs.clone(), phase, out.types(), ctrl))
             }
             PhysOp::SortAggregate { input, group, aggs, phase } => Box::new(AggExec::sorted(
                 self.build(at.first(input), inst)?,
                 group.clone(),
                 aggs.clone(),
                 *phase,
+                at.plan.schema.types(),
                 ctrl,
             )),
             PhysOp::Sort { input, keys } => match sub {

@@ -5,7 +5,7 @@
 #![allow(dead_code)]
 
 use ic_common::agg::Accumulator;
-use ic_common::{ColumnBatch, Datum, Expr, IcResult, Row};
+use ic_common::{ColumnBatch, DataType, Datum, Expr, IcResult, Row};
 use ic_exec::operators::{BoxedSource, RowSource};
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 
@@ -77,6 +77,20 @@ impl RowSource for BatchesSource {
     }
 }
 
+/// A row no property generates, of the column types of `rows`: -1, false
+/// or "decoy" in each column's type (NULL where the column holds none).
+fn decoy(rows: &[Row]) -> Row {
+    let value = |c: usize| match rows.iter().find_map(|r| r.0[c].data_type()) {
+        Some(DataType::Int) => Datum::Int(-1),
+        Some(DataType::Double) => Datum::Double(-1.0),
+        Some(DataType::Date) => Datum::Date(-1),
+        Some(DataType::Bool) => Datum::Bool(false),
+        Some(DataType::Str) => Datum::str("decoy"),
+        None => Datum::Null,
+    };
+    Row((0..rows[0].arity()).map(value).collect())
+}
+
 /// Cut `rows` into batches of the given sizes (cycled). Every other batch is
 /// a selection view over a physically larger batch, so cursors must resolve
 /// logical rows through the selection.
@@ -90,7 +104,7 @@ pub fn chunked_src(rows: &[Row], sizes: &[usize]) -> BoxedSource {
             batches.push_back(ColumnBatch::from_rows(piece));
         } else {
             // Physical layout: a decoy row before each real row.
-            let decoy = Row(vec![Datum::Int(-1); piece[0].arity()]);
+            let decoy = decoy(piece);
             let padded: Vec<Row> = piece.iter().flat_map(|r| [decoy.clone(), r.clone()]).collect();
             let sel = (0..n as u32).map(|k| 2 * k + 1).collect();
             batches.push_back(ColumnBatch::from_rows(&padded).with_sel(sel));

@@ -3,9 +3,9 @@
 //! under NULL-heavy, duplicate-heavy keys — the inputs most likely to expose
 //! a bug in the arena/chain hash table, the shared join emitter or the
 //! group table; the same join over large build sides — long chains, shared
-//! buckets, many batches; the same join over one key kind per side, so typed key
-//! hashing runs and must agree with its per-cell fallback and `eq_at` across
-//! kinds; the join-output gather against
+//! buckets, many batches; the same join over each key kind, so every typed
+//! key hashing loop runs and must agree with `Row::hash_key`; the
+//! join-output gather against
 //! row-by-row concatenation — plus the cross-layer hash contract: planner
 //! routing, storage partitioning and executor probing all hash through
 //! `Row::hash_key`, and its values are pinned so an accidental divergence
@@ -15,7 +15,7 @@ mod common;
 
 use common::{agg_oracle, chunked_src, join_oracle};
 use ic_common::agg::{Accumulator, AggFunc};
-use ic_common::{BinOp, ColumnBatch, Datum, Expr, Row, NIL};
+use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Row, NIL};
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::{gather_join_output, ColGroupTable};
 use ic_exec::operators::{
@@ -32,22 +32,18 @@ fn canon(mut v: Vec<Row>) -> Vec<Row> {
 }
 
 /// Join/group keys skewed toward collisions: NULLs are common and the live
-/// domain is tiny (guaranteeing duplicate keys), with equal numerics split
-/// between Int and Double so the canonical hash paths get exercised. Date is
-/// excluded here: Date-vs-Double comparison is ill-typed (the binder would
-/// reject it), which both errors in `Expr::eq` and makes datum equality
-/// non-transitive — not a shape a well-typed plan can produce.
+/// domain is tiny (guaranteeing duplicate keys). A column holds one type, as
+/// every plan column does.
 fn arb_key() -> impl Strategy<Value = Datum> {
     prop_oneof![
         Just(Datum::Null),
         Just(Datum::Null), // NULL-heavy: double weight
         (-2i64..4).prop_map(Datum::Int),
-        (-2i64..4).prop_map(|v| Datum::Double(v as f64)),
     ]
 }
 
-/// Full key domain for hash-invariant and routing tests, where Date is fine
-/// (it canonicalizes through the same numeric hash path as Int/Double).
+/// Full single-datum key domain for the hash-invariant and routing tests
+/// (Date canonicalizes through the same numeric hash path as Int/Double).
 fn arb_any_key() -> impl Strategy<Value = Datum> {
     prop_oneof![
         Just(Datum::Null),
@@ -66,7 +62,7 @@ proptest! {
     /// HashJoinExec (arena + chained hash table) ≡ NestedLoopJoinExec ≡ the
     /// oracle, in order, for every join kind, under NULL-heavy
     /// duplicate-heavy keys. NULL keys must match nothing (SQL equi-join
-    /// semantics) and Int/Double keys that compare equal must join.
+    /// semantics).
     #[test]
     fn hash_join_matches_nested_loop((l, r) in (arb_rows(32), arb_rows(32))) {
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
@@ -102,19 +98,27 @@ proptest! {
             AggCall { func: AggFunc::Avg, arg: Some(Expr::col(1)), name: "a".into() },
         ];
         let group = if grouped { vec![0] } else { vec![] };
+        // Output types: the Int key, then SUM / COUNT(*) / MIN of an Int and
+        // AVG — or, `Partial`, their states (AVG's is a sum and a count).
+        let types = |phase| {
+            let key = if grouped { vec![DataType::Int] } else { vec![] };
+            let aggs = [DataType::Int, DataType::Int, DataType::Int, DataType::Double];
+            let avg_count = (phase == AggPhase::Partial).then_some(DataType::Int);
+            key.into_iter().chain(aggs).chain(avg_count).collect::<Vec<_>>()
+        };
         let ctrl = || ControlBlock::unlimited();
         let mut sorted = data.clone();
         sorted.sort();
         for phase in [AggPhase::Complete, AggPhase::Partial] {
             let hash = AggExec::hash(
-                chunked_src(&data, &sizes), group.clone(), aggs.clone(), phase, ctrl());
+                chunked_src(&data, &sizes), group.clone(), aggs.clone(), phase, types(phase), ctrl());
             prop_assert_eq!(
                 drain(Box::new(hash)).unwrap(),
                 agg_oracle(&data, &group, &aggs, phase),
                 "hash {:?}", phase
             );
             let sort = AggExec::sorted(
-                chunked_src(&sorted, &sizes), group.clone(), aggs.clone(), phase, ctrl());
+                chunked_src(&sorted, &sizes), group.clone(), aggs.clone(), phase, types(phase), ctrl());
             prop_assert_eq!(
                 drain(Box::new(sort)).unwrap(),
                 agg_oracle(&sorted, &group, &aggs, phase),
@@ -132,11 +136,13 @@ proptest! {
         let twice = agg_oracle(&doubled, &group, &aggs, AggPhase::Complete);
         for (states, expect) in [(&partial, &complete), (&two_sites, &twice)] {
             let hash = AggExec::hash(
-                chunked_src(states, &sizes), final_group.clone(), aggs.clone(), AggPhase::Final, ctrl());
+                chunked_src(states, &sizes), final_group.clone(), aggs.clone(), AggPhase::Final,
+                types(AggPhase::Final), ctrl());
             prop_assert_eq!(&canon(drain(Box::new(hash)).unwrap()), &canon(expect.clone()));
         }
         let sort = AggExec::sorted(
-            chunked_src(&partial, &sizes), final_group, aggs.clone(), AggPhase::Final, ctrl());
+            chunked_src(&partial, &sizes), final_group, aggs.clone(), AggPhase::Final,
+            types(AggPhase::Final), ctrl());
         prop_assert_eq!(drain(Box::new(sort)).unwrap(), complete);
     }
 
@@ -171,17 +177,11 @@ proptest! {
 
 /// Key kinds for the typed-path join property: 0 = Int without NULLs, 1 =
 /// Int with NULLs, 2 = Date, 3 = Double (some values non-integral), 4 =
-/// Str. `hash_join_matches_nested_loop`'s keys mix kinds in one column and
-/// so almost always degrade to `Any`; one kind per side keeps the columns
-/// typed, so the typed hash loops run. `(probe kind, build kind)` pairs,
-/// well-typed only (Date never meets Double or Str): each kind with itself,
-/// both Int kinds against each other, and Int against Double and against
-/// Date in both directions, so a typed loop on one side and the per-cell
-/// path on the other must agree on hashes, and `eq_at` on matches.
-const KEY_PAIRS: [(u8, u8); 15] = [
-    (0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (4, 4),
-    (0, 3), (3, 0), (1, 3), (3, 1), (0, 2), (2, 0), (1, 2), (2, 1),
-];
+/// Str. `(probe kind, build kind)` pairs, of one type as the binder makes
+/// every equi-join key pair: each kind with itself, and both Int kinds
+/// against each other, so the NULL-free typed hash loop on one side and the
+/// per-cell path on the other must agree on hashes, and `eq_at` on matches.
+const KEY_PAIRS: [(u8, u8); 7] = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (4, 4)];
 
 fn typed_key(kind: u8, bits: u64) -> Datum {
     let v = (bits % 6) as i64 - 2;
@@ -201,10 +201,9 @@ fn typed_rows(kind: u8, raw: &[(u64, i64)]) -> Vec<Row> {
 }
 
 proptest! {
-    /// HashJoinExec ≡ the oracle for every join kind when each side's key
-    /// column holds one kind — typed key hashing and its per-cell fallback,
-    /// with `eq_at` across kinds —
-    /// and the batch hashes of those columns equal `Row::hash_key`.
+    /// HashJoinExec ≡ the oracle for every join kind over each key kind —
+    /// typed key hashing and its per-cell path, with `eq_at` — and the batch
+    /// hashes of those columns equal `Row::hash_key`.
     #[test]
     fn typed_key_join_matches_oracle(
         pair in 0usize..KEY_PAIRS.len(),
@@ -317,9 +316,8 @@ proptest! {
 }
 
 /// Deterministic cell constructor for the columnar properties: `ty` picks
-/// the column's type (5 = mixed, exercising the `Any` fallback column) and
-/// `bits` the value, with a 25% NULL rate so validity bitmaps are never
-/// trivial. The shim proptest has no `prop_flat_map`, so tests generate raw
+/// the column's type and `bits` the value, with a 25% NULL rate so validity
+/// bitmaps are never trivial. The shim proptest has no `prop_flat_map`, so tests generate raw
 /// `(types, bits)` and build typed rows here.
 fn cell(ty: u8, bits: u64) -> Datum {
     const WORDS: [&str; 6] = ["", "a", "order", "clerk#7", "línea", "Σφ"];
@@ -331,10 +329,7 @@ fn cell(ty: u8, bits: u64) -> Datum {
         1 => Datum::Double(((bits % 2000) as i64 - 1000) as f64 / 4.0),
         2 => Datum::Bool(bits & 1 == 1),
         3 => Datum::Date((bits % 9999) as i32),
-        4 => Datum::str(WORDS[(bits % 6) as usize]),
-        // Mixed column: per-row type. `| 1` keeps the value non-NULL so the
-        // NULL rate stays at the top-level 25%.
-        _ => cell((bits % 5) as u8, bits | 1),
+        _ => Datum::str(WORDS[(bits % 6) as usize]),
     }
 }
 
@@ -351,12 +346,11 @@ fn keep_list(keep: &[bool], n: usize) -> Vec<u32> {
 
 proptest! {
     /// Row→column→row identity over every column type (typed columns with
-    /// validity bitmaps plus the mixed `Any` fallback), and through a
-    /// selection view: `select_logical(keep)` must read back exactly the
+    /// validity bitmaps), and through a selection view: `select_logical(keep)` must read back exactly the
     /// kept rows without disturbing the physical columns.
     #[test]
     fn columnar_row_round_trip(
-        types in collection::vec(0u8..6, 1..5),
+        types in collection::vec(0u8..5, 1..5),
         raw in collection::vec(collection::vec(any::<u64>(), 6), 0..24),
         keep in collection::vec(any::<bool>(), 24),
     ) {
@@ -490,7 +484,7 @@ proptest! {
     /// decode is dense (selection resolved at the sender).
     #[test]
     fn wire_encode_decode_identity(
-        types in collection::vec(0u8..6, 1..5),
+        types in collection::vec(0u8..5, 1..5),
         raw in collection::vec(collection::vec(any::<u64>(), 6), 0..24),
         keep in collection::vec(any::<bool>(), 24),
     ) {
@@ -511,13 +505,13 @@ proptest! {
     /// `gather_join_output` ≡ concatenating rows one pair at a time: probe
     /// rows read through the probe batch's selection, arena rows by index,
     /// and a LEFT join's `NIL` arena index giving a NULL for every arena
-    /// column — over every column type, the mixed `Any` one included.
+    /// column — over every column type.
     #[test]
     fn gather_join_output_matches_rows(
-        ptypes in collection::vec(0u8..6, 1..4),
+        ptypes in collection::vec(0u8..5, 1..4),
         praw in collection::vec(collection::vec(any::<u64>(), 6), 1..40),
         keep in collection::vec(any::<bool>(), 40),
-        atypes in collection::vec(0u8..6, 1..4),
+        atypes in collection::vec(0u8..5, 1..4),
         araw in collection::vec(collection::vec(any::<u64>(), 6), 1..40),
         pairs in collection::vec((any::<u64>(), any::<u64>()), 0..100),
     ) {
@@ -551,11 +545,11 @@ proptest! {
     /// partitioning keeps hashing rows.
     #[test]
     fn batch_hash_keys_match_row_hash(
-        keys in collection::vec((arb_any_key(), -20i64..20), 0..32),
+        kind in 0u8..5,
+        keys in collection::vec((any::<u64>(), -20i64..20), 0..32),
         keep in collection::vec(any::<bool>(), 32),
     ) {
-        let rows: Vec<Row> =
-            keys.into_iter().map(|(k, v)| Row(vec![k, Datum::Int(v)])).collect();
+        let rows = typed_rows(kind, &keys);
         if rows.is_empty() {
             return Ok(());
         }

@@ -8,7 +8,7 @@ mod common;
 use common::{chunked_src, join_oracle};
 use ic_common::agg::AggFunc;
 use ic_common::row::BATCH_SIZE;
-use ic_common::{BinOp, Datum, Expr, Row};
+use ic_common::{BinOp, DataType, Datum, Expr, Row};
 use ic_exec::operators::{
     drain, AggExec, BoxedSource, ControlBlock, HashJoinExec, JoinBuild, LimitExec, MergeJoinExec,
     NestedLoopJoinExec, SortExec, VecSource, NLJ_PAIR_BUDGET,
@@ -22,8 +22,13 @@ fn rows(keys: &[(i64, i64)]) -> Vec<Row> {
     keys.iter().map(|&(k, v)| Row(vec![Datum::Int(k), Datum::Int(v)])).collect()
 }
 
+/// A source of Int rows (every column of these properties is Int).
 fn src(data: Vec<Row>) -> BoxedSource {
-    Box::new(VecSource::new(data))
+    Box::new(VecSource::new(ints(data.first().map_or(0, Row::arity)), data))
+}
+
+fn ints(n: usize) -> Vec<DataType> {
+    vec![DataType::Int; n]
 }
 
 fn canon(mut v: Vec<Row>) -> Vec<Row> {
@@ -183,7 +188,7 @@ proptest! {
             AggCall { func: AggFunc::Min, arg: Some(Expr::col(1)), name: "m".into() },
         ];
         let complete = AggExec::hash(
-            src(rows(&data)), vec![0], aggs.clone(), AggPhase::Complete,
+            src(rows(&data)), vec![0], aggs.clone(), AggPhase::Complete, ints(4),
             ControlBlock::unlimited());
         let expected = canon(drain(Box::new(complete)).unwrap());
 
@@ -196,12 +201,12 @@ proptest! {
                 .map(|(_, kv)| *kv)
                 .collect();
             let partial = AggExec::hash(
-                src(rows(&slice)), vec![0], aggs.clone(), AggPhase::Partial,
+                src(rows(&slice)), vec![0], aggs.clone(), AggPhase::Partial, ints(4),
                 ControlBlock::unlimited());
             partial_rows.extend(drain(Box::new(partial)).unwrap());
         }
         let fin = AggExec::hash(
-            src(partial_rows), vec![0], aggs.clone(), AggPhase::Final,
+            src(partial_rows), vec![0], aggs.clone(), AggPhase::Final, ints(4),
             ControlBlock::unlimited());
         let got = canon(drain(Box::new(fin)).unwrap());
         // Scalar groups: partials of empty slices still produce identity

@@ -880,8 +880,15 @@ fn rule_l007(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
 /// in the operators (scan boundary, final rowset), not here. The few
 /// legitimate per-group (not per-row) materializations carry pragmas.
 fn rule_l008(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
-    const BANNED: [&str; 6] =
-        ["datum_at", "row_at", "to_rows", "from_rows", "push_datum", "eval_datum"];
+    const BANNED: [&str; 7] = [
+        "datum_at",
+        "row_at",
+        "to_rows",
+        "from_rows",
+        "from_typed_rows",
+        "push_datum",
+        "eval_datum",
+    ];
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         if t.kind == TokKind::Ident
@@ -1042,7 +1049,7 @@ mod tests {
     }
 
     #[test]
-    fn l008_flags_per_row_datums_in_kernels_only() {
+    fn l008_flags_row_datums_in_kernels_only() {
         let src = "fn f(b: &ColumnBatch) { let d = b.col(0).datum_at(i); let rs = b.to_rows(); }";
         let r = lint_one("crates/exec/src/kernels.rs", src);
         assert_eq!(r.violations.iter().filter(|v| v.rule == "L008").count(), 2);

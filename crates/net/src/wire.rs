@@ -9,7 +9,7 @@
 //! rebalance price the rows they ship with it.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use ic_common::{Bitmap, Column, ColumnBatch, ColumnData, Datum, Row};
+use ic_common::{Bitmap, Column, ColumnBatch, ColumnData, Row};
 use std::sync::Arc;
 
 /// Types that can report their serialized size, used by the network
@@ -31,45 +31,6 @@ impl<T: WireSize> WireSize for Vec<T> {
     }
 }
 
-/// Tagged single-datum encoding of the `Any` (mixed-type) column runs.
-fn put_datum(buf: &mut BytesMut, d: &Datum) {
-    match d {
-        Datum::Null => buf.put_u8(0),
-        Datum::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(*b as u8);
-        }
-        Datum::Int(i) => {
-            buf.put_u8(2);
-            buf.put_i64_le(*i);
-        }
-        Datum::Double(f) => {
-            buf.put_u8(3);
-            buf.put_f64_le(*f);
-        }
-        Datum::Str(s) => {
-            buf.put_u8(4);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-        Datum::Date(d) => {
-            buf.put_u8(5);
-            buf.put_i32_le(*d);
-        }
-    }
-}
-
-/// Exact framed size of one tagged datum.
-fn datum_wire_size(d: &Datum) -> usize {
-    1 + match d {
-        Datum::Null => 0,
-        Datum::Bool(_) => 1,
-        Datum::Int(_) | Datum::Double(_) => 8,
-        Datum::Str(s) => 4 + s.len(),
-        Datum::Date(_) => 4,
-    }
-}
-
 fn take<'a>(data: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
     if data.len() < n {
         return None;
@@ -83,23 +44,6 @@ fn take_u32(data: &mut &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(take(data, 4)?.try_into().ok()?))
 }
 
-fn take_datum(data: &mut &[u8]) -> Option<Datum> {
-    let tag = take(data, 1)?[0];
-    Some(match tag {
-        0 => Datum::Null,
-        1 => Datum::Bool(take(data, 1)?[0] != 0),
-        2 => Datum::Int(i64::from_le_bytes(take(data, 8)?.try_into().ok()?)),
-        3 => Datum::Double(f64::from_le_bytes(take(data, 8)?.try_into().ok()?)),
-        4 => {
-            let len = take_u32(data)? as usize;
-            let s = std::str::from_utf8(take(data, len)?).ok()?;
-            Datum::str(s)
-        }
-        5 => Datum::Date(i32::from_le_bytes(take(data, 4)?.try_into().ok()?)),
-        _ => return None,
-    })
-}
-
 // ------------------------------------------------- column-contiguous frame
 
 /// Column type tags of the columnar frame.
@@ -108,7 +52,6 @@ const COL_DOUBLE: u8 = 1;
 const COL_BOOL: u8 = 2;
 const COL_DATE: u8 = 3;
 const COL_STR: u8 = 4;
-const COL_ANY: u8 = 5;
 
 fn col_tag(data: &ColumnData) -> u8 {
     match data {
@@ -117,7 +60,6 @@ fn col_tag(data: &ColumnData) -> u8 {
         ColumnData::Bool(_) => COL_BOOL,
         ColumnData::Date(_) => COL_DATE,
         ColumnData::Str { .. } => COL_STR,
-        ColumnData::Any(_) => COL_ANY,
     }
 }
 
@@ -167,12 +109,6 @@ impl WireSize for ColumnBatch {
                             })
                             .sum::<usize>()
                 }
-                ColumnData::Any(v) => (0..n)
-                    .map(|k| {
-                        let i = self.phys_index(k);
-                        if col.is_valid(i) { datum_wire_size(&v[i]) } else { 1 }
-                    })
-                    .sum(),
             };
         }
         size
@@ -240,16 +176,6 @@ pub fn encode_columns_into(batch: &ColumnBatch, buf: &mut BytesMut) {
                     let i = batch.phys_index(k);
                     if col.is_valid(i) {
                         buf.put_slice(col.str_at(i).as_bytes());
-                    }
-                }
-            }
-            ColumnData::Any(v) => {
-                for k in 0..n {
-                    let i = batch.phys_index(k);
-                    if col.is_valid(i) {
-                        put_datum(buf, &v[i]);
-                    } else {
-                        put_datum(buf, &Datum::Null);
                     }
                 }
             }
@@ -321,13 +247,6 @@ pub fn decode_columns(mut data: &[u8]) -> Option<ColumnBatch> {
                 }
                 ColumnData::Str { offsets, bytes }
             }
-            COL_ANY => {
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(take_datum(&mut data)?);
-                }
-                ColumnData::Any(v)
-            }
             _ => return None,
         };
         cols.push(Arc::new(Column { data: coldata, validity }));
@@ -338,6 +257,7 @@ pub fn decode_columns(mut data: &[u8]) -> Option<ColumnBatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_common::Datum;
 
     fn sample_columns() -> ColumnBatch {
         ColumnBatch::from_rows(&[

@@ -1,6 +1,5 @@
 //! Property test for the wire layer: the column-contiguous frame of an
-//! arbitrary batch — typed and mixed-type (`Any`) columns, NULLs, a
-//! selection vector — is exactly `wire_size()` bytes, and a truncated frame
+//! arbitrary batch — a column of every type, NULLs, a selection vector — is exactly `wire_size()` bytes, and a truncated frame
 //! never decodes into the batch that was sent.
 
 use ic_common::{ColumnBatch, Datum, Row};
@@ -8,8 +7,7 @@ use ic_net::wire::{decode_columns, encode_columns};
 use ic_net::WireSize;
 use proptest::prelude::*;
 
-/// One cell of a column of type `ty` (5 = per-row type, which makes the
-/// column builder fall back to an `Any` run); every fourth value is NULL.
+/// One cell of a column of type `ty`; every fourth value is NULL.
 /// The shim proptest has no `prop_flat_map`, so the test draws raw bits and
 /// types them here.
 fn cell(ty: u8, bits: u64) -> Datum {
@@ -21,15 +19,14 @@ fn cell(ty: u8, bits: u64) -> Datum {
         1 => Datum::Double((bits >> 11) as f64 / 8.0),
         2 => Datum::Bool(bits & 2 == 2),
         3 => Datum::Date(bits as i32),
-        4 => Datum::str("clerk#7 Σφ".chars().take((bits % 11) as usize).collect::<String>()),
-        _ => cell((bits % 5) as u8, bits | 1),
+        _ => Datum::str("clerk#7 Σφ".chars().take((bits % 11) as usize).collect::<String>()),
     }
 }
 
 proptest! {
     #[test]
     fn truncation_detected(
-        types in proptest::collection::vec(0u8..6, 1..4),
+        types in proptest::collection::vec(0u8..5, 1..4),
         raw in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 3), 1..10),
         keep in proptest::collection::vec(any::<bool>(), 10),
         cut in 1usize..32,

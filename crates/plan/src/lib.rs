@@ -16,7 +16,9 @@
 //! * [`cost`] — Eq. 2/4/5/6/7/9 cost models, the Algorithm 2 distribution
 //!   factor, and the baseline's cost bugs behind [`PlannerFlags`].
 //! * [`explain`] — plan pretty-printing for EXPLAIN and tests.
+//! * [`coerce`] — the implicit-cast lattice the binder applies once.
 
+pub mod coerce;
 pub mod cost;
 pub mod dist;
 pub mod dml;

@@ -64,9 +64,8 @@ impl AggCall {
     pub fn state_types(&self, input: &Schema) -> Vec<DataType> {
         match self.func {
             AggFunc::Count | AggFunc::CountStar | AggFunc::CountDistinct => vec![DataType::Int],
-            AggFunc::Sum => vec![DataType::Double, DataType::Bool, DataType::Bool, DataType::Int],
             AggFunc::Avg => vec![DataType::Double, DataType::Int],
-            AggFunc::Min | AggFunc::Max => vec![self.output_type(input)],
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max => vec![self.output_type(input)],
         }
     }
 }
@@ -749,11 +748,7 @@ pub fn agg_schema(input: &Schema, group: &[usize], aggs: &[AggCall], phase: AggP
                 let t = match a.func {
                     AggFunc::Count | AggFunc::CountStar | AggFunc::CountDistinct => DataType::Int,
                     AggFunc::Avg => DataType::Double,
-                    // SUM finishes as Int when all inputs were Int; the
-                    // static type is Double (safe supertype) unless the
-                    // state's min/max carries the arg type.
-                    AggFunc::Sum => DataType::Double,
-                    AggFunc::Min | AggFunc::Max => {
+                    AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
                         // State layout: single column carrying the value.
                         // Find its position: group + preceding state widths.
                         let mut pos = group.len();

@@ -14,7 +14,8 @@
 //! * a `Sort` delivers its sort keys as collation, and every claimed
 //!   collation column exists in the output schema;
 //! * `Final`-phase aggregates consume an input whose arity matches the
-//!   group-key count plus the partial phase's accumulator state widths.
+//!   group-key count plus the partial phase's accumulator state widths;
+//! * every expression is already coerced: [`coerce`] leaves it as it is.
 //!
 //! The optimizer pipeline calls this after the Hep and Volcano phases in
 //! debug/test builds — the latter ends with the field trimmer, so every
@@ -29,6 +30,7 @@ use crate::ops::{
     derive_logical_schema, derive_phys_schema, AggCall, AggPhase, JoinKind, LogicalPlan, PhysOp,
     PhysPlan, RelOp, SortKey,
 };
+use crate::coerce::coerce;
 use ic_common::{Expr, Schema};
 use std::sync::Arc;
 
@@ -164,6 +166,10 @@ fn walk_logical(node: &LogicalPlan, path: &str, errors: &mut Vec<ValidateError>)
     }
 
     let mut err = |message: String| errors.push(ValidateError { path: here.clone(), message });
+    let mut coerced = node.clone();
+    for (e, input) in coerced.exprs_mut().into_iter().zip(expr_inputs(&child_schemas)) {
+        check_coerced(e, &input, &mut err);
+    }
     match derive_logical_schema(&node.op, &child_schemas) {
         Ok(derived) => {
             if derived.arity() != node.schema.arity() {
@@ -290,6 +296,18 @@ fn walk(node: &PhysPlan, path: &str, errors: &mut Vec<ValidateError>) {
     if errors.len() > before {
         return;
     }
+    let mut err = |message: String| errors.push(ValidateError { path: here.clone(), message });
+    if !matches!(node.op, PhysOp::HashAggregate { phase: AggPhase::Final, .. }
+        | PhysOp::SortAggregate { phase: AggPhase::Final, .. })
+    {
+        let mut node = node.clone();
+        for (e, input) in node.exprs_mut().into_iter().zip(expr_inputs(&child_schemas)) {
+            check_coerced(e, &input, &mut err);
+        }
+    }
+    if errors.len() > before {
+        return;
+    }
 
     // Recorded schema must agree with the schema derived from the children
     // (arity and column types; names may legitimately differ after rewrites).
@@ -322,10 +340,32 @@ fn walk(node: &PhysPlan, path: &str, errors: &mut Vec<ValidateError>) {
 fn state_width(a: &AggCall) -> usize {
     use ic_common::agg::AggFunc;
     match a.func {
-        AggFunc::Count | AggFunc::CountStar | AggFunc::CountDistinct => 1,
-        AggFunc::Sum => 4,
         AggFunc::Avg => 2,
-        AggFunc::Min | AggFunc::Max => 1,
+        AggFunc::Count
+        | AggFunc::CountStar
+        | AggFunc::CountDistinct
+        | AggFunc::Sum
+        | AggFunc::Min
+        | AggFunc::Max => 1,
+    }
+}
+
+/// The schema a node's expressions read: its input's, or both join
+/// inputs' side by side — repeated for each expression.
+fn expr_inputs(children: &[&Schema]) -> impl Iterator<Item = Schema> {
+    let input = match children {
+        [one] => (*one).clone(),
+        [left, right] => left.join(right),
+        _ => Schema::empty(),
+    };
+    std::iter::repeat(input)
+}
+
+fn check_coerced(e: &Expr, input: &Schema, err: &mut impl FnMut(String)) {
+    match coerce(e, input) {
+        Ok((coerced, _)) if coerced == *e => {}
+        Ok((coerced, _)) => err(format!("expression {e} is not coerced: {coerced}")),
+        Err(cause) => err(format!("expression {e} is ill-typed: {cause}")),
     }
 }
 

@@ -1,5 +1,8 @@
 //! Name resolution, type checking, constant folding and subquery
-//! decorrelation: AST → [`LogicalPlan`].
+//! decorrelation: AST → [`LogicalPlan`]. Types are decided here, once: a
+//! bound plan leaves through [`coerce_plan`] (DML expressions through
+//! [`coerce_to`]), so every expression the planner and executor see is
+//! already coerced.
 //!
 //! Subqueries are unnested at bind time, the way Calcite's
 //! `SubQueryRemoveRule`/decorrelator does, producing joins flagged
@@ -23,6 +26,7 @@
 use crate::ast::*;
 use ic_common::agg::AggFunc;
 use ic_common::{dates, BinOp, DataType, Datum, Expr, FuncKind, IcError, IcResult, Row};
+use ic_plan::coerce::{coerce_plan, coerce_to};
 use ic_plan::dml::BoundDml;
 use ic_plan::ops::{AggCall, JoinKind, LogicalPlan, RelOp, SortKey};
 use ic_storage::{Catalog, TableDef, TableDistribution, WriteOp};
@@ -35,9 +39,10 @@ pub struct Bound {
     pub output_names: Vec<String>,
 }
 
-/// Bind a parsed query against the catalog.
+/// Bind a parsed query against the catalog and coerce it.
 pub fn bind_statement(query: &Query, catalog: &Catalog) -> IcResult<Bound> {
-    Binder { catalog }.bind_query(query)
+    let bound = Binder { catalog }.bind_query(query)?;
+    Ok(Bound { plan: coerce_plan(&bound.plan)?, ..bound })
 }
 
 /// Bind a parsed DML statement: resolve the table, type-check values and
@@ -966,30 +971,37 @@ impl<'a> Binder<'a> {
                 )));
             }
             let bound = self.bind_scalar(expr, &scope, &[], def.schema.arity())?;
-            if let Expr::Lit(v) = &bound {
-                let coerced = Self::coerce_to_column(
-                    v.clone(),
-                    def.schema.field(col).dtype,
-                    &def.schema.field(col).name,
-                )?;
-                assignments.push((col, Expr::Lit(coerced)));
-            } else {
-                assignments.push((col, bound));
-            }
+            let field = def.schema.field(col);
+            let value = match bound {
+                Expr::Lit(v) => Expr::Lit(Self::coerce_to_column(v, field.dtype, &field.name)?),
+                e => coerce_to(&e, &def.schema, field.dtype)?,
+            };
+            assignments.push((col, value));
         }
-        let predicate =
-            stmt.predicate.as_ref().map(|p| self.bind_scalar(p, &scope, &[], def.schema.arity()))
-                .transpose()?;
+        let predicate = self.bind_dml_predicate(&stmt.predicate, &scope, &def)?;
         Ok(BoundDml { table: def.id, op: WriteOp::Update { assignments, predicate } })
     }
 
     fn bind_delete(&self, stmt: &DeleteStmt) -> IcResult<BoundDml> {
         let def = self.resolve_dml_table(&stmt.table)?;
         let scope = Self::dml_scope(&def);
-        let predicate =
-            stmt.predicate.as_ref().map(|p| self.bind_scalar(p, &scope, &[], def.schema.arity()))
-                .transpose()?;
+        let predicate = self.bind_dml_predicate(&stmt.predicate, &scope, &def)?;
         Ok(BoundDml { table: def.id, op: WriteOp::Delete { predicate } })
+    }
+
+    /// An UPDATE / DELETE `WHERE` clause, bound and coerced over the table.
+    fn bind_dml_predicate(
+        &self,
+        pred: &Option<AstExpr>,
+        scope: &Scope,
+        def: &TableDef,
+    ) -> IcResult<Option<Expr>> {
+        pred.as_ref()
+            .map(|p| {
+                let bound = self.bind_scalar(p, scope, &[], def.schema.arity())?;
+                coerce_to(&bound, &def.schema, DataType::Bool)
+            })
+            .transpose()
     }
 
     // ------------------------------------------------------------- scalars
@@ -1156,7 +1168,7 @@ fn bind_interval_arith(base: Expr, value: i64, unit: IntervalUnit) -> IcResult<E
             if let Expr::Lit(Datum::Date(d)) = base {
                 return Ok(Expr::Lit(Datum::Date(d + value as i32)));
             }
-            // Dates compare numerically with ints, so plain addition works.
+            // `Date ± Int` is a Date: the coercion lattice's day arithmetic.
             Ok(Expr::binary(BinOp::Add, base, Expr::lit(value)))
         }
         IntervalUnit::Month | IntervalUnit::Year => {
@@ -1525,6 +1537,59 @@ mod tests {
         let b = bind("SELECT p_name FROM part WHERE p_size BETWEEN 1 AND 5").unwrap();
         let text = ic_plan::explain::explain_logical(&b.plan);
         assert!(text.contains(">=") && text.contains("<="), "{text}");
+    }
+
+    /// The coercion pass over bound statements, one lattice rule each; the
+    /// rules themselves are unit-tested in `ic_plan::coerce`.
+    #[test]
+    fn int_meeting_double_is_widened() {
+        // Every expression of the bound plan, as text.
+        let exprs = |sql: &str| {
+            fn walk(p: &LogicalPlan, out: &mut Vec<String>) {
+                p.children().into_iter().for_each(|c| walk(c, out));
+                out.extend(p.clone().exprs_mut().iter().map(|e| e.to_string()));
+            }
+            let mut out = Vec::new();
+            walk(&bind(sql).unwrap().plan, &mut out);
+            out.join("; ")
+        };
+        // CASE arms: the Int ELSE folds to a Double literal.
+        let text = exprs("SELECT CASE WHEN o_custkey > 1 THEN o_totalprice ELSE 0 END FROM orders");
+        assert!(text.contains("THEN $3 ELSE 0.0000 END"), "{text}");
+        // IN list and comparison: an Int column meeting Doubles is cast.
+        let text = exprs(
+            "SELECT o_orderkey FROM orders WHERE o_custkey IN (1, 2.5) AND o_custkey = o_totalprice",
+        );
+        assert!(text.contains("(CAST_DOUBLE($1) IN (1.0000, 2.5000))"), "{text}");
+        assert!(text.contains("(CAST_DOUBLE($1) = $3)"), "{text}");
+    }
+
+    #[test]
+    fn date_plus_days_is_a_date() {
+        let b = bind("SELECT o_orderdate + interval '2' day AS d FROM orders").unwrap();
+        assert_eq!(b.plan.schema.field(0).dtype, DataType::Date);
+        let b = bind("SELECT o_orderkey FROM orders WHERE o_orderdate - 7 < date '1995-01-01'");
+        assert!(b.is_ok(), "{b:?}");
+    }
+
+    #[test]
+    fn mixed_kinds_are_bind_errors() {
+        for sql in [
+            "SELECT o_orderkey FROM orders WHERE o_custkey = 'a'",
+            "SELECT o_custkey + 'a' FROM orders",
+            "SELECT o_orderkey FROM orders WHERE o_orderdate = 5",
+            "SELECT o_orderkey FROM orders WHERE o_custkey LIKE 'a%'",
+            "SELECT sum(p_name) FROM part",
+            "SELECT avg(o_orderdate) FROM orders",
+            "SELECT CASE WHEN p_size > 1 THEN p_name ELSE 0 END FROM part",
+            "SELECT o_orderkey FROM orders WHERE o_custkey",
+        ] {
+            assert!(matches!(bind(sql), Err(IcError::Bind(_))), "{sql}: {:?}", bind(sql));
+        }
+        let err = bind_dml_sql("UPDATE part SET p_size = p_name").unwrap_err();
+        assert!(matches!(err, IcError::Bind(_)), "{err:?}");
+        let err = bind_dml_sql("DELETE FROM part WHERE p_name > 3").unwrap_err();
+        assert!(matches!(err, IcError::Bind(_)), "{err:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::index::Index;
 use crate::stats::TableStats;
 use crate::table::TableData;
-use ic_common::{IcError, IcResult, Row, Schema};
+use ic_common::{DataType, Datum, IcError, IcResult, Row, Schema};
 use ic_net::{Membership, SiteId, Topology};
 use parking_lot::RwLock;
 use ic_common::hash::{FxHashMap, FxHashSet};
@@ -197,15 +197,17 @@ impl Catalog {
     }
 
     /// Bulk-load rows, routing each to its partition by hashing the
-    /// distribution key (replicated tables keep one logical copy).
-    /// Statistics are left as they are until the next `analyze`; indexes
-    /// need no upkeep here — their runs are keyed to the store version and
-    /// re-sort on the next index scan (or `analyze`).
-    pub fn insert(&self, table: TableId, rows: Vec<Row>) -> IcResult<usize> {
+    /// distribution key (replicated tables keep one logical copy). The rows
+    /// come from outside the engine, so they are first fitted to the table
+    /// schema ([`conform`]). Statistics are left as they are until the next
+    /// `analyze`; indexes need no upkeep here — their runs are keyed to the
+    /// store version and re-sort on the next index scan (or `analyze`).
+    pub fn insert(&self, table: TableId, mut rows: Vec<Row>) -> IcResult<usize> {
         let tables = self.tables.read();
         let entry = tables
             .get(table.0)
             .ok_or_else(|| IcError::Catalog(format!("unknown table {table}")))?;
+        conform(&entry.def, &mut rows)?;
         let n = rows.len();
         match &entry.def.distribution {
             TableDistribution::Replicated => entry.data.insert_into_partition(0, rows),
@@ -339,10 +341,41 @@ impl Catalog {
     }
 }
 
+/// Fit bulk-load rows to `def`'s schema, as `INSERT`'s coercion fits its
+/// values: an Int widens into a DOUBLE column and NULL fits any column; any
+/// other kind, or a row of another arity, is an error naming the table and
+/// column.
+fn conform(def: &TableDef, rows: &mut [Row]) -> IcResult<()> {
+    let fields = def.schema.fields();
+    for row in rows {
+        if row.arity() != fields.len() {
+            return Err(IcError::Catalog(format!(
+                "table '{}' has {} columns, a loaded row has {}",
+                def.name,
+                fields.len(),
+                row.arity()
+            )));
+        }
+        for (d, f) in row.0.iter_mut().zip(fields) {
+            match (&*d, f.dtype) {
+                (Datum::Int(i), DataType::Double) => *d = Datum::Double(*i as f64),
+                (d, want) if d.data_type().is_none_or(|t| t == want) => {}
+                (d, want) => {
+                    return Err(IcError::Catalog(format!(
+                        "table '{}' column '{}' is {want}, a loaded row has {d}",
+                        def.name, f.name
+                    )))
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_common::{DataType, Datum, Field};
+    use ic_common::Field;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -369,6 +402,42 @@ mod tests {
         assert!(cat
             .create_table("t", schema(), vec![0], TableDistribution::Replicated)
             .is_err());
+    }
+
+    #[test]
+    fn insert_widens_ints_into_double_columns() {
+        let cat = Catalog::new(Topology::new(2));
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::new("price", DataType::Double),
+        ]);
+        let dist = TableDistribution::HashPartitioned { key_cols: vec![0] };
+        let id = cat.create_table("t", schema, vec![0], dist).unwrap();
+        let rows = vec![
+            Row(vec![Datum::Int(1), Datum::Int(10)]),
+            Row(vec![Datum::Int(2), Datum::Null]),
+            Row(vec![Datum::Int(3), Datum::Double(2.5)]),
+        ];
+        assert_eq!(cat.insert(id, rows).unwrap(), 3);
+        let mut got = cat.table_data(id).unwrap().all_rows();
+        got.sort();
+        assert!(matches!(got[0].0[1], Datum::Double(x) if x == 10.0));
+        assert!(got[1].0[1].is_null());
+    }
+
+    #[test]
+    fn insert_rejects_rows_that_do_not_fit_the_schema() {
+        let cat = Catalog::new(Topology::new(2));
+        let dist = TableDistribution::HashPartitioned { key_cols: vec![0] };
+        let id = cat.create_table("t", schema(), vec![0], dist).unwrap();
+        let bad_kind = vec![Row(vec![Datum::Int(1), Datum::Int(7)])];
+        let err = cat.insert(id, bad_kind).unwrap_err();
+        assert!(err.to_string().contains("table 't' column 'val'"), "{err}");
+        let bad_arity = vec![Row(vec![Datum::Int(1)])];
+        let err = cat.insert(id, bad_arity).unwrap_err();
+        assert!(err.to_string().contains("table 't' has 2 columns"), "{err}");
+        // Nothing of a rejected load is stored.
+        assert_eq!(cat.table_data(id).unwrap().total_rows(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use ic_common::hash::FxHashMap;
 use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, Row, Schema};
+use ic_common::{ColumnBatch, DataType, Row, Schema};
 use ic_net::SiteId;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::sync::Arc;
@@ -67,18 +67,19 @@ impl PartStore {
         PartStore { version: self.version + 1, chunks: Arc::new(chunks) }
     }
 
-    /// The successor snapshot with `rows` appended: the tail chunk is
-    /// topped up to `BATCH_SIZE`, the rest packs into fresh chunks, and
-    /// every other chunk is shared with `self`.
-    pub(crate) fn appending(&self, rows: &[Row]) -> PartStore {
+    /// The successor snapshot with `rows` of the given field types appended:
+    /// the tail chunk is topped up to `BATCH_SIZE`, the rest packs into
+    /// fresh chunks, and every other chunk is shared with `self`.
+    pub(crate) fn appending(&self, types: &[DataType], rows: &[Row]) -> PartStore {
         let mut chunks = (*self.chunks).clone();
-        append_rows(&mut chunks, rows);
+        append_rows(types, &mut chunks, rows);
         self.succeed(chunks)
     }
 }
 
-/// Append `rows` to a chunk list, keeping every chunk but the last full.
-pub(crate) fn append_rows(chunks: &mut Vec<Arc<ColumnBatch>>, mut rows: &[Row]) {
+/// Append `rows` of the given field types to a chunk list, keeping every
+/// chunk but the last full.
+pub(crate) fn append_rows(types: &[DataType], chunks: &mut Vec<Arc<ColumnBatch>>, mut rows: &[Row]) {
     if rows.is_empty() {
         return;
     }
@@ -86,11 +87,12 @@ pub(crate) fn append_rows(chunks: &mut Vec<Arc<ColumnBatch>>, mut rows: &[Row]) 
         let take = (BATCH_SIZE - tail.num_rows()).min(rows.len());
         *tail = Arc::new(ColumnBatch::concat(&[
             (**tail).clone(),
-            ColumnBatch::from_rows(&rows[..take]),
+            ColumnBatch::from_typed_rows(types, &rows[..take]),
         ]));
         rows = &rows[take..];
     }
-    chunks.extend(rows.chunks(BATCH_SIZE).map(|piece| Arc::new(ColumnBatch::from_rows(piece))));
+    let pack = |piece| Arc::new(ColumnBatch::from_typed_rows(types, piece));
+    chunks.extend(rows.chunks(BATCH_SIZE).map(pack));
 }
 
 /// One partition: its replica stores keyed by hosting site, plus the write
@@ -156,12 +158,13 @@ impl TableData {
         let part = &self.partitions[partition];
         let _w = part.write_lock.lock();
         let mut replicas = part.replicas.write();
+        let types = self.schema.types();
         let mut packed: Vec<(PartStore, PartStore)> = Vec::new();
         for store in replicas.values_mut() {
             let next = match packed.iter().find(|(from, _)| from.same_snapshot(store)) {
                 Some((_, to)) => to.clone(),
                 None => {
-                    let to = store.appending(&rows);
+                    let to = store.appending(&types, &rows);
                     packed.push((store.clone(), to.clone()));
                     to
                 }
@@ -339,7 +342,7 @@ mod tests {
         let t = TableData::new_with_owners(schema(), &[vec![SiteId(0), SiteId(1)]]);
         t.insert_into_partition(0, vec![Row(vec![Datum::Int(1)])]);
         let base = t.replica(0, SiteId(0)).unwrap();
-        let next = base.appending(&[Row(vec![Datum::Int(2)])]);
+        let next = base.appending(&[DataType::Int], &[Row(vec![Datum::Int(2)])]);
         let sites = [SiteId(0), SiteId(1)];
         let _g = t.write_guard(0);
         assert_eq!(t.commit(0, &sites, base.version(), next.clone()), Ok(()));

@@ -31,7 +31,7 @@ use crate::table::{append_rows, PartStore, TableData};
 use ic_common::eval::eval_filter_sel;
 use ic_common::obs::{Counter, MetricsRegistry};
 use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, Expr, IcError, IcResult, Row};
+use ic_common::{ColumnBatch, Expr, IcError, IcResult, Row, Schema};
 use ic_net::wire::WireSize;
 use ic_net::{NetError, Network, SiteId};
 use std::collections::BTreeMap;
@@ -170,7 +170,13 @@ fn find_pk(chunks: &[Arc<ColumnBatch>], pk: &[usize], row: &Row) -> Option<(usiz
 /// Pure and deterministic: the same op against the same snapshot yields the
 /// same store on every replica, which is what lets backups confirm delivery
 /// before any state changes.
-pub fn apply_op(store: &PartStore, op: &WriteOp, primary_key: &[usize]) -> IcResult<(PartStore, usize)> {
+pub fn apply_op(
+    store: &PartStore,
+    op: &WriteOp,
+    schema: &Schema,
+    primary_key: &[usize],
+) -> IcResult<(PartStore, usize)> {
+    let types = schema.types();
     let (chunks, affected) = match op {
         WriteOp::Insert { rows: new_rows } => {
             // Each new row replaces the stored row with its key, else the
@@ -199,9 +205,9 @@ pub fn apply_op(store: &PartStore, op: &WriteOp, primary_key: &[usize]) -> IcRes
                 for (i, nr) in edits {
                     rows[i] = nr.clone();
                 }
-                chunks[c] = Arc::new(ColumnBatch::from_rows(&rows));
+                chunks[c] = Arc::new(ColumnBatch::from_typed_rows(&types, &rows));
             }
-            append_rows(&mut chunks, &appended);
+            append_rows(&types, &mut chunks, &appended);
             (chunks, new_rows.len())
         }
         WriteOp::Update { assignments, predicate } => {
@@ -222,7 +228,7 @@ pub fn apply_op(store: &PartStore, op: &WriteOp, primary_key: &[usize]) -> IcRes
                     }
                 }
                 n += hit.len();
-                w.rewrite(ColumnBatch::from_rows(&rows));
+                w.rewrite(ColumnBatch::from_typed_rows(&types, &rows));
             }
             (w.finish(), n)
         }
@@ -373,7 +379,7 @@ fn write_partition(
         // (migration mid-flight).
         return Err(IcError::RebalanceInProgress { partition });
     };
-    let (new_store, affected) = apply_op(&store, op, primary_key)?;
+    let (new_store, affected) = apply_op(&store, op, data.schema(), primary_key)?;
     if affected == 0 {
         return Ok((0, false));
     }
@@ -469,7 +475,7 @@ fn write_replicated(
         });
     };
     let store = data.store(0);
-    let (new_store, affected) = apply_op(&store, op, primary_key)?;
+    let (new_store, affected) = apply_op(&store, op, data.schema(), primary_key)?;
     if affected == 0 {
         return Ok((0, false));
     }

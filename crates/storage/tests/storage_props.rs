@@ -145,6 +145,11 @@ enum ModelOp {
 
 const KEYS: i64 = 3 * BATCH_SIZE as i64;
 
+fn model_schema() -> Schema {
+    let field = |n: &str, t| Field::new(n, t);
+    Schema::new(vec![field("k", DataType::Int), field("v", DataType::Int), field("s", DataType::Str)])
+}
+
 fn model_row(k: i64, v: i64) -> Row {
     // NULLs and strings ride along so validity bitmaps and string arenas
     // are rebuilt too.
@@ -199,7 +204,8 @@ fn to_write_op(op: &ModelOp) -> WriteOp {
                             Expr::lit(7i64),
                         ),
                     ),
-                    Expr::lit(*r),
+                    // `/` is a Double, so the difference is one too.
+                    Expr::lit(*r as f64),
                 ),
             )),
         },
@@ -270,7 +276,8 @@ proptest! {
         // Start from ~2.5 chunks so range ops span chunk boundaries.
         let seed_rows: Vec<Row> = (0..(5 * BATCH_SIZE as i64 / 2)).map(|k| model_row(k, k)).collect();
         let (mut store, n) =
-            apply_op(&PartStore::default(), &WriteOp::Insert { rows: seed_rows.clone() }, &[0]).unwrap();
+            apply_op(&PartStore::default(), &WriteOp::Insert { rows: seed_rows.clone() }, &model_schema(), &[0])
+                .unwrap();
         prop_assert_eq!(n, seed_rows.len());
         let mut model = seed_rows;
         for op in &ops {
@@ -279,7 +286,7 @@ proptest! {
             let before_rows = before.to_rows();
             prop_assert_eq!(&before_rows, &model);
             let (touched, appended) = apply_to_model(&mut model, &write);
-            let (after, affected) = apply_op(&before, &write, &[0]).unwrap();
+            let (after, affected) = apply_op(&before, &write, &model_schema(), &[0]).unwrap();
             let expect_affected = match &write {
                 WriteOp::Insert { rows } => rows.len(),
                 _ => touched.len(),

@@ -1,16 +1,10 @@
-//! The benchmark's 27 statements never leave the columnar plane: over the
-//! 20 TPC-H and 7 SSB (QS1 + QS3) queries on IC+, the vectorized
-//! evaluator's per-row `Datum` loop (`ic_common::eval::per_row`) sees no
-//! row — `exec.eval.row_fallback_rows` does not move — and every result
-//! still matches a 1-site oracle.
-//!
-//! One test in a binary of its own: `MetricsRegistry::global()` is
-//! process-wide, so any other test's ill-typed expression would move the
-//! counter under this one.
+//! The benchmark's 27 statements — the 20 TPC-H and 7 SSB (QS1 + QS3)
+//! queries — on a 4-site IC+ cluster match a 1-site oracle over the same
+//! data. The evaluator has no per-row path left to guard: the binder
+//! coerced every expression, so each runs through a typed kernel.
 
 use ignite_calcite_rs::benchdata::{ssb, tpch, TableData};
 use ic_fuzz::oracle::compare_rows;
-use ignite_calcite_rs::common::obs::MetricsRegistry;
 use ignite_calcite_rs::{Cluster, ClusterConfig, NetworkConfig, SystemVariant};
 
 const SF: f64 = 0.01;
@@ -35,14 +29,12 @@ fn loaded(sites: usize, ddl: &[&[&str]], tables: Vec<TableData>) -> Cluster {
 /// Run `queries` on a 4-site IC+ cluster and on the 1-site oracle over
 /// the same data; returns how many ran.
 fn check(ddl: &[&[&str]], tables: fn() -> Vec<TableData>, queries: Vec<(String, String)>) -> usize {
-    let fallback_rows = MetricsRegistry::global().counter("exec.eval.row_fallback_rows");
     let (cluster, oracle) = (loaded(4, ddl, tables()), loaded(1, ddl, tables()));
     for (label, sql) in &queries {
         let got = cluster.query(sql).unwrap_or_else(|e| panic!("{label}: {e}"));
         let want = oracle.query(sql).unwrap_or_else(|e| panic!("{label} (oracle): {e}"));
         // Unordered multisets, 1e-6 relative tolerance on doubles.
         compare_rows(&want.rows, &got.rows).unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert_eq!(fallback_rows.get(), 0, "{label} evaluated rows through the Datum fallback");
     }
     queries.len()
 }

@@ -116,3 +116,56 @@ fn index_scans_see_updates_and_deletes() {
     // sum over k in 10000..15000 of 10k; the pre-fix answer was the line above.
     assert_eq!(answer(&cluster), (624_975_000, 15_000));
 }
+
+/// A cluster of 4 IC+ sites holding `t (k BIGINT, x DOUBLE, d DATE)`, with
+/// `x = k / 4` and `d` = day `100 + k` for `k` in `0..200`.
+fn typed_cluster() -> ignite_calcite_rs::Cluster {
+    use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, NetworkConfig, Row, SystemVariant};
+    let cluster = Cluster::new(ClusterConfig {
+        sites: 4,
+        variant: SystemVariant::ICPlus,
+        network: NetworkConfig::instant(),
+        ..ClusterConfig::test_default()
+    });
+    cluster.run("CREATE TABLE t (k BIGINT, x DOUBLE, d DATE, PRIMARY KEY (k))").unwrap();
+    let row = |k: i64| Row(vec![Datum::Int(k), Datum::Double(k as f64 / 4.0), Datum::Date(100 + k as i32)]);
+    cluster.insert("t", (0..200).map(row).collect()).unwrap();
+    cluster.analyze_all().unwrap();
+    cluster
+}
+
+/// `date_col ± INTERVAL 'n' DAY` bound to `date_col + n`, which no
+/// evaluator rule covered: both the projection and the predicate failed with
+/// `Exec("arithmetic on non-numeric 1970-04-11")`. `Date ± Int` is now a
+/// typed rule of the binder's lattice and of both evaluation planes.
+#[test]
+fn date_column_plus_interval_days() {
+    use ignite_calcite_rs::Datum;
+    let cluster = typed_cluster();
+    let r = cluster.query("SELECT d + interval '1' day, d - interval '3' day FROM t WHERE k = 0").unwrap();
+    assert_eq!(r.rows.len(), 1);
+    assert!(matches!(r.rows[0].0[..], [Datum::Date(101), Datum::Date(97)]), "{:?}", r.rows);
+    // Day 100 + k - 150 >= day 0 keeps k >= 50.
+    let r = cluster.query("SELECT count(*) FROM t WHERE d - interval '150' day >= date '1970-01-01'").unwrap();
+    assert_eq!(r.rows[0].0[0], Datum::Int(150));
+}
+
+/// CASE arms and SUMs come out in the plan's type: an Int ELSE arm beside a
+/// DOUBLE THEN arm is widened by the binder, so the column holds Doubles
+/// only — it mixed `Int(0)` and `Double(2.5)` — and a SUM over it that
+/// never sees the THEN arm is `Double(0.0)` where it was `Int(0)`.
+#[test]
+fn case_arms_and_sums_keep_the_schema_type() {
+    use ignite_calcite_rs::Datum;
+    let cluster = typed_cluster();
+    let sql = "SELECT k, CASE WHEN k > 1 THEN x ELSE 0 END FROM t WHERE k < 4 ORDER BY k";
+    let r = cluster.query(sql).unwrap();
+    let col: Vec<&Datum> = r.rows.iter().map(|row| &row.0[1]).collect();
+    assert!(
+        matches!(col[..], [Datum::Double(a), Datum::Double(b), Datum::Double(c), Datum::Double(d)]
+            if [*a, *b, *c, *d] == [0.0, 0.0, 0.5, 0.75]),
+        "{col:?}"
+    );
+    let r = cluster.query("SELECT sum(CASE WHEN x > 1000 THEN x ELSE 0 END) FROM t").unwrap();
+    assert!(matches!(r.rows[0].0[0], Datum::Double(s) if s == 0.0), "{:?}", r.rows);
+}
