@@ -2,8 +2,8 @@
 //! parallel region (`worker_threads`) swept 1 → N, wall time per query shape.
 //!
 //! `1` runs the morsel pipeline with a single lane per region; `2+` adds
-//! lanes that pull from the shared morsel supply and steal across
-//! pre-assignments. Two query shapes show where lanes can and cannot help:
+//! lanes that pull from the shared morsel supply. Two query shapes show
+//! where lanes can and cannot help:
 //!
 //! * **ship** — a wide scan→filter→project whose entire output is shipped
 //!   to the coordinator over the calibrated simulated network. Each
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 const SITES: usize = 4;
 /// Lane split for the bench: small enough that every site's scan breaks
-/// into ~dozens of morsels (work to steal), large enough that per-morsel
+/// into ~dozens of morsels (work to share), large enough that per-morsel
 /// overhead stays invisible.
 const MORSEL_ROWS: usize = 4096;
 const THREADS: [usize; 3] = [1, 2, 4];

@@ -31,17 +31,19 @@
 //!
 //! **Row boundaries.** [`ColumnBatch::from_typed_rows`] /
 //! [`ColumnBatch::to_rows`] are the only row↔column conversion points: rows
-//! are packed once, by their schema, when they enter the store (or leave an
-//! aggregate), and unpacked at the final client rowset (and the inputs of
-//! the row-internal nested-loop join and sort aggregate).
+//! are packed once, by their schema, when they enter the engine (a bulk
+//! load, an `INSERT`'s literals, an aggregate's output), and unpacked at the
+//! final client rowset (and the inputs of the row-internal nested-loop join
+//! and sort aggregate).
 //!
-//! **Hash contract.** [`ColumnBatch::hash_keys`] drives one [`FxHasher`]
-//! per row through the exact same `Hash` write sequence as `Datum::hash`,
-//! so vectorized hashing is bit-identical to `Row::hash_key` — planner
-//! routing, storage partitioning and exchange hashing all share it (see the
-//! pinned-value tests in `crates/exec/tests/kernel_props.rs`). A key column
-//! without NULLs is hashed by one typed loop; strings feed their bytes as
-//! `str::hash` does, without a UTF-8 re-check.
+//! **Hash contract.** [`ColumnBatch::hash_keys`] is the routing hash: one
+//! [`FxHasher`] per row, fed each key column's value by
+//! [`Column::hash_at`]'s write sequence. Planner routing, storage
+//! partitioning, DML pinning and exchange hashing all call it, and its
+//! values are pinned in `crates/exec/tests/kernel_props.rs`. Int, Double
+//! and Date values hash through their `f64` bits, so equal numbers hash
+//! alike whatever their column type. A key column without NULLs is hashed
+//! by one typed loop; strings feed their bytes without a UTF-8 re-check.
 
 use crate::datum::{DataType, Datum};
 use crate::hash::FxHasher;
@@ -431,8 +433,10 @@ impl Column {
         }
     }
 
-    /// Feed physical row `i` into `h` with the exact write sequence of
-    /// `Datum::hash` — the cross-layer hash contract.
+    /// Feed physical row `i` into `h` — the routing hash's write sequence
+    /// for one value (the module doc's hash contract): a tag byte, then the
+    /// value (numbers as `f64` bits, strings as bytes plus a `0xff`
+    /// terminator; NULL is the tag alone).
     #[inline]
     pub fn hash_at(&self, i: usize, h: &mut FxHasher) {
         if !self.is_valid(i) {
@@ -486,18 +490,17 @@ impl Column {
     }
 }
 
-/// `Datum::hash`'s writes for a number: the numeric tag, then the `f64`
-/// bits (`Int` and `Date` canonicalize through `f64`, so `1` and `1.0`
-/// hash alike).
+/// The routing hash's writes for a number: the numeric tag, then the
+/// `f64` bits (`Int` and `Date` canonicalize through `f64`, so `1` and
+/// `1.0` hash alike).
 #[inline]
 fn hash_num(v: f64, h: &mut FxHasher) {
     2u8.hash(h);
     v.to_bits().hash(h);
 }
 
-/// `Datum::hash`'s writes for a string: the string tag, then its UTF-8
-/// bytes exactly as `str::hash` feeds them — `write(bytes)`, then the
-/// `0xff` terminator — without re-validating them.
+/// The routing hash's writes for a string: the string tag, then its UTF-8
+/// bytes and the `0xff` terminator, without re-validating them.
 #[inline]
 fn hash_str(bytes: &[u8], h: &mut FxHasher) {
     3u8.hash(h);
@@ -749,14 +752,22 @@ impl ColumnBatch {
     /// batches would each pay a fixed cost downstream — e.g. per-message
     /// network latency at an exchange.
     pub fn concat(batches: &[ColumnBatch]) -> ColumnBatch {
+        let width = batches.first().map_or(0, ColumnBatch::width);
+        let types: Vec<DataType> =
+            (0..width).map(|c| common_type(batches.iter().map(|b| &**b.col(c)))).collect();
+        ColumnBatch::concat_as(&types, batches)
+    }
+
+    /// [`Self::concat`] into columns of the given types (a store's schema),
+    /// so a column without a value still comes out of its schema type.
+    pub fn concat_as(types: &[DataType], batches: &[ColumnBatch]) -> ColumnBatch {
         if batches.len() == 1 && batches[0].sel.is_none() {
             return batches[0].clone();
         }
-        let width = batches.first().map_or(0, ColumnBatch::width);
         let nrows = batches.iter().map(ColumnBatch::num_rows).sum();
-        let mut cols = Vec::with_capacity(width);
-        for c in 0..width {
-            let mut b = ColumnBuilder::new(common_type(batches.iter().map(|b| &**b.col(c))));
+        let mut cols = Vec::with_capacity(types.len());
+        for (c, &ty) in types.iter().enumerate() {
+            let mut b = ColumnBuilder::new(ty);
             for batch in batches {
                 b.append_column(batch.col(c), batch.selection());
             }
@@ -881,8 +892,9 @@ impl ColumnBatch {
         }
     }
 
-    /// Per-logical-row key hashes over `cols`, bit-identical to
-    /// `Row::hash_key` (one fresh [`FxHasher`] per row, columns in order).
+    /// Per-logical-row key hashes over `cols` — the routing hash of the
+    /// module doc's contract (one fresh [`FxHasher`] per row, columns in
+    /// order).
     pub fn hash_keys(&self, cols: &[usize]) -> Vec<u64> {
         let n = self.num_rows();
         let mut hashers = vec![FxHasher::default(); n];
@@ -1086,27 +1098,6 @@ mod tests {
         assert_eq!(dense.phys_rows(), 2);
         assert!(dense.selection().is_none());
         assert_eq!(dense.to_rows(), rows(&[&[Datum::Int(1)], &[Datum::Int(3)]]));
-    }
-
-    #[test]
-    fn hash_matches_row_hash_key() {
-        let input = rows(&[
-            &[Datum::Int(7), Datum::str("line"), Datum::Double(0.25), Datum::Date(42)],
-            &[Datum::Null, Datum::str(""), Datum::Double(-1.0), Datum::Date(0)],
-            &[Datum::Int(0), Datum::str("ORDERS"), Datum::Null, Datum::Null],
-        ]);
-        let b = ColumnBatch::from_rows(&input);
-        for cols in [vec![0usize], vec![1], vec![0, 1, 2, 3], vec![3, 2]] {
-            let hashes = b.hash_keys(&cols);
-            for (k, r) in input.iter().enumerate() {
-                assert_eq!(hashes[k], r.hash_key(&cols), "cols {cols:?} row {k}");
-            }
-        }
-        // Through a selection too.
-        let selected = b.with_sel(vec![2, 0]);
-        let hashes = selected.hash_keys(&[0, 1]);
-        assert_eq!(hashes[0], input[2].hash_key(&[0, 1]));
-        assert_eq!(hashes[1], input[0].hash_key(&[0, 1]));
     }
 
     #[test]

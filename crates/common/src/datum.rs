@@ -83,17 +83,16 @@ impl Datum {
         }
     }
 
-    /// Approximate in-memory / wire size in bytes, used by the network
-    /// simulator and the baseline cost model's byte estimates.
-    pub fn byte_size(&self) -> usize {
-        match self {
-            Datum::Null => 1,
-            Datum::Bool(_) => 1,
-            Datum::Int(_) => 8,
-            Datum::Double(_) => 8,
-            Datum::Str(s) => s.len(),
-            Datum::Date(_) => 4,
+    /// Fit a value from outside the engine (a bulk-loaded row, an `INSERT`
+    /// literal) to a column of type `want`, in place: NULL fits, a value of
+    /// `want` fits, and an Int widens into a Double. `false` when it does
+    /// not fit; each caller raises its own error.
+    pub fn fit_to(&mut self, want: DataType) -> bool {
+        match (&*self, want) {
+            (Datum::Int(i), DataType::Double) => *self = Datum::Double(*i as f64),
+            (d, want) => return d.data_type().is_none_or(|t| t == want),
         }
+        true
     }
 
     /// The boolean value, if this is a [`Datum::Bool`].
@@ -323,10 +322,13 @@ mod tests {
     }
 
     #[test]
-    fn byte_sizes() {
-        assert_eq!(Datum::Int(1).byte_size(), 8);
-        assert_eq!(Datum::str("abcd").byte_size(), 4);
-        assert_eq!(Datum::Date(0).byte_size(), 4);
+    fn fit_to_admits_null_same_type_and_int_widening() {
+        let fit = |mut d: Datum, want| d.fit_to(want).then_some(d);
+        assert_eq!(fit(Datum::Null, DataType::Str), Some(Datum::Null));
+        assert_eq!(fit(Datum::str("a"), DataType::Str), Some(Datum::str("a")));
+        assert!(matches!(fit(Datum::Int(3), DataType::Double), Some(Datum::Double(x)) if x == 3.0));
+        assert_eq!(fit(Datum::Double(3.0), DataType::Int), None);
+        assert_eq!(fit(Datum::str("1995-01-01"), DataType::Date), None);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! [`FxHasher`] is the rustc-style multiply-xor hasher: one wrapping multiply
 //! and a rotate per word instead of SipHash's four rounds. Quality is far
 //! below cryptographic but ample for hash tables and partition routing, and
-//! it is 5–10× cheaper per key — which matters because `Row::hash_key` sits
-//! on the hot path of every hash join build/probe, every grouped aggregation
-//! and every hash-distributed exchange.
+//! it is 5–10× cheaper per key — which matters because the routing hash
+//! (`ColumnBatch::hash_keys`) sits on the hot path of every hash join
+//! build/probe, every grouped aggregation, every hash-distributed exchange
+//! and every partitioned write.
 //!
 //! The module also provides [`FlatMap`], an open-addressing table keyed by
 //! precomputed 64-bit hashes with `u32` payloads. Execution kernels use it

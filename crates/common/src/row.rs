@@ -2,7 +2,6 @@
 
 use crate::datum::Datum;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A single tuple. Cloning is cheap-ish: fixed-width datums copy, strings
 /// bump a refcount.
@@ -25,12 +24,6 @@ impl Row {
         &self.0[i]
     }
 
-    /// Approximate wire/memory size in bytes (used by the network simulator
-    /// and the baseline byte-based cost model).
-    pub fn byte_size(&self) -> usize {
-        self.0.iter().map(Datum::byte_size).sum()
-    }
-
     /// Concatenate two rows (join output).
     pub fn concat(&self, other: &Row) -> Row {
         let mut v = Vec::with_capacity(self.0.len() + other.0.len());
@@ -42,22 +35,6 @@ impl Row {
     /// Project the given column indices into a new row.
     pub fn project(&self, cols: &[usize]) -> Row {
         Row(cols.iter().map(|&c| self.0[c].clone()).collect())
-    }
-
-    /// Stable hash of a key projection, used for hash partitioning and hash
-    /// joins. Must agree between the build and probe side and between the
-    /// planner's hash-distribution routing and the executor — all three go
-    /// through this one function, and [`crate::hash::FxHasher`] is
-    /// deterministic, so swapping the hasher stays coherent across layers.
-    /// `Datum`'s `Hash` impl canonicalizes equal numerics (Int 7, Double
-    /// 7.0, dates) to the same bits, which this inherits.
-    #[inline]
-    pub fn hash_key(&self, cols: &[usize]) -> u64 {
-        let mut h = crate::hash::FxHasher::default();
-        for &c in cols {
-            self.0[c].hash(&mut h);
-        }
-        h.finish()
     }
 }
 
@@ -120,14 +97,10 @@ mod tests {
     fn hash_key_depends_only_on_projection() {
         let a = Row(vec![Datum::Int(1), Datum::str("x")]);
         let b = Row(vec![Datum::Int(1), Datum::str("y")]);
-        assert_eq!(a.hash_key(&[0]), b.hash_key(&[0]));
-        assert_ne!(a.hash_key(&[1]), b.hash_key(&[1]));
-    }
-
-    #[test]
-    fn byte_size_sums() {
-        let a = Row(vec![Datum::Int(1), Datum::str("abc")]);
-        assert_eq!(a.byte_size(), 11);
+        let batch = crate::ColumnBatch::from_rows(&[a, b]);
+        let (key, other) = (batch.hash_keys(&[0]), batch.hash_keys(&[1]));
+        assert_eq!(key[0], key[1]);
+        assert_ne!(other[0], other[1]);
     }
 
     #[test]

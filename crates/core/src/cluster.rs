@@ -85,7 +85,7 @@ pub struct ClusterConfig {
     /// Lanes per parallel region (intra-fragment parallelism degree);
     /// clamped to ≥1.
     pub worker_threads: usize,
-    /// Rows per morsel (work-stealing granule).
+    /// Rows per morsel (the unit lanes pull from their region's queue).
     pub morsel_rows: usize,
 }
 

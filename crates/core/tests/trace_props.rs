@@ -93,10 +93,10 @@ proptest! {
     }
 
     // Morsel-parallel pipelines: with a multi-worker pool and tiny morsels,
-    // region operators run as lane replicas on `worker @sN #i` lanes, and
-    // idle lanes steal morsels pre-assigned to their siblings. The span
-    // tree must stay well-formed, and every operator span recorded on a
-    // worker lane — including spans covering stolen morsels — must parent
+    // region operators run as lane replicas on `worker @sN #i` lanes, which
+    // pull morsels from one shared queue in whatever order they get there.
+    // The span tree must stay well-formed, and every operator span recorded
+    // on a worker lane — whichever morsels its lane pulled — must parent
     // to the owning pipeline's *fragment* span, never to another worker's
     // span or to a different fragment.
     #[test]

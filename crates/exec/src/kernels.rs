@@ -499,11 +499,11 @@ mod tests {
     /// partitions`); the directory must still spread them over its buckets.
     #[test]
     fn join_table_spreads_one_partitions_keys() {
-        let rows: Vec<Row> = (0..)
-            .map(|k| Row(vec![Datum::Int(k)]))
-            .filter(|r| r.hash_key(&[0]) % 4 == 0)
-            .take(4096)
-            .collect();
+        let all: Vec<Row> = (0..32_768).map(|k| Row(vec![Datum::Int(k)])).collect();
+        let hashes = ColumnBatch::from_rows(&all).hash_keys(&[0]);
+        let rows: Vec<Row> =
+            all.into_iter().zip(hashes).filter(|(_, h)| h % 4 == 0).map(|(r, _)| r).take(4096).collect();
+        assert_eq!(rows.len(), 4096);
         let t = ColJoinTable::build(vec![0], 1, vec![ColumnBatch::from_rows(&rows)]);
         assert_eq!(t.dir.len(), 8192);
         // ≈ 1 - e^(-1/2) = 39 % of them by chance; the low bits reach ≤ 25 %.

@@ -10,8 +10,8 @@
 //! it to every thread of the query, and there is one kind of thread: a
 //! scoped thread borrowing the execution — one *driver* per fragment
 //! instance and, where an instance's chain compiles into a pipeline
-//! ([`pipeline`]), its *lanes*, which share the region's morsels with work
-//! stealing ([`pool`]).
+//! ([`pipeline`]), its *lanes*, which pull the region's morsels from one
+//! shared queue ([`pool`]).
 
 pub mod fragment;
 pub mod kernels;

@@ -190,6 +190,9 @@ pub struct TracedSource {
     obs: ExecObs,
     node: u32,
     label: String,
+    /// The node's schema types, which every emitted column must have
+    /// (checked in debug builds).
+    types: Vec<DataType>,
     lane: u32,
     parent: Option<SpanId>,
     open_ns: u64,
@@ -209,6 +212,7 @@ impl TracedSource {
         obs: ExecObs,
         node: u32,
         label: String,
+        types: Vec<DataType>,
         lane: u32,
         parent: Option<SpanId>,
     ) -> TracedSource {
@@ -219,6 +223,7 @@ impl TracedSource {
             obs,
             node,
             label,
+            types,
             lane,
             parent,
             open_ns,
@@ -237,7 +242,16 @@ impl RowSource for TracedSource {
         let dt = self.obs.trace.now_ns().saturating_sub(t0);
         self.busy_ns += dt;
         let (rows, phys, produced) = match &result {
-            Ok(Some(b)) => (b.num_rows() as u64, b.phys_rows() as u64, true),
+            Ok(Some(b)) => {
+                debug_assert!(
+                    fits_schema(&self.types, b),
+                    "{} emitted columns of types {:?}, its schema says {:?}",
+                    self.label,
+                    b.columns().iter().map(|c| c.data.data_type()).collect::<Vec<_>>(),
+                    self.types
+                );
+                (b.num_rows() as u64, b.phys_rows() as u64, true)
+            }
             _ => (0, 0, false),
         };
         self.rows += rows;
@@ -246,6 +260,13 @@ impl RowSource for TracedSource {
         self.obs.attempt.record_next(self.node, rows, dt, produced);
         result
     }
+}
+
+/// Does every column of `b` have its schema type? A column without a value
+/// (an untyped NULL literal's) fits any.
+fn fits_schema(types: &[DataType], b: &ColumnBatch) -> bool {
+    b.width() == types.len()
+        && b.columns().iter().zip(types).all(|(c, &t)| c.is_all_null() || c.data.data_type() == t)
 }
 
 /// Close: record the operator instance's lifetime span and flush its totals
@@ -324,7 +345,7 @@ enum MorselFeed {
     /// the next partition's first row.
     Sequential { next_part: usize, base: usize },
     /// A pipeline lane pulling from the pipeline's shared supply.
-    Shared { supply: Arc<MorselSupply>, lane: usize },
+    Shared(Arc<MorselSupply>),
 }
 
 /// Scan over stored chunk runs — partition snapshots or an index's sorted
@@ -365,16 +386,15 @@ impl ScanSource {
     pub(crate) fn over_supply(
         partitions: Arc<Vec<Chunks>>,
         supply: Arc<MorselSupply>,
-        lane: usize,
         split: Option<(usize, usize)>,
         ctrl: Arc<ControlBlock>,
     ) -> ScanSource {
-        ScanSource { partitions, feed: MorselFeed::Shared { supply, lane }, cur: None, split, ctrl }
+        ScanSource { partitions, feed: MorselFeed::Shared(supply), cur: None, split, ctrl }
     }
 
     fn next_morsel(&mut self) -> Option<Morsel> {
         match &mut self.feed {
-            MorselFeed::Shared { supply, lane } => supply.pull(*lane),
+            MorselFeed::Shared(supply) => supply.pull(),
             MorselFeed::Sequential { next_part, base } => loop {
                 let part = *next_part;
                 let chunks = self.partitions.get(part)?;
@@ -389,7 +409,6 @@ impl ScanSource {
                         hi: last.num_rows(),
                         base: *base,
                         rows,
-                        assigned: 0,
                     };
                     *base += rows;
                     return Some(m);
@@ -1503,6 +1522,23 @@ mod tests {
     /// An Int-typed source of `vals`.
     fn src(vals: &[&[i64]]) -> BoxedSource {
         Box::new(VecSource::new(ints(vals.first().map_or(0, |r| r.len())), rows(vals)))
+    }
+
+    /// In debug builds a traced operator checks each batch against its
+    /// node's schema: an all-NULL column (an untyped NULL literal's) fits
+    /// any type, a column of another type is a bug.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "its schema says [Str]")]
+    fn traced_source_rejects_a_batch_of_another_type() {
+        let obs = ExecObs::new(Trace::new(), Arc::new(AttemptStats::new(Vec::new())));
+        let traced = |vals: Vec<Datum>| {
+            let rows = vals.into_iter().map(|d| Row(vec![d])).collect();
+            let inner = Box::new(VecSource::new(ints(1), rows));
+            TracedSource::new(inner, obs.clone(), 0, "Scan".into(), vec![DataType::Str], 0, None)
+        };
+        assert!(traced(vec![Datum::Null]).next_batch().unwrap().is_some());
+        let _ = traced(vec![Datum::Int(7)]).next_batch();
     }
 
     #[test]

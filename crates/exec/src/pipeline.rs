@@ -180,7 +180,7 @@ fn run_lanes(
             ctx.lane = o.trace.lane(format!("worker @{site} #{lane}"));
         }
         let (partitions, supply) = (feed.partitions.clone(), feed.supply.clone());
-        ctx.subs.insert(feed.scan, Sub::Morsels { partitions, supply, lane, split: feed.split });
+        ctx.subs.insert(feed.scan, Sub::Morsels { partitions, supply, split: feed.split });
         let mut src = ctx.build(top, None)?;
         let mut run = Vec::new();
         while let Some(b) = src.next_batch()? {

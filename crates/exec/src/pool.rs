@@ -5,10 +5,10 @@
 //! partition snapshot's stored chunks, about `ExecOptions::morsel_rows` rows
 //! each — and runs one *lane* per morsel, up to
 //! `ExecOptions::worker_threads`, each a scoped thread of the instance's
-//! driver. Lanes pull morsels from the pipeline's shared [`MorselSupply`];
-//! morsels are pre-assigned to lanes round-robin, and a lane that outruns its
-//! own share pulls (steals) a morsel assigned to a slower lane, so skew inside
-//! one pipeline self-balances. The morsel boundary is the cooperative
+//! driver. Lanes pull morsels from the front of the pipeline's one shared
+//! FIFO, the [`MorselSupply`], whichever lane asks: a lane that finishes
+//! early simply pulls the next morsel, so skew inside one pipeline
+//! self-balances without any lane owning a share. The morsel boundary is the cooperative
 //! revocation/cancellation point: lanes call `ControlBlock::check` between
 //! morsels and batches, never mid-kernel.
 //!
@@ -46,17 +46,12 @@ pub struct Morsel {
     pub hi: usize,
     pub base: usize,
     pub rows: usize,
-    /// Lane this morsel was pre-assigned to (round-robin); a different
-    /// lane pulling it counts as a steal.
-    pub assigned: usize,
 }
 
-/// Pre-resolved `exec.morsel.*` / `exec.worker.steal_attempts` metric
-/// handles — one registry lookup per supply, not per pull.
+/// Pre-resolved `exec.morsel.*` metric handles — one registry lookup per
+/// supply, not per pull.
 struct MorselMetrics {
     dispatched: Arc<Counter>,
-    stolen: Arc<Counter>,
-    steal_attempts: Arc<Counter>,
     rows: Arc<Histogram>,
 }
 
@@ -65,16 +60,13 @@ impl MorselMetrics {
         let reg = MetricsRegistry::global();
         MorselMetrics {
             dispatched: reg.counter("exec.morsel.dispatched"),
-            stolen: reg.counter("exec.morsel.stolen"),
-            steal_attempts: reg.counter("exec.worker.steal_attempts"),
             rows: reg.histogram("exec.morsel.rows"),
         }
     }
 }
 
-/// The shared morsel queue of one pipeline. Lanes pull from the front;
-/// the pre-assignment is only a scheduling hint, so the queue never
-/// starves while any lane is idle.
+/// The shared morsel queue of one pipeline: lanes pull from the front, so
+/// the queue never starves while any lane is idle.
 pub struct MorselSupply {
     queue: Mutex<VecDeque<Morsel>>,
     total: usize,
@@ -92,7 +84,7 @@ impl MorselSupply {
         let mut queue = VecDeque::new();
         let mut base = 0usize;
         let mut push = |part, start, end, lo, hi, base, rows| {
-            queue.push_back(Morsel { part, start, end, lo, hi, base, rows, assigned: 0 });
+            queue.push_back(Morsel { part, start, end, lo, hi, base, rows });
         };
         for (part, chunks) in partitions.iter().enumerate() {
             let mut c = 0usize;
@@ -118,9 +110,6 @@ impl MorselSupply {
         }
         let total = queue.len();
         let lanes = total.min(threads.max(1));
-        for (i, m) in queue.iter_mut().enumerate() {
-            m.assigned = i % lanes;
-        }
         MorselSupply { queue: Mutex::new(queue), total, lanes, metrics: MorselMetrics::resolve() }
     }
 
@@ -131,34 +120,19 @@ impl MorselSupply {
         self.total
     }
 
-    /// Lanes the morsels are pre-assigned to: never more lanes than morsels,
-    /// never more than `threads`.
+    /// Lanes to run: never more lanes than morsels, never more than
+    /// `threads`.
     pub fn lanes(&self) -> usize {
         self.lanes
     }
 
-    /// Claim the next morsel for `lane`. Pulling a morsel assigned to
-    /// another lane is a steal (counted); pulling in general is a
-    /// dispatch. Returns `None` when the pipeline's input is exhausted.
-    pub fn pull(&self, lane: usize) -> Option<Morsel> {
-        let m = locked(&self.queue).pop_front();
-        match m {
-            Some(m) => {
-                self.metrics.dispatched.add(1);
-                self.metrics.rows.record(m.rows as u64);
-                if m.assigned != lane {
-                    self.metrics.steal_attempts.add(1);
-                    self.metrics.stolen.add(1);
-                }
-                Some(m)
-            }
-            None => {
-                // The lane went looking for foreign work and found the
-                // queue drained — an unsuccessful steal attempt.
-                self.metrics.steal_attempts.add(1);
-                None
-            }
-        }
+    /// Claim the next morsel (a dispatch), or `None` when the pipeline's
+    /// input is exhausted.
+    pub fn pull(&self) -> Option<Morsel> {
+        let m = locked(&self.queue).pop_front()?;
+        self.metrics.dispatched.add(1);
+        self.metrics.rows.record(m.rows as u64);
+        Some(m)
     }
 }
 
@@ -182,18 +156,13 @@ mod tests {
     fn total_and_lanes_count_the_morsels_actually_cut() {
         let supply = MorselSupply::new(&[chunks(&[130, 130])], 128, 8);
         assert_eq!((supply.total(), supply.lanes()), (4, 4));
-        let pulled: Vec<Morsel> = std::iter::from_fn(|| supply.pull(0)).collect();
-        let cut: Vec<_> =
-            pulled.iter().map(|m| (m.start, m.lo, m.hi, m.base, m.assigned)).collect();
-        assert_eq!(
-            cut,
-            vec![(0, 0, 128, 0, 0), (0, 128, 130, 128, 1), (1, 0, 128, 130, 2), (1, 128, 130, 258, 3)]
-        );
-        // Never more lanes than threads; round-robin over those.
+        let pulled: Vec<Morsel> = std::iter::from_fn(|| supply.pull()).collect();
+        let cut: Vec<_> = pulled.iter().map(|m| (m.start, m.lo, m.hi, m.base)).collect();
+        assert_eq!(cut, vec![(0, 0, 128, 0), (0, 128, 130, 128), (1, 0, 128, 130), (1, 128, 130, 258)]);
+        // Never more lanes than threads.
         let supply = MorselSupply::new(&[chunks(&[130, 130])], 128, 3);
         assert_eq!((supply.total(), supply.lanes()), (4, 3));
-        let assigned: Vec<_> = std::iter::from_fn(|| supply.pull(0)).map(|m| m.assigned).collect();
-        assert_eq!(assigned, vec![0, 1, 2, 0]);
+        assert_eq!(std::iter::from_fn(|| supply.pull()).count(), 4);
         // One morsel, or none: nothing to go parallel over.
         assert_eq!(MorselSupply::new(&[chunks(&[100])], 128, 3).total(), 1);
         assert_eq!(MorselSupply::new(&[chunks(&[])], 128, 3).lanes(), 0);

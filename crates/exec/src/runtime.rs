@@ -90,14 +90,15 @@ pub struct ExecOptions {
     /// to ≥1; `1` runs every region on a single lane, in deterministic
     /// morsel order.
     pub worker_threads: usize,
-    /// Rows per morsel (the work-stealing granule and the longest a lane
-    /// goes without looking at the stop cell). Clamped to ≥64.
+    /// Rows per morsel (the unit a lane pulls from the shared queue, and
+    /// the longest a lane goes without looking at the stop cell). Clamped
+    /// to ≥64.
     pub morsel_rows: usize,
 }
 
 /// Default morsel size: ~64k rows, i.e. 64 `ColumnBatch`es per morsel —
-/// large enough to amortize scheduling, small enough that steal balancing
-/// and revocation checks stay fine-grained.
+/// large enough to amortize scheduling, small enough that load balancing
+/// over the shared queue and revocation checks stay fine-grained.
 pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
 
 /// Exchange backpressure window, in batches: how many messages a link holds
@@ -300,7 +301,7 @@ impl ExchangeCore {
         let variant = self.rr.fetch_add(1, Ordering::Relaxed) % self.spread;
         let pieces: Vec<(usize, ColumnBatch)> = match &self.to {
             Distribution::Hash(keys) => {
-                // Vectorized key hashing (bit-identical to `Row::hash_key`),
+                // The routing hash (`hash_keys`, as storage partitions by),
                 // then one selection view per destination; rows gather at ship.
                 let mut keep: Vec<Vec<u32>> = vec![Vec::new(); self.sites.len()];
                 for (k, &hash) in batch.hash_keys(keys).iter().enumerate() {
@@ -459,11 +460,10 @@ impl RowSource for ReceiverSource {
 /// reaches the node; with no entries, `build` yields the sequential chain.
 #[derive(Clone)]
 pub(crate) enum Sub {
-    /// Scan leaf, in a lane: this lane's share of the region's morsels.
+    /// Scan leaf, in a lane: the region's shared morsel supply.
     Morsels {
         partitions: Arc<Vec<Chunks>>,
         supply: Arc<MorselSupply>,
-        lane: usize,
         split: Option<(usize, usize)>,
     },
     /// Hash join, in a lane: probe the table built behind the build barrier.
@@ -580,7 +580,7 @@ pub(crate) struct BuildCtx<'a> {
     /// lane's own thread.
     pub(crate) lane: u32,
     /// The fragment-instance span every operator span parents to — from
-    /// lanes too, stolen morsels included, never to anything on the lane
+    /// lanes too, whichever morsels they pulled, never to anything on the lane
     /// thread's own trace lane, so `Trace::validate` sees one consistent tree
     /// no matter which lane ran which morsel.
     pub(crate) parent_span: Option<SpanId>,
@@ -602,8 +602,8 @@ impl BuildCtx<'_> {
         let traced = !matches!(sub, Some(Sub::LaneHalf));
         let src: BoxedSource = match &at.plan.op {
             PhysOp::TableScan { table, .. } => match sub {
-                Some(Sub::Morsels { partitions, supply, lane, split }) => {
-                    Box::new(ScanSource::over_supply(partitions, supply, lane, split, ctrl))
+                Some(Sub::Morsels { partitions, supply, split }) => {
+                    Box::new(ScanSource::over_supply(partitions, supply, split, ctrl))
                 }
                 _ => {
                     let inst = driver_only(inst)?;
@@ -746,6 +746,7 @@ impl BuildCtx<'_> {
                 obs.clone(),
                 at.id,
                 at.plan.label(),
+                at.plan.schema.types(),
                 self.lane,
                 self.parent_span,
             ))),

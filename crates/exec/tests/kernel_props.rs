@@ -4,12 +4,12 @@
 //! a bug in the arena/chain hash table, the shared join emitter or the
 //! group table; the same join over large build sides — long chains, shared
 //! buckets, many batches; the same join over each key kind, so every typed
-//! key hashing loop runs and must agree with `Row::hash_key`; the
-//! join-output gather against
-//! row-by-row concatenation — plus the cross-layer hash contract: planner
-//! routing, storage partitioning and executor probing all hash through
-//! `Row::hash_key`, and its values are pinned so an accidental divergence
-//! (or hasher change on one side only) fails loudly.
+//! key hashing loop runs, the NULL-free typed loop on one side against the
+//! per-cell path on the other; the join-output gather against row-by-row
+//! concatenation — plus the cross-layer hash contract: planner routing,
+//! storage partitioning, DML pinning and executor probing all hash through
+//! `ColumnBatch::hash_keys`, and its values are pinned so an accidental
+//! change (a hasher tweak, a new per-type write) fails loudly.
 
 mod common;
 
@@ -22,9 +22,11 @@ use ic_exec::operators::{
     drain, AggExec, ControlBlock, HashJoinExec, JoinBuild, NestedLoopJoinExec,
 };
 use ic_net::topology::Topology;
+use ic_net::Membership;
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
-use ic_common::hash::FxHashSet;
+use ic_common::hash::{FxHashSet, FxHasher};
+use std::hash::{Hash, Hasher};
 
 fn canon(mut v: Vec<Row>) -> Vec<Row> {
     v.sort();
@@ -146,32 +148,33 @@ proptest! {
         prop_assert_eq!(drain(Box::new(sort)).unwrap(), complete);
     }
 
-    /// Datums that compare equal hash equal — the invariant that lets the
-    /// probe side hash its own columns without materializing the build
-    /// side's representation (Int 2 probing a Double 2.0 build key must
-    /// land in the same bucket).
+    /// Datums that compare equal hash equal under `Datum`'s own `Hash` —
+    /// the invariant the in-memory sets keyed by `Datum` (COUNT DISTINCT)
+    /// rely on: Int 2, Double 2.0 and the date of day 2 are one value.
     #[test]
     fn equal_datums_hash_equal(a in arb_any_key(), b in arb_any_key()) {
-        let (ra, rb) = (Row(vec![a]), Row(vec![b]));
-        if ra.0[0] == rb.0[0] {
-            prop_assert_eq!(ra.hash_key(&[0]), rb.hash_key(&[0]));
+        let hash = |d: &Datum| {
+            let mut h = FxHasher::default();
+            d.hash(&mut h);
+            h.finish()
+        };
+        if a == b {
+            prop_assert_eq!(hash(&a), hash(&b));
         }
     }
 
-    /// Partition routing agrees across layers: the storage/topology route
-    /// (`partition_of_hash` + primary placement) and the exchange route
-    /// (`Assignment::site_for_hash`) send every key to the same site when
-    /// all sites are live — both feed off the same `Row::hash_key`.
+    /// Partition routing agrees across layers: the storage route (the
+    /// membership map's `partition_of_hash`, then the partition's primary)
+    /// and the exchange route (`Assignment::site_for_hash`) send every key
+    /// to the same site when all sites are live — both feed off the same
+    /// routing hash.
     #[test]
     fn routing_consistent_across_layers(key in arb_any_key(), payload in -50i64..50) {
-        let row = Row(vec![key, Datum::Int(payload)]);
-        let h = row.hash_key(&[0]);
+        let h = ColumnBatch::from_rows(&[Row(vec![key, Datum::Int(payload)])]).hash_keys(&[0])[0];
         let topo = Topology::with_partitions_per_site(4, 8);
-        let assignment = topo.assignment(&FxHashSet::default()).unwrap();
-        prop_assert_eq!(
-            topo.site_of_partition(topo.partition_of_hash(h)),
-            assignment.site_for_hash(h)
-        );
+        let map = Membership::from_topology(&topo).snapshot();
+        let assignment = map.assignment(&FxHashSet::default()).unwrap();
+        prop_assert_eq!(map.primary_of(map.partition_of_hash(h)), assignment.site_for_hash(h));
     }
 }
 
@@ -202,8 +205,7 @@ fn typed_rows(kind: u8, raw: &[(u64, i64)]) -> Vec<Row> {
 
 proptest! {
     /// HashJoinExec ≡ the oracle for every join kind over each key kind —
-    /// typed key hashing and its per-cell path, with `eq_at` — and the batch
-    /// hashes of those columns equal `Row::hash_key`.
+    /// typed key hashing and its per-cell path, with `eq_at`.
     #[test]
     fn typed_key_join_matches_oracle(
         pair in 0usize..KEY_PAIRS.len(),
@@ -220,17 +222,6 @@ proptest! {
                 vec![0], vec![0], Expr::lit(true), 2, ControlBlock::unlimited());
             let got = drain(Box::new(hj)).unwrap();
             prop_assert_eq!(&got, &expect, "{:?} keys {:?}", kind, (lk, rk));
-        }
-        for rows in [&l, &r].into_iter().filter(|rows| !rows.is_empty()) {
-            let batch = ColumnBatch::from_rows(rows);
-            let all: Vec<u32> = (0..rows.len() as u32).collect();
-            let odd: Vec<u32> = all.iter().copied().skip(1).step_by(2).collect();
-            for (view, phys) in [(batch.clone(), all), (batch.with_sel(odd.clone()), odd)] {
-                let hashes = view.hash_keys(&[0]);
-                for (k, &i) in phys.iter().enumerate() {
-                    prop_assert_eq!(hashes[k], rows[i as usize].hash_key(&[0]));
-                }
-            }
         }
     }
 }
@@ -538,37 +529,12 @@ proptest! {
             prop_assert_eq!(format!("{:?}", out.row_at(k)), format!("{:?}", want), "pair {}", k);
         }
     }
-
-    /// The vectorized key hasher agrees with `Row::hash_key` on every
-    /// logical row — the contract that lets the exchange route columnar
-    /// batches and the probe side hash its own columns while storage
-    /// partitioning keeps hashing rows.
-    #[test]
-    fn batch_hash_keys_match_row_hash(
-        kind in 0u8..5,
-        keys in collection::vec((any::<u64>(), -20i64..20), 0..32),
-        keep in collection::vec(any::<bool>(), 32),
-    ) {
-        let rows = typed_rows(kind, &keys);
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let sel = keep_list(&keep, rows.len());
-        let view = ColumnBatch::from_rows(&rows).select_logical(&sel);
-        for cols in [vec![0usize], vec![1], vec![0, 1]] {
-            let hashes = view.hash_keys(&cols);
-            prop_assert_eq!(hashes.len(), view.num_rows());
-            for (k, &i) in sel.iter().enumerate() {
-                prop_assert_eq!(hashes[k], rows[i as usize].hash_key(&cols));
-            }
-        }
-    }
 }
 
-/// Pinned `Row::hash_key` values. Every layer that routes by hash — the
-/// planner's distribution pruning, storage partitioning and the executor's
-/// exchange/probe paths — shares this function; if its output drifts on any
-/// side (a hasher tweak, a Datum canonicalization change) partitioned data
+/// Pinned routing-hash values. Every layer that routes by hash — the
+/// planner's distribution pruning, storage partitioning, DML pinning and the
+/// executor's exchange/probe paths — calls `ColumnBatch::hash_keys`; if its
+/// output drifts (a hasher tweak, a per-type write change) partitioned data
 /// silently lands on the wrong site. Update these constants only with a
 /// full-cluster data reload story.
 #[test]
@@ -590,10 +556,11 @@ fn hash_key_values_are_pinned() {
         (Row(vec![Datum::Int(7), Datum::Int(9)]), vec![1], 14880668543911939867),
     ];
     for (row, cols, expected) in cases {
-        assert_eq!(
-            row.hash_key(cols),
-            *expected,
-            "hash_key changed for {row:?} over columns {cols:?}"
-        );
+        // A typed one-row batch, and the same row behind a selection.
+        let batch = ColumnBatch::from_rows(std::slice::from_ref(row));
+        let viewed = ColumnBatch::from_rows(&[row.clone(), row.clone()]).with_sel(vec![1]);
+        for got in [batch.hash_keys(cols)[0], viewed.hash_keys(cols)[0]] {
+            assert_eq!(got, *expected, "routing hash changed for {row:?} over columns {cols:?}");
+        }
     }
 }

@@ -439,14 +439,19 @@ fn check_protocol(to: &Distribution, mode: SourceMode, variants: usize, rows: &[
     }
     // Each site received exactly the rows the distribution sends it: all of
     // them under every duplicator variant, each once across a splitter's.
+    let hashes = match to {
+        Distribution::Hash(keys) if !rows.is_empty() => ColumnBatch::from_rows(rows).hash_keys(keys),
+        _ => Vec::new(),
+    };
     for site in links.iter().map(|l| l.site).collect::<std::collections::BTreeSet<_>>() {
         let expected: Vec<Row> = rows
             .iter()
-            .filter(|r| match to {
-                Distribution::Hash(keys) => assignment.site_for_hash(r.hash_key(keys)) == site,
+            .enumerate()
+            .filter(|(i, _)| match to {
+                Distribution::Hash(_) => assignment.site_for_hash(hashes[*i]) == site,
                 _ => true,
             })
-            .cloned()
+            .map(|(_, r)| r.clone())
             .collect();
         let at_site: Vec<&Link> = links.iter().filter(|l| l.site == site).collect();
         assert_eq!(at_site.len(), variants, "{label}");
@@ -493,7 +498,8 @@ fn hash_exchange_batches_per_destination() {
     let rows = stream(3 * BATCH_SIZE + 7, |_| 42);
     check_protocol(&to, SourceMode::Duplicator, 1, &rows);
     let (links, (messages, _), _) = ship(&to, SourceMode::Duplicator, 1, &rows, BATCH_SIZE / 4);
-    let home = Assignment::healthy(&Topology::new(SITES)).site_for_hash(rows[0].hash_key(&[0]));
+    let hash = ColumnBatch::from_rows(&rows[..1]).hash_keys(&[0])[0];
+    let home = Assignment::healthy(&Topology::new(SITES)).site_for_hash(hash);
     for link in &links {
         assert_eq!(link.msgs.len(), if link.site == home { 4 } else { 1 }, "at {}", link.site);
     }

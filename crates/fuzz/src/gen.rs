@@ -20,6 +20,7 @@
 use ic_common::{BinOp, DataType, Datum};
 use ic_net::SplitMix64;
 use ic_sql::ast::*;
+use crate::reference::table_rows;
 use ic_storage::Catalog;
 
 /// One column: name, type, and a few values sampled from the data.
@@ -54,7 +55,7 @@ impl SchemaInfo {
         for name in names {
             let Some(id) = catalog.table_by_name(&name) else { continue };
             let Some(def) = catalog.table_def(id) else { continue };
-            let rows = catalog.table_data(id).map(|d| d.all_rows()).unwrap_or_default();
+            let rows = catalog.table_data(id).map(|d| table_rows(&d)).unwrap_or_default();
             let cols = def
                 .schema
                 .fields()

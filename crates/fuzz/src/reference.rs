@@ -17,11 +17,18 @@
 use ic_common::agg::Accumulator;
 use ic_common::{Datum, IcError, IcResult, Row};
 use ic_plan::ops::{JoinKind, LogicalPlan, RelOp};
-use ic_storage::Catalog;
+use ic_storage::{Catalog, TableData};
 use std::collections::BTreeMap;
 
 /// Default cumulative row budget (rows materialized across all operators).
 pub const DEFAULT_ROW_BUDGET: u64 = 3_000_000;
+
+/// Every stored row of a table, partition by partition: the row-at-a-time
+/// form this evaluator scans.
+pub fn table_rows(data: &TableData) -> Vec<Row> {
+    let stores: Vec<_> = (0..data.num_partitions()).map(|p| data.store(p)).collect();
+    stores.iter().flat_map(|s| s.chunks().iter()).flat_map(|c| c.to_rows()).collect()
+}
 
 /// Evaluate `plan` against the base tables in `catalog`.
 pub fn eval_plan(plan: &LogicalPlan, catalog: &Catalog) -> IcResult<Vec<Row>> {
@@ -78,7 +85,7 @@ impl Reference<'_> {
                 let data = self.catalog.table_data(*table).ok_or_else(|| {
                     IcError::Internal(format!("reference: no data for table '{name}'"))
                 })?;
-                let rows = data.all_rows();
+                let rows = table_rows(&data);
                 self.charge(rows.len())?;
                 Ok(rows)
             }

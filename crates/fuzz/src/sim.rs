@@ -177,8 +177,9 @@ impl Env {
                 exec_timeout: Some(Duration::from_secs(60)),
                 memory_limit_rows: 20_000_000,
                 // Force multi-lane morsel execution with tiny morsels:
-                // every query in the battery exercises work stealing and
-                // the parallel operators, regardless of host core count.
+                // every query in the battery exercises lanes sharing a
+                // morsel queue and the parallel operators, regardless of
+                // host core count.
                 // The oracles compare unordered (or LIMIT-count only), so
                 // nondeterministic lane interleaving is fine.
                 worker_threads: 3,

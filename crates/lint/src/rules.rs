@@ -703,8 +703,8 @@ fn rule_l001(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
 }
 
 /// L002: hasher construction outside `ic_common::hash` — the whole stack
-/// must agree on one hash function (`Row::hash_key`) because partition
-/// routing computes `hash(key) % partitions` on every site.
+/// must agree on one hash function (`ColumnBatch::hash_keys`) because
+/// partition routing computes `hash(key) % partitions` on every site.
 fn rule_l002(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
     const BANNED: [&str; 6] = [
         "DefaultHasher",
@@ -722,7 +722,7 @@ fn rule_l002(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
                 t.line,
                 format!(
                     "`{}` outside ic_common::hash breaks the single-hash contract; \
-                     hash rows via Row::hash_key / FxHashMap",
+                     hash keys via ColumnBatch::hash_keys / FxHashMap",
                     t.text
                 ),
             ));

@@ -199,14 +199,14 @@ impl<T> NetReceiver<T> {
 mod tests {
     use super::*;
     use crate::{FaultPlan, NetworkConfig, TICK_FOREVER};
-    use ic_common::{Datum, Row};
+    use ic_common::{ColumnBatch, Datum, Row};
     #[test]
     fn send_recv_roundtrip() {
         let net = Network::new(NetworkConfig::instant());
-        let (tx, mut rx) = net_channel::<Vec<Row>>(net.clone(), SiteId(0), SiteId(1), 4);
-        let batch = vec![Row(vec![Datum::Int(1)])];
+        let (tx, mut rx) = net_channel::<ColumnBatch>(net.clone(), SiteId(0), SiteId(1), 4);
+        let batch = ColumnBatch::from_rows(&[Row(vec![Datum::Int(1)])]);
         assert_eq!(tx.send(batch.clone()), Ok(batch.wire_size()));
-        assert_eq!(rx.recv().unwrap(), batch);
+        assert_eq!(rx.recv().unwrap().to_rows(), batch.to_rows());
         let (msgs, _, _) = net.stats.snapshot();
         assert_eq!(msgs, 1);
     }
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn disconnect_detected() {
         let net = Network::new(NetworkConfig::instant());
-        let (tx, mut rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 4);
+        let (tx, mut rx) = net_channel::<ColumnBatch>(net, SiteId(0), SiteId(1), 4);
         drop(tx);
         assert_eq!(rx.recv().unwrap_err(), NetError::Disconnected);
     }
@@ -244,22 +244,22 @@ mod tests {
         net.install_faults(
             FaultPlan::new(3).drop_link(SiteId(0), SiteId(1), 1.0, 0, TICK_FOREVER),
         );
-        let (tx, _rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 4);
-        assert_eq!(tx.send(vec![]).unwrap_err(), NetError::LinkFault);
+        let (tx, _rx) = net_channel::<ColumnBatch>(net, SiteId(0), SiteId(1), 4);
+        assert_eq!(tx.send(ColumnBatch::empty(1)).unwrap_err(), NetError::LinkFault);
     }
 
     #[test]
     fn dead_site_surfaces_in_send() {
         let net = Network::new(NetworkConfig::instant());
         net.install_faults(FaultPlan::new(3).crash(SiteId(1), 0));
-        let (tx, _rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 4);
-        assert_eq!(tx.send(vec![]).unwrap_err(), NetError::SiteDead(SiteId(1)));
+        let (tx, _rx) = net_channel::<ColumnBatch>(net, SiteId(0), SiteId(1), 4);
+        assert_eq!(tx.send(ColumnBatch::empty(1)).unwrap_err(), NetError::SiteDead(SiteId(1)));
     }
 
     #[test]
     fn timeout_fires() {
         let net = Network::new(NetworkConfig::instant());
-        let (_tx, mut rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 4);
+        let (_tx, mut rx) = net_channel::<ColumnBatch>(net, SiteId(0), SiteId(1), 4);
         assert_eq!(
             rx.recv_timeout(Duration::from_millis(5)).unwrap_err(),
             NetError::Timeout
@@ -269,15 +269,15 @@ mod tests {
     #[test]
     fn cross_thread_transfer() {
         let net = Network::new(NetworkConfig::instant());
-        let (tx, mut rx) = net_channel::<Vec<Row>>(net, SiteId(0), SiteId(1), 2);
+        let (tx, mut rx) = net_channel::<ColumnBatch>(net, SiteId(0), SiteId(1), 2);
         let h = std::thread::spawn(move || {
             for i in 0..100i64 {
-                tx.send(vec![Row(vec![Datum::Int(i)])]).unwrap();
+                tx.send(ColumnBatch::from_rows(&[Row(vec![Datum::Int(i)])])).unwrap();
             }
         });
         let mut total = 0;
         while let Ok(b) = rx.recv() {
-            total += b.len();
+            total += b.num_rows();
         }
         h.join().unwrap();
         assert_eq!(total, 100);

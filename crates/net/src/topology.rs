@@ -85,11 +85,6 @@ impl Topology {
             .collect()
     }
 
-    /// Route a key hash to its partition.
-    pub fn partition_of_hash(&self, hash: u64) -> usize {
-        (hash % self.num_partitions() as u64) as usize
-    }
-
     /// The coordinator site, which receives client requests and runs root
     /// fragments (the paper's "site that received the original request").
     pub fn coordinator(&self) -> SiteId {
@@ -216,8 +211,9 @@ mod tests {
     #[test]
     fn hash_routing_in_range() {
         let t = Topology::new(4);
+        let map = crate::Membership::from_topology(&t).snapshot();
         for h in [0u64, 1, 17, u64::MAX] {
-            assert!(t.partition_of_hash(h) < t.num_partitions());
+            assert!(map.partition_of_hash(h) < t.num_partitions());
         }
     }
 
@@ -247,8 +243,9 @@ mod tests {
         for p in 0..t.num_partitions() {
             assert_eq!(a.owner_of_partition(p), t.site_of_partition(p));
         }
+        let map = crate::Membership::from_topology(&t).snapshot();
         for h in [0u64, 7, u64::MAX] {
-            assert_eq!(a.site_for_hash(h), t.site_of_partition(t.partition_of_hash(h)));
+            assert_eq!(a.site_for_hash(h), map.primary_of(map.partition_of_hash(h)));
         }
     }
 

@@ -4,31 +4,18 @@
 //! header plus one typed value run per column (validity words, then the
 //! values back to back), so same-typed data stays adjacent on the wire and
 //! a selection vector is resolved at encode time — only the selected rows
-//! are framed and charged to `net.transfer.bytes`. Rows have a size model
-//! only ([`WireSize`] for `Row` / `Vec<T>`): write replication and
-//! rebalance price the rows they ship with it.
+//! are framed and charged to `net.transfer.bytes`. The frame is the one
+//! byte model: exchanges, write replication and rebalance all charge a
+//! batch's [`WireSize`], the exact length of its frame.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use ic_common::{Bitmap, Column, ColumnBatch, ColumnData, Row};
+use ic_common::{Bitmap, Column, ColumnBatch, ColumnData};
 use std::sync::Arc;
 
 /// Types that can report their serialized size, used by the network
 /// simulator to charge bandwidth.
 pub trait WireSize {
     fn wire_size(&self) -> usize;
-}
-
-impl WireSize for Row {
-    fn wire_size(&self) -> usize {
-        // One tag byte per datum plus the payload.
-        self.0.len() + self.byte_size()
-    }
-}
-
-impl<T: WireSize> WireSize for Vec<T> {
-    fn wire_size(&self) -> usize {
-        8 + self.iter().map(WireSize::wire_size).sum::<usize>()
-    }
 }
 
 fn take<'a>(data: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
@@ -257,7 +244,7 @@ pub fn decode_columns(mut data: &[u8]) -> Option<ColumnBatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_common::Datum;
+    use ic_common::{Datum, Row};
 
     fn sample_columns() -> ColumnBatch {
         ColumnBatch::from_rows(&[
@@ -302,16 +289,5 @@ mod tests {
         let mut enc = encode_columns(&sample_columns()).to_vec();
         enc.truncate(enc.len() - 2);
         assert!(decode_columns(&enc).is_none());
-    }
-
-    #[test]
-    fn columns_frame_beats_row_frame_on_typed_data() {
-        // Typed runs drop the per-datum tag byte, so a wide Int batch
-        // frames strictly smaller column-contiguous than row-wise.
-        let rows: Vec<Row> = (0..256i64)
-            .map(|i| Row(vec![Datum::Int(i), Datum::Int(i * 2), Datum::Int(i * 3)]))
-            .collect();
-        let cb = ColumnBatch::from_rows(&rows);
-        assert!(cb.wire_size() < rows.wire_size(), "{} vs {}", cb.wire_size(), rows.wire_size());
     }
 }

@@ -6,7 +6,7 @@
 //! `put`/`remove`), an all-partition scatter, and the replicated-table
 //! broadcast.
 
-use ic_common::{BinOp, Datum, Expr, IcError, IcResult, Row};
+use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, IcError, IcResult, Row};
 use ic_plan::dml::{BoundDml, DmlPlan, DmlTarget};
 use ic_storage::{Catalog, TableDistribution, WriteOp};
 
@@ -33,7 +33,9 @@ pub fn plan_dml(catalog: &Catalog, stmt: BoundDml) -> IcResult<DmlPlan> {
 }
 
 /// If `predicate` pins every distribution-key column to a literal (a
-/// conjunction of `col = lit` terms), hash the pinned key to its partition.
+/// conjunction of `col = lit` terms), hash the pinned key to its partition:
+/// the routing hash of a one-row batch of the key columns' types, as the
+/// write path routes the row itself.
 fn pin_partition(
     catalog: &Catalog,
     predicate: &Expr,
@@ -42,13 +44,19 @@ fn pin_partition(
 ) -> Option<usize> {
     let mut pinned: Vec<Option<Datum>> = vec![None; def.schema.arity()];
     collect_equalities(predicate, &mut pinned);
-    if key_cols.iter().any(|&k| pinned.get(k).is_none_or(|v| v.is_none())) {
-        return None;
+    let mut key = Vec::with_capacity(key_cols.len());
+    for &k in key_cols {
+        let mut value = pinned.get_mut(k)?.take()?;
+        if !value.fit_to(def.schema.field(k).dtype) {
+            return None;
+        }
+        key.push(value);
     }
-    // hash_key reads only the key columns; the rest may stay NULL.
-    let key_row = Row(pinned.into_iter().map(|v| v.unwrap_or(Datum::Null)).collect());
+    let types: Vec<DataType> = key_cols.iter().map(|&k| def.schema.field(k).dtype).collect();
+    let batch = ColumnBatch::from_typed_rows(&types, &[Row(key)]);
+    let cols: Vec<usize> = (0..key_cols.len()).collect();
     let map = catalog.membership().snapshot();
-    Some(map.partition_of_hash(key_row.hash_key(key_cols)))
+    Some(map.partition_of_hash(batch.hash_keys(&cols)[0]))
 }
 
 /// Walk the top-level AND tree collecting `col = literal` bindings. A
@@ -119,10 +127,8 @@ mod tests {
             BoundDml { table: part, op: WriteOp::Delete { predicate: Some(key_eq(17)) } },
         )
         .unwrap();
-        let expected = cat
-            .membership()
-            .snapshot()
-            .partition_of_hash(Row(vec![Datum::Int(17), Datum::Null]).hash_key(&[0]));
+        let key = ColumnBatch::from_rows(&[Row(vec![Datum::Int(17)])]);
+        let expected = cat.membership().snapshot().partition_of_hash(key.hash_keys(&[0])[0]);
         assert_eq!(plan.target, DmlTarget::SinglePartition(expected));
         assert_eq!(plan.pinned_partition(), Some(expected));
     }
@@ -190,7 +196,9 @@ mod tests {
             &cat,
             BoundDml {
                 table: part,
-                op: WriteOp::Insert { rows: vec![Row(vec![Datum::Int(1), Datum::Int(2)])] },
+                op: WriteOp::Insert {
+                    rows: ColumnBatch::from_rows(&[Row(vec![Datum::Int(1), Datum::Int(2)])]),
+                },
             },
         )
         .unwrap();

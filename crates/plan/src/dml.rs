@@ -12,7 +12,7 @@ use ic_storage::{TableId, WriteOp};
 use std::fmt;
 
 /// A bound (typed, name-resolved) DML statement, before routing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BoundDml {
     pub table: TableId,
     pub op: WriteOp,
@@ -41,7 +41,7 @@ impl fmt::Display for DmlTarget {
 }
 
 /// A routed, executable DML plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DmlPlan {
     pub table: TableId,
     pub op: WriteOp,

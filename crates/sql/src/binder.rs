@@ -25,7 +25,7 @@
 
 use crate::ast::*;
 use ic_common::agg::AggFunc;
-use ic_common::{dates, BinOp, DataType, Datum, Expr, FuncKind, IcError, IcResult, Row};
+use ic_common::{dates, BinOp, ColumnBatch, DataType, Datum, Expr, FuncKind, IcError, IcResult, Row};
 use ic_plan::coerce::{coerce_plan, coerce_to};
 use ic_plan::dml::BoundDml;
 use ic_plan::ops::{AggCall, JoinKind, LogicalPlan, RelOp, SortKey};
@@ -863,26 +863,20 @@ impl<'a> Binder<'a> {
         scope
     }
 
-    /// Coerce a constant to a column's declared type (the small lattice
-    /// INSERT needs: exact match, NULL anywhere, INT widening to DOUBLE,
-    /// and date-shaped strings into DATE columns).
-    fn coerce_to_column(value: Datum, want: DataType, col: &str) -> IcResult<Datum> {
-        if value.is_null() {
-            return Ok(value);
+    /// Coerce a constant to a column's declared type: a date-shaped string
+    /// into a DATE column, then the engine's rule for values from outside
+    /// it ([`Datum::fit_to`]: NULL anywhere, exact match, INT widening to
+    /// DOUBLE).
+    fn coerce_to_column(mut value: Datum, want: DataType, col: &str) -> IcResult<Datum> {
+        if let (Datum::Str(s), DataType::Date) = (&value, want) {
+            value = dates::parse_date(s).map(Datum::Date).ok_or_else(|| {
+                IcError::Bind(format!("cannot coerce '{s}' to DATE for column '{col}'"))
+            })?;
         }
-        match (value.data_type(), want) {
-            (Some(have), want) if have == want => Ok(value),
-            (Some(DataType::Int), DataType::Double) => match value {
-                Datum::Int(i) => Ok(Datum::Double(i as f64)),
-                _ => Err(IcError::Internal("int datum of non-int shape".into())),
-            },
-            (Some(DataType::Str), DataType::Date) => match &value {
-                Datum::Str(s) => dates::parse_date(s).map(Datum::Date).ok_or_else(|| {
-                    IcError::Bind(format!("cannot coerce '{s}' to DATE for column '{col}'"))
-                }),
-                _ => Err(IcError::Internal("str datum of non-str shape".into())),
-            },
-            (have, want) => Err(IcError::Bind(format!(
+        let have = value.data_type();
+        match value.fit_to(want) {
+            true => Ok(value),
+            false => Err(IcError::Bind(format!(
                 "type mismatch for column '{col}': expected {want:?}, got {have:?}"
             ))),
         }
@@ -945,6 +939,7 @@ impl<'a> Binder<'a> {
             }
             rows.push(Row(row));
         }
+        let rows = ColumnBatch::from_typed_rows(&def.schema.types(), &rows);
         Ok(BoundDml { table: def.id, op: WriteOp::Insert { rows } })
     }
 
@@ -1614,8 +1609,8 @@ mod tests {
             panic!("expected insert op")
         };
         // Values land at schema positions, not list positions.
-        assert_eq!(rows[0].0[0], Datum::Int(1));
-        assert_eq!(rows[0].0[2], Datum::Int(9));
+        assert_eq!(rows.datum_at(0, 0), Datum::Int(1));
+        assert_eq!(rows.datum_at(2, 0), Datum::Int(9));
     }
 
     #[test]
@@ -1628,7 +1623,7 @@ mod tests {
         let ic_storage::WriteOp::Insert { rows } = &b.op else {
             panic!("expected insert op")
         };
-        assert_eq!(rows[0].0[3], Datum::Double(10.0));
+        assert_eq!(rows.datum_at(3, 0), Datum::Double(10.0));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use crate::index::Index;
 use crate::stats::TableStats;
 use crate::table::TableData;
-use ic_common::{DataType, Datum, IcError, IcResult, Row, Schema};
+use crate::write::split;
+use ic_common::row::BATCH_SIZE;
+use ic_common::{ColumnBatch, IcError, IcResult, Row, Schema};
 use ic_net::{Membership, SiteId, Topology};
 use parking_lot::RwLock;
 use ic_common::hash::{FxHashMap, FxHashSet};
@@ -196,35 +198,25 @@ impl Catalog {
         Ok(id)
     }
 
-    /// Bulk-load rows, routing each to its partition by hashing the
-    /// distribution key (replicated tables keep one logical copy). The rows
-    /// come from outside the engine, so they are first fitted to the table
-    /// schema ([`conform`]). Statistics are left as they are until the next
-    /// `analyze`; indexes need no upkeep here — their runs are keyed to the
-    /// store version and re-sort on the next index scan (or `analyze`).
+    /// Bulk-load rows from outside the engine: fitted to the table schema
+    /// ([`conform`]), packed `BATCH_SIZE` at a time and routed by the DML
+    /// inserts' splitter; each partition commits once. Statistics wait for
+    /// the next `analyze`; indexes need no upkeep here — their runs are keyed
+    /// to the store version and re-sort on the next index scan (or `analyze`).
     pub fn insert(&self, table: TableId, mut rows: Vec<Row>) -> IcResult<usize> {
         let tables = self.tables.read();
         let entry = tables
             .get(table.0)
             .ok_or_else(|| IcError::Catalog(format!("unknown table {table}")))?;
         conform(&entry.def, &mut rows)?;
-        let n = rows.len();
-        match &entry.def.distribution {
-            TableDistribution::Replicated => entry.data.insert_into_partition(0, rows),
-            TableDistribution::HashPartitioned { key_cols } => {
-                let nparts = self.topology.num_partitions();
-                let mut per_part: Vec<Vec<Row>> = (0..nparts).map(|_| Vec::new()).collect();
-                for row in rows {
-                    let p = self.topology.partition_of_hash(row.hash_key(key_cols));
-                    per_part[p].push(row);
-                }
-                for (p, batch) in per_part.into_iter().enumerate() {
-                    if !batch.is_empty() {
-                        entry.data.insert_into_partition(p, batch);
-                    }
-                }
-            }
-        }
+        let (n, types, map) = (rows.len(), entry.def.schema.types(), self.membership.snapshot());
+        // Each input row is freed once its piece is packed.
+        let mut rows = rows.into_iter();
+        let pieces = std::iter::from_fn(|| {
+            let piece: Vec<Row> = rows.by_ref().take(BATCH_SIZE).collect();
+            (!piece.is_empty()).then(|| ColumnBatch::from_typed_rows(&types, &piece))
+        });
+        entry.data.load(pieces.flat_map(|batch| split(&batch, &entry.def.distribution, &map)));
         Ok(n)
     }
 
@@ -307,7 +299,7 @@ impl Catalog {
     /// ANALYZE: exact row-count deltas, min/max widened by inserted values,
     /// NDV adjusted by bounded estimates. Keeps the Volcano cost model
     /// honest while writes stream in; `analyze` still computes exact stats.
-    pub fn note_write(&self, table: TableId, inserted: &[Row], deleted: usize) {
+    pub fn note_write(&self, table: TableId, inserted: &[ColumnBatch], deleted: usize) {
         if inserted.is_empty() && deleted == 0 {
             return;
         }
@@ -357,15 +349,11 @@ fn conform(def: &TableDef, rows: &mut [Row]) -> IcResult<()> {
             )));
         }
         for (d, f) in row.0.iter_mut().zip(fields) {
-            match (&*d, f.dtype) {
-                (Datum::Int(i), DataType::Double) => *d = Datum::Double(*i as f64),
-                (d, want) if d.data_type().is_none_or(|t| t == want) => {}
-                (d, want) => {
-                    return Err(IcError::Catalog(format!(
-                        "table '{}' column '{}' is {want}, a loaded row has {d}",
-                        def.name, f.name
-                    )))
-                }
+            if !d.fit_to(f.dtype) {
+                return Err(IcError::Catalog(format!(
+                    "table '{}' column '{}' is {}, a loaded row has {d}",
+                    def.name, f.name, f.dtype
+                )));
             }
         }
     }
@@ -375,7 +363,7 @@ fn conform(def: &TableDef, rows: &mut [Row]) -> IcResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_common::Field;
+    use ic_common::{DataType, Datum, Field};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -419,7 +407,9 @@ mod tests {
             Row(vec![Datum::Int(3), Datum::Double(2.5)]),
         ];
         assert_eq!(cat.insert(id, rows).unwrap(), 3);
-        let mut got = cat.table_data(id).unwrap().all_rows();
+        let data = cat.table_data(id).unwrap();
+        let stores: Vec<_> = (0..data.num_partitions()).map(|p| data.store(p)).collect();
+        let mut got: Vec<Row> = stores.iter().flat_map(|s| s.chunks().iter()).flat_map(|c| c.to_rows()).collect();
         got.sort();
         assert!(matches!(got[0].0[1], Datum::Double(x) if x == 10.0));
         assert!(got[1].0[1].is_null());

@@ -172,26 +172,17 @@ mod tests {
     use crate::catalog::{IndexId, TableId};
     use ic_common::{DataType, Field, Schema};
 
+    fn pairs(kvs: &[(i64, i64)]) -> [ColumnBatch; 1] {
+        let rows: Vec<Row> = kvs.iter().map(|&(k, v)| Row(vec![Datum::Int(k), Datum::Int(v)])).collect();
+        [ColumnBatch::from_typed_rows(&[DataType::Int, DataType::Int], &rows)]
+    }
+
     fn setup() -> (Index, TableData) {
         let schema = Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Int)]);
         let data = TableData::new(2, schema);
         // Unsorted inserts across two partitions.
-        data.insert_into_partition(
-            0,
-            vec![
-                Row(vec![Datum::Int(5), Datum::Int(50)]),
-                Row(vec![Datum::Int(1), Datum::Int(10)]),
-                Row(vec![Datum::Int(3), Datum::Int(30)]),
-            ],
-        );
-        data.insert_into_partition(
-            1,
-            vec![
-                Row(vec![Datum::Int(4), Datum::Int(40)]),
-                Row(vec![Datum::Int(2), Datum::Int(20)]),
-                Row(vec![Datum::Int(2), Datum::Int(21)]),
-            ],
-        );
+        data.load(pairs(&[(5, 50), (1, 10), (3, 30)]).map(|b| (0, b)));
+        data.load(pairs(&[(4, 40), (2, 20), (2, 21)]).map(|b| (1, b)));
         let def = IndexDef { id: IndexId(0), name: "ix".into(), table: TableId(0), columns: vec![0] };
         (Index::new(&def, data.num_partitions()), data)
     }
@@ -218,7 +209,7 @@ mod tests {
         let run = ix.run_for(0, &before);
         assert!(Arc::ptr_eq(&run, &ix.run_for(0, &before)), "same version: cached run");
         assert!(!Arc::ptr_eq(&run, before.chunks()), "an unsorted partition is re-sorted");
-        data.insert_into_partition(0, vec![Row(vec![Datum::Int(2), Datum::Int(0)])]);
+        data.load(pairs(&[(2, 0)]).map(|b| (0, b)));
         assert_eq!(keys(&ix.run_for(0, &data.store(0))), vec![1, 2, 3, 5]);
         // An older snapshot still gets its own rows, never the newer run.
         assert_eq!(keys(&ix.run_for(0, &before)), vec![1, 3, 5]);
@@ -227,9 +218,9 @@ mod tests {
     #[test]
     fn sorted_partition_is_its_own_run() {
         let (ix, data) = setup();
-        let rows = (10..20).map(|k| Row(vec![Datum::Int(k), Datum::Int(0)])).collect();
+        let rows: Vec<(i64, i64)> = (10..20).map(|k| (k, 0)).collect();
         let sorted = TableData::new(1, data.schema().clone());
-        sorted.insert_into_partition(0, rows);
+        sorted.load(pairs(&rows).map(|b| (0, b)));
         let store = sorted.store(0);
         assert!(Arc::ptr_eq(&ix.run_for(0, &store), store.chunks()));
     }

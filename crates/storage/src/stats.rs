@@ -5,7 +5,7 @@
 
 use crate::table::TableData;
 use ic_common::hash::FlatMap;
-use ic_common::{Datum, Row};
+use ic_common::{ColumnBatch, Datum};
 
 /// Statistics for one column.
 #[derive(Debug, Clone)]
@@ -89,42 +89,37 @@ impl TableStats {
         self.columns.get(col).map(|c| c.ndv).unwrap_or(self.row_count).max(1)
     }
 
-    /// Incrementally fold a committed write batch into these stats. Exact
-    /// where cheap (row count, null counts, min/max widening on inserts),
-    /// bounded estimates where exactness would need a full pass (NDV grows
-    /// by at most the inserted count and never exceeds the row count;
-    /// deletes shrink it proportionally). `analyze` remains the exact
-    /// recomputation.
-    pub fn noting_write(&self, inserted: &[Row], deleted: usize) -> TableStats {
+    /// Incrementally fold a committed write's inserted batches into these
+    /// stats. Exact where cheap (row count, null counts, min/max widening
+    /// on inserts), bounded estimates where exactness would need a full
+    /// pass (NDV grows by at most the inserted count and never exceeds the
+    /// row count; deletes shrink it proportionally). `analyze` remains the
+    /// exact recomputation.
+    pub fn noting_write(&self, inserted: &[ColumnBatch], deleted: usize) -> TableStats {
         let mut s = self.clone();
-        if let Some(first) = inserted.first() {
-            if s.columns.is_empty() {
-                s.columns = first
-                    .0
-                    .iter()
-                    .map(|_| ColumnStats { ndv: 0, null_count: 0, min: None, max: None })
-                    .collect();
-            }
+        if s.columns.is_empty() {
+            let fresh = ColumnStats { ndv: 0, null_count: 0, min: None, max: None };
+            s.columns = vec![fresh; inserted.first().map_or(0, ColumnBatch::width)];
         }
         let old_count = s.row_count.max(1);
-        let new_count =
-            (s.row_count + inserted.len() as u64).saturating_sub(deleted as u64);
+        let added: usize = inserted.iter().map(ColumnBatch::num_rows).sum();
+        let new_count = (s.row_count + added as u64).saturating_sub(deleted as u64);
         let mut added_non_null = vec![0u64; s.columns.len()];
-        for row in inserted {
-            for (c, v) in row.0.iter().enumerate() {
-                let Some(col) = s.columns.get_mut(c) else {
-                    continue;
-                };
-                if v.is_null() {
-                    col.null_count += 1;
-                    continue;
-                }
-                added_non_null[c] += 1;
-                if col.min.as_ref().is_none_or(|m| v < m) {
-                    col.min = Some(v.clone());
-                }
-                if col.max.as_ref().is_none_or(|m| v > m) {
-                    col.max = Some(v.clone());
+        for batch in inserted {
+            for (c, col) in s.columns.iter_mut().enumerate().take(batch.width()) {
+                for k in 0..batch.num_rows() {
+                    let v = batch.datum_at(c, k);
+                    if v.is_null() {
+                        col.null_count += 1;
+                        continue;
+                    }
+                    added_non_null[c] += 1;
+                    if col.min.as_ref().is_none_or(|m| v < *m) {
+                        col.min = Some(v.clone());
+                    }
+                    if col.max.as_ref().is_none_or(|m| v > *m) {
+                        col.max = Some(v);
+                    }
                 }
             }
         }
@@ -147,24 +142,19 @@ mod tests {
     use super::*;
     use ic_common::{DataType, Field, Row, Schema};
 
+    fn batch(types: &[DataType], rows: Vec<Row>) -> [ColumnBatch; 1] {
+        [ColumnBatch::from_typed_rows(types, &rows)]
+    }
+
     #[test]
     fn compute_counts() {
         let schema = Schema::new(vec![Field::new("a", DataType::Int), Field::new("b", DataType::Str)]);
+        let types = schema.types();
         let data = TableData::new(2, schema);
-        data.insert_into_partition(
-            0,
-            vec![
-                Row(vec![Datum::Int(1), Datum::str("x")]),
-                Row(vec![Datum::Int(2), Datum::Null]),
-            ],
-        );
-        data.insert_into_partition(
-            1,
-            vec![
-                Row(vec![Datum::Int(1), Datum::str("y")]),
-                Row(vec![Datum::Int(3), Datum::str("x")]),
-            ],
-        );
+        let p0 = vec![Row(vec![Datum::Int(1), Datum::str("x")]), Row(vec![Datum::Int(2), Datum::Null])];
+        let p1 = vec![Row(vec![Datum::Int(1), Datum::str("y")]), Row(vec![Datum::Int(3), Datum::str("x")])];
+        data.load(batch(&types, p0).map(|b| (0, b)));
+        data.load(batch(&types, p1).map(|b| (1, b)));
         let s = TableStats::compute(&data);
         assert_eq!(s.row_count, 4);
         assert_eq!(s.columns[0].ndv, 3);
@@ -177,11 +167,12 @@ mod tests {
     #[test]
     fn incremental_write_folding() {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
+        let ints = [DataType::Int];
         let data = TableData::new(1, schema);
-        data.insert_into_partition(0, (0..10).map(|i| Row(vec![Datum::Int(i)])).collect());
+        data.load(batch(&ints, (0..10).map(|i| Row(vec![Datum::Int(i)])).collect()).map(|b| (0, b)));
         let s = TableStats::compute(&data);
         // Insert widens min/max and grows count/ndv.
-        let s2 = s.noting_write(&[Row(vec![Datum::Int(50)]), Row(vec![Datum::Null])], 0);
+        let s2 = s.noting_write(&batch(&ints, vec![Row(vec![Datum::Int(50)]), Row(vec![Datum::Null])]), 0);
         assert_eq!(s2.row_count, 12);
         assert_eq!(s2.columns[0].max, Some(Datum::Int(50)));
         assert_eq!(s2.columns[0].min, Some(Datum::Int(0)));
@@ -192,7 +183,7 @@ mod tests {
         assert_eq!(s3.row_count, 6);
         assert!(s3.columns[0].ndv <= 6);
         // Writes against unanalyzed stats bootstrap the column vector.
-        let s4 = TableStats::empty().noting_write(&[Row(vec![Datum::Int(1)])], 0);
+        let s4 = TableStats::empty().noting_write(&batch(&ints, vec![Row(vec![Datum::Int(1)])]), 0);
         assert_eq!(s4.row_count, 1);
         assert_eq!(s4.columns[0].ndv, 1);
     }

@@ -16,7 +16,7 @@
 
 use ic_common::hash::FxHashMap;
 use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, DataType, Row, Schema};
+use ic_common::{ColumnBatch, DataType, Schema};
 use ic_net::SiteId;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::sync::Arc;
@@ -48,12 +48,6 @@ impl PartStore {
         self.chunks.iter().map(|c| c.num_rows()).sum()
     }
 
-    /// Materialize the snapshot as rows (tests, the fuzz reference
-    /// evaluator; production reads stay columnar).
-    pub fn to_rows(&self) -> Vec<Row> {
-        self.chunks.iter().flat_map(|c| c.to_rows()).collect()
-    }
-
     /// Do both stores hold the very same snapshot (not merely equal rows)?
     fn same_snapshot(&self, other: &PartStore) -> bool {
         self.version == other.version && Arc::ptr_eq(&self.chunks, &other.chunks)
@@ -66,33 +60,72 @@ impl PartStore {
             .all(|c| c.selection().is_none() && (1..=BATCH_SIZE).contains(&c.num_rows())));
         PartStore { version: self.version + 1, chunks: Arc::new(chunks) }
     }
-
-    /// The successor snapshot with `rows` of the given field types appended:
-    /// the tail chunk is topped up to `BATCH_SIZE`, the rest packs into
-    /// fresh chunks, and every other chunk is shared with `self`.
-    pub(crate) fn appending(&self, types: &[DataType], rows: &[Row]) -> PartStore {
-        let mut chunks = (*self.chunks).clone();
-        append_rows(types, &mut chunks, rows);
-        self.succeed(chunks)
-    }
 }
 
-/// Append `rows` of the given field types to a chunk list, keeping every
-/// chunk but the last full.
-pub(crate) fn append_rows(types: &[DataType], chunks: &mut Vec<Arc<ColumnBatch>>, mut rows: &[Row]) {
-    if rows.is_empty() {
-        return;
+/// The one packer of the write path (bulk load, insert, upsert, `UPDATE`,
+/// `DELETE`): builds a successor chunk list in row order, sharing the
+/// chunks a write leaves alone and packing the rows it writes into fresh
+/// chunks of the schema's types, one as soon as `BATCH_SIZE` rows are
+/// pending — so runs of written rows coalesce, and no write holds more than
+/// one partial chunk beyond the rows it was handed.
+pub(crate) struct ChunkWriter<'a> {
+    types: &'a [DataType],
+    out: Vec<Arc<ColumnBatch>>,
+    pending: Vec<ColumnBatch>,
+    pending_rows: usize,
+}
+
+impl<'a> ChunkWriter<'a> {
+    pub(crate) fn new(types: &'a [DataType]) -> ChunkWriter<'a> {
+        ChunkWriter { types, out: Vec::new(), pending: Vec::new(), pending_rows: 0 }
     }
-    if let Some(tail) = chunks.last_mut().filter(|t| t.num_rows() < BATCH_SIZE) {
-        let take = (BATCH_SIZE - tail.num_rows()).min(rows.len());
-        *tail = Arc::new(ColumnBatch::concat(&[
-            (**tail).clone(),
-            ColumnBatch::from_typed_rows(types, &rows[..take]),
-        ]));
-        rows = &rows[take..];
+
+    /// A writer appending to `chunks`: every chunk is shared but a tail
+    /// short of `BATCH_SIZE`, which is queued so pushed rows top it up.
+    pub(crate) fn appending(types: &'a [DataType], chunks: &[Arc<ColumnBatch>]) -> ChunkWriter<'a> {
+        let mut w = ChunkWriter::new(types);
+        w.out = chunks.to_vec();
+        if let Some(tail) = w.out.pop_if(|t| t.num_rows() < BATCH_SIZE) {
+            w.push((*tail).clone());
+        }
+        w
     }
-    let pack = |piece| Arc::new(ColumnBatch::from_typed_rows(types, piece));
-    chunks.extend(rows.chunks(BATCH_SIZE).map(pack));
+
+    /// Keep a stored chunk as it is, after whatever is pending.
+    pub(crate) fn share(&mut self, chunk: &Arc<ColumnBatch>) {
+        self.flush();
+        self.out.push(chunk.clone());
+    }
+
+    /// Queue `rows` (a dense batch or a selection view) for packing.
+    pub(crate) fn push(&mut self, mut rows: ColumnBatch) {
+        while self.pending_rows + rows.num_rows() >= BATCH_SIZE {
+            let (take, n) = (BATCH_SIZE - self.pending_rows, rows.num_rows());
+            self.pending.push(rows.slice_logical(0, take));
+            self.pending_rows = BATCH_SIZE;
+            self.flush();
+            rows = rows.slice_logical(take, n - take);
+        }
+        if rows.num_rows() > 0 {
+            self.pending_rows += rows.num_rows();
+            self.pending.push(rows);
+        }
+    }
+
+    /// Pack what is pending into one chunk, so the next row starts another.
+    pub(crate) fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.out.push(Arc::new(ColumnBatch::concat_as(self.types, &self.pending)));
+        self.pending.clear();
+        self.pending_rows = 0;
+    }
+
+    pub(crate) fn finish(mut self) -> Vec<Arc<ColumnBatch>> {
+        self.flush();
+        self.out
+    }
 }
 
 /// One partition: its replica stores keyed by hosting site, plus the write
@@ -150,26 +183,37 @@ impl TableData {
         self.partitions.len()
     }
 
-    /// Append rows to every replica of a partition (bulk load: all copies
-    /// advance together, no replication traffic is simulated). The rows are
-    /// packed into chunks once; replicas holding the same snapshot share
-    /// the result.
-    pub fn insert_into_partition(&self, partition: usize, rows: Vec<Row>) {
-        let part = &self.partitions[partition];
-        let _w = part.write_lock.lock();
-        let mut replicas = part.replicas.write();
+    /// Bulk load: append `rows` — batches of the table's schema, each with
+    /// the partition it routes to — to every replica, in order. A
+    /// partition's replicas advance together, with no replication traffic
+    /// simulated, and commit once; replicas at one snapshot share a packing.
+    pub fn load(&self, rows: impl IntoIterator<Item = (usize, ColumnBatch)>) {
         let types = self.schema.types();
-        let mut packed: Vec<(PartStore, PartStore)> = Vec::new();
-        for store in replicas.values_mut() {
-            let next = match packed.iter().find(|(from, _)| from.same_snapshot(store)) {
-                Some((_, to)) => to.clone(),
-                None => {
-                    let to = store.appending(&types, &rows);
-                    packed.push((store.clone(), to.clone()));
-                    to
+        let _guards: Vec<_> = (0..self.partitions.len()).map(|p| self.write_guard(p)).collect();
+        // Per partition, one writer per distinct replica snapshot.
+        let mut writers: Vec<Vec<(PartStore, ChunkWriter)>> = Vec::new();
+        for part in &self.partitions {
+            let mut distinct: Vec<(PartStore, ChunkWriter)> = Vec::new();
+            for store in part.replicas.read().values() {
+                if !distinct.iter().any(|(from, _)| from.same_snapshot(store)) {
+                    distinct.push((store.clone(), ChunkWriter::appending(&types, store.chunks())));
                 }
-            };
-            *store = next;
+            }
+            writers.push(distinct);
+        }
+        let mut loaded = vec![false; writers.len()];
+        for (p, batch) in rows {
+            loaded[p] = true;
+            writers[p].iter_mut().for_each(|(_, w)| w.push(batch.clone()));
+        }
+        for (p, distinct) in writers.into_iter().enumerate().filter(|&(p, _)| loaded[p]) {
+            let packed: Vec<(PartStore, PartStore)> =
+                distinct.into_iter().map(|(from, w)| (from.clone(), from.succeed(w.finish()))).collect();
+            for store in self.partitions[p].replicas.write().values_mut() {
+                if let Some((_, to)) = packed.iter().find(|(from, _)| from.same_snapshot(store)) {
+                    *store = to.clone();
+                }
+            }
         }
     }
 
@@ -251,40 +295,42 @@ impl TableData {
     pub fn total_rows(&self) -> usize {
         (0..self.partitions.len()).map(|p| self.store(p).num_rows()).sum()
     }
-
-    /// Materialize all rows (test / fuzz-reference helper; production
-    /// scans read chunks per partition).
-    pub fn all_rows(&self) -> Vec<Row> {
-        (0..self.partitions.len()).flat_map(|p| self.store(p).to_rows()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_common::{DataType, Datum, Field};
+    use ic_common::{DataType, Datum, Field, Row};
 
     fn schema() -> Schema {
         Schema::new(vec![Field::new("x", DataType::Int)])
     }
 
+    fn ints(vals: impl IntoIterator<Item = i64>) -> [ColumnBatch; 1] {
+        let rows: Vec<Row> = vals.into_iter().map(|i| Row(vec![Datum::Int(i)])).collect();
+        [ColumnBatch::from_typed_rows(&[DataType::Int], &rows)]
+    }
+
+    fn rows_of(store: &PartStore) -> Vec<Row> {
+        store.chunks().iter().flat_map(|c| c.to_rows()).collect()
+    }
+
     #[test]
     fn insert_and_scan() {
         let t = TableData::new(2, schema());
-        t.insert_into_partition(0, vec![Row(vec![Datum::Int(1)])]);
-        t.insert_into_partition(1, vec![Row(vec![Datum::Int(2)]), Row(vec![Datum::Int(3)])]);
+        t.load(ints([1]).map(|b| (0, b)));
+        t.load(ints([2, 3]).map(|b| (1, b)));
         assert_eq!(t.total_rows(), 3);
         assert_eq!(t.store(0).num_rows(), 1);
-        assert_eq!(t.store(1).to_rows(), vec![Row(vec![Datum::Int(2)]), Row(vec![Datum::Int(3)])]);
-        assert_eq!(t.all_rows().len(), 3);
+        assert_eq!(rows_of(&t.store(1)), vec![Row(vec![Datum::Int(2)]), Row(vec![Datum::Int(3)])]);
     }
 
     #[test]
     fn snapshot_isolated_from_later_inserts() {
         let t = TableData::new(1, schema());
-        t.insert_into_partition(0, vec![Row(vec![Datum::Int(1)])]);
+        t.load(ints([1]).map(|b| (0, b)));
         let snap = t.store(0);
-        t.insert_into_partition(0, vec![Row(vec![Datum::Int(2)])]);
+        t.load(ints([2]).map(|b| (0, b)));
         assert_eq!(snap.num_rows(), 1);
         assert_eq!(t.store(0).num_rows(), 2);
     }
@@ -292,10 +338,9 @@ mod tests {
     #[test]
     fn bulk_load_packs_full_chunks_and_tops_up_the_tail() {
         let t = TableData::new(1, schema());
-        let ints = |r: std::ops::Range<i64>| r.map(|i| Row(vec![Datum::Int(i)])).collect();
-        t.insert_into_partition(0, ints(0..BATCH_SIZE as i64 + 10));
+        t.load(ints(0..BATCH_SIZE as i64 + 10).map(|b| (0, b)));
         let first = t.store(0);
-        t.insert_into_partition(0, ints(0..2 * BATCH_SIZE as i64));
+        t.load(ints(0..2 * BATCH_SIZE as i64).map(|b| (0, b)));
         let second = t.store(0);
         let sizes: Vec<usize> = second.chunks().iter().map(|c| c.num_rows()).collect();
         assert_eq!(sizes, vec![BATCH_SIZE, BATCH_SIZE, BATCH_SIZE, 10]);
@@ -305,11 +350,31 @@ mod tests {
         assert_eq!(first.num_rows(), BATCH_SIZE + 10, "the old snapshot is untouched");
     }
 
+    /// Pushed pieces coalesce into full chunks of the schema's types, and
+    /// a shared chunk closes the partial one before it.
+    #[test]
+    fn chunk_writer_coalesces_pushes_and_keeps_shared_chunks() {
+        let types = [DataType::Str];
+        let nulls = ColumnBatch::from_typed_rows(&types, &[Row(vec![Datum::Null])]);
+        let untyped = ColumnBatch::new(vec![Arc::new(ic_common::Column::repeat(&Datum::Null, 700))], 700);
+        let kept = Arc::new(nulls.clone());
+        let mut w = ChunkWriter::new(&types);
+        w.push(untyped.clone());
+        w.push(untyped);
+        w.share(&kept);
+        w.push(nulls);
+        let out = w.finish();
+        let sizes: Vec<usize> = out.iter().map(|c| c.num_rows()).collect();
+        assert_eq!(sizes, vec![BATCH_SIZE, 1400 - BATCH_SIZE, 1, 1]);
+        assert!(Arc::ptr_eq(&out[2], &kept));
+        assert!(out.iter().all(|c| c.col(0).data.data_type() == DataType::Str));
+    }
+
     #[test]
     fn concurrent_scans() {
         let t = Arc::new(TableData::new(4, schema()));
         for p in 0..4 {
-            t.insert_into_partition(p, (0..100).map(|i| Row(vec![Datum::Int(i)])).collect());
+            t.load(ints(0..100).map(|b| (p, b)));
         }
         let handles: Vec<_> = (0..8)
             .map(|i| {
@@ -325,7 +390,7 @@ mod tests {
     #[test]
     fn replicas_advance_together_on_bulk_load() {
         let t = TableData::new_with_owners(schema(), &[vec![SiteId(0), SiteId(1)]]);
-        t.insert_into_partition(0, vec![Row(vec![Datum::Int(7)])]);
+        t.load(ints([7]).map(|b| (0, b)));
         let primary = t.replica(0, SiteId(0)).unwrap();
         let backup = t.replica(0, SiteId(1)).unwrap();
         assert_eq!(primary.version(), 1);
@@ -340,9 +405,12 @@ mod tests {
     #[test]
     fn commit_is_version_checked() {
         let t = TableData::new_with_owners(schema(), &[vec![SiteId(0), SiteId(1)]]);
-        t.insert_into_partition(0, vec![Row(vec![Datum::Int(1)])]);
+        t.load(ints([1]).map(|b| (0, b)));
         let base = t.replica(0, SiteId(0)).unwrap();
-        let next = base.appending(&[DataType::Int], &[Row(vec![Datum::Int(2)])]);
+        let types = [DataType::Int];
+        let mut w = ChunkWriter::appending(&types, base.chunks());
+        w.push(ints([2])[0].clone());
+        let next = base.succeed(w.finish());
         let sites = [SiteId(0), SiteId(1)];
         let _g = t.write_guard(0);
         assert_eq!(t.commit(0, &sites, base.version(), next.clone()), Ok(()));
@@ -354,7 +422,7 @@ mod tests {
     #[test]
     fn install_and_drop_replica() {
         let t = TableData::new_with_owners(schema(), &[vec![SiteId(0)]]);
-        t.insert_into_partition(0, vec![Row(vec![Datum::Int(1)])]);
+        t.load(ints([1]).map(|b| (0, b)));
         let copy = t.replica(0, SiteId(0)).unwrap();
         t.install_replica(0, SiteId(3), copy);
         assert_eq!(t.replica_sites(0), vec![SiteId(0), SiteId(3)]);

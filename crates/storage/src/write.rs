@@ -27,24 +27,23 @@
 //! all-or-nothing.
 
 use crate::catalog::{Catalog, TableDistribution, TableId};
-use crate::table::{append_rows, PartStore, TableData};
-use ic_common::eval::eval_filter_sel;
+use crate::table::{ChunkWriter, PartStore, TableData};
+use ic_common::eval::{eval_expr, eval_filter_sel};
+use ic_common::hash::FxHashMap;
 use ic_common::obs::{Counter, MetricsRegistry};
 use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, Expr, IcError, IcResult, Row, Schema};
-use ic_net::wire::WireSize;
-use ic_net::{NetError, Network, SiteId};
-use std::collections::BTreeMap;
+use ic_common::{ColumnBatch, DataType, Expr, IcError, IcResult, Schema};
+use ic_net::{NetError, Network, ReplicaMap, SiteId, WireSize};
 use std::sync::{Arc, OnceLock};
 
 /// A bound, fully-typed DML operation, ready to apply to partition stores.
-/// Produced by the binder/planner; `Insert` rows are already evaluated
-/// constants in table-schema order.
-#[derive(Debug, Clone, PartialEq)]
+/// Produced by the binder/planner.
+#[derive(Debug, Clone)]
 pub enum WriteOp {
-    /// Upsert by primary key (Ignite's cache `put`): a row whose key
-    /// matches an existing row replaces it, otherwise it is appended.
-    Insert { rows: Vec<Row> },
+    /// Upsert by primary key (Ignite's cache `put`) of constant rows packed
+    /// by the table schema: a row whose key matches an existing row
+    /// replaces it, otherwise it is appended.
+    Insert { rows: ColumnBatch },
     /// Assign `exprs` (evaluated against the pre-image row) to columns of
     /// every row matching `predicate` (`None` = all rows).
     Update { assignments: Vec<(usize, Expr)>, predicate: Option<Expr> },
@@ -53,9 +52,9 @@ pub enum WriteOp {
 }
 
 impl WriteOp {
-    /// Serialized size charged per replication message: the op's payload
-    /// for inserts, a small control frame for predicate ops (backups apply
-    /// the op deterministically, they do not receive materialized rows).
+    /// Serialized size charged per replication message: the rows' column
+    /// frame for inserts, a small control frame for predicate ops (backups
+    /// apply the op deterministically, they receive no rows).
     pub fn wire_bytes(&self) -> usize {
         match self {
             WriteOp::Insert { rows } => rows.wire_size(),
@@ -98,50 +97,24 @@ fn metrics() -> &'static WriteMetrics {
     })
 }
 
-/// Builds a successor chunk list for predicate ops: untouched chunks are
-/// shared with the predecessor snapshot, rewritten rows coalesce — across
-/// consecutive touched chunks — into fresh dense chunks at the same place
-/// in the row order.
-#[derive(Default)]
-struct ChunkWriter {
-    out: Vec<Arc<ColumnBatch>>,
-    pending: Vec<ColumnBatch>,
-}
-
-impl ChunkWriter {
-    fn share(&mut self, chunk: &Arc<ColumnBatch>) {
-        self.flush();
-        self.out.push(chunk.clone());
+/// The one router of bulk loads and DML inserts: `hash_keys` over the
+/// distribution key, the membership map's partition, then one selection
+/// view per partition that receives rows, in partition order (a replicated
+/// table's one partition takes them all).
+pub(crate) fn split(
+    rows: &ColumnBatch,
+    dist: &TableDistribution,
+    map: &ReplicaMap,
+) -> Vec<(usize, ColumnBatch)> {
+    let TableDistribution::HashPartitioned { key_cols } = dist else {
+        return vec![(0, rows.clone())];
+    };
+    let mut sels: Vec<Vec<u32>> = vec![Vec::new(); map.num_partitions()];
+    for (k, hash) in rows.hash_keys(key_cols).into_iter().enumerate() {
+        sels[map.partition_of_hash(hash)].push(k as u32);
     }
-
-    /// Queue the (selected) rows of `rows` for repacking.
-    fn rewrite(&mut self, rows: ColumnBatch) {
-        if rows.num_rows() > 0 {
-            self.pending.push(rows);
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let dense = ColumnBatch::concat(&self.pending);
-        self.pending.clear();
-        let n = dense.num_rows();
-        if n <= BATCH_SIZE {
-            self.out.push(Arc::new(dense));
-            return;
-        }
-        for start in (0..n).step_by(BATCH_SIZE) {
-            let len = BATCH_SIZE.min(n - start);
-            self.out.push(Arc::new(dense.slice_logical(start, len).gather()));
-        }
-    }
-
-    fn finish(mut self) -> Vec<Arc<ColumnBatch>> {
-        self.flush();
-        self.out
-    }
+    let routed = sels.into_iter().enumerate().filter(|(_, sel)| !sel.is_empty());
+    routed.map(|(p, sel)| (p, rows.select_logical(&sel))).collect()
 }
 
 /// Rows of a stored chunk matching `predicate` (`None` = all rows).
@@ -152,15 +125,88 @@ fn matching(predicate: &Option<Expr>, chunk: &ColumnBatch) -> IcResult<Vec<u32>>
     }
 }
 
-/// Position of the first stored row whose primary key equals `row`'s.
-fn find_pk(chunks: &[Arc<ColumnBatch>], pk: &[usize], row: &Row) -> Option<(usize, usize)> {
-    chunks.iter().enumerate().find_map(|(c, chunk)| {
-        (0..chunk.num_rows())
-            .find(|&i| {
-                pk.iter().all(|&k| row.0.get(k).is_some_and(|d| chunk.col(k).eq_datum(i, d)))
-            })
-            .map(|i| (c, i))
-    })
+/// `chunk` with row `at[k]` replaced by row `k` of `rows`: one gather over
+/// the two stacked, left as a view for the writer to pack.
+fn splice(types: &[DataType], chunk: &ColumnBatch, rows: ColumnBatch, at: &[u32]) -> ColumnBatch {
+    let len = chunk.num_rows() as u32;
+    let mut idx: Vec<u32> = (0..len).collect();
+    for (k, &i) in at.iter().enumerate() {
+        idx[i as usize] = len + k as u32;
+    }
+    ColumnBatch::concat_as(types, &[chunk.clone(), rows]).with_sel(idx)
+}
+
+/// Upsert `rows` into `chunks` by primary key `pk`: the statement's last
+/// row of each key replaces the first stored row with that key, in its
+/// chunk, or else is appended at the position of the key's first row.
+/// Keys match by `hash_keys`, confirmed by `eq_at` (NULL equals NULL).
+fn upsert(
+    chunks: &[Arc<ColumnBatch>],
+    rows: &ColumnBatch,
+    types: &[DataType],
+    pk: &[usize],
+) -> Vec<Arc<ColumnBatch>> {
+    if pk.is_empty() {
+        let mut w = ChunkWriter::appending(types, chunks);
+        w.push(rows.clone());
+        return w.finish();
+    }
+    let rows = rows.gather();
+    let same = |a: &ColumnBatch, i: usize, b: &ColumnBatch, j: usize| {
+        pk.iter().all(|&k| a.col(k).eq_at(i, b.col(k), j))
+    };
+    // The statement's keys in order of first appearance: (first row, last
+    // row, stored position), with their ids by hash.
+    let mut keys: Vec<(usize, usize, Option<_>)> = Vec::new();
+    let mut by_hash: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+    for (j, hash) in rows.hash_keys(pk).into_iter().enumerate() {
+        let ids = by_hash.entry(hash).or_default();
+        match ids.iter().find(|&&g| same(&rows, keys[g].0, &rows, j)) {
+            Some(&g) => keys[g].1 = j,
+            None => {
+                ids.push(keys.len());
+                keys.push((j, j, None));
+            }
+        }
+    }
+    let mut unmatched = keys.len();
+    for (c, chunk) in chunks.iter().enumerate() {
+        if unmatched == 0 {
+            break;
+        }
+        for (i, hash) in chunk.hash_keys(pk).into_iter().enumerate() {
+            let Some(ids) = by_hash.get(&hash) else { continue };
+            let hit = ids.iter().find(|&&g| keys[g].2.is_none() && same(chunk, i, &rows, keys[g].0));
+            if let Some(&g) = hit {
+                keys[g].2 = Some((c, i as u32));
+                unmatched -= 1;
+            }
+        }
+    }
+    let mut edits: Vec<Vec<(u32, u32)>> = vec![Vec::new(); chunks.len()];
+    let mut appended: Vec<u32> = Vec::new();
+    for &(_, last, stored) in &keys {
+        match stored {
+            Some((c, i)) => edits[c].push((i, last as u32)),
+            None => appended.push(last as u32),
+        }
+    }
+    let mut w = ChunkWriter::new(types);
+    for (c, chunk) in chunks.iter().enumerate() {
+        // A short tail stays open for the appended rows to top up.
+        let open = c + 1 == chunks.len() && !appended.is_empty() && chunk.num_rows() < BATCH_SIZE;
+        if edits[c].is_empty() && !open {
+            w.share(chunk);
+            continue;
+        }
+        let (at, from): (Vec<u32>, Vec<u32>) = edits[c].iter().copied().unzip();
+        w.push(splice(types, chunk, rows.select_logical(&from), &at));
+        if !open {
+            w.flush();
+        }
+    }
+    w.push(rows.select_logical(&appended));
+    w.finish()
 }
 
 /// Apply `op` to a frozen store snapshot, producing the successor snapshot
@@ -177,64 +223,32 @@ pub fn apply_op(
     primary_key: &[usize],
 ) -> IcResult<(PartStore, usize)> {
     let types = schema.types();
-    let (chunks, affected) = match op {
-        WriteOp::Insert { rows: new_rows } => {
-            // Each new row replaces the stored row with its key, else the
-            // row an earlier statement row appended under that key, else
-            // it is appended.
-            let mut replaced: BTreeMap<usize, Vec<(usize, &Row)>> = BTreeMap::new();
-            let mut appended: Vec<Row> = Vec::new();
-            for nr in new_rows {
-                if !primary_key.is_empty() {
-                    if let Some((c, i)) = find_pk(store.chunks(), primary_key, nr) {
-                        replaced.entry(c).or_default().push((i, nr));
-                        continue;
-                    }
-                    let same_key =
-                        |r: &Row| primary_key.iter().all(|&k| r.0.get(k) == nr.0.get(k));
-                    if let Some(slot) = appended.iter_mut().find(|r| same_key(r)) {
-                        *slot = nr.clone();
-                        continue;
-                    }
-                }
-                appended.push(nr.clone());
-            }
-            let mut chunks = (**store.chunks()).clone();
-            for (c, edits) in replaced {
-                let mut rows = chunks[c].to_rows();
-                for (i, nr) in edits {
-                    rows[i] = nr.clone();
-                }
-                chunks[c] = Arc::new(ColumnBatch::from_typed_rows(&types, &rows));
-            }
-            append_rows(&types, &mut chunks, &appended);
-            (chunks, new_rows.len())
+    let mut w = ChunkWriter::new(&types);
+    let mut n = 0;
+    match op {
+        WriteOp::Insert { rows } => {
+            let chunks = upsert(store.chunks(), rows, &types, primary_key);
+            return Ok((store.succeed(chunks), rows.num_rows()));
         }
         WriteOp::Update { assignments, predicate } => {
-            let mut w = ChunkWriter::default();
-            let mut n = 0;
             for chunk in store.chunks().iter() {
                 let hit = matching(predicate, chunk)?;
                 if hit.is_empty() {
                     w.share(chunk);
                     continue;
                 }
-                let mut rows = chunk.to_rows();
-                for &i in &hit {
-                    let row = &mut rows[i as usize];
-                    let pre_image = row.clone();
-                    for (col, expr) in assignments {
-                        row.0[*col] = expr.eval(&pre_image)?;
-                    }
-                }
                 n += hit.len();
-                w.rewrite(ColumnBatch::from_typed_rows(&types, &rows));
+                // The hit rows' post-image: each SET expression evaluated
+                // over their pre-image, every other column carried over.
+                let pre = chunk.with_sel(hit.clone());
+                let mut post = pre.gather().columns().to_vec();
+                for (c, expr) in assignments {
+                    post[*c] = eval_expr(expr, &pre)?;
+                }
+                w.push(splice(&types, chunk, ColumnBatch::new(post, hit.len()), &hit));
             }
-            (w.finish(), n)
         }
         WriteOp::Delete { predicate } => {
-            let mut w = ChunkWriter::default();
-            let mut n = 0;
             for chunk in store.chunks().iter() {
                 let hit = matching(predicate, chunk)?;
                 if hit.is_empty() {
@@ -246,12 +260,11 @@ pub fn apply_op(
                 let keep: Vec<u32> = (0..chunk.num_rows() as u32)
                     .filter(|i| doomed.next_if_eq(i).is_none())
                     .collect();
-                w.rewrite(chunk.with_sel(keep));
+                w.push(chunk.with_sel(keep));
             }
-            (w.finish(), n)
         }
-    };
-    Ok((store.succeed(chunks), affected))
+    }
+    Ok((store.succeed(w.finish()), n))
 }
 
 /// Execute a DML op against `table`, routing to partitions by the
@@ -271,66 +284,36 @@ pub fn execute_dml(
         .table_data(table)
         .ok_or_else(|| IcError::Catalog(format!("no data handle for table {table}")))?;
     let mut outcome = WriteOutcome::default();
-    let mut inserted: Vec<Row> = Vec::new();
+    let mut inserted: Vec<ColumnBatch> = Vec::new();
     let mut deleted = 0usize;
-    match &def.distribution {
-        TableDistribution::Replicated => {
-            let (n, degraded) = write_replicated(catalog, network, &data, op, &def.primary_key)?;
-            record(op, n, &mut inserted, &mut deleted);
-            if n > 0 {
-                outcome.batches += 1;
-            }
-            outcome.rows_affected += n;
-            outcome.degraded |= degraded;
+    let mut tally = |op: &WriteOp, (n, degraded): (usize, bool)| {
+        match op {
+            WriteOp::Insert { rows } => inserted.push(rows.clone()),
+            WriteOp::Delete { .. } => deleted += n,
+            WriteOp::Update { .. } => {}
         }
-        TableDistribution::HashPartitioned { key_cols } => match op {
-            WriteOp::Insert { rows } => {
-                // Split the batch by distribution key; each partition gets
-                // its own replicated commit.
-                let map = catalog.membership().snapshot();
-                let nparts = data.num_partitions();
-                let mut per_part: Vec<Vec<Row>> = (0..nparts).map(|_| Vec::new()).collect();
-                for row in rows {
-                    let p = map.partition_of_hash(row.hash_key(key_cols));
-                    per_part[p].push(row.clone());
-                }
-                for (p, batch) in per_part.into_iter().enumerate() {
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    let (n, degraded) = write_partition(
-                        catalog,
-                        network,
-                        &data,
-                        p,
-                        &WriteOp::Insert { rows: batch.clone() },
-                        &def.primary_key,
-                    )?;
-                    inserted.extend(batch);
-                    if n > 0 {
-                        outcome.batches += 1;
-                    }
-                    outcome.rows_affected += n;
-                    outcome.degraded |= degraded;
-                }
+        outcome.batches += usize::from(n > 0);
+        outcome.rows_affected += n;
+        outcome.degraded |= degraded;
+    };
+    match (&def.distribution, op) {
+        (TableDistribution::Replicated, _) => {
+            tally(op, write_replicated(catalog, network, &data, op, &def.primary_key)?);
+        }
+        // Split the statement by distribution key; each partition gets its
+        // own replicated commit.
+        (dist, WriteOp::Insert { rows }) => {
+            let map = catalog.membership().snapshot();
+            for (p, rows) in split(rows, dist, &map) {
+                let op = WriteOp::Insert { rows };
+                tally(&op, write_partition(catalog, network, &data, p, &op, &def.primary_key)?);
             }
-            WriteOp::Update { .. } | WriteOp::Delete { .. } => {
-                let parts: Vec<usize> = match target {
-                    Some(p) => vec![p],
-                    None => (0..data.num_partitions()).collect(),
-                };
-                for p in parts {
-                    let (n, degraded) =
-                        write_partition(catalog, network, &data, p, op, &def.primary_key)?;
-                    record(op, n, &mut inserted, &mut deleted);
-                    if n > 0 {
-                        outcome.batches += 1;
-                    }
-                    outcome.rows_affected += n;
-                    outcome.degraded |= degraded;
-                }
+        }
+        _ => {
+            for p in target.map_or(0..data.num_partitions(), |p| p..p + 1) {
+                tally(op, write_partition(catalog, network, &data, p, op, &def.primary_key)?);
             }
-        },
+        }
     }
     metrics().rows.add(outcome.rows_affected as u64);
     metrics().batches.add(outcome.batches as u64);
@@ -338,14 +321,6 @@ pub fn execute_dml(
     // value bounds without a full ANALYZE pass per write.
     catalog.note_write(table, &inserted, deleted);
     Ok(outcome)
-}
-
-fn record(op: &WriteOp, n: usize, inserted: &mut Vec<Row>, deleted: &mut usize) {
-    match op {
-        WriteOp::Insert { rows } => inserted.extend(rows.iter().cloned()),
-        WriteOp::Delete { .. } => *deleted += n,
-        WriteOp::Update { .. } => {}
-    }
 }
 
 /// One partition's replicated write (see the module docs for the protocol).
@@ -510,7 +485,7 @@ fn write_replicated(
 mod tests {
     use super::*;
     use crate::catalog::TableDistribution;
-    use ic_common::{BinOp, DataType, Datum, Field, Schema};
+    use ic_common::{BinOp, DataType, Datum, Field, Row, Schema};
     use ic_net::{FaultPlan, NetworkConfig, Topology};
 
     fn schema() -> Schema {
@@ -535,6 +510,20 @@ mod tests {
         Row(vec![Datum::Int(id), Datum::Int(v)])
     }
 
+    fn insert(rows: Vec<Row>) -> WriteOp {
+        WriteOp::Insert { rows: ColumnBatch::from_typed_rows(&schema().types(), &rows) }
+    }
+
+    /// The partition `id` routes to: its routing hash on `map`.
+    fn partition_of(map: &ReplicaMap, id: i64) -> usize {
+        let key = ColumnBatch::from_typed_rows(&[DataType::Int], &[Row(vec![Datum::Int(id)])]);
+        map.partition_of_hash(key.hash_keys(&[0])[0])
+    }
+
+    fn rows_of(store: &PartStore) -> Vec<Row> {
+        store.chunks().iter().flat_map(|c| c.to_rows()).collect()
+    }
+
     fn eq_pred(col: usize, val: i64) -> Expr {
         Expr::Binary {
             op: BinOp::Eq,
@@ -547,8 +536,7 @@ mod tests {
     fn insert_replicates_to_backups() {
         let (cat, net, id) = setup(1);
         let rows: Vec<Row> = (0..40).map(|i| row(i, i * 10)).collect();
-        let out =
-            execute_dml(&cat, &net, id, &WriteOp::Insert { rows }, None).unwrap();
+        let out = execute_dml(&cat, &net, id, &insert(rows), None).unwrap();
         assert_eq!(out.rows_affected, 40);
         let data = cat.table_data(id).unwrap();
         assert_eq!(data.total_rows(), 40);
@@ -559,25 +547,26 @@ mod tests {
             let stores: Vec<PartStore> =
                 sites.iter().map(|&s| data.replica(p, s).unwrap()).collect();
             assert_eq!(stores[0].version(), stores[1].version());
-            assert_eq!(stores[0].to_rows(), stores[1].to_rows());
+            assert_eq!(rows_of(&stores[0]), rows_of(&stores[1]));
         }
     }
 
     #[test]
     fn insert_is_pk_upsert() {
         let (cat, net, id) = setup(0);
-        execute_dml(&cat, &net, id, &WriteOp::Insert { rows: vec![row(1, 10)] }, None).unwrap();
-        execute_dml(&cat, &net, id, &WriteOp::Insert { rows: vec![row(1, 99)] }, None).unwrap();
+        execute_dml(&cat, &net, id, &insert(vec![row(1, 10)]), None).unwrap();
+        execute_dml(&cat, &net, id, &insert(vec![row(1, 99)]), None).unwrap();
         let data = cat.table_data(id).unwrap();
         assert_eq!(data.total_rows(), 1);
-        assert_eq!(data.all_rows()[0].0[1], Datum::Int(99));
+        let p = (0..data.num_partitions()).find(|&p| data.store(p).num_rows() == 1).unwrap();
+        assert_eq!(data.store(p).chunks()[0].datum_at(1, 0), Datum::Int(99));
     }
 
     #[test]
     fn update_and_delete_with_predicates() {
         let (cat, net, id) = setup(0);
         let rows: Vec<Row> = (0..10).map(|i| row(i, 0)).collect();
-        execute_dml(&cat, &net, id, &WriteOp::Insert { rows }, None).unwrap();
+        execute_dml(&cat, &net, id, &insert(rows), None).unwrap();
         let upd = WriteOp::Update {
             assignments: vec![(1, Expr::Lit(Datum::Int(7)))],
             predicate: Some(eq_pred(0, 3)),
@@ -597,7 +586,7 @@ mod tests {
             &cat,
             &net,
             id,
-            &WriteOp::Insert { rows: (0..20).map(|i| row(i, 0)).collect() },
+            &insert((0..20).map(|i| row(i, 0)).collect()),
             None,
         )
         .unwrap();
@@ -617,14 +606,12 @@ mod tests {
         net.install_faults(FaultPlan::new(7).crash(SiteId(3), 0));
         let data = cat.table_data(id).unwrap();
         let map = cat.membership().snapshot();
-        let target_id = (0..1000)
-            .find(|&i| map.partition_of_hash(row(i, 0).hash_key(&[0])) == 2)
-            .unwrap();
+        let target_id = (0..1000).find(|&i| partition_of(&map, i) == 2).unwrap();
         let err = execute_dml(
             &cat,
             &net,
             id,
-            &WriteOp::Insert { rows: vec![row(target_id, 5)] },
+            &insert(vec![row(target_id, 5)]),
             None,
         )
         .expect_err("write below the replication floor must refuse");
@@ -654,17 +641,13 @@ mod tests {
         net.install_faults(FaultPlan::new(7).crash(SiteId(1), 0));
         // Find a row routed to a partition whose primary is the live site 0.
         let map = cat.membership().snapshot();
-        let target_id = (0..1000)
-            .find(|&i| {
-                let p = map.partition_of_hash(row(i, 0).hash_key(&[0]));
-                map.primary_of(p) == SiteId(0)
-            })
-            .unwrap();
+        let target_id =
+            (0..1000).find(|&i| map.primary_of(partition_of(&map, i)) == SiteId(0)).unwrap();
         let out = execute_dml(
             &cat,
             &net,
             id,
-            &WriteOp::Insert { rows: vec![row(target_id, 5)] },
+            &insert(vec![row(target_id, 5)]),
             None,
         )
         .unwrap();
@@ -683,7 +666,7 @@ mod tests {
             &cat,
             &net,
             id,
-            &WriteOp::Insert { rows: vec![row(1, 1), row(2, 2)] },
+            &insert(vec![row(1, 1), row(2, 2)]),
             None,
         )
         .unwrap();

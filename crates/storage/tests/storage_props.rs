@@ -3,7 +3,7 @@
 //! copy-on-write store vs a `Vec<Row>` model.
 
 use ic_common::row::BATCH_SIZE;
-use ic_common::{BinOp, DataType, Datum, Expr, Field, Row, Schema};
+use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, Row, Schema};
 use ic_net::Topology;
 use ic_storage::write::apply_op;
 use ic_storage::{Catalog, PartStore, TableDistribution, WriteOp};
@@ -39,10 +39,12 @@ proptest! {
         let table = cat.table_data(t).unwrap();
         prop_assert_eq!(table.total_rows(), data.len());
         // Same key -> same partition.
+        let map = cat.membership().snapshot();
         for p in 0..table.num_partitions() {
-            for row in table.store(p).to_rows() {
-                let h = row.hash_key(&[0]);
-                prop_assert_eq!(cat.topology().partition_of_hash(h), p);
+            for chunk in table.store(p).chunks().iter() {
+                for h in chunk.hash_keys(&[0]) {
+                    prop_assert_eq!(map.partition_of_hash(h), p);
+                }
             }
         }
     }
@@ -93,9 +95,8 @@ proptest! {
             .flat_map(|p| index.range_scan(p, &table.store(p), &range))
             .collect();
         via_index.sort();
-        let mut via_filter: Vec<Row> = table
-            .all_rows()
-            .into_iter()
+        let mut via_filter: Vec<Row> = (0..table.num_partitions())
+            .flat_map(|p| rows_of(&table.store(p)))
             .filter(|r| {
                 let v = r.0[1].as_int().unwrap();
                 v >= lo - 30 && v < hi - 30
@@ -157,6 +158,10 @@ fn model_row(k: i64, v: i64) -> Row {
     Row(vec![Datum::Int(k), v, Datum::str(format!("s{}", k % 3))])
 }
 
+fn rows_of(store: &PartStore) -> Vec<Row> {
+    store.chunks().iter().flat_map(|c| c.to_rows()).collect()
+}
+
 fn in_range(lo: i64, hi: i64) -> Expr {
     Expr::and(
         Expr::binary(BinOp::Ge, Expr::col(0), Expr::lit(lo)),
@@ -181,7 +186,8 @@ fn model_op() -> impl Strategy<Value = ModelOp> {
 fn to_write_op(op: &ModelOp) -> WriteOp {
     match op {
         ModelOp::Upsert(kvs) => {
-            WriteOp::Insert { rows: kvs.iter().map(|&(k, v)| model_row(k, v)).collect() }
+            let rows: Vec<Row> = kvs.iter().map(|&(k, v)| model_row(k, v)).collect();
+            WriteOp::Insert { rows: ColumnBatch::from_typed_rows(&model_schema().types(), &rows) }
         }
         ModelOp::UpdateRange { lo, hi, delta } => WriteOp::Update {
             assignments: vec![
@@ -222,7 +228,7 @@ fn apply_to_model(rows: &mut Vec<Row>, op: &WriteOp) -> (Vec<usize>, bool) {
     match op {
         WriteOp::Insert { rows: new_rows } => {
             let pre_len = rows.len();
-            for nr in new_rows {
+            for nr in &new_rows.to_rows() {
                 match rows.iter().position(|r| r.0[0] == nr.0[0]) {
                     Some(i) => {
                         rows[i] = nr.clone();
@@ -274,33 +280,34 @@ proptest! {
     #[test]
     fn chunked_store_matches_row_model(ops in proptest::collection::vec(model_op(), 1..14)) {
         // Start from ~2.5 chunks so range ops span chunk boundaries.
-        let seed_rows: Vec<Row> = (0..(5 * BATCH_SIZE as i64 / 2)).map(|k| model_row(k, k)).collect();
+        let seed: Vec<(i64, i64)> = (0..(5 * BATCH_SIZE as i64 / 2)).map(|k| (k, k)).collect();
+        let seed_rows: Vec<Row> = seed.iter().map(|&(k, v)| model_row(k, v)).collect();
         let (mut store, n) =
-            apply_op(&PartStore::default(), &WriteOp::Insert { rows: seed_rows.clone() }, &model_schema(), &[0])
+            apply_op(&PartStore::default(), &to_write_op(&ModelOp::Upsert(seed)), &model_schema(), &[0])
                 .unwrap();
         prop_assert_eq!(n, seed_rows.len());
         let mut model = seed_rows;
         for op in &ops {
             let write = to_write_op(op);
             let before = store.clone();
-            let before_rows = before.to_rows();
+            let before_rows = rows_of(&before);
             prop_assert_eq!(&before_rows, &model);
             let (touched, appended) = apply_to_model(&mut model, &write);
             let (after, affected) = apply_op(&before, &write, &model_schema(), &[0]).unwrap();
             let expect_affected = match &write {
-                WriteOp::Insert { rows } => rows.len(),
+                WriteOp::Insert { rows } => rows.num_rows(),
                 _ => touched.len(),
             };
             prop_assert_eq!(affected, expect_affected, "{:?}", op);
             prop_assert_eq!(after.version(), before.version() + 1);
-            prop_assert_eq!(after.to_rows(), model.clone(), "{:?}", op);
+            prop_assert_eq!(rows_of(&after), model.clone(), "{:?}", op);
             for chunk in after.chunks().iter() {
                 prop_assert!(chunk.selection().is_none(), "chunk carries a selection");
                 prop_assert!((1..=BATCH_SIZE).contains(&chunk.num_rows()), "chunk of {} rows", chunk.num_rows());
                 prop_assert_eq!(chunk.phys_rows(), chunk.num_rows());
             }
             // Torn-read guarantee: the old snapshot is frozen.
-            prop_assert_eq!(before.to_rows(), before_rows);
+            prop_assert_eq!(rows_of(&before), before_rows);
             // Untouched chunks are shared, not copied.
             let mut start = 0usize;
             let last = before.chunks().len().saturating_sub(1);

@@ -11,6 +11,7 @@
 //!
 //! and the whole scenario replays identically from the same seed.
 
+use ignite_calcite_rs::common::ColumnBatch;
 use ignite_calcite_rs::{
     Cluster, ClusterConfig, Datum, FaultPlan, NetworkConfig, Row, SiteId, SystemVariant,
 };
@@ -170,9 +171,10 @@ fn readers_see_whole_batches_only() {
     let map = catalog.membership().snapshot();
     let mut expected = vec![vec![0usize; STMTS as usize]; data.num_partitions()];
     for stmt in 0..STMTS {
-        for j in 0..ROWS_PER_STMT {
-            let key = Row(vec![Datum::Int(stmt * ROWS_PER_STMT + j)]);
-            expected[map.partition_of_hash(key.hash_key(&[0]))][stmt as usize] += 1;
+        let keys: Vec<Row> =
+            (0..ROWS_PER_STMT).map(|j| Row(vec![Datum::Int(stmt * ROWS_PER_STMT + j)])).collect();
+        for hash in ColumnBatch::from_rows(&keys).hash_keys(&[0]) {
+            expected[map.partition_of_hash(hash)][stmt as usize] += 1;
         }
     }
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -186,7 +188,7 @@ fn readers_see_whole_batches_only() {
                 for (p, expected) in expected.iter().enumerate() {
                     let store = data.store(p);
                     let mut seen = vec![0usize; STMTS as usize];
-                    for row in store.to_rows() {
+                    for row in store.chunks().iter().flat_map(|c| c.to_rows()) {
                         seen[row.0[2].as_int().unwrap() as usize] += 1;
                     }
                     for (stmt, &n) in seen.iter().enumerate() {

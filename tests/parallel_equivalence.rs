@@ -4,7 +4,7 @@
 //! driver (`worker_threads = 1`, `morsel_rows = usize::MAX`: a scan that
 //! is a single morsel never goes parallel) and with multi-lane pools over
 //! tiny morsels (`worker_threads = 3`, `morsel_rows = 128` — every scan splits
-//! into several morsels per site, so lanes, work stealing, shared-table
+//! into several morsels per site, so lanes, the shared morsel queue, shared-table
 //! probes, per-lane partial aggregates and the sorted-run merge all
 //! actually engage). Filters run ahead of joins/aggregates in these plans,
 //! so the parallel operators see batches carrying selection vectors, not
