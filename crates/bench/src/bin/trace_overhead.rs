@@ -12,9 +12,9 @@
 use ic_common::agg::AggFunc;
 use ic_common::obs::{OpMeta, Trace};
 use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, Datum, Expr, Row};
+use ic_common::{ColumnBatch, DataType, Datum, Expr, Row};
 use ic_exec::kernels::ColGroupTable;
-use ic_plan::ops::AggCall;
+use ic_plan::ops::{AggCall, AggPhase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -26,9 +26,9 @@ const ROWS: usize = 200_000;
 const PAIRS: usize = 7;
 
 /// `SUM(col 1) GROUP BY col 0` over one batch.
-fn agg_batch(table: &mut ColGroupTable, aggs: &[AggCall], b: &ColumnBatch, slots: &mut Vec<u32>) {
-    table.slots_for_batch(b, aggs, slots);
-    table.accumulate(0, b.col(1), b.selection(), slots).expect("int sum");
+fn agg_batch(table: &mut ColGroupTable, b: &ColumnBatch, slots: &mut Vec<u32>) {
+    table.assign_slots(b, false, slots);
+    table.fold(0, &[b.col(1).as_ref()], b.selection(), slots).expect("int sum");
 }
 
 fn main() {
@@ -42,10 +42,10 @@ fn main() {
 
     let run_plain = || {
         let t = Instant::now();
-        let mut table = ColGroupTable::new(vec![0], aggs.len());
+        let mut table = ColGroupTable::new(vec![0], &aggs, AggPhase::Complete, &[DataType::Int; 2]);
         let mut slots = Vec::new();
         for b in &batches {
-            agg_batch(&mut table, &aggs, b, &mut slots);
+            agg_batch(&mut table, b, &mut slots);
         }
         (t.elapsed(), table.len())
     };
@@ -59,11 +59,11 @@ fn main() {
             est_rows: ROWS as f64,
         }]);
         let t = Instant::now();
-        let mut table = ColGroupTable::new(vec![0], aggs.len());
+        let mut table = ColGroupTable::new(vec![0], &aggs, AggPhase::Complete, &[DataType::Int; 2]);
         let mut slots = Vec::new();
         for b in &batches {
             let t0 = trace.now_ns();
-            agg_batch(&mut table, &aggs, b, &mut slots);
+            agg_batch(&mut table, b, &mut slots);
             attempt.record_next(0, b.num_rows() as u64, trace.now_ns() - t0, true);
         }
         (t.elapsed(), table.len())

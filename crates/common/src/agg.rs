@@ -3,7 +3,13 @@
 //! The executor runs aggregates in two modes mirroring Ignite's map-reduce
 //! aggregation (§3.2, §5.3): a *complete* aggregate on one site, or a
 //! *partial* aggregate on every partition followed by a *final* aggregate
-//! that merges the partial accumulator states after an exchange.
+//! that folds the partial states after an exchange. [`AggFunc`] owns the
+//! state layout both sides agree on ([`AggFunc::state_width`]); the
+//! executor keeps that state as typed columns (`ic-exec`'s group table).
+//!
+//! [`Accumulator`] is the row-at-a-time reference semantics, one value at a
+//! time over [`Datum`]s: the oracles (the differential fuzzer's reference
+//! evaluator, the kernel property tests) use it, and no engine code does.
 
 use crate::datum::Datum;
 use crate::error::{IcError, IcResult};
@@ -36,6 +42,21 @@ impl AggFunc {
     pub fn splittable(&self) -> bool {
         !matches!(self, AggFunc::CountDistinct)
     }
+
+    /// Number of state columns a `Partial` aggregate ships per call: AVG's
+    /// sum and count, one value for the rest. COUNT(DISTINCT) never ships a
+    /// state; it counts as one for the plan validator's arithmetic.
+    pub fn state_width(&self) -> usize {
+        match self {
+            AggFunc::Avg => 2,
+            AggFunc::Count
+            | AggFunc::CountStar
+            | AggFunc::CountDistinct
+            | AggFunc::Sum
+            | AggFunc::Min
+            | AggFunc::Max => 1,
+        }
+    }
 }
 
 impl fmt::Display for AggFunc {
@@ -53,7 +74,8 @@ impl fmt::Display for AggFunc {
     }
 }
 
-/// Runtime accumulator for one aggregate over one group.
+/// Reference accumulator for one aggregate over one group, fed one
+/// [`Datum`] at a time.
 #[derive(Debug, Clone)]
 pub enum Accumulator {
     /// Row/value count (COUNT and COUNT(*)).
@@ -89,83 +111,42 @@ impl Accumulator {
         }
     }
 
-    /// Feed one input value. `count_star` accumulators receive a non-null
-    /// placeholder from the executor.
-    #[inline]
-    // ic-lint: allow(L012) because format! runs only in the terminal type-mismatch error arms, never on the per-element happy path
+    /// Feed one input value; NULL counts for nothing. COUNT(*) is fed a
+    /// non-NULL placeholder per row.
     pub fn update(&mut self, value: Datum) -> IcResult<()> {
+        use std::cmp::Ordering::{Greater, Less};
+        if value.is_null() {
+            return Ok(());
+        }
         match self {
-            Accumulator::Count(c) => {
-                if !value.is_null() {
-                    *c += 1;
+            Accumulator::Count(c) => *c += 1,
+            // Int adds wrapping, as Int arithmetic does.
+            Accumulator::Sum(sum) => {
+                *sum = match (&*sum, value) {
+                    (Datum::Null, v @ (Datum::Int(_) | Datum::Double(_))) => v,
+                    (Datum::Int(a), Datum::Int(b)) => Datum::Int(a.wrapping_add(b)),
+                    (Datum::Double(a), Datum::Double(b)) => Datum::Double(a + b),
+                    (_, v) => return Err(IcError::Exec(format!("SUM on non-numeric {v}"))),
                 }
             }
-            Accumulator::Sum(sum) => add_to_sum(sum, value)
-                .map_err(|v| IcError::Exec(format!("SUM on non-numeric {v}")))?,
-            Accumulator::Avg { sum, count } => match value {
-                Datum::Null => {}
-                other => {
-                    let d = other
-                        .as_double()
-                        .ok_or_else(|| IcError::Exec(format!("AVG on non-numeric {other}")))?;
-                    *sum += d;
-                    *count += 1;
-                }
-            },
+            Accumulator::Avg { sum, count } => {
+                let bad = || IcError::Exec(format!("AVG on non-numeric {value}"));
+                *sum += value.as_double().ok_or_else(bad)?;
+                *count += 1;
+            }
             Accumulator::Min(best) => {
-                if !value.is_null()
-                    && best.as_ref().is_none_or(|b| value.sql_cmp(b) == Some(std::cmp::Ordering::Less))
-                {
+                if best.as_ref().is_none_or(|b| value.sql_cmp(b) == Some(Less)) {
                     *best = Some(value);
                 }
             }
             Accumulator::Max(best) => {
-                if !value.is_null()
-                    && best
-                        .as_ref()
-                        .is_none_or(|b| value.sql_cmp(b) == Some(std::cmp::Ordering::Greater))
-                {
+                if best.as_ref().is_none_or(|b| value.sql_cmp(b) == Some(Greater)) {
                     *best = Some(value);
                 }
             }
             Accumulator::Distinct(set) => {
-                if !value.is_null() {
-                    set.insert(value);
-                }
+                set.insert(value);
             }
-        }
-        Ok(())
-    }
-
-    /// Merge another accumulator of the same shape (the *final* phase).
-    pub fn merge(&mut self, other: Accumulator) -> IcResult<()> {
-        match (self, other) {
-            (Accumulator::Count(a), Accumulator::Count(b)) => *a += b,
-            (Accumulator::Sum(a), Accumulator::Sum(b)) => add_to_sum(a, b)
-                .map_err(|v| IcError::Exec(format!("mismatched SUM state {v}")))?,
-            (Accumulator::Avg { sum: a, count: ca }, Accumulator::Avg { sum: b, count: cb }) => {
-                *a += b;
-                *ca += cb;
-            }
-            (Accumulator::Min(a), Accumulator::Min(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv.sql_cmp(av) == Some(std::cmp::Ordering::Less)) {
-                        *a = Some(bv);
-                    }
-                }
-            }
-            (Accumulator::Max(a), Accumulator::Max(b)) => {
-                if let Some(bv) = b {
-                    if a
-                        .as_ref()
-                        .is_none_or(|av| bv.sql_cmp(av) == Some(std::cmp::Ordering::Greater))
-                    {
-                        *a = Some(bv);
-                    }
-                }
-            }
-            (Accumulator::Distinct(a), Accumulator::Distinct(b)) => a.extend(b),
-            _ => return Err(IcError::Exec("mismatched accumulator merge".into())),
         }
         Ok(())
     }
@@ -187,8 +168,7 @@ impl Accumulator {
         }
     }
 
-    /// Serialize the accumulator state into datums for shipping between the
-    /// partial and final phases (the exchange carries these as row columns).
+    /// The `Partial` state columns' values, [`AggFunc::state_width`] of them.
     pub fn to_state(&self) -> Vec<Datum> {
         match self {
             Accumulator::Count(c) => vec![Datum::Int(*c)],
@@ -200,59 +180,6 @@ impl Accumulator {
             }
         }
     }
-
-    /// Number of state columns `to_state` produces for a function.
-    pub fn state_width(func: AggFunc) -> usize {
-        match func {
-            AggFunc::Avg => 2,
-            AggFunc::Count
-            | AggFunc::CountStar
-            | AggFunc::Sum
-            | AggFunc::Min
-            | AggFunc::Max
-            | AggFunc::CountDistinct => 1,
-        }
-    }
-
-    /// Rebuild an accumulator from shipped state columns.
-    pub fn from_state(func: AggFunc, state: &[Datum]) -> IcResult<Accumulator> {
-        let bad = || IcError::Exec(format!("bad {func} accumulator state"));
-        Ok(match func {
-            AggFunc::Count | AggFunc::CountStar => {
-                Accumulator::Count(state[0].as_int().ok_or_else(bad)?)
-            }
-            AggFunc::Sum => Accumulator::Sum(state[0].clone()),
-            AggFunc::Avg => Accumulator::Avg {
-                sum: state[0].as_double().ok_or_else(bad)?,
-                count: state[1].as_int().ok_or_else(bad)?,
-            },
-            AggFunc::Min => Accumulator::Min(if state[0].is_null() {
-                None
-            } else {
-                Some(state[0].clone())
-            }),
-            AggFunc::Max => Accumulator::Max(if state[0].is_null() {
-                None
-            } else {
-                Some(state[0].clone())
-            }),
-            AggFunc::CountDistinct => return Err(bad()),
-        })
-    }
-}
-
-/// Add `value` (NULL: nothing) to a running SUM of the same type; a value
-/// of another type comes back as the error.
-#[inline]
-fn add_to_sum(sum: &mut Datum, value: Datum) -> Result<(), Datum> {
-    *sum = match (&*sum, value) {
-        (_, Datum::Null) => return Ok(()),
-        (Datum::Null, v @ (Datum::Int(_) | Datum::Double(_))) => v,
-        (Datum::Int(a), Datum::Int(b)) => Datum::Int(a.wrapping_add(b)),
-        (Datum::Double(a), Datum::Double(b)) => Datum::Double(a + b),
-        (_, other) => return Err(other),
-    };
-    Ok(())
 }
 
 #[cfg(test)]
@@ -321,33 +248,5 @@ mod tests {
         assert_eq!(a.finish(), Datum::Int(3));
         assert!(!AggFunc::CountDistinct.splittable());
         assert!(AggFunc::Sum.splittable());
-    }
-
-    #[test]
-    fn partial_final_roundtrip_matches_complete() {
-        // Split the input across two partial accumulators, ship the state,
-        // merge, and compare against a single complete accumulator.
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
-            let input: Vec<Datum> = (0..100).map(|i| Datum::Int(i * 7 % 13)).collect();
-            let mut complete = Accumulator::new(func);
-            for v in &input {
-                complete.update(v.clone()).unwrap();
-            }
-            let mut p1 = Accumulator::new(func);
-            let mut p2 = Accumulator::new(func);
-            for (i, v) in input.iter().enumerate() {
-                if i % 2 == 0 {
-                    p1.update(v.clone()).unwrap();
-                } else {
-                    p2.update(v.clone()).unwrap();
-                }
-            }
-            let s1 = p1.to_state();
-            let s2 = p2.to_state();
-            assert_eq!(s1.len(), Accumulator::state_width(func));
-            let mut fin = Accumulator::from_state(func, &s1).unwrap();
-            fin.merge(Accumulator::from_state(func, &s2).unwrap()).unwrap();
-            assert_eq!(fin.finish(), complete.finish(), "func {func}");
-        }
     }
 }

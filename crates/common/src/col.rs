@@ -32,9 +32,8 @@
 //! **Row boundaries.** [`ColumnBatch::from_typed_rows`] /
 //! [`ColumnBatch::to_rows`] are the only row↔column conversion points: rows
 //! are packed once, by their schema, when they enter the engine (a bulk
-//! load, an `INSERT`'s literals, an aggregate's output), and unpacked at the
-//! final client rowset (and the inputs of the row-internal nested-loop join
-//! and sort aggregate).
+//! load, an `INSERT`'s literals, a `VALUES` list), and unpacked at the final
+//! client rowset (and the inputs of the row-internal nested-loop join).
 //!
 //! **Hash contract.** [`ColumnBatch::hash_keys`] is the routing hash: one
 //! [`FxHasher`] per row, fed each key column's value by
@@ -261,6 +260,47 @@ impl ColumnData {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The UTF-8 bytes of string value `i`; empty for other kinds.
+    #[inline]
+    fn bytes_at(&self, i: usize) -> &[u8] {
+        match self {
+            ColumnData::Str { offsets, bytes } => &bytes[offsets[i] as usize..offsets[i + 1] as usize],
+            _ => &[],
+        }
+    }
+
+    /// Value equality of `self[i]` and `other[j]`, both non-NULL.
+    #[inline]
+    fn eq_values(&self, i: usize, other: &ColumnData, j: usize) -> bool {
+        match (self, other) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
+            (ColumnData::Double(a), ColumnData::Double(b)) => a[i] == b[j],
+            (ColumnData::Date(a), ColumnData::Date(b)) => a[i] == b[j],
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
+            (ColumnData::Str { .. }, ColumnData::Str { .. }) => self.bytes_at(i) == other.bytes_at(j),
+            // Two values of different kinds: only an ill-typed plan compares them.
+            _ => false,
+        }
+    }
+
+    /// `Datum::cmp` of `self[i]` and `other[j]`, both non-NULL.
+    #[inline]
+    fn cmp_values(&self, i: usize, other: &ColumnData, j: usize) -> Ordering {
+        match (self, other) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a[i].cmp(&b[j]),
+            (ColumnData::Double(a), ColumnData::Double(b)) => {
+                // sql_cmp on NaN yields None, and Datum::cmp then falls back
+                // to type-rank (equal for Double/Double).
+                a[i].partial_cmp(&b[j]).unwrap_or(Ordering::Equal)
+            }
+            (ColumnData::Date(a), ColumnData::Date(b)) => a[i].cmp(&b[j]),
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i].cmp(&b[j]),
+            (ColumnData::Str { .. }, ColumnData::Str { .. }) => self.bytes_at(i).cmp(other.bytes_at(j)),
+            // Two values of different kinds: only an ill-typed plan orders them.
+            _ => Ordering::Equal,
+        }
+    }
 }
 
 /// One column: typed values plus an optional validity bitmap
@@ -333,12 +373,7 @@ impl Column {
     /// per-access re-validation [`Column::str_at`] pays.
     #[inline]
     pub fn bytes_at(&self, i: usize) -> &[u8] {
-        match &self.data {
-            ColumnData::Str { offsets, bytes } => {
-                &bytes[offsets[i] as usize..offsets[i + 1] as usize]
-            }
-            _ => &[],
-        }
+        self.data.bytes_at(i)
     }
 
     /// String value at physical row `i`; only meaningful for
@@ -369,19 +404,8 @@ impl Column {
     #[inline]
     pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
         match (self.is_valid(i), other.is_valid(j)) {
-            (false, false) => return true,
-            (true, true) => {}
-            _ => return false,
-        }
-        match (&self.data, &other.data) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
-            (ColumnData::Double(a), ColumnData::Double(b)) => a[i] == b[j],
-            (ColumnData::Date(a), ColumnData::Date(b)) => a[i] == b[j],
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
-            (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
-                self.bytes_at(i) == other.bytes_at(j)
-            }
-            // Two values of different kinds: only an ill-typed plan compares them.
+            (false, false) => true,
+            (true, true) => self.data.eq_values(i, &other.data, j),
             _ => false,
         }
     }
@@ -416,21 +440,20 @@ impl Column {
             (true, false) => return Ordering::Greater,
             _ => {}
         }
-        match (&self.data, &other.data) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => a[i].cmp(&b[j]),
-            (ColumnData::Double(a), ColumnData::Double(b)) => {
-                // sql_cmp on NaN yields None, and Datum::cmp then falls back
-                // to type-rank (equal for Double/Double).
-                a[i].partial_cmp(&b[j]).unwrap_or(Ordering::Equal)
-            }
-            (ColumnData::Date(a), ColumnData::Date(b)) => a[i].cmp(&b[j]),
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i].cmp(&b[j]),
-            (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
-                self.bytes_at(i).cmp(other.bytes_at(j))
-            }
-            // Two values of different kinds: only an ill-typed plan orders them.
-            _ => Ordering::Equal,
-        }
+        self.data.cmp_values(i, &other.data, j)
+    }
+
+    /// The least and greatest non-NULL values among the logical rows
+    /// (`sel`'s physical rows, or all) in `Datum`'s order, picked as
+    /// `Iterator::min` / `max` pick them — the first of equal least values,
+    /// the last of equal greatest — or `None` when every row is NULL.
+    pub fn min_max(&self, sel: Option<&[u32]>) -> Option<(Datum, Datum)> {
+        let n = sel.map_or(self.len(), <[u32]>::len);
+        let rows = (0..n).map(|k| sel.map_or(k, |s| s[k] as usize)).filter(|&i| self.is_valid(i));
+        let order = |a: &usize, b: &usize| self.cmp_at(*a, self, *b);
+        let least = rows.clone().min_by(order)?;
+        let greatest = rows.max_by(order)?;
+        Some((self.datum_at(least), self.datum_at(greatest)))
     }
 
     /// Feed physical row `i` into `h` — the routing hash's write sequence
@@ -473,19 +496,6 @@ impl Column {
                 hash_str(&bytes[offsets[i] as usize..offsets[i + 1] as usize], h)
             }),
             _ => for_each_row(sel, hashers, |i, h| self.hash_at(i, h)),
-        }
-    }
-
-    /// Approximate heap byte size of one physical row's value.
-    pub fn value_byte_size(&self, i: usize) -> usize {
-        if !self.is_valid(i) {
-            return 1;
-        }
-        match &self.data {
-            ColumnData::Int(_) | ColumnData::Double(_) => 8,
-            ColumnData::Bool(_) => 1,
-            ColumnData::Date(_) => 4,
-            ColumnData::Str { offsets, .. } => (offsets[i + 1] - offsets[i]) as usize,
         }
     }
 }
@@ -557,9 +567,32 @@ impl ColumnBuilder {
         self.validity.len()
     }
 
+    /// The type of the values it holds.
+    pub fn data_type(&self) -> DataType {
+        self.data.data_type()
+    }
+
     /// Whether no rows were pushed yet.
     pub fn is_empty(&self) -> bool {
         self.validity.is_empty()
+    }
+
+    /// [`Column::eq_at`] between pushed row `i` and `other[j]` (NULL ==
+    /// NULL): how a growing key column finds a key it already holds.
+    #[inline]
+    pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
+        match (self.validity.get(i), other.is_valid(j)) {
+            (false, false) => true,
+            (true, true) => self.data.eq_values(i, &other.data, j),
+            _ => false,
+        }
+    }
+
+    /// `Datum::cmp` of pushed row `i` and `other[j]`, both non-NULL: how a
+    /// MIN/MAX state column finds a better value.
+    #[inline]
+    pub fn cmp_at(&self, i: usize, other: &Column, j: usize) -> Ordering {
+        self.data.cmp_values(i, &other.data, j)
     }
 
     /// Append a NULL.
@@ -720,8 +753,8 @@ impl ColumnBatch {
         ColumnBatch { columns: vec![col; width], nrows: 0, sel: None }
     }
 
-    /// Pack row-major input by its field types (the storage write and
-    /// aggregate-output shim).
+    /// Pack row-major input by its field types (storage writes, `VALUES`
+    /// lists and a DML statement's pinned key).
     pub fn from_typed_rows(types: &[DataType], rows: &[Row]) -> ColumnBatch {
         let mut builders: Vec<ColumnBuilder> = types.iter().map(|&t| ColumnBuilder::new(t)).collect();
         for r in rows {
@@ -1003,18 +1036,6 @@ impl ColumnBatch {
     /// row plane's `arity.max(1) × len`).
     pub fn cells(&self) -> usize {
         self.width().max(1) * self.num_rows()
-    }
-
-    /// Approximate byte size of the selected payload (cost/lease estimates).
-    pub fn byte_size(&self) -> usize {
-        let n = self.num_rows();
-        let mut total = 0usize;
-        for c in &self.columns {
-            for k in 0..n {
-                total += c.value_byte_size(self.phys_index(k));
-            }
-        }
-        total
     }
 }
 

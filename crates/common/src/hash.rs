@@ -9,10 +9,9 @@
 //! build/probe, every grouped aggregation, every hash-distributed exchange
 //! and every partitioned write.
 //!
-//! The module also provides [`FlatMap`], an open-addressing table keyed by
-//! precomputed 64-bit hashes with `u32` payloads. Execution kernels use it
-//! to map key hashes to group indices without materializing owned
-//! `Vec<Datum>` keys per row (see `ic-exec`'s kernels).
+//! The module also provides [`HashDir`], the engine's one hash-table
+//! design: the join table, the group table and the statistics NDV pass
+//! keep their keys as typed columns and find them through it.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -111,98 +110,110 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `std::collections::HashSet` with the fast deterministic hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// Fold a 64-bit hash into a table index for a power-of-two capacity.
-///
-/// Plain truncation: [`FxHasher::finish`] already folds the high half down
-/// with its xor-multiply-xor mix. (Do NOT "strengthen" this with another
-/// `h ^ h >> 32` — xor-shift is an involution, so it would exactly cancel
-/// the final shift in `finish` and resurface the unmixed multiply output,
-/// whose low bits are constant across keys that differ only in high input
-/// bits.)
-#[inline]
-pub fn fold_hash(hash: u64, mask: usize) -> usize {
-    (hash as usize) & mask
-}
+/// Sentinel entry index: an empty bucket, or the end of a chain.
+const END: u32 = u32::MAX;
 
-/// Open-addressing hash table from precomputed 64-bit hashes to `u32`
-/// payloads (row/group indices). Linear probing, power-of-two capacity,
-/// grows at 7/8 load. The caller resolves hash collisions by comparing the
-/// actual keys behind the payload (`insert_with` takes an equality closure),
-/// so the table itself never stores or clones key datums.
+/// Hash directory over entries `0..len` known by their 64-bit hashes: a
+/// power-of-two `u32` bucket directory indexed by the hash's *top* bits
+/// (rows reaching one site share their low bits: routing takes `hash % n`)
+/// and one `next` link per entry. The caller keeps the keys, as typed
+/// columns indexed by entry, and compares them to resolve collisions.
 #[derive(Debug, Clone)]
-pub struct FlatMap {
-    /// `(hash, payload)` pairs in one array so a probe step touches one
-    /// cache line, not two. Slot empty ⇔ payload is [`FlatMap::EMPTY`].
-    entries: Vec<(u64, u32)>,
-    len: usize,
-    mask: usize,
+pub struct HashDir {
+    /// Per-entry 64-bit hash.
+    hashes: Vec<u64>,
+    /// Bucket → first entry of its chain ([`END`]: empty bucket).
+    dir: Vec<u32>,
+    /// `64 - log2(dir.len())`: a hash's bucket is `hash >> shift`.
+    shift: u32,
+    /// Per-entry link to the next entry of the same bucket.
+    next: Vec<u32>,
 }
 
-impl FlatMap {
-    /// Sentinel payload marking an empty slot (so no separate tag array).
-    pub const EMPTY: u32 = u32::MAX;
+impl Default for HashDir {
+    /// An empty directory, grown by [`HashDir::find_or_insert`].
+    fn default() -> HashDir {
+        HashDir::build(Vec::new(), |_| true)
+    }
+}
 
-    /// A table sized to hold `cap` entries without growing.
-    pub fn with_capacity(cap: usize) -> FlatMap {
-        let slots = (cap.max(8) * 8 / 7).next_power_of_two();
-        FlatMap { entries: vec![(0, Self::EMPTY); slots], len: 0, mask: slots - 1 }
+impl HashDir {
+    /// A directory over entries with the given `hashes`, sized so nothing
+    /// rehashes, linking those for which `linked(entry)` holds (the others
+    /// are never found and must not meet an insert, whose doubling links
+    /// all). Entries link last to first, so every chain is in insertion
+    /// order.
+    pub fn build(hashes: Vec<u64>, linked: impl FnMut(usize) -> bool) -> HashDir {
+        let slots = (2 * hashes.len()).next_power_of_two().max(16);
+        let mut t = HashDir { hashes, dir: Vec::new(), shift: 0, next: Vec::new() };
+        t.relink(slots, linked);
+        t
     }
 
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Point a fresh directory of `slots` buckets at the `linked` entries.
+    fn relink(&mut self, slots: usize, mut linked: impl FnMut(usize) -> bool) {
+        self.shift = 64 - slots.trailing_zeros();
+        self.dir.clear();
+        self.dir.resize(slots, END);
+        self.next.clear();
+        self.next.resize(self.hashes.len(), END);
+        for e in (0..self.hashes.len()).rev() {
+            if linked(e) {
+                self.link(e);
+            }
+        }
     }
 
-    /// Whether the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Find `hash`'s payload or insert the one produced by `make()`.
-    /// Returns `(payload, inserted)`.
     #[inline]
-    pub fn get_or_insert(
-        &mut self,
-        hash: u64,
-        mut eq: impl FnMut(u32) -> bool,
-        make: impl FnOnce() -> u32,
-    ) -> (u32, bool) {
-        if self.len * 8 >= (self.mask + 1) * 7 {
-            self.grow();
-        }
-        let mut slot = fold_hash(hash, self.mask);
-        loop {
-            let (h, payload) = self.entries[slot];
-            if payload == Self::EMPTY {
-                let new_payload = make();
-                debug_assert_ne!(new_payload, Self::EMPTY);
-                self.entries[slot] = (hash, new_payload);
-                self.len += 1;
-                return (new_payload, true);
-            }
-            if h == hash && eq(payload) {
-                return (payload, false);
-            }
-            slot = (slot + 1) & self.mask;
-        }
+    fn link(&mut self, e: usize) {
+        let b = (self.hashes[e] >> self.shift) as usize;
+        self.next[e] = self.dir[b];
+        self.dir[b] = e as u32;
     }
 
-    // ic-lint: allow(L012) because rehash allocation is amortized doubling: it runs once per capacity doubling, not per insert
-    fn grow(&mut self) {
-        let new_slots = (self.mask + 1) * 2;
-        let old =
-            std::mem::replace(&mut self.entries, vec![(0, Self::EMPTY); new_slots]);
-        self.mask = new_slots - 1;
-        for (hash, payload) in old {
-            if payload == Self::EMPTY {
-                continue;
+    /// Whether the directory holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    /// The linked entries whose stored hash is `hash`, in chain order.
+    #[inline]
+    pub fn matches(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+        let mut cur = self.dir[(hash >> self.shift) as usize];
+        std::iter::from_fn(move || {
+            while cur != END {
+                let e = cur;
+                cur = self.next[e as usize];
+                if self.hashes[e as usize] == hash {
+                    return Some(e);
+                }
             }
-            let mut slot = fold_hash(hash, self.mask);
-            while self.entries[slot].1 != Self::EMPTY {
-                slot = (slot + 1) & self.mask;
-            }
-            self.entries[slot] = (hash, payload);
+            None
+        })
+    }
+
+    /// The entry with `hash` for which `eq(entry)` holds, or a new entry
+    /// appended with that hash, doubling the directory past half full.
+    /// Returns `(entry, inserted)`.
+    #[inline]
+    pub fn find_or_insert(&mut self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> (u32, bool) {
+        if let Some(e) = self.matches(hash).find(|&e| eq(e)) {
+            return (e, false);
         }
+        let e = self.hashes.len();
+        self.hashes.push(hash);
+        self.next.push(END);
+        if 2 * self.hashes.len() > self.dir.len() {
+            self.relink(2 * self.dir.len(), |_| true);
+        } else {
+            self.link(e);
+        }
+        (e as u32, true)
+    }
+
+    /// `(non-empty buckets, buckets)`: how well the entries spread.
+    pub fn bucket_use(&self) -> (usize, usize) {
+        (self.dir.iter().filter(|&&head| head != END).count(), self.dir.len())
     }
 }
 
@@ -230,7 +241,7 @@ mod tests {
         let mask = 1023usize;
         let mut seen = std::collections::HashSet::new();
         for i in 0i64..1024 {
-            seen.insert(fold_hash(fxhash(&i), mask));
+            seen.insert(fxhash(&i) as usize & mask);
         }
         assert!(seen.len() > 550, "only {} distinct slots", seen.len());
     }
@@ -246,7 +257,7 @@ mod tests {
             let mut h = FxHasher::default();
             h.write_u8(2);
             h.write_u64((i as f64).to_bits());
-            seen.insert(fold_hash(h.finish(), mask));
+            seen.insert(h.finish() as usize & mask);
         }
         assert!(seen.len() > 700, "only {} distinct slots", seen.len());
     }
@@ -258,38 +269,47 @@ mod tests {
     }
 
     #[test]
-    fn flatmap_insert_get_grow() {
+    fn hash_dir_insert_find_grow() {
         let keys: Vec<i64> = (0..10_000).map(|i| i * 3 + 1).collect();
-        let mut map = FlatMap::with_capacity(4);
+        let mut dir = HashDir::default();
         let mut stored: Vec<i64> = Vec::new();
-        let mut find_or_insert = |map: &mut FlatMap, k: i64| {
-            let (payload, inserted) =
-                map.get_or_insert(fxhash(&k), |p| stored[p as usize] == k, || stored.len() as u32);
+        let mut find_or_insert = |dir: &mut HashDir, k: i64| {
+            let (e, inserted) = dir.find_or_insert(fxhash(&k), |e| stored[e as usize] == k);
             if inserted {
-                assert_eq!(payload as usize, stored.len());
+                assert_eq!(e as usize, stored.len());
                 stored.push(k);
             }
-            (payload, inserted)
+            (e, inserted)
         };
         for &k in &keys {
-            assert!(find_or_insert(&mut map, k).1);
+            assert!(find_or_insert(&mut dir, k).1);
         }
-        assert_eq!(map.len(), keys.len());
-        // Every key survives the growth rehashes at its first payload.
+        assert_eq!(dir.bucket_use().1, 32_768);
+        // Every key survives the doublings at its first entry.
         for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(find_or_insert(&mut map, k), (i as u32, false));
+            assert_eq!(find_or_insert(&mut dir, k), (i as u32, false));
         }
-        assert_eq!(find_or_insert(&mut map, -7), (keys.len() as u32, true));
+        assert_eq!(find_or_insert(&mut dir, -7), (keys.len() as u32, true));
     }
 
     #[test]
-    fn flatmap_duplicate_inserts_return_existing() {
-        let mut map = FlatMap::with_capacity(8);
+    fn hash_dir_duplicate_inserts_return_existing() {
+        let mut dir = HashDir::default();
         let stored = [5i64];
         for _ in 0..3 {
-            let (payload, _) = map.get_or_insert(99, |p| stored[p as usize] == 5i64, || 0);
-            assert_eq!(payload, 0);
+            let (e, _) = dir.find_or_insert(99, |e| stored[e as usize] == 5i64);
+            assert_eq!(e, 0);
         }
-        assert_eq!(map.len(), 1);
+        assert_eq!(dir.find_or_insert(100, |_| false), (1, true));
+    }
+
+    #[test]
+    fn hash_dir_build_chains_in_insertion_order() {
+        // Equal hashes share a chain; unlinked entries are never found.
+        let dir = HashDir::build(vec![7, 9, 7, 7, 9], |e| e != 3);
+        assert_eq!(dir.matches(7).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(dir.matches(9).collect::<Vec<_>>(), vec![1, 4]);
+        assert_eq!(dir.matches(8).count(), 0);
+        assert_eq!(dir.bucket_use().1, 16);
     }
 }

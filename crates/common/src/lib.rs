@@ -29,7 +29,7 @@ pub use col::{Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, NIL};
 pub use datum::{DataType, Datum};
 pub use error::{panic_message, IcError, IcResult};
 pub use expr::{BinOp, Expr, FuncKind};
-pub use hash::{FlatMap, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, HashDir};
 pub use lease::{MemoryLease, MemoryPool, LEASE_CHUNK_CELLS};
-pub use row::{Batch, Row};
+pub use row::Row;
 pub use schema::{Field, Schema};

@@ -69,10 +69,6 @@ impl From<Vec<Datum>> for Row {
     }
 }
 
-/// A batch of rows: the unit shipped over exchanges. Batching amortizes
-/// channel and simulated-network overhead, like Ignite's message batching.
-pub type Batch = Vec<Row>;
-
 /// Default number of rows per batch at exchange boundaries.
 pub const BATCH_SIZE: usize = 1024;
 

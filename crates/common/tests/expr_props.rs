@@ -3,7 +3,6 @@
 //! evaluator against the row interpreter, date arithmetic, and Datum
 //! ordering/hashing laws.
 
-use ic_common::agg::{Accumulator, AggFunc};
 use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::{dates, BinOp, ColumnBatch, Datum, Expr, FuncKind, Row};
 use proptest::prelude::*;
@@ -440,37 +439,6 @@ proptest! {
         prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
         if a.cmp(&b) == Ordering::Less && b.cmp(&c) == Ordering::Less {
             prop_assert_eq!(a.cmp(&c), Ordering::Less);
-        }
-    }
-
-    /// Partial+final accumulators equal a single complete accumulator for
-    /// any split of any input.
-    #[test]
-    fn accumulator_split_invariant(
-        values in proptest::collection::vec((-100i64..100, any::<bool>()), 0..60),
-        split in 0usize..60,
-    ) {
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
-            let datums: Vec<Datum> = values
-                .iter()
-                .map(|(v, n)| if *n { Datum::Null } else { Datum::Int(*v) })
-                .collect();
-            let mut complete = Accumulator::new(func);
-            for v in &datums {
-                complete.update(v.clone()).unwrap();
-            }
-            let cut = split.min(datums.len());
-            let mut p1 = Accumulator::new(func);
-            let mut p2 = Accumulator::new(func);
-            for v in &datums[..cut] {
-                p1.update(v.clone()).unwrap();
-            }
-            for v in &datums[cut..] {
-                p2.update(v.clone()).unwrap();
-            }
-            let mut merged = Accumulator::from_state(func, &p1.to_state()).unwrap();
-            merged.merge(Accumulator::from_state(func, &p2.to_state()).unwrap()).unwrap();
-            prop_assert_eq!(merged.finish(), complete.finish(), "{}", func);
         }
     }
 

@@ -3,47 +3,37 @@
 //!
 //! This module is the hot core of the columnar data plane and is lint-gated
 //! by rule L008: no per-row `Datum` materialization inside kernel loops —
-//! rows move by typed take (`ColumnBuilder::extend_take` / `Column::take`:
-//! one typed loop per column over a list of row indices), keys compare
-//! through `eq_at`/`eq_datum`/`cmp_at` and hash through the vectorized
-//! hasher, and the few unavoidable per-*group* datum touches carry
-//! explicit pragmas.
-//!
-//! [`ColJoinTable`] is built in one shot once the build side is drained:
-//! the build batches concatenate into one dense [`ColumnBatch`] arena, and
-//! its rows link through a sized `u32` bucket directory, one `next` link
-//! per row, so probes resolve key equality with typed column-vs-column
-//! comparisons (`eq_at`) instead of datum clones. Chains preserve build
-//! insertion order, so a probe row's matches come out in the order the
-//! build side arrived. [`ColGroupTable`] stores group keys flattened into
-//! one `Vec<Datum>` (materialized once per distinct group) and
-//! accumulators flattened into one `Vec<Accumulator>`; per-batch
-//! accumulation runs one typed loop per aggregate over the argument column,
-//! skipping validity-masked rows (NULL updates are no-ops for every
-//! accumulator).
+//! rows move by typed take (`ColumnBuilder::extend_take` / `Column::take`),
+//! keys compare through `eq_at`/`cmp_at` and hash through the vectorized
+//! hasher. Both hash tables find keys through one [`HashDir`], with the keys
+//! kept as typed columns. [`ColJoinTable`] is built in one shot once the
+//! build side is drained, its chains in build order, so a probe row's
+//! matches come out in the order the build side arrived. [`ColGroupTable`]
+//! grows group by group: a group's key is one row of typed key columns, and
+//! each aggregate keeps typed state vectors — COUNT an `i64`, SUM an `i64`
+//! or `f64`, AVG a sum and a count, MIN/MAX a value of the argument's type
+//! — folded by one typed loop per aggregate and emitted as they are.
 
-use ic_common::agg::Accumulator;
-use ic_common::hash::FlatMap;
-use ic_common::{Bitmap, Column, ColumnBatch, ColumnData, Datum, IcResult, NIL};
-use ic_plan::ops::{AggCall, SortKey};
+use ic_common::agg::AggFunc;
+use ic_common::{
+    Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, DataType, HashDir, IcError, IcResult,
+    NIL,
+};
+use ic_common::row::BATCH_SIZE;
+use ic_plan::ops::{AggCall, AggPhase, SortKey};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Columnar hash table for the build side of a hash join: a power-of-two
-/// `u32` bucket directory plus one `next` link per arena row, built in one
-/// shot by [`ColJoinTable::build`]. Key datums are never cloned.
+/// Columnar hash table for the build side of a hash join: a [`HashDir`]
+/// over the arena rows, built in one shot by [`ColJoinTable::build`]. Key
+/// datums are never cloned.
 pub struct ColJoinTable {
     key_cols: Vec<usize>,
     /// Every build row, NULL-key rows included (they stay unlinked).
     arena: ColumnBatch,
-    /// Per-arena-row 64-bit key hash.
-    hashes: Vec<u64>,
-    /// Bucket → first arena row of its chain (NIL: empty bucket).
-    dir: Vec<u32>,
-    /// `64 - log2(dir.len())`: see [`bucket`].
-    shift: u32,
-    /// Per-arena-row link to the next row in the same bucket (NIL ends it).
-    next: Vec<u32>,
+    /// Arena row → chain of the rows sharing its bucket.
+    dir: HashDir,
     /// Linked rows: the arena rows without a NULL key.
     nrows: usize,
 }
@@ -51,35 +41,25 @@ pub struct ColJoinTable {
 impl ColJoinTable {
     /// Build the table keyed on `key_cols` over a drained build side of
     /// `width` columns, with a directory sized for its rows so nothing ever
-    /// rehashes. Rows are prepended last to first, which leaves every chain
-    /// in insertion order; rows with a NULL key stay unlinked (they never
-    /// match). The one place `exec.join.build_rows` counts.
+    /// rehashes. Every chain is in insertion order; rows with a NULL key
+    /// stay unlinked (they never match). The one place
+    /// `exec.join.build_rows` counts.
     pub fn build(key_cols: Vec<usize>, width: usize, batches: Vec<ColumnBatch>) -> ColJoinTable {
         let arena = match batches.len() {
             0 => ColumnBatch::empty(width),
             _ => ColumnBatch::concat(&batches),
         };
         drop(batches); // before the hashes and the directory allocate
-        let n = arena.num_rows();
-        let hashes = arena.hash_keys(&key_cols);
-        let slots = (2 * n).next_power_of_two().max(16);
-        let shift = 64 - slots.trailing_zeros();
-        let mut dir = vec![NIL; slots];
-        let mut next = vec![NIL; n];
         let nullable: Vec<&Bitmap> =
             key_cols.iter().filter_map(|&c| arena.col(c).validity.as_ref()).collect();
         let mut nrows = 0;
-        for i in (0..n).rev() {
-            if nullable.iter().any(|v| !v.get(i)) {
-                continue;
-            }
-            let b = bucket(hashes[i], shift);
-            next[i] = dir[b];
-            dir[b] = i as u32;
-            nrows += 1;
-        }
+        let dir = HashDir::build(arena.hash_keys(&key_cols), |i| {
+            let linked = nullable.iter().all(|v| v.get(i));
+            nrows += linked as usize;
+            linked
+        });
         ic_common::obs::MetricsRegistry::global().counter("exec.join.build_rows").add(nrows as u64);
-        ColJoinTable { key_cols, arena, hashes, dir, shift, next, nrows }
+        ColJoinTable { key_cols, arena, dir, nrows }
     }
 
     /// Number of linked build rows (NULL-key rows excluded).
@@ -100,10 +80,9 @@ impl ColJoinTable {
     /// Call `visit(k, arena row)` for every key match of every logical
     /// probe row `k` — probe rows in order, each row's matches in build
     /// insertion order; `visit` returns `false` to leave that row's chain.
-    /// NULL probe keys match nothing; a bucket's chain holds every row whose
-    /// hash folds there, so the stored 64-bit hash screens it before
-    /// [`Column::eq_at`] on each key column resolves collisions. An empty
-    /// table returns at once without hashing the batch.
+    /// NULL probe keys match nothing; the directory hands over the rows with
+    /// the probe row's hash, and [`Column::eq_at`] on each key column
+    /// resolves collisions. An empty table returns at once.
     fn for_each_match(
         &self,
         batch: &ColumnBatch,
@@ -120,16 +99,12 @@ impl ColJoinTable {
             if !probe_keys.iter().all(|&c| batch.col(c).is_valid(phys)) {
                 continue;
             }
-            let mut cur = self.dir[bucket(hash, self.shift)];
-            while cur != NIL {
-                let b = cur as usize;
-                if self.hashes[b] == hash
-                    && keys().all(|(&bc, &pc)| self.arena.col(bc).eq_at(b, batch.col(pc), phys))
-                    && !visit(k as u32, cur)
+            for b in self.dir.matches(hash) {
+                if keys().all(|(&bc, &pc)| self.arena.col(bc).eq_at(b as usize, batch.col(pc), phys))
+                    && !visit(k as u32, b)
                 {
                     break;
                 }
-                cur = self.next[b];
             }
         }
     }
@@ -182,14 +157,6 @@ impl ColJoinTable {
     }
 }
 
-/// The directory bucket of `hash`: its top bits. Partitions and hash
-/// exchanges route by `hash % n`, so the rows reaching one site share their
-/// low bits, which would leave most of a site's buckets empty.
-#[inline]
-fn bucket(hash: u64, shift: u32) -> usize {
-    (hash >> shift) as usize
-}
-
 /// Materialize hash-join output pairs: probe columns taken at the pairs'
 /// physical probe rows, arena columns at the arena rows with `NIL` → NULL
 /// (LEFT-join extension). One [`Column::take`] per output column.
@@ -212,233 +179,381 @@ pub fn gather_join_output(
     ColumnBatch::new(cols, pks.len())
 }
 
-/// Grouped accumulator storage for columnar hash aggregation: group keys
-/// and accumulators live in flat arrays indexed by group slot; key datums
-/// are materialized once per distinct group, and per-batch accumulation is
-/// one typed loop per aggregate.
+/// Group table for columnar aggregation in every phase. Groups are numbered
+/// by slot in first-seen order; a group's key is one row of typed key
+/// columns, and each aggregate keeps typed state vectors indexed by slot.
 pub struct ColGroupTable {
-    map: FlatMap,
     group_cols: Vec<usize>,
-    naggs: usize,
-    ngroups: usize,
-    /// Flattened keys: group `g` owns `keys[g*klen .. (g+1)*klen]`.
-    keys: Vec<Datum>,
-    /// Flattened accumulators: group `g` owns `accs[g*naggs .. (g+1)*naggs]`.
-    accs: Vec<Accumulator>,
+    phase: AggPhase,
+    /// The hash strategy's key → slot directory: entry `s` is slot `s`.
+    dir: HashDir,
+    /// One typed column per group key; row `s` is slot `s`'s key.
+    keys: Vec<ColumnBuilder>,
+    states: Vec<AggState>,
+    len: usize,
 }
 
 impl ColGroupTable {
-    /// New table grouping on `group_cols` with `naggs` aggregates per group.
-    pub fn new(group_cols: Vec<usize>, naggs: usize) -> ColGroupTable {
+    /// New table grouping on `group_cols` for `aggs` in `phase`. `types`
+    /// are the output field types — the keys', then each aggregate's value
+    /// or, `Partial`, its state columns — and type every key and state.
+    pub fn new(
+        group_cols: Vec<usize>,
+        aggs: &[AggCall],
+        phase: AggPhase,
+        types: &[DataType],
+    ) -> ColGroupTable {
+        let (key_types, mut rest) = types.split_at(group_cols.len());
+        let mut state = |func: AggFunc| {
+            let ty = rest[0];
+            rest = &rest[if phase == AggPhase::Partial { func.state_width() } else { 1 }..];
+            AggState::new(func, ty)
+        };
         ColGroupTable {
-            // Start small: grouped aggregation often has a handful of
-            // groups (TPC-H Q1 has 8) and a small table stays L1-resident.
-            map: FlatMap::with_capacity(64),
+            states: aggs.iter().map(|a| state(a.func)).collect(),
             group_cols,
-            naggs,
-            ngroups: 0,
-            keys: Vec::new(),
-            accs: Vec::new(),
+            phase,
+            dir: HashDir::default(),
+            keys: key_types.iter().map(|&t| ColumnBuilder::new(t)).collect(),
+            len: 0,
         }
     }
 
-    /// Number of distinct groups seen.
+    /// Number of groups held.
     pub fn len(&self) -> usize {
-        self.ngroups
+        self.len
     }
 
     /// True when no group exists yet.
     pub fn is_empty(&self) -> bool {
-        self.ngroups == 0
+        self.len == 0
     }
 
-    /// Append a group keyed by physical row `phys` of `batch`, with fresh
-    /// accumulators from `aggs`; returns its slot.
-    fn push_group(&mut self, batch: &ColumnBatch, phys: usize, aggs: &[AggCall]) -> u32 {
-        for &c in &self.group_cols {
-            // ic-lint: allow(L008) because group keys materialize once per distinct group, not per row
-            self.keys.push(batch.col(c).datum_at(phys));
-        }
-        self.accs.extend(aggs.iter().map(|a| Accumulator::new(a.func)));
-        self.ngroups += 1;
-        self.ngroups as u32 - 1
-    }
-
-    /// Resolve every logical row of `batch` to its group slot (creating
-    /// groups with fresh accumulators from `aggs` on first sight), writing
-    /// slots into the reused `slots` buffer.
-    pub fn slots_for_batch(&mut self, batch: &ColumnBatch, aggs: &[AggCall], slots: &mut Vec<u32>) {
+    /// Resolve every logical row of `batch` to its group slot, opening
+    /// groups on first sight, into the reused `slots` buffer. Input
+    /// `sorted` on the group columns needs no hashing: a row belongs to the
+    /// newest group when its key equals that group's and opens a new one
+    /// otherwise, and every group but the newest is closed once the batch
+    /// is done.
+    pub fn assign_slots(&mut self, batch: &ColumnBatch, sorted: bool, slots: &mut Vec<u32>) {
         slots.clear();
-        let klen = self.group_cols.len();
-        let n = batch.num_rows();
-        if klen == 0 {
-            self.ensure_scalar_group(aggs);
-            slots.resize(n, 0);
-            return;
-        }
-        let hashes = batch.hash_keys(&self.group_cols);
-        for (k, &hash) in hashes.iter().enumerate().take(n) {
-            let phys = batch.phys_index(k);
-            let new_slot = self.ngroups as u32;
-            let (slot, inserted) = {
-                let keys = &self.keys;
-                let group_cols = &self.group_cols;
-                self.map.get_or_insert(
-                    hash,
-                    |p| {
-                        let base = p as usize * klen;
-                        group_cols
-                            .iter()
-                            .enumerate()
-                            .all(|(i, &c)| batch.col(c).eq_datum(phys, &keys[base + i]))
-                    },
-                    || new_slot,
-                )
-            };
-            if inserted {
-                self.push_group(batch, phys, aggs);
-            }
-            slots.push(slot);
-        }
-    }
-
-    /// [`ColGroupTable::slots_for_batch`] for input sorted on the group
-    /// columns: a row belongs to the newest group when its key equals that
-    /// group's stored key and opens a new group otherwise — no hashing, no
-    /// map. Every group but the newest is closed once the batch is done.
-    pub fn slots_for_sorted_batch(
-        &mut self,
-        batch: &ColumnBatch,
-        aggs: &[AggCall],
-        slots: &mut Vec<u32>,
-    ) {
-        slots.clear();
-        let klen = self.group_cols.len();
-        if klen == 0 {
-            self.ensure_scalar_group(aggs);
+        if self.group_cols.is_empty() {
+            self.ensure_scalar_group();
             slots.resize(batch.num_rows(), 0);
             return;
         }
-        for k in 0..batch.num_rows() {
+        // Sorted input reads no hash.
+        let hashes =
+            if sorted { vec![0; batch.num_rows()] } else { batch.hash_keys(&self.group_cols) };
+        for (k, &hash) in hashes.iter().enumerate() {
             let phys = batch.phys_index(k);
-            let same = self.ngroups > 0 && {
-                let last = &self.keys[(self.ngroups - 1) * klen..];
-                self.group_cols.iter().zip(last).all(|(&c, d)| batch.col(c).eq_datum(phys, d))
+            let (keys, cols) = (&self.keys, &self.group_cols);
+            let same = |s: u32| {
+                keys.iter().zip(cols).all(|(key, &c)| key.eq_at(s as usize, batch.col(c), phys))
             };
-            let slot = if same { self.ngroups as u32 - 1 } else { self.push_group(batch, phys, aggs) };
+            let (slot, fresh) = match (sorted, self.len as u32) {
+                (true, len) if len > 0 && same(len - 1) => (len - 1, false),
+                (true, len) => (len, true),
+                (false, _) => self.dir.find_or_insert(hash, same),
+            };
+            if fresh {
+                for (key, &c) in self.keys.iter_mut().zip(&self.group_cols) {
+                    key.extend_take(batch.col(c), &[phys as u32]);
+                }
+                self.states.iter_mut().for_each(AggState::push);
+                self.len += 1;
+            }
             slots.push(slot);
         }
     }
 
-    /// Forget the first `n` groups (a streaming aggregate's emitted, closed
-    /// groups); the remaining groups move down to slot 0.
-    pub fn discard_front(&mut self, n: usize) {
-        self.keys.drain(..n * self.group_cols.len());
-        self.accs.drain(..n * self.naggs);
-        self.ngroups -= n;
-    }
-
-    /// Fold one argument column into aggregate `agg_idx` of each row's
-    /// group: a typed per-column loop that skips validity-masked rows
-    /// (NULL updates are no-ops for every accumulator variant). `sel` is
-    /// the batch's selection vector when the column is a physical input
-    /// column; `None` when the column is already logically dense.
-    pub fn accumulate(
+    /// Fold one batch into aggregate `agg` of each logical row's group: row
+    /// `k` is physical row `sel[k]` of `cols` (`k` without a selection) and
+    /// goes to group `slots[k]`. `cols` is the argument (none for COUNT(*))
+    /// or, `Final`, the shipped state columns, folded by the same typed
+    /// loops: counts and AVG's sum and count add up, and a SUM, MIN or MAX
+    /// state is a value. NULLs fold nothing.
+    pub fn fold(
         &mut self,
-        agg_idx: usize,
-        col: &Column,
+        agg: usize,
+        cols: &[&Column],
         sel: Option<&[u32]>,
         slots: &[u32],
     ) -> IcResult<()> {
-        let naggs = self.naggs;
-        let phys = |k: usize| sel.map_or(k, |s| s[k] as usize);
-        match &col.data {
-            ColumnData::Int(v) => {
-                for (k, &slot) in slots.iter().enumerate() {
-                    let i = phys(k);
-                    if col.is_valid(i) {
-                        self.accs[slot as usize * naggs + agg_idx].update(Datum::Int(v[i]))?;
+        let merging = self.phase == AggPhase::Final;
+        let state = &mut self.states[agg];
+        let Some(&col) = cols.first() else {
+            if let AggState::Count(count) = state {
+                slots.iter().for_each(|&s| count[s as usize] += 1);
+            }
+            return Ok(());
+        };
+        let valid = rows(sel, slots).filter(|&(_, i)| col.is_valid(i));
+        match (state, &col.data, cols.get(1).map(|c| &c.data)) {
+            (AggState::Count(count), ColumnData::Int(x), _) if merging => {
+                valid.for_each(|(s, i)| count[s] += x[i])
+            }
+            (AggState::Count(count), ..) => valid.for_each(|(s, _)| count[s] += 1),
+            (AggState::Avg(sum, count), ColumnData::Double(x), Some(ColumnData::Int(n))) => {
+                valid.for_each(|(s, i)| {
+                    sum[s] += x[i];
+                    count[s] += n[i];
+                })
+            }
+            (AggState::Avg(sum, count), ColumnData::Int(x), None) => valid.for_each(|(s, i)| {
+                sum[s] += x[i] as f64;
+                count[s] += 1;
+            }),
+            (AggState::Avg(sum, count), ColumnData::Double(x), None) => valid.for_each(|(s, i)| {
+                sum[s] += x[i];
+                count[s] += 1;
+            }),
+            (AggState::Distinct { .. }, ..) if merging => {
+                return Err(IcError::Internal("COUNT(DISTINCT) has no Final phase".into()))
+            }
+            (AggState::Distinct { count, pairs, base }, ..) => {
+                let (groups, rows): (Vec<usize>, Vec<u32>) =
+                    valid.map(|(s, i)| (s, i as u32)).unzip();
+                if rows.is_empty() {
+                    return Ok(());
+                }
+                let pairs = pairs.get_or_insert_with(|| {
+                    let types = [DataType::Int, col.data.data_type()];
+                    Box::new(ColGroupTable::new(vec![0, 1], &[], AggPhase::Complete, &types))
+                });
+                let ordinals = groups.iter().map(|&s| (*base + s) as i64).collect();
+                let ordinals = Column { data: ColumnData::Int(ordinals), validity: None };
+                let key = ColumnBatch::new(vec![Arc::new(ordinals), Arc::new(col.take(&rows))], rows.len());
+                let (mut fresh, mut pair_slots) = (pairs.len() as u32, Vec::new());
+                pairs.assign_slots(&key, false, &mut pair_slots);
+                // The row that opens a pair counts it for its group.
+                for (&s, &p) in groups.iter().zip(&pair_slots) {
+                    if p == fresh {
+                        count[s] += 1;
+                        fresh += 1;
                     }
                 }
             }
-            ColumnData::Double(v) => {
-                for (k, &slot) in slots.iter().enumerate() {
-                    let i = phys(k);
-                    if col.is_valid(i) {
-                        self.accs[slot as usize * naggs + agg_idx].update(Datum::Double(v[i]))?;
-                    }
-                }
-            }
-            ColumnData::Date(v) => {
-                for (k, &slot) in slots.iter().enumerate() {
-                    let i = phys(k);
-                    if col.is_valid(i) {
-                        self.accs[slot as usize * naggs + agg_idx].update(Datum::Date(v[i]))?;
-                    }
-                }
-            }
-            ColumnData::Bool(v) => {
-                for (k, &slot) in slots.iter().enumerate() {
-                    let i = phys(k);
-                    if col.is_valid(i) {
-                        self.accs[slot as usize * naggs + agg_idx].update(Datum::Bool(v[i]))?;
-                    }
-                }
-            }
-            // Strings have no scalar fast path: MIN/MAX and COUNT DISTINCT
-            // over strings need an owned datum anyway.
-            ColumnData::Str { .. } => {
-                for (k, &slot) in slots.iter().enumerate() {
-                    let i = phys(k);
-                    if col.is_valid(i) {
-                        // ic-lint: allow(L008) because string aggregates need an owned datum per value (MIN/MAX keep it, COUNT DISTINCT hashes it)
-                        self.accs[slot as usize * naggs + agg_idx].update(col.datum_at(i))?;
-                    }
-                }
-            }
+            (state, ..) => return state.fold_value(col, sel, slots),
         }
         Ok(())
-    }
-
-    /// COUNT(*): bump aggregate `agg_idx` once per logical row (no
-    /// argument column, NULLs included).
-    pub fn accumulate_count_star(&mut self, agg_idx: usize, slots: &[u32]) -> IcResult<()> {
-        let naggs = self.naggs;
-        for &slot in slots {
-            self.accs[slot as usize * naggs + agg_idx].update(Datum::Int(1))?;
-        }
-        Ok(())
-    }
-
-    /// Mutable view of one group's accumulators (Final-phase state merge).
-    #[inline]
-    pub fn accs_mut(&mut self, slot: usize) -> &mut [Accumulator] {
-        let base = slot * self.naggs;
-        &mut self.accs[base..base + self.naggs]
     }
 
     /// Ensure the implicit scalar group exists (empty-input `SELECT
     /// count(*)` still emits one row).
-    pub fn ensure_scalar_group(&mut self, aggs: &[AggCall]) {
+    pub fn ensure_scalar_group(&mut self) {
         debug_assert!(self.group_cols.is_empty());
-        if self.accs.is_empty() {
-            self.accs.extend(aggs.iter().map(|a| Accumulator::new(a.func)));
-            self.ngroups = 1;
+        if self.len == 0 {
+            self.states.iter_mut().for_each(AggState::push);
+            self.len = 1;
         }
     }
 
-    /// Move group `slot`'s key out (leaves NULLs behind) and borrow its
-    /// accumulators; used once per group during output emission.
-    pub fn take_group(&mut self, slot: usize) -> (Vec<Datum>, &[Accumulator]) {
-        let klen = self.group_cols.len();
-        let base = slot * klen;
-        let key: Vec<Datum> = self.keys[base..base + klen]
-            .iter_mut()
-            .map(|d| std::mem::replace(d, Datum::Null))
-            .collect();
-        let abase = slot * self.naggs;
-        (key, &self.accs[abase..abase + self.naggs])
+    /// Remove the first `n` groups and return their output columns: the
+    /// keys, then each aggregate's value (`Complete`, `Final`) or state
+    /// columns as they are (`Partial`). The other groups move down to slot
+    /// 0, which only sorted input needs: a hash table splits once, all its
+    /// groups, when its input has ended.
+    pub fn split_front(&mut self, n: usize) -> Vec<Column> {
+        debug_assert!(n == self.len || self.dir.is_empty());
+        if n == self.len {
+            self.dir = HashDir::default();
+        }
+        let mut out: Vec<Column> = self.keys.iter_mut().map(|key| split_column(key, n)).collect();
+        for state in &mut self.states {
+            state.split_front(n, self.phase, &mut out);
+        }
+        self.len -= n;
+        out
     }
+}
+
+/// The first `n` rows of `b` as a column; `b` keeps the rest.
+fn split_column(b: &mut ColumnBuilder, n: usize) -> Column {
+    let ty = b.data_type();
+    let col = std::mem::replace(b, ColumnBuilder::new(ty)).finish();
+    if n == col.len() {
+        return col;
+    }
+    b.extend_take(&col, &(n as u32..col.len() as u32).collect::<Vec<_>>());
+    col.take(&(0..n as u32).collect::<Vec<_>>())
+}
+
+/// The first `n` elements of `v`; `v` keeps the rest.
+fn split<T>(v: &mut Vec<T>, n: usize) -> Vec<T> {
+    let rest = v.split_off(n);
+    std::mem::replace(v, rest)
+}
+
+/// `(group slot, physical row)` of each logical row `k`: `slots[k]`, and
+/// `sel[k]` — or `k`, for a logically dense column.
+#[inline]
+fn rows<'a>(sel: Option<&'a [u32]>, slots: &'a [u32]) -> impl Iterator<Item = (usize, usize)> + 'a {
+    slots.iter().enumerate().map(move |(k, &s)| (s as usize, sel.map_or(k, |sel| sel[k] as usize)))
+}
+
+/// A column of `data`, NULL where `valid` is false.
+fn with_validity(data: ColumnData, valid: &[bool]) -> Column {
+    let validity = valid.contains(&false).then(|| {
+        let mut bits = Bitmap::new();
+        valid.iter().for_each(|&v| bits.push(v));
+        bits
+    });
+    Column { data, validity }
+}
+
+/// One aggregate's state for every group, indexed by slot: exactly its
+/// `Partial` state columns (`AggCall::state_types`).
+enum AggState {
+    /// COUNT and COUNT(*).
+    Count(Vec<i64>),
+    /// SUM of Ints, adding wrapping as Int arithmetic does, and whether
+    /// the group has seen a value (SUM of nothing is NULL).
+    SumInt(Vec<i64>, Vec<bool>),
+    /// SUM of Doubles, and whether the group has seen a value.
+    SumDouble(Vec<f64>, Vec<bool>),
+    /// AVG: the sum of the values and their count.
+    Avg(Vec<f64>, Vec<i64>),
+    /// MIN, or MAX when `max`: each group's best value so far, a row of
+    /// `seen` (NIL: none yet). `seen` holds every value that once was a
+    /// best, compacted when it outgrows twice the groups plus a batch.
+    Best { best: Vec<u32>, seen: ColumnBuilder, max: bool },
+    /// COUNT(DISTINCT): the count, over one group table keyed on (group
+    /// ordinal, value) for all groups. A group's ordinal is `base` plus its
+    /// slot, which stays put while the groups ahead of it close.
+    Distinct { count: Vec<i64>, pairs: Option<Box<ColGroupTable>>, base: usize },
+}
+
+impl AggState {
+    /// An empty state of `func`, whose value (SUM, MIN, MAX) is a `ty`.
+    fn new(func: AggFunc, ty: DataType) -> AggState {
+        match func {
+            AggFunc::Count | AggFunc::CountStar => AggState::Count(Vec::new()),
+            AggFunc::Sum if ty == DataType::Double => AggState::SumDouble(Vec::new(), Vec::new()),
+            AggFunc::Sum => AggState::SumInt(Vec::new(), Vec::new()),
+            AggFunc::Avg => AggState::Avg(Vec::new(), Vec::new()),
+            AggFunc::Min | AggFunc::Max => {
+                let seen = ColumnBuilder::new(ty);
+                AggState::Best { best: Vec::new(), seen, max: func == AggFunc::Max }
+            }
+            AggFunc::CountDistinct => {
+                AggState::Distinct { count: Vec::new(), pairs: None, base: 0 }
+            }
+        }
+    }
+
+    /// Open one more group: a zero count or sum, no value.
+    fn push(&mut self) {
+        match self {
+            AggState::Count(count) | AggState::Distinct { count, .. } => count.push(0),
+            AggState::SumInt(sum, seen) => {
+                sum.push(0);
+                seen.push(false);
+            }
+            AggState::SumDouble(sum, seen) => {
+                sum.push(0.0);
+                seen.push(false);
+            }
+            AggState::Avg(sum, count) => {
+                sum.push(0.0);
+                count.push(0);
+            }
+            AggState::Best { best, .. } => best.push(NIL),
+        }
+    }
+
+    /// SUM, MIN and MAX: fold each non-NULL value of `col` into its
+    /// group's (`sel`, `slots`: see [`ColGroupTable::fold`]).
+    fn fold_value(&mut self, col: &Column, sel: Option<&[u32]>, slots: &[u32]) -> IcResult<()> {
+        let rows = rows(sel, slots).filter(|&(_, i)| col.is_valid(i));
+        match (self, &col.data) {
+            (AggState::SumInt(sum, seen), ColumnData::Int(x)) => rows.for_each(|(s, i)| {
+                sum[s] = sum[s].wrapping_add(x[i]);
+                seen[s] = true;
+            }),
+            (AggState::SumDouble(sum, seen), ColumnData::Double(x)) => rows.for_each(|(s, i)| {
+                sum[s] = if seen[s] { sum[s] + x[i] } else { x[i] };
+                seen[s] = true;
+            }),
+            (AggState::Best { best, seen, max }, _) => {
+                // A value replaces a strictly worse best, so the first of
+                // equal values stays, and a NaN, which orders with nothing,
+                // only ever fills an empty group.
+                let worse = if *max { Ordering::Less } else { Ordering::Greater };
+                for (s, i) in rows {
+                    if best[s] == NIL || seen.cmp_at(best[s] as usize, col, i) == worse {
+                        best[s] = seen.len() as u32;
+                        seen.extend_take(col, &[i as u32]);
+                    }
+                }
+                if seen.len() > 2 * best.len() + BATCH_SIZE {
+                    split_best(best, seen, 0);
+                }
+            }
+            // A column without a value (an untyped NULL) folds nothing.
+            _ if col.is_all_null() => {}
+            _ => {
+                let ty = col.data.data_type();
+                return Err(IcError::Exec(format!("no aggregate state folds a {ty}")));
+            }
+        }
+        Ok(())
+    }
+
+    /// Move the first `n` groups' output columns to `out`: the value, or
+    /// for `Partial` the state columns as they are. The others stay.
+    fn split_front(&mut self, n: usize, phase: AggPhase, out: &mut Vec<Column>) {
+        let int = |v| Column { data: ColumnData::Int(v), validity: None };
+        match self {
+            AggState::Count(count) => out.push(int(split(count, n))),
+            AggState::SumInt(sum, seen) => {
+                out.push(with_validity(ColumnData::Int(split(sum, n)), &split(seen, n)))
+            }
+            AggState::SumDouble(sum, seen) => {
+                out.push(with_validity(ColumnData::Double(split(sum, n)), &split(seen, n)))
+            }
+            AggState::Avg(sum, count) => {
+                let (sum, count) = (split(sum, n), split(count, n));
+                if phase == AggPhase::Partial {
+                    out.push(Column { data: ColumnData::Double(sum), validity: None });
+                    out.push(int(count));
+                } else {
+                    let avg = sum.iter().zip(&count);
+                    let avg = avg.map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 });
+                    let valid: Vec<bool> = count.iter().map(|&c| c > 0).collect();
+                    out.push(with_validity(ColumnData::Double(avg.collect()), &valid));
+                }
+            }
+            AggState::Best { best, seen, .. } => out.push(split_best(best, seen, n)),
+            AggState::Distinct { count, pairs, base } => {
+                out.push(int(split(count, n)));
+                *base += n;
+                // Forget the closed groups' pairs: keep the others'.
+                if let Some(pairs) = pairs {
+                    let m = pairs.len();
+                    let cols: Vec<_> = pairs.split_front(m).into_iter().map(Arc::new).collect();
+                    if let ColumnData::Int(ordinal) = &cols[0].data {
+                        let open = |&e: &u32| ordinal[e as usize] >= *base as i64;
+                        let keep: Vec<u32> = (0..m as u32).filter(open).collect();
+                        let kept = ColumnBatch::new(cols, m).select_logical(&keep);
+                        pairs.assign_slots(&kept, false, &mut Vec::new());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// MIN/MAX: the first `n` groups' best values as a column (NULL for none);
+/// `seen` keeps just the other groups' bests.
+fn split_best(best: &mut Vec<u32>, seen: &mut ColumnBuilder, n: usize) -> Column {
+    let ty = seen.data_type();
+    let values = std::mem::replace(seen, ColumnBuilder::new(ty)).finish();
+    let rest = best.split_off(n);
+    seen.extend_take(&values, &rest);
+    let front = values.take(best);
+    *best = rest.iter().enumerate().map(|(k, &b)| if b == NIL { NIL } else { k as u32 }).collect();
+    front
 }
 
 /// Sort permutation over a dense batch in `keys` order — the plan-level
@@ -452,8 +567,7 @@ pub fn sort_permutation(batch: &ColumnBatch, keys: &[SortKey]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_common::agg::AggFunc;
-    use ic_common::{Expr, Row};
+    use ic_common::{Datum, Expr, Row};
     use std::cmp::Ordering;
 
     fn batch(rows: &[&[i64]]) -> ColumnBatch {
@@ -505,9 +619,9 @@ mod tests {
             all.into_iter().zip(hashes).filter(|(_, h)| h % 4 == 0).map(|(r, _)| r).take(4096).collect();
         assert_eq!(rows.len(), 4096);
         let t = ColJoinTable::build(vec![0], 1, vec![ColumnBatch::from_rows(&rows)]);
-        assert_eq!(t.dir.len(), 8192);
         // ≈ 1 - e^(-1/2) = 39 % of them by chance; the low bits reach ≤ 25 %.
-        let used = t.dir.iter().filter(|&&head| head != NIL).count();
+        let (used, buckets) = t.dir.bucket_use();
+        assert_eq!(buckets, 8192);
         assert!(used > 2_900, "{used} of 8192 buckets used");
     }
 
@@ -534,23 +648,31 @@ mod tests {
         assert_eq!(out.row_at(1), Row(vec![Datum::Int(2), Datum::Int(2), Datum::Int(20)]));
     }
 
+    fn sum_of(col: usize) -> Vec<AggCall> {
+        vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(col)), name: "s".into() }]
+    }
+
+    /// The first `n` groups' output rows.
+    fn split_rows(g: &mut ColGroupTable, n: usize) -> Vec<Row> {
+        let cols = g.split_front(n).into_iter().map(Arc::new).collect();
+        ColumnBatch::new(cols, n).to_rows()
+    }
+
+    fn int_rows(rows: &[&[i64]]) -> Vec<Row> {
+        rows.iter().map(|r| Row(r.iter().map(|&v| Datum::Int(v)).collect())).collect()
+    }
+
     #[test]
     fn group_table_accumulates_per_key() {
-        let aggs =
-            vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }];
-        let mut g = ColGroupTable::new(vec![0], 1);
+        let aggs = sum_of(1);
+        let mut g = ColGroupTable::new(vec![0], &aggs, AggPhase::Complete, &[DataType::Int; 2]);
         let b = batch(&[&[1, 10], &[2, 5], &[1, 20]]);
         let mut slots = Vec::new();
-        g.slots_for_batch(&b, &aggs, &mut slots);
+        g.assign_slots(&b, false, &mut slots);
         assert_eq!(slots, vec![0, 1, 0]);
-        g.accumulate(0, b.col(1), b.selection(), &slots).unwrap();
+        g.fold(0, &[b.col(1).as_ref()], b.selection(), &slots).unwrap();
         assert_eq!(g.len(), 2);
-        let (key, accs) = g.take_group(0);
-        assert_eq!(key, vec![Datum::Int(1)]);
-        assert_eq!(accs[0].finish(), Datum::Int(30));
-        let (key, accs) = g.take_group(1);
-        assert_eq!(key, vec![Datum::Int(2)]);
-        assert_eq!(accs[0].finish(), Datum::Int(5));
+        assert_eq!(split_rows(&mut g, 2), int_rows(&[&[1, 30], &[2, 5]]));
     }
 
     #[test]
@@ -562,49 +684,109 @@ mod tests {
             Row(vec![Datum::Null, Datum::Null]),
             Row(vec![Datum::Int(3), Datum::Int(2)]),
         ]);
-        let mut g = ColGroupTable::new(vec![0], 1);
+        let mut g = ColGroupTable::new(vec![0], &aggs, AggPhase::Complete, &[DataType::Int; 2]);
         let mut slots = Vec::new();
-        g.slots_for_batch(&b, &aggs, &mut slots);
+        g.assign_slots(&b, false, &mut slots);
         assert_eq!(slots, vec![0, 0, 1]);
-        g.accumulate(0, b.col(1), b.selection(), &slots).unwrap();
-        let (key, accs) = g.take_group(0);
-        assert!(key[0].is_null());
+        g.fold(0, &[b.col(1).as_ref()], b.selection(), &slots).unwrap();
         // COUNT skips the NULL argument row.
-        assert_eq!(accs[0].finish(), Datum::Int(1));
+        let rows = split_rows(&mut g, 2);
+        assert_eq!(rows[0], Row(vec![Datum::Null, Datum::Int(1)]));
     }
 
     #[test]
     fn group_table_sorted_slots_continue_across_batches() {
-        let aggs =
-            vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }];
-        let mut g = ColGroupTable::new(vec![0], 1);
+        let aggs = sum_of(1);
+        let mut g = ColGroupTable::new(vec![0], &aggs, AggPhase::Complete, &[DataType::Int; 2]);
         let mut slots = Vec::new();
         let b = batch(&[&[1, 10], &[1, 20], &[2, 5]]);
-        g.slots_for_sorted_batch(&b, &aggs, &mut slots);
+        g.assign_slots(&b, true, &mut slots);
         assert_eq!(slots, vec![0, 0, 1]);
-        g.accumulate(0, b.col(1), b.selection(), &slots).unwrap();
+        g.fold(0, &[b.col(1).as_ref()], b.selection(), &slots).unwrap();
         // Group 1 is closed; group 2 stays open and moves to slot 0, where
         // the next batch's leading rows find it.
-        assert_eq!(g.take_group(0).1[0].finish(), Datum::Int(30));
-        g.discard_front(1);
+        assert_eq!(split_rows(&mut g, 1), int_rows(&[&[1, 30]]));
         let b = batch(&[&[2, 6], &[3, 7]]);
-        g.slots_for_sorted_batch(&b, &aggs, &mut slots);
+        g.assign_slots(&b, true, &mut slots);
         assert_eq!(slots, vec![0, 1]);
-        g.accumulate(0, b.col(1), b.selection(), &slots).unwrap();
-        let (key, accs) = g.take_group(0);
-        assert_eq!((key, accs[0].finish()), (vec![Datum::Int(2)], Datum::Int(11)));
+        g.fold(0, &[b.col(1).as_ref()], b.selection(), &slots).unwrap();
+        assert_eq!(split_rows(&mut g, 2), int_rows(&[&[2, 11], &[3, 7]]));
     }
 
     #[test]
     fn group_table_scalar_group() {
         let aggs = vec![AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() }];
-        let mut g = ColGroupTable::new(vec![], 1);
+        let mut g = ColGroupTable::new(vec![], &aggs, AggPhase::Complete, &[DataType::Int]);
         assert_eq!(g.len(), 0);
-        g.ensure_scalar_group(&aggs);
+        g.ensure_scalar_group();
         assert_eq!(g.len(), 1);
-        let (key, accs) = g.take_group(0);
-        assert!(key.is_empty());
-        assert_eq!(accs[0].finish(), Datum::Int(0));
+        assert_eq!(split_rows(&mut g, 1), int_rows(&[&[0]]));
+    }
+
+    /// Like the join table's: a site's keys share their hashes' low bits,
+    /// and the group directory must spread them after it has doubled its
+    /// way up from 16 buckets.
+    #[test]
+    fn group_table_spreads_one_partitions_keys() {
+        let all: Vec<Row> = (0..32_768).map(|k| Row(vec![Datum::Int(k)])).collect();
+        let hashes = ColumnBatch::from_rows(&all).hash_keys(&[0]);
+        let rows: Vec<Row> =
+            all.into_iter().zip(hashes).filter(|(_, h)| h % 4 == 0).map(|(r, _)| r).take(4096).collect();
+        let mut g = ColGroupTable::new(vec![0], &[], AggPhase::Complete, &[DataType::Int]);
+        let mut slots = Vec::new();
+        for chunk in rows.chunks(1000) {
+            g.assign_slots(&ColumnBatch::from_rows(chunk), false, &mut slots);
+        }
+        assert_eq!(g.len(), 4096);
+        // ≈ 1 - e^(-1/2) = 39 % of them by chance; the low bits reach ≤ 25 %.
+        let (used, buckets) = g.dir.bucket_use();
+        assert_eq!(buckets, 8192);
+        assert!(used > 2_900, "{used} of 8192 buckets used");
+    }
+
+    /// MAX over rising values keeps every value it passes in `seen`, which
+    /// is compacted to the groups' bests once it outgrows twice the groups.
+    #[test]
+    fn group_table_best_values_compact() {
+        let call = |func| AggCall { func, arg: Some(Expr::col(1)), name: "m".into() };
+        let aggs = [call(AggFunc::Max), call(AggFunc::Min)];
+        let mut g = ColGroupTable::new(vec![0], &aggs, AggPhase::Complete, &[DataType::Int; 3]);
+        let mut slots = Vec::new();
+        let rows: Vec<Row> = (0..5_000).map(|v| Row(vec![Datum::Int(v % 2), Datum::Int(v)])).collect();
+        for chunk in rows.chunks(1000) {
+            let b = ColumnBatch::from_rows(chunk);
+            g.assign_slots(&b, false, &mut slots);
+            g.fold(0, &[b.col(1).as_ref()], None, &slots).unwrap();
+            g.fold(1, &[b.col(1).as_ref()], None, &slots).unwrap();
+            let AggState::Best { seen, .. } = &g.states[0] else { panic!("MAX keeps a best") };
+            assert!(seen.len() <= 2 * 2 + BATCH_SIZE, "{} values kept", seen.len());
+        }
+        assert_eq!(split_rows(&mut g, 2), int_rows(&[&[0, 4998, 0], &[1, 4999, 1]]));
+    }
+
+    /// `Final` folds shipped states with the typed loops: counts add up,
+    /// AVG's sums and counts add, MIN keeps the least, and SUM of NULL
+    /// states stays NULL.
+    #[test]
+    fn group_table_final_merges_states() {
+        let call = |func| AggCall { func, arg: Some(Expr::col(1)), name: "a".into() };
+        let aggs = [call(AggFunc::Count), call(AggFunc::Avg), call(AggFunc::Min), call(AggFunc::Sum)];
+        let types = [DataType::Int, DataType::Int, DataType::Double, DataType::Int, DataType::Int];
+        let mut g = ColGroupTable::new(vec![0], &aggs, AggPhase::Final, &types);
+        // Key, COUNT, AVG sum and count, MIN, SUM.
+        let states = ColumnBatch::from_rows(&[
+            Row(vec![Datum::Int(7), Datum::Int(2), Datum::Double(3.0), Datum::Int(2), Datum::Int(5), Datum::Null]),
+            Row(vec![Datum::Int(7), Datum::Int(1), Datum::Double(6.0), Datum::Int(1), Datum::Int(4), Datum::Null]),
+        ]);
+        let mut slots = Vec::new();
+        g.assign_slots(&states, false, &mut slots);
+        let col = |c| &**states.col(c);
+        g.fold(0, &[col(1)], None, &slots).unwrap();
+        g.fold(1, &[col(2), col(3)], None, &slots).unwrap();
+        g.fold(2, &[col(4)], None, &slots).unwrap();
+        g.fold(3, &[col(5)], None, &slots).unwrap();
+        let want = Row(vec![Datum::Int(7), Datum::Int(3), Datum::Double(3.0), Datum::Int(4), Datum::Null]);
+        assert_eq!(split_rows(&mut g, 1), vec![want]);
     }
 
     #[test]

@@ -20,11 +20,10 @@
 use crate::kernels::{gather_join_output, ColGroupTable, ColJoinTable};
 use crate::pool::{Morsel, MorselSupply};
 use ic_common::eval::{eval_expr, eval_filter_sel};
-use ic_common::agg::Accumulator;
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{
-    col, Batch, Column, ColumnBatch, ColumnBuilder, DataType, Expr, IcError, IcResult,
+    col, Column, ColumnBatch, ColumnBuilder, DataType, Expr, IcError, IcResult,
     MemoryLease, MemoryPool, Row, NIL,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
@@ -1220,9 +1219,8 @@ impl RowSource for MergeJoinExec {
 ///
 /// * **hash** ([`AggExec::hash`]): each input batch is resolved to group
 ///   slots in one vectorized-hash pass; every group stays open until the
-///   input ends, then output is emitted lazily in batch-sized chunks, so
-///   buffered state stays at the (reserved) group table instead of
-///   doubling into an output queue.
+///   input ends, then the table's columns are emitted in batch-sized
+///   chunks.
 /// * **sorted** ([`AggExec::sorted`], the paper's "sort-based aggregation
 ///   on an already sorted input", §6.2.1 / Q14): input arrives sorted on
 ///   the group keys, so a row either continues the newest group or opens
@@ -1230,30 +1228,29 @@ impl RowSource for MergeJoinExec {
 ///   forgotten — after every input batch: state is one open group plus
 ///   one batch's worth of closed ones.
 ///
-/// Either way key datums are cloned once per group, each aggregate folds
-/// its argument column in one typed loop that skips validity-masked rows,
-/// and the Final phase merges accumulator states row-wise (state rows are
-/// short and heterogeneous).
+/// Either way each aggregate folds its argument column — or, `Final`, its
+/// shipped state columns — in one typed loop that skips NULLs, and the
+/// output is the table's key and state columns as they are.
 pub struct AggExec {
     input: BoxedSource,
     group: Vec<usize>,
     aggs: Vec<AggCall>,
     phase: AggPhase,
-    /// Output field types: the group keys', then each aggregate's value
-    /// (or state columns, in the `Partial` phase).
-    types: Vec<DataType>,
     ctrl: Arc<ControlBlock>,
     sorted: bool,
     groups: ColGroupTable,
     slots: Vec<u32>,
     input_done: bool,
-    emit_pos: usize,
+    /// Closed groups' output, batch-sized, not yet emitted.
+    output: VecDeque<ColumnBatch>,
     /// Groups emitted; flushed to `exec.agg.groups` on drop.
     emitted: u64,
 }
 
 impl AggExec {
-    /// Hash aggregate: input in any order.
+    /// Hash aggregate: input in any order. `types` are the output field
+    /// types: the group keys', then each aggregate's value (or state
+    /// columns, in the `Partial` phase).
     pub fn hash(
         input: BoxedSource,
         group: Vec<usize>,
@@ -1286,19 +1283,18 @@ impl AggExec {
         ctrl: Arc<ControlBlock>,
         sorted: bool,
     ) -> AggExec {
-        let groups = ColGroupTable::new(group.clone(), aggs.len());
+        let groups = ColGroupTable::new(group.clone(), &aggs, phase, &types);
         AggExec {
             input,
             group,
             aggs,
             phase,
-            types,
             ctrl,
             sorted,
             groups,
             slots: Vec::new(),
             input_done: false,
-            emit_pos: 0,
+            output: VecDeque::new(),
             emitted: 0,
         }
     }
@@ -1307,44 +1303,27 @@ impl AggExec {
     fn fold(&mut self, batch: &ColumnBatch) -> IcResult<()> {
         let groups = &mut self.groups;
         let before = groups.len();
-        if self.sorted {
-            groups.slots_for_sorted_batch(batch, &self.aggs, &mut self.slots);
-        } else {
-            groups.slots_for_batch(batch, &self.aggs, &mut self.slots);
-        }
-        match self.phase {
-            AggPhase::Complete | AggPhase::Partial => {
-                for (j, call) in self.aggs.iter().enumerate() {
-                    match &call.arg {
-                        // Physical input columns fold directly through
-                        // the batch's selection vector.
-                        Some(Expr::Col(c)) => {
-                            groups.accumulate(j, batch.col(*c), batch.selection(), &self.slots)?;
-                        }
-                        // Computed arguments evaluate vectorized into a
-                        // logically dense column first.
-                        Some(e) => {
-                            let col = eval_expr(e, batch)?;
-                            groups.accumulate(j, &col, None, &self.slots)?;
-                        }
-                        None => groups.accumulate_count_star(j, &self.slots)?,
-                    }
+        groups.assign_slots(batch, self.sorted, &mut self.slots);
+        // `Final` input: the group keys, then each aggregate's state.
+        let mut state_at = self.group.len();
+        for (j, call) in self.aggs.iter().enumerate() {
+            let computed;
+            let (cols, sel): (Vec<&Column>, _) = match (self.phase, &call.arg) {
+                (AggPhase::Final, _) => {
+                    let state = &batch.columns()[state_at..state_at + call.func.state_width()];
+                    state_at += state.len();
+                    (state.iter().map(|c| &**c).collect(), batch.selection())
                 }
-            }
-            AggPhase::Final => {
-                // State rows are short (group keys + a few state datums);
-                // merge them row-wise. Layout: group keys, then each
-                // aggregate's state.
-                for (k, &slot) in self.slots.iter().enumerate() {
-                    let row = batch.row_at(k);
-                    let mut pos = self.group.len();
-                    for (acc, call) in groups.accs_mut(slot as usize).iter_mut().zip(&self.aggs) {
-                        let w = Accumulator::state_width(call.func);
-                        acc.merge(Accumulator::from_state(call.func, &row.0[pos..pos + w])?)?;
-                        pos += w;
-                    }
+                // Physical input columns fold through the batch's selection.
+                (_, Some(Expr::Col(c))) => (vec![&**batch.col(*c)], batch.selection()),
+                // Computed arguments evaluate into a logically dense column.
+                (_, Some(e)) => {
+                    computed = eval_expr(e, batch)?;
+                    (vec![&*computed], None)
                 }
-            }
+                (_, None) => (vec![], None),
+            };
+            groups.fold(j, &cols, sel, &self.slots)?;
         }
         // A hash table holds every group until the end; the streaming one
         // forgets closed groups batch by batch and holds nothing to charge.
@@ -1353,6 +1332,20 @@ impl AggExec {
             self.ctrl.reserve((groups.len() - before) * width)?;
         }
         Ok(())
+    }
+
+    /// Close the first `n` groups: their output waits to be emitted, in
+    /// batch-sized selection views over it past one batch.
+    fn close(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let cols = self.groups.split_front(n).into_iter().map(Arc::new).collect();
+        let closed = ColumnBatch::new(cols, n);
+        for at in (0..n).step_by(BATCH_SIZE) {
+            let view = || closed.slice_logical(at, BATCH_SIZE.min(n - at));
+            self.output.push_back(if n <= BATCH_SIZE { closed.clone() } else { view() });
+        }
     }
 }
 
@@ -1370,49 +1363,28 @@ impl RowSource for AggExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
         loop {
             self.ctrl.check()?;
-            // Closed groups: all of them once the input has ended, all but
-            // the newest while sorted input streams, none while hashing.
-            let closed = match (self.input_done, self.sorted) {
-                (true, _) => self.groups.len(),
-                (false, true) => self.groups.len().saturating_sub(1),
-                (false, false) => 0,
-            };
-            if self.emit_pos < closed {
-                let end = (self.emit_pos + BATCH_SIZE).min(closed);
-                let mut out = Batch::with_capacity(end - self.emit_pos);
-                for slot in self.emit_pos..end {
-                    let (mut row, accs) = self.groups.take_group(slot);
-                    match self.phase {
-                        AggPhase::Complete | AggPhase::Final => {
-                            row.extend(accs.iter().map(Accumulator::finish));
-                        }
-                        AggPhase::Partial => {
-                            for acc in accs {
-                                row.extend(acc.to_state());
-                            }
-                        }
-                    }
-                    out.push(Row(row));
-                }
-                self.emitted += (end - self.emit_pos) as u64;
-                self.emit_pos = end;
-                return Ok(Some(ColumnBatch::from_typed_rows(&self.types, &out)));
+            if let Some(out) = self.output.pop_front() {
+                self.emitted += out.num_rows() as u64;
+                return Ok(Some(out));
             }
             if self.input_done {
                 return Ok(None);
             }
-            if self.sorted {
-                self.groups.discard_front(self.emit_pos);
-                self.emit_pos = 0;
-            }
             match self.input.next_batch()? {
-                Some(batch) => self.fold(&batch)?,
+                Some(batch) => {
+                    self.fold(&batch)?;
+                    // Sorted input closes every group but the newest.
+                    if self.sorted {
+                        self.close(self.groups.len().saturating_sub(1));
+                    }
+                }
                 None => {
                     self.input_done = true;
                     // Scalar aggregates emit one row even on empty input.
                     if self.group.is_empty() {
-                        self.groups.ensure_scalar_group(&self.aggs);
+                        self.groups.ensure_scalar_group();
                     }
+                    self.close(self.groups.len());
                 }
             }
         }

@@ -15,7 +15,7 @@ mod common;
 
 use common::{agg_oracle, chunked_src, join_oracle};
 use ic_common::agg::{Accumulator, AggFunc};
-use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Row, NIL};
+use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, Row, Schema, NIL};
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::{gather_join_output, ColGroupTable};
 use ic_exec::operators::{
@@ -25,6 +25,7 @@ use ic_net::topology::Topology;
 use ic_net::Membership;
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
+use std::sync::Arc;
 use ic_common::hash::{FxHashSet, FxHasher};
 use std::hash::{Hash, Hasher};
 
@@ -60,6 +61,46 @@ fn arb_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
         .prop_map(|kvs| kvs.into_iter().map(|(k, v)| Row(vec![k, Datum::Int(v)])).collect())
 }
 
+/// Aggregate input rows: an Int group key skewed toward collisions, then
+/// an Int, a Double, a Str and a Date argument, each NULL a quarter of the
+/// time over a tiny domain, so MIN/MAX see ties and COUNT(DISTINCT) sees
+/// repeats. The doubles are quarters: every sum is exact in any order.
+fn arb_agg_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    const WORDS: [&str; 4] = ["", "a", "ab", "Σφ"];
+    let cell = |ty: u8, bits: u64| {
+        let v = (bits / 4 % 9) as i64 - 4;
+        match (bits % 4, ty) {
+            (0, _) => Datum::Null,
+            (_, 1) => Datum::Int(v),
+            (_, 2) => Datum::Double(v as f64 / 4.0),
+            (_, 3) => Datum::str(WORDS[v.unsigned_abs() as usize % 4]),
+            _ => Datum::Date(v as i32),
+        }
+    };
+    collection::vec((arb_key(), any::<u64>()), 0..max).prop_map(move |rows| {
+        let row = |(key, bits): (Datum, u64)| {
+            Row(vec![key, cell(1, bits), cell(2, bits >> 16), cell(3, bits >> 32), cell(4, bits >> 48)])
+        };
+        rows.into_iter().map(row).collect()
+    })
+}
+
+/// Output types of `aggs` grouped on `group` of [`arb_agg_rows`]' columns
+/// in `phase`: the keys', then each aggregate's value or, `Partial`, its
+/// state columns.
+fn agg_types(group: &[usize], aggs: &[AggCall], phase: AggPhase) -> Vec<DataType> {
+    let types = [DataType::Int, DataType::Int, DataType::Double, DataType::Str, DataType::Date];
+    let input = Schema::new(types.iter().map(|&t| Field::new("c", t)).collect());
+    let mut out: Vec<DataType> = group.iter().map(|&g| types[g]).collect();
+    for a in aggs {
+        match phase {
+            AggPhase::Partial => out.extend(a.state_types(&input)),
+            _ => out.push(a.output_type(&input)),
+        }
+    }
+    out
+}
+
 proptest! {
     /// HashJoinExec (arena + chained hash table) ≡ NestedLoopJoinExec ≡ the
     /// oracle, in order, for every join kind, under NULL-heavy
@@ -82,74 +123,88 @@ proptest! {
     }
 
     /// Hash aggregation ≡ streaming aggregation over the sorted input ≡ the
-    /// oracle, group for group in first-seen order, with NULL group keys,
-    /// duplicate-heavy groups that span the tiny input batches, and empty
-    /// input — grouped (no rows out) and scalar (one row out). `Partial`
-    /// output carries accumulator states, and a `Final` over it — through
-    /// either strategy — lands back on the oracle's `Complete`.
+    /// oracle, group for group in first-seen order, for all seven
+    /// aggregate functions over Int, Double, Str and Date arguments (and a
+    /// computed one) with NULLs, NULL group keys, duplicate-heavy groups
+    /// that span the tiny input batches, and empty input — grouped (no rows
+    /// out) and scalar (one row out). A three-column key makes up to ~150
+    /// groups, so the group directory doubles from its 128 buckets
+    /// mid-input. `Partial` output carries the typed states, and a `Final`
+    /// over it — through either strategy — lands back on the oracle's
+    /// `Complete`. COUNT(DISTINCT) never splits, so it runs `Complete` only.
     #[test]
     fn hash_agg_matches_sort_agg(
-        data in arb_rows(64),
+        data in arb_agg_rows(160),
         sizes in collection::vec(1usize..6, 1..4),
-        grouped in any::<bool>(),
+        keys in 0usize..3,
     ) {
-        let aggs = vec![
-            AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() },
-            AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() },
-            AggCall { func: AggFunc::Min, arg: Some(Expr::col(1)), name: "m".into() },
-            AggCall { func: AggFunc::Avg, arg: Some(Expr::col(1)), name: "a".into() },
+        let call = |func, arg: Option<Expr>| AggCall { func, arg, name: "a".into() };
+        let col = |c| Some(Expr::col(c));
+        let splittable = vec![
+            call(AggFunc::Count, col(3)),
+            call(AggFunc::CountStar, None),
+            call(AggFunc::Sum, col(1)),
+            call(AggFunc::Sum, col(2)),
+            call(AggFunc::Avg, col(1)),
+            call(AggFunc::Avg, col(2)),
+            call(AggFunc::Min, col(1)),
+            call(AggFunc::Max, col(2)),
+            call(AggFunc::Min, col(3)),
+            call(AggFunc::Max, col(3)),
+            call(AggFunc::Min, col(4)),
+            call(AggFunc::Max, col(4)),
+            call(AggFunc::Max, Some(Expr::binary(BinOp::Add, Expr::col(1), Expr::lit(1i64)))),
         ];
-        let group = if grouped { vec![0] } else { vec![] };
-        // Output types: the Int key, then SUM / COUNT(*) / MIN of an Int and
-        // AVG — or, `Partial`, their states (AVG's is a sum and a count).
-        let types = |phase| {
-            let key = if grouped { vec![DataType::Int] } else { vec![] };
-            let aggs = [DataType::Int, DataType::Int, DataType::Int, DataType::Double];
-            let avg_count = (phase == AggPhase::Partial).then_some(DataType::Int);
-            key.into_iter().chain(aggs).chain(avg_count).collect::<Vec<_>>()
-        };
+        let mut complete_aggs = splittable.clone();
+        complete_aggs.extend([1, 2, 3, 4].map(|c| call(AggFunc::CountDistinct, col(c))));
+        // No key (scalar), the narrow Int key, or a wide (Int, Int, Double)
+        // one: a prefix of the row order, so sorted rows are sorted on it.
+        let group: Vec<usize> = [vec![], vec![0], vec![0, 1, 2]][keys].clone();
         let ctrl = || ControlBlock::unlimited();
         let mut sorted = data.clone();
         sorted.sort();
-        for phase in [AggPhase::Complete, AggPhase::Partial] {
+        for (phase, aggs) in [(AggPhase::Complete, &complete_aggs), (AggPhase::Partial, &splittable)] {
+            let types = || agg_types(&group, aggs, phase);
             let hash = AggExec::hash(
-                chunked_src(&data, &sizes), group.clone(), aggs.clone(), phase, types(phase), ctrl());
+                chunked_src(&data, &sizes), group.clone(), aggs.clone(), phase, types(), ctrl());
             prop_assert_eq!(
                 drain(Box::new(hash)).unwrap(),
-                agg_oracle(&data, &group, &aggs, phase),
+                agg_oracle(&data, &group, aggs, phase),
                 "hash {:?}", phase
             );
             let sort = AggExec::sorted(
-                chunked_src(&sorted, &sizes), group.clone(), aggs.clone(), phase, types(phase), ctrl());
+                chunked_src(&sorted, &sizes), group.clone(), aggs.clone(), phase, types(), ctrl());
             prop_assert_eq!(
                 drain(Box::new(sort)).unwrap(),
-                agg_oracle(&sorted, &group, &aggs, phase),
+                agg_oracle(&sorted, &group, aggs, phase),
                 "sorted {:?}", phase
             );
         }
         // Partial → Final: state rows are (keys.., states..), grouped on the
         // leading key positions; sorted input gives sorted partial output.
-        let partial = agg_oracle(&sorted, &group, &aggs, AggPhase::Partial);
-        let complete = agg_oracle(&sorted, &group, &aggs, AggPhase::Complete);
+        let aggs = &splittable;
+        let final_types = || agg_types(&group, aggs, AggPhase::Final);
+        let partial = agg_oracle(&sorted, &group, aggs, AggPhase::Partial);
+        let complete = agg_oracle(&sorted, &group, aggs, AggPhase::Complete);
         let final_group: Vec<usize> = (0..group.len()).collect();
         // Two sites' worth of states, so Final has something to merge.
         let two_sites: Vec<Row> = partial.iter().chain(&partial).cloned().collect();
         let doubled: Vec<Row> = sorted.iter().chain(&sorted).cloned().collect();
-        let twice = agg_oracle(&doubled, &group, &aggs, AggPhase::Complete);
+        let twice = agg_oracle(&doubled, &group, aggs, AggPhase::Complete);
         for (states, expect) in [(&partial, &complete), (&two_sites, &twice)] {
             let hash = AggExec::hash(
                 chunked_src(states, &sizes), final_group.clone(), aggs.clone(), AggPhase::Final,
-                types(AggPhase::Final), ctrl());
+                final_types(), ctrl());
             prop_assert_eq!(&canon(drain(Box::new(hash)).unwrap()), &canon(expect.clone()));
         }
         let sort = AggExec::sorted(
             chunked_src(&partial, &sizes), final_group, aggs.clone(), AggPhase::Final,
-            types(AggPhase::Final), ctrl());
+            final_types(), ctrl());
         prop_assert_eq!(drain(Box::new(sort)).unwrap(), complete);
     }
 
     /// Datums that compare equal hash equal under `Datum`'s own `Hash` —
-    /// the invariant the in-memory sets keyed by `Datum` (COUNT DISTINCT)
+    /// the invariant sets keyed by `Datum` (the oracle's COUNT DISTINCT)
     /// rely on: Int 2, Double 2.0 and the date of day 2 are one value.
     #[test]
     fn equal_datums_hash_equal(a in arb_any_key(), b in arb_any_key()) {
@@ -402,8 +457,8 @@ proptest! {
     }
 
     /// `ColGroupTable` over validity-masked columns and a selection view ≡ a
-    /// row-at-a-time reference that groups by datum equality and feeds the
-    /// same `Accumulator`s: NULL values must be skipped (except COUNT(*)),
+    /// row-at-a-time reference that groups by datum equality and feeds
+    /// `Accumulator`s: NULL values must be skipped (except COUNT(*)),
     /// NULL keys must group together, and masked-out rows must not leak in.
     #[test]
     fn masked_agg_matches_row_reference(
@@ -426,19 +481,17 @@ proptest! {
 
         let sel = keep_list(&keep, rows.len());
         let view = ColumnBatch::from_rows(&rows).select_logical(&sel);
-        let mut table = ColGroupTable::new(vec![0], aggs.len());
+        let ty = |t| [DataType::Int, DataType::Double, DataType::Bool, DataType::Date, DataType::Str][t as usize];
+        let types = [ty(kt), ty(vt), ty(vt), DataType::Int];
+        let mut table = ColGroupTable::new(vec![0], &aggs, AggPhase::Complete, &types);
         let mut slots = Vec::new();
-        table.slots_for_batch(&view, &aggs, &mut slots);
-        table.accumulate(0, view.col(1), view.selection(), &slots).unwrap();
-        table.accumulate(1, view.col(1), view.selection(), &slots).unwrap();
-        table.accumulate_count_star(2, &slots).unwrap();
-        let mut got: Vec<Row> = Vec::new();
-        for slot in 0..table.len() {
-            let (key, accs) = table.take_group(slot);
-            let mut out = key;
-            out.extend(accs.iter().map(|a| a.finish()));
-            got.push(Row(out));
-        }
+        table.assign_slots(&view, false, &mut slots);
+        table.fold(0, &[view.col(1).as_ref()], view.selection(), &slots).unwrap();
+        table.fold(1, &[view.col(1).as_ref()], view.selection(), &slots).unwrap();
+        table.fold(2, &[], None, &slots).unwrap();
+        let n = table.len();
+        let cols = table.split_front(n).into_iter().map(Arc::new).collect();
+        let got = ColumnBatch::new(cols, n).to_rows();
 
         let mut reference: Vec<(Datum, Vec<Accumulator>)> = Vec::new();
         for &i in &sel {

@@ -186,9 +186,17 @@ proptest! {
             AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() },
             AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() },
             AggCall { func: AggFunc::Min, arg: Some(Expr::col(1)), name: "m".into() },
+            AggCall { func: AggFunc::Max, arg: Some(Expr::col(1)), name: "x".into() },
+            AggCall { func: AggFunc::Avg, arg: Some(Expr::col(1)), name: "a".into() },
         ];
+        // The Int key, SUM / COUNT(*) / MIN / MAX, then AVG — a Double, or
+        // for `Partial` its Double sum and Int count.
+        let types = |phase| {
+            let avg_count = (phase == AggPhase::Partial).then_some(DataType::Int);
+            ints(5).into_iter().chain([DataType::Double]).chain(avg_count).collect::<Vec<_>>()
+        };
         let complete = AggExec::hash(
-            src(rows(&data)), vec![0], aggs.clone(), AggPhase::Complete, ints(4),
+            src(rows(&data)), vec![0], aggs.clone(), AggPhase::Complete, types(AggPhase::Complete),
             ControlBlock::unlimited());
         let expected = canon(drain(Box::new(complete)).unwrap());
 
@@ -201,12 +209,13 @@ proptest! {
                 .map(|(_, kv)| *kv)
                 .collect();
             let partial = AggExec::hash(
-                src(rows(&slice)), vec![0], aggs.clone(), AggPhase::Partial, ints(4),
+                src(rows(&slice)), vec![0], aggs.clone(), AggPhase::Partial, types(AggPhase::Partial),
                 ControlBlock::unlimited());
             partial_rows.extend(drain(Box::new(partial)).unwrap());
         }
         let fin = AggExec::hash(
-            src(partial_rows), vec![0], aggs.clone(), AggPhase::Final, ints(4),
+            Box::new(VecSource::new(types(AggPhase::Partial), partial_rows)), vec![0], aggs.clone(),
+            AggPhase::Final, types(AggPhase::Final),
             ControlBlock::unlimited());
         let got = canon(drain(Box::new(fin)).unwrap());
         // Scalar groups: partials of empty slices still produce identity

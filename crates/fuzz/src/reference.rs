@@ -2,8 +2,8 @@
 //!
 //! Evaluates a bound [`LogicalPlan`] row-at-a-time over the catalog's full
 //! row sets, sharing *no* code with the execution engine beyond the scalar
-//! [`Expr::eval`] kernel and the [`Accumulator`] state machines (which the
-//! per-operator tests already pin down independently). Joins are
+//! [`Expr::eval`] kernel: aggregates fold through [`Accumulator`], the
+//! row-at-a-time reference no engine code calls. Joins are
 //! nested-loop, aggregation is a [`BTreeMap`] over materialized group
 //! keys, sorting is a stable sort on the [`Datum`] total order — the
 //! simplest possible semantics, deliberately unlike the engine's hash

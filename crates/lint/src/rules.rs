@@ -744,7 +744,7 @@ fn rule_l002(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
 }
 
 /// L003: std `HashMap`/`HashSet` (SipHash + per-process random seed) in the
-/// execution/planner/storage hot paths; use `FlatMap` in per-row kernels or
+/// execution/planner/storage hot paths; use `HashDir` in per-row kernels or
 /// the deterministic `FxHashMap`/`FxHashSet` elsewhere.
 fn rule_l003(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
     let mut out = Vec::new();
@@ -754,7 +754,7 @@ fn rule_l003(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
                 "L003",
                 t.line,
                 format!(
-                    "std `{}` in a hot-path crate; use FlatMap (kernels) or Fx{} \
+                    "std `{}` in a hot-path crate; use HashDir (kernels) or Fx{} \
                      from ic_common",
                     t.text, t.text
                 ),

@@ -261,22 +261,11 @@ pub fn derive_props<C>(
 /// what matters for exchange costing.
 pub fn agg_phase_props(input: &LogicalProps, group: &[usize], aggs: &[AggCall], phase: AggPhase) -> LogicalProps {
     let groups = if group.is_empty() { 1.0 } else { input.ndv_of(group) };
-    match phase {
-        AggPhase::Complete | AggPhase::Final => {
-            let mut ndvs: Vec<f64> = group.iter().map(|&g| input.ndv(g).min(groups)).collect();
-            ndvs.extend(aggs.iter().map(|_| groups));
-            LogicalProps::new(groups, ndvs)
-        }
-        AggPhase::Partial => {
-            let mut ndvs: Vec<f64> = group.iter().map(|&g| input.ndv(g).min(groups)).collect();
-            for a in aggs {
-                for _ in 0..ic_common::agg::Accumulator::state_width(a.func) {
-                    ndvs.push(groups);
-                }
-            }
-            LogicalProps::new(groups, ndvs)
-        }
-    }
+    // One column per aggregate, or `Partial`, its state columns.
+    let width = |a: &AggCall| if phase == AggPhase::Partial { a.func.state_width() } else { 1 };
+    let mut ndvs: Vec<f64> = group.iter().map(|&g| input.ndv(g).min(groups)).collect();
+    ndvs.extend(std::iter::repeat_n(groups, aggs.iter().map(width).sum()));
+    LogicalProps::new(groups, ndvs)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 
 use crate::dist::{join_sources_valid, Distribution};
 use crate::ops::{
-    derive_logical_schema, derive_phys_schema, AggCall, AggPhase, JoinKind, LogicalPlan, PhysOp,
+    derive_logical_schema, derive_phys_schema, AggPhase, JoinKind, LogicalPlan, PhysOp,
     PhysPlan, RelOp, SortKey,
 };
 use crate::coerce::coerce;
@@ -252,7 +252,7 @@ fn walk(node: &PhysPlan, path: &str, errors: &mut Vec<ValidateError>) {
                     // the flattened accumulator state columns; the final
                     // group keys address the partial input positionally.
                     check_keys(group, input.arity(), "final group key", &mut err);
-                    let state_width: usize = aggs.iter().map(state_width).sum();
+                    let state_width: usize = aggs.iter().map(|a| a.func.state_width()).sum();
                     let want = group.len() + state_width;
                     if input.arity() != want {
                         err(format!(
@@ -330,23 +330,6 @@ fn walk(node: &PhysPlan, path: &str, errors: &mut Vec<ValidateError>) {
             }
         }
         Err(e) => err(format!("schema derivation failed: {e}")),
-    }
-}
-
-/// Accumulator state width per aggregate, by function. Kept in sync with
-/// [`AggCall::state_types`] but computed without consulting a schema, so
-/// it stays panic-free on corrupted plans whose agg args are out of
-/// bounds.
-fn state_width(a: &AggCall) -> usize {
-    use ic_common::agg::AggFunc;
-    match a.func {
-        AggFunc::Avg => 2,
-        AggFunc::Count
-        | AggFunc::CountStar
-        | AggFunc::CountDistinct
-        | AggFunc::Sum
-        | AggFunc::Min
-        | AggFunc::Max => 1,
     }
 }
 
@@ -446,6 +429,7 @@ pub fn debug_validate_logical(plan: &Arc<LogicalPlan>, phase: &str) {
 mod tests {
     use super::*;
     use crate::cost::Cost;
+    use crate::ops::AggCall;
     use ic_common::{DataType, Field};
     use ic_storage::TableId;
 
@@ -591,7 +575,7 @@ mod tests {
             AggFunc::Max,
         ] {
             let a = AggCall { func, arg: Some(Expr::col(0)), name: "a".into() };
-            assert_eq!(state_width(&a), a.state_types(&s).len(), "{func:?}");
+            assert_eq!(func.state_width(), a.state_types(&s).len(), "{func:?}");
         }
     }
 

@@ -4,8 +4,7 @@
 //! fractions (used by selectivity estimation).
 
 use crate::table::TableData;
-use ic_common::hash::FlatMap;
-use ic_common::{ColumnBatch, Datum};
+use ic_common::{ColumnBatch, ColumnBuilder, Datum, HashDir};
 
 /// Statistics for one column.
 #[derive(Debug, Clone)]
@@ -31,56 +30,37 @@ impl TableStats {
     }
 
     /// Exact single-pass computation over all partitions, column by
-    /// column over the stored chunks: each column keeps one hash table of
-    /// its distinct values (a value is materialized once, at first sight),
-    /// so NDV is the table's size and min/max fall out of the distinct
-    /// values. At the simulated scale exact NDV is cheap; Ignite uses
-    /// sketches but serves the same quantities.
+    /// column over the stored chunks: each column keeps its distinct values
+    /// as one typed column, found through a [`HashDir`] (a value is copied
+    /// once, at first sight), so NDV is that column's length and min/max
+    /// fall out of it. At the simulated scale exact NDV is cheap; Ignite
+    /// uses sketches but serves the same quantities.
     pub fn compute(data: &TableData) -> TableStats {
-        struct ColumnAcc {
-            slots: FlatMap,
-            distinct: Vec<Datum>,
-            nulls: u64,
-        }
-        let mut accs: Vec<ColumnAcc> = (0..data.schema().arity())
-            .map(|_| ColumnAcc { slots: FlatMap::with_capacity(64), distinct: Vec::new(), nulls: 0 })
-            .collect();
+        // Per column: its distinct values, their directory, its NULLs.
+        let types = data.schema().types().into_iter();
+        let mut accs: Vec<_> =
+            types.map(|t| (HashDir::default(), ColumnBuilder::new(t), 0u64)).collect();
         let mut rows = 0u64;
         for p in 0..data.num_partitions() {
             for chunk in data.store(p).chunks().iter() {
                 rows += chunk.num_rows() as u64;
-                for (c, (acc, col)) in accs.iter_mut().zip(chunk.columns()).enumerate() {
+                for (c, ((dir, distinct, nulls), col)) in accs.iter_mut().zip(chunk.columns()).enumerate() {
                     for (i, hash) in chunk.hash_keys(&[c]).into_iter().enumerate() {
                         if !col.is_valid(i) {
-                            acc.nulls += 1;
-                            continue;
-                        }
-                        let next = acc.distinct.len() as u32;
-                        let distinct = &acc.distinct;
-                        let (_, fresh) = acc.slots.get_or_insert(
-                            hash,
-                            |slot| col.eq_datum(i, &distinct[slot as usize]),
-                            || next,
-                        );
-                        if fresh {
-                            acc.distinct.push(col.datum_at(i));
+                            *nulls += 1;
+                        } else if dir.find_or_insert(hash, |e| distinct.eq_at(e as usize, col, i)).1 {
+                            distinct.extend_take(col, &[i as u32]);
                         }
                     }
                 }
             }
         }
-        TableStats {
-            row_count: rows,
-            columns: accs
-                .into_iter()
-                .map(|acc| ColumnStats {
-                    ndv: acc.distinct.len() as u64,
-                    null_count: acc.nulls,
-                    min: acc.distinct.iter().min().cloned(),
-                    max: acc.distinct.iter().max().cloned(),
-                })
-                .collect(),
-        }
+        let columns = accs.into_iter().map(|(_, distinct, nulls)| {
+            let ndv = distinct.len() as u64;
+            let (min, max) = distinct.finish().min_max(None).unzip();
+            ColumnStats { ndv, null_count: nulls, min, max }
+        });
+        TableStats { row_count: rows, columns: columns.collect() }
     }
 
     /// NDV of a column, defaulting to row_count when unanalyzed (a column
@@ -107,18 +87,17 @@ impl TableStats {
         let mut added_non_null = vec![0u64; s.columns.len()];
         for batch in inserted {
             for (c, col) in s.columns.iter_mut().enumerate().take(batch.width()) {
-                for k in 0..batch.num_rows() {
-                    let v = batch.datum_at(c, k);
-                    if v.is_null() {
-                        col.null_count += 1;
-                        continue;
+                let column = batch.col(c);
+                let n = batch.num_rows();
+                let valid = (0..n).filter(|&k| column.is_valid(batch.phys_index(k))).count();
+                col.null_count += (n - valid) as u64;
+                added_non_null[c] += valid as u64;
+                if let Some((least, greatest)) = column.min_max(batch.selection()) {
+                    if col.min.as_ref().is_none_or(|m| least < *m) {
+                        col.min = Some(least);
                     }
-                    added_non_null[c] += 1;
-                    if col.min.as_ref().is_none_or(|m| v < *m) {
-                        col.min = Some(v.clone());
-                    }
-                    if col.max.as_ref().is_none_or(|m| v > *m) {
-                        col.max = Some(v);
+                    if col.max.as_ref().is_none_or(|m| greatest > *m) {
+                        col.max = Some(greatest);
                     }
                 }
             }
@@ -162,6 +141,45 @@ mod tests {
         assert_eq!(s.columns[1].null_count, 1);
         assert_eq!(s.columns[0].min, Some(Datum::Int(1)));
         assert_eq!(s.columns[0].max, Some(Datum::Int(3)));
+    }
+
+    /// NDV, null count, min and max over Int, Double and Str columns with
+    /// NULLs, repeats across partitions, strings that order by bytes, and a
+    /// negative zero beside a zero — equal, but they hash apart, so they
+    /// count twice.
+    #[test]
+    fn compute_pins_typed_columns() {
+        let types = [DataType::Int, DataType::Double, DataType::Str];
+        let schema = Schema::new(types.iter().map(|&t| Field::new("c", t)).collect());
+        let data = TableData::new(2, schema);
+        let row = |i: Option<i64>, d: Option<f64>, s: Option<&str>| {
+            let (i, d) = (i.map_or(Datum::Null, Datum::Int), d.map_or(Datum::Null, Datum::Double));
+            Row(vec![i, d, s.map_or(Datum::Null, Datum::str)])
+        };
+        let p0 = vec![
+            row(Some(5), Some(-0.0), Some("b")),
+            row(None, Some(2.5), Some("ab")),
+            row(Some(-3), None, None),
+        ];
+        let p1 = vec![
+            row(Some(5), Some(0.0), Some("Σ")),
+            row(Some(9), Some(-7.25), Some("b")),
+            row(None, None, Some("")),
+        ];
+        data.load(batch(&types, p0).map(|b| (0, b)));
+        data.load(batch(&types, p1).map(|b| (1, b)));
+        let s = TableStats::compute(&data);
+        assert_eq!(s.row_count, 6);
+        let pinned: Vec<_> =
+            s.columns.iter().map(|c| (c.ndv, c.null_count, c.min.clone(), c.max.clone())).collect();
+        assert_eq!(
+            pinned,
+            vec![
+                (3, 2, Some(Datum::Int(-3)), Some(Datum::Int(9))),
+                (4, 2, Some(Datum::Double(-7.25)), Some(Datum::Double(2.5))),
+                (4, 1, Some(Datum::str("")), Some(Datum::str("Σ"))),
+            ]
+        );
     }
 
     #[test]
