@@ -1,23 +1,22 @@
-//! Intra-fragment scaling curve: one fixed 4-site cluster, lanes per
-//! parallel region (`worker_threads`) swept 1 → N, wall time per query shape.
-//!
-//! `1` runs the morsel pipeline with a single lane per region; `2+` adds
-//! lanes that pull from the shared morsel supply. Two query shapes show
-//! where lanes can and cannot help:
+//! Intra-site scaling curve: one fixed 4-site cluster, variant fragments
+//! per eligible fragment (§5.3) swept from IC+ (width 1) to IC+M (width 2),
+//! wall time per query shape. Variant fragments are the engine's only
+//! intra-site parallelism: each variant instance is one more driver thread.
+//! Two query shapes show where they can and cannot help:
 //!
 //! * **ship** — a wide scan→filter→project whose entire output is shipped
 //!   to the coordinator over the calibrated simulated network. Each
 //!   sending site's NIC serializes its share of that output, so the wire
-//!   is a floor lanes cannot move: more lanes produce the rows sooner, the
-//!   NIC sends them no faster.
+//!   is a floor variants cannot move: more drivers produce the rows sooner,
+//!   the NIC sends them no faster.
 //! * **aggregate** — a redistribution join + grouped aggregate whose
 //!   partial-aggregate output is tiny. Wire time is negligible, the work
-//!   is CPU-bound, so on a host with few cores extra lanes buy little;
+//!   is CPU-bound, so on a host with few cores extra variants buy little;
 //!   the point of measuring it is that it must not collapse.
 //!
-//! Asserts the model's floor at every lane count — the ship query takes at
+//! Asserts the model's floor at every width — the ship query takes at
 //! least its bytes shipped per sending site ÷ bandwidth — and that the
-//! aggregate never runs more than twice as long as on one lane.
+//! aggregate never runs more than twice as long as at width 1.
 //! Writes `BENCH_scaling.json` to the working directory; `--smoke` runs a
 //! reduced-size sweep (half the rows, 3 reps) and writes to `target/bench/`
 //! instead.
@@ -26,11 +25,9 @@ use ic_core::{Cluster, ClusterConfig, Datum, NetworkConfig, Row, SystemVariant};
 use std::time::{Duration, Instant};
 
 const SITES: usize = 4;
-/// Lane split for the bench: small enough that every site's scan breaks
-/// into ~dozens of morsels (work to share), large enough that per-morsel
-/// overhead stays invisible.
-const MORSEL_ROWS: usize = 4096;
-const THREADS: [usize; 3] = [1, 2, 4];
+/// The sweep, by width: IC+ runs one instance per fragment and site, IC+M
+/// two variants of every eligible fragment.
+const WIDTHS: [SystemVariant; 2] = [SystemVariant::ICPlus, SystemVariant::ICPlusM];
 
 const SHIP_SQL: &str = "SELECT id, grp, val FROM fact WHERE val >= 0";
 const AGG_SQL: &str = "SELECT name, count(*) AS n, sum(val) AS s \
@@ -74,7 +71,7 @@ fn base_cluster(rows: i64) -> Cluster {
 /// bytes one run ships across sites.
 fn measure(cluster: &Cluster, sql: &str, reps: usize, expect_rows: usize) -> (Duration, u64) {
     let warm = cluster.query(sql).expect("warm-up query");
-    assert_eq!(warm.rows.len(), expect_rows, "row count drifted across thread counts");
+    assert_eq!(warm.rows.len(), expect_rows, "row count drifted across widths");
     let mut times: Vec<Duration> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
@@ -89,7 +86,8 @@ fn measure(cluster: &Cluster, sql: &str, reps: usize, expect_rows: usize) -> (Du
 }
 
 struct Point {
-    threads: usize,
+    /// Variant fragments per eligible fragment.
+    width: usize,
     ship: Duration,
     /// `QueryStats::net_bytes` of one ship query.
     ship_bytes: u64,
@@ -100,35 +98,34 @@ fn run_sweep(rows: i64, reps: usize) -> Vec<Point> {
     let base = base_cluster(rows);
     let ship_rows = base.query(SHIP_SQL).expect("ship baseline").rows.len();
     let agg_rows = base.query(AGG_SQL).expect("agg baseline").rows.len();
-    println!(
-        "== scaling sweep: {SITES} sites, {rows} rows, morsel {MORSEL_ROWS}, {reps} reps ==\n"
-    );
-    println!("{:>7} {:>10} {:>9} {:>10} {:>9}", "threads", "ship ms", "speedup", "agg ms", "speedup");
+    println!("== scaling sweep: {SITES} sites, {rows} rows, {reps} reps ==\n");
+    println!("{:>7} {:>10} {:>9} {:>10} {:>9}", "width", "ship ms", "speedup", "agg ms", "speedup");
     let mut points = Vec::new();
     let mut base_ship = None;
     let mut base_agg = None;
-    for &threads in &THREADS {
-        // Same catalog, same loaded data, fresh network; only the
-        // lane count per parallel region changes.
-        let cluster = base.with_worker_threads(threads, MORSEL_ROWS);
+    for variant in WIDTHS {
+        // Same catalog, same loaded data, fresh network; only the variant
+        // fragments per eligible fragment change.
+        let cluster = base.with_variant(variant);
+        let width = variant.flags().variant_fragments;
         let (ship, ship_bytes) = measure(&cluster, SHIP_SQL, reps, ship_rows);
         let (agg, _) = measure(&cluster, AGG_SQL, reps, agg_rows);
         let (b_ship, b_agg) =
             (*base_ship.get_or_insert(ship), *base_agg.get_or_insert(agg));
         println!(
-            "{threads:>7} {:>10.1} {:>8.2}x {:>10.1} {:>8.2}x",
+            "{width:>7} {:>10.1} {:>8.2}x {:>10.1} {:>8.2}x",
             ship.as_secs_f64() * 1e3,
             b_ship.as_secs_f64() / ship.as_secs_f64().max(1e-9),
             agg.as_secs_f64() * 1e3,
             b_agg.as_secs_f64() / agg.as_secs_f64().max(1e-9),
         );
-        points.push(Point { threads, ship, ship_bytes, agg });
+        points.push(Point { width, ship, ship_bytes, agg });
     }
     points
 }
 
-fn point_for(points: &[Point], threads: usize) -> &Point {
-    points.iter().find(|p| p.threads == threads).expect("sweep point")
+fn point_for(points: &[Point], width: usize) -> &Point {
+    points.iter().find(|p| p.width == width).expect("sweep point")
 }
 
 fn write_json(rows: i64, reps: usize, reduced: bool, points: &[Point]) {
@@ -137,9 +134,9 @@ fn write_json(rows: i64, reps: usize, reduced: bool, points: &[Point]) {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"worker_threads\": {}, \"ship_ms\": {:.3}, \"ship_wire_floor_ms\": {:.3}, \
+                "    {{\"variant_fragments\": {}, \"ship_ms\": {:.3}, \"ship_wire_floor_ms\": {:.3}, \
 \"agg_ms\": {:.3}, \"ship_speedup_vs_1\": {:.3}, \"agg_speedup_vs_1\": {:.3}}}",
-                p.threads,
+                p.width,
                 p.ship.as_secs_f64() * 1e3,
                 wire_floor(p.ship_bytes).as_secs_f64() * 1e3,
                 p.agg.as_secs_f64() * 1e3,
@@ -149,7 +146,7 @@ fn write_json(rows: i64, reps: usize, reduced: bool, points: &[Point]) {
         })
         .collect();
     let fields = format!(
-        "  \"sites\": {SITES}, \"rows\": {rows}, \"morsel_rows\": {MORSEL_ROWS}, \"reps\": {reps},\n  \
+        "  \"sites\": {SITES}, \"rows\": {rows}, \"reps\": {reps},\n  \
 \"ship_sql\": {SHIP_SQL:?},\n  \"agg_sql\": {AGG_SQL:?},\n  \"points\": [\n{}\n  ]\n",
         points.join(",\n")
     );
@@ -166,17 +163,17 @@ fn wire_floor(net_bytes: u64) -> Duration {
     Duration::from_secs_f64(per_site / calibrated_network().bandwidth_bytes_per_sec as f64)
 }
 
-/// The checks the CI smoke asserts: at every lane count the ship query
-/// respects the wire floor, and the aggregate does not collapse.
+/// The checks the CI smoke asserts: at every width the ship query respects
+/// the wire floor, and the aggregate does not collapse.
 fn assert_floor(points: &[Point]) {
     let one = point_for(points, 1);
     for p in points {
         let floor = wire_floor(p.ship_bytes);
         assert!(
             p.ship >= floor,
-            "ship query at {} lanes took {:.1} ms, under its wire floor of {:.1} ms \
+            "ship query at width {} took {:.1} ms, under its wire floor of {:.1} ms \
              ({} B over {} sending sites)",
-            p.threads,
+            p.width,
             p.ship.as_secs_f64() * 1e3,
             floor.as_secs_f64() * 1e3,
             p.ship_bytes,
@@ -184,14 +181,14 @@ fn assert_floor(points: &[Point]) {
         );
         assert!(
             p.agg <= one.agg * 2,
-            "aggregate query collapsed at {} lanes: {:.1} ms vs {:.1} ms on 1",
-            p.threads,
+            "aggregate query collapsed at width {}: {:.1} ms vs {:.1} ms at width 1",
+            p.width,
             p.agg.as_secs_f64() * 1e3,
             one.agg.as_secs_f64() * 1e3
         );
     }
     println!(
-        "floor OK: ship >= its wire floor ({:.1} ms) and aggregate <= 2x its 1-lane time at every lane count",
+        "floor OK: ship >= its wire floor ({:.1} ms) and aggregate <= 2x its width-1 time at every width",
         wire_floor(one.ship_bytes).as_secs_f64() * 1e3
     );
 }

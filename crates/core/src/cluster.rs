@@ -82,10 +82,11 @@ pub struct ClusterConfig {
     /// Resource-governor sizing: admission slots, wait-queue bound, and
     /// the shared memory-pool budget all queries lease from.
     pub governor: GovernorConfig,
-    /// Lanes per parallel region (intra-fragment parallelism degree);
-    /// clamped to ≥1.
+    /// Ignored: nothing reads it. Variant fragments (`SystemVariant::ICPlusM`)
+    /// are the only intra-site parallelism; the field stays only so that
+    /// callers which set it by name keep compiling.
     pub worker_threads: usize,
-    /// Rows per morsel (the unit lanes pull from their region's queue).
+    /// Ignored, like `worker_threads`.
     pub morsel_rows: usize,
 }
 
@@ -102,17 +103,14 @@ impl Default for ClusterConfig {
             max_retries: 2,
             retry_backoff: Duration::from_millis(10),
             governor: GovernorConfig::default(),
-            worker_threads: std::thread::available_parallelism().map_or(1, |n| n.get()).min(4),
-            morsel_rows: ic_exec::DEFAULT_MORSEL_ROWS,
+            worker_threads: 1,
+            morsel_rows: 65_536,
         }
     }
 }
 
 impl ClusterConfig {
-    /// Fast configuration for unit tests: no simulated network delay. One
-    /// lane per parallel region keeps the morsel-parallel code path active
-    /// while lane order — and therefore unordered result order — stays
-    /// deterministic for golden-output comparisons.
+    /// Fast configuration for unit tests: no simulated network delay.
     pub fn test_default() -> ClusterConfig {
         ClusterConfig {
             sites: 2,
@@ -126,7 +124,7 @@ impl ClusterConfig {
             retry_backoff: Duration::from_millis(1),
             governor: GovernorConfig::test_default(),
             worker_threads: 1,
-            morsel_rows: ic_exec::DEFAULT_MORSEL_ROWS,
+            morsel_rows: 65_536,
         }
     }
 }
@@ -180,13 +178,6 @@ impl Cluster {
     /// data without reloading.
     pub fn with_variant(&self, variant: SystemVariant) -> Cluster {
         self.reconfigured(ClusterConfig { variant, ..self.config.clone() })
-    }
-
-    /// A cluster sharing this one's data but with a different lane count
-    /// and morsel size — the scaling sweep's axis: same data, same plans, only the
-    /// intra-fragment parallelism degree changes.
-    pub fn with_worker_threads(&self, worker_threads: usize, morsel_rows: usize) -> Cluster {
-        self.reconfigured(ClusterConfig { worker_threads, morsel_rows, ..self.config.clone() })
     }
 
     /// The cluster's resource governor (admission control + memory pool).
@@ -690,8 +681,7 @@ impl Cluster {
             pool: Some(self.governor.pool().clone()),
             trace: trace.clone(),
             trace_parent: under.map(SpanGuard::id),
-            worker_threads: self.config.worker_threads,
-            morsel_rows: self.config.morsel_rows,
+            ..ExecOptions::default()
         };
         let (rows, stats) = execute_plan(&planned.plan, &self.catalog, &self.network, &opts)?;
         if mode == Mode::Analyze {

@@ -4,10 +4,10 @@
 //! generations.
 //!
 //! One cache per `Cluster`: planner flags are fixed per cluster, and
-//! clusters derived with `with_variant` / `with_worker_threads` share a
-//! catalog but must not share plans. Nothing registers an invalidation
-//! hook — an entry remembers the generation of each table it scans, read
-//! *before* planning started, and is stale once any has moved
+//! clusters derived with `with_variant` share a catalog but must not share
+//! plans. Nothing registers an invalidation hook — an entry remembers the
+//! generation of each table it scans, read *before* planning started, and
+//! is stale once any has moved
 //! ([`ic_storage::Catalog::plan_generation`]). Which sites are alive is not
 //! part of an entry: the planner never reads liveness or membership (only
 //! `Topology::num_sites`, fixed at boot); `execute_plan` resolves placement

@@ -7,7 +7,7 @@
 //! stays structurally sound.
 
 use ic_common::{Datum, Row};
-use ic_core::{Cluster, ClusterConfig};
+use ic_core::{Cluster, ClusterConfig, SystemVariant};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -92,25 +92,18 @@ proptest! {
         prop_assert!(json.starts_with("{\"traceEvents\":["));
     }
 
-    // Morsel-parallel pipelines: with a multi-worker pool and tiny morsels,
-    // region operators run as lane replicas on `worker @sN #i` lanes, which
-    // pull morsels from one shared queue in whatever order they get there.
-    // The span tree must stay well-formed, and every operator span recorded
-    // on a worker lane — whichever morsels its lane pulled — must parent
-    // to the owning pipeline's *fragment* span, never to another worker's
-    // span or to a different fragment.
+    // IC+M's variant fragments: each variant instance of a fragment is a
+    // driver with its own trace lane (`fN @sM vK`). The span tree must stay
+    // well-formed, and every operator span on a variant instance's lane must
+    // parent to that instance's own fragment span — never to another
+    // variant's, or to another fragment's.
     #[test]
-    fn morsel_parallel_spans_attribute_to_fragment(
+    fn variant_spans_attribute_to_their_fragment(
         rows in 1i64..600,
         groups in 1i64..20,
         shape in 0usize..5,
-        threads in 2usize..4,
     ) {
-        let config = ClusterConfig {
-            worker_threads: threads,
-            morsel_rows: 128,
-            ..ClusterConfig::test_default()
-        };
+        let config = ClusterConfig { variant: SystemVariant::ICPlusM, ..ClusterConfig::test_default() };
         let cluster = traced_cluster_with(config, rows, groups);
         let sql = query_shape(shape, groups);
         let (result, trace) = cluster.query_traced(0, &sql);
@@ -123,47 +116,44 @@ proptest! {
         let spans = trace.spans();
         let by_id: std::collections::HashMap<_, _> =
             spans.iter().map(|s| (s.id, s)).collect();
-        for s in &spans {
+        for s in spans.iter().filter(|s| s.cat == "operator") {
             let lane_name = &lanes[s.lane as usize];
-            if !lane_name.starts_with("worker @") {
+            if !is_variant_lane(lane_name) {
                 continue;
             }
-            prop_assert_eq!(
-                s.cat, "operator",
-                "non-operator span `{}` on worker lane {}", s.name, lane_name
-            );
             let parent = s.parent.and_then(|p| by_id.get(&p).copied());
             let parent = parent.unwrap_or_else(|| {
-                panic!("worker-lane span `{}` has no parent", s.name)
+                panic!("variant-lane span `{}` has no parent", s.name)
             });
+            let own = format!("fragment {lane_name}");
             prop_assert_eq!(
-                parent.cat, "fragment",
-                "worker-lane span `{}` parents to `{}` ({}), not a fragment span",
-                s.name, parent.name, parent.cat
+                &parent.name, &own,
+                "span `{}` on lane {} parents to `{}` ({})", s.name, lane_name, parent.name, parent.cat
             );
         }
     }
 }
 
-/// Guard against the proptest above passing vacuously: a scan big enough
-/// to split into many morsels per site must actually record operator spans
-/// on worker lanes.
+/// A variant instance's driver lane: `f{fragment} @{site} v{variant}`.
+fn is_variant_lane(name: &str) -> bool {
+    name.rsplit_once(" v").is_some_and(|(f, v)| f.starts_with('f') && v.parse::<usize>().is_ok())
+}
+
+/// Guard against the proptest above passing vacuously: on IC+M a scan
+/// fragment runs as two variant instances per site, and the second one must
+/// actually record operator spans on its own lane.
 #[test]
-fn worker_lanes_record_operator_spans() {
-    let config = ClusterConfig {
-        worker_threads: 3,
-        morsel_rows: 128,
-        ..ClusterConfig::test_default()
-    };
+fn variant_lanes_record_operator_spans() {
+    let config = ClusterConfig { variant: SystemVariant::ICPlusM, ..ClusterConfig::test_default() };
     let cluster = traced_cluster_with(config, 900, 10);
     let (result, trace) = cluster.query_traced(0, "SELECT id, val FROM fact WHERE val >= 0");
     result.expect("traced query");
     trace.validate().expect("span tree well-formed");
     let lanes = trace.lanes();
-    let worker_spans = trace
+    let second_variant_spans = trace
         .spans()
         .into_iter()
-        .filter(|s| lanes[s.lane as usize].starts_with("worker @"))
+        .filter(|s| s.cat == "operator" && lanes[s.lane as usize].ends_with(" v1"))
         .count();
-    assert!(worker_spans > 0, "no operator spans recorded on worker lanes");
+    assert!(second_variant_spans > 0, "no operator spans recorded on a second variant's lane: {lanes:?}");
 }

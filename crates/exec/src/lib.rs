@@ -9,19 +9,15 @@
 //! [`runtime::execute_plan`] turns that into one `Execution` value and lends
 //! it to every thread of the query, and there is one kind of thread: a
 //! scoped thread borrowing the execution — one *driver* per fragment
-//! instance and, where an instance's chain compiles into a pipeline
-//! ([`pipeline`]), its *lanes*, which pull the region's morsels from one
-//! shared queue ([`pool`]).
+//! instance, which runs the instance's operator chain sequentially. Variant
+//! fragments are the only intra-site parallelism.
 
 pub mod fragment;
 pub mod kernels;
 pub mod operators;
-pub mod pipeline;
-pub mod pool;
 pub mod runtime;
 pub mod variant;
 
 pub use fragment::{place, Exchange, Fragment, Placement};
-pub use pool::MorselSupply;
-pub use runtime::{execute_plan, ExecOptions, QueryStats, DEFAULT_MORSEL_ROWS};
+pub use runtime::{execute_plan, ExecOptions, QueryStats};
 pub use variant::SourceMode;

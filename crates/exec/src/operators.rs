@@ -18,7 +18,6 @@
 //! never has to tell a cause from a symptom: it returns what it got.
 
 use crate::kernels::{gather_join_output, ColGroupTable, ColJoinTable};
-use crate::pool::{Morsel, MorselSupply};
 use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
@@ -151,10 +150,9 @@ impl ControlBlock {
     }
 
     /// The cooperative stop point, called in every operator loop (and by an
-    /// exchange receiver between waits, and a driver waiting on its lanes): a
-    /// revoked lease or a passed deadline fails the query here, with that as
-    /// the cause, and a query that is over already returns
-    /// [`IcError::Cancelled`].
+    /// exchange receiver between waits): a revoked lease or a passed
+    /// deadline fails the query here, with that as the cause, and a query
+    /// that is over already returns [`IcError::Cancelled`].
     pub fn check(&self) -> IcResult<()> {
         if self.stop.get().is_some() {
             return Err(IcError::Cancelled);
@@ -337,83 +335,33 @@ impl RowSource for VecSource {
     }
 }
 
-/// Where a [`ScanSource`] gets its morsels from.
-enum MorselFeed {
-    /// The fragment's driver scans everything itself: one morsel per
-    /// partition, in partition order. `base` is the absolute row index of
-    /// the next partition's first row.
-    Sequential { next_part: usize, base: usize },
-    /// A pipeline lane pulling from the pipeline's shared supply.
-    Shared(Arc<MorselSupply>),
-}
-
 /// Scan over stored chunk runs — partition snapshots or an index's sorted
-/// run — morsel by morsel. Nothing is copied: a whole stored chunk is
-/// emitted by `Arc` clone, a sliced one (tiny morsels) as a selection view,
-/// and §5.3.2 variant splitting — a splitter reads everything but passes
-/// only every `n`-th tuple — as a stride selection vector, which keeps a
-/// sorted run sorted. `ControlBlock::check` runs per chunk: the chunk
-/// boundary is the revocation point, never mid-kernel.
+/// run — partition by partition, chunk by chunk. Nothing is copied: a
+/// stored chunk is emitted by `Arc` clone, and §5.3.2 variant splitting — a
+/// splitter reads everything but passes only every `n`-th tuple — as a
+/// stride selection vector, which keeps a sorted run sorted.
+/// `ControlBlock::check` runs per chunk: the chunk boundary is the
+/// revocation point, never mid-kernel.
 pub struct ScanSource {
-    partitions: Arc<Vec<Chunks>>,
-    feed: MorselFeed,
-    /// The morsel being emitted, its next chunk, and that chunk's first
-    /// row's absolute index.
-    cur: Option<(Morsel, usize, usize)>,
+    partitions: Vec<Chunks>,
+    /// The next chunk: its partition, its index there, and its first row's
+    /// absolute index across the whole scan (all partitions in order).
+    part: usize,
+    chunk: usize,
+    abs: usize,
     /// (variant_id, total_variants); `None` passes everything.
     split: Option<(usize, usize)>,
     ctrl: Arc<ControlBlock>,
 }
 
 impl ScanSource {
-    /// Scan all of `partitions` in order on the calling thread.
+    /// Scan all of `partitions` in order.
     pub fn new(
         partitions: Vec<Chunks>,
         split: Option<(usize, usize)>,
         ctrl: Arc<ControlBlock>,
     ) -> ScanSource {
-        ScanSource {
-            partitions: Arc::new(partitions),
-            feed: MorselFeed::Sequential { next_part: 0, base: 0 },
-            cur: None,
-            split,
-            ctrl,
-        }
-    }
-
-    /// One lane of a morsel-parallel scan of `partitions`.
-    pub(crate) fn over_supply(
-        partitions: Arc<Vec<Chunks>>,
-        supply: Arc<MorselSupply>,
-        split: Option<(usize, usize)>,
-        ctrl: Arc<ControlBlock>,
-    ) -> ScanSource {
-        ScanSource { partitions, feed: MorselFeed::Shared(supply), cur: None, split, ctrl }
-    }
-
-    fn next_morsel(&mut self) -> Option<Morsel> {
-        match &mut self.feed {
-            MorselFeed::Shared(supply) => supply.pull(),
-            MorselFeed::Sequential { next_part, base } => loop {
-                let part = *next_part;
-                let chunks = self.partitions.get(part)?;
-                *next_part += 1;
-                if let Some(last) = chunks.last() {
-                    let rows: usize = chunks.iter().map(|c| c.num_rows()).sum();
-                    let m = Morsel {
-                        part,
-                        start: 0,
-                        end: chunks.len(),
-                        lo: 0,
-                        hi: last.num_rows(),
-                        base: *base,
-                        rows,
-                    };
-                    *base += rows;
-                    return Some(m);
-                }
-            },
-        }
+        ScanSource { partitions, part: 0, chunk: 0, abs: 0, split, ctrl }
     }
 }
 
@@ -421,40 +369,28 @@ impl RowSource for ScanSource {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
         loop {
             self.ctrl.check()?;
-            let (m, c, abs) = match self.cur {
-                Some(cur) if cur.1 < cur.0.end => cur,
-                _ => match self.next_morsel() {
-                    Some(m) => (m, m.start, m.base),
-                    None => return Ok(None),
-                },
+            let Some(chunks) = self.partitions.get(self.part) else { return Ok(None) };
+            let Some(chunk) = chunks.get(self.chunk) else {
+                (self.part, self.chunk) = (self.part + 1, 0);
+                continue;
             };
-            let chunk = &self.partitions[m.part][c];
-            let lo = if c == m.start { m.lo } else { 0 };
-            let hi = if c + 1 == m.end { m.hi } else { chunk.num_rows() };
-            self.cur = Some((m, c + 1, abs + (hi - lo)));
-            return Ok(Some(match self.split {
-                None if hi - lo == chunk.num_rows() => (**chunk).clone(),
-                None => chunk.slice_logical(lo, hi - lo),
-                Some((vid, n)) => {
-                    // Absolute row index ≡ the sequential scan's tuple
-                    // counter, so the splitter keeps exactly the same
-                    // tuples no matter which lane processes the morsel, or
-                    // when.
-                    let first = lo + (vid + n - abs % n) % n;
-                    let sel: Vec<u32> = (first..hi).step_by(n).map(|r| r as u32).collect();
-                    if sel.is_empty() {
-                        continue;
-                    }
-                    chunk.with_sel(sel)
-                }
-            }));
+            let (abs, rows) = (self.abs, chunk.num_rows());
+            (self.chunk, self.abs) = (self.chunk + 1, abs + rows);
+            let Some((vid, n)) = self.split else { return Ok(Some((**chunk).clone())) };
+            // Absolute row index ≡ the scan's tuple counter, so the stride
+            // runs on across chunk and partition edges.
+            let first = (vid + n - abs % n) % n;
+            let sel: Vec<u32> = (first..rows).step_by(n).map(|r| r as u32).collect();
+            if !sel.is_empty() {
+                return Ok(Some(chunk.with_sel(sel)));
+            }
         }
     }
 }
 
-/// Order-preserving k-way merge of sorted runs, each a list of batches:
-/// the per-lane runs of a parallel sort, or the per-partition runs of an
-/// index scan at a site serving several partitions. The comparator matches
+/// Order-preserving k-way merge of sorted runs, each a list of batches: the
+/// per-partition runs of an index scan at a site serving several
+/// partitions. The comparator matches
 /// `sort_permutation`'s total order — `cmp_at` NULLs-first semantics,
 /// `DESC` reversal per key — with the run index as the tie-break, so merged
 /// output is deterministic given the runs. Variant splitting (`split`)
@@ -520,7 +456,7 @@ impl RowSource for MergeRunsSource {
         let mut rows: Vec<u32> = Vec::new();
         let mut segments: Vec<(usize, usize, usize)> = Vec::new();
         while rows.len() < BATCH_SIZE {
-            // Linear min-scan: k = lanes or partitions per site, single
+            // Linear min-scan: k = partitions per site, single
             // digits. Strict `Less` keeps the earliest run on ties.
             let mut best: Option<(usize, (&ColumnBatch, usize))> = None;
             for r in 0..self.runs.len() {
@@ -940,30 +876,29 @@ impl RowSource for NestedLoopJoinExec {
     }
 }
 
-/// A hash join's build side: a source the join drains into its own table
-/// on the first pull, or a table built once behind a pipeline's build
-/// barrier and probed read-only by every lane.
-pub enum JoinBuild {
+/// A hash join's build side: the source the join drains on its first
+/// pull, then the table built from it.
+enum JoinBuild {
     Source(BoxedSource),
-    Table(Arc<ColJoinTable>),
+    Table(ColJoinTable),
 }
 
 /// Drain `src` and build a table keyed on `keys` from what arrived,
 /// accounting every batch against the query lease as it comes in. Rows
 /// with NULL key columns stay unlinked (they never match).
-pub(crate) fn drain_join_table(
+fn drain_join_table(
     src: &mut BoxedSource,
     keys: Vec<usize>,
     arity: usize,
     ctrl: &ControlBlock,
-) -> IcResult<Arc<ColJoinTable>> {
+) -> IcResult<ColJoinTable> {
     let mut batches = Vec::new();
     while let Some(b) = src.next_batch()? {
         ctrl.check()?;
         ctrl.reserve_batch(&b)?;
         batches.push(b);
     }
-    Ok(Arc::new(ColJoinTable::build(keys, arity, batches)))
+    Ok(ColJoinTable::build(keys, arity, batches))
 }
 
 /// Hash join (§5.1.2): builds on the right input, probes with the left —
@@ -1000,7 +935,7 @@ impl HashJoinExec {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         left: BoxedSource,
-        build: JoinBuild,
+        right: BoxedSource,
         kind: JoinKind,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
@@ -1010,7 +945,7 @@ impl HashJoinExec {
     ) -> Self {
         HashJoinExec {
             left,
-            build,
+            build: JoinBuild::Source(right),
             emitter: JoinEmitter::new(kind, residual, right_arity),
             left_keys,
             right_keys,
@@ -1540,7 +1475,7 @@ mod tests {
         let mk = |kind| {
             HashJoinExec::new(
                 src(&[&[1], &[2], &[3]]),
-                JoinBuild::Source(src(&[&[2, 20], &[3, 30], &[3, 31]])),
+                src(&[&[2, 20], &[3, 30], &[3, 31]]),
                 kind,
                 vec![0],
                 vec![0],
@@ -1564,7 +1499,7 @@ mod tests {
     fn hash_join_residual() {
         let hj = HashJoinExec::new(
             src(&[&[1, 5]]),
-            JoinBuild::Source(src(&[&[1, 3], &[1, 9]])),
+            src(&[&[1, 3], &[1, 9]]),
             JoinKind::Inner,
             vec![0],
             vec![0],
@@ -1784,7 +1719,7 @@ mod tests {
     #[test]
     fn merge_runs_source_merges_chunked_runs() {
         let a = vec![ColumnBatch::from_rows(&rows(&[&[1], &[4]])), ColumnBatch::from_rows(&rows(&[&[7]]))];
-        // A run may carry selection views (a sorted lane's output does).
+        // A run may carry selection views.
         let b = vec![ColumnBatch::from_rows(&rows(&[&[9], &[2], &[3]])).with_sel(vec![1, 2, 0])];
         let m = MergeRunsSource::new(vec![a.clone(), b.clone()], vec![SortKey::asc(0)], None, ctrl());
         assert_eq!(drain(Box::new(m)).unwrap(), rows(&[&[1], &[2], &[3], &[4], &[7], &[9]]));

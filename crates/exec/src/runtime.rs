@@ -12,22 +12,13 @@
 //! Each fragment instance (fragment × site × variant) has a *driver*
 //! (§3.2.3's one thread per fragment, × §5.3's variants), run by the one
 //! [`launch_instance`] — on the calling thread for the root, on a
-//! `std::thread::scope` thread for every other instance. When the
-//! instance's chain has a parallel region ([`crate::pipeline`]) the driver
-//! splits the region's scan into morsels and fans *lanes* out over a nested
-//! scope (at most `ExecOptions::worker_threads` per region), keeping for
-//! itself the sequential work — exchange receivers, join build barriers, and
-//! the order-sensitive merge/sort/final-aggregate steps above the region.
-//! Lanes and driver alike build their operators with [`BuildCtx::build`],
-//! the only plan → operator mapping there is; a lane differs from the
-//! sequential chain in what stands in for a few plan nodes ([`Sub`], keyed
-//! by node id), not in code. Chains without a region (nested-loop/merge
-//! joins, streaming aggregates, receiver-fed spines, early-exit limits, a
-//! scan of less than two morsels) are that build with nothing substituted.
-//! Either way the output streams into the instance's [`InstanceSink`] — the
-//! staging half of [`ExchangeCore`] coalesces sub-batch outputs across lanes
-//! and batches alike, per destination — and the driver alone ends the
-//! stream, after the drain barrier.
+//! `std::thread::scope` thread for every other instance. The driver builds
+//! the instance's operator chain with [`BuildCtx::build`], the only plan →
+//! operator mapping there is, and pushes its output into the instance's
+//! [`InstanceSink`] — the staging half of [`ExchangeCore`] coalesces
+//! sub-batch outputs per destination — and ends the stream when the chain
+//! is drained. Variant fragments are the only intra-site parallelism: each
+//! variant instance is one more driver.
 //!
 //! There is no EOF message ([`Msg`]): a producer instance's final batch on a
 //! link carries a `last` flag, and a link with no rows left at the flush gets
@@ -43,12 +34,8 @@
 //! decides nothing itself.
 
 use crate::fragment::{place, NodeRef, Placement};
-use crate::kernels::ColJoinTable;
 use crate::operators::*;
-use crate::pipeline::{self, RunsSource};
-use crate::pool::MorselSupply;
 use crate::variant::SourceMode;
-use ic_common::hash::FxHashMap;
 use ic_common::obs::{AttemptStats, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{panic_message, ColumnBatch, IcError, IcResult, Row};
@@ -56,11 +43,9 @@ use ic_net::{
     net_channel, Assignment, FailoverError, NetError, NetObs, NetReceiver, NetSender, NetStats,
     Network, SiteId, SiteState, WireSize,
 };
-use ic_plan::ops::{agg_schema, AggPhase, PhysOp, PhysPlan};
+use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
 use ic_storage::{Catalog, Chunks, PartStore, TableDistribution, TableId};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -84,22 +69,13 @@ pub struct ExecOptions {
     /// Parent span (e.g. the coordinator's `attempt` span) for everything
     /// this execution records.
     pub trace_parent: Option<SpanId>,
-    /// Lanes **per parallel region**: a fragment instance whose chain has a
-    /// region fans it out over at most this many scoped threads of its
-    /// driver — there is no pool, and nothing caps lanes per site. Clamped
-    /// to ≥1; `1` runs every region on a single lane, in deterministic
-    /// morsel order.
+    /// Ignored: nothing reads it. It stays only so that callers which set it
+    /// by name keep compiling.
     pub worker_threads: usize,
-    /// Rows per morsel (the unit a lane pulls from the shared queue, and
-    /// the longest a lane goes without looking at the stop cell). Clamped
-    /// to ≥64.
+    /// Ignored: nothing reads it. It stays only so that callers which set it
+    /// by name keep compiling.
     pub morsel_rows: usize,
 }
-
-/// Default morsel size: ~64k rows, i.e. 64 `ColumnBatch`es per morsel —
-/// large enough to amortize scheduling, small enough that load balancing
-/// over the shared queue and revocation checks stay fine-grained.
-pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
 
 /// Exchange backpressure window, in batches: how many messages a link holds
 /// in flight or undelivered before its sender blocks (Ignite's window of
@@ -115,8 +91,8 @@ impl Default for ExecOptions {
             pool: None,
             trace: None,
             trace_parent: None,
-            worker_threads: std::thread::available_parallelism().map_or(1, |n| n.get()).min(4),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
+            worker_threads: 1,
+            morsel_rows: 65_536,
         }
     }
 }
@@ -197,21 +173,18 @@ fn failover_err(e: FailoverError) -> IcError {
     }
 }
 
-/// Coalescing buffer of one route, shared by an instance's lanes: rows wait
-/// here as selection views over the batches they arrived in.
+/// Coalescing buffer of one route: rows wait here as selection views over
+/// the batches they arrived in.
 #[derive(Default)]
 struct Stage {
     pending: Vec<ColumnBatch>,
     rows: usize,
 }
 
-/// The sending side of one fragment instance's sink, shared by every lane
-/// of the instance's pipeline (and used solo by sequential drivers). All
-/// methods take `&self`: staging is guarded by a short lock, but batches
-/// are gathered and dispatched *outside* it, so concurrent lanes do not
-/// serialize behind the stage. A dispatch does not wait for the wire: it
-/// reserves the site's NIC and enqueues the message, and the receiver waits
-/// for it to land.
+/// The sending side of one fragment instance's sink, owned by the
+/// instance's driver. A dispatch does not wait for the wire: it reserves the
+/// site's NIC and enqueues the message, and the receiver waits for it to
+/// land.
 ///
 /// Endpoints are grouped into *routes* — the endpoints that receive the
 /// very same messages — with one stage each: a hash exchange has a route
@@ -232,14 +205,14 @@ pub struct ExchangeCore {
     routes: Vec<Vec<(SiteId, NetSender<Msg>)>>,
     /// Splitter cursor: the variant the next incoming batch goes to
     /// (batch-level round-robin realizes the splitter's arbitrary disjoint
-    /// partitioning; atomic because lanes push concurrently).
-    rr: AtomicUsize,
+    /// partitioning).
+    rr: usize,
     /// One stage per route. The simulated network charges latency per
     /// message, so a route ships when *its* stage holds `BATCH_SIZE` rows,
     /// never a sliver per incoming batch — and a full stage waits for the
     /// next rows behind it (or the flush) before it leaves, so that the
     /// last one out can carry the end-of-stream flag.
-    stages: Mutex<Vec<Stage>>,
+    stages: Vec<Stage>,
     /// Traced: (attempt table, this exchange's plan node) credited with
     /// every message the network charged.
     shipped: Option<(Arc<AttemptStats>, u32)>,
@@ -278,14 +251,13 @@ impl ExchangeCore {
             sites,
             spread,
             routes,
-            rr: AtomicUsize::new(0),
-            stages: Mutex::named(stages, "exec.exchange.stage"),
+            rr: 0,
+            stages,
             shipped,
         }
     }
 
     /// Attach transfer-span recording to every endpoint (traced queries).
-    /// Called before the core is shared with any lane.
     fn set_obs(&mut self, obs: NetObs) {
         for (_, tx) in self.routes.iter_mut().flatten() {
             tx.set_obs(obs.clone());
@@ -294,11 +266,12 @@ impl ExchangeCore {
 
     /// Stage `batch`'s rows on their routes and ship every route that was
     /// already full when more rows arrived for it.
-    pub fn send_batch(&self, batch: ColumnBatch) -> IcResult<()> {
+    pub fn send_batch(&mut self, batch: ColumnBatch) -> IcResult<()> {
         if batch.num_rows() == 0 {
             return Ok(());
         }
-        let variant = self.rr.fetch_add(1, Ordering::Relaxed) % self.spread;
+        let variant = self.rr;
+        self.rr = (variant + 1) % self.spread;
         let pieces: Vec<(usize, ColumnBatch)> = match &self.to {
             Distribution::Hash(keys) => {
                 // The routing hash (`hash_keys`, as storage partitions by),
@@ -320,31 +293,23 @@ impl ExchangeCore {
             Distribution::Single | Distribution::Broadcast => vec![(variant, batch)],
             Distribution::Random => return Err(IcError::Exec("cannot exchange to random".into())),
         };
-        let mut full = Vec::new();
-        {
-            let mut stages = self.stages.lock();
-            for (route, piece) in pieces {
-                let stage = &mut stages[route];
-                if stage.rows >= BATCH_SIZE {
-                    full.push((route, std::mem::take(stage)));
-                }
-                stage.rows += piece.num_rows();
-                stage.pending.push(piece);
+        for (route, piece) in pieces {
+            if self.stages[route].rows >= BATCH_SIZE {
+                let full = std::mem::take(&mut self.stages[route]);
+                let rows = ColumnBatch::concat(&full.pending);
+                self.ship(route, Msg::Batch { rows, last: false })?;
             }
-        }
-        for (route, stage) in full {
-            let rows = ColumnBatch::concat(&stage.pending);
-            self.ship(route, Msg::Batch { rows, last: false })?;
+            let stage = &mut self.stages[route];
+            stage.rows += piece.num_rows();
+            stage.pending.push(piece);
         }
         Ok(())
     }
 
     /// End the stream on every link: each route ships what it still has
     /// staged, flagged as last, or a bare end marker when that is nothing.
-    /// Driver-only, after the drain barrier — behind every lane's sends.
-    pub fn flush(&self) -> IcResult<()> {
-        let stages: Vec<Stage> = self.stages.lock().iter_mut().map(std::mem::take).collect();
-        for (route, stage) in stages.into_iter().enumerate() {
+    pub fn flush(&mut self) -> IcResult<()> {
+        for (route, stage) in std::mem::take(&mut self.stages).into_iter().enumerate() {
             let msg = match stage.rows {
                 0 => Msg::End,
                 _ => Msg::Batch { rows: ColumnBatch::concat(&stage.pending), last: true },
@@ -366,27 +331,24 @@ impl ExchangeCore {
     }
 }
 
-/// Where a fragment instance's output rows go. Lent by the instance's
-/// driver to all its pipeline lanes; both variants are safe for concurrent
-/// pushes.
+/// Where a fragment instance's output rows go.
 pub(crate) enum InstanceSink<'a> {
-    /// Non-root instances: into the exchange's shared coalescing stage.
-    Exchange(&'a ExchangeCore),
+    /// Non-root instances: into the exchange's coalescing stage.
+    Exchange(&'a mut ExchangeCore),
     /// The root instance: straight into the client rowset — buffered state
     /// like any other, so it is leased before it grows. (A runaway result
     /// ends in `MemoryLimit`, not in however many rows fit before the
     /// deadline.)
-    Rows(&'a Mutex<Vec<Row>>, &'a ControlBlock),
+    Rows(&'a mut Vec<Row>, &'a ControlBlock),
 }
 
 impl InstanceSink<'_> {
-    pub(crate) fn push(&self, batch: ColumnBatch) -> IcResult<()> {
+    pub(crate) fn push(&mut self, batch: ColumnBatch) -> IcResult<()> {
         match self {
             InstanceSink::Exchange(core) => core.send_batch(batch),
             InstanceSink::Rows(rows, ctrl) => {
                 ctrl.reserve_batch(&batch)?;
-                let mut b = batch.to_rows();
-                rows.lock().append(&mut b);
+                rows.append(&mut batch.to_rows());
                 Ok(())
             }
         }
@@ -454,61 +416,30 @@ impl RowSource for ReceiverSource {
     }
 }
 
-/// What stands in for a plan node while a fragment's chain is built for one
-/// side of a parallel region ([`crate::pipeline`]). Kept in
-/// [`BuildCtx::subs`] by node id and consumed by the one `build` that
-/// reaches the node; with no entries, `build` yields the sequential chain.
-#[derive(Clone)]
-pub(crate) enum Sub {
-    /// Scan leaf, in a lane: the region's shared morsel supply.
-    Morsels {
-        partitions: Arc<Vec<Chunks>>,
-        supply: Arc<MorselSupply>,
-        split: Option<(usize, usize)>,
-    },
-    /// Hash join, in a lane: probe the table built behind the build barrier.
-    Table(Arc<ColJoinTable>),
-    /// Region root, on the driver: replay the runs the lanes collected. The
-    /// lanes traced the node; the replay is not an operator of the plan.
-    Runs(Vec<Vec<ColumnBatch>>),
-    /// The node directly above the region, when its work splits in two — a
-    /// splittable `Complete` aggregate (`Partial` in each lane, `Final` over
-    /// their state rows on the driver) or a sort (each lane sorts its share,
-    /// the driver merges the sorted runs). The lane half is synthetic and
-    /// untraced: the driver half owns the plan node's spans and row counts.
-    LaneHalf,
-    DriverHalf,
-}
-
 /// Everything one query execution is, built once by [`execute_plan`] and
-/// lent to every thread of the query — the fragment instances' drivers and
-/// their pipeline lanes are scoped threads that borrow it.
+/// lent to every thread of the query — the fragment instances' drivers are
+/// scoped threads that borrow it.
 pub(crate) struct Execution<'a> {
     catalog: &'a Catalog,
     /// The surviving-site partition map this query attempt executes under.
     assignment: Arc<Assignment>,
     /// The plan's fragments, exchanges and per-node table.
-    pub(crate) placement: Placement<'a>,
+    placement: Placement<'a>,
     /// Per exchange, a sender prototype for every consumer endpoint (site,
     /// variant), in site-major order; a producer instance stamps its own
     /// site on its copies.
     senders: Vec<Vec<(SiteId, usize, NetSender<Msg>)>>,
     /// Stop cell, deadline, memory lease and (traced) the attempt's
     /// observability context.
-    pub(crate) ctrl: Arc<ControlBlock>,
+    ctrl: Arc<ControlBlock>,
     exec_span: Option<SpanId>,
-    /// Lanes per parallel region (`ExecOptions::worker_threads`, ≥ 1).
-    pub(crate) worker_threads: usize,
-    pub(crate) morsel_rows: usize,
-    /// Lane threads spawned so far (for `QueryStats::threads`).
-    pub(crate) lane_threads: AtomicUsize,
 }
 
-/// The half of a fragment instance that only its driver thread has: which
-/// instance it is, and its exchange receivers.
-pub(crate) struct Instance {
+/// What a fragment instance's driver owns: which instance it is, and its
+/// exchange receivers.
+struct Instance {
     fi: usize,
-    pub(crate) site: SiteId,
+    site: SiteId,
     vid: usize,
     /// Receiver endpoints by their Exchange plan node, each taken by the
     /// `build` that reaches the node.
@@ -518,7 +449,7 @@ pub(crate) struct Instance {
 impl Execution<'_> {
     /// How the source at plan node `at` splits across `inst`'s variants:
     /// `None` passes everything.
-    pub(crate) fn split_for(&self, inst: &Instance, at: u32) -> Option<(usize, usize)> {
+    fn split_for(&self, inst: &Instance, at: u32) -> Option<(usize, usize)> {
         let variants = self.placement.fragments[inst.fi].variants;
         let splitter = self.placement.nodes[at as usize].mode == SourceMode::Splitter;
         (variants > 1 && splitter).then_some((inst.vid, variants))
@@ -558,61 +489,30 @@ impl Execution<'_> {
 
     /// The stored chunks a `TableScan` of `table` reads at `site`, one entry
     /// per partition.
-    pub(crate) fn table_partitions(&self, site: SiteId, table: TableId) -> IcResult<Vec<Chunks>> {
+    fn table_partitions(&self, site: SiteId, table: TableId) -> IcResult<Vec<Chunks>> {
         Ok(self.table_stores(site, table)?.into_iter().map(|(_, s)| s.chunks().clone()).collect())
     }
 }
 
-/// A leaf only the driver can resolve was reached without its instance —
-/// [`crate::pipeline`] put a non-region node into a lane.
-fn driver_only(inst: Option<&mut Instance>) -> IcResult<&mut Instance> {
-    inst.ok_or_else(|| IcError::Internal("pipeline: driver-only operator in lane".into()))
-}
-
-/// The plan → operator builder: what one thread of a fragment instance
-/// builds with. The driver builds with its [`Instance`]; a pipeline lane
-/// builds from a clone of the driver's context — its own trace lane, the
-/// region's leaves and joins in `subs` — with `None`.
-#[derive(Clone)]
-pub(crate) struct BuildCtx<'a> {
-    pub(crate) ex: &'a Execution<'a>,
-    /// Trace lane of the building thread: the instance's driver, or the
-    /// lane's own thread.
-    pub(crate) lane: u32,
-    /// The fragment-instance span every operator span parents to — from
-    /// lanes too, whichever morsels they pulled, never to anything on the lane
-    /// thread's own trace lane, so `Trace::validate` sees one consistent tree
-    /// no matter which lane ran which morsel.
-    pub(crate) parent_span: Option<SpanId>,
-    pub(crate) subs: FxHashMap<u32, Sub>,
+/// The plan → operator builder of one fragment instance's driver.
+struct BuildCtx<'a> {
+    ex: &'a Execution<'a>,
+    /// The driver's trace lane.
+    lane: u32,
+    /// The fragment-instance span every operator span parents to.
+    parent_span: Option<SpanId>,
 }
 
 impl BuildCtx<'_> {
-    pub(crate) fn build(
-        &mut self,
-        at: NodeRef<'_>,
-        mut inst: Option<&mut Instance>,
-    ) -> IcResult<BoxedSource> {
+    fn build(&self, at: NodeRef<'_>, inst: &mut Instance) -> IcResult<BoxedSource> {
         let ex = self.ex;
         let ctrl = ex.ctrl.clone();
-        let sub = match self.subs.remove(&at.id) {
-            Some(Sub::Runs(runs)) => return Ok(Box::new(RunsSource::new(runs, ctrl))),
-            sub => sub,
-        };
-        let traced = !matches!(sub, Some(Sub::LaneHalf));
         let src: BoxedSource = match &at.plan.op {
-            PhysOp::TableScan { table, .. } => match sub {
-                Some(Sub::Morsels { partitions, supply, split }) => {
-                    Box::new(ScanSource::over_supply(partitions, supply, split, ctrl))
-                }
-                _ => {
-                    let inst = driver_only(inst)?;
-                    let split = ex.split_for(inst, at.id);
-                    Box::new(ScanSource::new(ex.table_partitions(inst.site, *table)?, split, ctrl))
-                }
-            },
+            PhysOp::TableScan { table, .. } => {
+                let split = ex.split_for(inst, at.id);
+                Box::new(ScanSource::new(ex.table_partitions(inst.site, *table)?, split, ctrl))
+            }
             PhysOp::IndexScan { table, index, sort, .. } => {
-                let inst = driver_only(inst)?;
                 let split = ex.split_for(inst, at.id);
                 let ix = ex
                     .catalog
@@ -639,7 +539,7 @@ impl BuildCtx<'_> {
             }
             PhysOp::Values { schema, rows } => {
                 // A splitter passes every n-th tuple, like the scans.
-                let rows = match ex.split_for(driver_only(inst)?, at.id) {
+                let rows = match ex.split_for(inst, at.id) {
                     Some((vid, n)) => rows.iter().skip(vid).step_by(n).cloned().collect(),
                     None => rows.clone(),
                 };
@@ -653,7 +553,7 @@ impl BuildCtx<'_> {
                 Box::new(ProjectExec::new(self.build(at.first(input), inst)?, exprs.clone(), ctrl))
             }
             PhysOp::NestedLoopJoin { left, right, kind, on } => Box::new(NestedLoopJoinExec::new(
-                self.build(at.first(left), inst.as_deref_mut())?,
+                self.build(at.first(left), inst)?,
                 self.build(ex.placement.second(at, right), inst)?,
                 *kind,
                 on.clone(),
@@ -661,14 +561,9 @@ impl BuildCtx<'_> {
                 ctrl,
             )),
             PhysOp::HashJoin { left, right, kind, left_keys, right_keys, residual } => {
-                let left_src = self.build(at.first(left), inst.as_deref_mut())?;
-                let build = match sub {
-                    Some(Sub::Table(table)) => JoinBuild::Table(table),
-                    _ => JoinBuild::Source(self.build(ex.placement.second(at, right), inst)?),
-                };
                 Box::new(HashJoinExec::new(
-                    left_src,
-                    build,
+                    self.build(at.first(left), inst)?,
+                    self.build(ex.placement.second(at, right), inst)?,
                     *kind,
                     left_keys.clone(),
                     right_keys.clone(),
@@ -679,7 +574,7 @@ impl BuildCtx<'_> {
             }
             PhysOp::MergeJoin { left, right, kind, left_keys, right_keys, residual } => {
                 Box::new(MergeJoinExec::new(
-                    self.build(at.first(left), inst.as_deref_mut())?,
+                    self.build(at.first(left), inst)?,
                     self.build(ex.placement.second(at, right), inst)?,
                     *kind,
                     left_keys.clone(),
@@ -689,23 +584,14 @@ impl BuildCtx<'_> {
                     ctrl,
                 ))
             }
-            PhysOp::HashAggregate { input, group, aggs, phase } => {
-                // The halves of a split aggregate: lanes emit (keys..,
-                // states..) rows, which the driver groups on the leading key
-                // positions to merge the states.
-                let (group, phase, out) = match sub {
-                    Some(Sub::LaneHalf) => {
-                        let out = agg_schema(&input.schema, group, aggs, AggPhase::Partial);
-                        (group.clone(), AggPhase::Partial, out)
-                    }
-                    Some(Sub::DriverHalf) => {
-                        ((0..group.len()).collect(), AggPhase::Final, at.plan.schema.clone())
-                    }
-                    _ => (group.clone(), *phase, at.plan.schema.clone()),
-                };
-                let input = self.build(at.first(input), inst)?;
-                Box::new(AggExec::hash(input, group, aggs.clone(), phase, out.types(), ctrl))
-            }
+            PhysOp::HashAggregate { input, group, aggs, phase } => Box::new(AggExec::hash(
+                self.build(at.first(input), inst)?,
+                group.clone(),
+                aggs.clone(),
+                *phase,
+                at.plan.schema.types(),
+                ctrl,
+            )),
             PhysOp::SortAggregate { input, group, aggs, phase } => Box::new(AggExec::sorted(
                 self.build(at.first(input), inst)?,
                 group.clone(),
@@ -714,23 +600,13 @@ impl BuildCtx<'_> {
                 at.plan.schema.types(),
                 ctrl,
             )),
-            PhysOp::Sort { input, keys } => match sub {
-                Some(Sub::DriverHalf) => {
-                    let Some(Sub::Runs(runs)) = self.subs.remove(&at.first(input).id) else {
-                        return Err(IcError::Internal("pipeline: merge half without runs".into()));
-                    };
-                    Box::new(MergeRunsSource::new(runs, keys.clone(), None, ctrl))
-                }
-                _ => {
-                    let input = self.build(at.first(input), inst)?;
-                    Box::new(SortExec::new(input, keys.clone(), ctrl))
-                }
-            },
+            PhysOp::Sort { input, keys } => {
+                Box::new(SortExec::new(self.build(at.first(input), inst)?, keys.clone(), ctrl))
+            }
             PhysOp::Limit { input, fetch, offset } => {
                 Box::new(LimitExec::new(self.build(at.first(input), inst)?, *fetch, *offset, ctrl))
             }
             PhysOp::Exchange { .. } => {
-                let inst = driver_only(inst)?;
                 let rx = inst.receivers.iter().position(|(node, _)| *node == at.id).ok_or_else(
                     || IcError::Exec(format!("missing receiver for exchange node {}", at.id)),
                 )?;
@@ -741,7 +617,7 @@ impl BuildCtx<'_> {
         // node's pre-order position; untraced queries return the bare
         // operator (zero overhead).
         match ex.ctrl.obs() {
-            Some(obs) if traced => Ok(Box::new(TracedSource::new(
+            Some(obs) => Ok(Box::new(TracedSource::new(
                 src,
                 obs.clone(),
                 at.id,
@@ -782,7 +658,7 @@ fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>>
     let parent_span = frag_span.as_ref().map(|g| g.id());
     // Where the output ships to; `None` for the root instance, whose rows
     // are the client's.
-    let core = fragment.sink.map(|sink| {
+    let mut core = fragment.sink.map(|sink| {
         let exchange = &ex.placement.exchanges[sink];
         let endpoints = ex.senders[sink]
             .iter()
@@ -797,18 +673,20 @@ fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>>
         }
         core
     });
-    let rows = Mutex::named(Vec::new(), "exec.root_rows");
-    let sink = match &core {
+    let mut rows = Vec::new();
+    let mut sink = match &mut core {
         Some(core) => InstanceSink::Exchange(core),
-        None => InstanceSink::Rows(&rows, &ex.ctrl),
+        None => InstanceSink::Rows(&mut rows, &ex.ctrl),
     };
-    let mut ctx = BuildCtx { ex, lane, parent_span, subs: FxHashMap::default() };
-    pipeline::run_instance(&mut ctx, &mut inst, fragment.root, &sink)?;
-    // The driver alone ends the stream, after the drain barrier.
-    if let Some(core) = &core {
+    let mut src = BuildCtx { ex, lane, parent_span }.build(fragment.root, &mut inst)?;
+    while let Some(b) = src.next_batch()? {
+        sink.push(b)?;
+    }
+    drop(src);
+    if let Some(core) = &mut core {
         core.flush()?;
     }
-    Ok(rows.into_inner())
+    Ok(rows)
 }
 
 /// Execute an optimized physical plan on the simulated cluster, returning
@@ -899,9 +777,6 @@ pub fn execute_plan(
         senders,
         ctrl,
         exec_span: exec_span.as_ref().map(|g| g.id()),
-        worker_threads: opts.worker_threads.max(1),
-        morsel_rows: opts.morsel_rows,
-        lane_threads: AtomicUsize::new(0),
     };
     let ctrl = &ex.ctrl;
 
@@ -942,9 +817,7 @@ pub fn execute_plan(
         }
         root_result
     });
-    // Every lane thread was joined by its driver: the count is final, and
-    // their trace lanes are quiesced before the trace is read.
-    let threads = threads + ex.lane_threads.load(Ordering::Relaxed) + 1;
+    let threads = threads + 1;
     let peak_buffered_rows = ctrl.lease().peak_used();
     if let Some(g) = &mut exec_span {
         g.arg("fragments", fragments as u64);

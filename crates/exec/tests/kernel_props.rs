@@ -18,9 +18,7 @@ use ic_common::agg::{Accumulator, AggFunc};
 use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, Row, Schema, NIL};
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::{gather_join_output, ColGroupTable};
-use ic_exec::operators::{
-    drain, AggExec, ControlBlock, HashJoinExec, JoinBuild, NestedLoopJoinExec,
-};
+use ic_exec::operators::{drain, AggExec, ControlBlock, HashJoinExec, NestedLoopJoinExec};
 use ic_net::topology::Topology;
 use ic_net::Membership;
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
@@ -115,7 +113,7 @@ proptest! {
                 chunked_src(&l, &[3, 5]), chunked_src(&r, &[4]), kind, on, 2,
                 ControlBlock::unlimited());
             let hj = HashJoinExec::new(
-                chunked_src(&l, &[3, 5]), JoinBuild::Source(chunked_src(&r, &[4])), kind, vec![0], vec![0],
+                chunked_src(&l, &[3, 5]), chunked_src(&r, &[4]), kind, vec![0], vec![0],
                 Expr::lit(true), 2, ControlBlock::unlimited());
             prop_assert_eq!(&drain(Box::new(nlj)).unwrap(), &expect, "nlj {:?}", kind);
             prop_assert_eq!(&drain(Box::new(hj)).unwrap(), &expect, "hash {:?}", kind);
@@ -273,7 +271,7 @@ proptest! {
             let on = Expr::eq(Expr::col(0), Expr::col(2));
             let expect = join_oracle(&l, &r, kind, &on, 2);
             let hj = HashJoinExec::new(
-                chunked_src(&l, &[6, 5]), JoinBuild::Source(chunked_src(&r, &[8, 3])), kind,
+                chunked_src(&l, &[6, 5]), chunked_src(&r, &[8, 3]), kind,
                 vec![0], vec![0], Expr::lit(true), 2, ControlBlock::unlimited());
             let got = drain(Box::new(hj)).unwrap();
             prop_assert_eq!(&got, &expect, "{:?} keys {:?}", kind, (lk, rk));
@@ -353,7 +351,7 @@ proptest! {
             let on = Expr::eq(Expr::col(0), Expr::col(2));
             let expect = join_oracle(&l, &r, kind, &on, 2);
             let hj = HashJoinExec::new(
-                chunked_src(&l, &[7, 9]), JoinBuild::Source(chunked_src(&r, &sizes)), kind,
+                chunked_src(&l, &[7, 9]), chunked_src(&r, &sizes), kind,
                 vec![0], vec![0], Expr::lit(true), 2, ControlBlock::unlimited());
             let got = drain(Box::new(hj)).unwrap();
             prop_assert_eq!(&got, &expect, "{:?} shape {} n {}", kind, shape, n);

@@ -10,7 +10,7 @@ use ic_common::agg::AggFunc;
 use ic_common::row::BATCH_SIZE;
 use ic_common::{BinOp, DataType, Datum, Expr, Row};
 use ic_exec::operators::{
-    drain, AggExec, BoxedSource, ControlBlock, HashJoinExec, JoinBuild, LimitExec, MergeJoinExec,
+    drain, AggExec, BoxedSource, ControlBlock, HashJoinExec, LimitExec, MergeJoinExec,
     NestedLoopJoinExec, SortExec, VecSource, NLJ_PAIR_BUDGET,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
@@ -87,7 +87,7 @@ impl Case<'_> {
         let (l, r, ctrl) = self.inputs();
         let keys: Vec<usize> = (0..self.nkeys).collect();
         drain(Box::new(HashJoinExec::new(
-            l, JoinBuild::Source(r), self.kind, keys.clone(), keys, self.residual.clone(), self.width(), ctrl)))
+            l, r, self.kind, keys.clone(), keys, self.residual.clone(), self.width(), ctrl)))
         .unwrap()
     }
 

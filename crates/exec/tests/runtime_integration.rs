@@ -365,7 +365,7 @@ fn ship(
         }
     }
     let assignment = Arc::new(Assignment::healthy(&Topology::new(SITES)));
-    let core = ExchangeCore::new(to.clone(), assignment, endpoints, mode, None);
+    let mut core = ExchangeCore::new(to.clone(), assignment, endpoints, mode, None);
     for piece in rows.chunks(chunk) {
         core.send_batch(ColumnBatch::from_rows(piece)).unwrap();
     }

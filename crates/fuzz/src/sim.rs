@@ -11,7 +11,8 @@
 //!    (sometimes) `ICPlusM` variants (oracle 1) — on each cluster the
 //!    statement is submitted twice, so the plan cache answers once with a
 //!    fresh template and once with a stored one, and executed a third time
-//!    from the plan the uncached `ic_opt::optimize_query` makes for it,
+//!    from the plan the uncached `ic_opt::optimize_query` makes for it
+//!    (on `ICPlusM` at three variant fragments, not the cluster's two),
 //! 3. a faulted N-site run under the seed-derived [`FaultPlan`] and
 //!    optional governor lease pressure, which must either agree with the
 //!    reference or refuse with a retryable/terminal error.
@@ -176,14 +177,6 @@ impl Env {
                 network: NetworkConfig::instant(),
                 exec_timeout: Some(Duration::from_secs(60)),
                 memory_limit_rows: 20_000_000,
-                // Force multi-lane morsel execution with tiny morsels:
-                // every query in the battery exercises lanes sharing a
-                // morsel queue and the parallel operators, regardless of
-                // host core count.
-                // The oracles compare unordered (or LIMIT-count only), so
-                // nondeterministic lane interleaving is fine.
-                worker_threads: 3,
-                morsel_rows: 512,
                 ..ClusterConfig::default()
             };
             let cluster = Cluster::new(config);
@@ -235,22 +228,30 @@ fn run_engine(cluster: &Cluster, client: u64, sql: &str) -> EngineOutcome {
     outcome_of(|| cluster.query_as(client, sql).map(|qr| qr.rows))
 }
 
+/// Variant fragments per eligible fragment for an IC+M uncached run: odd,
+/// and not the cluster's own width, so the oracle holds two splitter
+/// strides against each other.
+const UNCACHED_VARIANTS: usize = 3;
+
 /// The plan cache's oracle: `query` planned with its literals in place by
 /// the public, uncached `optimize_query` under `cluster`'s flags, executed
-/// with `cluster`'s own execution settings.
+/// with `cluster`'s own execution settings — but an IC+M cluster at
+/// [`UNCACHED_VARIANTS`] variants.
 fn run_uncached(cluster: &Cluster, query: &Query) -> EngineOutcome {
     outcome_of(|| {
         let bound = bind_statement(query, cluster.catalog())?;
         let flags = cluster.variant().flags();
         let plan = ic_opt::optimize_query(bound.plan, cluster.catalog(), &flags)?.plan;
         let config = cluster.config();
+        let variant_fragments = match flags.variant_fragments {
+            1 => 1,
+            _ => UNCACHED_VARIANTS,
+        };
         let opts = ic_exec::ExecOptions {
-            variant_fragments: flags.variant_fragments,
+            variant_fragments,
             timeout: config.exec_timeout,
             memory_limit_rows: config.memory_limit_rows,
             pool: Some(Arc::clone(cluster.governor().pool())),
-            worker_threads: config.worker_threads,
-            morsel_rows: config.morsel_rows,
             ..ic_exec::ExecOptions::default()
         };
         let (rows, _) = ic_exec::execute_plan(&plan, cluster.catalog(), cluster.network(), &opts)?;

@@ -410,24 +410,22 @@ fn revoked_query_is_retryable_and_leaks_no_budget() {
 
 // --- errors raised while messages are in flight ------------------------------
 
-/// A 2-site cluster on the default network under a standing latency spike,
-/// three lanes per parallel region over 128-row morsels.
-/// [`LANES_SHIP_SQL`]'s scan fragments stream straight from their lanes into
-/// the exchange, and only site 1's cross the wire. Under the spike each of
-/// its ~16 KB messages holds site 1's NIC for 16 µs × the factor and lands
-/// 50 µs × the factor after that: the first (tick 0, ×1000) lands ~66 ms in,
-/// the second (×4000) queues behind it and lands ~280 ms in, the rest later
-/// still. Site 1's lanes hand their messages over and finish at once; it is
-/// the root's receiver that waits for them. So whatever stops the query
+/// A 2-site IC+M cluster on the default network under a standing latency
+/// spike. [`SHIP_SQL`]'s scan fragment runs as two variant instances per
+/// site, each streaming its share straight into the exchange, and only
+/// site 1's cross the wire. Under the spike each of its ~16 KB messages
+/// holds site 1's NIC for 16 µs × the factor and lands 50 µs × the factor
+/// after that: the first (tick 0, ×1000) lands ~66 ms in, the second
+/// (×4000) queues behind it and lands ~280 ms in, the rest later still.
+/// Site 1's variant instances hand their messages over and finish at once;
+/// it is the root's receiver that waits for them. So whatever stops the query
 /// between 10 and 250 ms stops it with messages in flight and the root
 /// waiting on the wire.
 fn slow_shipping_cluster(config: ClusterConfig) -> Cluster {
     let cluster = Cluster::new(ClusterConfig {
         sites: 2,
-        variant: SystemVariant::ICPlus,
+        variant: SystemVariant::ICPlusM,
         network: ignite_calcite_rs::NetworkConfig::default(),
-        worker_threads: 3,
-        morsel_rows: 128,
         ..config
     });
     cluster.run("CREATE TABLE t (a BIGINT, b BIGINT, PRIMARY KEY (a))").unwrap();
@@ -447,26 +445,23 @@ fn staggered_spike() -> FaultPlan {
 }
 
 const SHIPPED_ROWS: i64 = 6000;
-const LANES_SHIP_SQL: &str = "SELECT a, b FROM t ORDER BY b";
+const SHIP_SQL: &str = "SELECT a, b FROM t ORDER BY b";
 
 /// What every error raised under [`slow_shipping_cluster`] must leave behind:
-/// its class on the client, a closed and well-nested span tree with the lane
-/// spans in it, and — once `hog`, if the test holds one, is gone — no budget
-/// held.
+/// its class on the client, a closed and well-nested span tree with the
+/// second variants' lanes in it, and — once `hog`, if the test holds one, is
+/// gone — no budget held.
 fn assert_clean_failure(
     cluster: &Cluster,
     hog: Option<ignite_calcite_rs::common::MemoryLease>,
     expected: fn(&IcError) -> bool,
 ) {
-    let (result, trace) = cluster.query_traced(0, LANES_SHIP_SQL);
+    let (result, trace) = cluster.query_traced(0, SHIP_SQL);
     let err = result.expect_err("the query cannot finish");
     assert!(expected(&err), "{err}");
     trace.validate().expect("span tree well-formed");
     let lanes = trace.lanes();
-    assert!(
-        lanes.iter().any(|l| l.starts_with("worker @")),
-        "the scan fragments never went parallel: {lanes:?}"
-    );
+    assert!(lanes.iter().any(|l| l.ends_with(" v1")), "the scan fragments ran no variants: {lanes:?}");
     drop(hog);
     assert_eq!(cluster.governor().pool().active_leases(), 0, "a lease outlived its query");
     assert_eq!(cluster.governor().pool().in_use(), 0, "pool leaked budget");
@@ -549,7 +544,7 @@ fn every_stop_has_one_cause() {
         max_retries: 0,
         ..ClusterConfig::default()
     });
-    let one_lane = cluster.with_worker_threads(1, 128);
+    let one_variant = cluster.with_variant(SystemVariant::ICPlus);
     let t = cluster.catalog().table_data(cluster.catalog().table_by_name("t").unwrap()).unwrap();
     // Site 1's partitions in scan order, and the last row it scans: a filter
     // that fails on that row alone fails in site 1's fragment, behind
@@ -588,16 +583,16 @@ fn every_stop_has_one_cause() {
         failover,
     };
     let table = [
-        case("expression error in a producer, 3 lanes", &cluster, &bad_filter, Some(nan_error), false),
-        case("expression error in a producer, 1 lane", &one_lane, &bad_filter, Some(nan_error), false),
+        case("expression error in a producer, 2 variants", &cluster, &bad_filter, Some(nan_error), false),
+        case("expression error in a producer, 1 variant", &one_variant, &bad_filter, Some(nan_error), false),
         case("LIMIT satisfied over shipping producers", &cluster, "SELECT a, b FROM t LIMIT 5", None, false),
         Case {
             drop_replica: true,
-            ..case("replica dropped after planning", &cluster, LANES_SHIP_SQL, Some(rebalancing), true)
+            ..case("replica dropped after planning", &cluster, SHIP_SQL, Some(rebalancing), true)
         },
         Case {
             faults: staggered_spike().crash(SiteId(1), 1),
-            ..case("site crashed mid-run", &cluster, LANES_SHIP_SQL, Some(site_1_lost), true)
+            ..case("site crashed mid-run", &cluster, SHIP_SQL, Some(site_1_lost), true)
         },
     ];
     for Case { name, cluster, faults, drop_replica, sql, cause: expected, failover } in table {
@@ -629,7 +624,8 @@ fn every_stop_has_one_cause() {
         }
         trace.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         let lanes = trace.lanes();
-        assert!(lanes.iter().any(|l| l.starts_with("worker @")), "{name}: never went parallel: {lanes:?}");
+        let last_variant = format!(" v{}", cluster.variant().flags().variant_fragments - 1);
+        assert!(lanes.iter().any(|l| l.ends_with(&last_variant)), "{name}: {lanes:?}");
         assert_eq!(cluster.governor().pool().active_leases(), 0, "{name}: a lease outlived its query");
         assert_eq!(cluster.governor().pool().in_use(), 0, "{name}: pool leaked budget");
         cluster.clear_faults();

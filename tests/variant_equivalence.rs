@@ -1,7 +1,8 @@
 //! Property-based cross-variant equivalence: randomized SQL queries over a
-//! synthetic schema must produce identical result multisets on IC, IC+
-//! and IC+M — the three variants differ only in plan choice, never in
-//! semantics.
+//! synthetic, NULL-heavy schema must produce identical result multisets on
+//! IC, IC+ and IC+M — the three variants differ only in plan choice and in
+//! IC+M's variant fragments (§5.3), the engine's one intra-site
+//! parallelism, never in semantics.
 
 use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, Row, SystemVariant};
 use proptest::prelude::*;
@@ -29,12 +30,16 @@ fn fixture() -> &'static Fixture {
         ic.run("CREATE TABLE a (a1 BIGINT, a2 BIGINT, a3 DOUBLE, PRIMARY KEY (a1))").unwrap();
         ic.run("CREATE TABLE b (b1 BIGINT, b2 BIGINT, b3 VARCHAR, PRIMARY KEY (b1))").unwrap();
         ic.run("CREATE TABLE c (c1 BIGINT, c2 VARCHAR, PRIMARY KEY (c1)) REPLICATED").unwrap();
+        // Replicated: a query over it alone is one root fragment, so a sort
+        // or an aggregate sits directly above its scan.
+        ic.run("CREATE TABLE d (d1 BIGINT, d2 BIGINT, d3 DOUBLE, PRIMARY KEY (d1)) REPLICATED")
+            .unwrap();
         ic.run("CREATE INDEX ix_a2 ON a (a2)").unwrap();
         let a: Vec<Row> = (0..600)
             .map(|i| {
                 Row(vec![
                     Datum::Int(i),
-                    Datum::Int(i % 37),
+                    if i % 13 == 0 { Datum::Null } else { Datum::Int(i % 37) },
                     if i % 11 == 0 { Datum::Null } else { Datum::Double((i % 97) as f64 / 3.0) },
                 ])
             })
@@ -50,6 +55,7 @@ fn fixture() -> &'static Fixture {
             .collect();
         let c: Vec<Row> =
             (0..37).map(|i| Row(vec![Datum::Int(i), Datum::str(format!("c{}", i % 3))])).collect();
+        ic.insert("d", a[..400].to_vec()).unwrap();
         ic.insert("a", a).unwrap();
         ic.insert("b", b).unwrap();
         ic.insert("c", c).unwrap();
@@ -95,17 +101,27 @@ fn canon(rows: &[Row]) -> Vec<String> {
     out
 }
 
-/// Random predicate fragments that are valid over (a ⋈ b ⋈ c).
-fn predicate() -> impl Strategy<Value = String> {
+/// Random predicate fragments that are valid over (a ⋈ b).
+fn ab_predicate() -> impl Strategy<Value = String> {
     prop_oneof![
         (0i64..40).prop_map(|v| format!("a.a2 > {v}")),
         (0i64..40).prop_map(|v| format!("b.b2 <= {v}")),
         (0i64..5).prop_map(|v| format!("b.b3 = 'tag{v}'")),
         (0i64..90).prop_map(|v| format!("a.a3 < {v}")),
         Just("a.a3 IS NOT NULL".to_string()),
-        Just("c.c2 LIKE 'c1%'".to_string()),
+        Just("a.a2 IS NULL".to_string()),
         (0i64..37).prop_map(|v| format!("(a.a2 = {v} OR b.b2 > 20)")),
     ]
+}
+
+/// Random predicate fragments that are valid over (a ⋈ b ⋈ c).
+fn predicate() -> impl Strategy<Value = String> {
+    prop_oneof![ab_predicate(), Just("c.c2 LIKE 'c1%'".to_string())]
+}
+
+/// `sql`'s canonical result on IC, IC+ and IC+M.
+fn on_all(f: &Fixture, sql: &str) -> [Vec<String>; 3] {
+    [&f.ic, &f.plus, &f.plus_m].map(|c| canon(&c.query(sql).unwrap().rows))
 }
 
 fn agg() -> impl Strategy<Value = String> {
@@ -121,6 +137,53 @@ fn agg() -> impl Strategy<Value = String> {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+
+    /// Scan → filter → project over the partitioned table, and a sort or a
+    /// DISTINCT aggregate directly over the replicated table's scan.
+    #[test]
+    fn equivalence_scan_filter_project(lo in 0i64..300, hi in 300i64..600, shape in 0usize..3) {
+        let sql = match shape {
+            0 => format!(
+                "SELECT a.a1, a.a3 FROM a WHERE a.a1 >= {lo} AND a.a1 < {hi} AND a.a3 IS NOT NULL"
+            ),
+            1 => format!(
+                "SELECT * FROM d WHERE d.d1 >= {lo} AND d.d1 < {hi} AND d.d3 IS NOT NULL ORDER BY d.d2, d.d1"
+            ),
+            _ => format!("SELECT DISTINCT d.d2 FROM d WHERE d.d1 >= {lo} AND d.d1 < {hi}"),
+        };
+        let [ic, plus, m] = on_all(fixture(), &sql);
+        prop_assert_eq!(&ic, &plus, "IC vs IC+: {}", sql);
+        prop_assert_eq!(&plus, &m, "IC+ vs IC+M: {}", sql);
+    }
+
+    /// Global (ungrouped) aggregates over a join — the empty-group merge.
+    #[test]
+    fn equivalence_global_aggregate(a in agg(), preds in proptest::collection::vec(ab_predicate(), 0..2)) {
+        let mut sql = format!("SELECT {a} FROM a, b WHERE a.a2 = b.b2");
+        for p in &preds {
+            sql += &format!(" AND {p}");
+        }
+        let [ic, plus, m] = on_all(fixture(), &sql);
+        prop_assert_eq!(&ic, &plus, "IC vs IC+: {}", sql);
+        prop_assert_eq!(&plus, &m, "IC+ vs IC+M: {}", sql);
+    }
+
+    /// ORDER BY + LIMIT over the partitioned table (the sort above the
+    /// gathering exchange) and over the replicated one (directly above its
+    /// scan). The keys are a total order, so even row order must agree.
+    #[test]
+    fn equivalence_sort_limit(lim in 1usize..40, desc in proptest::bool::ANY, replicated in proptest::bool::ANY) {
+        let dir = if desc { "DESC" } else { "ASC" };
+        let sql = if replicated {
+            format!("SELECT * FROM d WHERE d.d3 IS NOT NULL ORDER BY d.d1 {dir} LIMIT {lim}")
+        } else {
+            format!("SELECT a.a1, a.a2 FROM a WHERE a.a3 IS NOT NULL ORDER BY a.a1 {dir} LIMIT {lim}")
+        };
+        let f = fixture();
+        let [ic, plus, m] = [&f.ic, &f.plus, &f.plus_m].map(|c| format!("{:?}", c.query(&sql).unwrap().rows));
+        prop_assert_eq!(&ic, &plus, "ordered IC vs IC+: {}", sql);
+        prop_assert_eq!(&plus, &m, "ordered IC+ vs IC+M: {}", sql);
+    }
 
     /// Join + filter + aggregate queries return identical multisets on all
     /// three variants.
