@@ -50,7 +50,7 @@ pub fn run_aql(cluster: &Arc<Cluster>, clients: usize, duration: Duration) -> Aq
     let mut all = Vec::new();
     let mut failed = 0;
     for h in handles {
-        // ic-lint: allow(L001) because a panicking worker thread should abort the bench run loudly rather than skew the latency sample
+        #[expect(clippy::expect_used, reason = "a panicking worker thread should abort the bench run loudly rather than skew the latency sample")]
         let (lat, f) = h.join().expect("terminal thread");
         all.extend(lat);
         failed += f;

@@ -23,6 +23,8 @@
 //! Writes `BENCH_dml.json`; `--writes --smoke` runs a scaled-down
 //! asserting pass for CI and writes under `target/bench/`.
 
+#![expect(clippy::disallowed_methods, reason = "a benchmark harness times recovery on the wall clock")]
+
 use ic_bench::{calibrated_network, load_tpch, FULL};
 use ic_common::obs::MetricsRegistry;
 use ic_core::{Cluster, ClusterConfig, FaultPlan, SystemVariant};
@@ -161,7 +163,6 @@ impl PhaseStats {
 /// every refusal counts against availability. Failed statements taint
 /// their key (the partition batch may or may not have committed), which
 /// excludes it from the final exact-match verification.
-#[allow(clippy::too_many_arguments)]
 fn run_write_phase(
     cluster: &Cluster,
     name: &'static str,

@@ -16,6 +16,8 @@
 //! asserts the governor invariants (nonzero shed, zero pool balance,
 //! bounded concurrency) and writes under `target/bench/`.
 
+#![expect(clippy::disallowed_methods, reason = "a benchmark harness times queries and paces clients on the wall clock")]
+
 use ic_common::LEASE_CHUNK_CELLS;
 use ic_core::{Cluster, ClusterConfig, Datum, GovernorConfig, IcError, Row, SystemVariant};
 use std::sync::atomic::{AtomicBool, Ordering};

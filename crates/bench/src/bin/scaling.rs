@@ -21,6 +21,8 @@
 //! reduced-size sweep (half the rows, 3 reps) and writes to `target/bench/`
 //! instead.
 
+#![expect(clippy::disallowed_methods, reason = "a benchmark harness times queries on the wall clock")]
+
 use ic_core::{Cluster, ClusterConfig, Datum, NetworkConfig, Row, SystemVariant};
 use std::time::{Duration, Instant};
 

@@ -9,6 +9,8 @@
 //! [`Trace::now_ns`]: ic_common::obs::Trace::now_ns
 //! [`AttemptStats::record_next`]: ic_common::obs::AttemptStats::record_next
 
+#![expect(clippy::disallowed_methods, reason = "a benchmark harness times kernels on the wall clock")]
+
 use ic_common::agg::AggFunc;
 use ic_common::obs::{OpMeta, Trace};
 use ic_common::row::BATCH_SIZE;

@@ -4,6 +4,10 @@
 //! `overload`, `chaos`, `trace_overhead`) go beyond the paper and share the
 //! record emitter.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![expect(clippy::disallowed_methods, reason = "a benchmark harness times queries and paces clients on the wall clock")]
+
 pub mod aql;
 pub mod harness;
 pub mod load;

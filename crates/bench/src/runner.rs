@@ -9,8 +9,8 @@ use crate::harness::{
     geo_mean, mean, measure_query, ms, write_bench_json, MeasureOutcome, Protocol, SITES,
 };
 use crate::load::{load_ssb, load_tpch};
+use ic_common::FxHashMap;
 use ic_core::{Cluster, ClusterConfig, NetworkConfig, SystemVariant};
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// One measured (query, system, cluster) point of the sweep.
@@ -150,7 +150,7 @@ pub fn run_sweep(protocol: &Protocol, trace: bool) -> Sweep {
         for sites in SITES {
             eprintln!("# loading TPC-H sf={sf} sites={sites}");
             let base = cluster_for(sites);
-            // ic-lint: allow(L001) because the TPC-H generator is deterministic; a load failure is a harness bug worth a loud abort
+            #[expect(clippy::expect_used, reason = "the TPC-H generator is deterministic; a load failure is a harness bug worth a loud abort")]
             load_tpch(&base, sf, DATA_SEED).expect("load TPC-H");
             sweep.tpch.extend(measure_all(&base, sf, "tpch", &tpch, protocol, trace));
             if i == 0 {
@@ -159,7 +159,7 @@ pub fn run_sweep(protocol: &Protocol, trace: bool) -> Sweep {
             drop(base);
             eprintln!("# loading SSB sf={sf} sites={sites}");
             let base = cluster_for(sites);
-            // ic-lint: allow(L001) because the SSB generator is deterministic; a load failure is a harness bug worth a loud abort
+            #[expect(clippy::expect_used, reason = "the SSB generator is deterministic; a load failure is a harness bug worth a loud abort")]
             load_ssb(&base, sf, DATA_SEED).expect("load SSB");
             sweep.ssb.extend(measure_all(&base, sf, "ssb", &ssb, protocol, trace));
         }
@@ -194,8 +194,8 @@ fn aql_cells(base: &Cluster, protocol: &Protocol) -> Vec<AqlPoint> {
 /// factor is failed overall — the first failure as `LABEL@sf`.
 pub fn overall(
     points: &[RunPoint],
-) -> HashMap<(String, SystemVariant, usize), Result<Duration, String>> {
-    let mut acc: HashMap<_, Result<Vec<Duration>, String>> = HashMap::new();
+) -> FxHashMap<(String, SystemVariant, usize), Result<Duration, String>> {
+    let mut acc: FxHashMap<_, Result<Vec<Duration>, String>> = FxHashMap::default();
     for p in points {
         let so_far = acc.entry((p.query.clone(), p.variant, p.sites)).or_insert(Ok(Vec::new()));
         match (so_far.as_mut(), p.outcome.ok_time()) {

@@ -10,6 +10,9 @@
 //! being scale-factor parameterized so laptop-scale runs (SF 0.01–0.1)
 //! regenerate the paper's plan shapes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod ssb;
 pub mod text;
 pub mod tpch;

@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn lineitem_suppliers_exist_in_partsupp() {
         let data = generate(0.001, 7);
-        let partsupp: std::collections::HashSet<(i64, i64)> = data
+        let partsupp: ic_common::FxHashSet<(i64, i64)> = data
             .iter()
             .find(|t| t.name == "partsupp")
             .unwrap()

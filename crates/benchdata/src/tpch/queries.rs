@@ -103,7 +103,7 @@ impl Params {
     }
 }
 
-#[allow(clippy::useless_format)]
+#[expect(clippy::useless_format, reason = "every query text goes through format! alike, whether or not it takes parameters")]
 fn build(n: usize, p: &Params) -> String {
     match n {
         1 => format!(

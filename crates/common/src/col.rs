@@ -44,6 +44,8 @@
 //! alike whatever their column type. A key column without NULLs is hashed
 //! by one typed loop; strings feed their bytes without a UTF-8 re-check.
 
+#![expect(clippy::disallowed_types, reason = "ColumnBatch::hash_keys, the routing hash, drives FxHasher over typed columns here")]
+
 use crate::datum::{DataType, Datum};
 use crate::hash::FxHasher;
 use crate::row::Row;
@@ -379,7 +381,7 @@ impl Column {
     /// String value at physical row `i`; only meaningful for
     /// [`ColumnData::Str`] columns with a valid row.
     #[inline]
-    // ic-lint: allow(L001) because offsets/bytes are only ever written by push_str, which stores validated UTF-8
+    #[expect(clippy::expect_used, reason = "offsets/bytes are only ever written by push_str, which stores validated UTF-8")]
     pub fn str_at(&self, i: usize) -> &str {
         std::str::from_utf8(self.bytes_at(i)).expect("column stores valid UTF-8")
     }

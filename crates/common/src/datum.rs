@@ -280,12 +280,11 @@ impl From<&str> for Datum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
+    use crate::hash::FxBuildHasher;
+    use std::hash::BuildHasher;
 
     fn hash_of(d: &Datum) -> u64 {
-        let mut h = DefaultHasher::new();
-        d.hash(&mut h);
-        h.finish()
+        FxBuildHasher::default().hash_one(d)
     }
 
     #[test]

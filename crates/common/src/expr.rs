@@ -221,29 +221,13 @@ impl Expr {
     }
 
     /// Conjoin a list of predicates; empty list means TRUE.
-    pub fn conjunction(mut preds: Vec<Expr>) -> Expr {
-        match preds.len() {
-            0 => Expr::Lit(Datum::Bool(true)),
-            1 => preds.pop().unwrap(),
-            _ => {
-                let mut it = preds.into_iter();
-                let first = it.next().unwrap();
-                it.fold(first, Expr::and)
-            }
-        }
+    pub fn conjunction(preds: Vec<Expr>) -> Expr {
+        preds.into_iter().reduce(Expr::and).unwrap_or(Expr::Lit(Datum::Bool(true)))
     }
 
     /// Disjoin a list of predicates; empty list means FALSE.
-    pub fn disjunction(mut preds: Vec<Expr>) -> Expr {
-        match preds.len() {
-            0 => Expr::Lit(Datum::Bool(false)),
-            1 => preds.pop().unwrap(),
-            _ => {
-                let mut it = preds.into_iter();
-                let first = it.next().unwrap();
-                it.fold(first, Expr::or)
-            }
-        }
+    pub fn disjunction(preds: Vec<Expr>) -> Expr {
+        preds.into_iter().reduce(Expr::or).unwrap_or(Expr::Lit(Datum::Bool(false)))
     }
 
     /// Split a predicate into its top-level AND conjuncts.

@@ -13,6 +13,8 @@
 //! design: the join table, the group table and the statistics NDV pass
 //! keep their keys as typed columns and find them through it.
 
+#![expect(clippy::disallowed_types, reason = "this module defines the one hash function: FxHasher, its BuildHasher and the Fx map aliases over std's maps")]
+
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Seed constant from FxHash (`0x51_7c_c1_b7_27_22_0a_95` ≈ 2^64 / φ),
@@ -55,9 +57,8 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, mut bytes: &[u8]) {
-        while bytes.len() >= 8 {
-            let (chunk, rest) = bytes.split_at(8);
-            self.add_word(u64::from_le_bytes(chunk.try_into().unwrap()));
+        while let Some((chunk, rest)) = bytes.split_first_chunk::<8>() {
+            self.add_word(u64::from_le_bytes(*chunk));
             bytes = rest;
         }
         if !bytes.is_empty() {

@@ -25,6 +25,8 @@
 //! A revoked query surfaces [`IcError::ResourcesRevoked`] — retryable by
 //! the client, never by the coordinator's failover loop.
 
+#![expect(clippy::disallowed_methods, reason = "a lease waiting for budget gives up after the pool's wall-clock grant timeout")]
+
 use crate::error::{IcError, IcResult};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};

@@ -11,6 +11,8 @@
 //! layer underpins the whole Ignite+Calcite stack.
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod agg;
 pub mod col;
@@ -29,7 +31,7 @@ pub use col::{Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, NIL};
 pub use datum::{DataType, Datum};
 pub use error::{panic_message, IcError, IcResult};
 pub use expr::{BinOp, Expr, FuncKind};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, HashDir};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, HashDir};
 pub use lease::{MemoryLease, MemoryPool, LEASE_CHUNK_CELLS};
 pub use row::Row;
 pub use schema::{Field, Schema};

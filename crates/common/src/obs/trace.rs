@@ -225,7 +225,7 @@ impl Trace {
 
     /// Start a new trace; the epoch (timestamp zero) is now.
     pub fn new() -> Arc<Trace> {
-        // ic-lint: allow(L007) because this epoch anchor is the single sanctioned wall-clock read that every span timestamp derives from
+        #[expect(clippy::disallowed_methods, reason = "this epoch anchor is the single sanctioned wall-clock read that every span timestamp derives from")]
         let epoch = Instant::now();
         Arc::new(Trace {
             epoch,
@@ -284,7 +284,7 @@ impl Trace {
 
     /// Record an already-timed interval directly (used for per-transfer
     /// network spans where the open/close pairing is a single call site).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a span record is these fields; callers pass an interval they timed themselves")]
     pub fn record_span(
         &self,
         name: impl Into<String>,

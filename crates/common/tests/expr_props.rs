@@ -6,8 +6,8 @@
 use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::{dates, BinOp, ColumnBatch, Datum, Expr, FuncKind, Row};
 use proptest::prelude::*;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use ic_common::FxBuildHasher;
+use std::hash::BuildHasher;
 
 fn arb_datum() -> impl Strategy<Value = Datum> {
     prop_oneof![
@@ -424,11 +424,8 @@ proptest! {
     #[test]
     fn eq_implies_hash_eq(a in arb_datum(), b in arb_datum()) {
         if a == b {
-            let mut ha = DefaultHasher::new();
-            let mut hb = DefaultHasher::new();
-            a.hash(&mut ha);
-            b.hash(&mut hb);
-            prop_assert_eq!(ha.finish(), hb.finish());
+            let hash = FxBuildHasher::default();
+            prop_assert_eq!(hash.hash_one(&a), hash.hash_one(&b));
         }
     }
 

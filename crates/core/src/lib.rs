@@ -39,6 +39,10 @@
 //! assert_eq!(result.columns.len(), 5);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![expect(clippy::disallowed_methods, reason = "the runtime cap, admission waits, retry backoff and stage timings are wall-clock by design")]
+
 pub mod cluster;
 pub mod governor;
 mod plan_cache;

@@ -177,11 +177,11 @@ impl RebalanceController {
             //    highest replica version (it saw every acknowledged write).
             //    That covers both a dead primary and a stale revived one
             //    that a fresher backup must take over from.
+            #[expect(clippy::expect_used, reason = "`live` is non-empty here by the check above")]
             let best = live
                 .iter()
                 .copied()
                 .max_by_key(|&s| (self.version_sum(&tables, p, s), std::cmp::Reverse(s)))
-                // ic-lint: allow(L001) because `live` is non-empty here by the check above
                 .expect("live owners is non-empty");
             let primary_current = !down.contains(&owners[0])
                 && self.version_sum(&tables, p, owners[0])

@@ -6,10 +6,9 @@
 //! per-operator actuals that agree with the result, and Chrome JSON that
 //! stays structurally sound.
 
-use ic_common::{Datum, Row};
+use ic_common::{Datum, FxHashMap, FxHashSet, Row};
 use ic_core::{Cluster, ClusterConfig, SystemVariant};
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 fn traced_cluster(rows: i64, groups: i64) -> Cluster {
     traced_cluster_with(ClusterConfig::test_default(), rows, groups)
@@ -68,7 +67,7 @@ proptest! {
         // Span tree: closed, nested, categorized.
         trace.validate().expect("span tree well-formed");
         prop_assert_eq!(trace.open_spans(), 0);
-        let cats: HashSet<&'static str> = trace.spans().iter().map(|s| s.cat).collect();
+        let cats: FxHashSet<&'static str> = trace.spans().iter().map(|s| s.cat).collect();
         for cat in ["query", "plan", "exec", "fragment", "operator"] {
             prop_assert!(cats.contains(cat), "missing span category {} for {}", cat, sql);
         }
@@ -114,7 +113,7 @@ proptest! {
 
         let lanes = trace.lanes();
         let spans = trace.spans();
-        let by_id: std::collections::HashMap<_, _> =
+        let by_id: FxHashMap<_, _> =
             spans.iter().map(|s| (s.id, s)).collect();
         for s in spans.iter().filter(|s| s.cat == "operator") {
             let lane_name = &lanes[s.lane as usize];

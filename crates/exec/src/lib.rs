@@ -12,6 +12,9 @@
 //! instance, which runs the instance's operator chain sequentially. Variant
 //! fragments are the only intra-site parallelism.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod fragment;
 pub mod kernels;
 pub mod operators;

@@ -160,8 +160,9 @@ impl ControlBlock {
         if self.lease.is_revoked() {
             return Err(self.fail(self.lease.revoked_error()));
         }
-        // ic-lint: allow(L007) because the deadline check reads the wall clock that defines the runtime cap, not a span timestamp
-        if self.deadline.is_some_and(|d| Instant::now() > d) {
+        #[expect(clippy::disallowed_methods, reason = "the deadline check reads the wall clock that defines the runtime cap, not a span timestamp")]
+        let expired = self.deadline.is_some_and(|d| Instant::now() > d);
+        if expired {
             return Err(self.fail(IcError::ExecTimeout { limit_ms: self.limit_ms }));
         }
         Ok(())
@@ -932,7 +933,7 @@ pub struct HashJoinExec {
 }
 
 impl HashJoinExec {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a join's inputs, keys, residual and control block are all required; a builder would only rename them")]
     pub fn new(
         left: BoxedSource,
         right: BoxedSource,
@@ -1066,7 +1067,7 @@ pub struct MergeJoinExec {
 }
 
 impl MergeJoinExec {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a join's inputs, keys, residual and control block are all required; a builder would only rename them")]
     pub fn new(
         left: BoxedSource,
         right: BoxedSource,
@@ -1408,6 +1409,7 @@ impl RowSource for LimitExec {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "a deadline already passed is an Instant in the past")]
 mod tests {
     use super::*;
     use ic_common::Datum;

@@ -702,7 +702,7 @@ pub fn execute_plan(
     if cfg!(debug_assertions) && plan.has_param() {
         return Err(IcError::Internal("plan template with an unbound parameter executed".into()));
     }
-    // ic-lint: allow(L004) because the exec timeout is the paper's wall-clock runtime cap, not simulated time
+    #[expect(clippy::disallowed_methods, reason = "the exec timeout is the paper's wall-clock runtime cap, not simulated time")]
     let start = Instant::now();
     // This execution's own cross-site traffic, whatever else the cluster
     // ships meanwhile; every sender below counts into it.

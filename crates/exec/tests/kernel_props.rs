@@ -24,8 +24,8 @@ use ic_net::Membership;
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
 use std::sync::Arc;
-use ic_common::hash::{FxHashSet, FxHasher};
-use std::hash::{Hash, Hasher};
+use ic_common::hash::{FxBuildHasher, FxHashSet};
+use std::hash::BuildHasher;
 
 fn canon(mut v: Vec<Row>) -> Vec<Row> {
     v.sort();
@@ -206,11 +206,7 @@ proptest! {
     /// rely on: Int 2, Double 2.0 and the date of day 2 are one value.
     #[test]
     fn equal_datums_hash_equal(a in arb_any_key(), b in arb_any_key()) {
-        let hash = |d: &Datum| {
-            let mut h = FxHasher::default();
-            d.hash(&mut h);
-            h.finish()
-        };
+        let hash = |d: &Datum| FxBuildHasher::default().hash_one(d);
         if a == b {
             prop_assert_eq!(hash(&a), hash(&b));
         }

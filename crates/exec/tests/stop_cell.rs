@@ -3,6 +3,8 @@
 //! [`IcError::Cancelled`] of a thread that merely saw the stop. Every race
 //! here starts at a barrier, so the writers really do contend.
 
+#![expect(clippy::disallowed_methods, reason = "a deadline already passed is an Instant in the past")]
+
 use ic_common::obs::Trace;
 use ic_common::{IcError, MemoryPool};
 use ic_exec::operators::{ControlBlock, ExecObs};

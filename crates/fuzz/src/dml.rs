@@ -166,9 +166,9 @@ fn fresh_cluster(sites: usize) -> Cluster {
         max_retries: 4,
         ..ClusterConfig::test_default()
     });
-    // ic-lint: allow(L001) because the fuzz DDL is a compile-time constant; failure is a harness bug
+    #[expect(clippy::expect_used, reason = "the fuzz DDL is a compile-time constant; failure is a harness bug")]
     cluster.run("CREATE TABLE fz (k BIGINT, v BIGINT, PRIMARY KEY (k))").expect("fuzz DDL");
-    // ic-lint: allow(L001) because the fuzz DDL is a compile-time constant; failure is a harness bug
+    #[expect(clippy::expect_used, reason = "the fuzz DDL is a compile-time constant; failure is a harness bug")]
     cluster.run(&format!("CREATE INDEX {FUZZ_INDEX} ON fz (k)")).expect("fuzz index DDL");
     cluster
 }

@@ -72,7 +72,7 @@ impl Fixture {
     /// the wrong rows and prove nothing.
     pub fn parse(text: &str) -> Result<Fixture, String> {
         let mut notes = Vec::new();
-        let mut kv = std::collections::HashMap::new();
+        let mut kv = ic_common::FxHashMap::default();
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() {

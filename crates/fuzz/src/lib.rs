@@ -25,6 +25,9 @@
 //! run on fresh (never cached) clusters and have their own greedy op-list
 //! minimizer ([`minimize_dml`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod dml;
 pub mod fixture;
 pub mod gen;

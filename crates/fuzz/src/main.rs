@@ -15,6 +15,10 @@
 //! Every failure message leads with the governing seed; `--replay SEED`
 //! reproduces the exact scenario byte-for-byte.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![expect(clippy::disallowed_methods, reason = "the fuzz driver enforces its --max-secs wall-clock cap")]
+
 use ic_fuzz::{minimize, Env, Fixture, Scenario};
 use ic_sql::ast::{Query, TableRef};
 use std::time::Instant;

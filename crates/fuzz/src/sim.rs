@@ -26,11 +26,11 @@
 use crate::gen::{generate_query, SchemaInfo};
 use crate::oracle::{classify, compare_limited, compare_rows, ErrorClass};
 use crate::reference;
+use ic_common::FxHashMap;
 use ic_core::{Cluster, ClusterConfig, NetworkConfig, SystemVariant};
 use ic_net::{FaultPlan, SiteId, SplitMix64};
 use ic_sql::ast::{Query, Statement};
 use ic_sql::{bind_statement, parse_sql, unparse};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -128,8 +128,8 @@ impl Scenario {
 /// loaded cluster costs ~100ms; the cache bounds that to one build per
 /// (schema, sites, variant) triple.
 pub struct Env {
-    clusters: HashMap<(BenchSchema, usize, SystemVariant), Arc<Cluster>>,
-    schemas: HashMap<BenchSchema, SchemaInfo>,
+    clusters: FxHashMap<(BenchSchema, usize, SystemVariant), Arc<Cluster>>,
+    schemas: FxHashMap<BenchSchema, SchemaInfo>,
 }
 
 impl Default for Env {
@@ -140,7 +140,7 @@ impl Default for Env {
 
 impl Env {
     pub fn new() -> Env {
-        Env { clusters: HashMap::new(), schemas: HashMap::new() }
+        Env { clusters: FxHashMap::default(), schemas: FxHashMap::default() }
     }
 
     /// The generator's snapshot of `schema` (built once per schema).
@@ -193,14 +193,14 @@ impl Env {
                 ),
             };
             for stmt in ddl.iter().chain(index_ddl) {
-                // ic-lint: allow(L001) because the embedded bench DDL is a compile-time constant; failure is a fixture bug, not a runtime condition
+                #[expect(clippy::expect_used, reason = "the embedded bench DDL is a compile-time constant; failure is a fixture bug, not a runtime condition")]
                 cluster.run(stmt).expect("bench DDL must load");
             }
             for t in data {
-                // ic-lint: allow(L001) because the generated bench rows are deterministic for a fixed seed; failure is a fixture bug
+                #[expect(clippy::expect_used, reason = "the generated bench rows are deterministic for a fixed seed; failure is a fixture bug")]
                 cluster.insert(t.name, t.rows).expect("bench data must load");
             }
-            // ic-lint: allow(L001) because analyze over freshly loaded constant tables cannot fail unless the fixture itself is broken
+            #[expect(clippy::expect_used, reason = "analyze over freshly loaded constant tables cannot fail unless the fixture itself is broken")]
             cluster.analyze_all().expect("analyze must succeed");
             Arc::new(cluster)
         };

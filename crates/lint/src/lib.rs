@@ -2,10 +2,13 @@
 //!
 //! A std-only tokenizer, item-level parser, workspace symbol table and
 //! cross-crate call graph, with a rule engine enforcing the project
-//! invariants L001–L012 (see [`rules`] for the catalogue and pragma
-//! syntax, and LINTS.md for the rationale of each rule). The crate
+//! invariants clippy cannot express — L005, L006 and L008–L012 (see
+//! [`rules`] for the catalogue and pragma syntax, and LINTS.md for the
+//! rationale of each rule and for the clippy-enforced ones). The crate
 //! deliberately has zero dependencies so it builds before — and
 //! independently of — everything it checks.
+
+#![expect(clippy::disallowed_types, reason = "ic-lint is std-only so it builds before the crates it checks; ic_common's Fx maps are out of reach")]
 
 pub mod callgraph;
 pub mod dataflow;

@@ -21,8 +21,6 @@ pub struct FnItem {
     /// Enclosing `impl` type or `trait` name, if any.
     pub impl_type: Option<String>,
     pub line: u32,
-    /// Token index of the `fn` keyword.
-    pub sig_start: usize,
     /// Token range of the body: `toks[body.0]` is `{`, `toks[body.1 - 1]`
     /// is the matching `}`.
     pub body: Option<(usize, usize)>,
@@ -35,12 +33,6 @@ pub struct UseItem {
     /// Path segments, `::`-split; glob and brace groups are flattened into
     /// the leaf position (e.g. `use a::{b, c};` yields two items).
     pub segments: Vec<String>,
-    pub line: u32,
-}
-
-#[derive(Debug, Clone)]
-pub struct StructItem {
-    pub name: String,
     pub line: u32,
 }
 
@@ -59,7 +51,6 @@ pub struct ParsedFile {
     pub comments: Vec<Comment>,
     pub fns: Vec<FnItem>,
     pub uses: Vec<UseItem>,
-    pub structs: Vec<StructItem>,
     pub enums: Vec<EnumItem>,
 }
 
@@ -74,7 +65,6 @@ pub fn parse_file(path: &str, source: &str) -> ParsedFile {
 pub fn parse_tokens(path: &str, toks: Vec<Tok>, comments: Vec<Comment>) -> ParsedFile {
     let mut fns = Vec::new();
     let mut uses = Vec::new();
-    let mut structs = Vec::new();
     let mut enums = Vec::new();
 
     // Stack of enclosing impl/trait blocks: (type name, brace depth at which
@@ -126,7 +116,6 @@ pub fn parse_tokens(path: &str, toks: Vec<Tok>, comments: Vec<Comment>) -> Parse
                 };
                 let impl_type = ctx.last().map(|c| c.0.clone()).filter(|s| !s.is_empty());
                 let line = t.line;
-                let sig_start = i;
                 // Scan the signature to the body `{` or a `;` (trait decl).
                 let mut j = i + 2;
                 let mut group = 0i32;
@@ -148,7 +137,7 @@ pub fn parse_tokens(path: &str, toks: Vec<Tok>, comments: Vec<Comment>) -> Parse
                 }
                 let span = body
                     .map(|(open, close)| (toks[open].pos, toks[close.saturating_sub(1)].end));
-                fns.push(FnItem { name, impl_type, line, sig_start, body, span });
+                fns.push(FnItem { name, impl_type, line, body, span });
                 // Continue scanning *inside* the body so nested items (and
                 // the impl-context bookkeeping) stay consistent.
                 match body {
@@ -164,14 +153,6 @@ pub fn parse_tokens(path: &str, toks: Vec<Tok>, comments: Vec<Comment>) -> Parse
                 uses.extend(items);
                 i = next;
             }
-            "struct" => {
-                if let Some(nt) = toks.get(i + 1) {
-                    if nt.kind == TokKind::Ident {
-                        structs.push(StructItem { name: nt.text.clone(), line: t.line });
-                    }
-                }
-                i += 1;
-            }
             "enum" => {
                 if let Some((item, next)) = parse_enum(&toks, i) {
                     enums.push(item);
@@ -184,7 +165,7 @@ pub fn parse_tokens(path: &str, toks: Vec<Tok>, comments: Vec<Comment>) -> Parse
         }
     }
 
-    ParsedFile { path: path.to_string(), toks, comments, fns, uses, structs, enums }
+    ParsedFile { path: path.to_string(), toks, comments, fns, uses, enums }
 }
 
 /// Parse an `impl`/`trait` head starting at the keyword. Returns the

@@ -1,7 +1,8 @@
-//! L008/L012 fixture: the expression evaluator's old row fallback — every
-//! selected row rebuilt as a `Row` of `Datum`s and run through the row
-//! interpreter. `crates/common/src/eval.rs` is a kernel root, so the same
-//! rules that keep `ic_exec::kernels` columnar police it.
+//! L008/L012 fixture: the expression evaluator is a kernel root. Linted as
+//! `crates/common/src/eval.rs`, a per-row fallback — every selected row
+//! rebuilt as a `Row` of `Datum`s and run through a row interpreter — trips
+//! the same rules that keep `ic_exec::kernels` columnar; linted anywhere
+//! else in ic-common it does not.
 
 pub fn eval_fallback(e: &Expr, batch: &ColumnBatch) -> IcResult<Arc<Column>> {
     let mut b = ColumnBuilder::new();
@@ -18,7 +19,7 @@ pub fn eval_fallback(e: &Expr, batch: &ColumnBatch) -> IcResult<Arc<Column>> {
 pub fn per_row(n: usize, mut f: impl FnMut(usize) -> IcResult<Datum>) -> IcResult<Column> {
     let mut b = ColumnBuilder::new();
     for i in 0..n {
-        // ic-lint: allow(L008) because the fixture demonstrates the one documented `Any`-column arm
+        // ic-lint: allow(L008) because the fixture demonstrates a justified per-row callback
         b.push_datum(f(i)?);
     }
     Ok(b.finish())

@@ -18,9 +18,8 @@
 //! backup owners.
 
 use crate::topology::SiteId;
-use ic_common::hash::FxHashSet;
+use ic_common::hash::{FxHashMap, FxHashSet};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -356,7 +355,7 @@ pub enum SiteState {
 /// the partition assignment for a query.
 #[derive(Debug, Default)]
 pub struct Liveness {
-    states: Mutex<HashMap<SiteId, SiteState>>,
+    states: Mutex<FxHashMap<SiteId, SiteState>>,
 }
 
 impl Liveness {
@@ -447,7 +446,7 @@ pub struct FaultRecord {
 pub struct FaultInjector {
     plan: FaultPlan,
     clock: AtomicU64,
-    link_seq: Mutex<HashMap<(SiteId, SiteId), u64>>,
+    link_seq: Mutex<FxHashMap<(SiteId, SiteId), u64>>,
     log: Mutex<Vec<FaultRecord>>,
 }
 
@@ -456,7 +455,7 @@ impl FaultInjector {
         Arc::new(FaultInjector {
             plan,
             clock: AtomicU64::new(0),
-            link_seq: Mutex::named(HashMap::new(), "fault.link_seq"),
+            link_seq: Mutex::named(FxHashMap::default(), "fault.link_seq"),
             log: Mutex::named(Vec::new(), "fault.log"),
         })
     }

@@ -18,6 +18,9 @@
 //! crashes sites (updating the shared [`Liveness`] view) and inflates
 //! latency exactly as scheduled.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod channel;
 pub mod fault;
 pub mod membership;
@@ -186,7 +189,7 @@ impl Network {
         Arc::new(Network {
             config,
             stats: NetStats::default(),
-            // ic-lint: allow(L004) because the wire model's clock is anchored here, once; every reservation is an offset from it
+            #[expect(clippy::disallowed_methods, reason = "the wire model's clock is anchored here, once; every reservation is an offset from it")]
             epoch: Instant::now(),
             nics: Mutex::named(Nics::default(), "network.nics"),
             faults: Mutex::named(None, "network.faults"),
@@ -251,7 +254,7 @@ impl Network {
     pub(crate) fn sleep_until(&self, at: u64) {
         let now = self.now_ns();
         if at > now {
-            // ic-lint: allow(L004) because waiting out a modelled delivery time is the one sanctioned wall-clock boundary
+            #[expect(clippy::disallowed_methods, reason = "waiting out a modelled delivery time is the one sanctioned wall-clock boundary")]
             std::thread::sleep(Duration::from_nanos(at - now));
         }
     }
@@ -353,6 +356,7 @@ impl std::fmt::Debug for Network {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the wall-clock lower bounds check that a modelled delivery really waits")]
 mod tests {
     use super::*;
 

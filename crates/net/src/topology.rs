@@ -126,10 +126,10 @@ impl Assignment {
 
     /// The all-sites-up assignment (infallible: with no site down, every
     /// partition has its primary).
+    #[expect(clippy::expect_used, reason = "with no site down every partition keeps its primary owner")]
     pub fn healthy(topology: &Topology) -> Assignment {
         topology
             .assignment(&FxHashSet::default())
-            // ic-lint: allow(L001) because with no site down every partition keeps its primary owner
             .expect("assignment with no down sites cannot fail")
     }
 

@@ -72,7 +72,6 @@ impl WireSize for ColumnBatch {
     /// Exact size of the column-contiguous frame: header, then per column a
     /// tag, a validity flag (plus packed words when any row is NULL), and
     /// one contiguous typed value run covering only the *selected* rows.
-    // ic-lint: allow(L010) because serialization sizing walks the full physical buffer; validity is consulted wherever a value's wire width depends on it
     fn wire_size(&self) -> usize {
         let n = self.num_rows();
         let mut size = 8; // nrows + ncols

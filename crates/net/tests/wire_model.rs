@@ -6,6 +6,8 @@
 //! latency), so its properties are checked exactly. Against the wall clock
 //! only lower bounds are asserted: a sleep can overshoot, never undershoot.
 
+#![expect(clippy::disallowed_methods, reason = "the wall-clock lower bounds check that a modelled delivery really waits")]
+
 use ic_common::obs::Trace;
 use ic_net::{
     net_channel, NetError, NetObs, Network, NetworkConfig, Nics, Reservation, SiteId, WireSize,

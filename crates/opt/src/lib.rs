@@ -21,6 +21,9 @@
 //! * [`params`] — lifting a statement's literals out of its plan and
 //!   binding them back, so the engine's plan cache plans a shape once.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod dml;
 pub mod hep;
 pub mod params;

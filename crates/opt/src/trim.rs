@@ -64,6 +64,7 @@ impl VolcanoPlanner {
         let reqs = node.input_requirements(required);
         let mut children: Vec<Arc<PhysPlan>> =
             node.children().into_iter().zip(&reqs).map(|(c, r)| self.trim_node(c, r)).collect();
+        #[expect(clippy::expect_used, reason = "input_requirements keeps, per input, every column the operator reads from it")]
         let kept = |input: usize, c: usize| {
             pos(&reqs[input], c).expect("an input keeps every column its consumer reads")
         };
@@ -104,6 +105,7 @@ impl VolcanoPlanner {
         if natural == required {
             return trimmed;
         }
+        #[expect(clippy::expect_used, reason = "`natural` lists the rebuilt operator's output, a superset of `required`")]
         let cols: Vec<usize> = required
             .iter()
             .map(|&c| pos(&natural, c).expect("an operator emits every column required of it"))

@@ -170,6 +170,7 @@ impl VolcanoPlanner {
         let child_schemas: Vec<Schema> =
             child_groups.iter().map(|g| self.groups[g.0].schema.clone()).collect();
         let schema_refs: Vec<&Schema> = child_schemas.iter().collect();
+        #[expect(clippy::expect_used, reason = "memo expressions are bound plans or rule rewrites of them, whose schemas derived at bind time; a failure is a planner bug")]
         let schema = derive_logical_schema(&expr, &schema_refs)
             .expect("schema derivation for interned expression");
         let child_props: Vec<&LogicalProps> =
@@ -362,6 +363,7 @@ impl VolcanoPlanner {
     ) -> Arc<PhysPlan> {
         let child_schemas: Vec<Schema> = phys_children(&op).iter().map(|c| c.schema.clone()).collect();
         let schema_refs: Vec<&Schema> = child_schemas.iter().collect();
+        #[expect(clippy::expect_used, reason = "physical operators implement memo expressions whose schemas derived; a failure is a planner bug")]
         let schema = derive_phys_schema(&op, &schema_refs).expect("physical schema derivation");
         let cost = compute_cost(&op, rows, &schema, &dist, &self.ctx);
         let children = phys_children(&op);

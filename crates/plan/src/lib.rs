@@ -18,6 +18,9 @@
 //! * [`explain`] — plan pretty-printing for EXPLAIN and tests.
 //! * [`coerce`] — the implicit-cast lattice the binder applies once.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod coerce;
 pub mod cost;
 pub mod dist;

@@ -500,6 +500,7 @@ impl PhysPlan {
         col: &dyn Fn(usize, usize) -> usize,
     ) -> PhysOp<Arc<PhysPlan>> {
         let mut children = children.into_iter();
+        #[expect(clippy::expect_used, reason = "callers pass exactly one new child per input of this operator")]
         let mut next = || children.next().expect("one new child per input");
         let in0 = |c: usize| col(0, c);
         let keys = |keys: &[usize], i: usize| keys.iter().map(|&k| col(i, k)).collect();

@@ -25,7 +25,9 @@
 
 use crate::ast::*;
 use ic_common::agg::AggFunc;
-use ic_common::{dates, BinOp, ColumnBatch, DataType, Datum, Expr, FuncKind, IcError, IcResult, Row};
+use ic_common::{
+    dates, BinOp, ColumnBatch, DataType, Datum, Expr, FuncKind, FxHashMap, IcError, IcResult, Row,
+};
 use ic_plan::coerce::{coerce_plan, coerce_to};
 use ic_plan::dml::BoundDml;
 use ic_plan::ops::{AggCall, JoinKind, LogicalPlan, RelOp, SortKey};
@@ -760,7 +762,7 @@ impl<'a> Binder<'a> {
     /// Bind an expression over the aggregate's output: group expressions
     /// map to group columns, aggregate calls to aggregate columns,
     /// `$having` placeholders to attached scalar-subquery columns.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the post-aggregate scope is these slices; bundling them would add a type used once")]
     fn bind_post_agg(
         &self,
         expr: &AstExpr,
@@ -1149,14 +1151,6 @@ fn agg_func_of(name: &str, distinct: bool) -> IcResult<AggFunc> {
     })
 }
 
-/// COUNT(*) has no argument — normalize at collection time.
-impl PendingAgg {
-    #[allow(dead_code)]
-    fn is_count_star(&self) -> bool {
-        matches!(self.func, AggFunc::Count | AggFunc::CountStar) && self.arg.is_none()
-    }
-}
-
 fn bind_interval_arith(base: Expr, value: i64, unit: IntervalUnit) -> IcResult<Expr> {
     match unit {
         IntervalUnit::Day => {
@@ -1294,7 +1288,7 @@ fn default_name(expr: &AstExpr, idx: usize) -> String {
 }
 
 fn dedup_names(names: &mut [String]) {
-    let mut seen: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    let mut seen: FxHashMap<String, usize> = FxHashMap::default();
     for n in names.iter_mut() {
         let key = n.to_ascii_lowercase();
         let count = seen.entry(key).or_insert(0);

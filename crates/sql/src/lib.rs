@@ -12,6 +12,9 @@
 //! Q20's doubly-nested correlated pattern) and Star Schema Benchmark
 //! dialects, plus CREATE TABLE / CREATE INDEX DDL.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod ast;
 pub mod binder;
 pub mod lexer;

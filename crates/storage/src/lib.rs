@@ -9,6 +9,9 @@
 //! per-column [`stats::TableStats`] that Ignite serves to Calcite through
 //! its metadata provider hooks (§3.2 of the paper).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod catalog;
 pub mod index;
 pub mod stats;

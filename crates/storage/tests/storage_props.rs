@@ -61,8 +61,8 @@ proptest! {
         let stats = cat.table_stats(t).unwrap();
         prop_assert_eq!(stats.row_count as usize, data.len());
         if !data.is_empty() {
-            let distinct_k: std::collections::HashSet<i64> = data.iter().map(|(k, _)| *k).collect();
-            let distinct_v: std::collections::HashSet<i64> = data.iter().map(|(_, v)| *v).collect();
+            let distinct_k: ic_common::FxHashSet<i64> = data.iter().map(|(k, _)| *k).collect();
+            let distinct_v: ic_common::FxHashSet<i64> = data.iter().map(|(_, v)| *v).collect();
             prop_assert_eq!(stats.columns[0].ndv as usize, distinct_k.len());
             prop_assert_eq!(stats.columns[1].ndv as usize, distinct_v.len());
             let min_v = data.iter().map(|(_, v)| *v).min().unwrap();
