@@ -94,9 +94,10 @@ pub enum IcError {
         found_version: u64,
     },
     /// The partition addressed by a read or write is mid-migration (its
-    /// ownership epoch changed between planning and execution, or its data
-    /// is being copied to a joining site). Retryable: the coordinator
-    /// refreshes the membership snapshot and re-routes.
+    /// owner moved between planning and execution, its data is being copied
+    /// to a joining site, or its primary lags the newest copy). Retryable:
+    /// the coordinator repairs, refreshes the membership snapshot and
+    /// re-routes.
     RebalanceInProgress {
         /// The partition being migrated/promoted.
         partition: usize,

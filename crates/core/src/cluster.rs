@@ -8,7 +8,7 @@ use crate::result::{DmlResult, QueryResult};
 use ic_common::obs::{MetricsRegistry, SpanGuard, Trace, TraceSink};
 use ic_common::{IcError, IcResult, Row, Schema};
 use ic_exec::{execute_plan, ExecOptions, QueryStats};
-use ic_net::{FaultInjector, FaultPlan, Network, NetworkConfig, SiteId, Topology};
+use ic_net::{FaultInjector, FaultPlan, Network, NetworkConfig, SiteId};
 use ic_opt::hep::hep_stage;
 use ic_opt::params;
 use ic_opt::pipeline::volcano_stage;
@@ -146,7 +146,7 @@ pub struct Cluster {
 
 impl Cluster {
     pub fn new(config: ClusterConfig) -> Cluster {
-        let catalog = Catalog::new(Topology::with_backups(config.sites, config.backups));
+        let catalog = Catalog::new(config.sites, config.backups);
         let governor = Governor::new(config.governor.clone());
         Cluster::assemble(config, catalog, governor)
     }
@@ -608,10 +608,11 @@ impl Cluster {
     /// back into a copy, so what executes holds no placeholder.
     ///
     /// Runs every attempt, and a failover replan is a hit: nothing in the
-    /// optimizer reads liveness or membership — a plan depends on the
+    /// optimizer reads liveness or ownership — a plan depends on the
     /// catalog's definitions, statistics and indexes (the per-table plan
-    /// generations an entry is validated against) and on the site *count*,
-    /// fixed at boot. Placement on the sites alive now is `execute_plan`'s.
+    /// generations an entry is validated against) and on the membership
+    /// map's partition *count*, which joins, leaves and failures never
+    /// change. Placement on the sites alive now is `execute_plan`'s.
     /// A planner error is returned, never stored: IC's budget exhaustions
     /// recur on every submission.
     fn plan_query(&self, bound: &Bound, under: Under<'_>) -> IcResult<Planned> {
@@ -1257,6 +1258,43 @@ mod tests {
         assert_eq!(q.rows[0].0[0].as_int(), Some(2000));
         let r = cluster.dml("INSERT INTO t (a, b) VALUES (9001, 3)").unwrap();
         assert_eq!(r.rows_affected, 1);
+    }
+
+    /// Site 1 misses a write, then site 0 — the only holder of that write —
+    /// goes down: the stale copy on site 1 takes over but must not accept
+    /// writes, or their version numbers would collide with the one it
+    /// missed and the resync after site 0 returns would keep the wrong
+    /// history.
+    #[test]
+    fn stale_takeover_refuses_writes_until_the_newest_copy_returns() {
+        let cluster = failover_cluster(2, 1);
+        cluster.kill_site(1);
+        cluster.dml("INSERT INTO t (a, b) VALUES (5000, 1), (5001, 1), (5002, 1), (5003, 1)").unwrap();
+        cluster.kill_site(0);
+        cluster.revive_site(1);
+        let err = cluster.dml("INSERT INTO t (a, b) VALUES (6000, 2), (6001, 2), (6002, 2), (6003, 2)");
+        assert!(matches!(err, Err(IcError::RetriesExhausted { .. })), "{err:?}");
+        cluster.revive_site(0);
+        let q = cluster.query("SELECT count(*) FROM t WHERE a >= 5000 AND a < 5004").unwrap();
+        assert_eq!(q.rows[0].0[0].as_int(), Some(4), "an acknowledged write was lost");
+        let r = cluster.dml("INSERT INTO t (a, b) VALUES (6000, 2)").unwrap();
+        assert_eq!(r.rows_affected, 1);
+    }
+
+    /// A down site that holds the only copy of a write cannot hand it off,
+    /// so leaving keeps its replica (and membership) until it can.
+    #[test]
+    fn down_leaver_keeps_the_only_newest_copy() {
+        let cluster = failover_cluster(2, 1);
+        cluster.kill_site(1);
+        cluster.dml("INSERT INTO t (a, b) VALUES (5000, 1), (5001, 1), (5002, 1), (5003, 1)").unwrap();
+        cluster.kill_site(0);
+        cluster.revive_site(1);
+        cluster.leave_site(0);
+        assert!(cluster.catalog().membership().snapshot().members().contains(&SiteId(0)));
+        cluster.revive_site(0);
+        let q = cluster.query("SELECT count(*) FROM t WHERE a >= 5000").unwrap();
+        assert_eq!(q.rows[0].0[0].as_int(), Some(4), "an acknowledged write was lost");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! generation of each table it scans, read *before* planning started, and
 //! is stale once any has moved
 //! ([`ic_storage::Catalog::plan_generation`]). Which sites are alive is not
-//! part of an entry: the planner never reads liveness or membership (only
-//! `Topology::num_sites`, fixed at boot); `execute_plan` resolves placement
-//! against the surviving sites on every execution.
+//! part of an entry: the planner never reads liveness or ownership (only
+//! the membership map's partition count, fixed for the cluster's life);
+//! `execute_plan` resolves placement against the surviving sites on every
+//! execution.
 
 use ic_common::hash::FxHashMap;
 use ic_common::obs::{Counter, MetricsRegistry};

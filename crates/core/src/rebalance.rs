@@ -188,7 +188,7 @@ impl RebalanceController {
                     >= self.version_sum(&tables, p, best);
             if !primary_current && best != owners[0] {
                 let guards: Vec<_> = tables.iter().map(|d| d.write_guard(p)).collect();
-                if membership.promote(p, best).is_some() {
+                if membership.promote(p, best) {
                     metrics().promotions.inc();
                     report.promotions += 1;
                 }
@@ -412,7 +412,13 @@ impl RebalanceController {
                     }
                 }
             }
-            if !handed_off {
+            // A down leaver is no source at all: when it holds the newest
+            // copy, and no other owner — live or down — holds one as new,
+            // its replica stays until it can hand off.
+            let leaver = self.version_sum(&tables, p, site);
+            let newest_elsewhere =
+                owners.iter().any(|&s| s != site && self.version_sum(&tables, p, s) >= leaver);
+            if !handed_off || (!survivors.is_empty() && !newest_elsewhere) {
                 clean = false;
                 continue;
             }

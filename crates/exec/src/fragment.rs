@@ -200,7 +200,7 @@ impl<'p> Walk<'p, '_> {
 pub(crate) mod tests {
     use super::*;
     use ic_common::{DataType, Field, Schema};
-    use ic_net::Topology;
+    use ic_net::Membership;
     use ic_plan::cost::Cost;
     use ic_plan::ops::SortKey;
     use ic_storage::TableId;
@@ -231,6 +231,11 @@ pub(crate) mod tests {
         node(PhysOp::Exchange { input, to: to.clone() }, to)
     }
 
+    /// The all-sites-up assignment of a `sites`-site cluster.
+    pub(crate) fn healthy(sites: usize) -> Assignment {
+        Membership::new(sites, 0).assignment(&Default::default()).unwrap()
+    }
+
     /// The paper's Figure 5: scan → exchange → join at a single site
     /// yields three fragments (two scan fragments, one root).
     #[test]
@@ -246,7 +251,7 @@ pub(crate) mod tests {
             },
             Distribution::Single,
         );
-        let assignment = Assignment::healthy(&Topology::new(4));
+        let assignment = healthy(4);
         let p = place(&join, &assignment, 1, false);
         assert_eq!(p.fragments.len(), 3);
         assert_eq!(p.exchanges.len(), 2);
@@ -278,7 +283,7 @@ pub(crate) mod tests {
             },
             Distribution::Single,
         );
-        let assignment = Assignment::healthy(&Topology::new(2));
+        let assignment = healthy(2);
         let p = place(&join, &assignment, 1, true);
         assert_eq!((p.fragments.len(), p.exchanges.len(), p.nodes.len()), (3, 2, 5));
         assert_eq!((p.fragments[1].root.id, p.fragments[2].root.id), (2, 4));
@@ -290,7 +295,7 @@ pub(crate) mod tests {
     #[test]
     fn no_exchange_single_fragment() {
         let s = scan(Distribution::Single);
-        let assignment = Assignment::healthy(&Topology::new(2));
+        let assignment = healthy(2);
         let p = place(&s, &assignment, 1, false);
         assert_eq!(p.fragments.len(), 1);
         assert!(p.exchanges.is_empty());
@@ -307,7 +312,7 @@ pub(crate) mod tests {
         );
         let ex2 = exchange(f, Distribution::Single);
         let sort = node(PhysOp::Sort { input: ex2, keys: vec![SortKey::asc(0)] }, Distribution::Single);
-        let assignment = Assignment::healthy(&Topology::new(2));
+        let assignment = healthy(2);
         let p = place(&sort, &assignment, 1, false);
         assert_eq!(p.fragments.len(), 3);
         // middle fragment (filter) runs at all sites, between the two exchanges
@@ -321,9 +326,8 @@ pub(crate) mod tests {
     fn dead_site_excluded_from_fragment_placement() {
         let ex = exchange(scan(Distribution::Hash(vec![0])), Distribution::Single);
         let sort = node(PhysOp::Sort { input: ex, keys: vec![SortKey::asc(0)] }, Distribution::Single);
-        let topo = Topology::with_backups(4, 1);
         let down = [SiteId(2)].into_iter().collect();
-        let assignment = topo.assignment(&down).unwrap();
+        let assignment = Membership::new(4, 1).assignment(&down).unwrap();
         let p = place(&sort, &assignment, 1, false);
         assert!(matches!(&p.fragments[1].root.plan.op, PhysOp::TableScan { .. }));
         assert_eq!(p.fragments[1].sites, vec![SiteId(0), SiteId(1), SiteId(3)]);

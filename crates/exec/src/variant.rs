@@ -62,10 +62,9 @@ pub(crate) fn assign_modes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::tests::{exchange, node, scan as scan_with};
+    use crate::fragment::tests::{exchange, healthy, node, scan as scan_with};
     use crate::fragment::{place, Placement};
     use ic_common::Expr;
-    use ic_net::{Assignment, Topology};
     use ic_plan::ops::SortKey;
     use ic_plan::Distribution;
 
@@ -75,7 +74,7 @@ mod tests {
 
     /// `plan` placed on two sites with two variants requested.
     fn placed(plan: &Arc<PhysPlan>) -> Placement<'_> {
-        place(plan, &Assignment::healthy(&Topology::new(2)), 2, false)
+        place(plan, &healthy(2), 2, false)
     }
 
     /// `root` as the root of fragment 1: node 1, below the exchange at node 0.

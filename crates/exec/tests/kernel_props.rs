@@ -19,7 +19,6 @@ use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, Row, Schema, N
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::{gather_join_output, ColGroupTable};
 use ic_exec::operators::{drain, AggExec, ControlBlock, HashJoinExec, NestedLoopJoinExec};
-use ic_net::topology::Topology;
 use ic_net::Membership;
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
@@ -220,8 +219,7 @@ proptest! {
     #[test]
     fn routing_consistent_across_layers(key in arb_any_key(), payload in -50i64..50) {
         let h = ColumnBatch::from_rows(&[Row(vec![key, Datum::Int(payload)])]).hash_keys(&[0])[0];
-        let topo = Topology::with_partitions_per_site(4, 8);
-        let map = Membership::from_topology(&topo).snapshot();
+        let map = Membership::new(4, 0).snapshot();
         let assignment = map.assignment(&FxHashSet::default()).unwrap();
         prop_assert_eq!(map.primary_of(map.partition_of_hash(h)), assignment.site_for_hash(h));
     }

@@ -7,7 +7,7 @@ use ic_common::{ColumnBatch, DataType, Datum, Expr, Field, IcError, Row, Schema}
 use ic_exec::runtime::{ExchangeCore, Msg};
 use ic_exec::{execute_plan, ExecOptions, SourceMode};
 use ic_net::{
-    net_channel, Assignment, FaultPlan, NetStats, Network, NetworkConfig, SiteId, Topology,
+    net_channel, Assignment, FaultPlan, Membership, NetStats, Network, NetworkConfig, SiteId,
     WireSize, TICK_FOREVER,
 };
 use ic_opt::optimize_query;
@@ -15,9 +15,10 @@ use ic_plan::ops::{AggCall, JoinKind, LogicalPlan, PhysOp, PhysPlan, RelOp};
 use ic_plan::{Distribution, PlannerFlags};
 use ic_storage::{Catalog, TableDistribution};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn setup(sites: usize) -> (Arc<Catalog>, Arc<Network>) {
-    let cat = Catalog::new(Topology::new(sites));
+    let cat = Catalog::new(sites, 0);
     let schema = Schema::new(vec![
         Field::new("k", DataType::Int),
         Field::new("g", DataType::Int),
@@ -138,7 +139,7 @@ fn link_fault_fails_cleanly() {
 #[test]
 fn dead_site_served_by_backup_owner() {
     let cat = {
-        let cat = Catalog::new(Topology::with_backups(4, 1));
+        let cat = Catalog::new(4, 1);
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int),
             Field::new("g", DataType::Int),
@@ -328,6 +329,11 @@ const SITES: usize = 4;
 /// own site consumes, and cross-site links to everyone else.
 const PRODUCER: SiteId = SiteId(1);
 
+/// The all-sites-up assignment the exchange routes by.
+fn healthy() -> Assignment {
+    Membership::new(SITES, 0).assignment(&Default::default()).unwrap()
+}
+
 /// What one receiver endpoint saw of one producer instance.
 struct Link {
     site: SiteId,
@@ -364,7 +370,7 @@ fn ship(
             receivers.push((site, rx));
         }
     }
-    let assignment = Arc::new(Assignment::healthy(&Topology::new(SITES)));
+    let assignment = Arc::new(healthy());
     let mut core = ExchangeCore::new(to.clone(), assignment, endpoints, mode, None);
     for piece in rows.chunks(chunk) {
         core.send_batch(ColumnBatch::from_rows(piece)).unwrap();
@@ -375,7 +381,7 @@ fn ship(
         .into_iter()
         .map(|(site, mut rx)| {
             let mut msgs = Vec::new();
-            while let Ok(msg) = rx.recv() {
+            while let Ok(msg) = rx.recv_timeout(Duration::from_secs(10)) {
                 let size = msg.wire_size();
                 msgs.push(match msg {
                     Msg::Batch { rows, last } => (rows.to_rows(), last, size),
@@ -402,7 +408,7 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 fn check_protocol(to: &Distribution, mode: SourceMode, variants: usize, rows: &[Row]) {
     let label = format!("{to:?} {mode:?} x{variants}, {} rows", rows.len());
     let (links, (messages, bytes), local) = ship(to, mode, variants, rows, BATCH_SIZE / 4);
-    let assignment = Assignment::healthy(&Topology::new(SITES));
+    let assignment = healthy();
     let (mut cross_msgs, mut cross_bytes, mut local_msgs) = (0u64, 0u64, 0u64);
     for link in &links {
         // Exactly one final message from the producer instance, and nothing
@@ -499,7 +505,7 @@ fn hash_exchange_batches_per_destination() {
     check_protocol(&to, SourceMode::Duplicator, 1, &rows);
     let (links, (messages, _), _) = ship(&to, SourceMode::Duplicator, 1, &rows, BATCH_SIZE / 4);
     let hash = ColumnBatch::from_rows(&rows[..1]).hash_keys(&[0])[0];
-    let home = Assignment::healthy(&Topology::new(SITES)).site_for_hash(hash);
+    let home = healthy().site_for_hash(hash);
     for link in &links {
         assert_eq!(link.msgs.len(), if link.site == home { 4 } else { 1 }, "at {}", link.site);
     }

@@ -176,7 +176,9 @@ fn fresh_cluster(sites: usize) -> Cluster {
 const FUZZ_INDEX: &str = "fz_k";
 
 /// The table as an `IndexScan` would serve it right now: per partition, the
-/// index's sorted run for the replica a query reads (the first live owner).
+/// index's sorted run for the replica a query reads (the partition's owner
+/// in the membership's assignment over the live sites, as `execute_plan`
+/// resolves it).
 /// The planner only picks index scans for tables far larger than the fuzz
 /// table, so the oracle reads the runs directly. `Ok(None)` when some
 /// partition has no live replica; `Err` when a run is not in key order.
@@ -189,9 +191,12 @@ fn index_read(cluster: &Cluster) -> Result<Option<Vec<(i64, i64)>>, String> {
     };
     let (data, index) = handles().ok_or("fuzz table or index missing from the catalog")?;
     let down = cluster.network().liveness().down_sites();
+    let Ok(assignment) = catalog.membership().assignment(&down) else {
+        return Ok(None);
+    };
     let mut rows = Vec::new();
     for p in 0..data.num_partitions() {
-        let Some(store) = catalog.live_owner(p, &down).and_then(|s| data.replica(p, s)) else {
+        let Some(store) = data.replica(p, assignment.owner_of_partition(p)) else {
             return Ok(None);
         };
         let before = rows.len();

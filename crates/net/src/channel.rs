@@ -161,17 +161,6 @@ impl<T> Clone for NetSender<T> {
 }
 
 impl<T> NetReceiver<T> {
-    /// Blocking receive, waiting for the message to land; `Err(Disconnected)`
-    /// when all senders dropped and nothing is left.
-    pub fn recv(&mut self) -> Result<T, NetError> {
-        let (due, payload) = match self.held.take() {
-            Some(held) => held,
-            None => self.rx.recv().map_err(|_| NetError::Disconnected)?,
-        };
-        self.net.sleep_until(due);
-        Ok(payload)
-    }
-
     /// Receive with a timeout, used by the executor's runtime-limit checks.
     /// Never hands a message out before it is due and never waits past
     /// `timeout`: a message that will not have landed by then is held, and
@@ -200,13 +189,17 @@ mod tests {
     use super::*;
     use crate::{FaultPlan, NetworkConfig, TICK_FOREVER};
     use ic_common::{ColumnBatch, Datum, Row};
+
+    /// Long enough for any message of these tests to land.
+    const WAIT: Duration = Duration::from_secs(10);
+
     #[test]
     fn send_recv_roundtrip() {
         let net = Network::new(NetworkConfig::instant());
         let (tx, mut rx) = net_channel::<ColumnBatch>(net.clone(), SiteId(0), SiteId(1), 4);
         let batch = ColumnBatch::from_rows(&[Row(vec![Datum::Int(1)])]);
         assert_eq!(tx.send(batch.clone()), Ok(batch.wire_size()));
-        assert_eq!(rx.recv().unwrap().to_rows(), batch.to_rows());
+        assert_eq!(rx.recv_timeout(WAIT).unwrap().to_rows(), batch.to_rows());
         let (msgs, _, _) = net.stats.snapshot();
         assert_eq!(msgs, 1);
     }
@@ -225,7 +218,7 @@ mod tests {
         let tally = Arc::new(NetStats::default());
         let (tx, mut rx) = net_channel::<Unsizable>(net.clone(), SiteId(2), SiteId(2), 4);
         assert_eq!(tx.with_tally(tally.clone()).send(Unsizable), Ok(0));
-        assert!(rx.recv().is_ok());
+        assert!(rx.recv_timeout(WAIT).is_ok());
         assert_eq!(net.stats.snapshot(), (0, 0, 1));
         assert_eq!(tally.snapshot(), (0, 0, 0));
     }
@@ -235,7 +228,7 @@ mod tests {
         let net = Network::new(NetworkConfig::instant());
         let (tx, mut rx) = net_channel::<ColumnBatch>(net, SiteId(0), SiteId(1), 4);
         drop(tx);
-        assert_eq!(rx.recv().unwrap_err(), NetError::Disconnected);
+        assert_eq!(rx.recv_timeout(WAIT).unwrap_err(), NetError::Disconnected);
     }
 
     #[test]
@@ -276,7 +269,7 @@ mod tests {
             }
         });
         let mut total = 0;
-        while let Ok(b) = rx.recv() {
+        while let Ok(b) = rx.recv_timeout(WAIT) {
             total += b.num_rows();
         }
         h.join().unwrap();

@@ -431,15 +431,6 @@ pub enum FaultDecision {
     SiteDown(SiteId),
 }
 
-/// A record of one non-trivial injector decision, for chaos reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRecord {
-    pub tick: u64,
-    pub src: SiteId,
-    pub dst: SiteId,
-    pub decision: FaultDecision,
-}
-
 /// Replays a [`FaultPlan`] against the live message stream. The logical
 /// clock advances by one tick per consulted transfer.
 #[derive(Debug)]
@@ -447,7 +438,6 @@ pub struct FaultInjector {
     plan: FaultPlan,
     clock: AtomicU64,
     link_seq: Mutex<FxHashMap<(SiteId, SiteId), u64>>,
-    log: Mutex<Vec<FaultRecord>>,
 }
 
 impl FaultInjector {
@@ -456,7 +446,6 @@ impl FaultInjector {
             plan,
             clock: AtomicU64::new(0),
             link_seq: Mutex::named(FxHashMap::default(), "fault.link_seq"),
-            log: Mutex::named(Vec::new(), "fault.log"),
         })
     }
 
@@ -467,12 +456,6 @@ impl FaultInjector {
     /// Current logical time (ticks = cross-site transfers consulted).
     pub fn now(&self) -> u64 {
         self.clock.load(Ordering::Relaxed)
-    }
-
-    /// Drop/crash/latency decisions recorded so far (delivered messages
-    /// are not logged).
-    pub fn fault_log(&self) -> Vec<FaultRecord> {
-        self.log.lock().clone()
     }
 
     /// Decide the fate of one `src → dst` transfer, advancing the logical
@@ -527,11 +510,7 @@ impl FaultInjector {
                 _ => {}
             }
         }
-        let decision = verdict.unwrap_or(FaultDecision::Deliver { delay_factor: factor });
-        if decision != (FaultDecision::Deliver { delay_factor: 1 }) {
-            self.log.lock().push(FaultRecord { tick, src, dst, decision });
-        }
-        decision
+        verdict.unwrap_or(FaultDecision::Deliver { delay_factor: factor })
     }
 
     /// Recompute every crash-affected site's state at the current tick —
@@ -632,7 +611,7 @@ mod tests {
         assert_eq!(live.state(SiteId(2)), SiteState::Dead);
         inj.refresh(&live);
         assert_eq!(live.state(SiteId(2)), SiteState::Dead);
-        assert!(!inj.fault_log().is_empty());
+        assert_eq!(inj.decide(SiteId(2), SiteId(1), &live), FaultDecision::SiteDown(SiteId(2)));
     }
 
     #[test]

@@ -12,9 +12,14 @@
 //! large relations (the paper's §5.1.1 fully-distributed joins) are rewarded
 //! exactly as on real hardware.
 //!
+//! Every message takes one of two calls, both charged by the one wire and
+//! fault model: an exchange message goes through [`NetSender::send`] (and
+//! is received with [`NetReceiver::recv_timeout`]), a write's or a
+//! rebalance's copy through [`Network::replicate`].
+//!
 //! The network also hosts the deterministic fault layer: install a seeded
 //! [`FaultPlan`] with [`Network::install_faults`] and every cross-site
-//! transfer consults the replayable [`FaultInjector`], which drops messages,
+//! message consults the replayable [`FaultInjector`], which drops messages,
 //! crashes sites (updating the shared [`Liveness`] view) and inflates
 //! latency exactly as scheduled.
 
@@ -29,11 +34,11 @@ pub mod wire;
 
 pub use channel::{net_channel, NetError, NetObs, NetReceiver, NetSender};
 pub use fault::{
-    FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRecord, Liveness,
-    SiteState, SplitMix64, TICK_FOREVER,
+    FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultPlan, Liveness, SiteState,
+    SplitMix64, TICK_FOREVER,
 };
 pub use membership::{Membership, ReplicaMap};
-pub use topology::{Assignment, FailoverError, SiteId, Topology};
+pub use topology::{Assignment, FailoverError, SiteId};
 pub use wire::WireSize;
 
 use parking_lot::Mutex;
@@ -249,8 +254,8 @@ impl Network {
 
     /// Block the calling thread until [`Network::now_ns`] reads `at`: the
     /// one place simulated wire time is spent on a real thread — a
-    /// receiver's wait for a message to land, or a synchronous transfer's
-    /// for its own.
+    /// receiver's wait for a message to land, or a replication's for its
+    /// own.
     pub(crate) fn sleep_until(&self, at: u64) {
         let now = self.now_ns();
         if at > now {
@@ -259,19 +264,13 @@ impl Network {
         }
     }
 
-    /// Ship `bytes` from `src` to `dst` and wait until they have landed.
-    pub fn transfer(&self, src: SiteId, dst: SiteId, bytes: usize) -> Result<(), NetError> {
-        self.charge(Traffic::Exchange, src, dst, bytes, None)
-            .map(|r| self.sleep_until(r.deliver_at))
-    }
-
     /// Ship a replication message (a write's effect ops, or one rebalance
     /// chunk) from `src` to `dst` and wait for it to land: replication is
-    /// synchronous. Same fault and wire model as [`transfer`](Self::transfer)
-    /// — link drops and site crashes hit real writes, and the message takes
-    /// its turn on `src`'s NIC — but accounted to the `net.replicate.*`
-    /// traffic class so the replication overhead is separable from query
-    /// exchange.
+    /// synchronous. Same fault and wire model as an exchange message sent
+    /// through [`NetSender::send`] — link drops and site crashes hit real
+    /// writes, and the message takes its turn on `src`'s NIC — but accounted
+    /// to the `net.replicate.*` traffic class so the replication overhead is
+    /// separable from query exchange.
     pub fn replicate(&self, src: SiteId, dst: SiteId, bytes: usize) -> Result<(), NetError> {
         self.charge(Traffic::Replicate, src, dst, bytes, None)
             .map(|r| self.sleep_until(r.deliver_at))
@@ -371,8 +370,8 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let net = Network::new(NetworkConfig::instant());
-        assert!(net.transfer(SiteId(0), SiteId(1), 100).is_ok());
-        assert!(net.transfer(SiteId(0), SiteId(0), 100).is_ok());
+        assert!(net.replicate(SiteId(0), SiteId(1), 100).is_ok());
+        assert!(net.replicate(SiteId(0), SiteId(0), 100).is_ok());
         let (msgs, bytes, local) = net.stats.snapshot();
         assert_eq!((msgs, bytes, local), (1, 100, 1));
     }
@@ -381,17 +380,17 @@ mod tests {
     fn fault_plan_fails_link_and_clears() {
         let net = Network::new(NetworkConfig::instant());
         net.install_faults(FaultPlan::new(1).drop_link(SiteId(0), SiteId(2), 1.0, 0, TICK_FOREVER));
-        assert!(net.transfer(SiteId(0), SiteId(1), 10).is_ok());
-        assert_eq!(net.transfer(SiteId(0), SiteId(2), 10), Err(NetError::LinkFault));
+        assert!(net.replicate(SiteId(0), SiteId(1), 10).is_ok());
+        assert_eq!(net.replicate(SiteId(0), SiteId(2), 10), Err(NetError::LinkFault));
         net.clear_faults();
-        assert!(net.transfer(SiteId(0), SiteId(2), 10).is_ok());
+        assert!(net.replicate(SiteId(0), SiteId(2), 10).is_ok());
     }
 
     #[test]
     fn site_crash_updates_liveness() {
         let net = Network::new(NetworkConfig::instant());
         net.install_faults(FaultPlan::new(1).crash(SiteId(1), 0));
-        assert_eq!(net.transfer(SiteId(0), SiteId(1), 10), Err(NetError::SiteDead(SiteId(1))));
+        assert_eq!(net.replicate(SiteId(0), SiteId(1), 10), Err(NetError::SiteDead(SiteId(1))));
         assert_eq!(net.liveness().state(SiteId(1)), SiteState::Dead);
         assert!(net.liveness().down_sites().contains(&SiteId(1)));
         net.clear_faults();
@@ -423,7 +422,7 @@ mod tests {
         let net = Network::new(cfg);
         net.install_faults(FaultPlan::new(1).latency_spike(4, 0, TICK_FOREVER));
         let start = std::time::Instant::now();
-        assert!(net.transfer(SiteId(0), SiteId(1), 10).is_ok());
+        assert!(net.replicate(SiteId(0), SiteId(1), 10).is_ok());
         assert!(start.elapsed() >= Duration::from_millis(20));
     }
 }

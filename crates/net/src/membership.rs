@@ -1,17 +1,22 @@
-//! Elastic cluster membership: an epoch-versioned replica map that replaces
-//! the static round-robin placement of [`Topology`] once sites can join,
-//! leave, and fail while the cluster serves queries and writes.
+//! Cluster membership and partition placement — the one authority for which
+//! site holds which partition.
 //!
-//! The [`ReplicaMap`] is an immutable snapshot (who is a member, and for
-//! every partition the ordered owner list — primary first, then backups).
-//! [`Membership`] wraps the current map behind a lock and hands out `Arc`
-//! snapshots, so readers and the write path plan against a consistent view
-//! while the rebalance controller installs new maps. Every mutation bumps a
-//! global epoch and stamps the touched partition, letting in-flight writes
-//! detect that ownership moved underneath them (surfaced as
-//! `RebalanceInProgress` and retried against the fresh map).
+//! [`Membership::new`] writes the boot layout, Ignite's affinity function:
+//! one hash partition per site, partition `p`'s primary on site `p`, and
+//! `backups` copies on the next sites round-robin. The [`ReplicaMap`] is an
+//! immutable snapshot (who is a member, and for every partition the ordered
+//! owner list — primary first, then backups). [`Membership`] wraps the
+//! current map behind a lock and hands out `Arc` snapshots, so readers and
+//! the write path plan against a consistent view while the rebalance
+//! controller installs new maps as sites join, leave and fail.
+//! [`ReplicaMap::assignment`] is the one partition → live-site resolution.
+//!
+//! The map carries no version: a write that races an ownership change is
+//! kept consistent by the partition's write guard in `ic-storage`, which the
+//! controller holds around every owner-list change, so a snapshot read
+//! under the guard cannot go stale mid-write.
 
-use crate::topology::{Assignment, FailoverError, SiteId, Topology};
+use crate::topology::{partition_of_hash, Assignment, FailoverError, SiteId};
 use ic_common::hash::FxHashSet;
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -19,27 +24,21 @@ use std::sync::Arc;
 /// One immutable snapshot of cluster membership and partition ownership.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaMap {
-    /// Monotone version; bumps on every membership or ownership change.
-    epoch: u64,
     /// Sites currently in the cluster, ascending. A crashed site stays a
     /// member (its recovery is a liveness event); a *departed* site is
     /// removed here and scrubbed from every owner list.
     members: Vec<SiteId>,
     /// Per partition: ordered owner list, primary first, then backups.
     owners: Vec<Vec<SiteId>>,
-    /// The epoch at which each partition's owner list last changed.
-    owners_epoch: Vec<u64>,
 }
 
 impl ReplicaMap {
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     pub fn members(&self) -> &[SiteId] {
         &self.members
     }
 
+    /// The partition count, fixed for the lifetime of the cluster (only
+    /// *ownership* is elastic).
     pub fn num_partitions(&self) -> usize {
         self.owners.len()
     }
@@ -54,16 +53,9 @@ impl ReplicaMap {
         self.owners[partition][0]
     }
 
-    /// The epoch at which `partition`'s owner list last changed. Writers
-    /// capture this when routing and re-check before commit.
-    pub fn partition_epoch(&self, partition: usize) -> u64 {
-        self.owners_epoch[partition]
-    }
-
-    /// Route a key hash to its partition (partition count is fixed for the
-    /// lifetime of the cluster; only *ownership* is elastic).
+    /// Route a key hash to its partition.
     pub fn partition_of_hash(&self, hash: u64) -> usize {
-        (hash % self.owners.len() as u64) as usize
+        partition_of_hash(hash, self.owners.len())
     }
 
     /// Partitions for which `site` appears anywhere in the owner list.
@@ -73,8 +65,8 @@ impl ReplicaMap {
 
     /// Compute the live partition→owner map: each partition is served by its
     /// first owner that is a member and not in `down` — the one
-    /// failover-resolution algorithm ([`Topology::assignment`] seeds a map
-    /// from the boot placement and asks it).
+    /// failover-resolution algorithm. Fails when a partition has no live
+    /// copy, or no member survives.
     pub fn assignment(&self, down: &FxHashSet<SiteId>) -> Result<Assignment, FailoverError> {
         let live: Vec<SiteId> =
             self.members.iter().copied().filter(|s| !down.contains(s)).collect();
@@ -100,7 +92,7 @@ impl ReplicaMap {
                 }
             }
         }
-        Ok(Assignment::from_parts(live, coordinator, owner_of))
+        Ok(Assignment { live, coordinator, owner_of })
     }
 }
 
@@ -117,21 +109,19 @@ pub struct Membership {
 }
 
 impl Membership {
-    /// Seed membership from the static boot topology: all sites are
-    /// members, owner lists follow the round-robin primary+backup layout.
-    pub fn from_topology(topology: &Topology) -> Membership {
-        let owners: Vec<Vec<SiteId>> =
-            (0..topology.num_partitions()).map(|p| topology.owners_of_partition(p)).collect();
-        let n = owners.len();
+    /// The boot layout of a `sites`-site cluster: every site a member, one
+    /// partition per site, partition `p` owned by site `p` and then by the
+    /// next `backups` sites round-robin. `backups` is capped at `sites - 1`:
+    /// more copies than other sites is meaningless.
+    pub fn new(sites: usize, backups: usize) -> Membership {
+        assert!(sites > 0, "cluster needs at least one site");
+        let backups = backups.min(sites - 1);
+        let owners =
+            (0..sites).map(|p| (0..=backups).map(|i| SiteId((p + i) % sites)).collect()).collect();
         Membership {
-            target_backups: topology.backups(),
+            target_backups: backups,
             map: RwLock::named(
-                Arc::new(ReplicaMap {
-                    epoch: 1,
-                    members: topology.sites().collect(),
-                    owners,
-                    owners_epoch: vec![1; n],
-                }),
+                Arc::new(ReplicaMap { members: (0..sites).map(SiteId).collect(), owners }),
                 "membership.map",
             ),
         }
@@ -147,28 +137,21 @@ impl Membership {
         Arc::clone(&self.map.read())
     }
 
-    pub fn epoch(&self) -> u64 {
-        self.map.read().epoch
-    }
-
     /// Convenience: assignment of the *current* map against `down`.
     pub fn assignment(&self, down: &FxHashSet<SiteId>) -> Result<Assignment, FailoverError> {
         self.snapshot().assignment(down)
     }
 
-    fn mutate(&self, f: impl FnOnce(&mut ReplicaMap)) -> u64 {
+    fn mutate(&self, f: impl FnOnce(&mut ReplicaMap)) {
         let mut guard = self.map.write();
         let mut next: ReplicaMap = (**guard).clone();
-        next.epoch += 1;
         f(&mut next);
-        let epoch = next.epoch;
         *guard = Arc::new(next);
-        epoch
     }
 
     /// Admit a site into the cluster (no data moves yet — the controller
     /// migrates partitions to it afterwards). Idempotent.
-    pub fn add_member(&self, site: SiteId) -> u64 {
+    pub fn add_member(&self, site: SiteId) {
         self.mutate(|m| {
             if !m.members.contains(&site) {
                 m.members.push(site);
@@ -178,47 +161,36 @@ impl Membership {
     }
 
     /// Remove a departed site: scrub it from membership and from every
-    /// owner list it appears in (stamping those partitions). The controller
-    /// re-replicates the lost copies afterwards.
-    pub fn remove_member(&self, site: SiteId) -> u64 {
+    /// owner list it appears in. The controller re-replicates the lost
+    /// copies afterwards.
+    pub fn remove_member(&self, site: SiteId) {
         self.mutate(|m| {
             m.members.retain(|s| *s != site);
-            let epoch = m.epoch;
-            for p in 0..m.owners.len() {
-                let before = m.owners[p].len();
-                m.owners[p].retain(|s| *s != site);
-                if m.owners[p].len() != before {
-                    m.owners_epoch[p] = epoch;
-                }
+            for owners in &mut m.owners {
+                owners.retain(|s| *s != site);
             }
         })
     }
 
-    /// Promote `site` to primary of `partition` (it must already be an
-    /// owner). Returns the new epoch, or `None` if `site` is not an owner.
-    pub fn promote(&self, partition: usize, site: SiteId) -> Option<u64> {
+    /// Promote `site` to primary of `partition`. Returns `false`, changing
+    /// nothing, if `site` is not an owner.
+    pub fn promote(&self, partition: usize, site: SiteId) -> bool {
         let mut promoted = false;
-        let epoch = self.mutate(|m| {
+        self.mutate(|m| {
             if let Some(pos) = m.owners[partition].iter().position(|s| *s == site) {
-                if pos != 0 {
-                    m.owners[partition].remove(pos);
-                    m.owners[partition].insert(0, site);
-                }
-                m.owners_epoch[partition] = m.epoch;
+                let owner = m.owners[partition].remove(pos);
+                m.owners[partition].insert(0, owner);
                 promoted = true;
             }
         });
-        promoted.then_some(epoch)
+        promoted
     }
 
     /// Install a new owner list for `partition` (used by re-replication and
-    /// chunked migration when the copy finishes). Returns the new epoch.
-    pub fn set_owners(&self, partition: usize, owners: Vec<SiteId>) -> u64 {
+    /// chunked migration when the copy finishes).
+    pub fn set_owners(&self, partition: usize, owners: Vec<SiteId>) {
         assert!(!owners.is_empty(), "a partition must keep at least one owner");
-        self.mutate(|m| {
-            m.owners[partition] = owners;
-            m.owners_epoch[partition] = m.epoch;
-        })
+        self.mutate(|m| m.owners[partition] = owners)
     }
 }
 
@@ -230,51 +202,100 @@ mod tests {
         sites.iter().map(|&s| SiteId(s)).collect()
     }
 
+    /// The boot layout of every small cluster shape against the round-robin
+    /// rule: partition `p`'s owners are sites `p, p+1, …` (mod `sites`),
+    /// `min(backups, sites - 1) + 1` of them, and with every site up each
+    /// partition is served by its primary, coordinated from site 0.
     #[test]
     fn seeds_from_topology() {
-        let t = Topology::with_backups(4, 1);
-        let m = Membership::from_topology(&t);
-        let map = m.snapshot();
-        assert_eq!(map.epoch(), 1);
-        assert_eq!(map.members().len(), 4);
+        for sites in 1..=8 {
+            for backups in 0..=3 {
+                let shape = format!("{sites} sites, {backups} backups");
+                let m = Membership::new(sites, backups);
+                let map = m.snapshot();
+                let copies = backups.min(sites - 1) + 1;
+                assert_eq!(m.target_backups(), copies - 1, "{shape}");
+                assert_eq!(map.members(), (0..sites).map(SiteId).collect::<Vec<_>>(), "{shape}");
+                assert_eq!(map.num_partitions(), sites, "{shape}");
+                let a = map.assignment(&FxHashSet::default()).unwrap();
+                assert_eq!(a.coordinator(), SiteId(0), "{shape}");
+                assert_eq!(a.live_sites(), map.members(), "{shape}");
+                for p in 0..sites {
+                    let round_robin: Vec<SiteId> =
+                        (p..p + copies).map(|s| SiteId(s % sites)).collect();
+                    assert_eq!(map.owners_of(p), round_robin, "{shape}, partition {p}");
+                    assert_eq!(a.owner_of_partition(p), SiteId(p), "{shape}, partition {p}");
+                    assert_eq!(a.partitions_of(SiteId(p)), vec![p], "{shape}, partition {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_sites_panics() {
+        Membership::new(0, 0);
+    }
+
+    #[test]
+    fn backup_owners_round_robin() {
+        let map = Membership::new(4, 1).snapshot();
         assert_eq!(map.owners_of(0), &[SiteId(0), SiteId(1)]);
         assert_eq!(map.owners_of(3), &[SiteId(3), SiteId(0)]);
-        let a = map.assignment(&FxHashSet::default()).unwrap();
-        for p in 0..map.num_partitions() {
-            assert_eq!(a.owner_of_partition(p), map.primary_of(p));
+        // Backups capped at sites - 1.
+        let m = Membership::new(2, 5);
+        assert_eq!(m.target_backups(), 1);
+        assert_eq!(m.snapshot().owners_of(1), &[SiteId(1), SiteId(0)]);
+    }
+
+    /// Both routes of a key hash — the storage route's partition and the
+    /// exchange route's site — stay in range and agree, also under failover.
+    #[test]
+    fn hash_routing_in_range() {
+        let map = Membership::new(4, 1).snapshot();
+        let a = map.assignment(&down(&[2])).unwrap();
+        for h in [0u64, 1, 2, 17, u64::MAX] {
+            let p = map.partition_of_hash(h);
+            assert!(p < map.num_partitions());
+            assert_eq!(a.site_for_hash(h), a.owner_of_partition(p));
         }
     }
 
     #[test]
     fn assignment_skips_down_primaries() {
-        let t = Topology::with_backups(4, 1);
-        let m = Membership::from_topology(&t);
-        let a = m.assignment(&down(&[2])).unwrap();
+        let a = Membership::new(4, 1).assignment(&down(&[2])).unwrap();
         assert_eq!(a.owner_of_partition(2), SiteId(3));
         assert_eq!(a.live_sites().len(), 3);
     }
 
     #[test]
-    fn promote_moves_backup_to_front_and_stamps_partition() {
-        let t = Topology::with_backups(4, 1);
-        let m = Membership::from_topology(&t);
-        let before = m.snapshot().partition_epoch(2);
-        let epoch = m.promote(2, SiteId(3)).unwrap();
+    fn coordinator_fails_over() {
+        let m = Membership::new(3, 2);
+        let a = m.assignment(&down(&[0])).unwrap();
+        assert_eq!(a.coordinator(), SiteId(1));
+        // All partitions still covered.
+        for p in 0..a.num_partitions() {
+            assert_ne!(a.owner_of_partition(p), SiteId(0));
+        }
+    }
+
+    #[test]
+    fn promote_moves_backup_to_front() {
+        let m = Membership::new(4, 1);
+        assert!(m.promote(2, SiteId(3)));
         let map = m.snapshot();
         assert_eq!(map.primary_of(2), SiteId(3));
         assert_eq!(map.owners_of(2), &[SiteId(3), SiteId(2)]);
-        assert!(map.partition_epoch(2) > before);
-        assert_eq!(map.partition_epoch(2), epoch);
-        // Other partitions keep their stamp.
-        assert_eq!(map.partition_epoch(0), 1);
-        // Promoting a non-owner is refused.
-        assert_eq!(m.promote(2, SiteId(1)), None);
+        // Other partitions keep their owners.
+        assert_eq!(map.owners_of(0), &[SiteId(0), SiteId(1)]);
+        // Promoting a non-owner is refused and changes nothing.
+        assert!(!m.promote(2, SiteId(1)));
+        assert_eq!(m.snapshot(), map);
     }
 
     #[test]
     fn join_then_set_owners_extends_ownership() {
-        let t = Topology::with_backups(2, 1);
-        let m = Membership::from_topology(&t);
+        let m = Membership::new(2, 1);
         m.add_member(SiteId(2));
         assert_eq!(m.snapshot().members(), &[SiteId(0), SiteId(1), SiteId(2)]);
         // Idempotent join.
@@ -290,8 +311,7 @@ mod tests {
 
     #[test]
     fn remove_member_scrubs_owner_lists() {
-        let t = Topology::with_backups(3, 1);
-        let m = Membership::from_topology(&t);
+        let m = Membership::new(3, 1);
         m.remove_member(SiteId(1));
         let map = m.snapshot();
         assert_eq!(map.members(), &[SiteId(0), SiteId(2)]);
@@ -305,8 +325,7 @@ mod tests {
 
     #[test]
     fn partition_without_live_owner_is_lost() {
-        let t = Topology::with_backups(3, 0);
-        let m = Membership::from_topology(&t);
+        let m = Membership::new(3, 0);
         match m.assignment(&down(&[1])) {
             Err(FailoverError::PartitionLost { partition, primary, replicas }) => {
                 assert_eq!((partition, primary, replicas), (1, SiteId(1), 0));
@@ -317,8 +336,7 @@ mod tests {
 
     #[test]
     fn all_members_down_reports_coordinator() {
-        let t = Topology::with_backups(2, 1);
-        let m = Membership::from_topology(&t);
+        let m = Membership::new(2, 1);
         assert_eq!(
             m.assignment(&down(&[0, 1])),
             Err(FailoverError::NoLiveSites { coordinator: SiteId(0) })

@@ -3,9 +3,7 @@
 //! sequence), and failover assignments must stay total whenever the
 //! backup count covers the dead-site count.
 
-use ic_net::{
-    FaultInjector, FaultPlan, Liveness, SiteId, Topology, TICK_FOREVER,
-};
+use ic_net::{FaultInjector, FaultPlan, Liveness, Membership, SiteId, TICK_FOREVER};
 use proptest::prelude::*;
 use ic_common::hash::FxHashSet;
 
@@ -93,32 +91,39 @@ proptest! {
         dead_raw in prop::collection::hash_set(0usize..9, 0..4),
     ) {
         let backups = backups.min(sites - 1);
-        let topology = Topology::with_backups(sites, backups);
+        let map = Membership::new(sites, backups).snapshot();
         let dead: FxHashSet<SiteId> = dead_raw
             .into_iter()
             .map(|s| SiteId(s % sites))
             .take(backups)
             .collect();
-        let assignment = topology.assignment(&dead).unwrap();
+        let assignment = map.assignment(&dead).unwrap();
         for site in assignment.live_sites() {
             prop_assert!(!dead.contains(site));
         }
         prop_assert!(!dead.contains(&assignment.coordinator()));
-        for p in 0..topology.num_partitions() {
+        for p in 0..map.num_partitions() {
             let owner = assignment.owner_of_partition(p);
             prop_assert!(!dead.contains(&owner));
-            prop_assert!(topology.owners_of_partition(p).contains(&owner));
+            prop_assert!(map.owners_of(p).contains(&owner));
         }
     }
 }
 
 /// `net.transfer.latency_ns` / `net.transfer.bandwidth_ns` are the two terms
-/// of `NetworkConfig::transfer_delay`, each × the fault layer's delay factor;
-/// a same-site transfer adds to neither. (The counters are process-wide: no
-/// other test in this binary makes a transfer, so the deltas are exact.)
+/// of `NetworkConfig::wire_terms`, each × the fault layer's delay factor;
+/// a same-site send adds to neither. (The counters are process-wide: no
+/// other test in this binary sends an exchange message, so the deltas are
+/// exact.)
 #[test]
 fn wire_charge_splits_into_latency_and_bandwidth() {
-    use ic_net::{Network, NetworkConfig};
+    use ic_net::{net_channel, Network, NetworkConfig, WireSize};
+    struct Blob(usize);
+    impl WireSize for Blob {
+        fn wire_size(&self) -> usize {
+            self.0
+        }
+    }
     let counter = |name| ic_common::obs::MetricsRegistry::global().counter(name);
     let (latency, bandwidth) =
         (counter("net.transfer.latency_ns"), counter("net.transfer.bandwidth_ns"));
@@ -129,7 +134,9 @@ fn wire_charge_splits_into_latency_and_bandwidth() {
     net.install_faults(FaultPlan::new(1).latency_spike(2, 0, TICK_FOREVER));
     let before = (latency.get(), bandwidth.get());
     // 500 B at 1 MB/s = 500 µs; the spike doubles both terms.
-    net.transfer(SiteId(0), SiteId(1), 500).unwrap();
-    net.transfer(SiteId(1), SiteId(1), 500).unwrap();
+    let (cross, _cross_rx) = net_channel::<Blob>(net.clone(), SiteId(0), SiteId(1), 1);
+    let (local, _local_rx) = net_channel::<Blob>(net, SiteId(1), SiteId(1), 1);
+    cross.send(Blob(500)).unwrap();
+    local.send(Blob(500)).unwrap();
     assert_eq!((latency.get() - before.0, bandwidth.get() - before.1), (600_000, 1_000_000));
 }

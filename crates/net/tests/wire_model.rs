@@ -127,7 +127,7 @@ fn a_message_never_lands_early() {
     let (tx, mut rx) = net_channel::<Blob>(slow_network(), SiteId(0), SiteId(1), 4);
     let sent = Instant::now();
     tx.send(Blob(1_000)).unwrap();
-    rx.recv().unwrap();
+    rx.recv_timeout(Duration::from_secs(10)).unwrap();
     assert!(sent.elapsed() >= Duration::from_millis(30), "landed after {:?}", sent.elapsed());
 }
 
@@ -144,7 +144,7 @@ fn back_to_back_sends_share_their_site_nic() {
         tx.send(Blob(1_000)).unwrap();
     }
     for (_, mut rx) in links {
-        rx.recv().unwrap();
+        rx.recv_timeout(Duration::from_secs(10)).unwrap();
     }
     let floor = Duration::from_millis(N as u64 * 10 + 20);
     assert!(sent.elapsed() >= floor, "{N} messages landed after {:?}", sent.elapsed());

@@ -89,12 +89,11 @@ fn collect_equalities(e: &Expr, pinned: &mut [Option<Datum>]) {
 mod tests {
     use super::*;
     use ic_common::{DataType, Field, Schema};
-    use ic_net::Topology;
     use ic_storage::TableId;
     use std::sync::Arc;
 
     fn setup() -> (Arc<Catalog>, TableId, TableId) {
-        let cat = Catalog::new(Topology::with_backups(4, 1));
+        let cat = Catalog::new(4, 1);
         let schema = Schema::new(vec![
             Field::new("id", DataType::Int),
             Field::new("v", DataType::Int),

@@ -95,14 +95,13 @@ mod tests {
     use super::*;
     use ic_common::agg::AggFunc;
     use ic_common::{DataType, Datum, Expr, Field, Row, Schema};
-    use ic_net::Topology;
     use ic_plan::ops::{AggCall, JoinKind, PhysOp, RelOp, SortKey};
     use ic_plan::Distribution;
     use ic_storage::TableDistribution;
 
     /// Build a catalog with two partitioned tables and one replicated one.
     fn catalog(sites: usize) -> Arc<Catalog> {
-        let cat = Catalog::new(Topology::new(sites));
+        let cat = Catalog::new(sites, 0);
         let mk_schema = |name: &str, cols: usize| {
             Schema::new((0..cols).map(|i| Field::new(format!("{name}{i}"), DataType::Int)).collect())
         };

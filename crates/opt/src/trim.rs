@@ -122,13 +122,12 @@ mod tests {
     use super::*;
     use ic_common::agg::AggFunc;
     use ic_common::{BinOp, DataType, Field, Schema};
-    use ic_net::Topology;
     use ic_plan::ops::{AggCall, AggPhase, JoinKind};
     use ic_plan::PlannerFlags;
     use ic_storage::{Catalog, IndexId, TableId};
 
     fn planner() -> VolcanoPlanner {
-        VolcanoPlanner::new(Catalog::new(Topology::new(4)), PlannerFlags::ic_plus(), false, 1)
+        VolcanoPlanner::new(Catalog::new(4, 0), PlannerFlags::ic_plus(), false, 1)
     }
 
     fn schema(name: &str, cols: usize) -> Schema {

@@ -96,7 +96,10 @@ impl VolcanoPlanner {
         reorder: bool,
         budget_factor: u64,
     ) -> VolcanoPlanner {
-        let sites = catalog.topology().num_sites();
+        // The cost model's fan-out: the partition count, which never changes
+        // for the life of a cluster (only ownership moves) and, one
+        // partition per site, is the boot site count.
+        let sites = catalog.membership().snapshot().num_partitions();
         VolcanoPlanner {
             catalog,
             ctx: CostContext { flags, sites },

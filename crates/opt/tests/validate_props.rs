@@ -5,7 +5,6 @@
 
 use ic_common::agg::AggFunc;
 use ic_common::{BinOp, DataType, Datum, Expr, Field, Row, Schema};
-use ic_net::Topology;
 use ic_opt::optimize_query;
 use ic_plan::ops::{JoinKind, LogicalPlan, PhysOp, PhysPlan, RelOp};
 use ic_plan::{AggCall, Distribution, PlannerFlags};
@@ -16,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 fn catalog() -> &'static Arc<Catalog> {
     static CAT: OnceLock<Arc<Catalog>> = OnceLock::new();
     CAT.get_or_init(|| {
-        let cat = Catalog::new(Topology::new(4));
+        let cat = Catalog::new(4, 0);
         let schema = |p: &str| {
             Schema::new(vec![
                 Field::new(format!("{p}_k"), DataType::Int),

@@ -339,7 +339,7 @@ mod tests {
     fn values_and_limit_props() {
         use crate::ops::RelOp;
         use ic_common::{DataType, Field, Row, Schema};
-        let cat = Catalog::new(ic_net::Topology::new(2));
+        let cat = Catalog::new(2, 0);
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
         let v: RelOp<u32> = RelOp::Values {
             schema,

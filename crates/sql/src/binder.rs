@@ -1316,11 +1316,10 @@ mod tests {
     use super::*;
     use crate::parser::parse_sql;
     use ic_common::{Field, Schema};
-    use ic_net::Topology;
     use ic_storage::TableDistribution;
 
     fn catalog() -> Arc<Catalog> {
-        let cat = Catalog::new(Topology::new(2));
+        let cat = Catalog::new(2, 0);
         let t = |name: &str, cols: &[(&str, DataType)]| {
             let schema =
                 Schema::new(cols.iter().map(|(n, t)| Field::new(*n, *t)).collect());

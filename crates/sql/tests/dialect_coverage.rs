@@ -3,7 +3,6 @@
 //! schemas, pinning the SQL surface the paper's workload needs.
 
 use ic_common::IcError;
-use ic_net::Topology;
 use ic_sql::ast::Statement;
 use ic_sql::{bind_statement, data_type_of, parse_sql};
 use ic_storage::{Catalog, TableDistribution};
@@ -12,7 +11,7 @@ use std::sync::Arc;
 /// Build a catalog directly from DDL text (mirrors ic-core's DDL handling
 /// without depending on it).
 fn catalog_from_ddl(ddl: &[&str]) -> Arc<Catalog> {
-    let cat = Catalog::new(Topology::new(2));
+    let cat = Catalog::new(2, 0);
     for stmt in ddl {
         match parse_sql(stmt).unwrap() {
             Statement::CreateTable(ct) => {

@@ -6,9 +6,9 @@ use crate::table::TableData;
 use crate::write::split;
 use ic_common::row::BATCH_SIZE;
 use ic_common::{ColumnBatch, IcError, IcResult, Row, Schema};
-use ic_net::{Membership, SiteId, Topology};
+use ic_net::{Membership, SiteId};
 use parking_lot::RwLock;
-use ic_common::hash::{FxHashMap, FxHashSet};
+use ic_common::hash::FxHashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ impl fmt::Display for TableId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TableDistribution {
     /// Hash-partitioned on the given key columns (partitioned cache mode;
-    /// the topology's `backups` setting controls how many replica copies
+    /// the cluster's `backups` setting controls how many replica copies
     /// each partition keeps on other sites — the paper benchmarks zero).
     HashPartitioned { key_cols: Vec<usize> },
     /// Full copy on every site (replicated cache mode).
@@ -93,10 +93,9 @@ struct IndexEntry {
 /// The cluster-wide catalog: schema metadata, data handles, statistics and
 /// indexes. Shared (`Arc`) by every simulated site.
 pub struct Catalog {
-    topology: Topology,
     /// Elastic membership: the live replica map queries and writes route
-    /// by. Seeded from `topology` and mutated by the rebalance controller
-    /// as sites join, leave, and fail.
+    /// by. Seeded with the boot layout and mutated by the rebalance
+    /// controller as sites join, leave, and fail.
     membership: Arc<Membership>,
     tables: RwLock<Vec<TableEntry>>,
     table_names: RwLock<FxHashMap<String, TableId>>,
@@ -104,23 +103,15 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    pub fn new(topology: Topology) -> Arc<Catalog> {
-        let membership = Arc::new(Membership::from_topology(&topology));
+    /// The catalog of a `sites`-site cluster keeping `backups` copies of
+    /// every partition ([`Membership::new`]'s layout).
+    pub fn new(sites: usize, backups: usize) -> Arc<Catalog> {
         Arc::new(Catalog {
-            topology,
-            membership,
+            membership: Arc::new(Membership::new(sites, backups)),
             tables: RwLock::named(Vec::new(), "catalog.tables"),
             table_names: RwLock::named(FxHashMap::default(), "catalog.table_names"),
             indexes: RwLock::named(Vec::new(), "catalog.indexes"),
         })
-    }
-
-    /// The boot topology: fixes the partition count and the simulated
-    /// network size. Ownership questions should go to
-    /// [`membership`](Self::membership), which stays current under
-    /// join/leave/failure.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// The elastic replica map shared by planner, executor and the
@@ -279,22 +270,6 @@ impl Catalog {
         entry.indexes.iter().map(|id| indexes[id.0].def.clone()).collect()
     }
 
-    /// Number of partition *sites* a scan of this table fans out over —
-    /// the paper's `dataPartitionSites` in Algorithm 2 (1 for replicated).
-    pub fn partition_sites(&self, table: TableId) -> usize {
-        match self.table_def(table).map(|d| d.distribution) {
-            Some(TableDistribution::HashPartitioned { .. }) => self.topology.num_sites(),
-            _ => 1,
-        }
-    }
-
-    /// All sites holding a copy of `partition` (primary first, then the
-    /// backup replicas) — Ignite's affinity function, read from the live
-    /// membership map so promotions and migrations are reflected.
-    pub fn partition_owners(&self, partition: usize) -> Vec<SiteId> {
-        self.membership.snapshot().owners_of(partition).to_vec()
-    }
-
     /// Fold a committed write into the table's statistics without a full
     /// ANALYZE: exact row-count deltas, min/max widened by inserted values,
     /// NDV adjusted by bounded estimates. Keeps the Volcano cost model
@@ -324,12 +299,6 @@ impl Catalog {
     /// this catalog need no invalidation callback.
     pub fn plan_generation(&self, table: TableId) -> u64 {
         self.tables.read().get(table.0).map_or(0, |e| e.plan_generation)
-    }
-
-    /// Resolve `partition` to a live owner, skipping sites in `down`.
-    /// `None` when the primary and every backup copy are down.
-    pub fn live_owner(&self, partition: usize, down: &FxHashSet<SiteId>) -> Option<SiteId> {
-        self.partition_owners(partition).into_iter().find(|s| !down.contains(s))
     }
 }
 
@@ -380,7 +349,7 @@ mod tests {
 
     #[test]
     fn create_and_lookup() {
-        let cat = Catalog::new(Topology::new(4));
+        let cat = Catalog::new(4, 0);
         let id = cat
             .create_table("T", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();
@@ -394,7 +363,7 @@ mod tests {
 
     #[test]
     fn insert_widens_ints_into_double_columns() {
-        let cat = Catalog::new(Topology::new(2));
+        let cat = Catalog::new(2, 0);
         let schema = Schema::new(vec![
             Field::new("id", DataType::Int),
             Field::new("price", DataType::Double),
@@ -417,7 +386,7 @@ mod tests {
 
     #[test]
     fn insert_rejects_rows_that_do_not_fit_the_schema() {
-        let cat = Catalog::new(Topology::new(2));
+        let cat = Catalog::new(2, 0);
         let dist = TableDistribution::HashPartitioned { key_cols: vec![0] };
         let id = cat.create_table("t", schema(), vec![0], dist).unwrap();
         let bad_kind = vec![Row(vec![Datum::Int(1), Datum::Int(7)])];
@@ -432,7 +401,7 @@ mod tests {
 
     #[test]
     fn insert_partitions_rows() {
-        let cat = Catalog::new(Topology::new(4));
+        let cat = Catalog::new(4, 0);
         let id = cat
             .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();
@@ -448,7 +417,7 @@ mod tests {
 
     #[test]
     fn replicated_single_copy() {
-        let cat = Catalog::new(Topology::new(4));
+        let cat = Catalog::new(4, 0);
         let id = cat
             .create_table("r", schema(), vec![0], TableDistribution::Replicated)
             .unwrap();
@@ -456,12 +425,11 @@ mod tests {
         let data = cat.table_data(id).unwrap();
         assert_eq!(data.num_partitions(), 1);
         assert_eq!(data.total_rows(), 10);
-        assert_eq!(cat.partition_sites(id), 1);
     }
 
     #[test]
     fn analyze_computes_stats() {
-        let cat = Catalog::new(Topology::new(2));
+        let cat = Catalog::new(2, 0);
         let id = cat
             .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();
@@ -472,21 +440,31 @@ mod tests {
         assert_eq!(stats.columns[0].ndv, 100);
     }
 
+    /// A table's partitions are hosted where the catalog's membership
+    /// places them, and a read resolves each to a live copy through
+    /// `ReplicaMap::assignment`.
     #[test]
     fn live_owner_resolution_uses_backups() {
-        let cat = Catalog::new(Topology::with_backups(4, 1));
-        assert_eq!(cat.partition_owners(2), vec![SiteId(2), SiteId(3)]);
-        let none_down = FxHashSet::default();
-        assert_eq!(cat.live_owner(2, &none_down), Some(SiteId(2)));
-        let primary_down: FxHashSet<SiteId> = [SiteId(2)].into_iter().collect();
-        assert_eq!(cat.live_owner(2, &primary_down), Some(SiteId(3)));
-        let both_down: FxHashSet<SiteId> = [SiteId(2), SiteId(3)].into_iter().collect();
-        assert_eq!(cat.live_owner(2, &both_down), None);
+        use ic_common::hash::FxHashSet;
+        use ic_net::FailoverError;
+        let cat = Catalog::new(4, 1);
+        let dist = TableDistribution::HashPartitioned { key_cols: vec![0] };
+        let id = cat.create_table("t", schema(), vec![0], dist).unwrap();
+        let data = cat.table_data(id).unwrap();
+        assert!(data.replica(2, SiteId(2)).is_some() && data.replica(2, SiteId(3)).is_some());
+        assert!(data.replica(2, SiteId(0)).is_none());
+        let owner = |down: &[usize]| {
+            let down: FxHashSet<SiteId> = down.iter().map(|&s| SiteId(s)).collect();
+            cat.membership().assignment(&down).map(|a| a.owner_of_partition(2))
+        };
+        assert_eq!(owner(&[]), Ok(SiteId(2)));
+        assert_eq!(owner(&[2]), Ok(SiteId(3)));
+        assert!(matches!(owner(&[2, 3]), Err(FailoverError::PartitionLost { partition: 2, .. })));
     }
 
     #[test]
     fn index_creation_and_rebuild() {
-        let cat = Catalog::new(Topology::new(2));
+        let cat = Catalog::new(2, 0);
         let id = cat
             .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();

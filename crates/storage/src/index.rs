@@ -169,6 +169,7 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::on_one_site;
     use crate::catalog::{IndexId, TableId};
     use ic_common::{DataType, Field, Schema};
 
@@ -179,7 +180,7 @@ mod tests {
 
     fn setup() -> (Index, TableData) {
         let schema = Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Int)]);
-        let data = TableData::new(2, schema);
+        let data = on_one_site(2, schema);
         // Unsorted inserts across two partitions.
         data.load(pairs(&[(5, 50), (1, 10), (3, 30)]).map(|b| (0, b)));
         data.load(pairs(&[(4, 40), (2, 20), (2, 21)]).map(|b| (1, b)));
@@ -219,7 +220,7 @@ mod tests {
     fn sorted_partition_is_its_own_run() {
         let (ix, data) = setup();
         let rows: Vec<(i64, i64)> = (10..20).map(|k| (k, 0)).collect();
-        let sorted = TableData::new(1, data.schema().clone());
+        let sorted = on_one_site(1, data.schema().clone());
         sorted.load(pairs(&rows).map(|b| (0, b)));
         let store = sorted.store(0);
         assert!(Arc::ptr_eq(&ix.run_for(0, &store), store.chunks()));

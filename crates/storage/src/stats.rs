@@ -119,6 +119,7 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::on_one_site;
     use ic_common::{DataType, Field, Row, Schema};
 
     fn batch(types: &[DataType], rows: Vec<Row>) -> [ColumnBatch; 1] {
@@ -129,7 +130,7 @@ mod tests {
     fn compute_counts() {
         let schema = Schema::new(vec![Field::new("a", DataType::Int), Field::new("b", DataType::Str)]);
         let types = schema.types();
-        let data = TableData::new(2, schema);
+        let data = on_one_site(2, schema);
         let p0 = vec![Row(vec![Datum::Int(1), Datum::str("x")]), Row(vec![Datum::Int(2), Datum::Null])];
         let p1 = vec![Row(vec![Datum::Int(1), Datum::str("y")]), Row(vec![Datum::Int(3), Datum::str("x")])];
         data.load(batch(&types, p0).map(|b| (0, b)));
@@ -151,7 +152,7 @@ mod tests {
     fn compute_pins_typed_columns() {
         let types = [DataType::Int, DataType::Double, DataType::Str];
         let schema = Schema::new(types.iter().map(|&t| Field::new("c", t)).collect());
-        let data = TableData::new(2, schema);
+        let data = on_one_site(2, schema);
         let row = |i: Option<i64>, d: Option<f64>, s: Option<&str>| {
             let (i, d) = (i.map_or(Datum::Null, Datum::Int), d.map_or(Datum::Null, Datum::Double));
             Row(vec![i, d, s.map_or(Datum::Null, Datum::str)])
@@ -186,7 +187,7 @@ mod tests {
     fn incremental_write_folding() {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
         let ints = [DataType::Int];
-        let data = TableData::new(1, schema);
+        let data = on_one_site(1, schema);
         data.load(batch(&ints, (0..10).map(|i| Row(vec![Datum::Int(i)])).collect()).map(|b| (0, b)));
         let s = TableStats::compute(&data);
         // Insert widens min/max and grows count/ndv.

@@ -156,15 +156,6 @@ pub struct TableData {
 }
 
 impl TableData {
-    /// Single-replica layout with partition `p` hosted on site `p` — the
-    /// unit-test convenience constructor. Production tables are created via
-    /// [`new_with_owners`](Self::new_with_owners) from the membership map.
-    pub fn new(num_partitions: usize, schema: Schema) -> TableData {
-        let owners: Vec<Vec<SiteId>> =
-            (0..num_partitions.max(1)).map(|p| vec![SiteId(p)]).collect();
-        TableData::new_with_owners(schema, &owners)
-    }
-
     /// Layout with each partition hosted on the given owner sites (primary
     /// first, then backups), as decided by the membership replica map.
     pub fn new_with_owners(schema: Schema, owners: &[Vec<SiteId>]) -> TableData {
@@ -298,9 +289,14 @@ impl TableData {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ic_common::{DataType, Datum, Field, Row};
+
+    /// A table of `partitions` partitions, each one copy on site 0.
+    pub(crate) fn on_one_site(partitions: usize, schema: Schema) -> TableData {
+        TableData::new_with_owners(schema, &vec![vec![SiteId(0)]; partitions])
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![Field::new("x", DataType::Int)])
@@ -317,7 +313,7 @@ mod tests {
 
     #[test]
     fn insert_and_scan() {
-        let t = TableData::new(2, schema());
+        let t = on_one_site(2, schema());
         t.load(ints([1]).map(|b| (0, b)));
         t.load(ints([2, 3]).map(|b| (1, b)));
         assert_eq!(t.total_rows(), 3);
@@ -327,7 +323,7 @@ mod tests {
 
     #[test]
     fn snapshot_isolated_from_later_inserts() {
-        let t = TableData::new(1, schema());
+        let t = on_one_site(1, schema());
         t.load(ints([1]).map(|b| (0, b)));
         let snap = t.store(0);
         t.load(ints([2]).map(|b| (0, b)));
@@ -337,7 +333,7 @@ mod tests {
 
     #[test]
     fn bulk_load_packs_full_chunks_and_tops_up_the_tail() {
-        let t = TableData::new(1, schema());
+        let t = on_one_site(1, schema());
         t.load(ints(0..BATCH_SIZE as i64 + 10).map(|b| (0, b)));
         let first = t.store(0);
         t.load(ints(0..2 * BATCH_SIZE as i64).map(|b| (0, b)));
@@ -372,7 +368,7 @@ mod tests {
 
     #[test]
     fn concurrent_scans() {
-        let t = Arc::new(TableData::new(4, schema()));
+        let t = Arc::new(on_one_site(4, schema()));
         for p in 0..4 {
             t.load(ints(0..100).map(|b| (p, b)));
         }

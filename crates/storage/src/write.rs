@@ -354,6 +354,16 @@ fn write_partition(
         // (migration mid-flight).
         return Err(IcError::RebalanceInProgress { partition });
     };
+    // Versions name one history only while every write commits on top of
+    // the partition's newest copy. A primary that lags an owner — it took
+    // over while the site holding the newest copy was down — would number
+    // its commits like writes it never saw, and no later resync could tell
+    // the two apart: acknowledged writes would be lost. Refuse until a
+    // repair pass promotes a holder of the newest copy.
+    let newer = |s: &SiteId| data.replica(partition, *s).is_some_and(|r| r.version() > store.version());
+    if owners[1..].iter().any(newer) {
+        return Err(IcError::RebalanceInProgress { partition });
+    }
     let (new_store, affected) = apply_op(&store, op, data.schema(), primary_key)?;
     if affected == 0 {
         return Ok((0, false));
@@ -486,14 +496,14 @@ mod tests {
     use super::*;
     use crate::catalog::TableDistribution;
     use ic_common::{BinOp, DataType, Datum, Field, Row, Schema};
-    use ic_net::{FaultPlan, NetworkConfig, Topology};
+    use ic_net::{FaultPlan, NetworkConfig};
 
     fn schema() -> Schema {
         Schema::new(vec![Field::new("id", DataType::Int), Field::new("v", DataType::Int)])
     }
 
     fn setup(backups: usize) -> (Arc<Catalog>, Arc<Network>, TableId) {
-        let cat = Catalog::new(Topology::with_backups(4, backups));
+        let cat = Catalog::new(4, backups);
         let net = Network::new(NetworkConfig::instant());
         let id = cat
             .create_table(
@@ -628,7 +638,7 @@ mod tests {
         // the single live member — the write acks on the primary alone,
         // flagged degraded so the caller re-replicates when capacity
         // returns.
-        let cat = Catalog::new(Topology::with_backups(2, 1));
+        let cat = Catalog::new(2, 1);
         let net = Network::new(NetworkConfig::instant());
         let id = cat
             .create_table(
@@ -657,7 +667,7 @@ mod tests {
 
     #[test]
     fn replicated_table_write_broadcasts() {
-        let cat = Catalog::new(Topology::with_backups(3, 1));
+        let cat = Catalog::new(3, 1);
         let net = Network::new(NetworkConfig::instant());
         let id = cat
             .create_table("r", schema(), vec![0], TableDistribution::Replicated)

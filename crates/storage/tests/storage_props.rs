@@ -4,7 +4,6 @@
 
 use ic_common::row::BATCH_SIZE;
 use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, Row, Schema};
-use ic_net::Topology;
 use ic_storage::write::apply_op;
 use ic_storage::{Catalog, PartStore, TableDistribution, WriteOp};
 use proptest::prelude::*;
@@ -31,7 +30,7 @@ proptest! {
     #[test]
     fn partition_routing(data in proptest::collection::vec((0i64..500, -100i64..100), 1..120),
                          sites in 1usize..9) {
-        let cat = Catalog::new(Topology::new(sites));
+        let cat = Catalog::new(sites, 0);
         let t = cat
             .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();
@@ -52,7 +51,7 @@ proptest! {
     /// Statistics equal brute-force counts.
     #[test]
     fn stats_match_brute_force(data in proptest::collection::vec((0i64..50, -10i64..10), 0..100)) {
-        let cat = Catalog::new(Topology::new(4));
+        let cat = Catalog::new(4, 0);
         let t = cat
             .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();
@@ -78,7 +77,7 @@ proptest! {
         len in 0i64..30,
     ) {
         let hi = lo + len;
-        let cat = Catalog::new(Topology::new(3));
+        let cat = Catalog::new(3, 0);
         let t = cat
             .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();
@@ -109,7 +108,7 @@ proptest! {
     /// Index partitions are sorted after every rebuild.
     #[test]
     fn index_sorted_after_rebuild(data in proptest::collection::vec((0i64..40, -40i64..40), 0..80)) {
-        let cat = Catalog::new(Topology::new(2));
+        let cat = Catalog::new(2, 0);
         let t = cat
             .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();
