@@ -1281,6 +1281,82 @@ mod tests {
         assert_eq!(r.rows_affected, 1);
     }
 
+    /// Four sites, one backup, two empty hash tables `t1` and `t2`, and two
+    /// keys (one per table) that route to partition 0, owned by sites 0
+    /// and 1.
+    fn two_tables_on_partition_0() -> (Cluster, i64, i64) {
+        let cluster = Cluster::new(ClusterConfig { sites: 4, backups: 1, ..ClusterConfig::test_default() });
+        for t in ["t1", "t2"] {
+            cluster.run(&format!("CREATE TABLE {t} (k BIGINT, v BIGINT, PRIMARY KEY (k))")).unwrap();
+        }
+        let map = cluster.catalog().membership().snapshot();
+        assert_eq!(map.owners_of(0), &[SiteId(0), SiteId(1)]);
+        let hash = |k: i64| {
+            let key = ic_common::ColumnBatch::from_typed_rows(
+                &[ic_common::DataType::Int],
+                &[Row(vec![Datum::Int(k)])],
+            );
+            key.hash_keys(&[0])[0]
+        };
+        let mut keys = (0..).filter(|&k| map.partition_of_hash(hash(k)) == 0);
+        (cluster, keys.next().unwrap(), keys.next().unwrap())
+    }
+
+    fn rows_of(cluster: &Cluster, table: &str) -> IcResult<Vec<(i64, i64)>> {
+        let q = cluster.query(&format!("SELECT k, v FROM {table} ORDER BY k"))?;
+        Ok(q.rows.iter().map(|r| (r.0[0].as_int().unwrap(), r.0[1].as_int().unwrap())).collect())
+    }
+
+    /// Steps (1)–(2) of the histories below: site 1 misses a `t2` write
+    /// that sites 0 and 2 acknowledge, then both of those go down and site
+    /// 1 returns. Site 1 is current for `t1` but not for `t2`.
+    fn stale_for_t2_only(cluster: &Cluster, k2: i64) {
+        cluster.kill_site(1);
+        let r = cluster.dml(&format!("INSERT INTO t2 (k, v) VALUES ({k2}, 2)")).unwrap();
+        assert_eq!(r.rows_affected, 1);
+        let owners = cluster.catalog().membership().snapshot().owners_of(0).to_vec();
+        assert_eq!(owners, [SiteId(0), SiteId(1), SiteId(2)], "repair added site 2");
+        cluster.kill_site(0);
+        cluster.kill_site(2);
+        cluster.revive_site(1);
+    }
+
+    /// The currency of a partition is decided over all its tables: a `t1`
+    /// write must not commit on site 1's copy while site 0 and 2, down,
+    /// hold a newer `t2`. Committed, it would leave every owner one write
+    /// ahead in one table, and the resync after they return would keep site
+    /// 1's copy — losing the acknowledged `t2` row everywhere.
+    #[test]
+    fn a_write_cannot_fork_a_partition_across_tables() {
+        let (cluster, k1, k2) = two_tables_on_partition_0();
+        stale_for_t2_only(&cluster, k2);
+        let t1_write = cluster.dml(&format!("INSERT INTO t1 (k, v) VALUES ({k1}, 1)"));
+        cluster.revive_site(0);
+        cluster.revive_site(2);
+        assert_eq!(rows_of(&cluster, "t2").unwrap(), [(k2, 2)], "an acknowledged t2 write was lost");
+        let t1_rows = rows_of(&cluster, "t1").unwrap();
+        assert!(matches!(t1_write, Err(IcError::RetriesExhausted { .. })), "{t1_write:?}");
+        assert_eq!(t1_rows, [], "a refused write applied");
+    }
+
+    /// A read served by a copy older than a down owner's would miss an
+    /// acknowledged write: it fails retryably instead, and succeeds with
+    /// the row once the owner holding the newest copy returns.
+    #[test]
+    fn reads_refuse_a_copy_older_than_a_down_owner() {
+        let (cluster, _, k2) = two_tables_on_partition_0();
+        stale_for_t2_only(&cluster, k2);
+        match rows_of(&cluster, "t2") {
+            Err(IcError::RetriesExhausted { chain, .. }) => {
+                assert!(chain.iter().all(|e| e.contains("partition 0 is rebalancing")), "{chain:?}")
+            }
+            other => panic!("a copy older than a down owner served the read: {other:?}"),
+        }
+        assert_eq!(rows_of(&cluster, "t1").unwrap(), [], "site 1 is current for t1");
+        cluster.revive_site(0);
+        assert_eq!(rows_of(&cluster, "t2").unwrap(), [(k2, 2)]);
+    }
+
     /// A down site that holds the only copy of a write cannot hand it off,
     /// so leaving keeps its replica (and membership) until it can.
     #[test]

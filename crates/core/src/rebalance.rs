@@ -2,35 +2,41 @@
 //! partition migration.
 //!
 //! The controller is the only component that mutates the membership replica
-//! map after boot. Its contract with the write path (see
-//! `ic_storage::write`) is the *ownership stability invariant*: the owner
-//! list of partition `p` never changes while `p`'s write guard is held. The
-//! controller therefore takes the write guard of partition `p` on **every**
-//! hash-partitioned table (in table-id order, so multi-guard acquisition is
-//! cycle-free) before promoting, flipping owner lists, or installing the
-//! final catch-up copy of a migration. Bulk data movement happens *outside*
-//! the guards — a migration ships the frozen snapshot chunk by stored chunk
-//! (one column frame each) through the fault-injectable replication path
-//! while writes keep flowing, then catches up during the brief guarded flip
-//! on exactly the chunks that writes committed in the meantime replaced or
-//! added.
+//! map after boot, and every owner-list change goes through one helper,
+//! `RebalanceController::set_owners`. Its contract with the write path
+//! (see `ic_storage::write`) is the *ownership stability invariant*: the
+//! owner list of partition `p` never changes while `p`'s write guard is
+//! held. The helper therefore takes the write guard of partition `p` on
+//! **every** hash-partitioned table (in table-id order, so multi-guard
+//! acquisition is cycle-free) before it installs a list. Bulk data movement
+//! happens *outside* the guards — a copy ships the frozen snapshot chunk by
+//! stored chunk (one column frame each) through the fault-injectable
+//! replication path while writes keep flowing, then, per table under its
+//! guard, catches up on exactly the chunks that writes committed in the
+//! meantime replaced or added.
 //!
-//! Promotion picks the live owner with the **highest replica version**: a
-//! backup that confirmed every acknowledged write is at the primary's
-//! version, while a crashed-and-revived replica lags — promoting by version
-//! is what makes "kill a site mid-stream" lose zero acknowledged writes.
+//! Which copy to promote, copy from or keep is the currency rule's,
+//! [`Catalog::current_copy`], and nobody else's: every move sources from a
+//! *live current* copy, a copy at least as new as every owner's for every
+//! table. A backup that confirmed every acknowledged write is current, while
+//! a crashed-and-revived replica lags. With no live current copy the
+//! partition waits until the site holding the newest copy returns — seeding
+//! or promoting a stale copy is what would lose acknowledged writes — and
+//! `set_owners` refuses any list that names no current copy, so no edit can
+//! retire the newest one.
 
 use ic_common::obs::{Counter, MetricsRegistry};
 use ic_common::ColumnBatch;
 use ic_net::wire::WireSize;
 use ic_net::{NetError, Network, SiteId};
-use ic_storage::{Catalog, TableData, TableDistribution};
+use ic_storage::{Catalog, TableData};
 use std::sync::{Arc, OnceLock};
 
 /// What one [`RebalanceController::repair`] pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// Partitions whose primary was dead and a live backup took over.
+    /// Partitions whose primary was dead or stale and a live current owner
+    /// took over.
     pub promotions: usize,
     /// New backup copies created to return partitions to the target
     /// replication factor.
@@ -40,16 +46,6 @@ pub struct RepairReport {
     /// Partitions with no live owner at all — unrecoverable until a site
     /// holding a copy revives.
     pub lost_partitions: Vec<usize>,
-}
-
-impl RepairReport {
-    /// Did this pass change nothing (the cluster was already healthy)?
-    pub fn is_noop(&self) -> bool {
-        self.promotions == 0
-            && self.re_replicated == 0
-            && self.resynced == 0
-            && self.lost_partitions.is_empty()
-    }
 }
 
 struct RebalanceMetrics {
@@ -79,27 +75,6 @@ pub struct RebalanceController {
 impl RebalanceController {
     pub fn new(catalog: Arc<Catalog>, network: Arc<Network>) -> RebalanceController {
         RebalanceController { catalog, network }
-    }
-
-    /// Every hash-partitioned table's data handle, ascending by table id —
-    /// the canonical multi-guard acquisition order.
-    fn hash_tables(&self) -> Vec<Arc<TableData>> {
-        let mut ids: Vec<_> = self
-            .catalog
-            .table_names()
-            .into_iter()
-            .filter_map(|n| self.catalog.table_by_name(&n))
-            .collect();
-        ids.sort();
-        ids.into_iter()
-            .filter(|&id| {
-                matches!(
-                    self.catalog.table_def(id).map(|d| d.distribution),
-                    Some(TableDistribution::HashPartitioned { .. })
-                )
-            })
-            .filter_map(|id| self.catalog.table_data(id))
-            .collect()
     }
 
     /// Ship stored chunks from `src` to `dst`, one column frame
@@ -153,133 +128,104 @@ impl RebalanceController {
         Ok(())
     }
 
-    /// One repair pass: promote live backups over dead primaries, catch up
-    /// stale revived replicas, and re-replicate partitions below the target
-    /// replication factor. Idempotent — a second pass on a healthy cluster
-    /// is a no-op. Returns what was done.
+    /// The one owner-list edit: under every hash table's write guard of `p`
+    /// (table-id order), install `edit` of the current owner list and drop
+    /// the replicas of the sites it no longer names. Refused, changing
+    /// nothing, when the new list names no current copy of `p`
+    /// ([`Catalog::current_copy`]). Returns whether the list was installed.
+    fn set_owners(
+        &self,
+        tables: &[Arc<TableData>],
+        p: usize,
+        edit: impl FnOnce(&[SiteId]) -> Vec<SiteId>,
+    ) -> bool {
+        let _guards: Vec<_> = tables.iter().map(|d| d.write_guard(p)).collect();
+        let membership = self.catalog.membership();
+        let old = membership.snapshot().owners_of(p).to_vec();
+        let new = edit(&old);
+        if self.catalog.current_copy(p, tables, new.iter().copied()).is_none() {
+            return false;
+        }
+        let gone: Vec<SiteId> = old.into_iter().filter(|s| !new.contains(s)).collect();
+        membership.set_owners(p, new);
+        for data in tables {
+            gone.iter().for_each(|&s| data.drop_replica(p, s));
+        }
+        true
+    }
+
+    /// One repair pass: promote a live current owner over a dead or stale
+    /// primary, catch up stale live replicas, and re-replicate partitions
+    /// below the target replication factor — all from that current copy. A
+    /// partition with no live current copy is left alone. Idempotent — a
+    /// second pass on a healthy cluster is a no-op. Returns what was done.
     pub fn repair(&self) -> RepairReport {
         let mut report = RepairReport::default();
-        let tables = self.hash_tables();
+        let tables = self.catalog.hash_tables();
         let membership = self.catalog.membership();
         let down = self.network.liveness().down_sites();
-        let num_partitions = membership.snapshot().num_partitions();
         let target = membership.target_backups() + 1;
-        for p in 0..num_partitions {
-            let map = membership.snapshot();
-            let owners = map.owners_of(p).to_vec();
+        for p in 0..membership.snapshot().num_partitions() {
+            let owners = membership.snapshot().owners_of(p).to_vec();
             let live: Vec<SiteId> =
                 owners.iter().copied().filter(|s| !down.contains(s)).collect();
             if live.is_empty() {
                 report.lost_partitions.push(p);
                 continue;
             }
-            // 1. Promotion: the primary must be the live owner with the
-            //    highest replica version (it saw every acknowledged write).
-            //    That covers both a dead primary and a stale revived one
-            //    that a fresher backup must take over from.
-            #[expect(clippy::expect_used, reason = "`live` is non-empty here by the check above")]
-            let best = live
-                .iter()
-                .copied()
-                .max_by_key(|&s| (self.version_sum(&tables, p, s), std::cmp::Reverse(s)))
-                .expect("live owners is non-empty");
-            let primary_current = !down.contains(&owners[0])
-                && self.version_sum(&tables, p, owners[0])
-                    >= self.version_sum(&tables, p, best);
-            if !primary_current && best != owners[0] {
-                let guards: Vec<_> = tables.iter().map(|d| d.write_guard(p)).collect();
-                if membership.promote(p, best) {
-                    metrics().promotions.inc();
-                    report.promotions += 1;
-                }
-                drop(guards);
+            // 1. Promotion: the source of every move below is the primary
+            //    when it is live and current, else the lowest-id live
+            //    current owner, moved to the front.
+            let primary = Some(owners[0]).filter(|s| !down.contains(s));
+            let Some(src) = self
+                .catalog
+                .current_copy(p, &tables, primary)
+                .or_else(|| self.catalog.current_copy(p, &tables, live.iter().copied()))
+            else {
+                continue;
+            };
+            let to_front = |o: &[SiteId]| {
+                std::iter::once(src).chain(o.iter().copied().filter(|&s| s != src)).collect()
+            };
+            if src != owners[0] && self.set_owners(&tables, p, to_front) {
+                metrics().promotions.inc();
+                report.promotions += 1;
             }
-            // 2. Re-sync: a revived replica that missed writes while it was
-            //    down lags the (freshest, post-promotion) primary; copy it
-            //    current.
-            let map = membership.snapshot();
-            let primary = map.primary_of(p);
-            let src = if down.contains(&primary) { best } else { primary };
-            for &s in map.owners_of(p).to_vec().iter() {
-                if s == src || down.contains(&s) {
-                    continue;
-                }
-                let stale = tables.iter().any(|d| {
-                    let pv = d.replica(p, src).map(|r| r.version()).unwrap_or(0);
-                    let sv = d.replica(p, s).map(|r| r.version()).unwrap_or(0);
-                    sv < pv
-                });
-                if !stale {
+            // 2. Re-sync: a live owner that missed writes while it was down
+            //    is copied current. When the copy fails (a fault
+            //    mid-transfer) it leaves the owner list instead, so reads
+            //    never route to it; re-replication tops the partition up.
+            for s in live.iter().copied().filter(|&s| s != src) {
+                if self.catalog.current_copy(p, &tables, [s]).is_some() {
                     continue;
                 }
                 if self.copy_partition(&tables, p, src, s).is_ok() {
                     report.resynced += 1;
                 } else {
-                    // The catch-up copy failed (a fault mid-transfer): a
-                    // live-but-stale replica must not stay in the owner
-                    // list, or reads would route to it and observe state
-                    // from before writes this cluster already acknowledged.
-                    // Demote it; the re-replication loop below tops the
-                    // partition back up from the fresh source.
-                    let guards: Vec<_> =
-                        tables.iter().map(|d| d.write_guard(p)).collect();
-                    let new_owners: Vec<SiteId> = membership
-                        .snapshot()
-                        .owners_of(p)
-                        .iter()
-                        .copied()
-                        .filter(|&o| o != s)
-                        .collect();
-                    membership.set_owners(p, new_owners);
-                    for data in &tables {
-                        data.drop_replica(p, s);
-                    }
-                    drop(guards);
+                    self.set_owners(&tables, p, |o| o.iter().copied().filter(|&o| o != s).collect());
                 }
             }
             // 3. Re-replication: bring the partition back to
             //    target_backups + 1 live copies on the least-loaded members.
             loop {
                 let map = membership.snapshot();
-                let owners = map.owners_of(p).to_vec();
-                let live_owners =
-                    owners.iter().filter(|s| !down.contains(s)).count();
-                if live_owners >= target {
+                let owners = map.owners_of(p);
+                if owners.iter().filter(|s| !down.contains(s)).count() >= target {
                     break;
                 }
-                let Some(candidate) = self.least_loaded_candidate(&map, &owners, &down) else {
+                let Some(candidate) = self.least_loaded_candidate(&map, owners, &down) else {
                     break;
                 };
-                // Copy from the freshest live owner, not blindly the
-                // primary — a stale revived primary must never seed a new
-                // replica while a fresher backup exists.
-                let Some(src) = owners
-                    .iter()
-                    .copied()
-                    .filter(|s| !down.contains(s))
-                    .max_by_key(|&s| (self.version_sum(&tables, p, s), std::cmp::Reverse(s)))
-                else {
-                    break;
-                };
-                if self.copy_partition(&tables, p, src, candidate).is_err() {
+                if self.copy_partition(&tables, p, src, candidate).is_err()
+                    || !self.set_owners(&tables, p, |o| [o, &[candidate]].concat())
+                {
                     break;
                 }
-                let guards: Vec<_> = tables.iter().map(|d| d.write_guard(p)).collect();
-                let mut new_owners = membership.snapshot().owners_of(p).to_vec();
-                new_owners.push(candidate);
-                membership.set_owners(p, new_owners);
-                drop(guards);
                 metrics().migrations.inc();
                 report.re_replicated += 1;
             }
         }
         report
-    }
-
-    /// Sum of `site`'s replica versions at partition `p` across all tables —
-    /// the promotion fitness (higher = saw more acknowledged writes).
-    fn version_sum(&self, tables: &[Arc<TableData>], p: usize, site: SiteId) -> u64 {
-        tables.iter().map(|d| d.replica(p, site).map(|r| r.version()).unwrap_or(0)).sum()
     }
 
     /// The live member hosting the fewest replicas that does not already own
@@ -305,7 +251,7 @@ impl RebalanceController {
         let membership = self.catalog.membership();
         membership.add_member(site);
         self.network.liveness().mark_alive(site);
-        let tables = self.hash_tables();
+        let tables = self.catalog.hash_tables();
         let down = self.network.liveness().down_sites();
         let mut migrated = 0usize;
         loop {
@@ -339,34 +285,17 @@ impl RebalanceController {
             else {
                 break;
             };
-            // Source the copy from the freshest live owner. The donor is a
-            // live owner itself, so the best is at least as new as what the
-            // donor holds — dropping the donor's replica afterwards can
-            // never destroy the newest copy.
-            let Some(src) = map
-                .owners_of(p)
-                .iter()
-                .copied()
-                .filter(|s| !down.contains(s))
-                .max_by_key(|&s| (self.version_sum(&tables, p, s), std::cmp::Reverse(s)))
-            else {
+            // Source the copy from a live current copy; the flip drops the
+            // donor's replica, and `set_owners` refuses it if that would
+            // leave no current copy (a write the copy missed).
+            let live = map.owners_of(p).iter().copied().filter(|s| !down.contains(s));
+            let Some(src) = self.catalog.current_copy(p, &tables, live) else {
                 break;
             };
-            if self.copy_partition(&tables, p, src, site).is_err() {
+            let swap = |o: &[SiteId]| o.iter().map(|&s| if s == donor { site } else { s }).collect();
+            if self.copy_partition(&tables, p, src, site).is_err() || !self.set_owners(&tables, p, swap) {
                 break;
             }
-            let guards: Vec<_> = tables.iter().map(|d| d.write_guard(p)).collect();
-            let owners: Vec<SiteId> = membership
-                .snapshot()
-                .owners_of(p)
-                .iter()
-                .map(|&s| if s == donor { site } else { s })
-                .collect();
-            membership.set_owners(p, owners);
-            for data in &tables {
-                data.drop_replica(p, donor);
-            }
-            drop(guards);
             metrics().migrations.inc();
             migrated += 1;
         }
@@ -379,83 +308,52 @@ impl RebalanceController {
     /// had to move data.
     pub fn leave_site(&self, site: SiteId) -> usize {
         let membership = self.catalog.membership();
-        let tables = self.hash_tables();
+        let tables = self.catalog.hash_tables();
         let down = self.network.liveness().down_sites();
         let mut moved = 0usize;
         let mut clean = true;
         let hosted = membership.snapshot().partitions_hosted_by(site);
         for p in hosted {
             let map = membership.snapshot();
-            let owners = map.owners_of(p).to_vec();
+            let owners = map.owners_of(p);
             let survivors: Vec<SiteId> =
                 owners.iter().copied().filter(|&s| s != site && !down.contains(&s)).collect();
-            // The departing replica may be the freshest copy (a survivor can
-            // be a stale revived backup): catch every survivor up from the
-            // highest-version live owner before the leaver's copy goes away.
-            // A fault can abort a catch-up mid-copy; that is only dangerous
-            // when the *leaver* is the freshest source — then the handoff
-            // must not complete, or the newest copy would be destroyed.
-            let best = owners
-                .iter()
-                .copied()
-                .filter(|s| !down.contains(s))
-                .max_by_key(|&s| (self.version_sum(&tables, p, s), std::cmp::Reverse(s)));
-            let mut handed_off = true;
-            if let Some(best) = best {
+            // The hand-off source: a live current copy, the leaver's own
+            // included (a survivor can be a stale revived backup). Catch
+            // every survivor up from it before the leaver's copy goes. A
+            // failed catch-up, or a down leaver holding the newest copy,
+            // leaves the new list without a current copy: the edit below is
+            // refused and the leaver keeps its replica until it can hand off.
+            let live = owners.iter().copied().filter(|s| !down.contains(s));
+            let src = self.catalog.current_copy(p, &tables, live);
+            if let Some(src) = src {
                 for &s in &survivors {
-                    if s != best
-                        && self.version_sum(&tables, p, s) < self.version_sum(&tables, p, best)
-                        && self.copy_partition(&tables, p, best, s).is_err()
-                        && best == site
-                    {
-                        handed_off = false;
+                    if self.catalog.current_copy(p, &tables, [s]).is_none() {
+                        let _ = self.copy_partition(&tables, p, src, s);
                     }
                 }
             }
-            // A down leaver is no source at all: when it holds the newest
-            // copy, and no other owner — live or down — holds one as new,
-            // its replica stays until it can hand off.
-            let leaver = self.version_sum(&tables, p, site);
-            let newest_elsewhere =
-                owners.iter().any(|&s| s != site && self.version_sum(&tables, p, s) >= leaver);
-            if !handed_off || (!survivors.is_empty() && !newest_elsewhere) {
-                clean = false;
-                continue;
-            }
-            // The departing site may hold the only copy: hand it to the
-            // least-loaded member first.
-            let replacement = if survivors.is_empty() {
-                match self.least_loaded_candidate(&map, &owners, &down) {
-                    Some(c) => {
-                        if self.copy_partition(&tables, p, site, c).is_err() {
-                            clean = false;
-                            continue;
-                        }
+            // The departing site may hold the only live copy: hand it to the
+            // least-loaded member first. With nowhere to put it, keep the
+            // site's copy and its owner slot so the data stays reachable.
+            let mut replacement = None;
+            if survivors.is_empty() {
+                match (src, self.least_loaded_candidate(&map, owners, &down)) {
+                    (Some(src), Some(c)) if self.copy_partition(&tables, p, src, c).is_ok() => {
                         moved += 1;
                         metrics().migrations.inc();
-                        Some(c)
+                        replacement = Some(c);
                     }
-                    None => {
-                        // Nowhere to put it; keep the site's copy and its
-                        // owner slot so the data stays reachable.
+                    _ => {
                         clean = false;
                         continue;
                     }
                 }
-            } else {
-                None
+            }
+            let handed_off = |o: &[SiteId]| {
+                o.iter().copied().filter(|&s| s != site).chain(replacement).collect()
             };
-            let guards: Vec<_> = tables.iter().map(|d| d.write_guard(p)).collect();
-            let mut new_owners: Vec<SiteId> =
-                owners.iter().copied().filter(|&s| s != site).collect();
-            if let Some(c) = replacement {
-                new_owners.push(c);
-            }
-            membership.set_owners(p, new_owners);
-            for data in &tables {
-                data.drop_replica(p, site);
-            }
-            drop(guards);
+            clean &= self.set_owners(&tables, p, handed_off);
         }
         // Complete the departure only if every hosted partition was handed
         // off; otherwise the site stays a member (still owning the partitions

@@ -1,12 +1,18 @@
 //! Property tests for elastic topology: any seeded sequence of site joins,
-//! graceful leaves, kills, revivals, and write batches — with a seeded
-//! transient-crash fault plan layered on top — converges after repair to a
-//! cluster at full replication factor where
+//! graceful leaves, kills, revivals, and write batches alternating between
+//! two tables — with a seeded transient-crash fault plan layered on top —
+//! reads consistently throughout and converges after repair to a cluster at
+//! full replication factor where
 //!
 //! * no partition is left unowned,
 //! * every live replica of a partition has the identical store, and
 //! * every *acknowledged* write is still readable with the right value.
+//!
+//! After every op both tables are read: a read either fails retryably or
+//! holds every row acknowledged so far. Two tables share each partition's
+//! owner list, so a copy can be current for one and stale for the other.
 
+use ic_common::IcError;
 use ic_core::{Cluster, ClusterConfig, SystemVariant};
 use ic_net::{FaultPlan, SiteId, SplitMix64};
 use proptest::prelude::*;
@@ -14,6 +20,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 const BACKUPS: usize = 1;
+const TABLES: [&str; 2] = ["t1", "t2"];
 
 fn elastic_cluster() -> Cluster {
     let cluster = Cluster::new(ClusterConfig {
@@ -22,10 +29,19 @@ fn elastic_cluster() -> Cluster {
         variant: SystemVariant::ICPlus,
         exec_timeout: Some(Duration::from_secs(30)),
         max_retries: 3,
+        retry_backoff: Duration::ZERO,
         ..ClusterConfig::test_default()
     });
-    cluster.run("CREATE TABLE t (k BIGINT, v BIGINT, PRIMARY KEY (k))").unwrap();
+    for t in TABLES {
+        cluster.run(&format!("CREATE TABLE {t} (k BIGINT, v BIGINT, PRIMARY KEY (k))")).unwrap();
+    }
     cluster
+}
+
+/// `table`'s rows, or the error that stopped the read.
+fn read(cluster: &Cluster, table: &str) -> Result<BTreeMap<i64, i64>, IcError> {
+    let q = cluster.query(&format!("SELECT k, v FROM {table}"))?;
+    Ok(q.rows.iter().map(|r| (r.0[0].as_int().unwrap(), r.0[1].as_int().unwrap())).collect())
 }
 
 proptest! {
@@ -44,11 +60,12 @@ proptest! {
             FaultPlan::new(seed).transient_crash(SiteId((seed % 4) as usize), 10, 40),
         );
         let mut rng = SplitMix64::new(seed ^ 0xd1f7);
-        let mut acked: BTreeMap<i64, i64> = BTreeMap::new();
+        let mut acked: [BTreeMap<i64, i64>; 2] = Default::default();
+        let mut writes = 0usize;
         let mut next_key = 0i64;
         let mut next_site = 4usize;
         let mut killed: Vec<usize> = Vec::new();
-        for &op in &ops {
+        for (i, &op) in ops.iter().enumerate() {
             let members: Vec<usize> = cluster
                 .catalog()
                 .membership()
@@ -88,21 +105,37 @@ proptest! {
                         cluster.leave_site(s);
                     }
                 }
-                // A write batch; only acknowledged statements join the
-                // reference (a failed statement may still have committed
-                // some partitions — those rows are legal but not required).
+                // A write batch, to the two tables in turn; only
+                // acknowledged statements join the reference (a failed
+                // statement may still have committed some partitions —
+                // those rows are legal but not required).
                 _ => {
+                    let t = writes % TABLES.len();
+                    writes += 1;
                     let rows: Vec<(i64, i64)> =
                         (0..3).map(|j| (next_key + j, (next_key + j) * 7)).collect();
                     next_key += 3;
                     let values: Vec<String> =
                         rows.iter().map(|(k, v)| format!("({k}, {v})")).collect();
-                    let sql = format!("INSERT INTO t (k, v) VALUES {}", values.join(", "));
+                    let sql = format!("INSERT INTO {} (k, v) VALUES {}", TABLES[t], values.join(", "));
                     if cluster.dml(&sql).is_ok() {
-                        for (k, v) in rows {
-                            acked.insert(k, v);
+                        acked[t].extend(rows);
+                    }
+                }
+            }
+            // Mid-history reads: a refusal is fine, a read missing an
+            // acknowledged row is not.
+            for (t, acked) in TABLES.iter().zip(&acked) {
+                match read(&cluster, t) {
+                    Ok(found) => {
+                        for (k, v) in acked {
+                            prop_assert_eq!(found.get(k), Some(v), "after op {}: {} lost acked {}", i, t, k);
                         }
                     }
+                    Err(e) => prop_assert!(
+                        matches!(e, IcError::RetriesExhausted { .. }),
+                        "after op {}: {} read failed unretryably: {}", i, t, e
+                    ),
                 }
             }
         }
@@ -115,39 +148,37 @@ proptest! {
         let map = cluster.catalog().membership().snapshot();
         let members = map.members().len();
         prop_assert!(members >= 2);
-        let id = cluster.catalog().table_by_name("t").unwrap();
-        let data = cluster.catalog().table_data(id).unwrap();
-        for p in 0..map.num_partitions() {
-            let owners = map.owners_of(p);
-            // No partition unowned, and back to the full replication factor
-            // (bounded by cluster size).
-            prop_assert!(!owners.is_empty(), "partition {} unowned", p);
-            prop_assert!(
-                owners.len() >= (BACKUPS + 1).min(members),
-                "partition {} under-replicated: {:?}",
-                p,
-                owners
-            );
-            // All owner replicas converged to one store.
-            let stores: Vec<_> = owners
-                .iter()
-                .filter_map(|&s| data.replica(p, s))
-                .collect();
-            prop_assert_eq!(stores.len(), owners.len());
-            for s in &stores[1..] {
-                prop_assert_eq!(s.version(), stores[0].version(), "partition {} version skew", p);
-                prop_assert_eq!(s.num_rows(), stores[0].num_rows());
+        let tables = cluster.catalog().hash_tables();
+        for data in &tables {
+            for p in 0..map.num_partitions() {
+                let owners = map.owners_of(p);
+                // No partition unowned, and back to the full replication factor
+                // (bounded by cluster size).
+                prop_assert!(!owners.is_empty(), "partition {} unowned", p);
+                prop_assert!(
+                    owners.len() >= (BACKUPS + 1).min(members),
+                    "partition {} under-replicated: {:?}",
+                    p,
+                    owners
+                );
+                // All owner replicas converged to one store.
+                let stores: Vec<_> = owners
+                    .iter()
+                    .filter_map(|&s| data.replica(p, s))
+                    .collect();
+                prop_assert_eq!(stores.len(), owners.len());
+                for s in &stores[1..] {
+                    prop_assert_eq!(s.version(), stores[0].version(), "partition {} version skew", p);
+                    prop_assert_eq!(s.num_rows(), stores[0].num_rows());
+                }
             }
         }
         // Zero acknowledged-write loss.
-        let q = cluster.query("SELECT k, v FROM t ORDER BY k").unwrap();
-        let found: BTreeMap<i64, i64> = q
-            .rows
-            .iter()
-            .map(|r| (r.0[0].as_int().unwrap(), r.0[1].as_int().unwrap()))
-            .collect();
-        for (k, v) in &acked {
-            prop_assert_eq!(found.get(k), Some(v), "acked write {} lost", k);
+        for (t, acked) in TABLES.iter().zip(&acked) {
+            let found = read(&cluster, t).unwrap();
+            for (k, v) in acked {
+                prop_assert_eq!(found.get(k), Some(v), "acked write {} to {} lost", k, t);
+            }
         }
     }
 }

@@ -471,15 +471,19 @@ impl Execution<'_> {
             TableDistribution::HashPartitioned { .. } => {
                 // Read this site's own replica of each partition it serves:
                 // a per-partition version snapshot (a frozen store), so
-                // concurrent DML batches are observed all-or-nothing. A
-                // missing replica means ownership moved between planning
-                // and execution — surface retryably and replan.
+                // concurrent DML batches are observed all-or-nothing. Only a
+                // current copy serves (`Catalog::current_copy`): one behind
+                // a down owner would miss acknowledged writes. A stale or
+                // missing replica (ownership moved between planning and
+                // execution) surfaces retryably: the attempt loop repairs
+                // and replans.
                 let parts = self.assignment.partitions_of(site);
                 let mut out = Vec::with_capacity(parts.len());
                 for p in parts {
+                    let current = self.catalog.current_copy(p, std::slice::from_ref(&data), [site]);
                     match data.replica(p, site) {
-                        Some(store) => out.push((p, store)),
-                        None => return Err(IcError::RebalanceInProgress { partition: p }),
+                        Some(store) if current.is_some() => out.push((p, store)),
+                        _ => return Err(IcError::RebalanceInProgress { partition: p }),
                     }
                 }
                 out

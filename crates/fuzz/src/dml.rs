@@ -178,10 +178,11 @@ const FUZZ_INDEX: &str = "fz_k";
 /// The table as an `IndexScan` would serve it right now: per partition, the
 /// index's sorted run for the replica a query reads (the partition's owner
 /// in the membership's assignment over the live sites, as `execute_plan`
-/// resolves it).
+/// resolves it, if that copy is current — `Catalog::current_copy`).
 /// The planner only picks index scans for tables far larger than the fuzz
 /// table, so the oracle reads the runs directly. `Ok(None)` when some
-/// partition has no live replica; `Err` when a run is not in key order.
+/// partition has no live current replica; `Err` when a run is not in key
+/// order.
 fn index_read(cluster: &Cluster) -> Result<Option<Vec<(i64, i64)>>, String> {
     let catalog = cluster.catalog();
     let handles = || {
@@ -196,7 +197,9 @@ fn index_read(cluster: &Cluster) -> Result<Option<Vec<(i64, i64)>>, String> {
     };
     let mut rows = Vec::new();
     for p in 0..data.num_partitions() {
-        let Some(store) = data.replica(p, assignment.owner_of_partition(p)) else {
+        let owner = assignment.owner_of_partition(p);
+        let current = catalog.current_copy(p, std::slice::from_ref(&data), [owner]);
+        let Some(store) = data.replica(p, owner).filter(|_| current.is_some()) else {
             return Ok(None);
         };
         let before = rows.len();

@@ -172,22 +172,9 @@ impl Membership {
         })
     }
 
-    /// Promote `site` to primary of `partition`. Returns `false`, changing
-    /// nothing, if `site` is not an owner.
-    pub fn promote(&self, partition: usize, site: SiteId) -> bool {
-        let mut promoted = false;
-        self.mutate(|m| {
-            if let Some(pos) = m.owners[partition].iter().position(|s| *s == site) {
-                let owner = m.owners[partition].remove(pos);
-                m.owners[partition].insert(0, owner);
-                promoted = true;
-            }
-        });
-        promoted
-    }
-
-    /// Install a new owner list for `partition` (used by re-replication and
-    /// chunked migration when the copy finishes).
+    /// Install a new owner list for `partition` — the rebalance
+    /// controller's one owner-list edit (promotion, re-replication,
+    /// migration, hand-off) ends here.
     pub fn set_owners(&self, partition: usize, owners: Vec<SiteId>) {
         assert!(!owners.is_empty(), "a partition must keep at least one owner");
         self.mutate(|m| m.owners[partition] = owners)
@@ -277,20 +264,6 @@ mod tests {
         for p in 0..a.num_partitions() {
             assert_ne!(a.owner_of_partition(p), SiteId(0));
         }
-    }
-
-    #[test]
-    fn promote_moves_backup_to_front() {
-        let m = Membership::new(4, 1);
-        assert!(m.promote(2, SiteId(3)));
-        let map = m.snapshot();
-        assert_eq!(map.primary_of(2), SiteId(3));
-        assert_eq!(map.owners_of(2), &[SiteId(3), SiteId(2)]);
-        // Other partitions keep their owners.
-        assert_eq!(map.owners_of(0), &[SiteId(0), SiteId(1)]);
-        // Promoting a non-owner is refused and changes nothing.
-        assert!(!m.promote(2, SiteId(1)));
-        assert_eq!(m.snapshot(), map);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::dist::Distribution;
 use ic_common::agg::AggFunc;
-use ic_common::{DataType, Datum, Expr, Field, IcError, IcResult, Row, Schema};
+use ic_common::{DataType, Expr, Field, IcError, IcResult, Row, Schema};
 use ic_storage::{IndexId, TableId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -796,11 +796,6 @@ pub fn extract_equi_keys(on: &Expr, left_arity: usize) -> (Vec<usize>, Vec<usize
         residual.push(conj.clone());
     }
     (lk, rk, Expr::conjunction(residual))
-}
-
-/// A literal datum for tests.
-pub fn lit_row(vals: &[i64]) -> Row {
-    Row(vals.iter().map(|&v| Datum::Int(v)).collect())
 }
 
 #[cfg(test)]

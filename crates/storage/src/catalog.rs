@@ -252,8 +252,38 @@ impl Catalog {
         self.tables.read().iter().map(|e| e.def.name.clone()).collect()
     }
 
-    pub fn index_def(&self, id: IndexId) -> Option<IndexDef> {
-        self.indexes.read().get(id.0).map(|e| e.def.clone())
+    /// Every hash-partitioned table's data handle, ascending by table id —
+    /// the order write guards of one partition are taken in. Fetch it before
+    /// taking any write guard: this lock is held around `load`'s guards.
+    pub fn hash_tables(&self) -> Vec<Arc<TableData>> {
+        let tables = self.tables.read();
+        let hashed = tables.iter().filter(|e| {
+            matches!(e.def.distribution, TableDistribution::HashPartitioned { .. })
+        });
+        hashed.map(|e| Arc::clone(&e.data)).collect()
+    }
+
+    /// The currency rule, the one answer to "which copy of partition `p` is
+    /// newest". A site holds a *current* copy of `p` for `tables` when, for
+    /// each of them, its replica version of `p` is at least every owner's —
+    /// down owners included. Returns the lowest-id current site among
+    /// `candidates`, or `None`.
+    ///
+    /// The partition is the unit: every table's copy of `p` moves together,
+    /// and versions name one history only while each commit lands on a
+    /// current copy. So a write asks it of the primary over every hash table,
+    /// a read of the serving site over the scanned table, and the rebalance
+    /// controller of the live owners before it promotes, copies or hands a
+    /// copy off.
+    pub fn current_copy(
+        &self,
+        p: usize,
+        tables: &[Arc<TableData>],
+        candidates: impl IntoIterator<Item = SiteId>,
+    ) -> Option<SiteId> {
+        let map = self.membership.snapshot();
+        let owners = map.owners_of(p);
+        candidates.into_iter().filter(|&s| tables.iter().all(|d| d.is_newest_on(p, s, owners))).min()
     }
 
     pub fn index(&self, id: IndexId) -> Option<Arc<Index>> {

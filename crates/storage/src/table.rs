@@ -228,6 +228,16 @@ impl TableData {
         self.partitions[partition].replicas.read().get(&site.0).cloned()
     }
 
+    /// Does `site` hold a replica of `partition` at least as new as each of
+    /// `owners`' (an owner without one counts as version 0)? Read under one
+    /// lock, so a commit racing the check is seen whole or not at all. The
+    /// per-table half of [`Catalog::current_copy`](crate::Catalog::current_copy).
+    pub(crate) fn is_newest_on(&self, partition: usize, site: SiteId, owners: &[SiteId]) -> bool {
+        let replicas = self.partitions[partition].replicas.read();
+        let version = |s: &SiteId| replicas.get(&s.0).map_or(0, |r| r.version);
+        replicas.get(&site.0).is_some_and(|own| owners.iter().all(|o| own.version >= version(o)))
+    }
+
     /// Sites currently holding a replica of `partition`, ascending.
     pub fn replica_sites(&self, partition: usize) -> Vec<SiteId> {
         let mut sites: Vec<usize> =

@@ -2,7 +2,11 @@
 //! synchronous primary→backup replication.
 //!
 //! A write batch against one partition proceeds in two phases under the
-//! partition's write mutex:
+//! partition's write mutex, on top of the partition's newest copy: the
+//! primary must hold a *current* copy of every hash-partitioned table
+//! ([`Catalog::current_copy`], the currency rule reads and the rebalance
+//! controller ask too), or the write refuses with a retryable
+//! `RebalanceInProgress` before it replicates anything.
 //!
 //! 1. **Replicate** — the effect is shipped from the primary to every *live*
 //!    backup through the fault-injectable [`Network::replicate`] path. A
@@ -332,10 +336,11 @@ fn write_partition(
     op: &WriteOp,
     primary_key: &[usize],
 ) -> IcResult<(usize, bool)> {
+    let tables = catalog.hash_tables();
     let guard = data.write_guard(partition);
     // Ownership is stable while the write guard is held (the rebalance
-    // controller takes it for promotion and the final migration flip), so a
-    // snapshot taken under the guard cannot go stale mid-write.
+    // controller takes it around every owner-list edit), so a snapshot
+    // taken under the guard cannot go stale mid-write.
     let map = catalog.membership().snapshot();
     let owners = map.owners_of(partition).to_vec();
     if owners.is_empty() {
@@ -349,21 +354,17 @@ fn write_partition(
             detail: format!("primary owner of partition {partition} is down"),
         });
     }
-    let Some(store) = data.replica(partition, primary) else {
-        // The owner map says `primary` but its replica is not installed yet
-        // (migration mid-flight).
-        return Err(IcError::RebalanceInProgress { partition });
-    };
     // Versions name one history only while every write commits on top of
-    // the partition's newest copy. A primary that lags an owner — it took
-    // over while the site holding the newest copy was down — would number
-    // its commits like writes it never saw, and no later resync could tell
-    // the two apart: acknowledged writes would be lost. Refuse until a
-    // repair pass promotes a holder of the newest copy.
-    let newer = |s: &SiteId| data.replica(partition, *s).is_some_and(|r| r.version() > store.version());
-    if owners[1..].iter().any(newer) {
-        return Err(IcError::RebalanceInProgress { partition });
-    }
+    // the partition's newest copy, so the primary must hold a current copy
+    // of every hash table (`Catalog::current_copy`). One that took over
+    // while the newest copy of any table was down would number its commits
+    // like writes it never saw, and no later resync could tell the two
+    // apart. Refuse until that copy returns; so too while the primary's
+    // replica is not installed yet (migration mid-flight).
+    let store = match data.replica(partition, primary) {
+        Some(store) if catalog.current_copy(partition, &tables, [primary]).is_some() => store,
+        _ => return Err(IcError::RebalanceInProgress { partition }),
+    };
     let (new_store, affected) = apply_op(&store, op, data.schema(), primary_key)?;
     if affected == 0 {
         return Ok((0, false));
