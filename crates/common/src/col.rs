@@ -880,6 +880,26 @@ impl ColumnBatch {
         }
     }
 
+    /// Lexicographic comparison of physical row `i`'s `cols` with physical
+    /// row `j` of `other`'s `other_cols`, in [`Column::cmp_at`]'s total
+    /// order (NULLs first).
+    pub fn cmp_keys(
+        &self,
+        cols: &[usize],
+        i: usize,
+        other: &ColumnBatch,
+        other_cols: &[usize],
+        j: usize,
+    ) -> Ordering {
+        for (&a, &b) in cols.iter().zip(other_cols) {
+            let ord = self.columns[a].cmp_at(i, &other.columns[b], j);
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+
     /// Replace the selection with `sel` (physical indices). The caller has
     /// already resolved any previous selection (filters produce physical
     /// indices directly).

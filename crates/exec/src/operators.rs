@@ -26,6 +26,7 @@ use ic_common::{
     MemoryLease, MemoryPool, Row, NIL,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
+use ic_storage::index::chunks_below;
 use ic_storage::Chunks;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::VecDeque;
@@ -258,6 +259,11 @@ impl RowSource for TracedSource {
         self.obs.attempt.record_next(self.node, rows, dt, produced);
         result
     }
+
+    /// Forwarded, so a traced run does the same work as an untraced one.
+    fn seek(&mut self, cols: &[usize], key: &ColumnBatch, key_cols: &[usize], row: usize) {
+        self.inner.seek(cols, key, key_cols, row);
+    }
 }
 
 /// Does every column of `b` have its schema type? A column without a value
@@ -295,6 +301,15 @@ impl Drop for TracedSource {
 pub trait RowSource: Send {
     /// The next batch, or `None` at end of stream.
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>>;
+
+    /// Advice from the consumer: rows whose `cols` sort below the key at
+    /// physical row `row` of `key`'s `key_cols` (in `cmp_at` order) are no
+    /// longer wanted, so later batches *may* omit them. Targets never move
+    /// backwards. A source sorted on a prefix of `cols`' order can skip
+    /// stored data; a wrapper that only drops or reorders columns passes the
+    /// advice on. The default ignores it — correctness never depends on a
+    /// source honouring it.
+    fn seek(&mut self, _cols: &[usize], _key: &ColumnBatch, _key_cols: &[usize], _row: usize) {}
 }
 
 pub type BoxedSource = Box<dyn RowSource>;
@@ -343,6 +358,12 @@ impl RowSource for VecSource {
 /// stride selection vector, which keeps a sorted run sorted.
 /// `ControlBlock::check` runs per chunk: the chunk boundary is the
 /// revocation point, never mid-kernel.
+///
+/// Over an index run ([`ScanSource::sorted_on`]) a seek on a prefix of the
+/// run's keys skips the stored chunks that end below the target, found by
+/// one binary search ([`chunks_below`]); it never slices a chunk. Skipped
+/// rows still count towards the tuple counter, so a splitter's stride
+/// phase holds.
 pub struct ScanSource {
     partitions: Vec<Chunks>,
     /// The next chunk: its partition, its index there, and its first row's
@@ -352,6 +373,12 @@ pub struct ScanSource {
     abs: usize,
     /// (variant_id, total_variants); `None` passes everything.
     split: Option<(usize, usize)>,
+    /// The columns the chunks are sorted on, ascending; empty when a seek
+    /// cannot skip anything.
+    sorted_on: Vec<usize>,
+    /// Rows seeks skipped that this scan would have passed; flushed to
+    /// `exec.scan.rows_skipped` on drop.
+    skipped: u64,
     ctrl: Arc<ControlBlock>,
 }
 
@@ -362,7 +389,41 @@ impl ScanSource {
         split: Option<(usize, usize)>,
         ctrl: Arc<ControlBlock>,
     ) -> ScanSource {
-        ScanSource { partitions, part: 0, chunk: 0, abs: 0, split, ctrl }
+        ScanSource {
+            partitions,
+            part: 0,
+            chunk: 0,
+            abs: 0,
+            split,
+            sorted_on: Vec::new(),
+            skipped: 0,
+            ctrl,
+        }
+    }
+
+    /// Declare the chunks sorted on `sort` (an index run's collation): seeks
+    /// on a prefix of its ascending keys are honoured.
+    pub fn sorted_on(mut self, sort: &[SortKey]) -> ScanSource {
+        self.sorted_on = ascending_prefix(sort);
+        self
+    }
+}
+
+/// The leading ascending columns of a collation — the keys a seek may use.
+fn ascending_prefix(sort: &[SortKey]) -> Vec<usize> {
+    sort.iter().take_while(|k| !k.desc).map(|k| k.col).collect()
+}
+
+/// How many of the tuple counter's positions `from..from + rows` a
+/// splitter passes (all of them without one).
+fn passed(split: Option<(usize, usize)>, from: usize, rows: usize) -> usize {
+    match split {
+        None => rows,
+        // Positions below `x` that are ≡ vid (mod n).
+        Some((vid, n)) => {
+            let upto = |x: usize| (x + n - 1 - vid) / n;
+            upto(from + rows) - upto(from)
+        }
     }
 }
 
@@ -387,6 +448,30 @@ impl RowSource for ScanSource {
             }
         }
     }
+
+    fn seek(&mut self, cols: &[usize], key: &ColumnBatch, key_cols: &[usize], row: usize) {
+        if cols.is_empty() || !self.sorted_on.starts_with(cols) {
+            return;
+        }
+        let Some(chunks) = self.partitions.get(self.part) else { return };
+        let rest = &chunks[self.chunk.min(chunks.len())..];
+        let skip = chunks_below(rest, cols, key, key_cols, row);
+        let rows: usize = rest[..skip].iter().map(|c| c.num_rows()).sum();
+        self.skipped += passed(self.split, self.abs, rows) as u64;
+        (self.chunk, self.abs) = (self.chunk + skip, self.abs + rows);
+    }
+}
+
+impl Drop for ScanSource {
+    fn drop(&mut self) {
+        flush_skipped(self.skipped);
+    }
+}
+
+fn flush_skipped(rows: u64) {
+    if rows > 0 {
+        ic_common::obs::MetricsRegistry::global().counter("exec.scan.rows_skipped").add(rows);
+    }
 }
 
 /// Order-preserving k-way merge of sorted runs, each a list of batches: the
@@ -396,14 +481,27 @@ impl RowSource for ScanSource {
 /// `DESC` reversal per key — with the run index as the tie-break, so merged
 /// output is deterministic given the runs. Variant splitting (`split`)
 /// passes every `n`-th merged tuple, which preserves the order.
+///
+/// A seek on a prefix of the ascending keys moves every run's cursor to its
+/// first row at or above the target: whole batches by [`chunks_below`],
+/// then a binary search in the batch it lands in. The rows passed over are
+/// exactly the unmerged rows below the target — a prefix of the merged
+/// order — so adding their count to the tuple counter keeps every later
+/// tuple's position, and with it the splitter's choice, what it would have
+/// been.
 pub struct MergeRunsSource {
     runs: Vec<Vec<ColumnBatch>>,
     /// Per run, the (batch, logical row) of its next row; a batch index
     /// past the run's end means the run is exhausted.
     cursors: Vec<(usize, usize)>,
     keys: Vec<SortKey>,
+    /// `keys`' leading ascending columns: what a seek may use.
+    sorted_on: Vec<usize>,
     split: Option<(usize, usize)>,
     merged: usize,
+    /// Rows seeks skipped that this merge would have passed; flushed to
+    /// `exec.scan.rows_skipped` on drop.
+    skipped: u64,
     ctrl: Arc<ControlBlock>,
 }
 
@@ -418,7 +516,8 @@ impl MergeRunsSource {
             run.retain(|b| b.num_rows() > 0);
         }
         let cursors = vec![(0, 0); runs.len()];
-        MergeRunsSource { runs, cursors, keys, split, merged: 0, ctrl }
+        let sorted_on = ascending_prefix(&keys);
+        MergeRunsSource { runs, cursors, keys, sorted_on, split, merged: 0, skipped: 0, ctrl }
     }
 
     /// Run `r`'s next row as (batch, physical row), if any.
@@ -446,6 +545,12 @@ impl MergeRunsSource {
             }
         }
         CmpOrdering::Equal
+    }
+}
+
+impl Drop for MergeRunsSource {
+    fn drop(&mut self) {
+        flush_skipped(self.skipped);
     }
 }
 
@@ -496,6 +601,47 @@ impl RowSource for MergeRunsSource {
             .collect();
         Ok(Some(ColumnBatch::new(cols, rows.len())))
     }
+
+    fn seek(&mut self, cols: &[usize], key: &ColumnBatch, key_cols: &[usize], row: usize) {
+        if cols.is_empty() || !self.sorted_on.starts_with(cols) {
+            return;
+        }
+        let mut skipped = 0;
+        for (run, cursor) in self.runs.iter().zip(&mut self.cursors) {
+            let (mut b, mut k) = *cursor;
+            let Some(head) = run.get(b) else { continue };
+            let whole = chunks_below(&run[b..], cols, key, key_cols, row);
+            if whole > 0 {
+                skipped += head.num_rows() - k;
+                skipped += run[b + 1..b + whole].iter().map(ColumnBatch::num_rows).sum::<usize>();
+                (b, k) = (b + whole, 0);
+            }
+            // The batch the cursor lands in ends at or above the target:
+            // binary-search its first row that does.
+            if let Some(batch) = run.get(b) {
+                let below = |i: usize| {
+                    let ord = batch.cmp_keys(cols, batch.phys_index(i), key, key_cols, row);
+                    ord == CmpOrdering::Less
+                };
+                if below(k) {
+                    let (mut lo, mut hi) = (k + 1, batch.num_rows());
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        if below(mid) {
+                            lo = mid + 1;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    skipped += lo - k;
+                    k = lo;
+                }
+            }
+            *cursor = (b, k);
+        }
+        self.skipped += passed(self.split, self.merged, skipped) as u64;
+        self.merged += skipped;
+    }
 }
 
 // ------------------------------------------------------------ row shapers
@@ -528,6 +674,10 @@ impl RowSource for FilterExec {
                 return Ok(Some(batch.select_logical(&sel)));
             }
         }
+    }
+
+    fn seek(&mut self, cols: &[usize], key: &ColumnBatch, key_cols: &[usize], row: usize) {
+        self.input.seek(cols, key, key_cols, row);
     }
 }
 
@@ -568,6 +718,21 @@ impl RowSource for ProjectExec {
             self.exprs.iter().map(|e| eval_expr(e, &batch)).collect::<IcResult<_>>()?;
         Ok(Some(ColumnBatch::new(out, batch.num_rows())))
     }
+
+    /// Forwarded when every key column is a bare column reference, renamed
+    /// to the input's columns; ignored otherwise.
+    fn seek(&mut self, cols: &[usize], key: &ColumnBatch, key_cols: &[usize], row: usize) {
+        let input_cols: Option<Vec<usize>> = cols
+            .iter()
+            .map(|&c| match self.exprs.get(c) {
+                Some(Expr::Col(i)) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        if let Some(input_cols) = input_cols {
+            self.input.seek(&input_cols, key, key_cols, row);
+        }
+    }
 }
 
 // ----------------------------------------------------------------- joins
@@ -578,10 +743,11 @@ impl RowSource for ProjectExec {
 // right combination. Everything after that — residual evaluation, the
 // per-`JoinKind` verdict fold, output materialization — is [`JoinEmitter`].
 
-/// Candidate or output pairs of one left batch against the buffered right
-/// side, in left-row order with each row's matches in right order: left
-/// logical row, right physical row (`NIL` = null-extended), and the right
-/// batch the row lives in.
+/// Candidate or output pairs of one left batch against the right batches a
+/// join holds (a hash join's arena, a merge join's window, a nested-loop
+/// join's right side), in left-row order with each row's matches in right
+/// order: left logical row, right physical row (`NIL` = null-extended), and
+/// the right batch the row lives in.
 #[derive(Default)]
 struct JoinPairs {
     pks: Vec<u32>,
@@ -1026,31 +1192,32 @@ impl RowSource for HashJoinExec {
     }
 }
 
-/// Lexicographic key comparison between row `ai` of `a` and row `bi` of `b`
-/// (physical indices), in `Datum`'s total order.
-fn cmp_keys(
-    a: &ColumnBatch,
-    a_keys: &[usize],
-    ai: usize,
-    b: &ColumnBatch,
-    b_keys: &[usize],
-    bi: usize,
-) -> CmpOrdering {
-    for (&ac, &bc) in a_keys.iter().zip(b_keys) {
-        let ord = a.col(ac).cmp_at(ai, b.col(bc), bi);
-        if ord != CmpOrdering::Equal {
-            return ord;
-        }
-    }
-    CmpOrdering::Equal
-}
-
-/// Merge join: inputs sorted ascending on the keys. Column-native: the
-/// right side is buffered as the batches it arrived in, the left streams
-/// through, and both are walked in place with (batch, row) cursors and
-/// typed `cmp_at` key comparisons — no input row is ever materialized,
-/// copied or concatenated. Key matches become candidate pairs for the
-/// shared [`JoinEmitter`], one (left batch, right batch) run at a time.
+/// Merge join: inputs sorted ascending on the keys, walked in place with
+/// (batch, row) cursors and typed `cmp_at` key comparisons — no input row is
+/// ever materialized, copied or concatenated. Key matches become candidate
+/// pairs for the shared [`JoinEmitter`], one (left batch, right batch) run
+/// at a time.
+///
+/// The left side streams; the right side streams through a *window*: the
+/// right batches from the cursor's on, pulled as the cursor (or an
+/// equal-key group) walks off its end, and dropped once the output of the
+/// left batch that passed them is queued. Each side is told where the other
+/// stands ([`RowSource::seek`]), so a sorted source can skip stored chunks
+/// that cannot match:
+///
+/// * before every right pull the right side seeks to the current left key:
+///   no join kind emits an unmatched right row;
+/// * INNER and SEMI joins seek the left side to the right cursor's key
+///   before every left pull, and end once the right side is exhausted.
+///   LEFT and ANTI joins emit unmatched left rows, so they read every one.
+///
+/// The right cursor checks a batch's last key once on entering it and
+/// passes the batch whole when that sorts below the left key. Both inputs
+/// are pulled at least once, right first, before the join ends — the order
+/// every instance follows, so no two instances wait on each other's
+/// exchanges — and a Sort or hash build below an input drains its exchange
+/// on that first pull, so an early end leaves no producer shipping into a
+/// dropped link.
 pub struct MergeJoinExec {
     left: BoxedSource,
     right: BoxedSource,
@@ -1058,11 +1225,18 @@ pub struct MergeJoinExec {
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
     ctrl: Arc<ControlBlock>,
-    /// The buffered right side; `None` until the first pull.
-    right_batches: Option<Arc<Vec<ColumnBatch>>>,
-    /// (batch, logical row) of the first right row not yet known to sort
-    /// before the current left key. Only ever moves forward.
+    /// INNER or SEMI: only left rows with a match are emitted.
+    seeks_left: bool,
+    /// The right batches from the cursor's on, each reserved on arrival.
+    window: Vec<ColumnBatch>,
+    /// The right side has returned `None`.
+    right_done: bool,
+    /// (window batch, logical row) of the first right row not yet known to
+    /// sort before the current left key. Only ever moves forward.
     right_pos: (usize, usize),
+    /// The cursor's batch has had its last key checked.
+    entered: bool,
+    left_pulled: bool,
     output: VecDeque<ColumnBatch>,
 }
 
@@ -1085,65 +1259,138 @@ impl MergeJoinExec {
             left_keys,
             right_keys,
             ctrl,
-            right_batches: None,
+            seeks_left: matches!(kind, JoinKind::Inner | JoinKind::Semi),
+            window: Vec::new(),
+            right_done: false,
             right_pos: (0, 0),
+            entered: false,
+            left_pulled: false,
             output: VecDeque::new(),
+        }
+    }
+
+    /// Pull the next non-empty right batch into the window — first telling
+    /// the right side that rows below `target` (a left batch and physical
+    /// row) are not wanted. `false` once the right side is exhausted.
+    fn pull_right(&mut self, target: Option<(&ColumnBatch, usize)>) -> IcResult<bool> {
+        if self.right_done {
+            return Ok(false);
+        }
+        if let Some((lb, li)) = target {
+            self.right.seek(&self.right_keys, lb, &self.left_keys, li);
+        }
+        while let Some(b) = self.right.next_batch()? {
+            self.ctrl.check()?;
+            if b.num_rows() > 0 {
+                self.ctrl.reserve_batch(&b)?;
+                self.window.push(b);
+                return Ok(true);
+            }
+        }
+        self.right_done = true;
+        Ok(false)
+    }
+
+    /// Move the right cursor to the first right row whose key does not sort
+    /// below row `li` of `lb`, pulling the right side as the window runs out.
+    fn advance_right(&mut self, lb: &ColumnBatch, li: usize) -> IcResult<()> {
+        loop {
+            let (b, mut r) = self.right_pos;
+            let Some(rb) = self.window.get(b) else {
+                if self.pull_right(Some((lb, li)))? {
+                    continue;
+                }
+                return Ok(());
+            };
+            let below = |r: usize| {
+                rb.cmp_keys(&self.right_keys, rb.phys_index(r), lb, &self.left_keys, li)
+                    == CmpOrdering::Less
+            };
+            if !self.entered {
+                self.entered = true;
+                if below(rb.num_rows() - 1) {
+                    (self.right_pos, self.entered) = ((b + 1, 0), false);
+                    continue;
+                }
+            }
+            while r < rb.num_rows() && below(r) {
+                r += 1;
+            }
+            if r < rb.num_rows() {
+                self.right_pos = (b, r);
+                return Ok(());
+            }
+            (self.right_pos, self.entered) = ((b + 1, 0), false);
         }
     }
 
     /// Candidate pairs of `lb` against the right side, advancing the right
     /// cursor past every key smaller than `lb`'s last.
-    fn match_batch(&mut self, lb: &ColumnBatch, right: &[ColumnBatch]) -> JoinPairs {
-        let step = |(b, k): (usize, usize)| {
-            if k + 1 < right[b].num_rows() {
-                (b, k + 1)
-            } else {
-                (b + 1, 0)
-            }
-        };
+    fn match_batch(&mut self, lb: &ColumnBatch) -> IcResult<JoinPairs> {
         let mut pairs = JoinPairs::default();
-        let mut pos = self.right_pos;
         for k in 0..lb.num_rows() {
             let li = lb.phys_index(k);
             // NULL keys match nothing.
             if !self.left_keys.iter().all(|&c| lb.col(c).is_valid(li)) {
                 continue;
             }
-            let cmp_right = |(b, rk): (usize, usize)| {
-                let rb = &right[b];
-                cmp_keys(rb, &self.right_keys, rb.phys_index(rk), lb, &self.left_keys, li)
-            };
-            while pos.0 < right.len() && cmp_right(pos) == CmpOrdering::Less {
-                pos = step(pos);
-            }
-            // Walk the equal-key group from the cursor without moving
-            // it: the next left row may carry the same key.
-            let mut group = pos;
-            while group.0 < right.len() && cmp_right(group) == CmpOrdering::Equal {
-                let bi = right[group.0].phys_index(group.1);
-                pairs.push(k as u32, bi as u32, group.0 as u32);
-                group = step(group);
+            self.advance_right(lb, li)?;
+            // Walk the equal-key group from the cursor without moving it:
+            // the next left row may carry the same key.
+            let mut group = self.right_pos;
+            loop {
+                let Some(rb) = self.window.get(group.0) else {
+                    if self.pull_right(Some((lb, li)))? {
+                        continue;
+                    }
+                    break;
+                };
+                let ri = rb.phys_index(group.1);
+                if rb.cmp_keys(&self.right_keys, ri, lb, &self.left_keys, li).is_ne() {
+                    break;
+                }
+                pairs.push(k as u32, ri as u32, group.0 as u32);
+                group = match group.1 + 1 {
+                    next if next < rb.num_rows() => (group.0, next),
+                    _ => (group.0 + 1, 0),
+                };
             }
         }
-        self.right_pos = pos;
-        pairs
+        Ok(pairs)
     }
 }
 
 impl RowSource for MergeJoinExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        if self.right_batches.is_none() {
-            self.right_batches = Some(Arc::new(buffer_input(&mut self.right, &self.ctrl)?));
+        // The first pull opens with one right batch, so the right cursor
+        // has a key to seek the left side to.
+        if !self.left_pulled && self.window.is_empty() {
+            self.pull_right(None)?;
         }
-        let right = self.right_batches.clone().unwrap_or_default();
         loop {
             self.ctrl.check()?;
             if let Some(b) = self.output.pop_front() {
                 return Ok(Some(b));
             }
+            if self.seeks_left {
+                match self.window.get(self.right_pos.0) {
+                    Some(rb) => {
+                        let ri = rb.phys_index(self.right_pos.1);
+                        self.left.seek(&self.left_keys, rb, &self.right_keys, ri);
+                    }
+                    // Every right row is behind the cursor: nothing left
+                    // can match.
+                    None if self.right_done && self.left_pulled => return Ok(None),
+                    None => {}
+                }
+            }
             let Some(lb) = self.left.next_batch()? else { return Ok(None) };
-            let pairs = self.match_batch(&lb, &right);
-            self.emitter.emit(&lb, &right, pairs, &mut self.output)?;
+            self.left_pulled = true;
+            let pairs = self.match_batch(&lb)?;
+            self.emitter.emit(&lb, &self.window, pairs, &mut self.output)?;
+            // The cursor only moves forward: batches before it are done.
+            self.window.drain(..self.right_pos.0);
+            self.right_pos.0 = 0;
         }
     }
 }
@@ -1716,6 +1963,37 @@ mod tests {
         let r1 = drain(Box::new(v1)).unwrap();
         assert_eq!(r0, rows(&[&[0], &[2], &[4], &[6], &[8]]));
         assert_eq!(r1, rows(&[&[1], &[3], &[5], &[7], &[9]]));
+    }
+
+    #[test]
+    fn seek_passes_through_filters_and_bare_projections() {
+        // (payload, key) rows sorted on the key, one chunk per two rows.
+        let data: Vec<Row> = (0..10i64).map(|k| Row(vec![Datum::Int(-k), Datum::Int(k)])).collect();
+        let target = ColumnBatch::from_rows(&rows(&[&[5]]));
+        let scan = |ctrl: &Arc<ControlBlock>| -> BoxedSource {
+            let scan = ScanSource::new(vec![chunked(&data, 2)], None, ctrl.clone());
+            let scan = Box::new(scan.sorted_on(&[SortKey::asc(1)]));
+            Box::new(FilterExec::new(scan, Expr::lit(true), ctrl.clone()))
+        };
+        // The key is output column 0 of a bare projection: the scan skips
+        // the chunks holding 0..3 and starts at the one holding 4 and 5.
+        let c = ctrl();
+        let mut p = ProjectExec::new(scan(&c), vec![Expr::col(1), Expr::col(0)], c);
+        p.seek(&[0], &target, &[0], 0);
+        let first = p.next_batch().unwrap().unwrap().to_rows();
+        assert_eq!(first, rows(&[&[4, -4], &[5, -5]]));
+        // A computed key column is not the scan's order: nothing skipped.
+        let c = ctrl();
+        let plus_one = Expr::binary(ic_common::BinOp::Add, Expr::col(1), Expr::lit(1i64));
+        let mut p = ProjectExec::new(scan(&c), vec![plus_one, Expr::col(0)], c);
+        p.seek(&[0], &target, &[0], 0);
+        assert_eq!(p.next_batch().unwrap().unwrap().to_rows(), rows(&[&[1, 0], &[2, -1]]));
+        // Neither is a seek on a column the run is not sorted on.
+        let c = ctrl();
+        let mut s = scan(&c);
+        s.seek(&[0], &target, &[0], 0);
+        assert_eq!(s.next_batch().unwrap().unwrap().num_rows(), 2);
+        assert_eq!(drain(s).unwrap().len(), 8);
     }
 
     #[test]

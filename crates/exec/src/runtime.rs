@@ -531,7 +531,7 @@ impl BuildCtx<'_> {
                     .map(|(p, store)| ix.run_for(*p, store))
                     .collect();
                 if runs.len() <= 1 {
-                    Box::new(ScanSource::new(runs, split, ctrl))
+                    Box::new(ScanSource::new(runs, split, ctrl).sorted_on(sort))
                 } else {
                     // Several partitions at this site: merge their runs.
                     let runs = runs

@@ -1,20 +1,24 @@
 //! Property tests for the physical operators: the three join algorithms
 //! agree with a brute-force oracle on every join kind — row for row, in
-//! order — distributed aggregation equals single-site aggregation, and
-//! sort/limit obey their contracts.
+//! order, and for the merge join also over inputs that seek — distributed
+//! aggregation equals single-site aggregation, and sort/limit obey their
+//! contracts.
 
 mod common;
 
 use common::{chunked_src, join_oracle};
 use ic_common::agg::AggFunc;
 use ic_common::row::BATCH_SIZE;
-use ic_common::{BinOp, DataType, Datum, Expr, Row};
+use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, IcResult, Row};
 use ic_exec::operators::{
-    drain, AggExec, BoxedSource, ControlBlock, HashJoinExec, LimitExec, MergeJoinExec,
-    NestedLoopJoinExec, SortExec, VecSource, NLJ_PAIR_BUDGET,
+    drain, AggExec, BoxedSource, ControlBlock, FilterExec, HashJoinExec, LimitExec, MergeJoinExec,
+    MergeRunsSource, NestedLoopJoinExec, ProjectExec, RowSource, ScanSource, SortExec, VecSource,
+    NLJ_PAIR_BUDGET,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const KINDS: [JoinKind; 4] = [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti];
 
@@ -94,10 +98,73 @@ impl Case<'_> {
     /// Inputs must be sorted on the keys.
     fn merge(&self) -> Vec<Row> {
         let (l, r, ctrl) = self.inputs();
+        self.merge_over(l, r, ctrl)
+    }
+
+    fn merge_over(&self, l: BoxedSource, r: BoxedSource, ctrl: Arc<ControlBlock>) -> Vec<Row> {
         let keys: Vec<usize> = (0..self.nkeys).collect();
         drain(Box::new(MergeJoinExec::new(
             l, r, self.kind, keys.clone(), keys, self.residual.clone(), self.width(), ctrl)))
         .unwrap()
+    }
+
+    /// The merge join over inputs that honour its seeks: each side an
+    /// index-run scan cut into `chunks` (sizes cycled) and reached the way a
+    /// plan reaches one — through a filter and a column-reordering
+    /// projection. With `variants > 1` the side a variant fragment slices
+    /// (INNER: the right; otherwise the left) is a splitter stride in each
+    /// variant, and the answer is every variant's output together.
+    fn merge_seeking(&self, chunks: &[usize], variants: usize) -> Vec<Row> {
+        let split_left = self.kind != JoinKind::Inner;
+        let mut out = Vec::new();
+        for vid in 0..variants {
+            let split = (variants > 1).then_some((vid, variants));
+            let ctrl = ControlBlock::unlimited();
+            let l = self.seek_src(self.l, chunks, split.filter(|_| split_left), &ctrl);
+            let r = self.seek_src(self.r, chunks, split.filter(|_| !split_left), &ctrl);
+            out.extend(self.merge_over(l, r, ctrl));
+        }
+        out
+    }
+
+    /// `rows` stored rotated one column right — the keys at columns
+    /// `1..=nkeys`, which the run is sorted on — then scanned, filtered and
+    /// projected back.
+    fn seek_src(
+        &self,
+        rows: &[Row],
+        chunks: &[usize],
+        split: Option<(usize, usize)>,
+        ctrl: &Arc<ControlBlock>,
+    ) -> BoxedSource {
+        let w = self.width();
+        let rotate = |r: &Row| Row(r.0[w - 1..].iter().chain(&r.0[..w - 1]).cloned().collect());
+        let stored: Vec<Row> = rows.iter().map(rotate).collect();
+        let mut run = Vec::new();
+        let (mut at, mut i) = (0, 0);
+        while at < stored.len() {
+            let n = chunks[i % chunks.len()].min(stored.len() - at);
+            run.push(Arc::new(ColumnBatch::from_typed_rows(&ints(w), &stored[at..at + n])));
+            (at, i) = (at + n, i + 1);
+        }
+        let sort: Vec<SortKey> = (1..=self.nkeys).map(SortKey::asc).collect();
+        let scan = ScanSource::new(vec![Arc::new(run)], split, ctrl.clone()).sorted_on(&sort);
+        let kept = FilterExec::new(Box::new(scan), Expr::lit(true), ctrl.clone());
+        let back = (1..w).chain([0]).map(Expr::col).collect();
+        Box::new(ProjectExec::new(Box::new(kept), back, ctrl.clone()))
+    }
+}
+
+/// Counts the batches pulled through it.
+struct Counting {
+    inner: BoxedSource,
+    pulls: Arc<AtomicUsize>,
+}
+
+impl RowSource for Counting {
+    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
+        self.pulls.fetch_add(1, Ordering::Relaxed);
+        self.inner.next_batch()
     }
 }
 
@@ -125,7 +192,11 @@ fn check_single_key_joins(l: &[Row], r: &[Row], residual: &Expr) -> Result<(), S
         prop_assert_eq!(&case.nlj(), &expect, "nlj {:?}", kind);
         prop_assert_eq!(&case.hash(), &expect, "hash {:?}", kind);
         let sorted = Case { l: &ls, r: &rs, ..case };
-        prop_assert_eq!(sorted.merge(), sorted.oracle(), "merge {:?}", kind);
+        let expect = sorted.oracle();
+        prop_assert_eq!(&sorted.merge(), &expect, "merge {:?}", kind);
+        prop_assert_eq!(&sorted.merge_seeking(&[3, 1], 1), &expect, "seeking merge {:?}", kind);
+        let split = canon(sorted.merge_seeking(&[2], 2));
+        prop_assert_eq!(split, canon(expect), "seeking merge {:?} in 2 variants", kind);
     }
     Ok(())
 }
@@ -136,7 +207,9 @@ proptest! {
     /// other one a selection view): duplicate-key runs span batch
     /// boundaries on both sides, keys are composite with NULLs, sides may
     /// be empty, for all four join kinds — without a residual, with one,
-    /// and with one that rejects every candidate.
+    /// and with one that rejects every candidate. The merge join does the
+    /// same over index runs of 1–8-row chunks that honour its seeks, whole
+    /// and split into variants.
     #[test]
     fn joins_match_oracle_across_chunk_boundaries(
         l in sorted_side(),
@@ -144,6 +217,8 @@ proptest! {
         lsizes in proptest::collection::vec(1usize..6, 1..4),
         rsizes in proptest::collection::vec(1usize..6, 1..4),
         residual in 0u8..3,
+        chunks in proptest::collection::vec(1usize..9, 1..4),
+        variants in 2usize..4,
     ) {
         // l.v > r.v over the joined row (l.k1 l.k2 l.v r.k1 r.k2 r.v).
         let residual = match residual {
@@ -157,6 +232,11 @@ proptest! {
             prop_assert_eq!(&case.nlj(), &expect, "nlj {:?} residual {:?}", kind, residual);
             prop_assert_eq!(&case.hash(), &expect, "hash {:?} residual {:?}", kind, residual);
             prop_assert_eq!(&case.merge(), &expect, "merge {:?} residual {:?}", kind, residual);
+            let seeking = case.merge_seeking(&chunks, 1);
+            prop_assert_eq!(&seeking, &expect, "seeking merge {:?} residual {:?}", kind, residual);
+            let split = canon(case.merge_seeking(&chunks, variants));
+            let what = format!("seeking merge {kind:?} in {variants} variants");
+            prop_assert_eq!(split, canon(expect), "{}", what);
         }
     }
 
@@ -172,6 +252,55 @@ proptest! {
     fn residual_joins_agree((l, r) in join_inputs()) {
         let residual = Expr::binary(BinOp::Gt, Expr::col(1), Expr::col(3));
         check_single_key_joins(&rows(&l), &rows(&r), &residual)?;
+    }
+
+    /// A seek moves every run of an index merge to its first row at or
+    /// above the target and counts the rows passed over as merged, so a
+    /// splitter still passes exactly its share of the merged order: what
+    /// variant `v` of `n` emits after seeking to `t` is the rows of rank
+    /// ≡ `v` (mod `n`) whose key is at least `t`.
+    #[test]
+    fn merge_runs_seek_keeps_each_splitters_share(
+        keys in proptest::collection::vec(proptest::collection::vec(0i64..30, 0..20), 1..4),
+        chunk in 1usize..5,
+        targets in proptest::collection::vec(0i64..35, 1..4),
+    ) {
+        // Rows (key, tag), each run sorted; the merged order breaks key ties
+        // by run.
+        let runs: Vec<Vec<Row>> = keys
+            .iter()
+            .enumerate()
+            .map(|(r, ks)| {
+                let mut ks = ks.clone();
+                ks.sort();
+                let tag = |i: usize| Datum::Int((r * 100 + i) as i64);
+                ks.iter().enumerate().map(|(i, &k)| Row(vec![Datum::Int(k), tag(i)])).collect()
+            })
+            .collect();
+        let mut merged: Vec<&Row> = runs.iter().flatten().collect();
+        merged.sort_by_key(|row| (row.0[0].as_int().unwrap(), row.0[1].as_int().unwrap()));
+        let n = targets.len();
+        for (vid, &t) in targets.iter().enumerate() {
+            let batches = runs
+                .iter()
+                .map(|run| {
+                    run.chunks(chunk).map(|c| ColumnBatch::from_typed_rows(&ints(2), c)).collect()
+                })
+                .collect();
+            let split = (n > 1).then_some((vid, n));
+            let ctrl = ControlBlock::unlimited();
+            let mut m = MergeRunsSource::new(batches, vec![SortKey::asc(0)], split, ctrl);
+            let at = ColumnBatch::from_typed_rows(&ints(1), &[Row(vec![Datum::Int(t)])]);
+            m.seek(&[0], &at, &[0], 0);
+            let expect: Vec<Row> = merged
+                .iter()
+                .enumerate()
+                .filter(|(rank, row)| rank % n == vid && row.0[0].as_int().unwrap() >= t)
+                .map(|(_, row)| (*row).clone())
+                .collect();
+            let got = drain(Box::new(m)).unwrap();
+            prop_assert_eq!(got, expect, "variant {} of {}, target {}", vid, n, t);
+        }
     }
 
     /// Partial-per-partition + final ≡ complete, for any partitioning of
@@ -288,6 +417,43 @@ fn nlj_pair_budget_steps_match_oracle() {
             let got = drain(Box::new(nlj)).unwrap();
             assert!(kind != JoinKind::Inner || !got.is_empty(), "predicate must select something");
             assert_eq!(got, join_oracle(&left, &right, kind, &on, 2), "{kind:?}, right {right_rows}");
+        }
+    }
+}
+
+/// An INNER or SEMI merge join ends once its right side is exhausted — it
+/// pulls no further left batch — while LEFT and ANTI joins drain the left:
+/// they emit the left rows nothing matches. An empty right side still costs
+/// the left one pull, so the exchanges below it are drained.
+#[test]
+fn merge_join_stops_pulling_left_once_the_right_side_is_exhausted() {
+    let left: Vec<Row> = (0..100i64).map(|k| Row(vec![Datum::Int(k), Datum::Int(k)])).collect();
+    let right: Vec<Row> =
+        [1i64, 2, 7].iter().map(|&k| Row(vec![Datum::Int(k), Datum::Int(-k)])).collect();
+    for kind in KINDS {
+        for right in [&right[..], &[]] {
+            let pulls = Arc::new(AtomicUsize::new(0));
+            let counted = Counting { inner: chunked_src(&left, &[5]), pulls: pulls.clone() };
+            let mj = MergeJoinExec::new(
+                Box::new(counted),
+                chunked_src(right, &[2]),
+                kind,
+                vec![0],
+                vec![0],
+                Expr::lit(true),
+                2,
+                ControlBlock::unlimited(),
+            );
+            let got = drain(Box::new(mj)).unwrap();
+            let on = Expr::eq(Expr::col(0), Expr::col(2));
+            assert_eq!(got, join_oracle(&left, right, kind, &on, 2), "{kind:?}");
+            // Key 7 is in the second left batch (5..9); 20 batches, then `None`.
+            let expect = match (kind, right.is_empty()) {
+                (JoinKind::Inner | JoinKind::Semi, false) => 2,
+                (JoinKind::Inner | JoinKind::Semi, true) => 1,
+                (JoinKind::Left | JoinKind::Anti, _) => 21,
+            };
+            assert_eq!(pulls.load(Ordering::Relaxed), expect, "{kind:?}, right {right:?}");
         }
     }
 }

@@ -4,8 +4,10 @@
 //! the index key, stored as dense column chunks exactly like the partition
 //! itself. A scan through the index therefore hands out stored chunks and
 //! delivers rows with a *collation* trait the planner can use to elide
-//! sorts (the paper's Q14 improvement) or feed merge joins. Point/range
-//! lookups binary-search the sorted run.
+//! sorts (the paper's Q14 improvement) or feed merge joins. A reader that
+//! is told it may skip keys below a target (a merge join's seek) finds the
+//! first chunk to read with one binary search over the run,
+//! [`chunks_below`].
 //!
 //! A run is keyed to the [`PartStore`] version it was built from and is
 //! rebuilt lazily: whoever asks for the run of a store at another version
@@ -16,9 +18,10 @@
 use crate::catalog::IndexDef;
 use crate::table::{Chunks, PartStore, TableData};
 use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, Datum, Row};
+use ic_common::ColumnBatch;
 use parking_lot::Mutex;
-use std::ops::Bound;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A partition's key-sorted run and the store version it reflects.
@@ -33,20 +36,28 @@ pub struct Index {
     runs: Vec<Mutex<Option<IndexRun>>>,
 }
 
-/// A half-open/closed range over index key prefixes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyRange {
-    pub lower: Bound<Vec<Datum>>,
-    pub upper: Bound<Vec<Datum>>,
-}
-
-impl KeyRange {
-    pub fn all() -> KeyRange {
-        KeyRange { lower: Bound::Unbounded, upper: Bound::Unbounded }
-    }
-
-    pub fn point(key: Vec<Datum>) -> KeyRange {
-        KeyRange { lower: Bound::Included(key.clone()), upper: Bound::Included(key) }
+/// How many chunks at the front of `run`, a run sorted ascending on `cols`,
+/// hold only keys that sort below the target — physical row `row` of
+/// `key`'s `key_cols`, in `cmp_at` order: the chunks a reader positioned at
+/// the front may skip whole. A chunk is judged by its last row, with one
+/// binary search; the first chunk is checked alone before it, so a reader
+/// whose next chunk already reaches the target pays one comparison. An
+/// empty chunk counts as reaching it, which can only skip less.
+pub fn chunks_below<B: Borrow<ColumnBatch>>(
+    run: &[B],
+    cols: &[usize],
+    key: &ColumnBatch,
+    key_cols: &[usize],
+    row: usize,
+) -> usize {
+    let below = |chunk: &B| {
+        let chunk = chunk.borrow();
+        let n = chunk.num_rows();
+        n > 0 && chunk.cmp_keys(cols, chunk.phys_index(n - 1), key, key_cols, row) == Ordering::Less
+    };
+    match run.first() {
+        Some(first) if below(first) => run.partition_point(below),
+        _ => 0,
     }
 }
 
@@ -110,60 +121,6 @@ impl Index {
             self.run_for(p, &data.store(p));
         }
     }
-
-    /// Range scan within one partition snapshot: binary-search the bounds in
-    /// the sorted run, return the matching rows (bounds compare on key
-    /// prefixes).
-    pub fn range_scan(&self, partition: usize, store: &PartStore, range: &KeyRange) -> Vec<Row> {
-        let run = self.run_for(partition, store);
-        // Chunk c covers run positions starts[c]..starts[c + 1].
-        let mut starts = vec![0usize];
-        for chunk in run.iter() {
-            starts.push(starts[starts.len() - 1] + chunk.num_rows());
-        }
-        let total = starts[run.len()];
-        let locate = |pos: usize| {
-            let c = starts.partition_point(|&s| s <= pos) - 1;
-            (&run[c], pos - starts[c])
-        };
-        // First position whose key does not satisfy `before(key cmp bound)`.
-        let first_not = |bound: &[Datum], before: fn(std::cmp::Ordering) -> bool| {
-            let (mut lo, mut hi) = (0, total);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let (chunk, i) = locate(mid);
-                let ord = self
-                    .columns
-                    .iter()
-                    .zip(bound)
-                    .map(|(&c, b)| chunk.col(c).datum_at(i).cmp(b))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal);
-                if before(ord) {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
-        let lo = match &range.lower {
-            Bound::Unbounded => 0,
-            Bound::Included(b) => first_not(b, std::cmp::Ordering::is_lt),
-            Bound::Excluded(b) => first_not(b, std::cmp::Ordering::is_le),
-        };
-        let hi = match &range.upper {
-            Bound::Unbounded => total,
-            Bound::Included(b) => first_not(b, std::cmp::Ordering::is_le),
-            Bound::Excluded(b) => first_not(b, std::cmp::Ordering::is_lt),
-        };
-        (lo..hi.max(lo))
-            .map(|pos| {
-                let (chunk, i) = locate(pos);
-                chunk.row_at(i)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +128,7 @@ mod tests {
     use super::*;
     use crate::table::tests::on_one_site;
     use crate::catalog::{IndexId, TableId};
-    use ic_common::{DataType, Field, Schema};
+    use ic_common::{DataType, Datum, Field, Row, Schema};
 
     fn pairs(kvs: &[(i64, i64)]) -> [ColumnBatch; 1] {
         let rows: Vec<Row> = kvs.iter().map(|&(k, v)| Row(vec![Datum::Int(k), Datum::Int(v)])).collect();
@@ -226,34 +183,50 @@ mod tests {
         assert!(Arc::ptr_eq(&ix.run_for(0, &store), store.chunks()));
     }
 
+    /// Partition `p`'s run cut into one-row chunks, and a one-row key batch.
+    fn one_row_chunks(ix: &Index, data: &TableData, p: usize) -> Vec<ColumnBatch> {
+        let run = ix.run_for(p, &data.store(p));
+        run.iter().flat_map(|c| (0..c.num_rows()).map(|k| c.slice_logical(k, 1))).collect()
+    }
+
+    fn key(k: i64) -> ColumnBatch {
+        ColumnBatch::from_typed_rows(&[DataType::Int], &[Row(vec![Datum::Int(k)])])
+    }
+
     #[test]
     fn point_lookup() {
         let (ix, data) = setup();
-        let hits = ix.range_scan(1, &data.store(1), &KeyRange::point(vec![Datum::Int(2)]));
-        assert_eq!(hits.len(), 2);
-        let miss = ix.range_scan(0, &data.store(0), &KeyRange::point(vec![Datum::Int(99)]));
-        assert!(miss.is_empty());
+        // Partition 1's keys are [2, 2, 4]: both 2s stay, a missing key
+        // past the end skips everything.
+        let run = one_row_chunks(&ix, &data, 1);
+        assert_eq!(chunks_below(&run, &[0], &key(2), &[0], 0), 0);
+        assert_eq!(chunks_below(&run, &[0], &key(99), &[0], 0), 3);
     }
 
     #[test]
     fn range_bounds() {
         let (ix, data) = setup();
-        let store = data.store(0);
-        // keys in partition 0 are [1,3,5]
-        let r = KeyRange {
-            lower: Bound::Included(vec![Datum::Int(2)]),
-            upper: Bound::Excluded(vec![Datum::Int(5)]),
-        };
-        let hits = ix.range_scan(0, &store, &r);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0[0], Datum::Int(3));
-        let r = KeyRange { lower: Bound::Excluded(vec![Datum::Int(1)]), upper: Bound::Unbounded };
-        assert_eq!(ix.range_scan(0, &store, &r).len(), 2);
+        // Partition 0's keys are [1, 3, 5]: a lower bound between keys
+        // lands on the next one, whether or not it is present.
+        let run = one_row_chunks(&ix, &data, 0);
+        let from = |k| chunks_below(&run, &[0], &key(k), &[0], 0);
+        assert_eq!([from(2), from(3), from(4), from(5), from(6)], [1, 1, 2, 2, 3]);
+        // A chunk is judged by its last key: a chunk holding 1 and 3 stays
+        // for a target of 2.
+        let whole = ix.run_for(0, &data.store(0));
+        assert_eq!(chunks_below(&whole, &[0], &key(2), &[0], 0), 0);
+        assert_eq!(chunks_below(&whole, &[0], &key(6), &[0], 0), 1);
     }
 
     #[test]
     fn full_scan_range() {
         let (ix, data) = setup();
-        assert_eq!(ix.range_scan(0, &data.store(0), &KeyRange::all()).len(), 3);
+        // A target at or below the smallest key, a NULL one included (NULLs
+        // sort first), skips nothing; so does an empty run.
+        let run = one_row_chunks(&ix, &data, 0);
+        assert_eq!(chunks_below(&run, &[0], &key(1), &[0], 0), 0);
+        let null = ColumnBatch::from_typed_rows(&[DataType::Int], &[Row(vec![Datum::Null])]);
+        assert_eq!(chunks_below(&run, &[0], &null, &[0], 0), 0);
+        assert_eq!(chunks_below::<ColumnBatch>(&[], &[0], &key(9), &[0], 0), 0);
     }
 }

@@ -1,13 +1,14 @@
 //! Property tests for the storage substrate: partition routing, statistics
-//! vs brute force, index range scans vs filter scans, and the chunked
+//! vs brute force, seeks through an index run vs a filter, and the chunked
 //! copy-on-write store vs a `Vec<Row>` model.
 
 use ic_common::row::BATCH_SIZE;
 use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, Row, Schema};
+use ic_exec::operators::{ControlBlock, RowSource, ScanSource};
+use ic_plan::ops::SortKey;
 use ic_storage::write::apply_op;
 use ic_storage::{Catalog, PartStore, TableDistribution, WriteOp};
 use proptest::prelude::*;
-use std::ops::Bound;
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -69,40 +70,79 @@ proptest! {
         }
     }
 
-    /// Index range scans return exactly the rows a filter scan would.
+    /// Seeks through an index run skip only what sorts below their target.
+    /// A key-sorted run of `(k, position)` rows (NULL keys first) is cut
+    /// into chunks of one size and scanned — whole or as one splitter's
+    /// stride — while a non-decreasing sequence of targets is sought, a few
+    /// batches pulled after each, the rest drained after the last. Every
+    /// row the scan's share holds comes out in run order unless it sorts
+    /// below the target in force when the scan passed it — so every row at
+    /// or above the target comes out, and any row dropped sorts below it.
     #[test]
     fn index_range_matches_filter(
-        data in proptest::collection::vec((0i64..60, -10i64..10), 0..120),
-        lo in 0i64..60,
-        len in 0i64..30,
+        keys in proptest::collection::vec(-1i64..40, 0..120),
+        chunk in 1usize..9,
+        steps in proptest::collection::vec((0i64..12, 0usize..3), 0..8),
+        split in 0usize..3,
     ) {
-        let hi = lo + len;
-        let cat = Catalog::new(3, 0);
-        let t = cat
-            .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
-            .unwrap();
-        let ix = cat.create_index("ix_v", t, vec![1]).unwrap();
-        cat.insert(t, rows(&data)).unwrap();
-        cat.analyze(t).unwrap();
-        let index = cat.index(ix).unwrap();
-        let range = ic_storage::index::KeyRange {
-            lower: Bound::Included(vec![Datum::Int(lo - 30)]),
-            upper: Bound::Excluded(vec![Datum::Int(hi - 30)]),
+        let mut keys = keys;
+        keys.sort();
+        let key = |k: i64| if k < 0 { Datum::Null } else { Datum::Int(k) };
+        let types = [DataType::Int, DataType::Int];
+        let rows: Vec<Row> =
+            keys.iter().enumerate().map(|(i, &k)| Row(vec![key(k), Datum::Int(i as i64)])).collect();
+        let run: Vec<Arc<ColumnBatch>> = rows
+            .chunks(chunk)
+            .map(|c| Arc::new(ColumnBatch::from_typed_rows(&types, c)))
+            .collect();
+        // `split` 0: the whole run; otherwise variant 1 of `split + 1`.
+        let share = (split > 0).then_some((1, split + 1));
+        let mut scan = ScanSource::new(vec![Arc::new(run)], share, ControlBlock::unlimited())
+            .sorted_on(&[SortKey::asc(0)]);
+        // (position, target in force when it came out)
+        let mut out: Vec<(usize, i64)> = Vec::new();
+        // The last key of the stored chunk a batch is a view of.
+        let last_key = |b: &ColumnBatch| b.col(0).datum_at(b.phys_rows() - 1);
+        let mut pull = |scan: &mut ScanSource, target: i64| {
+            let batch = scan.next_batch().unwrap();
+            if let Some(b) = &batch {
+                out.extend(b.to_rows().iter().map(|r| (r.0[1].as_int().unwrap() as usize, target)));
+            }
+            batch
         };
-        let table = cat.table_data(t).unwrap();
-        let mut via_index: Vec<Row> = (0..index.num_partitions())
-            .flat_map(|p| index.range_scan(p, &table.store(p), &range))
-            .collect();
-        via_index.sort();
-        let mut via_filter: Vec<Row> = (0..table.num_partitions())
-            .flat_map(|p| rows_of(&table.store(p)))
-            .filter(|r| {
-                let v = r.0[1].as_int().unwrap();
-                v >= lo - 30 && v < hi - 30
-            })
-            .collect();
-        via_filter.sort();
-        prop_assert_eq!(via_index, via_filter);
+        let mut target = -1;
+        for (step, pulls) in steps {
+            target += step;
+            let at = ColumnBatch::from_typed_rows(&types[..1], &[Row(vec![Datum::Int(target)])]);
+            scan.seek(&[0], &at, &[0], 0);
+            for p in 0..pulls {
+                // The seek skipped every chunk that ends below the target.
+                if let Some(b) = pull(&mut scan, target).filter(|_| p == 0) {
+                    let reaches = last_key(&b) >= Datum::Int(target);
+                    prop_assert!(reaches, "a chunk below {} read", target);
+                }
+            }
+        }
+        while pull(&mut scan, target).is_some() {}
+        let mine = |i: usize| share.is_none_or(|(vid, n)| i % n == vid);
+        prop_assert!(out.iter().all(|&(i, _)| mine(i)), "a row outside the stride: {:?}", out);
+        prop_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "out of run order: {:?}", out);
+        // Each row of the share not emitted sorts below the target in force
+        // at the next row out (or at the end).
+        let mut next = out.iter().peekable();
+        for i in (0..rows.len()).filter(|&i| mine(i)) {
+            match next.peek() {
+                Some(&&(j, _)) if j == i => {
+                    next.next();
+                }
+                later => {
+                    let t = later.map_or(target, |&&(_, t)| t);
+                    // A NULL key (-1 here) sorts below every target.
+                    let below = keys[i] < 0 || keys[i] < t;
+                    prop_assert!(below, "row {} (key {}) dropped at target {}", i, keys[i], t);
+                }
+            }
+        }
     }
 
     /// Index partitions are sorted after every rebuild.

@@ -9,6 +9,10 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use std::time::Duration;
 
+/// Rows of `t` (`u` keeps two in three): enough that each site's index run
+/// of either is several stored chunks, which a seek can skip whole.
+const TU_ROWS: i64 = 12_000;
+
 struct Fixture {
     ic: Cluster,
     plus: Cluster,
@@ -66,11 +70,11 @@ fn fixture() -> &'static Fixture {
         ic.run("CREATE TABLE u (u1 BIGINT, u2 BIGINT, u3 VARCHAR, PRIMARY KEY (u1))").unwrap();
         ic.run("CREATE INDEX ix_t1 ON t (t1)").unwrap();
         ic.run("CREATE INDEX ix_u1 ON u (u1)").unwrap();
-        let t: Vec<Row> = (0..1500)
+        let t: Vec<Row> = (0..TU_ROWS)
             .rev()
             .map(|i| Row(vec![Datum::Int(i), Datum::Int(i % 37), Datum::Double((i % 97) as f64 / 3.0)]))
             .collect();
-        let u: Vec<Row> = (0..1500)
+        let u: Vec<Row> = (0..TU_ROWS)
             .rev()
             .filter(|i| i % 3 != 0)
             .map(|i| Row(vec![Datum::Int(i), Datum::Int(i % 11), Datum::str(format!("tag{}", i % 5))]))
@@ -136,7 +140,11 @@ fn agg() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+    // 24 cases by default; `PROPTEST_CASES` raises it for a deep run.
+    #![proptest_config(ProptestConfig {
+        cases: std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24),
+        .. ProptestConfig::default()
+    })]
 
     /// Scan → filter → project over the partitioned table, and a sort or a
     /// DISTINCT aggregate directly over the replicated table's scan.
@@ -270,17 +278,29 @@ proptest! {
 
     /// Index-backed merge joins agree across variants (IC+M runs them in
     /// variant fragments: the splitter side is a stride over the index run).
+    /// With one side cut to a narrow key range the other side seeks across
+    /// whole stored chunks: the left (`t`, a duplicator) when `u` is cut,
+    /// the right (`u`, the splitter, which must keep its stride) when `t` is.
     #[test]
-    fn equivalence_index_merge_join(lo in 0i64..37, hi in 0i64..11, grouped in proptest::bool::ANY) {
-        let sql = if grouped {
-            format!(
+    fn equivalence_index_merge_join(
+        lo in 0i64..37, hi in 0i64..11, key in 0i64..TU_ROWS, shape in 0usize..4,
+    ) {
+        let sql = match shape {
+            0 => format!(
                 "SELECT u.u3, count(*), sum(t.t3) FROM t, u \
                  WHERE t.t1 = u.u1 AND t.t2 > {lo} AND u.u2 <= {hi} GROUP BY u.u3"
-            )
-        } else {
-            format!(
+            ),
+            1 => format!(
                 "SELECT t.t1, u.u3 FROM t, u WHERE t.t1 = u.u1 AND t.t2 > {lo} AND u.u2 <= {hi}"
-            )
+            ),
+            2 => format!(
+                "SELECT t.t1, t.t3, u.u3 FROM t, u \
+                 WHERE t.t1 = u.u1 AND u.u1 BETWEEN {key} AND {key} + 40"
+            ),
+            _ => format!(
+                "SELECT t.t1, u.u2, u.u3 FROM t, u \
+                 WHERE t.t1 = u.u1 AND t.t1 BETWEEN {key} AND {key} + 40"
+            ),
         };
         let f = fixture();
         for c in [&f.ic, &f.plus, &f.plus_m] {
