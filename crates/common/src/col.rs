@@ -2,10 +2,18 @@
 //! selection vectors — the exec data plane's batch currency.
 //!
 //! A [`ColumnBatch`] holds one [`Column`] per output field. Each column
-//! stores its values in a contiguous typed vector ([`ColumnData`]) plus an
-//! optional validity [`Bitmap`] (absent ⇔ no NULLs), so kernels run tight
-//! per-column loops over primitive buffers instead of walking `Vec<Row>`
-//! datum-by-datum. Strings are stored as a shared offsets-plus-bytes blob.
+//! stores its values in a contiguous typed vector plus an optional validity
+//! [`Bitmap`] (absent ⇔ no NULLs), so kernels run tight per-column loops
+//! over primitive buffers instead of walking `Vec<Row>` datum-by-datum.
+//! Strings are stored as a shared offsets-plus-bytes blob.
+//!
+//! **One owner of the layout.** The storage enum and a column's fields are
+//! private to this module. Everything else reads a column through typed
+//! views that hand out the values together with their validity, as an Arrow
+//! array does ([`Column::ints`], [`Column::doubles`], [`Column::bools`],
+//! [`Column::dates`]; strings through [`Column::str_at`] /
+//! [`Column::bytes_at`]), and builds one through the typed constructors
+//! ([`Column::from_ints`] and its siblings) or a [`ColumnBuilder`].
 //!
 //! **Static types.** The engine is statically typed: the binder coerces
 //! every expression once (`ic_plan::coerce`), so each plan column has one
@@ -217,7 +225,7 @@ impl Bitmap {
 
 /// Typed value storage for one column.
 #[derive(Debug, Clone)]
-pub enum ColumnData {
+enum ColumnData {
     /// 64-bit integers.
     Int(Vec<i64>),
     /// 64-bit floats.
@@ -237,7 +245,7 @@ pub enum ColumnData {
 
 impl ColumnData {
     /// Number of physical values.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             ColumnData::Int(v) => v.len(),
             ColumnData::Double(v) => v.len(),
@@ -248,7 +256,7 @@ impl ColumnData {
     }
 
     /// The type these values hold.
-    pub fn data_type(&self) -> DataType {
+    fn data_type(&self) -> DataType {
         match self {
             ColumnData::Int(_) => DataType::Int,
             ColumnData::Double(_) => DataType::Double,
@@ -259,7 +267,7 @@ impl ColumnData {
     }
 
     /// Whether the storage holds no values.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -310,12 +318,90 @@ impl ColumnData {
 #[derive(Debug, Clone)]
 pub struct Column {
     /// The typed value storage.
-    pub data: ColumnData,
+    data: ColumnData,
     /// Validity bitmap; absent means no NULLs.
-    pub validity: Option<Bitmap>,
+    validity: Option<Bitmap>,
 }
 
 impl Column {
+    fn new(data: ColumnData, validity: Option<Bitmap>) -> Column {
+        debug_assert!(validity.as_ref().is_none_or(|v| v.len() == data.len()));
+        Column { data, validity }
+    }
+
+    /// A column of Int `values`, NULL where `validity` (if any) is clear.
+    pub fn from_ints(values: Vec<i64>, validity: Option<Bitmap>) -> Column {
+        Column::new(ColumnData::Int(values), validity)
+    }
+
+    /// A column of Double `values`, NULL where `validity` (if any) is clear.
+    pub fn from_doubles(values: Vec<f64>, validity: Option<Bitmap>) -> Column {
+        Column::new(ColumnData::Double(values), validity)
+    }
+
+    /// A column of Bool `values`, NULL where `validity` (if any) is clear.
+    pub fn from_bools(values: Vec<bool>, validity: Option<Bitmap>) -> Column {
+        Column::new(ColumnData::Bool(values), validity)
+    }
+
+    /// A column of Date `values` (epoch days), NULL where `validity` (if
+    /// any) is clear.
+    pub fn from_dates(values: Vec<i32>, validity: Option<Bitmap>) -> Column {
+        Column::new(ColumnData::Date(values), validity)
+    }
+
+    /// A column of strings: value `i` is `bytes[offsets[i]..offsets[i + 1]]`.
+    /// The caller has checked what [`Column::str_at`] relies on: `bytes` is
+    /// UTF-8, and `offsets` never decrease, end at `bytes.len()` and fall on
+    /// character boundaries.
+    pub fn from_strs(offsets: Vec<u32>, bytes: Vec<u8>, validity: Option<Bitmap>) -> Column {
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(bytes.len()));
+        Column::new(ColumnData::Str { offsets, bytes }, validity)
+    }
+
+    /// The type of the values it holds.
+    pub fn data_type(&self) -> DataType {
+        self.data.data_type()
+    }
+
+    /// The validity bitmap; `None` when no row is NULL.
+    pub fn validity(&self) -> Option<&Bitmap> {
+        self.validity.as_ref()
+    }
+
+    /// An Int column's values and validity; `None` for another type.
+    pub fn ints(&self) -> Option<(&[i64], Option<&Bitmap>)> {
+        match &self.data {
+            ColumnData::Int(v) => Some((v, self.validity())),
+            _ => None,
+        }
+    }
+
+    /// A Double column's values and validity; `None` for another type.
+    pub fn doubles(&self) -> Option<(&[f64], Option<&Bitmap>)> {
+        match &self.data {
+            ColumnData::Double(v) => Some((v, self.validity())),
+            _ => None,
+        }
+    }
+
+    /// A Bool column's values and validity; `None` for another type.
+    pub fn bools(&self) -> Option<(&[bool], Option<&Bitmap>)> {
+        match &self.data {
+            ColumnData::Bool(v) => Some((v, self.validity())),
+            _ => None,
+        }
+    }
+
+    /// A Date column's values (epoch days) and validity; `None` for another
+    /// type.
+    pub fn dates(&self) -> Option<(&[i32], Option<&Bitmap>)> {
+        match &self.data {
+            ColumnData::Date(v) => Some((v, self.validity())),
+            _ => None,
+        }
+    }
+
     /// Number of physical rows.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -363,13 +449,13 @@ impl Column {
     /// Rows `idx` of this column, in order, `NIL` giving NULL — a fresh
     /// column through [`ColumnBuilder::extend_take`].
     pub fn take(&self, idx: &[u32]) -> Column {
-        let mut b = ColumnBuilder::new(self.data.data_type());
+        let mut b = ColumnBuilder::new(self.data_type());
         b.extend_take(self, idx);
         b.finish()
     }
 
     /// The UTF-8 bytes of the string at physical row `i`; only meaningful
-    /// for [`ColumnData::Str`] columns. String kernels compare and search
+    /// for a Str column. String kernels compare and search
     /// these directly — byte order is `str` order, and a valid UTF-8 needle
     /// only ever matches at a character boundary — so they skip the
     /// per-access re-validation [`Column::str_at`] pays.
@@ -378,10 +464,10 @@ impl Column {
         self.data.bytes_at(i)
     }
 
-    /// String value at physical row `i`; only meaningful for
-    /// [`ColumnData::Str`] columns with a valid row.
+    /// String value at physical row `i`; only meaningful for a Str column
+    /// with a valid row.
     #[inline]
-    #[expect(clippy::expect_used, reason = "offsets/bytes are only ever written by push_str, which stores validated UTF-8")]
+    #[expect(clippy::expect_used, reason = "offsets/bytes are only ever written by the builder, which stores validated UTF-8, or by from_strs, whose callers check it")]
     pub fn str_at(&self, i: usize) -> &str {
         std::str::from_utf8(self.bytes_at(i)).expect("column stores valid UTF-8")
     }
@@ -648,7 +734,7 @@ impl ColumnBuilder {
         debug_assert!(
             col.is_all_null(),
             "a {} column appended to a {} builder",
-            col.data.data_type(),
+            col.data_type(),
             self.data.data_type()
         );
         self.push_nulls(n);
@@ -727,7 +813,7 @@ impl ColumnBuilder {
 /// column holding a value. Columns without one carry no type (see the
 /// module doc); when none holds a value, any type will do.
 pub fn common_type<'a>(cols: impl IntoIterator<Item = &'a Column>) -> DataType {
-    cols.into_iter().find(|c| !c.is_all_null()).map_or(DataType::Int, |c| c.data.data_type())
+    cols.into_iter().find(|c| !c.is_all_null()).map_or(DataType::Int, Column::data_type)
 }
 
 /// A batch of rows in columnar form: one [`Column`] per field plus an
@@ -1079,8 +1165,8 @@ mod tests {
         let b = ColumnBatch::from_rows(&input);
         assert_eq!(b.num_rows(), 3);
         assert_eq!(b.width(), 3);
-        assert!(matches!(b.col(0).data, ColumnData::Int(_)));
-        assert!(matches!(b.col(1).data, ColumnData::Str { .. }));
+        assert_eq!(b.col(0).data_type(), DataType::Int);
+        assert_eq!(b.col(1).data_type(), DataType::Str);
         assert_eq!(b.to_rows(), input);
     }
 
@@ -1098,7 +1184,7 @@ mod tests {
     fn all_null_column_roundtrips() {
         let input = rows(&[&[Datum::Null], &[Datum::Null]]);
         let b = ColumnBatch::from_typed_rows(&[DataType::Str], &input);
-        assert!(matches!(b.col(0).data, ColumnData::Str { .. }));
+        assert_eq!(b.col(0).data_type(), DataType::Str);
         assert_eq!(b.to_rows(), input);
     }
 

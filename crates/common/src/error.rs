@@ -190,62 +190,45 @@ impl IcError {
     /// True when the *client* may usefully resubmit the query: the failure
     /// was transient (a dead site, admission-control shedding, or a revoked
     /// memory lease) rather than a property of the query itself.
-    ///
-    /// Every variant is classified explicitly — no wildcard arm — so adding
-    /// a variant is a compile-time (and L009 lint-time) forcing function to
-    /// decide whether the new failure is transient or terminal. A wildcard
-    /// here once silently classified a new transient variant as terminal,
-    /// which the failover loop then surfaced to clients as a hard error.
     pub fn is_retryable(&self) -> bool {
-        match self {
-            // Transient: the cluster state that failed the query can change
-            // without the query changing. Write conflicts resolve once the
-            // competing writer commits; rebalance windows close once the
-            // chunked migration or promotion finishes.
-            IcError::SiteUnavailable { .. }
-            | IcError::Overloaded { .. }
-            | IcError::ResourcesRevoked { .. }
-            | IcError::WriteConflict { .. }
-            | IcError::RebalanceInProgress { .. } => true,
-            // Terminal: properties of the query text, the plan space, or
-            // the configured limits — resubmitting the same query hits the
-            // same wall.
-            IcError::Parse(_)
-            | IcError::Bind(_)
-            | IcError::Plan(_)
-            | IcError::PlannerBudgetExceeded { .. }
-            | IcError::Unsupported(_)
-            | IcError::Exec(_)
-            | IcError::ExecTimeout { .. }
-            | IcError::MemoryLimit { .. }
-            | IcError::Catalog(_)
-            | IcError::RetriesExhausted { .. }
-            | IcError::Internal(_)
-            | IcError::Cancelled => false,
-        }
+        self.retry_class() != RetryClass::Terminal
     }
 
     /// True when the coordinator's *internal* failover loop should replan
-    /// and retry. Strictly narrower than [`is_retryable`](Self::is_retryable):
-    /// shed ([`Overloaded`](IcError::Overloaded)) and revoked
+    /// and retry. Narrower than [`is_retryable`](Self::is_retryable) by
+    /// construction — both read one [`RetryClass`]: shed
+    /// ([`Overloaded`](IcError::Overloaded)) and revoked
     /// ([`ResourcesRevoked`](IcError::ResourcesRevoked)) queries must exit
     /// the cluster immediately — retrying them in-process would hold their
-    /// admission slot and defeat the governor's back-pressure.
-    ///
-    /// Exhaustive for the same reason as [`is_retryable`](Self::is_retryable):
-    /// the failover loop in `Cluster::query` loops exactly on this predicate,
-    /// so a misclassified variant either spins on a terminal error or gives
-    /// up on a recoverable one.
+    /// admission slot and defeat the governor's back-pressure. The failover
+    /// loop in `Cluster::query` loops exactly on this predicate.
     pub fn is_failover_retryable(&self) -> bool {
+        self.retry_class() == RetryClass::Failover
+    }
+
+    /// The one classification of every variant. It names each variant and
+    /// has no wildcard arm — clippy's `wildcard_enum_match_arm` is denied
+    /// here — so a new variant does not compile until someone decides
+    /// whether its failure is transient or terminal. A wildcard once
+    /// classified a new transient variant as terminal, which the failover
+    /// loop then surfaced to clients as a hard error.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    fn retry_class(&self) -> RetryClass {
         match self {
             // Replan-and-retry in-process: the coordinator refreshes its
             // membership/version snapshot and the next attempt can succeed
-            // without the client resubmitting.
+            // without the client resubmitting. Write conflicts resolve once
+            // the competing writer commits; rebalance windows close once
+            // the chunked migration or promotion finishes.
             IcError::SiteUnavailable { .. }
             | IcError::WriteConflict { .. }
-            | IcError::RebalanceInProgress { .. } => true,
+            | IcError::RebalanceInProgress { .. } => RetryClass::Failover,
             // Shed/revoked: retryable by the client, not in-process.
-            IcError::Overloaded { .. } | IcError::ResourcesRevoked { .. } => false,
+            IcError::Overloaded { .. } | IcError::ResourcesRevoked { .. } => RetryClass::Client,
+            // Terminal: properties of the query text, the plan space, or
+            // the configured limits — resubmitting the same query hits the
+            // same wall. The sight of a stop is nothing to retry either:
+            // the cause decides that.
             IcError::Parse(_)
             | IcError::Bind(_)
             | IcError::Plan(_)
@@ -257,9 +240,21 @@ impl IcError {
             | IcError::Catalog(_)
             | IcError::RetriesExhausted { .. }
             | IcError::Internal(_)
-            | IcError::Cancelled => false,
+            | IcError::Cancelled => RetryClass::Terminal,
         }
     }
+}
+
+/// How a failure may be retried — each class's retries include the ones
+/// after it, so failover-retryable implies retryable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RetryClass {
+    /// A property of the query, its plan space or the configured limits.
+    Terminal,
+    /// Transient, but only the client may resubmit (shed or revoked).
+    Client,
+    /// Transient, and the coordinator's failover loop replans and retries.
+    Failover,
 }
 
 #[cfg(test)]
@@ -281,6 +276,60 @@ mod tests {
         assert!(IcError::PlannerBudgetExceeded { rules_fired: 1, budget: 1 }.is_planner_failure());
         assert!(!IcError::Parse("p".into()).is_planner_failure());
         assert!(!IcError::ExecTimeout { limit_ms: 1 }.is_planner_failure());
+    }
+
+    /// Each variant's class, written down once more: an exhaustive match
+    /// without a wildcard, so a new variant does not compile here until its
+    /// expected class is stated.
+    fn expected_class(e: &IcError) -> RetryClass {
+        match e {
+            IcError::Parse(_) => RetryClass::Terminal,
+            IcError::Bind(_) => RetryClass::Terminal,
+            IcError::Plan(_) => RetryClass::Terminal,
+            IcError::PlannerBudgetExceeded { .. } => RetryClass::Terminal,
+            IcError::Unsupported(_) => RetryClass::Terminal,
+            IcError::Exec(_) => RetryClass::Terminal,
+            IcError::ExecTimeout { .. } => RetryClass::Terminal,
+            IcError::MemoryLimit { .. } => RetryClass::Terminal,
+            IcError::Catalog(_) => RetryClass::Terminal,
+            IcError::SiteUnavailable { .. } => RetryClass::Failover,
+            IcError::Overloaded { .. } => RetryClass::Client,
+            IcError::ResourcesRevoked { .. } => RetryClass::Client,
+            IcError::RetriesExhausted { .. } => RetryClass::Terminal,
+            IcError::WriteConflict { .. } => RetryClass::Failover,
+            IcError::RebalanceInProgress { .. } => RetryClass::Failover,
+            IcError::Internal(_) => RetryClass::Terminal,
+            IcError::Cancelled => RetryClass::Terminal,
+        }
+    }
+
+    #[test]
+    fn every_variant_has_its_stated_class() {
+        let s = || "x".to_string();
+        let all = [
+            IcError::Parse(s()),
+            IcError::Bind(s()),
+            IcError::Plan(s()),
+            IcError::PlannerBudgetExceeded { rules_fired: 1, budget: 1 },
+            IcError::Unsupported(s()),
+            IcError::Exec(s()),
+            IcError::ExecTimeout { limit_ms: 1 },
+            IcError::MemoryLimit { limit_rows: 1 },
+            IcError::Catalog(s()),
+            IcError::SiteUnavailable { site: 0, detail: s() },
+            IcError::Overloaded { retry_after_ms: 1 },
+            IcError::ResourcesRevoked { lease_cells: 1 },
+            IcError::RetriesExhausted { attempts: 1, chain: vec![s()] },
+            IcError::WriteConflict { partition: 0, expected_version: 1, found_version: 2 },
+            IcError::RebalanceInProgress { partition: 0 },
+            IcError::Internal(s()),
+            IcError::Cancelled,
+        ];
+        for e in &all {
+            assert_eq!(e.retry_class(), expected_class(e), "{e:?}");
+            assert_eq!(e.is_retryable(), expected_class(e) != RetryClass::Terminal, "{e:?}");
+            assert_eq!(e.is_failover_retryable(), expected_class(e) == RetryClass::Failover, "{e:?}");
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ use crate::expr::{
     apply_binary, apply_func, apply_like, apply_not, substring_range, LikePattern,
 };
 use crate::{
-    col, dates, BinOp, Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, DataType, Datum,
-    Expr, FuncKind, IcError, IcResult,
+    col, dates, BinOp, Bitmap, Column, ColumnBatch, ColumnBuilder, DataType, Datum, Expr,
+    FuncKind, IcError, IcResult,
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -65,7 +65,7 @@ impl Val {
     /// A column operand; one without a single valid row is the NULL scalar,
     /// which every kernel short-circuits (its buffer has no type to trust).
     fn col(c: Arc<Column>) -> Val {
-        match &c.validity {
+        match c.validity() {
             Some(v) if v.count_valid() == 0 => Val::Scalar(Datum::Null),
             _ => Val::Col(c),
         }
@@ -77,7 +77,7 @@ impl Val {
 
     fn validity(&self) -> Option<&Bitmap> {
         match self {
-            Val::Col(c) => c.validity.as_ref(),
+            Val::Col(c) => c.validity(),
             Val::Scalar(_) => None,
         }
     }
@@ -97,10 +97,7 @@ impl Val {
         match self {
             Val::Scalar(d) => d.as_bool(),
             Val::Col(c) if !c.is_valid(i) => None,
-            Val::Col(c) => match &c.data {
-                ColumnData::Bool(v) => Some(v[i]),
-                _ => None,
-            },
+            Val::Col(c) => c.bools().map(|(v, _)| v[i]),
         }
     }
 
@@ -108,12 +105,12 @@ impl Val {
     /// kernel reads (every operator short-circuits it).
     fn view(&self) -> Option<View<'_>> {
         Some(match self {
-            Val::Col(c) => match &c.data {
-                ColumnData::Int(v) => View::Int(Src::buf(v)),
-                ColumnData::Double(v) => View::Double(Src::buf(v)),
-                ColumnData::Date(v) => View::Date(Src::buf(v)),
-                ColumnData::Bool(v) => View::Bool(Src::buf(v)),
-                ColumnData::Str { .. } => View::Str(StrSrc::Col(c)),
+            Val::Col(c) => match c.data_type() {
+                DataType::Int => View::Int(Src::buf(c.ints()?.0)),
+                DataType::Double => View::Double(Src::buf(c.doubles()?.0)),
+                DataType::Date => View::Date(Src::buf(c.dates()?.0)),
+                DataType::Bool => View::Bool(Src::buf(c.bools()?.0)),
+                DataType::Str => View::Str(StrSrc::Col(c)),
             },
             Val::Scalar(d) => match d {
                 Datum::Int(x) => View::Int(Src::one(x)),
@@ -355,20 +352,20 @@ fn eval_val(e: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
         }
         Expr::Not(inner) => match eval_val(inner, batch)? {
             Val::Scalar(d) => apply_not(&d).map(Val::Scalar),
-            Val::Col(c) => match &c.data {
-                ColumnData::Bool(b) => Ok(Val::Col(Arc::new(Column {
-                    data: ColumnData::Bool(b.iter().map(|x| !x).collect()),
-                    validity: c.validity.clone(),
-                }))),
-                other => Err(ill_typed("NOT", [other.data_type()])),
+            Val::Col(c) => match c.bools() {
+                Some((b, validity)) => Ok(Val::Col(Arc::new(Column::from_bools(
+                    b.iter().map(|x| !x).collect(),
+                    validity.cloned(),
+                )))),
+                None => Err(ill_typed("NOT", [c.data_type()])),
             },
         },
         Expr::IsNull { expr, negated } => Ok(match eval_val(expr, batch)? {
             Val::Scalar(d) => Val::Scalar(Datum::Bool(d.is_null() != *negated)),
-            Val::Col(c) => Val::Col(Arc::new(Column {
-                data: ColumnData::Bool((0..n).map(|i| c.is_valid(i) == *negated).collect()),
-                validity: None,
-            })),
+            Val::Col(c) => Val::Col(Arc::new(Column::from_bools(
+                (0..n).map(|i| c.is_valid(i) == *negated).collect(),
+                None,
+            ))),
         }),
         Expr::Like { expr, pattern, negated } => {
             let v = eval_val(expr, batch)?;
@@ -471,19 +468,19 @@ fn binary(op: BinOp, l: &Val, r: &Val, n: usize) -> IcResult<Val> {
     let (Some(lv), Some(rv)) = (l.view(), r.view()) else {
         return Ok(Val::Scalar(Datum::Null));
     };
-    let mut validity = both_valid(l.validity(), r.validity());
-    let data = if op.is_comparison() {
+    let validity = both_valid(l.validity(), r.validity());
+    let col = if op.is_comparison() {
         let sink = ToBools { n, truth: truth_table(op), validity: validity.as_ref() };
         match compare_into(&lv, &rv, sink) {
-            Some(Ok(vals)) => Some(ColumnData::Bool(vals)),
+            Some(Ok(vals)) => Some(Column::from_bools(vals, validity)),
             Some(Err(i)) => return Err(unordered(&lv, &rv, i)),
             None => None,
         }
     } else {
-        arithmetic(op, &lv, &rv, n, &mut validity)
+        arithmetic(op, &lv, &rv, n, validity)
     };
-    match data {
-        Some(data) => Ok(Val::Col(Arc::new(Column { data, validity }))),
+    match col {
+        Some(col) => Ok(Val::Col(Arc::new(col))),
         None => Err(ill_typed(&op.to_string(), [lv.data_type(), rv.data_type()])),
     }
 }
@@ -496,23 +493,25 @@ fn arithmetic(
     l: &View,
     r: &View,
     n: usize,
-    validity: &mut Option<Bitmap>,
-) -> Option<ColumnData> {
+    mut validity: Option<Bitmap>,
+) -> Option<Column> {
     if let (View::Int(a), View::Int(b), true) = (l, r, op != BinOp::Div) {
-        return Some(ColumnData::Int(match op {
+        let vals = match op {
             BinOp::Add => (0..n).map(|i| a.at(i).wrapping_add(b.at(i))).collect(),
             BinOp::Sub => (0..n).map(|i| a.at(i).wrapping_sub(b.at(i))).collect(),
             _ => (0..n).map(|i| a.at(i).wrapping_mul(b.at(i))).collect(),
-        }));
+        };
+        return Some(Column::from_ints(vals, validity));
     }
     if let (View::Date(d), View::Int(k), BinOp::Add | BinOp::Sub) = (l, r, op) {
-        return Some(ColumnData::Date(match op {
+        let vals = match op {
             BinOp::Add => (0..n).map(|i| d.at(i).wrapping_add(k.at(i) as i32)).collect(),
             _ => (0..n).map(|i| d.at(i).wrapping_sub(k.at(i) as i32)).collect(),
-        }));
+        };
+        return Some(Column::from_dates(vals, validity));
     }
     let (a, b) = (l.num()?, r.num()?);
-    Some(ColumnData::Double(match op {
+    let vals = match op {
         BinOp::Add => (0..n).map(|i| a.at(i) + b.at(i)).collect(),
         BinOp::Sub => (0..n).map(|i| a.at(i) - b.at(i)).collect(),
         BinOp::Mul => (0..n).map(|i| a.at(i) * b.at(i)).collect(),
@@ -526,7 +525,8 @@ fn arithmetic(
                 a.at(i) / y
             })
             .collect(),
-    }))
+    };
+    Some(Column::from_doubles(vals, validity))
 }
 
 /// Kleene AND/OR. The right side is evaluated over exactly the rows the
@@ -557,7 +557,7 @@ fn logic(is_and: bool, left: &Expr, right: &Expr, batch: &ColumnBatch) -> IcResu
         }
     }
     let validity = any_null.then_some(validity);
-    Ok(Val::Col(Arc::new(Column { data: ColumnData::Bool(vals), validity })))
+    Ok(Val::Col(Arc::new(Column::from_bools(vals, validity))))
 }
 
 /// `v [NOT] LIKE pattern`: a literal pattern is split once for the batch
@@ -582,7 +582,7 @@ fn like(v: &Val, pattern: &Val, negated: bool, n: usize) -> IcResult<Val> {
         }
     };
     let validity = both_valid(v.validity(), pattern.validity());
-    Ok(Val::Col(Arc::new(Column { data: ColumnData::Bool(vals), validity })))
+    Ok(Val::Col(Arc::new(Column::from_bools(vals, validity))))
 }
 
 /// `expr [NOT] IN (list)` with the row plane's three-valued result: TRUE on
@@ -632,14 +632,14 @@ fn in_list(expr: &Expr, list: &[Expr], negated: bool, batch: &ColumnBatch) -> Ic
             }
         }
     }
-    let mut validity = c.validity.clone();
+    let mut validity = c.validity().cloned();
     let nulls = select_where(n, |k| !hit[k] & (null_item | null_rows[k]));
     if !nulls.is_empty() {
         let validity = validity.get_or_insert_with(|| Bitmap::filled(n, true));
         nulls.iter().for_each(|&k| validity.clear(k as usize));
     }
     let vals = hit.iter().map(|&h| h != negated).collect();
-    Ok(Val::Col(Arc::new(Column { data: ColumnData::Bool(vals), validity })))
+    Ok(Val::Col(Arc::new(Column::from_bools(vals, validity))))
 }
 
 /// Searched CASE: each WHEN is a selection over the rows no earlier arm
@@ -702,8 +702,8 @@ fn func(kind: FuncKind, args: &[Val], n: usize) -> IcResult<Val> {
     };
     let validity =
         args.iter().fold(None, |acc: Option<Bitmap>, a| both_valid(acc.as_ref(), a.validity()));
-    match func_typed(kind, &views, n, validity.as_ref())? {
-        Some(data) => Ok(Val::Col(Arc::new(Column { data, validity }))),
+    match func_typed(kind, &views, n, validity)? {
+        Some(col) => Ok(Val::Col(Arc::new(col))),
         None => Err(ill_typed(&kind.to_string(), views.iter().map(View::data_type))),
     }
 }
@@ -715,25 +715,31 @@ fn func_typed(
     kind: FuncKind,
     views: &[View],
     n: usize,
-    validity: Option<&Bitmap>,
-) -> IcResult<Option<ColumnData>> {
+    validity: Option<Bitmap>,
+) -> IcResult<Option<Column>> {
+    let valid = validity.as_ref();
     Ok(Some(match (kind, views) {
-        (FuncKind::ExtractYear, [View::Date(d)]) => {
-            ColumnData::Int((0..n).map(|i| dates::year_of(d.at(i)) as i64).collect())
-        }
-        (FuncKind::ExtractMonth, [View::Date(d)]) => {
-            ColumnData::Int((0..n).map(|i| dates::month_of(d.at(i)) as i64).collect())
-        }
+        (FuncKind::ExtractYear, [View::Date(d)]) => Column::from_ints(
+            (0..n).map(|i| dates::year_of(d.at(i)) as i64).collect(),
+            validity,
+        ),
+        (FuncKind::ExtractMonth, [View::Date(d)]) => Column::from_ints(
+            (0..n).map(|i| dates::month_of(d.at(i)) as i64).collect(),
+            validity,
+        ),
         (FuncKind::CastDouble | FuncKind::Abs, [v]) => {
             let Some(v) = v.num() else { return Ok(None) };
-            ColumnData::Double(match kind {
+            let vals = match kind {
                 FuncKind::Abs => (0..n).map(|i| v.at(i).abs()).collect(),
                 _ => (0..n).map(|i| v.at(i)).collect(),
-            })
+            };
+            Column::from_doubles(vals, validity)
         }
-        (FuncKind::CastInt, [View::Int(v)]) => ColumnData::Int((0..n).map(|i| v.at(i)).collect()),
+        (FuncKind::CastInt, [View::Int(v)]) => {
+            Column::from_ints((0..n).map(|i| v.at(i)).collect(), validity)
+        }
         (FuncKind::CastInt, [View::Double(v)]) => {
-            ColumnData::Int((0..n).map(|i| v.at(i) as i64).collect())
+            Column::from_ints((0..n).map(|i| v.at(i) as i64).collect(), validity)
         }
         (FuncKind::CastInt, [View::Str(s)]) => {
             let mut bad = None;
@@ -741,7 +747,7 @@ fn func_typed(
                 .map(|i| {
                     let text = std::str::from_utf8(s.at(i)).ok();
                     let parsed = text.and_then(|t| t.trim().parse().ok());
-                    if parsed.is_none() && bad.is_none() && bit(validity, i) {
+                    if parsed.is_none() && bad.is_none() && bit(valid, i) {
                         bad = Some(i);
                     }
                     parsed.unwrap_or(0)
@@ -751,26 +757,27 @@ fn func_typed(
                 // The row plane's message, from the row plane's function.
                 apply_func(kind, &[Datum::str(String::from_utf8_lossy(s.at(i)))])?;
             }
-            ColumnData::Int(vals)
+            Column::from_ints(vals, validity)
         }
-        (FuncKind::AddMonths, [View::Date(d), View::Int(m)]) => ColumnData::Date(
+        (FuncKind::AddMonths, [View::Date(d), View::Int(m)]) => Column::from_dates(
             (0..n)
-                .map(|i| bit(validity, i).then(|| dates::add_months(d.at(i), m.at(i) as i32)))
+                .map(|i| bit(valid, i).then(|| dates::add_months(d.at(i), m.at(i) as i32)))
                 .map(|date| date.unwrap_or(0))
                 .collect(),
+            validity,
         ),
         (FuncKind::Substring, [View::Str(s), View::Int(start), View::Int(len)]) => {
             let mut offsets = Vec::with_capacity(n + 1);
             let mut bytes = Vec::new();
             offsets.push(0u32);
             for i in 0..n {
-                if bit(validity, i) {
+                if bit(valid, i) {
                     let src = s.at(i);
                     bytes.extend_from_slice(&src[substring_range(src, start.at(i), len.at(i))]);
                 }
                 offsets.push(bytes.len() as u32);
             }
-            ColumnData::Str { offsets, bytes }
+            Column::from_strs(offsets, bytes, validity)
         }
         _ => return Ok(None),
     }))

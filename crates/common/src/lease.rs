@@ -250,6 +250,14 @@ impl MemoryLease {
         Ok(())
     }
 
+    /// Give back `cells` this lease's holder no longer buffers. Only the
+    /// lease's use falls: the pool grant stays until the lease drops, so a
+    /// query that buffers again reuses it without touching the pool.
+    pub fn release(&self, cells: u64) {
+        let before = self.used.fetch_sub(cells, Ordering::Relaxed);
+        debug_assert!(before >= cells, "released {cells} cells of {before} in use");
+    }
+
     /// Grow the pool-side grant to cover at least `min_target` cells,
     /// rounded up to the chunk size. Runs the revocation protocol under
     /// pressure (see module docs).
@@ -457,6 +465,24 @@ mod tests {
         assert!(matches!(err, IcError::ResourcesRevoked { .. }));
         assert!(err.is_retryable());
         assert!(hog.is_revoked());
+    }
+
+    #[test]
+    fn release_lowers_use_and_the_pool_still_balances() {
+        let pool = MemoryPool::new(10 * LEASE_CHUNK_CELLS);
+        {
+            let lease = pool.lease(2 * LEASE_CHUNK_CELLS);
+            lease.reserve(2 * LEASE_CHUNK_CELLS).unwrap();
+            lease.release(2 * LEASE_CHUNK_CELLS);
+            assert_eq!((lease.used(), lease.peak_used()), (0, 2 * LEASE_CHUNK_CELLS));
+            // Released cells fit under the per-query cap again, on the grant
+            // the lease already holds.
+            lease.reserve(2 * LEASE_CHUNK_CELLS).unwrap();
+            assert_eq!(pool.in_use(), 2 * LEASE_CHUNK_CELLS);
+            lease.release(LEASE_CHUNK_CELLS);
+        }
+        assert_eq!(pool.in_use(), 0);
+        assert_eq!(pool.active_leases(), 0);
     }
 
     #[test]

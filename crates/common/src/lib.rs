@@ -27,7 +27,7 @@ pub mod obs;
 pub mod row;
 pub mod schema;
 
-pub use col::{Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, NIL};
+pub use col::{Bitmap, Column, ColumnBatch, ColumnBuilder, NIL};
 pub use datum::{DataType, Datum};
 pub use error::{panic_message, IcError, IcResult};
 pub use expr::{BinOp, Expr, FuncKind};

@@ -5,7 +5,7 @@
 //! The take matches a column's kind once and copies values and validity in
 //! bulk; the reference pushes one cell at a time. They must agree on every
 //! value, every validity bit, whether a validity bitmap exists at all, and
-//! the representation the builder ends in, for every `ColumnData` kind,
+//! the type the builder's column ends in, for every column type,
 //! with and without NULLs, through a selection or through indices carrying
 //! `NIL`, onto a builder that already holds leading NULLs or values — and
 //! for a column without a value (an untyped NULL literal's), which appends
@@ -13,7 +13,6 @@
 
 use ic_common::{Bitmap, Column, ColumnBuilder, DataType, Datum, NIL};
 use proptest::prelude::*;
-use std::mem::discriminant;
 
 const WORDS: [&str; 6] = ["", "a", "order", "clerk#7", "línea", "Σφ"];
 const TYPES: [DataType; 5] =
@@ -52,11 +51,23 @@ fn column(kind: u8, nullable: bool, untyped: bool, spurious: bool, raw: &[u64]) 
         return Column::repeat(&Datum::Null, raw.len());
     }
     let cells: Vec<Datum> = raw.iter().map(|&b| cell(kind, nullable, b)).collect();
-    let mut col = prefixed(kind, &cells).finish();
-    if spurious && col.validity.is_none() {
-        col.validity = Some(Bitmap::filled(col.len(), true));
+    let col = prefixed(kind, &cells).finish();
+    if !spurious || col.validity().is_some() {
+        return col;
     }
-    col
+    let all = Some(Bitmap::filled(col.len(), true));
+    match TYPES[kind as usize] {
+        DataType::Int => Column::from_ints(col.ints().unwrap().0.to_vec(), all),
+        DataType::Double => Column::from_doubles(col.doubles().unwrap().0.to_vec(), all),
+        DataType::Bool => Column::from_bools(col.bools().unwrap().0.to_vec(), all),
+        DataType::Date => Column::from_dates(col.dates().unwrap().0.to_vec(), all),
+        DataType::Str => {
+            let values: Vec<&[u8]> = (0..col.len()).map(|i| col.bytes_at(i)).collect();
+            let mut offsets = vec![0u32];
+            values.iter().for_each(|v| offsets.push(offsets[offsets.len() - 1] + v.len() as u32));
+            Column::from_strs(offsets, values.concat(), all)
+        }
+    }
 }
 
 /// The reference: one `push_datum` (or `push_null` for `NIL`) per index.
@@ -72,16 +83,11 @@ fn per_cell(kind: u8, prefix: &[Datum], col: &Column, idx: &[u32]) -> Column {
     b.finish()
 }
 
-/// Same rows, same validity, same representation.
+/// Same rows, same validity, same type.
 fn same_column(got: &Column, want: &Column) -> Result<(), String> {
     prop_assert_eq!(got.len(), want.len());
-    prop_assert_eq!(got.validity.is_some(), want.validity.is_some());
-    prop_assert!(
-        discriminant(&got.data) == discriminant(&want.data),
-        "representation: got {:?}, want {:?}",
-        got.data,
-        want.data
-    );
+    prop_assert_eq!(got.validity().is_some(), want.validity().is_some());
+    prop_assert_eq!(got.data_type(), want.data_type(), "got {:?}, want {:?}", got, want);
     for i in 0..got.len() {
         prop_assert_eq!(got.is_valid(i), want.is_valid(i), "row {}", i);
         // Debug, not `==`: `Datum` equality coerces Int 2 to Double 2.0.

@@ -16,8 +16,7 @@
 
 use ic_common::agg::AggFunc;
 use ic_common::{
-    Bitmap, Column, ColumnBatch, ColumnBuilder, ColumnData, DataType, HashDir, IcError, IcResult,
-    NIL,
+    Bitmap, Column, ColumnBatch, ColumnBuilder, DataType, HashDir, IcError, IcResult, NIL,
 };
 use ic_common::row::BATCH_SIZE;
 use ic_plan::ops::{AggCall, AggPhase, SortKey};
@@ -51,7 +50,7 @@ impl ColJoinTable {
         };
         drop(batches); // before the hashes and the directory allocate
         let nullable: Vec<&Bitmap> =
-            key_cols.iter().filter_map(|&c| arena.col(c).validity.as_ref()).collect();
+            key_cols.iter().filter_map(|&c| arena.col(c).validity()).collect();
         let mut nrows = 0;
         let dir = HashDir::build(arena.hash_keys(&key_cols), |i| {
             let linked = nullable.iter().all(|v| v.get(i));
@@ -289,22 +288,23 @@ impl ColGroupTable {
             return Ok(());
         };
         let valid = rows(sel, slots).filter(|&(_, i)| col.is_valid(i));
-        match (state, &col.data, cols.get(1).map(|c| &c.data)) {
-            (AggState::Count(count), ColumnData::Int(x), _) if merging => {
+        let (ints, doubles) = (col.ints().map(|(x, _)| x), col.doubles().map(|(x, _)| x));
+        // A `Final` AVG's second state column: the counts.
+        let counts = cols.get(1).map(|c| c.ints().map(|(n, _)| n));
+        match (state, ints, doubles, counts) {
+            (AggState::Count(count), Some(x), ..) if merging => {
                 valid.for_each(|(s, i)| count[s] += x[i])
             }
             (AggState::Count(count), ..) => valid.for_each(|(s, _)| count[s] += 1),
-            (AggState::Avg(sum, count), ColumnData::Double(x), Some(ColumnData::Int(n))) => {
-                valid.for_each(|(s, i)| {
-                    sum[s] += x[i];
-                    count[s] += n[i];
-                })
-            }
-            (AggState::Avg(sum, count), ColumnData::Int(x), None) => valid.for_each(|(s, i)| {
+            (AggState::Avg(sum, count), _, Some(x), Some(Some(n))) => valid.for_each(|(s, i)| {
+                sum[s] += x[i];
+                count[s] += n[i];
+            }),
+            (AggState::Avg(sum, count), Some(x), _, None) => valid.for_each(|(s, i)| {
                 sum[s] += x[i] as f64;
                 count[s] += 1;
             }),
-            (AggState::Avg(sum, count), ColumnData::Double(x), None) => valid.for_each(|(s, i)| {
+            (AggState::Avg(sum, count), _, Some(x), None) => valid.for_each(|(s, i)| {
                 sum[s] += x[i];
                 count[s] += 1;
             }),
@@ -318,11 +318,11 @@ impl ColGroupTable {
                     return Ok(());
                 }
                 let pairs = pairs.get_or_insert_with(|| {
-                    let types = [DataType::Int, col.data.data_type()];
+                    let types = [DataType::Int, col.data_type()];
                     Box::new(ColGroupTable::new(vec![0, 1], &[], AggPhase::Complete, &types))
                 });
                 let ordinals = groups.iter().map(|&s| (*base + s) as i64).collect();
-                let ordinals = Column { data: ColumnData::Int(ordinals), validity: None };
+                let ordinals = Column::from_ints(ordinals, None);
                 let key = ColumnBatch::new(vec![Arc::new(ordinals), Arc::new(col.take(&rows))], rows.len());
                 let (mut fresh, mut pair_slots) = (pairs.len() as u32, Vec::new());
                 pairs.assign_slots(&key, false, &mut pair_slots);
@@ -392,14 +392,13 @@ fn rows<'a>(sel: Option<&'a [u32]>, slots: &'a [u32]) -> impl Iterator<Item = (u
     slots.iter().enumerate().map(move |(k, &s)| (s as usize, sel.map_or(k, |sel| sel[k] as usize)))
 }
 
-/// A column of `data`, NULL where `valid` is false.
-fn with_validity(data: ColumnData, valid: &[bool]) -> Column {
-    let validity = valid.contains(&false).then(|| {
+/// The validity of a column NULL where `valid` is false.
+fn validity_of(valid: &[bool]) -> Option<Bitmap> {
+    valid.contains(&false).then(|| {
         let mut bits = Bitmap::new();
         valid.iter().for_each(|&v| bits.push(v));
         bits
-    });
-    Column { data, validity }
+    })
 }
 
 /// One aggregate's state for every group, indexed by slot: exactly its
@@ -466,16 +465,16 @@ impl AggState {
     /// group's (`sel`, `slots`: see [`ColGroupTable::fold`]).
     fn fold_value(&mut self, col: &Column, sel: Option<&[u32]>, slots: &[u32]) -> IcResult<()> {
         let rows = rows(sel, slots).filter(|&(_, i)| col.is_valid(i));
-        match (self, &col.data) {
-            (AggState::SumInt(sum, seen), ColumnData::Int(x)) => rows.for_each(|(s, i)| {
+        match (self, col.ints(), col.doubles()) {
+            (AggState::SumInt(sum, seen), Some((x, _)), _) => rows.for_each(|(s, i)| {
                 sum[s] = sum[s].wrapping_add(x[i]);
                 seen[s] = true;
             }),
-            (AggState::SumDouble(sum, seen), ColumnData::Double(x)) => rows.for_each(|(s, i)| {
+            (AggState::SumDouble(sum, seen), _, Some((x, _))) => rows.for_each(|(s, i)| {
                 sum[s] = if seen[s] { sum[s] + x[i] } else { x[i] };
                 seen[s] = true;
             }),
-            (AggState::Best { best, seen, max }, _) => {
+            (AggState::Best { best, seen, max }, ..) => {
                 // A value replaces a strictly worse best, so the first of
                 // equal values stays, and a NaN, which orders with nothing,
                 // only ever fills an empty group.
@@ -493,7 +492,7 @@ impl AggState {
             // A column without a value (an untyped NULL) folds nothing.
             _ if col.is_all_null() => {}
             _ => {
-                let ty = col.data.data_type();
+                let ty = col.data_type();
                 return Err(IcError::Exec(format!("no aggregate state folds a {ty}")));
             }
         }
@@ -503,25 +502,25 @@ impl AggState {
     /// Move the first `n` groups' output columns to `out`: the value, or
     /// for `Partial` the state columns as they are. The others stay.
     fn split_front(&mut self, n: usize, phase: AggPhase, out: &mut Vec<Column>) {
-        let int = |v| Column { data: ColumnData::Int(v), validity: None };
+        let int = |v| Column::from_ints(v, None);
         match self {
             AggState::Count(count) => out.push(int(split(count, n))),
             AggState::SumInt(sum, seen) => {
-                out.push(with_validity(ColumnData::Int(split(sum, n)), &split(seen, n)))
+                out.push(Column::from_ints(split(sum, n), validity_of(&split(seen, n))))
             }
             AggState::SumDouble(sum, seen) => {
-                out.push(with_validity(ColumnData::Double(split(sum, n)), &split(seen, n)))
+                out.push(Column::from_doubles(split(sum, n), validity_of(&split(seen, n))))
             }
             AggState::Avg(sum, count) => {
                 let (sum, count) = (split(sum, n), split(count, n));
                 if phase == AggPhase::Partial {
-                    out.push(Column { data: ColumnData::Double(sum), validity: None });
+                    out.push(Column::from_doubles(sum, None));
                     out.push(int(count));
                 } else {
                     let avg = sum.iter().zip(&count);
                     let avg = avg.map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 });
                     let valid: Vec<bool> = count.iter().map(|&c| c > 0).collect();
-                    out.push(with_validity(ColumnData::Double(avg.collect()), &valid));
+                    out.push(Column::from_doubles(avg.collect(), validity_of(&valid)));
                 }
             }
             AggState::Best { best, seen, .. } => out.push(split_best(best, seen, n)),
@@ -532,7 +531,7 @@ impl AggState {
                 if let Some(pairs) = pairs {
                     let m = pairs.len();
                     let cols: Vec<_> = pairs.split_front(m).into_iter().map(Arc::new).collect();
-                    if let ColumnData::Int(ordinal) = &cols[0].data {
+                    if let Some((ordinal, _)) = cols[0].ints() {
                         let open = |&e: &u32| ordinal[e as usize] >= *base as i64;
                         let keep: Vec<u32> = (0..m as u32).filter(open).collect();
                         let kept = ColumnBatch::new(cols, m).select_logical(&keep);

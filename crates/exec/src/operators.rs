@@ -12,10 +12,12 @@
 //! (one short row per *group*), and the client rowset ([`drain`]).
 //!
 //! Every operator loop calls [`ControlBlock::check`] and every buffering one
-//! [`ControlBlock::reserve`]; those two record the limits they enforce as the
-//! query's cause of failure, and once the query is over — for that or any
-//! other reason — `check` returns [`IcError::Cancelled`], so an operator
-//! never has to tell a cause from a symptom: it returns what it got.
+//! [`ControlBlock::reserve`] — an operator that keeps whole input batches
+//! through [`LeasedBatches`], the one way to do so. Those two record the
+//! limits they enforce as the query's cause of failure, and once the query
+//! is over — for that or any other reason — `check` returns
+//! [`IcError::Cancelled`], so an operator never has to tell a cause from a
+//! symptom: it returns what it got.
 
 use crate::kernels::{gather_join_output, ColGroupTable, ColJoinTable};
 use ic_common::eval::{eval_expr, eval_filter_sel};
@@ -76,8 +78,10 @@ impl ExecObs {
 
 /// Shared per-query control: the *stop cell*, the wall-clock deadline (the
 /// paper's runtime limit) and the query's [`MemoryLease`] on the cluster's
-/// shared pool. All buffered operator state is accounted through the lease —
-/// never through a private counter (ic-lint rule L006).
+/// shared pool. All buffered operator state is accounted through the lease:
+/// whole input batches through [`LeasedBatches`], whose only growth method
+/// takes the control block, and an aggregate's groups through
+/// [`ControlBlock::reserve`].
 ///
 /// The cell is written once: unset while the query runs, then either
 /// *finished* ([`ControlBlock::finish`], the root has its answer) or *failed*
@@ -148,6 +152,11 @@ impl ControlBlock {
     /// revocation) fails the whole query.
     pub fn reserve(&self, n: usize) -> IcResult<()> {
         self.lease.reserve(n as u64).map_err(|e| self.fail(e))
+    }
+
+    /// Give back `n` cells an operator no longer holds.
+    fn release(&self, n: usize) {
+        self.lease.release(n as u64);
     }
 
     /// The cooperative stop point, called in every operator loop (and by an
@@ -246,7 +255,7 @@ impl RowSource for TracedSource {
                     fits_schema(&self.types, b),
                     "{} emitted columns of types {:?}, its schema says {:?}",
                     self.label,
-                    b.columns().iter().map(|c| c.data.data_type()).collect::<Vec<_>>(),
+                    b.columns().iter().map(|c| c.data_type()).collect::<Vec<_>>(),
                     self.types
                 );
                 (b.num_rows() as u64, b.phys_rows() as u64, true)
@@ -270,7 +279,7 @@ impl RowSource for TracedSource {
 /// (an untyped NULL literal's) fits any.
 fn fits_schema(types: &[DataType], b: &ColumnBatch) -> bool {
     b.width() == types.len()
-        && b.columns().iter().zip(types).all(|(c, &t)| c.is_all_null() || c.data.data_type() == t)
+        && b.columns().iter().zip(types).all(|(c, &t)| c.is_all_null() || c.data_type() == t)
 }
 
 /// Close: record the operator instance's lifetime span and flush its totals
@@ -934,18 +943,52 @@ impl JoinEmitter {
     }
 }
 
-/// Pull a join's build side dry, accounting every batch kept against the
-/// query lease.
-fn buffer_input(src: &mut BoxedSource, ctrl: &ControlBlock) -> IcResult<Vec<ColumnBatch>> {
-    let mut batches = Vec::new();
-    while let Some(b) = src.next_batch()? {
+/// Input batches an operator keeps, each charged to the query's lease as it
+/// arrives and given back as it is drained: the one way an operator here
+/// buffers its input. The only growth method takes the [`ControlBlock`], so
+/// no batch is kept uncharged.
+#[derive(Default)]
+pub struct LeasedBatches {
+    batches: Vec<ColumnBatch>,
+}
+
+impl LeasedBatches {
+    /// Keep `b`, charging its cells to the query's lease — after the stop
+    /// check every operator loop makes. A batch without rows is not kept.
+    pub fn push(&mut self, ctrl: &ControlBlock, b: ColumnBatch) -> IcResult<()> {
         ctrl.check()?;
         if b.num_rows() > 0 {
             ctrl.reserve_batch(&b)?;
-            batches.push(b);
+            self.batches.push(b);
         }
+        Ok(())
     }
-    Ok(batches)
+
+    /// Drop the first `n` batches, giving their cells back to the lease.
+    pub fn drain_front(&mut self, ctrl: &ControlBlock, n: usize) {
+        ctrl.release(self.batches.drain(..n).map(|b| b.cells()).sum());
+    }
+
+    /// The batches, still charged: the caller holds them from here on.
+    pub fn into_vec(self) -> Vec<ColumnBatch> {
+        self.batches
+    }
+}
+
+impl std::ops::Deref for LeasedBatches {
+    type Target = [ColumnBatch];
+    fn deref(&self) -> &[ColumnBatch] {
+        &self.batches
+    }
+}
+
+/// Pull an input dry, accounting every batch kept against the query lease.
+fn buffer_input(src: &mut BoxedSource, ctrl: &ControlBlock) -> IcResult<Vec<ColumnBatch>> {
+    let mut batches = LeasedBatches::default();
+    while let Some(b) = src.next_batch()? {
+        batches.push(ctrl, b)?;
+    }
+    Ok(batches.into_vec())
 }
 
 /// Candidate pairs a nested-loop join generates per step. A step covers
@@ -1048,24 +1091,6 @@ impl RowSource for NestedLoopJoinExec {
 enum JoinBuild {
     Source(BoxedSource),
     Table(ColJoinTable),
-}
-
-/// Drain `src` and build a table keyed on `keys` from what arrived,
-/// accounting every batch against the query lease as it comes in. Rows
-/// with NULL key columns stay unlinked (they never match).
-fn drain_join_table(
-    src: &mut BoxedSource,
-    keys: Vec<usize>,
-    arity: usize,
-    ctrl: &ControlBlock,
-) -> IcResult<ColJoinTable> {
-    let mut batches = Vec::new();
-    while let Some(b) = src.next_batch()? {
-        ctrl.check()?;
-        ctrl.reserve_batch(&b)?;
-        batches.push(b);
-    }
-    Ok(ColJoinTable::build(keys, arity, batches))
 }
 
 /// Hash join (§5.1.2): builds on the right input, probes with the left —
@@ -1174,7 +1199,8 @@ impl RowSource for HashJoinExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
         if let JoinBuild::Source(right) = &mut self.build {
             let arity = self.emitter.no_right.width();
-            let table = drain_join_table(right, self.right_keys.clone(), arity, &self.ctrl)?;
+            let batches = buffer_input(right, &self.ctrl)?;
+            let table = ColJoinTable::build(self.right_keys.clone(), arity, batches);
             self.build = JoinBuild::Table(table);
         }
         let JoinBuild::Table(table) = &self.build else {
@@ -1227,8 +1253,9 @@ pub struct MergeJoinExec {
     ctrl: Arc<ControlBlock>,
     /// INNER or SEMI: only left rows with a match are emitted.
     seeks_left: bool,
-    /// The right batches from the cursor's on, each reserved on arrival.
-    window: Vec<ColumnBatch>,
+    /// The right batches from the cursor's on, each charged to the lease on
+    /// arrival and given back once the cursor has passed it.
+    window: LeasedBatches,
     /// The right side has returned `None`.
     right_done: bool,
     /// (window batch, logical row) of the first right row not yet known to
@@ -1260,7 +1287,7 @@ impl MergeJoinExec {
             right_keys,
             ctrl,
             seeks_left: matches!(kind, JoinKind::Inner | JoinKind::Semi),
-            window: Vec::new(),
+            window: LeasedBatches::default(),
             right_done: false,
             right_pos: (0, 0),
             entered: false,
@@ -1280,10 +1307,9 @@ impl MergeJoinExec {
             self.right.seek(&self.right_keys, lb, &self.left_keys, li);
         }
         while let Some(b) = self.right.next_batch()? {
-            self.ctrl.check()?;
-            if b.num_rows() > 0 {
-                self.ctrl.reserve_batch(&b)?;
-                self.window.push(b);
+            let held = self.window.len();
+            self.window.push(&self.ctrl, b)?;
+            if self.window.len() > held {
                 return Ok(true);
             }
         }
@@ -1389,7 +1415,7 @@ impl RowSource for MergeJoinExec {
             let pairs = self.match_batch(&lb)?;
             self.emitter.emit(&lb, &self.window, pairs, &mut self.output)?;
             // The cursor only moves forward: batches before it are done.
-            self.window.drain(..self.right_pos.0);
+            self.window.drain_front(&self.ctrl, self.right_pos.0);
             self.right_pos.0 = 0;
         }
     }
@@ -1830,6 +1856,34 @@ mod tests {
             ctrl(),
         );
         assert_eq!(drain(Box::new(mj)).unwrap(), rows(&[&[1], &[4]]));
+    }
+
+    /// A merge join holds only its window of the right side on the lease:
+    /// the batches its cursor has passed are given back. Here the window
+    /// never holds more than three of the right side's sixteen batches, and
+    /// the lease's cap sits between the two.
+    #[test]
+    fn merge_join_charges_only_its_window() {
+        let n = 16 * BATCH_SIZE as i64;
+        let left: Vec<Row> = (0..n).map(|k| Row(vec![Datum::Int(k)])).collect();
+        let right: Vec<Row> = (0..n).map(|k| Row(vec![Datum::Int(k), Datum::Int(-k)])).collect();
+        let window_cells = 3 * 2 * BATCH_SIZE as u64;
+        let limit = window_cells + 2 * BATCH_SIZE as u64;
+        assert!(limit < 2 * n as u64, "the cap must be below the right side's cells");
+        let ctrl = ControlBlock::new(None, 0, MemoryPool::unbounded().lease(limit), None);
+        let mj = MergeJoinExec::new(
+            Box::new(VecSource::new(ints(1), left)),
+            Box::new(VecSource::new(ints(2), right)),
+            JoinKind::Inner,
+            vec![0],
+            vec![0],
+            Expr::lit(true),
+            2,
+            ctrl.clone(),
+        );
+        let want: Vec<Row> = (0..n).map(|k| Row(vec![Datum::Int(k), Datum::Int(k), Datum::Int(-k)])).collect();
+        assert_eq!(drain(Box::new(mj)).unwrap(), want);
+        assert!(ctrl.lease().peak_used() <= window_cells, "peak {}", ctrl.lease().peak_used());
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Intra-procedural dataflow facts over a function's token range: which
-//! locals are bound from column-buffer patterns, which come from
-//! `.selection()`, where they get indexed, whether an error-handling loop
-//! can retry without consulting the retryable/terminal classifier, and
-//! where heap allocations happen. All analyses are lexical and flow over
-//! `let`-bindings and match patterns — no types, which keeps them honest
-//! about their limits (documented in DESIGN.md).
+//! Intra-procedural dataflow facts over a function's token range: where its
+//! loops are, whether an error-handling loop can retry without consulting
+//! the retryable/terminal classifier, and where heap allocations happen.
+//! All analyses are lexical — no types, which keeps them honest about
+//! their limits (documented in DESIGN.md).
 
 use crate::tokenizer::{Tok, TokKind};
 
@@ -45,156 +43,6 @@ pub fn loop_ranges(toks: &[Tok], range: (usize, usize)) -> Vec<(usize, usize)> {
     out
 }
 
-/// How a column buffer was accessed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// `v[...]`
-    Bracket,
-    /// `v.get(...)....unwrap()`
-    GetUnwrap,
-}
-
-/// Column-plane facts for one function body.
-#[derive(Debug, Default)]
-pub struct ColFacts {
-    /// Locals bound from `ColumnData::Variant(pat)` match patterns — these
-    /// alias the raw typed buffer of a column.
-    pub buf_vars: Vec<(String, u32)>,
-    /// Locals bound from a `.selection()` call.
-    pub sel_vars: Vec<(String, u32)>,
-    /// Raw indexing into a buffer/selection local: (var, line, kind).
-    pub index_sites: Vec<(String, u32, IndexKind)>,
-    /// Whether the body consults the validity bitmap at all.
-    pub mentions_validity: bool,
-}
-
-/// Extract column-plane facts from `toks[range]`.
-pub fn column_facts(toks: &[Tok], range: (usize, usize)) -> ColFacts {
-    let (start, end) = range;
-    let mut facts = ColFacts::default();
-
-    // Pass 1: collect buffer-aliasing locals.
-    let mut i = start;
-    while i < end {
-        let t = &toks[i];
-        if t.is_ident("ColumnData")
-            && toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|a| a.is_punct(':'))
-        {
-            if let Some(variant) = toks.get(i + 3).filter(|v| v.kind == TokKind::Ident) {
-                let line = variant.line;
-                match toks.get(i + 4) {
-                    // `ColumnData::Int(v)` — tuple pattern binds `v`.
-                    // (A construction call with a single ident argument is
-                    // indistinguishable without types; treating it as a
-                    // binding only widens the net, never misses.)
-                    Some(p) if p.is_punct('(') => {
-                        let mut j = i + 5;
-                        while j < end && !toks[j].is_punct(')') {
-                            if toks[j].kind == TokKind::Ident {
-                                if !matches!(toks[j].text.as_str(), "ref" | "mut" | "_") {
-                                    facts.buf_vars.push((toks[j].text.clone(), line));
-                                }
-                            } else if !toks[j].is_punct(',') {
-                                // Complex sub-pattern/expression: stop early.
-                                break;
-                            }
-                            j += 1;
-                        }
-                    }
-                    // `ColumnData::Str { offsets, bytes }` — struct pattern.
-                    Some(p) if p.is_punct('{') => {
-                        let close = crate::parser::skip_braced_toks(toks, i + 4).min(end);
-                        let mut j = i + 5;
-                        while j < close {
-                            if toks[j].kind == TokKind::Ident
-                                && !matches!(toks[j].text.as_str(), "ref" | "mut")
-                            {
-                                if toks.get(j + 1).is_some_and(|a| a.is_punct(':'))
-                                    && toks.get(j + 2).is_some_and(|a| a.kind == TokKind::Ident)
-                                {
-                                    // `field: binding` rename.
-                                    facts.buf_vars.push((toks[j + 2].text.clone(), line));
-                                    j += 3;
-                                    continue;
-                                }
-                                facts.buf_vars.push((toks[j].text.clone(), line));
-                            }
-                            j += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if t.is_ident("selection")
-            && toks.get(i + 1).is_some_and(|a| a.is_punct('('))
-            && toks.get(i.wrapping_sub(1)).is_some_and(|a| a.is_punct('.'))
-        {
-            // Walk back to the `=` of the enclosing binding, if any, and
-            // take the last plain ident of the pattern before it.
-            let mut j = i.wrapping_sub(2);
-            let mut hops = 0;
-            while j > start && hops < 24 {
-                if toks[j].is_punct('=') {
-                    let mut k = j - 1;
-                    while k > start && (toks[k].is_punct(')') || toks[k].is_punct(']')) {
-                        k -= 1;
-                    }
-                    if toks[k].kind == TokKind::Ident {
-                        facts.sel_vars.push((toks[k].text.clone(), toks[k].line));
-                    }
-                    break;
-                }
-                if toks[j].is_punct(';') || toks[j].is_punct('{') {
-                    break;
-                }
-                j -= 1;
-                hops += 1;
-            }
-        }
-        if t.is_ident("is_valid") || t.is_ident("validity") {
-            facts.mentions_validity = true;
-        }
-        i += 1;
-    }
-
-    // Pass 2: find raw indexing of the collected locals.
-    let tracked: Vec<&str> = facts
-        .buf_vars
-        .iter()
-        .map(|(v, _)| v.as_str())
-        .chain(facts.sel_vars.iter().map(|(v, _)| v.as_str()))
-        .collect();
-    if tracked.is_empty() {
-        return facts;
-    }
-    let mut sites = Vec::new();
-    let mut i = start;
-    while i < end {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident && tracked.contains(&t.text.as_str()) {
-            if toks.get(i + 1).is_some_and(|a| a.is_punct('[')) {
-                sites.push((t.text.clone(), t.line, IndexKind::Bracket));
-            } else if toks.get(i + 1).is_some_and(|a| a.is_punct('.'))
-                && toks.get(i + 2).is_some_and(|a| a.is_ident("get"))
-                && toks.get(i + 3).is_some_and(|a| a.is_punct('('))
-            {
-                // `.get(...)` directly followed by `.unwrap()`.
-                let close = skip_group(toks, i + 3, end);
-                if toks.get(close).is_some_and(|a| a.is_punct('.'))
-                    && toks.get(close + 1).is_some_and(|a| a.is_ident("unwrap"))
-                {
-                    sites.push((t.text.clone(), t.line, IndexKind::GetUnwrap));
-                }
-            }
-        }
-        i += 1;
-    }
-    facts.index_sites = sites;
-    facts
-}
-
 /// Skip a parenthesized group starting at `i` (`(`); returns index past `)`.
 fn skip_group(toks: &[Tok], i: usize, end: usize) -> usize {
     let mut depth = 0i32;
@@ -213,10 +61,10 @@ fn skip_group(toks: &[Tok], i: usize, end: usize) -> usize {
     j
 }
 
-const CLASSIFIERS: [&str; 3] = ["is_retryable", "is_failover_retryable", "is_planner_failure"];
+pub(crate) const CLASSIFIERS: [&str; 3] = ["is_retryable", "is_failover_retryable", "is_planner_failure"];
 const RETRY_VOCAB: [&str; 5] = ["attempt", "attempts", "retry", "retries", "backoff"];
 
-/// L009 part (b): inside retry loops, every `Err` arm that can fall through
+/// L009: inside retry loops, every `Err` arm that can fall through
 /// to the next iteration must consult a retryable/terminal classifier —
 /// either in a match guard (`Err(e) if e.is_failover_retryable() => ...`)
 /// or inside the arm body. Arms that terminate (`return`/`break`/`?`/
@@ -382,24 +230,6 @@ pub fn alloc_sites(toks: &[Tok], range: (usize, usize)) -> Vec<(u32, String)> {
     out
 }
 
-/// `IcError::Variant` construction/mention sites in `toks[range]`.
-pub fn icerror_sites(toks: &[Tok], range: (usize, usize)) -> Vec<(String, u32)> {
-    let (start, end) = range;
-    let mut out = Vec::new();
-    let mut i = start;
-    while i + 3 < end {
-        if toks[i].is_ident("IcError")
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].kind == TokKind::Ident
-        {
-            out.push((toks[i + 3].text.clone(), toks[i + 3].line));
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,30 +244,6 @@ mod tests {
         let t = toks("fn f() { loop { x(); } for i in 0..n { y(); } while a { z(); } }");
         let r = loop_ranges(&t, (0, t.len()));
         assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn column_pattern_binds_and_indexing_flagged() {
-        let t = toks(
-            "match &col.data { ColumnData::Int(v) => { let x = v[i]; } \
-             ColumnData::Str { offsets, bytes } => { let o = offsets[k]; } _ => {} }",
-        );
-        let f = column_facts(&t, (0, t.len()));
-        let vars: Vec<&str> = f.buf_vars.iter().map(|(v, _)| v.as_str()).collect();
-        assert!(vars.contains(&"v") && vars.contains(&"offsets") && vars.contains(&"bytes"));
-        assert_eq!(f.index_sites.len(), 2);
-    }
-
-    #[test]
-    fn selection_binding_and_get_unwrap() {
-        let t = toks(
-            "if let Some(sel) = batch.selection() { let a = sel.get(0).unwrap(); let b = sel[1]; }",
-        );
-        let f = column_facts(&t, (0, t.len()));
-        assert_eq!(f.sel_vars.len(), 1);
-        assert_eq!(f.sel_vars[0].0, "sel");
-        assert_eq!(f.index_sites.len(), 2);
-        assert!(f.index_sites.iter().any(|s| s.2 == IndexKind::GetUnwrap));
     }
 
     #[test]
@@ -470,13 +276,5 @@ mod tests {
         let t = toks("let a = Vec::new(); let b = vec![0; n]; let c = xs.to_vec(); d.collect()");
         let sites = alloc_sites(&t, (0, t.len()));
         assert_eq!(sites.len(), 4);
-    }
-
-    #[test]
-    fn icerror_sites_found() {
-        let t = toks("return Err(IcError::Internal(format!(\"x\"))); IcError::Overloaded");
-        let sites = icerror_sites(&t, (0, t.len()));
-        assert_eq!(sites.len(), 2);
-        assert_eq!(sites[0].0, "Internal");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! A std-only tokenizer, item-level parser, workspace symbol table and
 //! cross-crate call graph, with a rule engine enforcing the project
-//! invariants clippy cannot express — L005, L006 and L008–L012 (see
-//! [`rules`] for the catalogue and pragma syntax, and LINTS.md for the
-//! rationale of each rule and for the clippy-enforced ones). The crate
+//! invariants neither rustc nor clippy can express — L005, L008, L009's
+//! retry loops, L011 and L012 (see [`rules`] for the catalogue and pragma
+//! syntax, and LINTS.md for the rationale of each rule and for the ones
+//! clippy and the type system enforce). The crate
 //! deliberately has zero dependencies so it builds before — and
 //! independently of — everything it checks.
 

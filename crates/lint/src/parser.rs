@@ -1,6 +1,6 @@
 //! Item-level parser on top of the tokenizer: extracts `fn` items (with
-//! their enclosing `impl`/`trait` type and exact body spans), `use` paths,
-//! `struct` names, and `enum` variant lists. This is deliberately *not* a
+//! their enclosing `impl`/`trait` type and exact body spans) and `use`
+//! paths. This is deliberately *not* a
 //! full Rust grammar — it recognizes item heads and brace structure, which
 //! is enough to build a workspace symbol table and call graph while staying
 //! std-only and tolerant of code the rules have never seen.
@@ -36,13 +36,6 @@ pub struct UseItem {
     pub line: u32,
 }
 
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    pub name: String,
-    pub variants: Vec<String>,
-    pub line: u32,
-}
-
 /// A parsed file: the (test-stripped) token stream plus extracted items.
 #[derive(Debug)]
 pub struct ParsedFile {
@@ -51,7 +44,6 @@ pub struct ParsedFile {
     pub comments: Vec<Comment>,
     pub fns: Vec<FnItem>,
     pub uses: Vec<UseItem>,
-    pub enums: Vec<EnumItem>,
 }
 
 /// Tokenize, strip `#[cfg(test)]` regions, and parse items.
@@ -65,7 +57,6 @@ pub fn parse_file(path: &str, source: &str) -> ParsedFile {
 pub fn parse_tokens(path: &str, toks: Vec<Tok>, comments: Vec<Comment>) -> ParsedFile {
     let mut fns = Vec::new();
     let mut uses = Vec::new();
-    let mut enums = Vec::new();
 
     // Stack of enclosing impl/trait blocks: (type name, brace depth at which
     // the block's `{` was opened). Popped when depth returns to that value.
@@ -153,19 +144,11 @@ pub fn parse_tokens(path: &str, toks: Vec<Tok>, comments: Vec<Comment>) -> Parse
                 uses.extend(items);
                 i = next;
             }
-            "enum" => {
-                if let Some((item, next)) = parse_enum(&toks, i) {
-                    enums.push(item);
-                    i = next;
-                } else {
-                    i += 1;
-                }
-            }
             _ => i += 1,
         }
     }
 
-    ParsedFile { path: path.to_string(), toks, comments, fns, uses, enums }
+    ParsedFile { path: path.to_string(), toks, comments, fns, uses }
 }
 
 /// Parse an `impl`/`trait` head starting at the keyword. Returns the
@@ -244,66 +227,6 @@ fn parse_use(toks: &[Tok], kw: usize) -> (Vec<UseItem>, usize) {
     (items, j)
 }
 
-/// Parse an `enum` item: name plus variant names. Returns the item and the
-/// index just past the closing `}`.
-fn parse_enum(toks: &[Tok], kw: usize) -> Option<(EnumItem, usize)> {
-    let name_tok = toks.get(kw + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    // Find the `{` opening the variant list (skip generics / where clause).
-    let mut j = kw + 2;
-    let mut angle = 0i32;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct('{') && angle <= 0 {
-            break;
-        }
-        if t.is_punct(';') && angle <= 0 {
-            return None; // `enum Foo;` is not valid Rust, but be tolerant
-        }
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>')
-            && !toks.get(j.wrapping_sub(1)).is_some_and(|p| p.is_punct('-'))
-        {
-            angle -= 1;
-        }
-        j += 1;
-    }
-    if j >= toks.len() {
-        return None;
-    }
-    let close = skip_braced_toks(toks, j);
-    let mut variants = Vec::new();
-    let mut rel = 1i32;
-    let mut k = j + 1;
-    let mut at_variant_head = true;
-    while k < close {
-        let t = &toks[k];
-        if t.is_punct('{') || t.is_punct('(') {
-            rel += 1;
-            at_variant_head = false;
-        } else if t.is_punct('}') || t.is_punct(')') {
-            rel -= 1;
-        } else if t.is_punct(',') && rel == 1 {
-            at_variant_head = true;
-        } else if t.is_punct('#') && rel == 1 {
-            // Variant attribute: skip `#[...]` without disturbing the head flag.
-            k = skip_attr_toks(toks, k);
-            continue;
-        } else if t.kind == TokKind::Ident && rel == 1 && at_variant_head {
-            variants.push(t.text.clone());
-            at_variant_head = false;
-        }
-        k += 1;
-    }
-    Some((
-        EnumItem { name: name_tok.text.clone(), variants, line: toks[kw].line },
-        close,
-    ))
-}
-
 /// Skip a braced group starting at `i` (`{`); returns index past the `}`.
 pub fn skip_braced_toks(toks: &[Tok], i: usize) -> usize {
     let mut depth = 0i32;
@@ -312,23 +235,6 @@ pub fn skip_braced_toks(toks: &[Tok], i: usize) -> usize {
         if toks[j].is_punct('{') {
             depth += 1;
         } else if toks[j].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    j
-}
-
-fn skip_attr_toks(toks: &[Tok], i: usize) -> usize {
-    let mut j = i + 1;
-    let mut depth = 0i32;
-    while j < toks.len() {
-        if toks[j].is_punct('[') {
-            depth += 1;
-        } else if toks[j].is_punct(']') {
             depth -= 1;
             if depth == 0 {
                 return j + 1;
@@ -411,22 +317,6 @@ mod tests {
             .map(|v: Vec<&str>| v.into_iter().map(String::from).collect::<Vec<_>>())
             .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn enum_variants_extracted() {
-        let src = r#"
-            pub enum IcError {
-                Parse(String),
-                Overloaded { retry_after_ms: u64 },
-                #[allow(dead_code)]
-                Internal(String),
-            }
-        "#;
-        let p = parse_file("x.rs", src);
-        assert_eq!(p.enums.len(), 1);
-        assert_eq!(p.enums[0].name, "IcError");
-        assert_eq!(p.enums[0].variants, vec!["Parse", "Overloaded", "Internal"]);
     }
 
     #[test]

@@ -4,16 +4,18 @@
 //! |------|-----------|
 //! | L000 | an `allow` pragma that is malformed, unjustified, or suppresses nothing |
 //! | L005 | no cycles in the cross-crate lock-acquisition-order graph (held sets flow through deferred closures) |
-//! | L006 | buffering operators in `ic-exec` grow buffers only through the `MemoryLease` protocol (no private `buffered_rows`/`buffered_cells` counters) |
 //! | L008 | no per-row `Datum` materialization in kernel hot paths — `ic_exec::kernels` itself plus every fn **call-graph-reachable** from a kernel |
-//! | L009 | error-classification soundness: `IcError::is_retryable`/`is_failover_retryable` classify every variant explicitly (no `_` arm), and no retry loop can re-enter on an unclassified error |
-//! | L010 | columnar-plane discipline: no raw `[]`/`get().unwrap()` indexing of column buffers or selection vectors outside `ic_common::col` + the kernel/eval plane; vectorized readers check validity |
+//! | L009 | no retry loop can re-enter on an error it did not classify (`is_retryable`/`is_failover_retryable`) |
 //! | L011 | observability-name registry: every metric/event name literal appears in OBSERVABILITY.md and vice versa |
 //! | L012 | no heap allocation reachable from kernel inner loops (the kernels-bench reuse contract) |
 //!
 //! The unwrap, hasher, std-map and wall-clock bans (the former L001–L004
 //! and L007) are clippy settings: `crates/clippy.toml` and the lint levels
-//! at each crate root (LINTS.md).
+//! at each crate root (LINTS.md). The former L006, L010 and L009's
+//! classifier half are types rustc checks: operators buffer input only
+//! through `ic_exec::operators::LeasedBatches`, the column layout is private
+//! to `ic_common::col`, and `IcError`'s one classifier is an exhaustive
+//! match under `#[deny(clippy::wildcard_enum_match_arm)]`.
 //!
 //! L008/L012's hot-path classification is *semantic*: the engine parses every
 //! file into items ([`crate::parser`]), builds a workspace symbol table
@@ -26,7 +28,7 @@
 //! carry a justification:
 //!
 //! ```text
-//! // ic-lint: allow(L010) because the invariant X makes this safe
+//! // ic-lint: allow(L012) because the invariant X makes this safe
 //! ```
 //!
 //! The pragma covers its own line and the next line. A pragma without a
@@ -40,7 +42,7 @@ use crate::symbols::SymbolTable;
 use crate::tokenizer::{strip_test_regions, tokenize, Comment, Tok, TokKind};
 use std::collections::{HashMap, HashSet};
 
-pub const RULES: [&str; 8] = ["L000", "L005", "L006", "L008", "L009", "L010", "L011", "L012"];
+pub const RULES: [&str; 6] = ["L000", "L005", "L008", "L009", "L011", "L012"];
 
 /// One lint finding.
 #[derive(Debug, Clone)]
@@ -174,14 +176,8 @@ fn in_scope(rule: &str, ctx: &FileCtx, path: &str) -> bool {
     if krate == "lint" {
         return false; // the tool does not police itself
     }
-    // Every rule polices production code only; L009's retry-loop half runs
-    // on all of it, its classifier half anchors to the IcError definition.
-    ctx.is_src
-        && match rule {
-            "L006" => krate == "exec",
-            "L008" => is_kernel_plane(path),
-            _ => true,
-        }
+    // Every rule polices production code only.
+    ctx.is_src && (rule != "L008" || is_kernel_plane(path))
 }
 
 /// Pragmas parsed from a file's line comments.
@@ -254,20 +250,13 @@ fn is_operators_file(path: &str) -> bool {
     path.replace('\\', "/").ends_with("crates/exec/src/operators.rs")
 }
 
-/// The columnar data layer itself — where the row/Datum shims are *defined*
-/// and raw buffer access is the implementation, not a leak.
+/// The columnar data layer itself — where the row/Datum shims are *defined*,
+/// so calling them there is the implementation, not a leak.
 fn is_data_layer(path: &str) -> bool {
     let p = path.replace('\\', "/");
     p.ends_with("crates/common/src/col.rs")
         || p.ends_with("crates/common/src/datum.rs")
         || p.ends_with("crates/common/src/row.rs")
-}
-
-/// Files sanctioned for raw `[]` access to column buffers (L010): the data
-/// layer plus the vectorized kernel/eval plane (which instead must prove it
-/// checks validity).
-fn l010_sanctioned(path: &str) -> bool {
-    is_data_layer(path) || is_kernel_plane(path)
 }
 
 /// Lint a set of files; rules are scoped by each file's path.
@@ -338,9 +327,6 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
         // Findings from per-fn semantic passes carry the enclosing fn's
         // signature line: a pragma above the `fn` covers the whole body.
         let mut fn_findings: Vec<(&'static str, u32, String, u32)> = Vec::new();
-        if in_scope("L006", ctx, path) {
-            findings.extend(rule_l006(toks));
-        }
         if in_scope("L008", ctx, path) {
             findings.extend(rule_l008(toks));
         }
@@ -372,53 +358,10 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
                     ));
                 }
             }
-            // L009 (b): retry loops must classify before re-entering.
+            // L009: retry loops must classify before re-entering.
             if in_scope("L009", ctx, path) {
                 for (line, msg) in dataflow::retry_loop_findings(toks, body) {
                     fn_findings.push(("L009", line, msg, f.line));
-                }
-            }
-            // L010: columnar-plane discipline.
-            if in_scope("L010", ctx, path) {
-                let facts = dataflow::column_facts(toks, body);
-                if l010_sanctioned(path) {
-                    // Inside the vectorized plane: raw reads are the point,
-                    // but they must be validity-checked. The data layer
-                    // (col.rs) defines the accessors and is fully exempt.
-                    if is_kernel_plane(path)
-                        && !facts.buf_vars.is_empty()
-                        && !facts.index_sites.is_empty()
-                        && !facts.mentions_validity
-                    {
-                        let (var, line, _) = &facts.index_sites[0];
-                        fn_findings.push((
-                            "L010",
-                            *line,
-                            format!(
-                                "fn `{}` reads typed column buffer `{var}` without consulting \
-                                 the validity bitmap (is_valid)",
-                                f.name
-                            ),
-                            f.line,
-                        ));
-                    }
-                } else {
-                    for (var, line, kind) in &facts.index_sites {
-                        let how = match kind {
-                            dataflow::IndexKind::Bracket => "[]",
-                            dataflow::IndexKind::GetUnwrap => ".get().unwrap()",
-                        };
-                        fn_findings.push((
-                            "L010",
-                            *line,
-                            format!(
-                                "raw {how} indexing of column buffer/selection `{var}` outside \
-                                 ic_common::col and the kernel plane; use Column accessors or \
-                                 sanctioned iteration helpers",
-                            ),
-                            f.line,
-                        ));
-                    }
                 }
             }
             // L012: allocations in kernel loops, and anywhere in loop-hot fns.
@@ -448,11 +391,6 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
                     }
                 }
             }
-        }
-
-        // L009 (a): classifier exhaustiveness, anchored to the IcError enum.
-        if in_scope("L009", ctx, path) {
-            findings.extend(rule_l009_classifiers(&e.parsed));
         }
 
         // L011 forward: metric/event name literals must be in the registry.
@@ -560,110 +498,6 @@ fn metric_name_literals(toks: &[Tok]) -> Vec<(String, u32)> {
     out
 }
 
-/// L009 (a): the IcError classifiers must name every variant explicitly and
-/// carry no wildcard arm, so adding a variant forces a classification
-/// decision instead of silently defaulting to terminal (or worse, retryable).
-fn rule_l009_classifiers(parsed: &ParsedFile) -> Vec<(&'static str, u32, String)> {
-    let Some(en) = parsed.enums.iter().find(|e| e.name == "IcError") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for clf in ["is_retryable", "is_failover_retryable"] {
-        let Some(f) = parsed
-            .fns
-            .iter()
-            .find(|f| f.name == clf && f.impl_type.as_deref() == Some("IcError"))
-        else {
-            out.push((
-                "L009",
-                en.line,
-                format!("enum IcError has no `fn {clf}` classifier; every variant must be \
-                         provably retryable or terminal"),
-            ));
-            continue;
-        };
-        let Some((bs, be)) = f.body else { continue };
-        let body = &parsed.toks[bs..be];
-        // Wildcard arm `_ =>` hides unclassified variants.
-        for (k, t) in body.iter().enumerate() {
-            if t.is_ident("_")
-                && body.get(k + 1).is_some_and(|a| a.is_punct('='))
-                && body.get(k + 2).is_some_and(|a| a.is_punct('>'))
-            {
-                out.push((
-                    "L009",
-                    t.line,
-                    format!("wildcard `_` arm in {clf} hides unclassified IcError variants; \
-                             match every variant explicitly"),
-                ));
-            }
-        }
-        let mentioned: HashSet<&str> = body
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect();
-        let missing: Vec<&str> = en
-            .variants
-            .iter()
-            .map(String::as_str)
-            .filter(|v| !mentioned.contains(v))
-            .collect();
-        if !missing.is_empty() {
-            out.push((
-                "L009",
-                f.line,
-                format!(
-                    "{clf} does not explicitly classify IcError variant(s): {}",
-                    missing.join(", ")
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// L006: private buffer accounting in the execution crate. Every cell an
-/// operator buffers must flow through the query's `MemoryLease` (via
-/// `ControlBlock::reserve`/`reserve_batch`) so the cluster governor can see
-/// — and revoke — it; a side-channel `buffered_rows` counter (the pre-lease
-/// design) silently escapes the shared budget.
-fn rule_l006(toks: &[Tok]) -> Vec<(&'static str, u32, String)> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident && (t.text == "buffered_rows" || t.text == "buffered_cells") {
-            out.push((
-                "L006",
-                t.line,
-                format!(
-                    "private `{}` counter in ic-exec; account buffered cells through the \
-                     query's MemoryLease (ControlBlock::reserve) so the governor can revoke them",
-                    t.text
-                ),
-            ));
-        }
-        // Atomic mutation of any *buffered* counter (`foo_buffered.fetch_add(...)`)
-        // is the same escape hatch under a different name.
-        if t.kind == TokKind::Ident
-            && t.text.contains("buffered")
-            && toks.get(i + 1).is_some_and(|a| a.is_punct('.'))
-            && toks.get(i + 2).is_some_and(|b| {
-                b.kind == TokKind::Ident && b.text.starts_with("fetch_")
-            })
-        {
-            out.push((
-                "L006",
-                t.line,
-                format!(
-                    "direct atomic update of `{}` bypasses the MemoryLease protocol",
-                    t.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// L008: per-row `Datum` materialization in the columnar kernels. The whole
 /// point of `ic_exec::kernels` is that its inner loops are typed per-column
 /// sweeps; a stray `datum_at`/`to_rows` call re-boxes every value into an
@@ -708,41 +542,12 @@ mod tests {
     }
 
     #[test]
-    fn l006_flags_and_pragma_suppresses() {
-        let bad = "struct S { buffered_rows: u64, buffered_cells: u64 }";
-        let r = lint_one("crates/exec/src/a.rs", bad);
-        assert_eq!(r.violations.len(), 2);
-        assert_eq!(r.violations[0].rule, "L006");
-
-        let ok = "// ic-lint: allow(L006) because the fixture keeps a legacy counter\n\
-                  struct S { buffered_rows: u64 }";
-        let r = lint_one("crates/exec/src/a.rs", ok);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert_eq!(r.suppressed.len(), 1);
-        assert!(r.suppressed[0].justification.contains("legacy counter"));
-    }
-
-    #[test]
     fn pragma_requires_justification() {
-        let src = "// ic-lint: allow(L006)\nstruct S { buffered_rows: u64 }";
-        let r = lint_one("crates/exec/src/a.rs", src);
-        // Both the malformed pragma and the (unsuppressed) counter fire.
+        let src = "// ic-lint: allow(L008)\nfn f(b: &ColumnBatch) { let d = b.col(0).datum_at(i); }";
+        let r = lint_one("crates/exec/src/kernels.rs", src);
+        // Both the malformed pragma and the (unsuppressed) finding fire.
         assert!(r.violations.iter().any(|v| v.rule == "L000"));
-        assert!(r.violations.iter().any(|v| v.rule == "L006"));
-    }
-
-    #[test]
-    fn l006_flags_private_buffer_counters_in_exec_only() {
-        let src = "struct S { buffered_rows: AtomicU64 }\n\
-                   fn f(s: &S) { s.total_buffered.fetch_add(1, Ordering::Relaxed); }";
-        let r = lint_one("crates/exec/src/operators.rs", src);
-        assert_eq!(r.violations.iter().filter(|v| v.rule == "L006").count(), 2);
-        // Lease-mediated accounting and the QueryStats field are fine.
-        let ok = "fn f(ctrl: &ControlBlock) { ctrl.reserve(n)?; let p = peak_buffered_rows; }";
-        assert!(lint_one("crates/exec/src/operators.rs", ok).violations.is_empty());
-        // Outside ic-exec src the rule does not apply.
-        assert!(lint_one("crates/core/src/cluster.rs", src).violations.is_empty());
-        assert!(lint_one("crates/exec/tests/a.rs", src).violations.is_empty());
+        assert!(r.violations.iter().any(|v| v.rule == "L008"));
     }
 
     #[test]
@@ -785,25 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn l009_classifier_exhaustiveness() {
-        let bad = "pub enum IcError { Parse(String), Overloaded { ms: u64 }, Internal(String) }\n\
-                   impl IcError { pub fn is_retryable(&self) -> bool { matches!(self, IcError::Overloaded { .. }) }\n\
-                   pub fn is_failover_retryable(&self) -> bool { match self { IcError::Overloaded { .. } => true, _ => false } } }";
-        let r = lint_one("crates/common/src/error.rs", bad);
-        // is_retryable misses Parse+Internal; is_failover_retryable has a
-        // wildcard AND misses the same two.
-        let l9: Vec<_> = r.violations.iter().filter(|v| v.rule == "L009").collect();
-        assert!(l9.iter().any(|v| v.message.contains("wildcard")), "{l9:?}");
-        assert!(l9.iter().any(|v| v.message.contains("Parse")), "{l9:?}");
-
-        let good = "pub enum IcError { Parse(String), Overloaded { ms: u64 } }\n\
-                    impl IcError { pub fn is_retryable(&self) -> bool { match self { IcError::Overloaded { .. } => true, IcError::Parse(_) => false } }\n\
-                    pub fn is_failover_retryable(&self) -> bool { match self { IcError::Overloaded { .. } => true, IcError::Parse(_) => false } } }";
-        let r = lint_one("crates/common/src/error.rs", good);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
-    #[test]
     fn l009_retry_loop_soundness() {
         let bad = "fn q() -> IcResult<u32> { let mut attempt = 0; loop { attempt += 1;\n\
                    match run() { Ok(v) => return Ok(v), Err(e) => { last = Some(e); } } } }";
@@ -819,28 +605,21 @@ mod tests {
     }
 
     #[test]
-    fn l010_raw_indexing_outside_plane() {
-        let bad = "fn f(c: &Column) { if let ColumnData::Int(v) = &c.data { let x = v[3]; } }";
-        let r = lint_one("crates/net/src/wire.rs", bad);
-        assert!(r.violations.iter().any(|v| v.rule == "L010"), "{:?}", r.violations);
-        // The data layer is sanctioned.
-        assert!(lint_one("crates/common/src/col.rs", bad).violations.is_empty());
-        // Accessor-based reads are fine anywhere.
-        let ok = "fn f(c: &Column, k: usize) { let x = c.datum_at(k); }";
-        assert!(lint_one("crates/net/src/wire.rs", ok).violations.is_empty());
-    }
-
-    #[test]
-    fn l010_validity_required_in_kernel_plane() {
-        let bad = "fn f(c: &Column) { if let ColumnData::Int(v) = &c.data { out.push(v[0]); } }";
-        let r = lint_one("crates/common/src/eval.rs", bad);
-        assert!(
-            r.violations.iter().any(|v| v.rule == "L010" && v.message.contains("validity")),
-            "{:?}",
-            r.violations
-        );
-        let ok = "fn f(c: &Column) { if let ColumnData::Int(v) = &c.data { if c.is_valid(0) { out.push(v[0]); } } }";
-        assert!(lint_one("crates/common/src/eval.rs", ok).violations.is_empty());
+    fn l009_classifier_exhaustiveness() {
+        // L009 trusts any guard that calls a retry classifier; that the
+        // classifiers cover every variant is the compiler's half. Both retry
+        // predicates must read `IcError`'s one classifier — the match under
+        // `deny(clippy::wildcard_enum_match_arm)` that `clippy_config.rs`
+        // checks — so no guard consults a hand-kept variant list.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../common/src/error.rs");
+        let file = crate::parser::parse_file(path, &std::fs::read_to_string(path).unwrap());
+        for name in ["is_retryable", "is_failover_retryable"] {
+            assert!(dataflow::CLASSIFIERS.contains(&name), "L009 does not accept {name} as a guard");
+            let f = file.fns.iter().find(|f| f.name == name && f.impl_type.as_deref() == Some("IcError"));
+            let (start, end) = f.and_then(|f| f.body).unwrap_or_else(|| panic!("no IcError::{name}"));
+            let body = &file.toks[start..end];
+            assert!(body.iter().any(|t| t.is_ident("retry_class")), "IcError::{name} bypasses retry_class");
+        }
     }
 
     #[test]

@@ -27,3 +27,24 @@ fn expected() {}
 
 #[expect(clippy::unwrap_used, reason = "nothing here unwraps")] // trips: unfulfilled_lint_expectations
 pub fn stale() {}
+
+pub enum Failure {
+    Transient,
+    Terminal,
+    Fatal,
+}
+
+pub enum Class {
+    Retry,
+    Stop,
+}
+
+/// A classifier's shape, as `IcError::retry_class` is declared: a wildcard
+/// arm would class a new variant without anyone deciding.
+#[deny(clippy::wildcard_enum_match_arm)]
+pub fn classify(f: &Failure) -> Class {
+    match f {
+        Failure::Transient => Class::Retry,
+        _ => Class::Stop, // trips: clippy::wildcard_enum_match_arm
+    }
+}

@@ -1,26 +1,6 @@
-//! Seeded fixture (L009): unsound error classification. The enum's
-//! classifiers skip variants and hide behind a wildcard arm, and a retry
-//! loop re-enters on an unclassified error. The pragma-covered loop shows
+//! Seeded fixture (L009): a retry loop re-enters on an error it did not
+//! classify. The guarded loop is clean, and the pragma-covered loop shows
 //! the suppressed form.
-
-pub enum IcError {
-    Parse(String),
-    SiteUnavailable { site: u32 },
-    Internal(String),
-}
-
-impl IcError {
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, IcError::SiteUnavailable { .. })
-    }
-
-    pub fn is_failover_retryable(&self) -> bool {
-        match self {
-            IcError::SiteUnavailable { .. } => true,
-            _ => false,
-        }
-    }
-}
 
 fn unguarded_retry_loop() -> Result<u32, IcError> {
     let mut attempts = 0;

@@ -5,7 +5,8 @@
 //! exactly, and distinct fn body spans never partially overlap (they are
 //! disjoint or properly nested). Together these mean the spans cover each
 //! fn body's bytes exactly once at every nesting level, which is what the
-//! per-fn semantic rules (L009–L012) rely on when they slice token ranges.
+//! per-fn semantic rules (L008, L009, L012) rely on when they slice token
+//! ranges.
 
 use ic_lint::parser::parse_file;
 use proptest::prelude::*;

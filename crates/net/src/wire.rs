@@ -9,7 +9,7 @@
 //! batch's [`WireSize`], the exact length of its frame.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use ic_common::{Bitmap, Column, ColumnBatch, ColumnData};
+use ic_common::{Bitmap, Column, ColumnBatch, DataType};
 use std::sync::Arc;
 
 /// Types that can report their serialized size, used by the network
@@ -40,13 +40,13 @@ const COL_BOOL: u8 = 2;
 const COL_DATE: u8 = 3;
 const COL_STR: u8 = 4;
 
-fn col_tag(data: &ColumnData) -> u8 {
-    match data {
-        ColumnData::Int(_) => COL_INT,
-        ColumnData::Double(_) => COL_DOUBLE,
-        ColumnData::Bool(_) => COL_BOOL,
-        ColumnData::Date(_) => COL_DATE,
-        ColumnData::Str { .. } => COL_STR,
+fn col_tag(ty: DataType) -> u8 {
+    match ty {
+        DataType::Int => COL_INT,
+        DataType::Double => COL_DOUBLE,
+        DataType::Bool => COL_BOOL,
+        DataType::Date => COL_DATE,
+        DataType::Str => COL_STR,
     }
 }
 
@@ -82,16 +82,16 @@ impl WireSize for ColumnBatch {
             if any_invalid {
                 size += 8 * n.div_ceil(64);
             }
-            size += match &col.data {
-                ColumnData::Int(_) | ColumnData::Double(_) => 8 * n,
-                ColumnData::Bool(_) => n,
-                ColumnData::Date(_) => 4 * n,
-                ColumnData::Str { .. } => {
+            size += match col.data_type() {
+                DataType::Int | DataType::Double => 8 * n,
+                DataType::Bool => n,
+                DataType::Date => 4 * n,
+                DataType::Str => {
                     4 * (n + 1)
                         + (0..n)
                             .map(|k| {
                                 let i = self.phys_index(k);
-                                if col.is_valid(i) { col.str_at(i).len() } else { 0 }
+                                if col.is_valid(i) { col.bytes_at(i).len() } else { 0 }
                             })
                             .sum::<usize>()
                 }
@@ -110,61 +110,44 @@ pub fn encode_columns(batch: &ColumnBatch) -> Bytes {
 
 /// [`encode_columns`], appending into a caller-owned buffer. The selection
 /// vector is resolved here: only selected rows are framed, and string
-/// offsets are recomputed over the selected run.
-// ic-lint: allow(L010) because wire encoding copies the physical buffer verbatim; the validity words travel alongside and are re-applied on decode
+/// offsets are recomputed over the selected run. Values are read through
+/// the column's typed views; a NULL row's value slot travels as stored, and
+/// its validity bit (sent alongside) masks it again on decode.
 pub fn encode_columns_into(batch: &ColumnBatch, buf: &mut BytesMut) {
     buf.reserve(batch.wire_size());
     let n = batch.num_rows();
     buf.put_u32_le(n as u32);
     buf.put_u32_le(batch.width() as u32);
+    let rows = || (0..n).map(|k| batch.phys_index(k));
     for c in 0..batch.width() {
         let col = batch.col(c);
         let (words, any_invalid) = logical_validity(batch, c);
-        buf.put_u8(col_tag(&col.data));
+        buf.put_u8(col_tag(col.data_type()));
         buf.put_u8(any_invalid as u8);
         if any_invalid {
             for w in &words {
                 buf.put_u64_le(*w);
             }
         }
-        match &col.data {
-            ColumnData::Int(v) => {
-                for k in 0..n {
-                    buf.put_i64_le(v[batch.phys_index(k)]);
-                }
+        if let Some((v, _)) = col.ints() {
+            rows().for_each(|i| buf.put_i64_le(v[i]));
+        } else if let Some((v, _)) = col.doubles() {
+            rows().for_each(|i| buf.put_f64_le(v[i]));
+        } else if let Some((v, _)) = col.bools() {
+            rows().for_each(|i| buf.put_u8(v[i] as u8));
+        } else if let Some((v, _)) = col.dates() {
+            rows().for_each(|i| buf.put_i32_le(v[i]));
+        } else {
+            // Strings: the selected rows' offsets, rebased to 0, then their
+            // bytes; a NULL row's value is empty.
+            let bytes = |i: usize| if col.is_valid(i) { col.bytes_at(i) } else { &[] };
+            let mut off = 0u32;
+            buf.put_u32_le(0);
+            for i in rows() {
+                off += bytes(i).len() as u32;
+                buf.put_u32_le(off);
             }
-            ColumnData::Double(v) => {
-                for k in 0..n {
-                    buf.put_f64_le(v[batch.phys_index(k)]);
-                }
-            }
-            ColumnData::Bool(v) => {
-                for k in 0..n {
-                    buf.put_u8(v[batch.phys_index(k)] as u8);
-                }
-            }
-            ColumnData::Date(v) => {
-                for k in 0..n {
-                    buf.put_i32_le(v[batch.phys_index(k)]);
-                }
-            }
-            ColumnData::Str { .. } => {
-                let mut off = 0u32;
-                buf.put_u32_le(0);
-                for k in 0..n {
-                    let i = batch.phys_index(k);
-                    if col.is_valid(i) {
-                        off += col.str_at(i).len() as u32;
-                    }
-                    buf.put_u32_le(off);
-                }
-                for k in 0..n {
-                    let i = batch.phys_index(k);
-                    if col.is_valid(i) {
-                        buf.put_slice(col.str_at(i).as_bytes());
-                    }
-                }
-            }
+            rows().for_each(|i| buf.put_slice(bytes(i)));
         }
     }
 }
@@ -188,34 +171,34 @@ pub fn decode_columns(mut data: &[u8]) -> Option<ColumnBatch> {
         } else {
             None
         };
-        let coldata = match tag {
+        let col = match tag {
             COL_INT => {
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     v.push(i64::from_le_bytes(take(&mut data, 8)?.try_into().ok()?));
                 }
-                ColumnData::Int(v)
+                Column::from_ints(v, validity)
             }
             COL_DOUBLE => {
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     v.push(f64::from_le_bytes(take(&mut data, 8)?.try_into().ok()?));
                 }
-                ColumnData::Double(v)
+                Column::from_doubles(v, validity)
             }
             COL_BOOL => {
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     v.push(take(&mut data, 1)?[0] != 0);
                 }
-                ColumnData::Bool(v)
+                Column::from_bools(v, validity)
             }
             COL_DATE => {
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     v.push(i32::from_le_bytes(take(&mut data, 4)?.try_into().ok()?));
                 }
-                ColumnData::Date(v)
+                Column::from_dates(v, validity)
             }
             COL_STR => {
                 let mut offsets = Vec::with_capacity(n + 1);
@@ -231,11 +214,11 @@ pub fn decode_columns(mut data: &[u8]) -> Option<ColumnBatch> {
                 if offsets.iter().any(|&o| !s.is_char_boundary(o as usize)) {
                     return None;
                 }
-                ColumnData::Str { offsets, bytes }
+                Column::from_strs(offsets, bytes, validity)
             }
             _ => return None,
         };
-        cols.push(Arc::new(Column { data: coldata, validity }));
+        cols.push(Arc::new(col));
     }
     Some(ColumnBatch::new(cols, n))
 }

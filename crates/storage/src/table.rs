@@ -373,7 +373,7 @@ pub(crate) mod tests {
         let sizes: Vec<usize> = out.iter().map(|c| c.num_rows()).collect();
         assert_eq!(sizes, vec![BATCH_SIZE, 1400 - BATCH_SIZE, 1, 1]);
         assert!(Arc::ptr_eq(&out[2], &kept));
-        assert!(out.iter().all(|c| c.col(0).data.data_type() == DataType::Str));
+        assert!(out.iter().all(|c| c.col(0).data_type() == DataType::Str));
     }
 
     #[test]
