@@ -135,7 +135,7 @@ impl AttemptStats {
     }
 
     /// Count one runtime instance of node `node` (an operator is
-    /// instantiated once per fragment × site × variant).
+    /// instantiated once per fragment × partition × variant).
     pub fn record_instance(&self, node: u32) {
         if let Some(agg) = self.aggs.get(node as usize) {
             agg.instances.fetch_add(1, Ordering::Relaxed);

@@ -133,9 +133,12 @@ proptest! {
     }
 }
 
-/// A variant instance's driver lane: `f{fragment} @{site} v{variant}`.
+/// A variant instance's driver lane: `f{fragment} @{site} p{partition}
+/// v{variant}`, without ` p{partition}` for an instance at the coordinator.
 fn is_variant_lane(name: &str) -> bool {
-    name.rsplit_once(" v").is_some_and(|(f, v)| f.starts_with('f') && v.parse::<usize>().is_ok())
+    let Some((f, v)) = name.rsplit_once(" v") else { return false };
+    let f = f.rsplit_once(" p").filter(|(_, p)| p.parse::<usize>().is_ok()).map_or(f, |(f, _)| f);
+    f.starts_with('f') && f.contains(" @site") && v.parse::<usize>().is_ok()
 }
 
 /// Guard against the proptest above passing vacuously: on IC+M a scan

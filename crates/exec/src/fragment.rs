@@ -9,6 +9,13 @@
 //! down each fragment ([`crate::variant`]), so a fragment's variant count and
 //! its sources' modes come out of it too.
 //!
+//! The partition is the unit of placement: a fragment whose subtree delivers
+//! a partitioned distribution runs one instance per partition, at the site
+//! serving it, and that instance reads that partition and nothing else. A
+//! site serving two partitions (a failed-over backup) runs two instances; a
+//! site serving none (a newcomer) runs none. Every other fragment has one
+//! instance, at the coordinator.
+//!
 //! A node is identified by its **pre-order position** — the index a traced
 //! run reports it under. The optimizer's memo can share a subtree between
 //! two parents (a self-join); visited at two positions it is two nodes, two
@@ -19,6 +26,7 @@ use ic_common::obs::OpMeta;
 use ic_net::{Assignment, SiteId};
 use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
+use std::fmt;
 use std::sync::Arc;
 
 /// A plan node at its pre-order position.
@@ -35,16 +43,35 @@ impl<'p> NodeRef<'p> {
     }
 }
 
+/// Where one instance of a fragment runs: a site, and the one partition the
+/// instance reads — `None` for a fragment at the coordinator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    pub site: SiteId,
+    pub partition: Option<usize>,
+}
+
+/// `site2 p2` — how trace lanes and driver threads name an instance.
+impl fmt::Display for Slot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.partition {
+            Some(p) => write!(f, "{} p{p}", self.site),
+            None => write!(f, "{}", self.site),
+        }
+    }
+}
+
 /// One fragment: a subtree of the plan executable entirely at one site,
-/// instantiated at `sites` × `variants`. Fragment 0 is the root fragment.
+/// instantiated at `slots` × `variants`. Fragment 0 is the root fragment.
 #[derive(Debug)]
 pub struct Fragment<'p> {
     /// The subtree root. [`PhysOp::Exchange`] nodes *inside* this subtree
     /// are the receivers of this fragment (their own subtrees belong to
     /// other fragments).
     pub root: NodeRef<'p>,
-    pub sites: Vec<SiteId>,
-    /// Variant fragments per site (§5.3); 1 = not multithreaded.
+    /// The fragment's instances, in partition order for a partitioned one.
+    pub slots: Vec<Slot>,
+    /// Variant fragments per instance (§5.3); 1 = not multithreaded.
     pub variants: usize,
     /// The exchange this fragment's rows ship into; `None` for the root
     /// fragment, whose rows go to the client.
@@ -98,16 +125,22 @@ impl Placement<'_> {
     }
 }
 
-/// The sites a fragment executes at, derived from its subtree's delivered
-/// distribution: partitioned subtrees run at every *live* site of the
-/// assignment, single/broadcast subtrees at its coordinator (the paper's
-/// "site that received the original request", failed over if site 0 is
-/// down).
-fn fragment_sites(root: &PhysPlan, assignment: &Assignment) -> Vec<SiteId> {
+/// Where a fragment's instances run, derived from its subtree's delivered
+/// distribution: a partitioned subtree once per partition, at the live site
+/// serving it; a single/broadcast subtree once, at the coordinator (the
+/// paper's "site that received the original request", failed over if site 0
+/// is down).
+fn fragment_slots(root: &PhysPlan, assignment: &Assignment) -> Vec<Slot> {
     match root.dist {
-        Distribution::Hash(_) | Distribution::Random => assignment.live_sites().to_vec(),
-        Distribution::Single | Distribution::Broadcast => vec![assignment.coordinator()],
+        Distribution::Hash(_) | Distribution::Random => (0..assignment.num_partitions())
+            .map(|p| Slot { site: assignment.owner_of_partition(p), partition: Some(p) })
+            .collect(),
+        Distribution::Single | Distribution::Broadcast => coordinator(assignment),
     }
+}
+
+fn coordinator(assignment: &Assignment) -> Vec<Slot> {
+    vec![Slot { site: assignment.coordinator(), partition: None }]
 }
 
 /// Place `plan`: split it into fragments at its exchanges (Algorithm 1) and
@@ -123,7 +156,7 @@ pub fn place<'p>(
 ) -> Placement<'p> {
     let root = Fragment {
         root: NodeRef { plan, id: 0 },
-        sites: vec![assignment.coordinator()],
+        slots: coordinator(assignment),
         variants: 1,
         sink: None,
         inputs: Vec::new(),
@@ -175,7 +208,7 @@ impl<'p> Walk<'p, '_> {
             p.fragments[fi].inputs.push(ex);
             p.fragments.push(Fragment {
                 root: NodeRef { plan: input, id: id + 1 },
-                sites: fragment_sites(input, self.assignment),
+                slots: fragment_slots(input, self.assignment),
                 variants: self.variants,
                 sink: Some(ex),
                 inputs: Vec::new(),
@@ -255,11 +288,11 @@ pub(crate) mod tests {
         let p = place(&join, &assignment, 1, false);
         assert_eq!(p.fragments.len(), 3);
         assert_eq!(p.exchanges.len(), 2);
-        // Root fragment at the coordinator; scan fragments at all sites.
+        // Root fragment at the coordinator; scan fragments once per partition.
         assert!(p.fragments[0].sink.is_none());
-        assert_eq!(p.fragments[0].sites, vec![SiteId(0)]);
+        assert_eq!(p.fragments[0].slots, vec![Slot { site: SiteId(0), partition: None }]);
         for (fi, f) in p.fragments.iter().enumerate().skip(1) {
-            assert_eq!(f.sites.len(), 4);
+            assert_eq!(f.slots.len(), 4);
             let x = &p.exchanges[f.sink.unwrap()];
             assert_eq!((x.producer, x.consumer, &x.to), (fi, 0, &Distribution::Single));
         }
@@ -315,10 +348,10 @@ pub(crate) mod tests {
         let assignment = healthy(2);
         let p = place(&sort, &assignment, 1, false);
         assert_eq!(p.fragments.len(), 3);
-        // middle fragment (filter) runs at all sites, between the two exchanges
+        // middle fragment (filter) runs per partition, between the two exchanges
         let middle = &p.fragments[1];
         assert!(matches!(&middle.root.plan.op, PhysOp::Filter { .. }));
-        assert_eq!(middle.sites.len(), 2);
+        assert_eq!(middle.slots.len(), 2);
         assert_eq!((middle.sink, &middle.inputs), (Some(0), &vec![1]));
     }
 
@@ -330,6 +363,40 @@ pub(crate) mod tests {
         let assignment = Membership::new(4, 1).assignment(&down).unwrap();
         let p = place(&sort, &assignment, 1, false);
         assert!(matches!(&p.fragments[1].root.plan.op, PhysOp::TableScan { .. }));
-        assert_eq!(p.fragments[1].sites, vec![SiteId(0), SiteId(1), SiteId(3)]);
+        let sites: Vec<_> = p.fragments[1].slots.iter().map(|s| s.site).collect();
+        assert_eq!(sites, [0, 1, 3, 3].map(SiteId));
+    }
+
+    /// The partitioned instances of a scan fragment, as (partition, site).
+    fn scan_instances(assignment: &Assignment) -> Vec<(Option<usize>, SiteId)> {
+        let ex = exchange(scan(Distribution::Hash(vec![0])), Distribution::Single);
+        let root = node(PhysOp::Sort { input: ex, keys: vec![SortKey::asc(0)] }, Distribution::Single);
+        let p = place(&root, assignment, 1, false);
+        assert_eq!(p.fragments[0].slots, vec![Slot { site: assignment.coordinator(), partition: None }]);
+        p.fragments[1].slots.iter().map(|s| (s.partition, s.site)).collect()
+    }
+
+    /// One instance per partition, at the site serving it: `(p, site p)`
+    /// when healthy; a failed-over backup runs the dead primary's instance
+    /// next to its own; a site that serves nothing runs none.
+    #[test]
+    fn partitioned_instances_follow_partition_owners() {
+        let at = |pairs: &[(usize, usize)]| -> Vec<(Option<usize>, SiteId)> {
+            pairs.iter().map(|&(p, s)| (Some(p), SiteId(s))).collect()
+        };
+        assert_eq!(scan_instances(&healthy(4)), at(&[(0, 0), (1, 1), (2, 2), (3, 3)]));
+        let m = Membership::new(4, 1);
+        let down = [SiteId(2)].into_iter().collect();
+        assert_eq!(scan_instances(&m.assignment(&down).unwrap()), at(&[(0, 0), (1, 1), (2, 3), (3, 3)]));
+        // A newcomer holding a backup copy and serving no partition.
+        m.add_member(SiteId(4));
+        m.set_owners(0, vec![SiteId(0), SiteId(1), SiteId(4)]);
+        let joined = m.assignment(&Default::default()).unwrap();
+        assert_eq!(joined.live_sites().len(), 5);
+        assert_eq!(scan_instances(&joined), at(&[(0, 0), (1, 1), (2, 2), (3, 3)]));
+        // A single subtree below an exchange: one instance, at the coordinator.
+        let single = exchange(scan(Distribution::Single), Distribution::Single);
+        let p = place(&single, &joined, 1, false);
+        assert_eq!(p.fragments[1].slots, vec![Slot { site: SiteId(0), partition: None }]);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! An optimized physical plan is *placed* once ([`fragment::place`]): cut
 //! into fragments at its exchange operators (Algorithm 1, §3.2.3), each
-//! fragment instantiated at its processing sites and — in IC+M mode —
+//! fragment instantiated once per partition at the site serving it (once, at
+//! the coordinator, when its output is not partitioned) and — in IC+M mode —
 //! duplicated into *variant fragments* whose splitter/duplicator sources
 //! create runtime sub-partitions (Algorithm 3, §5.3, [`variant`]), with
 //! exchanges becoming sender/receiver pairs over the simulated network.
@@ -21,6 +22,6 @@ pub mod operators;
 pub mod runtime;
 pub mod variant;
 
-pub use fragment::{place, Exchange, Fragment, Placement};
+pub use fragment::{place, Exchange, Fragment, Placement, Slot};
 pub use runtime::{execute_plan, ExecOptions, QueryStats};
 pub use variant::SourceMode;

@@ -6,8 +6,8 @@
 //! vector — so filters shrink the selection instead of materializing
 //! output, projections share column `Arc`s, and the join/agg/sort kernels
 //! in [`crate::kernels`] run tight per-column loops. Storage is columnar
-//! too: [`ScanSource`] hands out the partition's (or index run's) stored
-//! chunks by `Arc` clone. Rows exist only at the edges: `Values` input
+//! too: [`ScanSource`] hands out one partition's (or its index run's)
+//! stored chunks by `Arc` clone. Rows exist only at the edges: `Values` input
 //! ([`VecSource`]), an aggregate's group emission and `Final` state merge
 //! (one short row per *group*), and the client rowset ([`drain`]).
 //!
@@ -24,8 +24,7 @@ use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{
-    col, Column, ColumnBatch, ColumnBuilder, DataType, Expr, IcError, IcResult,
-    MemoryLease, MemoryPool, Row, NIL,
+    Column, ColumnBatch, DataType, Expr, IcError, IcResult, MemoryLease, MemoryPool, Row, NIL,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use ic_storage::index::chunks_below;
@@ -360,13 +359,12 @@ impl RowSource for VecSource {
     }
 }
 
-/// Scan over stored chunk runs — partition snapshots or an index's sorted
-/// run — partition by partition, chunk by chunk. Nothing is copied: a
-/// stored chunk is emitted by `Arc` clone, and §5.3.2 variant splitting — a
-/// splitter reads everything but passes only every `n`-th tuple — as a
-/// stride selection vector, which keeps a sorted run sorted.
-/// `ControlBlock::check` runs per chunk: the chunk boundary is the
-/// revocation point, never mid-kernel.
+/// Scan over one stored chunk run — a partition snapshot or an index's
+/// sorted run — chunk by chunk. Nothing is copied: a stored chunk is emitted
+/// by `Arc` clone, and §5.3.2 variant splitting — a splitter reads
+/// everything but passes only every `n`-th tuple — as a stride selection
+/// vector, which keeps a sorted run sorted. `ControlBlock::check` runs per
+/// chunk: the chunk boundary is the revocation point, never mid-kernel.
 ///
 /// Over an index run ([`ScanSource::sorted_on`]) a seek on a prefix of the
 /// run's keys skips the stored chunks that end below the target, found by
@@ -374,10 +372,8 @@ impl RowSource for VecSource {
 /// rows still count towards the tuple counter, so a splitter's stride
 /// phase holds.
 pub struct ScanSource {
-    partitions: Vec<Chunks>,
-    /// The next chunk: its partition, its index there, and its first row's
-    /// absolute index across the whole scan (all partitions in order).
-    part: usize,
+    chunks: Chunks,
+    /// The next chunk, and its first row's index in the run.
     chunk: usize,
     abs: usize,
     /// (variant_id, total_variants); `None` passes everything.
@@ -392,35 +388,17 @@ pub struct ScanSource {
 }
 
 impl ScanSource {
-    /// Scan all of `partitions` in order.
-    pub fn new(
-        partitions: Vec<Chunks>,
-        split: Option<(usize, usize)>,
-        ctrl: Arc<ControlBlock>,
-    ) -> ScanSource {
-        ScanSource {
-            partitions,
-            part: 0,
-            chunk: 0,
-            abs: 0,
-            split,
-            sorted_on: Vec::new(),
-            skipped: 0,
-            ctrl,
-        }
+    /// Scan `chunks` in order.
+    pub fn new(chunks: Chunks, split: Option<(usize, usize)>, ctrl: Arc<ControlBlock>) -> ScanSource {
+        ScanSource { chunks, chunk: 0, abs: 0, split, sorted_on: Vec::new(), skipped: 0, ctrl }
     }
 
     /// Declare the chunks sorted on `sort` (an index run's collation): seeks
     /// on a prefix of its ascending keys are honoured.
     pub fn sorted_on(mut self, sort: &[SortKey]) -> ScanSource {
-        self.sorted_on = ascending_prefix(sort);
+        self.sorted_on = sort.iter().take_while(|k| !k.desc).map(|k| k.col).collect();
         self
     }
-}
-
-/// The leading ascending columns of a collation — the keys a seek may use.
-fn ascending_prefix(sort: &[SortKey]) -> Vec<usize> {
-    sort.iter().take_while(|k| !k.desc).map(|k| k.col).collect()
 }
 
 /// How many of the tuple counter's positions `from..from + rows` a
@@ -440,16 +418,12 @@ impl RowSource for ScanSource {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
         loop {
             self.ctrl.check()?;
-            let Some(chunks) = self.partitions.get(self.part) else { return Ok(None) };
-            let Some(chunk) = chunks.get(self.chunk) else {
-                (self.part, self.chunk) = (self.part + 1, 0);
-                continue;
-            };
+            let Some(chunk) = self.chunks.get(self.chunk) else { return Ok(None) };
             let (abs, rows) = (self.abs, chunk.num_rows());
             (self.chunk, self.abs) = (self.chunk + 1, abs + rows);
             let Some((vid, n)) = self.split else { return Ok(Some((**chunk).clone())) };
-            // Absolute row index ≡ the scan's tuple counter, so the stride
-            // runs on across chunk and partition edges.
+            // Row index in the run ≡ the scan's tuple counter, so the stride
+            // runs on across chunk edges.
             let first = (vid + n - abs % n) % n;
             let sel: Vec<u32> = (first..rows).step_by(n).map(|r| r as u32).collect();
             if !sel.is_empty() {
@@ -462,8 +436,7 @@ impl RowSource for ScanSource {
         if cols.is_empty() || !self.sorted_on.starts_with(cols) {
             return;
         }
-        let Some(chunks) = self.partitions.get(self.part) else { return };
-        let rest = &chunks[self.chunk.min(chunks.len())..];
+        let rest = &self.chunks[self.chunk.min(self.chunks.len())..];
         let skip = chunks_below(rest, cols, key, key_cols, row);
         let rows: usize = rest[..skip].iter().map(|c| c.num_rows()).sum();
         self.skipped += passed(self.split, self.abs, rows) as u64;
@@ -473,183 +446,10 @@ impl RowSource for ScanSource {
 
 impl Drop for ScanSource {
     fn drop(&mut self) {
-        flush_skipped(self.skipped);
-    }
-}
-
-fn flush_skipped(rows: u64) {
-    if rows > 0 {
-        ic_common::obs::MetricsRegistry::global().counter("exec.scan.rows_skipped").add(rows);
-    }
-}
-
-/// Order-preserving k-way merge of sorted runs, each a list of batches: the
-/// per-partition runs of an index scan at a site serving several
-/// partitions. The comparator matches
-/// `sort_permutation`'s total order — `cmp_at` NULLs-first semantics,
-/// `DESC` reversal per key — with the run index as the tie-break, so merged
-/// output is deterministic given the runs. Variant splitting (`split`)
-/// passes every `n`-th merged tuple, which preserves the order.
-///
-/// A seek on a prefix of the ascending keys moves every run's cursor to its
-/// first row at or above the target: whole batches by [`chunks_below`],
-/// then a binary search in the batch it lands in. The rows passed over are
-/// exactly the unmerged rows below the target — a prefix of the merged
-/// order — so adding their count to the tuple counter keeps every later
-/// tuple's position, and with it the splitter's choice, what it would have
-/// been.
-pub struct MergeRunsSource {
-    runs: Vec<Vec<ColumnBatch>>,
-    /// Per run, the (batch, logical row) of its next row; a batch index
-    /// past the run's end means the run is exhausted.
-    cursors: Vec<(usize, usize)>,
-    keys: Vec<SortKey>,
-    /// `keys`' leading ascending columns: what a seek may use.
-    sorted_on: Vec<usize>,
-    split: Option<(usize, usize)>,
-    merged: usize,
-    /// Rows seeks skipped that this merge would have passed; flushed to
-    /// `exec.scan.rows_skipped` on drop.
-    skipped: u64,
-    ctrl: Arc<ControlBlock>,
-}
-
-impl MergeRunsSource {
-    pub fn new(
-        mut runs: Vec<Vec<ColumnBatch>>,
-        keys: Vec<SortKey>,
-        split: Option<(usize, usize)>,
-        ctrl: Arc<ControlBlock>,
-    ) -> MergeRunsSource {
-        for run in &mut runs {
-            run.retain(|b| b.num_rows() > 0);
+        if self.skipped > 0 {
+            let registry = ic_common::obs::MetricsRegistry::global();
+            registry.counter("exec.scan.rows_skipped").add(self.skipped);
         }
-        let cursors = vec![(0, 0); runs.len()];
-        let sorted_on = ascending_prefix(&keys);
-        MergeRunsSource { runs, cursors, keys, sorted_on, split, merged: 0, skipped: 0, ctrl }
-    }
-
-    /// Run `r`'s next row as (batch, physical row), if any.
-    fn head(&self, r: usize) -> Option<(&ColumnBatch, usize)> {
-        let (b, k) = self.cursors[r];
-        self.runs[r].get(b).map(|batch| (batch, batch.phys_index(k)))
-    }
-
-    fn advance(&mut self, r: usize) {
-        let (b, k) = &mut self.cursors[r];
-        *k += 1;
-        if *k >= self.runs[r][*b].num_rows() {
-            (*b, *k) = (*b + 1, 0);
-        }
-    }
-
-    fn head_cmp(&self, a: (&ColumnBatch, usize), b: (&ColumnBatch, usize)) -> CmpOrdering {
-        for k in &self.keys {
-            let mut ord = a.0.col(k.col).cmp_at(a.1, b.0.col(k.col), b.1);
-            if k.desc {
-                ord = ord.reverse();
-            }
-            if ord != CmpOrdering::Equal {
-                return ord;
-            }
-        }
-        CmpOrdering::Equal
-    }
-}
-
-impl Drop for MergeRunsSource {
-    fn drop(&mut self) {
-        flush_skipped(self.skipped);
-    }
-}
-
-impl RowSource for MergeRunsSource {
-    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        self.ctrl.check()?;
-        // The merged order as physical rows, cut into segments that each
-        // read one (run, batch): `(run, batch, end of segment in rows)`.
-        let mut rows: Vec<u32> = Vec::new();
-        let mut segments: Vec<(usize, usize, usize)> = Vec::new();
-        while rows.len() < BATCH_SIZE {
-            // Linear min-scan: k = partitions per site, single
-            // digits. Strict `Less` keeps the earliest run on ties.
-            let mut best: Option<(usize, (&ColumnBatch, usize))> = None;
-            for r in 0..self.runs.len() {
-                let Some(head) = self.head(r) else { continue };
-                if best.is_none_or(|(_, b)| self.head_cmp(head, b) == CmpOrdering::Less) {
-                    best = Some((r, head));
-                }
-            }
-            let Some((r, (_, i))) = best else { break };
-            if self.split.is_none_or(|(vid, of)| self.merged % of == vid) {
-                let b = self.cursors[r].0;
-                match segments.last_mut() {
-                    Some((sr, sb, end)) if (*sr, *sb) == (r, b) => *end += 1,
-                    _ => segments.push((r, b, rows.len() + 1)),
-                }
-                rows.push(i as u32);
-            }
-            self.merged += 1;
-            self.advance(r);
-        }
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        let width = self.runs.iter().flatten().next().map_or(0, ColumnBatch::width);
-        let cols = (0..width)
-            .map(|c| {
-                let ty = col::common_type(self.runs.iter().flatten().map(|b| &**b.col(c)));
-                let mut bld = ColumnBuilder::new(ty);
-                let mut start = 0;
-                for &(r, b, end) in &segments {
-                    bld.extend_take(self.runs[r][b].col(c), &rows[start..end]);
-                    start = end;
-                }
-                Arc::new(bld.finish())
-            })
-            .collect();
-        Ok(Some(ColumnBatch::new(cols, rows.len())))
-    }
-
-    fn seek(&mut self, cols: &[usize], key: &ColumnBatch, key_cols: &[usize], row: usize) {
-        if cols.is_empty() || !self.sorted_on.starts_with(cols) {
-            return;
-        }
-        let mut skipped = 0;
-        for (run, cursor) in self.runs.iter().zip(&mut self.cursors) {
-            let (mut b, mut k) = *cursor;
-            let Some(head) = run.get(b) else { continue };
-            let whole = chunks_below(&run[b..], cols, key, key_cols, row);
-            if whole > 0 {
-                skipped += head.num_rows() - k;
-                skipped += run[b + 1..b + whole].iter().map(ColumnBatch::num_rows).sum::<usize>();
-                (b, k) = (b + whole, 0);
-            }
-            // The batch the cursor lands in ends at or above the target:
-            // binary-search its first row that does.
-            if let Some(batch) = run.get(b) {
-                let below = |i: usize| {
-                    let ord = batch.cmp_keys(cols, batch.phys_index(i), key, key_cols, row);
-                    ord == CmpOrdering::Less
-                };
-                if below(k) {
-                    let (mut lo, mut hi) = (k + 1, batch.num_rows());
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        if below(mid) {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    skipped += lo - k;
-                    k = lo;
-                }
-            }
-            *cursor = (b, k);
-        }
-        self.skipped += passed(self.split, self.merged, skipped) as u64;
-        self.merged += skipped;
     }
 }
 
@@ -1996,7 +1796,7 @@ mod tests {
     fn scan_emits_stored_chunks_without_copying() {
         let data: Vec<Row> = (0..10i64).map(|i| Row(vec![Datum::Int(i)])).collect();
         let stored = chunked(&data, 4);
-        let mut scan = ScanSource::new(vec![stored.clone()], None, ctrl());
+        let mut scan = ScanSource::new(stored.clone(), None, ctrl());
         for chunk in stored.iter() {
             let b = scan.next_batch().unwrap().unwrap();
             assert!(b.selection().is_none());
@@ -2008,11 +1808,10 @@ mod tests {
     #[test]
     fn scan_variant_splitting_partitions_rows() {
         let data: Vec<Row> = (0..10i64).map(|i| Row(vec![Datum::Int(i)])).collect();
-        // Two partitions, odd chunk sizes: the stride must carry across
-        // chunk and partition boundaries.
-        let parts = vec![chunked(&data[..7], 3), chunked(&data[7..], 3)];
-        let v0 = ScanSource::new(parts.clone(), Some((0, 2)), ctrl());
-        let v1 = ScanSource::new(parts, Some((1, 2)), ctrl());
+        // Odd chunk sizes: the stride must carry across chunk boundaries.
+        let run = chunked(&data, 3);
+        let v0 = ScanSource::new(run.clone(), Some((0, 2)), ctrl());
+        let v1 = ScanSource::new(run, Some((1, 2)), ctrl());
         let r0 = drain(Box::new(v0)).unwrap();
         let r1 = drain(Box::new(v1)).unwrap();
         assert_eq!(r0, rows(&[&[0], &[2], &[4], &[6], &[8]]));
@@ -2025,7 +1824,7 @@ mod tests {
         let data: Vec<Row> = (0..10i64).map(|k| Row(vec![Datum::Int(-k), Datum::Int(k)])).collect();
         let target = ColumnBatch::from_rows(&rows(&[&[5]]));
         let scan = |ctrl: &Arc<ControlBlock>| -> BoxedSource {
-            let scan = ScanSource::new(vec![chunked(&data, 2)], None, ctrl.clone());
+            let scan = ScanSource::new(chunked(&data, 2), None, ctrl.clone());
             let scan = Box::new(scan.sorted_on(&[SortKey::asc(1)]));
             Box::new(FilterExec::new(scan, Expr::lit(true), ctrl.clone()))
         };
@@ -2051,22 +1850,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_runs_source_merges_chunked_runs() {
-        let a = vec![ColumnBatch::from_rows(&rows(&[&[1], &[4]])), ColumnBatch::from_rows(&rows(&[&[7]]))];
-        // A run may carry selection views.
-        let b = vec![ColumnBatch::from_rows(&rows(&[&[9], &[2], &[3]])).with_sel(vec![1, 2, 0])];
-        let m = MergeRunsSource::new(vec![a.clone(), b.clone()], vec![SortKey::asc(0)], None, ctrl());
-        assert_eq!(drain(Box::new(m)).unwrap(), rows(&[&[1], &[2], &[3], &[4], &[7], &[9]]));
-        // The splitter passes every n-th merged tuple.
-        let m = MergeRunsSource::new(vec![a, b], vec![SortKey::asc(0)], Some((1, 2)), ctrl());
-        assert_eq!(drain(Box::new(m)).unwrap(), rows(&[&[2], &[4], &[9]]));
-    }
-
-    #[test]
     fn timeout_aborts() {
         let past = Instant::now() - std::time::Duration::from_secs(1);
         let ctrl = ControlBlock::new(Some(past), 5, MemoryPool::unbounded().lease(u64::MAX), None);
-        let mut s = ScanSource::new(vec![chunked(&rows(&[&[1]]), 1)], None, ctrl.clone());
+        let mut s = ScanSource::new(chunked(&rows(&[&[1]]), 1), None, ctrl.clone());
         // Whoever notices the deadline records it; from then on it is a stop
         // like any other.
         assert_eq!(s.next_batch().unwrap_err(), IcError::ExecTimeout { limit_ms: 5 });

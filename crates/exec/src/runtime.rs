@@ -3,13 +3,13 @@
 //!
 //! [`execute_plan`] places the plan once ([`crate::fragment::place`]: the
 //! fragments, the exchanges and a per-node table, a node being its pre-order
-//! position), opens one simulated-network link per (exchange, consumer site,
-//! consumer variant), and puts that — with the catalog, the surviving-site
-//! assignment and the query's control block — into the `Execution`. Nothing
-//! about a running query lives anywhere else, and nothing in it is cloned
-//! per thread: it is lent.
+//! position), opens one simulated-network link per (exchange, consumer
+//! instance, consumer variant), and puts that — with the catalog, the
+//! surviving-site assignment and the query's control block — into the
+//! `Execution`. Nothing about a running query lives anywhere else, and
+//! nothing in it is cloned per thread: it is lent.
 //!
-//! Each fragment instance (fragment × site × variant) has a *driver*
+//! Each fragment instance (fragment × partition × variant) has a *driver*
 //! (§3.2.3's one thread per fragment, × §5.3's variants), run by the one
 //! [`launch_instance`] — on the calling thread for the root, on a
 //! `std::thread::scope` thread for every other instance. The driver builds
@@ -17,8 +17,11 @@
 //! operator mapping there is, and pushes its output into the instance's
 //! [`InstanceSink`] — the staging half of [`ExchangeCore`] coalesces
 //! sub-batch outputs per destination — and ends the stream when the chain
-//! is drained. Variant fragments are the only intra-site parallelism: each
-//! variant instance is one more driver.
+//! is drained. An instance of a partitioned fragment reads its one partition
+//! and nothing else — a site serving two partitions runs two instances — and
+//! a hash exchange addresses its destination instance by partition. Variant
+//! fragments are the only intra-site parallelism: each variant instance is
+//! one more driver.
 //!
 //! There is no EOF message ([`Msg`]): a producer instance's final batch on a
 //! link carries a `last` flag, and a link with no rows left at the flush gets
@@ -33,7 +36,7 @@
 //! not take. [`execute_plan`] returns the root's rows or the cell's cause, and
 //! decides nothing itself.
 
-use crate::fragment::{place, NodeRef, Placement};
+use crate::fragment::{place, NodeRef, Placement, Slot};
 use crate::operators::*;
 use crate::variant::SourceMode;
 use ic_common::obs::{AttemptStats, SpanId, Trace};
@@ -45,7 +48,7 @@ use ic_net::{
 };
 use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
-use ic_storage::{Catalog, Chunks, PartStore, TableDistribution, TableId};
+use ic_storage::{Catalog, PartStore, TableDistribution, TableId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -188,19 +191,22 @@ struct Stage {
 ///
 /// Endpoints are grouped into *routes* — the endpoints that receive the
 /// very same messages — with one stage each: a hash exchange has a route
-/// per destination site, Single and Broadcast one for all their sites, and
-/// a Splitter consumer (each row to exactly one of a site's variants)
-/// multiplies that by its variant count, where a Duplicator's variants
-/// share their site's route. Every endpoint is in exactly one route, so a
-/// route's final message is each of its links' final message.
+/// per destination partition, Single and Broadcast one for all their
+/// instances, and a Splitter consumer (each row to exactly one of an
+/// instance's variants) multiplies that by its variant count, where a
+/// Duplicator's variants share their instance's route. Every endpoint is in
+/// exactly one route, so a route's final message is each of its links' final
+/// message.
 pub struct ExchangeCore {
     to: Distribution,
     assignment: Arc<Assignment>,
-    /// A hash exchange's destination sites, sorted (empty otherwise: one
-    /// destination, all the sites), and the routes per destination — the
-    /// consumer's variant count under a splitter, 1 under a duplicator.
-    /// Route `destination × spread + k` is variant `k` there.
-    sites: Vec<SiteId>,
+    /// Whether rows route by partition: a hash exchange into a partitioned
+    /// consumer, whose instance for partition `p` is destination `p`. Any
+    /// other exchange has one destination, all its instances.
+    by_partition: bool,
+    /// Routes per destination — the consumer's variant count under a
+    /// splitter, 1 under a duplicator. Route `destination × spread + k` is
+    /// variant `k` there.
     spread: usize,
     routes: Vec<Vec<(SiteId, NetSender<Msg>)>>,
     /// Splitter cursor: the variant the next incoming batch goes to
@@ -219,36 +225,33 @@ pub struct ExchangeCore {
 }
 
 impl ExchangeCore {
-    /// `endpoints`: (consumer site, consumer variant, sender from this
-    /// producer's site to that endpoint), the same variants at every site.
+    /// `endpoints`: (consumer instance, consumer variant, sender from this
+    /// producer's site to that endpoint), the same variants at every
+    /// instance.
     pub fn new(
         to: Distribution,
         assignment: Arc<Assignment>,
-        endpoints: Vec<(SiteId, usize, NetSender<Msg>)>,
+        endpoints: Vec<(Slot, usize, NetSender<Msg>)>,
         mode: SourceMode,
         shipped: Option<(Arc<AttemptStats>, u32)>,
     ) -> ExchangeCore {
-        let mut sites = Vec::new();
-        if matches!(to, Distribution::Hash(_)) {
-            sites.extend(endpoints.iter().map(|(s, _, _)| *s));
-            sites.sort();
-            sites.dedup();
-        }
+        let by_partition = matches!(to, Distribution::Hash(_))
+            && endpoints.iter().all(|(slot, _, _)| slot.partition.is_some());
+        let destinations = if by_partition { assignment.num_partitions() } else { 1 };
         let spread = match mode {
             SourceMode::Splitter => endpoints.iter().map(|(_, v, _)| v + 1).max().unwrap_or(1),
             SourceMode::Duplicator => 1,
         };
-        let mut routes = vec![Vec::new(); sites.len().max(1) * spread];
-        for (site, v, tx) in endpoints {
-            // Not a hash: `sites` is empty and everything is destination 0.
-            let dest = sites.binary_search(&site).unwrap_or(0);
-            routes[dest * spread + v % spread].push((site, tx));
+        let mut routes = vec![Vec::new(); destinations * spread];
+        for (slot, v, tx) in endpoints {
+            let dest = slot.partition.filter(|_| by_partition).unwrap_or(0);
+            routes[dest * spread + v % spread].push((slot.site, tx));
         }
         let stages = routes.iter().map(|_| Stage::default()).collect();
         ExchangeCore {
             to,
             assignment,
-            sites,
+            by_partition,
             spread,
             routes,
             rr: 0,
@@ -273,16 +276,13 @@ impl ExchangeCore {
         let variant = self.rr;
         self.rr = (variant + 1) % self.spread;
         let pieces: Vec<(usize, ColumnBatch)> = match &self.to {
-            Distribution::Hash(keys) => {
-                // The routing hash (`hash_keys`, as storage partitions by),
-                // then one selection view per destination; rows gather at ship.
-                let mut keep: Vec<Vec<u32>> = vec![Vec::new(); self.sites.len()];
+            Distribution::Hash(keys) if self.by_partition => {
+                // The routing hash (`hash_keys`) to its partition, as storage
+                // partitions by, then one selection view per destination;
+                // rows gather at ship.
+                let mut keep: Vec<Vec<u32>> = vec![Vec::new(); self.assignment.num_partitions()];
                 for (k, &hash) in batch.hash_keys(keys).iter().enumerate() {
-                    let site = self.assignment.site_for_hash(hash);
-                    let Ok(dest) = self.sites.binary_search(&site) else {
-                        return Err(IcError::Exec(format!("no exchange endpoint at {site}")));
-                    };
-                    keep[dest].push(k as u32);
+                    keep[self.assignment.partition_of_hash(hash)].push(k as u32);
                 }
                 keep.iter()
                     .enumerate()
@@ -290,8 +290,8 @@ impl ExchangeCore {
                     .map(|(dest, keep)| (dest * self.spread + variant, batch.select_logical(keep)))
                     .collect()
             }
-            Distribution::Single | Distribution::Broadcast => vec![(variant, batch)],
             Distribution::Random => return Err(IcError::Exec("cannot exchange to random".into())),
+            _ => vec![(variant, batch)],
         };
         for (route, piece) in pieces {
             if self.stages[route].rows >= BATCH_SIZE {
@@ -365,7 +365,7 @@ pub(crate) struct ReceiverSource {
     /// Producer instances that have not sent their final message yet.
     open_producers: usize,
     ctrl: Arc<ControlBlock>,
-    /// Sites hosting this exchange's producer instances, polled between
+    /// Sites running this exchange's producer instances, polled between
     /// receive timeouts: a producer that dies mid-run will never deliver
     /// its final message, and without the check the receiver would wait
     /// out the whole query deadline instead of failing over.
@@ -425,10 +425,10 @@ pub(crate) struct Execution<'a> {
     assignment: Arc<Assignment>,
     /// The plan's fragments, exchanges and per-node table.
     placement: Placement<'a>,
-    /// Per exchange, a sender prototype for every consumer endpoint (site,
-    /// variant), in site-major order; a producer instance stamps its own
-    /// site on its copies.
-    senders: Vec<Vec<(SiteId, usize, NetSender<Msg>)>>,
+    /// Per exchange, a sender prototype for every consumer endpoint
+    /// (instance, variant), in instance-major order; a producer instance
+    /// stamps its own site on its copies.
+    senders: Vec<Vec<(Slot, usize, NetSender<Msg>)>>,
     /// Stop cell, deadline, memory lease and (traced) the attempt's
     /// observability context.
     ctrl: Arc<ControlBlock>,
@@ -439,7 +439,7 @@ pub(crate) struct Execution<'a> {
 /// exchange receivers.
 struct Instance {
     fi: usize,
-    site: SiteId,
+    slot: Slot,
     vid: usize,
     /// Receiver endpoints by their Exchange plan node, each taken by the
     /// `build` that reaches the node.
@@ -455,9 +455,10 @@ impl Execution<'_> {
         (variants > 1 && splitter).then_some((inst.vid, variants))
     }
 
-    /// The store snapshots an instance at `site` reads of `table`, as
-    /// (partition, store) pairs in partition order.
-    fn table_stores(&self, site: SiteId, table: TableId) -> IcResult<Vec<(usize, PartStore)>> {
+    /// The store snapshot an instance at `slot` reads of `table`, with its
+    /// partition: a replicated table's one copy, or the instance's own
+    /// partition as its site holds it.
+    fn table_store(&self, slot: Slot, table: TableId) -> IcResult<(usize, PartStore)> {
         let def = self
             .catalog
             .table_def(table)
@@ -466,35 +467,24 @@ impl Execution<'_> {
             .catalog
             .table_data(table)
             .ok_or_else(|| IcError::Exec(format!("no data handle for table {table}")))?;
-        Ok(match def.distribution {
-            TableDistribution::Replicated => vec![(0, data.store(0))],
-            TableDistribution::HashPartitioned { .. } => {
-                // Read this site's own replica of each partition it serves:
-                // a per-partition version snapshot (a frozen store), so
-                // concurrent DML batches are observed all-or-nothing. Only a
-                // current copy serves (`Catalog::current_copy`): one behind
-                // a down owner would miss acknowledged writes. A stale or
-                // missing replica (ownership moved between planning and
-                // execution) surfaces retryably: the attempt loop repairs
-                // and replans.
-                let parts = self.assignment.partitions_of(site);
-                let mut out = Vec::with_capacity(parts.len());
-                for p in parts {
-                    let current = self.catalog.current_copy(p, std::slice::from_ref(&data), [site]);
-                    match data.replica(p, site) {
-                        Some(store) if current.is_some() => out.push((p, store)),
-                        _ => return Err(IcError::RebalanceInProgress { partition: p }),
-                    }
-                }
-                out
+        let p = match (def.distribution, slot.partition) {
+            (TableDistribution::Replicated, _) => return Ok((0, data.store(0))),
+            (TableDistribution::HashPartitioned { .. }, Some(p)) => p,
+            (TableDistribution::HashPartitioned { .. }, None) => {
+                return Err(IcError::Exec(format!("table {table} scanned outside a partition")))
             }
-        })
-    }
-
-    /// The stored chunks a `TableScan` of `table` reads at `site`, one entry
-    /// per partition.
-    fn table_partitions(&self, site: SiteId, table: TableId) -> IcResult<Vec<Chunks>> {
-        Ok(self.table_stores(site, table)?.into_iter().map(|(_, s)| s.chunks().clone()).collect())
+        };
+        // This site's own replica of the partition: a version snapshot (a
+        // frozen store), so concurrent DML batches are observed
+        // all-or-nothing. Only a current copy serves (`Catalog::current_copy`):
+        // one behind a down owner would miss acknowledged writes. A stale or
+        // missing replica (ownership moved between planning and execution)
+        // surfaces retryably: the attempt loop repairs and replans.
+        let current = self.catalog.current_copy(p, std::slice::from_ref(&data), [slot.site]);
+        match data.replica(p, slot.site) {
+            Some(store) if current.is_some() => Ok((p, store)),
+            _ => Err(IcError::RebalanceInProgress { partition: p }),
+        }
     }
 }
 
@@ -514,7 +504,8 @@ impl BuildCtx<'_> {
         let src: BoxedSource = match &at.plan.op {
             PhysOp::TableScan { table, .. } => {
                 let split = ex.split_for(inst, at.id);
-                Box::new(ScanSource::new(ex.table_partitions(inst.site, *table)?, split, ctrl))
+                let (_, store) = ex.table_store(inst.slot, *table)?;
+                Box::new(ScanSource::new(store.chunks().clone(), split, ctrl))
             }
             PhysOp::IndexScan { table, index, sort, .. } => {
                 let split = ex.split_for(inst, at.id);
@@ -522,24 +513,11 @@ impl BuildCtx<'_> {
                     .catalog
                     .index(*index)
                     .ok_or_else(|| IcError::Exec("unknown index".into()))?;
-                // Each partition's sorted run, as of the very snapshot a
-                // table scan would read here (re-sorted on demand when a
-                // write moved the partition past the cached run).
-                let mut runs: Vec<Chunks> = ex
-                    .table_stores(inst.site, *table)?
-                    .iter()
-                    .map(|(p, store)| ix.run_for(*p, store))
-                    .collect();
-                if runs.len() <= 1 {
-                    Box::new(ScanSource::new(runs, split, ctrl).sorted_on(sort))
-                } else {
-                    // Several partitions at this site: merge their runs.
-                    let runs = runs
-                        .drain(..)
-                        .map(|run| run.iter().map(|c| (**c).clone()).collect())
-                        .collect();
-                    Box::new(MergeRunsSource::new(runs, sort.clone(), split, ctrl))
-                }
+                // The partition's sorted run, as of the very snapshot a table
+                // scan would read here (re-sorted on demand when a write
+                // moved the partition past the cached run).
+                let (p, store) = ex.table_store(inst.slot, *table)?;
+                Box::new(ScanSource::new(ix.run_for(p, &store), split, ctrl).sorted_on(sort))
             }
             PhysOp::Values { schema, rows } => {
                 // A splitter passes every n-th tuple, like the scans.
@@ -639,7 +617,7 @@ impl BuildCtx<'_> {
 /// coordinator's for the root, a driver thread's for every other — and
 /// return the rows it produced for the client (none unless it is the root).
 fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>> {
-    let (fi, site, vid) = (inst.fi, inst.site, inst.vid);
+    let (fi, slot, vid) = (inst.fi, inst.slot, inst.vid);
     let fragment = &ex.placement.fragments[fi];
     let obs = ex.ctrl.obs();
     // One trace lane + fragment span per instance, declared before the
@@ -649,10 +627,10 @@ fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>>
         Some(o) => {
             let (lane, name) = match fragment.sink {
                 Some(_) => {
-                    let name = format!("f{fi} @{site} v{vid}");
+                    let name = format!("f{fi} @{slot} v{vid}");
                     (o.trace.lane(name.clone()), name)
                 }
-                None => (Trace::COORD_LANE, format!("f{fi} @{site} (root)")),
+                None => (Trace::COORD_LANE, format!("f{fi} @{slot} (root)")),
             };
             let span = o.trace.span(format!("fragment {name}"), "fragment", ex.exec_span, lane);
             (lane, Some(span))
@@ -666,7 +644,7 @@ fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>>
         let exchange = &ex.placement.exchanges[sink];
         let endpoints = ex.senders[sink]
             .iter()
-            .map(|(s, v, tx)| (*s, *v, tx.with_src(site)))
+            .map(|(s, v, tx)| (*s, *v, tx.with_src(slot.site)))
             .collect();
         // Traced: the Exchange node is credited with the messages charged.
         let shipped = obs.map(|o| (o.attempt.clone(), exchange.node));
@@ -744,32 +722,32 @@ pub fn execute_plan(
     };
     let ctrl = ControlBlock::new(deadline, limit_ms, lease, obs);
 
-    // One link per (exchange, consumer site, consumer variant): the receiving
+    // One link per (exchange, consumer instance, consumer variant): the receiving
     // end goes to the consumer instance, the sending end is the prototype
     // every producer instance copies. Fragment 0's only instance, the root,
     // comes first.
     let mut senders: Vec<_> = placement.exchanges.iter().map(|_| Vec::new()).collect();
     let mut instances = Vec::new();
     for (fi, fragment) in placement.fragments.iter().enumerate() {
-        for &site in &fragment.sites {
+        for &slot in &fragment.slots {
             for vid in 0..fragment.variants {
                 let receivers = fragment.inputs.iter().map(|&input| {
                     let exchange = &placement.exchanges[input];
                     let producer = &placement.fragments[exchange.producer];
                     let unstamped = SiteId(usize::MAX);
                     let (tx, rx) =
-                        net_channel::<Msg>(network.clone(), unstamped, site, CHANNEL_WINDOW);
-                    senders[input].push((site, vid, tx.with_tally(traffic.clone())));
+                        net_channel::<Msg>(network.clone(), unstamped, slot.site, CHANNEL_WINDOW);
+                    senders[input].push((slot, vid, tx.with_tally(traffic.clone())));
                     let source = ReceiverSource {
                         rx,
-                        open_producers: producer.sites.len() * producer.variants,
+                        open_producers: producer.slots.len() * producer.variants,
                         ctrl: ctrl.clone(),
-                        producers: producer.sites.clone(),
+                        producers: producer.slots.iter().map(|s| s.site).collect(),
                         network: network.clone(),
                     };
                     (exchange.node, source)
                 });
-                instances.push(Instance { fi, site, vid, receivers: receivers.collect() });
+                instances.push(Instance { fi, slot, vid, receivers: receivers.collect() });
             }
         }
     }
@@ -798,7 +776,7 @@ pub fn execute_plan(
         let drivers: Vec<_> = instances
             .map(|inst| {
                 let ex = &ex;
-                let name = format!("fragment {} at {} (variant {})", inst.fi, inst.site, inst.vid);
+                let name = format!("fragment {} at {} (variant {})", inst.fi, inst.slot, inst.vid);
                 let driver = s.spawn(move || {
                     if let Err(e) = launch_instance(ex, inst) {
                         ex.ctrl.fail(e);

@@ -19,7 +19,7 @@ use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, Row, Schema, N
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::{gather_join_output, ColGroupTable};
 use ic_exec::operators::{drain, AggExec, ControlBlock, HashJoinExec, NestedLoopJoinExec};
-use ic_net::Membership;
+use ic_net::{Membership, SiteId};
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -212,16 +212,18 @@ proptest! {
     }
 
     /// Partition routing agrees across layers: the storage route (the
-    /// membership map's `partition_of_hash`, then the partition's primary)
-    /// and the exchange route (`Assignment::site_for_hash`) send every key
-    /// to the same site when all sites are live — both feed off the same
-    /// routing hash.
+    /// membership map's `partition_of_hash`) and the exchange route
+    /// (`Assignment::partition_of_hash`, the destination instance's
+    /// partition) send every key to the same partition, with every site up
+    /// and with one down — both feed off the same routing hash.
     #[test]
     fn routing_consistent_across_layers(key in arb_any_key(), payload in -50i64..50) {
         let h = ColumnBatch::from_rows(&[Row(vec![key, Datum::Int(payload)])]).hash_keys(&[0])[0];
-        let map = Membership::new(4, 0).snapshot();
-        let assignment = map.assignment(&FxHashSet::default()).unwrap();
-        prop_assert_eq!(map.primary_of(map.partition_of_hash(h)), assignment.site_for_hash(h));
+        let map = Membership::new(4, 1).snapshot();
+        for down in [FxHashSet::default(), [SiteId(2)].into_iter().collect()] {
+            let assignment = map.assignment(&down).unwrap();
+            prop_assert_eq!(map.partition_of_hash(h), assignment.partition_of_hash(h));
+        }
     }
 }
 

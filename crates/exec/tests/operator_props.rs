@@ -12,8 +12,7 @@ use ic_common::row::BATCH_SIZE;
 use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, IcResult, Row};
 use ic_exec::operators::{
     drain, AggExec, BoxedSource, ControlBlock, FilterExec, HashJoinExec, LimitExec, MergeJoinExec,
-    MergeRunsSource, NestedLoopJoinExec, ProjectExec, RowSource, ScanSource, SortExec, VecSource,
-    NLJ_PAIR_BUDGET,
+    NestedLoopJoinExec, ProjectExec, RowSource, ScanSource, SortExec, VecSource, NLJ_PAIR_BUDGET,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use proptest::prelude::*;
@@ -148,7 +147,7 @@ impl Case<'_> {
             (at, i) = (at + n, i + 1);
         }
         let sort: Vec<SortKey> = (1..=self.nkeys).map(SortKey::asc).collect();
-        let scan = ScanSource::new(vec![Arc::new(run)], split, ctrl.clone()).sorted_on(&sort);
+        let scan = ScanSource::new(Arc::new(run), split, ctrl.clone()).sorted_on(&sort);
         let kept = FilterExec::new(Box::new(scan), Expr::lit(true), ctrl.clone());
         let back = (1..w).chain([0]).map(Expr::col).collect();
         Box::new(ProjectExec::new(Box::new(kept), back, ctrl.clone()))
@@ -252,55 +251,6 @@ proptest! {
     fn residual_joins_agree((l, r) in join_inputs()) {
         let residual = Expr::binary(BinOp::Gt, Expr::col(1), Expr::col(3));
         check_single_key_joins(&rows(&l), &rows(&r), &residual)?;
-    }
-
-    /// A seek moves every run of an index merge to its first row at or
-    /// above the target and counts the rows passed over as merged, so a
-    /// splitter still passes exactly its share of the merged order: what
-    /// variant `v` of `n` emits after seeking to `t` is the rows of rank
-    /// ≡ `v` (mod `n`) whose key is at least `t`.
-    #[test]
-    fn merge_runs_seek_keeps_each_splitters_share(
-        keys in proptest::collection::vec(proptest::collection::vec(0i64..30, 0..20), 1..4),
-        chunk in 1usize..5,
-        targets in proptest::collection::vec(0i64..35, 1..4),
-    ) {
-        // Rows (key, tag), each run sorted; the merged order breaks key ties
-        // by run.
-        let runs: Vec<Vec<Row>> = keys
-            .iter()
-            .enumerate()
-            .map(|(r, ks)| {
-                let mut ks = ks.clone();
-                ks.sort();
-                let tag = |i: usize| Datum::Int((r * 100 + i) as i64);
-                ks.iter().enumerate().map(|(i, &k)| Row(vec![Datum::Int(k), tag(i)])).collect()
-            })
-            .collect();
-        let mut merged: Vec<&Row> = runs.iter().flatten().collect();
-        merged.sort_by_key(|row| (row.0[0].as_int().unwrap(), row.0[1].as_int().unwrap()));
-        let n = targets.len();
-        for (vid, &t) in targets.iter().enumerate() {
-            let batches = runs
-                .iter()
-                .map(|run| {
-                    run.chunks(chunk).map(|c| ColumnBatch::from_typed_rows(&ints(2), c)).collect()
-                })
-                .collect();
-            let split = (n > 1).then_some((vid, n));
-            let ctrl = ControlBlock::unlimited();
-            let mut m = MergeRunsSource::new(batches, vec![SortKey::asc(0)], split, ctrl);
-            let at = ColumnBatch::from_typed_rows(&ints(1), &[Row(vec![Datum::Int(t)])]);
-            m.seek(&[0], &at, &[0], 0);
-            let expect: Vec<Row> = merged
-                .iter()
-                .enumerate()
-                .filter(|(rank, row)| rank % n == vid && row.0[0].as_int().unwrap() >= t)
-                .map(|(_, row)| (*row).clone())
-                .collect();
-            let got = drain(Box::new(m)).unwrap();
-            prop_assert_eq!(got, expect, "variant {} of {}, target {}", vid, n, t);
-        }
     }
 
     /// Partial-per-partition + final ≡ complete, for any partitioning of

@@ -5,7 +5,7 @@ use ic_common::agg::AggFunc;
 use ic_common::row::BATCH_SIZE;
 use ic_common::{ColumnBatch, DataType, Datum, Expr, Field, IcError, Row, Schema};
 use ic_exec::runtime::{ExchangeCore, Msg};
-use ic_exec::{execute_plan, ExecOptions, SourceMode};
+use ic_exec::{execute_plan, ExecOptions, Slot, SourceMode};
 use ic_net::{
     net_channel, Assignment, FaultPlan, Membership, NetStats, Network, NetworkConfig, SiteId,
     WireSize, TICK_FOREVER,
@@ -364,9 +364,13 @@ fn ship(
     let consumers = if *to == Distribution::Single { 1 } else { SITES };
     let (mut endpoints, mut receivers) = (Vec::new(), Vec::new());
     for site in (0..consumers).map(SiteId) {
+        // A single consumer runs at the coordinator; the others, partition
+        // `p` at site `p`.
+        let partition = (*to != Distribution::Single).then_some(site.0);
         for v in 0..variants {
             let (tx, rx) = net_channel::<Msg>(net.clone(), SiteId(usize::MAX), site, 16);
-            endpoints.push((site, v, tx.with_tally(tally.clone()).with_src(PRODUCER)));
+            let slot = Slot { site, partition };
+            endpoints.push((slot, v, tx.with_tally(tally.clone()).with_src(PRODUCER)));
             receivers.push((site, rx));
         }
     }
@@ -454,7 +458,9 @@ fn check_protocol(to: &Distribution, mode: SourceMode, variants: usize, rows: &[
             .iter()
             .enumerate()
             .filter(|(i, _)| match to {
-                Distribution::Hash(_) => assignment.site_for_hash(hashes[*i]) == site,
+                Distribution::Hash(_) => {
+                    assignment.owner_of_partition(assignment.partition_of_hash(hashes[*i])) == site
+                }
                 _ => true,
             })
             .map(|(_, r)| r.clone())
@@ -505,7 +511,7 @@ fn hash_exchange_batches_per_destination() {
     check_protocol(&to, SourceMode::Duplicator, 1, &rows);
     let (links, (messages, _), _) = ship(&to, SourceMode::Duplicator, 1, &rows, BATCH_SIZE / 4);
     let hash = ColumnBatch::from_rows(&rows[..1]).hash_keys(&[0])[0];
-    let home = healthy().site_for_hash(hash);
+    let home = healthy().owner_of_partition(healthy().partition_of_hash(hash));
     for link in &links {
         assert_eq!(link.msgs.len(), if link.site == home { 4 } else { 1 }, "at {}", link.site);
     }

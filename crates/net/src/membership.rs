@@ -212,7 +212,6 @@ mod tests {
                         (p..p + copies).map(|s| SiteId(s % sites)).collect();
                     assert_eq!(map.owners_of(p), round_robin, "{shape}, partition {p}");
                     assert_eq!(a.owner_of_partition(p), SiteId(p), "{shape}, partition {p}");
-                    assert_eq!(a.partitions_of(SiteId(p)), vec![p], "{shape}, partition {p}");
                 }
             }
         }
@@ -235,8 +234,8 @@ mod tests {
         assert_eq!(m.snapshot().owners_of(1), &[SiteId(1), SiteId(0)]);
     }
 
-    /// Both routes of a key hash — the storage route's partition and the
-    /// exchange route's site — stay in range and agree, also under failover.
+    /// Both routes of a key hash — the storage route and the exchange
+    /// route — pick the same partition, in range, also under failover.
     #[test]
     fn hash_routing_in_range() {
         let map = Membership::new(4, 1).snapshot();
@@ -244,7 +243,7 @@ mod tests {
         for h in [0u64, 1, 2, 17, u64::MAX] {
             let p = map.partition_of_hash(h);
             assert!(p < map.num_partitions());
-            assert_eq!(a.site_for_hash(h), a.owner_of_partition(p));
+            assert_eq!(a.partition_of_hash(h), p);
         }
     }
 

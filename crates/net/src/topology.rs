@@ -5,7 +5,10 @@
 //! writes the layout and [`ReplicaMap::assignment`](crate::ReplicaMap::assignment)
 //! is the one rule that resolves it against the down sites into an
 //! [`Assignment`]; `partition_of_hash` is the one `hash → partition` rule
-//! both routes share.
+//! both routes share. A partition is also the unit of execution: a
+//! partitioned fragment runs one instance per partition, at the partition's
+//! serving site, and a hash exchange addresses its destination instance by
+//! partition.
 
 use std::fmt;
 
@@ -23,7 +26,7 @@ impl fmt::Display for SiteId {
 /// The partition a key hash routes to among `partitions` — the one
 /// `hash → partition` rule, shared by the storage route
 /// ([`ReplicaMap::partition_of_hash`](crate::ReplicaMap::partition_of_hash)) and the exchange route
-/// ([`Assignment::site_for_hash`]).
+/// ([`Assignment::partition_of_hash`]).
 pub(crate) fn partition_of_hash(hash: u64, partitions: usize) -> usize {
     (hash % partitions as u64) as usize
 }
@@ -62,14 +65,10 @@ impl Assignment {
         self.owner_of[partition]
     }
 
-    /// Partitions served by `site` under this assignment.
-    pub fn partitions_of(&self, site: SiteId) -> Vec<usize> {
-        (0..self.owner_of.len()).filter(|&p| self.owner_of[p] == site).collect()
-    }
-
-    /// Route a key hash to the live site serving its partition.
-    pub fn site_for_hash(&self, hash: u64) -> SiteId {
-        self.owner_of[partition_of_hash(hash, self.owner_of.len())]
+    /// Route a key hash to its partition: a hash exchange's destination
+    /// instance.
+    pub fn partition_of_hash(&self, hash: u64) -> usize {
+        partition_of_hash(hash, self.owner_of.len())
     }
 }
 
@@ -107,17 +106,16 @@ mod tests {
         sites.iter().map(|&s| SiteId(s)).collect()
     }
 
-    /// Every partition's serving site lists it back, with every site up and
+    /// Every partition is served by a live site, with every site up and
     /// with a primary down.
     #[test]
     fn every_partition_has_owner_and_roundtrip() {
         let map = Membership::new(8, 1).snapshot();
         for gone in [&[][..], &[5]] {
             let a = map.assignment(&down(gone)).unwrap();
+            assert_eq!(a.num_partitions(), map.num_partitions());
             for p in 0..a.num_partitions() {
-                let s = a.owner_of_partition(p);
-                assert!(a.live_sites().contains(&s));
-                assert!(a.partitions_of(s).contains(&p));
+                assert!(a.live_sites().contains(&a.owner_of_partition(p)));
             }
         }
     }
@@ -132,7 +130,7 @@ mod tests {
             assert_eq!(a.owner_of_partition(p), map.primary_of(p));
         }
         for h in [0u64, 7, u64::MAX] {
-            assert_eq!(a.site_for_hash(h), map.primary_of(map.partition_of_hash(h)));
+            assert_eq!(a.partition_of_hash(h), map.partition_of_hash(h));
         }
     }
 
@@ -142,8 +140,8 @@ mod tests {
         assert_eq!(a.live_sites(), &[SiteId(0), SiteId(1), SiteId(3)]);
         // Partition 2's primary (site2) is down; its backup is site3.
         assert_eq!(a.owner_of_partition(2), SiteId(3));
-        assert_eq!(a.partitions_of(SiteId(3)), vec![2, 3]);
-        assert!(a.partitions_of(SiteId(2)).is_empty());
+        let at = |s| (0..4).filter(|&p| a.owner_of_partition(p) == SiteId(s)).collect::<Vec<_>>();
+        assert_eq!((at(3), at(2)), (vec![2, 3], vec![]));
     }
 
     /// Without backups a down site loses its partition; with several down,

@@ -97,7 +97,7 @@ proptest! {
             .collect();
         // `split` 0: the whole run; otherwise variant 1 of `split + 1`.
         let share = (split > 0).then_some((1, split + 1));
-        let mut scan = ScanSource::new(vec![Arc::new(run)], share, ControlBlock::unlimited())
+        let mut scan = ScanSource::new(Arc::new(run), share, ControlBlock::unlimited())
             .sorted_on(&[SortKey::asc(0)]);
         // (position, target in force when it came out)
         let mut out: Vec<(usize, i64)> = Vec::new();

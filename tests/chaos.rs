@@ -93,7 +93,9 @@ fn assert_rows_close(a: &[Row], b: &[Row], label: &str) {
 
 /// With `backups = 1`, a 4-site cluster answers every runnable TPC-H
 /// query with one site marked dead, and the answers match the healthy
-/// baseline.
+/// baseline — on IC+ and on IC+M, where site 3, now serving partitions 2
+/// and 3, runs two instances of every scan fragment, each split into
+/// variants (index scans under merge joins included).
 #[test]
 fn all_queries_survive_dead_site_with_backups() {
     let cluster = chaos_cluster(1);
@@ -104,13 +106,38 @@ fn all_queries_survive_dead_site_with_backups() {
             .unwrap_or_else(|e| panic!("healthy baseline Q{q}: {e}"));
         baselines.push((q, r.rows));
     }
+    // IC+M on the same data has a network of its own: site 2 dies there too.
+    let multi = cluster.with_variant(SystemVariant::ICPlusM);
     cluster.kill_site(2);
+    multi.kill_site(2);
     for (q, baseline_rows) in &baselines {
-        let r = cluster
-            .query(&tpch::query(*q))
-            .unwrap_or_else(|e| panic!("Q{q} with site2 dead: {e}"));
-        assert_rows_close(baseline_rows, &r.rows, &format!("Q{q} failover"));
+        for c in [&cluster, &multi] {
+            let v = c.variant();
+            let r = c
+                .query(&tpch::query(*q))
+                .unwrap_or_else(|e| panic!("Q{q} on {v:?} with site2 dead: {e}"));
+            assert_rows_close(baseline_rows, &r.rows, &format!("Q{q} failover on {v:?}"));
+        }
     }
+    let (result, trace) = multi.query_traced(0, &tpch::query(1));
+    result.expect("traced Q1 with site2 dead");
+    let at_site3: Vec<(usize, usize)> = trace
+        .lanes()
+        .iter()
+        .filter(|l| l.contains(" @site3 "))
+        .filter_map(|l| lane_partition_variant(l))
+        .collect();
+    for instance in [(2, 0), (2, 1), (3, 0), (3, 1)] {
+        assert!(at_site3.contains(&instance), "site 3 ran no {instance:?}: {at_site3:?}");
+    }
+}
+
+/// The (partition, variant) a partitioned fragment instance's lane names:
+/// `f{fragment} @site{s} p{partition} v{variant}`.
+fn lane_partition_variant(lane: &str) -> Option<(usize, usize)> {
+    let (rest, v) = lane.rsplit_once(" v")?;
+    let (_, p) = rest.rsplit_once(" p")?;
+    Some((p.parse().ok()?, v.parse().ok()?))
 }
 
 /// A seeded fault plan that permanently kills site 3 mid-run: the
@@ -461,7 +488,8 @@ fn assert_clean_failure(
     assert!(expected(&err), "{err}");
     trace.validate().expect("span tree well-formed");
     let lanes = trace.lanes();
-    assert!(lanes.iter().any(|l| l.ends_with(" v1")), "the scan fragments ran no variants: {lanes:?}");
+    let second_variant = |l: &String| lane_partition_variant(l).is_some_and(|(_, v)| v == 1);
+    assert!(lanes.iter().any(second_variant), "the scan fragments ran no variants: {lanes:?}");
     drop(hog);
     assert_eq!(cluster.governor().pool().active_leases(), 0, "a lease outlived its query");
     assert_eq!(cluster.governor().pool().in_use(), 0, "pool leaked budget");
@@ -624,8 +652,9 @@ fn every_stop_has_one_cause() {
         }
         trace.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         let lanes = trace.lanes();
-        let last_variant = format!(" v{}", cluster.variant().flags().variant_fragments - 1);
-        assert!(lanes.iter().any(|l| l.ends_with(&last_variant)), "{name}: {lanes:?}");
+        let last = cluster.variant().flags().variant_fragments - 1;
+        let last_variant = |l: &String| lane_partition_variant(l).is_some_and(|(_, v)| v == last);
+        assert!(lanes.iter().any(last_variant), "{name}: {lanes:?}");
         assert_eq!(cluster.governor().pool().active_leases(), 0, "{name}: a lease outlived its query");
         assert_eq!(cluster.governor().pool().in_use(), 0, "{name}: pool leaked budget");
         cluster.clear_faults();
