@@ -108,11 +108,11 @@ fn main() {
         }
     }
 
-    let live = cluster.network().liveness().snapshot();
-    if !live.is_empty() {
-        println!("-- final liveness --");
-        for (s, st) in live {
-            println!("  {s}: {st:?}");
+    let down: BTreeSet<_> = cluster.network().down_sites().into_iter().collect();
+    if !down.is_empty() {
+        println!("-- sites down at the end --");
+        for s in down {
+            println!("  {s}");
         }
     }
     println!("-- chaos summary --");

@@ -84,7 +84,7 @@ pub enum MeasureOutcome {
     /// Execution exceeded the memory budget (the paper's "system
     /// resource limit" failures).
     MemoryLimit,
-    /// Feature unsupported (Q15 views, Q20).
+    /// Feature unsupported (Q15 views).
     Unsupported(String),
     /// Shed by admission control ([`IcError::Overloaded`]) — retryable;
     /// single-stream harness runs should never see this.

@@ -153,7 +153,7 @@ impl Cluster {
 
     /// A cluster running `config` over the given data and governor: planner
     /// flags derived from the variant, a *fresh* network (fault schedules
-    /// and liveness state belong to one cluster), its rebalancer and an
+    /// and kills belong to one cluster), its rebalancer and an
     /// empty plan cache.
     fn assemble(config: ClusterConfig, catalog: Arc<Catalog>, governor: Arc<Governor>) -> Cluster {
         let mut flags = config.variant.flags();
@@ -213,27 +213,29 @@ impl Cluster {
         self.network.install_faults(plan)
     }
 
-    /// Remove any fault schedule and return every site to `Alive`,
-    /// resyncing replicas that went stale while their site was faulted so
-    /// the now-live copies cannot serve stale reads.
+    /// Remove any fault schedule and lift every kill, resyncing replicas
+    /// that went stale while their site was faulted so the now-live copies
+    /// cannot serve stale reads.
     pub fn clear_faults(&self) {
         self.network.clear_faults();
         self.controller.repair();
     }
 
-    /// Mark a site permanently dead (operator-style, without a fault
-    /// plan). Subsequent queries replan around it; with `backups = 0` its
-    /// partitions are lost and partitioned queries fail.
+    /// Take a site down until [`Cluster::revive_site`] (operator-style,
+    /// plan or no plan): every message to or from it fails with
+    /// `SiteDead`, and subsequent statements replan around it; with
+    /// `backups = 0` its partitions are lost and partitioned queries fail.
     pub fn kill_site(&self, site: usize) {
-        self.network.liveness().mark_dead(SiteId(site));
+        self.network.kill_site(SiteId(site));
     }
 
-    /// Bring a killed site back (the inverse of [`Cluster::kill_site`]).
-    /// The revived site's replicas missed every write committed while it
-    /// was down; a synchronous repair pass resyncs (or demotes) them
-    /// before any read can route to a stale copy.
+    /// Bring a killed site back (the inverse of [`Cluster::kill_site`]; a
+    /// crash window of an installed fault plan still counts). The revived
+    /// site's replicas missed every write committed while it was down; a
+    /// synchronous repair pass resyncs (or demotes) them before any read
+    /// can route to a stale copy.
     pub fn revive_site(&self, site: usize) {
-        self.network.liveness().mark_alive(SiteId(site));
+        self.network.revive_site(SiteId(site));
         self.controller.repair();
     }
 
@@ -488,7 +490,6 @@ impl Cluster {
             self.attempts(client, under, |attempt| self.query_attempt(&bound, mode, attempt))?;
         result.plan_time += front;
         result.retries = retries;
-        result.stats.retries = retries;
         result.stats.queue_wait = admission.queue_wait();
         Ok(result)
     }
@@ -525,9 +526,10 @@ impl Cluster {
 
     /// The attempt loop of every retryable statement, read or write: `body`
     /// under an `attempt N` span; on a failover-retryable error back off,
-    /// let recovered sites rejoin, repair replicas (resync stale ones before
-    /// a replanned read can route to one, promote live backups so a retried
-    /// write has a primary) and go again. Returns the answer and its retries.
+    /// repair replicas (resync stale ones before a replanned read can route
+    /// to one, promote live backups so a retried write has a primary) and go
+    /// again; the retry places itself on the sites up at its own tick.
+    /// Returns the answer and its retries.
     fn attempts<T>(
         &self,
         client: u64,
@@ -562,7 +564,6 @@ impl Cluster {
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
-                    self.network.refresh_liveness();
                     self.controller.repair();
                 }
                 Err(e) => {

@@ -55,7 +55,6 @@ pub use plan_cache::PlanCacheStats;
 pub use rebalance::{RebalanceController, RepairReport};
 pub use ic_common::{Datum, IcError, IcResult, MemoryLease, MemoryPool, Row};
 pub use ic_net::{
-    FaultEvent, FaultInjector, FaultKind, FaultPlan, Liveness, NetworkConfig, SiteId, SiteState,
-    TICK_FOREVER,
+    FaultEvent, FaultInjector, FaultKind, FaultPlan, NetworkConfig, SiteId, TICK_FOREVER,
 };
 pub use result::{DmlResult, QueryResult};

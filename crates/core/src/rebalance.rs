@@ -163,7 +163,7 @@ impl RebalanceController {
         let mut report = RepairReport::default();
         let tables = self.catalog.hash_tables();
         let membership = self.catalog.membership();
-        let down = self.network.liveness().down_sites();
+        let down = self.network.down_sites();
         let target = membership.target_backups() + 1;
         for p in 0..membership.snapshot().num_partitions() {
             let owners = membership.snapshot().owners_of(p).to_vec();
@@ -250,9 +250,8 @@ impl RebalanceController {
     pub fn join_site(&self, site: SiteId) -> usize {
         let membership = self.catalog.membership();
         membership.add_member(site);
-        self.network.liveness().mark_alive(site);
         let tables = self.catalog.hash_tables();
-        let down = self.network.liveness().down_sites();
+        let down = self.network.down_sites();
         let mut migrated = 0usize;
         loop {
             let map = membership.snapshot();
@@ -309,7 +308,7 @@ impl RebalanceController {
     pub fn leave_site(&self, site: SiteId) -> usize {
         let membership = self.catalog.membership();
         let tables = self.catalog.hash_tables();
-        let down = self.network.liveness().down_sites();
+        let down = self.network.down_sites();
         let mut moved = 0usize;
         let mut clean = true;
         let hosted = membership.snapshot().partitions_hosted_by(site);

@@ -7,9 +7,10 @@
 //! output, projections share column `Arc`s, and the join/agg/sort kernels
 //! in [`crate::kernels`] run tight per-column loops. Storage is columnar
 //! too: [`ScanSource`] hands out one partition's (or its index run's)
-//! stored chunks by `Arc` clone. Rows exist only at the edges: `Values` input
-//! ([`VecSource`]), an aggregate's group emission and `Final` state merge
-//! (one short row per *group*), and the client rowset ([`drain`]).
+//! stored chunks by `Arc` clone. Aggregation is columnar too: group keys
+//! and `Partial` state live in typed columns, a `Final` phase merges state
+//! columns, and groups are emitted as column batches. Rows exist only at the
+//! edges: `Values` input ([`VecSource`]) and the client rowset ([`drain`]).
 //!
 //! Every operator loop calls [`ControlBlock::check`] and every buffering one
 //! [`ControlBlock::reserve`] — an operator that keeps whole input batches

@@ -30,10 +30,10 @@
 //! How a query ends is one cell in its [`ControlBlock`]. Every thread records
 //! what its operators returned, once, at its top level
 //! ([`ControlBlock::fail`]; the limits record themselves in `reserve` and
-//! `check`, a panic is recorded off its join handle), the first cause stays,
-//! and a thread that only noticed the stop — a `check` after it, a send whose
-//! receiver is gone — unwinds with [`IcError::Cancelled`], which the cell does
-//! not take. [`execute_plan`] returns the root's rows or the cell's cause, and
+//! `check`, a driver catches its own panic and records it), the first cause
+//! stays, and a thread that only noticed the stop — a `check` after it, a
+//! send whose receiver is gone — unwinds with [`IcError::Cancelled`], which
+//! the cell does not take. [`execute_plan`] returns the root's rows or the cell's cause, and
 //! decides nothing itself.
 
 use crate::fragment::{place, NodeRef, Placement, Slot};
@@ -44,11 +44,12 @@ use ic_common::row::BATCH_SIZE;
 use ic_common::{panic_message, ColumnBatch, IcError, IcResult, Row};
 use ic_net::{
     net_channel, Assignment, FailoverError, NetError, NetObs, NetReceiver, NetSender, NetStats,
-    Network, SiteId, SiteState, WireSize,
+    Network, SiteId, WireSize,
 };
 use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
 use ic_storage::{Catalog, PartStore, TableDistribution, TableId};
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,9 +109,6 @@ pub struct QueryStats {
     pub net_messages: u64,
     pub net_bytes: u64,
     pub elapsed: Duration,
-    /// Failover replans performed by the coordinator (0 = first attempt
-    /// succeeded). Filled by `Cluster::query`, not by `execute_plan`.
-    pub retries: u32,
     /// Time the query spent queued in the admission controller before its
     /// slot was granted. Filled by `Cluster::query`.
     pub queue_wait: Duration,
@@ -357,20 +355,15 @@ impl InstanceSink<'_> {
 
 /// The receiving end of an exchange inside a fragment instance — where a
 /// query waits for the wire, since a message is handed out only once it has
-/// landed. It waits in 50 ms steps and checks the stop cell and its
-/// producers' liveness between them, so a stopped query never waits out a
-/// message in flight.
+/// landed. It waits in 50 ms steps and checks the stop cell between them, so
+/// a stopped query never waits out a message in flight. A producer whose
+/// site goes down fails its next send, and that fault is recorded in the
+/// stop cell, so a wait ends by a message or by the cell.
 pub(crate) struct ReceiverSource {
     rx: NetReceiver<Msg>,
     /// Producer instances that have not sent their final message yet.
     open_producers: usize,
     ctrl: Arc<ControlBlock>,
-    /// Sites running this exchange's producer instances, polled between
-    /// receive timeouts: a producer that dies mid-run will never deliver
-    /// its final message, and without the check the receiver would wait
-    /// out the whole query deadline instead of failing over.
-    producers: Vec<SiteId>,
-    network: Arc<Network>,
 }
 
 impl RowSource for ReceiverSource {
@@ -386,28 +379,7 @@ impl RowSource for ReceiverSource {
                     return Ok(Some(rows));
                 }
                 Ok(Msg::End) => self.open_producers -= 1,
-                Err(NetError::Timeout) => {
-                    // Crashed (or suspect) producers cannot deliver their
-                    // remaining messages — those are dropped — so surface
-                    // the loss retryably now. A producer that already
-                    // finished trips this too, but that only costs one
-                    // replan against the surviving topology.
-                    self.network.refresh_liveness();
-                    let liveness = self.network.liveness();
-                    if let Some(dead) = self
-                        .producers
-                        .iter()
-                        .find(|s| liveness.state(**s) != SiteState::Alive)
-                    {
-                        return Err(IcError::SiteUnavailable {
-                            site: dead.0,
-                            detail: format!(
-                                "{dead} stopped responding mid-exchange (producer lost)"
-                            ),
-                        });
-                    }
-                    continue;
-                }
+                Err(NetError::Timeout) => continue,
                 // Every sender is gone before its final message: the
                 // producers unwound, for a reason of their own.
                 Err(_) => return Err(IcError::Cancelled),
@@ -689,13 +661,11 @@ pub fn execute_plan(
     // This execution's own cross-site traffic, whatever else the cluster
     // ships meanwhile; every sender below counts into it.
     let traffic = Arc::new(NetStats::default());
-    // Plan placement against the *surviving* topology: dead/suspect sites
-    // are excluded and their partitions served by backup owners. Fails
-    // retryably when a partition has no live copy.
-    network.refresh_liveness();
-    let down = network.liveness().down_sites();
+    // Plan placement against the *surviving* topology: sites down at the
+    // current tick are excluded and their partitions served by backup
+    // owners. Fails retryably when a partition has no live copy.
     let assignment =
-        Arc::new(catalog.membership().assignment(&down).map_err(failover_err)?);
+        Arc::new(catalog.membership().assignment(&network.down_sites()).map_err(failover_err)?);
     // Placement, once: fragments, exchanges and the per-node table, a node
     // being its pre-order position. A traced run registers that table as
     // this attempt's estimated-vs-actual table, and resolves metric handles
@@ -742,8 +712,6 @@ pub fn execute_plan(
                         rx,
                         open_producers: producer.slots.len() * producer.variants,
                         ctrl: ctrl.clone(),
-                        producers: producer.slots.iter().map(|s| s.site).collect(),
-                        network: network.clone(),
                     };
                     (exchange.node, source)
                 });
@@ -772,17 +740,23 @@ pub fn execute_plan(
     let threads = instances.len();
     // Each thread records what its operators returned; the cell keeps the
     // first cause and refuses the `Cancelled` of those who only saw the stop.
+    // A driver's panic is a cause too, recorded where it happens — the
+    // execution's sender prototypes keep every link open, so a consumer
+    // learns of a dead producer only through the cell.
     let root_result = std::thread::scope(|s| {
         let drivers: Vec<_> = instances
             .map(|inst| {
                 let ex = &ex;
                 let name = format!("fragment {} at {} (variant {})", inst.fi, inst.slot, inst.vid);
-                let driver = s.spawn(move || {
-                    if let Err(e) = launch_instance(ex, inst) {
+                s.spawn(move || {
+                    let run = AssertUnwindSafe(|| launch_instance(ex, inst));
+                    let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                        Err(IcError::Exec(format!("{name} panicked: {}", panic_message(&*payload))))
+                    });
+                    if let Err(e) = outcome {
                         ex.ctrl.fail(e);
                     }
-                });
-                (name, driver)
+                })
             })
             .collect();
         let root_result = launch_instance(&ex, root).map_err(|e| ctrl.fail(e));
@@ -791,10 +765,12 @@ pub fn execute_plan(
         // early), whose receivers are gone — stop them instead of letting them
         // grind until a send hits the dead channel.
         ctrl.finish();
-        for (name, driver) in drivers {
+        // Join each driver here rather than leave it to the scope, which
+        // detaches them: a detached thread can still be exiting, its stack
+        // not yet reusable, when the next query spawns its own.
+        for driver in drivers {
             if let Err(payload) = driver.join() {
-                // Attribute the panic to its fragment instance (chaos runs).
-                ctrl.fail(IcError::Exec(format!("{name} panicked: {}", panic_message(&*payload))));
+                std::panic::resume_unwind(payload);
             }
         }
         root_result
@@ -821,7 +797,6 @@ pub fn execute_plan(
             net_messages,
             net_bytes,
             elapsed: start.elapsed(),
-            retries: 0,
             queue_wait: Duration::ZERO,
             peak_buffered_rows,
         },

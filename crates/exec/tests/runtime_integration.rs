@@ -177,7 +177,7 @@ fn dead_site_served_by_backup_owner() {
     let net = Network::new(NetworkConfig::instant());
     let flags = PlannerFlags::ic_plus();
     let baseline = run(&cat, &net, &flags, 1);
-    net.liveness().mark_dead(SiteId(2));
+    net.kill_site(SiteId(2));
     let failed_over = run(&cat, &net, &flags, 1);
     assert_eq!(baseline, failed_over);
     assert_eq!(baseline.len(), 13);

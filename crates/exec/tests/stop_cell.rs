@@ -1,13 +1,19 @@
 //! The stop cell of [`ControlBlock`]: written once, by whoever decides that
 //! the query is over, and only ever with a cause — never with the
 //! [`IcError::Cancelled`] of a thread that merely saw the stop. Every race
-//! here starts at a barrier, so the writers really do contend.
+//! here starts at a barrier, so the writers really do contend. A driver's
+//! panic is such a cause too, recorded at once.
 
 #![expect(clippy::disallowed_methods, reason = "a deadline already passed is an Instant in the past")]
 
 use ic_common::obs::Trace;
-use ic_common::{IcError, MemoryPool};
+use ic_common::{DataType, Datum, Field, IcError, MemoryPool, Row, Schema};
 use ic_exec::operators::{ControlBlock, ExecObs};
+use ic_exec::{execute_plan, ExecOptions};
+use ic_net::{Network, NetworkConfig};
+use ic_plan::ops::{PhysOp, PhysPlan};
+use ic_plan::Distribution;
+use ic_storage::{Catalog, TableDistribution};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -116,4 +122,51 @@ fn deadline_revocation_and_memory_limit_are_recorded_where_they_are_decided() {
     });
     assert_eq!(ctrl.cause(), Some(IcError::MemoryLimit { limit_rows: 100 }));
     assert_settled(&ctrl, &trace);
+}
+
+/// A producer that panics stops its query at once, with the panic as the
+/// cause: a scan fragment routes a hash exchange on a column past its
+/// input's width, so every instance that ships a batch panics while hashing
+/// it. The consumers' links stay open (the execution keeps a sender
+/// prototype per link), so only the stop cell can end their wait.
+#[test]
+fn a_panicking_producer_stops_its_query_at_once() {
+    let catalog = Catalog::new(4, 0);
+    let schema = Schema::new(vec![Field::new("id", DataType::Int), Field::new("w", DataType::Int)]);
+    let table = catalog
+        .create_table("r", schema.clone(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
+        .unwrap();
+    catalog.insert(table, (0..64).map(|i| Row(vec![Datum::Int(i), Datum::Int(i)])).collect()).unwrap();
+    let node = |op, dist| {
+        Arc::new(PhysPlan {
+            op,
+            schema: schema.clone(),
+            dist,
+            collation: vec![],
+            rows: 64.0,
+            cost: ic_plan::cost::Cost::ZERO,
+            total_cost: 0.0,
+            has_exchange: true,
+        })
+    };
+    let scan = node(PhysOp::TableScan { table, name: "r".into(), schema: schema.clone() }, Distribution::Hash(vec![0]));
+    let rehash = node(PhysOp::Exchange { input: scan, to: Distribution::Hash(vec![5]) }, Distribution::Hash(vec![5]));
+    let plan = node(PhysOp::Exchange { input: rehash, to: Distribution::Single }, Distribution::Single);
+
+    let deadline = Duration::from_secs(3);
+    let pool = MemoryPool::new(1 << 20);
+    let opts = ExecOptions { timeout: Some(deadline), pool: Some(pool.clone()), ..ExecOptions::default() };
+    let network = Network::new(NetworkConfig::instant());
+    let start = Instant::now();
+    let err = execute_plan(&plan, &catalog, &network, &opts).unwrap_err();
+    let took = start.elapsed();
+    match &err {
+        IcError::Exec(msg) => assert!(
+            msg.starts_with("fragment ") && msg.contains(" at ") && msg.contains(" panicked: "),
+            "the cause names the panicking fragment instance: {msg}"
+        ),
+        other => panic!("expected the producer's panic as the cause, got {other}"),
+    }
+    assert!(took < deadline / 3, "the query waited {took:?} of its {deadline:?} deadline");
+    assert_eq!((pool.in_use(), pool.active_leases()), (0, 0), "the pool balances");
 }

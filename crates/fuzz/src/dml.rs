@@ -191,7 +191,7 @@ fn index_read(cluster: &Cluster) -> Result<Option<Vec<(i64, i64)>>, String> {
         Some((catalog.table_data(table)?, catalog.index(index.id)?))
     };
     let (data, index) = handles().ok_or("fuzz table or index missing from the catalog")?;
-    let down = cluster.network().liveness().down_sites();
+    let down = cluster.network().down_sites();
     let Ok(assignment) = catalog.membership().assignment(&down) else {
         return Ok(None);
     };

@@ -19,9 +19,13 @@
 //!
 //! The network also hosts the deterministic fault layer: install a seeded
 //! [`FaultPlan`] with [`Network::install_faults`] and every cross-site
-//! message consults the replayable [`FaultInjector`], which drops messages,
-//! crashes sites (updating the shared [`Liveness`] view) and inflates
-//! latency exactly as scheduled.
+//! message consults the replayable [`FaultInjector`], which drops messages
+//! and inflates latency exactly as scheduled. One rule says which sites are
+//! down: a site is down at a tick when an operator killed it
+//! ([`Network::kill_site`]) or a crash window of the installed plan covers
+//! that tick. Every cross-site message touching a down site fails with
+//! [`NetError::SiteDead`], and every reader of site health —
+//! [`Network::down_sites`] — asks the same rule.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
@@ -34,13 +38,13 @@ pub mod wire;
 
 pub use channel::{net_channel, NetError, NetObs, NetReceiver, NetSender};
 pub use fault::{
-    FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultPlan, Liveness, SiteState,
-    SplitMix64, TICK_FOREVER,
+    FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultPlan, SplitMix64, TICK_FOREVER,
 };
 pub use membership::{Membership, ReplicaMap};
 pub use topology::{Assignment, FailoverError, SiteId};
 pub use wire::WireSize;
 
+use ic_common::hash::FxHashSet;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,17 +161,56 @@ impl NetStats {
     }
 }
 
+/// What can take a site down: the installed fault plan's crash windows and
+/// the operator's kills.
+#[derive(Debug, Default)]
+struct Faults {
+    injector: Option<Arc<FaultInjector>>,
+    killed: FxHashSet<SiteId>,
+}
+
+impl Faults {
+    /// The message clock: the installed plan's next tick, 0 without a plan.
+    fn tick(&self) -> u64 {
+        self.injector.as_ref().map_or(0, |i| i.now())
+    }
+
+    /// The failure rule: `site` is down at `tick` iff an operator killed it
+    /// (and has not revived it) or a crash window of the installed plan
+    /// covers `tick`.
+    fn is_down(&self, site: SiteId, tick: u64) -> bool {
+        self.killed.contains(&site)
+            || self.injector.as_ref().is_some_and(|i| i.plan().crashed(site, tick))
+    }
+
+    /// One cross-site message: its tick's link-fault decision, failed with
+    /// [`NetError::SiteDead`] first when either end is down at that tick.
+    /// Returns the delay factor of a delivered message.
+    fn admit(&self, src: SiteId, dst: SiteId) -> Result<u32, NetError> {
+        let (tick, decision) = match &self.injector {
+            Some(injector) => injector.decide(src, dst),
+            None => (0, FaultDecision::Deliver { delay_factor: 1 }),
+        };
+        if let Some(site) = [src, dst].into_iter().find(|&s| self.is_down(s, tick)) {
+            return Err(NetError::SiteDead(site));
+        }
+        match decision {
+            FaultDecision::Deliver { delay_factor } => Ok(delay_factor),
+            FaultDecision::Drop => Err(NetError::LinkFault),
+        }
+    }
+}
+
 /// The shared simulated network: config + stats + the sites' NIC clocks +
 /// the deterministic fault layer (an optional [`FaultInjector`] plus the
-/// cluster [`Liveness`] view).
+/// operator's kill set).
 pub struct Network {
     pub config: NetworkConfig,
     pub stats: NetStats,
     /// Time zero of every [`Reservation`].
     epoch: Instant,
     nics: Mutex<Nics>,
-    faults: Mutex<Option<Arc<FaultInjector>>>,
-    liveness: Liveness,
+    faults: Mutex<Faults>,
     /// Process-wide metric handles (`net.transfer.*`), resolved once at
     /// construction so the transfer path never touches the registry lock.
     m_messages: Arc<ic_common::obs::Counter>,
@@ -197,8 +240,7 @@ impl Network {
             #[expect(clippy::disallowed_methods, reason = "the wire model's clock is anchored here, once; every reservation is an offset from it")]
             epoch: Instant::now(),
             nics: Mutex::named(Nics::default(), "network.nics"),
-            faults: Mutex::named(None, "network.faults"),
-            liveness: Liveness::default(),
+            faults: Mutex::named(Faults::default(), "network.faults"),
             m_messages: reg.counter("net.transfer.messages"),
             m_bytes: reg.counter("net.transfer.bytes"),
             m_faults: reg.counter("net.transfer.faults"),
@@ -216,34 +258,37 @@ impl Network {
     /// the same fault sequence.
     pub fn install_faults(&self, plan: FaultPlan) -> Arc<FaultInjector> {
         let injector = FaultInjector::new(plan);
-        injector.refresh(&self.liveness);
-        *self.faults.lock() = Some(injector.clone());
+        self.faults.lock().injector = Some(injector.clone());
         injector
     }
 
-    /// Remove the fault schedule and return every site to `Alive`.
+    /// Remove the fault schedule and lift every kill.
     pub fn clear_faults(&self) {
-        *self.faults.lock() = None;
-        self.liveness.reset();
+        *self.faults.lock() = Faults::default();
     }
 
     /// The currently installed injector, if any.
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.faults.lock().clone()
+        self.faults.lock().injector.clone()
     }
 
-    /// Cluster-wide site-health view.
-    pub fn liveness(&self) -> &Liveness {
-        &self.liveness
+    /// Take `site` down until [`Network::revive_site`], plan or no plan.
+    pub fn kill_site(&self, site: SiteId) {
+        self.faults.lock().killed.insert(site);
     }
 
-    /// Re-evaluate scheduled crash windows at the current logical time so
-    /// recovered sites rejoin and newly-due crashes take effect. No-op
-    /// without an installed fault plan.
-    pub fn refresh_liveness(&self) {
-        if let Some(injector) = self.fault_injector() {
-            injector.refresh(&self.liveness);
-        }
+    /// Lift a kill. A crash window of the installed plan still counts.
+    pub fn revive_site(&self, site: SiteId) {
+        self.faults.lock().killed.remove(&site);
+    }
+
+    /// The sites down at the current tick: the kill set plus every site a
+    /// crash window of the installed plan covers.
+    pub fn down_sites(&self) -> FxHashSet<SiteId> {
+        let faults = self.faults.lock();
+        let tick = faults.tick();
+        let planned = faults.injector.iter().flat_map(|i| i.plan().crash_sites());
+        faults.killed.iter().copied().chain(planned).filter(|&s| faults.is_down(s, tick)).collect()
     }
 
     /// Nanoseconds since the network's epoch: the clock of every
@@ -277,8 +322,8 @@ impl Network {
     }
 
     /// The one charge path: a same-site message is free and due at once; a
-    /// cross-site one takes the fault layer's decision (one tick), is
-    /// counted — into `class`'s process-wide counters, [`Network::stats`]
+    /// cross-site one takes the fault layer's decision (one tick) and fails
+    /// if either end is down at that tick; a delivered one is counted — into `class`'s process-wide counters, [`Network::stats`]
     /// and `tally` — and reserves its turn on `src`'s NIC. Nobody waits
     /// here: the returned [`Reservation`] says when the message is due.
     fn charge(
@@ -297,22 +342,9 @@ impl Network {
             Traffic::Exchange => (&self.m_messages, &self.m_bytes, &self.m_faults),
             Traffic::Replicate => (&self.m_repl_messages, &self.m_repl_bytes, &self.m_repl_failures),
         };
-        // Clone the injector out so the faults lock is never held across
-        // the NIC lock.
-        let mut delay_factor: u32 = 1;
-        if let Some(injector) = self.fault_injector() {
-            match injector.decide(src, dst, &self.liveness) {
-                FaultDecision::Deliver { delay_factor: f } => delay_factor = f,
-                FaultDecision::Drop => {
-                    m_faults.inc();
-                    return Err(NetError::LinkFault);
-                }
-                FaultDecision::SiteDown(site) => {
-                    m_faults.inc();
-                    return Err(NetError::SiteDead(site));
-                }
-            }
-        }
+        // The faults guard is a temporary: it is never held across the
+        // NIC lock.
+        let delay_factor = self.faults.lock().admit(src, dst).inspect_err(|_| m_faults.inc())?;
         for stats in [Some(&self.stats), tally].into_iter().flatten() {
             stats.messages.fetch_add(1, Ordering::Relaxed);
             stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
@@ -349,7 +381,7 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("config", &self.config)
             .field("stats", &self.stats)
-            .field("liveness", &self.liveness)
+            .field("faults", &*self.faults.lock())
             .finish()
     }
 }
@@ -391,19 +423,63 @@ mod tests {
         let net = Network::new(NetworkConfig::instant());
         net.install_faults(FaultPlan::new(1).crash(SiteId(1), 0));
         assert_eq!(net.replicate(SiteId(0), SiteId(1), 10), Err(NetError::SiteDead(SiteId(1))));
-        assert_eq!(net.liveness().state(SiteId(1)), SiteState::Dead);
-        assert!(net.liveness().down_sites().contains(&SiteId(1)));
+        assert!(net.down_sites().contains(&SiteId(1)));
         net.clear_faults();
-        assert!(net.liveness().is_alive(SiteId(1)));
+        assert!(net.down_sites().is_empty());
+        assert!(net.replicate(SiteId(0), SiteId(1), 10).is_ok());
     }
 
     #[test]
-    fn scheduled_crash_applies_on_refresh_without_traffic() {
+    fn scheduled_crash_is_down_before_any_traffic() {
         let net = Network::new(NetworkConfig::instant());
-        // Crash active from tick 0: install_faults' immediate refresh
-        // marks the site dead before any message flows.
         net.install_faults(FaultPlan::new(1).crash(SiteId(3), 0));
-        assert_eq!(net.liveness().state(SiteId(3)), SiteState::Dead);
+        assert_eq!(net.down_sites().into_iter().collect::<Vec<_>>(), vec![SiteId(3)]);
+    }
+
+    #[test]
+    fn killed_site_fails_without_a_plan() {
+        struct Blob;
+        impl WireSize for Blob {
+            fn wire_size(&self) -> usize {
+                10
+            }
+        }
+        let net = Network::new(NetworkConfig::instant());
+        net.kill_site(SiteId(1));
+        assert_eq!(net.replicate(SiteId(0), SiteId(1), 10), Err(NetError::SiteDead(SiteId(1))));
+        assert_eq!(net.replicate(SiteId(1), SiteId(0), 10), Err(NetError::SiteDead(SiteId(1))));
+        let (tx, _rx) = net_channel::<Blob>(net.clone(), SiteId(1), SiteId(2), 1);
+        assert_eq!(tx.send(Blob), Err(NetError::SiteDead(SiteId(1))));
+        assert_eq!(net.down_sites().into_iter().collect::<Vec<_>>(), vec![SiteId(1)]);
+        net.revive_site(SiteId(1));
+        assert!(net.down_sites().is_empty());
+        assert_eq!(tx.send(Blob), Ok(10));
+        // `clear_faults` lifts every kill too.
+        net.kill_site(SiteId(2));
+        net.clear_faults();
+        assert!(net.replicate(SiteId(0), SiteId(2), 10).is_ok());
+    }
+
+    #[test]
+    fn transient_window_opens_and_closes_at_its_ticks() {
+        let net = Network::new(NetworkConfig::instant());
+        let injector = net.install_faults(FaultPlan::new(1).transient_crash(SiteId(1), 3, 6));
+        for tick in 0..8 {
+            assert_eq!(injector.now(), tick);
+            assert_eq!(net.down_sites().contains(&SiteId(1)), (3..6).contains(&tick), "tick {tick}");
+            // Traffic that never touches site 1 advances the clock.
+            assert!(net.replicate(SiteId(0), SiteId(2), 10).is_ok());
+        }
+    }
+
+    #[test]
+    fn revive_lifts_a_kill_but_not_a_window() {
+        let net = Network::new(NetworkConfig::instant());
+        net.install_faults(FaultPlan::new(1).crash(SiteId(2), 0));
+        net.kill_site(SiteId(2));
+        net.revive_site(SiteId(2));
+        assert!(net.down_sites().contains(&SiteId(2)));
+        assert_eq!(net.replicate(SiteId(0), SiteId(2), 10), Err(NetError::SiteDead(SiteId(2))));
     }
 
     #[test]

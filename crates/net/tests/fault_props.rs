@@ -3,24 +3,25 @@
 //! sequence), and failover assignments must stay total whenever the
 //! backup count covers the dead-site count.
 
-use ic_net::{FaultInjector, FaultPlan, Liveness, Membership, SiteId, TICK_FOREVER};
+use ic_net::{FaultInjector, FaultPlan, Membership, NetworkConfig, Network, SiteId, TICK_FOREVER};
 use proptest::prelude::*;
 use ic_common::hash::FxHashSet;
 
-/// Drive an injector through a fixed serial probe sequence, returning the
-/// decision sequence plus the final liveness snapshot.
-fn replay(
-    plan: FaultPlan,
-    probes: &[(usize, usize)],
-) -> (Vec<String>, Vec<(SiteId, ic_net::SiteState)>) {
-    let injector = FaultInjector::new(plan);
-    let liveness = Liveness::default();
-    let decisions = probes
+/// Drive a network with `plan` installed through a fixed serial probe
+/// sequence, returning per message the injector's decision (its tick, drop
+/// and delay factor) and the network's down set after it.
+fn replay(plan: FaultPlan, probes: &[(usize, usize)]) -> Vec<(String, Vec<SiteId>)> {
+    let net = Network::new(NetworkConfig::instant());
+    let injector = net.install_faults(plan);
+    probes
         .iter()
-        .map(|&(s, d)| format!("{:?}", injector.decide(SiteId(s), SiteId(d), &liveness)))
-        .collect();
-    injector.refresh(&liveness);
-    (decisions, liveness.snapshot())
+        .map(|&(s, d)| {
+            let outcome = format!("{:?}", injector.decide(SiteId(s), SiteId(d)));
+            let mut down: Vec<SiteId> = net.down_sites().into_iter().collect();
+            down.sort();
+            (outcome, down)
+        })
+        .collect()
 }
 
 proptest! {
@@ -34,7 +35,7 @@ proptest! {
     }
 
     /// Replaying any seeded plan over the same message sequence yields the
-    /// identical decision sequence and liveness outcome — the property
+    /// identical outcome and down set after every message — the property
     /// that makes chaos runs reproducible.
     #[test]
     fn decisions_replay_identically(
@@ -46,10 +47,12 @@ proptest! {
         let probes: Vec<(usize, usize)> =
             probes.into_iter().map(|(s, d)| (s % sites, d % sites)).collect();
         let plan = FaultPlan::random(seed, sites, horizon);
-        let (d1, l1) = replay(plan.clone(), &probes);
-        let (d2, l2) = replay(plan, &probes);
-        prop_assert_eq!(d1, d2, "decision sequences diverged for seed {}", seed);
-        prop_assert_eq!(l1, l2, "liveness diverged for seed {}", seed);
+        prop_assert_eq!(
+            replay(plan.clone(), &probes),
+            replay(plan, &probes),
+            "decisions or down sets diverged for seed {}",
+            seed
+        );
     }
 
     /// Per-link drop decisions depend only on the per-link message number,
@@ -62,20 +65,19 @@ proptest! {
         noise in prop::collection::vec(0usize..2, 0..50),
     ) {
         let plan = FaultPlan::new(seed).drop_link(SiteId(0), SiteId(1), prob, 0, TICK_FOREVER);
-        let live = Liveness::default();
         // Run 1: only the faulted link.
         let inj = FaultInjector::new(plan.clone());
         let bare: Vec<String> =
-            (0..20).map(|_| format!("{:?}", inj.decide(SiteId(0), SiteId(1), &live))).collect();
+            (0..20).map(|_| format!("{:?}", inj.decide(SiteId(0), SiteId(1)).1)).collect();
         // Run 2: same link traffic interleaved with unrelated messages.
         let inj = FaultInjector::new(plan);
         let mut mixed = Vec::new();
         for i in 0..20 {
             for &n in noise.iter().skip(i % 3) {
                 // Unrelated links (2 -> 3 or 3 -> 2).
-                inj.decide(SiteId(2 + n), SiteId(3 - n), &live);
+                inj.decide(SiteId(2 + n), SiteId(3 - n));
             }
-            mixed.push(format!("{:?}", inj.decide(SiteId(0), SiteId(1), &live)));
+            mixed.push(format!("{:?}", inj.decide(SiteId(0), SiteId(1)).1));
         }
         // Delay factors are identical (no latency events), so the
         // sequences must match exactly.

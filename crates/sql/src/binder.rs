@@ -19,9 +19,12 @@
 //!   → aggregate the subquery grouped by its correlation keys and join on
 //!   them (TPC-H Q2, Q17).
 //!
-//! Doubly-nested correlated patterns (TPC-H Q20) are rejected with
-//! [`IcError::Unsupported`] — the paper likewise excludes Q20 due to an
-//! unresolved planner bug.
+//! An `IN` subquery must be uncorrelated: one that refers to the enclosing
+//! query at any depth — say, a scalar aggregate inside it correlated with
+//! the outer row — is rejected with [`IcError::Unsupported`], as is a
+//! subquery nested inside `EXISTS`. TPC-H Q20 nests its correlated
+//! aggregate inside an *uncorrelated* `IN` subquery, so it binds and runs
+//! (the paper excludes Q20 for an unresolved planner bug of its own).
 
 use crate::ast::*;
 use ic_common::agg::AggFunc;

@@ -8,9 +8,10 @@
 //! of §3.1 (Figure 2).
 //!
 //! Supported surface: the full TPC-H (minus Q15's VIEWs, which raise
-//! [`ic_common::IcError::Unsupported`] exactly as the paper reports, and
-//! Q20's doubly-nested correlated pattern) and Star Schema Benchmark
-//! dialects, plus CREATE TABLE / CREATE INDEX DDL.
+//! [`ic_common::IcError::Unsupported`] exactly as the paper reports; Q20
+//! binds and runs, though the paper's protocol leaves it out) and Star
+//! Schema Benchmark dialects, plus CREATE TABLE / CREATE INDEX DDL. What the
+//! binder rejects of correlated subqueries is in [`binder`]'s docs.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]

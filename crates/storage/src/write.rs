@@ -346,7 +346,7 @@ fn write_partition(
     if owners.is_empty() {
         return Err(IcError::RebalanceInProgress { partition });
     }
-    let down = network.liveness().down_sites();
+    let down = network.down_sites();
     let primary = owners[0];
     if down.contains(&primary) {
         return Err(IcError::SiteUnavailable {
@@ -381,9 +381,9 @@ fn write_partition(
         match network.replicate(primary, backup, bytes) {
             Ok(()) => ack_sites.push(backup),
             Err(NetError::SiteDead(s)) if s == backup => {
-                // The injector just declared the *backup* dead: treat as a
-                // skipped dead backup, consistent with the liveness view it
-                // updated.
+                // The backup went down since `down` was read (a crash
+                // window opened at this message's tick): skip it like a
+                // backup that was down already.
             }
             Err(NetError::SiteDead(s)) => {
                 // The dead site is the primary itself (it died mid-send).
@@ -451,7 +451,7 @@ fn write_replicated(
 ) -> IcResult<(usize, bool)> {
     let guard = data.write_guard(0);
     let map = catalog.membership().snapshot();
-    let down = network.liveness().down_sites();
+    let down = network.down_sites();
     let live: Vec<SiteId> =
         map.members().iter().copied().filter(|s| !down.contains(s)).collect();
     let Some(&src) = live.first() else {

@@ -99,7 +99,7 @@ fn run_scenario() -> ScenarioOutcome {
         })
         .collect();
     // Structural invariants before the cluster is dropped.
-    let down = cluster.network().liveness().down_sites();
+    let down = cluster.network().down_sites();
     assert!(down.contains(&SiteId(2)), "the seeded crash must have fired");
     let map = cluster.catalog().membership().snapshot();
     let data = cluster

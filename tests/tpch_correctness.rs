@@ -88,16 +88,15 @@ const IC_TOO_SLOW: usize = 2;
 /// within 0.6 s on the 2-core reference host.
 const IC_LIMIT: Duration = Duration::from_secs(5);
 
-/// All 20 runnable queries agree between IC+ and IC+M, and with IC on the 16
-/// its plans can finish.
+/// All 21 runnable queries agree between IC+ and IC+M, and with IC on the 17
+/// its plans can finish. Q20, which the paper's sweeps leave out, runs here
+/// and is checked like the rest; only Q15 (views, [`q15_views_unsupported`])
+/// is skipped.
 #[test]
 fn variants_agree_on_all_queries() {
     let (_, plus, plus_m) = clusters();
     let ic = loaded(&[tpch::DDL, tpch::INDEX_DDL], tpch::generate(SF, 42), IC_LIMIT);
-    for q in 1..=22 {
-        if tpch::EXCLUDED_UNSUPPORTED.contains(&q) {
-            continue;
-        }
+    for q in (1..=22).filter(|&q| q != 15) {
         let sql = tpch::query(q);
         let a = plus.query(&sql).unwrap_or_else(|e| panic!("IC+ Q{q}: {e}"));
         let b = plus_m.query(&sql).unwrap_or_else(|e| panic!("IC+M Q{q}: {e}"));
