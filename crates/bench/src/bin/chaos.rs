@@ -27,7 +27,7 @@
 
 use ic_bench::{calibrated_network, load_tpch, FULL};
 use ic_common::obs::MetricsRegistry;
-use ic_core::{Cluster, ClusterConfig, FaultPlan, SystemVariant};
+use ic_core::{Cluster, ClusterConfig, FaultPlan, SiteId, SystemVariant};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -368,12 +368,20 @@ fn writes_mode(smoke: bool) {
         &cluster, "post-revive", &keys, phase_ops, &mut seq, &mut shadow, &mut tainted,
     ));
 
-    // Retire the newcomer gracefully: primaries promoted away, copies
-    // re-replicated, then it leaves membership.
+    // Retire the newcomer gracefully: the repair pass runs with it
+    // departing, handing its copies off, then it leaves membership and
+    // keeps no replica behind.
     let t0 = Instant::now();
     let moved = cluster.leave_site(newcomer);
     let leave_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("site {newcomer} left: {moved} replicas moved in {leave_ms:.2} ms");
+    let map = cluster.catalog().membership().snapshot();
+    assert!(!map.members().contains(&SiteId(newcomer)), "site {newcomer} is still a member after leaving");
+    for data in cluster.catalog().hash_tables() {
+        for p in 0..map.num_partitions() {
+            assert!(data.replica(p, SiteId(newcomer)).is_none(), "departed site {newcomer} holds partition {p}");
+        }
+    }
     events.push(("leave_handoff_ms", leave_ms));
     phases.push(run_write_phase(
         &cluster, "post-leave", &keys, phase_ops, &mut seq, &mut shadow, &mut tainted,

@@ -368,21 +368,28 @@ impl Cluster {
         &self.controller
     }
 
-    /// Run one repair pass: promote live backups over dead primaries, catch
-    /// up stale revived replicas, re-replicate under-replicated partitions.
+    /// Run the one convergence pass, the only code that moves a partition
+    /// copy: per partition, from a live current copy, promote it over a
+    /// dead or stale primary, catch up stale revived replicas and
+    /// re-replicate under-replicated partitions; then move replicas from
+    /// the most-loaded member to any below its share of owner slots.
     pub fn repair(&self) -> RepairReport {
         self.controller.repair()
     }
 
-    /// Admit a new site into the cluster and rebalance partition replicas
-    /// onto it (chunked migration, concurrent with queries and writes).
-    /// Returns the number of replicas migrated.
+    /// Admit a new site into the cluster and run the pass, whose balance
+    /// phase migrates replicas onto it (chunked, concurrent with queries
+    /// and writes). Returns the number of replicas migrated.
     pub fn join_site(&self, site: usize) -> usize {
         self.controller.join_site(SiteId(site))
     }
 
-    /// Gracefully retire a site: its primaries are promoted away, its
-    /// copies re-replicated, then it is removed from membership.
+    /// Gracefully retire a site: the pass runs with it departing — never a
+    /// destination, never counted toward the replication factor, its
+    /// copies handed off to the other owners — and it leaves membership
+    /// once no owner list names it. A leaver holding the only newest copy
+    /// of a partition stays until it can hand that copy off. Returns the
+    /// number of replicas the pass copied.
     pub fn leave_site(&self, site: usize) -> usize {
         self.controller.leave_site(SiteId(site))
     }
@@ -526,9 +533,10 @@ impl Cluster {
 
     /// The attempt loop of every retryable statement, read or write: `body`
     /// under an `attempt N` span; on a failover-retryable error back off,
-    /// repair replicas (resync stale ones before a replanned read can route
-    /// to one, promote live backups so a retried write has a primary) and go
-    /// again; the retry places itself on the sites up at its own tick.
+    /// probe the site found down (so the message clock moves), repair
+    /// replicas (resync stale ones before a replanned read can route to one,
+    /// promote live backups so a retried write has a primary) and go again;
+    /// the retry places itself on the sites up at its own tick.
     /// Returns the answer and its retries.
     fn attempts<T>(
         &self,
@@ -564,6 +572,9 @@ impl Cluster {
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
+                    if let IcError::SiteUnavailable { site, .. } = e {
+                        self.probe(SiteId(site));
+                    }
                     self.controller.repair();
                 }
                 Err(e) => {
@@ -573,6 +584,19 @@ impl Cluster {
                     return Err(e);
                 }
             }
+        }
+    }
+
+    /// Send one control frame from the lowest live member to `site`,
+    /// ignoring the outcome. Crash windows are measured in messages, and an
+    /// attempt that failed before sending any (a down primary, a partition
+    /// with no live copy) would otherwise leave the clock, and so the down
+    /// set, where it was for every retry.
+    fn probe(&self, site: SiteId) {
+        let down = self.network.down_sites();
+        let map = self.catalog.membership().snapshot();
+        if let Some(&from) = map.members().iter().find(|s| !down.contains(s)) {
+            let _ = self.network.replicate(from, site, 64);
         }
     }
 
@@ -1292,6 +1316,14 @@ mod tests {
         }
         let map = cluster.catalog().membership().snapshot();
         assert_eq!(map.owners_of(0), &[SiteId(0), SiteId(1)]);
+        let mut keys = keys_routed_to(&cluster, 0, 0);
+        (cluster, keys.next().unwrap(), keys.next().unwrap())
+    }
+
+    /// Integer keys from `from` up that a one-column key routes to
+    /// partition `p`.
+    fn keys_routed_to(cluster: &Cluster, p: usize, from: i64) -> impl Iterator<Item = i64> {
+        let map = cluster.catalog().membership().snapshot();
         let hash = |k: i64| {
             let key = ic_common::ColumnBatch::from_typed_rows(
                 &[ic_common::DataType::Int],
@@ -1299,8 +1331,7 @@ mod tests {
             );
             key.hash_keys(&[0])[0]
         };
-        let mut keys = (0..).filter(|&k| map.partition_of_hash(hash(k)) == 0);
-        (cluster, keys.next().unwrap(), keys.next().unwrap())
+        (from..).filter(move |&k| map.partition_of_hash(hash(k)) == p)
     }
 
     fn rows_of(cluster: &Cluster, table: &str) -> IcResult<Vec<(i64, i64)>> {
@@ -1372,6 +1403,59 @@ mod tests {
         cluster.revive_site(0);
         let q = cluster.query("SELECT count(*) FROM t WHERE a >= 5000").unwrap();
         assert_eq!(q.rows[0].0[0].as_int(), Some(4), "an acknowledged write was lost");
+    }
+
+    /// Site 1 misses an acknowledged write inside a crash window and comes
+    /// back live but stale, so the leaver, site 0, holds the only current
+    /// copy of partition 0: the pass sources from it, catches site 1 up and
+    /// hands off, and site 0 leaves without a trace.
+    #[test]
+    fn live_leaver_hands_off_the_only_current_copy() {
+        let cluster = failover_cluster(2, 1);
+        cluster.install_faults(FaultPlan::new(5).transient_crash(SiteId(1), 0, 3));
+        let k = keys_routed_to(&cluster, 0, 5000).next().unwrap();
+        cluster.dml(&format!("INSERT INTO t (a, b) VALUES ({k}, 1)")).unwrap();
+        // Traffic moves the clock past the window (a closed window needs no
+        // revive, so no repair resyncs site 1).
+        while !cluster.network().down_sites().is_empty() {
+            let _ = cluster.network().replicate(SiteId(0), SiteId(1), 64);
+        }
+        let tables = cluster.catalog().hash_tables();
+        assert_eq!(cluster.catalog().current_copy(0, &tables, [SiteId(0), SiteId(1)]), Some(SiteId(0)));
+        cluster.leave_site(0);
+        let map = cluster.catalog().membership().snapshot();
+        assert_eq!(map.members(), &[SiteId(1)]);
+        for p in 0..map.num_partitions() {
+            assert_eq!(map.owners_of(p), &[SiteId(1)], "partition {p}");
+            assert!(tables.iter().all(|d| d.replica(p, SiteId(0)).is_none()), "partition {p}");
+        }
+        let q = cluster.query(&format!("SELECT count(*) FROM t WHERE a < 2000 OR a = {k}")).unwrap();
+        assert_eq!(q.rows[0].0[0].as_int(), Some(2001), "an acknowledged write was lost");
+    }
+
+    /// A statement that fails before sending anything (a down primary, a
+    /// partition with no live copy) still moves the message clock once per
+    /// retry, so a crash window of three messages closes under the fourth
+    /// attempt instead of exhausting the retries.
+    #[test]
+    fn a_retry_moves_the_fault_clock() {
+        let config = ClusterConfig {
+            sites: 2,
+            backups: 0,
+            retry_backoff: Duration::ZERO,
+            max_retries: 4,
+            ..ClusterConfig::test_default()
+        };
+        let crash = || FaultPlan::new(1).transient_crash(SiteId(1), 0, 3);
+        let cluster = cluster_with_t(config.clone());
+        cluster.install_faults(crash());
+        let k = keys_routed_to(&cluster, 1, 5000).next().unwrap();
+        let r = cluster.dml(&format!("INSERT INTO t (a, b) VALUES ({k}, 1)")).unwrap();
+        assert_eq!((r.rows_affected, r.retries), (1, 3));
+        let cluster = cluster_with_t(config);
+        cluster.install_faults(crash());
+        let q = cluster.query("SELECT count(*) FROM t").unwrap();
+        assert_eq!((q.rows[0].0[0].as_int(), q.retries), (Some(2000), 3));
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! full replication factor where
 //!
 //! * no partition is left unowned,
-//! * every live replica of a partition has the identical store, and
-//! * every *acknowledged* write is still readable with the right value.
+//! * every live replica of a partition has the identical store,
+//! * every *acknowledged* write is still readable with the right value,
+//! * a second repair pass finds nothing to do, and
+//! * every site a graceful leave removed from membership holds no replica.
 //!
 //! After every op both tables are read: a read either fails retryably or
 //! holds every row acknowledged so far. Two tables share each partition's
 //! owner list, so a copy can be current for one and stale for the other.
 
 use ic_common::IcError;
-use ic_core::{Cluster, ClusterConfig, SystemVariant};
+use ic_core::{Cluster, ClusterConfig, RepairReport, SystemVariant};
 use ic_net::{FaultPlan, SiteId, SplitMix64};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -65,6 +67,7 @@ proptest! {
         let mut next_key = 0i64;
         let mut next_site = 4usize;
         let mut killed: Vec<usize> = Vec::new();
+        let mut departed: Vec<usize> = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
             let members: Vec<usize> = cluster
                 .catalog()
@@ -103,6 +106,10 @@ proptest! {
                     if members.len() > 2 && candidates.len() > 1 {
                         let s = candidates[rng.next_below(candidates.len() as u64) as usize];
                         cluster.leave_site(s);
+                        let map = cluster.catalog().membership().snapshot();
+                        if !map.members().contains(&SiteId(s)) {
+                            departed.push(s);
+                        }
                     }
                 }
                 // A write batch, to the two tables in turn; only
@@ -145,6 +152,8 @@ proptest! {
             cluster.revive_site(s);
         }
         cluster.repair();
+        // The pass is idempotent: a second one finds nothing to move.
+        prop_assert_eq!(cluster.repair(), RepairReport::default());
         let map = cluster.catalog().membership().snapshot();
         let members = map.members().len();
         prop_assert!(members >= 2);
@@ -170,6 +179,10 @@ proptest! {
                 for s in &stores[1..] {
                     prop_assert_eq!(s.version(), stores[0].version(), "partition {} version skew", p);
                     prop_assert_eq!(s.num_rows(), stores[0].num_rows());
+                }
+                // A departed site keeps no copy behind.
+                for &s in &departed {
+                    prop_assert!(data.replica(p, SiteId(s)).is_none(), "departed site {} holds partition {}", s, p);
                 }
             }
         }

@@ -43,8 +43,8 @@ use ic_common::obs::{AttemptStats, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{panic_message, ColumnBatch, IcError, IcResult, Row};
 use ic_net::{
-    net_channel, Assignment, FailoverError, NetError, NetObs, NetReceiver, NetSender, NetStats,
-    Network, SiteId, WireSize,
+    net_channel, split_by_partition, Assignment, FailoverError, NetError, NetObs, NetReceiver,
+    NetSender, NetStats, Network, SiteId, WireSize,
 };
 use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
@@ -275,18 +275,11 @@ impl ExchangeCore {
         self.rr = (variant + 1) % self.spread;
         let pieces: Vec<(usize, ColumnBatch)> = match &self.to {
             Distribution::Hash(keys) if self.by_partition => {
-                // The routing hash (`hash_keys`) to its partition, as storage
-                // partitions by, then one selection view per destination;
-                // rows gather at ship.
-                let mut keep: Vec<Vec<u32>> = vec![Vec::new(); self.assignment.num_partitions()];
-                for (k, &hash) in batch.hash_keys(keys).iter().enumerate() {
-                    keep[self.assignment.partition_of_hash(hash)].push(k as u32);
-                }
-                keep.iter()
-                    .enumerate()
-                    .filter(|(_, keep)| !keep.is_empty())
-                    .map(|(dest, keep)| (dest * self.spread + variant, batch.select_logical(keep)))
-                    .collect()
+                // Storage's router: one selection view per destination
+                // partition, renumbered to its route; rows gather at ship.
+                let mut pieces = split_by_partition(&batch, keys, self.assignment.num_partitions());
+                pieces.iter_mut().for_each(|(route, _)| *route = *route * self.spread + variant);
+                pieces
             }
             Distribution::Random => return Err(IcError::Exec("cannot exchange to random".into())),
             _ => vec![(variant, batch)],

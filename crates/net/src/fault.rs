@@ -35,9 +35,8 @@ pub enum FaultKind {
     /// link-local message number).
     LinkDrop { src: SiteId, dst: SiteId, prob: f64 },
     /// The site is down while the window is open: every transfer touching
-    /// it fails. `transient` only labels the window in timelines and specs
-    /// (a permanent crash's window never closes).
-    SiteCrash { site: SiteId, transient: bool },
+    /// it fails. A permanent crash is a window that never closes.
+    SiteCrash { site: SiteId },
     /// Multiply every transfer delay by `factor` (congestion).
     LatencySpike { factor: u32 },
 }
@@ -48,9 +47,7 @@ impl fmt::Display for FaultKind {
             FaultKind::LinkDrop { src, dst, prob } => {
                 write!(f, "drop({src}->{dst}, p={prob:.2})")
             }
-            FaultKind::SiteCrash { site, transient } => {
-                write!(f, "crash({site}, {})", if *transient { "transient" } else { "permanent" })
-            }
+            FaultKind::SiteCrash { site } => write!(f, "crash({site})"),
             FaultKind::LatencySpike { factor } => write!(f, "latency(x{factor})"),
         }
     }
@@ -94,12 +91,12 @@ impl FaultPlan {
 
     /// Permanently crash `site` at tick `at`.
     pub fn crash(self, site: SiteId, at: u64) -> FaultPlan {
-        self.event(FaultKind::SiteCrash { site, transient: false }, at, TICK_FOREVER)
+        self.event(FaultKind::SiteCrash { site }, at, TICK_FOREVER)
     }
 
     /// Crash `site` for ticks `[start, end)`, then recover.
     pub fn transient_crash(self, site: SiteId, start: u64, end: u64) -> FaultPlan {
-        self.event(FaultKind::SiteCrash { site, transient: true }, start, end)
+        self.event(FaultKind::SiteCrash { site }, start, end)
     }
 
     /// Drop messages on `src → dst` with probability `prob` during
@@ -116,14 +113,14 @@ impl FaultPlan {
     /// Whether a crash window of this plan covers `site` at `tick`.
     pub fn crashed(&self, site: SiteId, tick: u64) -> bool {
         self.events.iter().any(|ev| {
-            matches!(ev.kind, FaultKind::SiteCrash { site: s, .. } if s == site) && ev.covers(tick)
+            matches!(ev.kind, FaultKind::SiteCrash { site: s } if s == site) && ev.covers(tick)
         })
     }
 
     /// Every site some crash window of this plan names.
     pub fn crash_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.events.iter().filter_map(|ev| match ev.kind {
-            FaultKind::SiteCrash { site, .. } => Some(site),
+            FaultKind::SiteCrash { site } => Some(site),
             _ => None,
         })
     }
@@ -161,8 +158,9 @@ impl FaultPlan {
     }
 
     /// Serialize the plan to a single-line spec, e.g.
-    /// `seed=7; crash(2)@5; transient(1)@[0,3); drop(0->1,0.25)@[0,100);
-    /// latency(x3)@[10,20)`. The format is the on-disk representation of
+    /// `seed=7; crash(2)@5; crash(1)@[0,3); drop(0->1,0.25)@[0,100);
+    /// latency(x3)@[10,20)` — a crash window that never closes is written
+    /// by its start tick alone. The format is the on-disk representation of
     /// fuzz regression fixtures, so
     /// [`FaultPlan::parse_spec`] round-trips it exactly (floats use
     /// shortest-round-trip formatting).
@@ -178,13 +176,10 @@ impl FaultPlan {
         for ev in &self.events {
             let window = format!("[{},{})", tick(ev.start), tick(ev.end));
             let part = match &ev.kind {
-                FaultKind::SiteCrash { site, transient: false } if ev.end == TICK_FOREVER => {
+                FaultKind::SiteCrash { site } if ev.end == TICK_FOREVER => {
                     format!("crash({})@{}", site.0, ev.start)
                 }
-                FaultKind::SiteCrash { site, transient } => {
-                    let tag = if *transient { "transient" } else { "crash" };
-                    format!("{tag}({})@{window}", site.0)
-                }
+                FaultKind::SiteCrash { site } => format!("crash({})@{window}", site.0),
                 FaultKind::LinkDrop { src, dst, prob } => {
                     format!("drop({}->{},{prob})@{window}", src.0, dst.0)
                 }
@@ -218,10 +213,7 @@ impl FaultPlan {
                 .ok_or_else(|| format!("malformed event '{part}'"))?;
             let (start, end) = parse_window(window.trim())?;
             let kind = match name {
-                "crash" | "transient" => FaultKind::SiteCrash {
-                    site: SiteId(parse_usize(args)?),
-                    transient: name == "transient",
-                },
+                "crash" => FaultKind::SiteCrash { site: SiteId(parse_usize(args)?) },
                 "drop" => {
                     let (link, prob) =
                         args.split_once(',').ok_or_else(|| format!("bad drop args '{args}'"))?;
@@ -430,6 +422,7 @@ mod tests {
             .drop_link(SiteId(0), SiteId(1), 0.25, 0, 100)
             .latency_spike(3, 10, 20);
         let spec = plan.to_spec();
+        assert_eq!(spec, "seed=77; crash(2)@5; crash(1)@[0,3); drop(0->1,0.25)@[0,100); latency(x3)@[10,20)");
         assert_eq!(FaultPlan::parse_spec(&spec).unwrap(), plan);
         // Random plans (seeded probabilities) round-trip too.
         for seed in 0..50 {
@@ -439,6 +432,7 @@ mod tests {
         assert!(FaultPlan::parse_spec("crash(1)@0").is_err());
         assert!(FaultPlan::parse_spec("seed=1; bogus(1)@0").is_err());
         assert!(FaultPlan::parse_spec("seed=1; partition(0|2)@[5,inf)").is_err());
+        assert!(FaultPlan::parse_spec("seed=1; transient(1)@[0,3)").is_err());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use fault::{
     FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultPlan, SplitMix64, TICK_FOREVER,
 };
 pub use membership::{Membership, ReplicaMap};
-pub use topology::{Assignment, FailoverError, SiteId};
+pub use topology::{split_by_partition, Assignment, FailoverError, SiteId};
 pub use wire::WireSize;
 
 use ic_common::hash::FxHashSet;

@@ -5,11 +5,12 @@
 //! writes the layout and [`ReplicaMap::assignment`](crate::ReplicaMap::assignment)
 //! is the one rule that resolves it against the down sites into an
 //! [`Assignment`]; `partition_of_hash` is the one `hash → partition` rule
-//! both routes share. A partition is also the unit of execution: a
-//! partitioned fragment runs one instance per partition, at the partition's
-//! serving site, and a hash exchange addresses its destination instance by
-//! partition.
+//! both routes share, and [`split_by_partition`] the one batch router. A
+//! partition is also the unit of execution: a partitioned fragment runs one
+//! instance per partition, at the partition's serving site, and a hash
+//! exchange addresses its destination instance by partition.
 
+use ic_common::ColumnBatch;
 use std::fmt;
 
 /// A logical processing site — one "machine" of the paper's 4/8-node
@@ -29,6 +30,19 @@ impl fmt::Display for SiteId {
 /// ([`Assignment::partition_of_hash`]).
 pub(crate) fn partition_of_hash(hash: u64, partitions: usize) -> usize {
     (hash % partitions as u64) as usize
+}
+
+/// The one batch router, of bulk loads, DML inserts and hash exchanges:
+/// `hash_keys` over `keys`, each row's partition among `partitions`, then
+/// one selection view per partition that receives rows, in partition
+/// order.
+pub fn split_by_partition(batch: &ColumnBatch, keys: &[usize], partitions: usize) -> Vec<(usize, ColumnBatch)> {
+    let mut sels: Vec<Vec<u32>> = vec![Vec::new(); partitions];
+    for (k, hash) in batch.hash_keys(keys).into_iter().enumerate() {
+        sels[partition_of_hash(hash, partitions)].push(k as u32);
+    }
+    let routed = sels.into_iter().enumerate().filter(|(_, sel)| !sel.is_empty());
+    routed.map(|(p, sel)| (p, batch.select_logical(&sel))).collect()
 }
 
 /// A snapshot of partition ownership for one query attempt: which sites are

@@ -37,7 +37,7 @@ use ic_common::hash::FxHashMap;
 use ic_common::obs::{Counter, MetricsRegistry};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{ColumnBatch, DataType, Expr, IcError, IcResult, Schema};
-use ic_net::{NetError, Network, ReplicaMap, SiteId, WireSize};
+use ic_net::{split_by_partition, NetError, Network, ReplicaMap, SiteId, WireSize};
 use std::sync::{Arc, OnceLock};
 
 /// A bound, fully-typed DML operation, ready to apply to partition stores.
@@ -101,24 +101,18 @@ fn metrics() -> &'static WriteMetrics {
     })
 }
 
-/// The one router of bulk loads and DML inserts: `hash_keys` over the
-/// distribution key, the membership map's partition, then one selection
-/// view per partition that receives rows, in partition order (a replicated
-/// table's one partition takes them all).
+/// Route bulk-load and DML-insert rows to their partitions by the
+/// distribution key ([`split_by_partition`]); a replicated table's one
+/// partition takes them all.
 pub(crate) fn split(
     rows: &ColumnBatch,
     dist: &TableDistribution,
     map: &ReplicaMap,
 ) -> Vec<(usize, ColumnBatch)> {
-    let TableDistribution::HashPartitioned { key_cols } = dist else {
-        return vec![(0, rows.clone())];
-    };
-    let mut sels: Vec<Vec<u32>> = vec![Vec::new(); map.num_partitions()];
-    for (k, hash) in rows.hash_keys(key_cols).into_iter().enumerate() {
-        sels[map.partition_of_hash(hash)].push(k as u32);
+    match dist {
+        TableDistribution::HashPartitioned { key_cols } => split_by_partition(rows, key_cols, map.num_partitions()),
+        TableDistribution::Replicated => vec![(0, rows.clone())],
     }
-    let routed = sels.into_iter().enumerate().filter(|(_, sel)| !sel.is_empty());
-    routed.map(|(p, sel)| (p, rows.select_logical(&sel))).collect()
 }
 
 /// Rows of a stored chunk matching `predicate` (`None` = all rows).
