@@ -15,11 +15,12 @@
 //! interleaved INSERT/UPDATE/DELETE stream runs across a scripted
 //! topology storyline (kill a primary mid-stream, admit a fresh site,
 //! revive the dead one, retire the newcomer) and reports per-phase
-//! write availability, the client-visible promotion latency of the
-//! first write that had to fail over, and the rebalance/replication
-//! counters. Every acknowledged write is verified readable at the end
-//! and the cluster must be back at full replication factor — the run
-//! *asserts* both, so it is a correctness gate as much as a benchmark.
+//! write availability and replication messages per acked write, the
+//! client-visible promotion latency of the first write that had to fail
+//! over, and the rebalance/replication counters. Every acknowledged
+//! write is verified readable at the end and every partition must be back
+//! at exactly the replication factor — the run *asserts* both, so it is a
+//! correctness gate as much as a benchmark.
 //! Writes `BENCH_dml.json`; `--writes --smoke` runs a scaled-down
 //! asserting pass for CI and writes under `target/bench/`.
 
@@ -148,11 +149,18 @@ struct PhaseStats {
     /// Wall time of the first write in this phase that needed failover
     /// retries — the client-visible promotion latency after a kill.
     first_failover_ms: Option<f64>,
+    /// `net.replicate.messages` sent during the phase: write replication,
+    /// plus any repair copies and retry probes the phase triggered.
+    replicate_messages: u64,
 }
 
 impl PhaseStats {
     fn availability(&self) -> f64 {
         100.0 * self.acked as f64 / self.attempted.max(1) as f64
+    }
+
+    fn messages_per_ack(&self) -> f64 {
+        self.replicate_messages as f64 / self.acked.max(1) as f64
     }
 }
 
@@ -173,6 +181,8 @@ fn run_write_phase(
     tainted: &mut BTreeSet<i64>,
 ) -> PhaseStats {
     let mut stats = PhaseStats { name, ..PhaseStats::default() };
+    let replicated = MetricsRegistry::global().counter("net.replicate.messages");
+    let messages0 = replicated.get();
     let t0 = Instant::now();
     for _ in 0..ops {
         let k = keys[(*seq as usize) % keys.len()];
@@ -217,13 +227,17 @@ fn run_write_phase(
         }
     }
     stats.wall = t0.elapsed();
+    stats.replicate_messages = replicated.get() - messages0;
     println!(
-        "phase {name:<12} {:>4} writes: {} acked ({:.1}% available), {} failed over ({} retries){}",
+        "phase {name:<12} {:>4} writes: {} acked ({:.1}% available), {} failed over ({} retries), \
+{} replication messages ({:.2} per acked write){}",
         stats.attempted,
         stats.acked,
         stats.availability(),
         stats.retried_writes,
         stats.retries_total,
+        stats.replicate_messages,
+        stats.messages_per_ack(),
         stats
             .first_failover_ms
             .map(|ms| format!(", first failover write {ms:.2} ms"))
@@ -271,8 +285,8 @@ fn verify_writes(
     for p in 0..map.num_partitions() {
         let owners = map.owners_of(p).to_vec();
         assert!(
-            owners.len() >= wanted,
-            "partition {p} under-replicated after recovery: {} < {wanted} owners",
+            owners.len() == wanted,
+            "partition {p} not at the replication factor after recovery: {} != {wanted} owners",
             owners.len()
         );
         let versions: Vec<u64> =
@@ -435,7 +449,8 @@ fn write_dml_json(
         .map(|p| {
             format!(
                 "    {{\"name\": \"{}\", \"attempted\": {}, \"acked\": {}, \"failed\": {}, \
-\"availability_pct\": {:.2}, \"failover_writes\": {}, \"retries\": {}, \"wall_ms\": {:.2}{}}}",
+\"availability_pct\": {:.2}, \"failover_writes\": {}, \"retries\": {}, \"wall_ms\": {:.2}, \
+\"replicate_messages\": {}, \"replicate_messages_per_ack\": {:.3}{}}}",
                 p.name,
                 p.attempted,
                 p.acked,
@@ -444,6 +459,8 @@ fn write_dml_json(
                 p.retried_writes,
                 p.retries_total,
                 p.wall.as_secs_f64() * 1e3,
+                p.replicate_messages,
+                p.messages_per_ack(),
                 p.first_failover_ms
                     .map(|ms| format!(", \"first_failover_ms\": {ms:.3}"))
                     .unwrap_or_default(),

@@ -369,25 +369,27 @@ impl Cluster {
     }
 
     /// Run the one convergence pass, the only code that moves a partition
-    /// copy: per partition, from a live current copy, promote it over a
-    /// dead or stale primary, catch up stale revived replicas and
-    /// re-replicate under-replicated partitions; then move replicas from
-    /// the most-loaded member to any below its share of owner slots.
+    /// copy: per partition, from a live current copy, copy current every
+    /// live target owner (the first `backups + 1` live members of the
+    /// partition's [`ic_net::affinity`] ranking) that is not, then install
+    /// the targets as the owner list, followed by any down owners. Once
+    /// every target owner is live and current, the list is the target.
     pub fn repair(&self) -> RepairReport {
         self.controller.repair()
     }
 
-    /// Admit a new site into the cluster and run the pass, whose balance
-    /// phase migrates replicas onto it (chunked, concurrent with queries
-    /// and writes). Returns the number of replicas migrated.
+    /// Admit a new site into the cluster and run the pass, which copies
+    /// onto it the partitions whose targets now name it (chunked,
+    /// concurrent with queries and writes). Returns the number of replicas
+    /// copied to new owners.
     pub fn join_site(&self, site: usize) -> usize {
         self.controller.join_site(SiteId(site))
     }
 
-    /// Gracefully retire a site: the pass runs with it departing — never a
-    /// destination, never counted toward the replication factor, its
-    /// copies handed off to the other owners — and it leaves membership
-    /// once no owner list names it. A leaver holding the only newest copy
+    /// Gracefully retire a site: the pass runs with it departing — left out
+    /// of every partition's ranking, so its copies move to the targets of
+    /// the other members — and it leaves membership once no owner list
+    /// names it. A leaver holding the only newest copy
     /// of a partition stays until it can hand that copy off. Returns the
     /// number of replicas the pass copied.
     pub fn leave_site(&self, site: usize) -> usize {
@@ -1271,14 +1273,29 @@ mod tests {
         assert!(matches!(err, IcError::RetriesExhausted { .. }), "{err}");
     }
 
+    /// Every owner list of `cluster` is its partition's target: the first
+    /// `copies` entries of the affinity ranking of the members.
+    fn assert_on_target(cluster: &Cluster, copies: usize) {
+        let map = cluster.catalog().membership().snapshot();
+        for p in 0..map.num_partitions() {
+            let target: Vec<SiteId> = ic_net::affinity(map.members(), p).take(copies).collect();
+            assert_eq!(map.owners_of(p), target, "partition {p}");
+        }
+    }
+
+    /// A join copies only what the 5-member targets ask for: partition 3's
+    /// backup moves from site 0 to site 4.
     #[test]
     fn join_site_migrates_and_serves() {
         let cluster = failover_cluster(4, 1);
-        let migrated = cluster.join_site(4);
-        assert!(migrated > 0, "the joiner should receive at least one replica");
+        assert_eq!(cluster.join_site(4), 1);
         let map = cluster.catalog().membership().snapshot();
         assert_eq!(map.members().len(), 5);
-        assert!(!map.partitions_hosted_by(SiteId(4)).is_empty());
+        assert_eq!(map.partitions_hosted_by(SiteId(4)), [3]);
+        assert_eq!(map.owners_of(3), [SiteId(3), SiteId(4)]);
+        assert_on_target(&cluster, 2);
+        let tables = cluster.catalog().hash_tables();
+        assert!(tables.iter().all(|d| d.replica(3, SiteId(0)).is_none()), "the trimmed copy stayed");
         let q = cluster.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(q.rows[0].0[0].as_int(), Some(2000));
         let r = cluster.dml("INSERT INTO t (a, b) VALUES (9001, 3)").unwrap();
@@ -1347,7 +1364,7 @@ mod tests {
         let r = cluster.dml(&format!("INSERT INTO t2 (k, v) VALUES ({k2}, 2)")).unwrap();
         assert_eq!(r.rows_affected, 1);
         let owners = cluster.catalog().membership().snapshot().owners_of(0).to_vec();
-        assert_eq!(owners, [SiteId(0), SiteId(1), SiteId(2)], "repair added site 2");
+        assert_eq!(owners, [SiteId(0), SiteId(2), SiteId(1)], "repair added site 2");
         cluster.kill_site(0);
         cluster.kill_site(2);
         cluster.revive_site(1);
@@ -1458,21 +1475,42 @@ mod tests {
         assert_eq!((q.rows[0].0[0].as_int(), q.retries), (Some(2000), 3));
     }
 
+    /// A leave results in the 3-member rotation: every partition on its
+    /// target without the departed site, at the full replication factor.
     #[test]
     fn leave_site_keeps_data_and_replication() {
         let cluster = failover_cluster(4, 1);
-        let moved = cluster.leave_site(0);
+        assert!(cluster.leave_site(0) > 0);
         let map = cluster.catalog().membership().snapshot();
-        assert_eq!(map.members().len(), 3);
-        // Every partition keeps the target replication factor without the
-        // departed site.
-        for p in 0..map.num_partitions() {
-            assert!(!map.owners_of(p).contains(&SiteId(0)), "partition {p}");
-            assert!(map.owners_of(p).len() >= 2, "partition {p} under-replicated");
-        }
-        assert!(moved > 0);
+        assert_eq!(map.members(), [SiteId(1), SiteId(2), SiteId(3)]);
+        let owners: Vec<&[SiteId]> = (0..4).map(|p| map.owners_of(p)).collect();
+        let (s1, s2, s3) = (SiteId(1), SiteId(2), SiteId(3));
+        assert_eq!(owners, [&[s1, s2][..], &[s2, s3], &[s3, s1], &[s1, s2]]);
+        assert_on_target(&cluster, 2);
         let q = cluster.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(q.rows[0].0[0].as_int(), Some(2000));
+    }
+
+    /// The layout after a failure depends on membership, not history: a
+    /// site that missed a write and returns is resynced, leads its
+    /// partition again, and the copies made while it was down are trimmed,
+    /// so every partition is back to its boot owners.
+    #[test]
+    fn a_revived_site_gets_its_partitions_back() {
+        let cluster = failover_cluster(4, 1);
+        cluster.kill_site(2);
+        let k = keys_routed_to(&cluster, 2, 5000).next().unwrap();
+        cluster.dml(&format!("INSERT INTO t (a, b) VALUES ({k}, 1)")).unwrap();
+        cluster.revive_site(2);
+        for _ in 0..3 {
+            cluster.repair();
+        }
+        assert_on_target(&cluster, 2);
+        let map = cluster.catalog().membership().snapshot();
+        assert_eq!(map.primary_of(2), SiteId(2));
+        assert!((0..4).all(|p| map.owners_of(p).len() == 2), "{map:?}");
+        let q = cluster.query(&format!("SELECT count(*) FROM t WHERE a < 2000 OR a = {k}")).unwrap();
+        assert_eq!(q.rows[0].0[0].as_int(), Some(2001));
     }
 
     #[test]

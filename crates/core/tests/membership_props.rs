@@ -4,7 +4,9 @@
 //! reads consistently throughout and converges after repair to a cluster at
 //! full replication factor where
 //!
-//! * no partition is left unowned,
+//! * every owner list is its partition's target, the first `BACKUPS + 1`
+//!   entries of the affinity ranking of the final members, whatever the
+//!   history (every member is live by then),
 //! * every live replica of a partition has the identical store,
 //! * every *acknowledged* write is still readable with the right value,
 //! * a second repair pass finds nothing to do, and
@@ -157,16 +159,21 @@ proptest! {
         let map = cluster.catalog().membership().snapshot();
         let members = map.members().len();
         prop_assert!(members >= 2);
+        // History independence: the layout is a function of membership.
+        for p in 0..map.num_partitions() {
+            let target: Vec<SiteId> = ic_net::affinity(map.members(), p).take(BACKUPS + 1).collect();
+            prop_assert_eq!(map.owners_of(p), &target[..], "partition {} off its target", p);
+        }
         let tables = cluster.catalog().hash_tables();
         for data in &tables {
             for p in 0..map.num_partitions() {
                 let owners = map.owners_of(p);
-                // No partition unowned, and back to the full replication factor
-                // (bounded by cluster size).
+                // No partition unowned, and exactly the full replication
+                // factor (bounded by cluster size).
                 prop_assert!(!owners.is_empty(), "partition {} unowned", p);
                 prop_assert!(
-                    owners.len() >= (BACKUPS + 1).min(members),
-                    "partition {} under-replicated: {:?}",
+                    owners.len() == (BACKUPS + 1).min(members),
+                    "partition {} not at the replication factor: {:?}",
                     p,
                     owners
                 );

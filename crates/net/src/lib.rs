@@ -40,7 +40,7 @@ pub use channel::{net_channel, NetError, NetObs, NetReceiver, NetSender};
 pub use fault::{
     FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultPlan, SplitMix64, TICK_FOREVER,
 };
-pub use membership::{Membership, ReplicaMap};
+pub use membership::{affinity, Membership, ReplicaMap};
 pub use topology::{split_by_partition, Assignment, FailoverError, SiteId};
 pub use wire::WireSize;
 

@@ -1,9 +1,13 @@
 //! Cluster membership and partition placement — the one authority for which
 //! site holds which partition.
 //!
-//! [`Membership::new`] writes the boot layout, Ignite's affinity function:
-//! one hash partition per site, partition `p`'s primary on site `p`, and
-//! `backups` copies on the next sites round-robin. The [`ReplicaMap`] is an
+//! [`affinity`] ranks the members for a partition: the ascending member
+//! list rotated to start at index `p mod n`. Its first `backups + 1` sites
+//! are partition `p`'s target owners, primary first. [`Membership::new`]
+//! writes the targets of the boot set (one hash partition per site, so
+//! partition `p`'s primary is site `p` and its backups the next sites
+//! round-robin), and the rebalance controller steers every later layout
+//! to the targets of the current members. The [`ReplicaMap`] is an
 //! immutable snapshot (who is a member, and for every partition the ordered
 //! owner list — primary first, then backups). [`Membership`] wraps the
 //! current map behind a lock and hands out `Arc` snapshots, so readers and
@@ -20,6 +24,14 @@ use crate::topology::{partition_of_hash, Assignment, FailoverError, SiteId};
 use ic_common::hash::FxHashSet;
 use parking_lot::RwLock;
 use std::sync::Arc;
+
+/// The affinity ranking of `members` (ascending) for `partition`: the list
+/// rotated to start at index `partition mod members.len()`. The first
+/// `backups + 1` entries are the partition's target owners, primary first.
+pub fn affinity(members: &[SiteId], partition: usize) -> impl Iterator<Item = SiteId> + '_ {
+    let start = partition % members.len().max(1);
+    members[start..].iter().chain(&members[..start]).copied()
+}
 
 /// One immutable snapshot of cluster membership and partition ownership.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,20 +122,17 @@ pub struct Membership {
 
 impl Membership {
     /// The boot layout of a `sites`-site cluster: every site a member, one
-    /// partition per site, partition `p` owned by site `p` and then by the
-    /// next `backups` sites round-robin. `backups` is capped at `sites - 1`:
-    /// more copies than other sites is meaningless.
+    /// partition per site, each owned by its [`affinity`] targets.
+    /// `backups` is capped at `sites - 1`: more copies than other sites is
+    /// meaningless.
     pub fn new(sites: usize, backups: usize) -> Membership {
         assert!(sites > 0, "cluster needs at least one site");
         let backups = backups.min(sites - 1);
-        let owners =
-            (0..sites).map(|p| (0..=backups).map(|i| SiteId((p + i) % sites)).collect()).collect();
+        let members: Vec<SiteId> = (0..sites).map(SiteId).collect();
+        let owners = (0..sites).map(|p| affinity(&members, p).take(backups + 1).collect()).collect();
         Membership {
             target_backups: backups,
-            map: RwLock::named(
-                Arc::new(ReplicaMap { members: (0..sites).map(SiteId).collect(), owners }),
-                "membership.map",
-            ),
+            map: RwLock::named(Arc::new(ReplicaMap { members, owners }), "membership.map"),
         }
     }
 
@@ -173,8 +182,7 @@ impl Membership {
     }
 
     /// Install a new owner list for `partition` — the rebalance
-    /// controller's one owner-list edit (promotion, re-replication,
-    /// migration, hand-off) ends here.
+    /// controller's one owner-list edit ends here.
     pub fn set_owners(&self, partition: usize, owners: Vec<SiteId>) {
         assert!(!owners.is_empty(), "a partition must keep at least one owner");
         self.mutate(|m| m.owners[partition] = owners)
@@ -189,8 +197,8 @@ mod tests {
         sites.iter().map(|&s| SiteId(s)).collect()
     }
 
-    /// The boot layout of every small cluster shape against the round-robin
-    /// rule: partition `p`'s owners are sites `p, p+1, …` (mod `sites`),
+    /// The boot layout of every small cluster shape is the ranking's
+    /// targets: partition `p`'s owners are sites `p, p+1, …` (mod `sites`),
     /// `min(backups, sites - 1) + 1` of them, and with every site up each
     /// partition is served by its primary, coordinated from site 0.
     #[test]
@@ -210,7 +218,9 @@ mod tests {
                 for p in 0..sites {
                     let round_robin: Vec<SiteId> =
                         (p..p + copies).map(|s| SiteId(s % sites)).collect();
-                    assert_eq!(map.owners_of(p), round_robin, "{shape}, partition {p}");
+                    let targets: Vec<SiteId> = affinity(map.members(), p).take(copies).collect();
+                    assert_eq!(targets, round_robin, "{shape}, partition {p}");
+                    assert_eq!(map.owners_of(p), targets, "{shape}, partition {p}");
                     assert_eq!(a.owner_of_partition(p), SiteId(p), "{shape}, partition {p}");
                 }
             }
