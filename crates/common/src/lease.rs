@@ -28,8 +28,9 @@
 #![expect(clippy::disallowed_methods, reason = "a lease waiting for budget gives up after the pool's wall-clock grant timeout")]
 
 use crate::error::{IcError, IcResult};
+use crate::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Granularity of pool acquisition: a lease grows its grant in multiples
@@ -90,13 +91,6 @@ pub struct MemoryPool {
     m_revocations: Arc<crate::obs::Counter>,
 }
 
-fn lock_state(pool: &MemoryPool) -> MutexGuard<'_, PoolState> {
-    // A poisoned pool mutex only means another query's thread panicked
-    // while holding it; the counters themselves stay consistent because
-    // every mutation is a single arithmetic update.
-    pool.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl MemoryPool {
     /// A pool with `capacity` cells and the default 500 ms grant timeout.
     pub fn new(capacity: u64) -> Arc<Self> {
@@ -128,7 +122,7 @@ impl MemoryPool {
 
     /// Open a lease capped at `limit` cells (the per-query memory limit).
     pub fn lease(self: &Arc<Self>, limit: u64) -> MemoryLease {
-        let mut st = lock_state(self);
+        let mut st = self.state.lock();
         let id = st.next_id;
         st.next_id += 1;
         let revoked = Arc::new(AtomicBool::new(false));
@@ -148,12 +142,12 @@ impl MemoryPool {
     /// dropped — the "pool leaks no budget" invariant the chaos tests and
     /// the overload bench assert.
     pub fn in_use(&self) -> u64 {
-        lock_state(self).used
+        self.state.lock().used
     }
 
     /// Number of live (not yet dropped) leases.
     pub fn active_leases(&self) -> usize {
-        lock_state(self).leases.len()
+        self.state.lock().leases.len()
     }
 
     /// Fixed pool size in cells (rows × arity), set at construction.
@@ -263,7 +257,7 @@ impl MemoryLease {
     /// pressure (see module docs).
     fn acquire_grant(&self, min_target: u64) -> IcResult<()> {
         let wait_deadline = Instant::now() + self.pool.grant_timeout;
-        let mut st = lock_state(&self.pool);
+        let mut st = self.pool.state.lock();
         loop {
             if self.revoked.load(Ordering::Relaxed) {
                 return Err(self.revoked_error());
@@ -327,12 +321,7 @@ impl MemoryLease {
                 return Err(self.revoked_error());
             }
             let step = (wait_deadline - now).min(Duration::from_millis(10));
-            let (guard, _) = self
-                .pool
-                .freed
-                .wait_timeout(st, step)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
+            st = self.pool.freed.wait_timeout(st, step);
         }
     }
 
@@ -373,7 +362,7 @@ impl MemoryLease {
 
 impl Drop for MemoryLease {
     fn drop(&mut self) {
-        let mut st = lock_state(&self.pool);
+        let mut st = self.pool.state.lock();
         if let Some(pos) = st.leases.iter().position(|l| l.id == self.id) {
             let entry = st.leases.swap_remove(pos);
             st.used = st.used.saturating_sub(entry.granted);

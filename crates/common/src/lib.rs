@@ -26,6 +26,7 @@ pub mod lease;
 pub mod obs;
 pub mod row;
 pub mod schema;
+pub mod sync;
 
 pub use col::{Bitmap, Column, ColumnBatch, ColumnBuilder, NIL};
 pub use datum::{DataType, Datum};

@@ -1,8 +1,9 @@
 //! Process-wide named metrics: counters, gauges, and power-of-two-bucket
 //! histograms, interned in a registry and updated lock-free.
 
+use crate::sync::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -158,13 +159,9 @@ impl MetricsRegistry {
         GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(String, Metric)>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.lock();
+        let mut m = self.inner.lock();
         for (n, metric) in m.iter() {
             if n == name {
                 if let Metric::Counter(c) = metric {
@@ -179,7 +176,7 @@ impl MetricsRegistry {
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.lock();
+        let mut m = self.inner.lock();
         for (n, metric) in m.iter() {
             if n == name {
                 if let Metric::Gauge(g) = metric {
@@ -194,7 +191,7 @@ impl MetricsRegistry {
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.lock();
+        let mut m = self.inner.lock();
         for (n, metric) in m.iter() {
             if n == name {
                 if let Metric::Histogram(h) = metric {
@@ -211,6 +208,7 @@ impl MetricsRegistry {
     /// Histograms render as `name count=N sum=S mean=M p99<=B`.
     pub fn render_text(&self) -> String {
         let mut lines: Vec<String> = self
+            .inner
             .lock()
             .iter()
             .map(|(name, metric)| match metric {

@@ -1,9 +1,10 @@
 //! The per-query trace: hierarchical spans, instant events, and per-attempt
 //! operator aggregates, all timestamped from one monotonic clock.
 
+use crate::sync::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Identifier of a span within one [`Trace`], allocated in open order.
@@ -209,7 +210,7 @@ pub struct Trace {
 
 impl fmt::Debug for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.lock();
+        let st = self.state.lock();
         f.debug_struct("Trace")
             .field("spans", &st.spans.len())
             .field("events", &st.events.len())
@@ -236,10 +237,6 @@ impl Trace {
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Nanoseconds since the trace epoch — the clock every span and event
     /// in this trace is keyed to. This is the only sanctioned time source
     /// in traced code paths (ic-lint rule L007).
@@ -249,7 +246,7 @@ impl Trace {
 
     /// Allocate a named lane (Chrome-trace `tid`) for a worker thread.
     pub fn lane(&self, name: impl Into<String>) -> u32 {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         st.lanes.push(name.into());
         (st.lanes.len() - 1) as u32
     }
@@ -264,7 +261,7 @@ impl Trace {
         lane: u32,
     ) -> SpanGuard {
         let id = {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             let id = st.next_span;
             st.next_span += 1;
             st.open_spans += 1;
@@ -295,7 +292,7 @@ impl Trace {
         end_ns: u64,
         args: Vec<(&'static str, u64)>,
     ) {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         let id = SpanId(st.next_span);
         st.next_span += 1;
         st.spans.push(SpanRec {
@@ -313,48 +310,48 @@ impl Trace {
     /// Record an instant event at the current trace time.
     pub fn event(&self, name: impl Into<String>, cat: &'static str, lane: u32, detail: impl Into<String>) {
         let ts_ns = self.now_ns();
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         st.events.push(EventRec { name: name.into(), cat, lane, ts_ns, detail: detail.into() });
     }
 
     /// Register the per-operator aggregate table for one execution attempt.
     pub fn register_attempt(&self, ops: Vec<OpMeta>) -> Arc<AttemptStats> {
         let attempt = Arc::new(AttemptStats::new(ops));
-        self.lock().attempts.push(Arc::clone(&attempt));
+        self.state.lock().attempts.push(Arc::clone(&attempt));
         attempt
     }
 
     /// All registered attempts, in order; the last one produced the result.
     pub fn attempts(&self) -> Vec<Arc<AttemptStats>> {
-        self.lock().attempts.clone()
+        self.state.lock().attempts.clone()
     }
 
     /// Snapshot of all closed spans (open guards are not included).
     pub fn spans(&self) -> Vec<SpanRec> {
-        self.lock().spans.clone()
+        self.state.lock().spans.clone()
     }
 
     /// Snapshot of all instant events.
     pub fn events(&self) -> Vec<EventRec> {
-        self.lock().events.clone()
+        self.state.lock().events.clone()
     }
 
     /// Lane names, indexed by lane id.
     pub fn lanes(&self) -> Vec<String> {
-        self.lock().lanes.clone()
+        self.state.lock().lanes.clone()
     }
 
     /// Number of spans currently open (guards alive). Zero once the query
     /// has fully finished.
     pub fn open_spans(&self) -> u32 {
-        self.lock().open_spans
+        self.state.lock().open_spans
     }
 
     /// Check span-tree well-formedness: every opened span was closed, every
     /// interval is non-negative, every parent exists, and every child
     /// interval nests inside its parent's. Returns the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        let st = self.lock();
+        let st = self.state.lock();
         if st.open_spans != 0 {
             return Err(format!("{} spans still open", st.open_spans));
         }
@@ -437,7 +434,7 @@ impl Drop for SpanGuard {
             end_ns,
             args: std::mem::take(&mut self.args),
         };
-        let mut st = self.trace.lock();
+        let mut st = self.trace.state.lock();
         st.open_spans = st.open_spans.saturating_sub(1);
         st.spans.push(rec);
     }

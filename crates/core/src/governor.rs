@@ -23,9 +23,10 @@
 //! counters, pool peaks, and a queue-wait histogram.
 
 use ic_common::hash::FxHashMap;
+use ic_common::sync::{Condvar, Mutex};
 use ic_common::{IcError, IcResult, MemoryPool};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Governor sizing knobs.
@@ -100,12 +101,6 @@ pub struct Governor {
     m_queue_wait_us: Arc<ic_common::obs::Histogram>,
 }
 
-fn lock_admit(gov: &Governor) -> MutexGuard<'_, AdmitState> {
-    // Poisoning only means a client thread panicked mid-admission; the
-    // counters are still consistent (every update is single-field).
-    gov.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl Governor {
     /// Build a governor (admission state + shared memory pool) from its
     /// sizing knobs.
@@ -147,7 +142,7 @@ impl Governor {
     /// replans never double-count admission (or, per-attempt, pool) budget.
     pub fn admit(self: &Arc<Self>, client: u64, deadline: Option<Instant>) -> IcResult<Admission> {
         let arrive = Instant::now();
-        let mut st = lock_admit(self);
+        let mut st = self.state.lock();
         let mut queued = false;
         loop {
             let mine = st.running_per_client.get(&client).copied().unwrap_or(0);
@@ -204,11 +199,7 @@ impl Governor {
                 self.note_shed(Some(arrive.elapsed()));
                 return Err(IcError::Overloaded { retry_after_ms: hint });
             }
-            let (guard, _) = self
-                .slot_freed
-                .wait_timeout(st, Duration::from_millis(5))
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
+            st = self.slot_freed.wait_timeout(st, Duration::from_millis(5));
         }
     }
 
@@ -264,7 +255,7 @@ impl Governor {
     }
 
     fn release(&self, client: u64, service: Duration) {
-        let mut st = lock_admit(self);
+        let mut st = self.state.lock();
         st.running = st.running.saturating_sub(1);
         dec(&mut st.running_per_client, client);
         let us = (service.as_micros() as u64).max(1);
@@ -277,7 +268,7 @@ impl Governor {
     /// A point-in-time telemetry snapshot.
     pub fn stats(&self) -> GovernorStats {
         let (peak_concurrent, ewma_service_us) = {
-            let st = lock_admit(self);
+            let st = self.state.lock();
             (st.peak_running, st.ewma_service_us)
         };
         let mut queue_wait_hist = [0u64; 6];

@@ -16,11 +16,12 @@
 
 use ic_common::hash::FxHashMap;
 use ic_common::obs::{Counter, MetricsRegistry};
+use ic_common::sync::Mutex;
 use ic_opt::pipeline::Optimized;
 use ic_plan::ops::{LogicalPlan, RelOp};
 use ic_storage::{Catalog, TableId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Most shapes one cluster keeps a template for; the least recently used
 /// one goes first. Four times the shapes the paper's workloads submit (20
@@ -122,14 +123,8 @@ impl PlanCache {
             misses: self.misses.get(),
             stale: self.stale.get(),
             evictions: self.evictions.get(),
-            shapes: self.lock().by_shape.len(),
+            shapes: self.shapes.lock().by_shape.len(),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Shapes> {
-        // Every update is one map operation: a panic elsewhere on a thread
-        // holding the guard leaves the map consistent.
-        self.shapes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The template for `shape` if one is stored and still current. The map
@@ -141,7 +136,7 @@ impl PlanCache {
         catalog: &Catalog,
     ) -> (Lookup, Option<Arc<Optimized>>) {
         let found = {
-            let mut shapes = self.lock();
+            let mut shapes = self.shapes.lock();
             shapes.tick += 1;
             let tick = shapes.tick;
             shapes.by_shape.get_mut(shape).map(|entry| {
@@ -175,7 +170,7 @@ impl PlanCache {
         generations: Generations,
         template: Arc<Optimized>,
     ) {
-        let mut shapes = self.lock();
+        let mut shapes = self.shapes.lock();
         shapes.tick += 1;
         let entry = Entry { template, generations, last_used: shapes.tick };
         if shapes.by_shape.len() >= MAX_SHAPES && !shapes.by_shape.contains_key(&shape) {

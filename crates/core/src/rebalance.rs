@@ -17,11 +17,11 @@
 //! (see `ic_storage::write`) is the *ownership stability invariant*: the
 //! owner list of partition `p` never changes while `p`'s write guard is
 //! held. The helper therefore takes the write guard of partition `p` on
-//! **every** hash-partitioned table (in table-id order, so multi-guard
-//! acquisition is cycle-free) before it installs a list. Bulk data movement
-//! happens *outside* the guards — a copy ships the frozen snapshot chunk by
-//! stored chunk (one column frame each) through the fault-injectable
-//! replication path while writes keep flowing, then, under the guards,
+//! **every** hash-partitioned table, in one [`write_set`], before it
+//! installs a list. Bulk data movement happens *outside* the guards — a
+//! copy ships the frozen snapshot chunk by stored chunk (one column frame
+//! each) through the fault-injectable replication path while writes keep
+//! flowing, then, under the guards,
 //! catches up on exactly the chunks that writes committed in the meantime
 //! replaced or added and installs every table's copy at once.
 //!
@@ -39,7 +39,7 @@ use ic_common::obs::{Counter, MetricsRegistry};
 use ic_common::ColumnBatch;
 use ic_net::wire::WireSize;
 use ic_net::{affinity, NetError, Network, SiteId};
-use ic_storage::{Catalog, TableData};
+use ic_storage::{write_set, Catalog, TableData};
 use std::sync::{Arc, OnceLock};
 
 /// What one [`RebalanceController::repair`] pass did.
@@ -124,7 +124,7 @@ impl RebalanceController {
         // Writes are copy-on-write per chunk, so what committed since the
         // snapshot is exactly the chunks of the current store that the bulk
         // copy did not hold.
-        let _guards: Vec<_> = tables.iter().map(|d| d.write_guard(p)).collect();
+        let _set = write_set(tables, p..p + 1);
         let mut current = Vec::with_capacity(tables.len());
         for (data, bulk) in tables.iter().zip(&bulk) {
             let store = data.replica(p, src).unwrap_or_default();
@@ -138,9 +138,9 @@ impl RebalanceController {
         Ok(())
     }
 
-    /// The one owner-list edit: under every hash table's write guard of `p`
-    /// (table-id order), install `edit` of the current owner list and drop
-    /// the replicas of the sites it no longer names. Refused, changing
+    /// The one owner-list edit: under every hash table's write guard of `p`,
+    /// install `edit` of the current owner list and drop the replicas of
+    /// the sites it no longer names. Refused, changing
     /// nothing, when the new list names no current copy of `p`
     /// ([`Catalog::current_copy`]). Returns whether a changed list was
     /// installed.
@@ -150,7 +150,7 @@ impl RebalanceController {
         p: usize,
         edit: impl FnOnce(&[SiteId]) -> Vec<SiteId>,
     ) -> bool {
-        let _guards: Vec<_> = tables.iter().map(|d| d.write_guard(p)).collect();
+        let _set = write_set(tables, p..p + 1);
         let membership = self.catalog.membership();
         let old = membership.snapshot().owners_of(p).to_vec();
         let new = edit(&old);

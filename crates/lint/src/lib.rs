@@ -2,8 +2,8 @@
 //!
 //! A std-only tokenizer, item-level parser, workspace symbol table and
 //! cross-crate call graph, with a rule engine enforcing the project
-//! invariants neither rustc nor clippy can express — L005, L008, L009's
-//! retry loops, L011 and L012 (see [`rules`] for the catalogue and pragma
+//! invariants neither rustc nor clippy can express — L008, L009's retry
+//! loops, L011 and L012 (see [`rules`] for the catalogue and pragma
 //! syntax, and LINTS.md for the rationale of each rule and for the ones
 //! clippy and the type system enforce). The crate
 //! deliberately has zero dependencies so it builds before — and
@@ -13,7 +13,6 @@
 
 pub mod callgraph;
 pub mod dataflow;
-pub mod lockgraph;
 pub mod parser;
 pub mod rules;
 pub mod symbols;

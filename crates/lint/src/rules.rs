@@ -3,7 +3,6 @@
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | L000 | an `allow` pragma that is malformed, unjustified, or suppresses nothing |
-//! | L005 | no cycles in the cross-crate lock-acquisition-order graph (held sets flow through deferred closures) |
 //! | L008 | no per-row `Datum` materialization in kernel hot paths — `ic_exec::kernels` itself plus every fn **call-graph-reachable** from a kernel |
 //! | L009 | no retry loop can re-enter on an error it did not classify (`is_retryable`/`is_failover_retryable`) |
 //! | L011 | observability-name registry: every metric/event name literal appears in OBSERVABILITY.md and vice versa |
@@ -14,8 +13,9 @@
 //! at each crate root (LINTS.md). The former L006, L010 and L009's
 //! classifier half are types rustc checks: operators buffer input only
 //! through `ic_exec::operators::LeasedBatches`, the column layout is private
-//! to `ic_common::col`, and `IcError`'s one classifier is an exhaustive
-//! match under `#[deny(clippy::wildcard_enum_match_arm)]`.
+//! to `ic_common::col`, `IcError`'s one classifier is an exhaustive match
+//! under `#[deny(clippy::wildcard_enum_match_arm)]`, and the lock order that
+//! was L005 is two kinds of lock in `ic_common::sync`.
 //!
 //! L008/L012's hot-path classification is *semantic*: the engine parses every
 //! file into items ([`crate::parser`]), builds a workspace symbol table
@@ -24,8 +24,8 @@
 //! (`crates/exec/src/kernels.rs`, `crates/common/src/eval.rs`). A helper in
 //! any crate called from a kernel is policed like the kernel itself.
 //!
-//! Any rule except L005 can be suppressed per-site with a pragma that must
-//! carry a justification:
+//! Any rule can be suppressed per-site with a pragma that must carry a
+//! justification:
 //!
 //! ```text
 //! // ic-lint: allow(L012) because the invariant X makes this safe
@@ -42,7 +42,7 @@ use crate::symbols::SymbolTable;
 use crate::tokenizer::{strip_test_regions, tokenize, Comment, Tok, TokKind};
 use std::collections::{HashMap, HashSet};
 
-pub const RULES: [&str; 6] = ["L000", "L005", "L008", "L009", "L011", "L012"];
+pub const RULES: [&str; 5] = ["L000", "L008", "L009", "L011", "L012"];
 
 /// One lint finding.
 #[derive(Debug, Clone)]
@@ -307,7 +307,6 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
     }
 
     // ---- Phase 3: per-file findings. ----
-    let mut lock_edges: Vec<crate::lockgraph::LockEdge> = Vec::new();
     let mut obs_names_used: HashSet<String> = HashSet::new();
 
     for (fi, e) in entries.iter().enumerate() {
@@ -329,9 +328,6 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
         let mut fn_findings: Vec<(&'static str, u32, String, u32)> = Vec::new();
         if in_scope("L008", ctx, path) {
             findings.extend(rule_l008(toks));
-        }
-        if in_scope("L005", ctx, path) {
-            lock_edges.extend(crate::lockgraph::extract_edges(path, toks));
         }
 
         // --- Semantic passes over this file's fns. ---
@@ -445,15 +441,6 @@ pub fn lint_files_with(files: &[FileInput], opts: &LintOptions) -> Report {
     }
 
     // ---- Phase 4: cross-file rules. ----
-    // L005: build the global lock graph and report cycles.
-    for cycle in crate::lockgraph::find_cycles(&lock_edges) {
-        report.violations.push(Violation {
-            rule: "L005",
-            path: cycle.path.clone(),
-            line: cycle.line,
-            message: cycle.message,
-        });
-    }
     // L011 reverse: registry names never emitted by any scanned file.
     if opts.check_obs_unused {
         if let Some(doc) = &opts.obs_doc {

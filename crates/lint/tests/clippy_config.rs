@@ -1,5 +1,5 @@
-//! The clippy settings, each with a red case: the unwrap, hasher, std-map
-//! and wall-clock bans and the error classifier's wildcard ban
+//! The clippy settings, each with a red case: the unwrap, hasher, std-map,
+//! wall-clock and lock bans and the error classifier's wildcard ban
 //! (`crates/clippy.toml` plus the lint levels at each crate root and on
 //! `IcError::retry_class`). The test builds the clippy fixture crate and
 //! checks that it raises exactly the lints its red file marks with

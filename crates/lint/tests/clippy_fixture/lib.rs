@@ -6,6 +6,7 @@
 
 pub mod red;
 
+use ic_common::sync::Mutex;
 use ic_common::FxHashMap;
 use std::time::Instant;
 
@@ -19,6 +20,12 @@ pub fn green(o: Option<u8>) -> usize {
     #[expect(clippy::unwrap_used, reason = "a suppression that states its reason")]
     let v = o.unwrap();
     m.len() + v as usize
+}
+
+/// A leaf lock of the one lock module.
+pub fn counted(n: &Mutex<usize>) -> usize {
+    *n.lock() += 1;
+    *n.lock()
 }
 
 #[cfg(test)]

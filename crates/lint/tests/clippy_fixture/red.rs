@@ -14,6 +14,8 @@ pub fn red(o: Option<u8>, r: Result<u8, ()>) {
     #[expect(deprecated, reason = "SipHasher is deprecated as well as banned")]
     let _: Option<std::hash::SipHasher> = None; // trips: clippy::disallowed_types
     let _: Option<ic_common::hash::FxHasher> = None; // trips: clippy::disallowed_types
+    let _: Option<std::sync::Mutex<u8>> = None; // trips: clippy::disallowed_types
+    let _: Option<std::sync::RwLock<u8>> = None; // trips: clippy::disallowed_types
     let _ = std::time::Instant::now(); // trips: clippy::disallowed_methods
     let _ = std::time::SystemTime::now(); // trips: clippy::disallowed_methods
     std::thread::sleep(std::time::Duration::ZERO); // trips: clippy::disallowed_methods

@@ -1,6 +1,7 @@
 //! Integration tests: every seeded fixture trips exactly its rule, and the
-//! real workspace is clean under `--deny-all` semantics. L006 and L010 are
-//! carried by types now; their fixtures are crates rustc must reject.
+//! real workspace is clean under `--deny-all` semantics. L006, L010 and
+//! L005's write-lock order are carried by types now; their fixtures are
+//! crates rustc must reject.
 
 mod support;
 
@@ -18,15 +19,6 @@ fn lint_as(virtual_path: &str, fixture_name: &str) -> ic_lint::Report {
     lint_files(&[FileInput { path: virtual_path.into(), source: fixture(fixture_name) }])
 }
 
-#[test]
-fn fixture_l005_inversion_fails() {
-    let r = lint_as("crates/core/src/fixture.rs", "l005_inversion.rs");
-    let cycles: Vec<_> = r.violations.iter().filter(|v| v.rule == "L005").collect();
-    assert_eq!(cycles.len(), 1, "{:?}", r.violations);
-    assert!(cycles[0].message.contains("registry"));
-    assert!(cycles[0].message.contains("journal"));
-}
-
 /// L006's invariant is a type: an operator keeps input batches only through
 /// `LeasedBatches::push`, which takes the query's control block, so a batch
 /// kept without charging the query's lease does not compile.
@@ -35,6 +27,17 @@ fn fixture_l006_buffer_counter_fails() {
     let (got, stderr) = diagnostics("type_fixture", &["leased.rs"], &["common", "exec"], &["check"]);
     assert_eq!(got, trips("type_fixture", "leased.rs"), "{stderr}");
     assert_eq!(got.len(), 1, "{got:?}");
+}
+
+/// L005's lock order is two kinds of lock (`ic_common::sync`): a
+/// partition's write lock is private to `ic_storage::table`, so outside it
+/// the only way to take one is `write_set`, which orders every lock of the
+/// set (E0616 for the field, E0624 for the accessor).
+#[test]
+fn fixture_write_lock_by_hand_fails() {
+    let (got, stderr) = diagnostics("type_fixture", &["write_set.rs"], &["storage"], &["check"]);
+    assert_eq!(got, trips("type_fixture", "write_set.rs"), "{stderr}");
+    assert_eq!(got.len(), 2, "{got:?}");
 }
 
 #[test]
@@ -80,17 +83,6 @@ fn fixture_evaluator_is_a_kernel_root() {
             r.violations
         );
     }
-}
-
-#[test]
-fn fixture_l005_closure_inversion_fails() {
-    // The closure's `beta` acquisition replays at the `pool_run` call site
-    // (where `alpha` is held), closing the cycle against `direct`.
-    let r = lint_as("crates/core/src/fixture.rs", "l005_closure.rs");
-    let cycles: Vec<_> = r.violations.iter().filter(|v| v.rule == "L005").collect();
-    assert_eq!(cycles.len(), 1, "{:?}", r.violations);
-    assert!(cycles[0].message.contains("alpha"));
-    assert!(cycles[0].message.contains("beta"));
 }
 
 #[test]
@@ -211,7 +203,6 @@ fn assert_only_unused_pragmas(r: &ic_lint::Report) {
 fn fixtures_out_of_scope_paths_pass() {
     // The same sources are fine where the rules don't apply.
     for (path, fixture_name) in [
-        ("crates/net/tests/fixture.rs", "l005_inversion.rs"),
         ("crates/exec/src/operators.rs", "l008_datum.rs"),
         ("crates/exec/tests/fixture.rs", "l008_datum.rs"),
     ] {

@@ -18,8 +18,6 @@
 //! (`Network::down_sites`).
 
 use crate::topology::SiteId;
-use ic_common::hash::FxHashMap;
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -347,16 +345,22 @@ pub enum FaultDecision {
 pub struct FaultInjector {
     plan: FaultPlan,
     clock: AtomicU64,
-    link_seq: Mutex<FxHashMap<(SiteId, SiteId), u64>>,
+    /// Per link the plan may drop on, how many messages a drop event has
+    /// judged on it: the `n` of [`link_drop_decision`].
+    link_seq: Vec<((SiteId, SiteId), AtomicU64)>,
 }
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Arc<FaultInjector> {
-        Arc::new(FaultInjector {
-            plan,
-            clock: AtomicU64::new(0),
-            link_seq: Mutex::named(FxHashMap::default(), "fault.link_seq"),
-        })
+        let mut link_seq: Vec<((SiteId, SiteId), AtomicU64)> = Vec::new();
+        for ev in &plan.events {
+            if let FaultKind::LinkDrop { src, dst, .. } = ev.kind {
+                if !link_seq.iter().any(|(link, _)| *link == (src, dst)) {
+                    link_seq.push(((src, dst), AtomicU64::new(0)));
+                }
+            }
+        }
+        Arc::new(FaultInjector { plan, clock: AtomicU64::new(0), link_seq })
     }
 
     pub fn plan(&self) -> &FaultPlan {
@@ -378,13 +382,8 @@ impl FaultInjector {
         for ev in self.plan.events.iter().filter(|ev| ev.covers(tick)) {
             match ev.kind {
                 FaultKind::LinkDrop { src: s, dst: d, prob } if s == src && d == dst => {
-                    let n = {
-                        let mut seq = self.link_seq.lock();
-                        let e = seq.entry((src, dst)).or_insert(0);
-                        let n = *e;
-                        *e += 1;
-                        n
-                    };
+                    let seq = self.link_seq.iter().find(|(link, _)| *link == (src, dst));
+                    let n = seq.map_or(0, |(_, n)| n.fetch_add(1, Ordering::Relaxed));
                     dropped |= link_drop_decision(self.plan.seed, src, dst, n, prob);
                 }
                 FaultKind::LatencySpike { factor: f } => factor = factor.saturating_mul(f),

@@ -45,7 +45,7 @@ pub use topology::{split_by_partition, Assignment, FailoverError, SiteId};
 pub use wire::WireSize;
 
 use ic_common::hash::FxHashSet;
-use parking_lot::Mutex;
+use ic_common::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -201,6 +201,14 @@ impl Faults {
     }
 }
 
+/// What charging a message reads and writes, under the network's one lock:
+/// the fault layer and the NIC clocks.
+#[derive(Debug, Default)]
+struct Wire {
+    faults: Faults,
+    nics: Nics,
+}
+
 /// The shared simulated network: config + stats + the sites' NIC clocks +
 /// the deterministic fault layer (an optional [`FaultInjector`] plus the
 /// operator's kill set).
@@ -209,8 +217,7 @@ pub struct Network {
     pub stats: NetStats,
     /// Time zero of every [`Reservation`].
     epoch: Instant,
-    nics: Mutex<Nics>,
-    faults: Mutex<Faults>,
+    wire: Mutex<Wire>,
     /// Process-wide metric handles (`net.transfer.*`), resolved once at
     /// construction so the transfer path never touches the registry lock.
     m_messages: Arc<ic_common::obs::Counter>,
@@ -239,8 +246,7 @@ impl Network {
             stats: NetStats::default(),
             #[expect(clippy::disallowed_methods, reason = "the wire model's clock is anchored here, once; every reservation is an offset from it")]
             epoch: Instant::now(),
-            nics: Mutex::named(Nics::default(), "network.nics"),
-            faults: Mutex::named(Faults::default(), "network.faults"),
+            wire: Mutex::default(),
             m_messages: reg.counter("net.transfer.messages"),
             m_bytes: reg.counter("net.transfer.bytes"),
             m_faults: reg.counter("net.transfer.faults"),
@@ -258,34 +264,34 @@ impl Network {
     /// the same fault sequence.
     pub fn install_faults(&self, plan: FaultPlan) -> Arc<FaultInjector> {
         let injector = FaultInjector::new(plan);
-        self.faults.lock().injector = Some(injector.clone());
+        self.wire.lock().faults.injector = Some(injector.clone());
         injector
     }
 
     /// Remove the fault schedule and lift every kill.
     pub fn clear_faults(&self) {
-        *self.faults.lock() = Faults::default();
+        self.wire.lock().faults = Faults::default();
     }
 
     /// The currently installed injector, if any.
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.faults.lock().injector.clone()
+        self.wire.lock().faults.injector.clone()
     }
 
     /// Take `site` down until [`Network::revive_site`], plan or no plan.
     pub fn kill_site(&self, site: SiteId) {
-        self.faults.lock().killed.insert(site);
+        self.wire.lock().faults.killed.insert(site);
     }
 
     /// Lift a kill. A crash window of the installed plan still counts.
     pub fn revive_site(&self, site: SiteId) {
-        self.faults.lock().killed.remove(&site);
+        self.wire.lock().faults.killed.remove(&site);
     }
 
     /// The sites down at the current tick: the kill set plus every site a
     /// crash window of the installed plan covers.
     pub fn down_sites(&self) -> FxHashSet<SiteId> {
-        let faults = self.faults.lock();
+        let faults = &self.wire.lock().faults;
         let tick = faults.tick();
         let planned = faults.injector.iter().flat_map(|i| i.plan().crash_sites());
         faults.killed.iter().copied().chain(planned).filter(|&s| faults.is_down(s, tick)).collect()
@@ -322,10 +328,11 @@ impl Network {
     }
 
     /// The one charge path: a same-site message is free and due at once; a
-    /// cross-site one takes the fault layer's decision (one tick) and fails
-    /// if either end is down at that tick; a delivered one is counted — into `class`'s process-wide counters, [`Network::stats`]
-    /// and `tally` — and reserves its turn on `src`'s NIC. Nobody waits
-    /// here: the returned [`Reservation`] says when the message is due.
+    /// cross-site one takes, under one lock, the fault layer's decision (one
+    /// tick), failing if either end is down at that tick, and its turn on
+    /// `src`'s NIC; a delivered one is counted into `class`'s process-wide
+    /// counters, [`Network::stats`] and `tally`. Nobody waits here: the
+    /// returned [`Reservation`] says when the message is due.
     fn charge(
         &self,
         class: Traffic,
@@ -342,21 +349,23 @@ impl Network {
             Traffic::Exchange => (&self.m_messages, &self.m_bytes, &self.m_faults),
             Traffic::Replicate => (&self.m_repl_messages, &self.m_repl_bytes, &self.m_repl_failures),
         };
-        // The faults guard is a temporary: it is never held across the
-        // NIC lock.
-        let delay_factor = self.faults.lock().admit(src, dst).inspect_err(|_| m_faults.inc())?;
+        let (r, occupancy, latency) = {
+            let mut wire = self.wire.lock();
+            let delay_factor = wire.faults.admit(src, dst).inspect_err(|_| m_faults.inc())?;
+            let (occupancy, latency) = self.config.wire_terms(bytes, delay_factor);
+            // An instant network reserves nothing: the message is due at once.
+            let r = match (occupancy, latency) {
+                (0, 0) => Reservation::default(),
+                _ => wire.nics.reserve(src, self.now_ns(), occupancy, latency),
+            };
+            (r, occupancy, latency)
+        };
         for stats in [Some(&self.stats), tally].into_iter().flatten() {
             stats.messages.fetch_add(1, Ordering::Relaxed);
             stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         }
         m_messages.inc();
         m_bytes.add(bytes as u64);
-        let (occupancy, latency) = self.config.wire_terms(bytes, delay_factor);
-        // An instant network reserves nothing: the message is due at once.
-        let r = match (occupancy, latency) {
-            (0, 0) => Reservation::default(),
-            _ => self.nics.lock().reserve(src, self.now_ns(), occupancy, latency),
-        };
         if let Traffic::Exchange = class {
             self.m_latency_ns.add(latency);
             self.m_bandwidth_ns.add(occupancy);
@@ -381,7 +390,7 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("config", &self.config)
             .field("stats", &self.stats)
-            .field("faults", &*self.faults.lock())
+            .field("wire", &*self.wire.lock())
             .finish()
     }
 }

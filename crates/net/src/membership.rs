@@ -22,7 +22,7 @@
 
 use crate::topology::{partition_of_hash, Assignment, FailoverError, SiteId};
 use ic_common::hash::FxHashSet;
-use parking_lot::RwLock;
+use ic_common::sync::RwLock;
 use std::sync::Arc;
 
 /// The affinity ranking of `members` (ascending) for `partition`: the list
@@ -132,7 +132,7 @@ impl Membership {
         let owners = (0..sites).map(|p| affinity(&members, p).take(backups + 1).collect()).collect();
         Membership {
             target_backups: backups,
-            map: RwLock::named(Arc::new(ReplicaMap { members, owners }), "membership.map"),
+            map: RwLock::new(Arc::new(ReplicaMap { members, owners })),
         }
     }
 

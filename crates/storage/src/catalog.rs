@@ -6,9 +6,9 @@ use crate::table::TableData;
 use crate::write::split;
 use ic_common::row::BATCH_SIZE;
 use ic_common::{ColumnBatch, IcError, IcResult, Row, Schema};
-use ic_net::{Membership, SiteId};
-use parking_lot::RwLock;
 use ic_common::hash::FxHashMap;
+use ic_common::sync::RwLock;
+use ic_net::{Membership, SiteId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,6 +90,15 @@ struct IndexEntry {
     index: Arc<Index>,
 }
 
+/// Every table and index definition, under the catalog's one lock.
+#[derive(Default)]
+struct Entries {
+    tables: Vec<TableEntry>,
+    /// Lower-cased table name → id.
+    names: FxHashMap<String, TableId>,
+    indexes: Vec<IndexEntry>,
+}
+
 /// The cluster-wide catalog: schema metadata, data handles, statistics and
 /// indexes. Shared (`Arc`) by every simulated site.
 pub struct Catalog {
@@ -97,9 +106,9 @@ pub struct Catalog {
     /// by. Seeded with the boot layout and mutated by the rebalance
     /// controller as sites join, leave, and fail.
     membership: Arc<Membership>,
-    tables: RwLock<Vec<TableEntry>>,
-    table_names: RwLock<FxHashMap<String, TableId>>,
-    indexes: RwLock<Vec<IndexEntry>>,
+    /// A leaf lock: no method holds it across a call into a table's data,
+    /// an index or the membership.
+    entries: RwLock<Entries>,
 }
 
 impl Catalog {
@@ -108,9 +117,7 @@ impl Catalog {
     pub fn new(sites: usize, backups: usize) -> Arc<Catalog> {
         Arc::new(Catalog {
             membership: Arc::new(Membership::new(sites, backups)),
-            tables: RwLock::named(Vec::new(), "catalog.tables"),
-            table_names: RwLock::named(FxHashMap::default(), "catalog.table_names"),
-            indexes: RwLock::named(Vec::new(), "catalog.indexes"),
+            entries: RwLock::default(),
         })
     }
 
@@ -129,12 +136,6 @@ impl Catalog {
         distribution: TableDistribution,
     ) -> IcResult<TableId> {
         let key = name.to_ascii_lowercase();
-        let mut names = self.table_names.write();
-        if names.contains_key(&key) {
-            return Err(IcError::Catalog(format!("table '{name}' already exists")));
-        }
-        let mut tables = self.tables.write();
-        let id = TableId(tables.len());
         let map = self.membership.snapshot();
         let owners: Vec<Vec<SiteId>> = match distribution {
             TableDistribution::HashPartitioned { .. } => {
@@ -146,6 +147,11 @@ impl Catalog {
                 vec![vec![map.members().first().copied().unwrap_or(SiteId(0))]]
             }
         };
+        let mut entries = self.entries.write();
+        if entries.names.contains_key(&key) {
+            return Err(IcError::Catalog(format!("table '{name}' already exists")));
+        }
+        let id = TableId(entries.tables.len());
         let def = TableDef {
             id,
             name: name.to_string(),
@@ -153,21 +159,22 @@ impl Catalog {
             primary_key,
             distribution,
         };
-        tables.push(TableEntry {
+        entries.tables.push(TableEntry {
             def,
-            data: Arc::new(TableData::new_with_owners(schema, &owners)),
+            data: Arc::new(TableData::new_with_owners(id, schema, &owners)),
             stats: Arc::new(TableStats::empty()),
             indexes: Vec::new(),
             plan_generation: 0,
             planned_rows: 0,
         });
-        names.insert(key, id);
+        entries.names.insert(key, id);
         Ok(id)
     }
 
     /// CREATE INDEX on `columns` of `table`.
     pub fn create_index(&self, name: &str, table: TableId, columns: Vec<usize>) -> IcResult<IndexId> {
-        let mut tables = self.tables.write();
+        let mut entries = self.entries.write();
+        let Entries { tables, indexes, .. } = &mut *entries;
         let entry = tables
             .get_mut(table.0)
             .ok_or_else(|| IcError::Catalog(format!("unknown table {table}")))?;
@@ -179,7 +186,6 @@ impl Catalog {
                 )));
             }
         }
-        let mut indexes = self.indexes.write();
         let id = IndexId(indexes.len());
         let def = IndexDef { id, name: name.to_string(), table, columns };
         let index = Index::new(&def, entry.data.num_partitions());
@@ -195,19 +201,18 @@ impl Catalog {
     /// the next `analyze`; indexes need no upkeep here — their runs are keyed
     /// to the store version and re-sort on the next index scan (or `analyze`).
     pub fn insert(&self, table: TableId, mut rows: Vec<Row>) -> IcResult<usize> {
-        let tables = self.tables.read();
-        let entry = tables
-            .get(table.0)
-            .ok_or_else(|| IcError::Catalog(format!("unknown table {table}")))?;
-        conform(&entry.def, &mut rows)?;
-        let (n, types, map) = (rows.len(), entry.def.schema.types(), self.membership.snapshot());
+        let (Some(def), Some(data)) = (self.table_def(table), self.table_data(table)) else {
+            return Err(IcError::Catalog(format!("unknown table {table}")));
+        };
+        conform(&def, &mut rows)?;
+        let (n, types, map) = (rows.len(), def.schema.types(), self.membership.snapshot());
         // Each input row is freed once its piece is packed.
         let mut rows = rows.into_iter();
         let pieces = std::iter::from_fn(|| {
             let piece: Vec<Row> = rows.by_ref().take(BATCH_SIZE).collect();
             (!piece.is_empty()).then(|| ColumnBatch::from_typed_rows(&types, &piece))
         });
-        entry.data.load(pieces.flat_map(|batch| split(&batch, &entry.def.distribution, &map)));
+        data.load(pieces.flat_map(|batch| split(&batch, &def.distribution, &map)));
         Ok(n)
     }
 
@@ -215,49 +220,46 @@ impl Catalog {
     /// date. Run after bulk load, mirroring Ignite's `statistics enabled`
     /// setting.
     pub fn analyze(&self, table: TableId) -> IcResult<()> {
-        let mut tables = self.tables.write();
-        let entry = tables
-            .get_mut(table.0)
+        let data = self
+            .table_data(table)
             .ok_or_else(|| IcError::Catalog(format!("unknown table {table}")))?;
-        entry.stats = Arc::new(TableStats::compute(&entry.data));
-        entry.bump_plan_generation();
-        let index_ids = entry.indexes.clone();
-        let data = entry.data.clone();
-        drop(tables);
-        for id in index_ids {
-            if let Some(index) = self.index(id) {
-                index.refresh(&data);
-            }
-        }
+        let stats = Arc::new(TableStats::compute(&data));
+        let indexes: Vec<Arc<Index>> = {
+            let mut entries = self.entries.write();
+            let Entries { tables, indexes, .. } = &mut *entries;
+            let entry = &mut tables[table.0];
+            entry.stats = stats;
+            entry.bump_plan_generation();
+            entry.indexes.iter().map(|id| Arc::clone(&indexes[id.0].index)).collect()
+        };
+        indexes.iter().for_each(|index| index.refresh(&data));
         Ok(())
     }
 
     pub fn table_by_name(&self, name: &str) -> Option<TableId> {
-        self.table_names.read().get(&name.to_ascii_lowercase()).copied()
+        self.entries.read().names.get(&name.to_ascii_lowercase()).copied()
     }
 
     pub fn table_def(&self, id: TableId) -> Option<TableDef> {
-        self.tables.read().get(id.0).map(|e| e.def.clone())
+        self.entries.read().tables.get(id.0).map(|e| e.def.clone())
     }
 
     pub fn table_data(&self, id: TableId) -> Option<Arc<TableData>> {
-        self.tables.read().get(id.0).map(|e| e.data.clone())
+        self.entries.read().tables.get(id.0).map(|e| e.data.clone())
     }
 
     pub fn table_stats(&self, id: TableId) -> Option<Arc<TableStats>> {
-        self.tables.read().get(id.0).map(|e| e.stats.clone())
+        self.entries.read().tables.get(id.0).map(|e| e.stats.clone())
     }
 
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().iter().map(|e| e.def.name.clone()).collect()
+        self.entries.read().tables.iter().map(|e| e.def.name.clone()).collect()
     }
 
-    /// Every hash-partitioned table's data handle, ascending by table id —
-    /// the order write guards of one partition are taken in. Fetch it before
-    /// taking any write guard: this lock is held around `load`'s guards.
+    /// Every hash-partitioned table's data handle, ascending by table id.
     pub fn hash_tables(&self) -> Vec<Arc<TableData>> {
-        let tables = self.tables.read();
-        let hashed = tables.iter().filter(|e| {
+        let entries = self.entries.read();
+        let hashed = entries.tables.iter().filter(|e| {
             matches!(e.def.distribution, TableDistribution::HashPartitioned { .. })
         });
         hashed.map(|e| Arc::clone(&e.data)).collect()
@@ -287,17 +289,16 @@ impl Catalog {
     }
 
     pub fn index(&self, id: IndexId) -> Option<Arc<Index>> {
-        self.indexes.read().get(id.0).map(|e| e.index.clone())
+        self.entries.read().indexes.get(id.0).map(|e| e.index.clone())
     }
 
     /// All indexes defined on a table.
     pub fn indexes_of(&self, table: TableId) -> Vec<IndexDef> {
-        let tables = self.tables.read();
-        let Some(entry) = tables.get(table.0) else {
+        let entries = self.entries.read();
+        let Some(entry) = entries.tables.get(table.0) else {
             return Vec::new();
         };
-        let indexes = self.indexes.read();
-        entry.indexes.iter().map(|id| indexes[id.0].def.clone()).collect()
+        entry.indexes.iter().map(|id| entries.indexes[id.0].def.clone()).collect()
     }
 
     /// Fold a committed write into the table's statistics without a full
@@ -308,8 +309,8 @@ impl Catalog {
         if inserted.is_empty() && deleted == 0 {
             return;
         }
-        let mut tables = self.tables.write();
-        let Some(entry) = tables.get_mut(table.0) else {
+        let mut entries = self.entries.write();
+        let Some(entry) = entries.tables.get_mut(table.0) else {
             return;
         };
         entry.stats = Arc::new(entry.stats.noting_write(inserted, deleted));
@@ -328,7 +329,7 @@ impl Catalog {
     /// planned under and compares them on every lookup; clusters sharing
     /// this catalog need no invalidation callback.
     pub fn plan_generation(&self, table: TableId) -> u64 {
-        self.tables.read().get(table.0).map_or(0, |e| e.plan_generation)
+        self.entries.read().tables.get(table.0).map_or(0, |e| e.plan_generation)
     }
 }
 
@@ -389,6 +390,59 @@ mod tests {
         assert!(cat
             .create_table("t", schema(), vec![0], TableDistribution::Replicated)
             .is_err());
+    }
+
+    /// Four threads race `create_table` on one name: the name check and
+    /// the insert happen under the catalog's one lock, so exactly one wins,
+    /// and the name resolves to its id and is listed once.
+    #[test]
+    fn racing_creates_of_one_name_make_one_table() {
+        let cat = Catalog::new(4, 1);
+        let start = std::sync::Barrier::new(4);
+        let dist = TableDistribution::HashPartitioned { key_cols: vec![0] };
+        let won: Vec<TableId> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cat.create_table("T", schema(), vec![0], dist.clone())
+                    })
+                })
+                .collect();
+            racers.into_iter().filter_map(|r| r.join().unwrap().ok()).collect()
+        });
+        assert_eq!(won.len(), 1, "{won:?}");
+        assert_eq!(cat.table_by_name("t"), Some(won[0]));
+        assert_eq!(cat.table_names(), vec!["T".to_string()]);
+    }
+
+    /// `create_index` racing `indexes_of`: every index listed resolves.
+    #[test]
+    fn a_listed_index_always_resolves() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let cat = Catalog::new(2, 0);
+        let dist = TableDistribution::HashPartitioned { key_cols: vec![0] };
+        let id = cat.create_table("t", schema(), vec![0], dist).unwrap();
+        let done = AtomicBool::new(false);
+        let listed = |cat: &Catalog| {
+            let defs = cat.indexes_of(id);
+            assert!(defs.iter().all(|d| cat.index(d.id).is_some()), "{defs:?}");
+            defs.len()
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..200 {
+                    cat.create_index(&format!("i{i}"), id, vec![i % 2]).unwrap();
+                }
+                done.store(true, Ordering::Release);
+            });
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    listed(&cat);
+                }
+            });
+        });
+        assert_eq!(listed(&cat), 200);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::catalog::IndexDef;
 use crate::table::{Chunks, PartStore, TableData};
 use ic_common::row::BATCH_SIZE;
 use ic_common::ColumnBatch;
-use parking_lot::Mutex;
+use ic_common::sync::Mutex;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -93,7 +93,7 @@ impl Index {
     pub fn new(def: &IndexDef, num_partitions: usize) -> Index {
         Index {
             columns: def.columns.clone(),
-            runs: (0..num_partitions).map(|_| Mutex::named(None, "index.run")).collect(),
+            runs: (0..num_partitions).map(|_| Mutex::new(None)).collect(),
         }
     }
 

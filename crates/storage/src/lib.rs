@@ -21,5 +21,5 @@ pub mod write;
 pub use catalog::{Catalog, IndexDef, IndexId, TableDef, TableDistribution, TableId};
 pub use index::Index;
 pub use stats::{ColumnStats, TableStats};
-pub use table::{Chunks, PartStore, TableData};
+pub use table::{write_set, Chunks, PartStore, TableData};
 pub use write::{execute_dml, WriteOp, WriteOutcome};

@@ -5,20 +5,24 @@
 //! A store is an immutable snapshot: a list of dense column chunks stamped
 //! with the partition version that produced it. Writers build a successor
 //! store — copy-on-write at chunk granularity, every untouched chunk shared
-//! by `Arc` — and swap it in under the partition's write mutex; readers
-//! clone the store and scan a frozen snapshot, so a multi-row DML batch is
-//! visible all-or-nothing (no torn reads) and scans never block writes.
+//! by `Arc` — and swap it in under the partition's write lock, taken only
+//! through [`write_set`]; readers clone the store and scan a frozen
+//! snapshot, so a multi-row DML batch is visible all-or-nothing (no torn
+//! reads) and scans never block writes.
 //!
 //! **Chunk invariants.** Every chunk is a dense [`ColumnBatch`] (no
 //! selection vector) of `1..=BATCH_SIZE` rows; a partition's rows are its
 //! chunks' rows in order. Scans hand the chunks out as they are, so these
 //! are also the invariants of every batch a scan emits.
 
+use crate::catalog::TableId;
 use ic_common::hash::FxHashMap;
 use ic_common::row::BATCH_SIZE;
+use ic_common::sync::{RwLock, SetLock, WriteSet};
 use ic_common::{ColumnBatch, DataType, Schema};
 use ic_net::SiteId;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The stored form of a run of rows: dense chunks of at most `BATCH_SIZE`
@@ -129,10 +133,10 @@ impl<'a> ChunkWriter<'a> {
 }
 
 /// One partition: its replica stores keyed by hosting site, plus the write
-/// mutex that serializes writers (readers never take it).
+/// lock that serializes writers (readers never take it).
 struct Partition {
     replicas: RwLock<FxHashMap<usize, PartStore>>,
-    write_lock: Mutex<()>,
+    write_lock: SetLock,
 }
 
 impl Partition {
@@ -141,26 +145,44 @@ impl Partition {
         // load finds them identical and packs once.
         let empty = PartStore::default();
         let replicas = sites.iter().map(|s| (s.0, empty.clone())).collect();
-        Partition {
-            replicas: RwLock::named(replicas, "table.replicas"),
-            write_lock: Mutex::named((), "table.write"),
-        }
+        Partition { replicas: RwLock::new(replicas), write_lock: SetLock::default() }
     }
 }
 
 /// The rows of one table, split into hash partitions (one partition for
 /// replicated tables), each replicated onto its owner sites.
 pub struct TableData {
+    id: TableId,
     schema: Schema,
     partitions: Vec<Partition>,
 }
 
+/// The write locks of partitions `partitions` of every table of `tables`,
+/// held until the returned set drops: the only way to take a partition's
+/// write lock, and so the only code that holds two locks. It takes them in
+/// (table id, partition) order, so two sets never wait on each other in a
+/// cycle; leaf locks (a replica map, the membership, the network) may be
+/// taken under it, and in debug builds taking it while the thread holds
+/// any lock panics ([`ic_common::sync`]).
+#[cfg_attr(debug_assertions, track_caller)]
+pub fn write_set<T: Borrow<TableData>>(tables: &[T], partitions: Range<usize>) -> WriteSet<'_> {
+    let mut locks: Vec<(TableId, usize, &SetLock)> = tables
+        .iter()
+        .map(Borrow::borrow)
+        .flat_map(|t| partitions.clone().map(move |p| (t.id, p, t.write_lock(p))))
+        .collect();
+    locks.sort_by_key(|&(t, p, _)| (t, p));
+    ic_common::sync::write_set(locks.into_iter().map(|(_, _, lock)| lock))
+}
+
 impl TableData {
-    /// Layout with each partition hosted on the given owner sites (primary
-    /// first, then backups), as decided by the membership replica map.
-    pub fn new_with_owners(schema: Schema, owners: &[Vec<SiteId>]) -> TableData {
+    /// Table `id`'s layout, with each partition hosted on the given owner
+    /// sites (primary first, then backups), as decided by the membership
+    /// replica map.
+    pub fn new_with_owners(id: TableId, schema: Schema, owners: &[Vec<SiteId>]) -> TableData {
         assert!(!owners.is_empty(), "a table needs at least one partition");
         TableData {
+            id,
             schema,
             partitions: owners.iter().map(|sites| Partition::hosted_on(sites)).collect(),
         }
@@ -180,7 +202,7 @@ impl TableData {
     /// simulated, and commit once; replicas at one snapshot share a packing.
     pub fn load(&self, rows: impl IntoIterator<Item = (usize, ColumnBatch)>) {
         let types = self.schema.types();
-        let _guards: Vec<_> = (0..self.partitions.len()).map(|p| self.write_guard(p)).collect();
+        let _set = write_set(std::slice::from_ref(self), 0..self.partitions.len());
         // Per partition, one writer per distinct replica snapshot.
         let mut writers: Vec<Vec<(PartStore, ChunkWriter)>> = Vec::new();
         for part in &self.partitions {
@@ -258,17 +280,18 @@ impl TableData {
         self.partitions[partition].replicas.write().remove(&site.0);
     }
 
-    /// Serialize writers of `partition`. Readers never take this lock; they
-    /// snapshot whatever store is committed.
-    pub fn write_guard(&self, partition: usize) -> MutexGuard<'_, ()> {
-        self.partitions[partition].write_lock.lock()
+    /// The lock that serializes writers of `partition`, for [`write_set`]
+    /// alone. Readers never take it; they snapshot whatever store is
+    /// committed.
+    fn write_lock(&self, partition: usize) -> &SetLock {
+        &self.partitions[partition].write_lock
     }
 
     /// Commit a new store to the listed replica sites of `partition`,
     /// provided every one of them is still at `expected_version` (the
     /// version the write was prepared against). On a mismatch nothing is
     /// changed and the diverging version is returned. Callers must hold the
-    /// partition's [`write_guard`](Self::write_guard).
+    /// partition's lock in a [`write_set`].
     pub fn commit(
         &self,
         partition: usize,
@@ -305,7 +328,7 @@ pub(crate) mod tests {
 
     /// A table of `partitions` partitions, each one copy on site 0.
     pub(crate) fn on_one_site(partitions: usize, schema: Schema) -> TableData {
-        TableData::new_with_owners(schema, &vec![vec![SiteId(0)]; partitions])
+        TableData::new_with_owners(TableId(0), schema, &vec![vec![SiteId(0)]; partitions])
     }
 
     fn schema() -> Schema {
@@ -395,7 +418,7 @@ pub(crate) mod tests {
 
     #[test]
     fn replicas_advance_together_on_bulk_load() {
-        let t = TableData::new_with_owners(schema(), &[vec![SiteId(0), SiteId(1)]]);
+        let t = TableData::new_with_owners(TableId(0), schema(), &[vec![SiteId(0), SiteId(1)]]);
         t.load(ints([7]).map(|b| (0, b)));
         let primary = t.replica(0, SiteId(0)).unwrap();
         let backup = t.replica(0, SiteId(1)).unwrap();
@@ -410,7 +433,7 @@ pub(crate) mod tests {
 
     #[test]
     fn commit_is_version_checked() {
-        let t = TableData::new_with_owners(schema(), &[vec![SiteId(0), SiteId(1)]]);
+        let t = TableData::new_with_owners(TableId(0), schema(), &[vec![SiteId(0), SiteId(1)]]);
         t.load(ints([1]).map(|b| (0, b)));
         let base = t.replica(0, SiteId(0)).unwrap();
         let types = [DataType::Int];
@@ -418,7 +441,7 @@ pub(crate) mod tests {
         w.push(ints([2])[0].clone());
         let next = base.succeed(w.finish());
         let sites = [SiteId(0), SiteId(1)];
-        let _g = t.write_guard(0);
+        let _set = write_set(std::slice::from_ref(&t), 0..1);
         assert_eq!(t.commit(0, &sites, base.version(), next.clone()), Ok(()));
         assert_eq!(t.replica(0, SiteId(1)).unwrap().version(), base.version() + 1);
         // Committing against the stale base version is refused.
@@ -427,7 +450,7 @@ pub(crate) mod tests {
 
     #[test]
     fn install_and_drop_replica() {
-        let t = TableData::new_with_owners(schema(), &[vec![SiteId(0)]]);
+        let t = TableData::new_with_owners(TableId(0), schema(), &[vec![SiteId(0)]]);
         t.load(ints([1]).map(|b| (0, b)));
         let copy = t.replica(0, SiteId(0)).unwrap();
         t.install_replica(0, SiteId(3), copy);

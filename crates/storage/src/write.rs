@@ -31,7 +31,7 @@
 //! all-or-nothing.
 
 use crate::catalog::{Catalog, TableDistribution, TableId};
-use crate::table::{ChunkWriter, PartStore, TableData};
+use crate::table::{write_set, ChunkWriter, PartStore, TableData};
 use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::hash::FxHashMap;
 use ic_common::obs::{Counter, MetricsRegistry};
@@ -331,7 +331,7 @@ fn write_partition(
     primary_key: &[usize],
 ) -> IcResult<(usize, bool)> {
     let tables = catalog.hash_tables();
-    let guard = data.write_guard(partition);
+    let guard = write_set(std::slice::from_ref(data), partition..partition + 1);
     // Ownership is stable while the write guard is held (the rebalance
     // controller takes it around every owner-list edit), so a snapshot
     // taken under the guard cannot go stale mid-write.
@@ -443,7 +443,7 @@ fn write_replicated(
     op: &WriteOp,
     primary_key: &[usize],
 ) -> IcResult<(usize, bool)> {
-    let guard = data.write_guard(0);
+    let guard = write_set(std::slice::from_ref(data), 0..1);
     let map = catalog.membership().snapshot();
     let down = network.down_sites();
     let live: Vec<SiteId> =
