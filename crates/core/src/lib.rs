@@ -52,7 +52,7 @@ pub mod result;
 pub use cluster::{Cluster, ClusterConfig, SystemVariant};
 pub use governor::{Admission, Governor, GovernorConfig, GovernorStats};
 pub use plan_cache::PlanCacheStats;
-pub use rebalance::{RebalanceController, RepairReport};
+pub use rebalance::RepairReport;
 pub use ic_common::{Datum, IcError, IcResult, MemoryLease, MemoryPool, Row};
 pub use ic_net::{
     FaultEvent, FaultInjector, FaultKind, FaultPlan, NetworkConfig, SiteId, TICK_FOREVER,

@@ -148,7 +148,7 @@ proptest! {
                 }
             }
         }
-        // End of history: all failures clear, then the controller repairs.
+        // End of history: all failures clear, then the pass repairs.
         cluster.clear_faults();
         for s in killed {
             cluster.revive_site(s);

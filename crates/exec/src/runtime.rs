@@ -48,7 +48,7 @@ use ic_net::{
 };
 use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
-use ic_storage::{Catalog, PartStore, TableDistribution, TableId};
+use ic_storage::Catalog;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -419,38 +419,6 @@ impl Execution<'_> {
         let splitter = self.placement.nodes[at as usize].mode == SourceMode::Splitter;
         (variants > 1 && splitter).then_some((inst.vid, variants))
     }
-
-    /// The store snapshot an instance at `slot` reads of `table`, with its
-    /// partition: a replicated table's one copy, or the instance's own
-    /// partition as its site holds it.
-    fn table_store(&self, slot: Slot, table: TableId) -> IcResult<(usize, PartStore)> {
-        let def = self
-            .catalog
-            .table_def(table)
-            .ok_or_else(|| IcError::Exec(format!("unknown table {table}")))?;
-        let data = self
-            .catalog
-            .table_data(table)
-            .ok_or_else(|| IcError::Exec(format!("no data handle for table {table}")))?;
-        let p = match (def.distribution, slot.partition) {
-            (TableDistribution::Replicated, _) => return Ok((0, data.store(0))),
-            (TableDistribution::HashPartitioned { .. }, Some(p)) => p,
-            (TableDistribution::HashPartitioned { .. }, None) => {
-                return Err(IcError::Exec(format!("table {table} scanned outside a partition")))
-            }
-        };
-        // This site's own replica of the partition: a version snapshot (a
-        // frozen store), so concurrent DML batches are observed
-        // all-or-nothing. Only a current copy serves (`Catalog::current_copy`):
-        // one behind a down owner would miss acknowledged writes. A stale or
-        // missing replica (ownership moved between planning and execution)
-        // surfaces retryably: the attempt loop repairs and replans.
-        let current = self.catalog.current_copy(p, std::slice::from_ref(&data), [slot.site]);
-        match data.replica(p, slot.site) {
-            Some(store) if current.is_some() => Ok((p, store)),
-            _ => Err(IcError::RebalanceInProgress { partition: p }),
-        }
-    }
 }
 
 /// The plan → operator builder of one fragment instance's driver.
@@ -469,7 +437,7 @@ impl BuildCtx<'_> {
         let src: BoxedSource = match &at.plan.op {
             PhysOp::TableScan { table, .. } => {
                 let split = ex.split_for(inst, at.id);
-                let (_, store) = ex.table_store(inst.slot, *table)?;
+                let (_, store) = ex.catalog.scan_store(*table, inst.slot.site, inst.slot.partition)?;
                 Box::new(ScanSource::new(store.chunks().clone(), split, ctrl))
             }
             PhysOp::IndexScan { table, index, sort, .. } => {
@@ -481,7 +449,7 @@ impl BuildCtx<'_> {
                 // The partition's sorted run, as of the very snapshot a table
                 // scan would read here (re-sorted on demand when a write
                 // moved the partition past the cached run).
-                let (p, store) = ex.table_store(inst.slot, *table)?;
+                let (p, store) = ex.catalog.scan_store(*table, inst.slot.site, inst.slot.partition)?;
                 Box::new(ScanSource::new(ix.run_for(p, &store), split, ctrl).sorted_on(sort))
             }
             PhysOp::Values { schema, rows } => {

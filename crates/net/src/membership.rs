@@ -6,18 +6,18 @@
 //! are partition `p`'s target owners, primary first. [`Membership::new`]
 //! writes the targets of the boot set (one hash partition per site, so
 //! partition `p`'s primary is site `p` and its backups the next sites
-//! round-robin), and the rebalance controller steers every later layout
+//! round-robin), and the cluster's repair pass steers every later layout
 //! to the targets of the current members. The [`ReplicaMap`] is an
 //! immutable snapshot (who is a member, and for every partition the ordered
 //! owner list — primary first, then backups). [`Membership`] wraps the
 //! current map behind a lock and hands out `Arc` snapshots, so readers and
-//! the write path plan against a consistent view while the rebalance
-//! controller installs new maps as sites join, leave and fail.
+//! the write path plan against a consistent view while the repair pass
+//! installs new maps as sites join, leave and fail.
 //! [`ReplicaMap::assignment`] is the one partition → live-site resolution.
 //!
 //! The map carries no version: a write that races an ownership change is
 //! kept consistent by the partition's write guard in `ic-storage`, which the
-//! controller holds around every owner-list change, so a snapshot read
+//! repair pass holds around every owner-list change, so a snapshot read
 //! under the guard cannot go stale mid-write.
 
 use crate::topology::{partition_of_hash, Assignment, FailoverError, SiteId};
@@ -110,11 +110,11 @@ impl ReplicaMap {
 
 /// The mutable membership cell: current [`ReplicaMap`] behind a lock, handed
 /// out as cheap `Arc` snapshots. Mutations are expected to come from a
-/// single controller (the cluster's rebalance controller serializes them);
+/// single writer (the cluster's repair pass serializes them);
 /// the lock only protects snapshot consistency for concurrent readers.
 #[derive(Debug)]
 pub struct Membership {
-    /// The replication factor the controller steers toward (Ignite's
+    /// The replication factor the repair pass steers toward (Ignite's
     /// `backups=N`).
     target_backups: usize,
     map: RwLock<Arc<ReplicaMap>>,
@@ -136,7 +136,7 @@ impl Membership {
         }
     }
 
-    /// Replica copies per partition the controller re-replicates toward.
+    /// Replica copies per partition the repair pass re-replicates toward.
     pub fn target_backups(&self) -> usize {
         self.target_backups
     }
@@ -158,7 +158,7 @@ impl Membership {
         *guard = Arc::new(next);
     }
 
-    /// Admit a site into the cluster (no data moves yet — the controller
+    /// Admit a site into the cluster (no data moves yet — the repair pass
     /// migrates partitions to it afterwards). Idempotent.
     pub fn add_member(&self, site: SiteId) {
         self.mutate(|m| {
@@ -170,7 +170,7 @@ impl Membership {
     }
 
     /// Remove a departed site: scrub it from membership and from every
-    /// owner list it appears in. The controller re-replicates the lost
+    /// owner list it appears in. The repair pass re-replicates the lost
     /// copies afterwards.
     pub fn remove_member(&self, site: SiteId) {
         self.mutate(|m| {
@@ -181,8 +181,8 @@ impl Membership {
         })
     }
 
-    /// Install a new owner list for `partition` — the rebalance
-    /// controller's one owner-list edit ends here.
+    /// Install a new owner list for `partition` — the repair pass's one
+    /// owner-list edit ends here.
     pub fn set_owners(&self, partition: usize, owners: Vec<SiteId>) {
         assert!(!owners.is_empty(), "a partition must keep at least one owner");
         self.mutate(|m| m.owners[partition] = owners)

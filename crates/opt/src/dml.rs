@@ -1,35 +1,31 @@
-//! DML routing: decide how a bound write fans out over the cluster.
+//! DML routing: the partition pin of a bound write.
 //!
-//! The router is the DML counterpart of the Volcano distribution traits:
-//! the table's partitioning trait plus the predicate's determined columns
-//! decide between the single-partition fast path (Ignite's keyed
-//! `put`/`remove`), an all-partition scatter, and the replicated-table
-//! broadcast.
+//! The pin is the DML counterpart of the Volcano distribution traits: the
+//! table's partitioning trait plus the predicate's determined columns
+//! decide whether an `UPDATE` / `DELETE` takes the single-partition fast
+//! path (Ignite's keyed `put`/`remove`). Everything else about how a write
+//! fans out is `ic_storage::execute_dml`'s.
 
 use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, IcError, IcResult, Row};
-use ic_plan::dml::{BoundDml, DmlPlan, DmlTarget};
+use ic_plan::dml::{BoundDml, DmlPlan};
 use ic_storage::{Catalog, TableDistribution, WriteOp};
 
-/// Route a bound DML statement by the table's partitioning trait.
+/// Plan a bound DML statement: pinned to one partition when its predicate
+/// fixes a hash-partitioned table's whole distribution key, unpinned
+/// otherwise (inserts are split per row by the write engine, and a
+/// replicated table has no partitions).
 pub fn plan_dml(catalog: &Catalog, stmt: BoundDml) -> IcResult<DmlPlan> {
     let def = catalog
         .table_def(stmt.table)
         .ok_or_else(|| IcError::Plan(format!("unknown table {}", stmt.table)))?;
-    let target = match &def.distribution {
-        TableDistribution::Replicated => DmlTarget::Broadcast,
-        TableDistribution::HashPartitioned { key_cols } => match &stmt.op {
-            // Inserts are split per-row by the write engine; the plan-level
-            // target says "scatter".
-            WriteOp::Insert { .. } => DmlTarget::AllPartitions,
-            WriteOp::Update { predicate, .. } | WriteOp::Delete { predicate } => {
-                match predicate.as_ref().and_then(|p| pin_partition(catalog, p, key_cols, &def)) {
-                    Some(p) => DmlTarget::SinglePartition(p),
-                    None => DmlTarget::AllPartitions,
-                }
-            }
-        },
+    let partition = match (&def.distribution, &stmt.op) {
+        (
+            TableDistribution::HashPartitioned { key_cols },
+            WriteOp::Update { predicate: Some(predicate), .. } | WriteOp::Delete { predicate: Some(predicate) },
+        ) => pin_partition(catalog, predicate, key_cols, &def),
+        _ => None,
     };
-    Ok(DmlPlan { table: stmt.table, op: stmt.op, target })
+    Ok(DmlPlan::new(stmt, partition))
 }
 
 /// If `predicate` pins every distribution-key column to a literal (a
@@ -128,7 +124,6 @@ mod tests {
         .unwrap();
         let key = ColumnBatch::from_rows(&[Row(vec![Datum::Int(17)])]);
         let expected = cat.membership().snapshot().partition_of_hash(key.hash_keys(&[0])[0]);
-        assert_eq!(plan.target, DmlTarget::SinglePartition(expected));
         assert_eq!(plan.pinned_partition(), Some(expected));
     }
 
@@ -155,7 +150,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(matches!(plan.target, DmlTarget::SinglePartition(_)));
+        assert!(plan.pinned_partition().is_some());
     }
 
     #[test]
@@ -171,14 +166,14 @@ mod tests {
             BoundDml { table: part, op: WriteOp::Delete { predicate: Some(pred) } },
         )
         .unwrap();
-        assert_eq!(plan.target, DmlTarget::AllPartitions);
+        assert_eq!(plan.pinned_partition(), None);
         // An unpredicated delete scatters too.
         let plan = plan_dml(
             &cat,
             BoundDml { table: part, op: WriteOp::Delete { predicate: None } },
         )
         .unwrap();
-        assert_eq!(plan.target, DmlTarget::AllPartitions);
+        assert_eq!(plan.pinned_partition(), None);
     }
 
     #[test]
@@ -189,7 +184,6 @@ mod tests {
             BoundDml { table: repl, op: WriteOp::Delete { predicate: Some(key_eq(1)) } },
         )
         .unwrap();
-        assert_eq!(plan.target, DmlTarget::Broadcast);
         assert_eq!(plan.pinned_partition(), None);
         let plan = plan_dml(
             &cat,
@@ -201,6 +195,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(plan.target, DmlTarget::AllPartitions);
+        assert_eq!(plan.pinned_partition(), None);
     }
 }

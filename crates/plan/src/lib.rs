@@ -31,7 +31,7 @@ pub mod props;
 pub mod validate;
 
 pub use cost::{Cost, CostContext};
-pub use dml::{BoundDml, DmlPlan, DmlTarget};
+pub use dml::{BoundDml, DmlPlan};
 pub use dist::{DistReq, Distribution};
 pub use ops::{AggCall, AggPhase, JoinKind, LogicalPlan, PhysOp, PhysPlan, RelOp, SortKey};
 pub use props::LogicalProps;
