@@ -242,8 +242,8 @@ mod tests {
     #[test]
     fn counters_and_gauges_intern_by_name() {
         let r = MetricsRegistry::new();
-        let a = r.counter("exec.op.rows");
-        let b = r.counter("exec.op.rows");
+        let a = r.counter("exec.batch.rows");
+        let b = r.counter("exec.batch.rows");
         a.add(5);
         b.inc();
         assert_eq!(a.get(), 6);

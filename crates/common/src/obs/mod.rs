@@ -10,7 +10,7 @@
 //!   read behind it is the sanctioned boundary enforced by ic-lint rule
 //!   L007 — traced code never calls `std::time::Instant` directly.
 //! * [`MetricsRegistry`] — process-wide named counters / gauges /
-//!   histograms (`exec.op.rows`, `mem.lease.revocations`, …), updated at
+//!   histograms (`exec.batch.rows`, `mem.lease.revocations`, …), updated at
 //!   batch/operation granularity, never per row. See OBSERVABILITY.md for
 //!   the naming convention.
 //! * [`TraceSink`] — renders a finished trace as (a) an `EXPLAIN ANALYZE`

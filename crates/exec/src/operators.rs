@@ -45,10 +45,6 @@ pub struct ExecObs {
     pub trace: Arc<Trace>,
     /// Estimated-vs-actual table for the current execution attempt.
     pub attempt: Arc<AttemptStats>,
-    /// Global `exec.op.rows` counter (resolved once per query).
-    pub op_rows: Arc<Counter>,
-    /// Global `exec.op.batches` counter (resolved once per query).
-    pub op_batches: Arc<Counter>,
     /// Global `exec.batch.batches` counter: column batches emitted.
     pub batch_batches: Arc<Counter>,
     /// Global `exec.batch.rows` counter: logical rows emitted (after
@@ -67,8 +63,6 @@ impl ExecObs {
         ExecObs {
             trace,
             attempt,
-            op_rows: reg.counter("exec.op.rows"),
-            op_batches: reg.counter("exec.op.batches"),
             batch_batches: reg.counter("exec.batch.batches"),
             batch_rows: reg.counter("exec.batch.rows"),
             batch_phys_rows: reg.counter("exec.batch.phys_rows"),
@@ -292,8 +286,6 @@ impl Drop for TracedSource {
             o.batch_rows.add(self.rows);
             o.batch_phys_rows.add(self.phys_rows);
         }
-        o.op_rows.add(self.rows);
-        o.op_batches.add(self.batches);
         o.trace.record_span(
             self.label.as_str(),
             "operator",

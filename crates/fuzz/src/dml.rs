@@ -143,6 +143,10 @@ pub struct DmlOutcome {
     pub digest: String,
     /// First oracle violation, if any.
     pub disagreement: Option<String>,
+    /// Checks refused under live faults (a retryable or resource error).
+    pub refused_reads: usize,
+    /// Write statements that failed (honestly: retryable or resource).
+    pub failed_writes: usize,
 }
 
 impl DmlOutcome {
@@ -284,22 +288,25 @@ fn check_read(
 /// Drive one scenario against a fresh cluster. Deterministic: the same
 /// scenario yields the same digest on every run.
 pub fn run_dml_scenario(scenario: &DmlScenario) -> DmlOutcome {
-    let mut digest = format!("dml seed={} {}", scenario.seed, scenario.spec());
-    let fail = |digest: &str, msg: String| DmlOutcome {
-        digest: digest.to_string(),
-        disagreement: Some(format!("{msg}\nspec: {digest}")),
+    let mut out = DmlOutcome {
+        digest: format!("dml seed={} {}", scenario.seed, scenario.spec()),
+        disagreement: None,
+        refused_reads: 0,
+        failed_writes: 0,
     };
-    let run = catch_unwind(AssertUnwindSafe(|| drive(scenario, &mut digest)));
-    match run {
-        Ok(Ok(())) => DmlOutcome { digest, disagreement: None },
-        Ok(Err(msg)) => fail(&digest, msg),
-        Err(payload) => {
-            fail(&digest, format!("panicked: {}", ic_common::panic_message(&*payload)))
-        }
-    }
+    let msg = match catch_unwind(AssertUnwindSafe(|| drive(scenario, &mut out))) {
+        Ok(Ok(())) => return out,
+        Ok(Err(msg)) => msg,
+        Err(payload) => format!("panicked: {}", ic_common::panic_message(&*payload)),
+    };
+    out.disagreement = Some(format!("{msg}\nspec: {}", out.digest));
+    out
 }
 
-fn drive(scenario: &DmlScenario, digest: &mut String) -> Result<(), String> {
+/// Run the scenario, appending to `out`'s digest and counting its refused
+/// reads and failed writes.
+fn drive(scenario: &DmlScenario, out: &mut DmlOutcome) -> Result<(), String> {
+    let digest = &mut out.digest;
     let cluster = fresh_cluster(scenario.sites);
     // A seeded transient crash rides along so injector-driven failure hits
     // mid-statement, not only at the scripted kill ops.
@@ -332,6 +339,7 @@ fn drive(scenario: &DmlScenario, digest: &mut String) -> Result<(), String> {
                     }
                     Err(e) => {
                         fail_taints(&e, &ctx)?;
+                        out.failed_writes += 1;
                         for k in keys {
                             shadow.insert(*k, None);
                         }
@@ -365,6 +373,7 @@ fn drive(scenario: &DmlScenario, digest: &mut String) -> Result<(), String> {
                     },
                     Err(e) => {
                         fail_taints(&e, &ctx)?;
+                        out.failed_writes += 1;
                         if let Some(state) = shadow.get_mut(key) {
                             *state = None;
                         }
@@ -394,6 +403,7 @@ fn drive(scenario: &DmlScenario, digest: &mut String) -> Result<(), String> {
                     }
                     Err(e) => {
                         fail_taints(&e, &ctx)?;
+                        out.failed_writes += 1;
                         if let Some(state) = shadow.get_mut(key) {
                             *state = None;
                         }
@@ -426,17 +436,19 @@ fn drive(scenario: &DmlScenario, digest: &mut String) -> Result<(), String> {
                     }
                     Err(e) => {
                         fail_taints(&e, &ctx)?;
+                        out.failed_writes += 1;
                         for (_, state) in shadow.range_mut(..*below) {
                             *state = None;
                         }
                     }
                 }
             }
-            DmlOp::Check => {
-                if let Some(rows) = check_read(&cluster, &shadow, &ctx, false)? {
+            DmlOp::Check => match check_read(&cluster, &shadow, &ctx, false)? {
+                Some(rows) => {
                     let _ = write!(digest, " {i}:rows={}", rows.len());
                 }
-            }
+                None => out.refused_reads += 1,
+            },
             DmlOp::Kill => {
                 let members: Vec<usize> = live_members(&cluster, &killed);
                 if members.len() > 1 {

@@ -112,6 +112,7 @@ fn run_dml_seeds(from: u64, to: u64, smoke: bool, max_secs: u64) -> i32 {
     let t0 = Instant::now();
     let mut ran = 0u64;
     let mut failures = 0u64;
+    let (mut refused_reads, mut failed_writes) = (0, 0);
     for seed in from..to {
         if t0.elapsed().as_secs() >= max_secs {
             println!(
@@ -124,6 +125,8 @@ fn run_dml_seeds(from: u64, to: u64, smoke: bool, max_secs: u64) -> i32 {
         let scenario = ic_fuzz::DmlScenario::from_seed(seed);
         let outcome = ic_fuzz::run_dml_scenario(&scenario);
         ran += 1;
+        refused_reads += outcome.refused_reads;
+        failed_writes += outcome.failed_writes;
         if let Some(d) = &outcome.disagreement {
             failures += 1;
             println!("DML FUZZ FAILURE seed={seed}\n{d}");
@@ -144,7 +147,8 @@ fn run_dml_seeds(from: u64, to: u64, smoke: bool, max_secs: u64) -> i32 {
         }
     }
     println!(
-        "ic-fuzz dml: {ran} scenarios, {failures} failures, {:.1}s",
+        "ic-fuzz dml: {ran} scenarios, {failures} failures, {refused_reads} refused reads, \
+         {failed_writes} failed writes, {:.1}s",
         t0.elapsed().as_secs_f64()
     );
     if failures == 0 {
