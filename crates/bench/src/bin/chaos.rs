@@ -102,7 +102,6 @@ fn main() {
                     println!("Q{q:02}: ok ({note}, wall {wall:?})");
                 }
             }
-            // ic-lint: allow(L009) because the loop iterates distinct benchmark queries; the retry vocabulary reports Cluster-internal retry counts, it does not re-attempt the failed query
             Err(e) => {
                 failed += 1;
                 println!("Q{q:02}: FAILED under faults: {e}");
@@ -217,7 +216,6 @@ fn run_write_phase(
                     }
                 }
             }
-            // ic-lint: allow(L009) because the loop iterates distinct stream writes; a failed statement is counted against availability and never re-attempted
             Err(_) => {
                 // The statement may have committed some partition batches
                 // before failing; the key's state is unknown.

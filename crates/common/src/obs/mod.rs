@@ -7,8 +7,8 @@
 //!   fragment instance, operator lifetime, network transfer) plus instant
 //!   *events* (faults, sheds, revocations). Every timestamp comes from the
 //!   trace's own monotonic clock ([`Trace::now_ns`]); the single wall-clock
-//!   read behind it is the sanctioned boundary enforced by ic-lint rule
-//!   L007 — traced code never calls `std::time::Instant` directly.
+//!   read behind it is the sanctioned boundary: clippy's clock ban
+//!   (`crates/clippy.toml`) keeps traced code off `std::time::Instant`.
 //! * [`MetricsRegistry`] — process-wide named counters / gauges /
 //!   histograms (`exec.batch.rows`, `mem.lease.revocations`, …), updated at
 //!   batch/operation granularity, never per row. See OBSERVABILITY.md for

@@ -239,7 +239,7 @@ impl Trace {
 
     /// Nanoseconds since the trace epoch — the clock every span and event
     /// in this trace is keyed to. This is the only sanctioned time source
-    /// in traced code paths (ic-lint rule L007).
+    /// in traced code paths (clippy's clock ban, `crates/clippy.toml`).
     pub fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }

@@ -11,7 +11,7 @@ use ic_net::{FaultInjector, FaultPlan, Network, NetworkConfig, SiteId};
 use ic_opt::hep::hep_stage;
 use ic_opt::params;
 use ic_opt::pipeline::volcano_stage;
-use ic_plan::dml::BoundDml;
+use ic_plan::dml::DmlPlan;
 use ic_plan::ops::PhysPlan;
 use ic_plan::PlannerFlags;
 use ic_sql::ast::{self, Statement};
@@ -314,8 +314,11 @@ impl Cluster {
         self.write(client, &self.parse(sql, root.as_ref())?, root.as_ref())
     }
 
-    /// Refuse anything but DML, bind it once, take an admission slot like a
-    /// read does, then run [`Cluster::dml_stmt`] through the attempt loop.
+    /// Refuse anything but DML, bind and plan it once, take an admission
+    /// slot like a read does, then run [`Cluster::dml_stmt`] through the
+    /// attempt loop. The plan is the partition pin, which depends on the
+    /// statement and the partition count only: no failure or membership
+    /// change between attempts moves it.
     fn write(&self, client: u64, stmt: &Statement, under: Under<'_>) -> IcResult<DmlResult> {
         if !matches!(stmt, Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)) {
             return Err(IcError::Exec("use query()/run() for non-DML statements".into()));
@@ -324,21 +327,20 @@ impl Cluster {
             let _span = under.map(|s| s.child("sql.bind", "plan"));
             ic_sql::bind_dml(stmt, &self.catalog)?
         };
+        let plan = {
+            let _span = under.map(|s| s.child("opt.dml_plan", "plan"));
+            ic_opt::plan_dml(&self.catalog, bound)?
+        };
         let _admission = self.admit(client, under)?;
         let (mut result, retries) =
-            self.attempts(client, under, |attempt| self.dml_stmt(&bound, attempt))?;
+            self.attempts(client, under, |attempt| self.dml_stmt(&plan, attempt))?;
         result.retries = retries;
         Ok(result)
     }
 
-    /// One routing + commit attempt of a bound write (no failover). Routed
-    /// every attempt: partition pinning must see the replica map as
-    /// repaired after the previous failure.
-    fn dml_stmt(&self, bound: &BoundDml, under: Under<'_>) -> IcResult<DmlResult> {
-        let plan = {
-            let _span = under.map(|s| s.child("opt.dml_plan", "plan"));
-            ic_opt::plan_dml(&self.catalog, bound.clone())?
-        };
+    /// One commit attempt of a planned write (no failover): `execute_dml`
+    /// routes it over the replica map as it stands at this attempt.
+    fn dml_stmt(&self, plan: &DmlPlan, under: Under<'_>) -> IcResult<DmlResult> {
         let mut span = under.map(|s| s.child("storage.execute_dml", "exec"));
         let out = ic_storage::execute_dml(
             &self.catalog,
@@ -1162,13 +1164,15 @@ mod tests {
         let r = r.unwrap();
         assert!(r.rows_affected <= 100);
         assert!(r.retries >= 1, "expected a failover retry, got {}", r.retries);
-        // The write's trace has the read's skeleton: one parse, one bind,
-        // a span per attempt with the lost one's event, and the routing and
-        // commit stages under the attempt that answered.
+        // The write's trace has the read's skeleton: one parse, one bind and
+        // one routing plan at the root, a span per attempt with the lost
+        // one's event, and the commit stage under the attempt that answered.
         trace.validate().expect("well-formed span tree despite the dead primary");
         let spans = trace.spans();
-        for stage in ["sql.parse", "sql.bind"] {
-            assert_eq!(spans.iter().filter(|s| s.name == stage).count(), 1, "{stage}");
+        let root = spans.iter().find(|s| s.parent.is_none() && s.name == "query").unwrap().id;
+        for stage in ["sql.parse", "sql.bind", "opt.dml_plan"] {
+            let at: Vec<_> = spans.iter().filter(|s| s.name == stage).map(|s| s.parent).collect();
+            assert_eq!(at, [Some(root)], "{stage}");
         }
         let attempts: Vec<_> = spans.iter().filter(|s| s.cat == "attempt").collect();
         assert_eq!(attempts.len() as u32, r.retries + 1);
@@ -1177,7 +1181,6 @@ mod tests {
         let under_answered = |name: &str| {
             spans.iter().find(|s| s.name == name && s.parent == Some(answered)).cloned()
         };
-        assert!(under_answered("opt.dml_plan").is_some());
         let commit = under_answered("storage.execute_dml").expect("commit stage");
         assert_eq!(
             commit.args,
@@ -1563,5 +1566,68 @@ mod tests {
         // Every replanned attempt bound the first attempt's template.
         let stats = cluster.plan_cache_stats();
         assert_eq!((stats.misses, stats.hits, stats.stale), (1, 1 + u64::from(r.retries), 0));
+    }
+
+    /// The attempt loop re-enters only on a failover-retryable error: that
+    /// body runs `max_retries + 1` times and ends in `RetriesExhausted`,
+    /// every other error's body runs once and the error comes back as is.
+    #[test]
+    fn attempts_retry_only_failover_errors() {
+        let cluster =
+            Cluster::new(ClusterConfig { retry_backoff: Duration::ZERO, ..ClusterConfig::test_default() });
+        let (s, max_retries) = (String::new, cluster.config.max_retries);
+        let every = [
+            IcError::Parse(s()),
+            IcError::Bind(s()),
+            IcError::Plan(s()),
+            IcError::PlannerBudgetExceeded { rules_fired: 1, budget: 1 },
+            IcError::Unsupported(s()),
+            IcError::Exec(s()),
+            IcError::ExecTimeout { limit_ms: 1 },
+            IcError::MemoryLimit { limit_rows: 1 },
+            IcError::Catalog(s()),
+            IcError::SiteUnavailable { site: 1, detail: s() },
+            IcError::Overloaded { retry_after_ms: 1 },
+            IcError::ResourcesRevoked { lease_cells: 1 },
+            IcError::RetriesExhausted { attempts: 1, chain: vec![] },
+            IcError::WriteConflict { partition: 0, expected_version: 1, found_version: 2 },
+            IcError::RebalanceInProgress { partition: 0 },
+            IcError::Internal(s()),
+            IcError::Cancelled,
+        ];
+        for e in every {
+            // No wildcard arm: a new variant fails to compile until listed.
+            match e {
+                IcError::Parse(_)
+                | IcError::Bind(_)
+                | IcError::Plan(_)
+                | IcError::PlannerBudgetExceeded { .. }
+                | IcError::Unsupported(_)
+                | IcError::Exec(_)
+                | IcError::ExecTimeout { .. }
+                | IcError::MemoryLimit { .. }
+                | IcError::Catalog(_)
+                | IcError::SiteUnavailable { .. }
+                | IcError::Overloaded { .. }
+                | IcError::ResourcesRevoked { .. }
+                | IcError::RetriesExhausted { .. }
+                | IcError::WriteConflict { .. }
+                | IcError::RebalanceInProgress { .. }
+                | IcError::Internal(_)
+                | IcError::Cancelled => {}
+            }
+            let runs = std::cell::Cell::new(0);
+            let out = cluster.attempts(0, None, |_| -> IcResult<()> {
+                runs.set(runs.get() + 1);
+                Err(e.clone())
+            });
+            let err = out.unwrap_err();
+            if e.is_failover_retryable() {
+                assert_eq!(runs.get(), max_retries + 1, "{e}");
+                assert!(matches!(err, IcError::RetriesExhausted { attempts, .. } if attempts == max_retries + 1));
+            } else {
+                assert_eq!((runs.get(), &err), (1, &e));
+            }
+        }
     }
 }

@@ -184,7 +184,7 @@ impl ControlBlock {
 }
 
 /// Transparent tracing wrapper: times any [`RowSource`] on the trace clock —
-/// the only sanctioned time source here (ic-lint rule L007) — and reports it
+/// the only sanctioned time source here (clippy's clock ban) — and reports it
 /// under its plan node. Built only when the query is traced, so untraced
 /// execution pays nothing.
 pub struct TracedSource {

@@ -466,9 +466,12 @@ fn write_replicated(
         match network.replicate(src, member, bytes) {
             Ok(()) => {}
             Err(NetError::SiteDead(s)) if s == member => degraded = true,
+            // The broadcasting site itself died (`SiteDead(src)`) or the
+            // link lost the message: abort with nothing changed, naming the
+            // site the retry should probe.
             Err(e) => {
                 return Err(IcError::SiteUnavailable {
-                    site: member.0,
+                    site: if e == NetError::SiteDead(src) { src.0 } else { member.0 },
                     detail: format!("replicated-table broadcast failed: {e:?}"),
                 });
             }
@@ -679,22 +682,56 @@ mod tests {
         assert!(out.degraded, "a single-copy ack must be flagged degraded");
     }
 
-    #[test]
-    fn replicated_table_write_broadcasts() {
+    /// Insert two rows into a replicated table on 3 members under `faults`:
+    /// the outcome, and whether the store's version moved. The broadcaster
+    /// is site 0, the lowest live member; its sends to sites 1 and 2 are
+    /// ticks 0 and 1.
+    fn replicated_write(faults: FaultPlan) -> (IcResult<WriteOutcome>, bool) {
         let cat = Catalog::new(3, 1);
         let net = Network::new(NetworkConfig::instant());
-        let id = cat
-            .create_table("r", schema(), vec![0], TableDistribution::Replicated)
-            .unwrap();
-        let out = execute_dml(
-            &cat,
-            &net,
-            id,
-            &insert(vec![row(1, 1), row(2, 2)]),
-            None,
-        )
-        .unwrap();
-        assert_eq!(out.rows_affected, 2);
-        assert_eq!(cat.table_data(id).unwrap().total_rows(), 2);
+        let id = cat.create_table("r", schema(), vec![0], TableDistribution::Replicated).unwrap();
+        net.install_faults(faults);
+        let out = execute_dml(&cat, &net, id, &insert(vec![row(1, 1), row(2, 2)]), None);
+        let data = cat.table_data(id).unwrap();
+        assert_eq!(data.total_rows(), if out.is_ok() { 2 } else { 0 });
+        (out, data.store(0).version() > 0)
+    }
+
+    #[test]
+    fn replicated_table_write_broadcasts() {
+        let (out, committed) = replicated_write(FaultPlan::new(7));
+        assert_eq!((out.unwrap().rows_affected, committed), (2, true));
+    }
+
+    /// The broadcaster dies at its second send: the write names it, so the
+    /// retry probes the site that is down, and commits nothing.
+    #[test]
+    fn replicated_write_names_a_broadcaster_that_dies() {
+        let (out, committed) = replicated_write(FaultPlan::new(7).crash(SiteId(0), 1));
+        assert!(matches!(out, Err(IcError::SiteUnavailable { site: 0, .. })), "{out:?}");
+        assert!(!committed);
+    }
+
+    #[test]
+    fn replicated_write_losing_a_message_commits_nothing() {
+        let (out, committed) = replicated_write(FaultPlan::new(7).drop_link(SiteId(0), SiteId(2), 1.0, 0, u64::MAX));
+        assert!(out.as_ref().is_err_and(IcError::is_failover_retryable), "{out:?}");
+        assert!(!committed);
+    }
+
+    /// A member that dies at its own send is skipped like a backup: the
+    /// write commits, acknowledged as degraded.
+    #[test]
+    fn replicated_write_skips_a_member_that_dies() {
+        let (out, committed) = replicated_write(FaultPlan::new(7).crash(SiteId(2), 1));
+        assert_eq!((out.unwrap().degraded, committed), (true, true));
+    }
+
+    #[test]
+    fn replicated_write_with_every_member_down_fails() {
+        let plan = (0..3).fold(FaultPlan::new(7), |plan, s| plan.crash(SiteId(s), 0));
+        let (out, committed) = replicated_write(plan);
+        assert!(matches!(out, Err(IcError::SiteUnavailable { .. })), "{out:?}");
+        assert!(!committed);
     }
 }
