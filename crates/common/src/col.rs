@@ -198,6 +198,25 @@ impl Bitmap {
         set
     }
 
+    /// Keep just the bits `rows` (increasing), in place; returns how many
+    /// of them are set.
+    pub fn keep(&mut self, rows: &[u32]) -> usize {
+        let mut set = 0;
+        for (j, &i) in rows.iter().enumerate() {
+            // `i >= j`: bit `i` is read before anything is written over it.
+            let bit = self.get(i as usize) as u64;
+            let w = &mut self.words[j >> 6];
+            *w = (*w & !(1u64 << (j & 63))) | bit << (j & 63);
+            set += bit as usize;
+        }
+        self.len = rows.len();
+        self.words.truncate(self.len.div_ceil(64));
+        if let Some(last) = self.words.last_mut().filter(|_| !self.len.is_multiple_of(64)) {
+            *last &= (1u64 << (self.len % 64)) - 1;
+        }
+        set
+    }
+
     /// Clear bit `i` (mark row `i` NULL).
     #[inline]
     pub fn clear(&mut self, i: usize) {
@@ -801,6 +820,47 @@ impl ColumnBuilder {
                 self.has_null |= b.count_valid() < n;
             }
         }
+    }
+
+    /// An Int builder's values so far; `None` for another type.
+    pub fn ints(&self) -> Option<&[i64]> {
+        match &self.data {
+            ColumnData::Int(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Keep just the pushed rows `rows` (increasing), in place: the buffers
+    /// keep their capacity, so a builder trimmed after every batch does not
+    /// regrow from empty.
+    pub fn keep(&mut self, rows: &[u32]) {
+        fn compact<T: Copy>(v: &mut Vec<T>, rows: &[u32]) {
+            for (j, &i) in rows.iter().enumerate() {
+                v[j] = v[i as usize];
+            }
+            v.truncate(rows.len());
+        }
+        match &mut self.data {
+            ColumnData::Int(v) => compact(v, rows),
+            ColumnData::Double(v) => compact(v, rows),
+            ColumnData::Bool(v) => compact(v, rows),
+            ColumnData::Date(v) => compact(v, rows),
+            ColumnData::Str { offsets, bytes } => {
+                // `i >= j`, so value `i`'s offsets are read before the
+                // `offsets[j + 1]` write can reach them.
+                let mut end = 0;
+                for (j, &i) in rows.iter().enumerate() {
+                    let span = offsets[i as usize] as usize..offsets[i as usize + 1] as usize;
+                    let len = span.len();
+                    bytes.copy_within(span, end);
+                    end += len;
+                    offsets[j + 1] = end as u32;
+                }
+                bytes.truncate(end);
+                offsets.truncate(rows.len() + 1);
+            }
+        }
+        self.has_null = self.validity.keep(rows) < rows.len();
     }
 
     /// Finish into an immutable [`Column`].

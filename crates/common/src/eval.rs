@@ -5,10 +5,13 @@
 //! * [`eval_expr`] evaluates a scalar expression to a logically dense
 //!   [`Column`] (one value per *selected* row).
 //! * [`eval_filter_sel`] evaluates a predicate directly to a selection:
-//!   the *logical* row indices that pass. Conjunctions shrink the
-//!   selection conjunct by conjunct and `Col ⋈ Lit` / `Col ⋈ Col`
-//!   comparisons never materialize anything — the core of the
-//!   filters-never-copy contract of the columnar plane.
+//!   the *logical* row indices that pass. One selection vector is refined
+//!   in place (`refine`): AND by each side in turn, OR by its right side
+//!   over the rows its left rejected, and the common leaves — comparisons
+//!   of columns and literals, literal IN-lists and LIKE patterns, IS NULL —
+//!   by typed loops over the column buffers, which build no batch and
+//!   materialize nothing. That is the filters-never-copy contract of the
+//!   columnar plane.
 //!
 //! Every [`Expr`] variant has a typed, batch-at-a-time kernel: comparisons
 //! and arithmetic over typed buffers (a literal operand stays one scalar,
@@ -17,7 +20,7 @@
 //! by narrowing the undecided rows arm by arm, and the built-in functions.
 //! Output validity is the word-wise AND of the input bitmaps (none at all
 //! when no input has one). Comparison loops carry no data-dependent branch
-//! (`Src`, `holds`, `select_where`): real data is not a replayed
+//! (`Src`, `holds`, `select_where`, `keep`): real data is not a replayed
 //! batch, and a mispredicted branch per row costs more than the comparison.
 //!
 //! **Contract with the row interpreter** ([`Expr::eval`] /
@@ -104,24 +107,34 @@ impl Val {
     /// The typed face of the operand; `None` for the NULL scalar, which no
     /// kernel reads (every operator short-circuits it).
     fn view(&self) -> Option<View<'_>> {
-        Some(match self {
-            Val::Col(c) => match c.data_type() {
-                DataType::Int => View::Int(Src::buf(c.ints()?.0)),
-                DataType::Double => View::Double(Src::buf(c.doubles()?.0)),
-                DataType::Date => View::Date(Src::buf(c.dates()?.0)),
-                DataType::Bool => View::Bool(Src::buf(c.bools()?.0)),
-                DataType::Str => View::Str(StrSrc::Col(c)),
-            },
-            Val::Scalar(d) => match d {
-                Datum::Int(x) => View::Int(Src::one(x)),
-                Datum::Double(x) => View::Double(Src::one(x)),
-                Datum::Date(x) => View::Date(Src::one(x)),
-                Datum::Bool(x) => View::Bool(Src::one(x)),
-                Datum::Str(s) => View::Str(StrSrc::Const(s)),
-                Datum::Null => return None,
-            },
-        })
+        match self {
+            Val::Col(c) => column_view(c),
+            Val::Scalar(d) => datum_view(d),
+        }
     }
+}
+
+/// A column's values as a typed lane indexed by physical row.
+fn column_view(c: &Column) -> Option<View<'_>> {
+    Some(match c.data_type() {
+        DataType::Int => View::Int(Src::buf(c.ints()?.0)),
+        DataType::Double => View::Double(Src::buf(c.doubles()?.0)),
+        DataType::Date => View::Date(Src::buf(c.dates()?.0)),
+        DataType::Bool => View::Bool(Src::buf(c.bools()?.0)),
+        DataType::Str => View::Str(StrSrc::Col(c)),
+    })
+}
+
+/// A non-NULL value broadcast to every row; `None` for NULL.
+fn datum_view(d: &Datum) -> Option<View<'_>> {
+    Some(match d {
+        Datum::Int(x) => View::Int(Src::one(x)),
+        Datum::Double(x) => View::Double(Src::one(x)),
+        Datum::Date(x) => View::Date(Src::one(x)),
+        Datum::Bool(x) => View::Bool(Src::one(x)),
+        Datum::Str(s) => View::Str(StrSrc::Const(s)),
+        Datum::Null => return None,
+    })
 }
 
 /// One typed operand lane: a buffer indexed by row, or one broadcast
@@ -270,9 +283,10 @@ fn bit(validity: Option<&Bitmap>, i: usize) -> bool {
     validity.is_none_or(|v| v.get(i))
 }
 
-/// `batch` narrowed to the logical rows `rows` (increasing); the batch
-/// itself when they are all of its rows, so full-batch sub-evaluations keep
-/// sharing column `Arc`s.
+/// `batch` narrowed to the logical rows `rows` (increasing): how a CASE
+/// arm, a computed IN item and a predicate without a typed loop see just
+/// their rows. The batch itself when they are all of its rows, so
+/// full-batch sub-evaluations keep sharing column `Arc`s.
 fn narrow<'a>(batch: &'a ColumnBatch, rows: &[u32]) -> Cow<'a, ColumnBatch> {
     if rows.len() == batch.num_rows() {
         Cow::Borrowed(batch)
@@ -294,26 +308,6 @@ fn select_where(n: usize, mut pass: impl FnMut(usize) -> bool) -> Vec<u32> {
     }
     out.truncate(len);
     out
-}
-
-/// `rows[j]` for each `j` in `picks`: positions within a narrowed batch
-/// back to rows of the batch it was narrowed from.
-fn pick(rows: &[u32], picks: &[u32]) -> Vec<u32> {
-    picks.iter().map(|&j| rows[j as usize]).collect()
-}
-
-/// The logical rows of a batch of `n` not listed in `taken` (increasing).
-fn complement(n: usize, taken: &[u32]) -> Vec<u32> {
-    let mut rest = Vec::with_capacity(n - taken.len());
-    let mut p = 0usize;
-    for k in 0..n as u32 {
-        if taken.get(p) == Some(&k) {
-            p += 1;
-        } else {
-            rest.push(k);
-        }
-    }
-    rest
 }
 
 /// Evaluate `e` over every selected row of `batch`, producing a logically
@@ -382,45 +376,29 @@ fn eval_val(e: &Expr, batch: &ColumnBatch) -> IcResult<Val> {
     }
 }
 
-/// Where a typed comparison sends its per-row orderings: to a boolean
-/// buffer ([`ToBools`]) or straight to a selection ([`ToSel`]). `ord_at`
-/// yields `None` where the operands do not compare (a NaN); the sink
-/// reports the first such valid row as `Err(row)`.
-trait OrdSink {
-    type Out;
-    fn run(self, ord_at: impl Fn(usize) -> Option<Ordering>) -> Result<Self::Out, usize>;
-}
-
-/// The type dispatch of a comparison, shared by both sinks: both operands
-/// of one type, strings compared by their bytes. `None` for operands of
-/// different types.
-fn compare_into<S: OrdSink>(l: &View, r: &View, sink: S) -> Option<Result<S::Out, usize>> {
-    Some(match (l, r) {
-        (View::Int(a), View::Int(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
-        (View::Date(a), View::Date(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
-        (View::Double(a), View::Double(b)) => sink.run(|i| a.at(i).partial_cmp(&b.at(i))),
-        (View::Str(a), View::Str(b)) => sink.run(|i| Some(a.at(i).cmp(b.at(i)))),
-        (View::Bool(a), View::Bool(b)) => sink.run(|i| Some(a.at(i).cmp(&b.at(i)))),
-        _ => return None,
-    })
-}
-
-/// Comparison results of rows `0..n` as booleans.
-struct ToBools<'a> {
-    n: usize,
+/// Comparison `truth` ([`truth_table`]) of rows `0..n` as booleans: both
+/// operands of one type, strings compared by their bytes. `None` for
+/// operands of different types, `Some(Err(i))` for the first row `i` that
+/// is valid in `validity` and has no order (a NaN).
+fn compare_bools(
+    l: &View,
+    r: &View,
     truth: u8,
-    validity: Option<&'a Bitmap>,
-}
-
-impl OrdSink for ToBools<'_> {
-    type Out = Vec<bool>;
-    fn run(self, ord_at: impl Fn(usize) -> Option<Ordering>) -> Result<Vec<bool>, usize> {
+    n: usize,
+    validity: Option<&Bitmap>,
+) -> Option<Result<Vec<bool>, usize>> {
+    fn run(
+        n: usize,
+        truth: u8,
+        validity: Option<&Bitmap>,
+        ord_at: impl Fn(usize) -> Option<Ordering>,
+    ) -> Result<Vec<bool>, usize> {
         let mut bad = None;
-        let vals = (0..self.n)
+        let vals = (0..n)
             .map(|i| match ord_at(i) {
-                Some(ord) => holds(self.truth, ord),
+                Some(ord) => holds(truth, ord),
                 None => {
-                    if bad.is_none() && bit(self.validity, i) {
+                    if bad.is_none() && bit(validity, i) {
                         bad = Some(i);
                     }
                     false
@@ -429,35 +407,15 @@ impl OrdSink for ToBools<'_> {
             .collect();
         bad.map_or(Ok(vals), Err)
     }
-}
-
-/// The logical rows of `batch` whose comparison holds; operands are read at
-/// physical indices through the batch's selection, nothing is gathered.
-struct ToSel<'a> {
-    batch: &'a ColumnBatch,
-    truth: u8,
-    validity: (Option<&'a Bitmap>, Option<&'a Bitmap>),
-}
-
-impl OrdSink for ToSel<'_> {
-    type Out = Vec<u32>;
-    fn run(self, ord_at: impl Fn(usize) -> Option<Ordering>) -> Result<Vec<u32>, usize> {
-        let mut bad = None;
-        let out = select_where(self.batch.num_rows(), |k| {
-            let i = self.batch.phys_index(k);
-            let valid = bit(self.validity.0, i) & bit(self.validity.1, i);
-            match ord_at(i) {
-                Some(ord) => valid & holds(self.truth, ord),
-                None => {
-                    if valid && bad.is_none() {
-                        bad = Some(i);
-                    }
-                    false
-                }
-            }
-        });
-        bad.map_or(Ok(out), Err)
-    }
+    let v = validity;
+    Some(match (l, r) {
+        (View::Int(a), View::Int(b)) => run(n, truth, v, |i| Some(a.at(i).cmp(&b.at(i)))),
+        (View::Date(a), View::Date(b)) => run(n, truth, v, |i| Some(a.at(i).cmp(&b.at(i)))),
+        (View::Double(a), View::Double(b)) => run(n, truth, v, |i| a.at(i).partial_cmp(&b.at(i))),
+        (View::Str(a), View::Str(b)) => run(n, truth, v, |i| Some(a.at(i).cmp(b.at(i)))),
+        (View::Bool(a), View::Bool(b)) => run(n, truth, v, |i| Some(a.at(i).cmp(&b.at(i)))),
+        _ => return None,
+    })
 }
 
 /// A comparison or arithmetic operator over two evaluated operands.
@@ -470,8 +428,7 @@ fn binary(op: BinOp, l: &Val, r: &Val, n: usize) -> IcResult<Val> {
     };
     let validity = both_valid(l.validity(), r.validity());
     let col = if op.is_comparison() {
-        let sink = ToBools { n, truth: truth_table(op), validity: validity.as_ref() };
-        match compare_into(&lv, &rv, sink) {
+        match compare_bools(&lv, &rv, truth_table(op), n, validity.as_ref()) {
             Some(Ok(vals)) => Some(Column::from_bools(vals, validity)),
             Some(Err(i)) => return Err(unordered(&lv, &rv, i)),
             None => None,
@@ -654,12 +611,12 @@ fn case(whens: &[(Expr, Expr)], else_: &Expr, batch: &ColumnBatch) -> IcResult<V
         if open.is_empty() {
             break;
         }
-        let pass = eval_filter_sel(cond, &narrow(batch, &open))?;
-        if pass.is_empty() {
+        let mut rows = open.clone();
+        refine(cond, batch, &mut rows)?;
+        if rows.is_empty() {
             continue;
         }
-        let rows = pick(&open, &pass);
-        open = pick(&open, &complement(open.len(), &pass));
+        remove_sorted(&mut open, &rows);
         let val = eval_val(then, &narrow(batch, &rows))?;
         arms.push((rows, val));
     }
@@ -671,7 +628,9 @@ fn case(whens: &[(Expr, Expr)], else_: &Expr, batch: &ColumnBatch) -> IcResult<V
         return Ok(val.clone());
     }
     // The arms' values end to end, and where each row's value sits in them;
-    // one take then puts the values back into row order.
+    // one take then puts the values back into row order. Arms that computed
+    // only NULLs carry no type, so a result without a value is the NULL
+    // scalar, not a column of whatever type the first arm's buffer had.
     let values: Vec<Arc<Column>> =
         arms.iter().map(|(rows, val)| val.clone().into_column(rows.len())).collect();
     let mut all = ColumnBuilder::new(col::common_type(values.iter().map(|c| &**c)));
@@ -682,7 +641,7 @@ fn case(whens: &[(Expr, Expr)], else_: &Expr, batch: &ColumnBatch) -> IcResult<V
         }
         all.append_column(col, None);
     }
-    Ok(Val::Col(Arc::new(all.finish().take(&at))))
+    Ok(Val::col(Arc::new(all.finish().take(&at))))
 }
 
 /// A built-in function over evaluated arguments, as typed loops.
@@ -784,81 +743,307 @@ fn func_typed(
 }
 
 /// Evaluate a filter predicate to the *logical* row indices of `batch`
-/// that pass (predicate strictly TRUE), in increasing order. Never
-/// materializes output rows: conjunctions shrink a selection, `Col ⋈ Lit`
-/// and `Col ⋈ Col` comparisons scan column buffers directly.
+/// that pass (predicate strictly TRUE), in increasing order: one selection
+/// of every row, refined in place by `refine`.
 pub fn eval_filter_sel(pred: &Expr, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
-    let n = batch.num_rows();
-    if n == 0 {
-        return Ok(Vec::new());
+    let mut sel: Vec<u32> = (0..batch.num_rows() as u32).collect();
+    refine(pred, batch, &mut sel)?;
+    Ok(sel)
+}
+
+/// Shrink `sel` — logical rows of `batch`, increasing — to the rows where
+/// `pred` is TRUE, in place. AND refines by its left side, then by its
+/// right over the survivors; OR refines its right side over the rows its
+/// left rejected and merges the two. Comparisons of columns and non-NULL
+/// literals, literal IN-lists, literal LIKE patterns and IS NULL of a
+/// column run typed loops over the column buffers at physical indices;
+/// every other predicate goes through [`eval_val`] over the surviving rows
+/// only. A predicate is evaluated on no row outside `sel`, and on none at
+/// all once `sel` is empty.
+fn refine(pred: &Expr, batch: &ColumnBatch, sel: &mut Vec<u32>) -> IcResult<()> {
+    if sel.is_empty() {
+        return Ok(());
     }
-    match pred {
+    let done = match pred {
         Expr::Binary { op: BinOp::And, left, right } => {
-            let lsel = eval_filter_sel(left, batch)?;
-            if lsel.is_empty() {
-                return Ok(lsel);
-            }
-            let rsel = eval_filter_sel(right, &narrow(batch, &lsel))?;
-            Ok(pick(&lsel, &rsel))
+            refine(left, batch, sel)?;
+            return refine(right, batch, sel);
         }
         Expr::Binary { op: BinOp::Or, left, right } => {
-            let lsel = eval_filter_sel(left, batch)?;
-            if lsel.len() == n {
-                return Ok(lsel);
+            let mut rest = sel.clone();
+            refine(left, batch, sel)?;
+            if sel.len() < rest.len() {
+                remove_sorted(&mut rest, sel);
+                refine(right, batch, &mut rest)?;
+                merge_sorted(sel, &rest);
             }
-            // Evaluate the right side only over rows the left side
-            // rejected (it can only add those), then merge in row order.
-            let rest = complement(n, &lsel);
-            let rsel = eval_filter_sel(right, &narrow(batch, &rest))?;
-            let mut out = Vec::with_capacity(lsel.len() + rsel.len());
-            let mut right = rsel.iter().map(|&j| rest[j as usize]).peekable();
-            for a in lsel {
-                while let Some(b) = right.next_if(|&b| b < a) {
-                    out.push(b);
-                }
-                out.push(a);
-            }
-            out.extend(right);
-            Ok(out)
+            return Ok(());
         }
         Expr::Binary { op, left, right } if op.is_comparison() => {
-            // Column and literal operands are read in place, at physical
-            // indices; anything computed goes through the boolean column.
-            let operand = |e: &Expr| match e {
-                Expr::Col(c) if *c < batch.width() => Some(Val::Col(Arc::clone(batch.col(*c)))),
-                Expr::Lit(d) if !d.is_null() => Some(Val::Scalar(d.clone())),
-                _ => None,
-            };
-            let (Some(l), Some(r)) = (operand(left), operand(right)) else {
-                return filter_generic(pred, batch);
-            };
-            let sink =
-                ToSel { batch, truth: truth_table(*op), validity: (l.validity(), r.validity()) };
-            let (Some(lv), Some(rv)) = (l.view(), r.view()) else { return Ok(Vec::new()) };
-            match compare_into(&lv, &rv, sink) {
-                Some(Ok(sel)) => Ok(sel),
-                Some(Err(i)) => Err(unordered(&lv, &rv, i)),
-                // A column without a value carries no type (see `col`).
-                None => filter_generic(pred, batch),
-            }
-        }
-        Expr::IsNull { expr, negated } => {
-            if let Expr::Col(c) = expr.as_ref() {
-                if *c < batch.width() {
-                    let col = batch.col(*c);
-                    return Ok(select_where(n, |k| col.is_valid(batch.phys_index(k)) == *negated));
+            match (operand(batch, left), operand(batch, right)) {
+                (Some((l, lvalid)), Some((r, rvalid))) => {
+                    // A literal on the left is the commuted comparison with
+                    // it on the right; an error names the written order.
+                    let outcome = match (left.as_ref(), op.commute()) {
+                        (Expr::Lit(_), Some(op)) if !matches!(right.as_ref(), Expr::Lit(_)) => {
+                            compare_sel(op, &r, &l, (rvalid, lvalid), batch, sel)
+                        }
+                        _ => compare_sel(*op, &l, &r, (lvalid, rvalid), batch, sel),
+                    };
+                    match outcome {
+                        Some(None) => true,
+                        Some(Some(i)) => return Err(unordered(&l, &r, i)),
+                        // A column without a value carries no type (see `Val::col`).
+                        None => false,
+                    }
                 }
+                _ => false,
             }
-            filter_generic(pred, batch)
         }
-        _ => filter_generic(pred, batch),
+        Expr::InList { expr, list, negated } => {
+            column_ref(batch, expr).is_some_and(|c| in_list_sel(c, list, *negated, batch, sel))
+        }
+        Expr::Like { expr, pattern, negated } => match (column_ref(batch, expr), pattern.as_ref()) {
+            (Some(c), Expr::Lit(Datum::Str(p))) if c.data_type() == DataType::Str => {
+                let p = LikePattern::new(p);
+                keep(batch, sel, (c.validity(), None), |i, valid| {
+                    valid & (p.matches(c.bytes_at(i)) != *negated)
+                });
+                true
+            }
+            _ => false,
+        },
+        Expr::IsNull { expr, negated } => match column_ref(batch, expr) {
+            Some(c) => {
+                keep(batch, sel, (None, None), |i, _| c.is_valid(i) == *negated);
+                true
+            }
+            None => false,
+        },
+        _ => false,
+    };
+    if !done {
+        let v = eval_val(pred, &narrow(batch, sel))?;
+        let mut j = 0;
+        sel.retain(|_| {
+            j += 1;
+            v.tri(j - 1) == Some(true)
+        });
+    }
+    Ok(())
+}
+
+/// The column `e` names, if it is a column reference in range.
+fn column_ref<'a>(batch: &'a ColumnBatch, e: &Expr) -> Option<&'a Column> {
+    match e {
+        Expr::Col(c) => batch.columns().get(*c).map(|c| &**c),
+        _ => None,
     }
 }
 
-/// Generic filter: evaluate to a boolean column, keep strictly-TRUE rows.
-fn filter_generic(pred: &Expr, batch: &ColumnBatch) -> IcResult<Vec<u32>> {
-    let v = eval_val(pred, batch)?;
-    Ok(select_where(batch.num_rows(), |k| v.tri(k) == Some(true)))
+/// A comparison operand read in place: a column at physical indices with
+/// its validity, or a non-NULL literal.
+fn operand<'a>(batch: &'a ColumnBatch, e: &'a Expr) -> Option<(View<'a>, Option<&'a Bitmap>)> {
+    match e {
+        Expr::Lit(d) => Some((datum_view(d)?, None)),
+        _ => column_ref(batch, e).and_then(|c| Some((column_view(c)?, c.validity()))),
+    }
+}
+
+/// Keep the rows of `sel` for which `pass(i, valid)` holds, `i` being the
+/// row's physical index and `valid` whether neither bitmap of `validity`
+/// marks it NULL. No data-dependent branch: each row is written to the next
+/// free slot and only a passing row advances it, so a 50 %-selective
+/// predicate costs what a 1 % one does. Monomorphized per batch layout —
+/// dense or selected, with or without a validity bitmap — so that `pass`
+/// compiles into four tight loops.
+#[inline(always)]
+fn keep(
+    batch: &ColumnBatch,
+    sel: &mut Vec<u32>,
+    validity: (Option<&Bitmap>, Option<&Bitmap>),
+    mut pass: impl FnMut(usize, bool) -> bool,
+) {
+    #[inline(always)]
+    fn at_phys(batch: &ColumnBatch, sel: &mut Vec<u32>, mut pass: impl FnMut(usize) -> bool) {
+        let mut len = 0;
+        match batch.selection() {
+            None => {
+                for j in 0..sel.len() {
+                    let k = sel[j];
+                    sel[len] = k;
+                    len += pass(k as usize) as usize;
+                }
+            }
+            Some(phys) => {
+                for j in 0..sel.len() {
+                    let k = sel[j];
+                    sel[len] = k;
+                    len += pass(phys[k as usize] as usize) as usize;
+                }
+            }
+        }
+        sel.truncate(len);
+    }
+    match validity {
+        (None, None) => at_phys(batch, sel, |i| pass(i, true)),
+        (a, b) => at_phys(batch, sel, |i| pass(i, bit(a, i) & bit(b, i))),
+    }
+}
+
+/// Refine `sel` by `l op r`: both operands of one type, read at physical
+/// indices, strings compared by their bytes. The operator is matched once,
+/// outside the loop, and a column compared with a literal on its right
+/// reads the literal once, not per row. `None` for operands of different
+/// types; else the physical index of the first surviving row valid on both
+/// sides whose operands have no order (a NaN), if any.
+fn compare_sel(
+    op: BinOp,
+    l: &View,
+    r: &View,
+    validity: (Option<&Bitmap>, Option<&Bitmap>),
+    batch: &ColumnBatch,
+    sel: &mut Vec<u32>,
+) -> Option<Option<usize>> {
+    #[inline(always)]
+    fn with_op<T: PartialOrd>(
+        op: BinOp,
+        batch: &ColumnBatch,
+        sel: &mut Vec<u32>,
+        validity: (Option<&Bitmap>, Option<&Bitmap>),
+        at: impl Fn(usize) -> (T, T),
+    ) -> Option<usize> {
+        match op {
+            BinOp::Eq => compared(batch, sel, validity, at, |a, b| a == b),
+            BinOp::Ne => compared(batch, sel, validity, at, |a, b| a != b),
+            BinOp::Lt => compared(batch, sel, validity, at, |a, b| a < b),
+            BinOp::Le => compared(batch, sel, validity, at, |a, b| a <= b),
+            BinOp::Gt => compared(batch, sel, validity, at, |a, b| a > b),
+            _ => compared(batch, sel, validity, at, |a, b| a >= b),
+        }
+    }
+    #[inline(always)]
+    fn compared<T: PartialOrd>(
+        batch: &ColumnBatch,
+        sel: &mut Vec<u32>,
+        validity: (Option<&Bitmap>, Option<&Bitmap>),
+        at: impl Fn(usize) -> (T, T),
+        holds: impl Fn(&T, &T) -> bool,
+    ) -> Option<usize> {
+        // Rows are visited in `sel` order, so the first one recorded is
+        // the first the row plane would fail on. Only doubles can be
+        // unordered; for the other types the check folds away.
+        let mut bad = usize::MAX;
+        keep(batch, sel, validity, |i, valid| {
+            let (a, b) = at(i);
+            let unordered = valid & a.partial_cmp(&b).is_none();
+            bad = if unordered & (bad == usize::MAX) { i } else { bad };
+            valid & holds(&a, &b)
+        });
+        (bad != usize::MAX).then_some(bad)
+    }
+    #[inline(always)]
+    fn lanes<T: PartialOrd + Copy>(
+        op: BinOp,
+        batch: &ColumnBatch,
+        sel: &mut Vec<u32>,
+        validity: (Option<&Bitmap>, Option<&Bitmap>),
+        (x, y): (Src<T>, Src<T>),
+    ) -> Option<usize> {
+        if (x.mask, y.mask) == (usize::MAX, 0) {
+            let (col, lit) = (x.buf, y.buf[0]);
+            return with_op(op, batch, sel, validity, |i| (col[i], lit));
+        }
+        with_op(op, batch, sel, validity, |i| (x.at(i), y.at(i)))
+    }
+    let (b, s, v) = (batch, sel, validity);
+    Some(match (*l, *r) {
+        (View::Int(x), View::Int(y)) => lanes(op, b, s, v, (x, y)),
+        (View::Date(x), View::Date(y)) => lanes(op, b, s, v, (x, y)),
+        (View::Double(x), View::Double(y)) => lanes(op, b, s, v, (x, y)),
+        (View::Str(StrSrc::Col(c)), View::Str(StrSrc::Const(lit))) => {
+            with_op(op, b, s, v, |i| (c.bytes_at(i), lit.as_bytes()))
+        }
+        (View::Str(x), View::Str(y)) => with_op(op, b, s, v, |i| (x.at(i), y.at(i))),
+        (View::Bool(x), View::Bool(y)) => with_op(op, b, s, v, |i| (x.at(i), y.at(i))),
+        _ => return None,
+    })
+}
+
+/// Refine `sel` by `c [NOT] IN (list)` when every item is a non-NULL
+/// literal of the column's type: the items go into one typed buffer and
+/// each row is matched against all of them. `false` (nothing done)
+/// otherwise. With no NULL item, a valid row is TRUE or FALSE and a NULL
+/// row is NULL.
+fn in_list_sel(c: &Column, list: &[Expr], negated: bool, batch: &ColumnBatch, sel: &mut Vec<u32>) -> bool {
+    /// The items as values of one type, or `None`.
+    fn items<'a, T>(list: &'a [Expr], get: impl Fn(&'a Datum) -> Option<T>) -> Option<Vec<T>> {
+        let mut out = Vec::with_capacity(list.len());
+        for e in list {
+            let Expr::Lit(d) = e else { return None };
+            out.push(get(d)?);
+        }
+        Some(out)
+    }
+    #[inline(always)]
+    fn run<T: PartialEq + Copy>(
+        (c, negated, batch, sel): (&Column, bool, &ColumnBatch, &mut Vec<u32>),
+        items: Option<Vec<T>>,
+        at: impl Fn(usize) -> T,
+    ) -> bool {
+        let Some(items) = items else { return false };
+        keep(batch, sel, (c.validity(), None), |i, valid| {
+            let v = at(i);
+            valid & (items.iter().fold(false, |hit, &x| hit | (x == v)) != negated)
+        });
+        true
+    }
+    let args = (c, negated, batch, sel);
+    match column_view(c) {
+        Some(View::Int(x)) => {
+            let items = items(list, |d| if let Datum::Int(v) = d { Some(*v) } else { None });
+            run(args, items, |i| x.buf[i])
+        }
+        Some(View::Date(x)) => {
+            let items = items(list, |d| if let Datum::Date(v) = d { Some(*v) } else { None });
+            run(args, items, |i| x.buf[i])
+        }
+        Some(View::Double(x)) => {
+            let items = items(list, |d| if let Datum::Double(v) = d { Some(*v) } else { None });
+            run(args, items, |i| x.buf[i])
+        }
+        Some(View::Str(x)) => {
+            let items = items(list, |d| if let Datum::Str(v) = d { Some(v.as_bytes()) } else { None });
+            run(args, items, |i| x.at(i))
+        }
+        _ => false,
+    }
+}
+
+/// Drop from `rows` the rows of `taken`, a subsequence of it (both
+/// increasing).
+fn remove_sorted(rows: &mut Vec<u32>, taken: &[u32]) {
+    let mut taken = taken.iter().peekable();
+    rows.retain(|k| taken.next_if_eq(&k).is_none());
+}
+
+/// Merge `more` into `rows`, both increasing and disjoint, from the back
+/// and in place: `rows` was narrowed from a selection at least this long,
+/// so its buffer already holds room for both.
+fn merge_sorted(rows: &mut Vec<u32>, more: &[u32]) {
+    let (mut a, mut b) = (rows.len(), more.len());
+    rows.resize(a + b, 0);
+    while b > 0 {
+        let from_rows = a > 0 && rows[a - 1] > more[b - 1];
+        let k = if from_rows {
+            a -= 1;
+            rows[a]
+        } else {
+            b -= 1;
+            more[b]
+        };
+        rows[a + b] = k;
+    }
 }
 
 #[cfg(test)]

@@ -212,6 +212,17 @@ impl HashDir {
         (e as u32, true)
     }
 
+    /// Keep just `entries` (increasing), renumbered from 0 in that order,
+    /// in place: the directory keeps its size and every buffer its
+    /// capacity, so a table trimmed after every batch does not regrow.
+    pub fn keep(&mut self, entries: &[u32]) {
+        for (j, &e) in entries.iter().enumerate() {
+            self.hashes[j] = self.hashes[e as usize];
+        }
+        self.hashes.truncate(entries.len());
+        self.relink(self.dir.len(), |_| true);
+    }
+
     /// `(non-empty buckets, buckets)`: how well the entries spread.
     pub fn bucket_use(&self) -> (usize, usize) {
         (self.dir.iter().filter(|&&head| head != END).count(), self.dir.len())
@@ -302,6 +313,24 @@ mod tests {
             assert_eq!(e, 0);
         }
         assert_eq!(dir.find_or_insert(100, |_| false), (1, true));
+    }
+
+    #[test]
+    fn kept_entries_are_renumbered_in_order() {
+        let mut dir = HashDir::default();
+        let stored = [1i64, 2, 3, 4, 5];
+        for k in stored {
+            dir.find_or_insert(fxhash(&k), |_| false);
+        }
+        let buckets = dir.bucket_use().1;
+        dir.keep(&[1, 3, 4]);
+        assert_eq!(dir.bucket_use().1, buckets);
+        for (e, k) in [2i64, 4, 5].iter().enumerate() {
+            assert_eq!(dir.matches(fxhash(k)).collect::<Vec<_>>(), vec![e as u32]);
+        }
+        assert_eq!(dir.matches(fxhash(&1i64)).count(), 0);
+        let (e, inserted) = dir.find_or_insert(fxhash(&9i64), |_| false);
+        assert_eq!((e, inserted), (3, true));
     }
 
     #[test]

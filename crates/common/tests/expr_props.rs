@@ -108,18 +108,24 @@ const BOOL: usize = 4;
 /// Rows whose five columns each hold NULLs and values of one type. Value
 /// domains are small, so equalities and IN-lists hit.
 fn arb_typed_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
-    fn nullable(s: impl Strategy<Value = Datum> + 'static) -> impl Strategy<Value = Datum> {
-        (s, 0u8..4).prop_map(|(d, roll)| if roll == 0 { Datum::Null } else { d })
-    }
-    let row = (
+    proptest::collection::vec(typed_row(), 0..max)
+}
+
+/// One row of the [`arb_typed_rows`] layout.
+fn typed_row() -> impl Strategy<Value = Row> {
+    (
         nullable((-4i64..5).prop_map(Datum::Int)),
         nullable((-8i64..9).prop_map(|v| Datum::Double(v as f64 / 4.0))),
         nullable((9000i32..9100).prop_map(Datum::Date)),
         nullable("[ab%_é]{0,4}".prop_map(Datum::str)),
         nullable(any::<bool>().prop_map(Datum::Bool)),
     )
-        .prop_map(|(a, b, c, d, e)| Row(vec![a, b, c, d, e]));
-    proptest::collection::vec(row, 0..max)
+        .prop_map(|(a, b, c, d, e)| Row(vec![a, b, c, d, e]))
+}
+
+/// `s`'s values, NULL one time in four.
+fn nullable(s: impl Strategy<Value = Datum> + 'static) -> impl Strategy<Value = Datum> {
+    (s, 0u8..4).prop_map(|(d, roll)| if roll == 0 { Datum::Null } else { d })
 }
 
 /// A coerced expression over the [`arb_typed_rows`] layout — well-typed,
@@ -286,6 +292,108 @@ impl TypedGen {
     }
 }
 
+/// Second columns of the Int, Double, Date and Str types after the
+/// [`arb_typed_rows`] five, for `Col ⋈ Col` of one type; the second Double
+/// column sometimes holds a NaN.
+const INT_B: usize = 5;
+const DOUBLE_B: usize = 6;
+const DATE_B: usize = 7;
+const STR_B: usize = 8;
+
+/// [`arb_typed_rows`] widened by [`INT_B`], [`DOUBLE_B`], [`DATE_B`] and
+/// [`STR_B`].
+fn arb_filter_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    let nan_or = |v: i64| if v == 9 { Datum::Double(f64::NAN) } else { Datum::Double(v as f64 / 4.0) };
+    let twins = (
+        nullable((-4i64..5).prop_map(Datum::Int)),
+        nullable((-8i64..10).prop_map(nan_or)),
+        nullable((9000i32..9100).prop_map(Datum::Date)),
+        nullable("[ab%_é]{0,4}".prop_map(Datum::str)),
+    );
+    let row = (typed_row(), twins).prop_map(|(mut r, (a, b, c, d))| {
+        r.0.extend([a, b, c, d]);
+        r
+    });
+    proptest::collection::vec(row, 0..max)
+}
+
+impl TypedGen {
+    /// A literal of the type of column `col` in [`arb_filter_rows`]'s
+    /// domains; a Double is a NaN one time in eight.
+    fn literal_for(&mut self, col: usize) -> Expr {
+        match col {
+            INT | INT_B => Expr::lit(self.below(9) as i64 - 4),
+            DOUBLE | DOUBLE_B if self.below(8) == 0 => Expr::lit(f64::NAN),
+            DOUBLE | DOUBLE_B => Expr::lit((self.below(17) as f64 - 8.0) / 4.0),
+            DATE | DATE_B => Expr::lit(Datum::Date(9000 + self.below(100) as i32)),
+            _ => self.string_lit(),
+        }
+    }
+
+    /// A column of Int, Double, Date or Str type, and its twin of that type.
+    fn column_pair(&mut self) -> (usize, usize) {
+        [(INT, INT_B), (DOUBLE, DOUBLE_B), (DATE, DATE_B), (STR, STR_B)][self.below(4) as usize]
+    }
+
+    /// One of the predicate shapes the filter's typed loops take: a
+    /// BETWEEN pair, `Col ⋈ Lit` with the literal on either side, `Col ⋈
+    /// Col` of one type, a literal IN-list with or without a NULL item, a
+    /// literal LIKE pattern, IS [NOT] NULL.
+    fn kernel_leaf(&mut self) -> Expr {
+        let ops = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+        let (a, b) = self.column_pair();
+        let col = if self.flip() { a } else { b };
+        match self.below(7) {
+            0 => Expr::and(
+                Expr::binary(BinOp::Ge, Expr::col(col), self.literal_for(col)),
+                Expr::binary(BinOp::Le, Expr::col(col), self.literal_for(col)),
+            ),
+            1 => Expr::binary(ops[self.below(6) as usize], self.literal_for(col), Expr::col(col)),
+            2 => Expr::binary(ops[self.below(6) as usize], Expr::col(col), self.literal_for(col)),
+            3 => Expr::binary(ops[self.below(6) as usize], Expr::col(a), Expr::col(b)),
+            4 => {
+                let mut list: Vec<Expr> = (0..self.below(5)).map(|_| self.literal_for(col)).collect();
+                if self.below(3) == 0 {
+                    let at = self.below(list.len() as u64 + 1) as usize;
+                    list.insert(at, Expr::Lit(Datum::Null));
+                }
+                Expr::InList { expr: Box::new(Expr::col(col)), list, negated: self.flip() }
+            }
+            5 => Expr::Like {
+                expr: Box::new(Expr::col(if self.flip() { STR } else { STR_B })),
+                pattern: Box::new(self.string_lit()),
+                negated: self.flip(),
+            },
+            _ => Expr::IsNull { expr: Box::new(Expr::col(col)), negated: self.flip() },
+        }
+    }
+
+    /// An AND/OR chain of [`Self::kernel_leaf`]s, `depth` levels deep.
+    fn kernel_chain(&mut self, depth: u32) -> Expr {
+        if depth == 0 || self.below(4) == 0 {
+            return self.kernel_leaf();
+        }
+        let op = if self.flip() { BinOp::And } else { BinOp::Or };
+        Expr::binary(op, self.kernel_chain(depth - 1), self.kernel_chain(depth - 1))
+    }
+}
+
+/// A filter's verdict on one row as the row plane reaches it: AND and OR
+/// short-circuit as the vectorized filter does (the right side of AND only
+/// where the left is TRUE, of OR only where it is not), anything else is
+/// [`Expr::eval_filter`].
+fn filter_reference(e: &Expr, row: &Row) -> Result<bool, String> {
+    match e {
+        Expr::Binary { op: BinOp::And, left, right } => {
+            Ok(filter_reference(left, row)? && filter_reference(right, row)?)
+        }
+        Expr::Binary { op: BinOp::Or, left, right } => {
+            Ok(filter_reference(left, row)? || filter_reference(right, row)?)
+        }
+        _ => e.eval_filter(row).map_err(|err| err.to_string()),
+    }
+}
+
 fn arb_typed_expr() -> impl Strategy<Value = Expr> {
     (any::<u64>(), any::<bool>()).prop_map(|(seed, boolean)| {
         let mut g = TypedGen(seed);
@@ -397,6 +505,51 @@ proptest! {
             .filter(|&k| want[k as usize].as_bool() == Some(true))
             .collect();
         prop_assert_eq!(pass, want_pass, "filter {}", e);
+    }
+
+    /// The filter against the row plane, three cases in four an AND/OR
+    /// chain of the shapes the filter's typed loops take, the fourth any
+    /// coerced predicate, over typed columns with NULLs, Doubles holding
+    /// NaN, and a random selection. Chains are evaluated on exactly the
+    /// rows the row plane reaches, so `eval_filter_sel` keeps exactly the
+    /// rows [`filter_reference`] passes, and fails exactly when it fails on
+    /// some selected row, with one of its messages (a NaN's `cannot
+    /// compare`, operands in their written order). Any other predicate may
+    /// evaluate fewer rows, so only a success is compared.
+    #[test]
+    fn filter_matches_row_interpreter(
+        seed in any::<u64>(),
+        shape in 0u8..4,
+        rows in arb_filter_rows(12),
+        keep in proptest::collection::vec(any::<bool>(), 12),
+        dense in any::<bool>(),
+    ) {
+        let mut g = TypedGen(seed);
+        let chain = shape > 0;
+        let e = if chain { g.kernel_chain(3) } else { g.boolean(3) };
+        let mut batch = ColumnBatch::from_rows(&rows);
+        let mut selected: Vec<u32> = (0..rows.len() as u32).collect();
+        if !dense {
+            selected.retain(|&k| keep[k as usize]);
+            batch = batch.select_logical(&selected);
+        }
+        let got = eval_filter_sel(&e, &batch);
+        let want: Vec<Result<bool, String>> =
+            selected.iter().map(|&k| filter_reference(&e, &rows[k as usize])).collect();
+        let errors: Vec<&String> = want.iter().filter_map(|w| w.as_ref().err()).collect();
+        match got {
+            Ok(pass) if errors.is_empty() => {
+                let want_pass: Vec<u32> =
+                    (0..want.len() as u32).filter(|&k| want[k as usize] == Ok(true)).collect();
+                prop_assert_eq!(pass, want_pass, "filter {}", e);
+            }
+            Ok(_) => prop_assert!(!chain, "{e} passed vectorized, failed in the row plane: {errors:?}"),
+            Err(err) => {
+                prop_assert!(!errors.is_empty(), "{e} failed only vectorized: {err}");
+                let err = err.to_string();
+                prop_assert!(!chain || errors.contains(&&err), "{e}: {err} is not among {errors:?}");
+            }
+        }
     }
 
     /// Epoch-day round trip over ±60 years.

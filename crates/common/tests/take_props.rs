@@ -139,6 +139,13 @@ proptest! {
         if !untyped {
             same_column(&col.take(&idx), &per_cell(kind, &[], &col, &idx))?;
         }
+        if from_selection {
+            // `keep` is the same take of increasing rows, in place.
+            let mut kept = prefixed(kind, &[]);
+            kept.append_column(&col, None);
+            kept.keep(&idx);
+            same_column(&kept.finish(), &per_cell(kind, &[], &col, &idx))?;
+        }
     }
 
     /// Dense `append_column` (the typed bulk arms, `Bool` and `Str`
@@ -199,5 +206,13 @@ proptest! {
         prop_assert_eq!(set, taken.iter().filter(|&&b| b).count());
         let want: Vec<bool> = prefix.iter().chain(&taken).copied().collect();
         prop_assert_eq!(&got, &bits_of(&want));
+
+        if from_selection {
+            let mut got = bits_of(&other);
+            let set = got.keep(&idx);
+            let want: Vec<bool> = idx.iter().map(|&i| other[i as usize]).collect();
+            prop_assert_eq!(set, want.iter().filter(|&&b| b).count());
+            prop_assert_eq!(&got, &bits_of(&want));
+        }
     }
 }

@@ -312,8 +312,11 @@ impl ColGroupTable {
                 return Err(IcError::Internal("COUNT(DISTINCT) has no Final phase".into()))
             }
             (AggState::Distinct { count, pairs, base }, ..) => {
-                let (groups, rows): (Vec<usize>, Vec<u32>) =
-                    valid.map(|(s, i)| (s, i as u32)).unzip();
+                let (mut groups, mut rows) = (Vec::with_capacity(slots.len()), Vec::with_capacity(slots.len()));
+                valid.for_each(|(s, i)| {
+                    groups.push(s);
+                    rows.push(i as u32);
+                });
                 if rows.is_empty() {
                     return Ok(());
                 }
@@ -324,7 +327,7 @@ impl ColGroupTable {
                 let ordinals = groups.iter().map(|&s| (*base + s) as i64).collect();
                 let ordinals = Column::from_ints(ordinals, None);
                 let key = ColumnBatch::new(vec![Arc::new(ordinals), Arc::new(col.take(&rows))], rows.len());
-                let (mut fresh, mut pair_slots) = (pairs.len() as u32, Vec::new());
+                let (mut fresh, mut pair_slots) = (pairs.len() as u32, Vec::with_capacity(rows.len()));
                 pairs.assign_slots(&key, false, &mut pair_slots);
                 // The row that opens a pair counts it for its group.
                 for (&s, &p) in groups.iter().zip(&pair_slots) {
@@ -365,6 +368,16 @@ impl ColGroupTable {
         }
         self.len -= n;
         out
+    }
+
+    /// Keep just the groups `slots` (increasing), renumbered from 0 in that
+    /// order, in place: directory and key columns keep their capacity. For
+    /// a table without aggregates (COUNT(DISTINCT)'s pairs).
+    fn keep_groups(&mut self, slots: &[u32]) {
+        debug_assert!(self.states.is_empty());
+        self.dir.keep(slots);
+        self.keys.iter_mut().for_each(|key| key.keep(slots));
+        self.len = slots.len();
     }
 }
 
@@ -527,15 +540,14 @@ impl AggState {
             AggState::Distinct { count, pairs, base } => {
                 out.push(int(split(count, n)));
                 *base += n;
-                // Forget the closed groups' pairs: keep the others'.
+                // Forget the closed groups' pairs, in place: the table keeps
+                // its capacity for the next batch's pairs.
                 if let Some(pairs) = pairs {
-                    let m = pairs.len();
-                    let cols: Vec<_> = pairs.split_front(m).into_iter().map(Arc::new).collect();
-                    if let Some((ordinal, _)) = cols[0].ints() {
+                    if let Some(ordinal) = pairs.keys[0].ints() {
                         let open = |&e: &u32| ordinal[e as usize] >= *base as i64;
-                        let keep: Vec<u32> = (0..m as u32).filter(open).collect();
-                        let kept = ColumnBatch::new(cols, m).select_logical(&keep);
-                        pairs.assign_slots(&kept, false, &mut Vec::new());
+                        let mut keep = Vec::with_capacity(pairs.len());
+                        keep.extend((0..pairs.len() as u32).filter(open));
+                        pairs.keep_groups(&keep);
                     }
                 }
             }

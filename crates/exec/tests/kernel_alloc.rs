@@ -3,7 +3,8 @@
 //! 1 024 rows and bounds its allocations per batch: join build, probe and
 //! gather; group slots, every aggregate's fold in every phase and the
 //! split; sort permutations; the expression evaluator over every `Expr`
-//! variant and typed function loop; key hashing and the typed take. One
+//! variant and typed function loop; the filter's typed shapes, bounded
+//! tighter; key hashing and the typed take. One
 //! allocation per row would cost at least 1 024 a batch. The count is real:
 //! it sees allocations in closures and callees too. Run with
 //! `-- --nocapture` for each family's allocations per batch.
@@ -240,10 +241,39 @@ fn hash_and_take(input: &[ColumnBatch]) {
     }
 }
 
-/// Streaming COUNT(DISTINCT) rebuilds its pair table from empty after each
-/// batch's split and regrows it by doubling: about 140 allocations a batch
-/// at 100 distinct values, a logarithm of them and not one a row.
-const DISTINCT_SORTED_PER_BATCH: u64 = 192;
+/// A filter refines one selection in place: the selection itself, plus an
+/// OR's rows for its right side or an IN-list's typed items. Neither an
+/// AND nor a typed comparison builds a batch, a column or a second
+/// selection.
+const FILTER_PER_BATCH: u64 = 2;
+
+/// The typed filter shapes: four conjuncts (a literal on either side, four
+/// types), an OR, and an IN-list.
+fn filters() -> Vec<Expr> {
+    let (c, bin) = (Expr::col, Expr::binary);
+    vec![
+        Expr::conjunction(vec![
+            bin(BinOp::Ge, c(1), Expr::lit(2i64)),
+            bin(BinOp::Gt, Expr::lit(100.0), c(2)),
+            bin(BinOp::Lt, c(4), Expr::lit(Datum::Date(3000))),
+            bin(BinOp::Ne, c(3), Expr::lit("s7")),
+        ]),
+        Expr::or(bin(BinOp::Lt, c(1), Expr::lit(10i64)), bin(BinOp::Eq, c(3), Expr::lit("s5"))),
+        Expr::InList { expr: Box::new(c(1)), list: vec![Expr::lit(1i64), Expr::lit(2i64), Expr::lit(3i64)], negated: false },
+    ]
+}
+
+/// The most allocations one of [`filters`] makes in `eval_filter_sel`.
+fn filter(input: &[ColumnBatch]) -> u64 {
+    let run = |e: &Expr| {
+        allocations(|| {
+            for batch in input {
+                let _ = eval_filter_sel(e, batch).unwrap();
+            }
+        })
+    };
+    filters().iter().map(run).max().unwrap()
+}
 
 #[test]
 fn kernels_allocate_per_batch_not_per_row() {
@@ -257,9 +287,10 @@ fn kernels_allocate_per_batch_not_per_row() {
             ("aggregate, hash, partial", aggregates(n, splittable, AggPhase::Partial, false), PER_BATCH),
             ("aggregate, hash, final", aggregates(n, splittable, AggPhase::Final, false), PER_BATCH),
             ("aggregate, sorted, complete", aggregates(n, splittable, AggPhase::Complete, true), PER_BATCH),
-            ("count distinct, sorted", aggregate(n, distinct, AggPhase::Complete, true), DISTINCT_SORTED_PER_BATCH),
+            ("count distinct, sorted", aggregate(n, distinct, AggPhase::Complete, true), PER_BATCH),
             ("sort permutation, int/double/str", allocations(|| sort(&input)), PER_BATCH),
             ("eval, one expression", eval(&input), PER_BATCH),
+            ("filter, typed AND / OR / IN", filter(&input), FILTER_PER_BATCH),
             ("hash keys + take", allocations(|| hash_and_take(&input)), PER_BATCH),
         ];
         for (family, count, bound) in families {

@@ -45,7 +45,7 @@ fn setup(sites: usize) -> (Arc<Catalog>, Arc<Network>) {
 fn scan(cat: &Catalog, name: &str) -> Arc<LogicalPlan> {
     let id = cat.table_by_name(name).unwrap();
     let def = cat.table_def(id).unwrap();
-    LogicalPlan::new(RelOp::Scan { table: id, name: name.into(), schema: def.schema }).unwrap()
+    LogicalPlan::new(RelOp::Scan { table: id, name: name.into(), schema: def.schema.clone() }).unwrap()
 }
 
 fn agg_join_plan(cat: &Catalog) -> Arc<LogicalPlan> {
@@ -250,7 +250,7 @@ fn node(op: PhysOp<Arc<PhysPlan>>, schema: &Schema, dist: Distribution) -> Arc<P
 fn shared_subtree_behind_two_exchanges() {
     let (cat, net) = setup(4);
     let table = cat.table_by_name("r").unwrap();
-    let schema = cat.table_def(table).unwrap().schema;
+    let schema = cat.table_def(table).unwrap().schema.clone();
     let scan = node(
         PhysOp::TableScan { table, name: "r".into(), schema: schema.clone() },
         &schema,

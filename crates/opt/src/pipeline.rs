@@ -132,7 +132,7 @@ mod tests {
     fn scan(cat: &Catalog, name: &str) -> Arc<LogicalPlan> {
         let id = cat.table_by_name(name).unwrap();
         let def = cat.table_def(id).unwrap();
-        LogicalPlan::new(RelOp::Scan { table: id, name: name.into(), schema: def.schema }).unwrap()
+        LogicalPlan::new(RelOp::Scan { table: id, name: name.into(), schema: def.schema.clone() }).unwrap()
     }
 
     fn count_op(plan: &PhysPlan, name: &str) -> usize {

@@ -44,7 +44,7 @@ fn scan(name: &str) -> Arc<LogicalPlan> {
     let cat = catalog();
     let id = cat.table_by_name(name).unwrap();
     let def = cat.table_def(id).unwrap();
-    LogicalPlan::new(RelOp::Scan { table: id, name: name.into(), schema: def.schema }).unwrap()
+    LogicalPlan::new(RelOp::Scan { table: id, name: name.into(), schema: def.schema.clone() }).unwrap()
 }
 
 /// Random bound queries: scans wrapped in filters, equi joins and

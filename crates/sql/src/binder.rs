@@ -851,7 +851,7 @@ impl<'a> Binder<'a> {
 
     // ------------------------------------------------------------- DML
 
-    fn resolve_dml_table(&self, name: &str) -> IcResult<TableDef> {
+    fn resolve_dml_table(&self, name: &str) -> IcResult<Arc<TableDef>> {
         let id = self
             .catalog
             .table_by_name(name)

@@ -60,7 +60,9 @@ pub struct IndexDef {
 }
 
 struct TableEntry {
-    def: TableDef,
+    /// Shared: a definition never changes once created, and every write
+    /// attempt and plan reads it.
+    def: Arc<TableDef>,
     data: Arc<TableData>,
     stats: Arc<TableStats>,
     indexes: Vec<IndexId>,
@@ -160,7 +162,7 @@ impl Catalog {
             distribution,
         };
         entries.tables.push(TableEntry {
-            def,
+            def: Arc::new(def),
             data: Arc::new(TableData::new_with_owners(id, schema, &owners)),
             stats: Arc::new(TableStats::empty()),
             indexes: Vec::new(),
@@ -240,8 +242,9 @@ impl Catalog {
         self.entries.read().names.get(&name.to_ascii_lowercase()).copied()
     }
 
-    pub fn table_def(&self, id: TableId) -> Option<TableDef> {
-        self.entries.read().tables.get(id.0).map(|e| e.def.clone())
+    /// The table's definition, shared rather than copied.
+    pub fn table_def(&self, id: TableId) -> Option<Arc<TableDef>> {
+        self.entries.read().tables.get(id.0).map(|e| Arc::clone(&e.def))
     }
 
     pub fn table_data(&self, id: TableId) -> Option<Arc<TableData>> {
