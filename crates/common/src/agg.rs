@@ -135,12 +135,12 @@ impl Accumulator {
                 *count += 1;
             }
             Accumulator::Min(best) => {
-                if best.as_ref().is_none_or(|b| value.sql_cmp(b) == Some(Less)) {
+                if best.as_ref().is_none_or(|b| value.cmp(b) == Less) {
                     *best = Some(value);
                 }
             }
             Accumulator::Max(best) => {
-                if best.as_ref().is_none_or(|b| value.sql_cmp(b) == Some(Greater)) {
+                if best.as_ref().is_none_or(|b| value.cmp(b) == Greater) {
                     *best = Some(value);
                 }
             }

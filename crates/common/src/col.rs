@@ -51,6 +51,22 @@
 //! and Date values hash through their `f64` bits, so equal numbers hash
 //! alike whatever their column type. A key column without NULLs is hashed
 //! by one typed loop; strings feed their bytes without a UTF-8 re-check.
+//! The zeros `-0.0` and `0.0` are one value and hash alike.
+//!
+//! **Key words.** [`ColumnBatch::key_words`] is the one key encoder: it
+//! maps the key columns of each logical row (through the selection) to
+//! fixed-width [`KeyWords`] whose unsigned order is [`Column::cmp_at`]'s
+//! and whose equality is [`Column::eq_at`]'s — one `u64` per key:
+//! sign-flipped Int and Date, bit-ordered Double with `-0.0` folded onto
+//! `0.0`, Bool as 1 or 2, none of them `0`; a NULL is the fixed word `0`,
+//! below every value whatever its buffer holds, so NULLs tie; every bit is
+//! flipped for a descending key. A string key has no words (`None`), nor
+//! does a key holding, in a valid row, a value without a word: a NaN, or
+//! an Int `i64::MIN`, whose word would be the NULL word. Such keys keep
+//! the comparator in their kernel. Sort, the merge-join cursors, the hash
+//! join's chain walk and the group table's slots compare words; words of
+//! two batches compare where [`KeyWords::comparable`] says their kinds
+//! agree.
 
 #![expect(clippy::disallowed_types, reason = "ColumnBatch::hash_keys, the routing hash, drives FxHasher over typed columns here")]
 
@@ -308,26 +324,77 @@ impl ColumnData {
             (ColumnData::Date(a), ColumnData::Date(b)) => a[i] == b[j],
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
             (ColumnData::Str { .. }, ColumnData::Str { .. }) => self.bytes_at(i) == other.bytes_at(j),
-            // Two values of different kinds: only an ill-typed plan compares them.
-            _ => false,
+            // Two numbers of different kinds compare by value, as `Datum`s
+            // do; only an ill-typed plan compares them.
+            _ => self.cmp_numbers(i, other, j) == Some(Ordering::Equal),
         }
     }
 
-    /// `Datum::cmp` of `self[i]` and `other[j]`, both non-NULL.
+    /// `Datum::cmp` of `self[i]` and `other[j]`, both non-NULL: a NaN
+    /// sorts after every number and ties with a NaN.
     #[inline]
     fn cmp_values(&self, i: usize, other: &ColumnData, j: usize) -> Ordering {
         match (self, other) {
             (ColumnData::Int(a), ColumnData::Int(b)) => a[i].cmp(&b[j]),
-            (ColumnData::Double(a), ColumnData::Double(b)) => {
-                // sql_cmp on NaN yields None, and Datum::cmp then falls back
-                // to type-rank (equal for Double/Double).
-                a[i].partial_cmp(&b[j]).unwrap_or(Ordering::Equal)
-            }
+            (ColumnData::Double(a), ColumnData::Double(b)) => cmp_doubles(a[i], b[j]),
             (ColumnData::Date(a), ColumnData::Date(b)) => a[i].cmp(&b[j]),
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i].cmp(&b[j]),
             (ColumnData::Str { .. }, ColumnData::Str { .. }) => self.bytes_at(i).cmp(other.bytes_at(j)),
-            // Two values of different kinds: only an ill-typed plan orders them.
-            _ => Ordering::Equal,
+            // Values of different kinds: only an ill-typed plan orders them.
+            _ => self.cmp_numbers(i, other, j).unwrap_or_else(|| self.rank().cmp(&other.rank())),
+        }
+    }
+
+    /// `Datum::cmp` of two numbers of different kinds; `None` unless both
+    /// are numbers.
+    fn cmp_numbers(&self, i: usize, other: &ColumnData, j: usize) -> Option<Ordering> {
+        let number = |d: &ColumnData, i: usize| match d {
+            ColumnData::Int(v) => Number::Whole(v[i]),
+            ColumnData::Date(v) => Number::Whole(v[i] as i64),
+            ColumnData::Double(v) => Number::Real(v[i]),
+            _ => Number::None,
+        };
+        number(self, i).cmp(number(other, j))
+    }
+
+    /// `Datum`'s rank of a kind: Bool, then the numbers, then strings.
+    fn rank(&self) -> u8 {
+        match self {
+            ColumnData::Bool(_) => 0,
+            ColumnData::Str { .. } => 2,
+            _ => 1,
+        }
+    }
+}
+
+/// The total order of doubles that `Datum::cmp` uses: `-0.0` ties with
+/// `0.0`, and a NaN sorts after every number and ties with a NaN.
+#[inline]
+pub(crate) fn cmp_doubles(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// A value on `Datum`'s number line: Int and Date are whole, Double is
+/// real.
+#[derive(Clone, Copy)]
+pub(crate) enum Number {
+    Whole(i64),
+    Real(f64),
+    None,
+}
+
+impl Number {
+    /// Two wholes compare exactly, a whole and a real as doubles
+    /// ([`cmp_doubles`]); `None` unless both are numbers.
+    pub(crate) fn cmp(self, other: Number) -> Option<Ordering> {
+        let real = |n: Number| match n {
+            Number::Whole(x) => Some(x as f64),
+            Number::Real(x) => Some(x),
+            Number::None => None,
+        };
+        match (self, other) {
+            (Number::Whole(a), Number::Whole(b)) => Some(a.cmp(&b)),
+            _ => Some(cmp_doubles(real(self)?, real(other)?)),
         }
     }
 }
@@ -613,7 +680,8 @@ impl Column {
 #[inline]
 fn hash_num(v: f64, h: &mut FxHasher) {
     2u8.hash(h);
-    v.to_bits().hash(h);
+    // `-0.0 + 0.0` is `0.0`: the two zeros are one value, so one hash.
+    (v + 0.0).to_bits().hash(h);
 }
 
 /// The routing hash's writes for a string: the string tag, then its UTF-8
@@ -1111,25 +1179,21 @@ impl ColumnBatch {
     /// `Datum`'s total order and the original index as the final tie-break,
     /// so the permutation is stable and deterministic.
     ///
-    /// Numeric/date/bool key columns are first encoded into order-preserving
-    /// `u128` words (validity in the high half, bitwise-NOT for `DESC`), so
-    /// the sort compares machine integers instead of dispatching on the
-    /// column enum per comparison. String and NaN-bearing keys fall back to
-    /// the [`Column::cmp_at`] comparator with identical ordering.
+    /// The sort compares [`ColumnBatch::key_words`] where the keys have
+    /// them; keys without words fall back to the [`Column::cmp_at`]
+    /// comparator, which orders identically.
     pub fn sort_permutation(&self, keys: &[(usize, bool)]) -> Vec<u32> {
         debug_assert!(self.sel.is_none(), "sort_permutation needs a dense batch");
         let n = self.nrows;
         let mut idx: Vec<u32> = (0..n as u32).collect();
-        if let Some(keybuf) = self.encode_sort_keys(keys) {
-            let klen = keys.len();
-            if klen == 1 {
-                let mut dec: Vec<(u128, u32)> = keybuf.into_iter().zip(0..n as u32).collect();
+        if let Some(words) = self.key_words(keys) {
+            if keys.len() == 1 {
+                let mut dec: Vec<(u64, u32)> = words.words.into_iter().zip(0..n as u32).collect();
                 dec.sort_unstable();
                 return dec.into_iter().map(|(_, i)| i).collect();
             }
             idx.sort_unstable_by(|&a, &b| {
-                let (ab, bb) = (a as usize * klen, b as usize * klen);
-                keybuf[ab..ab + klen].cmp(&keybuf[bb..bb + klen]).then(a.cmp(&b))
+                words.cmp_rows(a as usize, &words, b as usize).then(a.cmp(&b))
             });
             return idx;
         }
@@ -1149,55 +1213,69 @@ impl ColumnBatch {
         idx
     }
 
-    /// Row-major order-preserving key words for [`Self::sort_permutation`],
-    /// or `None` when some key column has no integer encoding (strings, NaN
-    /// doubles) and the comparator fallback must run.
-    fn encode_sort_keys(&self, keys: &[(usize, bool)]) -> Option<Vec<u128>> {
-        const SIGN: u64 = 1 << 63;
-        let n = self.nrows;
-        let klen = keys.len();
-        let mut buf = vec![0u128; n * klen];
-        let mut put = |i: usize, k: usize, desc: bool, valid: bool, word: u64| {
-            let enc = ((valid as u128) << 64) | word as u128;
-            // Bitwise NOT reverses the unsigned order wholesale, which also
-            // moves NULLs last — exactly `cmp_at(..).reverse()`.
-            buf[i * klen + k] = if desc { !enc } else { enc };
-        };
-        for (k, &(c, desc)) in keys.iter().enumerate() {
+    /// The key words of every logical row over `keys` — `(column,
+    /// descending)` pairs — or `None` when some key has none (a string
+    /// column, or a NaN or `i64::MIN` in a valid row): the module doc's
+    /// key-word contract.
+    pub fn key_words(&self, keys: &[(usize, bool)]) -> Option<KeyWords> {
+        self.encode_keys(keys.iter().copied())
+    }
+
+    /// [`Self::key_words`] over ascending `cols`: the words the join and
+    /// group kernels compare.
+    pub fn key_words_asc(&self, cols: &[usize]) -> Option<KeyWords> {
+        self.encode_keys(cols.iter().map(|&c| (c, false)))
+    }
+
+    /// The one key-word encoder: row-major, one word per key column, each
+    /// column filled by one typed loop over the selection.
+    fn encode_keys(&self, keys: impl ExactSizeIterator<Item = (usize, bool)>) -> Option<KeyWords> {
+        let (rows, width) = (self.num_rows(), keys.len());
+        if width > KeyWords::MAX_WIDTH {
+            return None;
+        }
+        let mut out = KeyWords { words: vec![0; rows * width], width, kinds: 0 };
+        let sel = self.selection();
+        for (k, (c, desc)) in keys.enumerate() {
             let col = &self.columns[c];
-            match &col.data {
-                ColumnData::Int(v) => {
-                    for (i, &x) in v.iter().enumerate().take(n) {
-                        put(i, k, desc, col.is_valid(i), (x as u64) ^ SIGN);
-                    }
+            let lane = Lane { words: &mut out.words, width, at: k, sel, validity: col.validity(), desc };
+            let kind = match &col.data {
+                _ if col.is_all_null() => {
+                    lane.fill(|_| 0);
+                    KeyWords::ANY
                 }
-                ColumnData::Double(v) => {
-                    for (i, &x) in v.iter().enumerate().take(n) {
-                        if x.is_nan() && col.is_valid(i) {
-                            // `cmp_at` treats NaN as equal-to-anything; no
-                            // integer encoding reproduces that, so punt.
-                            return None;
-                        }
-                        // Normalize -0.0: cmp_at orders it equal to +0.0.
-                        let bits = (if x == 0.0 { 0.0f64 } else { x }).to_bits();
-                        let word = if bits & SIGN != 0 { !bits } else { bits | SIGN };
-                        put(i, k, desc, col.is_valid(i), word);
+                ColumnData::Int(v) => {
+                    // `i64::MIN` would take the NULL word.
+                    if lane.any(|i| v[i] == i64::MIN) {
+                        return None;
                     }
+                    lane.fill(|i| (v[i] as u64) ^ SIGN);
+                    KeyWords::WHOLE
                 }
                 ColumnData::Date(v) => {
-                    for (i, &x) in v.iter().enumerate().take(n) {
-                        put(i, k, desc, col.is_valid(i), (x as i64 as u64) ^ SIGN);
-                    }
+                    lane.fill(|i| (v[i] as i64 as u64) ^ SIGN);
+                    KeyWords::WHOLE
                 }
                 ColumnData::Bool(v) => {
-                    for (i, &x) in v.iter().enumerate().take(n) {
-                        put(i, k, desc, col.is_valid(i), x as u64);
+                    lane.fill(|i| v[i] as u64 + 1);
+                    KeyWords::BOOL
+                }
+                ColumnData::Double(v) => {
+                    if lane.any(|i| v[i].is_nan()) {
+                        return None;
                     }
+                    lane.fill(|i| {
+                        // `-0.0 + 0.0` is `0.0`: the zeros tie, as in `cmp_at`.
+                        let bits = (v[i] + 0.0).to_bits();
+                        if bits & SIGN != 0 { !bits } else { bits | SIGN }
+                    });
+                    KeyWords::REAL
                 }
                 ColumnData::Str { .. } => return None,
-            }
+            };
+            out.kinds |= kind << (4 * k);
         }
-        Some(buf)
+        Some(out)
     }
 
     /// Memory-accounting cells: `width.max(1) × logical rows` (matches the
@@ -1205,6 +1283,179 @@ impl ColumnBatch {
     pub fn cells(&self) -> usize {
         self.width().max(1) * self.num_rows()
     }
+}
+
+/// The sign bit of a 64-bit word.
+const SIGN: u64 = 1 << 63;
+
+/// Key words: order-preserving fixed-width words for the key columns of a
+/// batch's logical rows (the module doc's key-word contract), row-major,
+/// one `u64` per key column. The sort, merge-join, hash-join and group
+/// kernels compare these instead of matching on two column enums per key
+/// and row.
+#[derive(Debug, Clone)]
+pub struct KeyWords {
+    words: Vec<u64>,
+    width: usize,
+    /// Per key column, a 4-bit kind code (`ANY`, `WHOLE`, `REAL`, `BOOL`)
+    /// at bit `4 × column`: words of two kinds do not compare.
+    kinds: u64,
+}
+
+impl KeyWords {
+    /// The most key columns a row of words holds (the kind codes' room).
+    const MAX_WIDTH: usize = 16;
+    /// A column without a value: only NULL words, which compare with any
+    /// kind.
+    const ANY: u64 = 0;
+    /// Int and Date: one integer number line.
+    const WHOLE: u64 = 1;
+    /// Double.
+    const REAL: u64 = 2;
+    /// Bool.
+    const BOOL: u64 = 3;
+
+    /// No rows yet, for keys of `types`, grown by [`Self::push_row`] (a
+    /// group table's keys); `None` where a type has no words (Str), or
+    /// for no keys.
+    pub fn empty(types: &[DataType]) -> Option<KeyWords> {
+        if types.is_empty() || types.len() > Self::MAX_WIDTH {
+            return None;
+        }
+        let mut kinds = 0;
+        for (k, ty) in types.iter().enumerate() {
+            let kind = match ty {
+                DataType::Int | DataType::Date => Self::WHOLE,
+                DataType::Double => Self::REAL,
+                DataType::Bool => Self::BOOL,
+                DataType::Str => return None,
+            };
+            kinds |= kind << (4 * k);
+        }
+        Some(KeyWords { words: Vec::new(), width: types.len(), kinds })
+    }
+
+    /// Row `k`'s words, one per key column.
+    #[inline]
+    pub fn row(&self, k: usize) -> &[u64] {
+        &self.words[k * self.width..(k + 1) * self.width]
+    }
+
+    /// Whether rows of `self` and `other` compare: the same key count, and
+    /// in each key column the same kind or a column without a value.
+    pub fn comparable(&self, other: &KeyWords) -> bool {
+        self.width == other.width
+            && (0..self.width).all(|k| {
+                let (a, b) = ((self.kinds >> (4 * k)) & 15, (other.kinds >> (4 * k)) & 15);
+                a == b || a == Self::ANY || b == Self::ANY
+            })
+    }
+
+    /// Row `k` against row `j` of `other` — [`ColumnBatch::cmp_keys`]'s
+    /// order (each key reversed where descending).
+    #[inline]
+    pub fn cmp_rows(&self, k: usize, other: &KeyWords, j: usize) -> Ordering {
+        match self.width {
+            1 => self.words[k].cmp(&other.words[j]),
+            _ => self.row(k).cmp(other.row(j)),
+        }
+    }
+
+    /// Whether row `k` and row `j` of `other` hold equal keys, as
+    /// [`Column::eq_at`] on every key column says (NULL == NULL).
+    #[inline]
+    pub fn eq_rows(&self, k: usize, other: &KeyWords, j: usize) -> bool {
+        match self.width {
+            1 => self.words[k] == other.words[j],
+            _ => self.row(k) == other.row(j),
+        }
+    }
+
+    /// Append row `k` of `other`.
+    pub fn push_row(&mut self, other: &KeyWords, k: usize) {
+        self.words.extend_from_slice(other.row(k));
+    }
+
+    /// Keep just `rows` (increasing), renumbered from 0 in that order.
+    pub fn keep(&mut self, rows: &[u32]) {
+        let w = self.width;
+        for (to, &from) in rows.iter().enumerate() {
+            let from = from as usize;
+            self.words.copy_within(from * w..(from + 1) * w, to * w);
+        }
+        self.words.truncate(rows.len() * w);
+    }
+
+    /// Drop the first `n` rows.
+    pub fn drain_front(&mut self, n: usize) {
+        self.words.drain(..n * self.width);
+    }
+}
+
+/// One key column's words being written by [`ColumnBatch::key_words`]:
+/// logical row `k` reads physical row `sel[k]` (`k` when dense).
+struct Lane<'a> {
+    words: &'a mut [u64],
+    width: usize,
+    /// The key column's position in a row of words.
+    at: usize,
+    sel: Option<&'a [u32]>,
+    validity: Option<&'a Bitmap>,
+    desc: bool,
+}
+
+impl Lane<'_> {
+    /// Whether `pred` holds for the physical row of some valid logical row.
+    fn any(&self, pred: impl Fn(usize) -> bool) -> bool {
+        let valid = |i: usize| self.validity.is_none_or(|v| v.get(i));
+        match self.sel {
+            None => (0..self.words.len() / self.width).any(|i| valid(i) && pred(i)),
+            Some(s) => s.iter().any(|&i| valid(i as usize) && pred(i as usize)),
+        }
+    }
+
+    /// Write each logical row's word: `value` of its physical row, which
+    /// is never `0`, or `0` for a NULL whatever its buffer holds — all bits
+    /// flipped when descending.
+    #[inline(always)]
+    fn fill(self, value: impl Fn(usize) -> u64) {
+        let Lane { words, width, at, sel, validity, desc } = self;
+        let flip = if desc { u64::MAX } else { 0 };
+        let word = |i: usize| match validity {
+            Some(v) if !v.get(i) => flip,
+            _ => value(i) ^ flip,
+        };
+        let lane = words.iter_mut().skip(at).step_by(width);
+        match sel {
+            None => lane.enumerate().for_each(|(i, w)| *w = word(i)),
+            Some(s) => lane.zip(s).for_each(|(w, &i)| *w = word(i as usize)),
+        }
+    }
+}
+
+/// The first index of `from..to` where `below` is false, for a `below`
+/// that holds on a prefix of the range: probes `from`, then steps that
+/// double, then a binary search in the last step — one probe when the
+/// answer is `from`, `O(log d)` for an answer `d` rows on.
+#[inline]
+pub fn gallop(from: usize, to: usize, below: impl Fn(usize) -> bool) -> usize {
+    // Every index of `from..lo` is below; `hi` is the next probe.
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < to && below(hi) {
+        lo = hi + 1;
+        hi = lo + step;
+        step *= 2;
+    }
+    let mut hi = hi.min(to);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -1304,6 +1555,23 @@ mod tests {
         assert_eq!(a.col(0).cmp_at(1, a.col(0), 0), Ordering::Less);
         assert_eq!(a.col(0).cmp_at(0, b.col(0), 0), Ordering::Equal);
         assert_eq!(a.col(0).cmp_at(2, b.col(0), 0), Ordering::Greater);
+    }
+
+    /// NULL rows tie in a sort key whatever their buffers hold — here
+    /// leftovers that order the other way round — so the next key, then
+    /// the row index, orders them: ascending and descending, one key and
+    /// two.
+    #[test]
+    fn sort_ties_null_rows_holding_differing_values() {
+        let mut nulls = Bitmap::new();
+        [false, true, false, true, false].into_iter().for_each(|v| nulls.push(v));
+        let a = Column::from_ints(vec![9, 3, 5, 1, 7], Some(nulls));
+        let b = Column::from_ints(vec![0, 0, 2, 0, 1], None);
+        let batch = ColumnBatch::new(vec![Arc::new(a), Arc::new(b)], 5);
+        assert_eq!(batch.sort_permutation(&[(0, false)]), [0, 2, 4, 3, 1]);
+        assert_eq!(batch.sort_permutation(&[(0, true)]), [1, 3, 0, 2, 4]);
+        assert_eq!(batch.sort_permutation(&[(0, false), (1, false)]), [0, 4, 2, 3, 1]);
+        assert_eq!(batch.sort_permutation(&[(0, true), (1, true)]), [1, 3, 2, 4, 0]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! so rows can be cloned cheaply as they flow between operators and across
 //! the simulated network.
 
+use crate::col::Number;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -160,31 +161,35 @@ impl Datum {
     }
 }
 
+/// SQL value equality with NULL == NULL (group-key semantics): the values
+/// [`Datum::cmp`] ties, except that a NaN equals nothing.
 impl PartialEq for Datum {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Datum::Null, Datum::Null) => true,
-            _ => self.sql_cmp(other) == Some(Ordering::Equal),
-        }
+        self.cmp(other) == Ordering::Equal && !self.is_nan()
     }
 }
 
 impl Eq for Datum {}
 
-/// Total order used by sorts and indexes: NULL sorts first; across types we
-/// fall back to a type-rank order (never hit by well-typed plans).
+/// Total order used by sorts and indexes: NULL sorts first, then Bool,
+/// then the numbers — Int, Double and Date on one number line, compared by
+/// value, a NaN after every number — then strings. `cmp` is `Equal`
+/// exactly where `==` holds, and for two NaNs.
 impl Ord for Datum {
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self.is_null(), other.is_null()) {
-            (true, true) => return Ordering::Equal,
-            (true, false) => return Ordering::Less,
-            (false, true) => return Ordering::Greater,
-            _ => {}
+        let number = |d: &Datum| match d {
+            Datum::Int(i) => Number::Whole(*i),
+            Datum::Date(d) => Number::Whole(*d as i64),
+            Datum::Double(x) => Number::Real(*x),
+            _ => Number::None,
+        };
+        match (self, other) {
+            (Datum::Str(a), Datum::Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Datum::Bool(a), Datum::Bool(b)) => a.cmp(b),
+            _ => number(self)
+                .cmp(number(other))
+                .unwrap_or_else(|| self.type_rank().cmp(&other.type_rank())),
         }
-        if let Some(ord) = self.sql_cmp(other) {
-            return ord;
-        }
-        self.type_rank().cmp(&other.type_rank())
     }
 }
 
@@ -195,15 +200,19 @@ impl PartialOrd for Datum {
 }
 
 impl Datum {
+    /// [`Datum::cmp`]'s order of kinds; the numbers share a rank.
     fn type_rank(&self) -> u8 {
         match self {
             Datum::Null => 0,
             Datum::Bool(_) => 1,
-            Datum::Int(_) => 2,
-            Datum::Double(_) => 3,
-            Datum::Date(_) => 4,
-            Datum::Str(_) => 5,
+            Datum::Int(_) | Datum::Double(_) | Datum::Date(_) => 2,
+            Datum::Str(_) => 3,
         }
+    }
+
+    /// Is this a Double NaN?
+    fn is_nan(&self) -> bool {
+        matches!(self, Datum::Double(d) if d.is_nan())
     }
 }
 
@@ -222,9 +231,10 @@ impl Hash for Datum {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
+            // `-0.0 + 0.0` is `0.0`: the zeros are one value.
             Datum::Double(d) => {
                 2u8.hash(state);
-                d.to_bits().hash(state);
+                (d + 0.0).to_bits().hash(state);
             }
             Datum::Str(s) => {
                 3u8.hash(state);
@@ -304,6 +314,24 @@ mod tests {
         assert_eq!(Datum::Int(2).sql_cmp(&Datum::Double(2.0)), Some(Ordering::Equal));
         assert_eq!(Datum::Int(2).sql_cmp(&Datum::Double(2.5)), Some(Ordering::Less));
         assert_eq!(Datum::Double(3.0).sql_cmp(&Datum::Int(2)), Some(Ordering::Greater));
+    }
+
+    /// Int, Double and Date are one number line: the cycle the type-rank
+    /// fallback made (a Date below an Int below a Double below the Date)
+    /// is gone, a NaN follows every number and ties only with a NaN, and
+    /// the kinds order Bool, numbers, strings.
+    #[test]
+    fn numbers_share_one_order_across_kinds() {
+        let (d, i, x) = (Datum::Date(10), Datum::Int(20), Datum::Double(30.0));
+        assert!(d < i && i < x && d < x);
+        assert_eq!(Datum::Date(2), Datum::Double(2.0));
+        assert_eq!(Datum::Double(-0.0), Datum::Double(0.0));
+        assert_eq!(hash_of(&Datum::Double(-0.0)), hash_of(&Datum::Int(0)));
+        let nan = Datum::Double(f64::NAN);
+        assert!(nan > Datum::Double(f64::INFINITY) && nan > Datum::Int(i64::MAX));
+        assert_eq!(nan.cmp(&Datum::Double(f64::NAN)), Ordering::Equal);
+        assert_ne!(nan, Datum::Double(f64::NAN));
+        assert!(Datum::Bool(true) < Datum::Int(i64::MIN) && Datum::Date(0) < Datum::str(""));
     }
 
     #[test]

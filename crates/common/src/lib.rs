@@ -28,7 +28,7 @@ pub mod row;
 pub mod schema;
 pub mod sync;
 
-pub use col::{Bitmap, Column, ColumnBatch, ColumnBuilder, NIL};
+pub use col::{gallop, Bitmap, Column, ColumnBatch, ColumnBuilder, KeyWords, NIL};
 pub use datum::{DataType, Datum};
 pub use error::{panic_message, IcError, IcResult};
 pub use expr::{BinOp, Expr, FuncKind};

@@ -4,11 +4,13 @@
 //! This module is the hot core of the columnar data plane and is lint-gated
 //! by rule L008: no per-row `Datum` materialization inside kernel loops —
 //! rows move by typed take (`ColumnBuilder::extend_take` / `Column::take`),
-//! keys compare through `eq_at`/`cmp_at` and hash through the vectorized
-//! hasher. Both hash tables find keys through one [`HashDir`], with the keys
-//! kept as typed columns. [`ColJoinTable`] is built in one shot once the
-//! build side is drained, its chains in build order, so a probe row's
-//! matches come out in the order the build side arrived. [`ColGroupTable`]
+//! keys compare as key words ([`KeyWords`]: `ColumnBatch::key_words`'s
+//! order-preserving encoding) — through `eq_at`/`cmp_at` only where a key
+//! has no words (a string, a NaN) — and hash through the vectorized
+//! hasher. Both hash tables find keys through one [`HashDir`], with the
+//! keys kept as typed columns and their words. [`ColJoinTable`] is built in
+//! one shot once the build side is drained, its chains in build order, so a
+//! probe row's matches come out in the order the build side arrived. [`ColGroupTable`]
 //! grows group by group: a group's key is one row of typed key columns, and
 //! each aggregate keeps typed state vectors — COUNT an `i64`, SUM an `i64`
 //! or `f64`, AVG a sum and a count, MIN/MAX a value of the argument's type
@@ -16,7 +18,8 @@
 
 use ic_common::agg::AggFunc;
 use ic_common::{
-    Bitmap, Column, ColumnBatch, ColumnBuilder, DataType, HashDir, IcError, IcResult, NIL,
+    Bitmap, Column, ColumnBatch, ColumnBuilder, DataType, HashDir, IcError, IcResult, KeyWords,
+    NIL,
 };
 use ic_common::row::BATCH_SIZE;
 use ic_plan::ops::{AggCall, AggPhase, SortKey};
@@ -35,6 +38,8 @@ pub struct ColJoinTable {
     dir: HashDir,
     /// Linked rows: the arena rows without a NULL key.
     nrows: usize,
+    /// The arena's key words; `None` for a key without words.
+    words: Option<KeyWords>,
 }
 
 impl ColJoinTable {
@@ -58,7 +63,8 @@ impl ColJoinTable {
             linked
         });
         ic_common::obs::MetricsRegistry::global().counter("exec.join.build_rows").add(nrows as u64);
-        ColJoinTable { key_cols, arena, dir, nrows }
+        let words = arena.key_words_asc(&key_cols);
+        ColJoinTable { key_cols, arena, dir, nrows, words }
     }
 
     /// Number of linked build rows (NULL-key rows excluded).
@@ -80,8 +86,9 @@ impl ColJoinTable {
     /// probe row `k` — probe rows in order, each row's matches in build
     /// insertion order; `visit` returns `false` to leave that row's chain.
     /// NULL probe keys match nothing; the directory hands over the rows with
-    /// the probe row's hash, and [`Column::eq_at`] on each key column
-    /// resolves collisions. An empty table returns at once.
+    /// the probe row's hash, and the key words — or, for keys without
+    /// words, [`Column::eq_at`] on each key column — resolve collisions. An
+    /// empty table returns at once.
     fn for_each_match(
         &self,
         batch: &ColumnBatch,
@@ -92,6 +99,21 @@ impl ColJoinTable {
             return;
         }
         let hashes = batch.hash_keys(probe_keys);
+        let words = self.words.as_ref().and_then(|built| {
+            batch.key_words_asc(probe_keys).filter(|probe| built.comparable(probe)).map(|p| (built, p))
+        });
+        if let Some((built, probe)) = words {
+            // A NULL key's word is 0 and no linked row has one: a probe row
+            // with a NULL key equals no entry.
+            for (k, &hash) in hashes.iter().enumerate() {
+                for b in self.dir.matches(hash) {
+                    if built.eq_rows(b as usize, &probe, k) && !visit(k as u32, b) {
+                        break;
+                    }
+                }
+            }
+            return;
+        }
         let keys = || self.key_cols.iter().zip(probe_keys);
         for (k, &hash) in hashes.iter().enumerate() {
             let phys = batch.phys_index(k);
@@ -188,6 +210,10 @@ pub struct ColGroupTable {
     dir: HashDir,
     /// One typed column per group key; row `s` is slot `s`'s key.
     keys: Vec<ColumnBuilder>,
+    /// Row `s` is slot `s`'s key words, while every batch's keys have had
+    /// words; `None` from the first that has not (a string key, a NaN), and
+    /// slots compare column by column from then on.
+    words: Option<KeyWords>,
     states: Vec<AggState>,
     len: usize,
 }
@@ -214,6 +240,7 @@ impl ColGroupTable {
             phase,
             dir: HashDir::default(),
             keys: key_types.iter().map(|&t| ColumnBuilder::new(t)).collect(),
+            words: KeyWords::empty(key_types),
             len: 0,
         }
     }
@@ -233,7 +260,8 @@ impl ColGroupTable {
     /// `sorted` on the group columns needs no hashing: a row belongs to the
     /// newest group when its key equals that group's and opens a new one
     /// otherwise, and every group but the newest is closed once the batch
-    /// is done.
+    /// is done. A row's key is compared with a slot's by their key words
+    /// where both have them.
     pub fn assign_slots(&mut self, batch: &ColumnBatch, sorted: bool, slots: &mut Vec<u32>) {
         slots.clear();
         if self.group_cols.is_empty() {
@@ -244,23 +272,36 @@ impl ColGroupTable {
         // Sorted input reads no hash.
         let hashes =
             if sorted { vec![0; batch.num_rows()] } else { batch.hash_keys(&self.group_cols) };
+        let words = self.words.as_ref().and_then(|held| {
+            batch.key_words_asc(&self.group_cols).filter(|words| held.comparable(words))
+        });
+        if words.is_none() {
+            self.words = None;
+        }
+        let ColGroupTable { group_cols, dir, keys, words: held, states, len, .. } = self;
         for (k, &hash) in hashes.iter().enumerate() {
             let phys = batch.phys_index(k);
-            let (keys, cols) = (&self.keys, &self.group_cols);
-            let same = |s: u32| {
-                keys.iter().zip(cols).all(|(key, &c)| key.eq_at(s as usize, batch.col(c), phys))
+            let same = |s: u32| match (&*held, &words) {
+                (Some(held), Some(words)) => held.eq_rows(s as usize, words, k),
+                _ => keys
+                    .iter()
+                    .zip(&*group_cols)
+                    .all(|(key, &c)| key.eq_at(s as usize, batch.col(c), phys)),
             };
-            let (slot, fresh) = match (sorted, self.len as u32) {
+            let (slot, fresh) = match (sorted, *len as u32) {
                 (true, len) if len > 0 && same(len - 1) => (len - 1, false),
                 (true, len) => (len, true),
-                (false, _) => self.dir.find_or_insert(hash, same),
+                (false, _) => dir.find_or_insert(hash, same),
             };
             if fresh {
-                for (key, &c) in self.keys.iter_mut().zip(&self.group_cols) {
+                for (key, &c) in keys.iter_mut().zip(&*group_cols) {
                     key.extend_take(batch.col(c), &[phys as u32]);
                 }
-                self.states.iter_mut().for_each(AggState::push);
-                self.len += 1;
+                if let (Some(held), Some(words)) = (held.as_mut(), &words) {
+                    held.push_row(words, k);
+                }
+                states.iter_mut().for_each(AggState::push);
+                *len += 1;
             }
             slots.push(slot);
         }
@@ -363,6 +404,9 @@ impl ColGroupTable {
             self.dir = HashDir::default();
         }
         let mut out: Vec<Column> = self.keys.iter_mut().map(|key| split_column(key, n)).collect();
+        if let Some(words) = &mut self.words {
+            words.drain_front(n);
+        }
         for state in &mut self.states {
             state.split_front(n, self.phase, &mut out);
         }
@@ -377,6 +421,9 @@ impl ColGroupTable {
         debug_assert!(self.states.is_empty());
         self.dir.keep(slots);
         self.keys.iter_mut().for_each(|key| key.keep(slots));
+        if let Some(words) = &mut self.words {
+            words.keep(slots);
+        }
         self.len = slots.len();
     }
 }
@@ -489,8 +536,9 @@ impl AggState {
             }),
             (AggState::Best { best, seen, max }, ..) => {
                 // A value replaces a strictly worse best, so the first of
-                // equal values stays, and a NaN, which orders with nothing,
-                // only ever fills an empty group.
+                // equal values stays; a NaN sorts after every number, so
+                // it is the MAX of a group holding one, and the MIN only of
+                // a group of NaNs.
                 let worse = if *max { Ordering::Less } else { Ordering::Greater };
                 for (s, i) in rows {
                     if best[s] == NIL || seen.cmp_at(best[s] as usize, col, i) == worse {

@@ -25,7 +25,8 @@ use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{
-    Column, ColumnBatch, DataType, Expr, IcError, IcResult, MemoryLease, MemoryPool, Row, NIL,
+    gallop, Column, ColumnBatch, DataType, Expr, IcError, IcResult, KeyWords, MemoryLease, MemoryPool,
+    Row, NIL,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use ic_storage::index::chunks_below;
@@ -893,7 +894,7 @@ enum JoinBuild {
 /// probe's first pull has drained it: the batches concatenate into one
 /// arena whose rows link through a sized bucket directory, so the build
 /// never rehashes or clones a key datum. Probes hash the key columns
-/// vectorized, walk each chain with typed column-vs-column equality, and
+/// vectorized, walk each chain comparing key words, and
 /// produce `(probe row, arena row)` index pairs; output is materialized by
 /// [`gather_join_output`] one column at a time (`NIL` pairs drive LEFT
 /// null-extension). SEMI/ANTI joins skip materialization entirely — the
@@ -1012,10 +1013,10 @@ impl RowSource for HashJoinExec {
 }
 
 /// Merge join: inputs sorted ascending on the keys, walked in place with
-/// (batch, row) cursors and typed `cmp_at` key comparisons — no input row is
-/// ever materialized, copied or concatenated. Key matches become candidate
-/// pairs for the shared [`JoinEmitter`], one (left batch, right batch) run
-/// at a time.
+/// (batch, row) cursors that compare key words ([`KeyOrder`]) — no input
+/// row is ever materialized, copied or concatenated. Key matches become
+/// candidate pairs for the shared [`JoinEmitter`], one (left batch, right
+/// batch) run at a time.
 ///
 /// The left side streams; the right side streams through a *window*: the
 /// right batches from the cursor's on, pulled as the cursor (or an
@@ -1030,10 +1031,12 @@ impl RowSource for HashJoinExec {
 ///   before every left pull, and end once the right side is exhausted.
 ///   LEFT and ANTI joins emit unmatched left rows, so they read every one.
 ///
-/// The right cursor checks a batch's last key once on entering it and
-/// passes the batch whole when that sorts below the left key. Both inputs
-/// are pulled at least once, right first, before the join ends — the order
-/// every instance follows, so no two instances wait on each other's
+/// Both cursors gallop ([`gallop`]): the right cursor checks a batch's last
+/// key once on entering it and passes the batch whole when that sorts below
+/// the left key, else gallops to the first row that does not; the left
+/// cursor gallops past every left row below the right cursor's key. Both
+/// inputs are pulled at least once, right first, before the join ends — the
+/// order every instance follows, so no two instances wait on each other's
 /// exchanges — and a Sort or hash build below an input drains its exchange
 /// on that first pull, so an early end leaves no producer shipping into a
 /// dropped link.
@@ -1049,6 +1052,8 @@ pub struct MergeJoinExec {
     /// The right batches from the cursor's on, each charged to the lease on
     /// arrival and given back once the cursor has passed it.
     window: LeasedBatches,
+    /// The key words of each window batch (`None`: keys without words).
+    window_words: Vec<Option<KeyWords>>,
     /// The right side has returned `None`.
     right_done: bool,
     /// (window batch, logical row) of the first right row not yet known to
@@ -1058,6 +1063,58 @@ pub struct MergeJoinExec {
     entered: bool,
     left_pulled: bool,
     output: VecDeque<ColumnBatch>,
+}
+
+/// How the logical rows of one right batch compare with those of one left
+/// batch: by key words where both batches have comparable ones, else key
+/// column by key column ([`ColumnBatch::cmp_keys`], [`Column::eq_at`]).
+struct KeyOrder<'a> {
+    right: &'a ColumnBatch,
+    right_keys: &'a [usize],
+    left: &'a ColumnBatch,
+    left_keys: &'a [usize],
+    /// (right words, left words).
+    words: Option<(&'a KeyWords, &'a KeyWords)>,
+}
+
+impl<'a> KeyOrder<'a> {
+    fn new(
+        (right, right_keys, right_words): (&'a ColumnBatch, &'a [usize], Option<&'a KeyWords>),
+        (left, left_keys, left_words): (&'a ColumnBatch, &'a [usize], Option<&'a KeyWords>),
+    ) -> KeyOrder<'a> {
+        let words = right_words.zip(left_words).filter(|(r, l)| r.comparable(l));
+        KeyOrder { right, right_keys, left, left_keys, words }
+    }
+
+    /// Right row `r` against left row `k` in `cmp_at` order.
+    #[inline]
+    fn cmp(&self, r: usize, k: usize) -> CmpOrdering {
+        match self.words {
+            Some((rw, lw)) => rw.cmp_rows(r, lw, k),
+            None => self.right.cmp_keys(
+                self.right_keys,
+                self.right.phys_index(r),
+                self.left,
+                self.left_keys,
+                self.left.phys_index(k),
+            ),
+        }
+    }
+
+    /// Whether right row `r` holds left row `k`'s key, for a left row
+    /// without a NULL key: SQL key equality, under which a NaN equals
+    /// nothing (a NaN has no words, so the columns decide).
+    #[inline]
+    fn eq(&self, r: usize, k: usize) -> bool {
+        match self.words {
+            Some((rw, lw)) => rw.eq_rows(r, lw, k),
+            None => {
+                let (ri, li) = (self.right.phys_index(r), self.left.phys_index(k));
+                let mut keys = self.right_keys.iter().zip(self.left_keys);
+                keys.all(|(&rc, &lc)| self.right.col(rc).eq_at(ri, self.left.col(lc), li))
+            }
+        }
+    }
 }
 
 impl MergeJoinExec {
@@ -1081,6 +1138,7 @@ impl MergeJoinExec {
             ctrl,
             seeks_left: matches!(kind, JoinKind::Inner | JoinKind::Semi),
             window: LeasedBatches::default(),
+            window_words: Vec::new(),
             right_done: false,
             right_pos: (0, 0),
             entered: false,
@@ -1089,9 +1147,10 @@ impl MergeJoinExec {
         }
     }
 
-    /// Pull the next non-empty right batch into the window — first telling
-    /// the right side that rows below `target` (a left batch and physical
-    /// row) are not wanted. `false` once the right side is exhausted.
+    /// Pull the next non-empty right batch into the window, with its key
+    /// words — first telling the right side that rows below `target` (a
+    /// left batch and physical row) are not wanted. `false` once the right
+    /// side is exhausted.
     fn pull_right(&mut self, target: Option<(&ColumnBatch, usize)>) -> IcResult<bool> {
         if self.right_done {
             return Ok(false);
@@ -1101,8 +1160,10 @@ impl MergeJoinExec {
         }
         while let Some(b) = self.right.next_batch()? {
             let held = self.window.len();
+            let words = b.key_words_asc(&self.right_keys);
             self.window.push(&self.ctrl, b)?;
             if self.window.len() > held {
+                self.window_words.push(words);
                 return Ok(true);
             }
         }
@@ -1110,33 +1171,30 @@ impl MergeJoinExec {
         Ok(false)
     }
 
+    /// How window batch `b` compares with the left batch `lb` (words `lw`).
+    fn order<'a>(&'a self, b: usize, lb: &'a ColumnBatch, lw: Option<&'a KeyWords>) -> Option<KeyOrder<'a>> {
+        let right = (self.window.get(b)?, &self.right_keys[..], self.window_words[b].as_ref());
+        Some(KeyOrder::new(right, (lb, &self.left_keys, lw)))
+    }
+
     /// Move the right cursor to the first right row whose key does not sort
-    /// below row `li` of `lb`, pulling the right side as the window runs out.
-    fn advance_right(&mut self, lb: &ColumnBatch, li: usize) -> IcResult<()> {
+    /// below logical row `k` of `lb`, pulling the right side as the window
+    /// runs out.
+    fn advance_right(&mut self, lb: &ColumnBatch, lw: Option<&KeyWords>, k: usize) -> IcResult<()> {
         loop {
-            let (b, mut r) = self.right_pos;
-            let Some(rb) = self.window.get(b) else {
-                if self.pull_right(Some((lb, li)))? {
+            let (b, r) = self.right_pos;
+            let Some(order) = self.order(b, lb, lw) else {
+                if self.pull_right(Some((lb, lb.phys_index(k))))? {
                     continue;
                 }
                 return Ok(());
             };
-            let below = |r: usize| {
-                rb.cmp_keys(&self.right_keys, rb.phys_index(r), lb, &self.left_keys, li)
-                    == CmpOrdering::Less
-            };
-            if !self.entered {
-                self.entered = true;
-                if below(rb.num_rows() - 1) {
-                    (self.right_pos, self.entered) = ((b + 1, 0), false);
-                    continue;
-                }
-            }
-            while r < rb.num_rows() && below(r) {
-                r += 1;
-            }
-            if r < rb.num_rows() {
-                self.right_pos = (b, r);
+            let n = order.right.num_rows();
+            let below = |r: usize| order.cmp(r, k) == CmpOrdering::Less;
+            let pass = !self.entered && below(n - 1);
+            let r = if pass { n } else { gallop(r, n, below) };
+            if r < n {
+                (self.right_pos, self.entered) = ((b, r), true);
                 return Ok(());
             }
             (self.right_pos, self.entered) = ((b + 1, 0), false);
@@ -1144,36 +1202,69 @@ impl MergeJoinExec {
     }
 
     /// Candidate pairs of `lb` against the right side, advancing the right
-    /// cursor past every key smaller than `lb`'s last.
+    /// cursor past every key smaller than `lb`'s last. Left rows go by runs
+    /// of one key: a run's end is a gallop, its right group is walked once,
+    /// and every row of the run takes the group's pairs.
     fn match_batch(&mut self, lb: &ColumnBatch) -> IcResult<JoinPairs> {
+        let lw = lb.key_words_asc(&self.left_keys);
+        let lw = lw.as_ref();
+        // Whether left rows `j` and `k` hold one key.
+        let left_keys = self.left_keys.clone();
+        let same_left = |j: usize, k: usize| match lw {
+            Some(lw) => lw.eq_rows(j, lw, k),
+            None => {
+                let (i, h) = (lb.phys_index(j), lb.phys_index(k));
+                left_keys.iter().all(|&c| lb.col(c).eq_at(i, lb.col(c), h))
+            }
+        };
         let mut pairs = JoinPairs::default();
-        for k in 0..lb.num_rows() {
+        // The current run's right group: (physical row, window batch).
+        let mut group: Vec<(u32, u32)> = Vec::new();
+        let n = lb.num_rows();
+        let mut k = 0;
+        while k < n {
             let li = lb.phys_index(k);
             // NULL keys match nothing.
-            if !self.left_keys.iter().all(|&c| lb.col(c).is_valid(li)) {
+            if !left_keys.iter().all(|&c| lb.col(c).is_valid(li)) {
+                k += 1;
                 continue;
             }
-            self.advance_right(lb, li)?;
+            self.advance_right(lb, lw, k)?;
+            // Past the right side's last row: no later left row matches.
+            let Some(order) = self.order(self.right_pos.0, lb, lw) else { break };
+            let r = self.right_pos.1;
+            if order.cmp(r, k) == CmpOrdering::Greater {
+                // Every left row below the cursor's key matches nothing.
+                k = gallop(k + 1, n, |j| order.cmp(r, j) == CmpOrdering::Greater);
+                continue;
+            }
+            let run = k..gallop(k + 1, n, |j| same_left(j, k));
             // Walk the equal-key group from the cursor without moving it:
-            // the next left row may carry the same key.
-            let mut group = self.right_pos;
+            // the next left batch may carry the same key.
+            group.clear();
+            let mut at = self.right_pos;
             loop {
-                let Some(rb) = self.window.get(group.0) else {
+                let Some(order) = self.order(at.0, lb, lw) else {
                     if self.pull_right(Some((lb, li)))? {
                         continue;
                     }
                     break;
                 };
-                let ri = rb.phys_index(group.1);
-                if rb.cmp_keys(&self.right_keys, ri, lb, &self.left_keys, li).is_ne() {
+                let rows = order.right.num_rows();
+                let mut r = at.1;
+                while r < rows && order.eq(r, k) {
+                    group.push((order.right.phys_index(r) as u32, at.0 as u32));
+                    r += 1;
+                }
+                if r < rows {
                     break;
                 }
-                pairs.push(k as u32, ri as u32, group.0 as u32);
-                group = match group.1 + 1 {
-                    next if next < rb.num_rows() => (group.0, next),
-                    _ => (group.0 + 1, 0),
-                };
+                at = (at.0 + 1, 0);
             }
+            for j in run.clone() {
+                group.iter().for_each(|&(ri, rb)| pairs.push(j as u32, ri, rb));
+            }
+            k = run.end;
         }
         Ok(pairs)
     }
@@ -1209,6 +1300,7 @@ impl RowSource for MergeJoinExec {
             self.emitter.emit(&lb, &self.window, pairs, &mut self.output)?;
             // The cursor only moves forward: batches before it are done.
             self.window.drain_front(&self.ctrl, self.right_pos.0);
+            self.window_words.drain(..self.right_pos.0);
             self.right_pos.0 = 0;
         }
     }
@@ -1396,8 +1488,8 @@ impl RowSource for AggExec {
 // ------------------------------------------------------- sort/limit/values
 
 /// Sort: concatenates input batches into one dense batch,
-/// computes a sort permutation over the key columns (typed `cmp_at`
-/// comparisons, no key decoration buffer), and emits batch-sized selection
+/// computes a sort permutation over the key columns (their key words, or
+/// `cmp_at` comparisons for keys without words), and emits batch-sized selection
 /// views over the dense batch — output batches share the sorted data via
 /// `Arc`, nothing is re-materialized.
 pub struct SortExec {

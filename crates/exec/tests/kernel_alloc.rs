@@ -1,8 +1,9 @@
 //! Kernel loops allocate per batch, never per row. A counting global
 //! allocator runs every kernel family over 16 and over 128 batches of
 //! 1 024 rows and bounds its allocations per batch: join build, probe and
-//! gather; group slots, every aggregate's fold in every phase and the
-//! split; sort permutations; the expression evaluator over every `Expr`
+//! gather; the merge join's cursors; group slots, alone on a key with
+//! words and with every aggregate's fold in every phase and the split;
+//! sort permutations; the expression evaluator over every `Expr`
 //! variant and typed function loop; the filter's typed shapes, bounded
 //! tighter; key hashing and the typed take. One
 //! allocation per row would cost at least 1 024 a batch. The count is real:
@@ -12,8 +13,10 @@
 use ic_common::agg::AggFunc;
 use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, FuncKind, Row, Schema};
+use ic_common::IcResult;
 use ic_exec::kernels::{gather_join_output, sort_permutation, ColGroupTable, ColJoinTable};
-use ic_plan::ops::{AggCall, AggPhase, SortKey};
+use ic_exec::operators::{ControlBlock, MergeJoinExec, RowSource};
+use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -111,6 +114,43 @@ fn join(input: &[ColumnBatch]) {
         let _ = gather_join_output(probe, &pks, table.arena(), &bis);
         let _ = table.probe_matched(probe, &[0]);
     }
+}
+
+/// A source replaying batches.
+struct Replay(std::vec::IntoIter<ColumnBatch>);
+
+impl RowSource for Replay {
+    fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
+        Ok(self.0.next())
+    }
+}
+
+/// An INNER merge join of `n` batches of (row id, key) with themselves on
+/// the ascending row id, every output batch pulled: both cursors walk one
+/// match per row, and the emitter gathers the pairs' four columns.
+fn merge(n: usize) -> u64 {
+    let input = batches(n, &TYPES[..2], false);
+    let side = || Box::new(Replay(input.clone().into_iter()));
+    let mut join = MergeJoinExec::new(
+        side(), side(), JoinKind::Inner, vec![0], vec![0], Expr::lit(true), 2,
+        ControlBlock::unlimited());
+    allocations(|| while join.next_batch().unwrap().is_some() {})
+}
+
+/// Group slots alone on the Int key, which has words: hashed, or sorted
+/// with every group but the newest closed after each batch.
+fn group_slots(n: usize, sorted: bool) -> u64 {
+    let data = batches(n, &TYPES, sorted);
+    let mut groups = ColGroupTable::new(vec![1], &[], AggPhase::Complete, &[DataType::Int]);
+    let mut slots = Vec::new();
+    allocations(|| {
+        for batch in &data {
+            groups.assign_slots(batch, sorted, &mut slots);
+            if sorted {
+                let _ = groups.split_front(groups.len() - 1);
+            }
+        }
+    })
 }
 
 /// One call of every aggregate over each argument type it has a typed loop
@@ -241,6 +281,10 @@ fn hash_and_take(input: &[ColumnBatch]) {
     }
 }
 
+/// Group slots alone: the key words, the hashes and, sorted, the closed
+/// groups' key column: 3–13 a batch at 16 and 128 batches.
+const SLOTS_PER_BATCH: u64 = 16;
+
 /// A filter refines one selection in place: the selection itself, plus an
 /// OR's rows for its right side or an IN-list's typed items. Neither an
 /// AND nor a typed comparison builds a batch, a column or a second
@@ -283,6 +327,9 @@ fn kernels_allocate_per_batch_not_per_row() {
         let input = batches(n, &TYPES, false);
         let families = [
             ("join build + probe + gather", allocations(|| join(&input)), PER_BATCH),
+            ("merge join cursors + gather", merge(n), PER_BATCH),
+            ("group slots, word key, hash", group_slots(n, false), SLOTS_PER_BATCH),
+            ("group slots, word key, sorted", group_slots(n, true), SLOTS_PER_BATCH),
             ("aggregate, hash, complete", aggregates(n, &calls, AggPhase::Complete, false), PER_BATCH),
             ("aggregate, hash, partial", aggregates(n, splittable, AggPhase::Partial, false), PER_BATCH),
             ("aggregate, hash, final", aggregates(n, splittable, AggPhase::Final, false), PER_BATCH),

@@ -15,10 +15,14 @@ mod common;
 
 use common::{agg_oracle, chunked_src, join_oracle};
 use ic_common::agg::{Accumulator, AggFunc};
-use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, Row, Schema, NIL};
+use ic_common::{
+    BinOp, Bitmap, Column, ColumnBatch, ColumnBuilder, DataType, Datum, Expr, Field, Row, Schema, NIL,
+};
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::{gather_join_output, ColGroupTable};
-use ic_exec::operators::{drain, AggExec, ControlBlock, HashJoinExec, NestedLoopJoinExec};
+use ic_exec::operators::{
+    drain, AggExec, ControlBlock, HashJoinExec, MergeJoinExec, NestedLoopJoinExec,
+};
 use ic_net::{Membership, SiteId};
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
@@ -584,10 +588,265 @@ proptest! {
 /// output drifts (a hasher tweak, a per-type write change) partitioned data
 /// silently lands on the wrong site. Update these constants only with a
 /// full-cluster data reload story.
+/// A key column for the key-word oracle, one value per `bits` entry, typed
+/// by `ty` (0 Int, 1 Double, 2 Bool, 3 Date, 4 Str) over a domain of five
+/// values so rows tie. A row is NULL one time in four and keeps a leftover
+/// value in its buffer; a Double column holds `-0.0`, `0.0` and NaNs, an
+/// Int column `i64::MIN` — the values without a word, in valid rows only
+/// when `wordless`, in NULL rows always.
+fn key_column(ty: u8, bits: &[u64], wordless: bool) -> Column {
+    let mut validity = Bitmap::new();
+    bits.iter().for_each(|b| validity.push(b % 4 != 0));
+    let v = |b: u64| ((b >> 2) % 5) as i64;
+    match ty {
+        0 => {
+            let int = |b: u64| match v(b) {
+                0 if wordless || b.is_multiple_of(4) => i64::MIN,
+                x => x - 2,
+            };
+            Column::from_ints(bits.iter().map(|&b| int(b)).collect(), Some(validity))
+        }
+        1 => {
+            let double = |b: u64| match v(b) {
+                0 => -0.0,
+                1 => 0.0,
+                2 if wordless || b.is_multiple_of(4) => f64::NAN,
+                x => x as f64 - 3.5,
+            };
+            Column::from_doubles(bits.iter().map(|&b| double(b)).collect(), Some(validity))
+        }
+        2 => Column::from_bools(bits.iter().map(|&b| v(b) % 2 == 1).collect(), Some(validity)),
+        3 => Column::from_dates(bits.iter().map(|&b| v(b) as i32 - 2).collect(), Some(validity)),
+        _ => {
+            let mut b = ColumnBuilder::new(DataType::Str);
+            let words = ["", "a", "ab", "b", "Σ"];
+            for &x in bits {
+                b.push_datum(&if x % 4 == 0 { Datum::Null } else { Datum::str(words[v(x) as usize]) });
+            }
+            b.finish()
+        }
+    }
+}
+
+/// Multi-key rows for the word-key kernels: a key column per entry of
+/// `types` (0 Int, 1 Date, 2 Bool) over a domain of three values, NULL
+/// one time in six, then an Int payload.
+fn word_key_rows(types: &[u8], raw: &[(Vec<u64>, i64)]) -> Vec<Row> {
+    let key = |ty: u8, bits: u64| match (bits % 6, ty) {
+        (0, _) => Datum::Null,
+        (_, 0) => Datum::Int((bits / 6 % 3) as i64 - 1),
+        (_, 1) => Datum::Date((bits / 6 % 3) as i32),
+        _ => Datum::Bool(bits / 6 % 2 == 1),
+    };
+    let row = |(bits, v): &(Vec<u64>, i64)| {
+        Row(types.iter().zip(bits).map(|(&t, &b)| key(t, b)).chain([Datum::Int(*v)]).collect())
+    };
+    raw.iter().map(row).collect()
+}
+
+proptest! {
+    /// The key-word contract: over batches of one to three key columns of
+    /// every type — NULLs holding leftover values, `-0.0` beside `0.0`,
+    /// NaNs, `i64::MIN`, selections, descending keys — the encoder has
+    /// words exactly when no key is a string and no selected valid row
+    /// holds a NaN or `i64::MIN` (a column without a value is all NULL
+    /// words, whatever its type), and
+    /// then the words of any row of one view against any row of another
+    /// order as `cmp_at` key by key (reversed where descending) and are
+    /// equal exactly where `eq_at` holds on every key.
+    #[test]
+    fn key_words_order_and_equal_like_the_comparator(
+        types in collection::vec(0u8..5, 1..4),
+        desc in collection::vec(any::<bool>(), 3),
+        bits in collection::vec(collection::vec(any::<u64>(), 40), 3),
+        n in 0usize..40,
+        wordless in any::<bool>(),
+        keeps in (collection::vec(any::<bool>(), 40), collection::vec(any::<bool>(), 40)),
+        dense in any::<bool>(),
+    ) {
+        let cols: Vec<Arc<Column>> =
+            types.iter().zip(&bits).map(|(&t, b)| Arc::new(key_column(t, &b[..n], wordless))).collect();
+        let batch = ColumnBatch::new(cols, n);
+        let a = if dense { batch.clone() } else { batch.with_sel(keep_list(&keeps.0, n)) };
+        let b = batch.with_sel(keep_list(&keeps.1, n));
+        let keys: Vec<(usize, bool)> = (0..types.len()).map(|c| (c, desc[c])).collect();
+        let has_words = |view: &ColumnBatch| {
+            (0..types.len()).all(|c| {
+                let col = view.col(c);
+                let no_word = |k: usize| {
+                    let i = view.phys_index(k);
+                    let nan = col.doubles().is_some_and(|(x, _)| x[i].is_nan());
+                    col.is_valid(i) && (nan || col.ints().is_some_and(|(x, _)| x[i] == i64::MIN))
+                };
+                // A column without a value is NULL words, whatever its type.
+                col.is_all_null() || types[c] != 4 && !(0..view.num_rows()).any(no_word)
+            })
+        };
+        let (wa, wb) = (a.key_words(&keys), b.key_words(&keys));
+        prop_assert_eq!(wa.is_some(), has_words(&a), "words of view a");
+        prop_assert_eq!(wb.is_some(), has_words(&b), "words of view b");
+        let (Some(wa), Some(wb)) = (wa, wb) else { return Ok(()) };
+        prop_assert!(wa.comparable(&wb));
+        for k in 0..a.num_rows() {
+            for j in 0..b.num_rows() {
+                let (i, h) = (a.phys_index(k), b.phys_index(j));
+                let mut want = std::cmp::Ordering::Equal;
+                for &(c, desc) in &keys {
+                    let ord = a.col(c).cmp_at(i, b.col(c), h);
+                    want = want.then(if desc { ord.reverse() } else { ord });
+                }
+                let equal = keys.iter().all(|&(c, _)| a.col(c).eq_at(i, b.col(c), h));
+                prop_assert_eq!(wa.cmp_rows(k, &wb, j), want, "rows {} and {}", i, h);
+                prop_assert_eq!(wa.eq_rows(k, &wb, j), equal, "rows {} and {}", i, h);
+            }
+        }
+        if dense {
+            let asc: Vec<usize> = (0..types.len()).collect();
+            let want: Vec<(usize, bool)> = asc.iter().map(|&c| (c, false)).collect();
+            let (x, y) = (a.key_words_asc(&asc).unwrap(), a.key_words(&want).unwrap());
+            prop_assert!((0..n).all(|k| x.row(k) == y.row(k)), "ascending words");
+        }
+    }
+
+    /// The kernels that compare words — merge, hash and nested-loop joins,
+    /// hash and sorted grouping — against the row oracle over one to three
+    /// keys of Int, Date and Bool with NULLs, cut into tiny batches (every
+    /// other one a selection view), for every join kind.
+    #[test]
+    fn word_key_kernels_match_oracle(
+        types in collection::vec(0u8..3, 1..4),
+        sides in (
+            collection::vec((collection::vec(any::<u64>(), 3), -9i64..9), 0..40),
+            collection::vec((collection::vec(any::<u64>(), 3), -9i64..9), 0..40),
+        ),
+        sizes in (collection::vec(1usize..6, 1..3), collection::vec(1usize..6, 1..3)),
+    ) {
+        let nkeys = types.len();
+        let (l, r) = (word_key_rows(&types, &sides.0), word_key_rows(&types, &sides.1));
+        let sorted = |rows: &[Row]| {
+            let mut rows = rows.to_vec();
+            rows.sort_by(|x, y| x.0[..nkeys].cmp(&y.0[..nkeys]));
+            rows
+        };
+        let (ls, rs) = (sorted(&l), sorted(&r));
+        let keys: Vec<usize> = (0..nkeys).collect();
+        let width = nkeys + 1;
+        let on = Expr::conjunction(
+            keys.iter().map(|&k| Expr::eq(Expr::col(k), Expr::col(width + k))).collect());
+        let ctrl = ControlBlock::unlimited;
+        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+            let expect = join_oracle(&l, &r, kind, &on, width);
+            let nlj = NestedLoopJoinExec::new(
+                chunked_src(&l, &sizes.0), chunked_src(&r, &sizes.1), kind, on.clone(), width, ctrl());
+            prop_assert_eq!(&drain(Box::new(nlj)).unwrap(), &expect, "nlj {:?}", kind);
+            let hj = HashJoinExec::new(
+                chunked_src(&l, &sizes.0), chunked_src(&r, &sizes.1), kind, keys.clone(),
+                keys.clone(), Expr::lit(true), width, ctrl());
+            prop_assert_eq!(&drain(Box::new(hj)).unwrap(), &expect, "hash {:?}", kind);
+            let mj = MergeJoinExec::new(
+                chunked_src(&ls, &sizes.0), chunked_src(&rs, &sizes.1), kind, keys.clone(),
+                keys.clone(), Expr::lit(true), width, ctrl());
+            let expect = join_oracle(&ls, &rs, kind, &on, width);
+            prop_assert_eq!(&drain(Box::new(mj)).unwrap(), &expect, "merge {:?}", kind);
+        }
+        let aggs = vec![
+            AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() },
+            AggCall { func: AggFunc::Sum, arg: Some(Expr::col(nkeys)), name: "s".into() },
+        ];
+        let kinds = [DataType::Int, DataType::Date, DataType::Bool];
+        let out: Vec<DataType> =
+            types.iter().map(|&t| kinds[t as usize]).chain([DataType::Int; 2]).collect();
+        let hash = AggExec::hash(
+            chunked_src(&l, &sizes.0), keys.clone(), aggs.clone(), AggPhase::Complete, out.clone(), ctrl());
+        let expect = agg_oracle(&l, &keys, &aggs, AggPhase::Complete);
+        prop_assert_eq!(drain(Box::new(hash)).unwrap(), expect, "hash grouping");
+        let sort = AggExec::sorted(
+            chunked_src(&ls, &sizes.0), keys.clone(), aggs.clone(), AggPhase::Complete, out, ctrl());
+        let expect = agg_oracle(&ls, &keys, &aggs, AggPhase::Complete);
+        prop_assert_eq!(drain(Box::new(sort)).unwrap(), expect, "sorted grouping");
+    }
+}
+
+/// Rows of a Double key `k` (NULL for `None`) and an Int payload, the
+/// payload numbering the rows.
+fn double_keys(keys: &[Option<f64>]) -> Vec<Row> {
+    let key = |k: &Option<f64>| k.map_or(Datum::Null, Datum::Double);
+    keys.iter().enumerate().map(|(i, k)| Row(vec![key(k), Datum::Int(i as i64)])).collect()
+}
+
+/// The join of `l` and `r` on column 0 by SQL key equality — `Datum`'s
+/// `==` on non-NULL keys, under which `-0.0 = 0.0` and a NaN equals
+/// nothing — in left order, each row's matches in right order.
+fn key_equality_join(l: &[Row], r: &[Row], kind: JoinKind) -> Vec<Row> {
+    let mut out = Vec::new();
+    for lr in l {
+        let hits: Vec<Row> =
+            r.iter().filter(|rr| !lr.0[0].is_null() && lr.0[0] == rr.0[0]).map(|rr| lr.concat(rr)).collect();
+        match kind {
+            JoinKind::Inner => out.extend(hits),
+            JoinKind::Left if hits.is_empty() => out.push(lr.concat(&Row(vec![Datum::Null; 2]))),
+            JoinKind::Left => out.extend(hits),
+            JoinKind::Semi if !hits.is_empty() => out.push(lr.clone()),
+            JoinKind::Anti if hits.is_empty() => out.push(lr.clone()),
+            JoinKind::Semi | JoinKind::Anti => {}
+        }
+    }
+    out
+}
+
+/// Rows as their `Debug` text: a NaN equals no datum, not even itself.
+fn shown(rows: &[Row]) -> Vec<String> {
+    rows.iter().map(|r| format!("{r:?}")).collect()
+}
+
+/// Double keys holding NaN, `-0.0` and `0.0`: the merge and hash joins
+/// match by SQL key equality — the zeros match each other, a NaN matches
+/// nothing, not even a NaN — for every join kind, and the nested-loop
+/// join agrees wherever its `ON` can be evaluated. A NaN in the
+/// nested-loop join's `ON` is the error any comparison with a NaN is. The
+/// inputs are sorted in `Datum` order (NULL first, NaN last), as a merge
+/// join's are.
+#[test]
+fn joins_agree_on_nan_and_signed_zero_keys() {
+    let nan = f64::NAN;
+    let l = double_keys(&[None, Some(-0.0), Some(0.0), Some(0.0), Some(1.0), Some(nan), Some(nan)]);
+    let r = double_keys(&[None, Some(0.0), Some(-0.0), Some(1.0), Some(nan)]);
+    let on = Expr::eq(Expr::col(0), Expr::col(2));
+    let ctrl = ControlBlock::unlimited;
+    for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+        let expect = key_equality_join(&l, &r, kind);
+        let mj = MergeJoinExec::new(
+            chunked_src(&l, &[3, 2]), chunked_src(&r, &[2]), kind, vec![0], vec![0],
+            Expr::lit(true), 2, ctrl());
+        assert_eq!(shown(&drain(Box::new(mj)).unwrap()), shown(&expect), "merge {kind:?}");
+        let hj = HashJoinExec::new(
+            chunked_src(&l, &[3, 2]), chunked_src(&r, &[2]), kind, vec![0], vec![0],
+            Expr::lit(true), 2, ctrl());
+        assert_eq!(shown(&drain(Box::new(hj)).unwrap()), shown(&expect), "hash {kind:?}");
+        // Without the NaN rows the nested-loop join answers, and agrees.
+        let (ln, rn) = (&l[..5], &r[..4]);
+        let nlj = NestedLoopJoinExec::new(
+            chunked_src(ln, &[3, 2]), chunked_src(rn, &[2]), kind, on.clone(), 2, ctrl());
+        let expect = shown(&key_equality_join(ln, rn, kind));
+        assert_eq!(shown(&drain(Box::new(nlj)).unwrap()), expect, "nlj {kind:?}");
+        let nlj = NestedLoopJoinExec::new(
+            chunked_src(&l, &[3, 2]), chunked_src(&r, &[2]), kind, on.clone(), 2, ctrl());
+        let err = drain(Box::new(nlj)).unwrap_err().to_string();
+        assert!(err.contains("cannot compare") && err.contains("NaN"), "nlj {kind:?}: {err}");
+    }
+    // The pair that went wrong: a NaN beside a number is no match.
+    let (l, r) = (double_keys(&[Some(nan)]), double_keys(&[Some(1.0)]));
+    let mj = MergeJoinExec::new(
+        chunked_src(&l, &[1]), chunked_src(&r, &[1]), JoinKind::Inner, vec![0], vec![0],
+        Expr::lit(true), 2, ctrl());
+    assert_eq!(drain(Box::new(mj)).unwrap(), vec![]);
+}
+
 #[test]
 fn hash_key_values_are_pinned() {
     let cases: &[(Row, Vec<usize>, u64)] = &[
         (Row(vec![Datum::Int(0)]), vec![0], 9160104880031970547),
+        (Row(vec![Datum::Double(-0.0)]), vec![0], 9160104880031970547),
         (Row(vec![Datum::Int(42)]), vec![0], 15396849362009593539),
         (Row(vec![Datum::Double(42.0)]), vec![0], 15396849362009593539),
         (Row(vec![Datum::Date(42)]), vec![0], 15396849362009593539),

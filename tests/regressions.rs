@@ -169,3 +169,31 @@ fn case_arms_and_sums_keep_the_schema_type() {
     let r = cluster.query("SELECT sum(CASE WHEN x > 1000 THEN x ELSE 0 END) FROM t").unwrap();
     assert!(matches!(r.rows[0].0[0], Datum::Double(s) if s == 0.0), "{:?}", r.rows);
 }
+
+/// `ORDER BY` ties the rows whose first key is NULL. The sort's integer
+/// encoding put a NULL row's leftover buffer value under its validity bit,
+/// and `a + b` keeps `0 + b` in the rows where `a` is NULL, so those rows
+/// came out in `b` order (`k` = 8, 18, 16, …, 0) instead of tied on `s` and
+/// ordered by `k`.
+#[test]
+fn order_by_ties_rows_whose_first_key_is_null() {
+    use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, NetworkConfig, Row, SystemVariant};
+    let cluster = Cluster::new(ClusterConfig {
+        sites: 4,
+        variant: SystemVariant::ICPlus,
+        network: NetworkConfig::instant(),
+        ..ClusterConfig::test_default()
+    });
+    cluster.run("CREATE TABLE n (k BIGINT, a BIGINT, b BIGINT, PRIMARY KEY (k))").unwrap();
+    let row = |k: i64| {
+        let a = if k % 2 == 0 { Datum::Null } else { Datum::Int(k) };
+        Row(vec![Datum::Int(k), a, Datum::Int(100 - k)])
+    };
+    cluster.insert("n", (0..20).map(row).collect()).unwrap();
+    cluster.analyze_all().unwrap();
+    let r = cluster.query("SELECT a + b AS s, k FROM n ORDER BY s, k").unwrap();
+    let got: Vec<(Datum, Datum)> = r.rows.iter().map(|row| (row.0[0].clone(), row.0[1].clone())).collect();
+    let nulls = (0..20).step_by(2).map(|k| (Datum::Null, Datum::Int(k)));
+    let hundreds = (1..20).step_by(2).map(|k| (Datum::Int(100), Datum::Int(k)));
+    assert_eq!(got, nulls.chain(hundreds).collect::<Vec<_>>());
+}
