@@ -584,25 +584,6 @@ impl Column {
         }
     }
 
-    /// SQL value equality between `self[i]` and a materialized datum of the
-    /// column's type, matching `Datum::eq` (NULL == NULL).
-    #[inline]
-    pub fn eq_datum(&self, i: usize, d: &Datum) -> bool {
-        if !self.is_valid(i) {
-            return d.is_null();
-        }
-        match (&self.data, d) {
-            (_, Datum::Null) => false,
-            (ColumnData::Int(a), Datum::Int(b)) => a[i] == *b,
-            (ColumnData::Double(a), Datum::Double(b)) => a[i] == *b,
-            (ColumnData::Date(a), Datum::Date(b)) => a[i] == *b,
-            (ColumnData::Bool(a), Datum::Bool(b)) => a[i] == *b,
-            (ColumnData::Str { .. }, Datum::Str(b)) => self.bytes_at(i) == b.as_bytes(),
-            // A value of another kind: only an ill-typed plan compares it.
-            _ => false,
-        }
-    }
-
     /// Total order between `self[i]` and `other[j]` of a column of the same
     /// type, matching `Datum::cmp` (NULL first). Used by sort and merge
     /// kernels.
@@ -1122,6 +1103,13 @@ impl ColumnBatch {
         ColumnBatch { columns: self.columns.clone(), nrows: self.nrows, sel: Some(Arc::new(sel)) }
     }
 
+    /// The same rows over other columns, each [`Self::phys_rows`] long: the
+    /// selection is kept (a projection's output).
+    pub fn with_columns(&self, columns: Vec<Arc<Column>>) -> ColumnBatch {
+        debug_assert!(columns.iter().all(|c| c.len() == self.nrows));
+        ColumnBatch { columns, nrows: self.nrows, sel: self.sel.clone() }
+    }
+
     /// Keep the logical rows listed in `keep` (logical indices, in order).
     pub fn select_logical(&self, keep: &[u32]) -> ColumnBatch {
         let sel: Vec<u32> = match &self.sel {
@@ -1548,9 +1536,6 @@ mod tests {
         assert!(a.col(0).eq_at(1, b.col(0), 1)); // NULL == NULL (group keys)
         assert!(!a.col(0).eq_at(0, b.col(0), 1));
         assert!(!a.col(0).eq_at(2, b.col(0), 0));
-        assert!(a.col(0).eq_datum(0, &Datum::Int(2)));
-        assert!(a.col(0).eq_datum(1, &Datum::Null));
-        assert!(!a.col(0).eq_datum(0, &Datum::Null));
         // NULL sorts first, as in Datum::cmp.
         assert_eq!(a.col(0).cmp_at(1, a.col(0), 0), Ordering::Less);
         assert_eq!(a.col(0).cmp_at(0, b.col(0), 0), Ordering::Equal);

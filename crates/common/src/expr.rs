@@ -62,6 +62,20 @@ impl BinOp {
             _ => return None,
         })
     }
+
+    /// The comparison that holds exactly where this one fails on two
+    /// ordered values (`NOT a < b` ⇔ `a >= b`). `self` for a non-comparison.
+    pub fn complement(&self) -> BinOp {
+        match self {
+            BinOp::Eq => BinOp::Ne,
+            BinOp::Ne => BinOp::Eq,
+            BinOp::Lt => BinOp::Ge,
+            BinOp::Le => BinOp::Gt,
+            BinOp::Gt => BinOp::Le,
+            BinOp::Ge => BinOp::Lt,
+            op => *op,
+        }
+    }
 }
 
 impl fmt::Display for BinOp {

@@ -442,8 +442,9 @@ proptest! {
         let sel = keep_list(&keep, rows.len());
         let view = ColumnBatch::from_rows(&rows).select_logical(&sel);
 
+        // The surviving physical rows become the batch's selection.
         let pass = eval_filter_sel(&pred, &view).unwrap();
-        let filtered = view.select_logical(&pass);
+        let filtered = view.with_sel(pass);
 
         let expect: Vec<Row> = sel
             .iter()

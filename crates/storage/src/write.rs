@@ -237,13 +237,14 @@ pub fn apply_op(
                 }
                 n += hit.len();
                 // The hit rows' post-image: each SET expression evaluated
-                // over their pre-image, every other column carried over.
+                // over their pre-image, every other column carried over,
+                // all gathered once by the splice.
                 let pre = chunk.with_sel(hit.clone());
-                let mut post = pre.gather().columns().to_vec();
+                let mut post = pre.columns().to_vec();
                 for (c, expr) in assignments {
                     post[*c] = eval_expr(expr, &pre)?;
                 }
-                w.push(splice(&types, chunk, ColumnBatch::new(post, hit.len()), &hit));
+                w.push(splice(&types, chunk, pre.with_columns(post), &hit));
             }
         }
         WriteOp::Delete { predicate } => {

@@ -7,7 +7,8 @@
 //! - the invariants a type carries are fixture crates rustc must reject;
 //! - every metric, event and span name the engine emits is documented in
 //!   OBSERVABILITY.md, and every name documented there is emitted;
-//! - the kernel plane calls no row-at-a-time accessor.
+//! - the kernel plane calls no row-at-a-time accessor, and the evaluator
+//!   gathers no rows.
 //!
 //! The fixture crates live under `tests/invariants/`; each is copied out of
 //! the source tree, built against the engine crates, and its diagnostics
@@ -253,11 +254,11 @@ fn obs_names_match_the_registry_both_ways() {
 const ROW_ACCESSORS: [&str; 6] =
     ["datum_at", "row_at", "to_rows", "from_rows", "from_typed_rows", "push_datum"];
 
-/// (accessor, line) of every call of one in `src`.
-fn row_calls(src: &str) -> Vec<(&'static str, usize)> {
+/// (name, line) of every call in `src` of one of `names`.
+fn calls<'a>(src: &str, names: &[&'a str]) -> Vec<(&'a str, usize)> {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut out = Vec::new();
-    for name in ROW_ACCESSORS {
+    for &name in names {
         for (at, _) in src.match_indices(&format!("{name}(")) {
             if !src[..at].ends_with(ident) {
                 out.push((name, line_of(src, at)));
@@ -272,9 +273,22 @@ fn row_calls(src: &str) -> Vec<(&'static str, usize)> {
 /// row-at-a-time cost. Row shims belong at the operator boundary.
 #[test]
 fn kernel_plane_calls_no_row_accessor() {
-    assert_eq!(row_calls("let r = b.to_rows();\nx.push_datum(d);"), [("to_rows", 1), ("push_datum", 2)]);
+    let src = "let r = b.to_rows();\nx.push_datum(d);";
+    assert_eq!(calls(src, &ROW_ACCESSORS), [("to_rows", 1), ("push_datum", 2)]);
     for path in ["crates/exec/src/kernels.rs", "crates/common/src/eval.rs"] {
-        let calls = row_calls(&non_test(path));
+        let calls = calls(&non_test(path), &ROW_ACCESSORS);
         assert!(calls.is_empty(), "{path}: row accessors at {calls:?}");
     }
+}
+
+/// The evaluator answers in its batch's physical row space: it reads input
+/// columns in place and writes computed ones at the rows it covers, so it
+/// never gathers rows into a second index space.
+#[test]
+fn evaluator_has_one_index_space() {
+    let gathers = ["take", "select_logical", "gather"];
+    assert_eq!(calls("c.take(&sel);\nb.gather()", &gathers), [("take", 1), ("gather", 2)]);
+    let path = "crates/common/src/eval.rs";
+    let calls = calls(&non_test(path), &gathers);
+    assert!(calls.is_empty(), "{path}: gathers at {calls:?}");
 }
