@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{chunked_src, join_oracle};
+use common::{chunked_src, join_oracle, BatchesSource};
 use ic_common::agg::AggFunc;
 use ic_common::row::BATCH_SIZE;
 use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, IcResult, Row};
@@ -320,6 +320,44 @@ proptest! {
             })
         });
         prop_assert_eq!(got, expected);
+    }
+
+    /// A filter and a projection above a sort keep its order — through an
+    /// OR and an IN-list with a column item, each of which merges rows kept
+    /// by two parts — over the sort's output, and over a view listing the
+    /// sorted rows by a selection that runs backwards through its batch.
+    #[test]
+    fn filter_and_project_keep_sorted_order(
+        data in proptest::collection::vec((-20i64..20, -20i64..20), 0..100),
+        desc in any::<bool>(),
+    ) {
+        let (c, lit) = (Expr::col, Expr::lit);
+        let pred = Expr::or(
+            Expr::binary(BinOp::Lt, c(1), lit(-5i64)),
+            Expr::InList { expr: Box::new(c(0)), list: vec![c(1), lit(3i64)], negated: false },
+        );
+        let exprs = vec![c(0), Expr::binary(BinOp::Sub, c(0), c(1))];
+        let mut sorted = rows(&data);
+        sorted.sort_by(|a, b| if desc { b.cmp(a) } else { a.cmp(b) });
+        let expected: Vec<Row> = sorted
+            .iter()
+            .filter(|r| pred.eval(r).unwrap().as_bool() == Some(true))
+            .map(|r| Row(exprs.iter().map(|e| e.eval(r).unwrap()).collect()))
+            .collect();
+        let above = |input: BoxedSource| {
+            let ctrl = ControlBlock::unlimited();
+            let kept = FilterExec::new(input, pred.clone(), ctrl.clone());
+            drain(Box::new(ProjectExec::new(Box::new(kept), exprs.clone(), ctrl))).unwrap()
+        };
+        let keys = vec![SortKey { col: 0, desc }, SortKey { col: 1, desc }];
+        let sort = SortExec::new(src(rows(&data)), keys, ControlBlock::unlimited());
+        prop_assert_eq!(above(Box::new(sort)), expected.clone());
+        if !sorted.is_empty() {
+            let backwards: Vec<Row> = sorted.iter().rev().cloned().collect();
+            let sel = (0..sorted.len() as u32).rev().collect();
+            let view = ColumnBatch::from_rows(&backwards).with_sel(sel);
+            prop_assert_eq!(above(Box::new(BatchesSource([view].into()))), expected);
+        }
     }
 
     /// Limit with offset returns exactly the requested window.
