@@ -53,26 +53,32 @@
 //! by one typed loop; strings feed their bytes without a UTF-8 re-check.
 //! The zeros `-0.0` and `0.0` are one value and hash alike.
 //!
-//! **Key words.** [`ColumnBatch::key_words`] is the one key encoder: it
-//! maps the key columns of each logical row (through the selection) to
-//! fixed-width [`KeyWords`] whose unsigned order is [`Column::cmp_at`]'s
-//! and whose equality is [`Column::eq_at`]'s — one `u64` per key:
-//! sign-flipped Int and Date, bit-ordered Double with `-0.0` folded onto
-//! `0.0`, Bool as 1 or 2, none of them `0`; a NULL is the fixed word `0`,
-//! below every value whatever its buffer holds, so NULLs tie; every bit is
-//! flipped for a descending key. A string key has no words (`None`), nor
-//! does a key holding, in a valid row, a value without a word: a NaN, or
-//! an Int `i64::MIN`, whose word would be the NULL word. Such keys keep
-//! the comparator in their kernel. Sort, the merge-join cursors, the hash
-//! join's chain walk and the group table's slots compare words; words of
-//! two batches compare where [`KeyWords::comparable`] says their kinds
-//! agree.
+//! **One key order.** Every key kernel — sort, the merge join's cursors
+//! and runs, the hash join's chain walk, the group table and
+//! COUNT(DISTINCT)'s pair table — compares keys through one comparator: a
+//! [`KeyView`] of a batch's logical rows, or its owned form
+//! [`OwnedKeys`], ordered as [`Column::cmp_at`] orders each key
+//! (`Datum::cmp`: NULL first, a NaN after every number), reversed where
+//! descending. Key equality is that order's tie: NULL ties NULL, `-0.0`
+//! ties `0.0` and a NaN ties a NaN. The one encoder builds a view once per
+//! batch and gives each key of each row a `u64` word whose unsigned order
+//! is the key order: sign-flipped Int and Date, bit-ordered Double with
+//! `-0.0` folded onto `0.0` and every NaN onto one word above +∞, Bool as
+//! 1 or 2, none of them `0`; a NULL is the fixed word `0` whatever its
+//! buffer holds; every bit is flipped for a descending key. Only a string
+//! key, or a valid Int `i64::MIN` (whose word would be the NULL word), has
+//! no words, and then the view compares its columns. Two views compare by
+//! words where both have words of the same kinds, decided once per pair
+//! ([`KeyView::pair`]), else by columns. SQL key equality, under which a
+//! NULL or a NaN equals nothing, is the joins' rule alone: they match only
+//! rows [`ColumnBatch::can_match`] admits.
 
 #![expect(clippy::disallowed_types, reason = "ColumnBatch::hash_keys, the routing hash, drives FxHasher over typed columns here")]
 
 use crate::datum::{DataType, Datum};
 use crate::hash::FxHasher;
 use crate::row::Row;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -315,21 +321,6 @@ impl ColumnData {
         }
     }
 
-    /// Value equality of `self[i]` and `other[j]`, both non-NULL.
-    #[inline]
-    fn eq_values(&self, i: usize, other: &ColumnData, j: usize) -> bool {
-        match (self, other) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
-            (ColumnData::Double(a), ColumnData::Double(b)) => a[i] == b[j],
-            (ColumnData::Date(a), ColumnData::Date(b)) => a[i] == b[j],
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
-            (ColumnData::Str { .. }, ColumnData::Str { .. }) => self.bytes_at(i) == other.bytes_at(j),
-            // Two numbers of different kinds compare by value, as `Datum`s
-            // do; only an ill-typed plan compares them.
-            _ => self.cmp_numbers(i, other, j) == Some(Ordering::Equal),
-        }
-    }
-
     /// `Datum::cmp` of `self[i]` and `other[j]`, both non-NULL: a NaN
     /// sorts after every number and ties with a NaN.
     #[inline]
@@ -364,6 +355,16 @@ impl ColumnData {
             ColumnData::Str { .. } => 2,
             _ => 1,
         }
+    }
+}
+
+/// `Datum::cmp` of two cells given as (values, valid, row): NULL first,
+/// NULLs tie.
+#[inline]
+fn cmp_cells((a, a_valid, i): (&ColumnData, bool, usize), (b, b_valid, j): (&ColumnData, bool, usize)) -> Ordering {
+    match (a_valid, b_valid) {
+        (true, true) => a.cmp_values(i, b, j),
+        _ => a_valid.cmp(&b_valid),
     }
 }
 
@@ -572,30 +573,12 @@ impl Column {
         }
     }
 
-    /// SQL value equality between `self[i]` and `other[j]` of a column of
-    /// the same type, matching `Datum::eq`: NULL == NULL (group-key
-    /// semantics).
-    #[inline]
-    pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
-        match (self.is_valid(i), other.is_valid(j)) {
-            (false, false) => true,
-            (true, true) => self.data.eq_values(i, &other.data, j),
-            _ => false,
-        }
-    }
-
     /// Total order between `self[i]` and `other[j]` of a column of the same
-    /// type, matching `Datum::cmp` (NULL first). Used by sort and merge
-    /// kernels.
+    /// type, matching `Datum::cmp` (NULL first, a NaN after every number):
+    /// the key order of one key.
     #[inline]
     pub fn cmp_at(&self, i: usize, other: &Column, j: usize) -> Ordering {
-        match (self.is_valid(i), other.is_valid(j)) {
-            (false, false) => return Ordering::Equal,
-            (false, true) => return Ordering::Less,
-            (true, false) => return Ordering::Greater,
-            _ => {}
-        }
-        self.data.cmp_values(i, &other.data, j)
+        cmp_cells((&self.data, self.is_valid(i), i), (&other.data, other.is_valid(j), j))
     }
 
     /// The least and greatest non-NULL values among the logical rows
@@ -661,8 +644,14 @@ impl Column {
 #[inline]
 fn hash_num(v: f64, h: &mut FxHasher) {
     2u8.hash(h);
-    // `-0.0 + 0.0` is `0.0`: the two zeros are one value, so one hash.
-    (v + 0.0).to_bits().hash(h);
+    canonical_bits(v).hash(h);
+}
+
+/// The bits of `v` as one value of the key order: `-0.0 + 0.0` is `0.0`,
+/// so the two zeros are one value, and every NaN is one NaN.
+#[inline]
+pub(crate) fn canonical_bits(v: f64) -> u64 {
+    if v.is_nan() { f64::NAN.to_bits() } else { (v + 0.0).to_bits() }
 }
 
 /// The routing hash's writes for a string: the string tag, then its UTF-8
@@ -733,22 +722,12 @@ impl ColumnBuilder {
         self.validity.is_empty()
     }
 
-    /// [`Column::eq_at`] between pushed row `i` and `other[j]` (NULL ==
-    /// NULL): how a growing key column finds a key it already holds.
-    #[inline]
-    pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
-        match (self.validity.get(i), other.is_valid(j)) {
-            (false, false) => true,
-            (true, true) => self.data.eq_values(i, &other.data, j),
-            _ => false,
-        }
-    }
-
-    /// `Datum::cmp` of pushed row `i` and `other[j]`, both non-NULL: how a
-    /// MIN/MAX state column finds a better value.
+    /// [`Column::cmp_at`] of pushed row `i` and `other[j]`: how a MIN/MAX
+    /// state column finds a better value, and a growing key column a key it
+    /// already holds.
     #[inline]
     pub fn cmp_at(&self, i: usize, other: &Column, j: usize) -> Ordering {
-        self.data.cmp_values(i, &other.data, j)
+        cmp_cells((&self.data, self.validity.get(i), i), (&other.data, other.is_valid(j), j))
     }
 
     /// Append a NULL.
@@ -1086,13 +1065,7 @@ impl ColumnBatch {
         other_cols: &[usize],
         j: usize,
     ) -> Ordering {
-        for (&a, &b) in cols.iter().zip(other_cols) {
-            let ord = self.columns[a].cmp_at(i, &other.columns[b], j);
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
+        lexicographic(cols.len(), |k| self.columns[cols[k]].cmp_at(i, &other.columns[other_cols[k]], j))
     }
 
     /// Replace the selection with `sel` (physical indices). The caller has
@@ -1159,111 +1132,55 @@ impl ColumnBatch {
         for &c in cols {
             self.columns[c].hash_into(sel, &mut hashers);
         }
-        hashers.iter().map(|h| h.finish()).collect()
+        // Collected in place: the hashers' buffer becomes the hashes'.
+        hashers.into_iter().map(|h| h.finish()).collect()
     }
 
     /// Sort permutation of a dense batch: the indices of its rows ordered by
-    /// `keys` — `(column, descending)` pairs — with NULLs first per
-    /// `Datum`'s total order and the original index as the final tie-break,
-    /// so the permutation is stable and deterministic.
-    ///
-    /// The sort compares [`ColumnBatch::key_words`] where the keys have
-    /// them; keys without words fall back to the [`Column::cmp_at`]
-    /// comparator, which orders identically.
-    pub fn sort_permutation(&self, keys: &[(usize, bool)]) -> Vec<u32> {
+    /// the key columns `cols` in the key order (the module doc), key `c`
+    /// descending where `desc[c]` (ascending past its end), with the
+    /// original index as the final tie-break, so the permutation is stable
+    /// and deterministic.
+    pub fn sort_permutation(&self, cols: &[usize], desc: &[bool]) -> Vec<u32> {
         debug_assert!(self.sel.is_none(), "sort_permutation needs a dense batch");
-        let n = self.nrows;
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        if let Some(words) = self.key_words(keys) {
-            if keys.len() == 1 {
-                let mut dec: Vec<(u64, u32)> = words.words.into_iter().zip(0..n as u32).collect();
+        let mut keys = KeyView::new(Cow::Borrowed(self), Some(cols), desc);
+        let n = self.nrows as u32;
+        if cols.len() == 1 {
+            if let Some(words) = keys.words.take() {
+                // (word, row) pairs sort by word, ties by row.
+                let mut dec: Vec<(u64, u32)> = words.words.into_iter().zip(0..n).collect();
                 dec.sort_unstable();
                 return dec.into_iter().map(|(_, i)| i).collect();
             }
-            idx.sort_unstable_by(|&a, &b| {
-                words.cmp_rows(a as usize, &words, b as usize).then(a.cmp(&b))
-            });
-            return idx;
         }
-        idx.sort_unstable_by(|&a, &b| {
-            for &(c, desc) in keys {
-                let col = &self.columns[c];
-                let mut ord = col.cmp_at(a as usize, col, b as usize);
-                if desc {
-                    ord = ord.reverse();
-                }
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b)
-        });
+        let order = keys.pair(&keys);
+        let mut idx: Vec<u32> = (0..n).collect();
+        idx.sort_unstable_by(|&a, &b| order.cmp(a as usize, b as usize).then(a.cmp(&b)));
         idx
     }
 
-    /// The key words of every logical row over `keys` — `(column,
-    /// descending)` pairs — or `None` when some key has none (a string
-    /// column, or a NaN or `i64::MIN` in a valid row): the module doc's
-    /// key-word contract.
-    pub fn key_words(&self, keys: &[(usize, bool)]) -> Option<KeyWords> {
-        self.encode_keys(keys.iter().copied())
+    /// The key view of the ascending key columns `cols` over this batch's
+    /// logical rows.
+    pub fn keys<'a>(&'a self, cols: &'a [usize]) -> KeyView<'a> {
+        KeyView::new(Cow::Borrowed(self), Some(cols), &[])
     }
 
-    /// [`Self::key_words`] over ascending `cols`: the words the join and
-    /// group kernels compare.
-    pub fn key_words_asc(&self, cols: &[usize]) -> Option<KeyWords> {
-        self.encode_keys(cols.iter().map(|&c| (c, false)))
+    /// The key view of all this batch's columns, ascending, owning the
+    /// batch: a view kept beside the batch it was built from holds that
+    /// batch's key columns ([`Self::project_cols`]).
+    pub fn into_keys(self) -> KeyView<'static> {
+        KeyView::new(Cow::Owned(self), None, &[])
     }
 
-    /// The one key-word encoder: row-major, one word per key column, each
-    /// column filled by one typed loop over the selection.
-    fn encode_keys(&self, keys: impl ExactSizeIterator<Item = (usize, bool)>) -> Option<KeyWords> {
-        let (rows, width) = (self.num_rows(), keys.len());
-        if width > KeyWords::MAX_WIDTH {
-            return None;
-        }
-        let mut out = KeyWords { words: vec![0; rows * width], width, kinds: 0 };
-        let sel = self.selection();
-        for (k, (c, desc)) in keys.enumerate() {
+    /// Whether logical row `k` can equal a row under SQL key equality: none
+    /// of its `cols` is NULL or NaN. A join matches only such rows, though
+    /// the key order ties a NULL with a NULL and a NaN with a NaN.
+    pub fn can_match(&self, cols: &[usize], k: usize) -> bool {
+        let i = self.phys_index(k);
+        cols.iter().all(|&c| {
             let col = &self.columns[c];
-            let lane = Lane { words: &mut out.words, width, at: k, sel, validity: col.validity(), desc };
-            let kind = match &col.data {
-                _ if col.is_all_null() => {
-                    lane.fill(|_| 0);
-                    KeyWords::ANY
-                }
-                ColumnData::Int(v) => {
-                    // `i64::MIN` would take the NULL word.
-                    if lane.any(|i| v[i] == i64::MIN) {
-                        return None;
-                    }
-                    lane.fill(|i| (v[i] as u64) ^ SIGN);
-                    KeyWords::WHOLE
-                }
-                ColumnData::Date(v) => {
-                    lane.fill(|i| (v[i] as i64 as u64) ^ SIGN);
-                    KeyWords::WHOLE
-                }
-                ColumnData::Bool(v) => {
-                    lane.fill(|i| v[i] as u64 + 1);
-                    KeyWords::BOOL
-                }
-                ColumnData::Double(v) => {
-                    if lane.any(|i| v[i].is_nan()) {
-                        return None;
-                    }
-                    lane.fill(|i| {
-                        // `-0.0 + 0.0` is `0.0`: the zeros tie, as in `cmp_at`.
-                        let bits = (v[i] + 0.0).to_bits();
-                        if bits & SIGN != 0 { !bits } else { bits | SIGN }
-                    });
-                    KeyWords::REAL
-                }
-                ColumnData::Str { .. } => return None,
-            };
-            out.kinds |= kind << (4 * k);
-        }
-        Some(out)
+            col.is_valid(i) && !matches!(&col.data, ColumnData::Double(v) if v[i].is_nan())
+        })
     }
 
     /// Memory-accounting cells: `width.max(1) × logical rows` (matches the
@@ -1276,13 +1193,226 @@ impl ColumnBatch {
 /// The sign bit of a 64-bit word.
 const SIGN: u64 = 1 << 63;
 
-/// Key words: order-preserving fixed-width words for the key columns of a
-/// batch's logical rows (the module doc's key-word contract), row-major,
-/// one `u64` per key column. The sort, merge-join, hash-join and group
-/// kernels compare these instead of matching on two column enums per key
-/// and row.
+/// A batch's key columns over its logical rows, with their words where
+/// every key has one: what the key kernels compare, in the module doc's key
+/// order. Built once per batch by [`ColumnBatch::keys`] (borrowing the
+/// batch) or [`ColumnBatch::into_keys`] (owning it).
+#[derive(Debug)]
+pub struct KeyView<'a> {
+    batch: Cow<'a, ColumnBatch>,
+    /// `batch`'s key columns, in key order; `None`: all its columns.
+    cols: Option<&'a [usize]>,
+    /// Per key, whether it descends; keys past its end ascend.
+    desc: &'a [bool],
+    words: Option<KeyWords>,
+}
+
+impl<'a> KeyView<'a> {
+    fn new(batch: Cow<'a, ColumnBatch>, cols: Option<&'a [usize]>, desc: &'a [bool]) -> KeyView<'a> {
+        let mut view = KeyView { batch, cols, desc, words: None };
+        view.words = view.encode();
+        view
+    }
+
+    /// Rows of `self` against rows of `other`, which holds keys of the same
+    /// types: by words where both views have words of the same kinds, else
+    /// by columns — decided here, once for the pair.
+    pub fn pair<'p>(&'p self, other: &'p KeyView<'_>) -> KeyPair<'p> {
+        let words = self.words.as_ref().zip(other.words.as_ref()).filter(|(a, b)| a.comparable(b));
+        KeyPair { a: self, b: other, words }
+    }
+
+    /// Whether every key has words: no string key and no valid `i64::MIN`.
+    pub fn has_words(&self) -> bool {
+        self.words.is_some()
+    }
+
+    /// The number of keys.
+    fn width(&self) -> usize {
+        self.cols.map_or(self.batch.width(), <[usize]>::len)
+    }
+
+    /// Key `c`'s column.
+    #[inline]
+    fn col(&self, c: usize) -> &Column {
+        self.batch.col(self.cols.map_or(c, |cols| cols[c]))
+    }
+
+    /// The one key encoder: row-major words, one per key, each key filled
+    /// by one typed loop over the selection; `None` when a key has no
+    /// words (a string, or a valid `i64::MIN`).
+    fn encode(&self) -> Option<KeyWords> {
+        let (rows, width, sel) = (self.batch.num_rows(), self.width(), self.batch.selection());
+        let wordless = |c: usize| {
+            let col = self.col(c);
+            match &col.data {
+                _ if col.is_all_null() => false,
+                ColumnData::Str { .. } => true,
+                // `i64::MIN` would take the NULL word.
+                ColumnData::Int(v) => {
+                    let min = |i: usize| col.is_valid(i) && v[i] == i64::MIN;
+                    sel.map_or_else(|| (0..rows).any(min), |s| s.iter().any(|&i| min(i as usize)))
+                }
+                _ => false,
+            }
+        };
+        if width > KeyWords::MAX_WIDTH || (0..width).any(wordless) {
+            return None;
+        }
+        let mut out = KeyWords { words: vec![0; rows * width], width, kinds: 0 };
+        for c in 0..width {
+            let col = self.col(c);
+            let desc = self.desc.get(c) == Some(&true);
+            let lane = Lane { words: &mut out.words, width, at: c, sel, validity: col.validity(), desc };
+            let kind = match &col.data {
+                _ if col.is_all_null() => {
+                    lane.fill(|_| 0);
+                    KeyWords::ANY
+                }
+                ColumnData::Int(v) => {
+                    lane.fill(|i| (v[i] as u64) ^ SIGN);
+                    KeyWords::WHOLE
+                }
+                ColumnData::Date(v) => {
+                    lane.fill(|i| (v[i] as i64 as u64) ^ SIGN);
+                    KeyWords::WHOLE
+                }
+                ColumnData::Bool(v) => {
+                    lane.fill(|i| v[i] as u64 + 1);
+                    KeyWords::BOOL
+                }
+                ColumnData::Double(v) => {
+                    // The zeros tie and a NaN ties a NaN, above +∞.
+                    lane.fill(|i| {
+                        let bits = canonical_bits(v[i]);
+                        if bits & SIGN != 0 { !bits } else { bits | SIGN }
+                    });
+                    KeyWords::REAL
+                }
+                // Found wordless above.
+                ColumnData::Str { .. } => return None,
+            };
+            out.kinds |= kind << (4 * c);
+        }
+        Some(out)
+    }
+}
+
+/// Two key views compared row against row ([`KeyView::pair`]).
+pub struct KeyPair<'p> {
+    a: &'p KeyView<'p>,
+    b: &'p KeyView<'p>,
+    /// Both views' words, where they compare.
+    words: Option<(&'p KeyWords, &'p KeyWords)>,
+}
+
+impl KeyPair<'_> {
+    /// Row `k` of the first view against row `j` of the second in the key
+    /// order; `Equal` is key equality.
+    #[inline]
+    pub fn cmp(&self, k: usize, j: usize) -> Ordering {
+        if let Some((a, b)) = self.words {
+            return a.cmp_rows(k, b, j);
+        }
+        let (a, b) = (self.a, self.b);
+        let (i, h) = (a.batch.phys_index(k), b.batch.phys_index(j));
+        lexicographic(a.width(), |c| {
+            let ord = a.col(c).cmp_at(i, b.col(c), h);
+            if a.desc.get(c) == Some(&true) { ord.reverse() } else { ord }
+        })
+    }
+}
+
+/// The first of `cmp(0)`, `cmp(1)`, … `cmp(width - 1)` that is not
+/// `Equal`, or `Equal`.
+#[inline]
+fn lexicographic(width: usize, cmp: impl Fn(usize) -> Ordering) -> Ordering {
+    (0..width).map(cmp).find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
+}
+
+/// The owned form of a key view: rows pushed from views, kept as typed key
+/// columns plus their words for as long as every view met has had words
+/// of the same kinds; from the first that has not, its rows compare by
+/// their columns for good. A group table's keys.
+#[derive(Debug)]
+pub struct OwnedKeys {
+    cols: Vec<ColumnBuilder>,
+    words: Option<KeyWords>,
+}
+
+impl OwnedKeys {
+    /// No rows yet, for ascending keys of `types`.
+    pub fn new(types: &[DataType]) -> OwnedKeys {
+        OwnedKeys { cols: types.iter().map(|&t| ColumnBuilder::new(t)).collect(), words: KeyWords::empty(types) }
+    }
+
+    /// Meet `view` before comparing with or pushing its rows: the words
+    /// stop here unless the view has words of the same kinds.
+    pub fn meet(&mut self, view: &KeyView) {
+        if !self.words.as_ref().zip(view.words.as_ref()).is_some_and(|(a, b)| a.comparable(b)) {
+            self.words = None;
+        }
+    }
+
+    /// Row `s` against row `k` of the view met last, in the key order;
+    /// `Equal` is key equality.
+    #[inline]
+    pub fn cmp(&self, s: usize, view: &KeyView, k: usize) -> Ordering {
+        if let (Some(a), Some(b)) = (&self.words, &view.words) {
+            return a.cmp_rows(s, b, k);
+        }
+        let i = view.batch.phys_index(k);
+        lexicographic(self.cols.len(), |c| self.cols[c].cmp_at(s, view.col(c), i))
+    }
+
+    /// Append row `k` of the view met last.
+    pub fn push(&mut self, view: &KeyView, k: usize) {
+        let i = view.batch.phys_index(k) as u32;
+        for (c, key) in self.cols.iter_mut().enumerate() {
+            key.extend_take(view.col(c), &[i]);
+        }
+        if let (Some(held), Some(words)) = (&mut self.words, &view.words) {
+            held.push_row(words, k);
+        }
+    }
+
+    /// Key `c`'s Int values; `None` for another type.
+    pub fn ints(&self, c: usize) -> Option<&[i64]> {
+        self.cols[c].ints()
+    }
+
+    /// Remove the first `n` rows and return them as key columns; the others
+    /// move down to row 0.
+    pub fn split_front(&mut self, n: usize) -> Vec<Column> {
+        if let Some(words) = &mut self.words {
+            words.drain_front(n);
+        }
+        self.cols.iter_mut().map(|b| {
+            let ty = b.data_type();
+            let col = std::mem::replace(b, ColumnBuilder::new(ty)).finish();
+            if n == col.len() {
+                return col;
+            }
+            b.extend_take(&col, &(n as u32..col.len() as u32).collect::<Vec<_>>());
+            col.take(&(0..n as u32).collect::<Vec<_>>())
+        }).collect()
+    }
+
+    /// Keep just `rows` (increasing), renumbered from 0 in that order, in
+    /// place: the buffers keep their capacity.
+    pub fn keep(&mut self, rows: &[u32]) {
+        self.cols.iter_mut().for_each(|key| key.keep(rows));
+        if let Some(words) = &mut self.words {
+            words.keep(rows);
+        }
+    }
+}
+
+/// Key words: the encoder's order-preserving words for the key columns of
+/// a batch's logical rows (the module doc's key order), row-major, one
+/// `u64` per key.
 #[derive(Debug, Clone)]
-pub struct KeyWords {
+struct KeyWords {
     words: Vec<u64>,
     width: usize,
     /// Per key column, a 4-bit kind code (`ANY`, `WHOLE`, `REAL`, `BOOL`)
@@ -1303,10 +1433,9 @@ impl KeyWords {
     /// Bool.
     const BOOL: u64 = 3;
 
-    /// No rows yet, for keys of `types`, grown by [`Self::push_row`] (a
-    /// group table's keys); `None` where a type has no words (Str), or
-    /// for no keys.
-    pub fn empty(types: &[DataType]) -> Option<KeyWords> {
+    /// No rows yet, for keys of `types`, grown by [`Self::push_row`];
+    /// `None` where a type has no words (Str), or for no keys.
+    fn empty(types: &[DataType]) -> Option<KeyWords> {
         if types.is_empty() || types.len() > Self::MAX_WIDTH {
             return None;
         }
@@ -1325,13 +1454,13 @@ impl KeyWords {
 
     /// Row `k`'s words, one per key column.
     #[inline]
-    pub fn row(&self, k: usize) -> &[u64] {
+    fn row(&self, k: usize) -> &[u64] {
         &self.words[k * self.width..(k + 1) * self.width]
     }
 
     /// Whether rows of `self` and `other` compare: the same key count, and
     /// in each key column the same kind or a column without a value.
-    pub fn comparable(&self, other: &KeyWords) -> bool {
+    fn comparable(&self, other: &KeyWords) -> bool {
         self.width == other.width
             && (0..self.width).all(|k| {
                 let (a, b) = ((self.kinds >> (4 * k)) & 15, (other.kinds >> (4 * k)) & 15);
@@ -1339,33 +1468,22 @@ impl KeyWords {
             })
     }
 
-    /// Row `k` against row `j` of `other` — [`ColumnBatch::cmp_keys`]'s
-    /// order (each key reversed where descending).
+    /// Row `k` against row `j` of `other` in the key order.
     #[inline]
-    pub fn cmp_rows(&self, k: usize, other: &KeyWords, j: usize) -> Ordering {
+    fn cmp_rows(&self, k: usize, other: &KeyWords, j: usize) -> Ordering {
         match self.width {
             1 => self.words[k].cmp(&other.words[j]),
             _ => self.row(k).cmp(other.row(j)),
         }
     }
 
-    /// Whether row `k` and row `j` of `other` hold equal keys, as
-    /// [`Column::eq_at`] on every key column says (NULL == NULL).
-    #[inline]
-    pub fn eq_rows(&self, k: usize, other: &KeyWords, j: usize) -> bool {
-        match self.width {
-            1 => self.words[k] == other.words[j],
-            _ => self.row(k) == other.row(j),
-        }
-    }
-
     /// Append row `k` of `other`.
-    pub fn push_row(&mut self, other: &KeyWords, k: usize) {
+    fn push_row(&mut self, other: &KeyWords, k: usize) {
         self.words.extend_from_slice(other.row(k));
     }
 
     /// Keep just `rows` (increasing), renumbered from 0 in that order.
-    pub fn keep(&mut self, rows: &[u32]) {
+    fn keep(&mut self, rows: &[u32]) {
         let w = self.width;
         for (to, &from) in rows.iter().enumerate() {
             let from = from as usize;
@@ -1375,12 +1493,12 @@ impl KeyWords {
     }
 
     /// Drop the first `n` rows.
-    pub fn drain_front(&mut self, n: usize) {
+    fn drain_front(&mut self, n: usize) {
         self.words.drain(..n * self.width);
     }
 }
 
-/// One key column's words being written by [`ColumnBatch::key_words`]:
+/// One key column's words being written by the key encoder:
 /// logical row `k` reads physical row `sel[k]` (`k` when dense).
 struct Lane<'a> {
     words: &'a mut [u64],
@@ -1393,15 +1511,6 @@ struct Lane<'a> {
 }
 
 impl Lane<'_> {
-    /// Whether `pred` holds for the physical row of some valid logical row.
-    fn any(&self, pred: impl Fn(usize) -> bool) -> bool {
-        let valid = |i: usize| self.validity.is_none_or(|v| v.get(i));
-        match self.sel {
-            None => (0..self.words.len() / self.width).any(|i| valid(i) && pred(i)),
-            Some(s) => s.iter().any(|&i| valid(i as usize) && pred(i as usize)),
-        }
-    }
-
     /// Write each logical row's word: `value` of its physical row, which
     /// is never `0`, or `0` for a NULL whatever its buffer holds — all bits
     /// flipped when descending.
@@ -1532,14 +1641,26 @@ mod tests {
     fn eq_and_cmp_match_datum_semantics() {
         let a = ColumnBatch::from_rows(&rows(&[&[Datum::Int(2)], &[Datum::Null], &[Datum::Int(3)]]));
         let b = ColumnBatch::from_rows(&rows(&[&[Datum::Int(2)], &[Datum::Null]]));
-        assert!(a.col(0).eq_at(0, b.col(0), 0));
-        assert!(a.col(0).eq_at(1, b.col(0), 1)); // NULL == NULL (group keys)
-        assert!(!a.col(0).eq_at(0, b.col(0), 1));
-        assert!(!a.col(0).eq_at(2, b.col(0), 0));
+        // Key equality is the order's tie: NULL ties NULL (group keys).
+        assert_eq!(a.col(0).cmp_at(1, b.col(0), 1), Ordering::Equal);
+        assert_ne!(a.col(0).cmp_at(0, b.col(0), 1), Ordering::Equal);
         // NULL sorts first, as in Datum::cmp.
         assert_eq!(a.col(0).cmp_at(1, a.col(0), 0), Ordering::Less);
         assert_eq!(a.col(0).cmp_at(0, b.col(0), 0), Ordering::Equal);
         assert_eq!(a.col(0).cmp_at(2, b.col(0), 0), Ordering::Greater);
+        // A NaN ties a NaN of any sign, above +∞; a growing key column
+        // compares the same way.
+        let x = Column::from_doubles(vec![f64::NAN, f64::INFINITY, -0.0], None);
+        let nan = Column::from_doubles(vec![-f64::NAN, 0.0], None);
+        assert_eq!(x.cmp_at(0, &nan, 0), Ordering::Equal);
+        assert_eq!(x.cmp_at(1, &nan, 0), Ordering::Less);
+        assert_eq!(x.cmp_at(2, &nan, 1), Ordering::Equal);
+        let mut held = ColumnBuilder::new(DataType::Double);
+        held.push_datum(&Datum::Null);
+        held.extend_take(&x, &[0]);
+        assert_eq!(held.cmp_at(0, &a.col(0).take(&[1]), 0), Ordering::Equal);
+        assert_eq!(held.cmp_at(0, &nan, 0), Ordering::Less);
+        assert_eq!(held.cmp_at(1, &nan, 0), Ordering::Equal);
     }
 
     /// NULL rows tie in a sort key whatever their buffers hold — here
@@ -1553,10 +1674,10 @@ mod tests {
         let a = Column::from_ints(vec![9, 3, 5, 1, 7], Some(nulls));
         let b = Column::from_ints(vec![0, 0, 2, 0, 1], None);
         let batch = ColumnBatch::new(vec![Arc::new(a), Arc::new(b)], 5);
-        assert_eq!(batch.sort_permutation(&[(0, false)]), [0, 2, 4, 3, 1]);
-        assert_eq!(batch.sort_permutation(&[(0, true)]), [1, 3, 0, 2, 4]);
-        assert_eq!(batch.sort_permutation(&[(0, false), (1, false)]), [0, 4, 2, 3, 1]);
-        assert_eq!(batch.sort_permutation(&[(0, true), (1, true)]), [1, 3, 2, 4, 0]);
+        assert_eq!(batch.sort_permutation(&[0], &[false]), [0, 2, 4, 3, 1]);
+        assert_eq!(batch.sort_permutation(&[0], &[true]), [1, 3, 0, 2, 4]);
+        assert_eq!(batch.sort_permutation(&[0, 1], &[]), [0, 4, 2, 3, 1]);
+        assert_eq!(batch.sort_permutation(&[0, 1], &[true, true]), [1, 3, 2, 4, 0]);
     }
 
     #[test]

@@ -231,10 +231,10 @@ impl Hash for Datum {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
-            // `-0.0 + 0.0` is `0.0`: the zeros are one value.
+            // The zeros are one value, and every NaN is one NaN.
             Datum::Double(d) => {
                 2u8.hash(state);
-                (d + 0.0).to_bits().hash(state);
+                crate::col::canonical_bits(*d).hash(state);
             }
             Datum::Str(s) => {
                 3u8.hash(state);

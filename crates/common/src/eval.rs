@@ -191,11 +191,17 @@ fn fill<T: Copy + Default>(n: usize, rows: Rows, mut f: impl FnMut(usize) -> T) 
     }
 }
 
-/// [`fill`] for strings: `put(i, bytes)` appends row `i`'s bytes, and every
-/// row outside `rows` is empty. Returns the offsets and the bytes. Offsets
-/// run in physical order, so a selection that is not increasing is walked
-/// sorted (`put` cannot fail, so the order it runs in shows nowhere).
-fn fill_strs(n: usize, rows: Rows, mut put: impl FnMut(usize, &mut Vec<u8>)) -> (Vec<u32>, Vec<u8>) {
+/// [`fill`] for strings: `put(i, bytes)` appends row `i`'s bytes, at most
+/// `bound(i)` of them, and every row outside `rows` is empty. Returns the
+/// offsets and the bytes, whose buffer is sized once, to the bounds' sum.
+/// Offsets run in physical order, so a selection that is not increasing is
+/// walked sorted (`put` cannot fail, so the order it runs in shows nowhere).
+fn fill_strs(
+    n: usize,
+    rows: Rows,
+    bound: impl Fn(usize) -> usize,
+    mut put: impl FnMut(usize, &mut Vec<u8>),
+) -> (Vec<u32>, Vec<u8>) {
     let mut sorted = Vec::new();
     let rows = match rows {
         Rows::Sel(sel) if !sel.is_sorted() => {
@@ -205,8 +211,10 @@ fn fill_strs(n: usize, rows: Rows, mut put: impl FnMut(usize, &mut Vec<u8>)) -> 
         }
         rows => rows,
     };
+    let mut size = 0;
+    rows.each(n, |i| size += bound(i));
     let mut offsets = Vec::with_capacity(n + 1);
-    let mut bytes = Vec::new();
+    let mut bytes = Vec::with_capacity(size);
     offsets.push(0u32);
     rows.each(n, |i| {
         offsets.resize(i + 1, bytes.len() as u32);
@@ -600,8 +608,9 @@ fn choose(arms: &[Val], which: &[u32], n: usize, rows: Rows) -> IcResult<Val> {
                 None => Some(StrSrc::Const("")),
             });
             lanes.collect::<Option<Vec<StrSrc>>>().map(|lanes| {
+                let arm = |i: usize| lanes[which[i] as usize].at(i);
                 let (offsets, bytes) =
-                    fill_strs(n, rows, |i, out| out.extend_from_slice(lanes[which[i] as usize].at(i)));
+                    fill_strs(n, rows, |i| arm(i).len(), |i, out| out.extend_from_slice(arm(i)));
                 Column::from_strs(offsets, bytes, validity)
             })
         }
@@ -680,7 +689,7 @@ fn func_typed(
             validity,
         ),
         (FuncKind::Substring, [View::Str(s), View::Int(start), View::Int(len)]) => {
-            let (offsets, bytes) = fill_strs(n, rows, |i, out| {
+            let (offsets, bytes) = fill_strs(n, rows, |i| s.at(i).len(), |i, out| {
                 if bit(valid, i) {
                     let src = s.at(i);
                     out.extend_from_slice(&src[substring_range(src, start.at(i), len.at(i))]);

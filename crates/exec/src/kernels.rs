@@ -4,13 +4,12 @@
 //! This module is the hot core of the columnar data plane and is lint-gated
 //! by rule L008: no per-row `Datum` materialization inside kernel loops —
 //! rows move by typed take (`ColumnBuilder::extend_take` / `Column::take`),
-//! keys compare as key words ([`KeyWords`]: `ColumnBatch::key_words`'s
-//! order-preserving encoding) — through `eq_at`/`cmp_at` only where a key
-//! has no words (a string, a NaN) — and hash through the vectorized
-//! hasher. Both hash tables find keys through one [`HashDir`], with the
-//! keys kept as typed columns and their words. [`ColJoinTable`] is built in
-//! one shot once the build side is drained, its chains in build order, so a
-//! probe row's matches come out in the order the build side arrived. [`ColGroupTable`]
+//! keys compare through the one key order ([`KeyView`] and its owned form
+//! [`OwnedKeys`], `ic_common::col`) and hash through the vectorized hasher.
+//! Both hash tables find keys through one [`HashDir`]. [`ColJoinTable`] is
+//! built in one shot once the build side is drained, its chains in build
+//! order, so a probe row's matches come out in the order the build side
+//! arrived. [`ColGroupTable`]
 //! grows group by group: a group's key is one row of typed key columns, and
 //! each aggregate keeps typed state vectors — COUNT an `i64`, SUM an `i64`
 //! or `f64`, AVG a sum and a count, MIN/MAX a value of the argument's type
@@ -18,11 +17,11 @@
 
 use ic_common::agg::AggFunc;
 use ic_common::{
-    Bitmap, Column, ColumnBatch, ColumnBuilder, DataType, HashDir, IcError, IcResult, KeyWords,
-    NIL,
+    Bitmap, Column, ColumnBatch, ColumnBuilder, DataType, HashDir, IcError, IcResult, KeyView,
+    OwnedKeys, NIL,
 };
 use ic_common::row::BATCH_SIZE;
-use ic_plan::ops::{AggCall, AggPhase, SortKey};
+use ic_plan::ops::{AggCall, AggPhase};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -31,22 +30,22 @@ use std::sync::Arc;
 /// over the arena rows, built in one shot by [`ColJoinTable::build`]. Key
 /// datums are never cloned.
 pub struct ColJoinTable {
-    key_cols: Vec<usize>,
-    /// Every build row, NULL-key rows included (they stay unlinked).
+    /// Every build row, those with a NULL or NaN key included (they stay
+    /// unlinked).
     arena: ColumnBatch,
+    /// The arena's key columns.
+    keys: KeyView<'static>,
     /// Arena row → chain of the rows sharing its bucket.
     dir: HashDir,
-    /// Linked rows: the arena rows without a NULL key.
+    /// Linked rows: the arena rows whose keys can match.
     nrows: usize,
-    /// The arena's key words; `None` for a key without words.
-    words: Option<KeyWords>,
 }
 
 impl ColJoinTable {
     /// Build the table keyed on `key_cols` over a drained build side of
     /// `width` columns, with a directory sized for its rows so nothing ever
-    /// rehashes. Every chain is in insertion order; rows with a NULL key
-    /// stay unlinked (they never match). The one place
+    /// rehashes. Every chain is in insertion order; rows with a NULL or NaN
+    /// key stay unlinked (they never match). The one place
     /// `exec.join.build_rows` counts.
     pub fn build(key_cols: Vec<usize>, width: usize, batches: Vec<ColumnBatch>) -> ColJoinTable {
         let arena = match batches.len() {
@@ -54,20 +53,18 @@ impl ColJoinTable {
             _ => ColumnBatch::concat(&batches),
         };
         drop(batches); // before the hashes and the directory allocate
-        let nullable: Vec<&Bitmap> =
-            key_cols.iter().filter_map(|&c| arena.col(c).validity()).collect();
         let mut nrows = 0;
         let dir = HashDir::build(arena.hash_keys(&key_cols), |i| {
-            let linked = nullable.iter().all(|v| v.get(i));
+            let linked = arena.can_match(&key_cols, i);
             nrows += linked as usize;
             linked
         });
         ic_common::obs::MetricsRegistry::global().counter("exec.join.build_rows").add(nrows as u64);
-        let words = arena.key_words_asc(&key_cols);
-        ColJoinTable { key_cols, arena, dir, nrows, words }
+        let keys = arena.project_cols(&key_cols).into_keys();
+        ColJoinTable { arena, keys, dir, nrows }
     }
 
-    /// Number of linked build rows (NULL-key rows excluded).
+    /// Number of linked build rows (rows with a NULL or NaN key excluded).
     pub fn len(&self) -> usize {
         self.nrows
     }
@@ -85,10 +82,10 @@ impl ColJoinTable {
     /// Call `visit(k, arena row)` for every key match of every logical
     /// probe row `k` — probe rows in order, each row's matches in build
     /// insertion order; `visit` returns `false` to leave that row's chain.
-    /// NULL probe keys match nothing; the directory hands over the rows with
-    /// the probe row's hash, and the key words — or, for keys without
-    /// words, [`Column::eq_at`] on each key column — resolve collisions. An
-    /// empty table returns at once.
+    /// The directory hands over the rows with the probe row's hash, and the
+    /// key order's tie resolves collisions: no linked row has a NULL or NaN
+    /// key, so a probe row with one matches nothing. An empty table returns
+    /// at once.
     fn for_each_match(
         &self,
         batch: &ColumnBatch,
@@ -99,31 +96,11 @@ impl ColJoinTable {
             return;
         }
         let hashes = batch.hash_keys(probe_keys);
-        let words = self.words.as_ref().and_then(|built| {
-            batch.key_words_asc(probe_keys).filter(|probe| built.comparable(probe)).map(|p| (built, p))
-        });
-        if let Some((built, probe)) = words {
-            // A NULL key's word is 0 and no linked row has one: a probe row
-            // with a NULL key equals no entry.
-            for (k, &hash) in hashes.iter().enumerate() {
-                for b in self.dir.matches(hash) {
-                    if built.eq_rows(b as usize, &probe, k) && !visit(k as u32, b) {
-                        break;
-                    }
-                }
-            }
-            return;
-        }
-        let keys = || self.key_cols.iter().zip(probe_keys);
+        let probe = batch.keys(probe_keys);
+        let keys = self.keys.pair(&probe);
         for (k, &hash) in hashes.iter().enumerate() {
-            let phys = batch.phys_index(k);
-            if !probe_keys.iter().all(|&c| batch.col(c).is_valid(phys)) {
-                continue;
-            }
             for b in self.dir.matches(hash) {
-                if keys().all(|(&bc, &pc)| self.arena.col(bc).eq_at(b as usize, batch.col(pc), phys))
-                    && !visit(k as u32, b)
-                {
+                if keys.cmp(b as usize, k).is_eq() && !visit(k as u32, b) {
                     break;
                 }
             }
@@ -134,7 +111,7 @@ impl ColJoinTable {
     /// pair vectors in probe-row order with per-key matches in build
     /// insertion order. With `emit_unmatched` (LEFT joins), a probe row
     /// with no match contributes one `(k, NIL)` pair at its position; NULL
-    /// probe keys match nothing.
+    /// and NaN probe keys match nothing.
     pub fn probe_pairs(
         &self,
         batch: &ColumnBatch,
@@ -208,12 +185,8 @@ pub struct ColGroupTable {
     phase: AggPhase,
     /// The hash strategy's key → slot directory: entry `s` is slot `s`.
     dir: HashDir,
-    /// One typed column per group key; row `s` is slot `s`'s key.
-    keys: Vec<ColumnBuilder>,
-    /// Row `s` is slot `s`'s key words, while every batch's keys have had
-    /// words; `None` from the first that has not (a string key, a NaN), and
-    /// slots compare column by column from then on.
-    words: Option<KeyWords>,
+    /// Row `s` is slot `s`'s key.
+    keys: OwnedKeys,
     states: Vec<AggState>,
     len: usize,
 }
@@ -239,8 +212,7 @@ impl ColGroupTable {
             group_cols,
             phase,
             dir: HashDir::default(),
-            keys: key_types.iter().map(|&t| ColumnBuilder::new(t)).collect(),
-            words: KeyWords::empty(key_types),
+            keys: OwnedKeys::new(key_types),
             len: 0,
         }
     }
@@ -260,8 +232,7 @@ impl ColGroupTable {
     /// `sorted` on the group columns needs no hashing: a row belongs to the
     /// newest group when its key equals that group's and opens a new one
     /// otherwise, and every group but the newest is closed once the batch
-    /// is done. A row's key is compared with a slot's by their key words
-    /// where both have them.
+    /// is done. Keys are equal where the key order ties them.
     pub fn assign_slots(&mut self, batch: &ColumnBatch, sorted: bool, slots: &mut Vec<u32>) {
         slots.clear();
         if self.group_cols.is_empty() {
@@ -272,34 +243,18 @@ impl ColGroupTable {
         // Sorted input reads no hash.
         let hashes =
             if sorted { vec![0; batch.num_rows()] } else { batch.hash_keys(&self.group_cols) };
-        let words = self.words.as_ref().and_then(|held| {
-            batch.key_words_asc(&self.group_cols).filter(|words| held.comparable(words))
-        });
-        if words.is_none() {
-            self.words = None;
-        }
-        let ColGroupTable { group_cols, dir, keys, words: held, states, len, .. } = self;
+        let view = batch.keys(&self.group_cols);
+        let ColGroupTable { dir, keys, states, len, .. } = self;
+        keys.meet(&view);
         for (k, &hash) in hashes.iter().enumerate() {
-            let phys = batch.phys_index(k);
-            let same = |s: u32| match (&*held, &words) {
-                (Some(held), Some(words)) => held.eq_rows(s as usize, words, k),
-                _ => keys
-                    .iter()
-                    .zip(&*group_cols)
-                    .all(|(key, &c)| key.eq_at(s as usize, batch.col(c), phys)),
-            };
+            let same = |s: u32| keys.cmp(s as usize, &view, k).is_eq();
             let (slot, fresh) = match (sorted, *len as u32) {
                 (true, len) if len > 0 && same(len - 1) => (len - 1, false),
                 (true, len) => (len, true),
                 (false, _) => dir.find_or_insert(hash, same),
             };
             if fresh {
-                for (key, &c) in keys.iter_mut().zip(&*group_cols) {
-                    key.extend_take(batch.col(c), &[phys as u32]);
-                }
-                if let (Some(held), Some(words)) = (held.as_mut(), &words) {
-                    held.push_row(words, k);
-                }
+                keys.push(&view, k);
                 states.iter_mut().for_each(AggState::push);
                 *len += 1;
             }
@@ -403,10 +358,7 @@ impl ColGroupTable {
         if n == self.len {
             self.dir = HashDir::default();
         }
-        let mut out: Vec<Column> = self.keys.iter_mut().map(|key| split_column(key, n)).collect();
-        if let Some(words) = &mut self.words {
-            words.drain_front(n);
-        }
+        let mut out = self.keys.split_front(n);
         for state in &mut self.states {
             state.split_front(n, self.phase, &mut out);
         }
@@ -420,23 +372,9 @@ impl ColGroupTable {
     fn keep_groups(&mut self, slots: &[u32]) {
         debug_assert!(self.states.is_empty());
         self.dir.keep(slots);
-        self.keys.iter_mut().for_each(|key| key.keep(slots));
-        if let Some(words) = &mut self.words {
-            words.keep(slots);
-        }
+        self.keys.keep(slots);
         self.len = slots.len();
     }
-}
-
-/// The first `n` rows of `b` as a column; `b` keeps the rest.
-fn split_column(b: &mut ColumnBuilder, n: usize) -> Column {
-    let ty = b.data_type();
-    let col = std::mem::replace(b, ColumnBuilder::new(ty)).finish();
-    if n == col.len() {
-        return col;
-    }
-    b.extend_take(&col, &(n as u32..col.len() as u32).collect::<Vec<_>>());
-    col.take(&(0..n as u32).collect::<Vec<_>>())
 }
 
 /// The first `n` elements of `v`; `v` keeps the rest.
@@ -591,7 +529,7 @@ impl AggState {
                 // Forget the closed groups' pairs, in place: the table keeps
                 // its capacity for the next batch's pairs.
                 if let Some(pairs) = pairs {
-                    if let Some(ordinal) = pairs.keys[0].ints() {
+                    if let Some(ordinal) = pairs.keys.ints(0) {
                         let open = |&e: &u32| ordinal[e as usize] >= *base as i64;
                         let mut keep = Vec::with_capacity(pairs.len());
                         keep.extend((0..pairs.len() as u32).filter(open));
@@ -613,14 +551,6 @@ fn split_best(best: &mut Vec<u32>, seen: &mut ColumnBuilder, n: usize) -> Column
     let front = values.take(best);
     *best = rest.iter().enumerate().map(|(k, &b)| if b == NIL { NIL } else { k as u32 }).collect();
     front
-}
-
-/// Sort permutation over a dense batch in `keys` order — the plan-level
-/// [`SortKey`] face of [`ColumnBatch::sort_permutation`], which owns the
-/// encoding and the ordering contract.
-pub fn sort_permutation(batch: &ColumnBatch, keys: &[SortKey]) -> Vec<u32> {
-    let keys: Vec<(usize, bool)> = keys.iter().map(|k| (k.col, k.desc)).collect();
-    batch.sort_permutation(&keys)
 }
 
 #[cfg(test)]
@@ -848,19 +778,25 @@ mod tests {
         assert_eq!(split_rows(&mut g, 1), vec![want]);
     }
 
+    /// `ColumnBatch::sort_permutation` over `(column, descending)` keys.
+    fn sort_permutation(b: &ColumnBatch, keys: &[(usize, bool)]) -> Vec<u32> {
+        let (cols, desc): (Vec<usize>, Vec<bool>) = keys.iter().copied().unzip();
+        b.sort_permutation(&cols, &desc)
+    }
+
     #[test]
     fn sort_permutation_orders_with_desc_and_ties() {
         let b = batch(&[&[2, 1], &[1, 2], &[2, 3], &[1, 4]]);
-        let perm = sort_permutation(&b, &[SortKey::desc(0)]);
+        let perm = sort_permutation(&b, &[(0, true)]);
         // Descending on col 0, original order within equal keys.
         assert_eq!(perm, vec![0, 2, 1, 3]);
-        let perm = sort_permutation(&b, &[SortKey::asc(0), SortKey::desc(1)]);
+        let perm = sort_permutation(&b, &[(0, false), (1, true)]);
         assert_eq!(perm, vec![3, 1, 2, 0]);
     }
 
-    /// The integer-encoded fast path must order exactly like the `cmp_at`
-    /// comparator it shortcuts — across every encodable type, NULLs (first
-    /// asc, last desc), -0.0/+0.0 ties, and the index tie-break.
+    /// The key words must order exactly like the `cmp_at` comparator — across
+    /// every encodable type, NULLs (first asc, last desc), -0.0/+0.0 ties,
+    /// NaNs (after every number, tied), and the index tie-break.
     #[test]
     fn sort_encoding_matches_comparator_fallback() {
         let mk = |i: u64| {
@@ -878,6 +814,9 @@ mod tests {
             } else if w == 3 {
                 // Both zero signs: must tie under the encoding like cmp_at.
                 Datum::Double(if i % 2 == 0 { 0.0 } else { -0.0 })
+            } else if w == 5 {
+                // NaNs of both signs: must tie, above every number.
+                Datum::Double(if i % 2 == 0 { f64::NAN } else { -f64::NAN })
             } else {
                 Datum::Double(w as f64 - 3.5)
             };
@@ -886,13 +825,13 @@ mod tests {
             rows.push(Row(vec![int, dbl, boo, date]));
         }
         let b = ColumnBatch::from_rows(&rows);
-        let reference = |keys: &[SortKey]| {
+        let reference = |keys: &[(usize, bool)]| {
             let mut idx: Vec<u32> = (0..b.num_rows() as u32).collect();
             idx.sort_by(|&x, &y| {
-                for k in keys {
-                    let col = b.col(k.col);
+                for &(c, desc) in keys {
+                    let col = b.col(c);
                     let mut ord = col.cmp_at(x as usize, col, y as usize);
-                    if k.desc {
+                    if desc {
                         ord = ord.reverse();
                     }
                     if ord != Ordering::Equal {
@@ -904,13 +843,13 @@ mod tests {
             idx
         };
         for keys in [
-            vec![SortKey::asc(0)],
-            vec![SortKey::desc(0)],
-            vec![SortKey::asc(1)],
-            vec![SortKey::desc(1)],
-            vec![SortKey::asc(2), SortKey::desc(3)],
-            vec![SortKey::desc(1), SortKey::asc(0)],
-            vec![SortKey::asc(3), SortKey::asc(2), SortKey::desc(0)],
+            vec![(0, false)],
+            vec![(0, true)],
+            vec![(1, false)],
+            vec![(1, true)],
+            vec![(2, false), (3, true)],
+            vec![(1, true), (0, false)],
+            vec![(3, false), (2, false), (0, true)],
         ] {
             assert_eq!(sort_permutation(&b, &keys), reference(&keys), "{keys:?}");
         }

@@ -25,7 +25,7 @@ use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{
-    gallop, Column, ColumnBatch, DataType, Expr, IcError, IcResult, KeyWords, MemoryLease, MemoryPool,
+    gallop, Column, ColumnBatch, DataType, Expr, IcError, IcResult, KeyPair, KeyView, MemoryLease, MemoryPool,
     Row, NIL,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
@@ -871,7 +871,7 @@ impl RowSource for NestedLoopJoinExec {
 /// pull, then the table built from it.
 enum JoinBuild {
     Source(BoxedSource),
-    Table(ColJoinTable),
+    Table(Box<ColJoinTable>),
 }
 
 /// Hash join (§5.1.2): builds on the right input, probes with the left —
@@ -881,7 +881,7 @@ enum JoinBuild {
 /// probe's first pull has drained it: the batches concatenate into one
 /// arena whose rows link through a sized bucket directory, so the build
 /// never rehashes or clones a key datum. Probes hash the key columns
-/// vectorized, walk each chain comparing key words, and
+/// vectorized, walk each chain comparing keys in the one key order, and
 /// produce `(probe row, arena row)` index pairs; output is materialized by
 /// [`gather_join_output`] one column at a time (`NIL` pairs drive LEFT
 /// null-extension). SEMI/ANTI joins skip materialization entirely — the
@@ -982,7 +982,7 @@ impl RowSource for HashJoinExec {
             let arity = self.emitter.no_right.width();
             let batches = buffer_input(right, &self.ctrl)?;
             let table = ColJoinTable::build(self.right_keys.clone(), arity, batches);
-            self.build = JoinBuild::Table(table);
+            self.build = JoinBuild::Table(Box::new(table));
         }
         let JoinBuild::Table(table) = &self.build else {
             return Err(IcError::Internal("hash join: hash table missing after build phase".into()));
@@ -1000,7 +1000,8 @@ impl RowSource for HashJoinExec {
 }
 
 /// Merge join: inputs sorted ascending on the keys, walked in place with
-/// (batch, row) cursors that compare key words ([`KeyOrder`]) — no input
+/// (batch, row) cursors that compare keys in the one key order
+/// ([`KeyView::pair`]) — no input
 /// row is ever materialized, copied or concatenated. Key matches become
 /// candidate pairs for the shared [`JoinEmitter`], one (left batch, right
 /// batch) run at a time.
@@ -1039,8 +1040,8 @@ pub struct MergeJoinExec {
     /// The right batches from the cursor's on, each charged to the lease on
     /// arrival and given back once the cursor has passed it.
     window: LeasedBatches,
-    /// The key words of each window batch (`None`: keys without words).
-    window_words: Vec<Option<KeyWords>>,
+    /// The key view of each window batch.
+    window_keys: Vec<KeyView<'static>>,
     /// The right side has returned `None`.
     right_done: bool,
     /// (window batch, logical row) of the first right row not yet known to
@@ -1049,59 +1050,10 @@ pub struct MergeJoinExec {
     /// The cursor's batch has had its last key checked.
     entered: bool,
     left_pulled: bool,
+    /// The current run's right group, (physical row, window batch): a
+    /// buffer reused across runs and batches.
+    group: Vec<(u32, u32)>,
     output: VecDeque<ColumnBatch>,
-}
-
-/// How the logical rows of one right batch compare with those of one left
-/// batch: by key words where both batches have comparable ones, else key
-/// column by key column ([`ColumnBatch::cmp_keys`], [`Column::eq_at`]).
-struct KeyOrder<'a> {
-    right: &'a ColumnBatch,
-    right_keys: &'a [usize],
-    left: &'a ColumnBatch,
-    left_keys: &'a [usize],
-    /// (right words, left words).
-    words: Option<(&'a KeyWords, &'a KeyWords)>,
-}
-
-impl<'a> KeyOrder<'a> {
-    fn new(
-        (right, right_keys, right_words): (&'a ColumnBatch, &'a [usize], Option<&'a KeyWords>),
-        (left, left_keys, left_words): (&'a ColumnBatch, &'a [usize], Option<&'a KeyWords>),
-    ) -> KeyOrder<'a> {
-        let words = right_words.zip(left_words).filter(|(r, l)| r.comparable(l));
-        KeyOrder { right, right_keys, left, left_keys, words }
-    }
-
-    /// Right row `r` against left row `k` in `cmp_at` order.
-    #[inline]
-    fn cmp(&self, r: usize, k: usize) -> CmpOrdering {
-        match self.words {
-            Some((rw, lw)) => rw.cmp_rows(r, lw, k),
-            None => self.right.cmp_keys(
-                self.right_keys,
-                self.right.phys_index(r),
-                self.left,
-                self.left_keys,
-                self.left.phys_index(k),
-            ),
-        }
-    }
-
-    /// Whether right row `r` holds left row `k`'s key, for a left row
-    /// without a NULL key: SQL key equality, under which a NaN equals
-    /// nothing (a NaN has no words, so the columns decide).
-    #[inline]
-    fn eq(&self, r: usize, k: usize) -> bool {
-        match self.words {
-            Some((rw, lw)) => rw.eq_rows(r, lw, k),
-            None => {
-                let (ri, li) = (self.right.phys_index(r), self.left.phys_index(k));
-                let mut keys = self.right_keys.iter().zip(self.left_keys);
-                keys.all(|(&rc, &lc)| self.right.col(rc).eq_at(ri, self.left.col(lc), li))
-            }
-        }
-    }
 }
 
 impl MergeJoinExec {
@@ -1125,17 +1077,18 @@ impl MergeJoinExec {
             ctrl,
             seeks_left: matches!(kind, JoinKind::Inner | JoinKind::Semi),
             window: LeasedBatches::default(),
-            window_words: Vec::new(),
+            window_keys: Vec::new(),
             right_done: false,
             right_pos: (0, 0),
             entered: false,
             left_pulled: false,
+            group: Vec::new(),
             output: VecDeque::new(),
         }
     }
 
     /// Pull the next non-empty right batch into the window, with its key
-    /// words — first telling the right side that rows below `target` (a
+    /// view — first telling the right side that rows below `target` (a
     /// left batch and physical row) are not wanted. `false` once the right
     /// side is exhausted.
     fn pull_right(&mut self, target: Option<(&ColumnBatch, usize)>) -> IcResult<bool> {
@@ -1147,10 +1100,10 @@ impl MergeJoinExec {
         }
         while let Some(b) = self.right.next_batch()? {
             let held = self.window.len();
-            let words = b.key_words_asc(&self.right_keys);
+            let keys = b.project_cols(&self.right_keys).into_keys();
             self.window.push(&self.ctrl, b)?;
             if self.window.len() > held {
-                self.window_words.push(words);
+                self.window_keys.push(keys);
                 return Ok(true);
             }
         }
@@ -1158,25 +1111,24 @@ impl MergeJoinExec {
         Ok(false)
     }
 
-    /// How window batch `b` compares with the left batch `lb` (words `lw`).
-    fn order<'a>(&'a self, b: usize, lb: &'a ColumnBatch, lw: Option<&'a KeyWords>) -> Option<KeyOrder<'a>> {
-        let right = (self.window.get(b)?, &self.right_keys[..], self.window_words[b].as_ref());
-        Some(KeyOrder::new(right, (lb, &self.left_keys, lw)))
+    /// How window batch `b`'s keys compare with the left batch's, `left`.
+    fn order<'a>(&'a self, b: usize, left: &'a KeyView) -> Option<KeyPair<'a>> {
+        Some(self.window_keys.get(b)?.pair(left))
     }
 
     /// Move the right cursor to the first right row whose key does not sort
-    /// below logical row `k` of `lb`, pulling the right side as the window
-    /// runs out.
-    fn advance_right(&mut self, lb: &ColumnBatch, lw: Option<&KeyWords>, k: usize) -> IcResult<()> {
+    /// below logical row `k` of `lb` (keys `left`), pulling the right side
+    /// as the window runs out.
+    fn advance_right(&mut self, lb: &ColumnBatch, left: &KeyView, k: usize) -> IcResult<()> {
         loop {
             let (b, r) = self.right_pos;
-            let Some(order) = self.order(b, lb, lw) else {
+            let Some(order) = self.order(b, left) else {
                 if self.pull_right(Some((lb, lb.phys_index(k))))? {
                     continue;
                 }
                 return Ok(());
             };
-            let n = order.right.num_rows();
+            let n = self.window[b].num_rows();
             let below = |r: usize| order.cmp(r, k) == CmpOrdering::Less;
             let pass = !self.entered && below(n - 1);
             let r = if pass { n } else { gallop(r, n, below) };
@@ -1193,57 +1145,47 @@ impl MergeJoinExec {
     /// of one key: a run's end is a gallop, its right group is walked once,
     /// and every row of the run takes the group's pairs.
     fn match_batch(&mut self, lb: &ColumnBatch) -> IcResult<JoinPairs> {
-        let lw = lb.key_words_asc(&self.left_keys);
-        let lw = lw.as_ref();
-        // Whether left rows `j` and `k` hold one key.
         let left_keys = self.left_keys.clone();
-        let same_left = |j: usize, k: usize| match lw {
-            Some(lw) => lw.eq_rows(j, lw, k),
-            None => {
-                let (i, h) = (lb.phys_index(j), lb.phys_index(k));
-                left_keys.iter().all(|&c| lb.col(c).eq_at(i, lb.col(c), h))
-            }
-        };
+        let left = lb.keys(&left_keys);
+        let runs = left.pair(&left);
+        let mut group = std::mem::take(&mut self.group);
         let mut pairs = JoinPairs::default();
-        // The current run's right group: (physical row, window batch).
-        let mut group: Vec<(u32, u32)> = Vec::new();
         let n = lb.num_rows();
         let mut k = 0;
         while k < n {
-            let li = lb.phys_index(k);
-            // NULL keys match nothing.
-            if !left_keys.iter().all(|&c| lb.col(c).is_valid(li)) {
+            // A NULL or NaN key matches nothing.
+            if !lb.can_match(&left_keys, k) {
                 k += 1;
                 continue;
             }
-            self.advance_right(lb, lw, k)?;
+            self.advance_right(lb, &left, k)?;
             // Past the right side's last row: no later left row matches.
-            let Some(order) = self.order(self.right_pos.0, lb, lw) else { break };
+            let Some(order) = self.order(self.right_pos.0, &left) else { break };
             let r = self.right_pos.1;
             if order.cmp(r, k) == CmpOrdering::Greater {
                 // Every left row below the cursor's key matches nothing.
                 k = gallop(k + 1, n, |j| order.cmp(r, j) == CmpOrdering::Greater);
                 continue;
             }
-            let run = k..gallop(k + 1, n, |j| same_left(j, k));
+            let run = k..gallop(k + 1, n, |j| runs.cmp(j, k).is_eq());
             // Walk the equal-key group from the cursor without moving it:
             // the next left batch may carry the same key.
             group.clear();
             let mut at = self.right_pos;
             loop {
-                let Some(order) = self.order(at.0, lb, lw) else {
-                    if self.pull_right(Some((lb, li)))? {
+                let Some(order) = self.order(at.0, &left) else {
+                    if self.pull_right(Some((lb, lb.phys_index(k))))? {
                         continue;
                     }
                     break;
                 };
-                let rows = order.right.num_rows();
+                let right = &self.window[at.0];
                 let mut r = at.1;
-                while r < rows && order.eq(r, k) {
-                    group.push((order.right.phys_index(r) as u32, at.0 as u32));
+                while r < right.num_rows() && order.cmp(r, k).is_eq() {
+                    group.push((right.phys_index(r) as u32, at.0 as u32));
                     r += 1;
                 }
-                if r < rows {
+                if r < right.num_rows() {
                     break;
                 }
                 at = (at.0 + 1, 0);
@@ -1253,6 +1195,7 @@ impl MergeJoinExec {
             }
             k = run.end;
         }
+        self.group = group;
         Ok(pairs)
     }
 }
@@ -1287,7 +1230,7 @@ impl RowSource for MergeJoinExec {
             self.emitter.emit(&lb, &self.window, pairs, &mut self.output)?;
             // The cursor only moves forward: batches before it are done.
             self.window.drain_front(&self.ctrl, self.right_pos.0);
-            self.window_words.drain(..self.right_pos.0);
+            self.window_keys.drain(..self.right_pos.0);
             self.right_pos.0 = 0;
         }
     }
@@ -1476,8 +1419,8 @@ impl RowSource for AggExec {
 // ------------------------------------------------------- sort/limit/values
 
 /// Sort: concatenates input batches into one dense batch,
-/// computes a sort permutation over the key columns (their key words, or
-/// `cmp_at` comparisons for keys without words), and gathers each output
+/// computes a sort permutation over the key columns in the one key order
+/// (`ColumnBatch::sort_permutation`), and gathers each output
 /// batch from the dense batch as it is pulled. A batch-sized selection
 /// over the whole input would make every expression above the sort pay
 /// for the whole input per batch (`ic_common::eval` computes in the
@@ -1504,7 +1447,9 @@ impl RowSource for SortExec {
             if !batches.is_empty() {
                 let dense = ColumnBatch::concat(&batches);
                 drop(batches);
-                let order = crate::kernels::sort_permutation(&dense, &self.keys);
+                let (cols, desc): (Vec<usize>, Vec<bool>) =
+                    self.keys.iter().map(|k| (k.col, k.desc)).unzip();
+                let order = dense.sort_permutation(&cols, &desc);
                 self.sorted = Some((dense, order.into_iter()));
             }
             self.done = true;

@@ -32,7 +32,8 @@ pub fn join_oracle(l: &[Row], r: &[Row], kind: JoinKind, on: &Expr, right_arity:
 }
 
 /// Reference `Complete`/`Partial` aggregate: a linear search for each row's
-/// group by datum equality, feeding `Accumulator`s row by row. Groups come
+/// group by the key order's tie (`Datum::cmp`, under which NaNs are one
+/// key), feeding `Accumulator`s row by row. Groups come
 /// out in first-seen order — hash aggregation's slot order, and input order
 /// for a streaming aggregate over sorted input.
 pub fn agg_oracle(rows: &[Row], group: &[usize], aggs: &[AggCall], phase: AggPhase) -> Vec<Row> {
@@ -40,7 +41,7 @@ pub fn agg_oracle(rows: &[Row], group: &[usize], aggs: &[AggCall], phase: AggPha
     let mut groups: Vec<(Vec<Datum>, Vec<Accumulator>)> = Vec::new();
     for row in rows {
         let key: Vec<Datum> = group.iter().map(|&c| row.0[c].clone()).collect();
-        let slot = groups.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+        let slot = groups.iter().position(|(k, _)| k.cmp(&key).is_eq()).unwrap_or_else(|| {
             groups.push((key, fresh()));
             groups.len() - 1
         });

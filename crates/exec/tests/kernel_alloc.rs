@@ -15,9 +15,9 @@ use ic_common::agg::AggFunc;
 use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::{BinOp, ColumnBatch, DataType, Datum, Expr, Field, FuncKind, Row, Schema};
 use ic_common::IcResult;
-use ic_exec::kernels::{gather_join_output, sort_permutation, ColGroupTable, ColJoinTable};
+use ic_exec::kernels::{gather_join_output, ColGroupTable, ColJoinTable};
 use ic_exec::operators::{ControlBlock, MergeJoinExec, RowSource};
-use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
+use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -206,7 +206,7 @@ fn aggregates(n: usize, calls: &[AggCall], phase: AggPhase, sorted: bool) -> u64
 fn sort(input: &[ColumnBatch]) {
     for batch in input {
         for col in [0, 2, 3] {
-            let _ = sort_permutation(batch, &[SortKey { col, desc: col == 0 }]);
+            let _ = batch.sort_permutation(&[col], &[col == 0]);
         }
     }
 }
@@ -294,7 +294,7 @@ fn hash_and_take(input: &[ColumnBatch]) {
 }
 
 /// Group slots alone: the key words, the hashes and, sorted, the closed
-/// groups' key column: 3–13 a batch at 16 and 128 batches.
+/// groups' key column: 2–13 a batch at 16 and 128 batches.
 const SLOTS_PER_BATCH: u64 = 16;
 
 /// A filter refines one selection in place: the selection itself, plus an

@@ -236,7 +236,8 @@ proptest! {
 /// Str. `(probe kind, build kind)` pairs, of one type as the binder makes
 /// every equi-join key pair: each kind with itself, and both Int kinds
 /// against each other, so the NULL-free typed hash loop on one side and the
-/// per-cell path on the other must agree on hashes, and `eq_at` on matches.
+/// per-cell path on the other must agree on hashes, and the key order on
+/// matches.
 const KEY_PAIRS: [(u8, u8); 7] = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (4, 4)];
 
 fn typed_key(kind: u8, bits: u64) -> Datum {
@@ -258,7 +259,7 @@ fn typed_rows(kind: u8, raw: &[(u64, i64)]) -> Vec<Row> {
 
 proptest! {
     /// HashJoinExec ≡ the oracle for every join kind over each key kind —
-    /// typed key hashing and its per-cell path, with `eq_at`.
+    /// typed key hashing and its per-cell path, with the key order.
     #[test]
     fn typed_key_join_matches_oracle(
         pair in 0usize..KEY_PAIRS.len(),
@@ -589,12 +590,12 @@ proptest! {
 /// output drifts (a hasher tweak, a per-type write change) partitioned data
 /// silently lands on the wrong site. Update these constants only with a
 /// full-cluster data reload story.
-/// A key column for the key-word oracle, one value per `bits` entry, typed
+/// A key column for the key-order oracle, one value per `bits` entry, typed
 /// by `ty` (0 Int, 1 Double, 2 Bool, 3 Date, 4 Str) over a domain of five
 /// values so rows tie. A row is NULL one time in four and keeps a leftover
-/// value in its buffer; a Double column holds `-0.0`, `0.0` and NaNs, an
-/// Int column `i64::MIN` — the values without a word, in valid rows only
-/// when `wordless`, in NULL rows always.
+/// value in its buffer; a Double column holds `-0.0`, `0.0` and NaNs of
+/// both signs, an Int column `i64::MIN` — the one value without a word —
+/// in valid rows only when `wordless`, in NULL rows always.
 fn key_column(ty: u8, bits: &[u64], wordless: bool) -> Column {
     let mut validity = Bitmap::new();
     bits.iter().for_each(|b| validity.push(b % 4 != 0));
@@ -612,6 +613,7 @@ fn key_column(ty: u8, bits: &[u64], wordless: bool) -> Column {
                 0 => -0.0,
                 1 => 0.0,
                 2 if wordless || b.is_multiple_of(4) => f64::NAN,
+                2 => -f64::NAN,
                 x => x as f64 - 3.5,
             };
             Column::from_doubles(bits.iter().map(|&b| double(b)).collect(), Some(validity))
@@ -629,15 +631,20 @@ fn key_column(ty: u8, bits: &[u64], wordless: bool) -> Column {
     }
 }
 
-/// Multi-key rows for the word-key kernels: a key column per entry of
-/// `types` (0 Int, 1 Date, 2 Bool) over a domain of three values, NULL
-/// one time in six, then an Int payload.
+/// Multi-key rows for the key kernels: a key column per entry of `types`
+/// (0 Int, 1 Date, 2 Bool, 3 Double, 4 Str) over a domain of three or four
+/// values, NULL one time in six, then an Int payload. An Int key is
+/// `i64::MIN` — no word — a quarter of the time; a Double key is `-0.0`,
+/// `0.0` or a NaN of either sign.
 fn word_key_rows(types: &[u8], raw: &[(Vec<u64>, i64)]) -> Vec<Row> {
-    let key = |ty: u8, bits: u64| match (bits % 6, ty) {
-        (0, _) => Datum::Null,
-        (_, 0) => Datum::Int((bits / 6 % 3) as i64 - 1),
-        (_, 1) => Datum::Date((bits / 6 % 3) as i32),
-        _ => Datum::Bool(bits / 6 % 2 == 1),
+    let key = |ty: u8, bits: u64| match (bits % 6, ty, bits / 6 % 4) {
+        (0, ..) => Datum::Null,
+        (_, 0, 3) => Datum::Int(i64::MIN),
+        (_, 0, v) => Datum::Int(v as i64 - 1),
+        (_, 1, v) => Datum::Date(v as i32 % 3),
+        (_, 2, v) => Datum::Bool(v % 2 == 1),
+        (_, 3, v) => Datum::Double([-0.0, 0.0, f64::NAN, -f64::NAN][v as usize]),
+        (_, _, v) => Datum::str(["", "a", "b"][v as usize % 3]),
     };
     let row = |(bits, v): &(Vec<u64>, i64)| {
         Row(types.iter().zip(bits).map(|(&t, &b)| key(t, b)).chain([Datum::Int(*v)]).collect())
@@ -646,15 +653,16 @@ fn word_key_rows(types: &[u8], raw: &[(Vec<u64>, i64)]) -> Vec<Row> {
 }
 
 proptest! {
-    /// The key-word contract: over batches of one to three key columns of
-    /// every type — NULLs holding leftover values, `-0.0` beside `0.0`,
-    /// NaNs, `i64::MIN`, selections, descending keys — the encoder has
-    /// words exactly when no key is a string and no selected valid row
-    /// holds a NaN or `i64::MIN` (a column without a value is all NULL
-    /// words, whatever its type), and
-    /// then the words of any row of one view against any row of another
-    /// order as `cmp_at` key by key (reversed where descending) and are
-    /// equal exactly where `eq_at` holds on every key.
+    /// The key order's contract: over batches of one to three key columns
+    /// of every type — NULLs holding leftover values, `-0.0` beside `0.0`,
+    /// NaNs of both signs, `i64::MIN`, selections — a key view has words
+    /// exactly when no key is a string and no selected valid row holds
+    /// `i64::MIN` (a column without a value is all NULL words, whatever its
+    /// type); any row of one view against any row of another orders as
+    /// `cmp_at` key by key, by words and by columns alike, so key equality
+    /// is the order's tie (a NaN ties a NaN); and a sort permutation,
+    /// descending keys included, is the stable sort by `cmp_at`, reversed
+    /// where descending.
     #[test]
     fn key_words_order_and_equal_like_the_comparator(
         types in collection::vec(0u8..5, 1..4),
@@ -670,52 +678,56 @@ proptest! {
         let batch = ColumnBatch::new(cols, n);
         let a = if dense { batch.clone() } else { batch.with_sel(keep_list(&keeps.0, n)) };
         let b = batch.with_sel(keep_list(&keeps.1, n));
-        let keys: Vec<(usize, bool)> = (0..types.len()).map(|c| (c, desc[c])).collect();
+        let keys: Vec<usize> = (0..types.len()).collect();
         let has_words = |view: &ColumnBatch| {
-            (0..types.len()).all(|c| {
+            keys.iter().all(|&c| {
                 let col = view.col(c);
                 let no_word = |k: usize| {
                     let i = view.phys_index(k);
-                    let nan = col.doubles().is_some_and(|(x, _)| x[i].is_nan());
-                    col.is_valid(i) && (nan || col.ints().is_some_and(|(x, _)| x[i] == i64::MIN))
+                    col.is_valid(i) && col.ints().is_some_and(|(x, _)| x[i] == i64::MIN)
                 };
                 // A column without a value is NULL words, whatever its type.
                 col.is_all_null() || types[c] != 4 && !(0..view.num_rows()).any(no_word)
             })
         };
-        let (wa, wb) = (a.key_words(&keys), b.key_words(&keys));
-        prop_assert_eq!(wa.is_some(), has_words(&a), "words of view a");
-        prop_assert_eq!(wb.is_some(), has_words(&b), "words of view b");
-        let (Some(wa), Some(wb)) = (wa, wb) else { return Ok(()) };
-        prop_assert!(wa.comparable(&wb));
+        let (ka, kb) = (a.keys(&keys), b.keys(&keys));
+        prop_assert_eq!(ka.has_words(), has_words(&a), "words of view a");
+        prop_assert_eq!(kb.has_words(), has_words(&b), "words of view b");
+        let pair = ka.pair(&kb);
         for k in 0..a.num_rows() {
             for j in 0..b.num_rows() {
                 let (i, h) = (a.phys_index(k), b.phys_index(j));
-                let mut want = std::cmp::Ordering::Equal;
-                for &(c, desc) in &keys {
-                    let ord = a.col(c).cmp_at(i, b.col(c), h);
-                    want = want.then(if desc { ord.reverse() } else { ord });
-                }
-                let equal = keys.iter().all(|&(c, _)| a.col(c).eq_at(i, b.col(c), h));
-                prop_assert_eq!(wa.cmp_rows(k, &wb, j), want, "rows {} and {}", i, h);
-                prop_assert_eq!(wa.eq_rows(k, &wb, j), equal, "rows {} and {}", i, h);
+                let want = keys.iter().fold(std::cmp::Ordering::Equal, |ord, &c| {
+                    ord.then(a.col(c).cmp_at(i, b.col(c), h))
+                });
+                prop_assert_eq!(pair.cmp(k, j), want, "rows {} and {}", i, h);
             }
         }
-        if dense {
-            let asc: Vec<usize> = (0..types.len()).collect();
-            let want: Vec<(usize, bool)> = asc.iter().map(|&c| (c, false)).collect();
-            let (x, y) = (a.key_words_asc(&asc).unwrap(), a.key_words(&want).unwrap());
-            prop_assert!((0..n).all(|k| x.row(k) == y.row(k)), "ascending words");
-        }
+        let dense = a.gather();
+        let desc = &desc[..keys.len()];
+        let mut want: Vec<u32> = (0..dense.num_rows() as u32).collect();
+        want.sort_by(|&x, &y| {
+            keys.iter().fold(std::cmp::Ordering::Equal, |ord, &c| {
+                let col = dense.col(c);
+                let by = col.cmp_at(x as usize, col, y as usize);
+                ord.then(if desc[c] { by.reverse() } else { by })
+            })
+        });
+        prop_assert_eq!(dense.sort_permutation(&keys, desc), want, "sort, descending {:?}", desc);
     }
 
-    /// The kernels that compare words — merge, hash and nested-loop joins,
-    /// hash and sorted grouping — against the row oracle over one to three
-    /// keys of Int, Date and Bool with NULLs, cut into tiny batches (every
-    /// other one a selection view), for every join kind.
+    /// The key kernels — merge, hash and nested-loop joins, hash and sorted
+    /// grouping — against the row oracle over one to three keys of Int,
+    /// Date, Bool, Double and Str with NULLs, NaNs, both zeros and
+    /// `i64::MIN`, cut into tiny batches (every other one a selection view),
+    /// for every join kind: each kernel meets views with words and views
+    /// without (a string key, an `i64::MIN`). Joins match by SQL key
+    /// equality, under which a NULL or a NaN matches nothing; groups by the
+    /// key order's tie, under which NaNs are one group. The nested-loop
+    /// join, whose `ON` cannot compare a NaN, runs where no key is one.
     #[test]
     fn word_key_kernels_match_oracle(
-        types in collection::vec(0u8..3, 1..4),
+        types in collection::vec(0u8..5, 1..4),
         sides in (
             collection::vec((collection::vec(any::<u64>(), 3), -9i64..9), 0..40),
             collection::vec((collection::vec(any::<u64>(), 3), -9i64..9), 0..40),
@@ -734,37 +746,42 @@ proptest! {
         let width = nkeys + 1;
         let on = Expr::conjunction(
             keys.iter().map(|&k| Expr::eq(Expr::col(k), Expr::col(width + k))).collect());
+        let nan = |rows: &[Row]| rows.iter().any(|r| r.0[..nkeys].iter().any(|d| matches!(d, Datum::Double(x) if x.is_nan())));
+        let comparable = !nan(&l) && !nan(&r);
         let ctrl = ControlBlock::unlimited;
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
-            let expect = join_oracle(&l, &r, kind, &on, width);
-            let nlj = NestedLoopJoinExec::new(
-                chunked_src(&l, &sizes.0), chunked_src(&r, &sizes.1), kind, on.clone(), width, ctrl());
-            prop_assert_eq!(&drain(Box::new(nlj)).unwrap(), &expect, "nlj {:?}", kind);
+            let expect = key_equality_join_on(&l, &r, kind, nkeys);
+            if comparable {
+                prop_assert_eq!(&join_oracle(&l, &r, kind, &on, width), &expect, "oracles {:?}", kind);
+                let nlj = NestedLoopJoinExec::new(
+                    chunked_src(&l, &sizes.0), chunked_src(&r, &sizes.1), kind, on.clone(), width, ctrl());
+                prop_assert_eq!(shown(&drain(Box::new(nlj)).unwrap()), shown(&expect), "nlj {:?}", kind);
+            }
             let hj = HashJoinExec::new(
                 chunked_src(&l, &sizes.0), chunked_src(&r, &sizes.1), kind, keys.clone(),
                 keys.clone(), Expr::lit(true), width, ctrl());
-            prop_assert_eq!(&drain(Box::new(hj)).unwrap(), &expect, "hash {:?}", kind);
+            prop_assert_eq!(shown(&drain(Box::new(hj)).unwrap()), shown(&expect), "hash {:?}", kind);
             let mj = MergeJoinExec::new(
                 chunked_src(&ls, &sizes.0), chunked_src(&rs, &sizes.1), kind, keys.clone(),
                 keys.clone(), Expr::lit(true), width, ctrl());
-            let expect = join_oracle(&ls, &rs, kind, &on, width);
-            prop_assert_eq!(&drain(Box::new(mj)).unwrap(), &expect, "merge {:?}", kind);
+            let expect = key_equality_join_on(&ls, &rs, kind, nkeys);
+            prop_assert_eq!(shown(&drain(Box::new(mj)).unwrap()), shown(&expect), "merge {:?}", kind);
         }
         let aggs = vec![
             AggCall { func: AggFunc::CountStar, arg: None, name: "c".into() },
             AggCall { func: AggFunc::Sum, arg: Some(Expr::col(nkeys)), name: "s".into() },
         ];
-        let kinds = [DataType::Int, DataType::Date, DataType::Bool];
+        let kinds = [DataType::Int, DataType::Date, DataType::Bool, DataType::Double, DataType::Str];
         let out: Vec<DataType> =
             types.iter().map(|&t| kinds[t as usize]).chain([DataType::Int; 2]).collect();
         let hash = AggExec::hash(
             chunked_src(&l, &sizes.0), keys.clone(), aggs.clone(), AggPhase::Complete, out.clone(), ctrl());
         let expect = agg_oracle(&l, &keys, &aggs, AggPhase::Complete);
-        prop_assert_eq!(drain(Box::new(hash)).unwrap(), expect, "hash grouping");
+        prop_assert_eq!(shown(&drain(Box::new(hash)).unwrap()), shown(&expect), "hash grouping");
         let sort = AggExec::sorted(
             chunked_src(&ls, &sizes.0), keys.clone(), aggs.clone(), AggPhase::Complete, out, ctrl());
         let expect = agg_oracle(&ls, &keys, &aggs, AggPhase::Complete);
-        prop_assert_eq!(drain(Box::new(sort)).unwrap(), expect, "sorted grouping");
+        prop_assert_eq!(shown(&drain(Box::new(sort)).unwrap()), shown(&expect), "sorted grouping");
     }
 }
 
@@ -779,13 +796,19 @@ fn double_keys(keys: &[Option<f64>]) -> Vec<Row> {
 /// `==` on non-NULL keys, under which `-0.0 = 0.0` and a NaN equals
 /// nothing — in left order, each row's matches in right order.
 fn key_equality_join(l: &[Row], r: &[Row], kind: JoinKind) -> Vec<Row> {
+    key_equality_join_on(l, r, kind, 1)
+}
+
+/// [`key_equality_join`] on the first `nkeys` columns of rows one payload
+/// column wider.
+fn key_equality_join_on(l: &[Row], r: &[Row], kind: JoinKind, nkeys: usize) -> Vec<Row> {
+    let equal = |a: &Row, b: &Row| (0..nkeys).all(|c| !a.0[c].is_null() && a.0[c] == b.0[c]);
     let mut out = Vec::new();
     for lr in l {
-        let hits: Vec<Row> =
-            r.iter().filter(|rr| !lr.0[0].is_null() && lr.0[0] == rr.0[0]).map(|rr| lr.concat(rr)).collect();
+        let hits: Vec<Row> = r.iter().filter(|rr| equal(lr, rr)).map(|rr| lr.concat(rr)).collect();
         match kind {
             JoinKind::Inner => out.extend(hits),
-            JoinKind::Left if hits.is_empty() => out.push(lr.concat(&Row(vec![Datum::Null; 2]))),
+            JoinKind::Left if hits.is_empty() => out.push(lr.concat(&Row(vec![Datum::Null; nkeys + 1]))),
             JoinKind::Left => out.extend(hits),
             JoinKind::Semi if !hits.is_empty() => out.push(lr.clone()),
             JoinKind::Anti if hits.is_empty() => out.push(lr.clone()),
@@ -861,6 +884,9 @@ fn hash_key_values_are_pinned() {
             12269095741450630524,
         ),
         (Row(vec![Datum::Int(7), Datum::Int(9)]), vec![1], 14880668543911939867),
+        // Every NaN hashes as one NaN.
+        (Row(vec![Datum::Double(f64::NAN)]), vec![0], 3738596742988670918),
+        (Row(vec![Datum::Double(-f64::NAN)]), vec![0], 3738596742988670918),
     ];
     for (row, cols, expected) in cases {
         // A typed one-row batch, and the same row behind a selection.

@@ -71,8 +71,8 @@ fn sorted_run(columns: &[usize], store: &PartStore) -> Chunks {
     // rows actually have to move.
     let key_parts: Vec<ColumnBatch> =
         store.chunks().iter().map(|c| c.project_cols(columns)).collect();
-    let keys: Vec<(usize, bool)> = (0..columns.len()).map(|k| (k, false)).collect();
-    let order = ColumnBatch::concat(&key_parts).sort_permutation(&keys);
+    let keys: Vec<usize> = (0..columns.len()).collect();
+    let order = ColumnBatch::concat(&key_parts).sort_permutation(&keys, &[]);
     if order.iter().enumerate().all(|(i, &o)| i == o as usize) {
         // Already in key order (a primary-key index over rows loaded in key
         // order): the partition's own chunks are the run.

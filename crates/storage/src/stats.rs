@@ -48,7 +48,7 @@ impl TableStats {
                     for (i, hash) in chunk.hash_keys(&[c]).into_iter().enumerate() {
                         if !col.is_valid(i) {
                             *nulls += 1;
-                        } else if dir.find_or_insert(hash, |e| distinct.eq_at(e as usize, col, i)).1 {
+                        } else if dir.find_or_insert(hash, |e| distinct.cmp_at(e as usize, col, i).is_eq()).1 {
                             distinct.extend_take(col, &[i as u32]);
                         }
                     }

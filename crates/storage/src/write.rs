@@ -137,7 +137,8 @@ fn splice(types: &[DataType], chunk: &ColumnBatch, rows: ColumnBatch, at: &[u32]
 /// Upsert `rows` into `chunks` by primary key `pk`: the statement's last
 /// row of each key replaces the first stored row with that key, in its
 /// chunk, or else is appended at the position of the key's first row.
-/// Keys match by `hash_keys`, confirmed by `eq_at` (NULL equals NULL).
+/// Keys match by `hash_keys`, confirmed by the key order's tie (a NULL
+/// ties a NULL, a NaN a NaN).
 fn upsert(
     chunks: &[Arc<ColumnBatch>],
     rows: &ColumnBatch,
@@ -150,9 +151,7 @@ fn upsert(
         return w.finish();
     }
     let rows = rows.gather();
-    let same = |a: &ColumnBatch, i: usize, b: &ColumnBatch, j: usize| {
-        pk.iter().all(|&k| a.col(k).eq_at(i, b.col(k), j))
-    };
+    let same = |a: &ColumnBatch, i: usize, b: &ColumnBatch, j: usize| a.cmp_keys(pk, i, b, pk, j).is_eq();
     // The statement's keys in order of first appearance: (first row, last
     // row, stored position), with their ids by hash.
     let mut keys: Vec<(usize, usize, Option<_>)> = Vec::new();

@@ -8,7 +8,9 @@
 //! - every metric, event and span name the engine emits is documented in
 //!   OBSERVABILITY.md, and every name documented there is emitted;
 //! - the kernel plane calls no row-at-a-time accessor, and the evaluator
-//!   gathers no rows.
+//!   gathers no rows;
+//! - the key order has one owner: only `ic_common::col` names key words or
+//!   a second key equality.
 //!
 //! The fixture crates live under `tests/invariants/`; each is copied out of
 //! the source tree, built against the engine crates, and its diagnostics
@@ -291,4 +293,36 @@ fn evaluator_has_one_index_space() {
     let path = "crates/common/src/eval.rs";
     let calls = calls(&non_test(path), &gathers);
     assert!(calls.is_empty(), "{path}: gathers at {calls:?}");
+}
+
+/// (name, line) of every identifier in `src` that is one of `names`.
+fn mentions<'a>(src: &str, names: &[&'a str]) -> Vec<(&'a str, usize)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    for &name in names {
+        for (at, _) in src.match_indices(name) {
+            if !src[..at].ends_with(ident) && !src[at + name.len()..].starts_with(ident) {
+                out.push((name, line_of(src, at)));
+            }
+        }
+    }
+    out
+}
+
+/// Every key kernel compares keys through the one key order of
+/// `ic_common::col` (`KeyView`, `OwnedKeys`), whose key equality is the
+/// order's tie: no other engine source names the key words, their encoder
+/// or a second key equality.
+#[test]
+fn key_order_has_one_owner() {
+    let names = ["KeyWords", "key_words", "eq_at"];
+    let src = "let w: KeyWords = b.key_words(&k);\nc.eq_at(i, d, j); key_words_asc(); my_eq_at()";
+    assert_eq!(mentions(src, &names), [("KeyWords", 1), ("key_words", 1), ("eq_at", 2)]);
+    for path in engine_sources() {
+        if path == "crates/common/src/col.rs" {
+            continue;
+        }
+        let found = mentions(&non_test(&path), &names);
+        assert!(found.is_empty(), "{path}: names the key order's internals at {found:?}");
+    }
 }

@@ -197,3 +197,41 @@ fn order_by_ties_rows_whose_first_key_is_null() {
     let hundreds = (1..20).step_by(2).map(|k| (Datum::Int(100), Datum::Int(k)));
     assert_eq!(got, nulls.chain(hundreds).collect::<Vec<_>>());
 }
+
+/// NaN keys are one key: `DISTINCT`, `GROUP BY` and `count(DISTINCT)` group
+/// by the key order's tie, as sorting does, so the NaNs of `v - v` (from
+/// ±∞) and stored NaNs of both signs, spread over four sites and met in
+/// partial and final aggregates, make one group. Grouping compared keys by
+/// SQL equality, under which a NaN equals nothing: `DISTINCT` returned NaN
+/// twice, `count(DISTINCT)` 3 and `GROUP BY` two NaN groups of 1.
+#[test]
+fn nan_keys_are_one_group() {
+    use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, NetworkConfig, Row, SystemVariant};
+    let cluster = Cluster::new(ClusterConfig {
+        sites: 4,
+        variant: SystemVariant::ICPlus,
+        network: NetworkConfig::instant(),
+        ..ClusterConfig::test_default()
+    });
+    cluster.run("CREATE TABLE t (id BIGINT, v DOUBLE, PRIMARY KEY (id))").unwrap();
+    let values = [f64::INFINITY, f64::NEG_INFINITY, 0.0, f64::NAN, -f64::NAN];
+    let rows = values.iter().enumerate().map(|(i, &v)| Row(vec![Datum::Int(i as i64), Datum::Double(v)]));
+    cluster.insert("t", rows.collect()).unwrap();
+    cluster.analyze_all().unwrap();
+    let shown = |sql: &str| {
+        let r = cluster.query(sql).unwrap();
+        r.rows.iter().map(|row| format!("{row:?}")).collect::<Vec<_>>()
+    };
+    let row = |d: Vec<Datum>| format!("{:?}", Row(d));
+    let (nan, zero) = (|| Datum::Double(f64::NAN), || Datum::Double(0.0));
+    assert_eq!(shown("SELECT DISTINCT v - v AS d FROM t ORDER BY d"), [row(vec![zero()]), row(vec![nan()])]);
+    assert_eq!(shown("SELECT count(DISTINCT v - v) FROM t"), [row(vec![Datum::Int(2)])]);
+    assert_eq!(
+        shown("SELECT v - v AS d, count(*) FROM t GROUP BY v - v ORDER BY d"),
+        [row(vec![zero(), Datum::Int(1)]), row(vec![nan(), Datum::Int(4)])]
+    );
+    assert_eq!(shown("SELECT count(DISTINCT v) FROM t"), [row(vec![Datum::Int(4)])]);
+    let stored = shown("SELECT v, count(*) FROM t GROUP BY v ORDER BY v");
+    assert_eq!(stored.last(), Some(&row(vec![nan(), Datum::Int(2)])), "{stored:?}");
+    assert_eq!(stored.len(), 4, "{stored:?}");
+}

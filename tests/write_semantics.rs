@@ -93,6 +93,25 @@ fn a_null_key_upserts_onto_a_stored_null_key() {
     assert_eq!(chunks, vec![vec![ints(&[None, Some(2), Some(2)]), ints(&[Some(7), Some(0), Some(0)])]]);
 }
 
+/// A NaN primary key ties a stored NaN key, as a NULL one does: the key
+/// order's tie matches upsert keys, so the second statement replaces the
+/// row it wrote first (at the parent it stored a second NaN row).
+#[test]
+fn a_nan_key_upserts_onto_a_stored_nan_key() {
+    let c = cluster(1, 0);
+    c.run("CREATE TABLE p (k DOUBLE, w BIGINT, PRIMARY KEY (k))").unwrap();
+    // SQL has no NaN literal here: ∞ − ∞, ∞ being 10 × 10³⁰⁸.
+    let big = format!("1{}.0", "0".repeat(308));
+    let nan_sql = format!("({big} * 10 - {big} * 10)");
+    c.dml(&format!("INSERT INTO p VALUES ({nan_sql}, 1), (1.5, 0)")).unwrap();
+    c.dml(&format!("INSERT INTO p VALUES ({nan_sql}, 2)")).unwrap();
+    let (_, chunks) = partition0(&c, "p");
+    let rows: Vec<String> = chunks.concat().iter().map(|r| format!("{r:?}")).collect();
+    let nan = Row(vec![Datum::Double(f64::NAN), Datum::Int(2)]);
+    let other = Row(vec![Datum::Double(1.5), Datum::Int(0)]);
+    assert_eq!(rows, [format!("{nan:?}"), format!("{other:?}")]);
+}
+
 /// Single-key `DELETE` / `UPDATE` route to a fixed partition of a 4-site
 /// cluster: the routing hash of the key, which no refactor may move.
 #[test]
