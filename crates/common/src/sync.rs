@@ -219,6 +219,22 @@ impl Condvar {
         }
     }
 
+    /// Release `guard`'s lock until a notification, then take it again. As
+    /// with [`Condvar::wait_timeout`], a waiting thread takes nothing.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let MutexGuard {
+            guard,
+            #[cfg(debug_assertions)]
+            _held,
+        } = guard;
+        let guard = self.0.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        MutexGuard {
+            guard,
+            #[cfg(debug_assertions)]
+            _held,
+        }
+    }
+
     /// Wake every waiter.
     pub fn notify_all(&self) {
         self.0.notify_all();

@@ -20,6 +20,10 @@
 //! run reports it under. The optimizer's memo can share a subtree between
 //! two parents (a self-join); visited at two positions it is two nodes, two
 //! exchanges and two fragments, with no copy of the plan made.
+//!
+//! A placement owns what it refers to — each [`NodeRef`] holds its subtree's
+//! `Arc` — so an execution built from it can be handed to the driver pool's
+//! threads without borrowing from its caller.
 
 use crate::variant::{assign_modes, SourceMode};
 use ic_common::obs::OpMeta;
@@ -30,16 +34,16 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A plan node at its pre-order position.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeRef<'p> {
-    pub plan: &'p Arc<PhysPlan>,
+#[derive(Debug, Clone)]
+pub struct NodeRef {
+    pub plan: Arc<PhysPlan>,
     pub id: u32,
 }
 
-impl<'p> NodeRef<'p> {
+impl NodeRef {
     /// This node's first (or only) input: the next node in pre-order.
-    pub fn first(self, input: &'p Arc<PhysPlan>) -> NodeRef<'p> {
-        NodeRef { plan: input, id: self.id + 1 }
+    pub fn first(&self, input: &Arc<PhysPlan>) -> NodeRef {
+        NodeRef { plan: input.clone(), id: self.id + 1 }
     }
 }
 
@@ -64,11 +68,11 @@ impl fmt::Display for Slot {
 /// One fragment: a subtree of the plan executable entirely at one site,
 /// instantiated at `slots` × `variants`. Fragment 0 is the root fragment.
 #[derive(Debug)]
-pub struct Fragment<'p> {
+pub struct Fragment {
     /// The subtree root. [`PhysOp::Exchange`] nodes *inside* this subtree
     /// are the receivers of this fragment (their own subtrees belong to
     /// other fragments).
-    pub root: NodeRef<'p>,
+    pub root: NodeRef,
     /// The fragment's instances, in partition order for a partitioned one.
     pub slots: Vec<Slot>,
     /// Variant fragments per instance (§5.3); 1 = not multithreaded.
@@ -108,8 +112,8 @@ pub struct Node {
 
 /// Everything placement decides about one plan.
 #[derive(Debug)]
-pub struct Placement<'p> {
-    pub fragments: Vec<Fragment<'p>>,
+pub struct Placement {
+    pub fragments: Vec<Fragment>,
     pub exchanges: Vec<Exchange>,
     pub nodes: Vec<Node>,
     /// The static per-node table `EXPLAIN ANALYZE` renders (labels, tree
@@ -117,11 +121,11 @@ pub struct Placement<'p> {
     pub metas: Vec<OpMeta>,
 }
 
-impl Placement<'_> {
+impl Placement {
     /// The second input of binary node `at`: past its first input's subtree.
-    pub fn second<'n>(&self, at: NodeRef<'n>, input: &'n Arc<PhysPlan>) -> NodeRef<'n> {
+    pub fn second(&self, at: &NodeRef, input: &Arc<PhysPlan>) -> NodeRef {
         let first = at.id + 1;
-        NodeRef { plan: input, id: first + self.nodes[first as usize].size }
+        NodeRef { plan: input.clone(), id: first + self.nodes[first as usize].size }
     }
 }
 
@@ -148,14 +152,9 @@ fn coordinator(assignment: &Assignment) -> Vec<Slot> {
 /// (Algorithm 3). Fragments are placed against an [`Assignment`] — the
 /// surviving-site view of the topology — so dead sites' partitions are
 /// served by their backup owners; the root fragment runs at the coordinator.
-pub fn place<'p>(
-    plan: &'p Arc<PhysPlan>,
-    assignment: &Assignment,
-    variants: usize,
-    traced: bool,
-) -> Placement<'p> {
+pub fn place(plan: &Arc<PhysPlan>, assignment: &Assignment, variants: usize, traced: bool) -> Placement {
     let root = Fragment {
-        root: NodeRef { plan, id: 0 },
+        root: NodeRef { plan: plan.clone(), id: 0 },
         slots: coordinator(assignment),
         variants: 1,
         sink: None,
@@ -172,18 +171,18 @@ pub fn place<'p>(
     walk.placement
 }
 
-struct Walk<'p, 'a> {
-    placement: Placement<'p>,
+struct Walk<'a> {
+    placement: Placement,
     assignment: &'a Assignment,
     variants: usize,
     traced: bool,
 }
 
-impl<'p> Walk<'p, '_> {
+impl Walk<'_> {
     /// Visit `node` as part of fragment `fi`, reached in `mode`.
     fn visit(
         &mut self,
-        node: &'p Arc<PhysPlan>,
+        node: &Arc<PhysPlan>,
         parent: Option<u32>,
         depth: u32,
         fi: usize,
@@ -207,7 +206,7 @@ impl<'p> Walk<'p, '_> {
             p.exchanges.push(Exchange { node: id, producer, consumer: fi, to: to.clone(), mode });
             p.fragments[fi].inputs.push(ex);
             p.fragments.push(Fragment {
-                root: NodeRef { plan: input, id: id + 1 },
+                root: NodeRef { plan: input.clone(), id: id + 1 },
                 slots: fragment_slots(input, self.assignment),
                 variants: self.variants,
                 sink: Some(ex),
@@ -320,7 +319,7 @@ pub(crate) mod tests {
         let p = place(&join, &assignment, 1, true);
         assert_eq!((p.fragments.len(), p.exchanges.len(), p.nodes.len()), (3, 2, 5));
         assert_eq!((p.fragments[1].root.id, p.fragments[2].root.id), (2, 4));
-        assert!(Arc::ptr_eq(p.fragments[1].root.plan, p.fragments[2].root.plan));
+        assert!(Arc::ptr_eq(&p.fragments[1].root.plan, &p.fragments[2].root.plan));
         let parents: Vec<_> = p.metas.iter().map(|m| m.parent).collect();
         assert_eq!(parents, vec![None, Some(0), Some(1), Some(0), Some(3)]);
     }

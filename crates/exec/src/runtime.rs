@@ -1,5 +1,6 @@
-//! Query runtime: one [`Execution`] per query attempt, and every thread of
-//! the query a scoped thread that borrows it.
+//! Query runtime: one [`Execution`] per query attempt, shared by the
+//! query's drivers, which run on the caller's thread (the root) and on
+//! reused driver-pool threads (every other fragment instance).
 //!
 //! [`execute_plan`] places the plan once ([`crate::fragment::place`]: the
 //! fragments, the exchanges and a per-node table, a node being its pre-order
@@ -7,14 +8,15 @@
 //! instance, consumer variant), and puts that — with the catalog, the
 //! surviving-site assignment and the query's control block — into the
 //! `Execution`. Nothing about a running query lives anywhere else, and
-//! nothing in it is cloned per thread: it is lent.
+//! nothing in it is cloned per thread: each driver holds an `Arc` of it.
 //!
 //! Each fragment instance (fragment × partition × variant) has a *driver*
 //! (§3.2.3's one thread per fragment, × §5.3's variants), run by the one
-//! [`launch_instance`] — on the calling thread for the root, on a
-//! `std::thread::scope` thread for every other instance. The driver builds
-//! the instance's operator chain with [`BuildCtx::build`], the only plan →
-//! operator mapping there is, and pushes its output into the instance's
+//! [`launch_instance`] — on the calling thread for the root, as a job on the
+//! process's driver pool ([`crate::driver_pool`]) for every other instance,
+//! so a query starts no thread of its own once the pool is warm. The driver
+//! builds the instance's operator chain with [`BuildCtx::build`], the only
+//! plan → operator mapping there is, and pushes its output into the instance's
 //! [`InstanceSink`] — the staging half of [`ExchangeCore`] coalesces
 //! sub-batch outputs per destination — and ends the stream when the chain
 //! is drained. An instance of a partitioned fragment reads its one partition
@@ -34,8 +36,12 @@
 //! stays, and a thread that only noticed the stop — a `check` after it, a
 //! send whose receiver is gone — unwinds with [`IcError::Cancelled`], which
 //! the cell does not take. [`execute_plan`] returns the root's rows or the cell's cause, and
-//! decides nothing itself.
+//! decides nothing itself. It returns only after every driver has dropped
+//! all of its state — operators, batches, lease cells, spans, its share of
+//! the `Execution` — and counted down the query's latch, so the memory
+//! lease balances and the drivers' workers are idle by the time it does.
 
+use crate::driver_pool::{self, Job, Latch};
 use crate::fragment::{place, NodeRef, Placement, Slot};
 use crate::operators::*;
 use crate::variant::SourceMode;
@@ -382,14 +388,14 @@ impl RowSource for ReceiverSource {
 }
 
 /// Everything one query execution is, built once by [`execute_plan`] and
-/// lent to every thread of the query — the fragment instances' drivers are
-/// scoped threads that borrow it.
-pub(crate) struct Execution<'a> {
-    catalog: &'a Catalog,
+/// shared by every thread of the query: each driver holds an `Arc` of it
+/// until its instance is done.
+pub(crate) struct Execution {
+    catalog: Arc<Catalog>,
     /// The surviving-site partition map this query attempt executes under.
     assignment: Arc<Assignment>,
     /// The plan's fragments, exchanges and per-node table.
-    placement: Placement<'a>,
+    placement: Placement,
     /// Per exchange, a sender prototype for every consumer endpoint
     /// (instance, variant), in instance-major order; a producer instance
     /// stamps its own site on its copies.
@@ -411,7 +417,7 @@ struct Instance {
     receivers: Vec<(u32, ReceiverSource)>,
 }
 
-impl Execution<'_> {
+impl Execution {
     /// How the source at plan node `at` splits across `inst`'s variants:
     /// `None` passes everything.
     fn split_for(&self, inst: &Instance, at: u32) -> Option<(usize, usize)> {
@@ -423,7 +429,7 @@ impl Execution<'_> {
 
 /// The plan → operator builder of one fragment instance's driver.
 struct BuildCtx<'a> {
-    ex: &'a Execution<'a>,
+    ex: &'a Execution,
     /// The driver's trace lane.
     lane: u32,
     /// The fragment-instance span every operator span parents to.
@@ -431,7 +437,7 @@ struct BuildCtx<'a> {
 }
 
 impl BuildCtx<'_> {
-    fn build(&self, at: NodeRef<'_>, inst: &mut Instance) -> IcResult<BoxedSource> {
+    fn build(&self, at: NodeRef, inst: &mut Instance) -> IcResult<BoxedSource> {
         let ex = self.ex;
         let ctrl = ex.ctrl.clone();
         let src: BoxedSource = match &at.plan.op {
@@ -469,7 +475,7 @@ impl BuildCtx<'_> {
             }
             PhysOp::NestedLoopJoin { left, right, kind, on } => Box::new(NestedLoopJoinExec::new(
                 self.build(at.first(left), inst)?,
-                self.build(ex.placement.second(at, right), inst)?,
+                self.build(ex.placement.second(&at, right), inst)?,
                 *kind,
                 on.clone(),
                 right.schema.arity(),
@@ -478,7 +484,7 @@ impl BuildCtx<'_> {
             PhysOp::HashJoin { left, right, kind, left_keys, right_keys, residual } => {
                 Box::new(HashJoinExec::new(
                     self.build(at.first(left), inst)?,
-                    self.build(ex.placement.second(at, right), inst)?,
+                    self.build(ex.placement.second(&at, right), inst)?,
                     *kind,
                     left_keys.clone(),
                     right_keys.clone(),
@@ -490,7 +496,7 @@ impl BuildCtx<'_> {
             PhysOp::MergeJoin { left, right, kind, left_keys, right_keys, residual } => {
                 Box::new(MergeJoinExec::new(
                     self.build(at.first(left), inst)?,
-                    self.build(ex.placement.second(at, right), inst)?,
+                    self.build(ex.placement.second(&at, right), inst)?,
                     *kind,
                     left_keys.clone(),
                     right_keys.clone(),
@@ -547,9 +553,9 @@ impl BuildCtx<'_> {
 }
 
 /// Run one fragment instance to completion on the calling thread — the
-/// coordinator's for the root, a driver thread's for every other — and
+/// coordinator's for the root, a driver pool thread's for every other — and
 /// return the rows it produced for the client (none unless it is the root).
-fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>> {
+fn launch_instance(ex: &Execution, mut inst: Instance) -> IcResult<Vec<Row>> {
     let (fi, slot, vid) = (inst.fi, inst.slot, inst.vid);
     let fragment = &ex.placement.fragments[fi];
     let obs = ex.ctrl.obs();
@@ -593,7 +599,7 @@ fn launch_instance(ex: &Execution<'_>, mut inst: Instance) -> IcResult<Vec<Row>>
         Some(core) => InstanceSink::Exchange(core),
         None => InstanceSink::Rows(&mut rows, &ex.ctrl),
     };
-    let mut src = BuildCtx { ex, lane, parent_span }.build(fragment.root, &mut inst)?;
+    let mut src = BuildCtx { ex, lane, parent_span }.build(fragment.root.clone(), &mut inst)?;
     while let Some(b) = src.next_batch()? {
         sink.push(b)?;
     }
@@ -681,19 +687,19 @@ pub fn execute_plan(
         }
     }
     let fragments = placement.fragments.len();
-    let ex = Execution {
-        catalog,
+    let ex = Arc::new(Execution {
+        catalog: catalog.clone(),
         assignment,
         placement,
         senders,
         ctrl,
         exec_span: exec_span.as_ref().map(|g| g.id()),
-    };
+    });
     let ctrl = &ex.ctrl;
 
     // --- run the fragment instances ----------------------------------------
-    // Every non-root instance gets a driver thread of its own; the root
-    // fragment runs on this thread.
+    // Every non-root instance is a job on the driver pool; the root fragment
+    // runs on this thread.
     let mut instances = instances.into_iter();
     let root = instances
         .next()
@@ -704,38 +710,34 @@ pub fn execute_plan(
     // A driver's panic is a cause too, recorded where it happens — the
     // execution's sender prototypes keep every link open, so a consumer
     // learns of a dead producer only through the cell.
-    let root_result = std::thread::scope(|s| {
-        let drivers: Vec<_> = instances
-            .map(|inst| {
-                let ex = &ex;
-                let name = format!("fragment {} at {} (variant {})", inst.fi, inst.slot, inst.vid);
-                s.spawn(move || {
-                    let run = AssertUnwindSafe(|| launch_instance(ex, inst));
-                    let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-                        Err(IcError::Exec(format!("{name} panicked: {}", panic_message(&*payload))))
-                    });
-                    if let Err(e) = outcome {
-                        ex.ctrl.fail(e);
-                    }
-                })
-            })
-            .collect();
-        let root_result = launch_instance(&ex, root).map_err(|e| ctrl.fail(e));
-        // Stop the drivers either way (a no-op after a failure): the root may
-        // have finished without draining its producers (a bare LIMIT satisfied
-        // early), whose receivers are gone — stop them instead of letting them
-        // grind until a send hits the dead channel.
-        ctrl.finish();
-        // Join each driver here rather than leave it to the scope, which
-        // detaches them: a detached thread can still be exiting, its stack
-        // not yet reusable, when the next query spawns its own.
-        for driver in drivers {
-            if let Err(payload) = driver.join() {
-                std::panic::resume_unwind(payload);
+    let jobs = instances.map(|inst| {
+        let driver = ex.clone();
+        Box::new(move || {
+            let (fi, slot, vid) = (inst.fi, inst.slot, inst.vid);
+            let run = AssertUnwindSafe(|| launch_instance(&driver, inst));
+            let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                let panic = panic_message(&*payload);
+                Err(IcError::Exec(format!("fragment {fi} at {slot} (variant {vid}) panicked: {panic}")))
+            });
+            if let Err(e) = outcome {
+                driver.ctrl.fail(e);
             }
-        }
-        root_result
+        }) as Job
     });
+    let drivers = Arc::new(Latch::default());
+    if let Err(e) = driver_pool::run(jobs.collect(), &drivers) {
+        ctrl.fail(e);
+    }
+    let root_result = launch_instance(&ex, root).map_err(|e| ctrl.fail(e));
+    // Stop the drivers either way (a no-op after a failure): the root may
+    // have finished without draining its producers (a bare LIMIT satisfied
+    // early), whose receivers are gone — stop them instead of letting them
+    // grind until a send hits the dead channel.
+    ctrl.finish();
+    // Return only once every driver has dropped its state — operators,
+    // batches, lease cells, spans, its share of the execution — and its
+    // worker is idle again for the next query.
+    drivers.wait();
     let threads = threads + 1;
     let peak_buffered_rows = ctrl.lease().peak_used();
     if let Some(g) = &mut exec_span {

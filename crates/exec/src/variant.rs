@@ -73,7 +73,7 @@ mod tests {
     }
 
     /// `plan` placed on two sites with two variants requested.
-    fn placed(plan: &Arc<PhysPlan>) -> Placement<'_> {
+    fn placed(plan: &Arc<PhysPlan>) -> Placement {
         place(plan, &healthy(2), 2, false)
     }
 

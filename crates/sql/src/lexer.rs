@@ -68,6 +68,17 @@ pub fn lex(input: &str) -> IcResult<Vec<Token>> {
                 while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
                     i += 1;
                 }
+                // An exponent (`e`, an optional sign, digits) belongs to the
+                // number; an `e` without digits after it starts a word.
+                if matches!(chars.get(i), Some('e' | 'E')) {
+                    let digits = i + 1 + matches!(chars.get(i + 1), Some('+' | '-')) as usize;
+                    if chars.get(digits).is_some_and(char::is_ascii_digit) {
+                        i = digits;
+                        while i < chars.len() && chars[i].is_ascii_digit() {
+                            i += 1;
+                        }
+                    }
+                }
                 out.push(Token::Number(chars[start..i].iter().collect()));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -174,5 +185,27 @@ mod tests {
     fn leading_dot_number() {
         let t = lex("x > .07").unwrap();
         assert!(t.contains(&Token::Number(".07".into())));
+    }
+
+    /// An exponent is part of its number, with or without a sign; an `e`
+    /// with no digits after it is not.
+    #[test]
+    fn exponent_numbers() {
+        for n in ["1e308", "2.5E-3", "1e+2", ".5e1"] {
+            assert_eq!(lex(n).unwrap(), [Token::Number(n.into()), Token::Eof], "{n}");
+        }
+        let t = lex("1e x 2e+ 3E").unwrap();
+        let want = [
+            Token::Number("1".into()),
+            Token::Ident("e".into()),
+            Token::Ident("x".into()),
+            Token::Number("2".into()),
+            Token::Ident("e".into()),
+            Token::Sym("+"),
+            Token::Number("3".into()),
+            Token::Ident("e".into()),
+            Token::Eof,
+        ];
+        assert_eq!(t, want);
     }
 }

@@ -564,7 +564,7 @@ impl Parser {
     fn parse_primary(&mut self) -> IcResult<AstExpr> {
         match self.next() {
             Token::Number(n) => {
-                if n.contains('.') {
+                if n.contains(['.', 'e', 'E']) {
                     n.parse::<f64>()
                         .map(AstExpr::NumberLit)
                         .map_err(|_| IcError::Parse(format!("bad number '{n}'")))
@@ -739,6 +739,23 @@ mod tests {
         let AstExpr::Binary { op: BinOp::Add, left, right } = *right else { panic!() };
         assert!(matches!(*left, AstExpr::DateLit(_)));
         assert!(matches!(*right, AstExpr::IntervalLit { value: 3, unit: IntervalUnit::Month }));
+    }
+
+    /// A number with an exponent is a Double, whatever its mantissa; one
+    /// past f64's range is ∞.
+    #[test]
+    fn exponent_literals_are_doubles() {
+        let lit = |sql: &str| match &q(&format!("SELECT {sql} FROM t")).select[0] {
+            SelectItem::Expr { expr: AstExpr::NumberLit(v), alias: None } => *v,
+            other => panic!("{sql}: {other:?}"),
+        };
+        assert_eq!(lit("1e308"), 1e308);
+        assert_eq!(lit("2.5E-3"), 0.0025);
+        assert_eq!(lit("1e+2"), 100.0);
+        assert_eq!(lit("1e309"), f64::INFINITY);
+        // `1e` is still the integer 1 under the alias `e`.
+        let SelectItem::Expr { expr: AstExpr::IntLit(1), alias } = &q("SELECT 1e FROM t").select[0] else { panic!() };
+        assert_eq!(alias.as_deref(), Some("e"));
     }
 
     #[test]

@@ -310,8 +310,8 @@ fn write_operand(out: &mut String, e: &AstExpr) {
 fn fmt_f64(v: f64) -> String {
     let s = format!("{v}");
     if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        // Scientific/inf/NaN never round-trip through the lexer; the
-        // generator only produces finite plain decimals.
+        // inf and NaN never round-trip through the lexer (`{v}` writes no
+        // exponent); the generator only produces finite plain decimals.
         s
     } else {
         format!("{s}.0")

@@ -10,7 +10,8 @@
 //! - the kernel plane calls no row-at-a-time accessor, and the evaluator
 //!   gathers no rows;
 //! - the key order has one owner: only `ic_common::col` names key words or
-//!   a second key equality.
+//!   a second key equality;
+//! - only the driver pool starts a thread in `crates/exec/src`.
 //!
 //! The fixture crates live under `tests/invariants/`; each is copied out of
 //! the source tree, built against the engine crates, and its diagnostics
@@ -324,5 +325,23 @@ fn key_order_has_one_owner() {
         }
         let found = mentions(&non_test(&path), &names);
         assert!(found.is_empty(), "{path}: names the key order's internals at {found:?}");
+    }
+}
+
+/// Fragment drivers run on the driver pool's reused threads, so a query
+/// starts no thread of its own: in the non-test part of `crates/exec/src`,
+/// only the pool names a way to start one.
+#[test]
+fn only_the_driver_pool_starts_threads() {
+    let starts = ["thread::spawn", "thread::scope", "thread::Builder"];
+    let src = "std::thread::scope(|s| s.spawn(f));\nthread::Builder::new(); my_thread::spawn_all()";
+    assert_eq!(mentions(src, &starts), [("thread::scope", 1), ("thread::Builder", 2)]);
+    let pool = "crates/exec/src/driver_pool.rs";
+    assert!(!mentions(&non_test(pool), &starts).is_empty(), "{pool} starts no thread");
+    for path in engine_sources() {
+        if path.starts_with("crates/exec/src/") && path != pool {
+            let found = mentions(&non_test(&path), &starts);
+            assert!(found.is_empty(), "{path}: starts a thread at {found:?}; run it on the driver pool");
+        }
     }
 }
